@@ -5,7 +5,7 @@ export PYTHONPATH
 
 .PHONY: test lint bench bench-kernel bench-plan bench-recovery \
 	bench-profile bench-parallel bench-batch bench-views bench-rescale \
-	chaos fuzz fuzz-quick
+	cqbench-smoke cqbench-tests chaos fuzz fuzz-quick
 
 test: lint
 	$(PYTHON) -m pytest -x -q
@@ -65,9 +65,23 @@ bench-views:
 bench-rescale:
 	$(PYTHON) -m pytest benchmarks/bench_rescale.py -x -q
 
-# Every headline benchmark, each writing its BENCH_*.json.
+# Every headline benchmark, each writing its BENCH_*.json.  The
+# regression benchmark BENCHMARK.json declares is separate: `python3 -m
+# cqbench` is the full run (about two minutes); `make cqbench-smoke` is
+# its 3-second end-to-end check and `make cqbench-tests` tests the
+# benchmark itself.
 bench: bench-kernel bench-plan bench-recovery bench-profile \
 	bench-parallel bench-batch bench-views bench-rescale
+
+# cqbench at 1/20 size, one pass per workload, correctness checks on:
+# every workload must print "correct": true and ops_failed = 0.
+cqbench-smoke:
+	python3 -m cqbench run --smoke
+
+# The benchmark's own tests (fold, canary scaling, tracer, workload
+# references); not part of the tier-1 suite.
+cqbench-tests:
+	$(PYTHON) -m pytest cqbench/tests
 
 # Standing fault-injection campaign: kernel crash matrix over random
 # queries plus seeded broker drop/dup/reorder chaos.

@@ -94,7 +94,13 @@ class CQLEngine:
         otherwise the request is clamped back to a serial query (the
         planner's call, not an error — see
         :func:`repro.plan.parallel.decide_parallelism`)."""
-        plan = self.plan(text, optimize)
+        return self.register_plan(self.plan(text, optimize), kernel=kernel,
+                                  shared=shared, parallelism=parallelism)
+
+    def register_plan(self, plan: LogicalOp, kernel: bool = True,
+                      shared=None, parallelism: int | None = None):
+        """:meth:`register_query` for a plan :meth:`plan` already built —
+        for callers that inspect the plan before registering it."""
         if shared is not None:
             if parallelism is not None and parallelism > 1:
                 raise PlanError(
@@ -110,6 +116,17 @@ class CQLEngine:
             query = ContinuousQuery(plan, self.catalog, kernel=kernel)
         self._queries.append(query)
         return query
+
+    def cancel_query(self, query) -> bool:
+        """Forget a registered query (the Figure 1 contract's end: active
+        *until terminated*): :meth:`push` no longer reaches it and the
+        engine no longer keeps its operators alive.  Returns whether it
+        was registered."""
+        try:
+            self._queries.remove(query)
+        except ValueError:
+            return False
+        return True
 
     def shared_group(self):
         """Create an empty :class:`~repro.cql.shared.SharedGroup` bound to

@@ -217,7 +217,8 @@ class StreamSourceOp(PhysicalOp):
     """
 
     _STATE_ATTRS = ("_staged", "_expiries", "_fifo", "_per_key",
-                    "_pending", "_visible", "_arrived", "evicted")
+                    "_pending", "_visible", "_arrived", "evicted",
+                    "_buffered")
 
     def __init__(self, scan: StreamScan, spec, agenda: Agenda,
                  prefilter: Callable[[Record], bool] | None = None) -> None:
@@ -239,6 +240,10 @@ class StreamSourceOp(PhysicalOp):
         self._pending: list[tuple[Record, Timestamp, Timestamp]] = []
         self._visible: list[tuple[Record, Timestamp]] = []
         self._arrived = False
+        #: Tuples held across the five buffers above: a tally kept at
+        #: every append/pop so ``state_size`` never walks the window.  It
+        #: is checkpointed state like the buffers it counts.
+        self._buffered = 0
         #: Total tuples ever evicted from this window (Throw accounting).
         self.evicted = 0
         #: Raw arrivals staged here, counted *before* the prefilter, so
@@ -267,23 +272,23 @@ class StreamSourceOp(PhysicalOp):
             enter = self._ceil_boundary(t)
             exit_ = self._ceil_boundary(t + self.spec.range_)
             self._pending.append((record, enter, exit_))
+            self._buffered += 1
             self._staged.pop()  # stepped windows bypass the direct path
             self._agenda.schedule(enter)
             self._agenda.schedule(exit_)
         elif kind is WindowSpecKind.RANGE:
             self._expiries[t + self.spec.range_].append(record)
+            self._buffered += 1
             self._agenda.schedule(t + self.spec.range_)
         elif kind is WindowSpecKind.NOW:
             self._expiries[t + 1].append(record)
+            self._buffered += 1
             self._agenda.schedule(t + 1)
 
     @property
     def state_size(self) -> int:
         """Tuples currently buffered by the window (Scratch accounting)."""
-        return (sum(len(v) for v in self._expiries.values())
-                + len(self._fifo)
-                + sum(len(q) for q in self._per_key.values())
-                + len(self._pending) + len(self._visible))
+        return self._buffered
 
     def _ceil_boundary(self, t: Timestamp) -> Timestamp:
         slide = self.spec.slide
@@ -310,15 +315,18 @@ class StreamSourceOp(PhysicalOp):
                     self.evicted += 1
                 else:
                     still_visible.append((record, exit_))
+            self._buffered -= len(self._visible) - len(still_visible)
             self._visible = still_visible
             return out
 
         # Time-based eviction first (Range / Now).
         if self._expiries:
             for expiry in sorted(e for e in self._expiries if e <= t):
-                for record in self._expiries.pop(expiry):
+                expired = self._expiries.pop(expiry)
+                for record in expired:
                     out.append(Delta(record, -1))
-                    self.evicted += 1
+                self.evicted += len(expired)
+                self._buffered -= len(expired)
 
         for record in self._staged:
             out.append(Delta(record, +1))
@@ -327,12 +335,16 @@ class StreamSourceOp(PhysicalOp):
                 if len(self._fifo) > self.spec.rows:
                     out.append(Delta(self._fifo.popleft(), -1))
                     self.evicted += 1
+                else:
+                    self._buffered += 1
             elif kind is WindowSpecKind.PARTITIONED:
                 queue = self._per_key[self._key_fn(record)]
                 queue.append(record)
                 if len(queue) > self.spec.rows:
                     out.append(Delta(queue.popleft(), -1))
                     self.evicted += 1
+                else:
+                    self._buffered += 1
         self._staged.clear()
         return out
 
@@ -414,7 +426,7 @@ class JoinOp(PhysicalOp):
     join.  A residual predicate filters joined records.
     """
 
-    _STATE_ATTRS = ("_left_state", "_right_state")
+    _STATE_ATTRS = ("_left_state", "_right_state", "_held")
 
     def __init__(self, left: PhysicalOp, right: PhysicalOp,
                  left_key: Callable[[Record], tuple],
@@ -426,6 +438,10 @@ class JoinOp(PhysicalOp):
         self._residual = residual
         self._left_state: dict[tuple, Counter] = defaultdict(Counter)
         self._right_state: dict[tuple, Counter] = defaultdict(Counter)
+        #: Net multiplicity folded into the two sides' indexes: a tally
+        #: kept where they are updated, so ``state_size`` never walks
+        #: them.  Checkpointed state like the indexes it counts.
+        self._held = 0
 
     def _emit(self, left_record: Record, right_record: Record,
               mult: int, out: list[Delta]) -> None:
@@ -463,11 +479,11 @@ class JoinOp(PhysicalOp):
                         record, mult)
         return out
 
-    @staticmethod
-    def _apply(state: dict[tuple, Counter], key: tuple, record: Record,
-               mult: int) -> None:
+    def _apply(self, state: dict[tuple, Counter], key: tuple,
+               record: Record, mult: int) -> None:
         counter = state[key]
         counter[record] += mult
+        self._held += mult
         if counter[record] == 0:
             del counter[record]
         if not counter:
@@ -475,8 +491,8 @@ class JoinOp(PhysicalOp):
 
     @property
     def state_size(self) -> int:
-        return (sum(sum(c.values()) for c in self._left_state.values())
-                + sum(sum(c.values()) for c in self._right_state.values()))
+        """Tuples (net multiplicity) indexed on both sides."""
+        return self._held
 
 
 class AppendOnlyJoinOp(JoinOp):
@@ -513,6 +529,7 @@ class AppendOnlyJoinOp(JoinOp):
             for right_record, count in self._right_index.get(key, ()):
                 self._emit(record, right_record, mult * count, out)
             self._left_index[key].append((record, mult))
+            self._held += mult
         for record, mult in right_deltas:
             if mult < 0:
                 raise StateError("retraction reached an append-only join")
@@ -522,13 +539,8 @@ class AppendOnlyJoinOp(JoinOp):
             for left_record, count in self._left_index.get(key, ()):
                 self._emit(left_record, record, count * mult, out)
             self._right_index[key].append((record, mult))
+            self._held += mult
         return out
-
-    @property
-    def state_size(self) -> int:
-        return (sum(sum(m for _, m in v) for v in self._left_index.values())
-                + sum(sum(m for _, m in v)
-                      for v in self._right_index.values()))
 
 
 class _MinMaxAccumulator:

@@ -44,6 +44,7 @@ def range_off_by_one() -> Iterator[None]:
             self._staged.append(record)
             expiry = t + self.spec.range_ + 1
             self._expiries[expiry].append(record)
+            self._buffered += 1
             self._agenda.schedule(expiry)
             return
         original(self, record, t)

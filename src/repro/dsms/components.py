@@ -11,7 +11,7 @@ realisation wired into the DSMS engine.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Protocol
+from typing import Any, Hashable, Iterator, Protocol
 
 from repro.core.relation import Bag, TimeVaryingRelation
 from repro.core.time import Timestamp
@@ -34,14 +34,22 @@ class Store:
         self._current[name] = Bag()
 
     def write(self, name: str, state: Bag, t: Timestamp) -> None:
-        """Persist a query's new current state at instant ``t``."""
+        """Persist a query's new current state at instant ``t``.
+
+        O(|state|) however long the history: only the change-log's tail
+        is looked at, and one copy of ``state`` serves both the
+        change-log and the current answer (the Store replaces stored
+        bags, it never mutates one).
+        """
         relation = self._relations[name]
-        if relation.change_points() and relation.change_points()[-1] == t:
+        times = relation._times
+        if times and times[-1] == t:
             # Same-instant refinement: keep the latest state for t.
-            relation._times.pop()
+            times.pop()
             relation._states.pop()
-        relation.set_at(t, state.copy(), coalesce=False)
-        self._current[name] = state.copy()
+        held = state.copy()
+        relation.set_at(t, held, coalesce=False)
+        self._current[name] = held
         self.writes += 1
 
     def current(self, name: str) -> Bag:
@@ -85,41 +93,89 @@ class StateHolder(Protocol):
     def state_size(self) -> int: ...
 
 
+class _Account:
+    """One owner's page of the Scratch ledger."""
+
+    __slots__ = ("holders", "settled")
+
+    def __init__(self) -> None:
+        self.holders: list[tuple[str, StateHolder]] = []
+        #: Sum of the holders' sizes as of the owner's last settle —
+        #: this owner's share of the ledger total.
+        self.settled = 0
+
+
 class Scratch:
     """Working-memory accounting for intermediate operator state.
 
     Operators (window buffers, join hash tables, aggregate groups) register
     here; the Scratch reports total and peak occupancy, which the Figure 3
     benchmark sweeps against window size.
+
+    The Scratch is a ledger keyed by *owner* (the query, or the shared
+    group, whose service path mutates the holders): whoever changes its
+    holders' state calls :meth:`settle` afterwards, which re-reads only
+    that owner's holders and folds the difference into the running
+    :attr:`total`.  A service quantum therefore costs O(own operators),
+    however many owners are registered.  :meth:`occupancy` is the full
+    audit — it re-reads every holder — and equals :attr:`total` whenever
+    every mutation has been settled.
     """
 
     def __init__(self) -> None:
-        self._holders: list[tuple[str, StateHolder]] = []
+        self._accounts: dict[Hashable, _Account] = {}
+        #: The ledger's running total: what :meth:`occupancy` would
+        #: return, without re-reading a holder.
+        self.total = 0
         self.peak = 0
 
-    def register(self, label: str, holder: StateHolder) -> None:
-        self._holders.append((label, holder))
+    def register(self, owner: Hashable, label: str,
+                 holder: StateHolder) -> None:
+        """Add ``holder`` to ``owner``'s account at its current size."""
+        account = self._accounts.get(owner)
+        if account is None:
+            account = self._accounts[owner] = _Account()
+        account.holders.append((label, holder))
+        size = holder.state_size
+        account.settled += size
+        self.total += size
 
-    def unregister(self, prefix: str) -> int:
-        """Drop registrations whose label is ``prefix`` or starts with
-        ``prefix`` + a separator; returns how many were dropped.
+    def unregister(self, owner: Hashable) -> int:
+        """Close ``owner``'s account: its holders leave the ledger and
+        the audit at once.  Returns how many holders were dropped (0 for
+        an unknown owner).
 
-        Used when a query's physical operators are replaced wholesale
-        (live rescale): the old replicas' holders would otherwise keep
-        their dead state in the occupancy number forever.
+        Used when a query is cancelled, and when its physical operators
+        are replaced wholesale (live rescale): the dead operators would
+        otherwise keep their state in the occupancy number forever.
         """
-        def matches(label: str) -> bool:
-            return label == prefix or label.startswith(prefix + "/") \
-                or label.startswith(prefix + "!")
+        account = self._accounts.pop(owner, None)
+        if account is None:
+            return 0
+        self.total -= account.settled
+        return len(account.holders)
 
-        before = len(self._holders)
-        self._holders = [(label, holder) for label, holder in self._holders
-                         if not matches(label)]
-        return before - len(self._holders)
+    def settle(self, owner: Hashable) -> int:
+        """Re-read ``owner``'s holders, fold the change into the ledger
+        total, refresh :attr:`peak` and return the total."""
+        account = self._accounts.get(owner)
+        if account is not None:
+            size = 0
+            for _, holder in account.holders:
+                size += holder.state_size
+            self.total += size - account.settled
+            account.settled = size
+        total = self.total
+        if total > self.peak:
+            self.peak = total
+        return total
 
     def occupancy(self) -> int:
-        """Total tuples currently held in registered operator state."""
-        total = sum(holder.state_size for _, holder in self._holders)
+        """Total tuples currently held in registered operator state —
+        the audit: every holder is re-read."""
+        total = sum(holder.state_size
+                    for account in self._accounts.values()
+                    for _, holder in account.holders)
         if total > self.peak:
             self.peak = total
         return total
@@ -127,12 +183,14 @@ class Scratch:
     def breakdown(self) -> dict[str, int]:
         """Occupancy per registered holder label."""
         out: dict[str, int] = {}
-        for label, holder in self._holders:
-            out[label] = out.get(label, 0) + holder.state_size
+        for account in self._accounts.values():
+            for label, holder in account.holders:
+                out[label] = out.get(label, 0) + holder.state_size
         return out
 
     def __len__(self) -> int:
-        return len(self._holders)
+        return sum(len(account.holders)
+                   for account in self._accounts.values())
 
 
 class Throw:
@@ -151,6 +209,14 @@ class Throw:
         self.discarded += 1
         if self._keep:
             self._tuples.append((value, t))
+
+    def discard_many(self, n: int, t: Timestamp) -> None:
+        """``n`` anonymous discards at instant ``t`` in one step."""
+        if n <= 0:
+            return
+        self.discarded += n
+        if self._keep:
+            self._tuples.extend([(None, t)] * n)
 
     def tuples(self) -> Iterator[tuple[Any, Timestamp]]:
         if not self._keep:

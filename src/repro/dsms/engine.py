@@ -42,6 +42,8 @@ from repro.dsms.metrics import QueryMetrics
 from repro.dsms.queues import InputQueue
 from repro.dsms.scheduler import RoundRobinScheduler, Scheduler
 from repro.dsms.shedding import NoShedding, Shedder
+from repro.plan.batching import decide_batch_size
+from repro.plan.ir import LogicalOp
 from repro.views.service import DynamicTableService
 
 
@@ -106,18 +108,28 @@ class QueryHandle:
         store.register(name)
         self._sources: list[StreamSourceOp] = []
         if track_state:
-            # A PartitionedQuery has one physical root per replica; a
-            # serial query exactly one.  Scratch accounting covers all of
-            # them — fissioned state is still this query's state.
-            roots = query.physical_roots()
-            for index, root in enumerate(roots):
-                suffix = f"!{index}" if len(roots) > 1 else ""
-                for label, op in _stateful_ops(root):
-                    scratch.register(f"{name}/{label}{suffix}", op)
-            self._sources = [
-                op for root in roots for _, op in _stateful_ops(root)
-                if isinstance(op, StreamSourceOp)]
-        self._last_source_sizes = {id(op): 0 for op in self._sources}
+            self.bind_operators()
+
+    def bind_operators(self) -> None:
+        """(Re)open this query's Scratch account over its current physical
+        operators and re-base eviction accounting on their sources.
+
+        Called at registration and again after a live rescale, when the
+        old replicas' operators are dead and new ones hold the state.  A
+        PartitionedQuery has one physical root per replica; a serial
+        query exactly one.  The account covers all of them — fissioned
+        state is still this query's state.
+        """
+        self._scratch.unregister(self.name)
+        self._sources = []
+        roots = self.query.physical_roots()
+        for index, root in enumerate(roots):
+            suffix = f"!{index}" if len(roots) > 1 else ""
+            for label, op in _stateful_ops(root):
+                self._scratch.register(
+                    self.name, f"{self.name}/{label}{suffix}", op)
+                if isinstance(op, StreamSourceOp):
+                    self._sources.append(op)
 
     @property
     def pending(self) -> int:
@@ -202,7 +214,7 @@ class QueryHandle:
         for seq in seqs:
             self.metrics.queue_wait.observe(self._process_seq - seq)
             self._process_seq += 1
-        self.metrics.scratch.observe(self._scratch.occupancy())
+        self.metrics.scratch.observe(self._scratch.settle(self.name))
         if span is not None:
             span.add(records=len(batch), emitted=len(emitted))
             wait_hist = obs.get_registry().histogram(
@@ -220,6 +232,7 @@ class QueryHandle:
         before = self._evictions()
         emitted = self.query.advance_to(t)
         self._account_throw(before, t)
+        self._scratch.settle(self.name)
         self._emissions.extend(emitted)
         if self.query._log:
             self._store.write(self.name, self.query.current(), t)
@@ -230,8 +243,7 @@ class QueryHandle:
 
     def _account_throw(self, before: int, t: Timestamp) -> None:
         # Every tuple evicted from a window buffer passes through the Throw.
-        for _ in range(self._evictions() - before):
-            self._throw.discard(None, t)
+        self._throw.discard_many(self._evictions() - before, t)
 
     def emissions(self) -> list[Emission]:
         return list(self._emissions)
@@ -256,7 +268,9 @@ class SharedGroupHandle:
 
     Scratch and Throw accounting happen here over the group's *distinct*
     operators, so shared state is counted once — the honest number the
-    sharing benchmark reports.
+    sharing benchmark reports.  The group is one Scratch owner: its
+    account is settled once per group instant, and every member that
+    was serviced observes that one total.
     """
 
     def __init__(self, group, queue: InputQueue, scratch: Scratch,
@@ -271,13 +285,17 @@ class SharedGroupHandle:
         self.busy_seconds = 0.0
         self.members: list[QueryHandle] = []
         self._registered_ops: set[int] = set()
+        #: The group's distinct window sources (eviction accounting);
+        #: None until first needed and after every ``add_member``.
+        self._sources: list[StreamSourceOp] | None = None
 
     def add_member(self, handle: QueryHandle) -> None:
         self.members.append(handle)
+        self._sources = None
         for label, op in _stateful_ops(handle.query._root):
             if id(op) not in self._registered_ops:
                 self._registered_ops.add(id(op))
-                self._scratch.register(f"shared/{label}", op)
+                self._scratch.register(self.name, f"shared/{label}", op)
 
     @property
     def pending(self) -> int:
@@ -336,6 +354,7 @@ class SharedGroupHandle:
         is written — in isolation that change would have arrived through
         its own queue.
         """
+        occupancy = self._scratch.settle(self.name)
         for handle in self.members:
             emitted = handle.query._drain_undelivered()
             handle._emissions.extend(emitted)
@@ -347,21 +366,19 @@ class SharedGroupHandle:
                 continue
             if handle.reads_stream(stream_name):
                 handle.metrics.processed += 1
-                handle.metrics.scratch.observe(self._scratch.occupancy())
+                handle.metrics.scratch.observe(occupancy)
                 handle._store.write(handle.name, handle.query.current(), t)
             elif handle.query._log and handle.query._log[-1][0] == t:
                 handle._store.write(handle.name, handle.query.current(), t)
 
-    def _sources(self) -> list[StreamSourceOp]:
-        return [op for op in self.group.distinct_operators()
-                if isinstance(op, StreamSourceOp)]
-
     def _evictions(self) -> int:
-        return sum(op.evicted for op in self._sources())
+        if self._sources is None:
+            self._sources = [op for op in self.group.distinct_operators()
+                             if isinstance(op, StreamSourceOp)]
+        return sum(op.evicted for op in self._sources)
 
     def _account_throw(self, before: int, t: Timestamp) -> None:
-        for _ in range(self._evictions() - before):
-            self._throw.discard(None, t)
+        self._throw.discard_many(self._evictions() - before, t)
 
 
 class DSMSEngine:
@@ -488,10 +505,10 @@ class DSMSEngine:
         identical, intermediate per-arrival emissions may net away."""
         if name in self._by_name:
             raise PlanError(f"query name {name!r} already registered")
+        # Planned once: the batching pass and the compiler share the plan.
+        plan = self._cql.plan(text)
         if batch_size is None:
-            from repro.plan.batching import decide_batch_size
-            batch_size = decide_batch_size(self._cql.plan(text),
-                                           self.batch_size)
+            batch_size = decide_batch_size(plan, self.batch_size)
         wants_fission = parallelism is not None and parallelism > 1
         if self._sharing and shedder is None and queue_capacity is None \
                 and not wants_fission:
@@ -500,9 +517,9 @@ class DSMSEngine:
             # which a shared queue cannot express, so those stay isolated.
             # Fissioned queries also stay isolated: sharing interleaves
             # operator state that partitioning must keep disjoint.
-            return self._register_shared(name, text)
-        query = self._cql.register_query(text, kernel=self._kernel,
-                                         parallelism=parallelism)
+            return self._register_shared(name, plan)
+        query = self._cql.register_plan(plan, kernel=self._kernel,
+                                        parallelism=parallelism)
         query.start()
         handle = QueryHandle(
             name, query,
@@ -523,7 +540,7 @@ class DSMSEngine:
             self.recovery.checkpoint(len(self._arrival_log))
         return handle
 
-    def _register_shared(self, name: str, text: str) -> QueryHandle:
+    def _register_shared(self, name: str, plan: LogicalOp) -> QueryHandle:
         if self._group_handle is None:
             from repro.cql.shared import SharedGroup
             group = SharedGroup(self.catalog)
@@ -532,7 +549,7 @@ class DSMSEngine:
                 self.throw, wm_clock=self.watermark_clock)
             self._units.append(self._group_handle)
         group = self._group_handle.group
-        query = self._cql.register_query(text, shared=group)
+        query = self._cql.register_plan(plan, shared=group)
         query.start()
         handle = QueryHandle(
             name, query, self._group_handle.queue, NoShedding(),
@@ -577,7 +594,10 @@ class DSMSEngine:
     def cancel_query(self, name: str) -> QueryHandle:
         """Explicitly terminate a standing query (the other half of the
         Figure 1 contract: active *until terminated*).  Pending queue
-        contents are discarded; the Store keeps the final answer."""
+        contents are discarded and the query's Scratch account is closed
+        — its operator state leaves the occupancy at once and nothing in
+        the engine keeps the operators alive; the Store keeps the final
+        answer."""
         handle = self._by_name.get(name)
         if handle is None:
             raise PlanError(f"unknown query {name!r}")
@@ -589,6 +609,9 @@ class DSMSEngine:
         del self._by_name[name]
         self._handles.remove(handle)
         self._units.remove(handle)
+        self.scratch.unregister(name)
+        self._cql.cancel_query(handle.query)
+        self._autoscale_ineligible.discard(name)
         return handle
 
     @property
@@ -608,9 +631,10 @@ class DSMSEngine:
         query is first promoted to a width-1 fission
         (:meth:`~repro.cql.parallel.PartitionedQuery.adopt`).
 
-        Engine bookkeeping moves with it: Scratch registrations are
-        replaced (the old replicas' operators are dead), eviction
-        accounting re-bases on the new sources, and crash recovery takes
+        Engine bookkeeping moves with it: the query's Scratch account is
+        reopened over the new replicas' operators (the old ones are
+        dead), eviction accounting re-bases on the new sources, and
+        crash recovery takes
         a fresh baseline — old checkpoints encode the old width and must
         not be restored into the new one.
 
@@ -632,21 +656,15 @@ class DSMSEngine:
                 f"query {name!r} has {handle.pending} queued tuples; "
                 f"drain before rescaling (run_until_idle)")
         if not isinstance(query, PartitionedQuery):
-            query = PartitionedQuery.adopt(query)
-            handle.query = query
+            # The wrapper is driven through this handle only; the serial
+            # query it swallows leaves the CQL facade, or its operators
+            # would outlive the rescale that replaces them.
+            adopted = PartitionedQuery.adopt(query)
+            self._cql.cancel_query(query)
+            query = handle.query = adopted
         report = query.rescale(parallelism)
-        # Replace the Scratch registrations and eviction sources: the old
-        # replicas' operators no longer exist, the new ones do.
-        self.scratch.unregister(name)
-        roots = query.physical_roots()
-        for index, root in enumerate(roots):
-            suffix = f"!{index}" if len(roots) > 1 else ""
-            for label, op in _stateful_ops(root):
-                self.scratch.register(f"{name}/{label}{suffix}", op)
-        handle._sources = [
-            op for root in roots for _, op in _stateful_ops(root)
-            if isinstance(op, StreamSourceOp)]
-        handle._last_source_sizes = {id(op): 0 for op in handle._sources}
+        # The old replicas' operators no longer exist, the new ones do.
+        handle.bind_operators()
         handle.rescales.append(report)
         if self.recovery is not None:
             # Old checkpoints hold the old replica shape; restoring one
@@ -863,6 +881,9 @@ class DSMSEngine:
         self.store.restore(payload["store"])
         if "views" in payload:
             self.views.restore(payload["views"])
+        # Every operator's state just changed under the ledger.
+        for unit in self._units:
+            self.scratch.settle(unit.name)
 
     def _recover_and_replay(self) -> None:
         """Restore the newest checkpoint and re-offer the logged suffix.

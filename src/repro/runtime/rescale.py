@@ -316,7 +316,7 @@ class _Migration:
             payload.update(_staged=[], _expiries=defaultdict(list),
                            _fifo=deque(), _per_key=defaultdict(deque),
                            _pending=[], _visible=[], _arrived=False,
-                           evicted=0)
+                           evicted=0, _buffered=0)
         for old in olds:
             if old["_fifo"]:
                 # Unreachable behind a partitionability proof: [Rows n]
@@ -326,21 +326,28 @@ class _Migration:
                     "do not rescale")
             for expiry, records in old["_expiries"].items():
                 for record in records:
-                    news[owner(record)]["_expiries"][expiry].append(record)
-                    self.moved += 1
+                    target = news[owner(record)]
+                    target["_expiries"][expiry].append(record)
+                    target["_buffered"] += 1
             for window_key, queue in old["_per_key"].items():
                 if not queue:
                     continue
                 # The window's partition columns contain the routing key,
                 # so the whole per-key FIFO shares one owner.
-                news[owner(queue[0])]["_per_key"][window_key].extend(queue)
-                self.moved += len(queue)
+                target = news[owner(queue[0])]
+                target["_per_key"][window_key].extend(queue)
+                target["_buffered"] += len(queue)
             for entry in old["_pending"]:
-                news[owner(entry[0])]["_pending"].append(entry)
-                self.moved += 1
+                target = news[owner(entry[0])]
+                target["_pending"].append(entry)
+                target["_buffered"] += 1
             for entry in old["_visible"]:
-                news[owner(entry[0])]["_visible"].append(entry)
-                self.moved += 1
+                target = news[owner(entry[0])]
+                target["_visible"].append(entry)
+                target["_buffered"] += 1
+        # Every buffered tuple moved exactly once; the targets' O(1)
+        # state_size tallies are the counts of what each received.
+        self.moved += sum(payload["_buffered"] for payload in news)
         news[0]["evicted"] = sum(old["evicted"] for old in olds)
         self._spread_counters(news, olds)
         return news
@@ -393,6 +400,19 @@ class _Migration:
                             news[owner(record)][index_attr][bucket] \
                                 .append((record, mult))
                             self.moved += 1
+        for payload in news:
+            # The O(1) state_size tally, re-derived for the new shape
+            # (a broadcast side is held in full by every target).
+            counted = sum(
+                sum(counter.values())
+                for attr in ("_left_state", "_right_state")
+                for counter in payload[attr].values())
+            listed = sum(
+                mult
+                for attr in ("_left_index", "_right_index")
+                for entries in payload.get(attr, {}).values()
+                for _, mult in entries)
+            payload["_held"] = counted + listed
         self._spread_counters(news, olds)
         return news
 

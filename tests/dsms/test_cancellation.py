@@ -43,3 +43,27 @@ class TestCancellation:
         dsms.cancel_query("q")
         dsms.register_query("q", "SELECT temp FROM Obs [Now]")
         assert len(dsms.queries) == 1
+
+    def test_cancel_drops_the_querys_scratch_state_immediately(self, dsms):
+        dsms.register_query(
+            "gone", "SELECT COUNT(*) n FROM Obs [Range Unbounded] "
+                    "GROUP BY id")
+        dsms.register_query("stays", "SELECT DISTINCT id FROM Obs [Range 50]")
+        for t in range(3):
+            dsms.ingest("Obs", {"id": t, "temp": 20}, t)
+        dsms.run_until_idle()
+        stays = {label: size
+                 for label, size in dsms.scratch.breakdown().items()
+                 if label.startswith("stays/")}
+        assert dsms.scratch.occupancy() > sum(stays.values()) > 0
+        peak = dsms.scratch.peak
+        dsms.cancel_query("gone")
+        # No service quantum, no audit in between: the ledger, the audit
+        # and the per-label view all forget the cancelled query at once.
+        assert dsms.scratch.total == sum(stays.values())
+        assert dsms.scratch.occupancy() == dsms.total_state_size() \
+            == sum(stays.values())
+        assert dsms.scratch.breakdown() == stays
+        assert dsms.scratch.peak == peak  # a high-water mark stays put
+        # And the engine no longer keeps the cancelled operators alive.
+        assert len(dsms._cql.queries) == 1

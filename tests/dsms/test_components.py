@@ -73,6 +73,15 @@ class TestStore:
         snapshot.add("y")
         assert store.current("q") == Bag(["x"])
 
+    def test_write_copies_the_callers_bag(self):
+        store = Store()
+        store.register("q")
+        state = Bag(["x"])
+        store.write("q", state, 0)
+        state.add("y")
+        assert store.current("q") == Bag(["x"])
+        assert store.history("q").at(0) == Bag(["x"])
+
 
 class TestScratch:
     class Holder:
@@ -81,19 +90,68 @@ class TestScratch:
 
     def test_occupancy_sums_holders(self):
         scratch = Scratch()
-        scratch.register("a", self.Holder(3))
-        scratch.register("b", self.Holder(4))
+        scratch.register("q1", "a", self.Holder(3))
+        scratch.register("q2", "b", self.Holder(4))
         assert scratch.occupancy() == 7
         assert scratch.breakdown() == {"a": 3, "b": 4}
+        assert len(scratch) == 2
 
     def test_peak_tracks_maximum(self):
         scratch = Scratch()
         holder = self.Holder(10)
-        scratch.register("a", holder)
+        scratch.register("q", "a", holder)
         scratch.occupancy()
         holder.state_size = 2
         scratch.occupancy()
         assert scratch.peak == 10
+
+    def test_register_enters_the_ledger_at_the_current_size(self):
+        scratch = Scratch()
+        scratch.register("q", "a", self.Holder(3))
+        assert scratch.total == 3
+        # Peak is a high-water mark of settles and audits, not of
+        # registrations.
+        assert scratch.peak == 0
+
+    def test_settle_rereads_only_the_owner(self):
+        scratch = Scratch()
+        mine, theirs = self.Holder(1), self.Holder(5)
+        scratch.register("mine", "a", mine)
+        scratch.register("theirs", "b", theirs)
+        mine.state_size = 4
+        theirs.state_size = 50  # unsettled: the ledger must not see it
+        assert scratch.settle("mine") == 9
+        assert scratch.total == 9
+        assert scratch.peak == 9
+        assert scratch.settle("theirs") == 54
+        assert scratch.total == scratch.occupancy() == 54
+
+    def test_settle_sums_every_holder_of_the_owner(self):
+        scratch = Scratch()
+        first, second = self.Holder(0), self.Holder(0)
+        scratch.register("q", "a", first)
+        scratch.register("q", "b", second)
+        first.state_size, second.state_size = 2, 3
+        assert scratch.settle("q") == 5
+        second.state_size = 1
+        assert scratch.settle("q") == 3
+        assert scratch.peak == 5
+
+    def test_settle_unknown_owner_is_a_noop(self):
+        scratch = Scratch()
+        scratch.register("q", "a", self.Holder(2))
+        assert scratch.settle("ghost") == 2
+
+    def test_unregister_drops_the_owner_from_ledger_and_audit(self):
+        scratch = Scratch()
+        scratch.register("q", "a", self.Holder(2))
+        scratch.register("q", "b", self.Holder(3))
+        scratch.register("keep", "c", self.Holder(7))
+        assert scratch.unregister("q") == 2
+        assert scratch.total == scratch.occupancy() == 7
+        assert scratch.breakdown() == {"c": 7}
+        assert len(scratch) == 1
+        assert scratch.unregister("q") == 0
 
 
 class TestThrow:
@@ -112,6 +170,15 @@ class TestThrow:
         throw = Throw()
         with pytest.raises(ValueError):
             throw.tuples()
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_discard_many_equals_n_anonymous_discards(self, n):
+        looped, batched = Throw(keep_tuples=True), Throw(keep_tuples=True)
+        for _ in range(n):
+            looped.discard(None, 7)
+        batched.discard_many(n, 7)
+        assert batched.discarded == looped.discarded == n
+        assert list(batched.tuples()) == list(looped.tuples())
 
 
 class FakeQuery:

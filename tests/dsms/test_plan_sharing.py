@@ -144,6 +144,20 @@ class TestDSMSSharing:
         assert q1.store_state() == q2.store_state()
         assert q1.emissions() == q2.emissions()
 
+    def test_member_added_after_a_time_advance_is_throw_accounted(self):
+        # The group caches its distinct window sources for eviction
+        # accounting; a member joining later must invalidate the cache.
+        engine = self.engine()
+        engine.register_query("q1", Q_COUNT)
+        engine.advance_time(1)   # no data yet: the group is still open
+        engine.register_query("late", "SELECT id FROM Obs [Range 2]")
+        engine.ingest("Obs", {"id": 1, "room": "a", "temp": 5}, 2)
+        engine.run_until_idle()
+        engine.advance_time(10)
+        # temp 5 fails q1's pushed-down filter, so the only window that
+        # ever held (and evicted) the tuple is the late member's.
+        assert engine.throw.discarded == 1
+
     def test_cancel_of_shared_member_rejected(self):
         engine = self.engine()
         engine.register_query("q1", Q_COUNT)

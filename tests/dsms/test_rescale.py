@@ -80,7 +80,7 @@ class TestRescaleQuery:
         engine.run_until_idle()
         occupancy_before = engine.scratch.occupancy()
         engine.rescale_query("q", 3)
-        labels = [label for label, _ in engine.scratch._holders
+        labels = [label for label in engine.scratch.breakdown()
                   if label.startswith("q/")]
         # One registration per stateful operator per replica, suffixed.
         assert labels and all(label.endswith(("!0", "!1", "!2"))
