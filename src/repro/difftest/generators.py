@@ -266,8 +266,10 @@ class ViewCase:
     ``views`` are plain-data specs (see :func:`build_view_ir`) forming a
     multi-level DAG over the two fixed base tables; ``events`` is a script
     of ``apply`` / ``tick`` / ``refresh`` / ``suspend`` / ``resume`` /
-    ``crash`` steps.  Everything is JSON-able so a failing case embeds
-    literally in a repro file.
+    ``crash`` / ``create`` steps.  A view some ``create`` event names is
+    installed by that event — after commits, ticks, suspensions and
+    changelog GC have run — and every other view up front.  Everything
+    is JSON-able so a failing case embeds literally in a repro file.
     """
 
     views: list[dict[str, Any]]
@@ -365,6 +367,26 @@ def build_view_plans(case: ViewCase) -> dict[str, Any]:
     return plans
 
 
+def scanned_views(case_views: list[dict[str, Any]], installed: list[str],
+                  name: str) -> list[str]:
+    """The views ``name`` scans once installed after ``installed``.
+
+    Its definition's view sources — unless an already-installed view has
+    the identical definition: the service's sharing memo then turns the
+    newcomer into a scan of that twin (the first one installed).
+    """
+    specs = {spec["name"]: spec for spec in case_views}
+
+    def definition(view: str):
+        spec = specs[view]
+        return spec["shape"], spec["sources"], spec["params"]
+
+    for other in installed:
+        if other != name and definition(other) == definition(name):
+            return [other]
+    return [src for src in specs[name]["sources"] if src not in VIEW_BASES]
+
+
 def _gen_view_spec(rng: random.Random, name: str, pool: list[str],
                    must_use: str | None,
                    schemas: dict[str, Schema]) -> dict[str, Any]:
@@ -425,7 +447,10 @@ def gen_view_case(rng: random.Random,
     """A seeded multi-level view DAG plus a refresh/mutation script.
 
     Level 2 always consumes a level-1 view and level 3 a level-2 view,
-    so every case exercises a genuinely cascading (3-deep) refresh.
+    so every case exercises a genuinely cascading (3-deep) refresh.  A
+    suffix of the definition list (closed under "is consumed by", since
+    views only scan earlier ones) is installed mid-stream by ``create``
+    events rather than up front.
     """
     schemas = dict(VIEW_BASES)
     views: list[dict[str, Any]] = []
@@ -451,12 +476,39 @@ def gen_view_case(rng: random.Random,
 
     contents = {name: [dict(row) for row in initial[name]]
                 for name in VIEW_BASES}
-    view_names = [spec["name"] for spec in views]
+    steps = rng.randint(8, 14)
+    late = [spec["name"] for spec in views[rng.randint(1, len(views)):]]
+    create_at = sorted(rng.randrange(1, steps) for _ in late)
+    view_names: list[str] = []
+    scans: dict[str, list[str]] = {}
+    for spec in views[:len(views) - len(late)]:
+        scans[spec["name"]] = scanned_views(views, view_names, spec["name"])
+        view_names.append(spec["name"])
+
+    def upstream_views(sources: list[str]) -> set[str]:
+        out: set[str] = set()
+        for source in sources:
+            out |= {source} | upstream_views(scans[source])
+        return out
+
     suspended: set[str] = set()
     events: list[list[Any]] = []
-    steps = rng.randint(8, 14)
     crash_at = rng.randrange(steps) if rng.random() < 0.35 else None
     for step in range(steps):
+        while create_at and create_at[0] == step:
+            create_at.pop(0)
+            name = late.pop(0)
+            scans[name] = scanned_views(views, view_names, name)
+            held = upstream_views(scans[name]) & suspended
+            if held & set(scans[name]) and rng.random() < 0.5:
+                # A suspended direct source: this attempt is refused and
+                # must leave nothing behind for the retry to trip on.
+                events.append(["create", name])
+            for holder in sorted(held):
+                suspended.discard(holder)
+                events.append(["resume", holder])
+            events.append(["create", name])
+            view_names.append(name)
         if step == crash_at:
             events.append(["crash", rng.choice(view_names),
                            rng.randrange(8)])

@@ -643,7 +643,10 @@ def run_view_case(case) -> Divergence | None:
     unoptimised) definition over the base tables *as of the view's own
     version* — the oracle keeps its own per-version base history, so the
     reference never reads service state.  Suspension must block exactly
-    the refreshes the DAG says it blocks; a ``crash`` event tears one
+    the refreshes the DAG says it blocks; a ``create`` event installs a
+    view mid-stream (over sources whose consumed history GC has already
+    dropped) and must be refused, leaving no trace, exactly when a
+    suspended view holds a source back; a ``crash`` event tears one
     operator mid-refresh and recovery must converge to the same
     contents; at the end, every retained snapshot version must replay.
     """
@@ -657,6 +660,7 @@ def run_view_case(case) -> Divergence | None:
         VIEW_BASES,
         ViewCase,
         build_view_plans,
+        scanned_views,
     )
     assert isinstance(case, ViewCase)
 
@@ -709,10 +713,13 @@ def run_view_case(case) -> Divergence | None:
     def bag_key(bag: Bag):
         return sorted(bag.items(), key=repr)
 
+    lags = {spec["name"]: spec["lag"] for spec in case.views}
+    late = {event[1] for event in case.events if event[0] == "create"}
+    installed = [name for name in lags if name not in late]
+
     def check(where: str) -> Divergence | None:
         cache: dict = {}
-        for spec in case.views:
-            name = spec["name"]
+        for name in installed:
             view = service.view(name)
             got = service.read(name)
             want = reference(name, view.version, cache)
@@ -730,10 +737,9 @@ def run_view_case(case) -> Divergence | None:
             for table, rows in commit_rows.items():
                 service.apply(table, rows, at=version)
                 record_commit(table, rows, (), version)
-        for spec in case.views:
-            service.create_from_plan(spec["name"],
-                                     plans[spec["name"]],
-                                     target_lag=spec["lag"])
+        for name in installed:
+            service.create_from_plan(name, plans[name],
+                                     target_lag=lags[name])
     except ReproError as exc:
         return Divergence("kernel-views", f"installation failed: {exc!r}")
 
@@ -741,8 +747,12 @@ def run_view_case(case) -> Divergence | None:
     if divergence is not None:
         return divergence
 
-    view_sources = {name: tuple(s for s in srcs if s not in VIEW_BASES)
-                    for name, srcs in sources.items()}
+    def scanned(name: str) -> list[str]:
+        # The service's own DAG, which the sharing memo may have rewired.
+        if name not in installed:
+            return scanned_views(case.views, installed, name)
+        return [src for src in service.view(name).sources
+                if src not in VIEW_BASES]
 
     def advance_blocked(name: str, target: int) -> bool:
         # Mirrors _refresh_to: a suspended view only blocks when the
@@ -750,7 +760,7 @@ def run_view_case(case) -> Divergence | None:
         view = service.view(name)
         if view.version >= target:
             return False
-        for src in view_sources[name]:
+        for src in scanned(name):
             if service.view(src).suspended or advance_blocked(src, target):
                 return True
         return False
@@ -783,6 +793,33 @@ def run_view_case(case) -> Divergence | None:
                         return Divergence("kernel-views", (
                             f"{where}: refresh succeeded through a "
                             f"suspended view"))
+            elif kind == "create":
+                name = event[1]
+                expected = any(
+                    service.view(src).suspended
+                    or advance_blocked(src, service.clock)
+                    for src in scanned(name))
+                before = (service.view_names(), service.upstreams(),
+                          service.catalog.relation_names())
+                try:
+                    service.create_from_plan(name, plans[name],
+                                             target_lag=lags[name])
+                except StateError:
+                    if not expected:
+                        return Divergence("kernel-views", (
+                            f"{where}: create refused but no suspended "
+                            f"view holds a source back"))
+                    if before != (service.view_names(), service.upstreams(),
+                                  service.catalog.relation_names()):
+                        return Divergence("kernel-views", (
+                            f"{where}: refused create left the view "
+                            f"half-registered"))
+                else:
+                    if expected:
+                        return Divergence("kernel-views", (
+                            f"{where}: create succeeded over a source "
+                            f"held back by a suspended view"))
+                    installed.append(name)
             elif kind == "suspend":
                 service.suspend(event[1])
             elif kind == "resume":
@@ -806,9 +843,8 @@ def run_view_case(case) -> Divergence | None:
     # Snapshot-isolated reads: every retained version must replay against
     # recompute-from-base at that version.
     cache: dict = {}
-    for spec in case.views:
-        name = spec["name"]
-        for version, _contents in service.view(name).history:
+    for name in installed:
+        for version, _deltas in service.view(name).history:
             got = service.read(name, version=version)
             want = reference(name, version, cache)
             if bag_key(got) != bag_key(want):

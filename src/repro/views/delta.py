@@ -6,10 +6,14 @@ A :class:`Delta` is one z-set entry — a record with a signed weight
 append-only log of a table's committed deltas, stamped with the refresh
 version (an integer instant) at which they took effect; downstream views
 pull exactly the slice ``(their version, target version]`` to catch up.
+The log holds only what some attached consumer has yet to pull: entries
+below the low-water mark are trimmed, and the table's contents — not the
+log — are the record of everything older.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -81,10 +85,11 @@ class Changelog:
 
     def between(self, after: int, upto: int) -> list[Delta]:
         """All deltas committed at versions in ``(after, upto]``."""
+        lo = bisect_right(self._versions, after)
+        hi = bisect_right(self._versions, upto)
         out: list[Delta] = []
-        for version, batch in zip(self._versions, self._batches):
-            if after < version <= upto:
-                out.extend(batch)
+        for batch in self._batches[lo:hi]:
+            out.extend(batch)
         return out
 
     def latest_version(self) -> int | None:
@@ -97,31 +102,21 @@ class Changelog:
         return len(self._versions)
 
     def gc(self, below: int) -> int:
-        """Compact entries committed at versions ``<= below`` into one
-        netted batch stamped at version 0; returns entries reclaimed.
+        """Drop entries committed at versions ``<= below``; returns the
+        entries reclaimed.
 
         Safe when every attached consumer has consumed past ``below``: a
-        consumer at version ``v >= below`` only ever pulls ``(v, ...]``,
-        which excludes version 0.  A consumer attached *later* starts at
-        version -1 and pulls ``(-1, clock]`` — the compacted batch nets
-        all reclaimed history (including any version-0 priming batch), so
-        full replay still reconstructs the exact current contents.  That
-        is why reclaimed history is netted and kept at version 0 rather
-        than dropped.
+        consumer at version ``v >= below`` only ever pulls ``(v, ...]``.
+        A consumer attached *later* does not replay the log at all — it
+        primes from the source's current contents (see
+        :meth:`DynamicTableService.create_from_plan`) — so reclaimed
+        history is simply gone, and the cost is the entries dropped,
+        never the rows the table holds.
         """
-        from bisect import bisect_right
-
         cut = bisect_right(self._versions, below)
-        if cut <= 1:
-            return 0
-        merged = net(delta for batch in self._batches[:cut]
-                     for delta in batch)
-        head_versions = [0] if merged else []
-        head_batches = [tuple(merged)] if merged else []
-        reclaimed = cut - len(head_versions)
-        self._versions = head_versions + self._versions[cut:]
-        self._batches = head_batches + self._batches[cut:]
-        return reclaimed
+        del self._versions[:cut]
+        del self._batches[:cut]
+        return cut
 
     # -- checkpointing --------------------------------------------------------
 

@@ -19,9 +19,17 @@ other queries can scan.  The service owns
   stale"; ``target_lag="downstream"`` derives the obligation from
   consumers; suspend/resume freezes a view (and holds everything built
   on it);
-* **snapshot-isolated reads** — every refresh files the new
-  materialisation under its version in a bounded history, so
-  ``read(name, version=v)`` sees the exact contents as of version v.
+* **snapshot-isolated reads** — every refresh files the deltas it
+  applied under its version in a bounded history, so
+  ``read(name, version=v)`` rolls the current materialisation back to
+  the exact contents as of version v.
+
+Every per-tick cost is proportional to the rows the tick changed, never
+to the rows a table or view holds: changelogs keep only what an attached
+consumer has yet to pull (a view attached later primes from its sources'
+current contents, not from a replay), version history keeps deltas, and
+the refresh schedule is recomputed only when the DAG or a suspension
+changes.
 
 The whole service implements ``snapshot()``/``restore()`` (the chaos
 ``RecoveryManager`` protocol), covering kernel operator state inside
@@ -31,7 +39,8 @@ and the re-run refresh converges to the same contents.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from bisect import bisect_right
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import repro.obs as obs
 from repro.core.errors import PlanError, StateError
@@ -45,6 +54,7 @@ from repro.views.compile import ViewPlanHandle, compile_view_plan
 from repro.views.dag import (
     DOWNSTREAM,
     below_suspended,
+    consumers_of,
     depth_map,
     effective_lags,
     topo_order,
@@ -87,27 +97,40 @@ class DynamicTable:
         self.version = -1
         self.suspended = False
         self.refreshes = 0
-        #: bounded (version, contents) history for snapshot reads
-        self.history: list[tuple[int, Bag]] = []
+        #: bounded history for snapshot reads: each retained version with
+        #: the (netted) deltas the refresh that reached it applied
+        self.history: list[tuple[int, tuple[Delta, ...]]] = []
 
-    def record_version(self, version: int) -> None:
-        self.history.append((version, self.materialized.copy()))
+    def record_version(self, version: int,
+                       deltas: tuple[Delta, ...] = ()) -> None:
+        self.history.append((version, deltas))
         if len(self.history) > HISTORY_LIMIT:
             del self.history[0]
 
     def at_version(self, version: int) -> Bag:
-        chosen: Bag | None = None
-        for recorded, contents in self.history:
-            if recorded <= version:
-                chosen = contents
-            else:
-                break
-        if chosen is None:
+        """The contents as of ``version``: the current materialisation
+        with every later retained refresh undone, newest first."""
+        kept = bisect_right(self.history, version, key=lambda e: e[0])
+        if kept == 0:
             raise StateError(
                 f"view {self.name!r} has no retained materialisation at "
                 f"version {version} (history starts at "
                 f"{self.history[0][0] if self.history else 'never'})")
-        return chosen.copy()
+        contents = self.materialized.copy()
+        for _, deltas in reversed(self.history[kept:]):
+            apply_deltas(contents, [Delta(delta.row, -delta.weight)
+                                    for delta in deltas])
+        return contents
+
+
+class _Schedule(NamedTuple):
+    """What ``tick`` needs from the DAG; rebuilt only after DDL, suspend,
+    resume or restore."""
+
+    order: list[str]
+    lags: dict[str, int | None]
+    blocked: set[str]
+    consumers: dict[str, list[str]]
 
 
 class DynamicTableService:
@@ -120,6 +143,7 @@ class DynamicTableService:
         self._tables: dict[str, BaseTable] = {}
         self._views: dict[str, DynamicTable] = {}
         self._upstreams: dict[str, tuple[str, ...]] = {}
+        self._schedule: _Schedule | None = None
 
     # -- registration -----------------------------------------------------------
 
@@ -169,32 +193,67 @@ class DynamicTableService:
                     node.name not in self._views:
                 raise PlanError(f"view {name!r} scans unknown table "
                                 f"{node.name!r}")
+        if self.catalog.is_relation(name) or self.catalog.is_stream(name):
+            raise PlanError(f"source {name!r} is already registered")
         handle = compile_view_plan(absorbed)
+        view = DynamicTable(name, absorbed, handle, target_lag)
+        # Everything that can fail runs before anything is registered, so
+        # a refused create leaves no trace.  Sources are brought to the
+        # present first (a suspended one refuses here) ...
+        self._require_advanceable(view, self.clock)
+        for source in view.sources:
+            if source in self._views:
+                self._refresh_to(self._views[source], self.clock)
+        # ... then the freshly-primed plan is fed their current contents
+        # as one batch of inserts, which is the initial full computation.
+        # Changelogs hold only what attached consumers have yet to pull,
+        # so nothing older than this moment is ever asked of them.
+        apply_deltas(view.materialized, net(handle.open(view=name)))
+        incoming = {
+            source: [Delta(row, count)
+                     for row, count in self._contents(source).items()]
+            for source in view.sources}
+        primed = net(handle.push_deltas(incoming))
+        apply_deltas(view.materialized, primed)
+        view.version = self.clock
+        view.refreshes = 1
+        view.record_version(self.clock)
+
         self.catalog.register_relation(name, handle.out_schema)
         self.memo.publish(view_memo_key(optimized),
                           (name, handle.out_schema))
         self.memo.publish(view_memo_key(absorbed),
                           (name, handle.out_schema))
         self.memo.finish_compile()
-
-        view = DynamicTable(name, absorbed, handle, target_lag)
-        initial = net(handle.open(view=name))
-        apply_deltas(view.materialized, initial)
-        if initial:
-            # The primed output (e.g. a global aggregate's empty-input
-            # row) must reach future downstream views through the
-            # changelog too — their first catch-up pulls (-1, clock], so
-            # stamp it at version 0 and it replays exactly once.
-            view.changelog.append(0, initial)
         self._views[name] = view
         self._upstreams[name] = tuple(view.sources)
-        depths = depth_map(self._upstreams)
-        obs.get_registry().gauge("views.dag.depth", view=name).set(
-            depths[name])
-        # Catch up to the present: the freshly-primed plan replays every
-        # committed delta, which doubles as the initial full computation.
-        self.refresh(name)
+        self._schedule = None
+        registry = obs.get_registry()
+        registry.gauge("views.dag.depth", view=name).set(
+            depth_map(self._upstreams)[name])
+        registry.counter("views.refresh.rows", view=name).inc(
+            sum(abs(delta.weight) for delta in primed))
         return view
+
+    def _contents(self, name: str) -> Bag:
+        table = self._tables.get(name)
+        return table.contents if table is not None \
+            else self._views[name].materialized
+
+    def _require_advanceable(self, view: DynamicTable, target: int) -> None:
+        """Raise unless ``view`` can be brought to ``target``: no
+        suspended view among the upstreams that would have to advance."""
+        if view.version >= target:
+            return
+        for source in view.sources:
+            upstream = self._views.get(source)
+            if upstream is None:
+                continue
+            if upstream.suspended:
+                raise StateError(
+                    f"view {view.name!r} reads suspended view "
+                    f"{upstream.name!r}; resume it first")
+            self._require_advanceable(upstream, target)
 
     # -- base-table writes ------------------------------------------------------
 
@@ -242,38 +301,33 @@ class DynamicTableService:
         if view.suspended:
             raise StateError(f"view {name!r} is suspended")
         target = self.clock if to is None else to
+        self._require_advanceable(view, target)
         return self._refresh_to(view, target)
 
     def _refresh_to(self, view: DynamicTable, target: int) -> int:
         if view.version >= target:
             return 0
-        for source in view.sources:
-            upstream = self._views.get(source)
-            if upstream is None:
-                continue
-            if upstream.suspended:
-                raise StateError(
-                    f"view {view.name!r} reads suspended view "
-                    f"{upstream.name!r}; resume it first")
-            self._refresh_to(upstream, target)
         incoming: dict[str, list[Delta]] = {}
         for source in view.sources:
-            log = (self._tables[source].changelog
-                   if source in self._tables
-                   else self._views[source].changelog)
+            upstream = self._views.get(source)
+            if upstream is not None:
+                self._refresh_to(upstream, target)
+                log = upstream.changelog
+            else:
+                log = self._tables[source].changelog
             slice_ = log.between(view.version, target)
             if slice_:
                 incoming[source] = slice_
         lag = target - view.version
-        changed = 0
+        out: tuple[Delta, ...] = ()
         if incoming:
-            out = net(view.handle.push_deltas(incoming))
+            out = tuple(net(view.handle.push_deltas(incoming)))
             apply_deltas(view.materialized, out)
             view.changelog.append(target, out)
-            changed = sum(abs(delta.weight) for delta in out)
+        changed = sum(abs(delta.weight) for delta in out)
         view.version = target
         view.refreshes += 1
-        view.record_version(target)
+        view.record_version(target, out)
         registry = obs.get_registry()
         registry.gauge("views.refresh.lag", view=view.name).set(lag)
         registry.counter("views.refresh.rows", view=view.name).inc(changed)
@@ -284,17 +338,17 @@ class DynamicTableService:
         (or would fall) overdue; returns the views refreshed, in
         dependency order.  Suspended views — and views anywhere below a
         suspended ancestor — hold their current version."""
+        if to is not None and to < self.clock:
+            raise StateError(f"tick to version {to} precedes the service "
+                             f"clock {self.clock}")
         self.clock = self.clock + 1 if to is None else to
-        lags = self.effective_lags()
-        blocked = below_suspended(
-            self._upstreams,
-            {name for name, view in self._views.items() if view.suspended})
+        schedule = self._scheduled()
         refreshed = []
-        for name in topo_order(self._upstreams):
+        for name in schedule.order:
             view = self._views[name]
-            if view.suspended or name in blocked:
+            if view.suspended or name in schedule.blocked:
                 continue
-            lag = lags[name]
+            lag = schedule.lags[name]
             if lag is None:
                 continue  # no freshness obligation: on-demand only
             if self.clock - view.version >= lag:
@@ -303,29 +357,38 @@ class DynamicTableService:
         self.gc()
         return refreshed
 
+    def _scheduled(self) -> _Schedule:
+        if self._schedule is None:
+            self._schedule = _Schedule(
+                topo_order(self._upstreams),
+                self.effective_lags(),
+                below_suspended(
+                    self._upstreams,
+                    {name for name, view in self._views.items()
+                     if view.suspended}),
+                consumers_of(self._upstreams))
+        return self._schedule
+
     def gc(self) -> dict[str, int]:
         """Reclaim changelog history no consumer can pull again.
 
         Each source's low-water mark is the minimum consumed version
         across the views reading it (a suspended consumer holds the mark
         down, so its catch-up slice survives); a source with no consumers
-        uses the clock.  Entries at or below the mark are netted into one
-        version-0 batch (see :meth:`Changelog.gc`), which keeps the
-        primed-replay invariant for views attached later.  Returns the
-        entries reclaimed per table/view name.
+        uses the clock.  Entries at or below the mark are dropped (see
+        :meth:`Changelog.gc`): a view attached later primes from current
+        contents, so nobody replays them.  Returns the entries reclaimed
+        per table/view name.
         """
-        marks: dict[str, int] = {}
-        for view in self._views.values():
-            for source in view.sources:
-                marks[source] = min(marks.get(source, view.version),
-                                    view.version)
+        consumers = self._scheduled().consumers
         reclaimed: dict[str, int] = {}
-        logs = [(name, table.changelog)
-                for name, table in self._tables.items()]
-        logs += [(name, view.changelog)
-                 for name, view in self._views.items()]
-        for name, log in logs:
-            count = log.gc(marks.get(name, self.clock))
+        for name, holder in (*self._tables.items(), *self._views.items()):
+            if not len(holder.changelog):
+                continue
+            mark = min((self._views[reader].version
+                        for reader in consumers.get(name, ())),
+                       default=self.clock)
+            count = holder.changelog.gc(mark)
             if count:
                 reclaimed[name] = count
         return reclaimed
@@ -340,9 +403,11 @@ class DynamicTableService:
 
     def suspend(self, name: str) -> None:
         self._require_view(name).suspended = True
+        self._schedule = None
 
     def resume(self, name: str) -> None:
         self._require_view(name).suspended = False
+        self._schedule = None
 
     # -- reads ------------------------------------------------------------------
 
@@ -403,8 +468,7 @@ class DynamicTableService:
                     "version": view.version,
                     "suspended": view.suspended,
                     "refreshes": view.refreshes,
-                    "history": [(v, list(bag.items()))
-                                for v, bag in view.history],
+                    "history": list(view.history),
                     "plan": view.handle.snapshot(),
                 } for name, view in self._views.items()},
         }
@@ -432,6 +496,6 @@ class DynamicTableService:
             view.version = image["version"]
             view.suspended = image["suspended"]
             view.refreshes = image["refreshes"]
-            view.history = [(v, Bag.from_counts(dict(items)))
-                            for v, items in image["history"]]
+            view.history = list(image["history"])
             view.handle.restore(image["plan"])
+        self._schedule = None

@@ -34,7 +34,43 @@ def test_cases_exercise_the_interesting_events():
         case = gen_view_case(rng, seed=seed)
         kinds |= {event[0] for event in case.events}
     assert {"apply", "tick", "refresh", "suspend", "resume",
-            "crash"} <= kinds
+            "crash", "create"} <= kinds
+
+
+def test_cases_create_views_mid_stream_and_over_held_sources():
+    """Late creates follow commits, ticks and suspensions, and some are
+    attempted while a suspended view holds a source (must be refused)."""
+    rng = random.Random(3)
+    after, retried = set(), 0
+    for seed in range(60):
+        case = gen_view_case(rng, seed=seed)
+        created = [e[1] for e in case.events if e[0] == "create"]
+        retried += len(created) - len(set(created))
+        for index, event in enumerate(case.events):
+            if event[0] == "create":
+                after |= {e[0] for e in case.events[:index]}
+        installed = {spec["name"] for spec in case.views} - set(created)
+        for event in case.events:
+            if event[0] == "create":
+                installed.add(event[1])
+            elif event[0] in ("refresh", "suspend", "resume", "crash"):
+                assert event[1] in installed, (seed, event)
+    assert {"apply", "tick", "suspend", "resume"} <= after
+    assert retried > 0
+
+
+def cases_caught(cases):
+    """How many of the first ``cases`` seeded cases the leg reports."""
+    rng = random.Random(0)
+    caught = 0
+    for seed in range(cases):
+        case = gen_view_case(rng, seed=seed)
+        try:
+            if run_view_case(case) is not None:
+                caught += 1
+        except Exception:
+            caught += 1  # over-retraction surfacing as an error also counts
+    return caught
 
 
 def test_leg_catches_a_broken_aggregate(monkeypatch):
@@ -46,16 +82,18 @@ def test_leg_catches_a_broken_aggregate(monkeypatch):
         return original(self, kept)
 
     monkeypatch.setattr(DeltaAggregateOp, "process_batch", lossy)
-    rng = random.Random(0)
-    caught = 0
-    for seed in range(40):
-        case = gen_view_case(rng, seed=seed)
-        try:
-            if run_view_case(case) is not None:
-                caught += 1
-        except Exception:
-            caught += 1  # over-retraction surfacing as an error also counts
-    assert caught > 0
+    assert cases_caught(40) > 0
+
+
+def test_leg_catches_a_gc_one_version_past_the_mark(monkeypatch):
+    """Reclaiming the entry just above the low-water mark loses a slice
+    some lagging or suspended consumer has yet to pull."""
+    from repro.views.delta import Changelog
+
+    original = Changelog.gc
+    monkeypatch.setattr(Changelog, "gc",
+                        lambda self, below: original(self, below + 1))
+    assert cases_caught(60) > 0
 
 
 def test_fuzz_reports_view_cases(tmp_path):

@@ -1,11 +1,12 @@
-"""Changelog GC: compaction below the DAG's low-water consumed version,
-keeping the version-0 primed-replay invariant and bounding memory."""
+"""Changelog GC: entries below the DAG's low-water consumed version are
+dropped, consumers at or past the mark see no difference, a view attached
+afterwards primes from contents, and memory stays bounded."""
 
 import pytest
 
 from repro.core.records import Record, Schema
-from repro.views import DynamicTableService
-from repro.views.delta import Changelog, Delta, apply_deltas, net
+from repro.views import DynamicTableService, recompute
+from repro.views.delta import Changelog, Delta
 
 pytestmark = pytest.mark.views
 
@@ -16,67 +17,46 @@ def row(k, v):
     return Record.from_mapping(SCHEMA, {"k": k, "v": v})
 
 
-def replay_contents(log, upto):
-    from repro.core.relation import Bag
-    bag = Bag()
-    apply_deltas(bag, log.between(-1, upto))
-    return sorted(bag.items(), key=repr)
+def log_pair(versions):
+    """Two identical logs: one to collect, one left alone to compare."""
+    logs = Changelog(), Changelog()
+    for version in versions:
+        for log in logs:
+            log.append(version, [Delta(row("a", version), 1),
+                                 Delta(row("a", version - 1), -1)])
+    return logs
+
+
+def slices(log, after_from, upto):
+    return {(after, to): log.between(after, to)
+            for after in range(after_from, upto + 1)
+            for to in range(after, upto + 1)}
 
 
 class TestChangelogGC:
-    def test_compacts_history_into_one_version_zero_batch(self):
-        log = Changelog()
-        for version in range(1, 6):
-            log.append(version, [Delta(row("a", version), 1)])
-        reclaimed = log.gc(below=3)
-        assert reclaimed == 2  # versions 1..3 became one batch
-        versions = [v for v, _ in log.entries()]
-        assert versions == [0, 4, 5]
+    @pytest.mark.parametrize("mark", [0, 1, 3, 4, 7, 9])
+    def test_consumers_at_or_past_the_mark_pull_the_same_slices(self, mark):
+        log, untouched = log_pair(range(1, 8))
+        log.gc(below=mark)
+        assert slices(log, mark, 9) == slices(untouched, mark, 9)
 
-    def test_full_replay_is_preserved(self):
-        log = Changelog()
-        log.append(1, [Delta(row("a", 1), 1), Delta(row("b", 1), 1)])
-        log.append(2, [Delta(row("a", 1), -1), Delta(row("a", 2), 1)])
-        log.append(3, [Delta(row("c", 3), 1)])
-        before = replay_contents(log, 3)
-        log.gc(below=2)
-        # A late-attaching consumer pulls (-1, clock] and must
-        # reconstruct the exact same contents from the compacted log.
-        assert replay_contents(log, 3) == before
-
-    def test_existing_version_zero_batch_is_renetted(self):
-        log = Changelog()
-        log.append(0, [Delta(row("primed", 0), 1)])  # priming batch
-        log.append(1, [Delta(row("primed", 0), -1), Delta(row("a", 1), 1)])
-        log.append(2, [Delta(row("b", 2), 1)])
-        log.gc(below=2)
-        versions = [v for v, _ in log.entries()]
-        assert versions == [0]
-        assert replay_contents(log, 2) == sorted(
-            [(row("a", 1), 1), (row("b", 2), 1)], key=repr)
-
-    def test_fully_cancelling_history_vanishes(self):
-        log = Changelog()
-        log.append(1, [Delta(row("a", 1), 1)])
-        log.append(2, [Delta(row("a", 1), -1)])
-        assert log.gc(below=2) == 2
+    def test_reclaimed_entries_are_gone_and_counted_once(self):
+        log, _ = log_pair(range(1, 6))
+        assert log.gc(below=3) == 3
+        assert len(log) == 2
+        assert log.gc(below=3) == 0  # nothing new below the mark
+        assert log.gc(below=5) == 2
         assert len(log) == 0
 
-    def test_noop_below_first_entry(self):
-        log = Changelog()
-        log.append(5, [Delta(row("a", 1), 1)])
+    def test_mark_below_the_first_entry_changes_nothing(self):
+        log, untouched = log_pair([5, 6])
         assert log.gc(below=4) == 0
-        assert log.gc(below=5) == 0  # one entry: nothing to compact
-        assert [v for v, _ in log.entries()] == [5]
+        assert slices(log, 0, 6) == slices(untouched, 0, 6)
 
-    def test_consumers_past_the_mark_never_see_version_zero(self):
-        log = Changelog()
-        for version in range(1, 5):
-            log.append(version, [Delta(row("a", version), 1)])
-        log.gc(below=3)
-        # A consumer at version 3 pulls (3, 4]: only version 4, no
-        # compacted batch — its own catch-up slice is untouched.
-        assert [d.row["v"] for d in log.between(3, 4)] == [4]
+    def test_versions_skipped_by_commits_do_not_confuse_the_cut(self):
+        log, untouched = log_pair([2, 2, 5, 9])
+        assert log.gc(below=4) == 2  # both version-2 commits, nothing else
+        assert slices(log, 4, 9) == slices(untouched, 4, 9)
 
 
 def service_with_view(target_lag=1):
@@ -96,9 +76,8 @@ class TestServiceGC:
             service.apply("orders",
                           inserts=[{"region": "eu", "amount": i}], at=i)
             service.tick(i)
-        # The view consumed everything; the base table's log compacts to
-        # the single version-0 batch plus at most the newest entries.
-        assert len(service._tables["orders"].changelog) <= 2
+        # The view consumed everything, so nothing is left to pull.
+        assert len(service._tables["orders"].changelog) == 0
 
     def test_lagging_consumer_holds_the_mark_down(self):
         service = service_with_view(target_lag=100)  # never auto-refreshes
@@ -112,19 +91,45 @@ class TestServiceGC:
         unconsumed = [v for v, _ in log.entries() if v > view_version]
         assert len(unconsumed) == 9 - view_version
 
-    def test_late_attaching_view_replays_compacted_history(self):
+    def test_late_attached_view_equals_recompute_from_base(self):
         service = service_with_view()
         for i in range(1, 8):
-            service.apply("orders",
-                          inserts=[{"region": "eu", "amount": 1}], at=i)
+            service.apply("orders", inserts=[
+                {"region": "eu", "amount": 1}, {"region": "us", "amount": i}],
+                deletes=[{"region": "us", "amount": i - 1}] if i > 1 else [],
+                at=i)
             service.tick(i)
+        # Every consumed entry is gone: the newcomer cannot be replaying.
+        assert len(service._tables["orders"].changelog) == 0
         late = service.execute(
             "CREATE DYNAMIC TABLE latecount AS SELECT region, "
             "COUNT(*) AS n FROM orders GROUP BY region EMIT CHANGES")
-        assert late is not None
-        rows = {row["region"]: row["n"]
-                for row, _ in service.read("latecount").items()}
-        assert rows == {"eu": 7}
+        assert late.version == service.clock
+        assert service.read("latecount") == recompute(
+            late.plan, {"orders": service.read("orders")})
+        # ... and it keeps up incrementally from there.
+        service.apply("orders", inserts=[{"region": "eu", "amount": 2}],
+                      at=8)
+        service.tick(8)
+        assert service.read("latecount") == recompute(
+            late.plan, {"orders": service.read("orders")})
+
+    def test_late_attached_view_over_a_view_reads_its_materialisation(self):
+        service = service_with_view(target_lag=3)
+        for i in range(1, 6):
+            service.apply("orders",
+                          inserts=[{"region": "eu", "amount": i}], at=i)
+            service.tick(i)
+        # `totals` lags the clock here; installing over it brings it to
+        # the present first, then primes from what it holds.
+        big = service.execute(
+            "CREATE DYNAMIC TABLE big AS SELECT region FROM totals "
+            "WHERE total > 10 EMIT CHANGES")
+        assert service.view("totals").version == service.clock
+        assert service.read("big") == recompute(
+            big.plan, {"totals": service.read("totals")})
+        assert [r["region"] for r, _ in service.read("big").items()] \
+            == ["eu"]
 
     def test_soak_memory_stays_bounded_over_10k_commits(self):
         service = service_with_view()
@@ -139,7 +144,7 @@ class TestServiceGC:
             peak_view = max(peak_view,
                             len(service._views["totals"].changelog))
         # Without GC both logs grow one entry per commit (10k entries);
-        # with the low-water compaction they stay O(1).
+        # trimmed below the low-water mark they stay O(1).
         assert peak_base <= 4
         assert peak_view <= 4
         totals = {row["region"]: row["total"]

@@ -249,6 +249,23 @@ class TestErrors:
             service.apply("orders", inserts=[{"region": "eu", "amount": 1}],
                           at=3)
 
+    def test_tick_before_clock_rejected(self):
+        service = make_service()
+        service.execute(
+            "CREATE DYNAMIC TABLE totals TARGET_LAG = 0 AS SELECT region, "
+            "SUM(amount) AS total FROM orders GROUP BY region EMIT CHANGES")
+        service.tick(7)
+        with pytest.raises(StateError):
+            service.tick(2)
+        assert service.clock == 7
+        # The clock did not rewind, so the next commit is stamped past
+        # every view's version and the next tick refreshes it.
+        service.tick(7)  # the same instant again is legal
+        service.apply("orders", inserts=[{"region": "eu", "amount": 4}],
+                      at=service.clock + 1)
+        assert service.tick() == ["totals"]
+        assert totals(service) == {"eu": 4}
+
     def test_bad_target_lag(self):
         service = make_service()
         with pytest.raises(PlanError):
@@ -269,6 +286,65 @@ class TestErrors:
         service.execute(text)
         with pytest.raises(PlanError):
             service.execute(text)
+
+
+class TestFailedCreateLeavesNoTrace:
+    TOP = ("CREATE DYNAMIC TABLE top TARGET_LAG = 0 AS SELECT region "
+           "FROM {source} WHERE total > 0 EMIT CHANGES")
+
+    def service(self):
+        service = make_service()
+        service.execute(
+            "CREATE DYNAMIC TABLE mid TARGET_LAG = 0 AS SELECT region, "
+            "SUM(amount) AS total FROM orders GROUP BY region EMIT CHANGES")
+        service.execute(
+            "CREATE DYNAMIC TABLE low TARGET_LAG = 0 AS SELECT region, "
+            "total FROM mid WHERE total > 1 EMIT CHANGES")
+        service.suspend("mid")
+        service.apply("orders", inserts=[{"region": "eu", "amount": 3}],
+                      at=1)
+        service.tick(1)
+        return service
+
+    @staticmethod
+    def registered(service):
+        return (service.view_names(), service.upstreams(),
+                service.catalog.relation_names(),
+                sorted(service.memo.entries()), service.effective_lags(),
+                {name: service.view(name).version
+                 for name in service.view_names()})
+
+    # `low` is not suspended itself, but cannot advance past `mid`.
+    @pytest.mark.parametrize("source", ["mid", "low"])
+    def test_create_over_a_held_source_is_refused_whole(self, source):
+        service = self.service()
+        before = self.registered(service)
+        for _ in range(2):  # the retry fails the same way, not on the name
+            with pytest.raises(StateError, match="suspended"):
+                service.execute(self.TOP.format(source=source))
+            assert self.registered(service) == before
+        assert service.tick() == []
+
+    @pytest.mark.parametrize("source", ["mid", "low"])
+    def test_retry_after_resume_succeeds(self, source):
+        service = self.service()
+        with pytest.raises(StateError):
+            service.execute(self.TOP.format(source=source))
+        service.resume("mid")
+        top = service.execute(self.TOP.format(source=source))
+        assert top.version == service.clock
+        assert [row["region"] for row, _ in service.read("top").items()] \
+            == ["eu"]
+        assert service.tick() == ["mid", "low", "top"]
+
+    def test_create_from_plan_rolls_nothing_in_either(self):
+        from repro.views import make_scan
+        service = self.service()
+        before = self.registered(service)
+        with pytest.raises(StateError):
+            service.create_from_plan(
+                "top", make_scan("mid", "m", service.view("mid").schema))
+        assert self.registered(service) == before
 
 
 def _any_plan(service):
