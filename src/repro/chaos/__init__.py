@@ -19,9 +19,11 @@ obligation:
   backoff, publishing ``recovery.attempts`` / ``checkpoint.bytes`` /
   ``recovery.replayed_records`` through :mod:`repro.obs`.
 
-The eighth difftest oracle leg ("kernel-crashed") composes the two: kill
-each operator once mid-stream, recover, and require instant-by-instant
-equality with the no-fault legs.
+The eighth difftest oracle leg composes the two: kill each operator once
+mid-stream, recover, and require instant-by-instant equality with the
+no-fault legs ("kernel-crashed"); then crash a recovering DSMS on a
+checkpoint tick, in ``advance_time`` and in a replay, and require the
+fault-free engine's output ("dsms-crashed").
 """
 
 from repro.chaos.injection import (

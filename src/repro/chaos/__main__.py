@@ -5,7 +5,9 @@ Two sweeps, both seeded and bounded:
 * **crash matrix** — random difftest cases are compiled onto the kernel
   and every operator position is killed once mid-stream; each run must
   recover and match the fault-free reference (the kernel-crashed oracle
-  leg, run in bulk).
+  leg, run in bulk).  Each case also runs through a recovering
+  ``DSMSEngine``, crashed on a checkpoint tick, in ``advance_time`` and in
+  the replay that recovers from it (the dsms-crashed leg).
 * **broker chaos** — consumer groups poll through a
   :class:`~repro.chaos.ChaosBroker` across seeds and fault mixes; every
   offset must arrive exactly once, in order.
@@ -25,8 +27,8 @@ from repro.difftest.oracle import run_case
 
 
 def crash_matrix(cases: int, seed: int) -> list[str]:
-    """Run the full oracle (kernel-crashed leg included) over random
-    cases; any divergence anywhere is a campaign failure."""
+    """Run the full oracle (kernel- and dsms-crashed legs included) over
+    random cases; any divergence anywhere is a campaign failure."""
     rng = random.Random(seed)
     problems: list[str] = []
     for index in range(cases):

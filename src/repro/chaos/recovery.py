@@ -33,7 +33,13 @@ from repro.chaos.injection import InjectedCrash
 
 
 def estimate_bytes(state: Any) -> int:
-    """A cheap serialized-size estimate (repr length) for obs accounting."""
+    """A serialized-size estimate (repr length) for obs accounting.
+
+    Linear in the payload: it reprs every record the checkpoint holds,
+    so it costs what the checkpoint wrote — a delta for an incremental
+    target such as :class:`~repro.dsms.engine.DSMSEngine`, the whole
+    state for a full snapshot.
+    """
     return len(repr(state))
 
 
@@ -59,9 +65,12 @@ class RecoveryManager:
     ``interval`` is measured in the driver's input units: ``committed(n)``
     takes a new checkpoint whenever ``n`` is at least ``interval`` units
     past the last one.  ``keep`` bounds retained checkpoints (oldest are
-    pruned; the newest is the recovery point).  ``sleep`` is injectable so
-    tests exercise the exponential backoff schedule without waiting it
-    out.  ``recoverable`` is the exception family that triggers rollback —
+    pruned; the newest is the recovery point, the only one :meth:`recover`
+    uses — and the only one an incremental target such as
+    :class:`~repro.dsms.engine.DSMSEngine` can restore).  ``sleep`` is
+    injectable so tests exercise the exponential backoff schedule without
+    waiting it out.  ``recoverable`` is the exception family that triggers
+    rollback —
     anything else propagates, because retrying an unknown error replays
     input into a target of unknown integrity.
     """

@@ -213,6 +213,14 @@ class Record:
     def __hash__(self) -> int:
         return hash((self._schema.fields, self._values))
 
+    # Immutable, so every copy may be the record itself: snapshots of
+    # operator state copy the containers and share the rows.
+    def __copy__(self) -> "Record":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Record":
+        return self
+
     def __repr__(self) -> str:
         pairs = ", ".join(
             f"{f}={v!r}" for f, v in zip(self._schema.fields, self._values))

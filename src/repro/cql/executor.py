@@ -108,6 +108,38 @@ class Agenda:
         self._scheduled = set(payload["scheduled"])
 
 
+def _copy_value(value: Any) -> Any:
+    """A private copy of one piece of operator state.
+
+    Records (and tuples of them) are immutable and shared; the containers
+    holding them — and an aggregate group's accumulators — are copied.
+    """
+    copier = getattr(value, "copy", None)
+    return value if copier is None else copier()
+
+
+def _read_key(container: Any, key: Any) -> Any:
+    """A private copy of ``container``'s entry at ``key`` (``True`` for a
+    set member), or None when the key is absent."""
+    if isinstance(container, set):
+        return True if key in container else None
+    value = container.get(key)
+    return value if value is None else _copy_value(value)
+
+
+def _write_key(container: Any, key: Any, value: Any) -> None:
+    """Put ``value`` (as read by :func:`_read_key`) back at ``key``."""
+    if isinstance(container, set):
+        if value is None:
+            container.discard(key)
+        else:
+            container.add(key)
+    elif value is None:
+        container.pop(key, None)
+    else:
+        container[key] = _copy_value(value)
+
+
 class PhysicalOp:
     """Base physical operator: children + per-instant delta processing.
 
@@ -117,13 +149,37 @@ class PhysicalOp:
     evaluator, whose time-varying relations record a change point at every
     input-relevant instant — global aggregates rely on it to materialise
     their zero row at the right instant.
+
+    State is checkpointed two ways, both over ``_STATE_ATTRS``:
+    :meth:`snapshot` / :meth:`restore` move a self-contained copy (live
+    rescale migrates it into other replicas), while :meth:`barrier` /
+    :meth:`rollback` keep a recovery image beside the live state and move
+    it forward, or roll back to it, by the keys changed since the last
+    barrier.
     """
 
     #: Instance attributes that constitute this operator's mutable state.
-    #: Subclasses extend this; snapshot/restore deep-copy exactly these, so
+    #: Subclasses extend this; both checkpoint paths copy exactly these, so
     #: compiled artefacts (predicates, schemas, the agenda reference) stay
     #: shared between the live tree and its checkpoints.
     _STATE_ATTRS: tuple[str, ...] = ()
+    #: The members of ``_STATE_ATTRS`` that are keyed containers (dicts,
+    #: Counters, sets).  Once a barrier has been taken the operator
+    #: records in ``_dirty[attr]`` every key it mutates; the rest of its
+    #: state (scalars, buffers bounded by the window spec) is copied
+    #: whole at each barrier.
+    _KEYED_ATTRS: tuple[str, ...] = ()
+    #: ``_STATE_ATTRS`` minus ``_KEYED_ATTRS`` (derived per class).
+    _WHOLE_ATTRS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        stray = set(cls._KEYED_ATTRS) - set(cls._STATE_ATTRS)
+        if stray:
+            raise TypeError(f"{cls.__name__}: keyed attributes "
+                            f"{sorted(stray)} are not in _STATE_ATTRS")
+        cls._WHOLE_ATTRS = tuple(attr for attr in cls._STATE_ATTRS
+                                 if attr not in cls._KEYED_ATTRS)
 
     def __init__(self, children: Sequence["PhysicalOp"]) -> None:
         self.children = list(children)
@@ -134,6 +190,11 @@ class PhysicalOp:
         #: Cumulative seconds spent in ``process`` (only accumulated while
         #: observability is enabled; see :mod:`repro.obs`).
         self.eval_seconds = 0.0
+        #: Keyed attribute -> keys mutated since the last barrier; None
+        #: until the first barrier, so recording costs one None check.
+        self._dirty: dict[str, set] | None = None
+        #: The recovery image: this operator's state at the last barrier.
+        self._image: dict[str, Any] | None = None
 
     def snapshot(self) -> dict[str, Any]:
         """A self-contained copy of this operator's mutable state."""
@@ -149,12 +210,67 @@ class PhysicalOp:
 
         The payload is deep-copied again so one checkpoint can be restored
         from any number of times (retried recoveries must not share state
-        with the snapshot they roll back to).
+        with the snapshot they roll back to).  The state is replaced
+        wholesale, so the recovery image no longer describes it: the next
+        :meth:`barrier` starts over.
         """
         for attr in self._STATE_ATTRS:
             setattr(self, attr, copy.deepcopy(payload[attr]))
         self.emitted = payload["emitted"]
         self.received = payload["received"]
+        self._dirty = self._image = None
+
+    def barrier(self) -> dict[str, Any]:
+        """Move the recovery image to the current state; return what that
+        wrote.
+
+        The first barrier starts dirty-key recording and writes every key.
+        Later ones write the keys mutated since the previous barrier (None
+        for a key that is gone) plus the whole-copied attributes, so a
+        barrier costs what changed, however much state the operator holds.
+        """
+        image = self._image
+        if image is None:
+            image = self._image = {attr: {} for attr in self._KEYED_ATTRS}
+            self._dirty = {attr: set(getattr(self, attr))
+                           for attr in self._KEYED_ATTRS}
+        payload: dict[str, Any] = {}
+        for attr, marks in self._dirty.items():
+            live, saved = getattr(self, attr), image[attr]
+            changed = payload[attr] = {}
+            for key in marks:
+                value = changed[key] = _read_key(live, key)
+                if value is None:
+                    saved.pop(key, None)
+                else:
+                    saved[key] = value
+            marks.clear()
+        for attr in self._WHOLE_ATTRS:
+            payload[attr] = image[attr] = _copy_value(getattr(self, attr))
+        payload["emitted"] = image["emitted"] = self.emitted
+        payload["received"] = image["received"] = self.received
+        return payload
+
+    def rollback(self) -> None:
+        """Return to the recovery image in place, touching only the keys
+        mutated since the last barrier.
+
+        The image itself is never handed to the live state (entries are
+        copied back), so it can be rolled back to any number of times.
+        """
+        image = self._image
+        if image is None:
+            raise StateError(
+                f"{type(self).__name__} has no barrier to roll back to")
+        for attr, marks in self._dirty.items():
+            live, saved = getattr(self, attr), image[attr]
+            for key in marks:
+                _write_key(live, key, saved.get(key))
+            marks.clear()
+        for attr in self._WHOLE_ATTRS:
+            setattr(self, attr, _copy_value(image[attr]))
+        self.emitted = image["emitted"]
+        self.received = image["received"]
 
     def process(self, t: Timestamp,
                 child_deltas: list[list[Delta]]) -> list[Delta]:
@@ -219,6 +335,7 @@ class StreamSourceOp(PhysicalOp):
     _STATE_ATTRS = ("_staged", "_expiries", "_fifo", "_per_key",
                     "_pending", "_visible", "_arrived", "evicted",
                     "_buffered")
+    _KEYED_ATTRS = ("_expiries", "_per_key")
 
     def __init__(self, scan: StreamScan, spec, agenda: Agenda,
                  prefilter: Callable[[Record], bool] | None = None) -> None:
@@ -276,14 +393,14 @@ class StreamSourceOp(PhysicalOp):
             self._staged.pop()  # stepped windows bypass the direct path
             self._agenda.schedule(enter)
             self._agenda.schedule(exit_)
-        elif kind is WindowSpecKind.RANGE:
-            self._expiries[t + self.spec.range_].append(record)
+        elif kind is WindowSpecKind.RANGE or kind is WindowSpecKind.NOW:
+            expiry = t + (1 if kind is WindowSpecKind.NOW
+                          else self.spec.range_)
+            if self._dirty is not None:
+                self._dirty["_expiries"].add(expiry)
+            self._expiries[expiry].append(record)
             self._buffered += 1
-            self._agenda.schedule(t + self.spec.range_)
-        elif kind is WindowSpecKind.NOW:
-            self._expiries[t + 1].append(record)
-            self._buffered += 1
-            self._agenda.schedule(t + 1)
+            self._agenda.schedule(expiry)
 
     @property
     def state_size(self) -> int:
@@ -321,7 +438,10 @@ class StreamSourceOp(PhysicalOp):
 
         # Time-based eviction first (Range / Now).
         if self._expiries:
-            for expiry in sorted(e for e in self._expiries if e <= t):
+            due = sorted(e for e in self._expiries if e <= t)
+            if self._dirty is not None:
+                self._dirty["_expiries"].update(due)
+            for expiry in due:
                 expired = self._expiries.pop(expiry)
                 for record in expired:
                     out.append(Delta(record, -1))
@@ -338,7 +458,10 @@ class StreamSourceOp(PhysicalOp):
                 else:
                     self._buffered += 1
             elif kind is WindowSpecKind.PARTITIONED:
-                queue = self._per_key[self._key_fn(record)]
+                key = self._key_fn(record)
+                if self._dirty is not None:
+                    self._dirty["_per_key"].add(key)
+                queue = self._per_key[key]
                 queue.append(record)
                 if len(queue) > self.spec.rows:
                     out.append(Delta(queue.popleft(), -1))
@@ -427,6 +550,7 @@ class JoinOp(PhysicalOp):
     """
 
     _STATE_ATTRS = ("_left_state", "_right_state", "_held")
+    _KEYED_ATTRS = ("_left_state", "_right_state")
 
     def __init__(self, left: PhysicalOp, right: PhysicalOp,
                  left_key: Callable[[Record], tuple],
@@ -449,34 +573,51 @@ class JoinOp(PhysicalOp):
         if self._residual is None or self._residual(joined):
             out.append(Delta(joined, mult))
 
+    @staticmethod
+    def _keyed(deltas: list[Delta],
+               key_fn: Callable[[Record], tuple]) -> list[tuple]:
+        """``(key, record, mult)`` for every delta whose join key has no
+        NULL component.
+
+        SQL three-valued logic: a NULL key component can never satisfy the
+        originating equality predicate, so such rows join nothing and are
+        not worth indexing (keeps the incremental join aligned with the
+        naive filtered-cross-product plan).
+        """
+        out = []
+        for record, mult in deltas:
+            key = key_fn(record)
+            if None not in key:
+                out.append((key, record, mult))
+        return out
+
     def process(self, t, child_deltas):
-        left_deltas, right_deltas = child_deltas
-        # SQL three-valued logic: a NULL key component can never satisfy the
-        # originating equality predicate, so such rows join nothing and are
-        # not worth indexing (keeps the incremental join aligned with the
-        # naive filtered-cross-product plan).
-        left_deltas = [(r, m) for r, m in left_deltas
-                       if None not in self._left_key(r)]
-        right_deltas = [(r, m) for r, m in right_deltas
-                        if None not in self._right_key(r)]
+        left = self._keyed(child_deltas[0], self._left_key)
+        right = self._keyed(child_deltas[1], self._right_key)
+        left_state, right_state = self._left_state, self._right_state
+        if self._dirty is not None:
+            self._dirty["_left_state"].update(key for key, _, _ in left)
+            self._dirty["_right_state"].update(key for key, _, _ in right)
         out: list[Delta] = []
-        # ΔL against the old right state.
-        for record, mult in left_deltas:
-            key = self._left_key(record)
-            for right_record, count in self._right_state[key].items():
-                self._emit(record, right_record, mult * count, out)
+        # ΔL against the old right state.  Probes use .get: indexing the
+        # defaultdict would leave an empty bucket behind for every key
+        # ever probed.
+        for key, record, mult in left:
+            matches = right_state.get(key)
+            if matches:
+                for right_record, count in matches.items():
+                    self._emit(record, right_record, mult * count, out)
         # Fold ΔL into the left state (L_new).
-        for record, mult in left_deltas:
-            self._apply(self._left_state, self._left_key(record),
-                        record, mult)
+        for key, record, mult in left:
+            self._apply(left_state, key, record, mult)
         # L_new against ΔR.
-        for record, mult in right_deltas:
-            key = self._right_key(record)
-            for left_record, count in self._left_state[key].items():
-                self._emit(left_record, record, count * mult, out)
-        for record, mult in right_deltas:
-            self._apply(self._right_state, self._right_key(record),
-                        record, mult)
+        for key, record, mult in right:
+            matches = left_state.get(key)
+            if matches:
+                for left_record, count in matches.items():
+                    self._emit(left_record, record, count * mult, out)
+        for key, record, mult in right:
+            self._apply(right_state, key, record, mult)
         return out
 
     def _apply(self, state: dict[tuple, Counter], key: tuple,
@@ -506,6 +647,7 @@ class AppendOnlyJoinOp(JoinOp):
     """
 
     _STATE_ATTRS = JoinOp._STATE_ATTRS + ("_left_index", "_right_index")
+    _KEYED_ATTRS = JoinOp._KEYED_ATTRS + ("_left_index", "_right_index")
 
     def __init__(self, left: PhysicalOp, right: PhysicalOp,
                  left_key: Callable[[Record], tuple],
@@ -519,6 +661,7 @@ class AppendOnlyJoinOp(JoinOp):
 
     def process(self, t, child_deltas):
         left_deltas, right_deltas = child_deltas
+        dirty = self._dirty
         out: list[Delta] = []
         for record, mult in left_deltas:
             if mult < 0:
@@ -528,6 +671,8 @@ class AppendOnlyJoinOp(JoinOp):
                 continue
             for right_record, count in self._right_index.get(key, ()):
                 self._emit(record, right_record, mult * count, out)
+            if dirty is not None:
+                dirty["_left_index"].add(key)
             self._left_index[key].append((record, mult))
             self._held += mult
         for record, mult in right_deltas:
@@ -538,6 +683,8 @@ class AppendOnlyJoinOp(JoinOp):
                 continue
             for left_record, count in self._left_index.get(key, ()):
                 self._emit(left_record, record, count * mult, out)
+            if dirty is not None:
+                dirty["_right_index"].add(key)
             self._right_index[key].append((record, mult))
             self._held += mult
         return out
@@ -550,6 +697,11 @@ class _MinMaxAccumulator:
 
     def __init__(self) -> None:
         self._counts: Counter = Counter()
+
+    def copy(self) -> "_MinMaxAccumulator":
+        out = _MinMaxAccumulator()
+        out._counts = self._counts.copy()
+        return out
 
     def add(self, value: Any, mult: int) -> None:
         self._counts[value] += mult
@@ -574,6 +726,15 @@ class _GroupState:
         self.sums = [0] * n_aggs           # running sum (SUM / AVG)
         self.minmax: list[_MinMaxAccumulator | None] = [None] * n_aggs
 
+    def copy(self) -> "_GroupState":
+        out = _GroupState(0)
+        out.rows = self.rows
+        out.counts = list(self.counts)
+        out.sums = list(self.sums)
+        out.minmax = [None if acc is None else acc.copy()
+                      for acc in self.minmax]
+        return out
+
 
 class AggregateOp(PhysicalOp):
     """Incremental grouped aggregation with retractions.
@@ -586,6 +747,7 @@ class AggregateOp(PhysicalOp):
     """
 
     _STATE_ATTRS = ("_groups", "_current_rows", "_child_active")
+    _KEYED_ATTRS = ("_groups", "_current_rows")
 
     def __init__(self, plan: Aggregate, in_schema: Schema) -> None:
         super().__init__([])  # children attached by compiler
@@ -629,6 +791,9 @@ class AggregateOp(PhysicalOp):
                 group = _GroupState(len(self._kinds))
                 self._groups[key] = group
             self._fold(group, record, mult)
+        if self._dirty is not None:
+            self._dirty["_groups"].update(touched)
+            self._dirty["_current_rows"].update(touched)
         out: list[Delta] = []
         for key in touched:
             group = self._groups[key]
@@ -695,6 +860,7 @@ class DistinctOp(PhysicalOp):
     """Incremental duplicate elimination: emits 0→1 and 1→0 transitions."""
 
     _STATE_ATTRS = ("_counts",)
+    _KEYED_ATTRS = ("_counts",)
 
     def __init__(self, child: PhysicalOp) -> None:
         super().__init__([child])
@@ -706,6 +872,8 @@ class DistinctOp(PhysicalOp):
 
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
+        if self._dirty is not None:
+            self._dirty["_counts"].update(record for record, _ in deltas)
         out: list[Delta] = []
         for record, mult in deltas:
             before = self._counts[record]
@@ -730,6 +898,7 @@ class AppendOnlyDistinctOp(DistinctOp):
     """
 
     _STATE_ATTRS = ("_seen",)
+    _KEYED_ATTRS = ("_seen",)
 
     def __init__(self, child: PhysicalOp) -> None:
         PhysicalOp.__init__(self, [child])
@@ -741,6 +910,8 @@ class AppendOnlyDistinctOp(DistinctOp):
 
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
+        if self._dirty is not None:
+            self._dirty["_seen"].update(record for record, _ in deltas)
         out: list[Delta] = []
         for record, mult in deltas:
             if mult < 0:
@@ -761,6 +932,7 @@ class SetOpOp(PhysicalOp):
     """
 
     _STATE_ATTRS = ("_left", "_right", "_out")
+    _KEYED_ATTRS = ("_left", "_right", "_out")
 
     def __init__(self, kind: str, left: PhysicalOp, right: PhysicalOp,
                  out_schema: Schema) -> None:
@@ -788,6 +960,9 @@ class SetOpOp(PhysicalOp):
             record = self._relabel(record)
             self._right[record] += mult
             touched.add(record)
+        if self._dirty is not None:
+            for marks in self._dirty.values():
+                marks.update(touched)
         out: list[Delta] = []
         for record in touched:
             left_count = self._left[record]
@@ -1027,6 +1202,8 @@ class ContinuousQuery:
         self._undelivered: list[Emission] = []
         self._last_instant: Timestamp | None = None
         self._deltas_processed = 0
+        #: The non-operator half of the recovery point (see :meth:`barrier`).
+        self._barrier: dict[str, Any] | None = None
         self._eval_hist = None
         self._published_ops: dict[tuple[int, str], float] = {}
 
@@ -1177,9 +1354,57 @@ class ContinuousQuery:
         self._undelivered = list(payload["undelivered"])
         self._last_instant = payload["last_instant"]
         self._deltas_processed = payload["deltas_processed"]
+        self._barrier = None
         if self._kernel is not None:
             # A crash can strand half-delivered batches inside the kernel
             # adapters; they belong to the rolled-back instant.
+            self._kernel.reset_transients()
+
+    def barrier(self) -> dict[str, Any]:
+        """Move the query's recovery point to now; return what it wrote.
+
+        The incremental counterpart of :meth:`snapshot`, for in-place
+        rollback (:meth:`rollback`) rather than migration.  Operators
+        write the keys they changed since the previous barrier (every key
+        at the first, see :meth:`PhysicalOp.barrier`); the change-log and
+        the emissions are append-only, so they write their lengths; the
+        agenda (bounded by the widest window) is copied.  Taken between
+        instants, like :meth:`snapshot`.
+        """
+        if self._shared is not None:
+            raise StateError(
+                "shared-group queries cannot be checkpointed independently")
+        self._barrier = {
+            "agenda": self._agenda.snapshot(),
+            "log": len(self._log),
+            "emissions": len(self._emissions),
+            "last_instant": self._last_instant,
+            "deltas_processed": self._deltas_processed,
+        }
+        return dict(self._barrier,
+                    operators=[op.barrier() for _, op in self.operators()])
+
+    def rollback(self) -> None:
+        """Roll back in place to the last :meth:`barrier`.
+
+        Operators restore only the keys they changed since; the log and
+        the emissions are truncated to their lengths then, and the
+        maintained relation is the log's tail again.  Any partially
+        processed instant is discarded, as in :meth:`restore`.  Repeatable:
+        the barrier is not consumed.
+        """
+        point = self._barrier
+        if point is None:
+            raise StateError("no barrier to roll back to")
+        for _, op in self.operators():
+            op.rollback()
+        self._agenda.restore(point["agenda"])
+        del self._log[point["log"]:]
+        self._state = self._log[-1][1].copy() if self._log else Bag()
+        del self._emissions[point["emissions"]:]
+        self._last_instant = point["last_instant"]
+        self._deltas_processed = point["deltas_processed"]
+        if self._kernel is not None:
             self._kernel.reset_transients()
 
     # -- processing ----------------------------------------------------------

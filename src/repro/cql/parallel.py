@@ -26,9 +26,10 @@ plan — and then:
 
 The public surface mirrors :class:`ContinuousQuery` (push / push_batch /
 advance_to / finish / run_recorded / current / as_relation /
-emitted_stream / snapshot / restore), so engines and difftest legs can
-treat both uniformly; :meth:`physical_roots` exposes one root per
-replica where :class:`ContinuousQuery` exposes one total.
+emitted_stream / snapshot / restore / barrier / rollback), so engines
+and difftest legs can treat both uniformly; :meth:`physical_roots`
+exposes one root per replica where :class:`ContinuousQuery` exposes one
+total.
 """
 
 from __future__ import annotations
@@ -345,3 +346,14 @@ class PartitionedQuery:
                 f"would re-route across partitions")
         for replica, state in zip(self._replicas, payload["replicas"]):
             replica.restore(state)
+
+    def barrier(self) -> dict[str, Any]:
+        """Every replica's :meth:`ContinuousQuery.barrier`."""
+        return {"parallelism": self.parallelism,
+                "replicas": [r.barrier() for r in self._replicas]}
+
+    def rollback(self) -> None:
+        """Every replica back to its last barrier.  Replicas built by a
+        rescale since then have none and refuse."""
+        for replica in self._replicas:
+            replica.rollback()

@@ -43,6 +43,8 @@ def range_off_by_one() -> Iterator[None]:
             self._arrived = True
             self._staged.append(record)
             expiry = t + self.spec.range_ + 1
+            if self._dirty is not None:
+                self._dirty["_expiries"].add(expiry)
             self._expiries[expiry].append(record)
             self._buffered += 1
             self._agenda.schedule(expiry)

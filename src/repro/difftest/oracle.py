@@ -24,9 +24,11 @@ syntax cannot reach, and merge properties for session windows.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Any
 
+from repro.chaos import CrashFuse, install_crash
 from repro.core import Schema, Stream
 from repro.core.errors import ReproError
 from repro.core.operators import stream_to_relation
@@ -44,6 +46,8 @@ from repro.dsms.shedding import NoShedding
 from repro.difftest.generators import (
     ALERTS_SCHEMA,
     OBS_SCHEMA,
+    ROOMS_ROWS,
+    ROOMS_SCHEMA,
     Case,
     CoreWindowCase,
     build_engine,
@@ -59,7 +63,7 @@ class Divergence:
 
     kind: str    # which leg diverged: optimizer | executor | executor-naive
                  # | kernel | kernel-naive | kernel-parallel
-                 # | kernel-rescaled | kernel-crashed | dsms
+                 # | kernel-rescaled | kernel-crashed | dsms-crashed | dsms
                  # | kernel-batched | dsms-shared
                  # | kernel-views | core-sparse | core-assign | session
                  # | error
@@ -162,23 +166,34 @@ def run_case(case: Case) -> Divergence | None:
     if divergence is not None:
         return divergence
 
+    # The DSMS legs judge the maintained state per instant against the
+    # reference relation of the R2S child plan (snapshot-reducibility).
+    state_plan = (plan_opt.child if plan_opt.op_name in _R2S_OPS
+                  else plan_opt)
+    ref_state = reference_evaluate(state_plan, engine.catalog, streams)
+
     # Leg 8: crash-consistent recovery.  The kernel plan re-runs once per
     # operator position; each run blows a fuse inside that operator
     # mid-stream (state mutated, output lost), rolls back to the newest
     # barrier-by-instant checkpoint, replays, and must still agree with
-    # the reference instant by instant.
+    # the reference instant by instant.  Then the whole DSMS recovers
+    # from crashes on a checkpoint tick, in advance_time and in a replay,
+    # through its incremental checkpoints.
     divergence = _kernel_crashed_leg(case, streams, truth, is_r2s)
+    if divergence is not None:
+        return divergence
+    divergence = _dsms_crashed_leg(case, streams, ref_state)
     if divergence is not None:
         return divergence
 
     # DSMS leg: the engine servicing one tuple per scheduling quantum.
-    divergence = _dsms_leg(case, streams, plan_opt, engine)
+    divergence = _dsms_leg(case, streams, ref_state)
     if divergence is not None:
         return divergence
 
     # Batched leg: the same engine draining micro-batches per quantum.
     # Batched vs per-element execution must agree instant by instant.
-    divergence = _kernel_batched_leg(case, streams, plan_opt, engine)
+    divergence = _kernel_batched_leg(case, streams, ref_state)
     if divergence is not None:
         return divergence
 
@@ -186,7 +201,7 @@ def run_case(case: Case) -> Divergence | None:
     # twice in a sharing engine runs as one shared kernel plan; both
     # members must still match the reference instant by instant, and
     # must agree with each other emission for emission.
-    return _dsms_shared_leg(case, streams, plan_opt, engine)
+    return _dsms_shared_leg(case, streams, ref_state)
 
 
 def _kernel_parallel_leg(case: Case, streams, truth,
@@ -326,7 +341,6 @@ def _kernel_crashed_leg(case: Case, streams, truth,
     checkpoint and replays.  Exactly-once means the final emissions and
     change-log are indistinguishable from the fault-free legs.
     """
-    from repro.chaos import CrashFuse, install_crash
     from repro.chaos.recovery import RecoveryManager, run_query_with_recovery
 
     probe = build_engine()
@@ -376,47 +390,245 @@ def _kernel_crashed_leg(case: Case, streams, truth,
     return None
 
 
-def _dsms_leg(case: Case, streams, plan_opt, engine) -> Divergence | None:
-    dsms = DSMSEngine(queue_capacity=1_000_000)
+def _dsms(**options: Any) -> DSMSEngine:
+    """A DSMS over the difftest catalog, with room to queue every arrival."""
+    dsms = DSMSEngine(queue_capacity=1_000_000, **options)
     dsms.register_stream("Obs", OBS_SCHEMA)
     dsms.register_stream("Alerts", ALERTS_SCHEMA)
-    from repro.difftest.generators import ROOMS_ROWS, ROOMS_SCHEMA
     dsms.register_relation("Rooms", ROOMS_SCHEMA, ROOMS_ROWS)
+    return dsms
+
+
+def _arrivals(streams, handle) -> list[tuple[int, str, Any]]:
+    """``(t, stream, record)`` for every element ``handle`` reads, in time
+    order (stable: generation order within an instant)."""
+    arrivals = [(element.timestamp, name, element.value)
+                for name, stream in streams.items()
+                if handle.reads_stream(name) for element in stream]
+    arrivals.sort(key=lambda item: item[0])
+    return arrivals
+
+
+def _state_divergence(leg: str, label: str, handle,
+                      ref_state) -> Divergence | None:
+    """Snapshot-reducibility: the maintained state per instant must equal
+    the reference relation of the R2S child (the relation the stream
+    operator samples from)."""
+    got = handle.query.as_relation()
+    if got == ref_state:
+        return None
+    return Divergence(leg, _diff_detail(
+        label, _snapshot_list(got), "reference", _snapshot_list(ref_state)))
+
+
+def _dsms_leg(case: Case, streams, ref_state) -> Divergence | None:
+    dsms = _dsms()
     try:
         handle = dsms.register_query("q", case.query, shedder=NoShedding())
     except ReproError as exc:
         return Divergence("dsms", f"registration failed: {exc!r}")
-    arrivals: list[tuple[int, str, Any]] = []
-    for name, stream in streams.items():
-        if not handle.reads_stream(name):
-            continue
-        for element in stream:
-            arrivals.append((element.timestamp, name, element.value))
-    arrivals.sort(key=lambda item: item[0])  # stable: preserves gen order
     try:
-        for t, name, record in arrivals:
+        for t, name, record in _arrivals(streams, handle):
             dsms.ingest(name, record, t)
             dsms.run_until_idle()
         handle.query.finish()
     except ReproError as exc:
         return Divergence("dsms", f"servicing crashed: {exc!r}")
+    return _state_divergence("dsms", "dsms", handle, ref_state)
 
-    # Snapshot-reducibility: the maintained state per instant must equal
-    # the reference relation of the R2S child (the relation the stream
-    # operator samples from).
-    state_plan = (plan_opt.child if plan_opt.op_name in _R2S_OPS
-                  else plan_opt)
-    ref_state = reference_evaluate(state_plan, engine.catalog, streams)
-    got = handle.query.as_relation()
-    if not (got == ref_state):
-        return Divergence("dsms", _diff_detail(
-            "dsms", _snapshot_list(got),
-            "reference", _snapshot_list(ref_state)))
+
+#: Arrivals (and time advances) per checkpoint in the dsms-crashed leg.
+_DSMS_CHECKPOINT_INTERVAL = 3
+#: Beyond every window the generator draws: the script's last
+#: ``advance_time`` flushes all pending expirations, as ``finish`` would.
+_FLUSH_HORIZON = 1000
+
+
+def _dsms_script(arrivals: list[tuple[int, str, Any]]) -> list[tuple]:
+    """The dsms-crashed leg's driving script.
+
+    Each arrival is ingested and drained alone.  Between instants time
+    advances to just before the next one, so the expirations due there
+    fire inside ``advance_time`` rather than in the next push; after the
+    last arrival it advances past every window.
+    """
+    script: list[tuple] = []
+    for index, (t, name, record) in enumerate(arrivals):
+        script += [("ingest", name, record, t), ("drain",)]
+        if index + 1 == len(arrivals):
+            script.append(("advance", t + _FLUSH_HORIZON))
+        elif arrivals[index + 1][0] > t:
+            script.append(("advance", arrivals[index + 1][0] - 1))
+    return script
+
+
+def _run_script(dsms: DSMSEngine, script: list[tuple],
+                aim: "_CrashAim | None" = None) -> None:
+    for step in script:
+        if aim is not None:
+            aim.before(step)
+        if step[0] == "ingest":
+            dsms.ingest(*step[1:])
+        elif step[0] == "drain":
+            dsms.run_until_idle()
+        else:
+            dsms.advance_time(step[1])
+        if aim is not None:
+            aim.after(step)
+
+
+class _Shot(CrashFuse):
+    """A crash the dsms-crashed leg aims: once ``armed`` with a name
+    it blows at the operator's next step, noting the phase it blew in."""
+
+    def __init__(self, phase: list[str],
+                 shots: list[tuple[str, str]]) -> None:
+        super().__init__(at=1)
+        self.phase = phase
+        self.shots = shots
+        self.armed: str | None = None
+
+    def record(self, n: int = 1) -> bool:
+        shot, self.armed = self.armed, None
+        if shot is None:
+            return False
+        self.fired += 1
+        self.shots.append((shot, self.phase[-1]))
+        return True
+
+
+class _CrashAim:
+    """Aims the dsms-crashed leg's three crashes at a recovering engine.
+
+    Every instant steps every operator, so a shot armed before a step of
+    the script fires inside it:
+
+    * ``barrier`` — in a drain that ends in a checkpoint (the script
+      knows the log length, the manager the last checkpoint's offset),
+      from the middle of the script on;
+    * ``advance`` — in an ``advance_time`` whose replay must redo an
+      arrival (one was logged since the last checkpoint); disarmed again
+      if that advance fired nothing due;
+    * ``replay`` — armed when recovery from the ``advance`` crash starts,
+      so it fires while the replay drains that arrival.
+
+    The phase is ``phase[-1]``: the script step's, or ``replay`` from the
+    manager's ``recover`` to its ``record_replayed``.
+    """
+
+    def __init__(self, dsms: DSMSEngine, handle, script_length: int,
+                 base: int) -> None:
+        self.recovery = dsms.recovery
+        self.phase = ["setup"]
+        #: ``(shot, phase)`` for every crash that fired, in order.
+        self.shots: list[tuple[str, str]] = []
+        self.fuses: dict[str, _Shot] = {}
+        operators = len(handle.query.operators())
+        for offset, shot in enumerate(("barrier", "advance", "replay")):
+            self.fuses[shot] = _Shot(self.phase, self.shots)
+            install_crash(handle.query, (base + offset) % operators,
+                          self.fuses[shot])
+        self.middle = script_length // 2
+        self.steps = 0
+        self.logged = 0          # arrival-log entries so far
+        self.last_ingest = -1    # log position of the newest ingest
+        recover = self.recovery.recover
+        record_replayed = self.recovery.record_replayed
+
+        def tracked_recover():
+            self.phase[1:] = ["replay"]
+            if self.fuses["advance"].fired and not self.fuses["replay"].fired:
+                self.fuses["replay"].armed = "replay"
+            return recover()
+
+        def tracked_record_replayed(n: int) -> None:
+            del self.phase[1:]
+            record_replayed(n)
+
+        self.recovery.recover = tracked_recover
+        self.recovery.record_replayed = tracked_record_replayed
+
+    def before(self, step: tuple) -> None:
+        since = self.recovery.latest().offset
+        if step[0] == "drain":
+            commits = self.logged - since >= self.recovery.interval
+            self.phase[:] = ["barrier" if commits else "drain"]
+            fuse = self.fuses["barrier"]
+            if commits and not fuse.fired and self.steps >= self.middle:
+                fuse.armed = "barrier"
+        elif step[0] == "advance":
+            self.phase[:] = ["advance"]
+            fuse = self.fuses["advance"]
+            if self.fuses["barrier"].fired and not fuse.fired \
+                    and self.last_ingest >= since:
+                fuse.armed = "advance"
+
+    def after(self, step: tuple) -> None:
+        self.steps += 1
+        if step[0] == "ingest":
+            self.last_ingest = self.logged
+            self.logged += 1
+        elif step[0] == "advance":
+            self.logged += 1
+            self.fuses["advance"].armed = None
+
+    def where(self) -> str:
+        fired = [f"{shot} in {phase}" for shot, phase in self.shots]
+        return f"crashes fired: {', '.join(fired) or 'none'}"
+
+
+def _dsms_crashed_leg(case: Case, streams, ref_state,
+                      shots: list[tuple[str, str]] | None = None,
+                      ) -> Divergence | None:
+    """Recovery through the DSMS's incremental checkpoints, under fuzzing.
+
+    The case runs through ``DSMSEngine(recovery_interval=3)`` by the
+    :func:`_dsms_script`, crashed on a checkpoint tick, in
+    ``advance_time`` and in the replay that recovers from that (see
+    :class:`_CrashAim`), at case-dependent operator positions.  Its
+    emissions, change-log and Store history must equal the same script's
+    on a fault-free engine, whose state must match the reference.
+    ``shots``, when given, collects ``(shot, phase it fired in)``.
+    """
+    clean, crashed = _dsms(), _dsms(
+        recovery_interval=_DSMS_CHECKPOINT_INTERVAL)
+    try:
+        clean_handle = clean.register_query("q", case.query)
+        handle = crashed.register_query("q", case.query)
+    except ReproError as exc:
+        return Divergence("dsms-crashed", f"registration failed: {exc!r}")
+    script = _dsms_script(_arrivals(streams, handle))
+    try:
+        _run_script(clean, script)
+    except ReproError as exc:
+        return Divergence("dsms-crashed", f"fault-free run crashed: {exc!r}")
+    divergence = _state_divergence("dsms-crashed", "fault-free",
+                                   clean_handle, ref_state)
+    if divergence is not None:
+        return divergence
+    aim = _CrashAim(crashed, handle, len(script),
+                    zlib.crc32(case.query.encode()))
+    try:
+        _run_script(crashed, script, aim)
+    except ReproError as exc:
+        return Divergence("dsms-crashed",
+                          f"{aim.where()}; not recovered: {exc!r}")
+    finally:
+        if shots is not None:
+            shots.extend(aim.shots)
+    for part, got, want in (
+            ("emissions", handle.emissions(), clean_handle.emissions()),
+            ("change-log", handle.query._log, clean_handle.query._log),
+            ("Store history", list(handle.store_history().snapshots()),
+             list(clean_handle.store_history().snapshots()))):
+        if got != want:
+            return Divergence("dsms-crashed", (
+                f"{aim.where()}; {part} differs from the fault-free run: "
+                + _diff_detail("recovered", got, "fault-free", want)))
     return None
 
 
-def _kernel_batched_leg(case: Case, streams, plan_opt,
-                        engine) -> Divergence | None:
+def _kernel_batched_leg(case: Case, streams, ref_state) -> Divergence | None:
     """The tenth leg: vectorized micro-batch execution under fuzzing.
 
     The whole arrival log is ingested up front and drained with
@@ -429,78 +641,41 @@ def _kernel_batched_leg(case: Case, streams, plan_opt,
     relation per instant equals the reference relation of the R2S child
     plan, exactly as the per-element DSMS leg is judged.
     """
-    dsms = DSMSEngine(queue_capacity=1_000_000)
-    dsms.register_stream("Obs", OBS_SCHEMA)
-    dsms.register_stream("Alerts", ALERTS_SCHEMA)
-    from repro.difftest.generators import ROOMS_ROWS, ROOMS_SCHEMA
-    dsms.register_relation("Rooms", ROOMS_SCHEMA, ROOMS_ROWS)
+    dsms = _dsms()
     try:
         handle = dsms.register_query("q", case.query, shedder=NoShedding(),
                                      batch_size=8)
     except ReproError as exc:
         return Divergence("kernel-batched", f"registration failed: {exc!r}")
-    arrivals: list[tuple[int, str, Any]] = []
-    for name, stream in streams.items():
-        if not handle.reads_stream(name):
-            continue
-        for element in stream:
-            arrivals.append((element.timestamp, name, element.value))
-    arrivals.sort(key=lambda item: item[0])  # stable: preserves gen order
     try:
-        for t, name, record in arrivals:
+        for t, name, record in _arrivals(streams, handle):
             dsms.ingest(name, record, t)
         dsms.run_until_idle()
         handle.query.finish()
     except ReproError as exc:
         return Divergence("kernel-batched", f"servicing crashed: {exc!r}")
-
-    state_plan = (plan_opt.child if plan_opt.op_name in _R2S_OPS
-                  else plan_opt)
-    ref_state = reference_evaluate(state_plan, engine.catalog, streams)
-    got = handle.query.as_relation()
-    if not (got == ref_state):
-        return Divergence("kernel-batched", _diff_detail(
-            "batched", _snapshot_list(got),
-            "reference", _snapshot_list(ref_state)))
-    return None
+    return _state_divergence("kernel-batched", "batched", handle, ref_state)
 
 
-def _dsms_shared_leg(case: Case, streams, plan_opt,
-                     engine) -> Divergence | None:
-    dsms = DSMSEngine(queue_capacity=1_000_000, sharing=True)
-    dsms.register_stream("Obs", OBS_SCHEMA)
-    dsms.register_stream("Alerts", ALERTS_SCHEMA)
-    from repro.difftest.generators import ROOMS_ROWS, ROOMS_SCHEMA
-    dsms.register_relation("Rooms", ROOMS_SCHEMA, ROOMS_ROWS)
+def _dsms_shared_leg(case: Case, streams, ref_state) -> Divergence | None:
+    dsms = _dsms(sharing=True)
     try:
         first = dsms.register_query("q1", case.query)
         second = dsms.register_query("q2", case.query)
     except ReproError as exc:
         return Divergence("dsms-shared", f"registration failed: {exc!r}")
-    arrivals: list[tuple[int, str, Any]] = []
-    for name, stream in streams.items():
-        if not first.reads_stream(name):
-            continue
-        for element in stream:
-            arrivals.append((element.timestamp, name, element.value))
-    arrivals.sort(key=lambda item: item[0])  # stable: preserves gen order
     try:
-        for t, name, record in arrivals:
+        for t, name, record in _arrivals(streams, first):
             dsms.ingest(name, record, t)
             dsms.run_until_idle()
         first.query.finish()
     except ReproError as exc:
         return Divergence("dsms-shared", f"servicing crashed: {exc!r}")
-
-    state_plan = (plan_opt.child if plan_opt.op_name in _R2S_OPS
-                  else plan_opt)
-    ref_state = reference_evaluate(state_plan, engine.catalog, streams)
     for handle in (first, second):
-        got = handle.query.as_relation()
-        if not (got == ref_state):
-            return Divergence("dsms-shared", _diff_detail(
-                f"shared:{handle.name}", _snapshot_list(got),
-                "reference", _snapshot_list(ref_state)))
+        divergence = _state_divergence(
+            "dsms-shared", f"shared:{handle.name}", handle, ref_state)
+        if divergence is not None:
+            return divergence
     if first.emissions() != second.emissions():
         return Divergence("dsms-shared", _diff_detail(
             "q1", first.emissions(), "q2", second.emissions()))

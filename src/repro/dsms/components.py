@@ -57,25 +57,31 @@ class Store:
         return self._current[name].copy()
 
     def snapshot(self) -> dict[str, Any]:
-        """Copy every stored relation's change-log (for checkpointing)."""
+        """Checkpoint every change-log as an offset, O(relations).
+
+        A change-log only grows, except that a write at the instant of its
+        tail replaces the tail: so the checkpoint is each log's length
+        plus its tail entry, held by reference (stored bags are never
+        mutated).
+        """
         relations: dict[str, Any] = {}
         for name, relation in self._relations.items():
-            relations[name] = {
-                "times": list(relation._times),
-                "states": [bag.copy() for bag in relation._states],
-                "current": self._current[name].copy(),
-            }
+            times, states = relation._times, relation._states
+            relations[name] = ((len(times), times[-1], states[-1]) if times
+                               else (0, None, None))
         return {"relations": relations, "writes": self.writes}
 
     def restore(self, payload: dict[str, Any]) -> None:
-        """Roll the Store back to a snapshot, in place."""
-        for name, entry in payload["relations"].items():
-            if name not in self._relations:
-                self.register(name)
+        """Roll the Store back to a snapshot, in place: truncate each
+        change-log to its offset and put its tail entry back."""
+        for name, (length, t, state) in payload["relations"].items():
             relation = self._relations[name]
-            relation._times = list(entry["times"])
-            relation._states = [bag.copy() for bag in entry["states"]]
-            self._current[name] = entry["current"].copy()
+            del relation._times[length:]
+            del relation._states[length:]
+            if length:
+                relation._times[-1] = t
+                relation._states[-1] = state
+            self._current[name] = state if length else Bag()
         self.writes = payload["writes"]
 
     def history(self, name: str) -> TimeVaryingRelation:

@@ -433,14 +433,17 @@ class DSMSEngine:
         #: arrival tick is flagged — the crash-recovered-source signal.
         self.stall_detector = _profile.StallDetector()
         #: Crash recovery (``recovery_interval`` arrivals per checkpoint):
-        #: the engine keeps an arrival log and engine-wide snapshots; a
-        #: recoverable failure raised while servicing rolls every query
-        #: and the Store back to the newest checkpoint, clears the queues,
-        #: and re-offers the logged suffix — restore-and-replay at DSMS
+        #: the engine keeps an arrival log and an incremental recovery
+        #: image (see :meth:`snapshot`); a recoverable failure raised
+        #: while servicing or advancing time rolls every query and the
+        #: Store back to the newest checkpoint, clears the queues, and
+        #: re-offers the logged suffix — restore-and-replay at DSMS
         #: scope.  Incompatible with plan sharing: a shared group's
         #: interleaved operator state has no per-query snapshot.
         self.recovery: "RecoveryManager | None" = None
         self._arrival_log: list[tuple] = []
+        #: The newest barrier's payload (see :meth:`snapshot`).
+        self._barrier: dict[str, Any] | None = None
         #: Dynamic tables hosted alongside standing queries (§5.1's
         #: streaming-database pillar): the refresh scheduler runs inside
         #: the engine's time hooks — ``advance_time`` ticks the view
@@ -666,6 +669,7 @@ class DSMSEngine:
         # The old replicas' operators no longer exist, the new ones do.
         handle.bind_operators()
         handle.rescales.append(report)
+        self._barrier = None
         if self.recovery is not None:
             # Old checkpoints hold the old replica shape; restoring one
             # into the rescaled query would fail (or worse, resurrect the
@@ -807,16 +811,28 @@ class DSMSEngine:
             try:
                 if not self.step():
                     break
-            except self.recovery.recoverable:
-                failures += 1
-                if failures > self.recovery.max_retries:
-                    raise
-                self.recovery.backoff(failures)
-                self._recover_and_replay()
+            except self.recovery.recoverable as error:
+                failures = self._recover(failures, error)
                 continue
             steps += 1
         self.recovery.committed(len(self._arrival_log))
         return steps
+
+    def _recover(self, failures: int, error: BaseException) -> int:
+        """Restore the newest checkpoint and replay the logged suffix,
+        again whenever the replay itself fails recoverably; re-raises once
+        the manager's retry budget is spent.  Returns the failure count."""
+        while True:
+            failures += 1
+            if failures > self.recovery.max_retries:
+                raise error
+            self.recovery.backoff(failures)
+            try:
+                self._recover_and_replay()
+            except self.recovery.recoverable as again:
+                error = again
+                continue
+            return failures
 
     def _drain_settled(self, max_steps: int) -> int:
         """Drain the queues, then settle overdue dynamic tables and run
@@ -829,10 +845,23 @@ class DSMSEngine:
         return steps
 
     def advance_time(self, t: Timestamp) -> None:
-        """Advance event time for every query (fires window expirations)."""
-        if self.recovery is not None:
-            self.recovery.start()
-            self._arrival_log.append(("advance", t))
+        """Advance event time for every query (fires window expirations).
+
+        With recovery enabled a recoverable failure is handled as in
+        :meth:`run_until_idle`: the advance is logged first, so the
+        replay after the restore re-runs it.
+        """
+        if self.recovery is None:
+            self._advance(t)
+            return
+        self.recovery.start()
+        self._arrival_log.append(("advance", t))
+        try:
+            self._advance(t)
+        except self.recovery.recoverable as error:
+            self._recover(0, error)
+
+    def _advance(self, t: Timestamp) -> None:
         for unit in self._units:
             unit.advance_to(t)
         self._tick_views(t)
@@ -847,7 +876,18 @@ class DSMSEngine:
     # -- crash recovery --------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """An engine-wide checkpoint: every query's state plus the Store.
+        """A barrier: move the engine's recovery point to now and return
+        what it wrote — the checkpoint, costing what changed since the
+        previous barrier.
+
+        Every query writes the operator keys it changed since then (all
+        of its state at its first barrier: after registration or a
+        rescale, see :meth:`ContinuousQuery.barrier`).  The append-only
+        histories — emissions, the queries' change-logs, the Store's —
+        write offsets.  Dynamic tables write their own snapshot.  The
+        recovery image stays inside the engine, so :meth:`restore` takes
+        the newest barrier only — with ``recovery_interval`` set, the
+        engine's :class:`RecoveryManager` takes every barrier itself.
 
         Queue contents are deliberately excluded — checkpoints are taken
         at quiescent points (empty queues), and anything queued at crash
@@ -858,29 +898,41 @@ class DSMSEngine:
         handles: dict[str, Any] = {}
         for handle in self._handles:
             handles[handle.name] = {
-                "query": handle.query.snapshot(),
-                "emissions": list(handle._emissions),
+                "query": handle.query.barrier(),
+                "emissions": len(handle._emissions),
                 "ingest_seq": handle._ingest_seq,
                 "process_seq": handle._process_seq,
             }
-        return {"handles": handles, "store": self.store.snapshot(),
-                "views": self.views.snapshot()}
+        self._barrier = {"handles": handles, "store": self.store.snapshot(),
+                         "views": self.views.snapshot()}
+        return self._barrier
 
     def restore(self, payload: Mapping[str, Any]) -> None:
-        """Roll every query and the Store back to a checkpoint."""
+        """Roll every query and the Store back, in place, to the newest
+        barrier (``payload`` is what :meth:`snapshot` returned for it).
+
+        Operators restore only the keys changed since; histories are
+        truncated to their offsets.  Any number of restores may follow
+        one barrier.
+        """
+        if payload is not self._barrier:
+            raise StateError(
+                "only the newest checkpoint can be restored (and none "
+                "taken before a rescale): the engine keeps one recovery "
+                "image")
         for handle in self._handles:
-            entry = payload["handles"].get(handle.name)
-            if entry is None:
+            if handle.name not in payload["handles"]:
                 raise StateError(
                     f"query {handle.name!r} was registered after the "
                     f"checkpoint being restored")
-            handle.query.restore(entry["query"])
-            handle._emissions = list(entry["emissions"])
+        for handle in self._handles:
+            entry = payload["handles"][handle.name]
+            handle.query.rollback()
+            del handle._emissions[entry["emissions"]:]
             handle._ingest_seq = entry["ingest_seq"]
             handle._process_seq = entry["process_seq"]
         self.store.restore(payload["store"])
-        if "views" in payload:
-            self.views.restore(payload["views"])
+        self.views.restore(payload["views"])
         # Every operator's state just changed under the ledger.
         for unit in self._units:
             self.scratch.settle(unit.name)
@@ -893,7 +945,8 @@ class DSMSEngine:
         arrival log from the checkpoint offset regenerates it along with
         everything else in flight.  ``advance`` entries drain first, so
         the replayed timeline keeps the original drain-then-advance
-        order.
+        order.  A failure in here propagates to :meth:`_recover`, which
+        restores and replays again.
         """
         checkpoint = self.recovery.recover()
         for unit in self._units:
@@ -903,9 +956,7 @@ class DSMSEngine:
             if entry[0] == "advance":
                 while self.step():
                     pass
-                for unit in self._units:
-                    unit.advance_to(entry[1])
-                self._tick_views(entry[1])
+                self._advance(entry[1])
             else:
                 _, stream_name, record, t = entry
                 self._route(stream_name, record, t)

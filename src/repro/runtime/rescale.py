@@ -192,12 +192,6 @@ class _Migration:
             for payload in news[1:]:
                 payload[attr] = 0
 
-    @staticmethod
-    def _nonempty(mapping: Mapping) -> dict:
-        # defaultdict probes leave empty buckets behind; they are not
-        # state, and they differ per replica.
-        return {key: value for key, value in mapping.items() if value}
-
     # -- quiescence ----------------------------------------------------------
 
     def check_quiescent(self, snaps: list[Mapping[str, Any]]) -> None:
@@ -289,11 +283,7 @@ class _Migration:
         for attr in verify:
             reference = olds[0][attr]
             for old in olds[1:]:
-                left, right = old[attr], reference
-                if isinstance(left, dict) and isinstance(right, dict):
-                    left, right = self._nonempty(left), \
-                        self._nonempty(right)
-                if left != right:
+                if old[attr] != reference:
                     raise RescaleError(
                         f"broadcast state diverged across replicas "
                         f"({attr}); cannot migrate")
@@ -373,9 +363,9 @@ class _Migration:
                 attrs = (state_attr, index_attr) if append_only \
                     else (state_attr,)
                 for attr in attrs:
-                    reference = self._nonempty(olds[0][attr])
+                    reference = olds[0][attr]
                     for old in olds[1:]:
-                        if self._nonempty(old[attr]) != reference:
+                        if old[attr] != reference:
                             raise RescaleError(
                                 f"broadcast join state diverged across "
                                 f"replicas ({attr}); cannot migrate")

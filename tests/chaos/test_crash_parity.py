@@ -17,7 +17,7 @@ import pytest
 
 from repro.chaos import ChaosBroker, CrashFuse, InjectedCrash, \
     RecoveryManager, install_crash, run_query_with_recovery
-from repro.core import PlanError, Stream
+from repro.core import PlanError, Schema, Stream
 from repro.difftest.generators import (
     ALERTS_SCHEMA,
     OBS_SCHEMA,
@@ -160,6 +160,70 @@ class TestDSMSRecovery:
     def test_recovery_is_incompatible_with_sharing(self):
         with pytest.raises(PlanError):
             DSMSEngine(sharing=True, recovery_interval=2)
+
+
+class TestCrashOutsideADrain:
+    """Crashes in ``advance_time`` and in the replay itself go through the
+    same restore-and-retry loop as a crash while draining."""
+
+    QUERY = "SELECT k, COUNT(*) AS c FROM S [Range 3] GROUP BY k"
+
+    def build(self, recovery_interval=None):
+        engine = DSMSEngine(recovery_interval=recovery_interval)
+        engine.register_stream("S", Schema(["k", "v"]))
+        handle = engine.register_query("q", self.QUERY)
+        return engine, handle
+
+    def crash_source(self, handle, fuse):
+        labels = [label for label, _ in handle.query.operators()]
+        install_crash(handle.query, labels.index("StreamSourceOp"), fuse)
+
+    @staticmethod
+    def same_as(handle, clean):
+        assert handle.emissions() == clean.emissions()
+        assert handle.query.as_relation() == clean.query.as_relation()
+        assert list(handle.store_history().snapshots()) == \
+            list(clean.store_history().snapshots())
+
+    def test_crash_during_advance_time_is_recovered(self):
+        def drive(engine):
+            for t in range(5):
+                engine.ingest("S", {"k": t % 2, "v": t}, t)
+                engine.run_until_idle()
+            engine.advance_time(20)
+
+        clean_engine, clean = self.build()
+        drive(clean_engine)
+        engine, handle = self.build(recovery_interval=2)
+        # 12 progress units by the last drain; the expirations advance
+        # fires reach 13.
+        fuse = CrashFuse(at=13)
+        self.crash_source(handle, fuse)
+        drive(engine)
+        assert fuse.fired == 1
+        assert engine.recovery.attempts == 1
+        self.same_as(handle, clean)
+
+    def test_crash_during_replay_is_retried(self):
+        def drive(engine):
+            engine.ingest("S", {"k": 0, "v": 1}, 1)
+            engine.run_until_idle()
+            engine.advance_time(2)
+            engine.ingest("S", {"k": 1, "v": 3}, 3)
+            engine.run_until_idle()
+
+        clean_engine, clean = self.build()
+        drive(clean_engine)
+        # No checkpoint after the baseline: the replay re-drains the
+        # first arrival before its logged advance, and the fuse's second
+        # shot lands there.
+        engine, handle = self.build(recovery_interval=100)
+        fuse = CrashFuse(at=3, times=2)
+        self.crash_source(handle, fuse)
+        drive(engine)
+        assert fuse.fired == 2
+        assert engine.recovery.attempts == 2
+        self.same_as(handle, clean)
 
 
 @pytest.mark.difftest

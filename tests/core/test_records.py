@@ -1,5 +1,7 @@
 """Tests for schemas and records."""
 
+import copy
+
 import pytest
 
 from repro.core import Record, Schema, SchemaError, records_from_dicts
@@ -133,6 +135,12 @@ class TestRecord:
         record = Record(Schema(["a"]), (1,))
         with pytest.raises(SchemaError):
             record.with_schema(Schema(["b", "c"]))
+
+    def test_copies_share_the_immutable_record(self, person_schema):
+        record = Record(person_schema, (1, "ada", 36))
+        assert copy.copy(record) is record
+        assert copy.deepcopy(record) is record
+        assert copy.deepcopy([record])[0] is record
 
     def test_records_from_dicts(self, person_schema):
         rows = [{"id": 1, "name": "ada", "age": 36},

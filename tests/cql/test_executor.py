@@ -151,6 +151,49 @@ class TestJoinsAndRelations:
         q.advance_to(10)  # the Obs tuple expires; join result retracts
         assert rows(q.current()) == []
 
+    @staticmethod
+    def join_of(query):
+        (join,) = [op for label, op in query.operators() if label == "JoinOp"]
+        return join
+
+    def test_probes_leave_no_empty_index_buckets(self, engine):
+        engine.register_stream("Alerts", Schema(["id", "level"]))
+        q = engine.register_query(
+            "SELECT O.room, A.level FROM Obs O [Range 10], "
+            "Alerts A [Range 10] WHERE O.id = A.id")
+        # No arrival ever matches: every probe, on either side, misses.
+        for t in range(20):
+            q.push("Obs", {"id": t, "room": "a", "temp": 0}, t)
+            q.push("Alerts", {"id": 100 + t, "level": 1}, t)
+        join = self.join_of(q)
+        live = range(10, 20)   # [Range 10] at t=19 holds t in (9, 19]
+        assert set(join._left_state) == {(i,) for i in live}
+        assert set(join._right_state) == {(100 + i,) for i in live}
+        assert all(join._left_state.values())
+        assert all(join._right_state.values())
+
+    def test_snapshot_isolates_containers_and_shares_records(self, engine):
+        engine.register_stream("Alerts", Schema(["id", "level"]))
+        q = engine.register_query(
+            "SELECT O.room, A.level FROM Obs O [Range 10], "
+            "Alerts A [Range 10] WHERE O.id = A.id")
+        q.push("Obs", {"id": 1, "room": "a", "temp": 0}, 0)
+        join = self.join_of(q)
+        payload = join.snapshot()
+        live = join._left_state[(1,)]
+        saved = payload["_left_state"][(1,)]
+        assert saved is not live and saved == live
+        assert next(iter(saved)) is next(iter(live))   # the same Record
+
+        q.push("Obs", {"id": 1, "room": "b", "temp": 0}, 1)
+        assert len(live) == 2 and len(saved) == 1
+        join.restore(payload)
+        assert join._left_state[(1,)] is not saved
+        q.push("Obs", {"id": 1, "room": "c", "temp": 0}, 2)
+        assert len(saved) == 1
+        join.restore(payload)   # the payload survives any number of uses
+        assert join._left_state[(1,)] == saved
+
     def test_theta_join_residual(self, engine):
         engine.register_stream("Alerts", Schema(["id", "level"]))
         q = engine.register_query(
