@@ -24,7 +24,7 @@ class Schema:
     ``P.id`` vs plain ``id``.
     """
 
-    __slots__ = ("_fields", "_types", "_index")
+    __slots__ = ("_fields", "_types", "_index", "_typed")
 
     def __init__(self, fields: Sequence[str],
                  types: Sequence[type | None] | None = None) -> None:
@@ -41,6 +41,11 @@ class Schema:
         self._fields = fields
         self._types = types
         self._index = {name: i for i, name in enumerate(fields)}
+        #: The declared types' checks: ``(name, position, type)`` per
+        #: typed field, so validating an untyped layout costs nothing.
+        self._typed = tuple((name, i, expected) for i, (name, expected)
+                            in enumerate(zip(fields, types))
+                            if expected is not None)
 
     @property
     def fields(self) -> tuple[str, ...]:
@@ -144,9 +149,14 @@ class Schema:
         if len(values) != len(self._fields):
             raise SchemaError(
                 f"expected {len(self._fields)} values, got {len(values)}")
-        for name, expected, value in zip(self._fields, self._types, values):
-            if expected is not None and value is not None \
-                    and not isinstance(value, expected):
+        self._check_types(values)
+
+    def _check_types(self, values: Sequence[Any]) -> None:
+        """The type half of :meth:`validate`, for values of the right
+        arity."""
+        for name, i, expected in self._typed:
+            value = values[i]
+            if value is not None and not isinstance(value, expected):
                 raise SchemaError(
                     f"field {name!r} expects {expected.__name__}, got "
                     f"{type(value).__name__} ({value!r})")
@@ -173,11 +183,21 @@ class Record:
     @classmethod
     def from_mapping(cls, schema: Schema,
                      mapping: Mapping[str, Any]) -> "Record":
-        """Build a record from a field-name → value mapping."""
-        missing = [f for f in schema.fields if f not in mapping]
-        if missing:
-            raise SchemaError(f"missing fields {missing} for {schema!r}")
-        return cls(schema, tuple(mapping[f] for f in schema.fields))
+        """Build a record from a field-name → value mapping.
+
+        One pass reads the values in field order; the missing-fields
+        report is worked out only when that pass fails.  Extra keys are
+        ignored.
+        """
+        try:
+            values = tuple([mapping[f] for f in schema._fields])
+        except KeyError:
+            missing = [f for f in schema._fields if f not in mapping]
+            raise SchemaError(
+                f"missing fields {missing} for {schema!r}") from None
+        if schema._typed:
+            schema._check_types(values)
+        return trusted_record(schema, values)
 
     @property
     def schema(self) -> Schema:
@@ -208,10 +228,10 @@ class Record:
         if not isinstance(other, Record):
             return NotImplemented
         return (self._values == other._values
-                and self._schema.fields == other._schema.fields)
+                and self._schema._fields == other._schema._fields)
 
     def __hash__(self) -> int:
-        return hash((self._schema.fields, self._values))
+        return hash((self._schema._fields, self._values))
 
     # Immutable, so every copy may be the record itself: snapshots of
     # operator state copy the containers and share the rows.
@@ -234,23 +254,39 @@ class Record:
         """A new record containing only ``names``, in the given order."""
         schema = self._schema.project(names)
         values = tuple(self[n] for n in names)
-        return Record(schema, values, validate=False)
+        return trusted_record(schema, values)
 
     def concat(self, other: "Record") -> "Record":
         """The concatenation of two records (join output)."""
-        return Record(self._schema.concat(other._schema),
-                      self._values + other._values, validate=False)
+        return trusted_record(self._schema.concat(other._schema),
+                              self._values + other._values)
 
     def with_schema(self, schema: Schema) -> "Record":
-        """The same values re-labelled under a compatible schema."""
-        if schema.arity != len(self._values):
+        """The same values re-labelled under a compatible schema (the
+        values tuple is shared, not copied, and not re-validated)."""
+        if len(schema._fields) != len(self._values):
             raise SchemaError(
                 f"cannot relabel {len(self._values)} values as {schema!r}")
-        return Record(schema, self._values, validate=False)
+        return trusted_record(schema, self._values)
 
     def key(self, names: Sequence[str]) -> tuple[Any, ...]:
         """The tuple of values at ``names`` — a grouping/join key."""
         return tuple(self[n] for n in names)
+
+
+_new = object.__new__
+
+
+def trusted_record(schema: Schema, values: tuple[Any, ...]) -> Record:
+    """A record over a values *tuple* already known to fit ``schema``.
+
+    The hot-path constructor: no copy, no validation, no ``__init__``
+    call.  Operators building output rows from validated inputs use it.
+    """
+    record = _new(Record)
+    record._schema = schema
+    record._values = values
+    return record
 
 
 def records_from_dicts(schema: Schema,

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
-from repro.core.errors import TimeError
+from repro.core.errors import StateError, TimeError
 from repro.core.records import Schema
 from repro.core.time import Timestamp
 
@@ -61,6 +61,43 @@ class Bag:
         else:
             self._counts[item] = have - removed
         return removed
+
+    def apply_signed(self, changes: Mapping[Hashable, int]) -> None:
+        """Apply signed multiplicity changes in place, all or nothing:
+        ``+n`` adds ``n`` copies of an item, ``-n`` removes ``n``, ``0``
+        does nothing.
+
+        Two dict operations per changed item.  A removal that exceeds
+        what the bag holds raises :class:`~repro.core.errors.StateError`
+        once the changes already made are undone, so a refused call
+        leaves the bag as it was.
+        """
+        counts = self._counts
+        get, pop = counts.get, counts.pop
+        for item, change in changes.items():
+            if change > 0:
+                counts[item] = get(item, 0) + change
+            elif change:
+                have = pop(item, 0)
+                if have + change > 0:
+                    counts[item] = have + change
+                elif have + change:
+                    if have:
+                        counts[item] = have
+                    self._undo(changes, item)
+                    raise StateError(f"retraction of absent record {item!r}")
+
+    def _undo(self, changes: Mapping[Hashable, int], failed: Hashable) -> None:
+        """Revert the changes :meth:`apply_signed` made before ``failed``."""
+        counts = self._counts
+        for item, change in changes.items():
+            if item is failed:
+                return
+            left = counts.get(item, 0) - change
+            if left:
+                counts[item] = left
+            else:
+                counts.pop(item)
 
     def count(self, item: Hashable) -> int:
         return self._counts.get(item, 0)

@@ -23,6 +23,7 @@ import copy
 import heapq
 import time
 from collections import Counter, defaultdict, deque
+from operator import itemgetter
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.obs import get_registry as _obs_registry
@@ -32,8 +33,8 @@ from repro.obs import _STATE as _obs_state
 
 from repro.core.errors import PlanError, StateError, TimeError
 from repro.core.operators import AggregateKind, R2SKind
-from repro.core.records import Record, Schema
-from repro.core.relation import Bag, TimeVaryingRelation
+from repro.core.records import Record, Schema, trusted_record
+from repro.core.relation import EMPTY_BAG, Bag, TimeVaryingRelation
 from repro.core.stream import Stream
 from repro.core.time import MIN_TIMESTAMP, Timestamp
 from repro.plan.ir import (
@@ -352,7 +353,7 @@ class StreamSourceOp(PhysicalOp):
         self._per_key: dict[tuple, deque[Record]] = defaultdict(deque)
         if spec.kind is WindowSpecKind.PARTITIONED:
             indexes = [scan.schema.index_of(c) for c in spec.partition_by]
-            self._key_fn = lambda r: tuple(r[i] for i in indexes)
+            self._key_fn = lambda r: tuple([r._values[i] for i in indexes])
         # Stepped-range state: (record, enter_boundary, exit_boundary).
         self._pending: list[tuple[Record, Timestamp, Timestamp]] = []
         self._visible: list[tuple[Record, Timestamp]] = []
@@ -736,6 +737,17 @@ class _GroupState:
         return out
 
 
+#: How an aggregate's argument folds into its group (see AggregateOp).
+_COUNT_ROWS, _COUNT, _SUM, _MINMAX = range(4)
+_FOLD_STEP = {
+    AggregateKind.COUNT: _COUNT,
+    AggregateKind.SUM: _SUM,
+    AggregateKind.AVG: _SUM,
+    AggregateKind.MIN: _MINMAX,
+    AggregateKind.MAX: _MINMAX,
+}
+
+
 class AggregateOp(PhysicalOp):
     """Incremental grouped aggregation with retractions.
 
@@ -753,11 +765,23 @@ class AggregateOp(PhysicalOp):
         super().__init__([])  # children attached by compiler
         self._plan = plan
         self._out_schema = plan.schema
-        self._group_indexes = [in_schema.index_of(c) for c in plan.group_by]
-        self._evaluators = [
-            None if spec.arg is None else compile_expr(spec.arg, in_schema)
-            for spec in plan.aggregates]
+        indexes = [in_schema.index_of(c) for c in plan.group_by]
+        #: Group key from a row's values tuple, by position.
+        if len(indexes) == 1:
+            index = indexes[0]
+            self._key_of = lambda values: (values[index],)
+        elif indexes:
+            self._key_of = itemgetter(*indexes)
+        else:
+            self._key_of = lambda values: ()
         self._kinds = [spec.kind for spec in plan.aggregates]
+        #: The compiled fold: per aggregate, how a row's argument folds
+        #: into the group (``_COUNT_ROWS`` for COUNT(*), else ``_COUNT``,
+        #: ``_SUM`` or ``_MINMAX``) and the argument's evaluator.
+        self._folds = [
+            (_COUNT_ROWS, None) if spec.arg is None
+            else (_FOLD_STEP[spec.kind], compile_expr(spec.arg, in_schema))
+            for spec in plan.aggregates]
         self._groups: dict[tuple, _GroupState] = {}
         self._current_rows: dict[tuple, Record] = {}
         self._global = not plan.group_by
@@ -775,29 +799,54 @@ class AggregateOp(PhysicalOp):
         # The global group materialises its zero row at the first instant
         # the input subtree is active — matching the reference evaluator,
         # whose aggregate has a change point wherever its child does.
-        materialise_global = (self._global and not self._groups
-                              and getattr(self, "_child_active", bool(deltas)))
+        groups = self._groups
+        materialise_global = (self._global and not groups
+                              and self._child_active)
         if not deltas and not materialise_global:
             return []
-        touched: set[tuple] = set()
+        n_aggs = len(self._folds)
+        # Touched groups in first-touch order, each looked up once.
+        touched: dict[tuple, _GroupState] = {}
         if self._global:
-            touched.add(())
-            self._groups.setdefault((), _GroupState(len(self._kinds)))
-        for record, mult in deltas:
-            key = tuple(record[i] for i in self._group_indexes)
-            touched.add(key)
-            group = self._groups.get(key)
+            group = groups.get(())
             if group is None:
-                group = _GroupState(len(self._kinds))
-                self._groups[key] = group
-            self._fold(group, record, mult)
+                group = groups[()] = _GroupState(n_aggs)
+            touched[()] = group
+        key_of, folds = self._key_of, self._folds
+        for record, mult in deltas:
+            key = key_of(record._values)
+            group = touched.get(key)
+            if group is None:
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = _GroupState(n_aggs)
+                touched[key] = group
+            group.rows += mult
+            counts = group.counts
+            i = 0
+            for step, evaluator in folds:
+                if step is _COUNT_ROWS:
+                    counts[i] += mult
+                else:
+                    value = evaluator(record)
+                    if value is not None:
+                        counts[i] += mult
+                        if step is _SUM:
+                            group.sums[i] += value * mult
+                        elif step is _MINMAX:
+                            accumulator = group.minmax[i]
+                            if accumulator is None:
+                                accumulator = group.minmax[i] = \
+                                    _MinMaxAccumulator()
+                            accumulator.add(value, mult)
+                i += 1
         if self._dirty is not None:
             self._dirty["_groups"].update(touched)
             self._dirty["_current_rows"].update(touched)
         out: list[Delta] = []
-        for key in touched:
-            group = self._groups[key]
-            old_row = self._current_rows.get(key)
+        current_rows = self._current_rows
+        for key, group in touched.items():
+            old_row = current_rows.get(key)
             new_row = self._row_for(key, group)
             if old_row == new_row:
                 continue
@@ -805,33 +854,15 @@ class AggregateOp(PhysicalOp):
                 out.append(Delta(old_row, -1))
             if new_row is not None:
                 out.append(Delta(new_row, +1))
-                self._current_rows[key] = new_row
+                current_rows[key] = new_row
             else:
-                del self._current_rows[key]
-                del self._groups[key]
+                del current_rows[key]
+                del groups[key]
         return out
 
     @property
     def state_size(self) -> int:
         return len(self._groups)
-
-    def _fold(self, group: _GroupState, record: Record, mult: int) -> None:
-        group.rows += mult
-        for i, (kind, evaluator) in enumerate(
-                zip(self._kinds, self._evaluators)):
-            if evaluator is None:  # COUNT(*)
-                group.counts[i] += mult
-                continue
-            value = evaluator(record)
-            if value is None:
-                continue
-            group.counts[i] += mult
-            if kind in (AggregateKind.SUM, AggregateKind.AVG):
-                group.sums[i] += value * mult
-            elif kind in (AggregateKind.MIN, AggregateKind.MAX):
-                if group.minmax[i] is None:
-                    group.minmax[i] = _MinMaxAccumulator()
-                group.minmax[i].add(value, mult)
 
     def _row_for(self, key: tuple, group: _GroupState) -> Record | None:
         if group.rows < 0:
@@ -853,7 +884,7 @@ class AggregateOp(PhysicalOp):
                 values.append(group.minmax[i].minimum())
             else:
                 values.append(group.minmax[i].maximum())
-        return Record(self._out_schema, values, validate=False)
+        return trusted_record(self._out_schema, tuple(values))
 
 
 class DistinctOp(PhysicalOp):
@@ -1112,9 +1143,8 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
 
             def mapper(record: Record,
                        _evals=evaluators, _schema=schema) -> Record:
-                return Record(_schema,
-                              tuple(e(record) for e in _evals),
-                              validate=False)
+                return trusted_record(_schema,
+                                      tuple([e(record) for e in _evals]))
 
             return ProjectOp(child, mapper)
         if isinstance(node, Join):
@@ -1130,8 +1160,10 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                         else JoinOp)
             return join_cls(
                 left, right,
-                left_key=lambda r, _i=left_idx: tuple(r[i] for i in _i),
-                right_key=lambda r, _i=right_idx: tuple(r[i] for i in _i),
+                left_key=lambda r, _i=left_idx: tuple(
+                    [r._values[i] for i in _i]),
+                right_key=lambda r, _i=right_idx: tuple(
+                    [r._values[i] for i in _i]),
                 residual=residual)
         if isinstance(node, Aggregate):
             child = build(node.child)
@@ -1253,12 +1285,16 @@ class ContinuousQuery:
                 raise PlanError(
                     f"query does not read stream {name!r}")
             base_schema = self.catalog.stream(name).schema
+            staging = [(source.stage, source.scan.schema)
+                       for source in sources]
             for row in rows:
+                # A Record is taken as converted already (the DSMS
+                # converts and validates each arrival once, at ingest);
+                # every source relabels it once to its scan's layout.
                 record = (row if isinstance(row, Record)
                           else Record.from_mapping(base_schema, row))
-                for source in sources:
-                    source.stage(record.with_schema(source.scan.schema),
-                                 timestamp)
+                for stage, schema in staging:
+                    stage(record.with_schema(schema), timestamp)
         self._agenda.due(timestamp)  # consume anything scheduled == now
         emitted.extend(self._process_instant(timestamp))
         return emitted
@@ -1459,32 +1495,37 @@ class ContinuousQuery:
         """
         self._deltas_processed += len(deltas)
         # Cancel opposite-signed deltas within the instant: the reference
-        # semantics only sees the *net* change R(τ) − R(τ−).
-        net: Counter = Counter()
-        for record, mult in deltas:
-            net[record] += mult
-        net = Counter({r: m for r, m in net.items() if m})
+        # semantics only sees the *net* change R(τ) − R(τ−).  Rows rarely
+        # repeat within an instant, so the net is first taken as one
+        # dict build (one hash per row) and summed only when some row
+        # did repeat.
+        net = dict(deltas)
+        if len(net) != len(deltas) or 0 in net.values():
+            net = {}
+            for record, mult in deltas:
+                net[record] = net.get(record, 0) + mult
+            net = {r: m for r, m in net.items() if m}
         if not net:
             return []
+        # All or nothing: a refused retraction leaves the state, the log
+        # and the emissions as they were.  Then the one copy of the
+        # instant: the log entry, compact and never mutated again, which
+        # the Store holds by reference too (see :attr:`state`).
+        self._state.apply_signed(net)
+        logged = self._state.copy()
         self._last_instant = t
-        for record, mult in net.items():
-            if mult > 0:
-                self._state.add(record, mult)
-            else:
-                removed = self._state.discard(record, -mult)
-                if removed != -mult:
-                    raise StateError(
-                        f"retraction of absent record {record!r}")
-        self._log.append((t, self._state.copy()))
-        emitted: list[Emission] = []
-        if self.r2s is R2SKind.ISTREAM:
+        self._log.append((t, logged))
+        r2s = self.r2s
+        if r2s is None:
+            return []
+        if r2s is R2SKind.ISTREAM:
             emitted = [Emission(r, t) for r, m in net.items() if m > 0
                        for _ in range(m)]
-        elif self.r2s is R2SKind.DSTREAM:
+        elif r2s is R2SKind.DSTREAM:
             emitted = [Emission(r, t) for r, m in net.items() if m < 0
                        for _ in range(-m)]
-        elif self.r2s is R2SKind.RSTREAM:
-            emitted = [Emission(r, t) for r, m in self._state.items()
+        else:
+            emitted = [Emission(r, t) for r, m in logged.items()
                        for _ in range(m)]
         self._emissions.extend(emitted)
         return emitted
@@ -1492,8 +1533,20 @@ class ContinuousQuery:
     # -- inspection ----------------------------------------------------------
 
     def current(self) -> Bag:
-        """The maintained relation state right now."""
+        """The maintained relation state right now (a private copy)."""
         return self._state.copy()
+
+    @property
+    def state(self) -> Bag:
+        """The maintained relation state right now, *not* copied: the
+        change-log's newest entry (the shared empty Bag before the first
+        change).
+
+        Logged Bags are never mutated (the fold keeps a private working
+        state and logs one copy of it per instant), so this may be kept —
+        the DSMS Store holds it by reference — but must not be changed.
+        """
+        return self._log[-1][1] if self._log else EMPTY_BAG
 
     def emissions(self) -> list[Emission]:
         """All output elements produced so far (R2S queries)."""

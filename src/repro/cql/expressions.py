@@ -71,7 +71,7 @@ def compile_expr(expr: Expr, schema: Schema) -> Evaluator:
         return lambda record: value
     if isinstance(expr, Column):
         index = schema.index_of(expr.name)
-        return lambda record: record[index]
+        return lambda record: record._values[index]
     if isinstance(expr, Star):
         raise PlanError("* is only valid inside COUNT(*) or SELECT *")
     if isinstance(expr, Unary):
@@ -97,11 +97,35 @@ def compile_expr(expr: Expr, schema: Schema) -> Evaluator:
 
 def compile_predicate(expr: Expr, schema: Schema) -> Callable[[Record], bool]:
     """Compile a boolean expression; NULL results count as false."""
+    simple = _column_vs_literal(expr, schema)
+    if simple is not None:
+        # One call per row: a NULL column is false, as is a NULL result.
+        index, fn, value = simple
+        return lambda record: ((v := record._values[index]) is not None
+                               and fn(v, value) is True)
     evaluator = compile_expr(expr, schema)
     return lambda record: evaluator(record) is True
 
 
+def _column_vs_literal(expr: Expr, schema: Schema) \
+        -> tuple[int, Callable[[Any, Any], Any], Any] | None:
+    """``(column index, comparison, literal)`` when ``expr`` is
+    ``column <op> literal`` with a non-NULL literal, else None."""
+    if not isinstance(expr, Binary) or expr.op not in _COMPARISONS \
+            or not isinstance(expr.left, Column) \
+            or not isinstance(expr.right, Literal) \
+            or expr.right.value is None:
+        return None
+    return (schema.index_of(expr.left.name), _COMPARISONS[expr.op],
+            expr.right.value)
+
+
 def _compile_binary(expr: Binary, schema: Schema) -> Evaluator:
+    simple = _column_vs_literal(expr, schema)
+    if simple is not None:
+        index, fn, value = simple
+        return lambda record: (None if (v := record._values[index]) is None
+                               else fn(v, value))
     left = compile_expr(expr.left, schema)
     right = compile_expr(expr.right, schema)
     if expr.op is BinOp.AND:

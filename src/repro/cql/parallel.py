@@ -244,13 +244,22 @@ class PartitionedQuery:
     # -- inspection ----------------------------------------------------------
 
     def current(self) -> Bag:
-        """The maintained relation state: the union of replica states.
+        """The maintained relation state (a private copy)."""
+        return self.state.copy()
 
-        Disjoint by the scheme's key-locality proof, so a plain bag sum.
+    @property
+    def state(self) -> Bag:
+        """The maintained relation state: the union of replica states,
+        never to be mutated (see :attr:`ContinuousQuery.state`).
+
+        Disjoint by the scheme's key-locality proof, so a plain bag sum;
+        with one replica, that replica's state itself.
         """
+        if len(self._replicas) == 1:
+            return self._replicas[0].state
         merged = Bag()
         for replica in self._replicas:
-            for record, mult in replica.current().items():
+            for record, mult in replica.state.items():
                 merged.add(record, mult)
         return merged
 

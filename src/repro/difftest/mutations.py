@@ -76,34 +76,24 @@ def dropped_expiry() -> Iterator[None]:
 @contextlib.contextmanager
 def null_counting_count() -> Iterator[None]:
     """COUNT(expr) counts NULL values in the incremental accumulator."""
-    original = cql_executor.AggregateOp._fold
-    AggregateKind = cql_executor.AggregateKind
+    original = cql_executor.AggregateOp.__init__
+    count = cql_executor._COUNT
 
-    def mutated(self, group, record, mult):
-        group.rows += mult
-        for i, (kind, evaluator) in enumerate(
-                zip(self._kinds, self._evaluators)):
-            if evaluator is None:
-                group.counts[i] += mult
-                continue
-            value = evaluator(record)
-            if value is None:
-                if kind is AggregateKind.COUNT:
-                    group.counts[i] += mult  # the injected bug
-                continue
-            group.counts[i] += mult
-            if kind in (AggregateKind.SUM, AggregateKind.AVG):
-                group.sums[i] += value * mult
-            elif kind in (AggregateKind.MIN, AggregateKind.MAX):
-                if group.minmax[i] is None:
-                    group.minmax[i] = cql_executor._MinMaxAccumulator()
-                group.minmax[i].add(value, mult)
+    def non_null(evaluator):
+        # The injected bug: a NULL argument reaches the fold as a value.
+        return lambda record: (0 if (value := evaluator(record)) is None
+                               else value)
 
-    cql_executor.AggregateOp._fold = mutated
+    def mutated(self, plan, in_schema):
+        original(self, plan, in_schema)
+        self._folds = [(step, non_null(evaluator) if step is count
+                        else evaluator) for step, evaluator in self._folds]
+
+    cql_executor.AggregateOp.__init__ = mutated
     try:
         yield
     finally:
-        cql_executor.AggregateOp._fold = original
+        cql_executor.AggregateOp.__init__ = original
 
 
 @contextlib.contextmanager

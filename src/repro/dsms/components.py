@@ -36,10 +36,12 @@ class Store:
     def write(self, name: str, state: Bag, t: Timestamp) -> None:
         """Persist a query's new current state at instant ``t``.
 
-        O(|state|) however long the history: only the change-log's tail
-        is looked at, and one copy of ``state`` serves both the
-        change-log and the current answer (the Store replaces stored
-        bags, it never mutates one).
+        O(1) however long the history or large the state: only the
+        change-log's tail is looked at, and ``state`` itself is kept, not
+        copied — it serves as both the change-log entry and the current
+        answer.  The caller hands it over: a query passes the Bag its own
+        change-log holds, which nothing mutates again (the Store replaces
+        stored bags, it never mutates one either).  Readers get copies.
         """
         relation = self._relations[name]
         times = relation._times
@@ -47,13 +49,12 @@ class Store:
             # Same-instant refinement: keep the latest state for t.
             times.pop()
             relation._states.pop()
-        held = state.copy()
-        relation.set_at(t, held, coalesce=False)
-        self._current[name] = held
+        relation.set_at(t, state, coalesce=False)
+        self._current[name] = state
         self.writes += 1
 
     def current(self, name: str) -> Bag:
-        """The stored answer right now."""
+        """The stored answer right now (a private copy)."""
         return self._current[name].copy()
 
     def snapshot(self) -> dict[str, Any]:

@@ -139,7 +139,7 @@ class QueryHandle:
     def reads_stream(self, name: str) -> bool:
         return name in self.query._stream_sources
 
-    def offer(self, stream_name: str, record: Mapping[str, Any] | Record,
+    def offer(self, stream_name: str, record: Record,
               t: Timestamp) -> bool:
         """Admission control + enqueue.  Returns False when shed/dropped."""
         self.metrics.ingested += 1
@@ -225,7 +225,7 @@ class QueryHandle:
             if self._wm_clock is not None:
                 for stream_name in streams_seen:
                     self._wm_clock.observe_processed(stream_name, t)
-        self._store.write(self.name, self.query.current(), t)
+        self._store.write(self.name, self.query.state, t)
 
     def advance_to(self, t: Timestamp) -> list[Emission]:
         """Advance event time (window expirations) with no new data."""
@@ -235,7 +235,7 @@ class QueryHandle:
         self._scratch.settle(self.name)
         self._emissions.extend(emitted)
         if self.query._log:
-            self._store.write(self.name, self.query.current(), t)
+            self._store.write(self.name, self.query.state, t)
         return emitted
 
     def _evictions(self) -> int:
@@ -304,7 +304,7 @@ class SharedGroupHandle:
     def reads_stream(self, name: str) -> bool:
         return self.group.reads_stream(name)
 
-    def offer(self, stream_name: str, record: Mapping[str, Any] | Record,
+    def offer(self, stream_name: str, record: Record,
               t: Timestamp) -> bool:
         """Enqueue once for the whole group (members never shed)."""
         readers = [h for h in self.members if h.reads_stream(stream_name)]
@@ -361,15 +361,14 @@ class SharedGroupHandle:
             handle.metrics.emitted += len(emitted)
             if stream_name is None:
                 if handle.query._log:
-                    handle._store.write(handle.name, handle.query.current(),
-                                        t)
+                    handle._store.write(handle.name, handle.query.state, t)
                 continue
             if handle.reads_stream(stream_name):
                 handle.metrics.processed += 1
                 handle.metrics.scratch.observe(occupancy)
-                handle._store.write(handle.name, handle.query.current(), t)
+                handle._store.write(handle.name, handle.query.state, t)
             elif handle.query._log and handle.query._log[-1][0] == t:
-                handle._store.write(handle.name, handle.query.current(), t)
+                handle._store.write(handle.name, handle.query.state, t)
 
     def _evictions(self) -> int:
         if self._sources is None:
@@ -534,7 +533,7 @@ class DSMSEngine:
         self._units.append(handle)
         self._handles.append(handle)
         self._by_name[name] = handle
-        self.store.write(name, query.current(), 0)
+        self.store.write(name, query.state, 0)
         if self.recovery is not None:
             # Re-baseline so the new query is covered by the recovery
             # point.  Registration is expected at quiescence (queues
@@ -561,7 +560,7 @@ class DSMSEngine:
         self._group_handle.add_member(handle)
         self._handles.append(handle)
         self._by_name[name] = handle
-        self.store.write(name, query.current(), 0)
+        self.store.write(name, query.state, 0)
         return handle
 
     def create_dynamic_table(self, text: str):
@@ -744,26 +743,34 @@ class DSMSEngine:
         """Route one arrival to every query reading ``stream_name``.
 
         Returns the number of queries that admitted the tuple.
+
+        The row is converted to the stream's schema and validated here,
+        once, before the arrival is logged, queued or counted — a row that
+        does not fit raises :class:`~repro.core.errors.SchemaError` and
+        leaves no trace.  Every reader then shares that one Record.
         """
-        self.catalog.stream(stream_name)  # validates the name
+        stream = self.catalog.stream(stream_name)  # validates the name
         if t < MIN_TIMESTAMP:
             # Reject here rather than letting the executor blow up
             # asynchronously at service time, after the tuple was queued.
             raise CoreTimeError(
                 f"timestamp {t} before the epoch {MIN_TIMESTAMP}")
+        record = stream.coerce(record)
         if self.recovery is not None:
             self.recovery.start()  # baseline before the first arrival
             self._arrival_log.append(("ingest", stream_name, record, t))
         return self._route(stream_name, record, t)
 
-    def _route(self, stream_name: str, record: Mapping[str, Any] | Record,
+    def _route(self, stream_name: str, record: Record,
                t: Timestamp) -> int:
-        """Offer one (validated) arrival to every reading unit."""
+        """Offer one (converted) arrival to every reading unit."""
         if stream_name in self._view_fed:
             # Views run on the engine's clock, which only moves forward:
-            # a late arrival commits at the current version.
+            # an arrival ahead of it commits at its own instant, any other
+            # commits now — which the service stamps past every view that
+            # already reached the clock, so the next refresh pulls it.
             self.views.apply(stream_name, inserts=[record],
-                             at=max(t, self.views.clock))
+                             at=t if t > self.views.clock else None)
         if obs._STATE.enabled:
             self.watermark_clock.observe_arrival(stream_name, t)
             self.stall_detector.note_arrival(stream_name)

@@ -263,8 +263,13 @@ class DynamicTableService:
               at: int | None = None) -> int:
         """Commit a batch of inserts/deletes; returns the commit version.
 
-        The commit version is ``at`` when given (must not precede the
-        clock) or the current clock; the service clock advances to it.
+        The commit version is ``at`` when given, else the current clock;
+        the service clock advances to it.  A view reading the table pulls
+        only commits stamped after the version it has reached, so a
+        commit must land past the newest such view: without ``at`` it is
+        stamped there (one past that view's version, when the clock does
+        not already exceed it); an explicit ``at`` that a reading view has
+        reached — or that precedes the clock — is refused.
         """
         table = self._tables.get(name)
         if table is None:
@@ -275,6 +280,16 @@ class DynamicTableService:
         if version < self.clock:
             raise StateError(f"commit at version {version} precedes the "
                              f"service clock {self.clock}")
+        pulled = max((self._views[reader].version for reader
+                      in self._scheduled().consumers.get(name, ())),
+                     default=version - 1)
+        if version <= pulled:
+            if at is not None:
+                raise StateError(
+                    f"commit to {name!r} at version {version} would never "
+                    f"be pulled: a view reading it has reached version "
+                    f"{pulled}")
+            version = pulled + 1
         deltas = [Delta(table.coerce(row), 1) for row in inserts]
         deltas += [Delta(table.coerce(row), -1) for row in deletes]
         netted = net(deltas)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Bag, TimeError, TimeVaryingRelation
+from repro.core import Bag, StateError, TimeError, TimeVaryingRelation
 
 
 class TestBag:
@@ -73,6 +73,21 @@ class TestBag:
 
     def test_hashable(self):
         assert hash(Bag(["a", "a"])) == hash(Bag(["a", "a"]))
+
+    def test_apply_signed(self):
+        bag = Bag(["a", "a", "b"])
+        bag.apply_signed({"a": -1, "b": -1, "c": 2, "d": 0})
+        assert bag == Bag(["a", "c", "c"])
+
+    def test_apply_signed_is_all_or_nothing(self):
+        bag = Bag(["a", "b", "b"])
+        before = bag.copy()
+        with pytest.raises(StateError, match="retraction of absent"):
+            bag.apply_signed({"a": -1, "b": -1, "n": 3, "c": -1, "z": 1})
+        assert bag == before
+        with pytest.raises(StateError):
+            bag.apply_signed({"a": 1, "b": -3})
+        assert bag == before
 
 
 class TestTimeVaryingRelation:

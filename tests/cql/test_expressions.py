@@ -104,6 +104,21 @@ class TestPredicate:
         assert predicate(record(None, 2)) is False
         assert predicate(record(2, 2)) is True
 
+    @pytest.mark.parametrize("text", ["a > 1", "1 < a", "a > NULL"])
+    def test_column_against_literal(self, text):
+        # ``a > 1`` compiles to one direct closure; the others take the
+        # general path.  Both must keep SQL's NULL semantics.
+        null_literal = "NULL" in text
+        evaluator = compiled(text)
+        assert evaluator(record(2, 0)) is (None if null_literal else True)
+        assert evaluator(record(1, 0)) is (None if null_literal else False)
+        assert evaluator(record(None, 0)) is None
+        predicate = compile_predicate(
+            parse_query(f"SELECT * FROM X WHERE {text}").where, SCHEMA)
+        assert predicate(record(2, 0)) is not null_literal
+        assert predicate(record(1, 0)) is False
+        assert predicate(record(None, 0)) is False
+
 
 class TestEqualityColumns:
     def test_recognised(self):

@@ -73,14 +73,21 @@ class TestStore:
         snapshot.add("y")
         assert store.current("q") == Bag(["x"])
 
-    def test_write_copies_the_callers_bag(self):
+    def test_write_keeps_the_callers_bag_and_readers_get_copies(self):
+        # A write takes the Bag over — a query hands in the Bag its own
+        # change-log holds, which nothing mutates again — so the history
+        # and the current answer are that very object, not a copy.
         store = Store()
         store.register("q")
         state = Bag(["x"])
         store.write("q", state, 0)
-        state.add("y")
+        assert store.history("q").at(0) is state
+        # Readers get copies: changing one touches nothing stored.
+        read = store.current("q")
+        assert read == state and read is not state
+        read.add("y")
+        assert state == Bag(["x"])
         assert store.current("q") == Bag(["x"])
-        assert store.history("q").at(0) == Bag(["x"])
 
 
 class TestScratch:

@@ -192,6 +192,24 @@ class TestDSMSIntegration:
         (row, _), = engine.views.read("totals").items()
         assert row["total"] == 4
 
+    def test_same_instant_arrivals_drained_apart_all_reach_the_view(self):
+        from repro.dsms import DSMSEngine
+
+        engine = DSMSEngine()
+        engine.register_stream("Obs", Schema(["id"]))
+        engine.create_dynamic_table(
+            "CREATE DYNAMIC TABLE n_obs TARGET_LAG = 0 AS "
+            "SELECT COUNT(*) AS n FROM Obs EMIT CHANGES")
+        for ident, t in enumerate([1, 1, 2, 2, 3]):
+            engine.ingest("Obs", {"id": ident}, t)
+            engine.run_until_idle()
+        assert len(engine.views.read("Obs")) == 5
+        (row, _), = engine.views.read("n_obs").items()
+        assert row["n"] == 5
+        engine.advance_time(4)
+        (row, _), = engine.views.read("n_obs").items()
+        assert row["n"] == 5
+
     def test_engine_snapshot_carries_views(self):
         engine = self.build_engine()
         engine.ingest("Orders", {"region": "eu", "amount": 4}, 1)

@@ -288,6 +288,57 @@ class TestErrors:
             service.execute(text)
 
 
+class TestCommitsAtAReachedVersion:
+    """A view pulls only commits stamped after the version it reached, so
+    no commit may land at or below it."""
+
+    TOTALS = ("CREATE DYNAMIC TABLE totals TARGET_LAG = 0 AS SELECT region, "
+              "SUM(amount) AS total FROM orders GROUP BY region EMIT CHANGES")
+
+    def test_commit_without_at_after_a_tick_is_pulled(self):
+        service = make_service()
+        service.execute(self.TOTALS)
+        service.apply("orders", inserts=[{"region": "eu", "amount": 1}],
+                      at=1)
+        assert service.tick(1) == ["totals"]
+        version = service.apply("orders",
+                                inserts=[{"region": "eu", "amount": 2}])
+        # Stamped past the view, which already reached the clock.
+        assert version == 2 and service.clock == 2
+        assert service.tick() == ["totals"]
+        assert totals(service) == {"eu": 3}
+
+    def test_commit_without_at_after_install_is_pulled(self):
+        service = make_service()
+        service.execute(self.TOTALS)  # primed at the clock, version 0
+        service.apply("orders", inserts=[{"region": "eu", "amount": 5}])
+        service.refresh("totals")
+        assert totals(service) == {"eu": 5}
+
+    def test_explicit_commit_at_a_reached_version_is_refused(self):
+        service = make_service()
+        service.execute(self.TOTALS)
+        service.apply("orders", inserts=[{"region": "eu", "amount": 1}],
+                      at=1)
+        service.tick(1)
+        with pytest.raises(StateError, match="never be pulled"):
+            service.apply("orders", inserts=[{"region": "eu", "amount": 2}],
+                          at=1)
+        assert service.clock == 1
+        assert len(service.read("orders")) == 1
+        assert totals(service) == {"eu": 1}
+
+    def test_a_table_nobody_reads_commits_at_the_clock(self):
+        service = make_service()
+        service.apply("orders", inserts=[{"region": "eu", "amount": 1}],
+                      at=4)
+        assert service.apply(
+            "orders", inserts=[{"region": "eu", "amount": 1}]) == 4
+        assert service.apply(
+            "orders", inserts=[{"region": "eu", "amount": 1}], at=4) == 4
+        assert service.clock == 4
+
+
 class TestFailedCreateLeavesNoTrace:
     TOP = ("CREATE DYNAMIC TABLE top TARGET_LAG = 0 AS SELECT region "
            "FROM {source} WHERE total > 0 EMIT CHANGES")
