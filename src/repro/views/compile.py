@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.core.errors import PlanError
-from repro.core.records import Record, Schema
+from repro.core.records import Schema
 from repro.cql.expressions import compile_expr, compile_predicate
 from repro.exec.plan import Plan
 from repro.exec.state import StateBackend
@@ -73,9 +73,6 @@ class _SinkOp(DeltaOperator):
 
     def __init__(self) -> None:
         self.collected: list[Delta] = []
-
-    def process_element(self, value: Any, input_index: int = 0) -> None:
-        self.collected.append(value)
 
     def process_batch(self, batch: Any, input_index: int = 0) -> None:
         self.collected.extend(batch)
@@ -125,8 +122,9 @@ class ViewPlanHandle:
         # has already seen.
         for name in reversed(self.plan.node_names()):
             op = self.plan.operator(name)
-            for primer in _initial_output(op):
-                op.emit(primer)
+            primers = _initial_output(op)
+            if primers:
+                op.emit_batch(primers)
         return self._sink.drain()
 
     def sources(self) -> list[str]:
@@ -147,14 +145,18 @@ class ViewPlanHandle:
 
         Each binding of a mentioned table receives the batch with rows
         relabelled to the scan's qualified schema (a table scanned twice
-        — a self-join — feeds both channels).
+        — a self-join — feeds both channels).  Every operator handles a
+        source's batch whole, so one refresh is one ``emit_batch`` per
+        operator per source batch.  The returned list is the caller's:
+        the sink hands it over and starts a fresh one.
         """
         for binding in self.bindings:
             incoming = deltas_by_table.get(binding.table)
             if not incoming:
                 continue
-            batch = [Delta(delta.row.with_schema(binding.schema),
-                           delta.weight) for delta in incoming]
+            schema = binding.schema
+            batch = [Delta(delta.row.with_schema(schema), delta.weight)
+                     for delta in incoming]
             self.plan.push_batch(binding.channel, batch)
         return self._sink.drain()
 
@@ -178,15 +180,15 @@ def _initial_output(op: Any) -> list[Delta]:
     from repro.exec.operator import FusedOperator
 
     if isinstance(op, FusedOperator):
-        out: list[Delta] = []
         for position in range(len(op.members) - 1, -1, -1):
             member = op.members[position]
-            for primer in _initial_output(member):
-                member.emit(primer)
+            primers = _initial_output(member)
+            if primers:
                 # Member emitters feed the next member synchronously and
                 # the tail writes to the chain's downstream, so nothing
                 # to collect here.
-        return out
+                member.emit_batch(primers)
+        return []
     if isinstance(op, DeltaOperator):
         return op.initial_output()
     return []
@@ -277,7 +279,7 @@ class _Compiler:
         right_indexes = [right_schema.index_of(k) for k in node.right_keys]
         residual = (compile_predicate(node.residual, node.schema)
                     if node.residual is not None else None)
-        op = DeltaJoinOp(left_indexes, right_indexes, residual)
+        op = DeltaJoinOp(left_indexes, right_indexes, node.schema, residual)
         return self._add("join", op, [left, right])
 
 

@@ -14,7 +14,6 @@ log — are the record of everything older.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.errors import StateError
@@ -22,16 +21,42 @@ from repro.core.records import Record
 from repro.core.relation import Bag
 
 
-@dataclass(frozen=True)
 class Delta:
-    """One signed change: ``weight`` copies of ``row`` added (or removed)."""
+    """One signed change: ``weight`` copies of ``row`` added (or removed).
 
-    row: Record
-    weight: int
+    Immutable by convention and built by the hundred thousand per pass,
+    so a plain two-slot object: no per-instance dict, no frozen-dataclass
+    ``__setattr__`` detour.
+    """
 
-    def __post_init__(self) -> None:
-        if self.weight == 0:
+    __slots__ = ("row", "weight")
+
+    def __init__(self, row: Record, weight: int) -> None:
+        if weight == 0:
             raise StateError("a delta must have non-zero weight")
+        self.row = row
+        self.weight = weight
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Delta):
+            return NotImplemented
+        return self.weight == other.weight and self.row == other.row
+
+    def __hash__(self) -> int:
+        return hash((self.row, self.weight))
+
+    def __repr__(self) -> str:
+        return f"Delta(row={self.row!r}, weight={self.weight!r})"
+
+
+def net_weights(deltas: Iterable[Delta]) -> dict[Record, int]:
+    """Row → summed weight over ``deltas`` (zero sums kept)."""
+    weights: dict[Record, int] = {}
+    get = weights.get
+    for delta in deltas:
+        row = delta.row
+        weights[row] = get(row, 0) + delta.weight
+    return weights
 
 
 def net(deltas: Iterable[Delta]) -> list[Delta]:
@@ -41,27 +66,38 @@ def net(deltas: Iterable[Delta]) -> list[Delta]:
     insert per touched group, and when the pair cancels (the group's
     aggregate landed back on the same value) nothing is logged.
     """
-    weights: dict[Record, int] = {}
+    deltas = list(deltas)
+    return net_of(deltas, net_weights(deltas))
+
+
+def net_of(deltas: list[Delta], weights: dict[Record, int]) -> list[Delta]:
+    """The net form of ``deltas`` given their :func:`net_weights`.
+
+    Builds a delta only for a row whose deltas merged into a new weight:
+    when no row repeats the list is already net and is returned as is,
+    and otherwise each surviving row keeps its first delta whenever that
+    already carries the net weight.
+    """
+    if len(weights) == len(deltas):
+        return deltas
+    pending = weights.copy()
+    out = []
     for delta in deltas:
-        weights[delta.row] = weights.get(delta.row, 0) + delta.weight
-    return [Delta(row, weight) for row, weight in weights.items() if weight]
+        weight = pending.pop(delta.row, 0)
+        if weight:
+            out.append(delta if weight == delta.weight
+                       else Delta(delta.row, weight))
+    return out
 
 
 def apply_deltas(bag: Bag, deltas: Iterable[Delta]) -> None:
-    """Apply deltas to a materialised bag in place.
+    """Apply deltas to a materialised bag in place, all or nothing.
 
-    Raises :class:`StateError` when a retract exceeds the bag's
-    multiplicity — that is a torn changelog, never a valid refresh.
+    Raises :class:`StateError` when a (net) retract exceeds the bag's
+    multiplicity — that is a torn changelog, never a valid refresh — and
+    then leaves the bag as it was.
     """
-    for delta in deltas:
-        if delta.weight > 0:
-            bag.add(delta.row, delta.weight)
-        else:
-            removed = bag.discard(delta.row, -delta.weight)
-            if removed != -delta.weight:
-                raise StateError(
-                    f"retracting {-delta.weight} × {delta.row!r} but only "
-                    f"{removed} present")
+    bag.apply_signed(net_weights(deltas))
 
 
 class Changelog:

@@ -4,16 +4,17 @@ The denotational counterpart of the incremental kernel path — evaluate
 the logical plan bottom-up over complete :class:`~repro.core.relation.Bag`
 contents, no deltas, no state.  The difftest ``kernel-views`` leg and the
 dynamic-tables bench both pin the incremental refresh against this
-function; the two paths deliberately share ``spec_output`` and the
-viewmaint accumulator so any divergence is a *maintenance* bug, not a
-semantics disagreement.
+function, so it shares no code with what it checks: aggregates are a
+plain from-scratch fold over each group's list of non-NULL argument
+values, not the operator's incremental per-kind state.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Any, Mapping
 
 from repro.core.errors import PlanError
+from repro.core.operators import AggregateKind
 from repro.core.records import Record
 from repro.core.relation import Bag
 from repro.cql.expressions import compile_expr, compile_predicate
@@ -28,8 +29,6 @@ from repro.plan.ir import (
     SetOp,
     WindowAggregate,
 )
-from repro.viewmaint.strategies import _Accumulator
-from repro.views.operators import spec_output
 
 
 def recompute(plan: LogicalOp, contents: Mapping[str, Bag]) -> Bag:
@@ -84,28 +83,47 @@ def _recompute_aggregate(plan: Aggregate | WindowAggregate,
     evaluators = [None if agg.arg is None
                   else compile_expr(agg.arg, child_schema)
                   for agg in plan.aggregates]
-    groups: dict[tuple, list[_Accumulator]] = {}
+    # Per group, per aggregate: every non-NULL argument value, repeated
+    # by multiplicity (COUNT(*) counts a 1 per row).
+    groups: dict[tuple, list[list[Any]]] = {}
     for row, count in child.items():
         key = tuple(row[i] for i in group_indexes)
-        accs = groups.get(key)
-        if accs is None:
-            accs = [_Accumulator() for _ in plan.aggregates]
-            groups[key] = accs
-        for acc, evaluator in zip(accs, evaluators):
+        columns = groups.get(key)
+        if columns is None:
+            columns = groups[key] = [[] for _ in plan.aggregates]
+        for column, evaluator in zip(columns, evaluators):
             value = 1 if evaluator is None else evaluator(row)
             if value is not None:
-                acc.add(value, count)
+                column.extend([value] * count)
     if not groups and not plan.group_by:
         # SQL: an ungrouped aggregate of an empty relation is one row.
-        groups[()] = [_Accumulator() for _ in plan.aggregates]
+        groups[()] = [[] for _ in plan.aggregates]
     out = Bag()
     schema = plan.schema
-    for key, accs in groups.items():
+    for key, columns in groups.items():
         values = list(key)
-        for agg, acc in zip(plan.aggregates, accs):
-            values.append(spec_output(agg.kind, acc))
+        for agg, column in zip(plan.aggregates, columns):
+            values.append(_aggregate(agg.kind, column))
         out.add(Record(schema, values, validate=False))
     return out
+
+
+def _aggregate(kind: AggregateKind, values: list[Any]) -> Any:
+    """One aggregate over its non-NULL argument values: COUNT counts
+    them, the others are NULL over none."""
+    if kind is AggregateKind.COUNT:
+        return len(values)
+    if not values:
+        return None
+    if kind is AggregateKind.SUM:
+        return sum(values)
+    if kind is AggregateKind.AVG:
+        return sum(values) / len(values)
+    if kind is AggregateKind.MIN:
+        return min(values)
+    if kind is AggregateKind.MAX:
+        return max(values)
+    raise PlanError(f"unknown aggregate kind {kind}")
 
 
 def _recompute_join(plan: Join, contents: Mapping[str, Bag]) -> Bag:

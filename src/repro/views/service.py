@@ -59,7 +59,14 @@ from repro.views.dag import (
     effective_lags,
     topo_order,
 )
-from repro.views.delta import Changelog, Delta, apply_deltas, net
+from repro.views.delta import (
+    Changelog,
+    Delta,
+    apply_deltas,
+    net,
+    net_of,
+    net_weights,
+)
 
 #: Materialisation versions retained per view for snapshot-isolated reads.
 HISTORY_LIMIT = 8
@@ -208,7 +215,7 @@ class DynamicTableService:
         # as one batch of inserts, which is the initial full computation.
         # Changelogs hold only what attached consumers have yet to pull,
         # so nothing older than this moment is ever asked of them.
-        apply_deltas(view.materialized, net(handle.open(view=name)))
+        apply_deltas(view.materialized, handle.open(view=name))
         incoming = {
             source: [Delta(row, count)
                      for row, count in self._contents(source).items()]
@@ -292,7 +299,8 @@ class DynamicTableService:
             version = pulled + 1
         deltas = [Delta(table.coerce(row), 1) for row in inserts]
         deltas += [Delta(table.coerce(row), -1) for row in deletes]
-        netted = net(deltas)
+        weights = net_weights(deltas)
+        netted = net_of(deltas, weights)
         for delta in netted:
             if delta.weight < 0 and \
                     table.contents.count(delta.row) < -delta.weight:
@@ -300,7 +308,7 @@ class DynamicTableService:
                     f"deleting {-delta.weight} × {delta.row!r} from "
                     f"{name!r} but only "
                     f"{table.contents.count(delta.row)} present")
-        apply_deltas(table.contents, netted)
+        table.contents.apply_signed(weights)
         table.changelog.append(version, netted)
         table.version = version
         self.clock = version
@@ -335,11 +343,17 @@ class DynamicTableService:
                 incoming[source] = slice_
         lag = target - view.version
         out: tuple[Delta, ...] = ()
+        changed = 0
         if incoming:
-            out = tuple(net(view.handle.push_deltas(incoming)))
-            apply_deltas(view.materialized, out)
+            # One netting pass over the sink's output: its weights go to
+            # the materialisation all or nothing, so a refused refresh
+            # leaves contents, changelog and history as they were.
+            collected = view.handle.push_deltas(incoming)
+            weights = net_weights(collected)
+            view.materialized.apply_signed(weights)
+            out = tuple(net_of(collected, weights))
             view.changelog.append(target, out)
-        changed = sum(abs(delta.weight) for delta in out)
+            changed = sum(map(abs, weights.values()))
         view.version = target
         view.refreshes += 1
         view.record_version(target, out)

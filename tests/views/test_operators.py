@@ -17,7 +17,6 @@ from repro.plan.ir import (
 )
 from repro.core.operators import AggregateKind
 from repro.views import Delta, compile_view_plan, make_scan, net, recompute
-from repro.views.operators import spec_output
 
 pytestmark = pytest.mark.views
 
@@ -103,20 +102,35 @@ class TestAggregate:
 
 
 class TestSpecOutput:
+    KINDS = (AggregateKind.COUNT, AggregateKind.SUM, AggregateKind.AVG,
+             AggregateKind.MIN, AggregateKind.MAX)
+
+    def plan(self):
+        scan = make_scan("t", "s", SCHEMA)
+        aggs = tuple(AggregateExpr(kind, Column("s.v"), kind.name.lower())
+                     for kind in self.KINDS)
+        return Aggregate(scan, (), (), aggs + (
+            AggregateExpr(AggregateKind.COUNT, None, "rows"),))
+
+    def only_row(self, bag):
+        (row, count), = bag.items()
+        assert count == 1
+        return row.as_dict()
+
     def test_empty_accumulator_null_except_count(self):
-        from repro.views.operators import _Accumulator
-        acc = _Accumulator()
-        assert spec_output(AggregateKind.COUNT, acc) == 0
-        for kind in (AggregateKind.SUM, AggregateKind.AVG,
-                     AggregateKind.MIN, AggregateKind.MAX):
-            assert spec_output(kind, acc) is None
+        empty = self.only_row(run_incremental(self.plan(), []))
+        assert empty == {"count": 0, "sum": None, "avg": None, "min": None,
+                         "max": None, "rows": 0}
+        # NULL arguments are skipped: a NULL-only group is "empty" too.
+        nulls = self.only_row(run_incremental(
+            self.plan(), [{"t": rows_to_deltas([{"g": 0, "v": None}])}]))
+        assert nulls == dict(empty, rows=1)
 
     def test_avg_is_sum_over_count(self):
-        from repro.views.operators import _Accumulator
-        acc = _Accumulator()
-        acc.add(1)
-        acc.add(2)
-        assert spec_output(AggregateKind.AVG, acc) == 1.5
+        got = self.only_row(run_incremental(self.plan(), [
+            {"t": rows_to_deltas([{"g": 0, "v": 1}, {"g": 0, "v": 2},
+                                  {"g": 0, "v": None}])}]))
+        assert got["avg"] == 1.5 and got["count"] == 2 and got["rows"] == 3
 
 
 class TestDistinct:

@@ -421,3 +421,89 @@ class TestObsMetrics:
                     "views.dag.depth"} <= names
         finally:
             obs.disable()
+
+
+class TestStringAggregates:
+    """COUNT/MIN/MAX need no arithmetic, so they work over any orderable
+    column — strings included — through inserts and deletes."""
+
+    SQL = ("CREATE DYNAMIC TABLE names AS SELECT team, COUNT(name) AS n, "
+           "MIN(name) AS first, MAX(name) AS last FROM people "
+           "GROUP BY team EMIT CHANGES")
+
+    def make(self):
+        from repro.views import recompute
+        service = DynamicTableService()
+        service.create_table("people", Schema(["team", "name"]))
+        service.apply("people", inserts=[
+            {"team": "a", "name": "kim"}, {"team": "a", "name": "ali"},
+            {"team": "b", "name": "zoe"}, {"team": "b", "name": None}], at=1)
+        view = service.execute(self.SQL)
+
+        def check():
+            assert service.read("names") == recompute(
+                view.plan, {"people": service.read("people")})
+            return {row["team"]: (row["n"], row["first"], row["last"])
+                    for row, _ in service.read("names").items()}
+        return service, check
+
+    def test_create_over_strings(self):
+        _, check = self.make()
+        assert check() == {"a": (2, "ali", "kim"), "b": (1, "zoe", "zoe")}
+
+    def test_inserts_and_deletes_over_strings(self):
+        service, check = self.make()
+        service.apply("people", inserts=[{"team": "a", "name": "abe"},
+                                         {"team": "b", "name": "max"}],
+                      deletes=[{"team": "a", "name": "kim"}], at=2)
+        service.tick(2)
+        assert check() == {"a": (2, "abe", "ali"), "b": (2, "max", "zoe")}
+        # Deleting the extreme falls back to the next value; deleting the
+        # last non-NULL value leaves COUNT 0 and NULL extremes.
+        service.apply("people", deletes=[{"team": "a", "name": "abe"},
+                                         {"team": "b", "name": "zoe"},
+                                         {"team": "b", "name": "max"}], at=3)
+        service.tick(3)
+        assert check() == {"a": (1, "ali", "ali"), "b": (0, None, None)}
+
+    def test_string_extremes_survive_snapshot_restore(self):
+        service, check = self.make()
+        image = service.snapshot()
+        service.apply("people", deletes=[{"team": "a", "name": "ali"}],
+                      at=2)
+        service.tick(2)
+        service.restore(image)
+        service.apply("people", deletes=[{"team": "a", "name": "kim"}],
+                      at=2)
+        service.tick(2)
+        assert check() == {"a": (1, "ali", "ali"), "b": (1, "zoe", "zoe")}
+
+
+class TestRefusedRefreshLeavesNoTrace:
+    def test_retraction_of_an_absent_row_tears_nothing(self, monkeypatch):
+        from repro.core.records import Record
+        from repro.views import Delta
+
+        service = make_service()
+        view = service.execute(
+            "CREATE DYNAMIC TABLE totals AS SELECT region, "
+            "SUM(amount) AS total FROM orders GROUP BY region EMIT CHANGES")
+        service.apply("orders", inserts=[{"region": "eu", "amount": 5}],
+                      at=1)
+        service.tick(1)
+        materialized = service.read("totals")
+        changelog = list(view.changelog.entries())
+        history = list(view.history)
+        ghost = Record(view.schema, ("nowhere", 0))
+        push = view.handle.push_deltas
+        # The real output comes first, so a one-by-one apply would have
+        # landed it before meeting the ghost.
+        monkeypatch.setattr(view.handle, "push_deltas", lambda incoming: (
+            push(incoming) + [Delta(ghost, -1)]))
+        service.apply("orders", inserts=[{"region": "us", "amount": 2}],
+                      at=2)
+        with pytest.raises(StateError):
+            service.tick(2)
+        assert service.read("totals") == materialized
+        assert list(view.changelog.entries()) == changelog
+        assert view.history == history

@@ -37,18 +37,18 @@ class Work:
 @pytest.fixture
 def work(monkeypatch):
     tally = Work()
-    validate = Delta.__post_init__
+    build = Delta.__init__
     hash_row = Record.__hash__
 
-    def counted_delta(self):
+    def counted_delta(self, row, weight):
         tally.deltas += 1
-        validate(self)
+        build(self, row, weight)
 
     def counted_hash(self):
         tally.hashes += 1
         return hash_row(self)
 
-    monkeypatch.setattr(Delta, "__post_init__", counted_delta)
+    monkeypatch.setattr(Delta, "__init__", counted_delta)
     monkeypatch.setattr(Record, "__hash__", counted_hash)
     return tally
 
