@@ -34,11 +34,11 @@ def expected_key(room, window_start, count):
 # -- level 1: SQL-like dialect -------------------------------------------------
 
 
-def run_sql_level(kernel=True):
+def run_sql_level():
     records = run_sql(
         f"SELECT room, window_start, COUNT(*) AS n FROM Obs "
         f"WHERE temp > {HOT} GROUP BY room, TUMBLE({WINDOW})",
-        OBSERVATION_SCHEMA, "Obs", ROWS, kernel=kernel)
+        OBSERVATION_SCHEMA, "Obs", ROWS)
     return {expected_key(r["room"], r["window_start"], r["n"])
             for r in records}
 
@@ -46,8 +46,8 @@ def run_sql_level(kernel=True):
 # -- level 2: functional DSL ---------------------------------------------------
 
 
-def run_dsl_level(kernel=True):
-    env = StreamEnvironment(kernel=kernel)
+def run_dsl_level():
+    env = StreamEnvironment()
     (env.from_collection(ROWS)
      .filter(lambda row: row["temp"] > HOT)
      .key_by(lambda row: row["room"])
@@ -62,7 +62,7 @@ def run_dsl_level(kernel=True):
 # -- level 3: dataflow model -----------------------------------------------------
 
 
-def run_dataflow_level(kernel=True):
+def run_dataflow_level():
     p = Pipeline()
     (p.create([(row, t) for row, t in ROWS])
      .filter(lambda row: row["temp"] > HOT)
@@ -70,7 +70,7 @@ def run_dataflow_level(kernel=True):
      .window_into(FixedWindows(WINDOW))
      .combine_per_key(sum)
      .collect("out"))
-    result = p.run(kernel=kernel)
+    result = p.run()
     return {expected_key(wv.value[0], wv.windows[0].start, wv.value[1])
             for wv in result["out"]}
 
@@ -127,14 +127,6 @@ def test_fig4_all_levels_compute_the_same_answer():
     assert baseline, "workload produced no windows"
     for name, result in results.items():
         assert result == baseline, f"{name} diverges from the actor level"
-
-
-def test_fig4_kernel_matches_legacy_at_every_togglable_level():
-    # The abstraction stack now sits on the shared execution kernel
-    # (``repro.exec``); each level that kept its legacy machinery for
-    # comparison must produce the same answer either way.
-    for name, runner in LEVELS[:-1]:  # the raw actor level has no toggle
-        assert runner(kernel=True) == runner(kernel=False), name
 
 
 def test_fig4_declarative_levels_cost_more_than_raw_actors():

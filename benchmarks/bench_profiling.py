@@ -15,9 +15,7 @@ loop runs off-vs-profiled.  Budgets:
 * the *disabled* path budget (<= 3%) is structural: profiling is an
   open-time decision, so a never-enabled plan runs the exact
   pre-profiling shape.  That is pinned by the zero-work guard in
-  ``tests/obs/test_profile.py`` and by ``bench_kernel_unification``'s
-  kernel-vs-legacy ratio gates, which run with profiling compiled in
-  but disabled.
+  ``tests/obs/test_profile.py``.
 * per-operator attribution stays sane: busy shares sum to ~100%.
 
 Timings, ratios and the attribution readout land in
@@ -79,11 +77,11 @@ def run_dsms():
 
 
 def run_cql_kernel():
-    """The kernel-unification CQL leg: the standing query lowered onto
-    the shared kernel — the path the issue's budget is written against."""
+    """The CQL leg: the standing query on a bare ``ContinuousQuery``,
+    no DSMS around it."""
     engine = CQLEngine()
     engine.register_stream("Obs", OBSERVATION_SCHEMA)
-    query = engine.register_query(CQL_QUERY, kernel=True)
+    query = engine.register_query(CQL_QUERY)
     query.start()
     for row, t in ROWS:
         query.push("Obs", row, t)
@@ -204,8 +202,7 @@ def test_bench_profiling_writes_json():
         enabled_slack=ENABLED_SLACK, disabled_budget=DISABLED_BUDGET,
         disabled_path_note=(
             "profiling is an open-time decision; the never-enabled path "
-            "is pinned by tests/obs/test_profile.py zero-work guard and "
-            "bench_kernel_unification ratio gates"),
+            "is pinned by tests/obs/test_profile.py zero-work guard"),
         attribution=attribution,
         within_slack=all(r <= 1 + ENABLED_SLACK
                          for r, gated in zip(

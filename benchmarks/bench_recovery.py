@@ -3,7 +3,7 @@
 The classic fault-tolerance trade-off (survey §4.2): frequent checkpoints
 cost snapshot work up front but bound the replay after a crash; sparse
 checkpoints are cheap until the failure, when everything since the last
-barrier must be reprocessed.  A grouped-aggregate kernel query is driven
+barrier must be reprocessed.  A grouped-aggregate CQL query is driven
 over the standard room-observation workload with one injected operator
 crash mid-stream, once per checkpoint interval.  The sweep must show the
 trend both ways — replay volume grows with the interval, checkpoints
@@ -37,7 +37,7 @@ CRASH_AT = 600
 def fresh_query():
     engine = CQLEngine()
     engine.register_stream("Obs", OBSERVATION_SCHEMA)
-    return engine.register_query(QUERY, kernel=True)
+    return engine.register_query(QUERY)
 
 
 def outputs(query):

@@ -2,8 +2,8 @@
 
 Two sweeps, both seeded and bounded:
 
-* **crash matrix** — random difftest cases are compiled onto the kernel
-  and every operator position is killed once mid-stream; each run must
+* **crash matrix** — every operator position of a random difftest
+  case's query is killed once mid-stream; each run must
   recover and match the fault-free reference (the kernel-crashed oracle
   leg, run in bulk).  Each case also runs through a recovering
   ``DSMSEngine``, crashed on a checkpoint tick, in ``advance_time`` and in

@@ -78,12 +78,10 @@ class CQLEngine:
 
     def register_query(self, text: str,
                        optimize: bool | None = None,
-                       kernel: bool = True,
                        shared=None,
                        parallelism: int | None = None):
         """Register a continuous query: compiled once, runs until cancelled
-        (the paper's Figure 1 contract).  ``kernel=False`` keeps the
-        legacy pull recursion (benchmark comparisons).  Passing a
+        (the paper's Figure 1 contract).  Passing a
         :class:`repro.cql.shared.SharedGroup` as ``shared`` compiles the
         query *into the group*, reusing physical subplans other members
         already built (multi-query optimisation).
@@ -94,11 +92,11 @@ class CQLEngine:
         otherwise the request is clamped back to a serial query (the
         planner's call, not an error — see
         :func:`repro.plan.parallel.decide_parallelism`)."""
-        return self.register_plan(self.plan(text, optimize), kernel=kernel,
-                                  shared=shared, parallelism=parallelism)
+        return self.register_plan(self.plan(text, optimize), shared=shared,
+                                  parallelism=parallelism)
 
-    def register_plan(self, plan: LogicalOp, kernel: bool = True,
-                      shared=None, parallelism: int | None = None):
+    def register_plan(self, plan: LogicalOp, shared=None,
+                      parallelism: int | None = None):
         """:meth:`register_query` for a plan :meth:`plan` already built —
         for callers that inspect the plan before registering it."""
         if shared is not None:
@@ -111,9 +109,9 @@ class CQLEngine:
                 and decide_parallelism(plan, requested=parallelism) > 1:
             from repro.cql.parallel import PartitionedQuery
             query = PartitionedQuery(plan, self.catalog,
-                                     parallelism=parallelism, kernel=kernel)
+                                     parallelism=parallelism)
         else:
-            query = ContinuousQuery(plan, self.catalog, kernel=kernel)
+            query = ContinuousQuery(plan, self.catalog)
         self._queries.append(query)
         return query
 

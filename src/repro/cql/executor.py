@@ -144,12 +144,14 @@ def _write_key(container: Any, key: Any, value: Any) -> None:
 class PhysicalOp:
     """Base physical operator: children + per-instant delta processing.
 
-    ``process_instant`` also propagates an *activity* flag: whether any
-    source in the subtree was touched at this instant (even if no delta
-    survived the operators in between).  This mirrors the reference
-    evaluator, whose time-varying relations record a change point at every
-    input-relevant instant — global aggregates rely on it to materialise
-    their zero row at the right instant.
+    Each instant an operator reports ``(deltas, active)``: a source from
+    ``process_instant``, an inner operator from :meth:`apply` over its
+    children's reports (see :class:`InstantEvaluator`).  *Active* says
+    whether any source in the subtree was touched at this instant (even if
+    no delta survived the operators in between).  This mirrors the
+    reference evaluator, whose time-varying relations record a change
+    point at every input-relevant instant — global aggregates rely on it
+    to materialise their zero row at the right instant.
 
     State is checkpointed two ways, both over ``_STATE_ATTRS``:
     :meth:`snapshot` / :meth:`restore` move a self-contained copy (live
@@ -288,13 +290,8 @@ class PhysicalOp:
 
     def apply(self, t: Timestamp, child_deltas: list[list[Delta]],
               child_active: bool) -> tuple[list[Delta], bool]:
-        """Process one instant's child batches (with accounting).
-
-        This is the per-operator step shared by the legacy pull recursion
-        (:meth:`process_instant`) and the push-based kernel adapters in
-        :mod:`repro.cql.kernel`, which supply ``child_deltas`` from
-        upstream kernel emissions instead of recursing.
-        """
+        """Process one instant's child batches (with accounting); returns
+        ``(deltas, active)``."""
         for deltas in child_deltas:
             self.received += len(deltas)
         if _obs_state.enabled:
@@ -303,13 +300,6 @@ class PhysicalOp:
             deltas = self.process(t, child_deltas)
         self.emitted += len(deltas)
         return deltas, bool(deltas) or child_active
-
-    def process_instant(self, t: Timestamp) -> tuple[list[Delta], bool]:
-        """Recursively process instant ``t``; returns (deltas, active)."""
-        child_results = [child.process_instant(t)
-                         for child in self.children]
-        return self.apply(t, [d for d, _ in child_results],
-                          any(a for _, a in child_results))
 
 
 # ---------------------------------------------------------------------------
@@ -1185,6 +1175,86 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
 
 
 # ---------------------------------------------------------------------------
+# Instant evaluation
+# ---------------------------------------------------------------------------
+
+
+class InstantEvaluator:
+    """Evaluates a physical operator DAG one instant at a time.
+
+    The DAG's distinct operators are put in post-order (children first)
+    once, when the evaluator is built, and each operator's inputs become
+    slot indexes into the instant's results.  An instant then walks that
+    order: a source reports ``process_instant(t)``; an inner operator
+    ``apply``\\ s its children's deltas.  An operator reached from several
+    roots (a subplan a :class:`~repro.cql.shared.SharedGroup` shares) runs
+    once per instant and every consumer reads its batch by reference.
+    Nothing is held between operators or between instants.
+    """
+
+    def __init__(self, roots: Sequence[PhysicalOp]) -> None:
+        slots: dict[int, int] = {}
+        steps: list[tuple[PhysicalOp, tuple[int, ...]]] = []
+
+        def visit(op: PhysicalOp) -> None:
+            if id(op) in slots:
+                return
+            for child in op.children:
+                visit(child)
+            slots[id(op)] = len(steps)
+            steps.append((op, tuple(slots[id(child)]
+                                    for child in op.children)))
+
+        for root in roots:
+            visit(root)
+        #: Every distinct operator, children before parents.
+        self.operators = [op for op, _ in steps]
+        # One step per operator: a source's ``process_instant``, or an
+        # inner operator's ``apply`` with its input slot (one child) or
+        # slots (several).
+        self._steps = [
+            (op.process_instant, None) if not inputs
+            else (op.apply, inputs[0] if len(inputs) == 1 else inputs)
+            for op, inputs in steps]
+        self._roots = [slots[id(root)] for root in roots]
+
+    def run(self, t: Timestamp) -> list[tuple[list[Delta], bool]]:
+        """Evaluate instant ``t``: one ``(deltas, active)`` per root."""
+        results: list[tuple[list[Delta], bool]] = []
+        append = results.append
+        for step, inputs in self._steps:
+            if inputs is None:
+                append(step(t))
+            elif inputs.__class__ is int:
+                deltas, active = results[inputs]
+                append(step(t, [deltas], active))
+            else:
+                reports = [results[slot] for slot in inputs]
+                append(step(t, [deltas for deltas, _ in reports],
+                            any(active for _, active in reports)))
+        return [results[slot] for slot in self._roots]
+
+
+def check_feed_time(timestamp: Timestamp, last: Timestamp | None) -> None:
+    """Refuse feeding a query at ``timestamp``: before the epoch, or
+    behind ``last``, the newest instant the caller has already applied.
+
+    The one guard every feeding call (arrivals and relation updates, on a
+    private query and on a shared group) runs before it touches state.
+    """
+    if timestamp < MIN_TIMESTAMP:
+        # The semantics layer (Stream) rejects negative timestamps; the
+        # incremental driver must agree, or it maintains states the
+        # reference evaluator cannot even express.
+        raise TimeError(
+            f"timestamp {timestamp} before the epoch {MIN_TIMESTAMP}")
+    if last is not None and timestamp < last:
+        raise StateError(
+            f"arrivals must be pushed in timestamp order: {timestamp} "
+            f"after {last}")
+
+
+# ---------------------------------------------------------------------------
 # The continuous query driver
 # ---------------------------------------------------------------------------
 
@@ -1207,25 +1277,23 @@ class ContinuousQuery:
     """
 
     def __init__(self, plan: LogicalOp, catalog: Catalog,
-                 kernel: bool = True, shared=None, memo=None) -> None:
+                 shared=None) -> None:
         self.plan = plan
         self.catalog = catalog
         self.r2s = plan.kind if isinstance(plan, RelToStream) else None
         self.output_schema = plan.schema
         #: The :class:`repro.cql.shared.SharedGroup` this query belongs to,
-        #: or None for a private query.  Shared members have no kernel of
-        #: their own: the group's MultiQueryKernel runs every member's
-        #: (possibly overlapping) physical tree in one exec.Plan.
+        #: or None for a private query.  A member compiles through the
+        #: group's memo and agenda and has no evaluator of its own: the
+        #: group evaluates every member's (possibly overlapping) tree.
         self._shared = shared
         self._agenda = shared.agenda if shared is not None else Agenda()
         (self._root, self._stream_sources, self._relation_sources,
-         self._phys_by_logical) = \
-            compile_plan(plan, catalog, self._agenda, memo=memo)
-        self._kernel = None
-        if kernel and shared is None:
-            # Imported lazily; repro.cql.kernel imports this module.
-            from repro.cql.kernel import QueryKernel
-            self._kernel = QueryKernel(self._root)
+         self._phys_by_logical) = compile_plan(
+            plan, catalog, self._agenda,
+            memo=shared.memo if shared is not None else None)
+        self._evaluator = (InstantEvaluator([self._root])
+                           if shared is None else None)
         self._state = Bag()
         self._log: list[tuple[Timestamp, Bag]] = []
         self._emissions: list[Emission] = []
@@ -1266,19 +1334,8 @@ class ContinuousQuery:
         """
         if self._shared is not None:
             return self._shared.push_batch(timestamp, arrivals, member=self)
-        if timestamp < MIN_TIMESTAMP:
-            # The semantics layer (Stream) rejects negative timestamps; the
-            # incremental driver must agree, or it maintains states the
-            # reference evaluator cannot even express.
-            raise TimeError(
-                f"timestamp {timestamp} before the epoch {MIN_TIMESTAMP}")
-        if self._last_instant is not None and \
-                timestamp < self._last_instant:
-            raise StateError(
-                f"arrivals must be pushed in timestamp order: {timestamp} "
-                f"after {self._last_instant}")
-        emitted: list[Emission] = []
-        emitted.extend(self._process_instants(self._agenda.due(timestamp - 1)))
+        check_feed_time(timestamp, self._last_instant)
+        emitted = self._process_instants(self._agenda.due(timestamp - 1))
         for name, rows in arrivals.items():
             sources = self._stream_sources.get(name)
             if not sources:
@@ -1302,7 +1359,12 @@ class ContinuousQuery:
     def update_relation(self, name: str, row: Mapping[str, Any] | Record,
                         mult: int, timestamp: Timestamp) -> list[Emission]:
         """Apply an insert (+mult) / delete (-mult) to a base relation the
-        query reads, propagating incrementally (InvaliDB-style push)."""
+        query reads, propagating incrementally (InvaliDB-style push).
+
+        Refused like :meth:`push_batch` when ``timestamp`` is before the
+        epoch or behind the query's newest instant.  Earlier agenda work
+        runs first, so the update lands at ``timestamp``.
+        """
         if self._shared is not None:
             return self._shared.update_relation(name, row, mult, timestamp,
                                                 member=self)
@@ -1312,10 +1374,11 @@ class ContinuousQuery:
         base_schema = self.catalog.relation(name).schema
         record = (row if isinstance(row, Record)
                   else Record.from_mapping(base_schema, row))
+        check_feed_time(timestamp, self._last_instant)
+        emitted = self._process_instants(self._agenda.due(timestamp - 1))
         for source in sources:
             source.stage_update(record, mult)
-        emitted: list[Emission] = []
-        emitted.extend(self._process_instants(self._agenda.due(timestamp - 1)))
+        self._agenda.due(timestamp)  # consume anything scheduled == now
         emitted.extend(self._process_instant(timestamp))
         return emitted
 
@@ -1367,10 +1430,10 @@ class ContinuousQuery:
     def restore(self, payload: Mapping[str, Any]) -> None:
         """Roll the query back to a snapshot, in place.
 
-        The compiled tree (predicates, schemas, kernel plan wiring) is
+        The compiled tree (predicates, schemas, evaluation order) is
         reused; only mutable state is overwritten.  Any partially
-        processed instant left over from a crash — staged arrivals,
-        buffered kernel batches — is discarded wholesale.
+        processed instant left over from a crash — staged arrivals — is
+        discarded wholesale.
         """
         if self._shared is not None:
             raise StateError(
@@ -1391,10 +1454,6 @@ class ContinuousQuery:
         self._last_instant = payload["last_instant"]
         self._deltas_processed = payload["deltas_processed"]
         self._barrier = None
-        if self._kernel is not None:
-            # A crash can strand half-delivered batches inside the kernel
-            # adapters; they belong to the rolled-back instant.
-            self._kernel.reset_transients()
 
     def barrier(self) -> dict[str, Any]:
         """Move the query's recovery point to now; return what it wrote.
@@ -1440,37 +1499,14 @@ class ContinuousQuery:
         del self._emissions[point["emissions"]:]
         self._last_instant = point["last_instant"]
         self._deltas_processed = point["deltas_processed"]
-        if self._kernel is not None:
-            self._kernel.reset_transients()
 
     # -- processing ----------------------------------------------------------
 
-    def _evaluate_instant(self, t: Timestamp) -> tuple[list[Delta], bool]:
-        """One instant through the kernel plan (or the legacy recursion)."""
-        if self._kernel is not None:
-            return self._kernel.run_instant(t)
-        return self._root.process_instant(t)
-
     def _process_instants(self, ts: list[Timestamp]) -> list[Emission]:
-        """Process several due instants, batching the kernel tick drive.
-
-        An agenda drain covering k instants becomes one
-        :meth:`QueryKernel.run_instants` sweep — one ``push_batch`` per
-        tick source instead of k plan-wide pushes — followed by the same
-        per-instant state/emission fold.  Falls back to the per-instant
-        loop for the legacy recursion and whenever observability is on
-        (the per-instant evaluation histogram must stay exact).
-        """
-        if not ts:
-            return []
-        if self._kernel is None or len(ts) == 1 or _obs_state.enabled:
-            emitted: list[Emission] = []
-            for t in ts:
-                emitted.extend(self._process_instant(t))
-            return emitted
-        emitted = []
-        for t, (deltas, _active) in zip(ts, self._kernel.run_instants(ts)):
-            emitted.extend(self._apply_instant(t, deltas))
+        """Process several due instants in order."""
+        emitted: list[Emission] = []
+        for t in ts:
+            emitted.extend(self._process_instant(t))
         return emitted
 
     def _process_instant(self, t: Timestamp) -> list[Emission]:
@@ -1479,19 +1515,19 @@ class ContinuousQuery:
                 self._eval_hist = _obs_registry().histogram(
                     "exec.query.instant_eval_seconds", layer="cql")
             started = time.perf_counter()
-            deltas, _active = self._evaluate_instant(t)
+            [(deltas, _active)] = self._evaluator.run(t)
             self._eval_hist.observe(time.perf_counter() - started)
         else:
-            deltas, _active = self._evaluate_instant(t)
+            [(deltas, _active)] = self._evaluator.run(t)
         return self._apply_instant(t, deltas)
 
     def _apply_instant(self, t: Timestamp,
                        deltas: list[Delta]) -> list[Emission]:
         """Fold one instant's root deltas into state, log and emissions.
 
-        Split from :meth:`_process_instant` so a shared group's kernel can
-        evaluate all member plans in one pass and hand each member its own
-        root batch.
+        Split from :meth:`_process_instant` so a shared group can evaluate
+        all member plans in one pass and hand each member its own root
+        batch.
         """
         self._deltas_processed += len(deltas)
         # Cancel opposite-signed deltas within the instant: the reference

@@ -47,7 +47,7 @@ from repro.core.time import Timestamp
 from repro.plan.ir import LogicalOp
 from repro.plan.parallel import PartitionScheme, partition_scheme
 from repro.cql.catalog import Catalog
-from repro.cql.executor import ContinuousQuery, Emission
+from repro.cql.executor import ContinuousQuery, Emission, check_feed_time
 from repro.runtime.broker import default_hash
 
 __all__ = ["PartitionedQuery"]
@@ -62,7 +62,6 @@ class PartitionedQuery:
     _shared = None
 
     def __init__(self, plan: LogicalOp, catalog: Catalog, parallelism: int,
-                 kernel: bool = True,
                  scheme: PartitionScheme | None = None) -> None:
         if parallelism < 1:
             raise PlanError(f"parallelism must be >= 1, got {parallelism}")
@@ -77,7 +76,7 @@ class PartitionedQuery:
         self.parallelism = parallelism
         self.scheme = scheme
         self.output_schema = plan.schema
-        self._replicas = [ContinuousQuery(plan, catalog, kernel=kernel)
+        self._replicas = [ContinuousQuery(plan, catalog)
                           for _ in range(parallelism)]
         self.r2s = self._replicas[0].r2s
         # Shared with the replicas by construction; exposed so engine-level
@@ -196,6 +195,7 @@ class PartitionedQuery:
         of the batch, the rest with an empty one — so window expirations
         fire on all replicas at the same event times.
         """
+        self._check_feed_time(timestamp)
         per_replica: list[dict[str, list[Record]]] = \
             [{} for _ in range(self.parallelism)]
         for name, rows in arrivals.items():
@@ -209,8 +209,17 @@ class PartitionedQuery:
     def update_relation(self, name: str, row: Mapping[str, Any] | Record,
                         mult: int, timestamp: Timestamp) -> list[Emission]:
         """Relations are replicated: updates broadcast to every replica."""
+        self._check_feed_time(timestamp)
         return self._feed(lambda replica, index: replica.update_relation(
             name, row, mult, timestamp))
+
+    def _check_feed_time(self, timestamp: Timestamp) -> None:
+        """The replicas' own guard, run once against the newest instant
+        any of them logged: replicas log at different instants, and a
+        call one of them refuses must feed none."""
+        check_feed_time(timestamp, max(
+            (replica._last_instant for replica in self._replicas
+             if replica._last_instant is not None), default=None))
 
     def advance_to(self, timestamp: Timestamp) -> list[Emission]:
         return self._feed(

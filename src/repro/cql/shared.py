@@ -1,4 +1,4 @@
-"""Multi-query plan sharing: N standing queries, one kernel plan.
+"""Multi-query plan sharing: N standing queries, one operator DAG.
 
 The paper's DSMS model registers *many* standing queries over few streams;
 running each in isolation repeats the same window buffering and join work
@@ -7,10 +7,10 @@ optimisation instead: every member query is compiled through one
 :class:`repro.plan.sharing.SubplanMemo`, so subtrees with the same
 canonical signature (``plan_signature(detail=True)`` — commutativity
 aware, so ``A ⋈ B`` and ``B ⋈ A`` share) map to the *same* physical
-operator, and the whole group runs as one
-:class:`repro.cql.kernel.MultiQueryKernel` with fan-out emitters.  Window
-state, join state and per-source arrival staging are paid once per
-distinct subplan, not once per query.
+operator, and one :class:`~repro.cql.executor.InstantEvaluator` runs the
+whole group's DAG, each shared operator once per instant with its batch
+read by every consumer.  Window state, join state and per-source arrival
+staging are paid once per distinct subplan, not once per query.
 
 The group owns the event-time :class:`~repro.cql.executor.Agenda`: any
 member's feeding call advances *all* members in lockstep, which is what
@@ -23,31 +23,32 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from repro.core.errors import PlanError, StateError, TimeError
+from repro.core.errors import PlanError
 from repro.core.records import Record
-from repro.core.time import MIN_TIMESTAMP, Timestamp
+from repro.core.time import Timestamp
 from repro.plan.ir import LogicalOp
 from repro.cql.catalog import Catalog
 from repro.cql.executor import (
     Agenda,
     ContinuousQuery,
     Emission,
+    InstantEvaluator,
     PhysicalOp,
     StreamSourceOp,
+    check_feed_time,
 )
-from repro.cql.kernel import MultiQueryKernel
 from repro.plan.sharing import SubplanMemo
 
 
 class SharedGroup:
-    """A set of continuous queries executing as one shared kernel plan.
+    """A set of continuous queries evaluated as one shared operator DAG.
 
     Members are added with :meth:`register` while the group is *cold* (no
-    data pushed yet); each registration recompiles the kernel around the
-    union of member physical trees (operator state is preserved — the
-    kernel adapters are stateless wrappers).  Once data has flowed the
-    plan is frozen: ``exec.Plan`` channels cannot be rewired mid-stream
-    without replaying history into the newcomer's private operators.
+    data pushed yet); each registration rebuilds the group's evaluation
+    order around the union of member physical trees (operator state lives
+    in the operators, so it carries over).  Once data has flowed the group
+    is frozen: a newcomer's private operators would miss the history the
+    shared ones have already seen.
     """
 
     def __init__(self, catalog: Catalog) -> None:
@@ -55,7 +56,7 @@ class SharedGroup:
         self.agenda = Agenda()
         self.memo = SubplanMemo()
         self.members: list[ContinuousQuery] = []
-        self.kernel: MultiQueryKernel | None = None
+        self._evaluator = InstantEvaluator([])
         self._started = False       # data has flowed; group frozen
         self._cursor: Timestamp | None = None
 
@@ -69,11 +70,10 @@ class SharedGroup:
                 "flowed: the shared window state would be missing the "
                 "newcomer's history")
         self.memo.start_compile()
-        query = ContinuousQuery(plan, self.catalog, kernel=False,
-                                shared=self, memo=self.memo)
+        query = ContinuousQuery(plan, self.catalog, shared=self)
         self.memo.finish_compile()
         self.members.append(query)
-        self.kernel = MultiQueryKernel([m._root for m in self.members])
+        self._evaluator = InstantEvaluator([m._root for m in self.members])
         return query
 
     def reads_stream(self, name: str) -> bool:
@@ -86,17 +86,7 @@ class SharedGroup:
 
     def distinct_operators(self) -> list[PhysicalOp]:
         """Every physical operator in the group DAG, counted once."""
-        seen: set[int] = set()
-        out: list[PhysicalOp] = []
-        stack: list[PhysicalOp] = [m._root for m in self.members]
-        while stack:
-            op = stack.pop()
-            if id(op) in seen:
-                continue
-            seen.add(id(op))
-            out.append(op)
-            stack.extend(op.children)
-        return out
+        return list(self._evaluator.operators)
 
     def state_size(self) -> int:
         """Total tuples held by stateful operators, shared state counted
@@ -123,13 +113,7 @@ class SharedGroup:
         instant runs for all members.  Returns the calling member's
         pending emissions; other members' outputs are buffered for them.
         """
-        if timestamp < MIN_TIMESTAMP:
-            raise TimeError(
-                f"timestamp {timestamp} before the epoch {MIN_TIMESTAMP}")
-        if self._cursor is not None and timestamp < self._cursor:
-            raise StateError(
-                f"arrivals must be pushed in timestamp order: {timestamp} "
-                f"after {self._cursor}")
+        check_feed_time(timestamp, self._cursor)
         for instant in self.agenda.due(timestamp - 1):
             self._process_instant(instant)
         for name, rows in arrivals.items():
@@ -157,7 +141,8 @@ class SharedGroup:
         Relation scans are never shared (the memo refuses them: members
         may diverge via private updates), so staging touches only the
         member's own sources — but the instant still runs group-wide to
-        keep every member's clock aligned.
+        keep every member's clock aligned.  Refused, like
+        :meth:`push_batch`, before the epoch or behind the group's clock.
         """
         sources = member._relation_sources.get(name)
         if not sources:
@@ -165,10 +150,12 @@ class SharedGroup:
         base_schema = self.catalog.relation(name).schema
         record = (row if isinstance(row, Record)
                   else Record.from_mapping(base_schema, row))
-        for source in sources:
-            source.stage_update(record, mult)
+        check_feed_time(timestamp, self._cursor)
         for instant in self.agenda.due(timestamp - 1):
             self._process_instant(instant)
+        for source in sources:
+            source.stage_update(record, mult)
+        self.agenda.due(timestamp)  # consume anything scheduled == now
         self._process_instant(timestamp)
         self._started = True
         return member._drain_undelivered()
@@ -199,10 +186,8 @@ class SharedGroup:
         return out
 
     def _process_instant(self, t: Timestamp) -> None:
-        """Run one instant through the shared kernel for every member."""
-        assert self.kernel is not None
+        """Run one instant through the shared DAG for every member."""
         self._cursor = t if self._cursor is None else max(self._cursor, t)
-        batches = self.kernel.run_instant(t)
-        for query, (deltas, _active) in zip(self.members, batches):
-            emitted = query._apply_instant(t, deltas)
-            query._undelivered.extend(emitted)
+        for query, (deltas, _active) in zip(self.members,
+                                            self._evaluator.run(t)):
+            query._undelivered.extend(query._apply_instant(t, deltas))

@@ -1,4 +1,4 @@
-"""Pipelines, PCollections and the direct runner (paper Section 4.1.1).
+"""Pipelines, PCollections and their runner (paper Section 4.1.1).
 
 The Dataflow model's two primitives are **ParDo** (element-wise parallel
 processing) and **GroupByKey** (collect per key before reduction); windows
@@ -164,24 +164,8 @@ class _PaneState:
         self.had_data = False
 
 
-class _GBKState:
-    """Runner state for one GroupByKey node."""
-
-    def __init__(self, node: PCollection) -> None:
-        self.node = node
-        self.panes: dict[tuple[Any, Window], _PaneState] = {}
-        self.merged_away: set[tuple[Any, Window]] = set()
-
-    def pane(self, key: Any, window: Window) -> _PaneState:
-        state = self.panes.get((key, window))
-        if state is None:
-            state = _PaneState(self.node.windowing.trigger)
-            self.panes[(key, window)] = state
-        return state
-
-
 class Pipeline:
-    """A Dataflow pipeline with a deterministic direct runner."""
+    """A Dataflow pipeline with a deterministic single-process runner."""
 
     def __init__(self) -> None:
         self._nodes: list[PCollection] = []
@@ -242,14 +226,11 @@ class Pipeline:
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self, kernel: bool = True,
-            parallelism: int = 1,
+    def run(self, parallelism: int = 1,
             bundle_size: int = 1) -> PipelineResult:
-        """Execute the pipeline.
-
-        By default the DAG is lowered onto the shared execution kernel
-        (:mod:`repro.exec`); ``kernel=False`` keeps the legacy direct
-        runner for benchmark comparisons.  Both produce identical output.
+        """Execute the pipeline: the DAG is lowered onto the shared
+        execution kernel (:mod:`repro.exec`) and each source is replayed
+        in arrival order.
 
         ``parallelism=N`` fissions every GroupByKey into N key-routed
         replicas behind an Exchange (GBK is keyed by construction, so
@@ -266,18 +247,8 @@ class Pipeline:
         using it (anywhere in a composite trigger) are clamped back to
         ``bundle_size=1``.
         """
-        if parallelism > 1 and not kernel:
-            raise PlanError(
-                "the legacy direct runner is single-threaded; "
-                "parallelism needs the kernel (kernel=True)")
-        if bundle_size > 1 and not kernel:
-            raise PlanError(
-                "the legacy direct runner is per-element; "
-                "bundles need the kernel (kernel=True)")
-        runner = (_KernelRunner(self, parallelism=parallelism,
-                                bundle_size=bundle_size)
-                  if kernel else _DirectRunner(self))
-        return runner.run()
+        return _KernelRunner(self, parallelism=parallelism,
+                             bundle_size=bundle_size).run()
 
 
 def _logical_label(node: PCollection) -> tuple[str, str]:
@@ -295,219 +266,6 @@ def _logical_label(node: PCollection) -> tuple[str, str]:
     if node.kind == "sink":
         return "sink", node.spec["label"]
     raise PlanError(f"unexpected node kind {node.kind}")
-
-
-class _GBKEngine:
-    """The GroupByKey pane machinery: insert, merge, fire, finalise.
-
-    One engine per GBK node, shared by the legacy direct runner and the
-    kernel lowering so both produce identical panes.  Output leaves
-    through the host-supplied ``out(windowed_value, watermark)`` callback;
-    ``arrival_index`` reads the host's arrival counter (processing-time
-    triggers count arrivals, not elements per node).
-    """
-
-    def __init__(self, node: PCollection, result: PipelineResult,
-                 arrival_index: Callable[[], int],
-                 out: Callable[[WindowedValue, Timestamp], None]) -> None:
-        self.node = node
-        self.state = _GBKState(node)
-        self.result = result
-        self._arrival_index = arrival_index
-        self._out = out
-        self._obs = obs.is_enabled()
-        self._registry = obs.get_registry() if self._obs else None
-
-    def insert(self, wv: WindowedValue, watermark: Timestamp) -> None:
-        strategy = self.node.windowing
-        state = self.state
-        try:
-            key, value = wv.value
-        except (TypeError, ValueError):
-            raise PlanError(
-                "GroupByKey input must be (key, value) pairs; got "
-                f"{wv.value!r}") from None
-        for piece in wv.exploded():
-            (window,) = piece.windows
-            # Lateness: beyond allowed lateness the element is dropped.
-            if watermark >= window.end - 1 + strategy.allowed_lateness \
-                    and watermark >= window.end - 1:
-                self.result.dropped_late += 1
-                if self._obs:
-                    self._registry.counter("dataflow.dropped_late").inc()
-                continue
-            if strategy.window_fn.is_merging:
-                window = self._merge_into(key, window, strategy)
-            pane = state.pane(key, window)
-            pane.buffer.append(value)
-            pane.had_data = True
-            fire = strategy.trigger.on_element(
-                pane.trigger_state, self._arrival_index())
-            if fire:
-                timing = (PaneTiming.LATE if pane.on_time_fired
-                          else PaneTiming.EARLY)
-                self._fire(key, window, timing, watermark)
-
-    def _merge_into(self, key: Any, window: Window,
-                    strategy: WindowingStrategy) -> Window:
-        """Session merging: coalesce the new proto-window with the key's
-        active windows, transplanting buffered state."""
-        state = self.state
-        active = [w for (k, w) in state.panes if k == key
-                  and (k, w) not in state.merged_away]
-        merged = strategy.window_fn.merge(active + [window])
-        # Find the merged window that swallowed the new proto-window.
-        target = next(w for w in merged if w.overlaps(window)
-                      or w == window)
-        if target not in active:
-            absorbed = [w for w in active if w.overlaps(target)]
-            fresh = _PaneState(strategy.trigger)
-            for old in absorbed:
-                old_pane = state.panes.pop((key, old))
-                state.merged_away.add((key, old))
-                fresh.buffer.extend(old_pane.buffer)
-                fresh.retained.extend(old_pane.retained)
-                fresh.pane_index = max(fresh.pane_index,
-                                       old_pane.pane_index)
-                fresh.on_time_fired |= old_pane.on_time_fired
-                fresh.had_data |= old_pane.had_data
-            # Replay the combined buffer into a fresh trigger state.
-            for i in range(len(fresh.buffer)):
-                strategy.trigger.on_element(fresh.trigger_state,
-                                            self._arrival_index())
-            state.panes[(key, target)] = fresh
-        return target
-
-    def on_watermark(self, watermark: Timestamp) -> None:
-        state = self.state
-        strategy = self.node.windowing
-        for (key, window) in sorted(
-                state.panes, key=lambda kw: (kw[1], repr(kw[0]))):
-            pane = state.panes[(key, window)]
-            if strategy.trigger.on_watermark(
-                    pane.trigger_state, window, watermark):
-                if pane.had_data:
-                    self._fire(key, window, PaneTiming.ON_TIME, watermark)
-                pane.on_time_fired = True
-
-    def finalize(self) -> None:
-        """Drain: force-fire panes whose trigger never did (e.g. Never).
-
-        Fired as ON_TIME — finalisation is the moment the watermark
-        conceptually passes the end of every window.
-        """
-        state = self.state
-        for (key, window) in sorted(
-                state.panes, key=lambda kw: (kw[1], repr(kw[0]))):
-            pane = state.panes[(key, window)]
-            if not pane.on_time_fired and pane.buffer:
-                self._fire(key, window, PaneTiming.ON_TIME, MAX_TIMESTAMP)
-                pane.on_time_fired = True
-
-    def _fire(self, key: Any, window: Window, timing: PaneTiming,
-              watermark: Timestamp) -> None:
-        strategy = self.node.windowing
-        pane = self.state.panes[(key, window)]
-        if strategy.accumulation is AccumulationMode.ACCUMULATING:
-            contents = pane.retained + pane.buffer
-            pane.retained = contents
-        else:
-            contents = pane.buffer
-        pane.buffer = []
-        if not contents:
-            return
-        strategy.trigger.on_fire(pane.trigger_state)
-        info = PaneInfo(timing, pane.pane_index)
-        pane.pane_index += 1
-        if timing is PaneTiming.ON_TIME:
-            pane.on_time_fired = True
-        self.result.panes_by_timing[timing] += 1
-        if self._obs:
-            self._registry.counter("dataflow.trigger.firings",
-                                   timing=timing.name).inc()
-        combiner = self.node.spec.get("combiner")
-        payload = combiner(list(contents)) if combiner else list(contents)
-        out = WindowedValue((key, payload),
-                            min(window.end - 1, MAX_TIMESTAMP - 1),
-                            (window,), info)
-        self._out(out, watermark)
-
-
-class _DirectRunner:
-    """Single-threaded legacy evaluation: arrival order in, panes out."""
-
-    def __init__(self, pipeline: Pipeline) -> None:
-        self.pipeline = pipeline
-        self.result = PipelineResult()
-        self._arrival_index = 0
-        self._engines: dict[int, _GBKEngine] = {}
-        for node in pipeline._nodes:
-            if node.kind == "gbk":
-                self._engines[id(node)] = _GBKEngine(
-                    node, self.result, lambda: self._arrival_index,
-                    lambda wv, watermark, node=node:
-                    self._push(node, wv, watermark))
-
-    def run(self) -> PipelineResult:
-        tracer = obs.get_tracer() if obs.is_enabled() else obs.NoopTracer()
-        with tracer.span("dataflow.pipeline.run") as root:
-            for index, source in enumerate(self.pipeline._sources):
-                generator: WatermarkGenerator = source.spec["watermark"]
-                with tracer.span("dataflow.source", index=index) as span:
-                    for value, timestamp in source.spec["elements"]:
-                        self._arrival_index += 1
-                        wv = WindowedValue(value, timestamp,
-                                           (GlobalWindows.WINDOW,))
-                        self._push(source, wv, generator.current().value)
-                        mark = generator.observe(timestamp)
-                        if mark is not None:
-                            self._advance_watermark(source, mark.value)
-                    span.add(elements=len(source.spec["elements"]))
-                self._advance_watermark(source, MAX_TIMESTAMP)
-            for node in self.pipeline._nodes:
-                if node.kind == "gbk":
-                    self._engines[id(node)].finalize()
-            root.add(dropped_late=self.result.dropped_late)
-        return self.result
-
-    # -- element propagation --------------------------------------------------
-
-    def _push(self, node: PCollection, wv: WindowedValue,
-              watermark: Timestamp) -> None:
-        for child in node.children:
-            self._apply(child, wv, watermark)
-
-    def _apply(self, node: PCollection, wv: WindowedValue,
-               watermark: Timestamp) -> None:
-        if node.kind == "pardo":
-            for value in node.spec["fn"](wv.value):
-                self._push(node, wv.with_value(value), watermark)
-        elif node.kind == "window":
-            windows = tuple(
-                node.windowing.window_fn.assign(wv.timestamp))
-            self._push(node, WindowedValue(wv.value, wv.timestamp,
-                                           windows, wv.pane), watermark)
-        elif node.kind == "gbk":
-            self._engines[id(node)].insert(wv, watermark)
-        elif node.kind == "sink":
-            self.result.outputs[node.spec["label"]].append(wv)
-            self._push(node, wv, watermark)
-        else:
-            raise PlanError(f"unexpected node kind {node.kind}")
-
-    def _advance_watermark(self, source: PCollection,
-                           watermark: Timestamp) -> None:
-        for node in self.pipeline._nodes:
-            if node.kind != "gbk" or not self._downstream_of(source, node):
-                continue
-            self._engines[id(node)].on_watermark(watermark)
-
-    def _downstream_of(self, source: PCollection,
-                       node: PCollection) -> bool:
-        current = node
-        while current.parent is not None:
-            current = current.parent
-        return current is source
 
 
 # ---------------------------------------------------------------------------
@@ -557,32 +315,140 @@ class _WindowOp(Operator):
 
 
 class _GBKOp(Operator):
-    """GroupByKey as a kernel operator.
+    """GroupByKey as a kernel operator: insert, merge, fire, finalise.
 
-    The pane machinery lives in the shared :class:`_GBKEngine`; the
-    operator supplies the kernel's tracked watermark to inserts, fires on
-    ``process_watermark``, and force-drains on ``close`` — so lateness and
-    trigger decisions match the legacy runner decision-for-decision.
+    Inserts judge lateness against the kernel's tracked watermark,
+    ``process_watermark`` fires the panes whose trigger says so, and
+    ``close`` force-drains the rest.  Processing-time triggers count
+    pipeline arrivals, not elements reaching this node, so the operator
+    reads its runner's arrival index.
     """
 
-    def __init__(self) -> None:
-        self.engine: _GBKEngine | None = None
+    def __init__(self, node: PCollection, runner: "_KernelRunner") -> None:
+        self.node = node
+        self._runner = runner
+        self.result = runner.result
+        self.panes: dict[tuple[Any, Window], _PaneState] = {}
+        self.merged_away: set[tuple[Any, Window]] = set()
+        self._obs = obs.is_enabled()
+        self._registry = obs.get_registry() if self._obs else None
 
     def open(self, ctx) -> None:
         super().open(ctx)
-        self._insert = self.engine.insert
         self._watermark = ctx.watermark
 
     def process_element(self, wv: WindowedValue,
                         input_index: int = 0) -> None:
-        self._insert(wv, self._watermark())
+        strategy = self.node.windowing
+        watermark = self._watermark()
+        try:
+            key, value = wv.value
+        except (TypeError, ValueError):
+            raise PlanError(
+                "GroupByKey input must be (key, value) pairs; got "
+                f"{wv.value!r}") from None
+        for piece in wv.exploded():
+            (window,) = piece.windows
+            # Lateness: beyond allowed lateness the element is dropped.
+            if watermark >= window.end - 1 + strategy.allowed_lateness \
+                    and watermark >= window.end - 1:
+                self.result.dropped_late += 1
+                if self._obs:
+                    self._registry.counter("dataflow.dropped_late").inc()
+                continue
+            if strategy.window_fn.is_merging:
+                window = self._merge_into(key, window, strategy)
+            pane = self.panes.get((key, window))
+            if pane is None:
+                pane = self.panes[(key, window)] = _PaneState(
+                    strategy.trigger)
+            pane.buffer.append(value)
+            pane.had_data = True
+            fire = strategy.trigger.on_element(
+                pane.trigger_state, self._runner._arrival_index)
+            if fire:
+                timing = (PaneTiming.LATE if pane.on_time_fired
+                          else PaneTiming.EARLY)
+                self._fire(key, window, timing)
+
+    def _merge_into(self, key: Any, window: Window,
+                    strategy: WindowingStrategy) -> Window:
+        """Session merging: coalesce the new proto-window with the key's
+        active windows, transplanting buffered state."""
+        active = [w for (k, w) in self.panes if k == key
+                  and (k, w) not in self.merged_away]
+        merged = strategy.window_fn.merge(active + [window])
+        # Find the merged window that swallowed the new proto-window.
+        target = next(w for w in merged if w.overlaps(window)
+                      or w == window)
+        if target not in active:
+            absorbed = [w for w in active if w.overlaps(target)]
+            fresh = _PaneState(strategy.trigger)
+            for old in absorbed:
+                old_pane = self.panes.pop((key, old))
+                self.merged_away.add((key, old))
+                fresh.buffer.extend(old_pane.buffer)
+                fresh.retained.extend(old_pane.retained)
+                fresh.pane_index = max(fresh.pane_index,
+                                       old_pane.pane_index)
+                fresh.on_time_fired |= old_pane.on_time_fired
+                fresh.had_data |= old_pane.had_data
+            # Replay the combined buffer into a fresh trigger state.
+            for i in range(len(fresh.buffer)):
+                strategy.trigger.on_element(fresh.trigger_state,
+                                            self._runner._arrival_index)
+            self.panes[(key, target)] = fresh
+        return target
 
     def process_watermark(self, watermark: Timestamp,
                           input_index: int = 0) -> None:
-        self.engine.on_watermark(watermark)
+        trigger = self.node.windowing.trigger
+        for (key, window) in sorted(
+                self.panes, key=lambda kw: (kw[1], repr(kw[0]))):
+            pane = self.panes[(key, window)]
+            if trigger.on_watermark(pane.trigger_state, window, watermark):
+                if pane.had_data:
+                    self._fire(key, window, PaneTiming.ON_TIME)
+                pane.on_time_fired = True
 
     def close(self) -> None:
-        self.engine.finalize()
+        """Drain: force-fire panes whose trigger never did (e.g. Never).
+
+        Fired as ON_TIME — finalisation is the moment the watermark
+        conceptually passes the end of every window.
+        """
+        for (key, window) in sorted(
+                self.panes, key=lambda kw: (kw[1], repr(kw[0]))):
+            pane = self.panes[(key, window)]
+            if not pane.on_time_fired and pane.buffer:
+                self._fire(key, window, PaneTiming.ON_TIME)
+                pane.on_time_fired = True
+
+    def _fire(self, key: Any, window: Window, timing: PaneTiming) -> None:
+        strategy = self.node.windowing
+        pane = self.panes[(key, window)]
+        if strategy.accumulation is AccumulationMode.ACCUMULATING:
+            contents = pane.retained + pane.buffer
+            pane.retained = contents
+        else:
+            contents = pane.buffer
+        pane.buffer = []
+        if not contents:
+            return
+        strategy.trigger.on_fire(pane.trigger_state)
+        info = PaneInfo(timing, pane.pane_index)
+        pane.pane_index += 1
+        if timing is PaneTiming.ON_TIME:
+            pane.on_time_fired = True
+        self.result.panes_by_timing[timing] += 1
+        if self._obs:
+            self._registry.counter("dataflow.trigger.firings",
+                                   timing=timing.name).inc()
+        combiner = self.node.spec.get("combiner")
+        payload = combiner(list(contents)) if combiner else list(contents)
+        self.emit(WindowedValue((key, payload),
+                                min(window.end - 1, MAX_TIMESTAMP - 1),
+                                (window,), info))
 
 
 def _gbk_key(wv: WindowedValue) -> Any:
@@ -640,9 +506,12 @@ class _KernelRunner:
     """Lowers the pipeline DAG onto a :class:`repro.exec.Plan`.
 
     Sources become plan channels whose initial watermark matches the
-    generator's pre-observation value; the per-element driver loop is
-    identical to the legacy runner's, but element routing, watermark
-    propagation and per-operator counters all come from the kernel.
+    generator's pre-observation value.  The driver replays each source in
+    arrival order, advancing the channel's watermark after every element
+    the generator marks; element routing, watermark propagation and
+    per-operator counters all come from the kernel.  Each GroupByKey
+    replica gets its own :class:`_GBKOp` (replicas own disjoint keys and
+    must not share pane state).
     """
 
     def __init__(self, pipeline: Pipeline, parallelism: int = 1,
@@ -678,9 +547,9 @@ class _KernelRunner:
                     # routing keeps every pane whole on one replica.
                     names[id(node)] = fission(
                         self.plan, parent_name, name, parallelism,
-                        _gbk_key, lambda i, node=node: self._make_gbk(node))
+                        _gbk_key, lambda i, node=node: _GBKOp(node, self))
                     continue
-                op = self._make_gbk(node)
+                op = _GBKOp(node, self)
             elif node.kind == "window":
                 op = _WindowOp(node.windowing.window_fn)
             elif node.kind == "sink":
@@ -692,15 +561,6 @@ class _KernelRunner:
             id(source): names[id(source)]
             for source in pipeline._sources}
         self.plan.fuse()
-
-    def _make_gbk(self, node: PCollection) -> "_GBKOp":
-        """A fresh GBK operator with its own pane engine (replicas own
-        disjoint keys and must not share pane state)."""
-        gbk = _GBKOp()
-        gbk.engine = _GBKEngine(
-            node, self.result, lambda: self._arrival_index,
-            lambda wv, watermark, op=gbk: op.emit(wv))
-        return gbk
 
     def run(self) -> PipelineResult:
         tracer = obs.get_tracer() if obs.is_enabled() else obs.NoopTracer()

@@ -62,7 +62,7 @@ class Divergence:
     """One disagreement between evaluators (or an evaluator crash)."""
 
     kind: str    # which leg diverged: optimizer | executor | executor-naive
-                 # | kernel | kernel-naive | kernel-parallel
+                 # | kernel-parallel
                  # | kernel-rescaled | kernel-crashed | dsms-crashed | dsms
                  # | kernel-batched | dsms-shared
                  # | kernel-views | core-sparse | core-assign | session
@@ -119,18 +119,13 @@ def run_case(case: Case) -> Divergence | None:
             "naive", _snapshot_list(truth),
             "optimized", _snapshot_list(ref_opt)))
 
-    # Legs 2-5: the incremental executor and the push-based kernel, each
-    # with the rule optimiser toggled on and off — every generated query
-    # runs both ways, and every instant of all four must match the
-    # reference.
-    for optimize, kernel, leg in ((True, False, "executor"),
-                                  (False, False, "executor-naive"),
-                                  (True, True, "kernel"),
-                                  (False, True, "kernel-naive")):
+    # Legs 2-3: the incremental executor with the rule optimiser toggled
+    # on and off — every generated query runs both ways, and every
+    # instant of both must match the reference.
+    for optimize, leg in ((True, "executor"), (False, "executor-naive")):
         exec_engine = build_engine()
         try:
-            query = exec_engine.register_query(case.query, optimize=optimize,
-                                               kernel=kernel)
+            query = exec_engine.register_query(case.query, optimize=optimize)
             query.run_recorded(
                 {name: stream for name, stream in streams.items()
                  if name in query._stream_sources})
@@ -149,7 +144,7 @@ def run_case(case: Case) -> Divergence | None:
                 "executor", _snapshot_list(query.as_relation()),
                 "reference", _snapshot_list(truth)))
 
-    # Leg 6: key-partitioned execution.  When the planner proves the
+    # Leg 4: key-partitioned execution.  When the planner proves the
     # plan partitionable, the same query runs as three key-routed
     # replicas; the merged change-log (or merged emitted stream) must
     # match the reference instant by instant.  Unpartitionable plans
@@ -158,7 +153,7 @@ def run_case(case: Case) -> Divergence | None:
     if divergence is not None:
         return divergence
 
-    # Leg 7: live rescale.  The same query starts serial, is live-migrated
+    # Leg 5: live rescale.  The same query starts serial, is live-migrated
     # 1→4→2 at one-third and two-thirds of its instants (checkpoint,
     # re-key by the target width, resume), and the output must still be
     # byte-identical to the never-rescaled reference.
@@ -172,7 +167,7 @@ def run_case(case: Case) -> Divergence | None:
                   else plan_opt)
     ref_state = reference_evaluate(state_plan, engine.catalog, streams)
 
-    # Leg 8: crash-consistent recovery.  The kernel plan re-runs once per
+    # Leg 6: crash-consistent recovery.  The query re-runs once per
     # operator position; each run blows a fuse inside that operator
     # mid-stream (state mutated, output lost), rolls back to the newest
     # barrier-by-instant checkpoint, replays, and must still agree with
@@ -198,7 +193,7 @@ def run_case(case: Case) -> Divergence | None:
         return divergence
 
     # Final leg: multi-query plan sharing.  The same query registered
-    # twice in a sharing engine runs as one shared kernel plan; both
+    # twice in a sharing engine runs as one shared operator DAG; both
     # members must still match the reference instant by instant, and
     # must agree with each other emission for emission.
     return _dsms_shared_leg(case, streams, ref_state)
@@ -332,7 +327,7 @@ def run_rescale_case(case: Case) -> Divergence | None:
 
 def _kernel_crashed_leg(case: Case, streams, truth,
                         is_r2s: bool) -> Divergence | None:
-    """Kill each kernel operator once mid-stream; recovery must erase it.
+    """Kill each physical operator once mid-stream; recovery must erase it.
 
     One recovery run per operator position: a :class:`CrashFuse` is armed
     at half the case's instants, the crash fires after the operator has
@@ -345,8 +340,7 @@ def _kernel_crashed_leg(case: Case, streams, truth,
 
     probe = build_engine()
     try:
-        probe_query = probe.register_query(case.query, optimize=True,
-                                           kernel=True)
+        probe_query = probe.register_query(case.query, optimize=True)
     except ReproError as exc:
         return Divergence("kernel-crashed", f"registration failed: {exc!r}")
     operator_count = len(probe_query.operators())
@@ -358,8 +352,7 @@ def _kernel_crashed_leg(case: Case, streams, truth,
 
     for position in range(operator_count):
         exec_engine = build_engine()
-        query = exec_engine.register_query(case.query, optimize=True,
-                                           kernel=True)
+        query = exec_engine.register_query(case.query, optimize=True)
         fuse = CrashFuse(at=fuse_at)
         label = install_crash(query, position, fuse)
         manager = RecoveryManager(query, interval=2,
@@ -373,7 +366,7 @@ def _kernel_crashed_leg(case: Case, streams, truth,
                 f"crash in {label} (operator {position}) not recovered: "
                 f"{exc!r}"))
         # A fuse scheduled past the stream's end never fires; the run is
-        # then just a fault-free kernel run and the comparison still holds.
+        # then just a fault-free run and the comparison still holds.
         where = f"crashed {label} (operator {position}, fired {fuse.fired})"
         if is_r2s:
             produced = query.emitted_stream()
@@ -629,11 +622,11 @@ def _dsms_crashed_leg(case: Case, streams, ref_state,
 
 
 def _kernel_batched_leg(case: Case, streams, ref_state) -> Divergence | None:
-    """The tenth leg: vectorized micro-batch execution under fuzzing.
+    """The eighth leg: vectorized micro-batch execution under fuzzing.
 
     The whole arrival log is ingested up front and drained with
     ``batch_size=8`` quanta, so same-instant tuples actually coalesce
-    into one ``push_batch`` → one batched kernel instant.  The batch
+    into one ``push_batch`` → one batched instant.  The batch
     size is an *explicit* per-query override — the planner's
     emission-safety clamp is deliberately bypassed so aggregate, join
     and windowed plans run batched too — which makes the state log the
@@ -810,7 +803,7 @@ def check_negative_timestamp_rejection() -> list[str]:
 
 
 def run_view_case(case) -> Divergence | None:
-    """The eleventh leg: every dynamic table vs recompute-from-base.
+    """The ninth leg: every dynamic table vs recompute-from-base.
 
     The case's view DAG is installed in a :class:`DynamicTableService`
     and its event script replayed.  After **every** event, each view's

@@ -60,15 +60,13 @@ class StreamEnvironment:
     def __init__(self, parallelism: int = 1,
                  state_backend: Callable[[], StateBackend] = DictBackend,
                  chaining: bool = True,
-                 checkpoint_interval: int | None = None,
-                 kernel: bool = True) -> None:
+                 checkpoint_interval: int | None = None) -> None:
         if parallelism <= 0:
             raise PlanError("parallelism must be positive")
         self.parallelism = parallelism
         self.state_backend = state_backend
         self.chaining = chaining
         self.checkpoint_interval = checkpoint_interval
-        self.kernel = kernel
         self.graph = JobGraph("dsl-job")
         self._counter = itertools.count()
         self._sink_labels: list[str] = []
@@ -92,8 +90,7 @@ class StreamEnvironment:
     def execute(self) -> JobResult:
         """Run the program; sink results are on the returned JobResult."""
         runner = JobRunner(self.graph, chaining=self.chaining,
-                           checkpoint_interval=self.checkpoint_interval,
-                           kernel=self.kernel)
+                           checkpoint_interval=self.checkpoint_interval)
         self._last_runner = runner
         return runner.run()
 

@@ -261,7 +261,7 @@ class SharedGroupHandle:
 
     Where isolated queries each own a queue and are serviced separately,
     a shared group IS one execution unit: one bounded input queue, one
-    service path, one kernel instant that advances every member.  The
+    service path, one group instant that advances every member.  The
     scheduler sees this handle like any other; servicing one tuple runs
     the group instant and then fans results out to the member
     :class:`QueryHandle` objects (emissions, metrics, Store writes).
@@ -386,7 +386,6 @@ class DSMSEngine:
     def __init__(self, scheduler: Scheduler | None = None,
                  queue_capacity: int = 1024,
                  keep_thrown_tuples: bool = False,
-                 kernel: bool = True,
                  sharing: bool = False,
                  recovery_interval: int | None = None,
                  max_restarts: int = 3,
@@ -394,7 +393,6 @@ class DSMSEngine:
                  max_batch_wait: int = 0,
                  autoscale: Any = None) -> None:
         self._cql = CQLEngine()
-        self._kernel = kernel
         #: Engine-default micro-batch size: a service quantum drains up
         #: to this many same-timestamp tuples into one atomic instant
         #: evaluation.  Per query the planner's batching pass clamps the
@@ -410,8 +408,8 @@ class DSMSEngine:
         #: shedder and queue capacity are compiled into one communal
         #: :class:`repro.cql.shared.SharedGroup` (common subplans share
         #: physical operators and window state) and serviced as one
-        #: scheduling unit.  Requires the kernel substrate.
-        self._sharing = sharing and kernel
+        #: scheduling unit.
+        self.sharing = sharing
         self.scheduler = scheduler or RoundRobinScheduler()
         self.queue_capacity = queue_capacity
         self.store = Store()
@@ -463,7 +461,7 @@ class DSMSEngine:
                                       if autoscale is True else autoscale)
         self._autoscale_ineligible: set[str] = set()
         if recovery_interval is not None:
-            if self._sharing:
+            if self.sharing:
                 raise PlanError(
                     "crash recovery does not support plan sharing: shared "
                     "operator state cannot be snapshotted per query")
@@ -512,7 +510,7 @@ class DSMSEngine:
         if batch_size is None:
             batch_size = decide_batch_size(plan, self.batch_size)
         wants_fission = parallelism is not None and parallelism > 1
-        if self._sharing and shedder is None and queue_capacity is None \
+        if self.sharing and shedder is None and queue_capacity is None \
                 and not wants_fission:
             # Default-policy queries join the communal shared plan group;
             # a custom shedder or queue would need per-query admission,
@@ -520,8 +518,7 @@ class DSMSEngine:
             # Fissioned queries also stay isolated: sharing interleaves
             # operator state that partitioning must keep disjoint.
             return self._register_shared(name, plan)
-        query = self._cql.register_plan(plan, kernel=self._kernel,
-                                        parallelism=parallelism)
+        query = self._cql.register_plan(plan, parallelism=parallelism)
         query.start()
         handle = QueryHandle(
             name, query,

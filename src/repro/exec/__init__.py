@@ -1,9 +1,10 @@
 """repro.exec — the shared push-based execution kernel.
 
-One physical substrate under all four API layers (Figure 4 of the
-survey): CQL's delta executor, the DSMS engine, the dataflow direct
-runner and the actor-style job runtime all lower to kernel
-:class:`Operator` plans.  The protocol is dual-mode — per-element and
+The physical substrate under the Figure 4 API layers of the survey:
+the dataflow runner and the actor-style job runtime (under the DSL and
+streaming SQL) lower to kernel :class:`Operator` plans.  CQL's delta
+executor and the DSMS evaluate their own physical operators instead,
+one instant at a time.  The protocol is dual-mode — per-element and
 columnar micro-batch (:class:`RecordBatch`, :meth:`Plan.push_batch`) —
 with vectorized kernels for the hot operators in
 :mod:`repro.exec.vector`.  See DESIGN.md § "Execution kernel" and

@@ -123,10 +123,7 @@ def explain_kernel(plan: Any) -> str:
     for name in plan._sources:
         lines.append(f"  source {name}{shared(name)}")
     for node in plan._order:
-        op_label = type(node.op).__name__
-        inner = getattr(node.op, "phys", None)
-        if inner is not None:
-            op_label += f"[{type(inner).__name__}]"
         inputs = ", ".join(node.inputs)
-        lines.append(f"  {node.name}: {op_label} <- {inputs}{shared(node.name)}")
+        lines.append(f"  {node.name}: {type(node.op).__name__} <- "
+                     f"{inputs}{shared(node.name)}")
     return "\n".join(lines)

@@ -171,15 +171,13 @@ class OperatorSubtask(Actor):
 
     def __init__(self, vertex: str, subtask: int, operator: StreamOperator,
                  channels: list[Channel], emitter: _Emitter,
-                 coordinator: CheckpointCoordinator,
-                 kernel: bool = True) -> None:
+                 coordinator: CheckpointCoordinator) -> None:
         super().__init__()
         self.vertex = vertex
         self.subtask = subtask
         self.operator = operator
         self._emitter = emitter
         self._coordinator = coordinator
-        self._kernel = kernel
         self._tracker = WatermarkTracker(channels)
         self._ended: set[Channel] = set()
         self._channels = list(channels)
@@ -237,10 +235,7 @@ class OperatorSubtask(Actor):
                                 subtask=self.subtask, depth=depth)
                 else:
                     self._pressured = False
-        if self._kernel:
-            self.operator.process_element(message.element)
-        else:
-            self._emitter.emit_all(self.operator.process(message.element))
+        self.operator.process_element(message.element)
 
     def _process_watermark(self, message: WatermarkMsg) -> None:
         combined = self._tracker.advance(message.channel, message.value)
@@ -252,12 +247,7 @@ class OperatorSubtask(Actor):
             obs.get_registry().gauge(
                 "exec.operator.watermark", layer="runtime",
                 operator=self.vertex).set(combined)
-        if self._kernel:
-            self.operator.process_watermark(combined)
-        else:
-            for fire_at, key in self.operator.timers.due(combined):
-                self._emitter.emit_all(self.operator.on_timer(fire_at, key))
-            self._emitter.emit_all(self.operator.on_watermark(combined))
+        self.operator.process_watermark(combined)
         self._emitter.broadcast(
             lambda ch, w=combined: WatermarkMsg(ch, w))
 
@@ -300,10 +290,7 @@ class OperatorSubtask(Actor):
         if self._aligning is not None:
             self._process_barrier_progress()
         if self._ended >= set(self._channels):
-            if self._kernel:
-                self.operator.close()
-            else:
-                self._emitter.emit_all(self.operator.on_end())
+            self.operator.close()
             self._emitter.broadcast(EndMsg)
             self.context.stop_self()
 
@@ -340,12 +327,11 @@ class JobRunner:
 
     def __init__(self, graph: JobGraph, chaining: bool = True,
                  checkpoint_interval: int | None = None,
-                 max_restarts: int = 3, kernel: bool = True) -> None:
+                 max_restarts: int = 3) -> None:
         graph.validate()
         self.graph = chain_operators(graph) if chaining else graph
         self.checkpoint_interval = checkpoint_interval
         self.max_restarts = max_restarts
-        self.kernel = kernel
         source_participants: set[tuple[str, int]] = set()
         operator_participants: set[tuple[str, int]] = set()
         for name, source in self.graph.sources.items():
@@ -414,8 +400,7 @@ class JobRunner:
                 self.system.spawn(
                     f"{name}#{subtask}",
                     OperatorSubtask(name, subtask, operator, channels,
-                                    emitter, self.coordinator,
-                                    kernel=self.kernel))
+                                    emitter, self.coordinator))
         for name, source in self.graph.sources.items():
             for subtask in range(source.parallelism):
                 emitter = _Emitter(self.system, name, subtask,

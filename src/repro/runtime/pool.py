@@ -171,7 +171,7 @@ def _run_cql_partition(payload: tuple) -> tuple[list, list, Bag, int]:
     """Worker entry point: compile and run one partition's query.
 
     Module-level and fed only picklable data — the compiled operator
-    tree (closures, predicates, kernel wiring) is built and torn down
+    tree (closures, predicates, evaluation order) is built and torn down
     entirely inside the worker.
     """
     plan, catalog, batches, finish = payload

@@ -119,13 +119,9 @@ def rescale(query: Any, parallelism: int) -> RescaleReport:
         raise RescaleError("plan is not key-partitionable; nothing to rescale")
 
     snaps = [replica.snapshot() for replica in query._replicas]
-    template = cqlexec.ContinuousQuery(
-        query.plan, query.catalog,
-        kernel=query._replicas[0]._kernel is not None)
-    replicas = [template] + [
-        cqlexec.ContinuousQuery(query.plan, query.catalog,
-                                kernel=template._kernel is not None)
-        for _ in range(parallelism - 1)]
+    replicas = [cqlexec.ContinuousQuery(query.plan, query.catalog)
+                for _ in range(parallelism)]
+    template = replicas[0]
 
     migration = _Migration(query, annotations, boundary, parallelism,
                            template, cqlexec)

@@ -119,11 +119,9 @@ class SQLEngine:
     to a DSL pipeline on the dataflow runtime (Figure 4's stack).
     """
 
-    def __init__(self, parallelism: int = 1, kernel: bool = True,
-                 optimize: bool = True) -> None:
+    def __init__(self, parallelism: int = 1, optimize: bool = True) -> None:
         self.catalog = Catalog()
         self.parallelism = parallelism
-        self.kernel = kernel
         self._optimize = optimize
 
     def register_stream(self, name: str, schema: Schema) -> None:
@@ -155,8 +153,7 @@ class SQLEngine:
         """
         from repro.sql.lower import compile_to_dsl
         plan = self.plan(text)
-        env = StreamEnvironment(parallelism=self.parallelism,
-                                kernel=self.kernel)
+        env = StreamEnvironment(parallelism=self.parallelism)
         compile_to_dsl(plan, env, rows).sink("out")
         result = env.execute()
         return [element.value for element in result.sink_outputs["out"]]
@@ -164,8 +161,8 @@ class SQLEngine:
 
 def run_sql(text: str, schema: Schema, stream_name: str,
             rows: Iterable[tuple[Mapping[str, Any], Timestamp]],
-            parallelism: int = 1, kernel: bool = True) -> list[Record]:
+            parallelism: int = 1) -> list[Record]:
     """One-shot convenience: register, run, return records."""
-    engine = SQLEngine(parallelism=parallelism, kernel=kernel)
+    engine = SQLEngine(parallelism=parallelism)
     engine.register_stream(stream_name, schema)
     return engine.run(text, rows)

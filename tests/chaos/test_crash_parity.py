@@ -51,7 +51,7 @@ def scenario_streams():
 
 
 def fresh_query(text):
-    query = build_engine().register_query(text, kernel=True)
+    query = build_engine().register_query(text)
     streams = {name: stream for name, stream in scenario_streams().items()
                if name in query._stream_sources}
     return query, streams

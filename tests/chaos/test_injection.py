@@ -44,7 +44,7 @@ class TestInstallCrash:
     def make_query(self):
         engine = build_engine()
         return engine.register_query(
-            "SELECT id, temp FROM Obs [Range 3]", kernel=True)
+            "SELECT id, temp FROM Obs [Range 3]")
 
     def test_crash_fires_after_state_mutation(self):
         query = self.make_query()

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import Bag, PlanError, Schema, StateError, Stream
-from repro.cql import CQLEngine
+from repro.core import PlanError, Schema, StateError, TimeError
+from repro.cql import CQLEngine, PartitionedQuery
 
 
 OBS = Schema(["id", "room", "temp"])
@@ -271,3 +271,98 @@ class TestDriverContract:
         before = q.deltas_processed
         q.finish()
         assert q.deltas_processed > before
+
+
+JOIN = "SELECT P.name FROM Obs O [Range 10], Person P WHERE O.id = P.id"
+
+
+def join_query(engine, kind):
+    """The Obs ⋈ Person query as a private, shared or partitioned query."""
+    if kind == "shared":
+        return engine.register_query(JOIN, shared=engine.shared_group())
+    query = engine.register_query(
+        JOIN, parallelism=2 if kind == "partitioned" else None)
+    assert isinstance(query, PartitionedQuery) == (kind == "partitioned")
+    return query
+
+
+@pytest.mark.parametrize("kind", ["private", "shared", "partitioned"])
+class TestRelationUpdateClock:
+    """``update_relation`` is refused wherever ``push`` would be."""
+
+    def fed(self, engine, kind):
+        query = join_query(engine, kind)
+        query.start()
+        query.push("Obs", {"id": 1, "room": "a", "temp": 0}, 10)
+        query.push("Obs", {"id": 9, "room": "a", "temp": 0}, 12)
+        return query
+
+    def test_update_behind_the_clock_rejected(self, engine, kind):
+        query = self.fed(engine, kind)
+        with pytest.raises(StateError, match="order"):
+            query.update_relation("Person", {"id": 9, "name": "eve"}, +1, 5)
+        assert [t for t, _ in query.as_relation().snapshots()] == [10]
+        assert rows(query.current()) == [("ada",)]
+
+    def test_update_before_the_epoch_rejected(self, engine, kind):
+        query = self.fed(engine, kind)
+        with pytest.raises(TimeError, match="epoch"):
+            query.update_relation("Person", {"id": 9, "name": "eve"}, +1, -4)
+        assert rows(query.current()) == [("ada",)]
+
+    def test_update_lands_at_its_own_instant(self, engine, kind):
+        query = join_query(engine, kind)
+        query.start()
+        query.push("Obs", {"id": 1, "room": "a", "temp": 0}, 0)
+        query.push("Obs", {"id": 3, "room": "a", "temp": 0}, 4)
+        # The window expiry due at 10 runs first; the new Person row
+        # joins the live id 3 at 12, not at that earlier instant.
+        query.update_relation("Person", {"id": 3, "name": "cy"}, +1, 12)
+        assert [(t, rows(bag)) for t, bag in
+                query.as_relation().snapshots()] == [
+            (0, [("ada",)]), (10, []), (12, [("cy",)])]
+
+
+class TestPinnedOutput:
+    """Exact emissions and change-log of one query per R2S shape."""
+
+    ROWS = [
+        ({"id": 1, "room": "a", "temp": 35}, 0),
+        ({"id": 2, "room": "b", "temp": 10}, 1),
+        ({"id": 3, "room": "a", "temp": 31}, 3),
+        ({"id": 4, "room": "b", "temp": 40}, 5),
+        ({"id": 5, "room": "a", "temp": 28}, 6),
+        ({"id": 6, "room": "b", "temp": 33}, 9),
+    ]
+
+    def run(self, engine, text):
+        query = engine.register_query(text)
+        query.start()
+        emitted = []
+        for row, t in self.ROWS:
+            emitted.extend(query.push("Obs", row, t))
+        emitted.extend(query.advance_to(12))
+        return ([(tuple(e.record.values), e.timestamp) for e in emitted],
+                [(t, rows(bag)) for t, bag in
+                 query.as_relation().snapshots()])
+
+    def test_every_query_shape_instant_by_instant(self, engine):
+        assert self.run(
+            engine, "SELECT ISTREAM id FROM Obs [Rows 2] WHERE temp > 30") == (
+            [((1,), 0), ((3,), 3), ((4,), 5), ((6,), 9)],
+            [(0, [(1,)]), (3, [(3,)]), (5, [(3,), (4,)]), (6, [(4,)]),
+             (9, [(6,)])])
+        assert self.run(
+            engine, "SELECT room, MAX(temp) FROM Obs [Range 4] "
+                    "GROUP BY room") == (
+            [],
+            [(0, [("a", 35)]), (1, [("a", 35), ("b", 10)]),
+             (4, [("a", 31), ("b", 10)]), (5, [("a", 31), ("b", 40)]),
+             (7, [("a", 28), ("b", 40)]), (9, [("a", 28), ("b", 33)]),
+             (10, [("b", 33)])])
+        assert self.run(engine, "SELECT RSTREAM id, temp FROM Obs [Now]") == (
+            [((1, 35), 0), ((2, 10), 1), ((3, 31), 3), ((4, 40), 5),
+             ((5, 28), 6), ((6, 33), 9)],
+            [(0, [(1, 35)]), (1, [(2, 10)]), (2, []), (3, [(3, 31)]),
+             (4, []), (5, [(4, 40)]), (6, [(5, 28)]), (7, []),
+             (9, [(6, 33)]), (10, [])])

@@ -1,19 +1,15 @@
-"""Batched agenda drains: ``QueryKernel.run_instants`` and its driver.
+"""Multi-instant agenda drains.
 
 When ``advance_to``/``finish`` owe the agenda several expiry instants,
-the kernel executor ticks each source ONCE with the whole instant list
-(`push_batch`) instead of once per instant.  These tests pin the
-contract: the batched drive is indistinguishable from stepping the
-instants one at a time, on the legacy evaluator, and under multi-input
-plans whose adapters pair batches positionally.
+one call evaluates them all in order.  These tests pin the contract: a
+drain covering many instants is indistinguishable from stepping the
+instants one ``advance_to`` at a time, including under a join.
 """
 
 import pytest
 
-import repro.obs as obs
 from repro.core import Schema
 from repro.cql import CQLEngine
-from repro.cql.kernel import QueryKernel
 
 OBS = Schema(["id", "room", "temp"])
 
@@ -30,14 +26,14 @@ def make_engine():
     return engine
 
 
-def drive(text, kernel=True, step_instants=False, drain_at=100):
+def drive(text, step_instants=False, drain_at=100):
     """Push the fixture, then drain pending expiries one way or another."""
-    q = make_engine().register_query(text, kernel=kernel)
+    q = make_engine().register_query(text)
     emitted = []
     for record, t in PUSHES:
         emitted.extend(q.push("Obs", record, t))
     if step_instants:
-        # One instant per call: the len==1 path, never run_instants.
+        # One instant per call.
         for t in range(PUSHES[-1][1] + 1, drain_at + 1):
             emitted.extend(q.advance_to(t))
     else:
@@ -62,10 +58,6 @@ class TestBatchedDrainParity:
         assert drive(text) == drive(text, step_instants=True)
 
     @pytest.mark.parametrize("text", QUERIES)
-    def test_batched_kernel_equals_legacy(self, text):
-        assert drive(text, kernel=True) == drive(text, kernel=False)
-
-    @pytest.mark.parametrize("text", QUERIES)
     def test_finish_drains_batched(self, text):
         q = make_engine().register_query(text)
         emitted = []
@@ -75,44 +67,3 @@ class TestBatchedDrainParity:
         stepped, _ = drive(text, step_instants=True)
         assert [(tuple(e.record.values), e.timestamp)
                 for e in emitted] == stepped
-
-
-class TestDriverDispatch:
-    def test_multi_instant_drain_uses_run_instants(self, monkeypatch):
-        calls = []
-        original = QueryKernel.run_instants
-
-        def spy(self, ts):
-            calls.append(list(ts))
-            return original(self, ts)
-
-        monkeypatch.setattr(QueryKernel, "run_instants", spy)
-        drive(QUERIES[0])
-        assert any(len(ts) > 1 for ts in calls)
-
-    def test_observability_falls_back_to_per_instant(self, monkeypatch):
-        def boom(self, ts):  # pragma: no cover - must never run
-            raise AssertionError("batched drive under observability")
-
-        monkeypatch.setattr(QueryKernel, "run_instants", boom)
-        obs.enable()
-        try:
-            batched = drive(QUERIES[0])
-        finally:
-            obs.disable()
-        assert batched == drive(QUERIES[0], step_instants=True)
-
-
-class TestRunInstantsContract:
-    def test_empty_instant_list_is_a_noop(self):
-        q = make_engine().register_query(QUERIES[0])
-        q.push("Obs", {"id": 1, "room": "a", "temp": 30}, 0)
-        assert q._kernel.run_instants([]) == []
-
-    def test_reset_transients_clears_pending_fifos(self):
-        q = make_engine().register_query(QUERIES[4])  # join: multi-input
-        q.push("Obs", {"id": 1, "room": "a", "temp": 30}, 0)
-        q._kernel.reset_transients()
-        # A clean kernel keeps evaluating after the reset.
-        q.push("Obs", {"id": 2, "room": "b", "temp": 31}, 1)
-        assert q.current() is not None

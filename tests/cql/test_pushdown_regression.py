@@ -40,8 +40,7 @@ def test_pushdown_and_key_extraction_fire(engine):
     assert "cross" not in optimized
 
 
-@pytest.mark.parametrize("kernel", [True, False])
-def test_optimised_results_match_naive(engine, kernel):
+def test_optimised_results_match_naive(engine):
     rows = [
         ({"id": 1, "room": 7, "temp": 25}, 1),
         ({"id": 2, "room": 7, "temp": 15}, 2),   # filtered out
@@ -50,8 +49,7 @@ def test_optimised_results_match_naive(engine, kernel):
     ]
     states = []
     for optimize in (False, True):
-        query = engine.register_query(LISTING1, optimize=optimize,
-                                      kernel=kernel)
+        query = engine.register_query(LISTING1, optimize=optimize)
         query.start()
         for row, t in rows:
             query.push("RoomObservation", row, t)

@@ -9,7 +9,6 @@ arrival index, so the runner clamps the bundle size back to 1.
 
 import pytest
 
-from repro.core import PlanError
 from repro.dataflow import (
     AfterAny,
     AfterCount,
@@ -96,12 +95,6 @@ class TestArrivalSensitivity:
 
 
 class TestRunnerGuards:
-    def test_legacy_runner_rejects_bundles(self):
-        p = Pipeline()
-        p.create([("a", 1)]).collect("out")
-        with pytest.raises(PlanError):
-            p.run(kernel=False, bundle_size=4)
-
     def test_bundle_size_one_is_the_default(self):
         p = Pipeline()
         p.create([("a", 1)]).map(str.upper).collect("out")

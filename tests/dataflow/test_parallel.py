@@ -90,10 +90,6 @@ class TestFissionedGBK:
         assert fissioned.dropped_late == serial.dropped_late == 1
         assert pane_set(fissioned, "out") == pane_set(serial, "out")
 
-    def test_legacy_runner_rejects_parallelism(self):
-        with pytest.raises(PlanError):
-            counting_pipeline().run(kernel=False, parallelism=2)
-
     def test_non_pair_input_rejected(self):
         p = Pipeline()
         (p.create([(1, 0)])

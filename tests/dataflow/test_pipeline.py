@@ -1,4 +1,4 @@
-"""Tests for the Dataflow model pipeline and direct runner."""
+"""Tests for the Dataflow model pipeline and its runner."""
 
 import pytest
 
@@ -222,6 +222,66 @@ class TestOutOfOrderAndLateness:
         # With slack 5 the watermark held back, so t=8 made the on-time pane.
         assert window0[0].value == ("a", 2)
         assert result.dropped_late == 0
+
+
+def panes(result, label):
+    """Every output pane in emission order, with its full metadata."""
+    return [(wv.value, wv.timestamp,
+             tuple((w.start, w.end) for w in wv.windows),
+             wv.pane.timing.name, wv.pane.index)
+            for wv in result[label]]
+
+
+class TestPinnedOutput:
+    """Exact output — values, timestamps, windows, pane timing and index,
+    lateness and firing counts — of two out-of-order pipelines."""
+
+    def test_fixed_windows_with_late_data(self):
+        p = Pipeline()
+        (p.create([("a", 1), ("a", 5), ("b", 12), ("a", 13), ("b", 2),
+                   ("a", 25), ("b", 26)],
+                  watermark=BoundedOutOfOrderness(3))
+         .map(keyed)
+         .window_into(FixedWindows(10))
+         .group_by_key()
+         .collect("out"))
+        result = p.run()
+        # ("b", 2) arrives once ("a", 13) has moved the watermark to 9,
+        # closing [0, 10): dropped late.
+        assert panes(result, "out") == [
+            (("a", [1, 1]), 9, ((0, 10),), "ON_TIME", 0),
+            (("a", [1]), 19, ((10, 20),), "ON_TIME", 0),
+            (("b", [1]), 19, ((10, 20),), "ON_TIME", 0),
+            (("a", [1]), 29, ((20, 30),), "ON_TIME", 0),
+            (("b", [1]), 29, ((20, 30),), "ON_TIME", 0),
+        ]
+        assert result.dropped_late == 1
+        assert dict(result.panes_by_timing) == {PaneTiming.ON_TIME: 5}
+
+    def test_sessions_with_early_firings(self):
+        p = Pipeline()
+        (p.create([("a", 1), ("a", 3), ("b", 20), ("a", 22), ("a", 24)],
+                  watermark=BoundedOutOfOrderness(2))
+         .map(keyed)
+         .window_into(Sessions(5),
+                      trigger=AfterWatermark(early=Repeatedly(AfterCount(1))),
+                      accumulation=AccumulationMode.ACCUMULATING)
+         .combine_per_key(sum)
+         .collect("out"))
+        result = p.run()
+        assert panes(result, "out") == [
+            (("a", 1), 5, ((1, 6),), "EARLY", 0),
+            (("a", 2), 7, ((1, 8),), "EARLY", 1),
+            (("b", 1), 24, ((20, 25),), "EARLY", 0),
+            (("a", 2), 7, ((1, 8),), "ON_TIME", 2),
+            (("a", 1), 26, ((22, 27),), "EARLY", 0),
+            (("a", 2), 28, ((22, 29),), "EARLY", 1),
+            (("b", 1), 24, ((20, 25),), "ON_TIME", 1),
+            (("a", 2), 28, ((22, 29),), "ON_TIME", 2),
+        ]
+        assert result.dropped_late == 0
+        assert dict(result.panes_by_timing) == {PaneTiming.EARLY: 5,
+                                                PaneTiming.ON_TIME: 3}
 
 
 class TestValidation:

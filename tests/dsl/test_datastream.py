@@ -160,6 +160,20 @@ class TestWindowedAggregation:
         assert sorted(map(repr, dict_result.values("out"))) == \
             sorted(map(repr, lsm_result.values("out")))
 
+    def test_lsm_tumbling_sum_in_sink_order(self):
+        env = StreamEnvironment(parallelism=2, state_backend=LSMBackend)
+        events = [(("a", 1), 0), (("b", 2), 1), (("a", 3), 4),
+                  (("b", 1), 7), (("a", 2), 11), (("b", 5), 13)]
+        (env.from_collection(events)
+         .key_by(lambda kv: kv[0])
+         .window(TumblingWindow(5))
+         .aggregate(SumAggregate(lambda kv: kv[1]))
+         .sink("sums"))
+        out = [(key, total, (window.start, window.end))
+               for key, total, window in env.execute().values("sums")]
+        assert out == [("a", 4, (0, 5)), ("b", 2, (0, 5)), ("b", 1, (5, 10)),
+                       ("a", 2, (10, 15)), ("b", 5, (10, 15))]
+
     def test_window_reduce(self):
         env = StreamEnvironment()
         (env.from_collection(self.DATA)

@@ -35,6 +35,19 @@ class TestLifecycle:
         ])
         assert sorted(r["id"] for r in handle.store_state()) == [1]
 
+    def test_filtered_window_store_state(self, dsms):
+        handle = dsms.register_query(
+            "hot", "SELECT id FROM Obs [Range 100] WHERE temp > 30")
+        ingest_all(dsms, [
+            ({"id": 1, "room": "a", "temp": 35}, 0),
+            ({"id": 2, "room": "b", "temp": 10}, 1),
+            ({"id": 3, "room": "a", "temp": 31}, 3),
+            ({"id": 4, "room": "b", "temp": 40}, 5),
+            ({"id": 5, "room": "a", "temp": 28}, 6),
+            ({"id": 6, "room": "b", "temp": 33}, 9),
+        ])
+        assert sorted(r["id"] for r in handle.store_state()) == [1, 3, 4, 6]
+
     def test_duplicate_query_name_rejected(self, dsms):
         dsms.register_query("q", "SELECT id FROM Obs [Now]")
         with pytest.raises(PlanError, match="already"):

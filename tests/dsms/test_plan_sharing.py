@@ -1,10 +1,13 @@
-"""Multi-query plan sharing: SharedGroup, MultiQueryKernel and the DSMS
-sharing mode (the tentpole's multi-query optimisation layer)."""
+"""Multi-query plan sharing: SharedGroup, its shared operator DAG and
+the DSMS sharing mode (the multi-query optimisation layer)."""
+
+from collections import Counter
 
 import pytest
 
 from repro.core import PlanError, Schema
-from repro.cql import CQLEngine
+from repro.cql import ContinuousQuery, CQLEngine
+from repro.cql.executor import PhysicalOp, StreamSourceOp
 from repro.dsms import DSMSEngine
 
 OBS = Schema(["id", "room", "temp"])
@@ -61,6 +64,49 @@ class TestSharedGroup:
             assert member.as_relation() == lone.as_relation()
             assert _stream_list(member.emitted_stream()) == \
                 _stream_list(lone.emitted_stream())
+
+    def test_shared_operators_run_once_per_instant(self, monkeypatch):
+        calls, outputs, received = Counter(), {}, {}
+        process_instant = StreamSourceOp.process_instant
+        apply = PhysicalOp.apply
+        fold = ContinuousQuery._apply_instant
+
+        def counted_instant(op, t):
+            calls[id(op)] += 1
+            return process_instant(op, t)
+
+        def counted_apply(op, t, child_deltas, child_active):
+            calls[id(op)] += 1
+            outputs[id(op)] = apply(op, t, child_deltas, child_active)
+            return outputs[id(op)]
+
+        def recorded_fold(query, t, deltas):
+            received[id(query)] = deltas
+            return fold(query, t, deltas)
+
+        monkeypatch.setattr(StreamSourceOp, "process_instant",
+                            counted_instant)
+        monkeypatch.setattr(PhysicalOp, "apply", counted_apply)
+        monkeypatch.setattr(ContinuousQuery, "_apply_instant", recorded_fold)
+        engine = cql_engine()
+        group = engine.shared_group()
+        members = [engine.register_query(q, shared=group)
+                   for q in (Q_COUNT, Q_IDS)]
+        # Both members read one filtered window source.
+        (source,) = [op for op in group.distinct_operators()
+                     if isinstance(op, StreamSourceOp)]
+        for member in members:
+            assert source in [op for _, op in member.operators()]
+        members[0].start()
+        for row, t in ROWS:
+            calls.clear()
+            received.clear()
+            members[0].push("Obs", row, t)
+            assert calls == Counter(
+                {id(op): 1 for op in group.distinct_operators()})
+            for member in members:
+                deltas, _active = outputs[id(member._root)]
+                assert received[id(member)] is deltas
 
     def test_group_freezes_after_first_input(self):
         engine = cql_engine()

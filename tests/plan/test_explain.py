@@ -6,7 +6,10 @@ import pytest
 
 from repro.core import Schema
 from repro.cql import CQLEngine
+from repro.exec import Plan
 from repro.plan.explain import explain, explain_kernel, explain_logical
+
+from tests.exec.test_kernel import AddOne, Sink, linear_plan
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -47,25 +50,25 @@ class TestLogicalExplain:
         assert explain(plan) == explain_logical(plan)
 
 
+def fan_out_plan():
+    """One channel read by two consumers — the wiring of a subplan that
+    several queries share."""
+    plan = Plan()
+    plan.add_source("readings")
+    plan.add_operator("inc", AddOne(), ["readings"])
+    plan.add_operator("left", Sink(), ["inc"])
+    plan.add_operator("right", Sink(), ["inc"])
+    return plan
+
+
 class TestKernelExplain:
-    def test_shared_group_wiring(self, engine):
-        group = engine.shared_group()
-        for select in ("id", "room"):
-            engine.register_query(
-                f"SELECT ISTREAM {select} FROM RoomObservation "
-                "[Range 10] WHERE temp > 20", shared=group)
-        rendered = explain_kernel(group.kernel.plan)
+    def test_shared_group_wiring(self):
+        rendered = explain_kernel(fan_out_plan())
         assert rendered + "\n" == golden("shared_kernel.txt")
 
-    def test_shared_channels_marked(self, engine):
-        group = engine.shared_group()
-        for select in ("id", "room"):
-            engine.register_query(
-                f"SELECT ISTREAM {select} FROM RoomObservation "
-                "[Range 10] WHERE temp > 20", shared=group)
-        assert "(shared x2)" in explain(group.kernel.plan)
+    def test_shared_channels_marked(self):
+        assert "(shared x2)" in explain(fan_out_plan())
 
-    def test_unshared_plan_has_no_shared_marks(self, engine):
-        query = engine.register_query(
-            "SELECT ISTREAM id FROM RoomObservation [Range 10]")
-        assert "shared x" not in explain_kernel(query._kernel.plan)
+    def test_unshared_plan_has_no_shared_marks(self):
+        plan, _sink = linear_plan()
+        assert "shared x" not in explain_kernel(plan)

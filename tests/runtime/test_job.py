@@ -22,6 +22,8 @@ from repro.runtime import (
     chain_operators,
 )
 
+from tests.exec.test_state import reduce_graph
+
 
 class CountOperator(StreamOperator):
     """Running count per key — the canonical stateful operator."""
@@ -236,3 +238,22 @@ class TestCheckpointingAndRecovery:
         from repro.runtime import JobFailure
         with pytest.raises(JobFailure):
             JobRunner(graph, max_restarts=2).run()
+
+
+class TestLSMRunningSum:
+    """Exact sink output of a keyed running sum over LSM state."""
+
+    SUMS = [("a", ("a", 1)), ("b", ("b", 2)), ("a", ("a", 4)),
+            ("c", ("c", 4)), ("a", ("a", 9)), ("b", ("b", 8)),
+            ("c", ("c", 11)), ("a", ("a", 17))]
+
+    def test_sink_output(self):
+        result = JobRunner(reduce_graph([True])).run()
+        assert result.recoveries == 0
+        assert result.values("sink") == self.SUMS
+
+    def test_sink_output_under_recovery(self):
+        result = JobRunner(reduce_graph([False], fail_at=4),
+                           checkpoint_interval=1).run()
+        assert result.recoveries == 1
+        assert result.values("sink") == self.SUMS
