@@ -108,11 +108,10 @@ class TestParity:
             f"starved partition (stride {stride}): {result.partition_loads}"
 
     def test_instant_by_instant_change_log(self, engine):
-        from repro.cql import PartitionedQuery
         batches = keyed_batches(stride=4)
         plan = engine.plan(QUERY)
         serial, _ = serial_run(plan, engine.catalog, batches)
-        parallel = PartitionedQuery(plan, engine.catalog, parallelism=4)
+        parallel = ContinuousQuery(plan, engine.catalog, parallelism=4)
         parallel.start()
         for t, arrivals in batches:
             parallel.push_batch(t, arrivals)

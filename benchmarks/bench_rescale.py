@@ -1,9 +1,10 @@
 """Live rescale: migration stall and the zero-divergence gate.
 
-Elasticity (survey §4.2, ROADMAP item 4): a running fissioned query is
-live-migrated 1→4→2 mid-stream — barrier checkpoint by instant, state
-re-keyed by ``default_hash`` placement at the target width, resumed —
-and must produce **byte-identical** output to a never-rescaled run.
+Elasticity (survey §4.2, ROADMAP item 4): a running query is
+live-migrated 1→4→2 mid-stream — recompiled at the target width at an
+instant boundary, per-partition state re-keyed by ``partition_of``
+placement, resumed — and must produce **byte-identical** output to a
+never-rescaled run.
 Two gates back the claim:
 
 * a grouped-aggregate workload rescaled mid-stream, comparing emitted
@@ -26,8 +27,8 @@ from repro.bench import (
     timed,
     write_bench_json,
 )
-from repro.cql import CQLEngine
-from repro.cql.parallel import PartitionedQuery
+from repro.cql import ContinuousQuery, CQLEngine
+from repro.runtime.rescale import rescale
 
 pytestmark = pytest.mark.rescale
 
@@ -46,19 +47,19 @@ def _batches():
     return sorted(by_instant.items())
 
 
-def _run(rescale: bool):
+def _run(migrate: bool):
     engine = CQLEngine()
     engine.register_stream("Obs", OBSERVATION_SCHEMA)
     plan = engine.plan(QUERY)
-    query = PartitionedQuery(plan, engine.catalog, parallelism=1)
+    query = ContinuousQuery(plan, engine.catalog)
     batches = _batches()
     cuts = {len(batches) // 3: WIDTHS[0],
             2 * len(batches) // 3: WIDTHS[1]}
     reports = []
     query.start()
     for position, (t, rows) in enumerate(batches):
-        if rescale and position in cuts:
-            reports.append(query.rescale(cuts[position]))
+        if migrate and position in cuts:
+            reports.append(rescale(query, cuts[position]))
         query.push_batch(t, {"Obs": rows})
     query.finish()
     return query, reports
@@ -71,10 +72,10 @@ def _outputs(query):
 
 
 def test_bench_rescale_writes_json():
-    control, _ = _run(rescale=False)
+    control, _ = _run(migrate=False)
     expected = _outputs(control)
 
-    (rescaled, reports), elapsed = timed(lambda: _run(rescale=True))
+    (rescaled, reports), elapsed = timed(lambda: _run(migrate=True))
     assert len(reports) == len(WIDTHS), "both migrations must run"
     assert _outputs(rescaled) == expected, \
         "rescaled 1→4→2 run diverged from the never-rescaled control"

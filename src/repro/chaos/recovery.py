@@ -262,17 +262,11 @@ def run_query_with_recovery(query, streams: Mapping[str, Any],
     ``run_recorded`` over the same streams, which is the property the
     kernel-crashed difftest leg asserts.
     """
-    from collections import defaultdict
+    from repro.cql.executor import instant_batches
 
-    arrivals: dict[Any, dict[str, list]] = defaultdict(
-        lambda: defaultdict(list))
-    for name, stream in streams.items():
-        for element in stream:
-            arrivals[element.timestamp][name].append(element.value)
     units: list[tuple] = [("start",)]
-    for t in sorted(arrivals):
-        units.append(("push", t, {name: list(rows)
-                                  for name, rows in arrivals[t].items()}))
+    units.extend(("push", t, arrivals)
+                 for t, arrivals in instant_batches(streams))
     if finish:
         units.append(("finish",))
 

@@ -57,7 +57,6 @@ from repro.cql.expressions import (
     equality_columns,
 )
 from repro.cql.lexer import Token, TokenCursor, TokenType, tokenize
-from repro.cql.parallel import PartitionedQuery
 from repro.cql.parser import parse_query
 from repro.cql.planner import plan_statement, window_object
 from repro.cql.reference import reference_evaluate
@@ -80,5 +79,5 @@ __all__ = [
     "Catalog", "StreamDef", "RelationDef",
     # execution
     "CQLEngine", "ContinuousQuery", "Emission", "Delta", "Agenda",
-    "PartitionedQuery", "compile_plan", "reference_evaluate",
+    "compile_plan", "reference_evaluate",
 ]

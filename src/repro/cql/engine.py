@@ -79,7 +79,7 @@ class CQLEngine:
     def register_query(self, text: str,
                        optimize: bool | None = None,
                        shared=None,
-                       parallelism: int | None = None):
+                       parallelism: int | None = None) -> ContinuousQuery:
         """Register a continuous query: compiled once, runs until cancelled
         (the paper's Figure 1 contract).  Passing a
         :class:`repro.cql.shared.SharedGroup` as ``shared`` compiles the
@@ -87,16 +87,16 @@ class CQLEngine:
         already built (multi-query optimisation).
 
         ``parallelism=N`` asks for key-partitioned execution: when the
-        planner proves the plan partitionable the query runs as N
-        replicas behind a :class:`~repro.cql.parallel.PartitionedQuery`;
-        otherwise the request is clamped back to a serial query (the
-        planner's call, not an error — see
+        planner proves the plan partitionable the query runs N partitions
+        of the plan (its ``parallelism`` says how many); otherwise the
+        request is clamped back to a serial query (the planner's call,
+        not an error — see
         :func:`repro.plan.parallel.decide_parallelism`)."""
         return self.register_plan(self.plan(text, optimize), shared=shared,
                                   parallelism=parallelism)
 
     def register_plan(self, plan: LogicalOp, shared=None,
-                      parallelism: int | None = None):
+                      parallelism: int | None = None) -> ContinuousQuery:
         """:meth:`register_query` for a plan :meth:`plan` already built —
         for callers that inspect the plan before registering it."""
         if shared is not None:
@@ -105,13 +105,10 @@ class CQLEngine:
                     "shared-group queries interleave operator state across "
                     "members and cannot be partitioned")
             query = shared.register(plan)
-        elif parallelism is not None and parallelism > 1 \
-                and decide_parallelism(plan, requested=parallelism) > 1:
-            from repro.cql.parallel import PartitionedQuery
-            query = PartitionedQuery(plan, self.catalog,
-                                     parallelism=parallelism)
         else:
-            query = ContinuousQuery(plan, self.catalog)
+            width = (decide_parallelism(plan, requested=parallelism)
+                     if parallelism is not None and parallelism > 1 else 1)
+            query = ContinuousQuery(plan, self.catalog, parallelism=width)
         self._queries.append(query)
         return query
 

@@ -155,7 +155,7 @@ class PhysicalOp:
 
     State is checkpointed two ways, both over ``_STATE_ATTRS``:
     :meth:`snapshot` / :meth:`restore` move a self-contained copy (live
-    rescale migrates it into other replicas), while :meth:`barrier` /
+    rescale migrates it into other partitions), while :meth:`barrier` /
     :meth:`rollback` keep a recovery image beside the live state and move
     it forward, or roll back to it, by the keys changed since the last
     barrier.
@@ -524,6 +524,22 @@ class ProjectOp(PhysicalOp):
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
         return [Delta(self._mapper(d.record), d.mult) for d in deltas]
+
+
+class PartitionUnionOp(PhysicalOp):
+    """Where a fissioned query's partitions meet (see :func:`compile_plan`).
+
+    Its children are the per-partition copies of the plan below the
+    partition boundary; it hands their deltas, concatenated, to the one
+    spine above.  Partitions own disjoint keys, so there is nothing to
+    merge.
+    """
+
+    def process(self, t, child_deltas):
+        out: list[Delta] = []
+        for deltas in child_deltas:
+            out.extend(deltas)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1032,17 +1048,19 @@ def _executor_append_only(node: LogicalOp) -> bool:
 
 
 def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
-                 memo=None,
+                 memo=None, parallelism: int = 1,
                  ) -> tuple[PhysicalOp, dict[str, list[StreamSourceOp]],
                             dict[str, list[RelationSourceOp]],
-                            dict[int, PhysicalOp]]:
+                            dict[int, list[PhysicalOp]], Any]:
     """Compile a logical plan into a physical tree.
 
     Returns the root physical operator, the stream/relation source maps
-    (name → source operators) the driver feeds, and a ``id(logical node)
-    → physical op`` map that lets EXPLAIN ANALYZE annotate the logical IR
+    (name → source operators) the driver feeds, a ``id(logical node)
+    → physical ops`` map that lets EXPLAIN ANALYZE annotate the logical IR
     with live execution statistics (window-consumed filter/scan nodes map
-    to their window source; memo-shared subtrees map to the shared op).
+    to their window source; memo-shared subtrees map to the shared op),
+    and the plan's :class:`~repro.plan.parallel.PartitionScheme` when it
+    was fissioned (None at ``parallelism`` 1).
 
     ``memo`` is an optional :class:`repro.plan.sharing.SubplanMemo`: when
     given, subtrees whose canonical signature matches an already-compiled
@@ -1050,18 +1068,45 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
     window state) instead of compiling a private copy, and freshly built
     subtrees are published for later queries.  The caller must bracket the
     call with ``memo.start_compile()`` / ``memo.finish_compile()``.
+
+    ``parallelism > 1`` fissions the plan (survey §4.2): the subtree at
+    and below the scheme's ``boundary`` is compiled once per partition,
+    under a :class:`PartitionUnionOp` that feeds the
+    one spine above it.  Each logical node below the boundary then maps
+    to one physical op per partition, in partition order, and so does
+    each stream's source list: partition ``p`` owns the ``p``-th equal
+    slice of it.  The plan must be key-partitionable.
     """
     stream_sources: dict[str, list[StreamSourceOp]] = defaultdict(list)
     relation_sources: dict[str, list[RelationSourceOp]] = defaultdict(list)
-    node_map: dict[int, PhysicalOp] = {}
+    node_map: dict[int, list[PhysicalOp]] = {}
     if memo is not None:
         from repro.plan.sharing import memo_key
     else:
         memo_key = None
+    scheme = boundary = None
+    if parallelism > 1:
+        from repro.plan.parallel import partition_scheme
+        if memo is not None:
+            raise PlanError(
+                "shared-group queries interleave operator state across "
+                "members and cannot be partitioned")
+        scheme = partition_scheme(plan)
+        if scheme is None:
+            raise PlanError(
+                "plan is not key-partitionable; run it with parallelism 1 "
+                "(see repro.plan.parallel.partition_scheme)")
+        boundary = scheme.boundary
 
     def build(node: LogicalOp) -> PhysicalOp:
         if isinstance(node, RelToStream):
             raise PlanError("R2S must be the plan root")
+        if node is boundary:
+            copies = []
+            for _ in range(parallelism):
+                copies.append(_build_fresh(node))
+                _record(node, copies[-1])
+            return PartitionUnionOp(copies)
         key = memo_key(node) if memo is not None else None
         if memo is not None:
             hit = memo.lookup(key)
@@ -1078,15 +1123,15 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
         return op
 
     def _record(node: LogicalOp, op: PhysicalOp) -> None:
-        node_map[id(node)] = op
+        node_map.setdefault(id(node), []).append(op)
         if isinstance(node, WindowOp):
             # Pushed-below-window filters and the scan compiled *into*
             # the source op; point their logical nodes at it too.
             inner = node.child
             while isinstance(inner, Filter):
-                node_map[id(inner)] = op
+                node_map.setdefault(id(inner), []).append(op)
                 inner = inner.child
-            node_map[id(inner)] = op
+            node_map.setdefault(id(inner), []).append(op)
 
     def _build_fresh(node: LogicalOp) -> PhysicalOp:
         if isinstance(node, WindowOp):
@@ -1171,7 +1216,8 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
 
     root_logical = plan.child if isinstance(plan, RelToStream) else plan
     root = build(root_logical)
-    return root, dict(stream_sources), dict(relation_sources), node_map
+    return (root, dict(stream_sources), dict(relation_sources), node_map,
+            scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -1259,6 +1305,19 @@ def check_feed_time(timestamp: Timestamp, last: Timestamp | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def instant_batches(streams: Mapping[str, Stream[Record]]) \
+        -> list[tuple[Timestamp, dict[str, list[Record]]]]:
+    """Recorded streams as ``push_batch`` arguments, one per instant in
+    timestamp order: every element sharing a timestamp, across all the
+    streams, lands in that instant's batch."""
+    arrivals: dict[Timestamp, dict[str, list[Record]]] = defaultdict(dict)
+    for name, stream in streams.items():
+        for element in stream:
+            arrivals[element.timestamp].setdefault(name, []).append(
+                element.value)
+    return [(t, arrivals[t]) for t in sorted(arrivals)]
+
+
 class Emission(NamedTuple):
     """One output stream element produced by an R2S query."""
 
@@ -1274,10 +1333,19 @@ class ContinuousQuery:
     current relation state (inspect with :meth:`current`).  Use
     :meth:`run_recorded` to replay recorded streams with exact per-instant
     batching.
+
+    ``parallelism > 1`` fissions a key-partitionable plan inside the query
+    (see :func:`compile_plan`): each arrival is staged only into its
+    key's partition, while the agenda, the maintained state, the
+    change-log and the emissions stay single.
+    :func:`repro.runtime.rescale.rescale` changes the width of a running
+    query.
     """
 
     def __init__(self, plan: LogicalOp, catalog: Catalog,
-                 shared=None) -> None:
+                 shared=None, parallelism: int = 1) -> None:
+        if parallelism < 1:
+            raise PlanError(f"parallelism must be >= 1, got {parallelism}")
         self.plan = plan
         self.catalog = catalog
         self.r2s = plan.kind if isinstance(plan, RelToStream) else None
@@ -1288,24 +1356,76 @@ class ContinuousQuery:
         #: group evaluates every member's (possibly overlapping) tree.
         self._shared = shared
         self._agenda = shared.agenda if shared is not None else Agenda()
-        (self._root, self._stream_sources, self._relation_sources,
-         self._phys_by_logical) = compile_plan(
+        #: :meth:`publish_metrics`' marks: (id(operator), field) → the
+        #: value last published; (-1, "deltas") for the query total.
+        self._published_ops: dict[tuple[int, str], int] = {}
+        #: Growth a rescale's retired operators had not yet published:
+        #: (operator name, depth-first index, field) → amount.
+        self._retired_growth: dict[tuple[str, int, str], int] = {}
+        self._install(compile_plan(
             plan, catalog, self._agenda,
-            memo=shared.memo if shared is not None else None)
-        self._evaluator = (InstantEvaluator([self._root])
-                           if shared is None else None)
+            memo=shared.memo if shared is not None else None,
+            parallelism=parallelism), parallelism)
         self._state = Bag()
         self._log: list[tuple[Timestamp, Bag]] = []
         self._emissions: list[Emission] = []
         #: Emissions produced by group instants another member triggered,
         #: waiting to be returned from this member's next feeding call.
         self._undelivered: list[Emission] = []
+        #: The newest instant evaluated, changed or not: feeding behind it
+        #: is refused (:func:`check_feed_time`).
         self._last_instant: Timestamp | None = None
         self._deltas_processed = 0
         #: The non-operator half of the recovery point (see :meth:`barrier`).
         self._barrier: dict[str, Any] | None = None
         self._eval_hist = None
-        self._published_ops: dict[tuple[int, str], float] = {}
+
+    def _install(self, compiled: tuple, parallelism: int) -> None:
+        """Adopt a tree :func:`compile_plan` built at ``parallelism`` (at
+        construction, and again when a live rescale swaps the width)."""
+        retired = self.operators() if self._published_ops else None
+        #: ``_scheme``: the plan's PartitionScheme when fissioned, else None.
+        (self._root, self._stream_sources, self._relation_sources,
+         self._phys_by_logical, self._scheme) = compiled
+        #: The number of key partitions the plan runs in (1: serial).
+        self.parallelism = parallelism
+        self._evaluator = (InstantEvaluator([self._root])
+                           if self._shared is None else None)
+        #: Fissioned queries only: stream name → (the router from an
+        #: arrival's values to its partition, each partition's staging).
+        self._routes: dict[str, tuple[Callable, list]] | None = None
+        if parallelism > 1:
+            router = self._scheme.router
+            self._routes = {}
+            for name, sources in self._stream_sources.items():
+                each = len(sources) // parallelism
+                self._routes[name] = (router(name, parallelism), [
+                    [(source.stage, source.scan.schema)
+                     for source in sources[p * each:(p + 1) * each]]
+                    for p in range(parallelism)])
+        if retired is not None:
+            self._rebase_metrics(retired)
+
+    def _rebase_metrics(self, retired: list[tuple[str, "PhysicalOp"]]) -> None:
+        """After a rescale swapped the tree: keep the retired operators'
+        unpublished growth for their own labels, and count what the new
+        operators carried over (the retired totals, see
+        :func:`repro.runtime.rescale.rescale`) as already published — so
+        :meth:`publish_metrics` neither drops nor repeats a delta, and no
+        counter ever moves backwards."""
+        marks = self._published_ops
+        for index, (name, op) in enumerate(retired):
+            for field, value in (("records_in", op.received),
+                                 ("records_out", op.emitted)):
+                grown = value - marks.get((id(op), field), 0)
+                if grown:
+                    key = (name, index, field)
+                    self._retired_growth[key] = \
+                        self._retired_growth.get(key, 0) + grown
+        self._published_ops = {(-1, "deltas"): marks.get((-1, "deltas"), 0)}
+        for _, op in self.operators():
+            self._published_ops[(id(op), "records_in")] = op.received
+            self._published_ops[(id(op), "records_out")] = op.emitted
 
     # -- feeding -------------------------------------------------------------
 
@@ -1315,6 +1435,7 @@ class ContinuousQuery:
         from time ``at`` on."""
         if self._shared is not None:
             return self._shared.start(self, at)
+        check_feed_time(at, self._last_instant)
         return self._process_instant(at)
 
     def push(self, stream_name: str, row: Mapping[str, Any] | Record,
@@ -1336,12 +1457,17 @@ class ContinuousQuery:
             return self._shared.push_batch(timestamp, arrivals, member=self)
         check_feed_time(timestamp, self._last_instant)
         emitted = self._process_instants(self._agenda.due(timestamp - 1))
+        routes = self._routes
         for name, rows in arrivals.items():
             sources = self._stream_sources.get(name)
             if not sources:
                 raise PlanError(
                     f"query does not read stream {name!r}")
             base_schema = self.catalog.stream(name).schema
+            if routes is not None:
+                self._stage_routed(routes[name], base_schema, rows,
+                                   timestamp)
+                continue
             staging = [(source.stage, source.scan.schema)
                        for source in sources]
             for row in rows:
@@ -1355,6 +1481,19 @@ class ContinuousQuery:
         self._agenda.due(timestamp)  # consume anything scheduled == now
         emitted.extend(self._process_instant(timestamp))
         return emitted
+
+    @staticmethod
+    def _stage_routed(route: tuple[Callable, list], base_schema: Schema,
+                      rows: Sequence[Mapping[str, Any] | Record],
+                      timestamp: Timestamp) -> None:
+        """:meth:`push_batch`'s staging for a fissioned query: each row
+        goes to the sources of the one partition that owns its key."""
+        router, staging = route
+        for row in rows:
+            record = (row if isinstance(row, Record)
+                      else Record.from_mapping(base_schema, row))
+            for stage, schema in staging[router(record._values)]:
+                stage(record.with_schema(schema), timestamp)
 
     def update_relation(self, name: str, row: Mapping[str, Any] | Record,
                         mult: int, timestamp: Timestamp) -> list[Emission]:
@@ -1542,11 +1681,12 @@ class ContinuousQuery:
                 net[record] = net.get(record, 0) + mult
             net = {r: m for r, m in net.items() if m}
         if not net:
+            self._last_instant = t
             return []
-        # All or nothing: a refused retraction leaves the state, the log
-        # and the emissions as they were.  Then the one copy of the
-        # instant: the log entry, compact and never mutated again, which
-        # the Store holds by reference too (see :attr:`state`).
+        # All or nothing: a refused retraction leaves the state, the log,
+        # the emissions and the clock as they were.  Then the one copy of
+        # the instant: the log entry, compact and never mutated again,
+        # which the Store holds by reference too (see :attr:`state`).
         self._state.apply_signed(net)
         logged = self._state.copy()
         self._last_instant = t
@@ -1624,11 +1764,19 @@ class ContinuousQuery:
         return self._deltas_processed
 
     def physical_roots(self) -> list["PhysicalOp"]:
-        """The physical tree roots — one for a private query.  The same
-        accessor exists on :class:`~repro.cql.parallel.PartitionedQuery`
-        (one root per replica), so state accounting and introspection
-        treat serial and fissioned queries uniformly."""
+        """The physical tree roots: one, whatever the parallelism (a
+        fissioned query's partitions hang below its root)."""
         return [self._root]
+
+    def partition_loads(self) -> list[int]:
+        """Deltas each partition has produced so far, one entry per
+        partition: the load-skew evidence an autoscaler reads."""
+        if self.parallelism == 1:
+            return [self._root.emitted]
+        union = self._root
+        while not isinstance(union, PartitionUnionOp):
+            union = union.children[0]
+        return [part.emitted for part in union.children]
 
     def operators(self) -> list[tuple[str, PhysicalOp]]:
         """Every physical operator, depth-first, with a stable label."""
@@ -1655,13 +1803,17 @@ class ContinuousQuery:
         """
         registry = registry if registry is not None else _obs_registry()
         labels = dict(labels, layer="cql")
+        for (name, index, field), grown in self._retired_growth.items():
+            registry.counter(f"{prefix}.{field}", **dict(
+                labels, operator=name, index=str(index))).inc(grown)
+        self._retired_growth.clear()
         for index, (name, op) in enumerate(self.operators()):
             tags = dict(labels, operator=name, index=str(index))
             for field, value in (("records_in", op.received),
                                  ("records_out", op.emitted)):
                 counter = registry.counter(f"{prefix}.{field}", **tags)
-                key = (index, field)
-                counter.inc(int(value - self._published_ops.get(key, 0)))
+                key = (id(op), field)
+                counter.inc(value - self._published_ops.get(key, 0))
                 self._published_ops[key] = value
             if op.eval_seconds:
                 registry.gauge(f"{prefix}.eval_seconds", **tags).set(
@@ -1694,14 +1846,9 @@ class ContinuousQuery:
         pushed as one batch, which makes the executor's outputs match the
         reference evaluator exactly.
         """
-        arrivals: dict[Timestamp, dict[str, list[Record]]] = defaultdict(
-            lambda: defaultdict(list))
-        for name, stream in streams.items():
-            for element in stream:
-                arrivals[element.timestamp][name].append(element.value)
         emitted: list[Emission] = list(self.start())
-        for t in sorted(arrivals):
-            emitted.extend(self.push_batch(t, arrivals[t]))
+        for t, arrivals in instant_batches(streams):
+            emitted.extend(self.push_batch(t, arrivals))
         if finish:
             emitted.extend(self.finish())
         return emitted

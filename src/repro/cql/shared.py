@@ -58,6 +58,8 @@ class SharedGroup:
         self.members: list[ContinuousQuery] = []
         self._evaluator = InstantEvaluator([])
         self._started = False       # data has flowed; group frozen
+        #: The newest instant evaluated: the group's order guard (see
+        #: :func:`~repro.cql.executor.check_feed_time`).
         self._cursor: Timestamp | None = None
 
     # -- membership ----------------------------------------------------------
@@ -98,6 +100,7 @@ class SharedGroup:
 
     def start(self, member: ContinuousQuery,
               at: Timestamp = 0) -> list[Emission]:
+        check_feed_time(at, self._cursor)
         self._process_instant(at)
         return member._drain_undelivered()
 

@@ -131,24 +131,17 @@ def run_case(case: Case) -> Divergence | None:
                  if name in query._stream_sources})
         except ReproError as exc:
             return Divergence(leg, f"executor crashed: {exc!r}")
-        if is_r2s:
-            produced = query.emitted_stream()
-            same = (produced.timestamps() == truth.timestamps()
-                    and produced.values() == truth.values())
-            if not same:
-                return Divergence(leg, _diff_detail(
-                    "executor", _stream_list(produced),
-                    "reference", _stream_list(truth)))
-        elif not (query.as_relation() == truth):
-            return Divergence(leg, _diff_detail(
-                "executor", _snapshot_list(query.as_relation()),
-                "reference", _snapshot_list(truth)))
+        divergence = _output_divergence(leg, "executor", query, truth,
+                                        is_r2s)
+        if divergence is not None:
+            return divergence
 
     # Leg 4: key-partitioned execution.  When the planner proves the
-    # plan partitionable, the same query runs as three key-routed
-    # replicas; the merged change-log (or merged emitted stream) must
-    # match the reference instant by instant.  Unpartitionable plans
-    # skip — the planner's refusal is itself under test in tests/plan.
+    # plan partitionable, the same query runs in three key partitions —
+    # fissioned inside one query, then as three pooled queries — and
+    # must match the reference instant by instant (the pool: its merged
+    # emissions, or its final state).  Unpartitionable plans skip — the
+    # planner's refusal is itself under test in tests/plan.
     divergence = _kernel_parallel_leg(case, streams, truth, is_r2s)
     if divergence is not None:
         return divergence
@@ -201,15 +194,20 @@ def run_case(case: Case) -> Divergence | None:
 
 def _kernel_parallel_leg(case: Case, streams, truth,
                          is_r2s: bool) -> Divergence | None:
-    """Run the query fissioned into 3 key-partitioned replicas.
+    """Run the query fissioned into 2 key partitions, in-plan and pooled.
 
     Exercises the whole §4.2 stack under fuzzing: the planner's
-    partition-scheme proof, hash routing of every arrival, per-replica
-    event-time frontiers (empty batches keep window expirations
-    synchronised), and the disjoint-union merge at the sink.
+    partition-scheme proof, hash routing of every arrival, the
+    per-partition operator copies under one agenda and one root fold —
+    and the worker pool's N independent queries with their merge
+    (:func:`~repro.runtime.pool.run_partitioned_recorded`, inline).
+    Width 2, not more: at width 3 the generator's hot rooms 'a' and 'b'
+    share a partition, which would leave cross-partition paths (the
+    union, the pool's merge) mostly untested.
     """
-    from repro.cql.parallel import PartitionedQuery
+    from repro.cql.executor import ContinuousQuery, instant_batches
     from repro.plan.parallel import partition_scheme
+    from repro.runtime.pool import run_partitioned_recorded
 
     exec_engine = build_engine()
     try:
@@ -219,24 +217,51 @@ def _kernel_parallel_leg(case: Case, streams, truth,
     if partition_scheme(plan) is None:
         return None
     try:
-        query = PartitionedQuery(plan, exec_engine.catalog, parallelism=3)
-        query.run_recorded(
-            {name: stream for name, stream in streams.items()
-             if name in query._stream_sources})
+        query = ContinuousQuery(plan, exec_engine.catalog, parallelism=2)
+        relevant = {name: stream for name, stream in streams.items()
+                    if name in query._stream_sources}
+        query.run_recorded(relevant)
     except ReproError as exc:
         return Divergence("kernel-parallel",
                           f"partitioned run crashed: {exc!r}")
+    divergence = _output_divergence("kernel-parallel", "partitioned",
+                                    query, truth, is_r2s)
+    if divergence is not None:
+        return divergence
+    try:
+        pooled = run_partitioned_recorded(
+            plan, exec_engine.catalog, instant_batches(relevant), 2,
+            backend="inline")
+    except ReproError as exc:
+        return Divergence("kernel-parallel", f"pooled run crashed: {exc!r}")
+    if is_r2s:
+        got = sorted((e.timestamp, repr(e.record)) for e in pooled.emissions)
+        want = sorted((t, repr(value)) for t, value
+                      in zip(truth.timestamps(), truth.values()))
+    else:
+        got = sorted(pooled.state.items(), key=repr)
+        final = list(truth.snapshots())
+        want = sorted(final[-1][1].items(), key=repr) if final else []
+    if got != want:
+        return Divergence("kernel-parallel",
+                          _diff_detail("pooled", got, "reference", want))
+    return None
+
+
+def _output_divergence(leg: str, label: str, query, truth,
+                       is_r2s: bool) -> Divergence | None:
+    """The query's emitted stream (R2S) or change-log against the
+    reference."""
     if is_r2s:
         produced = query.emitted_stream()
-        same = (produced.timestamps() == truth.timestamps()
-                and produced.values() == truth.values())
-        if not same:
-            return Divergence("kernel-parallel", _diff_detail(
-                "partitioned", _stream_list(produced),
+        if produced.timestamps() != truth.timestamps() \
+                or produced.values() != truth.values():
+            return Divergence(leg, _diff_detail(
+                label, _stream_list(produced),
                 "reference", _stream_list(truth)))
     elif not (query.as_relation() == truth):
-        return Divergence("kernel-parallel", _diff_detail(
-            "partitioned", _snapshot_list(query.as_relation()),
+        return Divergence(leg, _diff_detail(
+            label, _snapshot_list(query.as_relation()),
             "reference", _snapshot_list(truth)))
     return None
 
@@ -245,17 +270,15 @@ def _kernel_rescaled_leg(case: Case, streams, truth,
                          is_r2s: bool) -> Divergence | None:
     """Live-rescale 1→4→2 mid-stream; output must not diverge.
 
-    Exercises the elasticity stack under fuzzing: the barrier-by-instant
-    checkpoint, per-operator state re-keying by ``default_hash``
-    placement at the new width, driver-state reconstruction, and the
-    log/emission seeding that keeps the merged change-log and emitted
-    stream byte-identical to a never-rescaled run.  Unpartitionable
-    plans skip, exactly like the kernel-parallel leg.
+    Exercises the elasticity stack under fuzzing: recompiling at the new
+    width at an instant boundary and re-keying every per-partition
+    operator's state by ``partition_of`` placement, with the one
+    agenda, change-log and emission list carried across untouched.
+    Unpartitionable plans skip, exactly like the kernel-parallel leg.
     """
-    from collections import defaultdict
-
-    from repro.cql.parallel import PartitionedQuery
+    from repro.cql.executor import ContinuousQuery, instant_batches
     from repro.plan.parallel import partition_scheme
+    from repro.runtime.rescale import rescale
 
     exec_engine = build_engine()
     try:
@@ -265,28 +288,23 @@ def _kernel_rescaled_leg(case: Case, streams, truth,
     if partition_scheme(plan) is None:
         return None
     try:
-        query = PartitionedQuery(plan, exec_engine.catalog, parallelism=1)
-        arrivals: dict[int, dict[str, list]] = defaultdict(
-            lambda: defaultdict(list))
-        for name, stream in streams.items():
-            if name not in query._stream_sources:
-                continue
-            for element in stream:
-                arrivals[element.timestamp][name].append(element.value)
-        instants = sorted(arrivals)
-        first = max(1, len(instants) // 3)
-        second = max(first + 1, 2 * len(instants) // 3)
+        query = ContinuousQuery(plan, exec_engine.catalog)
+        batches = instant_batches(
+            {name: stream for name, stream in streams.items()
+             if name in query._stream_sources})
+        first = max(1, len(batches) // 3)
+        second = max(first + 1, 2 * len(batches) // 3)
         schedule = {first: 4, second: 2}
         query.start()
-        for position, t in enumerate(instants):
+        for position, (t, arrivals) in enumerate(batches):
             if position in schedule:
-                query.rescale(schedule[position])
-            query.push_batch(t, arrivals[t])
+                rescale(query, schedule[position])
+            query.push_batch(t, arrivals)
         for position in sorted(schedule):
             # Degenerate cases (≤ 2 instants): still exercise both
             # migrations, after the stream instead of inside it.
-            if position >= len(instants):
-                query.rescale(schedule[position])
+            if position >= len(batches):
+                rescale(query, schedule[position])
         query.finish()
     except ReproError as exc:
         return Divergence("kernel-rescaled",
@@ -295,19 +313,8 @@ def _kernel_rescaled_leg(case: Case, streams, truth,
         return Divergence("kernel-rescaled",
                           f"expected final width 2, got "
                           f"{query.parallelism}")
-    if is_r2s:
-        produced = query.emitted_stream()
-        same = (produced.timestamps() == truth.timestamps()
-                and produced.values() == truth.values())
-        if not same:
-            return Divergence("kernel-rescaled", _diff_detail(
-                "rescaled", _stream_list(produced),
-                "reference", _stream_list(truth)))
-    elif not (query.as_relation() == truth):
-        return Divergence("kernel-rescaled", _diff_detail(
-            "rescaled", _snapshot_list(query.as_relation()),
-            "reference", _snapshot_list(truth)))
-    return None
+    return _output_divergence("kernel-rescaled", "rescaled", query, truth,
+                              is_r2s)
 
 
 def run_rescale_case(case: Case) -> Divergence | None:
@@ -367,19 +374,13 @@ def _kernel_crashed_leg(case: Case, streams, truth,
                 f"{exc!r}"))
         # A fuse scheduled past the stream's end never fires; the run is
         # then just a fault-free run and the comparison still holds.
-        where = f"crashed {label} (operator {position}, fired {fuse.fired})"
-        if is_r2s:
-            produced = query.emitted_stream()
-            same = (produced.timestamps() == truth.timestamps()
-                    and produced.values() == truth.values())
-            if not same:
-                return Divergence("kernel-crashed", f"{where}: " + _diff_detail(
-                    "recovered", _stream_list(produced),
-                    "reference", _stream_list(truth)))
-        elif not (query.as_relation() == truth):
-            return Divergence("kernel-crashed", f"{where}: " + _diff_detail(
-                "recovered", _snapshot_list(query.as_relation()),
-                "reference", _snapshot_list(truth)))
+        divergence = _output_divergence("kernel-crashed", "recovered",
+                                        query, truth, is_r2s)
+        if divergence is not None:
+            where = (f"crashed {label} (operator {position}, "
+                     f"fired {fuse.fired})")
+            return Divergence(divergence.kind,
+                              f"{where}: {divergence.detail}")
     return None
 
 

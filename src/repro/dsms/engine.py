@@ -74,8 +74,7 @@ class QueryHandle:
                  queue: InputQueue, shedder: Shedder,
                  store: Store, scratch: Scratch, throw: Throw,
                  wm_clock: obs.WatermarkClock | None = None,
-                 track_state: bool = True, batch_size: int = 1,
-                 max_batch_wait: int = 0) -> None:
+                 track_state: bool = True, batch_size: int = 1) -> None:
         self.name = name
         self.query = query
         self.queue = queue
@@ -83,10 +82,6 @@ class QueryHandle:
         #: Micro-batch size: a service quantum drains up to this many
         #: same-timestamp tuples into one ``push_batch`` (1 = per-tuple).
         self.batch_size = max(1, batch_size)
-        #: How many service rounds a sub-full batch may be deferred
-        #: waiting for the queue to fill (0 = never wait).
-        self.max_batch_wait = max(0, max_batch_wait)
-        self._deferrals = 0
         self._store = store
         self._scratch = scratch
         self._throw = throw
@@ -115,21 +110,16 @@ class QueryHandle:
         operators and re-base eviction accounting on their sources.
 
         Called at registration and again after a live rescale, when the
-        old replicas' operators are dead and new ones hold the state.  A
-        PartitionedQuery has one physical root per replica; a serial
-        query exactly one.  The account covers all of them — fissioned
+        old width's operators are dead and new ones hold the state.  The
+        account covers every partition of a fissioned query — fissioned
         state is still this query's state.
         """
         self._scratch.unregister(self.name)
         self._sources = []
-        roots = self.query.physical_roots()
-        for index, root in enumerate(roots):
-            suffix = f"!{index}" if len(roots) > 1 else ""
-            for label, op in _stateful_ops(root):
-                self._scratch.register(
-                    self.name, f"{self.name}/{label}{suffix}", op)
-                if isinstance(op, StreamSourceOp):
-                    self._sources.append(op)
+        for label, op in _stateful_ops(self.query._root):
+            self._scratch.register(self.name, f"{self.name}/{label}", op)
+            if isinstance(op, StreamSourceOp):
+                self._sources.append(op)
 
     @property
     def pending(self) -> int:
@@ -164,22 +154,12 @@ class QueryHandle:
         With ``batch_size=1`` (the default) a quantum is one tuple.  A
         batched handle drains up to ``batch_size`` same-timestamp tuples
         into ONE atomic ``push_batch`` — one instant evaluation, one
-        Store write — and may defer a sub-full batch for up to
-        ``max_batch_wait`` quanta, betting that the queue fills before
-        latency matters.
+        Store write.
         """
         if self.batch_size > 1:
-            if not self.queue:
-                self._deferrals = 0
-                return False
-            if len(self.queue) < self.batch_size \
-                    and self._deferrals < self.max_batch_wait:
-                # A waiting quantum: cheap, but it trades latency for
-                # batch occupancy — the knob the docs warn about.
-                self._deferrals += 1
-                return True
-            self._deferrals = 0
             batch = self.queue.poll_batch(self.batch_size)
+            if not batch:
+                return False
         else:
             queued = self.queue.poll()
             if queued is None:
@@ -390,7 +370,6 @@ class DSMSEngine:
                  recovery_interval: int | None = None,
                  max_restarts: int = 3,
                  batch_size: int = 1,
-                 max_batch_wait: int = 0,
                  autoscale: Any = None) -> None:
         self._cql = CQLEngine()
         #: Engine-default micro-batch size: a service quantum drains up
@@ -401,9 +380,6 @@ class DSMSEngine:
         #: explicit ``register_query(batch_size=...)`` overrides the
         #: clamp (state-exact opt-in).
         self.batch_size = max(1, batch_size)
-        #: Service quanta a sub-full batch may wait for the queue to
-        #: fill before being flushed anyway (latency/occupancy knob).
-        self.max_batch_wait = max(0, max_batch_wait)
         #: Multi-query plan sharing: queries registered with the default
         #: shedder and queue capacity are compiled into one communal
         #: :class:`repro.cql.shared.SharedGroup` (common subplans share
@@ -526,7 +502,7 @@ class DSMSEngine:
             shedder or NoShedding(),
             self.store, self.scratch, self.throw,
             wm_clock=self.watermark_clock,
-            batch_size=batch_size, max_batch_wait=self.max_batch_wait)
+            batch_size=batch_size)
         self._units.append(handle)
         self._handles.append(handle)
         self._by_name[name] = handle
@@ -622,24 +598,21 @@ class DSMSEngine:
     def rescale_query(self, name: str, parallelism: int):
         """Live-migrate a running query to a new parallelism.
 
-        Uses :func:`repro.runtime.rescale.rescale`: barrier checkpoint
-        via the existing snapshot protocol, per-operator re-keying by
-        ``default_hash`` placement, resume at the new width — the query
-        keeps its state, emissions and event-time frontier, and its
-        output stays byte-identical to a never-rescaled run.  A serial
-        query is first promoted to a width-1 fission
-        (:meth:`~repro.cql.parallel.PartitionedQuery.adopt`).
+        Uses :func:`repro.runtime.rescale.rescale`: recompile at the new
+        width, re-key the per-partition operator state by
+        ``partition_of`` placement, resume — the query keeps its state,
+        emissions and event-time frontier, and its output stays
+        byte-identical to a never-rescaled run.
 
         Engine bookkeeping moves with it: the query's Scratch account is
-        reopened over the new replicas' operators (the old ones are
-        dead), eviction accounting re-bases on the new sources, and
-        crash recovery takes
+        reopened over the new operators (the old ones are dead), eviction
+        accounting re-bases on the new sources, and crash recovery takes
         a fresh baseline — old checkpoints encode the old width and must
         not be restored into the new one.
 
         Returns the :class:`~repro.runtime.rescale.RescaleReport`.
         """
-        from repro.cql.parallel import PartitionedQuery
+        from repro.runtime.rescale import rescale
 
         handle = self._by_name.get(name)
         if handle is None:
@@ -654,20 +627,13 @@ class DSMSEngine:
             raise StateError(
                 f"query {name!r} has {handle.pending} queued tuples; "
                 f"drain before rescaling (run_until_idle)")
-        if not isinstance(query, PartitionedQuery):
-            # The wrapper is driven through this handle only; the serial
-            # query it swallows leaves the CQL facade, or its operators
-            # would outlive the rescale that replaces them.
-            adopted = PartitionedQuery.adopt(query)
-            self._cql.cancel_query(query)
-            query = handle.query = adopted
-        report = query.rescale(parallelism)
-        # The old replicas' operators no longer exist, the new ones do.
+        report = rescale(query, parallelism)
+        # The old width's operators no longer exist, the new ones do.
         handle.bind_operators()
         handle.rescales.append(report)
         self._barrier = None
         if self.recovery is not None:
-            # Old checkpoints hold the old replica shape; restoring one
+            # Old checkpoints hold the old width's shape; restoring one
             # into the rescaled query would fail (or worse, resurrect the
             # old width).  Move the recovery point past the migration.
             self.recovery.rebase(len(self._arrival_log))
@@ -704,19 +670,16 @@ class DSMSEngine:
                 handle.autoscaler = AdaptiveController(
                     self._autoscale_policy)
             query = handle.query
-            replicas = (query.replicas() if hasattr(query, "replicas")
-                        else [query])
             lags = [self.watermark_clock.lag(stream)
                     for stream in query._stream_sources]
             lags = [lag for lag in lags if lag is not None]
             processed = handle.metrics.processed
             observed[handle.name] = Signals(
-                parallelism=getattr(query, "parallelism", 1),
+                parallelism=query.parallelism,
                 queue_occupancy=handle.queue.occupancy,
                 pressure_events=handle.queue.pressure_events,
                 watermark_lag=max(lags) if lags else None,
-                partition_loads=tuple(float(r.deltas_processed)
-                                      for r in replicas),
+                partition_loads=tuple(map(float, query.partition_loads())),
                 selectivity=(handle.metrics.emitted / processed
                              if processed else None),
             )
@@ -979,11 +942,10 @@ class DSMSEngine:
         seen: set[int] = set()
         total = 0
         for handle in self._handles:
-            for root in handle.query.physical_roots():
-                for _, op in _stateful_ops(root):
-                    if id(op) not in seen:
-                        seen.add(id(op))
-                        total += op.state_size
+            for _, op in _stateful_ops(handle.query._root):
+                if id(op) not in seen:
+                    seen.add(id(op))
+                    total += op.state_size
         return total
 
     @property
@@ -1011,7 +973,7 @@ class DSMSEngine:
             registry.gauge("dsms.query.busy_seconds", **labels).set(
                 handle.busy_seconds)
             registry.gauge("dsms.query.parallelism", **labels).set(
-                getattr(handle.query, "parallelism", 1))
+                handle.query.parallelism)
             handle.query.publish_metrics(registry, **labels)
         # Backpressure: queue peak/occupancy/pressure per scheduling unit
         # (isolated queries and the shared group alike).

@@ -462,8 +462,6 @@ def explain_analyze(target: Any) -> str:
     """
     if hasattr(target, "query") and hasattr(target, "queue"):
         return _explain_handle(target)
-    if hasattr(target, "_replicas") and hasattr(target, "plan"):
-        return _explain_partitioned(target)
     if hasattr(target, "_root") and hasattr(target, "plan"):
         return _explain_continuous(target)
     if hasattr(target, "_order") and hasattr(target, "_sources"):
@@ -481,7 +479,7 @@ def analyze(target: Any) -> dict[str, Any]:
                          "peak": queue.peak, "dropped": queue.dropped,
                          "pressure_events": queue.pressure_events},
                **analyze(target.query)}
-        out["parallelism"] = getattr(target.query, "parallelism", 1)
+        out["parallelism"] = target.query.parallelism
         rescales = getattr(target, "rescales", None)
         if rescales:
             out["rescales"] = [
@@ -493,14 +491,6 @@ def analyze(target: Any) -> dict[str, Any]:
         if autoscaler is not None:
             out["autoscale"] = autoscaler.as_dict()
         return out
-    if hasattr(target, "_replicas") and hasattr(target, "plan"):
-        return {
-            "parallelism": target.parallelism,
-            "deltas_processed": target.deltas_processed,
-            "emissions": len(target.emissions()),
-            "replicas": [analyze(replica)
-                         for replica in target.replicas()],
-        }
     if hasattr(target, "_root") and hasattr(target, "plan"):
         operators, total_busy = _continuous_operator_stats(target)
         return {"operators": operators,
@@ -544,27 +534,30 @@ def _continuous_operator_stats(query: Any,
 
 
 def _continuous_node_stats(query: Any) -> dict[int, dict[str, Any]]:
-    """Stats keyed by ``id(logical node)`` for the IR renderer."""
-    phys_map: Mapping[int, Any] = getattr(query, "_phys_by_logical", {})
+    """Stats keyed by ``id(logical node)`` for the IR renderer: a node a
+    fissioned query runs once per partition gets its copies' sum."""
+    phys_map: Mapping[int, list[Any]] = query._phys_by_logical
     distinct: dict[int, Any] = {}
-    for op in phys_map.values():
-        distinct[id(op)] = op
+    for ops in phys_map.values():
+        for op in ops:
+            distinct[id(op)] = op
     total_busy = sum(op.eval_seconds for op in distinct.values())
     stats: dict[int, dict[str, Any]] = {}
-    for node_id, op in phys_map.items():
-        rows_in = (op.received if op.children
-                   else getattr(op, "arrivals", op.received))
+    for node_id, ops in phys_map.items():
+        rows_in = sum(op.received if op.children
+                      else getattr(op, "arrivals", op.received)
+                      for op in ops)
+        rows_out = sum(op.emitted for op in ops)
+        busy = sum(op.eval_seconds for op in ops)
         entry: dict[str, Any] = {
-            "rows_in": rows_in, "rows_out": op.emitted,
-            "selectivity": op.emitted / rows_in if rows_in else None,
-            "busy_seconds": op.eval_seconds,
-            "busy_share": (op.eval_seconds / total_busy
-                           if total_busy else None),
+            "rows_in": rows_in, "rows_out": rows_out,
+            "selectivity": rows_out / rows_in if rows_in else None,
+            "busy_seconds": busy,
+            "busy_share": busy / total_busy if total_busy else None,
         }
-        size = getattr(op, "state_size", None)
-        if size is not None:
-            entry["state_entries"] = size
-            entry["state_bytes"] = state_bytes(op)
+        if hasattr(ops[0], "state_size"):
+            entry["state_entries"] = sum(op.state_size for op in ops)
+            entry["state_bytes"] = sum(state_bytes(op) for op in ops)
         stats[node_id] = entry
     # The R2S root is driver-level, not a physical operator: annotate it
     # with the driver's accounting so the tree has no bare lines.
@@ -582,7 +575,9 @@ def _explain_continuous(query: Any) -> str:
 
     stats = _continuous_node_stats(query)
     operators, total_busy = _continuous_operator_stats(query)
-    lines = [explain_analyzed(query.plan, stats)]
+    lines = ([f"fissioned x{query.parallelism} (per-node stats summed "
+              f"across partitions)"] if query.parallelism > 1 else [])
+    lines.append(explain_analyzed(query.plan, stats))
     shares = [entry["busy_share"] for entry in operators
               if entry["busy_share"] is not None]
     if total_busy:
@@ -594,45 +589,6 @@ def _explain_continuous(query: Any) -> str:
                      "before running the workload")
     lines.append(f"deltas processed: {query.deltas_processed}, "
                  f"emissions: {len(query.emissions())}")
-    return "\n".join(lines)
-
-
-def _explain_partitioned(query: Any) -> str:
-    """Render a fissioned query: one plan tree, replica stats summed.
-
-    Every replica compiles from the *same* logical plan object, so the
-    per-node stats of all replicas key by the same logical ids and sum
-    cleanly — the rendered tree shows the query's total work while the
-    header keeps the width visible.
-    """
-    from repro.plan.explain import explain_analyzed
-
-    merged: dict[int, dict[str, Any]] = {}
-    for replica in query.replicas():
-        for node_id, entry in _continuous_node_stats(replica).items():
-            slot = merged.setdefault(node_id, {
-                "rows_in": 0, "rows_out": 0, "busy_seconds": 0.0,
-                "state_entries": None, "state_bytes": None})
-            slot["rows_in"] += entry["rows_in"]
-            slot["rows_out"] += entry["rows_out"]
-            slot["busy_seconds"] += entry["busy_seconds"] or 0.0
-            for key in ("state_entries", "state_bytes"):
-                if entry.get(key) is not None:
-                    slot[key] = (slot[key] or 0) + entry[key]
-    total_busy = sum(entry["busy_seconds"] for entry in merged.values())
-    for entry in merged.values():
-        rows_in = entry["rows_in"]
-        entry["selectivity"] = (entry["rows_out"] / rows_in
-                                if rows_in else None)
-        entry["busy_share"] = (entry["busy_seconds"] / total_busy
-                               if total_busy else None)
-        if entry["state_entries"] is None:
-            del entry["state_entries"], entry["state_bytes"]
-    lines = [f"fissioned x{query.parallelism} "
-             f"(per-node stats summed across replicas)",
-             explain_analyzed(query.plan, merged),
-             f"deltas processed: {query.deltas_processed}, "
-             f"emissions: {len(query.emissions())}"]
     return "\n".join(lines)
 
 
@@ -660,11 +616,7 @@ def _explain_handle(handle: Any) -> str:
             f"rescales={state['rescales']} "
             + (f"last={last['action']}→{last['parallelism']} "
                f"({last['reason']})" if last else "last=-"))
-    query = handle.query
-    rendered = (_explain_partitioned(query)
-                if hasattr(query, "_replicas")
-                else _explain_continuous(query))
-    return "\n".join(lines) + "\n" + rendered
+    return "\n".join(lines) + "\n" + _explain_continuous(handle.query)
 
 
 def _format_cell(value: Any, fmt: str = "") -> str:

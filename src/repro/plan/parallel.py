@@ -39,8 +39,8 @@ back to parallelism 1; :func:`decide_parallelism` wraps that rule.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.errors import SchemaError
 from repro.plan.exprs import Column, WindowSpecKind
@@ -62,7 +62,7 @@ from repro.plan.ir import (
 )
 
 __all__ = ["PartitionScheme", "partition_scheme", "decide_parallelism",
-           "partition_boundary", "key_annotations", "BROADCAST"]
+           "key_annotations", "BROADCAST"]
 
 #: Annotation marker for nodes in a stream-free (broadcast) subtree:
 #: their state is replicated identically in every partition.
@@ -78,11 +78,20 @@ class PartitionScheme:
     indices of the routing key inside that stream's raw tuples.  Streams
     not in the mapping do not occur in the plan; relations always
     broadcast.
+
+    ``boundary`` is the topmost keyed operator, the one whose key
+    *defines* the partitioning: a grouped aggregate or an equi-join.
+    Everything between it and the root is a per-record spine; everything
+    below it carries the key on some column of every record.  A
+    fissioned query compiles the subtree rooted here once per partition
+    and runs the spine once, over the union of the copies' outputs
+    (``repro.cql.executor.compile_plan``).
     """
 
     keys: tuple[str, ...]
     stream_keys: Mapping[str, tuple[int, ...]]
     origin: str
+    boundary: LogicalOp = field(compare=False, repr=False)
 
     def key_for(self, stream: str, values: Sequence[Any]) -> Any:
         """The routing key of one raw arrival tuple on ``stream``."""
@@ -90,6 +99,17 @@ class PartitionScheme:
         if len(indices) == 1:
             return values[indices[0]]
         return tuple(values[i] for i in indices)
+
+    def router(self, stream: str,
+               partitions: int) -> Callable[[Sequence[Any]], int]:
+        """Raw arrival tuple on ``stream`` → the index of the partition,
+        out of ``partitions``, that owns its key."""
+        # Lazy: the planner itself never needs the runtime package.
+        from repro.runtime.partitioning import partition_of
+
+        key_for = self.key_for
+        return lambda values: partition_of(key_for(stream, values),
+                                           partitions)
 
     def describe(self) -> str:
         per_stream = ", ".join(
@@ -129,7 +149,7 @@ def partition_scheme(plan: LogicalOp) -> PartitionScheme | None:
     if not streams:
         return None  # nothing to partition: all inputs are relations
     return PartitionScheme(keys=tuple(keys), stream_keys=dict(resolved),
-                           origin=origin)
+                           origin=origin, boundary=node)
 
 
 def _spine_of(plan: LogicalOp, node: LogicalOp) -> list[LogicalOp]:
@@ -160,24 +180,9 @@ def _keys_reach_output(spine: Sequence[LogicalOp],
     return True
 
 
-def partition_boundary(plan: LogicalOp) \
-        -> tuple[LogicalOp, tuple[str, ...], str] | None:
-    """The topmost keyed boundary of ``plan``: (node, keys, origin).
-
-    The boundary is the operator whose key *defines* the partitioning —
-    a grouped aggregate or an equi-join.  Everything between it and the
-    root is a per-record spine; everything below it carries the key on
-    some column of every record.  State migration anchors on this node:
-    the boundary's state determines the query's current output, so a
-    rescaled replica's driver state can be recomputed from it even when
-    the spine projects the key away.
-    """
-    return _boundary(plan)
-
-
-def key_annotations(plan: LogicalOp) \
-        -> dict[int, tuple[str, ...] | None] | None:
-    """Per-node routing-key columns for a partitionable plan.
+def key_annotations(plan: LogicalOp, scheme: PartitionScheme) \
+        -> dict[int, tuple[str, ...] | None]:
+    """Per-node routing-key columns for a plan ``scheme`` partitions.
 
     Maps ``id(node)`` → the routing key's column names *in that node's
     output schema*, for every node the key analysis descends through,
@@ -185,15 +190,12 @@ def key_annotations(plan: LogicalOp) \
     projection.  Nodes in a stream-free subtree map to :data:`BROADCAST`
     (their state is replicated in every partition); nodes absent from
     the mapping have no recoverable key (e.g. spine ops above a
-    projection that dropped it).  Returns None when the plan is not
-    partitionable at all.
+    projection that dropped it).
 
     This is what live rescale (``repro.runtime.rescale``) uses to
     re-key each operator's checkpointed state by the target width.
     """
-    if partition_scheme(plan) is None:
-        return None
-    node, keys, _origin = _boundary(plan)
+    node, keys = scheme.boundary, scheme.keys
     ann: dict[int, tuple[str, ...] | None] = {}
     _annotate(node, list(keys), ann)
     # The spine above the boundary: carry the key upward through renames

@@ -19,7 +19,6 @@ from repro.runtime.broker import (
     ConsumerGroup,
     Partition,
     Topic,
-    default_hash,
     replay,
     replay_compacted,
 )
@@ -70,12 +69,13 @@ from repro.runtime.partitioning import (
     HashPartitioner,
     Partitioner,
     RebalancePartitioner,
+    default_hash,
+    partition_of,
 )
 from repro.runtime.pool import (
     PartitionedRunResult,
     WorkerPool,
     fission_job,
-    partition_batches,
     run_job_partitioned,
     run_partitioned_recorded,
 )
@@ -83,14 +83,15 @@ from repro.runtime.pool import (
 __all__ = [
     # broker
     "Broker", "Topic", "Partition", "BrokerRecord", "ConsumerGroup",
-    "replay", "replay_compacted", "default_hash",
+    "replay", "replay_compacted",
     # kv store
     "LSMStore", "MemTable", "SortedRun", "WriteAheadLog", "TOMBSTONE",
     # actors
     "Actor", "ActorRef", "ActorSystem", "ActorContext", "FunctionActor",
     # partitioning
     "Partitioner", "ForwardPartitioner", "HashPartitioner",
-    "BroadcastPartitioner", "RebalancePartitioner",
+    "BroadcastPartitioner", "RebalancePartitioner", "default_hash",
+    "partition_of",
     # dag & operators
     "JobGraph", "Element", "StreamOperator", "MapOperator",
     "FilterOperator", "FlatMapOperator", "KeyByOperator",
@@ -105,6 +106,6 @@ __all__ = [
     "Network", "ComputeNode", "Placement", "place",
     "FissionAdvice", "advise_fission", "bottlenecks",
     # worker pool
-    "WorkerPool", "PartitionedRunResult", "partition_batches",
-    "run_partitioned_recorded", "fission_job", "run_job_partitioned",
+    "WorkerPool", "PartitionedRunResult", "run_partitioned_recorded",
+    "fission_job", "run_job_partitioned",
 ]

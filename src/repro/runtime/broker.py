@@ -17,29 +17,7 @@ from typing import Any, Hashable, Iterable, Iterator
 
 from repro.core.errors import BrokerError
 from repro.core.time import Timestamp
-
-
-def default_hash(key: Hashable) -> int:
-    """A stable, deterministic key hash (Python's ``hash`` is salted for
-    str; experiments need run-to-run stability).
-
-    Integer keys are mixed through FNV-1a like every other type: a raw
-    ``key % partitions`` inherits whatever stride pattern the key space
-    has (keys 0, 4, 8, … across 4 partitions all land on partition 0),
-    which is exactly the skew a hash partitioner exists to destroy.
-    """
-    if key is None:
-        return 0
-    if isinstance(key, int):
-        text = str(key)
-    elif isinstance(key, str):
-        text = key
-    else:
-        text = repr(key)
-    value = 2166136261
-    for ch in text.encode("utf-8"):  # FNV-1a
-        value = ((value ^ ch) * 16777619) & 0xFFFFFFFF
-    return value
+from repro.runtime.partitioning import partition_of
 
 
 @dataclass(frozen=True)
@@ -112,7 +90,7 @@ class Topic:
         """Partition index for a key (hash routing; None → round-robin)."""
         if key is None:
             return next(self._round_robin)
-        return default_hash(key) % len(self.partitions)
+        return partition_of(key, len(self.partitions))
 
     @property
     def partition_count(self) -> int:

@@ -11,15 +11,46 @@ receive each record:
 * **broadcast** — every subtask gets every record (small dimension tables,
   control messages, watermarks);
 * **rebalance** — round-robin, for load balancing stateless work.
+
+Every keyed placement in the stack — broker topics, hash edges, the
+worker pool, fissioned CQL queries and live rescale — goes through
+:func:`partition_of`, so they all agree on which partition owns a key.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 from repro.core.errors import StateError
-from repro.runtime.broker import default_hash
+
+
+def default_hash(key: Hashable) -> int:
+    """A stable, deterministic key hash (Python's ``hash`` is salted for
+    str; experiments need run-to-run stability).
+
+    Integer keys are mixed through FNV-1a like every other type: a raw
+    ``key % partitions`` inherits whatever stride pattern the key space
+    has (keys 0, 4, 8, … across 4 partitions all land on partition 0),
+    which is exactly the skew a hash partitioner exists to destroy.
+    """
+    if key is None:
+        return 0
+    if isinstance(key, int):
+        text = str(key)
+    elif isinstance(key, str):
+        text = key
+    else:
+        text = repr(key)
+    value = 2166136261
+    for ch in text.encode("utf-8"):  # FNV-1a
+        value = ((value ^ ch) * 16777619) & 0xFFFFFFFF
+    return value
+
+
+def partition_of(key: Hashable, partitions: int) -> int:
+    """The index of the partition, out of ``partitions``, that owns ``key``."""
+    return default_hash(key) % partitions
 
 
 class Partitioner:
@@ -61,7 +92,7 @@ class HashPartitioner(Partitioner):
     def route(self, value: Any, key: Any, downstream: int) -> Sequence[int]:
         if self.key_fn is not None:
             key = self.key_fn(value)
-        return (default_hash(key) % downstream,)
+        return (partition_of(key, downstream),)
 
 
 class BroadcastPartitioner(Partitioner):

@@ -1,11 +1,12 @@
 """WorkerPool: multi-process execution of key-partitioned work.
 
-The in-plan fission machinery (:mod:`repro.exec.exchange`,
-:class:`repro.cql.parallel.PartitionedQuery`) splits a query into
-replicas but still runs them on one interpreter — useful semantics,
-no extra cores.  This module is the other half of the survey's §4.2
-story: ship each partition to a worker *process* so partitions execute
-on separate CPUs, then merge at the sink.
+The in-plan fission machinery (:mod:`repro.exec.exchange`, a
+:class:`~repro.cql.executor.ContinuousQuery` compiled with
+``parallelism > 1``) splits a query into partitions but still runs them
+on one interpreter — useful semantics, no extra cores.  This module is
+the other half of the survey's §4.2 story: ship each partition to a
+worker *process* so partitions execute on separate CPUs, then merge at
+the sink.
 
 Three layers:
 
@@ -18,7 +19,9 @@ Three layers:
   recorded workload's arrivals by the plan's
   :class:`~repro.plan.parallel.PartitionScheme`, run one full
   :class:`~repro.cql.executor.ContinuousQuery` per partition in a
-  worker, merge emissions and final state.  Everything shipped across
+  worker, merge emissions and final state.  N independent queries make
+  this the one place a multi-query merge remains (see
+  :func:`_merge_emissions`).  Everything shipped across
   the process boundary is plain data (logical plan, catalog, record
   values) — operators compile *inside* the worker, so nothing
   unpicklable (closures, compiled predicates) ever crosses.
@@ -30,10 +33,9 @@ Three layers:
   and the per-partition :class:`~repro.runtime.job.JobResult` sink
   outputs merge in timestamp order.
 
-Key placement uses the same fixed
-:func:`~repro.runtime.broker.default_hash` as the broker, the Exchange
-operator and the partitioners, so every layer of the stack agrees on
-which worker owns which key.
+Key placement uses :func:`~repro.runtime.partitioning.partition_of`, as
+the broker, the Exchange operator and the partitioners do, so every
+layer of the stack agrees on which worker owns which key.
 
 Caveat the caller owns for jobs: JobGraph operators are opaque, so
 job-level fission cannot *prove* key-locality the way the CQL planner
@@ -43,17 +45,18 @@ its output, exactly like keying Flink state wrongly would.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from time import process_time
 from typing import Any, Callable, Sequence
 
 from repro.core.errors import PlanError
+from repro.core.operators import R2SKind
 from repro.core.records import Record
 from repro.core.relation import Bag
-from repro.core.time import Timestamp
-from repro.runtime.broker import default_hash
+from repro.runtime.partitioning import partition_of
 
-__all__ = ["WorkerPool", "PartitionedRunResult", "partition_batches",
+__all__ = ["WorkerPool", "PartitionedRunResult",
            "run_partitioned_recorded", "fission_job", "run_job_partitioned"]
 
 
@@ -142,37 +145,15 @@ class PartitionedRunResult:
         return max(self.partition_seconds, default=0.0)
 
 
-def partition_batches(scheme, catalog, batches, parallelism: int) \
-        -> list[list[tuple[Timestamp, dict[str, list[Record]]]]]:
-    """Split per-instant arrival batches into per-partition workloads.
-
-    Every partition sees every instant (empty where it received
-    nothing), so replica agendas fire window work at identical times.
-    """
-    per_partition: list[list[tuple[Timestamp, dict[str, list[Record]]]]] = \
-        [[] for _ in range(parallelism)]
-    for timestamp, arrivals in batches:
-        routed: list[dict[str, list[Record]]] = \
-            [{} for _ in range(parallelism)]
-        for name, rows in arrivals.items():
-            base_schema = catalog.stream(name).schema
-            for row in rows:
-                record = (row if isinstance(row, Record)
-                          else Record.from_mapping(base_schema, row))
-                key = scheme.key_for(name, record.values)
-                index = default_hash(key) % parallelism
-                routed[index].setdefault(name, []).append(record)
-        for index in range(parallelism):
-            per_partition[index].append((timestamp, routed[index]))
-    return per_partition
-
-
-def _run_cql_partition(payload: tuple) -> tuple[list, list, Bag, int]:
+def _run_cql_partition(payload: tuple) -> tuple[list, list, int, Bag, float]:
     """Worker entry point: compile and run one partition's query.
 
     Module-level and fed only picklable data — the compiled operator
     tree (closures, predicates, evaluation order) is built and torn down
-    entirely inside the worker.
+    entirely inside the worker.  Returns the emissions, the change-log
+    (RSTREAM plans only, the one merge that reads it — see
+    :func:`_merge_emissions`; else None), the records routed here, the
+    final state and the CPU seconds spent.
     """
     plan, catalog, batches, finish = payload
     from repro.cql.executor import ContinuousQuery
@@ -186,7 +167,37 @@ def _run_cql_partition(payload: tuple) -> tuple[list, list, Bag, int]:
         emissions.extend(query.push_batch(timestamp, arrivals))
     if finish:
         emissions.extend(query.finish())
-    return emissions, records, query.current(), process_time() - started
+    log = query._log if query.r2s is R2SKind.RSTREAM else None
+    return emissions, log, records, query.current(), process_time() - started
+
+
+def _merge_emissions(outcomes: list[tuple]) -> list:
+    """The partitions' emissions as the serial query's, timestamp order.
+
+    ISTREAM/DSTREAM are delta-shaped: each partition emits exactly its
+    own keys' deltas, so concatenation is the merge.  RSTREAM is not —
+    the serial query re-emits its *entire* state at every instant the
+    state changes, a partition only where its own share changed.  So
+    across the whole run, a partition silent at an instant another one
+    logged re-emits the state it held there.
+    """
+    from repro.cql.executor import Emission
+
+    merged = [emission for emissions, *_ in outcomes
+              for emission in emissions]
+    logs = [log for _, log, *_ in outcomes]
+    if logs[0] is not None:  # RSTREAM
+        active = {t for log in logs for t, _ in log}
+        for log in logs:
+            times = [t for t, _ in log]
+            for t in sorted(active.difference(times)):
+                position = bisect_right(times, t)
+                if position:
+                    merged.extend(Emission(record, t) for record, mult
+                                  in log[position - 1][1].items()
+                                  for _ in range(mult))
+    merged.sort(key=lambda emission: emission.timestamp)
+    return merged
 
 
 def run_partitioned_recorded(plan, catalog, batches, parallelism: int,
@@ -197,33 +208,45 @@ def run_partitioned_recorded(plan, catalog, batches, parallelism: int,
     ``batches`` is a list of ``(timestamp, {stream: [row, ...]})`` in
     timestamp order — the same shape ``push_batch`` takes.  Requires a
     partitionable plan (:func:`repro.plan.parallel.partition_scheme`).
+    Every partition sees every instant (empty where it received
+    nothing), so each worker's agenda fires window work at the serial
+    query's times.
     """
     from repro.plan.parallel import partition_scheme
 
     scheme = partition_scheme(plan)
     if scheme is None:
         raise PlanError("plan is not key-partitionable; cannot pool it")
-    workloads = partition_batches(scheme, catalog, batches, parallelism)
+    routers = {name: scheme.router(name, parallelism)
+               for name in scheme.stream_keys}
+    workloads: list[list] = [[] for _ in range(parallelism)]
+    for timestamp, arrivals in batches:
+        routed: list[dict[str, list[Record]]] = \
+            [{} for _ in range(parallelism)]
+        for name, rows in arrivals.items():
+            base_schema = catalog.stream(name).schema
+            route = routers[name]
+            for row in rows:
+                record = (row if isinstance(row, Record)
+                          else Record.from_mapping(base_schema, row))
+                routed[route(record.values)].setdefault(name, []) \
+                    .append(record)
+        for load, share in zip(workloads, routed):
+            load.append((timestamp, share))
     with WorkerPool(parallelism, backend=backend) as pool:
         outcomes = pool.map(
             _run_cql_partition,
             [(plan, catalog, load, finish) for load in workloads])
         effective = pool.backend
-    merged: list = []
     state = Bag()
-    loads = []
-    seconds = []
-    for emissions, records, partial, elapsed in outcomes:
-        merged.extend(emissions)
-        loads.append(records)
-        seconds.append(elapsed)
+    for _, _, _, partial, _ in outcomes:
         for record, mult in partial.items():
             state.add(record, mult)
-    merged.sort(key=lambda e: e.timestamp)
-    return PartitionedRunResult(emissions=merged, state=state,
-                                backend=effective, parallelism=parallelism,
-                                partition_loads=loads,
-                                partition_seconds=seconds)
+    return PartitionedRunResult(
+        emissions=_merge_emissions(outcomes), state=state,
+        backend=effective, parallelism=parallelism,
+        partition_loads=[records for _, _, records, _, _ in outcomes],
+        partition_seconds=[seconds for *_, seconds in outcomes])
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +271,8 @@ def fission_job(graph, parallelism: int) -> list:
             job.add_source(
                 name,
                 [[record for record in subtask_records
-                  if default_hash(record[1] if record[1] is not None
-                                  else record[0]) % parallelism == index]
+                  if partition_of(record[1] if record[1] is not None
+                                  else record[0], parallelism) == index]
                  for subtask_records in source.records],
                 watermark_lag=source.watermark_lag)
         for name, vertex in graph.vertices.items():

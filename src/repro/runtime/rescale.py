@@ -4,40 +4,36 @@ The survey's elasticity story (§4.2, ROADMAP item 4): a fissioned query
 must be able to change its parallelism *without stopping* — no replay
 from the beginning, no output divergence, a stall bounded by the state
 volume actually moved.  :func:`rescale` does exactly that for a running
-:class:`~repro.cql.parallel.PartitionedQuery`:
+:class:`~repro.cql.executor.ContinuousQuery`, serial or fissioned:
 
-1. **Barrier-by-instant checkpoint.**  At a quiescent instant boundary
-   (between ``push_batch`` calls — the same barrier the chaos layer
-   checkpoints at) every replica is snapshotted via the existing
-   ``snapshot()/restore()`` protocol.  Nothing mid-instant may be in
-   flight: staged arrivals or un-processed relation updates abort the
-   migration rather than silently drop records.
+1. **Barrier by instant.**  The migration runs at a quiescent instant
+   boundary (between ``push_batch`` calls — the same barrier the chaos
+   layer checkpoints at).  Nothing mid-instant may be in flight: staged
+   arrivals or un-processed relation updates abort the migration rather
+   than silently drop records.
 
-2. **State re-keying.**  Each operator's checkpointed state is split by
-   the *target* width using the planner's key annotations
-   (:func:`repro.plan.parallel.key_annotations`) and the shared
-   :func:`~repro.runtime.broker.default_hash` placement — the same hash
+2. **Recompile, re-key the partitions.**  The plan is compiled again at
+   the target width.  Each operator below the partition boundary is
+   checkpointed in every old partition (the ``snapshot()/restore()``
+   protocol) and its state split by the *target* width using the
+   planner's key annotations (:func:`repro.plan.parallel.key_annotations`)
+   and :func:`~repro.runtime.partitioning.partition_of` — the placement
    every routing layer uses, so a record's post-rescale owner is exactly
-   the replica future arrivals with its key will be routed to.  A key's
+   the partition future arrivals with its key are routed to.  A key's
    state moves *wholesale* (window buffers, join index buckets, group
    accumulators), so per-key processing order — and therefore every
-   future emission — is identical to a never-rescaled run at the target
-   width.  Broadcast state (stream-free join sides, base relations) is
-   replicated to every target, as the scheme requires.
+   future emission — is identical to a never-rescaled run.  Broadcast
+   state (stream-free join sides, base relations) is replicated to every
+   target, as the scheme requires.
 
-3. **Driver reconstruction.**  A replica's maintained relation state
-   cannot always be split record-by-record — the spine above the
-   partition boundary may project the routing key away.  Instead each
-   target's driver state is *recomputed* from its re-keyed boundary
-   state (group current-rows, join index products) pushed functionally
-   through the stateless spine, and a conservation check pins the union
-   of target states to the union of source states before anything is
-   swapped in.  The change-log is re-seeded so ``as_relation()`` still
-   reports the exact pre-rescale history.
+3. **Everything else stays.**  The operators above the boundary run once
+   whatever the width, so their state is copied across unchanged; the
+   agenda, maintained state, change-log and emissions are the query's
+   own and are not touched at all.
 
 The migration never mutates the query until every payload has been
-built and verified; a failed rescale leaves the query running at its
-old width.
+built and restored into the new operators; a failed rescale leaves the
+query running at its old width.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.core.errors import StateError
-from repro.core.relation import Bag
 from repro.core.time import Timestamp
 from repro.plan.ir import (
     Aggregate,
@@ -61,12 +56,8 @@ from repro.plan.ir import (
     scans_of,
     walk,
 )
-from repro.plan.parallel import (
-    BROADCAST,
-    key_annotations,
-    partition_boundary,
-)
-from repro.runtime.broker import default_hash
+from repro.plan.parallel import BROADCAST, PartitionScheme, key_annotations
+from repro.runtime.partitioning import partition_of
 
 __all__ = ["RescaleError", "RescaleReport", "rescale"]
 
@@ -85,8 +76,8 @@ class RescaleReport:
 
     parallelism_from: int
     parallelism_to: int
-    #: The migration instant: the last instant the old replicas applied a
-    #: net change at (None when nothing had been processed yet).
+    #: The migration instant: the newest instant the query had evaluated
+    #: (None when nothing had been processed yet).
     instant: Timestamp | None
     #: State entries re-keyed across partitions (window tuples, join
     #: index rows, aggregate groups, distinct/set-op records).
@@ -96,78 +87,114 @@ class RescaleReport:
 
 
 def rescale(query: Any, parallelism: int) -> RescaleReport:
-    """Migrate a running :class:`PartitionedQuery` to a new width, in place.
+    """Migrate a running query to a new width, in place.
 
     The query object keeps its identity (engine handles, scratch
     registrations and difftest drivers hold references to it); only its
-    replica set is swapped.  Returns a :class:`RescaleReport`; raises
-    :class:`RescaleError` — leaving the query untouched — when the state
-    cannot be migrated.
+    physical tree is swapped.  Returns a :class:`RescaleReport`; raises
+    :class:`~repro.core.errors.PlanError` for a plan that is not
+    key-partitionable and :class:`RescaleError` — leaving the query
+    untouched — when the state cannot be migrated.
     """
     from repro.cql import executor as cqlexec  # runtime<->cql import cycle
 
     if parallelism < 1:
         raise RescaleError(f"parallelism must be >= 1, got {parallelism}")
+    if query._shared is not None:
+        raise RescaleError(
+            "shared-group queries cannot be repartitioned: their operator "
+            "state interleaves with other members'")
     started_at = time.perf_counter()
     if parallelism == query.parallelism:
         return RescaleReport(query.parallelism, parallelism, None, 0,
                              time.perf_counter() - started_at)
+    # A width above 1 on either side: whichever compile fissioned the
+    # plan proved it partitionable (compile_plan raises PlanError if not).
+    compiled = cqlexec.compile_plan(query.plan, query.catalog, query._agenda,
+                                    parallelism=parallelism)
+    scheme = compiled[4] or query._scheme
+    boundary = scheme.boundary
+    migration = _Migration(scheme, key_annotations(query.plan, scheme),
+                           parallelism, query.plan, compiled[3], cqlexec)
+    old_roots = query._phys_by_logical[id(boundary)]
+    new_roots = compiled[3][id(boundary)]
+    old_parts = [_subtree(root) for root in old_roots]
+    new_parts = [_subtree(root) for root in new_roots]
+    migration.check_quiescent([op for part in old_parts for op in part])
 
-    annotations = key_annotations(query.plan)
-    boundary = partition_boundary(query.plan)
-    if annotations is None or boundary is None:
-        raise RescaleError("plan is not key-partitionable; nothing to rescale")
+    restores: list[tuple[Any, Mapping[str, Any]]] = []
+    for position, template in enumerate(new_parts[0]):
+        payloads = migration.rekey_op(
+            type(template).__name__, template,
+            [part[position].snapshot() for part in old_parts])
+        restores.extend((part[position], payload)
+                        for part, payload in zip(new_parts, payloads))
+    spines = zip(_spine(query._root, old_roots),
+                 _spine(compiled[0], new_roots))
+    restores.extend((new, old.snapshot()) for old, new in spines)
+    for op, payload in restores:
+        op.restore(payload)
+    # ``arrivals`` is lifetime accounting outside the checkpoint protocol:
+    # keep the totals on partition 0, so explain_analyze's source
+    # selectivities do not reset to zero mid-flight.
+    for position, op in enumerate(new_parts[0]):
+        if isinstance(op, cqlexec.StreamSourceOp):
+            op.arrivals = sum(part[position].arrivals for part in old_parts)
 
-    snaps = [replica.snapshot() for replica in query._replicas]
-    replicas = [cqlexec.ContinuousQuery(query.plan, query.catalog)
-                for _ in range(parallelism)]
-    template = replicas[0]
+    width = query.parallelism
+    query._install(compiled, parallelism)
+    return RescaleReport(width, parallelism, query._last_instant,
+                         migration.moved, time.perf_counter() - started_at)
 
-    migration = _Migration(query, annotations, boundary, parallelism,
-                           template, cqlexec)
-    migration.check_quiescent(snaps)
-    per_target_ops = migration.rekey_operators(snaps)
-    payloads = migration.driver_payloads(snaps, per_target_ops)
-    for replica, ops, driver in zip(replicas, per_target_ops, payloads):
-        driver["operators"] = ops
-        replica.restore(driver)
-    migration.carry_accounting(query._replicas, replicas)
 
-    instant = payloads[0]["last_instant"]
-    query._replicas = replicas
-    query.parallelism = parallelism
-    query._stream_sources = replicas[0]._stream_sources
-    query._relation_sources = replicas[0]._relation_sources
-    return RescaleReport(len(snaps), parallelism, instant, migration.moved,
-                         time.perf_counter() - started_at)
+def _subtree(root: Any) -> list[Any]:
+    """A partition's operators, depth-first — the same positions in every
+    copy of the partition, whatever the width."""
+    out, stack = [], [root]
+    while stack:
+        op = stack.pop()
+        out.append(op)
+        stack.extend(reversed(op.children))
+    return out
+
+
+def _spine(root: Any, partition_roots: list[Any]) -> list[Any]:
+    """The operators above the partitions, root first: the unary chain
+    down to the partition boundary, or to the union above the boundary's
+    copies (the one operator with several children on the way)."""
+    stop = {id(op) for op in partition_roots}
+    out, cursor = [], root
+    while id(cursor) not in stop and len(cursor.children) == 1:
+        out.append(cursor)
+        cursor = cursor.children[0]
+    return out
 
 
 class _Migration:
-    """One rescale's worth of payload surgery, old snapshots → new width."""
+    """One rescale's worth of payload surgery, old partitions → new width."""
 
-    def __init__(self, query: Any, annotations: Mapping[int, Any],
-                 boundary: tuple[LogicalOp, tuple[str, ...], str],
-                 parallelism: int, template: Any, cqlexec: Any) -> None:
-        self.query = query
-        self.scheme = query.scheme
+    def __init__(self, scheme: PartitionScheme,
+                 annotations: Mapping[int, Any], parallelism: int,
+                 plan: LogicalOp, node_map: Mapping[int, list[Any]],
+                 cqlexec: Any) -> None:
+        self.scheme = scheme
         self.ann = annotations
-        self.boundary = boundary
         self.n = parallelism
-        self.template = template
         self.ex = cqlexec
         self.moved = 0
-        logical_by_id = {id(node): node for node in walk(query.plan)}
+        logical_by_id = {id(node): node for node in walk(plan)}
         self._nodes_of_phys: dict[int, list[LogicalOp]] = defaultdict(list)
-        for node_id, op in template._phys_by_logical.items():
-            self._nodes_of_phys[id(op)].append(logical_by_id[node_id])
+        for node_id, ops in node_map.items():
+            for op in ops:
+                self._nodes_of_phys[id(op)].append(logical_by_id[node_id])
 
     # -- shared helpers ------------------------------------------------------
 
     def _route(self, components: tuple) -> int:
         # Single-column keys hash the bare value, matching
-        # PartitionScheme.key_for / PartitionedQuery._route placement.
+        # PartitionScheme.key_for, which arrivals are routed by.
         key = components[0] if len(components) == 1 else components
-        return default_hash(key) % self.n
+        return partition_of(key, self.n)
 
     def _blank(self) -> list[dict[str, Any]]:
         return [{} for _ in range(self.n)]
@@ -190,39 +217,26 @@ class _Migration:
 
     # -- quiescence ----------------------------------------------------------
 
-    def check_quiescent(self, snaps: list[Mapping[str, Any]]) -> None:
-        ops = self.template.operators()
-        for snap in snaps:
-            if snap["undelivered"]:
-                raise RescaleError(
-                    "undelivered emissions pending; drain before rescaling")
-            for (name, op), payload in zip(ops, snap["operators"]):
-                if isinstance(op, self.ex.StreamSourceOp):
-                    if payload["_staged"] or payload["_arrived"]:
-                        raise RescaleError(
-                            f"{name} has staged arrivals; rescale only at "
-                            f"an instant boundary")
-                elif isinstance(op, self.ex.RelationSourceOp):
-                    if payload["_staged"]:
-                        raise RescaleError(
-                            f"{name} has staged relation updates; rescale "
-                            f"only at an instant boundary")
+    def check_quiescent(self, ops: list[Any]) -> None:
+        for op in ops:
+            name = type(op).__name__
+            if isinstance(op, self.ex.StreamSourceOp):
+                if op._staged or op._arrived:
+                    raise RescaleError(
+                        f"{name} has staged arrivals; rescale only at "
+                        f"an instant boundary")
+            elif isinstance(op, self.ex.RelationSourceOp):
+                if op._staged:
+                    raise RescaleError(
+                        f"{name} has staged relation updates; rescale "
+                        f"only at an instant boundary")
 
     # -- operator state ------------------------------------------------------
 
-    def rekey_operators(self, snaps: list[Mapping[str, Any]]) \
-            -> list[list[dict[str, Any]]]:
-        """Old per-replica operator payloads → per-*target* payload lists."""
-        per_op: list[list[dict[str, Any]]] = []
-        operators = self.template.operators()
-        for index, (name, op) in enumerate(operators):
-            olds = [snap["operators"][index] for snap in snaps]
-            per_op.append(self._rekey_op(name, op, olds))
-        return [[per_op[i][k] for i in range(len(per_op))]
-                for k in range(self.n)]
-
-    def _rekey_op(self, name: str, op: Any,
-                  olds: list[Mapping[str, Any]]) -> list[dict[str, Any]]:
+    def rekey_op(self, name: str, op: Any,
+                 olds: list[Mapping[str, Any]]) -> list[dict[str, Any]]:
+        """One operator's old per-partition payloads → per-*target*
+        payloads (``op`` is the operator's copy in target partition 0)."""
         ex = self.ex
         if isinstance(op, ex.StreamSourceOp):
             return self._rekey_stream_source(op, olds)
@@ -270,18 +284,18 @@ class _Migration:
 
     def _broadcast(self, op: Any, olds: list[Mapping[str, Any]],
                    verify: tuple[str, ...] = ()) -> list[dict[str, Any]]:
-        """Replicated state: every target gets old replica 0's copy.
+        """Replicated state: every target gets old partition 0's copy.
 
         ``restore`` deep-copies payloads, so sharing the source object
         across targets is safe.  Only cheaply value-comparable attrs are
-        verified identical across the old replicas.
+        verified identical across the old partitions.
         """
         for attr in verify:
             reference = olds[0][attr]
             for old in olds[1:]:
                 if old[attr] != reference:
                     raise RescaleError(
-                        f"broadcast state diverged across replicas "
+                        f"broadcast state diverged across partitions "
                         f"({attr}); cannot migrate")
         news = self._blank()
         for payload in news:
@@ -364,7 +378,7 @@ class _Migration:
                         if old[attr] != reference:
                             raise RescaleError(
                                 f"broadcast join state diverged across "
-                                f"replicas ({attr}); cannot migrate")
+                                f"partitions ({attr}); cannot migrate")
                     for payload in news:
                         payload[attr] = olds[0][attr]
                 continue
@@ -454,149 +468,3 @@ class _Migration:
                         self.moved += 1
         self._spread_counters(news, olds)
         return news
-
-    # -- driver state --------------------------------------------------------
-
-    def driver_payloads(self, snaps: list[Mapping[str, Any]],
-                        per_target_ops: list[list[dict[str, Any]]]) \
-            -> list[dict[str, Any]]:
-        """The non-operator half of each target's restore payload."""
-        boundary_node = self.boundary[0]
-        boundary_phys = self.template._phys_by_logical[id(boundary_node)]
-        operators = self.template.operators()
-        boundary_index = next(
-            index for index, (_, op) in enumerate(operators)
-            if op is boundary_phys)
-        chain: list[Any] = []
-        cursor = self.template._root
-        while cursor is not boundary_phys:
-            chain.append(cursor)
-            if not cursor.children:
-                raise RescaleError("spine walk did not reach the boundary")
-            cursor = cursor.children[0]
-
-        states: list[Bag] = []
-        for target in range(self.n):
-            bag = self._boundary_output(
-                boundary_phys, per_target_ops[target][boundary_index])
-            for op in reversed(chain):
-                bag = self._apply_spine(op, bag)
-            states.append(Bag.from_counts(
-                {record: mult for record, mult in bag.items() if mult}))
-
-        # Conservation: the union of the recomputed target states must be
-        # exactly the union of the source states, or the migration is
-        # wrong and must not be swapped in.
-        source: Counter = Counter()
-        for snap in snaps:
-            for record, mult in snap["state"].items():
-                source[record] += mult
-        migrated: Counter = Counter()
-        for state in states:
-            for record, mult in state.items():
-                migrated[record] += mult
-        if source != migrated:
-            raise RescaleError(
-                "state conservation check failed: recomputed target states "
-                "do not union to the checkpointed global state")
-
-        instant = max((snap["last_instant"] for snap in snaps
-                       if snap["last_instant"] is not None), default=None)
-        merged_log = self.query._merged_log()
-        merged_emissions = sorted(
-            (emission for snap in snaps for emission in snap["emissions"]),
-            key=lambda emission: emission.timestamp)
-        scheduled: set[Timestamp] = set()
-        for snap in snaps:
-            scheduled.update(snap["agenda"]["scheduled"])
-
-        payloads = []
-        for target, state in enumerate(states):
-            if instant is None:
-                log: list[tuple[Timestamp, Bag]] = []
-            elif target == 0:
-                # Target 0 carries the merged pre-rescale history; every
-                # target seeds its own share of the state at the migration
-                # instant, so the per-instant union — what as_relation()
-                # reports — is unchanged across the rescale.
-                log = [(t, bag) for t, bag in merged_log if t < instant]
-                log.append((instant, state))
-            else:
-                log = [(instant, state)]
-            payloads.append({
-                "agenda": {"heap": sorted(scheduled),
-                           "scheduled": set(scheduled)},
-                "state": state,
-                "log": log,
-                "emissions": list(merged_emissions) if target == 0 else [],
-                "undelivered": [],
-                "last_instant": instant,
-                "deltas_processed": sum(snap["deltas_processed"]
-                                        for snap in snaps)
-                if target == 0 else 0,
-            })
-        return payloads
-
-    def _boundary_output(self, op: Any,
-                         payload: Mapping[str, Any]) -> Counter:
-        """The boundary operator's current output, read from its payload."""
-        ex = self.ex
-        if isinstance(op, ex.AggregateOp):
-            return Counter(payload["_current_rows"].values())
-        if isinstance(op, ex.AppendOnlyJoinOp):
-            return self._join_output(op, payload["_left_index"],
-                                     payload["_right_index"],
-                                     lambda entries: entries)
-        if isinstance(op, ex.JoinOp):
-            return self._join_output(op, payload["_left_state"],
-                                     payload["_right_state"],
-                                     lambda counter: counter.items())
-        raise RescaleError(
-            f"cannot read current output from {type(op).__name__}")
-
-    def _join_output(self, op: Any, left: Mapping, right: Mapping,
-                     entries_of: Any) -> Counter:
-        out: Counter = Counter()
-        for key, left_bucket in left.items():
-            right_bucket = right.get(key)
-            if not right_bucket:
-                continue
-            for left_record, left_mult in entries_of(left_bucket):
-                for right_record, right_mult in entries_of(right_bucket):
-                    joined = left_record.concat(right_record)
-                    if op._residual is None or op._residual(joined):
-                        out[joined] += left_mult * right_mult
-        return out
-
-    def _apply_spine(self, op: Any, bag: Counter) -> Counter:
-        """One stateless spine operator, applied functionally to a bag."""
-        ex = self.ex
-        if isinstance(op, ex.FilterOp):
-            return Counter({record: mult for record, mult in bag.items()
-                            if op._predicate(record)})
-        if isinstance(op, ex.ProjectOp):
-            out: Counter = Counter()
-            for record, mult in bag.items():
-                out[op._mapper(record)] += mult
-            return out
-        if isinstance(op, ex.DistinctOp):  # covers AppendOnlyDistinctOp
-            return Counter({record: 1 for record, mult in bag.items()
-                            if mult > 0})
-        raise RescaleError(
-            f"cannot recompute driver state through {type(op).__name__}")
-
-    # -- post-restore accounting --------------------------------------------
-
-    def carry_accounting(self, old_replicas: list[Any],
-                         new_replicas: list[Any]) -> None:
-        """Keep lifetime arrival counts monotone across the swap.
-
-        ``arrivals`` is deliberately outside the checkpoint protocol
-        (lifetime accounting, not state), so it is carried over by hand —
-        explain_analyze's source selectivities must not reset to zero
-        mid-flight.
-        """
-        old_ops = [replica.operators() for replica in old_replicas]
-        for index, (_, op) in enumerate(new_replicas[0].operators()):
-            if isinstance(op, self.ex.StreamSourceOp):
-                op.arrivals = sum(ops[index][1].arrivals for ops in old_ops)

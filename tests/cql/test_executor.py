@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PlanError, Schema, StateError, TimeError
-from repro.cql import CQLEngine, PartitionedQuery
+from repro.cql import CQLEngine
 
 
 OBS = Schema(["id", "room", "temp"])
@@ -282,7 +282,7 @@ def join_query(engine, kind):
         return engine.register_query(JOIN, shared=engine.shared_group())
     query = engine.register_query(
         JOIN, parallelism=2 if kind == "partitioned" else None)
-    assert isinstance(query, PartitionedQuery) == (kind == "partitioned")
+    assert query.parallelism == (2 if kind == "partitioned" else 1)
     return query
 
 
@@ -303,6 +303,23 @@ class TestRelationUpdateClock:
             query.update_relation("Person", {"id": 9, "name": "eve"}, +1, 5)
         assert [t for t, _ in query.as_relation().snapshots()] == [10]
         assert rows(query.current()) == [("ada",)]
+
+    def test_feed_after_an_unchanged_instant_rejected(self, engine, kind):
+        # Instant 12 changed nothing (no Person has id 9), but it was
+        # evaluated: the clock is 12, not the last change at 10.
+        query = self.fed(engine, kind)
+        with pytest.raises(StateError, match="order"):
+            query.push("Obs", {"id": 1, "room": "a", "temp": 0}, 11)
+        with pytest.raises(StateError, match="order"):
+            query.update_relation("Person", {"id": 9, "name": "eve"}, +1, 11)
+        assert [t for t, _ in query.as_relation().snapshots()] == [10]
+        assert rows(query.current()) == [("ada",)]
+
+    def test_start_behind_the_clock_rejected(self, engine, kind):
+        query = self.fed(engine, kind)
+        with pytest.raises(StateError, match="order"):
+            query.start(11)
+        assert [t for t, _ in query.as_relation().snapshots()] == [10]
 
     def test_update_before_the_epoch_rejected(self, engine, kind):
         query = self.fed(engine, kind)

@@ -1,9 +1,11 @@
-"""Tests for fissioned CQL execution (repro.cql.parallel)."""
+"""Tests for fissioned CQL execution: a ContinuousQuery compiled with
+``parallelism > 1`` runs key partitions of its plan."""
 
 import pytest
 
 from repro.core import PlanError, Schema, StateError
-from repro.cql import ContinuousQuery, CQLEngine, PartitionedQuery
+from repro.cql import ContinuousQuery, CQLEngine
+from repro.cql.executor import AggregateOp, PartitionUnionOp
 
 
 GROUPED = ("SELECT room, COUNT(*) AS n FROM Obs [Range 5] "
@@ -29,8 +31,8 @@ def pair(engine, text, parallelism=3):
     """The same query compiled serial and fissioned."""
     plan = engine.plan(text)
     serial = ContinuousQuery(plan, engine.catalog)
-    parallel = PartitionedQuery(plan, engine.catalog,
-                                parallelism=parallelism)
+    parallel = ContinuousQuery(plan, engine.catalog,
+                               parallelism=parallelism)
     return serial, parallel
 
 
@@ -66,8 +68,8 @@ class TestParity:
             == [(e.value, e.timestamp) for e in serial.emitted_stream()]
 
     def test_window_expirations_fire_instant_by_instant(self, engine):
-        # Advancing far past the window must retract expired rows on
-        # every replica at the same instants the serial query does.
+        # Advancing far past the window must retract expired rows in
+        # every partition at the same instants the serial query does.
         serial, parallel = pair(engine, GROUPED)
         feed_both(serial, parallel, OBS_BATCHES)
         serial.advance_to(30)
@@ -77,7 +79,7 @@ class TestParity:
 
     def test_strided_int_keys_spread_and_match(self, engine):
         # Keys 0, 4, 8, … with parallelism 4: the pre-fix hash would send
-        # every key to replica 0.
+        # every key to partition 0.
         text = ("SELECT meter, COUNT(*) AS n FROM Metered [Range 100] "
                 "GROUP BY meter")
         serial, parallel = pair(engine, text, parallelism=4)
@@ -86,8 +88,9 @@ class TestParity:
                    for t in range(3)]
         feed_both(serial, parallel, batches)
         assert parallel.current() == serial.current()
-        loads = [len(replica.current()) for replica in parallel.replicas()]
-        assert all(load > 0 for load in loads), f"starved replica: {loads}"
+        loads = parallel.partition_loads()
+        assert len(loads) == 4
+        assert all(load > 0 for load in loads), f"starved partition: {loads}"
 
     def test_relation_updates_broadcast(self, engine):
         serial, parallel = pair(engine, JOINED)
@@ -100,6 +103,16 @@ class TestParity:
         assert parallel.current() == serial.current()
         assert parallel.as_relation() == serial.as_relation()
 
+    def test_one_agenda_log_and_emission_list(self, engine):
+        # The partitions share the query's clock and output: expirations
+        # are scheduled once, and every instant is logged once.
+        serial, parallel = pair(engine, GROUPED_ISTREAM)
+        feed_both(serial, parallel, OBS_BATCHES)
+        assert len(parallel._agenda) == len(serial._agenda)
+        assert [t for t, _ in parallel._log] == [t for t, _ in serial._log]
+        assert sorted(parallel.emissions(), key=repr) \
+            == sorted(serial.emissions(), key=repr)
+
 
 class TestRouting:
     def test_unread_stream_rejected(self, engine):
@@ -110,18 +123,22 @@ class TestRouting:
     def test_unpartitionable_plan_rejected(self, engine):
         plan = engine.plan("SELECT COUNT(*) AS n FROM Obs [Range 5]")
         with pytest.raises(PlanError):
-            PartitionedQuery(plan, engine.catalog, parallelism=2)
+            ContinuousQuery(plan, engine.catalog, parallelism=2)
 
     def test_replicas_hold_disjoint_groups(self, engine):
         _, parallel = pair(engine, GROUPED)
         for t, arrivals in OBS_BATCHES:
             parallel.push_batch(t, arrivals)
+        union, *partitions = [op for _, op in parallel.operators()
+                              if isinstance(op, (PartitionUnionOp,
+                                                 AggregateOp))]
+        assert isinstance(union, PartitionUnionOp)
+        assert union.children == partitions and len(partitions) == 3
         seen = {}
-        for index, replica in enumerate(parallel.replicas()):
-            for record in replica.current():
-                room = record["room"]
+        for index, aggregate in enumerate(partitions):
+            for (room,) in aggregate._current_rows:
                 assert seen.setdefault(room, index) == index
-        assert len(parallel.physical_roots()) == 3
+        assert sorted(seen) == ["hall", "kitchen", "lab"]
 
 
 class TestCheckpointing:
@@ -146,13 +163,13 @@ class TestCheckpointing:
 class TestEngineIntegration:
     def test_register_query_with_parallelism(self, engine):
         query = engine.register_query(GROUPED, parallelism=3)
-        assert isinstance(query, PartitionedQuery)
+        assert isinstance(query, ContinuousQuery)
         assert query.parallelism == 3
 
     def test_unpartitionable_request_clamps_to_serial(self, engine):
         query = engine.register_query(
             "SELECT COUNT(*) AS n FROM Obs [Range 5]", parallelism=4)
-        assert isinstance(query, ContinuousQuery)
+        assert query.parallelism == 1
 
     def test_shared_group_rejects_parallelism(self, engine):
         group = engine.shared_group()

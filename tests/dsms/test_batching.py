@@ -2,8 +2,7 @@
 
 Covers ``InputQueue.poll_batch`` (same-timestamp runs only), engine and
 per-query ``batch_size`` resolution (planner clamp vs explicit opt-in),
-batched-vs-per-element parity on the Store/state/emissions, and the
-``max_batch_wait`` deferral knob.
+and batched-vs-per-element parity on the Store/state/emissions.
 """
 
 from repro.core.records import Schema
@@ -130,31 +129,3 @@ class TestBatchedServicingParity:
         # Arrivals must have been applied in timestamp order; a mixed
         # batch would have raised inside the executor's order check.
         assert handle.metrics.processed == 6
-
-
-class TestMaxBatchWait:
-    def test_subfull_batch_defers_then_flushes(self):
-        engine = make_engine(batch_size=4, max_batch_wait=3)
-        handle = engine.register_query("q", SAFE_QUERY)
-        engine.ingest("Obs", {"id": 1, "room": "r", "temp": 40}, t=0)
-        # Quantum 1-3: deferral (queue below batch_size); quantum 4 flushes.
-        for _ in range(3):
-            assert engine.step()
-            assert handle.metrics.processed == 0
-        assert engine.step()
-        assert handle.metrics.processed == 1
-
-    def test_full_batch_never_defers(self):
-        engine = make_engine(batch_size=2, max_batch_wait=50)
-        handle = engine.register_query("q", SAFE_QUERY)
-        for _ in range(2):
-            engine.ingest("Obs", {"id": 1, "room": "r", "temp": 40}, t=0)
-        assert engine.step()
-        assert handle.metrics.processed == 2
-
-    def test_run_until_idle_terminates_despite_deferrals(self):
-        engine = make_engine(batch_size=64, max_batch_wait=5)
-        handle = engine.register_query("q", SAFE_QUERY)
-        engine.ingest("Obs", {"id": 1, "room": "r", "temp": 40}, t=0)
-        engine.run_until_idle()
-        assert handle.metrics.processed == 1

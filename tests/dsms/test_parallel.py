@@ -1,9 +1,11 @@
 """Tests for key-partitioned queries running inside the DSMS engine."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import Schema
-from repro.cql import ContinuousQuery, PartitionedQuery
+from repro.core.relation import Bag
 from repro.dsms import DSMSEngine
 
 
@@ -38,8 +40,8 @@ class TestPartitionedHandles:
     def test_partitioned_query_serves_like_serial(self, dsms):
         parallel = dsms.register_query("par", GROUPED, parallelism=3)
         serial = dsms.register_query("ser", GROUPED)
-        assert isinstance(parallel.query, PartitionedQuery)
-        assert isinstance(serial.query, ContinuousQuery)
+        assert parallel.query.parallelism == 3
+        assert serial.query.parallelism == 1
         ingest_all(dsms)
         assert parallel.store_state() == serial.store_state()
         assert parallel.metrics.processed == serial.metrics.processed == 5
@@ -48,7 +50,7 @@ class TestPartitionedHandles:
         handle = dsms.register_query(
             "global", "SELECT COUNT(*) AS n FROM Obs [Range 100]",
             parallelism=4)
-        assert isinstance(handle.query, ContinuousQuery)
+        assert handle.query.parallelism == 1
         ingest_all(dsms)
         assert [r["n"] for r in handle.store_state()] == [5]
 
@@ -63,15 +65,15 @@ class TestPartitionedHandles:
     def test_scratch_accounts_every_replica(self, dsms):
         dsms.register_query("par", GROUPED, parallelism=3)
         ingest_all(dsms)
-        # All five tuples are buffered in the replicas' window state and
-        # the Scratch sees them across the fissioned registrations.
+        # All five tuples are buffered in the partitions' window state
+        # and the Scratch sees them across every partition's operators.
         assert dsms.scratch.occupancy() >= 5
         assert dsms.total_state_size() >= 5
 
     def test_cancel_partitioned_query(self, dsms):
         dsms.register_query("par", GROUPED, parallelism=2)
         handle = dsms.cancel_query("par")
-        assert isinstance(handle.query, PartitionedQuery)
+        assert handle.query.parallelism == 2
         assert dsms.queries == []
 
     def test_sharing_mode_keeps_fissioned_queries_isolated(self):
@@ -79,7 +81,7 @@ class TestPartitionedHandles:
         dsms.register_stream("Obs", OBS)
         parallel = dsms.register_query("par", GROUPED, parallelism=2)
         member = dsms.register_query("member", GROUPED)
-        assert isinstance(parallel.query, PartitionedQuery)
+        assert parallel.query.parallelism == 2
         assert member.query._shared is not None
         ingest_all(dsms)
         assert parallel.store_state() == member.store_state()
@@ -98,3 +100,52 @@ class TestPartitionedRecovery:
             dsms.ingest("Obs", row, t)
         dsms.run_until_idle()
         assert handle.store_state() == after
+
+
+class TestFissionedCostIsHistoryIndependent:
+    """Counts, not clocks: a fissioned query's work per serviced quantum
+    and per ``advance_time`` must not grow with how long it has run."""
+
+    ROOMS = ["kitchen", "lab", "hall", "attic", "cellar"]
+
+    @pytest.fixture
+    def census(self, monkeypatch):
+        counts = Counter()
+        construct, add = Bag.__init__, Bag.add
+
+        def counted_init(bag, items=()):
+            counts["Bag constructions"] += 1
+            construct(bag, items)
+
+        def counted_add(bag, item, count=1):
+            counts["Record adds"] += 1
+            add(bag, item, count)
+
+        monkeypatch.setattr(Bag, "__init__", counted_init)
+        monkeypatch.setattr(Bag, "add", counted_add)
+        return counts
+
+    def test_same_work_at_tick_50_and_tick_2000(self, census):
+        engine = DSMSEngine()
+        engine.register_stream("Obs", OBS)
+        handle = engine.register_query(
+            "par", "SELECT room, COUNT(*) AS n FROM Obs [Range 10] "
+                   "GROUP BY room", parallelism=3)
+        work = {}
+        for tick in range(1, 2001):
+            # A period-3 pattern against a 10-tick window: every count
+            # moves every tick, and ticks 50 and 2000 hold the same state.
+            for index, room in enumerate(self.ROOMS):
+                if (tick + index) % 3:
+                    engine.ingest("Obs", {"id": index, "room": room,
+                                          "temp": 20}, tick)
+            census.clear()
+            assert engine.step()
+            quantum = dict(census)
+            engine.run_until_idle()
+            census.clear()
+            engine.advance_time(tick)
+            if tick in (50, 2000):
+                work[tick] = (quantum, dict(census))
+        assert len(handle.query._log) >= 2000
+        assert work[50] == work[2000]

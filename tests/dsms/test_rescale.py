@@ -3,8 +3,8 @@
 
 import pytest
 
+import repro.obs as obs
 from repro.core import PlanError, Schema, StateError
-from repro.cql.parallel import PartitionedQuery
 from repro.dsms import DSMSEngine
 from repro.obs import explain_analyze
 from repro.plan.adaptive import AdaptivePolicy
@@ -50,7 +50,6 @@ class TestRescaleQuery:
         engine.run_until_idle()
 
         assert store_outputs(handle) == store_outputs(control_handle)
-        assert isinstance(handle.query, PartitionedQuery)
         assert handle.query.parallelism == 3
         assert handle.rescales == [report]
         assert report.parallelism_from == 1
@@ -80,11 +79,11 @@ class TestRescaleQuery:
         engine.run_until_idle()
         occupancy_before = engine.scratch.occupancy()
         engine.rescale_query("q", 3)
-        labels = [label for label in engine.scratch.breakdown()
-                  if label.startswith("q/")]
-        # One registration per stateful operator per replica, suffixed.
-        assert labels and all(label.endswith(("!0", "!1", "!2"))
-                              for label in labels)
+        # One registration per stateful operator per partition: a window
+        # source and an aggregate in each of three.
+        assert sorted(engine.scratch.breakdown()) \
+            == ["q/AggregateOp", "q/StreamSourceOp"]
+        assert len(engine.scratch) == 6
         # The migrated state is the same state: accounting is unchanged.
         assert engine.scratch.occupancy() == occupancy_before
 
@@ -117,13 +116,72 @@ class TestRescaleQuery:
         assert "rescales: 1→3" in rendered
 
 
-class TestAutoscale:
-    POLICY = AdaptivePolicy(max_parallelism=4, high_occupancy=0.5,
-                            low_occupancy=0.05, confirm_polls=2,
-                            cooldown_polls=1)
+POLICY = AdaptivePolicy(max_parallelism=4, high_occupancy=0.5,
+                        low_occupancy=0.05, confirm_polls=2, cooldown_polls=1)
 
+
+def published_totals(field):
+    """Per-operator-type sums of the published ``exec.operator.*``
+    counters, across every label (old widths' operators included)."""
+    totals = {}
+    for counter in obs.get_registry().children(f"exec.operator.{field}"):
+        name = counter.labels["operator"]
+        totals[name] = totals.get(name, 0) + counter.value
+    return totals
+
+
+def live_totals(query, attr):
+    """The same sums over the running tree.  The union's count restarts
+    with each new width (it carries no state), so it is left out."""
+    totals = {}
+    for name, op in query.operators():
+        if name != "PartitionUnionOp":
+            totals[name] = totals.get(name, 0) + getattr(op, attr)
+    return totals
+
+
+class TestRescaleUnderObservability:
+    """Published operator counters across a width change: no counter
+    moves backwards, and every delta is published exactly once."""
+
+    def assert_published_once(self, query):
+        for field, attr in (("records_in", "received"),
+                            ("records_out", "emitted")):
+            published = published_totals(field)
+            published.pop("PartitionUnionOp", None)
+            assert published == live_totals(query, attr)
+
+    def test_explicit_rescales_between_drains(self):
+        obs.enable()
+        engine = make_engine()
+        handle = engine.register_query("q", GROUPED)
+        ingest(engine, ROWS[:8])
+        engine.run_until_idle()
+        engine.rescale_query("q", 3)
+        ingest(engine, ROWS[8:16])
+        engine.run_until_idle()
+        engine.rescale_query("q", 2)
+        ingest(engine, ROWS[16:])
+        engine.run_until_idle()
+        assert handle.query.parallelism == 2
+        self.assert_published_once(handle.query)
+
+    def test_autoscale_rescales_inside_a_drain(self):
+        # The controller rescales after the drain and before the publish,
+        # so the retired operators still hold unpublished growth.
+        obs.enable()
+        engine = make_engine(autoscale=POLICY, queue_capacity=8)
+        handle = engine.register_query("q", GROUPED)
+        for start in range(0, len(ROWS), 6):
+            ingest(engine, ROWS[start:start + 6])
+            engine.run_until_idle()
+        assert handle.autoscaler.as_dict()["rescales"] >= 1
+        self.assert_published_once(handle.query)
+
+
+class TestAutoscale:
     def test_backlog_drives_scale_up_without_divergence(self):
-        engine = make_engine(autoscale=self.POLICY, queue_capacity=8)
+        engine = make_engine(autoscale=POLICY, queue_capacity=8)
         handle = engine.register_query("q", GROUPED)
         control = make_engine()
         control_handle = control.register_query("q", GROUPED)
@@ -147,7 +205,7 @@ class TestAutoscale:
         engine.run_until_idle()
         assert handle.autoscaler is None
         assert "g" in engine._autoscale_ineligible
-        assert not isinstance(handle.query, PartitionedQuery)
+        assert handle.query.parallelism == 1
 
     def test_autoscale_off_by_default(self):
         engine = make_engine()
@@ -155,4 +213,4 @@ class TestAutoscale:
         ingest(engine, ROWS)
         engine.run_until_idle()
         assert handle.autoscaler is None
-        assert not isinstance(handle.query, PartitionedQuery)
+        assert handle.query.parallelism == 1

@@ -166,6 +166,20 @@ class TestPartitionedRecorded:
         assert all(load > 0 for load in result.partition_loads), \
             f"starved partition: {result.partition_loads}"
 
+    def test_rstream_partitions_re_emit_where_others_changed(self, engine):
+        """Regression: a partition silent at an instant another partition
+        logged must re-emit its rows there, as the serial RSTREAM does
+        (kitchen routes apart from lab and hall at width 2)."""
+        plan = engine.plan("SELECT RSTREAM room, COUNT(*) AS n "
+                           "FROM Obs [Range 5] GROUP BY room")
+        expected, state = serial_reference(plan, engine.catalog, BATCHES)
+        result = run_partitioned_recorded(plan, engine.catalog, BATCHES,
+                                          parallelism=2, backend="inline")
+        assert len(result.emissions) == len(expected) == 16
+        assert sorted(result.emissions, key=emission_key) \
+            == sorted(expected, key=emission_key)
+        assert result.state == state
+
     def test_unpartitionable_plan_rejected(self, engine):
         plan = engine.plan("SELECT COUNT(*) AS n FROM Obs [Range 5]")
         with pytest.raises(PlanError):

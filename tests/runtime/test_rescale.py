@@ -1,12 +1,12 @@
 """Tests for live rescale (repro.runtime.rescale): checkpoint-driven
-state migration of a running PartitionedQuery, zero output divergence."""
+state migration of a running query across widths, zero output
+divergence."""
 
 import pytest
 
 from repro.core import PlanError, Schema, StateError
 from repro.cql import ContinuousQuery, CQLEngine
-from repro.cql.parallel import PartitionedQuery
-from repro.runtime.rescale import RescaleError, RescaleReport
+from repro.runtime.rescale import RescaleError, RescaleReport, rescale
 
 GROUPED = ("SELECT ISTREAM room, COUNT(*) AS n FROM Obs [Range 5] "
            "GROUP BY room")
@@ -14,6 +14,8 @@ RSTREAM_GROUPED = ("SELECT RSTREAM room, MAX(temp) AS m FROM Obs [Range 4] "
                    "GROUP BY room")
 KEY_PROJECTED_AWAY = ("SELECT COUNT(*) AS n FROM Obs [Range 5] "
                       "GROUP BY room")
+DISTINCT_COUNTS = ("SELECT DISTINCT COUNT(*) AS n FROM Obs [Range 5] "
+                   "GROUP BY room")
 STREAM_JOIN = ("SELECT ISTREAM O.room, O.id, A.level FROM Obs O [Range 5], "
                "Alerts A [Range 5] WHERE O.room = A.room")
 RELATION_JOIN = ("SELECT ISTREAM O.room, O.id, R.floor "
@@ -48,13 +50,13 @@ def outputs(query):
 
 def run_with_rescales(plan, catalog, batches, schedule,
                       start_width=1):
-    """Drive a PartitionedQuery, rescaling at the scheduled positions."""
-    query = PartitionedQuery(plan, catalog, parallelism=start_width)
+    """Drive a query, rescaling at the scheduled positions."""
+    query = ContinuousQuery(plan, catalog, parallelism=start_width)
     reports = []
     query.start()
     for position, (t, arrivals) in enumerate(batches):
         if position in schedule:
-            reports.append(query.rescale(schedule[position]))
+            reports.append(rescale(query, schedule[position]))
         query.push_batch(t, arrivals)
     query.finish()
     return query, reports
@@ -101,12 +103,11 @@ class TestStateMigration:
         assert outputs(query) == outputs(control)
         assert sum(r.migrated_entries for r in reports) > 0
 
-    def test_key_projected_away_uses_driver_reconstruction(self, engine):
-        # The spine above the aggregate projects the routing key away, so
-        # the driver state must be recomputed per target, not split.
-        # Relation-mode only: the maintained state is a disjoint union
-        # even when output rows collide in value (see the delta-merge
-        # soundness test below for why streamed output is different).
+    def test_key_projected_away_rescales(self, engine):
+        # The spine above the aggregate projects the routing key away;
+        # it runs once above the partitions, so nothing keyed is lost.
+        # Relation-mode only (see the delta-merge soundness test below
+        # for why a streamed output without its key is refused).
         plan = engine.plan(KEY_PROJECTED_AWAY)
         control = serial_control(plan, engine.catalog, OBS_BATCHES)
         query, _ = run_with_rescales(
@@ -133,6 +134,16 @@ class TestStateMigration:
         # disjoint-by-key bag union regardless of what the output names.
         assert partition_scheme(engine.plan(KEY_PROJECTED_AWAY)) is not None
 
+    def test_state_above_the_boundary_carries_over(self, engine):
+        # DISTINCT above a key-dropping projection holds the one copy of
+        # its state whatever the width; a rescale must carry it across.
+        plan = engine.plan(DISTINCT_COUNTS)
+        control = serial_control(plan, engine.catalog, OBS_BATCHES)
+        query, _ = run_with_rescales(
+            plan, engine.catalog, OBS_BATCHES, {3: 4, 7: 2})
+        assert query.as_relation() == control.as_relation()
+        assert query.current() == control.current()
+
     def test_relation_updates_after_rescale(self, engine):
         plan = engine.plan(RELATION_JOIN)
         obs = [(t, {"Obs": [{"id": t, "room": ROOMS[t % 3], "temp": 20}]})
@@ -144,7 +155,7 @@ class TestStateMigration:
                                   1, 0)
             for position, (t, arrivals) in enumerate(obs):
                 if position == rescale_at:
-                    query.rescale(3)
+                    rescale(query, 3)
                 query.push_batch(t, arrivals)
                 if position == 2:
                     query.update_relation(
@@ -153,9 +164,7 @@ class TestStateMigration:
             return query
 
         control = drive(ContinuousQuery(plan, engine.catalog))
-        rescaled = drive(
-            PartitionedQuery(plan, engine.catalog, parallelism=1),
-            rescale_at=4)
+        rescaled = drive(ContinuousQuery(plan, engine.catalog), rescale_at=4)
         assert outputs(rescaled) == outputs(control)
 
     def test_as_relation_history_survives_rescale(self, engine):
@@ -166,14 +175,14 @@ class TestStateMigration:
         assert query.as_relation() == control.as_relation()
 
     def test_rstream_replicas_match_serial(self, engine):
-        """Regression for the RSTREAM merge bug: a replica that stays
-        quiet at an instant another replica logged must still re-emit its
-        state, or merged output loses rows when keys split across
-        replicas."""
+        """Regression for the RSTREAM merge bug: a partition that stays
+        quiet at an instant another partition changed must still re-emit
+        its rows, or the output loses rows when keys split across
+        partitions."""
         plan = engine.plan(RSTREAM_GROUPED)
         control = serial_control(plan, engine.catalog, OBS_BATCHES)
         for width in (2, 4):
-            query = PartitionedQuery(plan, engine.catalog, parallelism=width)
+            query = ContinuousQuery(plan, engine.catalog, parallelism=width)
             query.start()
             for t, arrivals in OBS_BATCHES:
                 query.push_batch(t, arrivals)
@@ -182,8 +191,7 @@ class TestStateMigration:
 
     def test_event_time_frontier_survives_rescale(self, engine):
         """Window expirations fire at the same instants after migration:
-        every target replica inherits the union agenda, so the merged
-        event-time frontier is still the minimum across partitions."""
+        the agenda is the query's own and carries across untouched."""
         plan = engine.plan(GROUPED)
 
         def drive(query, rescale_to=None):
@@ -191,15 +199,14 @@ class TestStateMigration:
             for t, arrivals in OBS_BATCHES[:5]:
                 query.push_batch(t, arrivals)
             if rescale_to is not None:
-                query.rescale(rescale_to)
+                rescale(query, rescale_to)
             # No further arrivals: only agenda work (expirations) fires.
             query.advance_to(40)
             query.finish()
             return query
 
         control = drive(ContinuousQuery(plan, engine.catalog))
-        rescaled = drive(PartitionedQuery(plan, engine.catalog,
-                                          parallelism=1), rescale_to=4)
+        rescaled = drive(ContinuousQuery(plan, engine.catalog), rescale_to=4)
         assert outputs(rescaled) == outputs(control)
 
     def test_rstream_rescale_matches_serial(self, engine):
@@ -211,16 +218,20 @@ class TestStateMigration:
 
 
 class TestAdoption:
+    """A running serial query is rescaled in place: no wrapper adopts it."""
+
     def test_adopt_keeps_running_state_then_rescales(self, engine):
         plan = engine.plan(GROUPED)
         control = serial_control(plan, engine.catalog, OBS_BATCHES)
-        serial = ContinuousQuery(plan, engine.catalog)
-        serial.start()
+        query = ContinuousQuery(plan, engine.catalog)
+        query.start()
         for t, arrivals in OBS_BATCHES[:4]:
-            serial.push_batch(t, arrivals)
-        query = PartitionedQuery.adopt(serial)
-        assert query.parallelism == 1
-        query.rescale(3)
+            query.push_batch(t, arrivals)
+        log, emissions = query._log, query._emissions
+        rescale(query, 3)
+        assert query.parallelism == 3
+        # The change-log and the emissions are carried, not rebuilt.
+        assert query._log is log and query._emissions is emissions
         for t, arrivals in OBS_BATCHES[4:]:
             query.push_batch(t, arrivals)
         query.finish()
@@ -229,23 +240,23 @@ class TestAdoption:
     def test_adopt_rejects_unpartitionable_plan(self, engine):
         plan = engine.plan("SELECT COUNT(*) AS n FROM Obs [Range 5]")
         with pytest.raises(PlanError, match="not key-partitionable"):
-            PartitionedQuery.adopt(ContinuousQuery(plan, engine.catalog))
+            rescale(ContinuousQuery(plan, engine.catalog), 2)
 
 
 class TestRescaleEdges:
     def test_same_width_is_a_noop(self, engine):
         plan = engine.plan(GROUPED)
-        query = PartitionedQuery(plan, engine.catalog, parallelism=2)
-        replicas = query.replicas()
-        report = query.rescale(2)
+        query = ContinuousQuery(plan, engine.catalog, parallelism=2)
+        operators = query.operators()
+        report = rescale(query, 2)
         assert isinstance(report, RescaleReport)
         assert report.migrated_entries == 0
-        assert query.replicas() == replicas  # untouched, not rebuilt
+        assert query.operators() == operators  # untouched, not rebuilt
 
     def test_rescale_before_any_input(self, engine):
         plan = engine.plan(GROUPED)
-        query = PartitionedQuery(plan, engine.catalog, parallelism=1)
-        report = query.rescale(4)
+        query = ContinuousQuery(plan, engine.catalog)
+        report = rescale(query, 4)
         assert report.instant is None
         query.start()
         for t, arrivals in OBS_BATCHES:
@@ -256,29 +267,34 @@ class TestRescaleEdges:
 
     def test_nonpositive_width_rejected(self, engine):
         plan = engine.plan(GROUPED)
-        query = PartitionedQuery(plan, engine.catalog, parallelism=1)
+        query = ContinuousQuery(plan, engine.catalog)
         with pytest.raises(RescaleError):
-            query.rescale(0)
+            rescale(query, 0)
 
     def test_rescale_error_is_a_state_error(self):
         assert issubclass(RescaleError, StateError)
+
+    def test_shared_group_member_rejected(self, engine):
+        query = engine.register_query(GROUPED, shared=engine.shared_group())
+        with pytest.raises(RescaleError, match="shared"):
+            rescale(query, 2)
 
     def test_failed_rescale_leaves_query_at_old_width(self, engine):
         # [Rows n] partitioned windows pass the scheme check but carry a
         # global-order FIFO; rescale must refuse without touching the
         # query.  Force the condition through the snapshot payload shape.
         plan = engine.plan(GROUPED)
-        query = PartitionedQuery(plan, engine.catalog, parallelism=2)
+        query = ContinuousQuery(plan, engine.catalog, parallelism=2)
         query.start()
         for t, arrivals in OBS_BATCHES[:3]:
             query.push_batch(t, arrivals)
         before = outputs(query)
         # Stage an arrival mid-instant by hand: quiescence must reject it.
-        source = next(op for _, op in query.replicas()[0].operators()
+        source = next(op for _, op in query.operators()
                       if hasattr(op, "_staged"))
         source._staged.append(object())
         with pytest.raises(RescaleError, match="staged"):
-            query.rescale(4)
+            rescale(query, 4)
         source._staged.pop()
         assert query.parallelism == 2
         assert outputs(query) == before
