@@ -10,6 +10,12 @@ group rows, and the R2S operators at the root reduce to selecting the
 ``+``/``-`` sides of the root delta stream (ISTREAM/DSTREAM) or snapshotting
 maintained state (RSTREAM).
 
+The same R2R operators maintain dynamic tables (:mod:`repro.views`, the
+paper's §5.1): a view is a relation-only plan whose refresh is one instant,
+so incremental view maintenance and CQL share one delta algebra.  Every
+stateful operator refuses, from the call that makes it, a retraction of
+a row or value it does not hold.
+
 Correctness contract: when all arrivals carrying one timestamp are pushed
 together (which :meth:`ContinuousQuery.run_recorded` guarantees), the
 maintained state at every instant equals the reference denotational
@@ -24,7 +30,7 @@ import heapq
 import time
 from collections import Counter, defaultdict, deque
 from operator import itemgetter
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.obs import get_registry as _obs_registry
 # Hot-path gate: reading the state attribute directly (instead of calling
@@ -37,6 +43,7 @@ from repro.core.records import Record, Schema, trusted_record
 from repro.core.relation import EMPTY_BAG, Bag, TimeVaryingRelation
 from repro.core.stream import Stream
 from repro.core.time import MIN_TIMESTAMP, Timestamp
+from repro.plan.exprs import EmitMode
 from repro.plan.ir import (
     Aggregate,
     Distinct,
@@ -48,18 +55,29 @@ from repro.plan.ir import (
     RelToStream,
     SetOp,
     StreamScan,
+    WindowAggregate,
     WindowOp,
 )
 from repro.cql.ast import WindowSpecKind
 from repro.cql.catalog import Catalog
 from repro.cql.expressions import compile_expr, compile_predicate
 
+#: A signed record change flowing between physical operators: a bare
+#: ``(record, multiplicity)`` pair, built and read by position.  A pair
+#: costs a fraction of any named record type, and a batch of them folds
+#: into a ``dict`` in one call (see :meth:`ContinuousQuery._apply_instant`).
+Delta = tuple[Record, int]
 
-class Delta(NamedTuple):
-    """A signed record change flowing between physical operators."""
 
-    record: Record
-    mult: int
+def _values_at(indexes: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The tuple of a row's values at ``indexes``, from its values tuple:
+    a join or group key."""
+    if len(indexes) == 1:
+        index = indexes[0]
+        return lambda values: (values[index],)
+    if indexes:
+        return itemgetter(*indexes)
+    return lambda values: ()
 
 
 class Agenda:
@@ -411,7 +429,7 @@ class StreamSourceOp(PhysicalOp):
             still_pending = []
             for record, enter, exit_ in self._pending:
                 if enter <= t:
-                    out.append(Delta(record, +1))
+                    out.append((record, 1))
                     self._visible.append((record, exit_))
                 else:
                     still_pending.append((record, enter, exit_))
@@ -419,7 +437,7 @@ class StreamSourceOp(PhysicalOp):
             still_visible = []
             for record, exit_ in self._visible:
                 if exit_ <= t:
-                    out.append(Delta(record, -1))
+                    out.append((record, -1))
                     self.evicted += 1
                 else:
                     still_visible.append((record, exit_))
@@ -435,16 +453,16 @@ class StreamSourceOp(PhysicalOp):
             for expiry in due:
                 expired = self._expiries.pop(expiry)
                 for record in expired:
-                    out.append(Delta(record, -1))
+                    out.append((record, -1))
                 self.evicted += len(expired)
                 self._buffered -= len(expired)
 
         for record in self._staged:
-            out.append(Delta(record, +1))
+            out.append((record, 1))
             if kind is WindowSpecKind.ROWS:
                 self._fifo.append(record)
                 if len(self._fifo) > self.spec.rows:
-                    out.append(Delta(self._fifo.popleft(), -1))
+                    out.append((self._fifo.popleft(), -1))
                     self.evicted += 1
                 else:
                     self._buffered += 1
@@ -455,7 +473,7 @@ class StreamSourceOp(PhysicalOp):
                 queue = self._per_key[key]
                 queue.append(record)
                 if len(queue) > self.spec.rows:
-                    out.append(Delta(queue.popleft(), -1))
+                    out.append((queue.popleft(), -1))
                     self.evicted += 1
                 else:
                     self._buffered += 1
@@ -464,7 +482,11 @@ class StreamSourceOp(PhysicalOp):
 
 
 class RelationSourceOp(PhysicalOp):
-    """A base relation: emits its initial contents once, then staged updates."""
+    """A base relation: emits its initial contents once, then staged updates.
+
+    Its first instant is active even over empty contents, so a global
+    aggregate above it materialises its COUNT = 0 row there.
+    """
 
     _STATE_ATTRS = ("_initial", "_staged")
 
@@ -474,29 +496,30 @@ class RelationSourceOp(PhysicalOp):
         self._initial: Bag | None = initial
         self._staged: list[Delta] = []
 
-    def stage_update(self, record: Record, mult: int) -> None:
-        self._staged.append(
-            Delta(record.with_schema(self.scan.schema), mult))
+    def stage_updates(self, deltas: Iterable[Delta]) -> None:
+        """Queue signed changes for the next instant, each record
+        relabelled to the scan's (alias-qualified) schema."""
+        schema = self.scan.schema
+        self._staged.extend([(record.with_schema(schema), mult)
+                             for record, mult in deltas])
 
     def process_instant(self, t: Timestamp) -> tuple[list[Delta], bool]:
-        initial = self._initial is not None
-        staged = bool(self._staged)
+        active = self._initial is not None or bool(self._staged)
         deltas = (self._timed_process(t, []) if _obs_state.enabled
                   else self.process(t, []))
         self.emitted += len(deltas)
-        return deltas, initial or staged or bool(deltas)
+        return deltas, active
 
     def process(self, t: Timestamp,
                 child_deltas: list[list[Delta]]) -> list[Delta]:
-        out: list[Delta] = []
-        if self._initial is not None:
-            for record, count in self._initial.items():
-                out.append(Delta(record.with_schema(self.scan.schema),
-                                 count))
-            self._initial = None
-        out.extend(self._staged)
-        self._staged.clear()
-        return out
+        staged, self._staged = self._staged, []
+        if self._initial is None:
+            return staged
+        schema = self.scan.schema
+        out = [(record.with_schema(schema), count)
+               for record, count in self._initial.items()]
+        self._initial = None
+        return out + staged
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +535,26 @@ class FilterOp(PhysicalOp):
 
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
-        return [d for d in deltas if self._predicate(d.record)]
+        predicate = self._predicate
+        return [delta for delta in deltas if predicate(delta[0])]
 
 
 class ProjectOp(PhysicalOp):
+    """π: one output row per delta, built under the compile-time schema."""
+
     def __init__(self, child: PhysicalOp,
-                 mapper: Callable[[Record], Record]) -> None:
+                 evaluators: list[Callable[[Record], Any]],
+                 schema: Schema) -> None:
         super().__init__([child])
-        self._mapper = mapper
+        self._evaluators = evaluators
+        self._schema = schema
 
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
-        return [Delta(self._mapper(d.record), d.mult) for d in deltas]
+        schema, evaluators = self._schema, self._evaluators
+        return [(trusted_record(schema, tuple([evaluate(record)
+                                               for evaluate in evaluators])),
+                 mult) for record, mult in deltas]
 
 
 class PartitionUnionOp(PhysicalOp):
@@ -551,91 +582,97 @@ class JoinOp(PhysicalOp):
     """Symmetric incremental join with the bilinear delta rule.
 
     ``Δ(L ⋈ R) = ΔL ⋈ R_old  ∪  L_new ⋈ ΔR`` — applied per batch, with
-    multiplicities multiplying.  Keys come from the plan's extracted
-    equi-join columns; an empty key degenerates to an incremental cross
-    join.  A residual predicate filters joined records.
+    multiplicities multiplying: the left batch probes the right index and
+    lands in its own, then the right batch probes the updated left one.
+    Each side's index maps a key (the plan's extracted equi-join columns,
+    read by position; empty for an incremental cross join) to
+    ``{record: multiplicity}``.  Joined rows share the one output schema
+    built at compile time, and a residual predicate filters them.
     """
 
     _STATE_ATTRS = ("_left_state", "_right_state", "_held")
     _KEYED_ATTRS = ("_left_state", "_right_state")
 
     def __init__(self, left: PhysicalOp, right: PhysicalOp,
-                 left_key: Callable[[Record], tuple],
-                 right_key: Callable[[Record], tuple],
+                 left_indexes: Sequence[int], right_indexes: Sequence[int],
+                 schema: Schema,
                  residual: Callable[[Record], bool] | None) -> None:
         super().__init__([left, right])
-        self._left_key = left_key
-        self._right_key = right_key
+        self._key_of = (_values_at(left_indexes), _values_at(right_indexes))
+        self._schema = schema
         self._residual = residual
-        self._left_state: dict[tuple, Counter] = defaultdict(Counter)
-        self._right_state: dict[tuple, Counter] = defaultdict(Counter)
+        self._left_state: dict[tuple, dict[Record, int]] = {}
+        self._right_state: dict[tuple, dict[Record, int]] = {}
         #: Net multiplicity folded into the two sides' indexes: a tally
         #: kept where they are updated, so ``state_size`` never walks
         #: them.  Checkpointed state like the indexes it counts.
         self._held = 0
 
-    def _emit(self, left_record: Record, right_record: Record,
-              mult: int, out: list[Delta]) -> None:
-        joined = left_record.concat(right_record)
-        if self._residual is None or self._residual(joined):
-            out.append(Delta(joined, mult))
-
-    @staticmethod
-    def _keyed(deltas: list[Delta],
-               key_fn: Callable[[Record], tuple]) -> list[tuple]:
-        """``(key, record, mult)`` for every delta whose join key has no
-        NULL component.
-
-        SQL three-valued logic: a NULL key component can never satisfy the
-        originating equality predicate, so such rows join nothing and are
-        not worth indexing (keeps the incremental join aligned with the
-        naive filtered-cross-product plan).
-        """
-        out = []
-        for record, mult in deltas:
-            key = key_fn(record)
-            if None not in key:
-                out.append((key, record, mult))
-        return out
-
     def process(self, t, child_deltas):
-        left = self._keyed(child_deltas[0], self._left_key)
-        right = self._keyed(child_deltas[1], self._right_key)
-        left_state, right_state = self._left_state, self._right_state
-        if self._dirty is not None:
-            self._dirty["_left_state"].update(key for key, _, _ in left)
-            self._dirty["_right_state"].update(key for key, _, _ in right)
+        left_deltas, right_deltas = child_deltas
         out: list[Delta] = []
-        # ΔL against the old right state.  Probes use .get: indexing the
-        # defaultdict would leave an empty bucket behind for every key
-        # ever probed.
-        for key, record, mult in left:
-            matches = right_state.get(key)
-            if matches:
-                for right_record, count in matches.items():
-                    self._emit(record, right_record, mult * count, out)
-        # Fold ΔL into the left state (L_new).
-        for key, record, mult in left:
-            self._apply(left_state, key, record, mult)
-        # L_new against ΔR.
-        for key, record, mult in right:
-            matches = left_state.get(key)
-            if matches:
-                for left_record, count in matches.items():
-                    self._emit(left_record, record, count * mult, out)
-        for key, record, mult in right:
-            self._apply(right_state, key, record, mult)
+        if left_deltas:
+            self._side(0, left_deltas, out)
+        if right_deltas:
+            self._side(1, right_deltas, out)
         return out
 
-    def _apply(self, state: dict[tuple, Counter], key: tuple,
-               record: Record, mult: int) -> None:
-        counter = state[key]
-        counter[record] += mult
-        self._held += mult
-        if counter[record] == 0:
-            del counter[record]
-        if not counter:
-            del state[key]
+    def _indexes(self, side: int) -> tuple[dict, dict, str]:
+        """``(own index, other index, own attribute name)`` for ``side``."""
+        if side == 0:
+            return self._left_state, self._right_state, "_left_state"
+        return self._right_state, self._left_state, "_right_state"
+
+    def _side(self, side: int, deltas: list[Delta],
+              out: list[Delta]) -> None:
+        """One side's batch: probe the other index, fold into its own.
+
+        SQL three-valued logic: a NULL key component can never satisfy
+        the originating equality, so such a row joins nothing and is not
+        indexed.  A retraction the index does not hold is refused before
+        the index changes.
+        """
+        own, other, attr = self._indexes(side)
+        key_of, schema, residual = self._key_of[side], self._schema, \
+            self._residual
+        marks = None if self._dirty is None else self._dirty[attr]
+        append = out.append
+        left = side == 0
+        held = 0
+        try:
+            for record, mult in deltas:
+                values = record._values
+                key = key_of(values)
+                if None in key:
+                    continue
+                matches = other.get(key)
+                if matches:
+                    for match, count in matches.items():
+                        joined = trusted_record(
+                            schema, values + match._values if left
+                            else match._values + values)
+                        if residual is None or residual(joined):
+                            append((joined, mult * count))
+                entry = own.get(key)
+                count = mult if entry is None else entry.get(record, 0) + mult
+                if count < 0:
+                    raise StateError(
+                        f"join retracts {record!r}, which its "
+                        f"{'left' if left else 'right'} side does not hold")
+                if marks is not None:
+                    marks.add(key)
+                if entry is None:
+                    if count:
+                        own[key] = {record: count}
+                elif count:
+                    entry[record] = count
+                else:
+                    entry.pop(record, None)
+                    if not entry:
+                        del own[key]
+                held += mult
+        finally:
+            self._held += held
 
     @property
     def state_size(self) -> int:
@@ -656,45 +693,40 @@ class AppendOnlyJoinOp(JoinOp):
     _STATE_ATTRS = JoinOp._STATE_ATTRS + ("_left_index", "_right_index")
     _KEYED_ATTRS = JoinOp._KEYED_ATTRS + ("_left_index", "_right_index")
 
-    def __init__(self, left: PhysicalOp, right: PhysicalOp,
-                 left_key: Callable[[Record], tuple],
-                 right_key: Callable[[Record], tuple],
-                 residual: Callable[[Record], bool] | None) -> None:
-        super().__init__(left, right, left_key, right_key, residual)
-        self._left_index: dict[tuple, list[tuple[Record, int]]] = \
-            defaultdict(list)
-        self._right_index: dict[tuple, list[tuple[Record, int]]] = \
-            defaultdict(list)
+    def __init__(self, *args: Any) -> None:
+        super().__init__(*args)
+        self._left_index: dict[tuple, list[Delta]] = defaultdict(list)
+        self._right_index: dict[tuple, list[Delta]] = defaultdict(list)
 
-    def process(self, t, child_deltas):
-        left_deltas, right_deltas = child_deltas
-        dirty = self._dirty
-        out: list[Delta] = []
-        for record, mult in left_deltas:
+    def _indexes(self, side: int) -> tuple[dict, dict, str]:
+        if side == 0:
+            return self._left_index, self._right_index, "_left_index"
+        return self._right_index, self._left_index, "_right_index"
+
+    def _side(self, side: int, deltas: list[Delta],
+              out: list[Delta]) -> None:
+        own, other, attr = self._indexes(side)
+        key_of, schema, residual = self._key_of[side], self._schema, \
+            self._residual
+        marks = None if self._dirty is None else self._dirty[attr]
+        left = side == 0
+        for record, mult in deltas:
             if mult < 0:
                 raise StateError("retraction reached an append-only join")
-            key = self._left_key(record)
+            values = record._values
+            key = key_of(values)
             if None in key:
                 continue
-            for right_record, count in self._right_index.get(key, ()):
-                self._emit(record, right_record, mult * count, out)
-            if dirty is not None:
-                dirty["_left_index"].add(key)
-            self._left_index[key].append((record, mult))
+            for match, count in other.get(key, ()):
+                joined = trusted_record(
+                    schema, values + match._values if left
+                    else match._values + values)
+                if residual is None or residual(joined):
+                    out.append((joined, mult * count))
+            if marks is not None:
+                marks.add(key)
+            own[key].append((record, mult))
             self._held += mult
-        for record, mult in right_deltas:
-            if mult < 0:
-                raise StateError("retraction reached an append-only join")
-            key = self._right_key(record)
-            if None in key:
-                continue
-            for left_record, count in self._left_index.get(key, ()):
-                self._emit(left_record, record, count * mult, out)
-            if dirty is not None:
-                dirty["_right_index"].add(key)
-            self._right_index[key].append((record, mult))
-            self._held += mult
-        return out
 
 
 class _MinMaxAccumulator:
@@ -711,9 +743,17 @@ class _MinMaxAccumulator:
         return out
 
     def add(self, value: Any, mult: int) -> None:
-        self._counts[value] += mult
-        if self._counts[value] == 0:
-            del self._counts[value]
+        """Fold ``mult`` copies of ``value`` in; a retraction of a value
+        not held is refused before anything changes."""
+        counts = self._counts
+        held = counts.get(value, 0) + mult
+        if held > 0:
+            counts[value] = held
+        elif held == 0:
+            counts.pop(value, None)
+        else:
+            raise StateError(
+                f"aggregate retracts value {value!r}, which it does not hold")
 
     def minimum(self) -> Any:
         return min(self._counts) if self._counts else None
@@ -761,25 +801,23 @@ class AggregateOp(PhysicalOp):
     ``-old_row`` / ``+new_row`` deltas for every group whose output row
     changed.  Groups with zero rows disappear (keyed aggregation) — except
     the global group, which once touched keeps reporting (COUNT = 0), the
-    SQL behaviour the reference evaluator implements.
+    SQL behaviour the reference evaluator implements.  NULL arguments are
+    skipped: COUNT counts non-null values, and the other aggregates over
+    no non-null value are NULL.  ``plan`` is an :class:`Aggregate` or a
+    running (window-less, EMIT CHANGES) :class:`WindowAggregate`.
     """
 
     _STATE_ATTRS = ("_groups", "_current_rows", "_child_active")
     _KEYED_ATTRS = ("_groups", "_current_rows")
 
-    def __init__(self, plan: Aggregate, in_schema: Schema) -> None:
+    def __init__(self, plan: Aggregate | WindowAggregate,
+                 in_schema: Schema) -> None:
         super().__init__([])  # children attached by compiler
         self._plan = plan
         self._out_schema = plan.schema
-        indexes = [in_schema.index_of(c) for c in plan.group_by]
         #: Group key from a row's values tuple, by position.
-        if len(indexes) == 1:
-            index = indexes[0]
-            self._key_of = lambda values: (values[index],)
-        elif indexes:
-            self._key_of = itemgetter(*indexes)
-        else:
-            self._key_of = lambda values: ()
+        self._key_of = _values_at(
+            [in_schema.index_of(c) for c in plan.group_by])
         self._kinds = [spec.kind for spec in plan.aggregates]
         #: The compiled fold: per aggregate, how a row's argument folds
         #: into the group (``_COUNT_ROWS`` for COUNT(*), else ``_COUNT``,
@@ -857,9 +895,9 @@ class AggregateOp(PhysicalOp):
             if old_row == new_row:
                 continue
             if old_row is not None:
-                out.append(Delta(old_row, -1))
+                out.append((old_row, -1))
             if new_row is not None:
-                out.append(Delta(new_row, +1))
+                out.append((new_row, 1))
                 current_rows[key] = new_row
             else:
                 del current_rows[key]
@@ -871,17 +909,23 @@ class AggregateOp(PhysicalOp):
         return len(self._groups)
 
     def _row_for(self, key: tuple, group: _GroupState) -> Record | None:
-        if group.rows < 0:
-            raise StateError("aggregate group multiplicity went negative")
-        if group.rows == 0 and not self._global:
+        rows = group.rows
+        if rows <= 0 and (rows or any(group.counts)):
+            raise StateError(
+                f"aggregate group {key!r} retracts rows it does not hold")
+        if rows == 0 and not self._global:
             return None
         values: list[Any] = list(key)
         for i, kind in enumerate(self._kinds):
             count = group.counts[i]
-            if kind is AggregateKind.COUNT:
+            if count <= 0:
+                if count:
+                    raise StateError(
+                        f"aggregate group {key!r} retracts more non-NULL "
+                        f"values than it holds")
+                values.append(0 if kind is AggregateKind.COUNT else None)
+            elif kind is AggregateKind.COUNT:
                 values.append(count)
-            elif count == 0:
-                values.append(None)
             elif kind is AggregateKind.SUM:
                 values.append(group.sums[i])
             elif kind is AggregateKind.AVG:
@@ -911,19 +955,23 @@ class DistinctOp(PhysicalOp):
         (deltas,) = child_deltas
         if self._dirty is not None:
             self._dirty["_counts"].update(record for record, _ in deltas)
+        counts = self._counts
         out: list[Delta] = []
         for record, mult in deltas:
-            before = self._counts[record]
+            before = counts.get(record, 0)
             after = before + mult
             if after < 0:
-                raise StateError("distinct multiplicity went negative")
-            self._counts[record] = after
-            if after == 0:
-                del self._counts[record]
-            if before == 0 and after > 0:
-                out.append(Delta(record, +1))
-            elif before > 0 and after == 0:
-                out.append(Delta(record, -1))
+                raise StateError(
+                    f"distinct retracts {record!r}, which it does not hold")
+            if after:
+                counts[record] = after
+            else:
+                counts.pop(record, None)
+            if not before:
+                if after:
+                    out.append((record, 1))
+            elif not after:
+                out.append((record, -1))
         return out
 
 
@@ -956,7 +1004,7 @@ class AppendOnlyDistinctOp(DistinctOp):
                     "retraction reached an append-only distinct")
             if mult and record not in self._seen:
                 self._seen.add(record)
-                out.append(Delta(record, +1))
+                out.append((record, 1))
         return out
 
 
@@ -964,8 +1012,11 @@ class SetOpOp(PhysicalOp):
     """Incremental bag union / difference / intersection.
 
     Union is linear (pass deltas through, relabelled to the output schema).
-    Difference and intersection maintain both sides' multiplicities and
-    re-derive each affected record's output multiplicity.
+    Difference and intersection keep both sides' multiplicities and
+    re-derive each affected record's output multiplicity — the monus or
+    the minimum — emitting its signed change, so both stay exact under
+    deletes.  Right-side rows are relabelled to the output (left) schema:
+    set operations correspond by position.
     """
 
     _STATE_ATTRS = ("_left", "_right", "_out")
@@ -980,38 +1031,45 @@ class SetOpOp(PhysicalOp):
         self._right: Counter = Counter()
         self._out: Counter = Counter()
 
-    def _relabel(self, record: Record) -> Record:
-        return record.with_schema(self._schema)
-
     def process(self, t, child_deltas):
-        left_deltas, right_deltas = child_deltas
+        schema = self._schema
         if self._kind == "union":
-            return ([Delta(self._relabel(r), m) for r, m in left_deltas]
-                    + [Delta(self._relabel(r), m) for r, m in right_deltas])
-        touched: set[Record] = set()
-        for record, mult in left_deltas:
-            record = self._relabel(record)
-            self._left[record] += mult
-            touched.add(record)
-        for record, mult in right_deltas:
-            record = self._relabel(record)
-            self._right[record] += mult
-            touched.add(record)
+            return [(record.with_schema(schema), mult)
+                    for deltas in child_deltas for record, mult in deltas]
+        touched: dict[Record, None] = {}
+        for side, deltas in zip(("left", "right"), child_deltas):
+            held = self._left if side == "left" else self._right
+            for record, mult in deltas:
+                record = record.with_schema(schema)
+                count = held.get(record, 0) + mult
+                if count < 0:
+                    raise StateError(
+                        f"{self._kind} retracts {record!r}, which its "
+                        f"{side} side does not hold")
+                if count:
+                    held[record] = count
+                else:
+                    held.pop(record, None)
+                touched[record] = None
         if self._dirty is not None:
             for marks in self._dirty.values():
                 marks.update(touched)
+        left, right, current = self._left, self._right, self._out
         out: list[Delta] = []
         for record in touched:
-            left_count = self._left[record]
-            right_count = self._right[record]
+            left_count = left.get(record, 0)
+            right_count = right.get(record, 0)
             if self._kind == "difference":
                 target = max(0, left_count - right_count)
             else:  # intersection
                 target = min(left_count, right_count)
-            change = target - self._out[record]
+            change = target - current.get(record, 0)
             if change:
-                out.append(Delta(record, change))
-                self._out[record] = target
+                out.append((record, change))
+                if target:
+                    current[record] = target
+                else:
+                    del current[record]
         return out
 
 
@@ -1172,35 +1230,32 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
             return FilterOp(child, predicate)
         if isinstance(node, Project):
             child = build(node.child)
-            evaluators = [compile_expr(e, node.child.schema)
-                          for e in node.exprs]
-            schema = node.schema
-
-            def mapper(record: Record,
-                       _evals=evaluators, _schema=schema) -> Record:
-                return trusted_record(_schema,
-                                      tuple([e(record) for e in _evals]))
-
-            return ProjectOp(child, mapper)
+            return ProjectOp(child, [compile_expr(e, node.child.schema)
+                                     for e in node.exprs], node.schema)
         if isinstance(node, Join):
             left = build(node.left)
             right = build(node.right)
-            left_schema = node.left.schema
-            right_schema = node.right.schema
-            left_idx = [left_schema.index_of(c) for c in node.left_keys]
-            right_idx = [right_schema.index_of(c) for c in node.right_keys]
-            residual = (compile_predicate(node.residual, node.schema)
+            schema = node.schema
+            residual = (compile_predicate(node.residual, schema)
                         if node.residual is not None else None)
             join_cls = (AppendOnlyJoinOp if _executor_append_only(node)
                         else JoinOp)
             return join_cls(
                 left, right,
-                left_key=lambda r, _i=left_idx: tuple(
-                    [r._values[i] for i in _i]),
-                right_key=lambda r, _i=right_idx: tuple(
-                    [r._values[i] for i in _i]),
-                residual=residual)
-        if isinstance(node, Aggregate):
+                [node.left.schema.index_of(c) for c in node.left_keys],
+                [node.right.schema.index_of(c) for c in node.right_keys],
+                schema, residual)
+        if isinstance(node, (Aggregate, WindowAggregate)):
+            if isinstance(node, WindowAggregate):
+                if node.window is not None:
+                    raise PlanError(
+                        "group windows cannot appear in a dynamic-table "
+                        "plan; a view materialises a running (changelog) "
+                        "aggregate")
+                if node.emit is not EmitMode.CHANGES:
+                    raise PlanError(
+                        f"EMIT {node.emit.value.upper()} is meaningless for "
+                        f"a dynamic table; views always materialise changes")
             child = build(node.child)
             op = AggregateOp(node, node.child.schema)
             op.children = [child]
@@ -1279,6 +1334,21 @@ class InstantEvaluator:
                 append(step(t, [deltas for deltas, _ in reports],
                             any(active for _, active in reports)))
         return [results[slot] for slot in self._roots]
+
+
+def operators_of(root: PhysicalOp) -> list[tuple[str, PhysicalOp]]:
+    """Every physical operator under ``root``, depth-first, labelled by
+    its class name: the positions :func:`repro.chaos.install_crash`
+    indexes and snapshots list operator states in."""
+    out: list[tuple[str, PhysicalOp]] = []
+
+    def visit(op: PhysicalOp) -> None:
+        out.append((type(op).__name__, op))
+        for child in op.children:
+            visit(child)
+
+    visit(root)
+    return out
 
 
 def check_feed_time(timestamp: Timestamp, last: Timestamp | None) -> None:
@@ -1516,7 +1586,7 @@ class ContinuousQuery:
         check_feed_time(timestamp, self._last_instant)
         emitted = self._process_instants(self._agenda.due(timestamp - 1))
         for source in sources:
-            source.stage_update(record, mult)
+            source.stage_updates([(record, mult)])
         self._agenda.due(timestamp)  # consume anything scheduled == now
         emitted.extend(self._process_instant(timestamp))
         return emitted
@@ -1780,15 +1850,7 @@ class ContinuousQuery:
 
     def operators(self) -> list[tuple[str, PhysicalOp]]:
         """Every physical operator, depth-first, with a stable label."""
-        out: list[tuple[str, PhysicalOp]] = []
-
-        def visit(op: PhysicalOp) -> None:
-            out.append((type(op).__name__, op))
-            for child in op.children:
-                visit(child)
-
-        visit(self._root)
-        return out
+        return operators_of(self._root)
 
     def publish_metrics(self, registry=None, prefix: str = "exec.operator",
                         **labels: str) -> None:

@@ -157,7 +157,7 @@ class SharedGroup:
         for instant in self.agenda.due(timestamp - 1):
             self._process_instant(instant)
         for source in sources:
-            source.stage_update(record, mult)
+            source.stage_updates([(record, mult)])
         self.agenda.due(timestamp)  # consume anything scheduled == now
         self._process_instant(timestamp)
         self._started = True

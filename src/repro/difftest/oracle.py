@@ -28,9 +28,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Any
 
-from repro.chaos import CrashFuse, install_crash
+from repro.chaos import CrashFuse, InjectedCrash, install_crash
 from repro.core import Schema, Stream
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, StateError
 from repro.core.operators import stream_to_relation
 from repro.core.relation import Bag
 from repro.core.windows import (
@@ -819,9 +819,6 @@ def run_view_case(case) -> Divergence | None:
     operator mid-refresh and recovery must converge to the same
     contents; at the end, every retained snapshot version must replay.
     """
-    from repro.chaos import CrashFuse
-    from repro.chaos.injection import InjectedCrash
-    from repro.core.errors import StateError
     from repro.core.records import Record
     from repro.views import DynamicTableService, recompute
 
@@ -995,9 +992,7 @@ def run_view_case(case) -> Divergence | None:
                 service.resume(event[1])
             elif kind == "crash":
                 divergence = _view_crash_event(
-                    event, where, service, record_commit,
-                    refresh_blocked, advance_blocked,
-                    CrashFuse, InjectedCrash, StateError)
+                    event, where, service, record_commit, advance_blocked)
                 if divergence is not None:
                     return divergence
             else:
@@ -1028,10 +1023,9 @@ _CRASH_ROW = {"k": 4, "g": 1, "v": 2}
 
 
 def _view_crash_event(event, where, service, record_commit,
-                      refresh_blocked, advance_blocked,
-                      CrashFuse, InjectedCrash,
-                      StateError) -> Divergence | None:
+                      advance_blocked) -> Divergence | None:
     """Tear one operator mid-refresh; recovery must erase the damage."""
+
     _, name, op_index = event
     if service.view(name).suspended or advance_blocked(name,
                                                        service.clock + 1):
@@ -1048,35 +1042,24 @@ def _view_crash_event(event, where, service, record_commit,
             f"{where}: refresh succeeded through a suspended view"))
 
     snap = service.snapshot()
-    handle = service.view(name).handle
-    names = handle.operator_names()
-    target_op = handle.operator(names[op_index % len(names)])
+    view = service.view(name)
     fuse = CrashFuse(at=1)
-    original = target_op.process_batch
-
-    def wrapped(*args, **kwargs):
-        result = original(*args, **kwargs)
-        if fuse.record(1):
-            raise InjectedCrash(
-                f"difftest fuse in view {name!r} operator "
-                f"{names[op_index % len(names)]!r}")
-        return result
-
-    target_op.process_batch = wrapped
+    install_crash(view, op_index % len(view.operators()), fuse)
     version = service.clock + 1
     crashed = False
+    service.apply("fact", [_CRASH_ROW], at=version)
     try:
-        service.apply("fact", [_CRASH_ROW], at=version)
-        try:
-            service.refresh(name)
-        except InjectedCrash:
-            crashed = True
-    finally:
-        del target_op.process_batch
+        service.refresh(name)
+    except InjectedCrash:
+        crashed = True
     if crashed:
         service.restore(snap)
         service.apply("fact", [_CRASH_ROW], at=version)
         service.refresh(name)
+    else:
+        # The commit never reached the view's plan: disarm the fuse
+        # before a later refresh blows it.
+        fuse.times = 0
     # Whether the fuse fired or not, exactly one commit stands in the end;
     # mirror it into the oracle's base history once the dust settles.
     record_commit("fact", [_CRASH_ROW], (), version)

@@ -4,24 +4,18 @@ The streaming-database pillar (paper §5.1): standing relational queries
 materialised into tables other queries can scan, organised into a
 dependency DAG with topologically-ordered incremental refresh driven by
 CDC deltas, per-view ``target_lag`` (including ``downstream``
-propagation), suspend/resume, and snapshot-isolated reads.
+propagation), suspend/resume, and snapshot-isolated reads.  A view's plan
+runs on CQL's physical operators (:mod:`repro.cql.executor`): one delta
+algebra for continuous queries and view maintenance.
 
 Module map:
 
-* :mod:`repro.views.delta` — z-set deltas and version-stamped changelogs
-* :mod:`repro.views.operators` — kernel delta operators (σ π γ δ ∪−∩ ⋈)
-* :mod:`repro.views.compile` — logical plan → kernel delta plan
+* :mod:`repro.views.delta` — version-stamped changelogs of z-set deltas
 * :mod:`repro.views.reference` — full-recompute reference evaluator
 * :mod:`repro.views.dag` — dependency-graph scheduling helpers
 * :mod:`repro.views.service` — tables, views, the refresh scheduler
 """
 
-from repro.views.compile import (
-    SourceBinding,
-    ViewPlanHandle,
-    compile_view_plan,
-    make_scan,
-)
 from repro.views.dag import (
     DOWNSTREAM,
     below_suspended,
@@ -30,19 +24,19 @@ from repro.views.dag import (
     effective_lags,
     topo_order,
 )
-from repro.views.delta import Changelog, Delta, apply_deltas, net
+from repro.views.delta import Changelog
 from repro.views.reference import recompute
 from repro.views.service import (
     BaseTable,
     DynamicTable,
     DynamicTableService,
     HISTORY_LIMIT,
+    make_scan,
 )
 
 __all__ = [
-    "BaseTable", "Changelog", "DOWNSTREAM", "Delta", "DynamicTable",
-    "DynamicTableService", "HISTORY_LIMIT", "SourceBinding",
-    "ViewPlanHandle", "apply_deltas", "below_suspended", "compile_view_plan",
-    "consumers_of", "depth_map", "effective_lags", "make_scan", "net",
-    "recompute", "topo_order",
+    "BaseTable", "Changelog", "DOWNSTREAM", "DynamicTable",
+    "DynamicTableService", "HISTORY_LIMIT", "below_suspended",
+    "consumers_of", "depth_map", "effective_lags", "make_scan", "recompute",
+    "topo_order",
 ]

@@ -1,7 +1,8 @@
-"""CDC deltas and version-stamped changelogs for dynamic tables.
+"""Version-stamped changelogs of CDC deltas for dynamic tables.
 
-A :class:`Delta` is one z-set entry — a record with a signed weight
-(+n inserts, −n deletes), the carrier of incremental view maintenance
+A delta is one z-set entry: a ``(record, weight)`` pair, +n for inserts
+and −n for deletes — the :data:`~repro.cql.executor.Delta` every physical
+operator exchanges, and the carrier of incremental view maintenance
 (Elghandour et al.'s delta-driven refresh).  A :class:`Changelog` is the
 append-only log of a table's committed deltas, stamped with the refresh
 version (an integer instant) at which they took effect; downstream views
@@ -18,86 +19,38 @@ from typing import Iterable, Iterator
 
 from repro.core.errors import StateError
 from repro.core.records import Record
-from repro.core.relation import Bag
+from repro.cql.executor import Delta
 
 
-class Delta:
-    """One signed change: ``weight`` copies of ``row`` added (or removed).
+def net_weights(deltas: list[Delta]) -> dict[Record, int]:
+    """Row → summed weight over ``deltas`` (zero sums kept).
 
-    Immutable by convention and built by the hundred thousand per pass,
-    so a plain two-slot object: no per-instance dict, no frozen-dataclass
-    ``__setattr__`` detour.
+    Rows rarely repeat within one commit or refresh, so the sum is first
+    taken as one dict build and redone row by row only when some row did
+    repeat.
     """
-
-    __slots__ = ("row", "weight")
-
-    def __init__(self, row: Record, weight: int) -> None:
-        if weight == 0:
-            raise StateError("a delta must have non-zero weight")
-        self.row = row
-        self.weight = weight
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Delta):
-            return NotImplemented
-        return self.weight == other.weight and self.row == other.row
-
-    def __hash__(self) -> int:
-        return hash((self.row, self.weight))
-
-    def __repr__(self) -> str:
-        return f"Delta(row={self.row!r}, weight={self.weight!r})"
-
-
-def net_weights(deltas: Iterable[Delta]) -> dict[Record, int]:
-    """Row → summed weight over ``deltas`` (zero sums kept)."""
-    weights: dict[Record, int] = {}
+    weights = dict(deltas)
+    if len(weights) == len(deltas):
+        return weights
+    weights = {}
     get = weights.get
-    for delta in deltas:
-        row = delta.row
-        weights[row] = get(row, 0) + delta.weight
+    for row, weight in deltas:
+        weights[row] = get(row, 0) + weight
     return weights
 
 
-def net(deltas: Iterable[Delta]) -> list[Delta]:
-    """Collapse deltas row-wise: weights sum, zero-weight rows vanish.
+def net_of(deltas: list[Delta], weights: dict[Record, int]) -> list[Delta]:
+    """The net form of ``deltas`` given their :func:`net_weights`: weights
+    summed row-wise, zero-weight rows gone.
 
     Keeps changelogs tight — an affected-keys refresh emits a retract +
     insert per touched group, and when the pair cancels (the group's
-    aggregate landed back on the same value) nothing is logged.
-    """
-    deltas = list(deltas)
-    return net_of(deltas, net_weights(deltas))
-
-
-def net_of(deltas: list[Delta], weights: dict[Record, int]) -> list[Delta]:
-    """The net form of ``deltas`` given their :func:`net_weights`.
-
-    Builds a delta only for a row whose deltas merged into a new weight:
-    when no row repeats the list is already net and is returned as is,
-    and otherwise each surviving row keeps its first delta whenever that
-    already carries the net weight.
+    aggregate landed back on the same value) nothing is logged.  When no
+    row repeats the list is already net and is returned as is.
     """
     if len(weights) == len(deltas):
         return deltas
-    pending = weights.copy()
-    out = []
-    for delta in deltas:
-        weight = pending.pop(delta.row, 0)
-        if weight:
-            out.append(delta if weight == delta.weight
-                       else Delta(delta.row, weight))
-    return out
-
-
-def apply_deltas(bag: Bag, deltas: Iterable[Delta]) -> None:
-    """Apply deltas to a materialised bag in place, all or nothing.
-
-    Raises :class:`StateError` when a (net) retract exceeds the bag's
-    multiplicity — that is a torn changelog, never a valid refresh — and
-    then leaves the bag as it was.
-    """
-    bag.apply_signed(net_weights(deltas))
+    return [(row, weight) for row, weight in weights.items() if weight]
 
 
 class Changelog:

@@ -9,12 +9,15 @@ other queries can scan.  The service owns
 * **views** — defined in streaming SQL (``CREATE DYNAMIC TABLE``),
   through the unified planner (so the :class:`~repro.plan.SubplanMemo`
   rewrites a new view's subtrees onto already-installed views), compiled
-  to kernel delta plans (:mod:`repro.views.compile`);
+  by :func:`repro.cql.executor.compile_plan` into CQL's physical
+  operators over one relation source per scan: a dynamic table is a
+  relation-only continuous query whose instant is the view version;
 * **the refresh scheduler** — topologically-ordered incremental refresh:
   a view catches up by pulling exactly the changelog slice
-  ``(its version, target version]`` from each source and pushing it
-  through its plan (Elghandour et al.'s delta-driven refresh with
-  affected-keys scoping inside the aggregate operator);
+  ``(its version, target version]`` from each source, staging it into
+  that source's scans and evaluating one instant (Elghandour et al.'s
+  delta-driven refresh with affected-keys scoping inside the aggregate
+  operator);
 * **target lag** — ``target_lag=n`` means "never more than n ticks
   stale"; ``target_lag="downstream"`` derives the obligation from
   consumers; suspend/resume freezes a view (and holds everything built
@@ -32,9 +35,9 @@ the refresh schedule is recomputed only when the DAG or a suspension
 changes.
 
 The whole service implements ``snapshot()``/``restore()`` (the chaos
-``RecoveryManager`` protocol), covering kernel operator state inside
-every view plan — a mid-refresh crash rolls back to the last checkpoint
-and the re-run refresh converges to the same contents.
+``RecoveryManager`` protocol), covering the operator state inside every
+view plan — a mid-refresh crash rolls back to the last checkpoint and
+the re-run refresh converges to the same contents.
 """
 
 from __future__ import annotations
@@ -47,10 +50,17 @@ from repro.core.errors import PlanError, StateError
 from repro.core.records import Record, Schema
 from repro.core.relation import Bag
 from repro.cql.catalog import Catalog
-from repro.plan.ir import LogicalOp, RelationScan, walk
+from repro.cql.executor import (
+    Agenda,
+    Delta,
+    InstantEvaluator,
+    PhysicalOp,
+    compile_plan,
+    operators_of,
+)
+from repro.plan.ir import LogicalOp, RelationScan, RelToStream, walk
 from repro.plan.rules import optimize
 from repro.plan.sharing import SubplanMemo, absorb_views, view_memo_key
-from repro.views.compile import ViewPlanHandle, compile_view_plan
 from repro.views.dag import (
     DOWNSTREAM,
     below_suspended,
@@ -59,14 +69,7 @@ from repro.views.dag import (
     effective_lags,
     topo_order,
 )
-from repro.views.delta import (
-    Changelog,
-    Delta,
-    apply_deltas,
-    net,
-    net_of,
-    net_weights,
-)
+from repro.views.delta import Changelog, net_of, net_weights
 
 #: Materialisation versions retained per view for snapshot-isolated reads.
 HISTORY_LIMIT = 8
@@ -88,17 +91,40 @@ class BaseTable:
         return Record.from_mapping(self.schema, row)
 
 
-class DynamicTable:
-    """One installed view: plan, kernel handle, refresh bookkeeping."""
+def make_scan(name: str, alias: str | None, schema: Schema) -> RelationScan:
+    """A RelationScan over ``name`` with the alias-qualified schema."""
+    alias = alias or name
+    return RelationScan(name, alias, schema.qualify(alias))
 
-    def __init__(self, name: str, plan: LogicalOp, handle: ViewPlanHandle,
-                 target_lag: int | str | None) -> None:
+
+class DynamicTable:
+    """One installed view: its compiled plan and refresh bookkeeping.
+
+    ``plan`` is compiled once, by :func:`repro.cql.executor.compile_plan`,
+    with a :class:`~repro.cql.executor.RelationSourceOp` per scan.  Its
+    first instant primes it: every scan is active, so a global aggregate
+    materialises its COUNT = 0 row even over empty sources.  Streams,
+    windows and R2S operators have no place in a materialised table's
+    definition and are refused here.
+    """
+
+    def __init__(self, name: str, plan: LogicalOp,
+                 target_lag: int | str | None, catalog: Catalog) -> None:
+        root, streams, scans, _, _ = compile_plan(plan, catalog, Agenda())
+        if streams or isinstance(plan, RelToStream):
+            raise PlanError(
+                f"view {name!r} reads a stream or ends in an R2S operator; "
+                f"view definitions are relational (scans of tables/views, "
+                f"σ, π, γ, δ, ∪/−/∩, ⋈)")
         self.name = name
         self.plan = plan
-        self.handle = handle
         self.target_lag = target_lag
-        self.schema = handle.out_schema
-        self.sources = sorted(set(handle.sources()))
+        self.schema = plan.schema
+        self._root = root
+        self._evaluator = InstantEvaluator([root])
+        #: Source name → the scans reading it (two for a self-join).
+        self._scans = scans
+        self.sources = sorted(scans)
         self.materialized = Bag()
         self.changelog = Changelog()
         self.version = -1
@@ -107,6 +133,23 @@ class DynamicTable:
         #: bounded history for snapshot reads: each retained version with
         #: the (netted) deltas the refresh that reached it applied
         self.history: list[tuple[int, tuple[Delta, ...]]] = []
+
+    def operators(self) -> list[tuple[str, PhysicalOp]]:
+        """Every physical operator, depth-first, labelled as
+        :meth:`ContinuousQuery.operators` labels them (the positions
+        :func:`repro.chaos.install_crash` indexes)."""
+        return operators_of(self._root)
+
+    def evaluate(self, version: int,
+                 incoming: Mapping[str, list[Delta]]) -> list[Delta]:
+        """Stage each source's deltas into its scans and evaluate the
+        instant ``version``; returns the root deltas, un-netted.  Every
+        operator processes its whole input once per call."""
+        for source, deltas in incoming.items():
+            for scan in self._scans[source]:
+                scan.stage_updates(deltas)
+        [(deltas, _active)] = self._evaluator.run(version)
+        return deltas
 
     def record_version(self, version: int,
                        deltas: tuple[Delta, ...] = ()) -> None:
@@ -125,8 +168,7 @@ class DynamicTable:
                 f"{self.history[0][0] if self.history else 'never'})")
         contents = self.materialized.copy()
         for _, deltas in reversed(self.history[kept:]):
-            apply_deltas(contents, [Delta(delta.row, -delta.weight)
-                                    for delta in deltas])
+            contents.apply_signed({row: -weight for row, weight in deltas})
         return contents
 
 
@@ -202,8 +244,7 @@ class DynamicTableService:
                                 f"{node.name!r}")
         if self.catalog.is_relation(name) or self.catalog.is_stream(name):
             raise PlanError(f"source {name!r} is already registered")
-        handle = compile_view_plan(absorbed)
-        view = DynamicTable(name, absorbed, handle, target_lag)
+        view = DynamicTable(name, absorbed, target_lag, self.catalog)
         # Everything that can fail runs before anything is registered, so
         # a refused create leaves no trace.  Sources are brought to the
         # present first (a suspended one refuses here) ...
@@ -211,26 +252,21 @@ class DynamicTableService:
         for source in view.sources:
             if source in self._views:
                 self._refresh_to(self._views[source], self.clock)
-        # ... then the freshly-primed plan is fed their current contents
-        # as one batch of inserts, which is the initial full computation.
-        # Changelogs hold only what attached consumers have yet to pull,
-        # so nothing older than this moment is ever asked of them.
-        apply_deltas(view.materialized, handle.open(view=name))
-        incoming = {
-            source: [Delta(row, count)
-                     for row, count in self._contents(source).items()]
-            for source in view.sources}
-        primed = net(handle.push_deltas(incoming))
-        apply_deltas(view.materialized, primed)
+        # ... then the plan's first instant takes their current contents
+        # as inserts, which is the initial full computation.  Changelogs
+        # hold only what attached consumers have yet to pull, so nothing
+        # older than this moment is ever asked of them.
+        weights = net_weights(view.evaluate(self.clock, {
+            source: list(self._contents(source).items())
+            for source in view.sources}))
+        view.materialized.apply_signed(weights)
         view.version = self.clock
         view.refreshes = 1
         view.record_version(self.clock)
 
-        self.catalog.register_relation(name, handle.out_schema)
-        self.memo.publish(view_memo_key(optimized),
-                          (name, handle.out_schema))
-        self.memo.publish(view_memo_key(absorbed),
-                          (name, handle.out_schema))
+        self.catalog.register_relation(name, view.schema)
+        self.memo.publish(view_memo_key(optimized), (name, view.schema))
+        self.memo.publish(view_memo_key(absorbed), (name, view.schema))
         self.memo.finish_compile()
         self._views[name] = view
         self._upstreams[name] = tuple(view.sources)
@@ -239,7 +275,7 @@ class DynamicTableService:
         registry.gauge("views.dag.depth", view=name).set(
             depth_map(self._upstreams)[name])
         registry.counter("views.refresh.rows", view=name).inc(
-            sum(abs(delta.weight) for delta in primed))
+            sum(map(abs, weights.values())))
         return view
 
     def _contents(self, name: str) -> Bag:
@@ -297,17 +333,15 @@ class DynamicTableService:
                     f"be pulled: a view reading it has reached version "
                     f"{pulled}")
             version = pulled + 1
-        deltas = [Delta(table.coerce(row), 1) for row in inserts]
-        deltas += [Delta(table.coerce(row), -1) for row in deletes]
+        deltas = [(table.coerce(row), 1) for row in inserts]
+        deltas += [(table.coerce(row), -1) for row in deletes]
         weights = net_weights(deltas)
         netted = net_of(deltas, weights)
-        for delta in netted:
-            if delta.weight < 0 and \
-                    table.contents.count(delta.row) < -delta.weight:
+        for row, weight in netted:
+            if weight < 0 and table.contents.count(row) < -weight:
                 raise StateError(
-                    f"deleting {-delta.weight} × {delta.row!r} from "
-                    f"{name!r} but only "
-                    f"{table.contents.count(delta.row)} present")
+                    f"deleting {-weight} × {row!r} from {name!r} but only "
+                    f"{table.contents.count(row)} present")
         table.contents.apply_signed(weights)
         table.changelog.append(version, netted)
         table.version = version
@@ -345,10 +379,11 @@ class DynamicTableService:
         out: tuple[Delta, ...] = ()
         changed = 0
         if incoming:
-            # One netting pass over the sink's output: its weights go to
-            # the materialisation all or nothing, so a refused refresh
-            # leaves contents, changelog and history as they were.
-            collected = view.handle.push_deltas(incoming)
+            # One netting pass over the instant's root deltas: their
+            # weights go to the materialisation all or nothing, so a
+            # refused refresh leaves contents, changelog and history as
+            # they were.
+            collected = view.evaluate(target, incoming)
             weights = net_weights(collected)
             view.materialized.apply_signed(weights)
             out = tuple(net_of(collected, weights))
@@ -479,9 +514,9 @@ class DynamicTableService:
     # -- checkpointing (chaos RecoveryManager protocol) -------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """Whole-service image: clock, tables, views *and* the kernel
-        operator state inside every view plan, so recovery covers a
-        mid-refresh crash."""
+        """Whole-service image: clock, tables, views *and* the operator
+        state inside every view plan, so recovery covers a mid-refresh
+        crash."""
         return {
             "clock": self.clock,
             "tables": {
@@ -498,7 +533,7 @@ class DynamicTableService:
                     "suspended": view.suspended,
                     "refreshes": view.refreshes,
                     "history": list(view.history),
-                    "plan": view.handle.snapshot(),
+                    "plan": [op.snapshot() for _, op in view.operators()],
                 } for name, view in self._views.items()},
         }
 
@@ -526,5 +561,6 @@ class DynamicTableService:
             view.suspended = image["suspended"]
             view.refreshes = image["refreshes"]
             view.history = list(image["history"])
-            view.handle.restore(image["plan"])
+            for (_, op), payload in zip(view.operators(), image["plan"]):
+                op.restore(payload)
         self._schedule = None

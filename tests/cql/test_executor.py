@@ -119,6 +119,49 @@ class TestAggregates:
         assert rows(q.current()) == [("a",)]
 
 
+class TestRetractionsOfRowsNotHeld:
+    """A delete of a relation row a stateful operator does not hold is
+    refused by the call that makes it, before that operator's state
+    changes — so the operator keeps working afterwards."""
+
+    def test_an_absent_relation_delete_does_not_poison_the_join(self):
+        engine = CQLEngine()
+        engine.register_stream("S", Schema(["k", "v"]))
+        engine.register_relation("R", Schema(["k", "name"]))
+        q = engine.register_query(
+            "SELECT ISTREAM S.v, R.name FROM S [Range 10], R "
+            "WHERE S.k = R.k")
+        with pytest.raises(StateError, match="right side does not hold"):
+            q.update_relation("R", {"k": 1, "name": "a"}, -1, 1)
+        assert q.push("S", {"k": 1, "v": 5}, 2) == []
+        emitted = q.update_relation("R", {"k": 1, "name": "a"}, +1, 3)
+        assert [tuple(e.record.values) for e in emitted] == [(5, "a")]
+
+    def test_min_max_never_report_a_value_not_held(self):
+        engine = CQLEngine()
+        engine.register_relation("R", Schema(["k", "name"]), rows=[
+            {"k": 1, "name": "a"}, {"k": 2, "name": "b"}])
+        q = engine.register_query(
+            "SELECT MIN(name) AS lo, MAX(name) AS hi FROM R")
+        q.start()
+        assert rows(q.current()) == [("a", "b")]
+        with pytest.raises(StateError, match="does not hold"):
+            q.update_relation("R", {"k": 3, "name": "z"}, -1, 1)
+        assert rows(q.current()) == [("a", "b")]
+
+    def test_a_set_op_side_refuses_a_row_it_does_not_hold(self):
+        engine = CQLEngine()
+        engine.register_relation("A", Schema(["k"]), rows=[{"k": 1}])
+        engine.register_relation("B", Schema(["k"]))
+        q = engine.register_query("SELECT k FROM A EXCEPT ALL SELECT k FROM B")
+        q.start()
+        assert rows(q.current()) == [(1,)]
+        with pytest.raises(StateError, match="right side does not hold"):
+            q.update_relation("B", {"k": 1}, -1, 1)
+        q.update_relation("B", {"k": 1}, +1, 2)
+        assert rows(q.current()) == []
+
+
 class TestJoinsAndRelations:
     def test_stream_relation_join(self, engine):
         q = engine.register_query(
@@ -193,6 +236,27 @@ class TestJoinsAndRelations:
         assert len(saved) == 1
         join.restore(payload)   # the payload survives any number of uses
         assert join._left_state[(1,)] == saved
+
+    def test_join_instants_build_no_schema(self, engine, monkeypatch):
+        """Joined rows share the one output schema built at compile time."""
+        engine.register_stream("Alerts", Schema(["id", "level"]))
+        q = engine.register_query(
+            "SELECT O.room, A.level FROM Obs O [Range 10], "
+            "Alerts A [Range 10] WHERE O.id = A.id")
+        q.push("Obs", {"id": 0, "room": "a", "temp": 0}, 0)
+        built = []
+        init = Schema.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Schema, "__init__", counted)
+        for t in range(1, 6):
+            q.push("Obs", {"id": 1, "room": "a", "temp": 0}, t)
+            q.push("Alerts", {"id": 1, "level": t}, t)
+        assert len(q.current()) == 25  # every match joined ...
+        assert built == []             # ... under no new schema
 
     def test_theta_join_residual(self, engine):
         engine.register_stream("Alerts", Schema(["id", "level"]))

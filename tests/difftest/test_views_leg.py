@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from repro.views.operators import DeltaAggregateOp
-from repro.difftest import emit_view_repro, gen_view_case, run_view_case
+from repro.cql.executor import AggregateOp
+from repro.difftest import (
+    emit_view_repro,
+    gen_case,
+    gen_view_case,
+    run_case,
+    run_view_case,
+)
 from repro.difftest.runner import fuzz
 
 pytestmark = pytest.mark.views
@@ -74,15 +80,21 @@ def cases_caught(cases):
 
 
 def test_leg_catches_a_broken_aggregate(monkeypatch):
-    """Dropping retractions inside the kernel must be reported."""
-    original = DeltaAggregateOp.process_batch
+    """Views and CQL queries run one aggregate operator: dropping its
+    retractions must be reported by the kernel-views leg and by the CQL
+    executor leg alike."""
+    original = AggregateOp.process
 
-    def lossy(self, batch):
-        kept = [d for d in batch if d.weight > 0]
-        return original(self, kept)
+    def lossy(self, t, child_deltas):
+        (deltas,) = child_deltas
+        return original(self, t, [[d for d in deltas if d[1] > 0]])
 
-    monkeypatch.setattr(DeltaAggregateOp, "process_batch", lossy)
+    monkeypatch.setattr(AggregateOp, "process", lossy)
     assert cases_caught(40) > 0
+    rng = random.Random(0)
+    legs = [run_case(gen_case(rng, seed=seed)) for seed in range(40)]
+    assert any(divergence is not None and divergence.kind == "executor"
+               for divergence in legs)
 
 
 def test_leg_catches_a_gc_one_version_past_the_mark(monkeypatch):

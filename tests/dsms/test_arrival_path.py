@@ -13,7 +13,7 @@ import pytest
 from repro.chaos import CrashFuse, install_crash
 from repro.core import Record, Schema, SchemaError, StateError, TimeError
 from repro.core.relation import Bag
-from repro.cql.executor import ContinuousQuery, Delta
+from repro.cql.executor import ContinuousQuery
 from repro.dsms import DSMSEngine, components
 
 OBS = Schema(["id", "room", "temp"])
@@ -285,7 +285,7 @@ class TestRootFoldIsAtomic:
 
         def torn(t, child_deltas):
             # A valid insert first, then a retraction of a row never held.
-            return original(t, child_deltas) + [Delta(ghost, -1)]
+            return original(t, child_deltas) + [(ghost, -1)]
 
         monkeypatch.setattr(root, "process", torn)
         engine.ingest("Obs", row(2), 2)

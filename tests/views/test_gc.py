@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.records import Record, Schema
 from repro.views import DynamicTableService, recompute
-from repro.views.delta import Changelog, Delta
+from repro.views.delta import Changelog
 
 pytestmark = pytest.mark.views
 
@@ -22,8 +22,8 @@ def log_pair(versions):
     logs = Changelog(), Changelog()
     for version in versions:
         for log in logs:
-            log.append(version, [Delta(row("a", version), 1),
-                                 Delta(row("a", version - 1), -1)])
+            log.append(version, [(row("a", version), 1),
+                                 (row("a", version - 1), -1)])
     return logs
 
 

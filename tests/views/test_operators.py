@@ -1,10 +1,12 @@
-"""Kernel delta operators: each compiled shape vs the recompute reference."""
+"""A view's plan on CQL's physical operators: each compiled shape vs the
+recompute reference, one ``evaluate`` instant per refresh."""
 
 import pytest
 
 from repro.core import Schema, StateError
 from repro.core.records import Record
 from repro.core.relation import Bag
+from repro.cql.catalog import Catalog
 from repro.plan.exprs import Binary, BinOp, Column, Literal
 from repro.plan.ir import (
     Aggregate,
@@ -13,10 +15,13 @@ from repro.plan.ir import (
     Filter,
     Join,
     Project,
+    RelationScan,
     SetOp,
+    walk,
 )
 from repro.core.operators import AggregateKind
-from repro.views import Delta, compile_view_plan, make_scan, net, recompute
+from repro.views import DynamicTable, make_scan, recompute
+from repro.views.delta import net_weights
 
 pytestmark = pytest.mark.views
 
@@ -24,7 +29,17 @@ SCHEMA = Schema(["g", "v"])
 
 
 def rows_to_deltas(rows, weight=1):
-    return [Delta(Record.from_mapping(SCHEMA, r), weight) for r in rows]
+    return [(Record.from_mapping(SCHEMA, r), weight) for r in rows]
+
+
+def compile_view(plan):
+    """The plan compiled as a dynamic table over tables of ``SCHEMA``."""
+    catalog = Catalog()
+    for node in walk(plan):
+        if isinstance(node, RelationScan) and \
+                not catalog.is_relation(node.name):
+            catalog.register_relation(node.name, SCHEMA)
+    return DynamicTable("v", plan, 0, catalog)
 
 
 def bag_of(rows, schema):
@@ -35,13 +50,12 @@ def bag_of(rows, schema):
 
 
 def run_incremental(plan, batches):
-    """Open a compiled view plan and push batches; return the running Bag."""
-    from repro.views import apply_deltas
-    handle = compile_view_plan(plan)
+    """Prime a compiled view (instant 0) and evaluate one instant per
+    batch; return the running Bag."""
+    view = compile_view(plan)
     state = Bag()
-    apply_deltas(state, net(handle.open()))
-    for batch in batches:
-        apply_deltas(state, net(handle.push_deltas(batch)))
+    for version, batch in enumerate([{}] + batches):
+        state.apply_signed(net_weights(view.evaluate(version, batch)))
     return state
 
 
@@ -88,15 +102,24 @@ class TestAggregate:
         assert row["n"] == 0
 
     def test_over_retraction_raises(self):
-        handle = compile_view_plan(self.plan())
-        handle.open()
+        view = compile_view(self.plan())
+        view.evaluate(0, {})
         with pytest.raises(StateError):
-            handle.push_deltas(
-                {"t": rows_to_deltas([{"g": 0, "v": 1}], weight=-1)})
+            view.evaluate(
+                1, {"t": rows_to_deltas([{"g": 0, "v": 1}], weight=-1)})
+
+    def test_retracting_an_unheld_extreme_raises(self):
+        view = compile_view(self.plan())
+        view.evaluate(0, {})
+        view.evaluate(1, {"t": rows_to_deltas([{"g": 0, "v": 1}])})
+        # Same group and row count, but the MIN multiset never held 5.
+        with pytest.raises(StateError, match="does not hold"):
+            view.evaluate(2, {"t": rows_to_deltas([{"g": 0, "v": 1}])
+                              + rows_to_deltas([{"g": 0, "v": 5}], -1)})
 
     def test_weighted_deltas_fold_multiplicity(self):
         got = run_incremental(self.plan(), [
-            {"t": [Delta(Record.from_mapping(SCHEMA, {"g": 0, "v": 2}), 3)]}])
+            {"t": [(Record.from_mapping(SCHEMA, {"g": 0, "v": 2}), 3)]}])
         (row, _), = got.items()
         assert row["n"] == 3 and row["total"] == 6
 
@@ -180,6 +203,51 @@ class TestSetOpAndJoin:
                                 "b": bag_of(b_rows, SCHEMA)})
         assert sorted_items(got) == sorted_items(want)
         assert sum(count for _, count in got.items()) == 2  # NULLs dropped
+
+    def test_difference_is_the_monus_under_deletes(self):
+        plan = SetOp("difference",
+                     Project(make_scan("a", "l", SCHEMA),
+                             (Column("l.g"),), ("x",)),
+                     Project(make_scan("b", "r", SCHEMA),
+                             (Column("r.g"),), ("x",)))
+        one, other = {"g": 1, "v": 0}, {"g": 1, "v": 5}
+        # 2 - 1 copies, then 2 - 3 (clamped at 0), then 1 - 3, then 1 - 0.
+        got = run_incremental(plan, [
+            {"a": rows_to_deltas([one, other]), "b": rows_to_deltas([one])},
+            {"b": rows_to_deltas([other, {"g": 1, "v": 9}])},
+            {"a": rows_to_deltas([one], -1)},
+            {"b": rows_to_deltas([one, other, {"g": 1, "v": 9}], -1)}])
+        assert sorted_items(got) == sorted_items(recompute(plan, {
+            "a": bag_of([other], SCHEMA), "b": Bag()}))
+        (row, count), = got.items()
+        assert row["x"] == 1 and count == 1
+
+    def test_set_op_refuses_a_side_it_does_not_hold(self):
+        plan = SetOp("intersection",
+                     Project(make_scan("a", "l", SCHEMA),
+                             (Column("l.g"),), ("x",)),
+                     Project(make_scan("b", "r", SCHEMA),
+                             (Column("r.g"),), ("x",)))
+        view = compile_view(plan)
+        view.evaluate(0, {"a": rows_to_deltas([{"g": 1, "v": 0}])})
+        with pytest.raises(StateError, match="right side does not hold"):
+            view.evaluate(1, {"b": rows_to_deltas([{"g": 1, "v": 0}], -1)})
+        assert view.evaluate(2, {"b": rows_to_deltas([{"g": 1, "v": 0}])}) \
+            == [(Record.from_mapping(plan.schema, {"x": 1}), 1)]
+
+    def test_join_refuses_an_unheld_row_before_indexing_it(self):
+        plan = Join(make_scan("a", "l", SCHEMA), make_scan("b", "r", SCHEMA),
+                    left_keys=("l.g",), right_keys=("r.g",))
+        view = compile_view(plan)
+        view.evaluate(0, {})
+        with pytest.raises(StateError, match="right side does not hold"):
+            view.evaluate(1, {"b": rows_to_deltas([{"g": 1, "v": 2}], -1)})
+        # The refused retraction left no trace in the right index: a
+        # valid insert on each side joins once.
+        got = view.evaluate(2, {"a": rows_to_deltas([{"g": 1, "v": 0}]),
+                                "b": rows_to_deltas([{"g": 1, "v": 2}])})
+        assert [(row.values, count) for row, count in got] \
+            == [((1, 0, 1, 2), 1)]
 
     def test_join_retraction(self):
         plan = Join(make_scan("a", "l", SCHEMA), make_scan("b", "r", SCHEMA),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import CrashFuse
+from repro.chaos import CrashFuse, install_crash
 from repro.chaos.injection import InjectedCrash
 from repro.chaos.recovery import RecoveryManager
 from repro.core import StateError
@@ -123,23 +123,12 @@ class TestMidRefreshCrash:
         service.tick()
         image = service.snapshot()
 
-        handle = service.view("totals").handle
-        op = handle.operator(handle.operator_names()[0])
         fuse = CrashFuse(at=1)
-        original = op.process_batch
-
-        def torn(*args, **kwargs):
-            result = original(*args, **kwargs)
-            if fuse.record(1):
-                raise InjectedCrash("mid-refresh fault")
-            return result
-
-        op.process_batch = torn
+        install_crash(service.view("totals"), 0, fuse)
         service.apply("orders", inserts=[{"region": "eu", "amount": 2}],
                       at=service.clock + 1)
         with pytest.raises(InjectedCrash):
             service.refresh("totals")
-        del op.process_batch
         assert fuse.fired
 
         # Roll back the torn state and replay the commit: exactly-once.

@@ -1,23 +1,24 @@
-"""A view refresh runs one batch per operator per source: checked by
-counting calls and constructions, never by a clock, at two delta sizes."""
+"""A view refresh is one instant on CQL's physical operators: one
+``process`` per operator per refresh, checked by counting calls and
+constructions, never by a clock, at two delta sizes."""
 
 from collections import Counter
 
 import pytest
 
-import repro.exec.plan as plan_module
+import repro.core.records as records_module
 from repro.core.operators import AggregateKind
 from repro.core.records import Schema
-from repro.exec.operator import FusedOperator, Operator
+from repro.cql.executor import (
+    AggregateOp,
+    FilterOp,
+    JoinOp,
+    ProjectOp,
+    RelationSourceOp,
+)
 from repro.plan.exprs import Binary, BinOp, Column, Literal
 from repro.plan.ir import Aggregate, AggregateExpr, Filter, Join, Project
-from repro.views import Delta, DynamicTableService, make_scan, recompute
-from repro.views.operators import (
-    DeltaAggregateOp,
-    DeltaFilterOp,
-    DeltaJoinOp,
-    DeltaProjectOp,
-)
+from repro.views import DynamicTableService, make_scan, recompute
 
 pytestmark = pytest.mark.views
 
@@ -68,12 +69,8 @@ def commit(service, version, deltas):
          "amount": 1 + n % 7} for n in range(deltas - 2)], at=version)
 
 
-def members(view):
-    ops = []
-    for name in view.handle.operator_names():
-        op = view.handle.operator(name)
-        ops.extend(op.members if isinstance(op, FusedOperator) else [op])
-    return ops
+def operators(view):
+    return [op for _, op in view.operators()]
 
 
 def assert_correct(service, view):
@@ -82,34 +79,28 @@ def assert_correct(service, view):
 
 
 @pytest.mark.parametrize("deltas", [10, 1_000])
-def test_one_emit_batch_per_operator_per_source_batch(deltas, monkeypatch):
+def test_one_process_per_operator_per_refresh(deltas, monkeypatch):
     service, view = make_service()
-    assert {type(op) for op in members(view)} >= {
-        DeltaFilterOp, DeltaProjectOp, DeltaJoinOp, DeltaAggregateOp}
+    kinds = {type(op) for op in operators(view)}
+    assert kinds == {RelationSourceOp, FilterOp, ProjectOp, JoinOp,
+                     AggregateOp}
     calls = Counter()
-    emit, emit_batch = Operator.emit, Operator.emit_batch
+    for kind in kinds:
+        def counted(self, t, child_deltas, _process=kind.process):
+            calls[type(self).__name__] += 1
+            return _process(self, t, child_deltas)
 
-    def counted_emit(self, value):
-        calls["emit", type(self).__name__] += 1
-        emit(self, value)
-
-    def counted_emit_batch(self, batch):
-        calls["emit_batch", type(self).__name__] += 1
-        emit_batch(self, batch)
-
-    monkeypatch.setattr(Operator, "emit", counted_emit)
-    monkeypatch.setattr(Operator, "emit_batch", counted_emit_batch)
+        monkeypatch.setattr(kind, "process", counted)
     for version in (2, 3):
         commit(service, version, deltas)
         calls.clear()
         assert service.tick(version) == ["by_region"]
-        # orders feed σ → π → ⋈ (left); customers feed ⋈ (right); each
-        # of the join's two output batches goes through γ.
-        assert calls == Counter({
-            ("emit_batch", "DeltaFilterOp"): 1,
-            ("emit_batch", "DeltaProjectOp"): 1,
-            ("emit_batch", "DeltaJoinOp"): 2,
-            ("emit_batch", "DeltaAggregateOp"): 2})
+        # orders feed σ → π → ⋈ (left) and customers ⋈ (right) in one
+        # instant: the join takes both sides' batches in one call, and
+        # γ its one output batch.
+        assert calls == Counter({"RelationSourceOp": 2, "FilterOp": 1,
+                                 "ProjectOp": 1, "JoinOp": 1,
+                                 "AggregateOp": 1})
         assert_correct(service, view)
 
 
@@ -133,35 +124,24 @@ def test_no_schema_built_after_the_first_refresh(deltas, monkeypatch):
 
 
 @pytest.mark.parametrize("deltas", [10, 1_000])
-def test_one_delta_built_per_delta_crossing_an_operator(deltas,
-                                                        monkeypatch):
-    tally = Counter()
-    init = Delta.__init__
-    receive, receive_batch = \
-        plan_module._Node.receive, plan_module._Node.receive_batch
+def test_one_row_built_per_delta_crossing_an_operator(deltas, monkeypatch):
+    """Deltas are bare pairs; what a refresh builds per delta is rows —
+    never more of them than deltas cross plan edges."""
+    built = Counter()
+    new = records_module._new
 
-    def counted_delta(self, row, weight):
-        tally["built"] += 1
-        init(self, row, weight)
+    def counted_new(cls):
+        built["rows"] += 1
+        return new(cls)
 
-    def counted_receive(self, value, input_index):
-        tally["crossed"] += 1
-        receive(self, value, input_index)
-
-    def counted_receive_batch(self, batch, input_index):
-        tally["crossed"] += len(batch)
-        receive_batch(self, batch, input_index)
-
-    monkeypatch.setattr(Delta, "__init__", counted_delta)
-    monkeypatch.setattr(plan_module._Node, "receive", counted_receive)
-    monkeypatch.setattr(plan_module._Node, "receive_batch",
-                        counted_receive_batch)
-    # Patched before the plan opens: sources bind their entry points then.
     service, view = make_service()
+    monkeypatch.setattr(records_module, "_new", counted_new)
     for version in (2, 3):
         commit(service, version, deltas)
-        tally.clear()
+        crossed = sum(op.received for op in operators(view))
+        built.clear()
         service.tick(version)
-        assert tally["crossed"] >= deltas
-        assert tally["built"] <= tally["crossed"]
+        crossed = sum(op.received for op in operators(view)) - crossed
+        assert crossed >= deltas
+        assert 0 < built["rows"] <= crossed
         assert_correct(service, view)

@@ -482,7 +482,6 @@ class TestStringAggregates:
 class TestRefusedRefreshLeavesNoTrace:
     def test_retraction_of_an_absent_row_tears_nothing(self, monkeypatch):
         from repro.core.records import Record
-        from repro.views import Delta
 
         service = make_service()
         view = service.execute(
@@ -495,11 +494,11 @@ class TestRefusedRefreshLeavesNoTrace:
         changelog = list(view.changelog.entries())
         history = list(view.history)
         ghost = Record(view.schema, ("nowhere", 0))
-        push = view.handle.push_deltas
+        evaluate = view.evaluate
         # The real output comes first, so a one-by-one apply would have
         # landed it before meeting the ghost.
-        monkeypatch.setattr(view.handle, "push_deltas", lambda incoming: (
-            push(incoming) + [Delta(ghost, -1)]))
+        monkeypatch.setattr(view, "evaluate", lambda version, incoming: (
+            evaluate(version, incoming) + [(ghost, -1)]))
         service.apply("orders", inserts=[{"region": "us", "amount": 2}],
                       at=2)
         with pytest.raises(StateError):

@@ -107,6 +107,34 @@ class TestEndToEnd:
         assert [row["region"] for row, _ in service.read("hot").items()] \
             == ["eu"]
 
+    @pytest.mark.parametrize("window, emit, message", [
+        ("tumble", "changes", "group windows cannot appear"),
+        (None, "final", "EMIT FINAL is meaningless"),
+    ])
+    def test_windowed_or_final_aggregate_refused(self, window, emit,
+                                                 message):
+        from repro.core.operators import AggregateKind
+        from repro.plan.exprs import (
+            EmitMode,
+            GroupWindow,
+            GroupWindowKind,
+        )
+        from repro.plan.ir import AggregateExpr, WindowAggregate
+        from repro.views import DynamicTableService, make_scan
+
+        service = DynamicTableService()
+        schema = Schema(["region", "amount"])
+        service.create_table("orders", schema)
+        plan = WindowAggregate(
+            make_scan("orders", "o", schema), ("o.region",), ("region",),
+            (AggregateExpr(AggregateKind.COUNT, None, "n"),),
+            window=(GroupWindow(GroupWindowKind.TUMBLE, 10)
+                    if window else None),
+            emit=EmitMode(emit))
+        with pytest.raises(PlanError, match=message):
+            service.create_from_plan("w", plan)
+        assert service.view_names() == []
+
     def test_execute_rejects_plain_queries(self):
         from repro.views import DynamicTableService
 
