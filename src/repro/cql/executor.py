@@ -1670,10 +1670,15 @@ class ContinuousQuery:
         The incremental counterpart of :meth:`snapshot`, for in-place
         rollback (:meth:`rollback`) rather than migration.  Operators
         write the keys they changed since the previous barrier (every key
-        at the first, see :meth:`PhysicalOp.barrier`); the change-log and
-        the emissions are append-only, so they write their lengths; the
-        agenda (bounded by the widest window) is copied.  Taken between
-        instants, like :meth:`snapshot`.
+        at the first, see :meth:`PhysicalOp.barrier`); the emissions are
+        append-only, so they write their length; the agenda (bounded by
+        the widest window) is copied.  The change-log only grows, except
+        that a fold at its tail's instant replaces or drops the tail (see
+        :meth:`_log_state`): it writes its length and keeps the tail entry
+        by reference, as :meth:`repro.dsms.components.Store.snapshot`
+        does — the same never-mutated Bag, so it is not written twice.
+        Taken between quanta, like :meth:`snapshot` — possibly inside an
+        instant whose remaining arrivals are still to come.
         """
         if self._shared is not None:
             raise StateError(
@@ -1685,17 +1690,19 @@ class ContinuousQuery:
             "last_instant": self._last_instant,
             "deltas_processed": self._deltas_processed,
         }
-        return dict(self._barrier,
-                    operators=[op.barrier() for _, op in self.operators()])
+        payload = dict(self._barrier,
+                       operators=[op.barrier() for _, op in self.operators()])
+        self._barrier["tail"] = self._log[-1] if self._log else None
+        return payload
 
     def rollback(self) -> None:
         """Roll back in place to the last :meth:`barrier`.
 
         Operators restore only the keys they changed since; the log and
-        the emissions are truncated to their lengths then, and the
-        maintained relation is the log's tail again.  Any partially
-        processed instant is discarded, as in :meth:`restore`.  Repeatable:
-        the barrier is not consumed.
+        the emissions are cut back to their lengths then, the log's tail
+        entry is put back, and the maintained relation is that tail
+        again.  Any partially processed instant is discarded, as in
+        :meth:`restore`.  Repeatable: the barrier is not consumed.
         """
         point = self._barrier
         if point is None:
@@ -1703,8 +1710,12 @@ class ContinuousQuery:
         for _, op in self.operators():
             op.rollback()
         self._agenda.restore(point["agenda"])
-        del self._log[point["log"]:]
-        self._state = self._log[-1][1].copy() if self._log else Bag()
+        if point["log"]:
+            self._log[point["log"] - 1:] = [point["tail"]]
+            self._state = point["tail"][1].copy()
+        else:
+            self._log.clear()
+            self._state = Bag()
         del self._emissions[point["emissions"]:]
         self._last_instant = point["last_instant"]
         self._deltas_processed = point["deltas_processed"]
@@ -1754,13 +1765,10 @@ class ContinuousQuery:
             self._last_instant = t
             return []
         # All or nothing: a refused retraction leaves the state, the log,
-        # the emissions and the clock as they were.  Then the one copy of
-        # the instant: the log entry, compact and never mutated again,
-        # which the Store holds by reference too (see :attr:`state`).
+        # the emissions and the clock as they were.
         self._state.apply_signed(net)
-        logged = self._state.copy()
         self._last_instant = t
-        self._log.append((t, logged))
+        self._log_state(t)
         r2s = self.r2s
         if r2s is None:
             return []
@@ -1771,10 +1779,30 @@ class ContinuousQuery:
             emitted = [Emission(r, t) for r, m in net.items() if m < 0
                        for _ in range(-m)]
         else:
-            emitted = [Emission(r, t) for r, m in logged.items()
+            emitted = [Emission(r, t) for r, m in self._state.items()
                        for _ in range(m)]
         self._emissions.extend(emitted)
         return emitted
+
+    def _log_state(self, t: Timestamp) -> None:
+        """Log the working state as instant ``t``'s: one entry per instant,
+        however the instant's arrivals were split into folds.
+
+        A fold at the instant the log already ends at replaces the tail
+        (the Store's rule, :meth:`repro.dsms.components.Store.write`), or
+        drops it when the state is back where the instant started — one
+        fold of the whole instant would have logged nothing.  An entry is
+        the one copy of its instant, compact and never mutated again,
+        which the Store holds by reference too (see :attr:`state`).
+        """
+        log = self._log
+        if log and log[-1][0] == t:
+            if self._state == (log[-2][1] if len(log) > 1 else EMPTY_BAG):
+                log.pop()
+            else:
+                log[-1] = (t, self._state.copy())
+        else:
+            log.append((t, self._state.copy()))
 
     # -- inspection ----------------------------------------------------------
 
@@ -1811,22 +1839,10 @@ class ContinuousQuery:
         return out
 
     def as_relation(self) -> TimeVaryingRelation:
-        """The maintained state's change-log as a time-varying relation.
-
-        Same-instant batches (e.g. a DSMS servicing one tuple at a time)
-        append several log entries at one timestamp; only the last state per
-        instant is the relation's value there.  Collapsing must happen
-        *before* feeding ``set_at``, because ``set_at`` coalesces no-op
-        states — popping its tail entry to overwrite could otherwise remove
-        an earlier instant's state.
-        """
-        relation = TimeVaryingRelation(schema=self.output_schema)
-        last_per_instant: dict[Timestamp, Bag] = {}
-        for t, bag in self._log:
-            last_per_instant[t] = bag
-        for t, bag in last_per_instant.items():
-            relation.set_at(t, bag)
-        return relation
+        """The maintained state's change-log as a time-varying relation
+        (the log holds one state per instant, see :meth:`_log_state`)."""
+        return TimeVaryingRelation.from_snapshots(
+            self._log, schema=self.output_schema)
 
     @property
     def deltas_processed(self) -> int:

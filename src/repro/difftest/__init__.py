@@ -9,7 +9,8 @@ random (query, stream) pairs through
 * ``repro.cql.reference`` — the denotational ground truth,
 * ``repro.cql.executor`` — the incremental delta executor (both the
   optimised and the naive plan),
-* ``repro.dsms`` — the full DSMS engine servicing one tuple at a time,
+* ``repro.dsms`` — the full DSMS engine, its instants serviced whole
+  and split across scheduling quanta,
 
 plus a core-layer leg comparing the sparse S2R change-log against dense
 per-instant evaluation for every window class.  Any divergence is shrunk

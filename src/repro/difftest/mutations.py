@@ -16,9 +16,9 @@ The mutants cover the bug classes named by the issue:
 * ``sliding-expiry-capped``— the core sparse change-log caps a sliding
   window's expiry boundary at ``t + size``, losing the expiry of gappy
   ``slide > size`` windows (the historical bug, reintroduced).
-* ``state-log-coalesce``   — ``as_relation`` pops the change-log tail on
-  same-instant batches, corrupting earlier instants (the historical DSMS
-  divergence, reintroduced).
+* ``state-log-coalesce``   — the executor's change-log keeps the first
+  state per instant instead of the last, so an instant whose arrivals
+  were split across quanta logs (and stores) an intermediate state.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import contextlib
 from typing import Callable, Iterator
 
 from repro.core import windows as core_windows
-from repro.core.relation import TimeVaryingRelation
 from repro.cql import executor as cql_executor
 from repro.cql.ast import WindowSpecKind
 
@@ -116,25 +115,20 @@ def sliding_expiry_capped() -> Iterator[None]:
 
 @contextlib.contextmanager
 def state_log_coalesce() -> Iterator[None]:
-    """Reintroduce the as_relation tail-pop corruption."""
-    original = cql_executor.ContinuousQuery.as_relation
+    """The change-log keeps the *first* state per instant: a later fold
+    at the instant the log ends at leaves the tail as it was."""
+    original = cql_executor.ContinuousQuery._log_state
 
-    def mutated(self):
-        relation = TimeVaryingRelation(schema=self.output_schema)
-        last_t = None
-        for t, bag in self._log:
-            if t == last_t:
-                relation._times.pop()
-                relation._states.pop()
-            relation.set_at(t, bag)
-            last_t = t
-        return relation
+    def mutated(self, t):
+        if self._log and self._log[-1][0] == t:
+            return
+        original(self, t)
 
-    cql_executor.ContinuousQuery.as_relation = mutated
+    cql_executor.ContinuousQuery._log_state = mutated
     try:
         yield
     finally:
-        cql_executor.ContinuousQuery.as_relation = original
+        cql_executor.ContinuousQuery._log_state = original
 
 
 #: name -> (context manager, oracle leg: "cql" or "core")

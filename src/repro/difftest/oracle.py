@@ -11,11 +11,13 @@ instant under bag equality:
 * The incremental executor runs both plan variants via ``run_recorded``
   (exact per-instant batching).  R2S queries compare emitted streams;
   relation queries compare the maintained change-log.
-* The DSMS engine services **one tuple at a time**, so several states can
-  be appended at one instant; snapshot-reducibility demands only that the
-  *final* state per instant equals the reference relation of the R2S
-  child plan (intermediate same-instant states are an artifact of
-  per-tuple scheduling, not a bug).
+* The DSMS engine services a relation-output query one instant per
+  quantum and a stream-output query one tuple per quantum; the legs
+  drive it so that an instant's arrivals also arrive split across
+  quanta.  Snapshot-reducibility demands that the state logged per
+  instant — one, however the instant was split — equals the reference
+  relation of the R2S child plan (intermediate same-instant states are
+  an artifact of scheduling, not a result).
 
 The core-window leg (:func:`run_core_window_case`) checks the sparse S2R
 change-log against dense per-instant evaluation for the window kinds CQL
@@ -24,8 +26,11 @@ syntax cannot reach, and merge properties for session windows.
 
 from __future__ import annotations
 
+import random
 import zlib
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Any
 
 from repro.chaos import CrashFuse, InjectedCrash, install_crash
@@ -174,7 +179,7 @@ def run_case(case: Case) -> Divergence | None:
     if divergence is not None:
         return divergence
 
-    # DSMS leg: the engine servicing one tuple per scheduling quantum.
+    # DSMS leg: the default engine, each instant whole or split in two.
     divergence = _dsms_leg(case, streams, ref_state)
     if divergence is not None:
         return divergence
@@ -416,15 +421,25 @@ def _state_divergence(leg: str, label: str, handle,
 
 
 def _dsms_leg(case: Case, streams, ref_state) -> Divergence | None:
+    """The default engine, drained after a case-seeded prefix of each
+    instant's arrivals and again after the rest: a relation-output query
+    sees its instants both whole and split across two quanta (a
+    stream-output one is serviced one tuple per quantum either way)."""
     dsms = _dsms()
     try:
         handle = dsms.register_query("q", case.query, shedder=NoShedding())
     except ReproError as exc:
         return Divergence("dsms", f"registration failed: {exc!r}")
+    split = random.Random(zlib.crc32(case.query.encode()))
     try:
-        for t, name, record in _arrivals(streams, handle):
-            dsms.ingest(name, record, t)
-            dsms.run_until_idle()
+        for _, instant in groupby(_arrivals(streams, handle),
+                                  key=itemgetter(0)):
+            instant = list(instant)
+            prefix = split.randint(0, len(instant))
+            for part in (instant[:prefix], instant[prefix:]):
+                for t, name, record in part:
+                    dsms.ingest(name, record, t)
+                dsms.run_until_idle()
         handle.query.finish()
     except ReproError as exc:
         return Divergence("dsms", f"servicing crashed: {exc!r}")
@@ -581,8 +596,12 @@ def _dsms_crashed_leg(case: Case, streams, ref_state,
     ``advance_time`` and in the replay that recovers from that (see
     :class:`_CrashAim`), at case-dependent operator positions.  Its
     emissions, change-log and Store history must equal the same script's
-    on a fault-free engine, whose state must match the reference.
-    ``shots``, when given, collects ``(shot, phase it fired in)``.
+    on a fault-free engine, whose state must match the reference.  The
+    script drains after every arrival, but a replay re-offers what was
+    logged since the checkpoint at once, so a relation-output query
+    folds an instant in one quantum that the fault-free run folded
+    arrival by arrival: batched × crashed.  ``shots``, when given,
+    collects ``(shot, phase it fired in)``.
     """
     clean, crashed = _dsms(), _dsms(
         recovery_interval=_DSMS_CHECKPOINT_INTERVAL)

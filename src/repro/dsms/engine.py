@@ -74,14 +74,16 @@ class QueryHandle:
                  queue: InputQueue, shedder: Shedder,
                  store: Store, scratch: Scratch, throw: Throw,
                  wm_clock: obs.WatermarkClock | None = None,
-                 track_state: bool = True, batch_size: int = 1) -> None:
+                 track_state: bool = True,
+                 batch_size: int | None = 1) -> None:
         self.name = name
         self.query = query
         self.queue = queue
         self.shedder = shedder
-        #: Micro-batch size: a service quantum drains up to this many
-        #: same-timestamp tuples into one ``push_batch`` (1 = per-tuple).
-        self.batch_size = max(1, batch_size)
+        #: Micro-batch cap: a service quantum drains the queue's head
+        #: instant — up to this many same-timestamp tuples, all of them
+        #: for ``None`` — into one ``push_batch`` (1 = per-tuple).
+        self.batch_size = None if batch_size is None else max(1, batch_size)
         self._store = store
         self._scratch = scratch
         self._throw = throw
@@ -151,20 +153,14 @@ class QueryHandle:
     def service_one(self) -> bool:
         """Service one scheduling quantum.  Returns False when idle.
 
-        With ``batch_size=1`` (the default) a quantum is one tuple.  A
-        batched handle drains up to ``batch_size`` same-timestamp tuples
-        into ONE atomic ``push_batch`` — one instant evaluation, one
-        Store write.
+        A quantum drains the queue's head instant, up to ``batch_size``
+        tuples of it (all of them when ``batch_size`` is None), into ONE
+        atomic ``push_batch`` — one instant evaluation, one Store write.
+        With ``batch_size=1`` a quantum is one tuple.
         """
-        if self.batch_size > 1:
-            batch = self.queue.poll_batch(self.batch_size)
-            if not batch:
-                return False
-        else:
-            queued = self.queue.poll()
-            if queued is None:
-                return False
-            batch = [queued]
+        batch = self.queue.poll_batch(self.batch_size)
+        if not batch:
+            return False
         if obs._STATE.enabled:
             started = _perf()
             with obs.get_tracer().span("dsms.service",
@@ -369,17 +365,20 @@ class DSMSEngine:
                  sharing: bool = False,
                  recovery_interval: int | None = None,
                  max_restarts: int = 3,
-                 batch_size: int = 1,
+                 batch_size: int | None = None,
                  autoscale: Any = None) -> None:
         self._cql = CQLEngine()
-        #: Engine-default micro-batch size: a service quantum drains up
+        #: Engine-default micro-batch cap: a service quantum drains up
         #: to this many same-timestamp tuples into one atomic instant
-        #: evaluation.  Per query the planner's batching pass clamps the
-        #: default back to 1 when the query's *emissions* would change
-        #: (see :func:`repro.plan.batching.decide_batch_size`); an
-        #: explicit ``register_query(batch_size=...)`` overrides the
-        #: clamp (state-exact opt-in).
-        self.batch_size = max(1, batch_size)
+        #: evaluation; ``None`` (the default) drains the whole head
+        #: instant.  Per query the planner's batching pass resolves it
+        #: (see :func:`repro.plan.batching.decide_batch_size`): a
+        #: relation-output query keeps it, so by default it evaluates
+        #: each instant once; a stream-output query is clamped to one
+        #: tuple per quantum whenever batching would change its
+        #: *emissions*.  An explicit ``register_query(batch_size=...)``
+        #: overrides the clamp (state-exact opt-in).
+        self.batch_size = None if batch_size is None else max(1, batch_size)
         #: Multi-query plan sharing: queries registered with the default
         #: shedder and queue capacity are compiled into one communal
         #: :class:`repro.cql.shared.SharedGroup` (common subplans share
@@ -473,12 +472,15 @@ class DSMSEngine:
         clamps unpartitionable plans back to a serial query (see
         :meth:`repro.cql.engine.CQLEngine.register_query`).
 
-        ``batch_size=None`` (default) inherits the engine's batch size,
-        clamped back to 1 by the planner's emission-safety pass when
-        batching would change this query's output stream.  An explicit
-        integer is taken as-is: the caller opts into state-exact (but not
-        emission-exact) batching — the maintained Store answer is
-        identical, intermediate per-arrival emissions may net away."""
+        ``batch_size=None`` (default) inherits the engine's batch cap as
+        the planner's batching pass resolves it: a relation-output query
+        is serviced one instant per quantum (under the engine's cap, if
+        it set one); a stream-output query is clamped to one tuple per
+        quantum when batching would change its output stream.  An
+        explicit integer is taken as-is: the caller opts into
+        state-exact (but not emission-exact) batching — the maintained
+        Store answer is identical, intermediate per-arrival emissions
+        may net away."""
         if name in self._by_name:
             raise PlanError(f"query name {name!r} already registered")
         # Planned once: the batching pass and the compiler share the plan.
@@ -742,9 +744,9 @@ class DSMSEngine:
         return admitted
 
     def step(self) -> bool:
-        """Run one scheduling quantum: service one tuple of one unit (an
-        isolated query, or a whole shared group — its members advance
-        together)."""
+        """Run one scheduling quantum of one unit: an isolated query's
+        head instant (or as much of it as its batch cap allows), or one
+        tuple of a whole shared group — its members advance together."""
         index = self.scheduler.next_index(self._units)
         if index is None:
             return False

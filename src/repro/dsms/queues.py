@@ -76,8 +76,9 @@ class InputQueue:
             self._pressured = False
         return self._queue.popleft()
 
-    def poll_batch(self, limit: int) -> list[QueuedTuple]:
-        """Dequeue up to ``limit`` tuples sharing the head timestamp.
+    def poll_batch(self, limit: int | None = None) -> list[QueuedTuple]:
+        """Dequeue the run of tuples sharing the head timestamp, at most
+        ``limit`` of them (``None``: no cap — the whole head instant).
 
         The micro-batch drain: a batch never mixes instants (the executor
         evaluates one instant per batch), so the run stops at the first
@@ -85,6 +86,8 @@ class InputQueue:
         comes first.  Returns ``[]`` when empty.
         """
         queue = self._queue
+        if limit is None:
+            limit = len(queue)
         if not queue or limit <= 0:
             return []
         head_t = queue[0].timestamp

@@ -35,7 +35,10 @@ Filters, projections, DISTINCT and UNION are per-record or idempotent
 and commute with intra-instant netting; unbounded windows never evict.
 
 Plans with *relation* outputs (no R2S root) are always batch-safe: the
-change-log collapses to the last state per instant in both modes.
+change-log keeps one state per instant whichever way the instant's
+arrivals were split (a fold at the instant the log ends at replaces its
+tail), so the engine's default services them one whole instant per
+quantum.
 
 A failed proof is a fallback, not an error: :func:`decide_batch_size`
 clamps the requested batch size back to 1 (per-element execution), the
@@ -65,6 +68,8 @@ __all__ = ["BatchReport", "batch_safety", "decide_batch_size"]
 #: Window kinds whose eviction is driven by arrival count, not time —
 #: eviction can happen mid-instant, so batching changes the emitted rows.
 _ROW_BASED = (WindowSpecKind.ROWS, WindowSpecKind.PARTITIONED)
+#: Root operators that make a plan's output a stream, not a relation.
+_R2S_OPS = ("istream", "dstream", "rstream")
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ class BatchReport:
 
 def batch_safety(plan: LogicalOp) -> BatchReport:
     """Prove (or refuse) emission-exact micro-batching for ``plan``."""
-    if plan.op_name not in ("istream", "dstream", "rstream"):
+    if plan.op_name not in _R2S_OPS:
         # Relation output: the answer is state-per-instant, which nets
         # identically under batching regardless of the operators inside.
         return BatchReport(safe=True, blockers=())
@@ -102,13 +107,19 @@ def batch_safety(plan: LogicalOp) -> BatchReport:
     return BatchReport(safe=not blockers, blockers=tuple(blockers))
 
 
-def decide_batch_size(plan: LogicalOp, requested: int) -> int:
+def decide_batch_size(plan: LogicalOp, requested: int | None) -> int | None:
     """Clamp a batch-size request to what the plan's emissions allow.
 
-    Emission-unsafe plans get 1 (per-element); anything else keeps the
-    request.  Callers comparing only maintained state (the Store, the
-    change-log) may opt past this with an explicit per-query override.
+    ``None`` asks for the whole head instant per quantum: relation-output
+    plans keep it (one evaluation per instant), stream-output plans get
+    1, so their emission lists never depend on batch-safety proofs.  For
+    an integer, emission-unsafe plans get 1 (per-element) and anything
+    else keeps the request.  Callers comparing only maintained state (the
+    Store, the change-log) may opt past this with an explicit per-query
+    override.
     """
+    if requested is None:
+        return None if plan.op_name not in _R2S_OPS else 1
     if requested <= 1:
         return 1
     if not batch_safety(plan).safe:

@@ -1,11 +1,12 @@
-"""Regression tests for ``ContinuousQuery.as_relation`` change-log export.
+"""Regression tests for the executor's change-log and its export.
 
-A DSMS services one tuple per scheduling quantum, so several states are
-appended to the executor's log at a single instant.  ``as_relation`` must
-collapse those to the last state per instant *without* corrupting earlier
-instants — the historical bug popped the relation's tail after ``set_at``
-had already coalesced a no-op state, silently deleting an earlier change
-point.
+An instant's arrivals may reach a query in several folds (a DSMS
+servicing one tuple per quantum, or a capped micro-batch).  The log keeps
+one state per instant all the same: a fold at the instant the log ends at
+replaces its tail, or drops it when the state is back where the instant
+started.  ``as_relation`` must not corrupt earlier instants either — the
+historical bug popped the relation's tail after ``set_at`` had already
+coalesced a no-op state, silently deleting an earlier change point.
 """
 
 from repro.core import Schema, Stream
@@ -14,6 +15,30 @@ from repro.dsms import DSMSEngine
 
 OBS = Schema(["id", "room", "temp"])
 ALERTS = Schema(["id", "level"])
+
+
+def test_the_log_keeps_one_state_per_instant_however_it_is_split():
+    """Per-tuple pushes log exactly what one push per instant logs —
+    including instants whose arrivals end where the instant started."""
+    engine = CQLEngine()
+    engine.register_stream("Obs", OBS)
+    text = "SELECT room, COUNT(*) AS n FROM Obs [Range 5] GROUP BY room"
+    split, whole = engine.register_query(text), engine.register_query(text)
+    split.start()
+    whole.start()
+    for t in range(1, 16):
+        # Ticks not divisible by 4 bring one arrival per room (in an
+        # order that rotates every five ticks): where t - 5 did too, the
+        # instant's net change is zero — but not after its first arrival.
+        rows = [{"id": n, "room": "abc"[(n + t // 5) % 3] if t % 4 else "a",
+                 "temp": 20} for n in range(3)]
+        for row in rows:
+            split.push("Obs", row, t)
+        whole.push_batch(t, {"Obs": rows})
+    assert split._log == whole._log
+    logged = [t for t, _ in split._log]
+    assert logged == sorted(set(logged))
+    assert 6 not in logged and 8 in logged
 
 
 def test_per_tuple_pushes_collapse_to_last_state_per_instant():

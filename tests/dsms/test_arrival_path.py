@@ -106,6 +106,62 @@ class TestOneBagCopyPerInstant:
         assert len(bag_copies) == 1
 
 
+class TestOneQuantumPerInstant:
+    """On a default engine a relation-output query evaluates, copies and
+    stores each instant once, however many arrivals share it; a
+    stream-output query still does so once per arrival."""
+
+    @pytest.fixture
+    def census(self, monkeypatch, bag_copies):
+        counts = {"evaluations": 0, "writes": 0}
+        evaluate = ContinuousQuery._process_instant
+        write = components.Store.write
+
+        def counted_evaluate(self, t):
+            counts["evaluations"] += 1
+            return evaluate(self, t)
+
+        def counted_write(self, name, state, t):
+            counts["writes"] += 1
+            write(self, name, state, t)
+
+        monkeypatch.setattr(ContinuousQuery, "_process_instant",
+                            counted_evaluate)
+        monkeypatch.setattr(components.Store, "write", counted_write)
+
+        def read():
+            return (counts["evaluations"], len(bag_copies), counts["writes"])
+
+        def clear():
+            counts.update(evaluations=0, writes=0)
+            bag_copies.clear()
+
+        return read, clear
+
+    def per_instant(self, text, arrivals, census):
+        read, clear = census
+        engine = make_engine()
+        engine.register_query("q", text)
+        engine.ingest("Obs", row(0), 1)
+        engine.run_until_idle()
+        clear()
+        for ident in range(1, arrivals + 1):
+            engine.ingest("Obs", row(ident, f"r{ident}"), 2)
+        engine.run_until_idle()
+        return read()
+
+    def test_relation_output_once_per_instant(self, census):
+        text = ("SELECT room, COUNT(*) AS n FROM Obs [Range Unbounded] "
+                "GROUP BY room")
+        assert self.per_instant(text, 4, census) == (1, 1, 1)
+        assert self.per_instant(text, 64, census) == (1, 1, 1)
+
+    def test_stream_output_once_per_arrival(self, census):
+        text = "SELECT ISTREAM id, room FROM Obs [Range Unbounded]"
+        assert self.per_instant(text, 4, census) == (4, 4, 4)
+        assert self.per_instant(text, 64, census) == (64, 64, 64)
+
+
 class TestOneRecordPerArrival:
     @pytest.fixture
     def conversions(self, monkeypatch):

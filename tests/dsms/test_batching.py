@@ -1,10 +1,14 @@
 """DSMS micro-batch servicing: queue drain-to-batch and the knobs.
 
 Covers ``InputQueue.poll_batch`` (same-timestamp runs only), engine and
-per-query ``batch_size`` resolution (planner clamp vs explicit opt-in),
-and batched-vs-per-element parity on the Store/state/emissions.
+per-query ``batch_size`` resolution (head instant vs planner clamp vs
+explicit opt-in), batched-vs-per-element parity on the
+Store/state/emissions, and batched recovery against a fault-free run.
 """
 
+import pytest
+
+from repro.chaos import CrashFuse, install_crash
 from repro.core.records import Schema
 from repro.dsms.engine import DSMSEngine
 from repro.dsms.queues import InputQueue
@@ -47,6 +51,13 @@ class TestPollBatch:
         assert len(queue.poll_batch(2)) == 2
         assert len(queue) == 3
 
+    def test_no_limit_drains_the_whole_head_instant(self):
+        queue = InputQueue(capacity=2048)
+        for t in [4] * 1500 + [5]:
+            queue.offer("v", t)
+        assert len(queue.poll_batch()) == 1500
+        assert len(queue.poll_batch(None)) == 1
+
     def test_empty_queue_yields_empty_batch(self):
         queue = InputQueue(capacity=4)
         assert queue.poll_batch(8) == []
@@ -82,6 +93,19 @@ class TestBatchSizeResolution:
     def test_default_engine_stays_per_element(self):
         handle = make_engine().register_query("q", SAFE_QUERY)
         assert handle.batch_size == 1
+
+    def test_default_engine_drains_relation_outputs_by_instant(self):
+        engine = make_engine()
+        # Relation output: the whole head instant, even for an aggregate;
+        # stream output: one tuple, however batch-safe the plan is.
+        assert engine.register_query(
+            "rel", "SELECT room, COUNT(*) AS n FROM Obs [Range 5] "
+                   "GROUP BY room").batch_size is None
+        assert engine.register_query("safe", SAFE_QUERY).batch_size == 1
+        assert engine.register_query("unsafe", UNSAFE_QUERY).batch_size == 1
+        assert engine.register_query(
+            "rstream", "SELECT RSTREAM id FROM Obs [Range Unbounded]"
+        ).batch_size == 1
 
 
 class TestBatchedServicingParity:
@@ -129,3 +153,38 @@ class TestBatchedServicingParity:
         # Arrivals must have been applied in timestamp order; a mixed
         # batch would have raised inside the executor's order check.
         assert handle.metrics.processed == 6
+
+
+class TestBatchedRecovery:
+    """Batched × crashed: a replay re-offers the arrivals logged since the
+    checkpoint at once, so it folds in one quantum what the live run
+    folded one arrival at a time — the change-log must not tell."""
+
+    QUERY = "SELECT room, COUNT(*) AS n FROM Obs [Range 5] GROUP BY room"
+
+    def drive(self, engine, fuse=None):
+        engine.register_stream("Obs", OBS)
+        handle = engine.register_query("q", self.QUERY)
+        if fuse is not None:
+            install_crash(handle.query, 0, fuse)
+        for t in range(1, 16):
+            for n in range(3):
+                # Ticks not divisible by 4 bring one arrival per room:
+                # where t - 5 did too, the instant's net change is zero.
+                room = "abc"[(n + t // 5) % 3] if t % 4 else "a"
+                engine.ingest("Obs", {"id": n, "room": room, "temp": 20}, t)
+                engine.run_until_idle()
+        return handle
+
+    @pytest.mark.parametrize("interval", range(3, 7))
+    def test_recovered_log_equals_the_fault_free_one(self, interval):
+        clean = self.drive(DSMSEngine(batch_size=8))
+        for at in range(2, 40):
+            fuse = CrashFuse(at=at)
+            engine = DSMSEngine(recovery_interval=interval, batch_size=8)
+            handle = self.drive(engine, fuse)
+            assert fuse.fired == 1 and engine.recovery.attempts == 1
+            assert handle.query._log == clean.query._log, at
+            assert handle.query.as_relation() == clean.query.as_relation()
+            assert list(handle.store_history().snapshots()) \
+                == list(clean.store_history().snapshots())

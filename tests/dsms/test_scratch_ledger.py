@@ -55,12 +55,17 @@ POOL = [
      "WHERE P.id = O.id", ("Obs",), True),
 ]
 
+#: Engine options per mode.  The pinned modes keep one tuple per quantum
+#: (``batch_size=1``): their ``mean_scratch`` is a per-quantum average,
+#: and the pins measure the ledger, not the quantum.  ``instant`` is the
+#: default engine — one quantum per query per instant — unpinned.
 MODES = {
-    "isolated": {},
+    "isolated": {"batch_size": 1},
     "sharing": {"sharing": True},
-    "parallel": {},
+    "parallel": {"batch_size": 1},
     "batched": {"batch_size": 4},
-    "recovering": {"recovery_interval": 3},
+    "recovering": {"recovery_interval": 3, "batch_size": 1},
+    "instant": {},
 }
 
 
@@ -142,7 +147,7 @@ def make_script(mode, seed, cancels=True, steps=40):
             del alive[name]
             script.append(("cancel", name))
         elif kind == "rescale" and mode in ("isolated", "parallel",
-                                            "recovering"):
+                                            "recovering", "instant"):
             candidates = sorted(n for n, (_, part) in alive.items() if part)
             if candidates:
                 if dirty:

@@ -107,6 +107,14 @@ class TestDecideBatchSize:
         assert decide_batch_size(plan, 1) == 1
         assert decide_batch_size(plan, 0) == 1
 
+    def test_no_request_is_the_head_instant_for_relation_outputs(self, engine):
+        relation = engine.plan("SELECT room, COUNT(*) AS n "
+                               "FROM Obs [Range 5] GROUP BY room")
+        assert decide_batch_size(relation, None) is None
+        safe_stream = engine.plan("SELECT ISTREAM id FROM Obs "
+                                  "[Range Unbounded]")
+        assert decide_batch_size(safe_stream, None) == 1
+
     def test_report_is_frozen(self):
         rep = BatchReport(safe=True, blockers=())
         with pytest.raises(Exception):
