@@ -4,7 +4,7 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: test lint bench bench-plan bench-recovery \
-	bench-profile bench-parallel bench-batch bench-views bench-rescale \
+	bench-profile bench-parallel bench-views bench-rescale \
 	cqbench-smoke cqbench-tests chaos fuzz fuzz-quick
 
 test: lint
@@ -41,12 +41,6 @@ bench-profile:
 bench-parallel:
 	$(PYTHON) -m pytest benchmarks/bench_parallelism.py -x -q
 
-# Vectorized micro-batch execution: columnar RecordBatch vs per-element
-# on the fused chain (parity-gated, >=5x claim) plus the DSMS end to
-# end.  Writes BENCH_batch.json.
-bench-batch:
-	$(PYTHON) -m pytest benchmarks/bench_batch.py -x -q
-
 # Dynamic tables: two-level view DAG under skewed updates, incremental
 # refresh vs recompute-from-base (parity-gated, >=5x claim) with the
 # lag-vs-target_lag gate.  Writes BENCH_dynamic_tables.json.
@@ -66,7 +60,7 @@ bench-rescale:
 # its 3-second end-to-end check and `make cqbench-tests` tests the
 # benchmark itself.
 bench: bench-plan bench-recovery bench-profile bench-parallel \
-	bench-batch bench-views bench-rescale
+	bench-views bench-rescale
 
 # cqbench at 1/20 size, one pass per workload, correctness checks on:
 # every workload must print "correct": true and ops_failed = 0.

@@ -39,11 +39,7 @@ from repro.dataflow.pvalue import PaneInfo, WindowedValue
 from repro.dataflow.triggers import (
     DEFAULT_TRIGGER,
     AccumulationMode,
-    AfterAny,
-    AfterProcessingTime,
-    AfterWatermark,
     PaneTiming,
-    Repeatedly,
     Trigger,
 )
 from repro.dataflow.windowfn import GlobalWindows, WindowFn
@@ -226,8 +222,7 @@ class Pipeline:
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self, parallelism: int = 1,
-            bundle_size: int = 1) -> PipelineResult:
+    def run(self, parallelism: int = 1) -> PipelineResult:
         """Execute the pipeline: the DAG is lowered onto the shared
         execution kernel (:mod:`repro.exec`) and each source is replayed
         in arrival order.
@@ -237,18 +232,10 @@ class Pipeline:
         partitioning is always sound here).  Panes are identical to the
         serial run; within one watermark firing their order across keys
         may differ, since each replica drains its own keys.
-
-        ``bundle_size=N`` groups consecutive source elements into kernel
-        micro-batches (Beam's bundles).  Bundles always flush before a
-        watermark advances, so pane contents and firing decisions are
-        identical to the per-element run — except under
-        :class:`~repro.dataflow.triggers.AfterProcessingTime`, whose
-        processing clock is the arrival index read at insert; pipelines
-        using it (anywhere in a composite trigger) are clamped back to
-        ``bundle_size=1``.
         """
-        return _KernelRunner(self, parallelism=parallelism,
-                             bundle_size=bundle_size).run()
+        if parallelism < 1:
+            raise PlanError(f"parallelism must be >= 1, got {parallelism}")
+        return _KernelRunner(self, parallelism=parallelism).run()
 
 
 def _logical_label(node: PCollection) -> tuple[str, str]:
@@ -286,12 +273,6 @@ class _ParDoOp(Operator):
         for value in self._fn(wv.value):
             self.emit(wv.with_value(value))
 
-    def process_batch(self, batch: Any, input_index: int = 0) -> None:
-        fn = self._fn
-        out = [wv.with_value(value) for wv in batch for value in fn(wv.value)]
-        if out:
-            self.emit_batch(out)
-
 
 class _WindowOp(Operator):
     """Window assignment as a kernel operator (stateless, fusible)."""
@@ -305,13 +286,6 @@ class _WindowOp(Operator):
                         input_index: int = 0) -> None:
         windows = tuple(self._window_fn.assign(wv.timestamp))
         self.emit(WindowedValue(wv.value, wv.timestamp, windows, wv.pane))
-
-    def process_batch(self, batch: Any, input_index: int = 0) -> None:
-        assign = self._window_fn.assign
-        self.emit_batch([
-            WindowedValue(wv.value, wv.timestamp,
-                          tuple(assign(wv.timestamp)), wv.pane)
-            for wv in batch])
 
 
 class _GBKOp(Operator):
@@ -476,31 +450,6 @@ class _SinkOp(Operator):
         self._result.outputs[self._label].append(wv)
         self.emit(wv)
 
-    def process_batch(self, batch: Any, input_index: int = 0) -> None:
-        self._result.outputs[self._label].extend(batch)
-        self.emit_batch(batch)
-
-
-def _arrival_sensitive(trigger: Trigger) -> bool:
-    """Does ``trigger`` read the arrival-index processing clock?
-
-    Bundling delivers a whole batch before GBK inserts run, so every
-    element in the bundle observes the post-bundle arrival index —
-    invisible to count- and watermark-based triggers, but it shifts
-    :class:`AfterProcessingTime`'s delay windows.  Composite triggers
-    are sensitive if any nested part is.
-    """
-    if isinstance(trigger, AfterProcessingTime):
-        return True
-    if isinstance(trigger, Repeatedly):
-        return _arrival_sensitive(trigger.inner)
-    if isinstance(trigger, AfterAny):
-        return any(_arrival_sensitive(t) for t in trigger.triggers)
-    if isinstance(trigger, AfterWatermark):
-        return any(_arrival_sensitive(t)
-                   for t in (trigger.early, trigger.late) if t is not None)
-    return False
-
 
 class _KernelRunner:
     """Lowers the pipeline DAG onto a :class:`repro.exec.Plan`.
@@ -514,18 +463,8 @@ class _KernelRunner:
     must not share pane state).
     """
 
-    def __init__(self, pipeline: Pipeline, parallelism: int = 1,
-                 bundle_size: int = 1) -> None:
+    def __init__(self, pipeline: Pipeline, parallelism: int = 1) -> None:
         self.pipeline = pipeline
-        self.parallelism = parallelism
-        self.bundle_size = max(1, bundle_size)
-        if self.bundle_size > 1 and any(
-                node.kind == "gbk"
-                and _arrival_sensitive(node.windowing.trigger)
-                for node in pipeline._nodes):
-            # AfterProcessingTime's clock is the arrival index at insert;
-            # bundles would shift it, so the run degrades per-element.
-            self.bundle_size = 1
         self.result = PipelineResult()
         self._arrival_index = 0
         self.plan = Plan()
@@ -566,31 +505,18 @@ class _KernelRunner:
         tracer = obs.get_tracer() if obs.is_enabled() else obs.NoopTracer()
         self.plan.open(layer="dataflow")
         with tracer.span("dataflow.pipeline.run") as root:
-            bundle_size = self.bundle_size
             for index, source in enumerate(self.pipeline._sources):
                 channel = self._source_channels[id(source)]
                 generator: WatermarkGenerator = source.spec["watermark"]
                 with tracer.span("dataflow.source", index=index) as span:
-                    bundle: list[WindowedValue] = []
                     for value, timestamp in source.spec["elements"]:
                         self._arrival_index += 1
                         wv = WindowedValue(value, timestamp,
                                            (GlobalWindows.WINDOW,))
                         mark = generator.observe(timestamp)
-                        if bundle_size > 1:
-                            bundle.append(wv)
-                            # A bundle must drain before event time moves:
-                            # pane firing decisions read the watermark.
-                            if mark is not None \
-                                    or len(bundle) >= bundle_size:
-                                self.plan.push_batch(channel, bundle)
-                                bundle = []
-                        else:
-                            self.plan.push(channel, wv)
+                        self.plan.push(channel, wv)
                         if mark is not None:
                             self.plan.advance_watermark(channel, mark.value)
-                    if bundle:
-                        self.plan.push_batch(channel, bundle)
                     span.add(elements=len(source.spec["elements"]))
                 self.plan.advance_watermark(channel, MAX_TIMESTAMP)
             self.plan.close()

@@ -184,7 +184,7 @@ def run_case(case: Case) -> Divergence | None:
     if divergence is not None:
         return divergence
 
-    # Batched leg: the same engine draining micro-batches per quantum.
+    # Batched leg: the same engine draining capped instant quanta.
     # Batched vs per-element execution must agree instant by instant.
     divergence = _kernel_batched_leg(case, streams, ref_state)
     if divergence is not None:
@@ -642,7 +642,7 @@ def _dsms_crashed_leg(case: Case, streams, ref_state,
 
 
 def _kernel_batched_leg(case: Case, streams, ref_state) -> Divergence | None:
-    """The eighth leg: vectorized micro-batch execution under fuzzing.
+    """The eighth leg: DSMS instant quanta under fuzzing.
 
     The whole arrival log is ingested up front and drained with
     ``batch_size=8`` quanta, so same-instant tuples actually coalesce

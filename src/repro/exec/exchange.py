@@ -63,49 +63,11 @@ class Exchange(Operator):
             partitioner = HashPartitioner()
         self.partitioner = partitioner
 
-    def set_parallelism(self, parallelism: int) -> None:
-        """Re-point the shuffle at a new downstream width (live rescale).
-
-        The Exchange is stateless, so changing the modulus is the entire
-        routing-side migration: elements arriving after the call are
-        stamped for the new width.  The caller owns re-keying the replica
-        *state* (``repro.runtime.rescale``) and re-wiring the gates.
-        """
-        if parallelism < 1:
-            raise ValueError(f"need at least one partition, "
-                             f"got {parallelism}")
-        self.parallelism = parallelism
-
     def process_element(self, value: Any, input_index: int = 0) -> None:
         emit = self.ctx.emitter.emit
         for index in self.partitioner.route(
                 value, self.key_fn(value), self.parallelism):
             emit((index, value))
-
-    def process_batch(self, batch: Any, input_index: int = 0) -> None:
-        """Route a whole batch: one stamped sub-batch per partition.
-
-        Without this, a batched push through a fissioned plan silently
-        degraded to per-element emission (the default loop) — every
-        element became its own downstream delivery.  Bucketing by
-        partition keeps batches whole: each replica's gate receives one
-        homogeneous stamped batch per input batch (within-partition
-        order preserved; stamped tuples keep non-batch-capable
-        downstreams working via the default loop).
-        """
-        route = self.partitioner.route
-        key_fn = self.key_fn
-        parallelism = self.parallelism
-        buckets: dict[int, list[tuple[int, Any]]] = {}
-        for value in batch:
-            for index in route(value, key_fn(value), parallelism):
-                bucket = buckets.get(index)
-                if bucket is None:
-                    bucket = buckets[index] = []
-                bucket.append((index, value))
-        emit_batch = self.ctx.emitter.emit_batch
-        for index in sorted(buckets):
-            emit_batch(buckets[index])
 
 
 class PartitionGate(Operator):
@@ -121,18 +83,6 @@ class PartitionGate(Operator):
         if stamped[0] == self.index:
             self.ctx.emitter.emit(stamped[1])
 
-    def process_batch(self, batch: Any, input_index: int = 0) -> None:
-        """Slice-and-forward: unwrap this partition's share as one batch.
-
-        ``Exchange`` sends homogeneous per-partition batches, so this is
-        usually all-or-nothing; the comprehension also handles mixed
-        batches from hand-built plans.
-        """
-        own = self.index
-        admitted = [value for stamp, value in batch if stamp == own]
-        if admitted:
-            self.ctx.emitter.emit_batch(admitted)
-
 
 class Merge(Operator):
     """Re-unifies fission replica outputs into one channel.
@@ -143,14 +93,8 @@ class Merge(Operator):
     normal job over N channels.
     """
 
-    def __init__(self, parallelism: int = 1) -> None:
-        self.parallelism = parallelism
-
     def process_element(self, value: Any, input_index: int = 0) -> None:
         self.ctx.emitter.emit(value)
-
-    def process_batch(self, batch: Any, input_index: int = 0) -> None:
-        self.ctx.emitter.emit_batch(batch)
 
 
 def fission(plan, upstream: str, name: str, parallelism: int,
@@ -174,4 +118,4 @@ def fission(plan, upstream: str, name: str, parallelism: int,
                                  PartitionGate(index), [exchange])
         replicas.append(plan.add_operator(f"{name}!{index}",
                                           replica_factory(index), [gate]))
-    return plan.add_operator(f"{name}.merge", Merge(parallelism), replicas)
+    return plan.add_operator(f"{name}.merge", Merge(), replicas)

@@ -7,16 +7,6 @@ downstream through its context's :class:`Emitter`.  ``FusedOperator``
 collapses a chain of operators into one, eliminating per-hop dispatch —
 the same optimisation ``runtime/dag.py`` applies to job graphs, now
 available to any kernel plan.
-
-The protocol is **dual-mode**: alongside ``process_element`` every
-operator has ``process_batch``, whose default implementation loops the
-per-element path — so every existing operator keeps working unmodified
-when a source pushes a batch, while hot operators override it with a
-true columnar kernel (see :mod:`repro.exec.vector`).  Batches are
-``RecordBatch`` or plain lists; emitters mirror the split with
-``emit_batch``, and a fused chain forwards whole batches member to
-member (a member without a columnar kernel degrades to the loop *inside*
-the chain without breaking batching for its neighbours).
 """
 
 from __future__ import annotations
@@ -37,16 +27,6 @@ class Emitter:
         for value in values:
             self.emit(value)
 
-    def emit_batch(self, batch: Any) -> None:
-        """Emit a whole batch (``RecordBatch`` or list) downstream.
-
-        The default unrolls to per-element emission; plan emitters and
-        :class:`StageEmitter` override it to keep batches whole.
-        """
-        emit = self.emit
-        for value in batch:
-            emit(value)
-
     def emit_watermark(self, watermark: Timestamp) -> None:  # pragma: no cover
         """Forward a watermark downstream (no-op unless routed)."""
 
@@ -59,9 +39,6 @@ class CollectingEmitter(Emitter):
 
     def emit(self, value: Any) -> None:
         self.buffer.append(value)
-
-    def emit_batch(self, batch: Any) -> None:
-        self.buffer.extend(batch)
 
     def drain(self) -> list[Any]:
         out, self.buffer = self.buffer, []
@@ -76,9 +53,6 @@ class StageEmitter(Emitter):
 
     def emit(self, value: Any) -> None:
         self._downstream.process_element(value)
-
-    def emit_batch(self, batch: Any) -> None:
-        self._downstream.process_batch(batch)
 
 
 class OperatorContext:
@@ -119,18 +93,6 @@ class Operator:
     def process_element(self, value: Any, input_index: int = 0) -> None:
         raise NotImplementedError
 
-    def process_batch(self, batch: Any, input_index: int = 0) -> None:
-        """Process a whole batch (``RecordBatch`` or list of elements).
-
-        The default loops the per-element path, so every operator is
-        batch-correct by construction; columnar operators override this
-        with a vectorized kernel and emit via ``emit_batch`` to keep the
-        batch whole downstream.
-        """
-        process = self.process_element
-        for value in batch:
-            process(value, input_index)
-
     def process_watermark(self, watermark: Timestamp,
                           input_index: int = 0) -> None:
         """Combined input watermark advanced to ``watermark``."""
@@ -140,9 +102,6 @@ class Operator:
 
     def emit(self, value: Any) -> None:
         self.ctx.emitter.emit(value)
-
-    def emit_batch(self, batch: Any) -> None:
-        self.ctx.emitter.emit_batch(batch)
 
     # -- checkpointing --------------------------------------------------------
 
@@ -195,12 +154,6 @@ class FusedOperator(Operator):
     def process_element(self, value: Any, input_index: int = 0) -> None:
         self.members[0].process_element(value, input_index)
 
-    def process_batch(self, batch: Any, input_index: int = 0) -> None:
-        # The head gets the whole batch; each member's StageEmitter
-        # forwards it via emit_batch, so a fused filter→project→aggregate
-        # chain runs one tight loop per batch per member.
-        self.members[0].process_batch(batch, input_index)
-
     def process_watermark(self, watermark: Timestamp,
                           input_index: int = 0) -> None:
         for member in self._wm_members:
@@ -217,12 +170,3 @@ class FusedOperator(Operator):
     def restore(self, state: Any) -> None:
         for member, member_state in zip(self.members, state):
             member.restore(member_state)
-
-
-def batch_capable(op: Operator) -> bool:
-    """True when ``op`` carries a real columnar kernel (overrides the
-    default ``process_batch`` loop).  A fused chain counts when any
-    member does — the rest degrade gracefully inside the chain."""
-    if isinstance(op, FusedOperator):
-        return any(batch_capable(member) for member in op.members)
-    return type(op).process_batch is not Operator.process_batch

@@ -3,8 +3,7 @@
 A :class:`Plan` is the kernel's unit of execution.  Layers lower their
 queries to a plan — sources are named input channels, operators are
 :class:`~repro.exec.operator.Operator` instances — then drive it with
-``push`` / ``push_batch`` / ``advance_watermark`` / ``mark_idle`` /
-``close``.
+``push`` / ``advance_watermark`` / ``mark_idle`` / ``close``.
 
 The plan owns the three cross-cutting concerns the four legacy engines
 each reimplemented:
@@ -50,7 +49,7 @@ class _Source:
     """A named input channel of the plan."""
 
     __slots__ = ("name", "idle_timeout", "initial_watermark", "targets",
-                 "last_seq", "deliveries", "batch_deliveries", "watermark")
+                 "last_seq", "deliveries", "watermark")
 
     def __init__(self, name: str, idle_timeout: int | None,
                  initial_watermark: Timestamp) -> None:
@@ -61,8 +60,6 @@ class _Source:
         self.last_seq = 0
         #: bound per-target entry points, precomputed at open()
         self.deliveries: list[tuple[Callable[..., None], int]] = []
-        #: bound per-target *batch* entry points, precomputed at open()
-        self.batch_deliveries: list[tuple[Callable[..., None], int]] = []
         #: last advanced watermark (read pull-based for lag estimates)
         self.watermark = initial_watermark
 
@@ -109,11 +106,6 @@ class _Node:
             self._counters()[0].inc()
         self.op.process_element(value, input_index)
 
-    def receive_batch(self, batch: Any, input_index: int) -> None:
-        if self.plan._count:
-            self._counters()[0].inc(len(batch))
-        self.op.process_batch(batch, input_index)
-
     def preceive(self, value: Any, input_index: int) -> None:
         """The profiled entry point (only ever wired by ``open()`` when
         profiling was enabled, so the plain hot path never pays for it).
@@ -143,31 +135,6 @@ class _Node:
         else:
             self.op.process_element(value, input_index)
 
-    def preceive_batch(self, batch: Any, input_index: int) -> None:
-        """The profiled batch entry point (wired only when profiling is
-        on).  ``records_in`` stays exact (+= rows), ``batches_in`` and the
-        rows-per-batch histogram record the batching shape, and the timed
-        flow uses the same child-time stack as per-element pushes."""
-        rows = len(batch)
-        prof = self.profile
-        prof.records_in += rows
-        prof.record_batch(rows)
-        if self.count:
-            self._counters()[0].inc(rows)
-        profiler = self.profiler
-        if profiler.timing:
-            stack = profiler.stack
-            stack.append(0.0)
-            started = _perf()
-            self.op.process_batch(batch, input_index)
-            elapsed = _perf() - started
-            child_time = stack.pop()
-            prof.busy_seconds += elapsed - child_time
-            prof.timed_in += 1
-            if stack:
-                stack[-1] += elapsed
-        else:
-            self.op.process_batch(batch, input_index)
 
 
 class _NodeEmitter(Emitter):
@@ -186,32 +153,19 @@ class _NodeEmitter(Emitter):
         for target, input_index in self._targets:
             target.receive(value, input_index)
 
-    def emit_batch(self, batch: Any) -> None:
-        node = self._node
-        if node.plan._count:
-            node._counters()[1].inc(len(batch))
-        for target, input_index in self._targets:
-            target.receive_batch(batch, input_index)
-
 
 class _FastEmitter(Emitter):
     """The no-counting emitter: straight to downstream ``process_element``."""
 
-    __slots__ = ("_deliveries", "_batch_deliveries")
+    __slots__ = ("_deliveries",)
 
     def __init__(self, node: _Node) -> None:
         self._deliveries = [(target.op.process_element, input_index)
                             for target, input_index in node.targets]
-        self._batch_deliveries = [(target.op.process_batch, input_index)
-                                  for target, input_index in node.targets]
 
     def emit(self, value: Any) -> None:
         for deliver, input_index in self._deliveries:
             deliver(value, input_index)
-
-    def emit_batch(self, batch: Any) -> None:
-        for deliver, input_index in self._batch_deliveries:
-            deliver(batch, input_index)
 
 
 class _ProfilingEmitter(Emitter):
@@ -219,8 +173,7 @@ class _ProfilingEmitter(Emitter):
     through the profiled entry points.  Subsumes ``_NodeEmitter`` when the
     plan also counts into the registry."""
 
-    __slots__ = ("_node", "_profile", "_count", "_deliveries",
-                 "_batch_deliveries")
+    __slots__ = ("_node", "_profile", "_count", "_deliveries")
 
     def __init__(self, node: _Node) -> None:
         self._node = node
@@ -228,8 +181,6 @@ class _ProfilingEmitter(Emitter):
         self._count = node.count
         self._deliveries = [(target.preceive, input_index)
                             for target, input_index in node.targets]
-        self._batch_deliveries = [(target.preceive_batch, input_index)
-                                  for target, input_index in node.targets]
 
     def emit(self, value: Any) -> None:
         self._profile.records_out += 1
@@ -237,14 +188,6 @@ class _ProfilingEmitter(Emitter):
             self._node._counters()[1].inc()
         for deliver, input_index in self._deliveries:
             deliver(value, input_index)
-
-    def emit_batch(self, batch: Any) -> None:
-        rows = len(batch)
-        self._profile.records_out += rows
-        if self._count:
-            self._node._counters()[1].inc(rows)
-        for deliver, input_index in self._batch_deliveries:
-            deliver(batch, input_index)
 
 
 class Plan:
@@ -384,18 +327,12 @@ class Plan:
         for src in self._sources.values():
             if self._profiler is not None:
                 entry = lambda node: node.preceive  # noqa: E731
-                batch_entry = lambda node: node.preceive_batch  # noqa: E731
             elif count_elements:
                 entry = lambda node: node.receive  # noqa: E731
-                batch_entry = lambda node: node.receive_batch  # noqa: E731
             else:
                 entry = lambda node: node.op.process_element  # noqa: E731
-                batch_entry = \
-                    lambda node: node.op.process_batch  # noqa: E731
             src.deliveries = [(entry(node), input_index)
                               for node, input_index in src.targets]
-            src.batch_deliveries = [(batch_entry(node), input_index)
-                                    for node, input_index in src.targets]
 
     def push(self, source: str, value: Any) -> None:
         """Inject one element at ``source``; it flows to completion."""
@@ -418,36 +355,6 @@ class Plan:
                     tick=profiler.tick)
         for deliver, input_index in src.deliveries:
             deliver(value, input_index)
-
-    def push_batch(self, source: str, batch: Any) -> None:
-        """Inject a whole batch (``RecordBatch`` or list) at ``source``.
-
-        One plan-wide delivery per batch instead of one per element: the
-        vectorized fast path.  Idle bookkeeping, profiling ticks and
-        flight records advance once per batch (a batch is one unit of
-        plan activity); ``records_in`` stays exact via the entry points.
-        """
-        if not len(batch):
-            return
-        src = self._sources[source]
-        if self._track_idle:
-            self._seq += 1
-            src.last_seq = self._seq
-            if source in self._idle:
-                self._reactivate(source)
-            self._expire_idle_sources()
-        elif self._idle and source in self._idle:
-            self._reactivate(source)
-        profiler = self._profiler
-        if profiler is not None:
-            profiler.tick += 1
-            profiler.timing = profiler.tick % profiler.sample_every == 0
-            if profiler.tick % profiler.flight_every == 0:
-                _profile._RECORDER.record(
-                    "batch.push", plan=profiler.label, source=source,
-                    rows=len(batch), tick=profiler.tick)
-        for deliver, input_index in src.batch_deliveries:
-            deliver(batch, input_index)
 
     def advance_watermark(self, source: str, watermark: Timestamp) -> None:
         """Advance ``source``'s watermark; fire operators whose combined

@@ -28,7 +28,7 @@ class StateBackend:
     def items(self) -> Iterable[tuple[Any, Any]]:
         raise NotImplementedError
 
-    # -- batched mutation (vectorized operators) ------------------------------
+    # -- bulk restore ---------------------------------------------------------
 
     def put_many(self, items: Iterable[tuple[Any, Any]]) -> None:
         """Store many (key, value) pairs in one call.
@@ -40,12 +40,6 @@ class StateBackend:
         put = self.put
         for key, value in items:
             put(key, value)
-
-    def get_many(self, keys: Iterable[Any],
-                 default: Any = None) -> list[Any]:
-        """Look up many keys; one result per key, in order."""
-        get = self.get
-        return [get(key, default) for key in keys]
 
     # -- checkpointing --------------------------------------------------------
 

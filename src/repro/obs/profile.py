@@ -19,7 +19,7 @@ plans as a live EXPLAIN ANALYZE.  Four pieces:
   :class:`StallDetector` spots sources that stopped producing while the
   rest of the engine advances.
 * **Flight recorder** — :class:`FlightRecorder`, a bounded ring of recent
-  structured events (element batches, watermark advances, checkpoint
+  structured events (element pushes, watermark advances, checkpoint
   barriers, recovery attempts, queue pressure), dumpable on demand or on
   crash (:func:`dump_on_crash`).
 * **Introspection surface** — :func:`explain_analyze` annotates a plan
@@ -67,7 +67,7 @@ _sample_every = DEFAULT_SAMPLE_EVERY
 class FlightRecorder:
     """A bounded ring buffer of recent structured events.
 
-    Everything interesting that happened lately — element batches,
+    Everything interesting that happened lately — element pushes,
     watermark advances, checkpoint barriers, recovery attempts, queue
     pressure crossings — lands here as a small dict; the ring keeps the
     newest ``capacity`` events and can be dumped as JSONL on demand or on
@@ -150,7 +150,7 @@ class OperatorProfile:
     """
 
     __slots__ = ("name", "kind", "records_in", "records_out",
-                 "busy_seconds", "timed_in", "batches_in", "batch_rows")
+                 "busy_seconds", "timed_in")
 
     def __init__(self, name: str, kind: str) -> None:
         self.name = name
@@ -159,18 +159,6 @@ class OperatorProfile:
         self.records_out = 0
         self.busy_seconds = 0.0
         self.timed_in = 0
-        #: batched deliveries (vectorized path); per-element pushes do
-        #: not count here, so batches_in == 0 means the operator only
-        #: ever saw the scalar protocol.
-        self.batches_in = 0
-        #: rows-per-batch histogram, power-of-two buckets (bucket 8
-        #: counts batches of 5..8 rows).  Bounded: ~60 buckets max.
-        self.batch_rows: dict[int, int] = {}
-
-    def record_batch(self, rows: int) -> None:
-        self.batches_in += 1
-        bucket = 1 << (rows - 1).bit_length() if rows > 0 else 0
-        self.batch_rows[bucket] = self.batch_rows.get(bucket, 0) + 1
 
     @property
     def selectivity(self) -> float | None:
@@ -184,9 +172,7 @@ class OperatorProfile:
                 "records_out": self.records_out,
                 "selectivity": self.selectivity,
                 "busy_seconds": self.busy_seconds,
-                "timed_in": self.timed_in,
-                "batches_in": self.batches_in,
-                "rows_per_batch": dict(sorted(self.batch_rows.items()))}
+                "timed_in": self.timed_in}
 
 
 #: Live plan profilers (weakly held; obs.reset() drops them eagerly).

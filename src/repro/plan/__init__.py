@@ -13,7 +13,7 @@ Module map:
 * :mod:`repro.plan.signature` — canonical commutativity-aware signatures
 * :mod:`repro.plan.monotone` — monotonicity-aware strategy selection
 * :mod:`repro.plan.parallel` — fission/partitionability analysis
-* :mod:`repro.plan.batching` — micro-batch emission-safety analysis
+* :mod:`repro.plan.batching` — instant-quantum emission-safety analysis
 * :mod:`repro.plan.sharing` — the multi-query subplan memo
 * :mod:`repro.plan.explain` — text renderers for logical & kernel plans
 """

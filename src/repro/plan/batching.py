@@ -1,6 +1,7 @@
-"""Batch-safety analysis: which plans may run vectorized micro-batches?
+"""Batch-safety analysis: which plans may the DSMS service one instant
+per quantum?
 
-Micro-batching collapses all of one instant's arrivals into a single
+An instant quantum collapses all of one instant's arrivals into a single
 incremental evaluation instead of one evaluation per tuple.  The
 maintained *state per instant* is identical either way (the executor
 nets deltas within an instant — snapshot-reducibility), so the question
@@ -94,7 +95,7 @@ class BatchReport:
 
 
 def batch_safety(plan: LogicalOp) -> BatchReport:
-    """Prove (or refuse) emission-exact micro-batching for ``plan``."""
+    """Prove (or refuse) emission-exact instant quanta for ``plan``."""
     if plan.op_name not in _R2S_OPS:
         # Relation output: the answer is state-per-instant, which nets
         # identically under batching regardless of the operators inside.

@@ -49,6 +49,11 @@ class TestFissionedGBK:
         assert [wv.value for wv in same["counts"]] \
             == [wv.value for wv in serial["counts"]]
 
+    @pytest.mark.parametrize("parallelism", [0, -2])
+    def test_nonpositive_parallelism_rejected(self, parallelism):
+        with pytest.raises(PlanError, match="parallelism"):
+            counting_pipeline().run(parallelism=parallelism)
+
     def test_early_firings_match(self):
         kwargs = dict(
             trigger=Repeatedly(AfterCount(2)),

@@ -15,10 +15,6 @@ from repro.exec import (
     fission,
 )
 from repro.runtime import BroadcastPartitioner, default_hash
-from repro.runtime.partitioning import (
-    HashPartitioner,
-    RebalancePartitioner,
-)
 
 
 class KeyedSum(Operator):
@@ -80,88 +76,6 @@ class TestExchange:
         gate.process_element((2, "yes"))
         gate.process_element((3, "no"))
         assert gate.ctx.emitter.drain() == ["yes"]
-
-    def test_set_parallelism_redirects_subsequent_elements(self):
-        exchange = Exchange(4, key_fn=lambda value: value)
-        exchange.open(OperatorContext(emitter=CollectingEmitter()))
-        exchange.process_element("user-a")
-        exchange.set_parallelism(2)
-        exchange.process_element("user-a")
-        [(before, _), (after, _)] = exchange.ctx.emitter.drain()
-        assert before == default_hash("user-a") % 4
-        assert after == default_hash("user-a") % 2
-
-    def test_set_parallelism_rejects_nonpositive(self):
-        exchange = Exchange(4, key_fn=lambda value: value)
-        with pytest.raises(ValueError):
-            exchange.set_parallelism(0)
-        assert exchange.parallelism == 4
-
-
-class TestBatchRouting:
-    """process_batch must route exactly like the per-element loop for
-    every partitioner family — batching is an optimisation, not a
-    semantics change."""
-
-    ELEMENTS = [("k%d" % (i % 5), i) for i in range(23)]
-
-    @pytest.mark.parametrize("partitioner", [
-        None,  # hash default
-        HashPartitioner(),
-        BroadcastPartitioner(),
-        RebalancePartitioner(),
-    ], ids=["default", "hash", "broadcast", "rebalance"])
-    def test_process_batch_matches_per_element(self, partitioner):
-        def build():
-            exchange = Exchange(3, key_fn=lambda value: value[0],
-                                partitioner=type(partitioner)()
-                                if partitioner is not None else None)
-            exchange.open(OperatorContext(emitter=CollectingEmitter()))
-            return exchange
-
-        one_by_one = build()
-        for element in self.ELEMENTS:
-            one_by_one.process_element(element)
-        expected = one_by_one.ctx.emitter.drain()
-
-        batched = build()
-        batched.process_batch(list(self.ELEMENTS))
-        stamped = batched.ctx.emitter.drain()
-        assert sorted(map(repr, stamped)) == sorted(map(repr, expected))
-        # Within one partition, arrival order is preserved.
-        for partition in range(3):
-            assert [v for p, v in stamped if p == partition] \
-                == [v for p, v in expected if p == partition]
-
-    def test_gate_slices_mixed_stamped_batches(self):
-        # Hand-built plans may send heterogeneous stamped batches; the
-        # gate must slice out exactly its share, order preserved.
-        gate = PartitionGate(1)
-        gate.open(OperatorContext(emitter=CollectingEmitter()))
-        gate.process_batch([(0, "a"), (1, "b"), (2, "c"), (1, "d"),
-                            (0, "e"), (1, "f")])
-        assert gate.ctx.emitter.drain() == ["b", "d", "f"]
-
-    def test_gate_emits_nothing_for_foreign_batches(self):
-        gate = PartitionGate(1)
-        gate.open(OperatorContext(emitter=CollectingEmitter()))
-        gate.process_batch([(0, "a"), (2, "b")])
-        assert gate.ctx.emitter.drain() == []
-
-    def test_exchange_batches_stay_homogeneous(self):
-        exchange = Exchange(4, key_fn=lambda value: value)
-        collected: list[list] = []
-
-        class BatchRecorder(CollectingEmitter):
-            def emit_batch(self, batch):
-                collected.append(list(batch))
-                super().emit_batch(batch)
-
-        exchange.open(OperatorContext(emitter=BatchRecorder()))
-        exchange.process_batch(list(range(16)))
-        assert collected  # went through the batch path
-        for batch in collected:
-            assert len({partition for partition, _ in batch}) == 1
 
 
 class TestFission:
@@ -255,7 +169,7 @@ class TestMergeWatermarks:
         plan.add_source("p0")
         plan.add_source("p1")
         plan.add_source("p2")
-        plan.add_operator("merge", Merge(3), ["p0", "p1", "p2"])
+        plan.add_operator("merge", Merge(), ["p0", "p1", "p2"])
         sink = Sink()
         plan.add_operator("sink", sink, ["merge"])
         plan.open()
@@ -271,7 +185,7 @@ class TestMergeWatermarks:
         plan = Plan()
         plan.add_source("p0")
         plan.add_source("p1")
-        plan.add_operator("merge", Merge(2), ["p0", "p1"])
+        plan.add_operator("merge", Merge(), ["p0", "p1"])
         sink = Sink()
         plan.add_operator("sink", sink, ["merge"])
         plan.open()

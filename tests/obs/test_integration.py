@@ -170,3 +170,56 @@ class TestDataflowPipeline:
         trace = obs.get_tracer().last_trace()
         assert trace.name == "dataflow.pipeline.run"
         assert trace.find("dataflow.source")
+
+    def test_fissioned_run_is_exact_under_profiling(self, monkeypatch):
+        from repro.core import BoundedOutOfOrderness
+        from repro.dataflow import FixedWindows, Pipeline
+        from repro.exec import Plan
+        from repro.runtime import default_hash
+
+        elements = [("a", 1), ("b", 2), ("a", 5), ("c", 7), ("b", 12),
+                    ("a", 13), ("d", 14), ("c", 18), ("b", 21), ("a", 22)]
+
+        def run(parallelism):
+            p = Pipeline()
+            (p.create(elements, watermark=BoundedOutOfOrderness(2))
+             .map(lambda v: (v, 1))
+             .window_into(FixedWindows(10))
+             .combine_per_key(sum)
+             .collect("counts"))
+            result = p.run(parallelism=parallelism)
+            return sorted((wv.value, wv.timestamp, wv.windows,
+                           wv.pane.timing, wv.pane.index)
+                          for wv in result["counts"])
+
+        expected = run(1)  # obs off
+        obs.reset()  # kernel plans count into the registry even with obs off
+        opened = []
+        open_plan = Plan.open
+
+        def recording_open(plan, *args, **kwargs):
+            opened.append(plan)
+            return open_plan(plan, *args, **kwargs)
+
+        monkeypatch.setattr(Plan, "open", recording_open)
+        obs.enable(profile=True, sample_every=1)
+        assert run(1) == expected
+        assert run(2) == expected
+        serial, fissioned = opened
+
+        def records_in(operator):
+            return obs.get_registry().get(
+                "exec.operator.records_in", operator=operator,
+                layer="dataflow").value
+
+        # The pipeline's nodes are source0, pardo1, window2, gbk3, sink4.
+        assert records_in("gbk3") == len(elements)
+        assert serial._profiler.profiles["gbk3"].records_in == len(elements)
+        replicas = ["gbk3!0", "gbk3!1"]
+        assert sum(records_in(name) for name in replicas) == len(elements)
+        for index, name in enumerate(replicas):
+            routed = sum(1 for key, _ in elements
+                         if default_hash(key) % 2 == index)
+            assert routed > 0
+            assert records_in(name) == routed
+            assert fissioned._profiler.profiles[name].records_in == routed
