@@ -4,7 +4,7 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: test lint bench bench-plan bench-recovery \
-	bench-profile bench-parallel bench-views bench-rescale \
+	bench-profile bench-views bench-rescale \
 	cqbench-smoke cqbench-tests chaos fuzz fuzz-quick
 
 test: lint
@@ -35,12 +35,6 @@ bench-recovery:
 bench-profile:
 	$(PYTHON) -m pytest benchmarks/bench_profiling.py -x -q
 
-# Partitioned parallel execution: keyed aggregation fissioned across
-# 1/2/4 worker processes, parity-gated, critical-path scaling claim.
-# Writes BENCH_parallelism.json.
-bench-parallel:
-	$(PYTHON) -m pytest benchmarks/bench_parallelism.py -x -q
-
 # Dynamic tables: two-level view DAG under skewed updates, incremental
 # refresh vs recompute-from-base (parity-gated, >=5x claim) with the
 # lag-vs-target_lag gate.  Writes BENCH_dynamic_tables.json.
@@ -59,8 +53,8 @@ bench-rescale:
 # cqbench` is the full run (about two minutes); `make cqbench-smoke` is
 # its 3-second end-to-end check and `make cqbench-tests` tests the
 # benchmark itself.
-bench: bench-plan bench-recovery bench-profile bench-parallel \
-	bench-views bench-rescale
+bench: bench-plan bench-recovery bench-profile bench-views \
+	bench-rescale
 
 # cqbench at 1/20 size, one pass per workload, correctness checks on:
 # every workload must print "correct": true and ops_failed = 0.

@@ -43,7 +43,7 @@ from repro.dataflow.triggers import (
     Trigger,
 )
 from repro.dataflow.windowfn import GlobalWindows, WindowFn
-from repro.exec import Operator, Plan, fission
+from repro.exec import Operator, Plan
 
 
 @dataclass
@@ -222,20 +222,11 @@ class Pipeline:
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self, parallelism: int = 1) -> PipelineResult:
+    def run(self) -> PipelineResult:
         """Execute the pipeline: the DAG is lowered onto the shared
         execution kernel (:mod:`repro.exec`) and each source is replayed
-        in arrival order.
-
-        ``parallelism=N`` fissions every GroupByKey into N key-routed
-        replicas behind an Exchange (GBK is keyed by construction, so
-        partitioning is always sound here).  Panes are identical to the
-        serial run; within one watermark firing their order across keys
-        may differ, since each replica drains its own keys.
-        """
-        if parallelism < 1:
-            raise PlanError(f"parallelism must be >= 1, got {parallelism}")
-        return _KernelRunner(self, parallelism=parallelism).run()
+        in arrival order."""
+        return _KernelRunner(self).run()
 
 
 def _logical_label(node: PCollection) -> tuple[str, str]:
@@ -425,17 +416,6 @@ class _GBKOp(Operator):
                                 (window,), info))
 
 
-def _gbk_key(wv: WindowedValue) -> Any:
-    """Partition key for a fissioned GroupByKey: the pair's key."""
-    try:
-        key, _ = wv.value
-    except (TypeError, ValueError):
-        raise PlanError(
-            "GroupByKey input must be (key, value) pairs; got "
-            f"{wv.value!r}") from None
-    return key
-
-
 class _SinkOp(Operator):
     """Records outputs under a label; passes elements through."""
 
@@ -458,12 +438,10 @@ class _KernelRunner:
     generator's pre-observation value.  The driver replays each source in
     arrival order, advancing the channel's watermark after every element
     the generator marks; element routing, watermark propagation and
-    per-operator counters all come from the kernel.  Each GroupByKey
-    replica gets its own :class:`_GBKOp` (replicas own disjoint keys and
-    must not share pane state).
+    per-operator counters all come from the kernel.
     """
 
-    def __init__(self, pipeline: Pipeline, parallelism: int = 1) -> None:
+    def __init__(self, pipeline: Pipeline) -> None:
         self.pipeline = pipeline
         self.result = PipelineResult()
         self._arrival_index = 0
@@ -481,13 +459,6 @@ class _KernelRunner:
             if node.kind == "pardo":
                 op: Operator = _ParDoOp(node.spec["fn"])
             elif node.kind == "gbk":
-                if parallelism > 1:
-                    # Fission: GBK state is per (key, window), so key
-                    # routing keeps every pane whole on one replica.
-                    names[id(node)] = fission(
-                        self.plan, parent_name, name, parallelism,
-                        _gbk_key, lambda i, node=node: _GBKOp(node, self))
-                    continue
                 op = _GBKOp(node, self)
             elif node.kind == "window":
                 op = _WindowOp(node.windowing.window_fn)

@@ -142,11 +142,10 @@ def run_case(case: Case) -> Divergence | None:
             return divergence
 
     # Leg 4: key-partitioned execution.  When the planner proves the
-    # plan partitionable, the same query runs in three key partitions —
-    # fissioned inside one query, then as three pooled queries — and
-    # must match the reference instant by instant (the pool: its merged
-    # emissions, or its final state).  Unpartitionable plans skip — the
-    # planner's refusal is itself under test in tests/plan.
+    # plan partitionable, the same query runs fissioned into two key
+    # partitions inside one query and must match the reference instant
+    # by instant.  Unpartitionable plans skip — the planner's refusal is
+    # itself under test in tests/plan.
     divergence = _kernel_parallel_leg(case, streams, truth, is_r2s)
     if divergence is not None:
         return divergence
@@ -199,20 +198,17 @@ def run_case(case: Case) -> Divergence | None:
 
 def _kernel_parallel_leg(case: Case, streams, truth,
                          is_r2s: bool) -> Divergence | None:
-    """Run the query fissioned into 2 key partitions, in-plan and pooled.
+    """Run the query fissioned into 2 key partitions inside one query.
 
-    Exercises the whole §4.2 stack under fuzzing: the planner's
-    partition-scheme proof, hash routing of every arrival, the
-    per-partition operator copies under one agenda and one root fold —
-    and the worker pool's N independent queries with their merge
-    (:func:`~repro.runtime.pool.run_partitioned_recorded`, inline).
+    Exercises the §4.2 stack under fuzzing: the planner's
+    partition-scheme proof, hash routing of every arrival, and the
+    per-partition operator copies under one agenda and one root fold.
     Width 2, not more: at width 3 the generator's hot rooms 'a' and 'b'
-    share a partition, which would leave cross-partition paths (the
-    union, the pool's merge) mostly untested.
+    share a partition, which would leave the cross-partition union
+    mostly untested.
     """
-    from repro.cql.executor import ContinuousQuery, instant_batches
+    from repro.cql.executor import ContinuousQuery
     from repro.plan.parallel import partition_scheme
-    from repro.runtime.pool import run_partitioned_recorded
 
     exec_engine = build_engine()
     try:
@@ -229,28 +225,8 @@ def _kernel_parallel_leg(case: Case, streams, truth,
     except ReproError as exc:
         return Divergence("kernel-parallel",
                           f"partitioned run crashed: {exc!r}")
-    divergence = _output_divergence("kernel-parallel", "partitioned",
-                                    query, truth, is_r2s)
-    if divergence is not None:
-        return divergence
-    try:
-        pooled = run_partitioned_recorded(
-            plan, exec_engine.catalog, instant_batches(relevant), 2,
-            backend="inline")
-    except ReproError as exc:
-        return Divergence("kernel-parallel", f"pooled run crashed: {exc!r}")
-    if is_r2s:
-        got = sorted((e.timestamp, repr(e.record)) for e in pooled.emissions)
-        want = sorted((t, repr(value)) for t, value
-                      in zip(truth.timestamps(), truth.values()))
-    else:
-        got = sorted(pooled.state.items(), key=repr)
-        final = list(truth.snapshots())
-        want = sorted(final[-1][1].items(), key=repr) if final else []
-    if got != want:
-        return Divergence("kernel-parallel",
-                          _diff_detail("pooled", got, "reference", want))
-    return None
+    return _output_divergence("kernel-parallel", "partitioned",
+                              query, truth, is_r2s)
 
 
 def _output_divergence(leg: str, label: str, query, truth,

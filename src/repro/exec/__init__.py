@@ -9,7 +9,6 @@ element at a time through its operators.  See DESIGN.md § "Execution
 kernel".
 """
 
-from repro.exec.exchange import Exchange, Merge, PartitionGate, fission
 from repro.exec.fusion import fuse_fixpoint
 from repro.exec.operator import (
     CollectingEmitter,
@@ -27,17 +26,13 @@ __all__ = [
     "CollectingEmitter",
     "DictStateBackend",
     "Emitter",
-    "Exchange",
     "FusedOperator",
     "LSMStateBackend",
-    "Merge",
     "Operator",
     "OperatorContext",
-    "PartitionGate",
     "Plan",
     "StageEmitter",
     "StateBackend",
     "WatermarkTracker",
-    "fission",
     "fuse_fixpoint",
 ]

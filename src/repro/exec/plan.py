@@ -18,14 +18,15 @@ each reimplemented:
   plan-wide pushes); once it falls that far behind it is excluded from
   downstream min-combines, and ``mark_idle``/``advance_watermark`` give
   callers a manual escape hatch.  One fix, every layer.
-* **observability** — ``exec.operator.records_in`` / ``records_out``
-  counters per operator, recorded at the plan boundary instead of inside
-  each engine.  When :mod:`repro.obs.profile` is enabled *before*
-  ``open()``, the plan additionally grows per-operator profiling
-  collectors (in/out, sampled self-time, watermark lag) — the decision is
-  taken once at open time, so the disabled hot path keeps its exact
-  pre-profiling shape: no collector allocation, no timing calls, just one
-  ``is None`` check per plan-wide push.
+* **observability** — when :mod:`repro.obs` is enabled *before*
+  ``open()``, ``exec.operator.records_in`` / ``records_out`` counters per
+  operator, recorded at the plan boundary instead of inside each engine;
+  with :mod:`repro.obs.profile` on as well, the plan additionally grows
+  per-operator profiling collectors (in/out, sampled self-time, watermark
+  lag).  Both decisions are taken once at open time, so the disabled hot
+  path delivers straight to ``process_element``: no registry counter, no
+  collector allocation, no timing calls, just one ``is None`` check per
+  plan-wide push.
 
 ``fuse`` collapses chains of fusible operators into
 :class:`~repro.exec.operator.FusedOperator` nodes before ``open``.
@@ -102,8 +103,9 @@ class _Node:
         return self._in_counter, self._out_counter
 
     def receive(self, value: Any, input_index: int) -> None:
-        if self.plan._count:
-            self._counters()[0].inc()
+        """The counting entry point (only ever wired by ``open()`` when
+        obs was enabled)."""
+        self._counters()[0].inc()
         self.op.process_element(value, input_index)
 
     def preceive(self, value: Any, input_index: int) -> None:
@@ -138,7 +140,8 @@ class _Node:
 
 
 class _NodeEmitter(Emitter):
-    """Routes a node's emissions to every downstream (node, input) pair."""
+    """The counting emitter: counts a node's emissions, then routes them
+    to every downstream (node, input) pair's counting entry point."""
 
     __slots__ = ("_node", "_targets")
 
@@ -147,15 +150,13 @@ class _NodeEmitter(Emitter):
         self._targets = node.targets
 
     def emit(self, value: Any) -> None:
-        node = self._node
-        if node.plan._count:
-            node._counters()[1].inc()
+        self._node._counters()[1].inc()
         for target, input_index in self._targets:
             target.receive(value, input_index)
 
 
 class _FastEmitter(Emitter):
-    """The no-counting emitter: straight to downstream ``process_element``."""
+    """The obs-off emitter: straight to downstream ``process_element``."""
 
     __slots__ = ("_deliveries",)
 
@@ -200,7 +201,6 @@ class Plan:
         self._opened = False
         self._seq = 0
         self._idle: set[str] = set()
-        self._count = True
         self._track_idle = False
         self._profiler: "_profile.PlanProfiler | None" = None
         self.labels: dict[str, str] = {}
@@ -269,13 +269,11 @@ class Plan:
     # -- lifecycle -------------------------------------------------------------
 
     def open(self, state_factory: Callable[[], StateBackend]
-             = DictStateBackend, count_elements: bool = True,
-             **labels: str) -> None:
+             = DictStateBackend, **labels: str) -> None:
         """Wire targets/trackers and open every operator in plan order."""
         if self._opened:
             raise RuntimeError("plan already opened")
         self._opened = True
-        self._count = count_elements
         self.labels = dict(labels)
         # Channel initial watermarks propagate: a node's initial combined
         # mark is the min over its inputs' initials.
@@ -291,18 +289,20 @@ class Plan:
                 list(node.inputs),
                 initials={ch: initials[ch] for ch in node.inputs})
             initials[node.name] = node.tracker.combined
-        # Profiling is decided once, here: plans opened while profiling is
-        # off never allocate a collector or take a timing call.
+        # Counting and profiling are decided once, here: plans opened while
+        # obs is off never touch the registry, allocate a collector or take
+        # a timing call.
+        count = obs.is_enabled()
         if _profile._ENABLED:
             self._profiler = _profile.PlanProfiler(self)
             for node in self._order:
                 node.profile = self._profiler.register(node.name, node.op)
                 node.profiler = self._profiler
-                node.count = count_elements
+                node.count = count
         for node in self._order:
             if self._profiler is not None:
                 emitter: Emitter = _ProfilingEmitter(node)
-            elif count_elements:
+            elif count:
                 emitter = _NodeEmitter(node)
             else:
                 emitter = _FastEmitter(node)
@@ -313,7 +313,7 @@ class Plan:
                               tracker.combined)))
         # Hot-path precomputation: pushes bypass per-source idle
         # bookkeeping entirely when no source declares a timeout, and
-        # deliver straight to ``process_element`` when counting is off.
+        # deliver straight to ``process_element`` when obs is off.
         self._track_idle = any(src.idle_timeout is not None
                                for src in self._sources.values())
         from repro.exec.operator import FusedOperator
@@ -327,7 +327,7 @@ class Plan:
         for src in self._sources.values():
             if self._profiler is not None:
                 entry = lambda node: node.preceive  # noqa: E731
-            elif count_elements:
+            elif count:
                 entry = lambda node: node.receive  # noqa: E731
             else:
                 entry = lambda node: node.op.process_element  # noqa: E731

@@ -49,7 +49,7 @@ __all__ = ["AdaptivePolicy", "Signals", "Decision", "AdaptiveController",
 def skew_ratio(loads: Sequence[float]) -> float:
     """Max/mean per-partition load — 1.0 is perfectly balanced.
 
-    The evidence number the pool benchmarks call load-balance: a ratio
+    A fissioned query's load-balance evidence: a ratio
     of N on N partitions means one partition is doing all the work (the
     hot-key pathology rescaling redistributes).
     """

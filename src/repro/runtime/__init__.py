@@ -72,13 +72,6 @@ from repro.runtime.partitioning import (
     default_hash,
     partition_of,
 )
-from repro.runtime.pool import (
-    PartitionedRunResult,
-    WorkerPool,
-    fission_job,
-    run_job_partitioned,
-    run_partitioned_recorded,
-)
 
 __all__ = [
     # broker
@@ -105,7 +98,4 @@ __all__ = [
     # placement & fission
     "Network", "ComputeNode", "Placement", "place",
     "FissionAdvice", "advise_fission", "bottlenecks",
-    # worker pool
-    "WorkerPool", "PartitionedRunResult", "run_partitioned_recorded",
-    "fission_job", "run_job_partitioned",
 ]

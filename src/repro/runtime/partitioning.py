@@ -12,8 +12,8 @@ receive each record:
   control messages, watermarks);
 * **rebalance** — round-robin, for load balancing stateless work.
 
-Every keyed placement in the stack — broker topics, hash edges, the
-worker pool, fissioned CQL queries and live rescale — goes through
+Every keyed placement in the stack — broker topics, hash edges,
+fissioned CQL queries and live rescale — goes through
 :func:`partition_of`, so they all agree on which partition owns a key.
 """
 

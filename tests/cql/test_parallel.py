@@ -67,6 +67,24 @@ class TestParity:
         assert [(e.value, e.timestamp) for e in parallel.emitted_stream()] \
             == [(e.value, e.timestamp) for e in serial.emitted_stream()]
 
+    def test_rstream_re_emits_partitions_where_others_changed(self, engine):
+        """RSTREAM re-emits the whole state at every instant it changes,
+        so a partition silent at an instant another partition changed
+        still emits its rows there (kitchen routes apart from lab and
+        hall at width 2)."""
+        serial, parallel = pair(engine, "SELECT RSTREAM room, COUNT(*) AS n "
+                                "FROM Obs [Range 5] GROUP BY room",
+                                parallelism=2)
+        serial.start()
+        parallel.start()
+        feed_both(serial, parallel, OBS_BATCHES)
+        serial.finish()
+        parallel.finish()
+        assert len(parallel.emissions()) == len(serial.emissions()) == 16
+        assert sorted(parallel.emissions(), key=repr) \
+            == sorted(serial.emissions(), key=repr)
+        assert parallel.current() == serial.current()
+
     def test_window_expirations_fire_instant_by_instant(self, engine):
         # Advancing far past the window must retract expired rows in
         # every partition at the same instants the serial query does.

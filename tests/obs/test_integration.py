@@ -171,29 +171,39 @@ class TestDataflowPipeline:
         assert trace.name == "dataflow.pipeline.run"
         assert trace.find("dataflow.source")
 
-    def test_fissioned_run_is_exact_under_profiling(self, monkeypatch):
+    def test_disabled_run_counts_nothing(self):
+        from repro.dataflow import FixedWindows, Pipeline
+        assert not obs.is_enabled()
+        p = Pipeline()
+        (p.create([("a", 1), ("a", 5), ("b", 12)])
+         .map(lambda v: (v, 1))
+         .window_into(FixedWindows(10))
+         .combine_per_key(sum)
+         .collect("out"))
+        assert p.run().values("out") == [("a", 2), ("b", 1)]
+        registry = obs.get_registry()
+        assert registry.children("exec.operator.records_in") == []
+        assert registry.children("exec.operator.records_out") == []
+
+    def test_gbk_run_is_exact_under_profiling(self, monkeypatch):
         from repro.core import BoundedOutOfOrderness
         from repro.dataflow import FixedWindows, Pipeline
         from repro.exec import Plan
-        from repro.runtime import default_hash
 
         elements = [("a", 1), ("b", 2), ("a", 5), ("c", 7), ("b", 12),
                     ("a", 13), ("d", 14), ("c", 18), ("b", 21), ("a", 22)]
 
-        def run(parallelism):
+        def run():
             p = Pipeline()
             (p.create(elements, watermark=BoundedOutOfOrderness(2))
              .map(lambda v: (v, 1))
              .window_into(FixedWindows(10))
              .combine_per_key(sum)
              .collect("counts"))
-            result = p.run(parallelism=parallelism)
-            return sorted((wv.value, wv.timestamp, wv.windows,
-                           wv.pane.timing, wv.pane.index)
-                          for wv in result["counts"])
+            return [(wv.value, wv.timestamp, wv.windows, wv.pane.timing,
+                     wv.pane.index) for wv in p.run()["counts"]]
 
-        expected = run(1)  # obs off
-        obs.reset()  # kernel plans count into the registry even with obs off
+        expected = run()  # obs off
         opened = []
         open_plan = Plan.open
 
@@ -203,23 +213,10 @@ class TestDataflowPipeline:
 
         monkeypatch.setattr(Plan, "open", recording_open)
         obs.enable(profile=True, sample_every=1)
-        assert run(1) == expected
-        assert run(2) == expected
-        serial, fissioned = opened
-
-        def records_in(operator):
-            return obs.get_registry().get(
-                "exec.operator.records_in", operator=operator,
-                layer="dataflow").value
-
+        assert run() == expected
+        [plan] = opened
         # The pipeline's nodes are source0, pardo1, window2, gbk3, sink4.
-        assert records_in("gbk3") == len(elements)
-        assert serial._profiler.profiles["gbk3"].records_in == len(elements)
-        replicas = ["gbk3!0", "gbk3!1"]
-        assert sum(records_in(name) for name in replicas) == len(elements)
-        for index, name in enumerate(replicas):
-            routed = sum(1 for key, _ in elements
-                         if default_hash(key) % 2 == index)
-            assert routed > 0
-            assert records_in(name) == routed
-            assert fissioned._profiler.profiles[name].records_in == routed
+        assert obs.get_registry().get(
+            "exec.operator.records_in", operator="gbk3",
+            layer="dataflow").value == len(elements)
+        assert plan._profiler.profiles["gbk3"].records_in == len(elements)

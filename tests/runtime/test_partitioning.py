@@ -1,5 +1,5 @@
-"""Property tests for the Partitioner family (the routing layer the
-Exchange/fission machinery stands on)."""
+"""Property tests for the Partitioner family (the routing layer job
+subtask parallelism and CQL's in-plan fission stand on)."""
 
 import os
 import subprocess
@@ -58,9 +58,9 @@ class TestHashPartitioner:
 
     def test_routing_stable_across_processes(self):
         """Hash routing must agree between processes with different
-        PYTHONHASHSEED values — the cross-process contract partitioned
-        workers rely on (worker N must see exactly the keys the router
-        sent to partition N)."""
+        PYTHONHASHSEED values — the cross-process contract a restored
+        checkpoint relies on (partition N's saved state must hold exactly
+        the keys the new process routes to partition N)."""
         keys = ["alpha", "beta", 0, 4, 8, 1 << 40, (2, "x"), None]
         local = [HashPartitioner().route(None, key, 5)[0] for key in keys]
         script = (
