@@ -5,7 +5,7 @@ export PYTHONPATH
 
 .PHONY: test lint bench bench-plan bench-recovery \
 	bench-profile bench-views bench-rescale \
-	cqbench-smoke cqbench-tests chaos fuzz fuzz-quick
+	cqbench-smoke cqbench-pairs cqbench-tests chaos fuzz fuzz-quick
 
 test: lint
 	$(PYTHON) -m pytest -x -q
@@ -60,6 +60,15 @@ bench: bench-plan bench-recovery bench-profile bench-views \
 # every workload must print "correct": true and ops_failed = 0.
 cqbench-smoke:
 	python3 -m cqbench run --smoke
+
+# N alternating base/change runs of workload W against revision BASE
+# (exported with git archive; the change is this checkout): one line per
+# run, then medians, quartiles and pair wins per end-to-end metric.
+W ?= join_recover
+N ?= 10
+BASE ?= HEAD
+cqbench-pairs:
+	python3 tools/cqbench_pairs.py --workload $(W) --pairs $(N) --base $(BASE)
 
 # The benchmark's own tests (fold, canary scaling, tracer, workload
 # references); not part of the tier-1 suite.

@@ -14,7 +14,12 @@ bounded retries and exponential backoff.
 Observability (all through :mod:`repro.obs`, gated on ``obs.enable()``):
 
 * ``recovery.attempts`` — restore attempts, labelled by target kind;
-* ``checkpoint.bytes`` — estimated serialized size of taken snapshots;
+* ``checkpoint.bytes`` — the size of taken snapshots.  A target whose
+  ``snapshot()`` is an incremental barrier sizes it itself, as it copies
+  (a :class:`~repro.dsms.engine.DSMSEngine`'s ``barrier_bytes``: the
+  bytes its copies of the changed state allocated); any other target's
+  full snapshot, and an engine hosting dynamic tables, is measured with
+  :func:`estimate_bytes`;
 * ``recovery.replayed_records`` — input records reprocessed after
   rollback (the replay-volume cost of the chosen checkpoint interval);
 * span ``recovery.restore`` around each state rollback.
@@ -35,10 +40,13 @@ from repro.chaos.injection import InjectedCrash
 def estimate_bytes(state: Any) -> int:
     """A serialized-size estimate (repr length) for obs accounting.
 
-    Linear in the payload: it reprs every record the checkpoint holds,
-    so it costs what the checkpoint wrote — a delta for an incremental
-    target such as :class:`~repro.dsms.engine.DSMSEngine`, the whole
-    state for a full snapshot.
+    Linear in everything the payload reaches, including what it holds by
+    reference and never copied, and often dearer than taking the
+    snapshot.  So it sizes only full snapshots (a bare
+    :class:`~repro.cql.executor.ContinuousQuery`, a kernel
+    :class:`~repro.exec.Plan`, the views service, an engine hosting
+    dynamic tables); a target that sizes its own barrier reports
+    ``barrier_bytes`` instead.
     """
     return len(repr(state))
 
@@ -106,7 +114,7 @@ class RecoveryManager:
         self.attempts = 0
         #: Input units reprocessed after rollbacks.
         self.replayed_records = 0
-        #: Estimated bytes across all checkpoints taken.
+        #: Bytes across all checkpoints taken (see :meth:`checkpoint`).
         self.checkpoint_bytes = 0
         #: Cumulative wall-clock seconds spent restoring state.
         self.recovery_seconds = 0.0
@@ -131,9 +139,18 @@ class RecoveryManager:
         return None
 
     def checkpoint(self, offset: int) -> Checkpoint:
-        """Snapshot the target now, covering inputs up to ``offset``."""
+        """Snapshot the target now, covering inputs up to ``offset``.
+
+        Its size is the target's ``barrier_bytes`` when it has one (the
+        bytes an incremental barrier copied, counted as it copied them),
+        else the :func:`estimate_bytes` of the snapshot.
+        """
         state = self.target.snapshot()
-        size = estimate_bytes(state) if self.measure_bytes else 0
+        size = 0
+        if self.measure_bytes:
+            size = getattr(self.target, "barrier_bytes", None)
+            if size is None:
+                size = estimate_bytes(state)
         checkpoint = Checkpoint(self._next_id, offset, state, size)
         self._next_id += 1
         self.checkpoints.append(checkpoint)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
+from sys import getsizeof
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from repro.core.errors import StateError, TimeError
@@ -188,6 +189,11 @@ class Bag:
         out = Bag()
         out._counts = self._counts.copy()
         return out
+
+    def __sizeof__(self) -> int:
+        # The Bag and the Counter it owns, i.e. what :meth:`copy`
+        # allocates; the items are shared and not counted.
+        return object.__sizeof__(self) + getsizeof(self._counts)
 
     def to_sorted_list(self) -> list[Any]:
         """Items with multiplicity, sorted by repr (stable for reporting)."""

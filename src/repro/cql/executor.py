@@ -30,6 +30,7 @@ import heapq
 import time
 from collections import Counter, defaultdict, deque
 from operator import itemgetter
+from sys import getsizeof
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.obs import get_registry as _obs_registry
@@ -137,6 +138,15 @@ def _copy_value(value: Any) -> Any:
     return value if copier is None else copier()
 
 
+def _copied_bytes(value: Any) -> int:
+    """The bytes :func:`_copy_value` allocated to make ``value``: its
+    :func:`sys.getsizeof` if it is a copy, else 0 (records, scalars and
+    set marks are shared).  A container counts without the items it
+    shares; a state class with a ``copy()`` that builds nested containers
+    (a Bag, an aggregate group) counts them in its ``__sizeof__``."""
+    return getsizeof(value) if hasattr(value, "copy") else 0
+
+
 def _read_key(container: Any, key: Any) -> Any:
     """A private copy of ``container``'s entry at ``key`` (``True`` for a
     set member), or None when the key is absent."""
@@ -216,6 +226,8 @@ class PhysicalOp:
         self._dirty: dict[str, set] | None = None
         #: The recovery image: this operator's state at the last barrier.
         self._image: dict[str, Any] | None = None
+        #: Bytes the last :meth:`barrier` allocated; None before the first.
+        self.barrier_bytes: int | None = None
 
     def snapshot(self) -> dict[str, Any]:
         """A self-contained copy of this operator's mutable state."""
@@ -249,6 +261,9 @@ class PhysicalOp:
         Later ones write the keys mutated since the previous barrier (None
         for a key that is gone) plus the whole-copied attributes, so a
         barrier costs what changed, however much state the operator holds.
+        It sizes itself as it goes: :attr:`barrier_bytes` is what the
+        copies of every entry and attribute allocated
+        (:func:`_copied_bytes`; records are shared, so they add nothing).
         """
         image = self._image
         if image is None:
@@ -256,6 +271,7 @@ class PhysicalOp:
             self._dirty = {attr: set(getattr(self, attr))
                            for attr in self._KEYED_ATTRS}
         payload: dict[str, Any] = {}
+        copied = 0
         for attr, marks in self._dirty.items():
             live, saved = getattr(self, attr), image[attr]
             changed = payload[attr] = {}
@@ -265,11 +281,15 @@ class PhysicalOp:
                     saved.pop(key, None)
                 else:
                     saved[key] = value
+                    copied += _copied_bytes(value)
             marks.clear()
         for attr in self._WHOLE_ATTRS:
-            payload[attr] = image[attr] = _copy_value(getattr(self, attr))
+            value = payload[attr] = image[attr] = _copy_value(
+                getattr(self, attr))
+            copied += _copied_bytes(value)
         payload["emitted"] = image["emitted"] = self.emitted
         payload["received"] = image["received"] = self.received
+        self.barrier_bytes = copied
         return payload
 
     def rollback(self) -> None:
@@ -742,6 +762,10 @@ class _MinMaxAccumulator:
         out._counts = self._counts.copy()
         return out
 
+    def __sizeof__(self) -> int:
+        # What :meth:`copy` allocates: this object and its Counter.
+        return object.__sizeof__(self) + getsizeof(self._counts)
+
     def add(self, value: Any, mult: int) -> None:
         """Fold ``mult`` copies of ``value`` in; a retraction of a value
         not held is refused before anything changes."""
@@ -781,6 +805,14 @@ class _GroupState:
         out.minmax = [None if acc is None else acc.copy()
                       for acc in self.minmax]
         return out
+
+    def __sizeof__(self) -> int:
+        # What :meth:`copy` allocates: this object, its three lists and
+        # its MIN/MAX accumulators (the numbers in the lists are shared).
+        return (object.__sizeof__(self) + getsizeof(self.counts)
+                + getsizeof(self.sums) + getsizeof(self.minmax)
+                + sum(getsizeof(acc) for acc in self.minmax
+                      if acc is not None))
 
 
 #: How an aggregate's argument folds into its group (see AggregateOp).
@@ -1448,6 +1480,8 @@ class ContinuousQuery:
         self._deltas_processed = 0
         #: The non-operator half of the recovery point (see :meth:`barrier`).
         self._barrier: dict[str, Any] | None = None
+        #: Bytes the last :meth:`barrier` allocated; None before the first.
+        self.barrier_bytes: int | None = None
         self._eval_hist = None
 
     def _install(self, compiled: tuple, parallelism: int) -> None:
@@ -1679,20 +1713,26 @@ class ContinuousQuery:
         does — the same never-mutated Bag, so it is not written twice.
         Taken between quanta, like :meth:`snapshot` — possibly inside an
         instant whose remaining arrivals are still to come.
+        :attr:`barrier_bytes` is the operators' tallies plus the agenda
+        copy.
         """
         if self._shared is not None:
             raise StateError(
                 "shared-group queries cannot be checkpointed independently")
+        agenda = self._agenda.snapshot()
         self._barrier = {
-            "agenda": self._agenda.snapshot(),
+            "agenda": agenda,
             "log": len(self._log),
             "emissions": len(self._emissions),
             "last_instant": self._last_instant,
             "deltas_processed": self._deltas_processed,
         }
-        payload = dict(self._barrier,
-                       operators=[op.barrier() for _, op in self.operators()])
+        ops = [op for _, op in self.operators()]
+        payload = dict(self._barrier, operators=[op.barrier() for op in ops])
         self._barrier["tail"] = self._log[-1] if self._log else None
+        self.barrier_bytes = (getsizeof(agenda["heap"])
+                              + getsizeof(agenda["scheduled"])
+                              + sum(op.barrier_bytes for op in ops))
         return payload
 
     def rollback(self) -> None:

@@ -416,6 +416,9 @@ class DSMSEngine:
         self._arrival_log: list[tuple] = []
         #: The newest barrier's payload (see :meth:`snapshot`).
         self._barrier: dict[str, Any] | None = None
+        #: Bytes the newest barrier allocated (see :meth:`snapshot`); None
+        #: before the first and while dynamic tables are hosted.
+        self.barrier_bytes: int | None = None
         #: Dynamic tables hosted alongside standing queries (§5.1's
         #: streaming-database pillar): the refresh scheduler runs inside
         #: the engine's time hooks — ``advance_time`` ticks the view
@@ -858,6 +861,13 @@ class DSMSEngine:
         the newest barrier only — with ``recovery_interval`` set, the
         engine's :class:`RecoveryManager` takes every barrier itself.
 
+        The barrier sizes itself: :attr:`barrier_bytes` sums the queries'
+        tallies (:meth:`ContinuousQuery.barrier`); the offsets and the
+        tails held by reference add nothing.  With dynamic tables hosted,
+        which still write a whole snapshot, it is None: the engine then
+        has no size of its own, and a :class:`RecoveryManager` measures
+        the payload as it measures any full snapshot.
+
         Queue contents are deliberately excluded — checkpoints are taken
         at quiescent points (empty queues), and anything queued at crash
         time is re-offered from the arrival log during replay.  Metrics
@@ -865,6 +875,7 @@ class DSMSEngine:
         recovery overhead (replayed work) stays visible.
         """
         handles: dict[str, Any] = {}
+        copied = 0
         for handle in self._handles:
             handles[handle.name] = {
                 "query": handle.query.barrier(),
@@ -872,8 +883,12 @@ class DSMSEngine:
                 "ingest_seq": handle._ingest_seq,
                 "process_seq": handle._process_seq,
             }
+            copied += handle.query.barrier_bytes
+        views = self.views.snapshot()
+        self.barrier_bytes = (None if views["tables"] or views["views"]
+                              else copied)
         self._barrier = {"handles": handles, "store": self.store.snapshot(),
-                         "views": self.views.snapshot()}
+                         "views": views}
         return self._barrier
 
     def restore(self, payload: Mapping[str, Any]) -> None:

@@ -512,6 +512,8 @@ def _continuous_operator_stats(query: Any,
         if size is not None:
             entry["state_entries"] = size
             entry["state_bytes"] = state_bytes(op)
+        if op.barrier_bytes is not None:
+            entry["checkpoint_bytes"] = op.barrier_bytes
         operators.append(entry)
     for entry in operators:
         entry["busy_share"] = (entry["busy_seconds"] / total_busy
@@ -544,6 +546,10 @@ def _continuous_node_stats(query: Any) -> dict[int, dict[str, Any]]:
         if hasattr(ops[0], "state_size"):
             entry["state_entries"] = sum(op.state_size for op in ops)
             entry["state_bytes"] = sum(state_bytes(op) for op in ops)
+        checkpointed = [op.barrier_bytes for op in ops
+                        if op.barrier_bytes is not None]
+        if checkpointed:
+            entry["checkpoint_bytes"] = sum(checkpointed)
         stats[node_id] = entry
     # The R2S root is driver-level, not a physical operator: annotate it
     # with the driver's accounting so the tree has no bare lines.

@@ -64,7 +64,8 @@ def explain_analyzed(plan: LogicalOp,
 
     ``stats`` maps ``id(logical node)`` to a dict with any of ``rows_in``,
     ``rows_out``, ``selectivity``, ``busy_share``, ``state_entries``,
-    ``state_bytes``; nodes without an entry render bare.  Several logical
+    ``state_bytes``, ``checkpoint_bytes`` (what the last checkpoint
+    copied); nodes without an entry render bare.  Several logical
     nodes may share one physical operator (memo sharing, windows that
     swallowed pushed-down filters) — they then show the same numbers,
     which is the truth of the execution.
@@ -95,6 +96,9 @@ def _format_node_stats(entry: Mapping[str, Any]) -> str:
         if state_bytes is not None:
             state += f" (~{state_bytes}B)"
         parts.append(state)
+    checkpoint_bytes = entry.get("checkpoint_bytes")
+    if checkpoint_bytes is not None:
+        parts.append(f"ckpt={checkpoint_bytes}B")
     return "  [" + " ".join(parts) + "]" if parts else ""
 
 

@@ -3,16 +3,18 @@
 The engine checkpoints (``DSMSEngine.snapshot``) the operator keys mutated
 since the previous barrier and offsets into its append-only histories, so
 for the same delta the checkpoint must write the same payload — the same
-containers, the same records, the same bytes up to the digits its counters
-gain — and make the same calls, whether the run is at tick 50 or at tick
-2 000 and whether the static ``Person`` relation the join probes holds 500
-or 50 000 rows.  A restore rolls back only the keys dirtied since the
-barrier: it must cost the same at every run length and relation size, and
-grow with the ticks since the barrier.
+containers, the same records, the same bytes — and make the same calls,
+whether the run is at tick 50 or at tick 2 000 and whether the static
+``Person`` relation the join probes holds 500 or 50 000 rows.  The bytes
+are the engine's own tally (``barrier_bytes``: what the barrier copied),
+and sizing a checkpoint taken through a ``RecoveryManager`` walks nothing
+else — not even an answer the Store holds by reference.  A restore rolls
+back only the keys dirtied since the barrier: it must cost the same at
+every run length and relation size, and grow with the ticks since the
+barrier.
 
-The input is periodic (ticks of one parity carry identical arrivals) and
-its timestamps keep their number of digits, so the same 8-tick delta
-really is the same at every tick.
+The input is periodic (ticks of one parity carry identical arrivals), so
+the same 8-tick delta really is the same at every tick.
 """
 
 import gc
@@ -21,7 +23,7 @@ from collections import Counter, deque
 
 import pytest
 
-from repro.chaos.recovery import estimate_bytes
+from repro.chaos.recovery import RecoveryManager, estimate_bytes
 from repro.core import Bag, Record, Schema
 from repro.dsms import DSMSEngine
 
@@ -100,9 +102,12 @@ def census(payload):
 
 
 class Run:
-    """One engine fed ``ticks`` ticks, checkpointed over the last DELTA."""
+    """One engine fed ``ticks`` ticks, checkpointed by a RecoveryManager
+    over the last DELTA.  With ``answer``, a second query returns the
+    static Person relation, which the Store then holds whole as that
+    query's answer."""
 
-    def __init__(self, ticks, persons):
+    def __init__(self, ticks, persons, answer=False):
         engine = self.engine = DSMSEngine()
         engine.register_stream("Obs", OBS)
         engine.register_stream("Badge", BADGE)
@@ -110,13 +115,18 @@ class Run:
             "Person", PERSON,
             [{"id": i, "name": f"p{i}"} for i in range(persons)])
         self.handle = engine.register_query("join", TEXT)
+        if answer:
+            engine.register_query("people", "SELECT * FROM Person")
+        manager = RecoveryManager(engine)
         feed(engine, range(ticks - DELTA))
-        engine.snapshot()
+        manager.checkpoint(ticks - DELTA)
         feed(engine, range(ticks - DELTA, ticks))
         self.ticks = ticks
-        self.calls, self.payload = measured(engine.snapshot)
+        self.calls, checkpoint = measured(lambda: manager.checkpoint(ticks))
+        self.payload = checkpoint.state
         self.census = census(self.payload)
-        self.bytes = estimate_bytes(self.payload)
+        self.bytes = engine.barrier_bytes
+        assert checkpoint.size_bytes == self.bytes
         self.history = self.store_history()
 
     def store_history(self):
@@ -143,17 +153,49 @@ def test_checkpoint_work_is_independent_of_history_and_state(runs, other):
     assert run.census["records"] == base.census["records"]
     assert run.census["ints"] == base.census["ints"]
     assert run.calls == base.calls
-    # Counters (offsets, sequence numbers, work tallies) gain digits over
-    # a run; nothing else in the payload may grow.
-    assert abs(run.bytes - base.bytes) <= 4 * base.census["ints"]
+    assert run.bytes == base.bytes
 
 
 def test_a_checkpoint_writes_the_delta_not_the_state(runs):
     run = runs["wide"]
     # 50 000 Person rows are indexed by the upper join; the delta holds
-    # only the records the last DELTA ticks touched.
+    # only the records the last DELTA ticks touched.  It copied 7 032
+    # bytes on CPython 3.11; the first barrier, which copies the whole
+    # index, copies 11.2 MB.
     assert run.census["records"] < 200
-    assert run.bytes < 20_000
+    assert run.bytes < 8_000
+
+
+def test_sizing_a_checkpoint_reprs_no_record(monkeypatch):
+    def refuse(record):
+        raise AssertionError("a checkpoint was sized by repr")
+
+    monkeypatch.setattr(Record, "__repr__", refuse)
+    assert Run(50, 500, answer=True).bytes > 0
+
+
+def test_an_answer_held_by_reference_adds_nothing():
+    narrow, wide = Run(50, 500, answer=True), Run(50, 50_000, answer=True)
+    # The Store's tail is the whole 500- or 50 000-row answer; the
+    # checkpoint keeps it by reference, and sizing it must not walk it.
+    assert wide.bytes == narrow.bytes
+    assert wide.calls == narrow.calls
+
+
+def test_an_engine_hosting_views_is_sized_as_a_full_snapshot():
+    # Hosted dynamic tables still write a whole snapshot; the engine has
+    # no size of its own, and the manager measures the payload.
+    engine = DSMSEngine()
+    engine.register_stream("Obs", OBS)
+    engine.create_dynamic_table(
+        "CREATE DYNAMIC TABLE n_obs TARGET_LAG = 0 AS "
+        "SELECT COUNT(*) AS n FROM Obs EMIT CHANGES")
+    for tick in range(4):
+        engine.ingest("Obs", {"id": tick, "room": 0, "temp": 0}, BASE + tick)
+        engine.run_until_idle()
+    checkpoint = RecoveryManager(engine).checkpoint(4)
+    assert engine.barrier_bytes is None
+    assert checkpoint.size_bytes == estimate_bytes(checkpoint.state)
 
 
 def test_restore_work_follows_the_keys_dirtied_since_the_barrier(runs):

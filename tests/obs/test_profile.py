@@ -7,6 +7,7 @@ tier-1 guard that the disabled hot path does zero profiling work.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -471,6 +472,79 @@ class TestExplainAnalyze:
     def test_unexplainable_target_raises_type_error(self):
         with pytest.raises(TypeError):
             _profile.explain_analyze(42)
+
+
+def recovering_join_engine(recovery_interval):
+    """A three-way stream-stream-relation join (the cqbench join_recover
+    shape), checkpointing every ``recovery_interval`` arrivals."""
+    engine = DSMSEngine(recovery_interval=recovery_interval)
+    engine.register_stream("Obs", Schema(["id", "room", "temp"]))
+    engine.register_stream("Badge", Schema(["id", "door"]))
+    engine.register_relation("Person", Schema(["id", "name"]),
+                             [{"id": i, "name": f"p{i}"} for i in range(20)])
+    handle = engine.register_query(
+        "join", "SELECT O.room, B.door, P.name "
+                "FROM Obs O [Range 10], Badge B [Range 10], Person P "
+                "WHERE O.id = B.id AND B.id = P.id")
+    for t in range(1, 41):
+        engine.ingest("Obs", {"id": t % 7, "room": t % 3, "temp": t}, t)
+        engine.ingest("Badge", {"id": t % 5, "door": t % 2}, t)
+        engine.run_until_idle()
+    return engine, handle
+
+
+class TestCheckpointBytesByOperator:
+    def test_per_operator_figures_sum_to_the_query_tally(self):
+        engine, handle = recovering_join_engine(recovery_interval=16)
+        operators = _profile.analyze(handle)["operators"]
+        figures = [entry["checkpoint_bytes"] for entry in operators]
+        query = engine.recovery.latest().state["handles"]["join"]["query"]
+        agenda = (sys.getsizeof(query["agenda"]["heap"])
+                  + sys.getsizeof(query["agenda"]["scheduled"]))
+        assert sum(figures) == handle.query.barrier_bytes - agenda
+        # The windows and the joins changed since the last checkpoint.
+        assert sum(1 for figure in figures if figure) >= 4
+
+    def test_explain_analyze_renders_them(self):
+        _engine, handle = recovering_join_engine(recovery_interval=16)
+        assert "ckpt=" in _profile.explain_analyze(handle)
+
+    @staticmethod
+    def min_max_checkpoint_bytes(values):
+        """What a barrier copies for a MIN/MAX aggregate whose two groups
+        hold ``values`` distinct temperatures between them, when one
+        arrival since the previous barrier dirtied each group."""
+        engine = DSMSEngine()
+        engine.register_stream("Obs", Schema(["id", "room", "temp"]))
+        handle = engine.register_query(
+            "extremes", "SELECT room, MIN(temp) AS lo, MAX(temp) AS hi "
+                        "FROM Obs [Range 1000] GROUP BY room")
+        for t in range(1, values + 1):
+            engine.ingest("Obs", {"id": t, "room": t % 2, "temp": t}, t)
+        engine.run_until_idle()
+        engine.snapshot()
+        for room in (0, 1):
+            engine.ingest("Obs", {"id": 0, "room": room, "temp": 0},
+                          values + 1)
+        engine.run_until_idle()
+        engine.snapshot()
+        (entry,) = [entry for entry in _profile.analyze(handle)["operators"]
+                    if entry["operator"] == "AggregateOp"]
+        return entry["checkpoint_bytes"]
+
+    def test_an_aggregate_counts_the_accumulators_it_copies(self):
+        # Each dirty group's copy carries a MIN and a MAX accumulator of
+        # all its values: 200 per group take ~20x the bytes of 2 (38 064
+        # against 1 744 on CPython 3.11).
+        few, many = (self.min_max_checkpoint_bytes(4),
+                     self.min_max_checkpoint_bytes(400))
+        assert many > 10 * few
+
+    def test_absent_when_the_engine_never_checkpoints(self):
+        _engine, handle = recovering_join_engine(recovery_interval=None)
+        operators = _profile.analyze(handle)["operators"]
+        assert all("checkpoint_bytes" not in entry for entry in operators)
+        assert "ckpt=" not in _profile.explain_analyze(handle)
 
 
 # ---------------------------------------------------------------------------
