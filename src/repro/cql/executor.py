@@ -62,6 +62,7 @@ from repro.plan.ir import (
 from repro.cql.ast import WindowSpecKind
 from repro.cql.catalog import Catalog
 from repro.cql.expressions import compile_expr, compile_predicate
+from repro.cql.state import KeyedState, copy_sized
 
 #: A signed record change flowing between physical operators: a bare
 #: ``(record, multiplicity)`` pair, built and read by position.  A pair
@@ -128,47 +129,6 @@ class Agenda:
         self._scheduled = set(payload["scheduled"])
 
 
-def _copy_value(value: Any) -> Any:
-    """A private copy of one piece of operator state.
-
-    Records (and tuples of them) are immutable and shared; the containers
-    holding them — and an aggregate group's accumulators — are copied.
-    """
-    copier = getattr(value, "copy", None)
-    return value if copier is None else copier()
-
-
-def _copied_bytes(value: Any) -> int:
-    """The bytes :func:`_copy_value` allocated to make ``value``: its
-    :func:`sys.getsizeof` if it is a copy, else 0 (records, scalars and
-    set marks are shared).  A container counts without the items it
-    shares; a state class with a ``copy()`` that builds nested containers
-    (a Bag, an aggregate group) counts them in its ``__sizeof__``."""
-    return getsizeof(value) if hasattr(value, "copy") else 0
-
-
-def _read_key(container: Any, key: Any) -> Any:
-    """A private copy of ``container``'s entry at ``key`` (``True`` for a
-    set member), or None when the key is absent."""
-    if isinstance(container, set):
-        return True if key in container else None
-    value = container.get(key)
-    return value if value is None else _copy_value(value)
-
-
-def _write_key(container: Any, key: Any, value: Any) -> None:
-    """Put ``value`` (as read by :func:`_read_key`) back at ``key``."""
-    if isinstance(container, set):
-        if value is None:
-            container.discard(key)
-        else:
-            container.add(key)
-    elif value is None:
-        container.pop(key, None)
-    else:
-        container[key] = _copy_value(value)
-
-
 class PhysicalOp:
     """Base physical operator: children + per-instant delta processing.
 
@@ -182,35 +142,20 @@ class PhysicalOp:
     to materialise their zero row at the right instant.
 
     State is checkpointed two ways, both over ``_STATE_ATTRS``:
-    :meth:`snapshot` / :meth:`restore` move a self-contained copy (live
-    rescale migrates it into other partitions), while :meth:`barrier` /
-    :meth:`rollback` keep a recovery image beside the live state and move
-    it forward, or roll back to it, by the keys changed since the last
-    barrier.
+    :meth:`snapshot` / :meth:`restore` move a self-contained copy, while
+    :meth:`barrier` / :meth:`rollback` keep a recovery image beside the
+    live state and move it forward, or roll back to it.  Each is a loop
+    over the operator's :class:`~repro.cql.state.KeyedState` containers,
+    which checkpoint key by key, then over the rest of its state, copied
+    whole.
     """
 
-    #: Instance attributes that constitute this operator's mutable state.
-    #: Subclasses extend this; both checkpoint paths copy exactly these, so
+    #: Instance attributes that constitute this operator's mutable state:
+    #: its keyed containers and the small rest (scalars, buffers bounded
+    #: by the window spec).  Both checkpoint paths copy exactly these, so
     #: compiled artefacts (predicates, schemas, the agenda reference) stay
     #: shared between the live tree and its checkpoints.
     _STATE_ATTRS: tuple[str, ...] = ()
-    #: The members of ``_STATE_ATTRS`` that are keyed containers (dicts,
-    #: Counters, sets).  Once a barrier has been taken the operator
-    #: records in ``_dirty[attr]`` every key it mutates; the rest of its
-    #: state (scalars, buffers bounded by the window spec) is copied
-    #: whole at each barrier.
-    _KEYED_ATTRS: tuple[str, ...] = ()
-    #: ``_STATE_ATTRS`` minus ``_KEYED_ATTRS`` (derived per class).
-    _WHOLE_ATTRS: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        stray = set(cls._KEYED_ATTRS) - set(cls._STATE_ATTRS)
-        if stray:
-            raise TypeError(f"{cls.__name__}: keyed attributes "
-                            f"{sorted(stray)} are not in _STATE_ATTRS")
-        cls._WHOLE_ATTRS = tuple(attr for attr in cls._STATE_ATTRS
-                                 if attr not in cls._KEYED_ATTRS)
 
     def __init__(self, children: Sequence["PhysicalOp"]) -> None:
         self.children = list(children)
@@ -221,19 +166,31 @@ class PhysicalOp:
         #: Cumulative seconds spent in ``process`` (only accumulated while
         #: observability is enabled; see :mod:`repro.obs`).
         self.eval_seconds = 0.0
-        #: Keyed attribute -> keys mutated since the last barrier; None
-        #: until the first barrier, so recording costs one None check.
-        self._dirty: dict[str, set] | None = None
-        #: The recovery image: this operator's state at the last barrier.
-        self._image: dict[str, Any] | None = None
+        #: The whole-copied state and the counters at the last barrier;
+        #: None before the first.
+        self._saved: dict[str, Any] | None = None
         #: Bytes the last :meth:`barrier` allocated; None before the first.
         self.barrier_bytes: int | None = None
 
+    def _split_state(self) -> tuple[list[tuple[str, KeyedState]],
+                                    list[str]]:
+        """``_STATE_ATTRS`` as ``([(attr, container)], [whole attr])``."""
+        keyed, whole = [], []
+        for attr in self._STATE_ATTRS:
+            value = getattr(self, attr)
+            if value.__class__ is KeyedState:
+                keyed.append((attr, value))
+            else:
+                whole.append(attr)
+        return keyed, whole
+
     def snapshot(self) -> dict[str, Any]:
         """A self-contained copy of this operator's mutable state."""
+        keyed, whole = self._split_state()
         payload: dict[str, Any] = {
-            attr: copy.deepcopy(getattr(self, attr))
-            for attr in self._STATE_ATTRS}
+            attr: state.snapshot() for attr, state in keyed}
+        for attr in whole:
+            payload[attr] = copy.deepcopy(getattr(self, attr))
         payload["emitted"] = self.emitted
         payload["received"] = self.received
         return payload
@@ -247,71 +204,55 @@ class PhysicalOp:
         wholesale, so the recovery image no longer describes it: the next
         :meth:`barrier` starts over.
         """
-        for attr in self._STATE_ATTRS:
+        keyed, whole = self._split_state()
+        for attr, state in keyed:
+            state.restore(payload[attr])
+        for attr in whole:
             setattr(self, attr, copy.deepcopy(payload[attr]))
         self.emitted = payload["emitted"]
         self.received = payload["received"]
-        self._dirty = self._image = None
+        self._saved = None
 
     def barrier(self) -> dict[str, Any]:
         """Move the recovery image to the current state; return what that
         wrote.
 
-        The first barrier starts dirty-key recording and writes every key.
-        Later ones write the keys mutated since the previous barrier (None
-        for a key that is gone) plus the whole-copied attributes, so a
-        barrier costs what changed, however much state the operator holds.
-        It sizes itself as it goes: :attr:`barrier_bytes` is what the
-        copies of every entry and attribute allocated
-        (:func:`_copied_bytes`; records are shared, so they add nothing).
+        Each container writes the keys changed since the previous barrier
+        (every key at the first, see :meth:`KeyedState.barrier`); the rest
+        is copied whole, so a barrier costs what changed, however much
+        state the operator holds.  :attr:`barrier_bytes` is what all those
+        copies allocated (records are shared, so they add nothing).
         """
-        image = self._image
-        if image is None:
-            image = self._image = {attr: {} for attr in self._KEYED_ATTRS}
-            self._dirty = {attr: set(getattr(self, attr))
-                           for attr in self._KEYED_ATTRS}
+        keyed, whole = self._split_state()
         payload: dict[str, Any] = {}
         copied = 0
-        for attr, marks in self._dirty.items():
-            live, saved = getattr(self, attr), image[attr]
-            changed = payload[attr] = {}
-            for key in marks:
-                value = changed[key] = _read_key(live, key)
-                if value is None:
-                    saved.pop(key, None)
-                else:
-                    saved[key] = value
-                    copied += _copied_bytes(value)
-            marks.clear()
-        for attr in self._WHOLE_ATTRS:
-            value = payload[attr] = image[attr] = _copy_value(
-                getattr(self, attr))
-            copied += _copied_bytes(value)
-        payload["emitted"] = image["emitted"] = self.emitted
-        payload["received"] = image["received"] = self.received
+        for attr, state in keyed:
+            payload[attr], size = state.barrier()
+            copied += size
+        saved = self._saved = {}
+        for attr in whole:
+            value, size = copy_sized(getattr(self, attr))
+            payload[attr] = saved[attr] = value
+            copied += size
+        payload["emitted"] = saved["emitted"] = self.emitted
+        payload["received"] = saved["received"] = self.received
         self.barrier_bytes = copied
         return payload
 
     def rollback(self) -> None:
         """Return to the recovery image in place, touching only the keys
-        mutated since the last barrier.
-
-        The image itself is never handed to the live state (entries are
-        copied back), so it can be rolled back to any number of times.
-        """
-        image = self._image
-        if image is None:
+        changed since the last barrier; repeatable."""
+        saved = self._saved
+        if saved is None:
             raise StateError(
                 f"{type(self).__name__} has no barrier to roll back to")
-        for attr, marks in self._dirty.items():
-            live, saved = getattr(self, attr), image[attr]
-            for key in marks:
-                _write_key(live, key, saved.get(key))
-            marks.clear()
-        for attr in self._WHOLE_ATTRS:
-            setattr(self, attr, _copy_value(image[attr]))
-        self.emitted = image["emitted"]
-        self.received = image["received"]
+        keyed, whole = self._split_state()
+        for _, state in keyed:
+            state.rollback()
+        for attr in whole:
+            setattr(self, attr, copy_sized(saved[attr])[0])
+        self.emitted = saved["emitted"]
+        self.received = saved["received"]
 
     def process(self, t: Timestamp,
                 child_deltas: list[list[Delta]]) -> list[Delta]:
@@ -362,9 +303,7 @@ class StreamSourceOp(PhysicalOp):
     """
 
     _STATE_ATTRS = ("_staged", "_expiries", "_fifo", "_per_key",
-                    "_pending", "_visible", "_arrived", "evicted",
-                    "_buffered")
-    _KEYED_ATTRS = ("_expiries", "_per_key")
+                    "_pending", "_visible", "_arrived", "evicted")
 
     def __init__(self, scan: StreamScan, spec, agenda: Agenda,
                  prefilter: Callable[[Record], bool] | None = None) -> None:
@@ -374,22 +313,26 @@ class StreamSourceOp(PhysicalOp):
         self._prefilter = prefilter
         self._agenda = agenda
         self._staged: list[Record] = []
+        kind = spec.kind
+        #: Plain [Range r] and [Now] windows: an arrival at ``t`` expires
+        #: at ``t + _lifetime``.  None for every other window.
+        self._lifetime: Timestamp | None = (
+            1 if kind is WindowSpecKind.NOW
+            else spec.range_ if kind is WindowSpecKind.RANGE
+            and not spec.slide else None)
         # Range/Now state: expiry time -> records.
-        self._expiries: dict[Timestamp, list[Record]] = defaultdict(list)
+        self._expiries = KeyedState(weigh=len)
         # Rows state: FIFO of live records.
         self._fifo: deque[Record] = deque()
-        self._per_key: dict[tuple, deque[Record]] = defaultdict(deque)
-        if spec.kind is WindowSpecKind.PARTITIONED:
+        # Partitioned rows state: partition key -> FIFO of its records.
+        self._per_key = KeyedState(weigh=len)
+        if kind is WindowSpecKind.PARTITIONED:
             indexes = [scan.schema.index_of(c) for c in spec.partition_by]
             self._key_fn = lambda r: tuple([r._values[i] for i in indexes])
         # Stepped-range state: (record, enter_boundary, exit_boundary).
         self._pending: list[tuple[Record, Timestamp, Timestamp]] = []
         self._visible: list[tuple[Record, Timestamp]] = []
         self._arrived = False
-        #: Tuples held across the five buffers above: a tally kept at
-        #: every append/pop so ``state_size`` never walks the window.  It
-        #: is checkpointed state like the buffers it counts.
-        self._buffered = 0
         #: Total tuples ever evicted from this window (Throw accounting).
         self.evicted = 0
         #: Raw arrivals staged here, counted *before* the prefilter, so
@@ -407,34 +350,28 @@ class StreamSourceOp(PhysicalOp):
         return deltas, arrived or bool(deltas)
 
     def stage(self, record: Record, t: Timestamp) -> None:
-        """Queue a (schema-qualified) arrival for the next process call."""
+        """Queue a (schema-qualified) arrival for the process call at
+        instant ``t``."""
         self._arrived = True
         self.arrivals += 1
         if self._prefilter is not None and not self._prefilter(record):
             return
-        self._staged.append(record)
-        kind = self.spec.kind
-        if kind is WindowSpecKind.RANGE and self.spec.slide:
+        if self.spec.kind is WindowSpecKind.RANGE and self.spec.slide:
             enter = self._ceil_boundary(t)
             exit_ = self._ceil_boundary(t + self.spec.range_)
             self._pending.append((record, enter, exit_))
-            self._buffered += 1
-            self._staged.pop()  # stepped windows bypass the direct path
             self._agenda.schedule(enter)
             self._agenda.schedule(exit_)
-        elif kind is WindowSpecKind.RANGE or kind is WindowSpecKind.NOW:
-            expiry = t + (1 if kind is WindowSpecKind.NOW
-                          else self.spec.range_)
-            if self._dirty is not None:
-                self._dirty["_expiries"].add(expiry)
-            self._expiries[expiry].append(record)
-            self._buffered += 1
-            self._agenda.schedule(expiry)
+            return
+        self._staged.append(record)
+        if self._lifetime is not None:
+            self._agenda.schedule(t + self._lifetime)
 
     @property
     def state_size(self) -> int:
         """Tuples currently buffered by the window (Scratch accounting)."""
-        return self._buffered
+        return (self._expiries.tally + self._per_key.tally + len(self._fifo)
+                + len(self._pending) + len(self._visible))
 
     def _ceil_boundary(self, t: Timestamp) -> Timestamp:
         slide = self.spec.slide
@@ -461,43 +398,66 @@ class StreamSourceOp(PhysicalOp):
                     self.evicted += 1
                 else:
                     still_visible.append((record, exit_))
-            self._buffered -= len(self._visible) - len(still_visible)
             self._visible = still_visible
             return out
 
-        # Time-based eviction first (Range / Now).
-        if self._expiries:
-            due = sorted(e for e in self._expiries if e <= t)
-            if self._dirty is not None:
-                self._dirty["_expiries"].update(due)
-            for expiry in due:
-                expired = self._expiries.pop(expiry)
-                for record in expired:
-                    out.append((record, -1))
-                self.evicted += len(expired)
-                self._buffered -= len(expired)
-
-        for record in self._staged:
-            out.append((record, 1))
-            if kind is WindowSpecKind.ROWS:
-                self._fifo.append(record)
-                if len(self._fifo) > self.spec.rows:
-                    out.append((self._fifo.popleft(), -1))
-                    self.evicted += 1
+        staged = self._staged
+        lifetime = self._lifetime
+        if lifetime is not None:
+            # Range / Now: buffer this instant's arrivals under their
+            # expiry, then evict everything due (this instant's too).
+            state = self._expiries
+            expiries = state.data
+            if staged:
+                expiry = t + lifetime
+                bucket = expiries.get(expiry)
+                if bucket is None:
+                    expiries[expiry] = list(staged)
                 else:
-                    self._buffered += 1
-            elif kind is WindowSpecKind.PARTITIONED:
-                key = self._key_fn(record)
-                if self._dirty is not None:
-                    self._dirty["_per_key"].add(key)
-                queue = self._per_key[key]
+                    bucket.extend(staged)
+                state.tally += len(staged)
+                state.mark((expiry,))
+            due = [expiry for expiry in expiries if expiry <= t]
+            if due:
+                due.sort()
+                state.mark(due)
+                for expiry in due:
+                    expired = expiries.pop(expiry)
+                    out.extend([(record, -1) for record in expired])
+                    self.evicted += len(expired)
+                    state.tally -= len(expired)
+        if not staged:
+            return out
+
+        if kind is WindowSpecKind.PARTITIONED:
+            state = self._per_key
+            per_key, key_fn, rows = state.data, self._key_fn, self.spec.rows
+            keys = []
+            for record in staged:
+                out.append((record, 1))
+                key = key_fn(record)
+                keys.append(key)
+                queue = per_key.get(key)
+                if queue is None:
+                    queue = per_key[key] = deque()
                 queue.append(record)
-                if len(queue) > self.spec.rows:
+                if len(queue) > rows:
                     out.append((queue.popleft(), -1))
                     self.evicted += 1
                 else:
-                    self._buffered += 1
-        self._staged.clear()
+                    state.tally += 1
+            state.mark(keys)
+        elif kind is WindowSpecKind.ROWS:
+            fifo = self._fifo
+            for record in staged:
+                out.append((record, 1))
+                fifo.append(record)
+                if len(fifo) > self.spec.rows:
+                    out.append((fifo.popleft(), -1))
+                    self.evicted += 1
+        else:
+            out.extend([(record, 1) for record in staged])
+        staged.clear()
         return out
 
 
@@ -610,8 +570,7 @@ class JoinOp(PhysicalOp):
     built at compile time, and a residual predicate filters them.
     """
 
-    _STATE_ATTRS = ("_left_state", "_right_state", "_held")
-    _KEYED_ATTRS = ("_left_state", "_right_state")
+    _STATE_ATTRS = ("_left_state", "_right_state")
 
     def __init__(self, left: PhysicalOp, right: PhysicalOp,
                  left_indexes: Sequence[int], right_indexes: Sequence[int],
@@ -621,12 +580,15 @@ class JoinOp(PhysicalOp):
         self._key_of = (_values_at(left_indexes), _values_at(right_indexes))
         self._schema = schema
         self._residual = residual
-        self._left_state: dict[tuple, dict[Record, int]] = {}
-        self._right_state: dict[tuple, dict[Record, int]] = {}
-        #: Net multiplicity folded into the two sides' indexes: a tally
-        #: kept where they are updated, so ``state_size`` never walks
-        #: them.  Checkpointed state like the indexes it counts.
-        self._held = 0
+        #: The two sides' indexes; each one's tally is the net
+        #: multiplicity it holds.
+        self._left_state = KeyedState(self._weigh)
+        self._right_state = KeyedState(self._weigh)
+
+    @staticmethod
+    def _weigh(entry: dict[Record, int]) -> int:
+        """An index entry's net multiplicity."""
+        return sum(entry.values())
 
     def process(self, t, child_deltas):
         left_deltas, right_deltas = child_deltas
@@ -637,11 +599,11 @@ class JoinOp(PhysicalOp):
             self._side(1, right_deltas, out)
         return out
 
-    def _indexes(self, side: int) -> tuple[dict, dict, str]:
-        """``(own index, other index, own attribute name)`` for ``side``."""
+    def _indexes(self, side: int) -> tuple[KeyedState, KeyedState]:
+        """``(own index, other index)`` for ``side``."""
         if side == 0:
-            return self._left_state, self._right_state, "_left_state"
-        return self._right_state, self._left_state, "_right_state"
+            return self._left_state, self._right_state
+        return self._right_state, self._left_state
 
     def _side(self, side: int, deltas: list[Delta],
               out: list[Delta]) -> None:
@@ -652,12 +614,13 @@ class JoinOp(PhysicalOp):
         indexed.  A retraction the index does not hold is refused before
         the index changes.
         """
-        own, other, attr = self._indexes(side)
+        state, other_state = self._indexes(side)
+        own, other = state.data, other_state.data
         key_of, schema, residual = self._key_of[side], self._schema, \
             self._residual
-        marks = None if self._dirty is None else self._dirty[attr]
         append = out.append
         left = side == 0
+        keys = []
         held = 0
         try:
             for record, mult in deltas:
@@ -679,8 +642,7 @@ class JoinOp(PhysicalOp):
                     raise StateError(
                         f"join retracts {record!r}, which its "
                         f"{'left' if left else 'right'} side does not hold")
-                if marks is not None:
-                    marks.add(key)
+                keys.append(key)
                 if entry is None:
                     if count:
                         own[key] = {record: count}
@@ -692,61 +654,66 @@ class JoinOp(PhysicalOp):
                         del own[key]
                 held += mult
         finally:
-            self._held += held
+            state.tally += held
+            state.mark(keys)
 
     @property
     def state_size(self) -> int:
         """Tuples (net multiplicity) indexed on both sides."""
-        return self._held
+        return self._left_state.tally + self._right_state.tally
 
 
 class AppendOnlyJoinOp(JoinOp):
     """Join over provably append-only inputs — the monotone fast path.
 
     The monotonicity pass (:mod:`repro.plan.monotone`) proves both input
-    sub-plans are monotonic, so no retraction can ever arrive; the
-    operator indexes plain insert-only lists instead of multiplicity
-    counters.  This is the incremental SPJ rewrite of Section 3.2 applied
-    at plan time, where — and only where — it is legal.
+    sub-plans are monotonic, so no retraction can ever arrive; each side
+    indexes a key to a plain insert-only list of ``(record,
+    multiplicity)`` instead of a multiplicity map.  This is the
+    incremental SPJ rewrite of Section 3.2 applied at plan time, where —
+    and only where — it is legal.
     """
 
-    _STATE_ATTRS = JoinOp._STATE_ATTRS + ("_left_index", "_right_index")
-    _KEYED_ATTRS = JoinOp._KEYED_ATTRS + ("_left_index", "_right_index")
-
-    def __init__(self, *args: Any) -> None:
-        super().__init__(*args)
-        self._left_index: dict[tuple, list[Delta]] = defaultdict(list)
-        self._right_index: dict[tuple, list[Delta]] = defaultdict(list)
-
-    def _indexes(self, side: int) -> tuple[dict, dict, str]:
-        if side == 0:
-            return self._left_index, self._right_index, "_left_index"
-        return self._right_index, self._left_index, "_right_index"
+    @staticmethod
+    def _weigh(entry: list[Delta]) -> int:
+        return sum(mult for _, mult in entry)
 
     def _side(self, side: int, deltas: list[Delta],
               out: list[Delta]) -> None:
-        own, other, attr = self._indexes(side)
+        state, other_state = self._indexes(side)
+        own, other = state.data, other_state.data
         key_of, schema, residual = self._key_of[side], self._schema, \
             self._residual
-        marks = None if self._dirty is None else self._dirty[attr]
         left = side == 0
-        for record, mult in deltas:
-            if mult < 0:
-                raise StateError("retraction reached an append-only join")
-            values = record._values
-            key = key_of(values)
-            if None in key:
-                continue
-            for match, count in other.get(key, ()):
-                joined = trusted_record(
-                    schema, values + match._values if left
-                    else match._values + values)
-                if residual is None or residual(joined):
-                    out.append((joined, mult * count))
-            if marks is not None:
-                marks.add(key)
-            own[key].append((record, mult))
-            self._held += mult
+        keys = []
+        held = 0
+        try:
+            for record, mult in deltas:
+                if mult < 0:
+                    raise StateError(
+                        "retraction reached an append-only join")
+                values = record._values
+                key = key_of(values)
+                if None in key:
+                    continue
+                entry = other.get(key)
+                if entry:
+                    for match, count in entry:
+                        joined = trusted_record(
+                            schema, values + match._values if left
+                            else match._values + values)
+                        if residual is None or residual(joined):
+                            out.append((joined, mult * count))
+                keys.append(key)
+                entry = own.get(key)
+                if entry is None:
+                    own[key] = [(record, mult)]
+                else:
+                    entry.append((record, mult))
+                held += mult
+        finally:
+            state.tally += held
+            state.mark(keys)
 
 
 class _MinMaxAccumulator:
@@ -840,7 +807,6 @@ class AggregateOp(PhysicalOp):
     """
 
     _STATE_ATTRS = ("_groups", "_current_rows", "_child_active")
-    _KEYED_ATTRS = ("_groups", "_current_rows")
 
     def __init__(self, plan: Aggregate | WindowAggregate,
                  in_schema: Schema) -> None:
@@ -858,8 +824,9 @@ class AggregateOp(PhysicalOp):
             (_COUNT_ROWS, None) if spec.arg is None
             else (_FOLD_STEP[spec.kind], compile_expr(spec.arg, in_schema))
             for spec in plan.aggregates]
-        self._groups: dict[tuple, _GroupState] = {}
-        self._current_rows: dict[tuple, Record] = {}
+        #: Group key -> its accumulators, and -> its current output row.
+        self._groups = KeyedState()
+        self._current_rows = KeyedState()
         self._global = not plan.group_by
         self._child_active = False
 
@@ -875,7 +842,7 @@ class AggregateOp(PhysicalOp):
         # The global group materialises its zero row at the first instant
         # the input subtree is active — matching the reference evaluator,
         # whose aggregate has a change point wherever its child does.
-        groups = self._groups
+        groups = self._groups.data
         materialise_global = (self._global and not groups
                               and self._child_active)
         if not deltas and not materialise_global:
@@ -916,11 +883,10 @@ class AggregateOp(PhysicalOp):
                                     _MinMaxAccumulator()
                             accumulator.add(value, mult)
                 i += 1
-        if self._dirty is not None:
-            self._dirty["_groups"].update(touched)
-            self._dirty["_current_rows"].update(touched)
+        self._groups.mark(touched)
+        self._current_rows.mark(touched)
         out: list[Delta] = []
-        current_rows = self._current_rows
+        current_rows = self._current_rows.data
         for key, group in touched.items():
             old_row = current_rows.get(key)
             new_row = self._row_for(key, group)
@@ -938,7 +904,7 @@ class AggregateOp(PhysicalOp):
 
     @property
     def state_size(self) -> int:
-        return len(self._groups)
+        return len(self._groups.data)
 
     def _row_for(self, key: tuple, group: _GroupState) -> Record | None:
         rows = group.rows
@@ -973,21 +939,20 @@ class DistinctOp(PhysicalOp):
     """Incremental duplicate elimination: emits 0→1 and 1→0 transitions."""
 
     _STATE_ATTRS = ("_counts",)
-    _KEYED_ATTRS = ("_counts",)
 
     def __init__(self, child: PhysicalOp) -> None:
         super().__init__([child])
-        self._counts: Counter = Counter()
+        #: Record -> its multiplicity in the input.
+        self._counts = KeyedState()
 
     @property
     def state_size(self) -> int:
-        return len(self._counts)
+        return len(self._counts.data)
 
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
-        if self._dirty is not None:
-            self._dirty["_counts"].update(record for record, _ in deltas)
-        counts = self._counts
+        self._counts.mark(record for record, _ in deltas)
+        counts = self._counts.data
         out: list[Delta] = []
         for record, mult in deltas:
             before = counts.get(record, 0)
@@ -1010,32 +975,32 @@ class DistinctOp(PhysicalOp):
 class AppendOnlyDistinctOp(DistinctOp):
     """Duplicate elimination over a provably append-only input.
 
-    With no retractions possible, a seen-set replaces the multiplicity
-    counter: first occurrence emits ``+1``, everything after is dropped.
+    With no retractions possible, a seen-set (each record seen maps to
+    True) replaces the multiplicity counter: first occurrence emits
+    ``+1``, everything after is dropped.
     """
 
     _STATE_ATTRS = ("_seen",)
-    _KEYED_ATTRS = ("_seen",)
 
     def __init__(self, child: PhysicalOp) -> None:
         PhysicalOp.__init__(self, [child])
-        self._seen: set[Record] = set()
+        self._seen = KeyedState()
 
     @property
     def state_size(self) -> int:
-        return len(self._seen)
+        return len(self._seen.data)
 
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
-        if self._dirty is not None:
-            self._dirty["_seen"].update(record for record, _ in deltas)
+        self._seen.mark(record for record, _ in deltas)
+        seen = self._seen.data
         out: list[Delta] = []
         for record, mult in deltas:
             if mult < 0:
                 raise StateError(
                     "retraction reached an append-only distinct")
-            if mult and record not in self._seen:
-                self._seen.add(record)
+            if mult and record not in seen:
+                seen[record] = True
                 out.append((record, 1))
         return out
 
@@ -1052,16 +1017,17 @@ class SetOpOp(PhysicalOp):
     """
 
     _STATE_ATTRS = ("_left", "_right", "_out")
-    _KEYED_ATTRS = ("_left", "_right", "_out")
 
     def __init__(self, kind: str, left: PhysicalOp, right: PhysicalOp,
                  out_schema: Schema) -> None:
         super().__init__([left, right])
         self._kind = kind
         self._schema = out_schema
-        self._left: Counter = Counter()
-        self._right: Counter = Counter()
-        self._out: Counter = Counter()
+        #: Record -> its multiplicity on the left, on the right, and in
+        #: the output.
+        self._left = KeyedState()
+        self._right = KeyedState()
+        self._out = KeyedState()
 
     def process(self, t, child_deltas):
         schema = self._schema
@@ -1070,7 +1036,7 @@ class SetOpOp(PhysicalOp):
                     for deltas in child_deltas for record, mult in deltas]
         touched: dict[Record, None] = {}
         for side, deltas in zip(("left", "right"), child_deltas):
-            held = self._left if side == "left" else self._right
+            held = (self._left if side == "left" else self._right).data
             for record, mult in deltas:
                 record = record.with_schema(schema)
                 count = held.get(record, 0) + mult
@@ -1083,10 +1049,10 @@ class SetOpOp(PhysicalOp):
                 else:
                     held.pop(record, None)
                 touched[record] = None
-        if self._dirty is not None:
-            for marks in self._dirty.values():
-                marks.update(touched)
-        left, right, current = self._left, self._right, self._out
+        for state in (self._left, self._right, self._out):
+            state.mark(touched)
+        left, right, current = \
+            self._left.data, self._right.data, self._out.data
         out: list[Delta] = []
         for record in touched:
             left_count = left.get(record, 0)

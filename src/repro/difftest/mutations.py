@@ -34,27 +34,18 @@ from repro.cql.ast import WindowSpecKind
 @contextlib.contextmanager
 def range_off_by_one() -> Iterator[None]:
     """Plain [Range r] windows expire at ``t + r + 1`` in the executor."""
-    original = cql_executor.StreamSourceOp.stage
+    original = cql_executor.StreamSourceOp.__init__
 
-    def mutated(self, record, t):
-        kind = self.spec.kind
-        if kind is WindowSpecKind.RANGE and not self.spec.slide:
-            self._arrived = True
-            self._staged.append(record)
-            expiry = t + self.spec.range_ + 1
-            if self._dirty is not None:
-                self._dirty["_expiries"].add(expiry)
-            self._expiries[expiry].append(record)
-            self._buffered += 1
-            self._agenda.schedule(expiry)
-            return
-        original(self, record, t)
+    def mutated(self, scan, spec, agenda, prefilter=None):
+        original(self, scan, spec, agenda, prefilter=prefilter)
+        if spec.kind is WindowSpecKind.RANGE and not spec.slide:
+            self._lifetime += 1
 
-    cql_executor.StreamSourceOp.stage = mutated
+    cql_executor.StreamSourceOp.__init__ = mutated
     try:
         yield
     finally:
-        cql_executor.StreamSourceOp.stage = original
+        cql_executor.StreamSourceOp.__init__ = original
 
 
 @contextlib.contextmanager

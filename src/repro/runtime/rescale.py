@@ -13,35 +13,36 @@ volume actually moved.  :func:`rescale` does exactly that for a running
    than silently drop records.
 
 2. **Recompile, re-key the partitions.**  The plan is compiled again at
-   the target width.  Each operator below the partition boundary is
-   checkpointed in every old partition (the ``snapshot()/restore()``
-   protocol) and its state split by the *target* width using the
+   the target width.  Below the partition boundary, each operator's
+   keyed containers (:class:`~repro.cql.state.KeyedState`) in every old
+   partition split into the new partitions' copies, routed by the
    planner's key annotations (:func:`repro.plan.parallel.key_annotations`)
    and :func:`~repro.runtime.partitioning.partition_of` — the placement
    every routing layer uses, so a record's post-rescale owner is exactly
-   the partition future arrivals with its key are routed to.  A key's
-   state moves *wholesale* (window buffers, join index buckets, group
-   accumulators), so per-key processing order — and therefore every
-   future emission — is identical to a never-rescaled run.  Broadcast
-   state (stream-free join sides, base relations) is replicated to every
-   target, as the scheme requires.
+   the partition future arrivals with its key are routed to.  What is
+   left per operator is its routing rule.  A key's state moves
+   *wholesale* (window buffers, join index buckets, group accumulators),
+   so per-key processing order — and therefore every future emission —
+   is identical to a never-rescaled run.  Broadcast state (stream-free
+   join sides, base relations) is replicated to every target, as the
+   scheme requires.
 
 3. **Everything else stays.**  The operators above the boundary run once
    whatever the width, so their state is copied across unchanged; the
    agenda, maintained state, change-log and emissions are the query's
    own and are not touched at all.
 
-The migration never mutates the query until every payload has been
-built and restored into the new operators; a failed rescale leaves the
-query running at its old width.
+The migration only reads the running operators and writes the freshly
+compiled ones, which replace them at the end; a failed rescale leaves
+the query running at its old width.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter, defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.core.errors import StateError
 from repro.core.time import Timestamp
@@ -80,7 +81,7 @@ class RescaleReport:
     #: (None when nothing had been processed yet).
     instant: Timestamp | None
     #: State entries re-keyed across partitions (window tuples, join
-    #: index rows, aggregate groups, distinct/set-op records).
+    #: index rows, aggregate groups and rows, distinct/set-op records).
     migrated_entries: int
     #: Wall-clock stall: how long the query was frozen mid-migration.
     seconds: float
@@ -122,24 +123,13 @@ def rescale(query: Any, parallelism: int) -> RescaleReport:
     new_parts = [_subtree(root) for root in new_roots]
     migration.check_quiescent([op for part in old_parts for op in part])
 
-    restores: list[tuple[Any, Mapping[str, Any]]] = []
-    for position, template in enumerate(new_parts[0]):
-        payloads = migration.rekey_op(
-            type(template).__name__, template,
-            [part[position].snapshot() for part in old_parts])
-        restores.extend((part[position], payload)
-                        for part, payload in zip(new_parts, payloads))
+    for position in range(len(new_parts[0])):
+        migration.move([part[position] for part in old_parts],
+                       [part[position] for part in new_parts])
     spines = zip(_spine(query._root, old_roots),
                  _spine(compiled[0], new_roots))
-    restores.extend((new, old.snapshot()) for old, new in spines)
-    for op, payload in restores:
-        op.restore(payload)
-    # ``arrivals`` is lifetime accounting outside the checkpoint protocol:
-    # keep the totals on partition 0, so explain_analyze's source
-    # selectivities do not reset to zero mid-flight.
-    for position, op in enumerate(new_parts[0]):
-        if isinstance(op, cqlexec.StreamSourceOp):
-            op.arrivals = sum(part[position].arrivals for part in old_parts)
+    for old, new in spines:
+        new.restore(old.snapshot())
 
     width = query.parallelism
     query._install(compiled, parallelism)
@@ -171,7 +161,7 @@ def _spine(root: Any, partition_roots: list[Any]) -> list[Any]:
 
 
 class _Migration:
-    """One rescale's worth of payload surgery, old partitions → new width."""
+    """One rescale's state moves, old partitions → new width."""
 
     def __init__(self, scheme: PartitionScheme,
                  annotations: Mapping[int, Any], parallelism: int,
@@ -190,14 +180,18 @@ class _Migration:
 
     # -- shared helpers ------------------------------------------------------
 
-    def _route(self, components: tuple) -> int:
-        # Single-column keys hash the bare value, matching
-        # PartitionScheme.key_for, which arrivals are routed by.
-        key = components[0] if len(components) == 1 else components
-        return partition_of(key, self.n)
+    def _router(self, positions: list[int]) -> Callable[[tuple], int]:
+        """The target partition of a values tuple, by its values at
+        ``positions``."""
+        n = self.n
 
-    def _blank(self) -> list[dict[str, Any]]:
-        return [{} for _ in range(self.n)]
+        def route(values: tuple) -> int:
+            # Single-column keys hash the bare value, matching
+            # PartitionScheme.key_for, which arrivals are routed by.
+            if len(positions) == 1:
+                return partition_of(values[positions[0]], n)
+            return partition_of(tuple(values[p] for p in positions), n)
+        return route
 
     def _node_for(self, op: Any, kinds: tuple[type, ...]) -> LogicalOp:
         for node in self._nodes_of_phys.get(id(op), ()):
@@ -206,14 +200,29 @@ class _Migration:
         raise RescaleError(
             f"no logical node of kind {kinds} for {type(op).__name__}")
 
-    def _spread_counters(self, news: list[dict[str, Any]],
-                         olds: list[Mapping[str, Any]]) -> None:
-        # Lifetime accounting is global, not per-key: keep the totals on
-        # target 0 so engine-level work/eviction counters stay monotone.
-        for attr in ("emitted", "received"):
-            news[0][attr] = sum(old[attr] for old in olds)
-            for payload in news[1:]:
-                payload[attr] = 0
+    def _split(self, olds: list[Any], news: list[Any],
+               attrs: tuple[str, ...],
+               route: Callable[[Any, Any], int]) -> None:
+        """Split each keyed container ``attrs`` of the old copies into the
+        new copies' (see :meth:`~repro.cql.state.KeyedState.split`)."""
+        for attr in attrs:
+            targets = [getattr(new, attr) for new in news]
+            for old in olds:
+                self.moved += getattr(old, attr).split(targets, route)
+
+    @staticmethod
+    def _replicate(olds: list[Any], news: list[Any],
+                   verify: Callable[[Any], Any] | None = None) -> None:
+        """Broadcast state (operators or containers): every target gets
+        a copy of old partition 0's.  ``verify`` reads what must agree
+        across the old partitions."""
+        if verify is not None and any(verify(old) != verify(olds[0])
+                                      for old in olds[1:]):
+            raise RescaleError(
+                "broadcast state diverged across partitions; cannot migrate")
+        payload = olds[0].snapshot()
+        for new in news:
+            new.restore(payload)
 
     # -- quiescence ----------------------------------------------------------
 
@@ -233,238 +242,92 @@ class _Migration:
 
     # -- operator state ------------------------------------------------------
 
-    def rekey_op(self, name: str, op: Any,
-                 olds: list[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        """One operator's old per-partition payloads → per-*target*
-        payloads (``op`` is the operator's copy in target partition 0)."""
-        ex = self.ex
+    def move(self, olds: list[Any], news: list[Any]) -> None:
+        """One operator's state, from its copies in the old partitions to
+        its (freshly compiled) copies in the target partitions."""
+        ex, op = self.ex, news[0]
+        name = type(op).__name__
         if isinstance(op, ex.StreamSourceOp):
-            return self._rekey_stream_source(op, olds)
-        if isinstance(op, ex.RelationSourceOp):
-            return self._broadcast(op, olds, verify=("_initial", "_staged"))
-        if isinstance(op, (ex.FilterOp, ex.ProjectOp)):
-            news = self._blank()
-            self._spread_counters(news, olds)
-            return news
-        if isinstance(op, ex.JoinOp):  # covers AppendOnlyJoinOp
-            node = self._node_for(op, (Join,))
-            if self.ann.get(id(node), _MISSING) is BROADCAST:
-                return self._broadcast(op, olds)
-            return self._rekey_join(op, node, olds)
-        if isinstance(op, ex.AggregateOp):
-            node = self._node_for(op, (Aggregate, WindowAggregate))
+            self._move_stream_source(olds, news)
+        elif isinstance(op, ex.RelationSourceOp):
+            self._replicate(olds, news,
+                            verify=lambda op: (op._initial, op._staged))
+        elif op._STATE_ATTRS:
+            node = self._node_for(op, (Join, Aggregate, WindowAggregate,
+                                       Distinct, SetOp))
+            if isinstance(node, SetOp) and not all(
+                    any(isinstance(s, StreamScan) for s in scans_of(child))
+                    for child in node.children):
+                raise RescaleError(
+                    f"{name}: a stream-free set-op side is replicated per "
+                    f"partition and cannot be re-keyed")
             keys = self.ann.get(id(node), _MISSING)
             if keys is BROADCAST:
-                return self._broadcast(op, olds)
-            if keys is _MISSING:
+                self._replicate(olds, news)
+            elif isinstance(node, Join):  # covers AppendOnlyJoinOp
+                self._move_join(op, node, olds, news)
+            elif keys is _MISSING:
                 raise RescaleError(f"{name}: no recoverable routing key")
-            return self._rekey_aggregate(node, keys, olds)
-        if isinstance(op, ex.DistinctOp):  # covers AppendOnlyDistinctOp
-            node = self._node_for(op, (Distinct,))
-            return self._rekey_records(
-                name, op, node, olds,
-                attrs=("_seen",) if isinstance(op, ex.AppendOnlyDistinctOp)
-                else ("_counts",))
-        if isinstance(op, ex.SetOpOp):
-            node = self._node_for(op, (SetOp,))
-            for child in node.children:
-                if not any(isinstance(s, StreamScan)
-                           for s in scans_of(child)):
-                    raise RescaleError(
-                        f"{name}: a stream-free set-op side is replicated "
-                        f"per partition and cannot be re-keyed")
-            return self._rekey_records(name, op, node, olds,
-                                       attrs=("_left", "_right", "_out"))
-        if op._STATE_ATTRS:
+            elif isinstance(op, ex.AggregateOp):
+                route = self._router(
+                    [node.group_names.index(key) for key in keys])
+                # A group's accumulators and row move whole: a group
+                # lives wholly inside one partition, before and after.
+                self._split(olds, news, ("_groups", "_current_rows"),
+                            lambda group, _: route(group))
+            else:  # distinct counts and set-op sides, keyed by record
+                route = self._router(
+                    [node.schema.index_of(column) for column in keys])
+                self._split(olds, news, op._STATE_ATTRS,
+                            lambda record, _: route(record.values))
+        # Lifetime accounting is global, not per-key: keep the totals on
+        # target 0 so engine-level work counters stay monotone.
+        for attr in ("emitted", "received"):
+            setattr(news[0], attr, sum(getattr(old, attr) for old in olds))
+            for new in news[1:]:
+                setattr(new, attr, 0)
+
+    def _move_stream_source(self, olds: list[Any],
+                            news: list[Any]) -> None:
+        if any(old._fifo for old in olds):
+            # Unreachable behind a partitionability proof: [Rows n]
+            # windows are never keyed.
             raise RescaleError(
-                f"{name}: no migration rule for {type(op).__name__}")
-        news = self._blank()
-        self._spread_counters(news, olds)
-        return news
-
-    def _broadcast(self, op: Any, olds: list[Mapping[str, Any]],
-                   verify: tuple[str, ...] = ()) -> list[dict[str, Any]]:
-        """Replicated state: every target gets old partition 0's copy.
-
-        ``restore`` deep-copies payloads, so sharing the source object
-        across targets is safe.  Only cheaply value-comparable attrs are
-        verified identical across the old partitions.
-        """
-        for attr in verify:
-            reference = olds[0][attr]
-            for old in olds[1:]:
-                if old[attr] != reference:
-                    raise RescaleError(
-                        f"broadcast state diverged across partitions "
-                        f"({attr}); cannot migrate")
-        news = self._blank()
-        for payload in news:
-            for attr in op._STATE_ATTRS:
-                payload[attr] = olds[0][attr]
-        self._spread_counters(news, olds)
-        return news
-
-    def _rekey_stream_source(self, op: Any, olds: list[Mapping[str, Any]]) \
-            -> list[dict[str, Any]]:
-        indices = self.scheme.stream_keys[op.scan.name]
-
-        def owner(record):
-            return self._route(tuple(record.values[i] for i in indices))
-
-        news = self._blank()
-        for payload in news:
-            payload.update(_staged=[], _expiries=defaultdict(list),
-                           _fifo=deque(), _per_key=defaultdict(deque),
-                           _pending=[], _visible=[], _arrived=False,
-                           evicted=0, _buffered=0)
+                "[Rows n] windows depend on global arrival order and do "
+                "not rescale")
+        route = self._router(self.scheme.stream_keys[news[0].scan.name])
+        # The window's partition columns contain the routing key, so a
+        # [Partition By] FIFO lands whole in one target.
+        self._split(olds, news, ("_expiries", "_per_key"),
+                    lambda key, record: route(record.values))
         for old in olds:
-            if old["_fifo"]:
-                # Unreachable behind a partitionability proof: [Rows n]
-                # windows are never keyed.
-                raise RescaleError(
-                    "[Rows n] windows depend on global arrival order and "
-                    "do not rescale")
-            for expiry, records in old["_expiries"].items():
-                for record in records:
-                    target = news[owner(record)]
-                    target["_expiries"][expiry].append(record)
-                    target["_buffered"] += 1
-            for window_key, queue in old["_per_key"].items():
-                if not queue:
-                    continue
-                # The window's partition columns contain the routing key,
-                # so the whole per-key FIFO shares one owner.
-                target = news[owner(queue[0])]
-                target["_per_key"][window_key].extend(queue)
-                target["_buffered"] += len(queue)
-            for entry in old["_pending"]:
-                target = news[owner(entry[0])]
-                target["_pending"].append(entry)
-                target["_buffered"] += 1
-            for entry in old["_visible"]:
-                target = news[owner(entry[0])]
-                target["_visible"].append(entry)
-                target["_buffered"] += 1
-        # Every buffered tuple moved exactly once; the targets' O(1)
-        # state_size tallies are the counts of what each received.
-        self.moved += sum(payload["_buffered"] for payload in news)
-        news[0]["evicted"] = sum(old["evicted"] for old in olds)
-        self._spread_counters(news, olds)
-        return news
+            for attr in ("_pending", "_visible"):
+                for entry in getattr(old, attr):
+                    getattr(news[route(entry[0].values)], attr).append(entry)
+                    self.moved += 1
+        news[0].evicted = sum(old.evicted for old in olds)
+        # ``arrivals`` is lifetime accounting outside the checkpoint
+        # protocol: keep the totals on partition 0, so explain_analyze's
+        # source selectivities do not reset to zero mid-flight.
+        news[0].arrivals = sum(old.arrivals for old in olds)
 
-    def _rekey_join(self, op: Any, node: Join,
-                    olds: list[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        append_only = isinstance(op, self.ex.AppendOnlyJoinOp)
-        news = self._blank()
-        for payload in news:
-            payload["_left_state"] = defaultdict(Counter)
-            payload["_right_state"] = defaultdict(Counter)
-            if append_only:
-                payload["_left_index"] = defaultdict(list)
-                payload["_right_index"] = defaultdict(list)
-        sides = (("_left_state", "_left_index", node.left),
-                 ("_right_state", "_right_index", node.right))
-        for state_attr, index_attr, child in sides:
+    def _move_join(self, op: Any, node: Join, olds: list[Any],
+                   news: list[Any]) -> None:
+        # An append-only index holds (record, multiplicity) pairs.
+        pairs = isinstance(op, self.ex.AppendOnlyJoinOp)
+        for attr, child in (("_left_state", node.left),
+                            ("_right_state", node.right)):
             keys = self.ann.get(id(child), _MISSING)
             if keys is _MISSING:
                 raise RescaleError(
-                    f"join side {state_attr} has no recoverable routing key")
+                    f"join side {attr} has no recoverable routing key")
             if keys is BROADCAST:
-                attrs = (state_attr, index_attr) if append_only \
-                    else (state_attr,)
-                for attr in attrs:
-                    reference = olds[0][attr]
-                    for old in olds[1:]:
-                        if old[attr] != reference:
-                            raise RescaleError(
-                                f"broadcast join state diverged across "
-                                f"partitions ({attr}); cannot migrate")
-                    for payload in news:
-                        payload[attr] = olds[0][attr]
+                self._replicate([getattr(old, attr) for old in olds],
+                                [getattr(new, attr) for new in news],
+                                verify=lambda state: state.data)
                 continue
-            positions = [child.schema.index_of(column) for column in keys]
-
-            def owner(record, positions=positions):
-                return self._route(
-                    tuple(record.values[p] for p in positions))
-
-            for old in olds:
-                for bucket, counter in old[state_attr].items():
-                    for record, mult in counter.items():
-                        news[owner(record)][state_attr][bucket][record] \
-                            += mult
-                        self.moved += 1
-                if append_only:
-                    for bucket, entries in old[index_attr].items():
-                        for record, mult in entries:
-                            news[owner(record)][index_attr][bucket] \
-                                .append((record, mult))
-                            self.moved += 1
-        for payload in news:
-            # The O(1) state_size tally, re-derived for the new shape
-            # (a broadcast side is held in full by every target).
-            counted = sum(
-                sum(counter.values())
-                for attr in ("_left_state", "_right_state")
-                for counter in payload[attr].values())
-            listed = sum(
-                mult
-                for attr in ("_left_index", "_right_index")
-                for entries in payload.get(attr, {}).values()
-                for _, mult in entries)
-            payload["_held"] = counted + listed
-        self._spread_counters(news, olds)
-        return news
-
-    def _rekey_aggregate(self, node: Aggregate | WindowAggregate,
-                         keys: tuple[str, ...],
-                         olds: list[Mapping[str, Any]]) \
-            -> list[dict[str, Any]]:
-        positions = [node.group_names.index(key) for key in keys]
-        news = self._blank()
-        for payload in news:
-            payload.update(_groups={}, _current_rows={}, _child_active=False)
-        for old in olds:
-            for group, state in old["_groups"].items():
-                target = news[self._route(
-                    tuple(group[p] for p in positions))]
-                # The whole accumulator moves: a group lives wholly inside
-                # one partition, before and after.
-                target["_groups"][group] = state
-                row = old["_current_rows"].get(group)
-                if row is not None:
-                    target["_current_rows"][group] = row
-                self.moved += 1
-        self._spread_counters(news, olds)
-        return news
-
-    def _rekey_records(self, name: str, op: Any, node: LogicalOp,
-                       olds: list[Mapping[str, Any]],
-                       attrs: tuple[str, ...]) -> list[dict[str, Any]]:
-        """Re-key per-record state (distinct counters, set-op sides)."""
-        keys = self.ann.get(id(node), _MISSING)
-        if keys is BROADCAST:
-            return self._broadcast(op, olds)
-        if keys is _MISSING:
-            raise RescaleError(f"{name}: no recoverable routing key")
-        positions = [node.schema.index_of(column) for column in keys]
-        news = self._blank()
-        for payload in news:
-            for attr in attrs:
-                payload[attr] = (set() if attr == "_seen" else Counter())
-        for old in olds:
-            for attr in attrs:
-                if attr == "_seen":
-                    for record in old[attr]:
-                        target = self._route(
-                            tuple(record.values[p] for p in positions))
-                        news[target][attr].add(record)
-                        self.moved += 1
-                else:
-                    for record, count in old[attr].items():
-                        target = self._route(
-                            tuple(record.values[p] for p in positions))
-                        news[target][attr][record] += count
-                        self.moved += 1
-        self._spread_counters(news, olds)
-        return news
+            route = self._router(
+                [child.schema.index_of(column) for column in keys])
+            self._split(olds, news, (attr,),
+                        lambda key, item, route=route:
+                        route((item[0] if pairs else item).values))

@@ -210,10 +210,10 @@ class TestJoinsAndRelations:
             q.push("Alerts", {"id": 100 + t, "level": 1}, t)
         join = self.join_of(q)
         live = range(10, 20)   # [Range 10] at t=19 holds t in (9, 19]
-        assert set(join._left_state) == {(i,) for i in live}
-        assert set(join._right_state) == {(100 + i,) for i in live}
-        assert all(join._left_state.values())
-        assert all(join._right_state.values())
+        assert set(join._left_state.data) == {(i,) for i in live}
+        assert set(join._right_state.data) == {(100 + i,) for i in live}
+        assert all(join._left_state.data.values())
+        assert all(join._right_state.data.values())
 
     def test_snapshot_isolates_containers_and_shares_records(self, engine):
         engine.register_stream("Alerts", Schema(["id", "level"]))
@@ -223,7 +223,7 @@ class TestJoinsAndRelations:
         q.push("Obs", {"id": 1, "room": "a", "temp": 0}, 0)
         join = self.join_of(q)
         payload = join.snapshot()
-        live = join._left_state[(1,)]
+        live = join._left_state.data[(1,)]
         saved = payload["_left_state"][(1,)]
         assert saved is not live and saved == live
         assert next(iter(saved)) is next(iter(live))   # the same Record
@@ -231,11 +231,11 @@ class TestJoinsAndRelations:
         q.push("Obs", {"id": 1, "room": "b", "temp": 0}, 1)
         assert len(live) == 2 and len(saved) == 1
         join.restore(payload)
-        assert join._left_state[(1,)] is not saved
+        assert join._left_state.data[(1,)] is not saved
         q.push("Obs", {"id": 1, "room": "c", "temp": 0}, 2)
         assert len(saved) == 1
         join.restore(payload)   # the payload survives any number of uses
-        assert join._left_state[(1,)] == saved
+        assert join._left_state.data[(1,)] == saved
 
     def test_join_instants_build_no_schema(self, engine, monkeypatch):
         """Joined rows share the one output schema built at compile time."""

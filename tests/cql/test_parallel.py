@@ -154,7 +154,7 @@ class TestRouting:
         assert union.children == partitions and len(partitions) == 3
         seen = {}
         for index, aggregate in enumerate(partitions):
-            for (room,) in aggregate._current_rows:
+            for (room,) in aggregate._current_rows.data:
                 assert seen.setdefault(room, index) == index
         assert sorted(seen) == ["hall", "kitchen", "lab"]
 

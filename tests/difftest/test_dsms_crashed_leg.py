@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.cql import executor, reference_evaluate
+from repro.cql.state import KeyedState
 from repro.difftest import gen_case, run_case
 from repro.difftest.generators import build_engine, build_streams
 from repro.difftest.oracle import _R2S_OPS, _dsms_crashed_leg
@@ -48,27 +49,35 @@ def test_crashes_land_on_barrier_ticks_in_advance_and_in_replay():
 
 
 def forget_marks(monkeypatch, cls, method, attr):
-    """Mutant: ``cls.method`` mutates ``attr`` without marking the keys."""
-    original = getattr(cls, method)
+    """Mutant: ``cls.method`` changes its ``attr`` container without
+    marking the keys it changed."""
+    original, mark = getattr(cls, method), KeyedState.mark
+    muted = set()
 
     def unmarked(self, *args):
-        marks = None if self._dirty is None else self._dirty[attr]
-        before = None if marks is None else set(marks)
+        state = getattr(self, attr)
+        muted.add(state)
         try:
             return original(self, *args)
         finally:
-            if marks is not None:
-                marks.intersection_update(before)
+            muted.discard(state)
+
+    def selective(self, keys):
+        if self not in muted:
+            mark(self, keys)
 
     monkeypatch.setattr(cls, method, unmarked)
+    monkeypatch.setattr(KeyedState, "mark", selective)
 
 
 @pytest.mark.difftest
 @pytest.mark.parametrize("cls, method, attr", [
-    (executor.StreamSourceOp, "stage", "_expiries"),
+    (executor.StreamSourceOp, "process", "_expiries"),
+    (executor.StreamSourceOp, "process", "_per_key"),
     (executor.AggregateOp, "process", "_groups"),
     (executor.JoinOp, "process", "_right_state"),
     (executor.DistinctOp, "process", "_counts"),
+    (executor.SetOpOp, "process", "_left"),
 ], ids=lambda value: getattr(value, "__name__", value))
 def test_oracle_catches_a_dropped_dirty_mark(monkeypatch, cls, method, attr):
     forget_marks(monkeypatch, cls, method, attr)

@@ -207,17 +207,19 @@ def run(engine, script, after_step=lambda engine: None):
 def audit_state_size(op):
     """The summing formulas ``state_size`` used before the tallies."""
     if isinstance(op, StreamSourceOp):
-        return (sum(len(v) for v in op._expiries.values())
+        return (sum(len(v) for v in op._expiries.data.values())
                 + len(op._fifo)
-                + sum(len(q) for q in op._per_key.values())
+                + sum(len(q) for q in op._per_key.data.values())
                 + len(op._pending) + len(op._visible))
     if isinstance(op, AppendOnlyJoinOp):
-        return (sum(sum(m for _, m in v) for v in op._left_index.values())
+        return (sum(sum(m for _, m in v)
+                    for v in op._left_state.data.values())
                 + sum(sum(m for _, m in v)
-                      for v in op._right_index.values()))
+                      for v in op._right_state.data.values()))
     if isinstance(op, JoinOp):
-        return (sum(sum(c.values()) for c in op._left_state.values())
-                + sum(sum(c.values()) for c in op._right_state.values()))
+        return (sum(sum(c.values()) for c in op._left_state.data.values())
+                + sum(sum(c.values())
+                      for c in op._right_state.data.values()))
     return op.state_size
 
 

@@ -2,6 +2,8 @@
 state migration of a running query across widths, zero output
 divergence."""
 
+from collections import deque
+
 import pytest
 
 from repro.core import PlanError, Schema, StateError
@@ -102,6 +104,42 @@ class TestStateMigration:
             plan, engine.catalog, batches, {2: 3, 5: 2})
         assert outputs(query) == outputs(control)
         assert sum(r.migrated_entries for r in reports) > 0
+
+    def test_rescaled_state_has_the_shape_of_a_query_compiled_wide(
+            self, engine):
+        """A rescale builds the containers a query compiled at the target
+        width holds, entry types included, so its first barrier copies
+        the same bytes when no window has expired yet."""
+        plan = engine.plan(STREAM_JOIN)
+        batches = [
+            (t, {"Obs": [{"id": t, "room": ROOMS[t % 4], "temp": 20}],
+                 "Alerts": [{"room": ROOMS[(t + 1) % 4], "level": t}]})
+            for t in range(4)
+        ]
+        rescaled = ContinuousQuery(plan, engine.catalog)
+        wide = ContinuousQuery(plan, engine.catalog, parallelism=2)
+        for query in (rescaled, wide):
+            query.start()
+            for t, arrivals in batches:
+                query.push_batch(t, arrivals)
+        rescale(rescaled, 2)
+
+        def shape(value):
+            if isinstance(value, dict):
+                return type(value), frozenset(
+                    (shape(k), shape(v)) for k, v in value.items())
+            if isinstance(value, (list, tuple, set, deque)):
+                return type(value), frozenset(shape(v) for v in value)
+            return type(value)
+
+        def shapes(query):
+            return [(name, shape(op.snapshot()))
+                    for name, op in query.operators()]
+
+        assert shapes(rescaled) == shapes(wide)
+        rescaled.barrier()
+        wide.barrier()
+        assert rescaled.barrier_bytes == wide.barrier_bytes
 
     def test_key_projected_away_rescales(self, engine):
         # The spine above the aggregate projects the routing key away;
