@@ -12,7 +12,7 @@ obligation:
   (:class:`ChaosBroker`), or stall a source past its ``idle_timeout``
   (:class:`SourceStall`).
 * :mod:`repro.chaos.recovery` — survive them: :class:`RecoveryManager`
-  takes periodic snapshots of any target exposing ``snapshot()`` /
+  takes periodic checkpoints of any target exposing ``snapshot()`` /
   ``restore()`` (a :class:`~repro.cql.executor.ContinuousQuery`, an
   :class:`~repro.exec.Plan`, a :class:`~repro.dsms.engine.DSMSEngine`)
   and drives restore-and-replay with bounded retries and exponential

@@ -1,24 +1,30 @@
-"""Checkpoint/restore/replay for any snapshot-capable execution target.
+"""Checkpoint/restore/replay for any checkpoint-capable execution target.
 
 :class:`RecoveryManager` is the kernel-side counterpart of the actor
 runtime's :class:`~repro.runtime.checkpoint.CheckpointCoordinator`: where
 the coordinator collects distributed per-subtask reports behind aligned
 barriers, the manager checkpoints a *local* target — anything exposing
 ``snapshot()`` / ``restore(payload)``, i.e. a
-:class:`~repro.cql.executor.ContinuousQuery`, an :class:`~repro.exec.Plan`
-over :class:`~repro.exec.state.StateBackend` operators, or a whole
-:class:`~repro.dsms.engine.DSMSEngine` — at input-offset boundaries
-(barrier-by-instant), and on failure drives restore-and-replay with
-bounded retries and exponential backoff.
+:class:`~repro.cql.executor.ContinuousQuery`, a
+:class:`~repro.views.DynamicTableService`, a whole
+:class:`~repro.dsms.engine.DSMSEngine`, or an :class:`~repro.exec.Plan`
+over :class:`~repro.exec.state.StateBackend` operators — at input-offset
+boundaries (barrier-by-instant), and on failure drives restore-and-replay
+with bounded retries and exponential backoff.
+
+The CQL stack's targets checkpoint by in-place barrier: ``snapshot()``
+moves a recovery image kept inside the target and returns what changed
+since the previous one, and ``restore(payload)`` rolls back to the
+newest image only.  So the manager keeps one checkpoint, the newest,
+which is the only one :meth:`RecoveryManager.recover` ever restores.
 
 Observability (all through :mod:`repro.obs`, gated on ``obs.enable()``):
 
 * ``recovery.attempts`` — restore attempts, labelled by target kind;
-* ``checkpoint.bytes`` — the size of taken snapshots.  A target whose
-  ``snapshot()`` is an incremental barrier sizes it itself, as it copies
-  (a :class:`~repro.dsms.engine.DSMSEngine`'s ``barrier_bytes``: the
-  bytes its copies of the changed state allocated); any other target's
-  full snapshot, and an engine hosting dynamic tables, is measured with
+* ``checkpoint.bytes`` — the size of taken checkpoints.  A barrier sizes
+  itself as it copies (the target's ``barrier_bytes``: the bytes its
+  copies of the changed state allocated); a target without one (a kernel
+  ``Plan``, :mod:`repro.viewmaint`) is measured with
   :func:`estimate_bytes`;
 * ``recovery.replayed_records`` — input records reprocessed after
   rollback (the replay-volume cost of the chosen checkpoint interval);
@@ -42,11 +48,10 @@ def estimate_bytes(state: Any) -> int:
 
     Linear in everything the payload reaches, including what it holds by
     reference and never copied, and often dearer than taking the
-    snapshot.  So it sizes only full snapshots (a bare
-    :class:`~repro.cql.executor.ContinuousQuery`, a kernel
-    :class:`~repro.exec.Plan`, the views service, an engine hosting
-    dynamic tables); a target that sizes its own barrier reports
-    ``barrier_bytes`` instead.
+    snapshot.  So it sizes only the full snapshots of targets outside the
+    CQL stack (a kernel :class:`~repro.exec.Plan`, :mod:`repro.viewmaint`);
+    a target that sizes its own barrier reports ``barrier_bytes``
+    instead.
     """
     return len(repr(state))
 
@@ -72,13 +77,11 @@ class RecoveryManager:
 
     ``interval`` is measured in the driver's input units: ``committed(n)``
     takes a new checkpoint whenever ``n`` is at least ``interval`` units
-    past the last one.  ``keep`` bounds retained checkpoints (oldest are
-    pruned; the newest is the recovery point, the only one :meth:`recover`
-    uses — and the only one an incremental target such as
-    :class:`~repro.dsms.engine.DSMSEngine` can restore).  ``sleep`` is
-    injectable so tests exercise the exponential backoff schedule without
-    waiting it out.  ``recoverable`` is the exception family that triggers
-    rollback —
+    past the last one.  Only the newest checkpoint is kept: it is the
+    recovery point, the only one :meth:`recover` uses (and the only one a
+    barrier target can restore).  ``sleep`` is injectable so tests
+    exercise the exponential backoff schedule without waiting it out.
+    ``recoverable`` is the exception family that triggers rollback —
     anything else propagates, because retrying an unknown error replays
     input into a target of unknown integrity.
     """
@@ -87,27 +90,21 @@ class RecoveryManager:
                  max_retries: int = 3, backoff_base: float = 0.05,
                  backoff_cap: float = 1.0,
                  sleep: Callable[[float], None] = time.sleep,
-                 keep: int = 2,
                  recoverable: tuple[type[BaseException], ...]
                  = (InjectedCrash,),
-                 measure_bytes: bool = True,
                  label: str | None = None) -> None:
         if interval <= 0:
             raise StateError(
                 f"checkpoint interval must be positive, got {interval}")
-        if keep <= 0:
-            raise StateError(f"must keep at least one checkpoint, "
-                             f"got {keep}")
         self.target = target
         self.interval = interval
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.sleep = sleep
-        self.keep = keep
         self.recoverable = recoverable
-        self.measure_bytes = measure_bytes
         self.label = label or type(target).__name__
+        #: The newest checkpoint, alone; empty before the first.
         self.checkpoints: list[Checkpoint] = []
         self._next_id = 1
         #: Restore attempts (including failed ones).
@@ -139,22 +136,20 @@ class RecoveryManager:
         return None
 
     def checkpoint(self, offset: int) -> Checkpoint:
-        """Snapshot the target now, covering inputs up to ``offset``.
+        """Checkpoint the target now, covering inputs up to ``offset``; it
+        replaces the previous checkpoint.
 
         Its size is the target's ``barrier_bytes`` when it has one (the
         bytes an incremental barrier copied, counted as it copied them),
         else the :func:`estimate_bytes` of the snapshot.
         """
         state = self.target.snapshot()
-        size = 0
-        if self.measure_bytes:
-            size = getattr(self.target, "barrier_bytes", None)
-            if size is None:
-                size = estimate_bytes(state)
+        size = getattr(self.target, "barrier_bytes", None)
+        if size is None:
+            size = estimate_bytes(state)
         checkpoint = Checkpoint(self._next_id, offset, state, size)
         self._next_id += 1
-        self.checkpoints.append(checkpoint)
-        del self.checkpoints[:-self.keep]
+        self.checkpoints[:] = [checkpoint]
         self.checkpoint_bytes += size
         if obs._STATE.enabled:
             obs.get_registry().counter(
@@ -170,18 +165,6 @@ class RecoveryManager:
 
     def latest(self) -> Checkpoint | None:
         return self.checkpoints[-1] if self.checkpoints else None
-
-    def rebase(self, offset: int = 0) -> Checkpoint:
-        """Discard retained checkpoints and take a fresh baseline.
-
-        Required after a *structural* change to the target — a live
-        rescale replaces a query's replica set, so old snapshots encode a
-        shape that no longer exists; restoring one would resurrect the
-        old width (or just fail on the replica-count mismatch).  The
-        recovery point can only move forward past such a change.
-        """
-        self.checkpoints.clear()
-        return self.checkpoint(offset)
 
     # -- recovery ------------------------------------------------------------
 

@@ -25,7 +25,6 @@ equal the reference R2S streams.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import time
 from collections import Counter, defaultdict, deque
@@ -141,10 +140,9 @@ class PhysicalOp:
     point at every input-relevant instant — global aggregates rely on it
     to materialise their zero row at the right instant.
 
-    State is checkpointed two ways, both over ``_STATE_ATTRS``:
-    :meth:`snapshot` / :meth:`restore` move a self-contained copy, while
-    :meth:`barrier` / :meth:`rollback` keep a recovery image beside the
-    live state and move it forward, or roll back to it.  Each is a loop
+    State is checkpointed in place, over ``_STATE_ATTRS``:
+    :meth:`barrier` keeps a recovery image beside the live state and
+    moves it forward, and :meth:`rollback` returns to it.  Each is a loop
     over the operator's :class:`~repro.cql.state.KeyedState` containers,
     which checkpoint key by key, then over the rest of its state, copied
     whole.
@@ -152,9 +150,10 @@ class PhysicalOp:
 
     #: Instance attributes that constitute this operator's mutable state:
     #: its keyed containers and the small rest (scalars, buffers bounded
-    #: by the window spec).  Both checkpoint paths copy exactly these, so
-    #: compiled artefacts (predicates, schemas, the agenda reference) stay
-    #: shared between the live tree and its checkpoints.
+    #: by the window spec).  Checkpoints copy exactly these, and a rescale
+    #: carries them to a new tree, so compiled artefacts (predicates,
+    #: schemas, the agenda reference) stay shared between the live tree
+    #: and its checkpoints.
     _STATE_ATTRS: tuple[str, ...] = ()
 
     def __init__(self, children: Sequence["PhysicalOp"]) -> None:
@@ -183,35 +182,6 @@ class PhysicalOp:
             else:
                 whole.append(attr)
         return keyed, whole
-
-    def snapshot(self) -> dict[str, Any]:
-        """A self-contained copy of this operator's mutable state."""
-        keyed, whole = self._split_state()
-        payload: dict[str, Any] = {
-            attr: state.snapshot() for attr, state in keyed}
-        for attr in whole:
-            payload[attr] = copy.deepcopy(getattr(self, attr))
-        payload["emitted"] = self.emitted
-        payload["received"] = self.received
-        return payload
-
-    def restore(self, payload: Mapping[str, Any]) -> None:
-        """Reset this operator's state to a snapshot, in place.
-
-        The payload is deep-copied again so one checkpoint can be restored
-        from any number of times (retried recoveries must not share state
-        with the snapshot they roll back to).  The state is replaced
-        wholesale, so the recovery image no longer describes it: the next
-        :meth:`barrier` starts over.
-        """
-        keyed, whole = self._split_state()
-        for attr, state in keyed:
-            state.restore(payload[attr])
-        for attr in whole:
-            setattr(self, attr, copy.deepcopy(payload[attr]))
-        self.emitted = payload["emitted"]
-        self.received = payload["received"]
-        self._saved = None
 
     def barrier(self) -> dict[str, Any]:
         """Move the recovery image to the current state; return what that
@@ -1444,9 +1414,7 @@ class ContinuousQuery:
         #: is refused (:func:`check_feed_time`).
         self._last_instant: Timestamp | None = None
         self._deltas_processed = 0
-        #: The non-operator half of the recovery point (see :meth:`barrier`).
-        self._barrier: dict[str, Any] | None = None
-        #: Bytes the last :meth:`barrier` allocated; None before the first.
+        #: Bytes the last :meth:`snapshot` allocated; None before the first.
         self.barrier_bytes: int | None = None
         self._eval_hist = None
 
@@ -1457,6 +1425,10 @@ class ContinuousQuery:
         #: ``_scheme``: the plan's PartitionScheme when fissioned, else None.
         (self._root, self._stream_sources, self._relation_sources,
          self._phys_by_logical, self._scheme) = compiled
+        #: The newest checkpoint (see :meth:`snapshot`) and the change-log
+        #: tail it keeps by reference; a new tree has no recovery image.
+        self._checkpoint: dict[str, Any] | None = None
+        self._tail: tuple[Timestamp, Bag] | None = None
         #: The number of key partitions the plan runs in (1: serial).
         self.parallelism = parallelism
         self._evaluator = (InstantEvaluator([self._root])
@@ -1613,112 +1585,71 @@ class ContinuousQuery:
     # -- checkpointing -------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """A consistent checkpoint of the whole query: every operator's
-        state, the agenda, and the driver's maintained relation/log.
+        """A barrier: move the query's recovery point to now and return
+        what it wrote — every operator's state, the agenda, and the
+        query's maintained relation, change-log and emissions.
 
-        Taken between instants (never mid-batch), the snapshot plus the
-        input suffix replayed from the same point reproduces the fault-free
-        run exactly — the property the kernel-crashed difftest leg checks.
-        Shared-group members cannot snapshot independently: their operator
-        state interleaves with other members'.
-        """
-        if self._shared is not None:
-            raise StateError(
-                "shared-group queries cannot be snapshotted independently")
-        return {
-            "operators": [op.snapshot() for _, op in self.operators()],
-            "agenda": self._agenda.snapshot(),
-            "state": self._state.copy(),
-            "log": list(self._log),
-            "emissions": list(self._emissions),
-            "undelivered": list(self._undelivered),
-            "last_instant": self._last_instant,
-            "deltas_processed": self._deltas_processed,
-        }
-
-    def restore(self, payload: Mapping[str, Any]) -> None:
-        """Roll the query back to a snapshot, in place.
-
-        The compiled tree (predicates, schemas, evaluation order) is
-        reused; only mutable state is overwritten.  Any partially
-        processed instant left over from a crash — staged arrivals — is
-        discarded wholesale.
-        """
-        if self._shared is not None:
-            raise StateError(
-                "shared-group queries cannot be restored independently")
-        ops = self.operators()
-        states = payload["operators"]
-        if len(ops) != len(states):
-            raise StateError(
-                f"snapshot shape mismatch: {len(states)} operator states "
-                f"for {len(ops)} operators")
-        for (_, op), state in zip(ops, states):
-            op.restore(state)
-        self._agenda.restore(payload["agenda"])
-        self._state = payload["state"].copy()
-        self._log = list(payload["log"])
-        self._emissions = list(payload["emissions"])
-        self._undelivered = list(payload["undelivered"])
-        self._last_instant = payload["last_instant"]
-        self._deltas_processed = payload["deltas_processed"]
-        self._barrier = None
-
-    def barrier(self) -> dict[str, Any]:
-        """Move the query's recovery point to now; return what it wrote.
-
-        The incremental counterpart of :meth:`snapshot`, for in-place
-        rollback (:meth:`rollback`) rather than migration.  Operators
-        write the keys they changed since the previous barrier (every key
-        at the first, see :meth:`PhysicalOp.barrier`); the emissions are
-        append-only, so they write their length; the agenda (bounded by
-        the widest window) is copied.  The change-log only grows, except
-        that a fold at its tail's instant replaces or drops the tail (see
-        :meth:`_log_state`): it writes its length and keeps the tail entry
-        by reference, as :meth:`repro.dsms.components.Store.snapshot`
-        does — the same never-mutated Bag, so it is not written twice.
-        Taken between quanta, like :meth:`snapshot` — possibly inside an
-        instant whose remaining arrivals are still to come.
-        :attr:`barrier_bytes` is the operators' tallies plus the agenda
-        copy.
+        Taken between instants, the checkpoint plus the input suffix
+        replayed from the same point reproduces the fault-free run
+        exactly — the property the kernel-crashed difftest leg checks.
+        Operators write the keys they changed since the previous barrier
+        (every key at the first, see :meth:`PhysicalOp.barrier`); the
+        emissions are append-only, so they write their length; the agenda
+        (bounded by the widest window) is copied.  The change-log only
+        grows, except that a fold at its tail's instant replaces or drops
+        the tail (see :meth:`_log_state`): it writes its length and keeps
+        the tail entry by reference, as
+        :meth:`repro.dsms.components.Store.snapshot` does — the same
+        never-mutated Bag, so it is not written twice.  It may be taken
+        between quanta, inside an instant whose remaining arrivals are
+        still to come.  :attr:`barrier_bytes` is the operators' tallies
+        plus the agenda copy.  The recovery image stays inside the query,
+        so :meth:`restore` takes the newest checkpoint only.  Shared-group
+        members cannot checkpoint independently: their operator state
+        interleaves with other members'.
         """
         if self._shared is not None:
             raise StateError(
                 "shared-group queries cannot be checkpointed independently")
         agenda = self._agenda.snapshot()
-        self._barrier = {
+        ops = [op for _, op in self.operators()]
+        self._checkpoint = {
             "agenda": agenda,
             "log": len(self._log),
             "emissions": len(self._emissions),
             "last_instant": self._last_instant,
             "deltas_processed": self._deltas_processed,
+            "operators": [op.barrier() for op in ops],
         }
-        ops = [op for _, op in self.operators()]
-        payload = dict(self._barrier, operators=[op.barrier() for op in ops])
-        self._barrier["tail"] = self._log[-1] if self._log else None
+        self._tail = self._log[-1] if self._log else None
         self.barrier_bytes = (getsizeof(agenda["heap"])
                               + getsizeof(agenda["scheduled"])
                               + sum(op.barrier_bytes for op in ops))
-        return payload
+        return self._checkpoint
 
-    def rollback(self) -> None:
-        """Roll back in place to the last :meth:`barrier`.
+    def restore(self, payload: Mapping[str, Any]) -> None:
+        """Roll back in place to the newest checkpoint (``payload`` is
+        what :meth:`snapshot` returned for it).
 
         Operators restore only the keys they changed since; the log and
         the emissions are cut back to their lengths then, the log's tail
         entry is put back, and the maintained relation is that tail
-        again.  Any partially processed instant is discarded, as in
-        :meth:`restore`.  Repeatable: the barrier is not consumed.
+        again.  The compiled tree is reused, and any partially processed
+        instant left over from a crash (staged arrivals) is discarded.
+        Repeatable: the checkpoint is not consumed.
         """
-        point = self._barrier
-        if point is None:
-            raise StateError("no barrier to roll back to")
+        point = self._checkpoint
+        if point is None or payload is not point:
+            raise StateError(
+                "only the newest checkpoint can be restored (and none "
+                "taken before a rescale): the query keeps one recovery "
+                "image")
         for _, op in self.operators():
             op.rollback()
         self._agenda.restore(point["agenda"])
         if point["log"]:
-            self._log[point["log"] - 1:] = [point["tail"]]
-            self._state = point["tail"][1].copy()
+            self._log[point["log"] - 1:] = [self._tail]
+            self._state = self._tail[1].copy()
         else:
             self._log.clear()
             self._state = Bag()

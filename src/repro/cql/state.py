@@ -16,10 +16,9 @@ partitions for live rescale.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from sys import getsizeof
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.errors import StateError
 
@@ -53,7 +52,7 @@ class KeyedState:
 
     Entries are never None: a None read means the key is absent.  The
     owner keeps :attr:`tally` up to date where it changes the entries;
-    after :meth:`restore` and :meth:`split` it is recounted as the sum of
+    after :meth:`split` it is recounted as the sum of
     ``weigh`` over the entries (no ``weigh``: no tally, it stays 0).
     """
 
@@ -71,21 +70,13 @@ class KeyedState:
         self._image: dict | None = None
         self._image_tally = 0
 
+    def __repr__(self) -> str:
+        return f"KeyedState({self.data!r})"
+
     def mark(self, keys: Iterable) -> None:
         """Record that the entries at ``keys`` changed."""
         if self._dirty is not None:
             self._dirty.update(keys)
-
-    def snapshot(self) -> dict:
-        """A self-contained copy of the entries."""
-        return copy.deepcopy(self.data)
-
-    def restore(self, data: Mapping) -> None:
-        """Replace the entries with a copy of ``data`` (a
-        :meth:`snapshot`); the next :meth:`barrier` starts over."""
-        self.data = copy.deepcopy(data)
-        self._recount()
-        self._dirty = self._image = None
 
     def barrier(self) -> tuple[dict, int]:
         """Move the recovery image to the live entries.

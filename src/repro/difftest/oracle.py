@@ -345,7 +345,7 @@ def _kernel_crashed_leg(case: Case, streams, truth,
         label = install_crash(query, position, fuse)
         manager = RecoveryManager(query, interval=2,
                                   sleep=lambda _delay: None,
-                                  backoff_base=0.0, measure_bytes=False,
+                                  backoff_base=0.0,
                                   label="kernel-crashed")
         try:
             run_query_with_recovery(query, relevant, manager)

@@ -417,7 +417,7 @@ class DSMSEngine:
         #: The newest barrier's payload (see :meth:`snapshot`).
         self._barrier: dict[str, Any] | None = None
         #: Bytes the newest barrier allocated (see :meth:`snapshot`); None
-        #: before the first and while dynamic tables are hosted.
+        #: before the first.
         self.barrier_bytes: int | None = None
         #: Dynamic tables hosted alongside standing queries (§5.1's
         #: streaming-database pillar): the refresh scheduler runs inside
@@ -612,8 +612,8 @@ class DSMSEngine:
         Engine bookkeeping moves with it: the query's Scratch account is
         reopened over the new operators (the old ones are dead), eviction
         accounting re-bases on the new sources, and crash recovery takes
-        a fresh baseline — old checkpoints encode the old width and must
-        not be restored into the new one.
+        a fresh baseline — the new operators keep no recovery image, so
+        no checkpoint taken before the migration can be restored.
 
         Returns the :class:`~repro.runtime.rescale.RescaleReport`.
         """
@@ -638,10 +638,10 @@ class DSMSEngine:
         handle.rescales.append(report)
         self._barrier = None
         if self.recovery is not None:
-            # Old checkpoints hold the old width's shape; restoring one
-            # into the rescaled query would fail (or worse, resurrect the
-            # old width).  Move the recovery point past the migration.
-            self.recovery.rebase(len(self._arrival_log))
+            # The rescaled query has no recovery image: the checkpoint
+            # before the migration cannot be restored.  Move the recovery
+            # point past it.
+            self.recovery.checkpoint(len(self._arrival_log))
         if obs._STATE.enabled:
             obs.get_registry().counter(
                 "dsms.rescale.count", query=name).inc()
@@ -854,19 +854,17 @@ class DSMSEngine:
 
         Every query writes the operator keys it changed since then (all
         of its state at its first barrier: after registration or a
-        rescale, see :meth:`ContinuousQuery.barrier`).  The append-only
+        rescale, see :meth:`ContinuousQuery.snapshot`).  The append-only
         histories — emissions, the queries' change-logs, the Store's —
-        write offsets.  Dynamic tables write their own snapshot.  The
-        recovery image stays inside the engine, so :meth:`restore` takes
-        the newest barrier only — with ``recovery_interval`` set, the
-        engine's :class:`RecoveryManager` takes every barrier itself.
+        write offsets, and so do the hosted dynamic tables
+        (:meth:`DynamicTableService.snapshot`).  The recovery image stays
+        inside the engine, so :meth:`restore` takes the newest barrier
+        only — with ``recovery_interval`` set, the engine's
+        :class:`RecoveryManager` takes every barrier itself.
 
         The barrier sizes itself: :attr:`barrier_bytes` sums the queries'
-        tallies (:meth:`ContinuousQuery.barrier`); the offsets and the
-        tails held by reference add nothing.  With dynamic tables hosted,
-        which still write a whole snapshot, it is None: the engine then
-        has no size of its own, and a :class:`RecoveryManager` measures
-        the payload as it measures any full snapshot.
+        and the views' tallies; the offsets and the tails held by
+        reference add nothing.
 
         Queue contents are deliberately excluded — checkpoints are taken
         at quiescent points (empty queues), and anything queued at crash
@@ -878,22 +876,22 @@ class DSMSEngine:
         copied = 0
         for handle in self._handles:
             handles[handle.name] = {
-                "query": handle.query.barrier(),
+                "query": handle.query.snapshot(),
                 "emissions": len(handle._emissions),
                 "ingest_seq": handle._ingest_seq,
                 "process_seq": handle._process_seq,
             }
             copied += handle.query.barrier_bytes
         views = self.views.snapshot()
-        self.barrier_bytes = (None if views["tables"] or views["views"]
-                              else copied)
+        self.barrier_bytes = copied + self.views.barrier_bytes
         self._barrier = {"handles": handles, "store": self.store.snapshot(),
                          "views": views}
         return self._barrier
 
     def restore(self, payload: Mapping[str, Any]) -> None:
-        """Roll every query and the Store back, in place, to the newest
-        barrier (``payload`` is what :meth:`snapshot` returned for it).
+        """Roll every query, the Store and the dynamic tables back, in
+        place, to the newest barrier (``payload`` is what :meth:`snapshot`
+        returned for it).
 
         Operators restore only the keys changed since; histories are
         truncated to their offsets.  Any number of restores may follow
@@ -909,14 +907,16 @@ class DSMSEngine:
                 raise StateError(
                     f"query {handle.name!r} was registered after the "
                     f"checkpoint being restored")
+        # The views refuse a table or view created since the barrier
+        # before they change anything, so a refused restore is a no-op.
+        self.views.restore(payload["views"])
         for handle in self._handles:
             entry = payload["handles"][handle.name]
-            handle.query.rollback()
+            handle.query.restore(entry["query"])
             del handle._emissions[entry["emissions"]:]
             handle._ingest_seq = entry["ingest_seq"]
             handle._process_seq = entry["process_seq"]
         self.store.restore(payload["store"])
-        self.views.restore(payload["views"])
         # Every operator's state just changed under the ledger.
         for unit in self._units:
             self.scratch.settle(unit.name)

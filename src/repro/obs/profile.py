@@ -289,14 +289,19 @@ def state_bytes(op: Any) -> int | None:
     """A cheap serialized-size estimate of an operator's state.
 
     Uses the backend's sampling estimator when there is one, else the
-    repr length of the operator's own snapshot.  Only ever called from
-    introspection surfaces (explain/snapshot), never on a hot path.
+    repr length of the operator's state: a CQL operator's
+    ``_STATE_ATTRS``, or a kernel operator's own snapshot.  Only ever
+    called from introspection surfaces (explain/snapshot), never on a
+    hot path.
     """
     from repro.exec.state import StateBackend
 
     state = getattr(op, "state", None)
     if isinstance(state, StateBackend):
         return state.estimated_bytes()
+    attrs = getattr(op, "_STATE_ATTRS", None)
+    if attrs is not None:
+        return len(repr([getattr(op, attr) for attr in attrs]))
     snapshot = getattr(op, "snapshot", None)
     if snapshot is None:
         return None

@@ -28,9 +28,11 @@ volume actually moved.  :func:`rescale` does exactly that for a running
    scheme requires.
 
 3. **Everything else stays.**  The operators above the boundary run once
-   whatever the width, so their state is copied across unchanged; the
+   whatever the width, so their state moves across by reference; the
    agenda, maintained state, change-log and emissions are the query's
-   own and are not touched at all.
+   own and are not touched at all.  The new operators keep no recovery
+   image, so no checkpoint taken before the rescale restores after it,
+   and the query's next checkpoint writes all of its state.
 
 The migration only reads the running operators and writes the freshly
 compiled ones, which replace them at the end; a failed rescale leaves
@@ -46,6 +48,7 @@ from typing import Any, Callable, Mapping
 
 from repro.core.errors import StateError
 from repro.core.time import Timestamp
+from repro.cql.state import KeyedState, copy_sized
 from repro.plan.ir import (
     Aggregate,
     Distinct,
@@ -129,12 +132,33 @@ def rescale(query: Any, parallelism: int) -> RescaleReport:
     spines = zip(_spine(query._root, old_roots),
                  _spine(compiled[0], new_roots))
     for old, new in spines:
-        new.restore(old.snapshot())
+        _carry(old, new, private=False)
 
     width = query.parallelism
     query._install(compiled, parallelism)
     return RescaleReport(width, parallelism, query._last_instant,
                          migration.moved, time.perf_counter() - started_at)
+
+
+def _carry(old: Any, new: Any, private: bool) -> None:
+    """Put the state of ``old`` (an operator or a keyed container) on
+    ``new``: by reference when ``old`` retires with the rescale, else
+    (``private``) as copies made entry by entry, as a barrier copies
+    them.  ``new`` keeps no recovery image, so the query's next barrier
+    writes every key."""
+    if old.__class__ is KeyedState:
+        new.data = ({key: copy_sized(value)[0]
+                     for key, value in old.data.items()}
+                    if private else old.data)
+        new.tally = old.tally
+        return
+    for attr in old._STATE_ATTRS:
+        value = getattr(old, attr)
+        if value.__class__ is KeyedState:
+            _carry(value, getattr(new, attr), private)
+        else:
+            setattr(new, attr, copy_sized(value)[0] if private else value)
+    new.emitted, new.received = old.emitted, old.received
 
 
 def _subtree(root: Any) -> list[Any]:
@@ -220,9 +244,8 @@ class _Migration:
                                       for old in olds[1:]):
             raise RescaleError(
                 "broadcast state diverged across partitions; cannot migrate")
-        payload = olds[0].snapshot()
         for new in news:
-            new.restore(payload)
+            _carry(olds[0], new, private=True)
 
     # -- quiescence ----------------------------------------------------------
 

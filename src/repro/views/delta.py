@@ -107,12 +107,10 @@ class Changelog:
         del self._batches[:cut]
         return cut
 
-    # -- checkpointing --------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {"versions": list(self._versions),
-                "batches": list(self._batches)}
-
-    def restore(self, state: dict) -> None:
-        self._versions = list(state["versions"])
-        self._batches = list(state["batches"])
+    def truncate(self, length: int) -> list[tuple[Delta, ...]]:
+        """Cut the log back to its first ``length`` entries (a rollback to
+        an offset it had); returns the batches cut, oldest first."""
+        cut = self._batches[length:]
+        del self._versions[length:]
+        del self._batches[length:]
+        return cut

@@ -34,15 +34,19 @@ current contents, not from a replay), version history keeps deltas, and
 the refresh schedule is recomputed only when the DAG or a suspension
 changes.
 
-The whole service implements ``snapshot()``/``restore()`` (the chaos
-``RecoveryManager`` protocol), covering the operator state inside every
-view plan — a mid-refresh crash rolls back to the last checkpoint and
-the re-run refresh converges to the same contents.
+The whole service checkpoints by in-place barrier (``snapshot()`` /
+``restore()``, the chaos ``RecoveryManager`` protocol), covering the
+operator state inside every view plan — a mid-refresh crash rolls back
+to the last checkpoint and the re-run refresh converges to the same
+contents.  A checkpoint costs what changed since the previous one:
+changelogs write offsets, and a rollback takes the batches appended
+since back out of the contents.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from sys import getsizeof
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import repro.obs as obs
@@ -193,6 +197,11 @@ class DynamicTableService:
         self._views: dict[str, DynamicTable] = {}
         self._upstreams: dict[str, tuple[str, ...]] = {}
         self._schedule: _Schedule | None = None
+        #: The newest barrier's payload (see :meth:`snapshot`); while one
+        #: stands, :meth:`gc` trims nothing.
+        self._checkpoint: dict[str, Any] | None = None
+        #: Bytes the newest barrier allocated; None before the first.
+        self.barrier_bytes: int | None = None
 
     # -- registration -----------------------------------------------------------
 
@@ -443,7 +452,15 @@ class DynamicTableService:
         :meth:`Changelog.gc`): a view attached later primes from current
         contents, so nobody replays them.  Returns the entries reclaimed
         per table/view name.
+
+        While a barrier stands, trimming waits for the next one
+        (:meth:`snapshot`): a rollback to it takes back every entry
+        appended since, and consumers rolled back with it pull again what
+        they had pulled.  A service that never checkpoints trims at every
+        call.
         """
+        if self._checkpoint is not None:
+            return {}
         consumers = self._scheduled().consumers
         reclaimed: dict[str, int] = {}
         for name, holder in (*self._tables.items(), *self._views.items()):
@@ -514,53 +531,90 @@ class DynamicTableService:
     # -- checkpointing (chaos RecoveryManager protocol) -------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """Whole-service image: clock, tables, views *and* the operator
-        state inside every view plan, so recovery covers a mid-refresh
-        crash."""
-        return {
-            "clock": self.clock,
-            "tables": {
-                name: {
-                    "contents": list(table.contents.items()),
-                    "changelog": table.changelog.snapshot(),
-                    "version": table.version,
-                } for name, table in self._tables.items()},
-            "views": {
-                name: {
-                    "materialized": list(view.materialized.items()),
-                    "changelog": view.changelog.snapshot(),
-                    "version": view.version,
-                    "suspended": view.suspended,
-                    "refreshes": view.refreshes,
-                    "history": list(view.history),
-                    "plan": [op.snapshot() for _, op in view.operators()],
-                } for name, view in self._views.items()},
-        }
+        """A barrier: move the service's recovery point to now and return
+        what it wrote, costing what changed since the previous barrier.
 
-    def restore(self, state: Mapping[str, Any]) -> None:
-        """Restore a snapshot into the *same* registered definitions —
-        plans are code, the snapshot carries only their state."""
-        missing = [name for name in state["tables"]
-                   if name not in self._tables]
-        missing += [name for name in state["views"]
-                    if name not in self._views]
-        if missing:
-            raise StateError(f"snapshot references unregistered tables or "
-                             f"views {sorted(missing)}")
-        self.clock = state["clock"]
-        for name, image in state["tables"].items():
+        Every changelog writes its length, as the DSMS Store does.
+        Contents and materialisations write nothing: only the batches
+        their changelogs gain change them, so :meth:`restore` undoes those.
+        Each view's operators write the keys they changed
+        (:meth:`PhysicalOp.barrier`), its history (at most
+        ``HISTORY_LIMIT`` entries) is kept by reference, and the scalars
+        are copied.  :attr:`barrier_bytes` is the operators' tallies plus
+        the history lists.  Trims that :meth:`gc` put off while the
+        previous barrier stood run first.  The recovery image stays
+        inside the service, so :meth:`restore` takes the newest barrier
+        only.
+        """
+        self._checkpoint = None
+        self.gc()
+        copied = 0
+        views: dict[str, Any] = {}
+        for name, view in self._views.items():
+            history = list(view.history)
+            plan = []
+            for _, op in view.operators():
+                plan.append(op.barrier())
+                copied += op.barrier_bytes
+            copied += getsizeof(history)
+            views[name] = {
+                "changelog": len(view.changelog),
+                "version": view.version,
+                "suspended": view.suspended,
+                "refreshes": view.refreshes,
+                "history": history,
+                "plan": plan,
+            }
+        self._checkpoint = {
+            "clock": self.clock,
+            "tables": {name: {"changelog": len(table.changelog),
+                              "version": table.version}
+                       for name, table in self._tables.items()},
+            "views": views,
+        }
+        self.barrier_bytes = copied
+        return self._checkpoint
+
+    def restore(self, payload: Mapping[str, Any]) -> None:
+        """Roll back in place to the newest barrier (``payload`` is what
+        :meth:`snapshot` returned for it); repeatable.
+
+        Changelogs are cut back to their lengths then, and the batches cut
+        are taken back out of the contents they changed; view operators
+        restore only the keys changed since.  A table or view created
+        after the barrier is refused, before anything changes.
+        """
+        if payload is None or payload is not self._checkpoint:
+            raise StateError(
+                "only the newest checkpoint can be restored: the service "
+                "keeps one recovery image")
+        created = sorted((self._tables.keys() - payload["tables"].keys())
+                         | (self._views.keys() - payload["views"].keys()))
+        if created:
+            raise StateError(
+                f"tables or views {created} were created after the "
+                f"checkpoint being restored")
+        self.clock = payload["clock"]
+        for name, point in payload["tables"].items():
             table = self._tables[name]
-            table.contents = Bag.from_counts(dict(image["contents"]))
-            table.changelog.restore(image["changelog"])
-            table.version = image["version"]
-        for name, image in state["views"].items():
+            _take_back(table.contents,
+                       table.changelog.truncate(point["changelog"]))
+            table.version = point["version"]
+        for name, point in payload["views"].items():
             view = self._views[name]
-            view.materialized = Bag.from_counts(dict(image["materialized"]))
-            view.changelog.restore(image["changelog"])
-            view.version = image["version"]
-            view.suspended = image["suspended"]
-            view.refreshes = image["refreshes"]
-            view.history = list(image["history"])
-            for (_, op), payload in zip(view.operators(), image["plan"]):
-                op.restore(payload)
+            _take_back(view.materialized,
+                       view.changelog.truncate(point["changelog"]))
+            view.version = point["version"]
+            view.suspended = point["suspended"]
+            view.refreshes = point["refreshes"]
+            view.history = list(point["history"])
+            for _, op in view.operators():
+                op.rollback()
         self._schedule = None
+
+
+def _take_back(contents: Bag, batches: list[tuple[Delta, ...]]) -> None:
+    """Undo ``batches``, the netted deltas ``contents`` took since a
+    barrier, newest first."""
+    for batch in reversed(batches):
+        contents.apply_signed({row: -weight for row, weight in batch})

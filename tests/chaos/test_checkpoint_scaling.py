@@ -11,7 +11,9 @@ and sizing a checkpoint taken through a ``RecoveryManager`` walks nothing
 else — not even an answer the Store holds by reference.  A restore rolls
 back only the keys dirtied since the barrier: it must cost the same at
 every run length and relation size, and grow with the ticks since the
-barrier.
+barrier.  An engine hosting dynamic tables — one fed by a stream, one
+over a base table — checkpoints them the same way: changelog offsets and
+the view operators' changed keys.
 
 The input is periodic (ticks of one parity carry identical arrivals), so
 the same 8-tick delta really is the same at every tick.
@@ -23,7 +25,7 @@ from collections import Counter, deque
 
 import pytest
 
-from repro.chaos.recovery import RecoveryManager, estimate_bytes
+from repro.chaos.recovery import RecoveryManager
 from repro.core import Bag, Record, Schema
 from repro.dsms import DSMSEngine
 
@@ -47,7 +49,11 @@ def arrivals(tick):
 
 
 def feed(engine, ticks):
+    hosts_doors = "doors" in engine.views.table_names()
     for tick in ticks:
+        if hosts_doors:
+            engine.views.apply("doors", inserts=[{"door": tick % 2}],
+                               at=BASE + tick)
         for stream, row in arrivals(tick):
             engine.ingest(stream, row, BASE + tick)
         engine.run_until_idle()
@@ -105,9 +111,11 @@ class Run:
     """One engine fed ``ticks`` ticks, checkpointed by a RecoveryManager
     over the last DELTA.  With ``answer``, a second query returns the
     static Person relation, which the Store then holds whole as that
-    query's answer."""
+    query's answer.  With ``views``, the engine also hosts a dynamic
+    table fed by the Obs stream and one over a ``doors`` base table that
+    every tick writes."""
 
-    def __init__(self, ticks, persons, answer=False):
+    def __init__(self, ticks, persons, answer=False, views=False):
         engine = self.engine = DSMSEngine()
         engine.register_stream("Obs", OBS)
         engine.register_stream("Badge", BADGE)
@@ -117,6 +125,15 @@ class Run:
         self.handle = engine.register_query("join", TEXT)
         if answer:
             engine.register_query("people", "SELECT * FROM Person")
+        if views:
+            engine.create_dynamic_table(
+                "CREATE DYNAMIC TABLE by_room TARGET_LAG = 0 AS SELECT "
+                "room, COUNT(*) AS n, MAX(temp) AS hot FROM Obs "
+                "GROUP BY room EMIT CHANGES")
+            engine.views.create_table("doors", Schema(["door"]))
+            engine.create_dynamic_table(
+                "CREATE DYNAMIC TABLE by_door TARGET_LAG = 0 AS SELECT "
+                "door, COUNT(*) AS n FROM doors GROUP BY door EMIT CHANGES")
         manager = RecoveryManager(engine)
         feed(engine, range(ticks - DELTA))
         manager.checkpoint(ticks - DELTA)
@@ -128,15 +145,22 @@ class Run:
         self.bytes = engine.barrier_bytes
         assert checkpoint.size_bytes == self.bytes
         self.history = self.store_history()
+        self.tables = self.view_contents()
 
     def store_history(self):
         return list(self.handle.store_history().snapshots())
+
+    def view_contents(self):
+        views = self.engine.views
+        return {name: views.read(name)
+                for name in views.table_names() + views.view_names()}
 
     def restore_after(self, ticks):
         """Calls one restore makes ``ticks`` ticks after the barrier."""
         feed(self.engine, range(self.ticks, self.ticks + ticks))
         calls, _ = measured(lambda: self.engine.restore(self.payload))
         assert self.store_history() == self.history
+        assert self.view_contents() == self.tables
         return calls
 
 
@@ -182,20 +206,25 @@ def test_an_answer_held_by_reference_adds_nothing():
     assert wide.calls == narrow.calls
 
 
-def test_an_engine_hosting_views_is_sized_as_a_full_snapshot():
-    # Hosted dynamic tables still write a whole snapshot; the engine has
-    # no size of its own, and the manager measures the payload.
-    engine = DSMSEngine()
-    engine.register_stream("Obs", OBS)
-    engine.create_dynamic_table(
-        "CREATE DYNAMIC TABLE n_obs TARGET_LAG = 0 AS "
-        "SELECT COUNT(*) AS n FROM Obs EMIT CHANGES")
-    for tick in range(4):
-        engine.ingest("Obs", {"id": tick, "room": 0, "temp": 0}, BASE + tick)
-        engine.run_until_idle()
-    checkpoint = RecoveryManager(engine).checkpoint(4)
-    assert engine.barrier_bytes is None
-    assert checkpoint.size_bytes == estimate_bytes(checkpoint.state)
+@pytest.fixture(scope="module")
+def view_runs():
+    return {"early": Run(50, 500, views=True),
+            "late": Run(2_000, 500, views=True)}
+
+
+def test_an_engine_hosting_views_checkpoints_the_delta(runs, view_runs):
+    base, run = view_runs["early"], view_runs["late"]
+    # The views are sized with the queries, and they wrote something.
+    assert isinstance(run.bytes, int)
+    assert base.bytes > runs["early"].bytes
+    assert run.census == base.census
+    assert run.calls == base.calls
+    assert run.bytes == base.bytes
+    costs = {name: [run.restore_after(ticks) for ticks in (0, 4, DELTA)]
+             for name, run in view_runs.items()}
+    assert costs["late"] == costs["early"]
+    idle, some, all_ = costs["early"]
+    assert idle < some < all_
 
 
 def test_restore_work_follows_the_keys_dirtied_since_the_barrier(runs):

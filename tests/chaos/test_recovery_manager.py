@@ -25,11 +25,9 @@ class Register:
 
 
 class TestCheckpointing:
-    def test_interval_and_keep_must_be_positive(self):
+    def test_interval_must_be_positive(self):
         with pytest.raises(StateError):
             RecoveryManager(Register(), interval=0)
-        with pytest.raises(StateError):
-            RecoveryManager(Register(), keep=0)
 
     def test_start_takes_the_baseline_once(self):
         manager = RecoveryManager(Register(), interval=2)
@@ -47,11 +45,11 @@ class TestCheckpointing:
         assert manager.committed(4) is None
 
     def test_pruning_keeps_the_newest(self):
-        manager = RecoveryManager(Register(), interval=1, keep=2)
+        manager = RecoveryManager(Register(), interval=1)
         for offset in range(5):
             manager.checkpoint(offset)
-        assert [c.offset for c in manager.checkpoints] == [3, 4]
-        assert manager.latest().offset == 4
+        assert [c.offset for c in manager.checkpoints] == [4]
+        assert manager.latest().checkpoint_id == 5
 
     def test_snapshot_is_isolated_from_later_mutation(self):
         target = Register()

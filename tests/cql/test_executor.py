@@ -222,7 +222,7 @@ class TestJoinsAndRelations:
             "Alerts A [Range 10] WHERE O.id = A.id")
         q.push("Obs", {"id": 1, "room": "a", "temp": 0}, 0)
         join = self.join_of(q)
-        payload = join.snapshot()
+        payload = join.barrier()
         live = join._left_state.data[(1,)]
         saved = payload["_left_state"][(1,)]
         assert saved is not live and saved == live
@@ -230,11 +230,11 @@ class TestJoinsAndRelations:
 
         q.push("Obs", {"id": 1, "room": "b", "temp": 0}, 1)
         assert len(live) == 2 and len(saved) == 1
-        join.restore(payload)
+        join.rollback()
         assert join._left_state.data[(1,)] is not saved
         q.push("Obs", {"id": 1, "room": "c", "temp": 0}, 2)
         assert len(saved) == 1
-        join.restore(payload)   # the payload survives any number of uses
+        join.rollback()   # the image survives any number of rollbacks
         assert join._left_state.data[(1,)] == saved
 
     def test_join_instants_build_no_schema(self, engine, monkeypatch):

@@ -164,12 +164,13 @@ class TestCheckpointing:
         serial, parallel = pair(engine, GROUPED)
         feed_both(serial, parallel, OBS_BATCHES[:2])
         checkpoint = parallel.snapshot()
-        _, recovered = pair(engine, GROUPED)
-        recovered.restore(checkpoint)
-        feed_both(serial, parallel, OBS_BATCHES[2:])
         for t, arrivals in OBS_BATCHES[2:]:
-            recovered.push_batch(t, arrivals)
-        assert recovered.current() == parallel.current() == serial.current()
+            parallel.push_batch(t, arrivals)
+        parallel.restore(checkpoint)
+        feed_both(serial, parallel, OBS_BATCHES[2:])
+        assert parallel.current() == serial.current()
+        assert list(parallel.as_relation().snapshots()) \
+            == list(serial.as_relation().snapshots())
 
     def test_restore_rejects_different_parallelism(self, engine):
         _, parallel = pair(engine, GROUPED, parallelism=2)

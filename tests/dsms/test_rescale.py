@@ -92,11 +92,14 @@ class TestRescaleQuery:
         handle = engine.register_query("q", GROUPED)
         ingest(engine, ROWS[:12])
         engine.run_until_idle()
-        assert len(engine.recovery.checkpoints) > 1
+        before = engine.recovery.latest()
+        assert before.checkpoint_id > 1
         engine.rescale_query("q", 2)
-        # Old checkpoints encode the old replica shape: all dropped, one
-        # fresh baseline at the migration point.
-        assert len(engine.recovery.checkpoints) == 1
+        # The rescaled query keeps no recovery image: a fresh baseline is
+        # taken at the migration point.
+        after = engine.recovery.latest()
+        assert after.checkpoint_id == before.checkpoint_id + 1
+        assert after.offset == len(engine._arrival_log)
         ingest(engine, ROWS[12:])
         engine.run_until_idle()
         control = make_engine()

@@ -9,6 +9,7 @@ import pytest
 from repro.core import PlanError, Schema, StateError
 from repro.cql import ContinuousQuery, CQLEngine
 from repro.runtime.rescale import RescaleError, RescaleReport, rescale
+from tests.cql.test_keyed_state import operator_state
 
 GROUPED = ("SELECT ISTREAM room, COUNT(*) AS n FROM Obs [Range 5] "
            "GROUP BY room")
@@ -133,12 +134,12 @@ class TestStateMigration:
             return type(value)
 
         def shapes(query):
-            return [(name, shape(op.snapshot()))
+            return [(name, shape(operator_state(op)))
                     for name, op in query.operators()]
 
         assert shapes(rescaled) == shapes(wide)
-        rescaled.barrier()
-        wide.barrier()
+        rescaled.snapshot()
+        wide.snapshot()
         assert rescaled.barrier_bytes == wide.barrier_bytes
 
     def test_key_projected_away_rescales(self, engine):

@@ -72,7 +72,7 @@ class TestStrategyRoundTrip:
     def test_recovery_manager_protocol(self, strategy):
         view = make(strategy)
         view.insert({"g": "a", "v": 1})
-        manager = RecoveryManager(view, interval=1, measure_bytes=False,
+        manager = RecoveryManager(view, interval=1,
                                   sleep=lambda _d: None)
         manager.start()
         view.insert({"g": "a", "v": 2})
@@ -140,7 +140,6 @@ class TestRealTimeDatabaseRoundTrip:
     def test_recovery_manager_protocol(self):
         database = self.build()
         manager = RecoveryManager(database, interval=1,
-                                  measure_bytes=False,
                                   sleep=lambda _d: None)
         manager.start()
         database.put("s1", {"temp": 1})
