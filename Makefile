@@ -65,7 +65,7 @@ cqbench-smoke:
 # or "all") against revision BASE (exported with git archive; the change
 # is this checkout): per workload, one line per run, then medians,
 # quartiles and pair wins per end-to-end metric.
-W ?= join_recover
+W ?= all
 N ?= 10
 BASE ?= HEAD
 cqbench-pairs:

@@ -251,6 +251,11 @@ class TimeVaryingRelation:
             return EMPTY_BAG
         return self._states[idx]
 
+    def latest(self) -> Bag:
+        """The newest state: the bag in force from the last change point
+        on (the empty bag before the first)."""
+        return self._states[-1] if self._states else EMPTY_BAG
+
     def change_points(self) -> list[Timestamp]:
         """Instants at which the relation (may) change, in order."""
         return list(self._times)

@@ -1434,7 +1434,10 @@ class ContinuousQuery:
             memo=shared.memo if shared is not None else None,
             parallelism=parallelism), parallelism)
         self._state = Bag()
-        self._log: list[tuple[Timestamp, Bag]] = []
+        #: The change-log: one state per instant (see :meth:`_log_state`).
+        #: It is the query's only history of its answer — the DSMS Store
+        #: reads it, see :meth:`as_relation`.
+        self._log = TimeVaryingRelation(schema=self.output_schema)
         self._emissions: list[Emission] = []
         #: Emissions produced by group instants another member triggered,
         #: waiting to be returned from this member's next feeding call.
@@ -1455,7 +1458,8 @@ class ContinuousQuery:
         (self._root, self._stream_sources, self._relation_sources,
          self._phys_by_logical, self._scheme) = compiled
         #: The newest checkpoint (see :meth:`snapshot`) and the change-log
-        #: tail it keeps by reference; a new tree has no recovery image.
+        #: tail (instant, state) it keeps by reference; a new tree has no
+        #: recovery image.
         self._checkpoint: dict[str, Any] | None = None
         self._tail: tuple[Timestamp, Bag] | None = None
         #: The number of key partitions the plan runs in (1: serial).
@@ -1619,9 +1623,8 @@ class ContinuousQuery:
         (bounded by the widest window) is copied.  The change-log only
         grows, except that a fold at its tail's instant replaces or drops
         the tail (see :meth:`_log_state`): it writes its length and keeps
-        the tail entry by reference, as
-        :meth:`repro.dsms.components.Store.snapshot` does — the same
-        never-mutated Bag, so it is not written twice.  It may be taken
+        the tail entry by reference — a never-mutated Bag, so it is not
+        written twice.  It may be taken
         between quanta, inside an instant whose remaining arrivals are
         still to come.  :attr:`barrier_bytes` is the operators' tallies
         plus the agenda copy.  The recovery image stays inside the query,
@@ -1642,7 +1645,8 @@ class ContinuousQuery:
             "deltas_processed": self._deltas_processed,
             "operators": [op.barrier() for op in ops],
         }
-        self._tail = self._log[-1] if self._log else None
+        log = self._log
+        self._tail = (log._times[-1], log._states[-1]) if log else None
         self.barrier_bytes = (getsizeof(agenda["heap"])
                               + getsizeof(agenda["scheduled"])
                               + sum(op.barrier_bytes for op in ops))
@@ -1668,11 +1672,15 @@ class ContinuousQuery:
         for _, op in self.operators():
             op.rollback()
         self._agenda.restore(point["agenda"])
-        if point["log"]:
-            self._log[point["log"] - 1:] = [self._tail]
-            self._state = self._tail[1].copy()
+        log, length = self._log, point["log"]
+        if length:
+            # Slice-assigned: a fold since may have dropped the tail.
+            t, state = self._tail
+            log._times[length - 1:] = [t]
+            log._states[length - 1:] = [state]
+            self._state = state.copy()
         else:
-            self._log.clear()
+            del log._times[:], log._states[:]
             self._state = Bag()
         del self._emissions[point["emissions"]:]
         self._last_instant = point["last_instant"]
@@ -1746,27 +1754,33 @@ class ContinuousQuery:
         """Log the working state as instant ``t``'s: one entry per instant,
         however the instant's arrivals were split into folds.
 
-        A fold at the instant the log already ends at replaces the tail
-        (the Store's rule, :meth:`repro.dsms.components.Store.write`), or
-        drops it when the state is back where the instant started — one
+        A fold at the instant the log already ends at replaces the tail,
+        or drops it when the state is back where the instant started — one
         fold of the whole instant would have logged nothing.  An entry is
-        the one copy of its instant, compact and never mutated again,
-        which the Store holds by reference too (see :attr:`state`).
+        the one copy of its instant, compact and never mutated again (see
+        :attr:`state`).
         """
-        log = self._log
-        if log and log[-1][0] == t:
-            if self._state == (log[-2][1] if len(log) > 1 else EMPTY_BAG):
-                log.pop()
+        times, states = self._log._times, self._log._states
+        if times and times[-1] == t:
+            if self._state == (states[-2] if len(states) > 1 else EMPTY_BAG):
+                times.pop()
+                states.pop()
             else:
-                log[-1] = (t, self._state.copy())
+                states[-1] = self._state.copy()
         else:
-            log.append((t, self._state.copy()))
+            times.append(t)
+            states.append(self._state.copy())
 
     # -- inspection ----------------------------------------------------------
 
     def current(self) -> Bag:
-        """The maintained relation state right now (a private copy)."""
-        return self._state.copy()
+        """The maintained relation state right now (a private copy).
+
+        Copied from the change-log's newest entry, which equals the
+        working state but is compact: the working state's dict keeps the
+        deleted slots its churn leaves, which make a copy dearer.
+        """
+        return self._log.latest().copy()
 
     @property
     def state(self) -> Bag:
@@ -1775,10 +1789,10 @@ class ContinuousQuery:
         change).
 
         Logged Bags are never mutated (the fold keeps a private working
-        state and logs one copy of it per instant), so this may be kept —
-        the DSMS Store holds it by reference — but must not be changed.
+        state and logs one copy of it per instant), so this may be kept
+        but must not be changed.
         """
-        return self._log[-1][1] if self._log else EMPTY_BAG
+        return self._log.latest()
 
     def emissions(self) -> list[Emission]:
         """All output elements produced so far (R2S queries)."""
@@ -1797,10 +1811,10 @@ class ContinuousQuery:
         return out
 
     def as_relation(self) -> TimeVaryingRelation:
-        """The maintained state's change-log as a time-varying relation
-        (the log holds one state per instant, see :meth:`_log_state`)."""
-        return TimeVaryingRelation.from_snapshots(
-            self._log, schema=self.output_schema)
+        """The maintained state's change-log itself, one state per instant
+        (see :meth:`_log_state`): O(1), nothing is copied.  It keeps
+        growing with the query and must not be changed by the reader."""
+        return self._log
 
     @property
     def deltas_processed(self) -> int:

@@ -113,7 +113,7 @@ def state_log_coalesce() -> Iterator[None]:
     original = cql_executor.ContinuousQuery._log_state
 
     def mutated(self, t):
-        if self._log and self._log[-1][0] == t:
+        if self._log and self._log._times[-1] == t:
             return
         original(self, t)
 

@@ -571,13 +571,13 @@ def _dsms_crashed_leg(case: Case, streams, ref_state,
     :func:`_dsms_script`, crashed on a checkpoint tick, in
     ``advance_time`` and in the replay that recovers from that (see
     :class:`_CrashAim`), at case-dependent operator positions.  Its
-    emissions, change-log and Store history must equal the same script's
-    on a fault-free engine, whose state must match the reference.  The
-    script drains after every arrival, but a replay re-offers what was
-    logged since the checkpoint at once, so a relation-output query
-    folds an instant in one quantum that the fault-free run folded
-    arrival by arrival: batched × crashed.  ``shots``, when given,
-    collects ``(shot, phase it fired in)``.
+    emissions and change-log (which is its Store history) must equal the
+    same script's on a fault-free engine, whose state must match the
+    reference.  The script drains after every arrival, but a replay
+    re-offers what was logged since the checkpoint at once, so a
+    relation-output query folds an instant in one quantum that the
+    fault-free run folded arrival by arrival: batched × crashed.
+    ``shots``, when given, collects ``(shot, phase it fired in)``.
     """
     clean, crashed = _dsms(), _dsms(
         recovery_interval=_DSMS_CHECKPOINT_INTERVAL)
@@ -607,8 +607,7 @@ def _dsms_crashed_leg(case: Case, streams, ref_state,
             shots.extend(aim.shots)
     for part, got, want in (
             ("emissions", handle.emissions(), clean_handle.emissions()),
-            ("change-log", handle.query._log, clean_handle.query._log),
-            ("Store history", list(handle.store_history().snapshots()),
+            ("change-log", list(handle.store_history().snapshots()),
              list(clean_handle.store_history().snapshots()))):
         if got != want:
             return Divergence("dsms-crashed", (

@@ -8,7 +8,7 @@ incremental executor by :class:`~repro.dsms.engine.DSMSEngine`.
 from repro.dsms.components import Scratch, Store, Throw
 from repro.dsms.engine import DSMSEngine, QueryHandle
 from repro.dsms.metrics import Gauge, QueryMetrics
-from repro.dsms.queues import InputQueue, QueuedTuple
+from repro.dsms.queues import InputQueue
 from repro.dsms.scheduler import (
     FIFOScheduler,
     LongestQueueScheduler,
@@ -25,7 +25,7 @@ from repro.dsms.shedding import (
 __all__ = [
     "DSMSEngine", "QueryHandle",
     "Store", "Scratch", "Throw",
-    "InputQueue", "QueuedTuple",
+    "InputQueue",
     "Scheduler", "RoundRobinScheduler", "LongestQueueScheduler",
     "FIFOScheduler",
     "Shedder", "NoShedding", "RandomShedder", "SemanticShedder",

@@ -21,72 +21,26 @@ class Store:
     """Persistent result storage: one time-varying relation per query.
 
     The Store is what a client reads when it asks a DSMS for "the current
-    answer" of a registered relation-producing query.
+    answer" of a registered relation-producing query.  It keeps no history
+    of its own: each relation is the query's own change-log
+    (:meth:`ContinuousQuery.as_relation`), registered once and held by
+    reference — so a query's fold and rollback are the Store's too, and
+    the answer outlives a cancelled query without keeping its operators.
     """
 
     def __init__(self) -> None:
         self._relations: dict[str, TimeVaryingRelation] = {}
-        self._current: dict[str, Bag] = {}
-        self.writes = 0
 
-    def register(self, name: str) -> None:
-        self._relations[name] = TimeVaryingRelation()
-        self._current[name] = Bag()
-
-    def write(self, name: str, state: Bag, t: Timestamp) -> None:
-        """Persist a query's new current state at instant ``t``.
-
-        O(1) however long the history or large the state: only the
-        change-log's tail is looked at, and ``state`` itself is kept, not
-        copied — it serves as both the change-log entry and the current
-        answer.  The caller hands it over: a query passes the Bag its own
-        change-log holds, which nothing mutates again (the Store replaces
-        stored bags, it never mutates one either).  Readers get copies.
-        """
-        relation = self._relations[name]
-        times = relation._times
-        if times and times[-1] == t:
-            # Same-instant refinement: keep the latest state for t.
-            times.pop()
-            relation._states.pop()
-        relation.set_at(t, state, coalesce=False)
-        self._current[name] = state
-        self.writes += 1
+    def register(self, name: str, relation: TimeVaryingRelation) -> None:
+        self._relations[name] = relation
 
     def current(self, name: str) -> Bag:
         """The stored answer right now (a private copy)."""
-        return self._current[name].copy()
-
-    def snapshot(self) -> dict[str, Any]:
-        """Checkpoint every change-log as an offset, O(relations).
-
-        A change-log only grows, except that a write at the instant of its
-        tail replaces the tail: so the checkpoint is each log's length
-        plus its tail entry, held by reference (stored bags are never
-        mutated).
-        """
-        relations: dict[str, Any] = {}
-        for name, relation in self._relations.items():
-            times, states = relation._times, relation._states
-            relations[name] = ((len(times), times[-1], states[-1]) if times
-                               else (0, None, None))
-        return {"relations": relations, "writes": self.writes}
-
-    def restore(self, payload: dict[str, Any]) -> None:
-        """Roll the Store back to a snapshot, in place: truncate each
-        change-log to its offset and put its tail entry back."""
-        for name, (length, t, state) in payload["relations"].items():
-            relation = self._relations[name]
-            del relation._times[length:]
-            del relation._states[length:]
-            if length:
-                relation._times[-1] = t
-                relation._states[-1] = state
-            self._current[name] = state if length else Bag()
-        self.writes = payload["writes"]
+        return self._relations[name].latest().copy()
 
     def history(self, name: str) -> TimeVaryingRelation:
-        """The full change-log of the stored answer."""
+        """The full change-log of the stored answer (the query's own, not
+        a copy)."""
         return self._relations[name]
 
     def names(self) -> list[str]:

@@ -72,7 +72,7 @@ class QueryHandle:
 
     def __init__(self, name: str, query: ContinuousQuery,
                  queue: InputQueue, shedder: Shedder,
-                 store: Store, scratch: Scratch, throw: Throw,
+                 scratch: Scratch, throw: Throw,
                  wm_clock: obs.WatermarkClock | None = None,
                  track_state: bool = True,
                  batch_size: int | None = 1) -> None:
@@ -87,7 +87,6 @@ class QueryHandle:
         #: instant — up to this many same-timestamp tuples, all of them
         #: for ``None`` — into one ``push_batch`` (1 = per-tuple).
         self.batch_size = None if batch_size is None else max(1, batch_size)
-        self._store = store
         self._scratch = scratch
         self._throw = throw
         self._wm_clock = wm_clock
@@ -102,8 +101,6 @@ class QueryHandle:
         #: The adaptivity controller driving this query when the engine
         #: runs with ``autoscale=`` (None otherwise / when ineligible).
         self.autoscaler = None
-        self._emissions: list[Emission] = []
-        store.register(name)
         self._sources: list[StreamSourceOp] = []
         if track_state:
             self.bind_operators()
@@ -157,7 +154,8 @@ class QueryHandle:
 
         A quantum drains the queue's head instant, up to ``batch_size``
         tuples of it (all of them when ``batch_size`` is None), into ONE
-        atomic ``push_batch`` — one instant evaluation, one Store write.
+        atomic ``push_batch`` — one instant evaluation, which the query
+        folds into its change-log (the Store's history) at most once.
         With ``batch_size=1`` a quantum is one tuple.
         """
         run = self.queue.poll_instant(self.batch_size)
@@ -184,7 +182,6 @@ class QueryHandle:
         before = self._evictions()
         emitted = self.query.push_batch(t, arrivals)
         self._account_throw(before, t)
-        self._emissions.extend(emitted)
         metrics = self.metrics
         metrics.processed += len(values)
         metrics.emitted += len(emitted)
@@ -204,18 +201,13 @@ class QueryHandle:
             if self._wm_clock is not None:
                 for stream_name in arrivals:
                     self._wm_clock.observe_processed(stream_name, t)
-        self._store.write(self.name, self.query.state, t)
 
-    def advance_to(self, t: Timestamp) -> list[Emission]:
+    def advance_to(self, t: Timestamp) -> None:
         """Advance event time (window expirations) with no new data."""
         before = self._evictions()
-        emitted = self.query.advance_to(t)
+        self.query.advance_to(t)
         self._account_throw(before, t)
         self._scratch.settle(self.name)
-        self._emissions.extend(emitted)
-        if self.query._log:
-            self._store.write(self.name, self.query.state, t)
-        return emitted
 
     def _evictions(self) -> int:
         return sum(op.evicted for op in self._sources)
@@ -225,14 +217,18 @@ class QueryHandle:
         self._throw.discard_many(self._evictions() - before, t)
 
     def emissions(self) -> list[Emission]:
-        return list(self._emissions)
+        """Every element the query emitted, registration included (a
+        copy of the query's own emissions)."""
+        return self.query.emissions()
 
     def store_state(self) -> Bag:
-        """The Store's current answer for this query."""
-        return self._store.current(self.name)
+        """The Store's current answer for this query (a private copy)."""
+        return self.query.current()
 
     def store_history(self) -> TimeVaryingRelation:
-        return self._store.history(self.name)
+        """The Store's history of this query: the query's change-log
+        itself, O(1) (see :meth:`ContinuousQuery.as_relation`)."""
+        return self.query.as_relation()
 
 
 class SharedGroupHandle:
@@ -243,7 +239,7 @@ class SharedGroupHandle:
     service path, one group instant that advances every member.  The
     scheduler sees this handle like any other; servicing one tuple runs
     the group instant and then fans results out to the member
-    :class:`QueryHandle` objects (emissions, metrics, Store writes).
+    :class:`QueryHandle` objects' metrics.
 
     Scratch and Throw accounting happen here over the group's *distinct*
     operators, so shared state is counted once — the honest number the
@@ -310,42 +306,24 @@ class SharedGroupHandle:
             if self._wm_clock is not None:
                 self._wm_clock.observe_processed(stream_name, t)
             self.busy_seconds += _perf() - started
-        self._deliver(t, stream_name)
+        self._deliver(stream_name)
         return True
 
-    def advance_to(self, t: Timestamp) -> list[Emission]:
+    def advance_to(self, t: Timestamp) -> None:
         before = self._evictions()
         self.group.advance_to(t)
         self._account_throw(before, t)
-        self._deliver(t)
-        return []
+        self._deliver()
 
-    def _deliver(self, t: Timestamp, stream_name: str | None = None) -> None:
-        """Fan one group instant's results out to the member handles.
-
-        Store-write policy mirrors the isolated :class:`QueryHandle`:
-        servicing a tuple writes every member that reads the stream (in
-        isolation each would have serviced its own copy), and a pure
-        time advance writes every member with history.  Additionally a
-        member whose state changed at ``t`` via *another* member's tuple
-        is written — in isolation that change would have arrived through
-        its own queue.
-        """
+    def _deliver(self, stream_name: str | None = None) -> None:
+        """Count one group instant (one tuple of ``stream_name``, or a pure
+        time advance) into the member handles' metrics."""
         occupancy = self._scratch.settle(self.name)
         for handle in self.members:
-            emitted = handle.query._drain_undelivered()
-            handle._emissions.extend(emitted)
-            handle.metrics.emitted += len(emitted)
-            if stream_name is None:
-                if handle.query._log:
-                    handle._store.write(handle.name, handle.query.state, t)
-                continue
-            if handle.reads_stream(stream_name):
+            handle.metrics.emitted += len(handle.query._drain_undelivered())
+            if stream_name is not None and handle.reads_stream(stream_name):
                 handle.metrics.processed += 1
                 handle.metrics.scratch.observe(occupancy)
-                handle._store.write(handle.name, handle.query.state, t)
-            elif handle.query._log and handle.query._log[-1][0] == t:
-                handle._store.write(handle.name, handle.query.state, t)
 
     def _evictions(self) -> int:
         if self._sources is None:
@@ -509,14 +487,14 @@ class DSMSEngine:
             name, query,
             InputQueue(queue_capacity or self.queue_capacity),
             shedder or NoShedding(),
-            self.store, self.scratch, self.throw,
+            self.scratch, self.throw,
             wm_clock=self.watermark_clock,
             batch_size=batch_size)
         self._units.append(handle)
         self._readers.clear()
         self._handles.append(handle)
         self._by_name[name] = handle
-        self.store.write(name, query.state, 0)
+        self.store.register(name, query.as_relation())
         if self.recovery is not None:
             # Re-baseline so the new query is covered by the recovery
             # point.  Registration is expected at quiescence (queues
@@ -538,13 +516,13 @@ class DSMSEngine:
         query.start()
         handle = QueryHandle(
             name, query, self._group_handle.queue, NoShedding(),
-            self.store, self.scratch, self.throw,
+            self.scratch, self.throw,
             wm_clock=self.watermark_clock, track_state=False)
         self._group_handle.add_member(handle)
         self._readers.clear()
         self._handles.append(handle)
         self._by_name[name] = handle
-        self.store.write(name, query.state, 0)
+        self.store.register(name, query.as_relation())
         return handle
 
     def create_dynamic_table(self, text: str):
@@ -866,8 +844,8 @@ class DSMSEngine:
         Every query writes the operator keys it changed since then (all
         of its state at its first barrier: after registration or a
         rescale, see :meth:`ContinuousQuery.snapshot`).  The append-only
-        histories — emissions, the queries' change-logs, the Store's —
-        write offsets, and so do the hosted dynamic tables
+        histories — each query's emissions and change-log, which is also
+        the Store's — write offsets, and so do the hosted dynamic tables
         (:meth:`DynamicTableService.snapshot`).  The recovery image stays
         inside the engine, so :meth:`restore` takes the newest barrier
         only — with ``recovery_interval`` set, the engine's
@@ -883,24 +861,18 @@ class DSMSEngine:
         are telemetry, not state: they keep counting across rollbacks, so
         recovery overhead (replayed work) stays visible.
         """
-        handles: dict[str, Any] = {}
-        copied = 0
-        for handle in self._handles:
-            handles[handle.name] = {
-                "query": handle.query.snapshot(),
-                "emissions": len(handle._emissions),
-            }
-            copied += handle.query.barrier_bytes
+        queries = {handle.name: handle.query.snapshot()
+                   for handle in self._handles}
         views = self.views.snapshot()
-        self.barrier_bytes = copied + self.views.barrier_bytes
-        self._barrier = {"handles": handles, "store": self.store.snapshot(),
-                         "views": views}
+        self.barrier_bytes = self.views.barrier_bytes + sum(
+            handle.query.barrier_bytes for handle in self._handles)
+        self._barrier = {"queries": queries, "views": views}
         return self._barrier
 
     def restore(self, payload: Mapping[str, Any]) -> None:
-        """Roll every query, the Store and the dynamic tables back, in
-        place, to the newest barrier (``payload`` is what :meth:`snapshot`
-        returned for it).
+        """Roll every query (and with it the Store) and the dynamic tables
+        back, in place, to the newest barrier (``payload`` is what
+        :meth:`snapshot` returned for it).
 
         Operators restore only the keys changed since; histories are
         truncated to their offsets.  Any number of restores may follow
@@ -912,7 +884,7 @@ class DSMSEngine:
                 "taken before a rescale): the engine keeps one recovery "
                 "image")
         for handle in self._handles:
-            if handle.name not in payload["handles"]:
+            if handle.name not in payload["queries"]:
                 raise StateError(
                     f"query {handle.name!r} was registered after the "
                     f"checkpoint being restored")
@@ -920,10 +892,7 @@ class DSMSEngine:
         # before they change anything, so a refused restore is a no-op.
         self.views.restore(payload["views"])
         for handle in self._handles:
-            entry = payload["handles"][handle.name]
-            handle.query.restore(entry["query"])
-            del handle._emissions[entry["emissions"]:]
-        self.store.restore(payload["store"])
+            handle.query.restore(payload["queries"][handle.name])
         # Every operator's state just changed under the ledger.
         for unit in self._units:
             self.scratch.settle(unit.name)
@@ -1025,5 +994,3 @@ class DSMSEngine:
         registry.gauge("dsms.scratch.peak").set(self.scratch.peak)
         thrown = registry.counter("dsms.throw.discarded")
         thrown.inc(self.throw.discarded - thrown.value)
-        writes = registry.counter("dsms.store.writes")
-        writes.inc(self.store.writes - writes.value)

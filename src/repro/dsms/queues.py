@@ -10,18 +10,11 @@ Figure 3 benchmark read.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, NamedTuple
+from typing import Any
 
 from repro.core.errors import StateError
 from repro.core.time import Timestamp
 from repro.obs import profile as _profile
-
-
-class QueuedTuple(NamedTuple):
-    """One enqueued arrival: payload + its event timestamp."""
-
-    value: Any
-    timestamp: Timestamp
 
 
 class InputQueue:
@@ -134,25 +127,6 @@ class InputQueue:
         if self._pressured and self._depth < self._pressure_mark:
             self._pressured = False
         return t, taken
-
-    def poll(self) -> QueuedTuple | None:
-        """Dequeue the oldest tuple, or None when empty."""
-        run = self.poll_instant(1)
-        return None if run is None else QueuedTuple(run[1][0], run[0])
-
-    def poll_batch(self, limit: int | None = None) -> list[QueuedTuple]:
-        """:meth:`poll_instant` as tuples; ``[]`` when empty."""
-        run = self.poll_instant(limit)
-        if run is None:
-            return []
-        t, values = run
-        return [QueuedTuple(value, t) for value in values]
-
-    def peek(self) -> QueuedTuple | None:
-        if not self._runs:
-            return None
-        t, values, _ = self._runs[0]
-        return QueuedTuple(values[self._head], t)
 
     def clear(self) -> int:
         """Discard everything queued (recovery rollback: the arrival log

@@ -144,6 +144,12 @@ def _compile_aggregate(plan: WindowAggregate, stream):
     window = plan.window
 
     if window is not None:
+        if plan.emit is EmitMode.CHANGES:
+            # The windows below fire once, at close: running each one's
+            # refinements needs the per-instant window operator.
+            raise PlanError(
+                "EMIT CHANGES over a group window is not implemented: "
+                "window refinements are not supported, use EMIT FINAL")
         if window.kind is GroupWindowKind.TUMBLE:
             windowed = keyed.window(TumblingWindow(window.size))
         elif window.kind is GroupWindowKind.HOP:

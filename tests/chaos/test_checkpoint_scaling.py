@@ -238,8 +238,14 @@ def test_restore_work_follows_the_keys_dirtied_since_the_barrier(runs):
 
 def test_restore_can_be_repeated_against_one_barrier(runs):
     run = runs["early"]
+    end = run.ticks + DELTA
     for _ in range(3):
-        feed(run.engine, range(run.ticks, run.ticks + DELTA))
+        feed(run.engine, range(run.ticks, end))
+        # The periodic input keeps the answer fixed; a room no tick uses
+        # changes it, so the history grows past the barrier.
+        run.engine.ingest("Obs", {"id": 0, "room": 99, "temp": 0},
+                          BASE + end)
+        run.engine.run_until_idle()
         assert len(run.store_history()) > len(run.history)
         run.engine.restore(run.payload)
         assert run.store_history() == run.history

@@ -15,7 +15,7 @@ from repro.core import Record, Schema, SchemaError, StateError, TimeError
 from repro.core.relation import Bag
 from repro.cql import executor
 from repro.cql.executor import ContinuousQuery
-from repro.dsms import DSMSEngine, components
+from repro.dsms import DSMSEngine
 
 OBS = Schema(["id", "room", "temp"])
 GROUPED = ("SELECT room, COUNT(*) AS n, AVG(temp) AS mean FROM Obs "
@@ -65,37 +65,35 @@ class TestOneBagCopyPerInstant:
         bag_copies.clear()
         assert engine.step()
         assert len(bag_copies) == 1
-        # The copy is the new state, the query's log entry and the
-        # Store's entry all at once.
+        # The copy is the new state and the query's log entry, which is
+        # the Store's entry too.
         stored = handle.store_history()
-        assert handle.query._log[-1][1] is handle.query.state
+        assert stored is engine.store.history("q")
+        assert stored.latest() is handle.query.state
         assert stored.at(3) is handle.query.state
 
     def test_no_copy_when_the_state_holds(self, bag_copies):
         engine, handle = self.warm()
         engine.ingest("Obs", row(9, "hall", temp=5), 3)  # filtered out
-        logged = list(handle.query._log)
+        logged = list(handle.store_history().snapshots())
         bag_copies.clear()
         assert engine.step()
         assert bag_copies == []
-        assert handle.query._log == logged
+        assert list(handle.store_history().snapshots()) == logged
 
-    def test_store_write_copies_nothing(self, bag_copies, monkeypatch):
-        copies_inside = []
-        original = components.Store.write
-
-        def watched(self, name, state, t):
-            mark = len(bag_copies)
-            original(self, name, state, t)
-            copies_inside.append(len(bag_copies) - mark)
-
-        monkeypatch.setattr(components.Store, "write", watched)
-        engine, _ = self.warm()
+    def test_store_reads_copy_nothing_but_the_answer(self, bag_copies):
+        engine, handle = self.warm()
         for t in range(3, 8):
             engine.ingest("Obs", row(t, "lab"), t)
         engine.run_until_idle()
         engine.advance_time(100)
-        assert len(copies_inside) > 5 and set(copies_inside) == {0}
+        bag_copies.clear()
+        history = handle.store_history()
+        assert history is engine.store.history("q")
+        assert bag_copies == []
+        assert handle.store_state() == history.latest()
+        assert engine.store.current("q") == history.latest()
+        assert len(bag_copies) == 2
 
     def test_one_copy_per_batched_instant(self, bag_copies):
         engine, handle = self.warm(batch_size=8)
@@ -108,33 +106,28 @@ class TestOneBagCopyPerInstant:
 
 
 class TestOneQuantumPerInstant:
-    """On a default engine a relation-output query evaluates, copies and
-    stores each instant once, however many arrivals share it; a
-    stream-output query still does so once per arrival."""
+    """On a default engine a relation-output query evaluates and copies
+    each instant once, however many arrivals share it; a stream-output
+    query still does so once per arrival.  Either way the change-log —
+    the Store's history — gains one entry per instant."""
 
     @pytest.fixture
     def census(self, monkeypatch, bag_copies):
-        counts = {"evaluations": 0, "writes": 0}
+        counts = {"evaluations": 0}
         evaluate = ContinuousQuery._process_instant
-        write = components.Store.write
 
         def counted_evaluate(self, t):
             counts["evaluations"] += 1
             return evaluate(self, t)
 
-        def counted_write(self, name, state, t):
-            counts["writes"] += 1
-            write(self, name, state, t)
-
         monkeypatch.setattr(ContinuousQuery, "_process_instant",
                             counted_evaluate)
-        monkeypatch.setattr(components.Store, "write", counted_write)
 
         def read():
-            return (counts["evaluations"], len(bag_copies), counts["writes"])
+            return counts["evaluations"], len(bag_copies)
 
         def clear():
-            counts.update(evaluations=0, writes=0)
+            counts.update(evaluations=0)
             bag_copies.clear()
 
         return read, clear
@@ -142,14 +135,15 @@ class TestOneQuantumPerInstant:
     def per_instant(self, text, arrivals, census):
         read, clear = census
         engine = make_engine()
-        engine.register_query("q", text)
+        history = engine.register_query("q", text).store_history()
         engine.ingest("Obs", row(0), 1)
         engine.run_until_idle()
         clear()
+        logged = len(history)
         for ident in range(1, arrivals + 1):
             engine.ingest("Obs", row(ident, f"r{ident}"), 2)
         engine.run_until_idle()
-        return read()
+        return (*read(), len(history) - logged)
 
     def test_relation_output_once_per_instant(self, census):
         text = ("SELECT room, COUNT(*) AS n FROM Obs [Range Unbounded] "
@@ -159,8 +153,8 @@ class TestOneQuantumPerInstant:
 
     def test_stream_output_once_per_arrival(self, census):
         text = "SELECT ISTREAM id, room FROM Obs [Range Unbounded]"
-        assert self.per_instant(text, 4, census) == (4, 4, 4)
-        assert self.per_instant(text, 64, census) == (64, 64, 64)
+        assert self.per_instant(text, 4, census) == (4, 4, 1)
+        assert self.per_instant(text, 64, census) == (64, 64, 1)
 
 
 class TestOneRecordPerArrival:
@@ -290,7 +284,9 @@ class TestIngestRefusesRowsThatDoNotFit:
         engine.ingest("Obs", Record(Schema(["id", "room", "temp"]),
                                     (7, "lab", 20)), 1)
         assert len(handle.queue) == 1
-        assert handle.queue.peek().value[1].schema is OBS
+        t, [(stream, record)] = handle.queue.poll_instant()
+        assert record.schema is OBS
+        handle.queue.offer((stream, record), t)
         engine.run_until_idle()
         assert [r["id"] for r in handle.store_state()] == [7]
 
@@ -333,7 +329,7 @@ class TestRootFoldIsAtomic:
         engine.ingest("Obs", row(1), 1)
         engine.run_until_idle()
         query = handle.query
-        state, log = query.current(), list(query._log)
+        state = query.current()
         emissions = handle.emissions()
         history = list(handle.store_history().snapshots())
         root = query._root
@@ -348,8 +344,7 @@ class TestRootFoldIsAtomic:
         engine.ingest("Obs", row(2), 2)
         with pytest.raises(StateError, match="retraction of absent"):
             engine.run_until_idle()
-        assert query.current() == state == log[-1][1]
-        assert query._log == log
+        assert query.current() == state == history[-1][1]
         assert query._last_instant == 1
         assert handle.emissions() == emissions
         assert list(handle.store_history().snapshots()) == history

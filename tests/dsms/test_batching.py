@@ -1,6 +1,6 @@
 """DSMS micro-batch servicing: queue drain-to-batch and the knobs.
 
-Covers ``InputQueue.poll_batch`` (same-timestamp runs only), engine and
+Covers ``InputQueue.poll_instant`` (same-timestamp runs only), engine and
 per-query ``batch_size`` resolution (head instant vs planner clamp vs
 explicit opt-in), batched-vs-per-element parity on the
 Store/state/emissions, and batched recovery against a fault-free run.
@@ -10,6 +10,7 @@ import pytest
 
 from repro.chaos import CrashFuse, install_crash
 from repro.core.records import Schema
+from repro.cql.executor import ContinuousQuery
 from repro.dsms.engine import DSMSEngine
 from repro.dsms.queues import InputQueue
 
@@ -32,42 +33,44 @@ def feed(engine, instants=8, per_instant=6):
         for i in range(per_instant):
             engine.ingest("Obs", {"id": i, "room": f"r{i % 2}",
                                   "temp": 25 + i * 3}, t=t)
-    engine.run_until_idle()
+    return engine.run_until_idle()
 
 
 class TestPollBatch:
+    """The batch poll, ``poll_instant(limit)``: one head-timestamp run."""
+
     def test_drains_only_the_head_timestamp_run(self):
         queue = InputQueue(capacity=16)
         for t in (1, 1, 1, 2, 2):
             queue.offer(f"v{t}", t)
-        batch = queue.poll_batch(10)
-        assert [q.timestamp for q in batch] == [1, 1, 1]
+        assert queue.poll_instant(10) == (1, ["v1", "v1", "v1"])
         assert len(queue) == 2
 
     def test_respects_the_limit(self):
         queue = InputQueue(capacity=16)
         for _ in range(5):
             queue.offer("v", 3)
-        assert len(queue.poll_batch(2)) == 2
+        assert queue.poll_instant(2) == (3, ["v", "v"])
         assert len(queue) == 3
 
     def test_no_limit_drains_the_whole_head_instant(self):
         queue = InputQueue(capacity=2048)
         for t in [4] * 1500 + [5]:
             queue.offer("v", t)
-        assert len(queue.poll_batch()) == 1500
-        assert len(queue.poll_batch(None)) == 1
+        t, values = queue.poll_instant()
+        assert (t, len(values)) == (4, 1500)
+        assert queue.poll_instant(None) == (5, ["v"])
 
     def test_empty_queue_yields_empty_batch(self):
         queue = InputQueue(capacity=4)
-        assert queue.poll_batch(8) == []
+        assert queue.poll_instant(8) is None
 
     def test_clears_pressure_on_drain(self):
         queue = InputQueue(capacity=10)
         for _ in range(10):
             queue.offer("v", 0)
         assert queue.pressured
-        queue.poll_batch(10)
+        queue.poll_instant(10)
         assert not queue.pressured
 
 
@@ -134,15 +137,27 @@ class TestBatchedServicingParity:
         assert states[1][0] == states[8][0]
         assert states[1][1] == states[8][1]
 
-    def test_batching_reduces_store_writes(self):
-        slow = make_engine(batch_size=1)
-        slow.register_query("q", RELATION_QUERY)
-        feed(slow)
-        fast = make_engine(batch_size=8)
-        fast.register_query("q", RELATION_QUERY)
-        feed(fast)
-        assert fast.store.writes < slow.store.writes
-        assert fast.store.current("q") == slow.store.current("q")
+    def test_batching_reduces_quanta(self, monkeypatch):
+        calls = []
+        push_batch = ContinuousQuery.push_batch
+
+        def counted(self, t, arrivals):
+            calls.append(t)
+            return push_batch(self, t, arrivals)
+
+        monkeypatch.setattr(ContinuousQuery, "push_batch", counted)
+        quanta, answers = {}, {}
+        for size in (1, 8):
+            engine = make_engine(batch_size=size)
+            engine.register_query("q", RELATION_QUERY)
+            calls.clear()
+            quanta[size] = feed(engine)
+            assert len(calls) == quanta[size]
+            answers[size] = engine.store.current("q")
+        # 8 instants of 6 arrivals: one quantum per arrival, or one per
+        # instant once a quantum may take all 6.
+        assert (quanta[1], quanta[8]) == (48, 8)
+        assert answers[1] == answers[8]
 
     def test_batches_never_mix_instants(self):
         engine = make_engine(batch_size=100)
@@ -184,7 +199,5 @@ class TestBatchedRecovery:
             engine = DSMSEngine(recovery_interval=interval, batch_size=8)
             handle = self.drive(engine, fuse)
             assert fuse.fired == 1 and engine.recovery.attempts == 1
-            assert handle.query._log == clean.query._log, at
-            assert handle.query.as_relation() == clean.query.as_relation()
             assert list(handle.store_history().snapshots()) \
-                == list(clean.store_history().snapshots())
+                == list(clean.store_history().snapshots()), at

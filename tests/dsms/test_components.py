@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core import Bag, StateError
+from repro.core import Bag, Schema, StateError
+from repro.core.relation import TimeVaryingRelation
 from repro.dsms import (
+    DSMSEngine,
     FIFOScheduler,
     InputQueue,
     LongestQueueScheduler,
@@ -22,9 +24,9 @@ class TestInputQueue:
         queue = InputQueue(capacity=4)
         queue.offer("a", 0)
         queue.offer("b", 1)
-        assert queue.poll().value == "a"
-        assert queue.poll().value == "b"
-        assert queue.poll() is None
+        assert queue.poll_instant(1) == (0, ["a"])
+        assert queue.poll_instant(1) == (1, ["b"])
+        assert queue.poll_instant(1) is None
 
     def test_drops_when_full(self):
         queue = InputQueue(capacity=1)
@@ -42,45 +44,51 @@ class TestInputQueue:
         with pytest.raises(StateError):
             InputQueue(capacity=0)
 
-    def test_peek_does_not_remove(self):
-        queue = InputQueue()
-        queue.offer("a", 0)
-        assert queue.peek().value == "a"
-        assert len(queue) == 1
-
 
 class TestStore:
+    """The Store keeps no history of its own: it reads the change-log each
+    query writes (a ``TimeVaryingRelation``), registered by reference."""
+
     def test_write_and_read(self):
-        store = Store()
-        store.register("q")
-        store.write("q", Bag(["x"]), 5)
+        store, log = Store(), TimeVaryingRelation()
+        store.register("q", log)
+        log.set_at(5, Bag(["x"]))
         assert store.current("q") == Bag(["x"])
+        assert store.history("q") is log
         assert store.history("q").at(5) == Bag(["x"])
         assert store.history("q").at(4) == Bag()
 
     def test_same_instant_write_refines(self):
-        store = Store()
-        store.register("q")
-        store.write("q", Bag(["x"]), 5)
-        store.write("q", Bag(["x", "y"]), 5)
-        assert store.history("q").at(5) == Bag(["x", "y"])
+        # An instant folded in two quanta is one entry, holding its
+        # latest state.
+        engine = DSMSEngine()
+        engine.register_stream("Obs", Schema(["id"]))
+        engine.register_query("q", "SELECT id FROM Obs [Range 10]",
+                              batch_size=1)
+        for ident in ("x", "y"):
+            engine.ingest("Obs", {"id": ident}, 5)
+        assert engine.run_until_idle() == 2
+        history = engine.store.history("q")
+        assert history.change_points() == [5]
+        assert sorted(r["id"] for r in history.at(5)) == ["x", "y"]
 
     def test_current_returns_copy(self):
-        store = Store()
-        store.register("q")
-        store.write("q", Bag(["x"]), 0)
+        store, log = Store(), TimeVaryingRelation()
+        store.register("q", log)
+        log.set_at(0, Bag(["x"]))
         snapshot = store.current("q")
         snapshot.add("y")
         assert store.current("q") == Bag(["x"])
 
     def test_write_keeps_the_callers_bag_and_readers_get_copies(self):
-        # A write takes the Bag over — a query hands in the Bag its own
-        # change-log holds, which nothing mutates again — so the history
-        # and the current answer are that very object, not a copy.
-        store = Store()
-        store.register("q")
+        # The log's writer (the query) hands in a Bag that nothing mutates
+        # again, so the history and the current answer are that very
+        # object, not a copy.
+        store, log = Store(), TimeVaryingRelation()
+        store.register("q", log)
+        assert store.current("q") == Bag()
         state = Bag(["x"])
-        store.write("q", state, 0)
+        log.set_at(0, state)
         assert store.history("q").at(0) is state
         # Readers get copies: changing one touches nothing stored.
         read = store.current("q")

@@ -14,7 +14,7 @@ from repro import obs
 from repro.core import Schema
 from repro.cql import executor
 from repro.cql.executor import ContinuousQuery, StreamSourceOp
-from repro.dsms import DSMSEngine, InputQueue, NoShedding, queues
+from repro.dsms import DSMSEngine, InputQueue, NoShedding
 from repro.dsms.engine import QueryHandle
 
 OBS = Schema(["id", "room", "temp"])
@@ -63,29 +63,22 @@ class TestRuns:
         queue.offer("c", 2)  # a new run, next to b's
         assert queue.poll_instant() == (2, ["b", "c"])
 
-    def test_the_tuple_views_keep_their_contracts(self):
+    def test_a_zero_limit_takes_nothing(self):
         queue = InputQueue(capacity=16)
-        for value, t in (("a", 1), ("b", 1), ("c", 2)):
-            queue.offer(value, t)
-        assert queue.peek() == ("a", 1)
-        assert queue.poll() == ("a", 1)
-        assert queue.peek() == ("b", 1)
-        assert queue.poll_batch(5) == [("b", 1)]
-        assert queue.poll_batch(0) == [] and len(queue) == 1
-        assert queue.clear() == 1 and queue.poll() is None
+        queue.offer("a", 1)
+        assert queue.poll_instant(0) is None and len(queue) == 1
+        assert queue.clear() == 1 and queue.poll_instant() is None
 
 
 class TestPressureRearm:
-    @pytest.mark.parametrize("take", [
-        lambda queue: queue.poll(),
-        lambda queue: queue.poll_batch(1),
-        lambda queue: queue.poll_instant(1),
-    ], ids=["poll", "poll_batch", "poll_instant"])
-    def test_one_episode_counts_once_however_the_queue_is_polled(self, take):
+    @pytest.mark.parametrize("stamps", [[0] * 9, list(range(9))],
+                             ids=["one-run", "nine-runs"])
+    def test_one_episode_counts_once_however_the_queue_is_polled(self,
+                                                                 stamps):
         queue = InputQueue(capacity=10)  # pressure mark at 8
-        for i in range(9):
-            queue.offer(i, 0)
-        take(queue)  # depth 8: still at the mark, still pressured
+        for i, t in enumerate(stamps):
+            queue.offer(i, t)
+        queue.poll_instant(1)  # depth 8: still at the mark, still pressured
         queue.offer(9, 0)
         assert queue.pressured
         assert queue.pressure_events == 1
@@ -94,7 +87,7 @@ class TestPressureRearm:
         queue = InputQueue(capacity=10)
         for i in range(9):
             queue.offer(i, 0)
-        queue.poll_batch(2)
+        queue.poll_instant(2)
         assert not queue.pressured
         queue.offer(9, 0)
         queue.offer(10, 0)
@@ -140,17 +133,17 @@ class TestQueueWait:
     def test_checkpoints_carry_no_sequence_numbers(self):
         engine = make_engine()
         engine.register_query("q", GROUPED)
-        assert set(engine.snapshot()["handles"]["q"]) == {
-            "query", "emissions"}
+        assert set(engine.snapshot()["queries"]["q"]) == {
+            "agenda", "log", "emissions", "last_instant",
+            "deltas_processed", "operators"}
 
 
 class TestOneStagingPerSource:
     @pytest.fixture
     def census(self, monkeypatch):
-        counts = {"push_batch": 0, "stage_many": 0, "queued_tuples": 0}
+        counts = {"push_batch": 0, "stage_many": 0}
         push_batch = ContinuousQuery.push_batch
         stage_many = StreamSourceOp.stage_many
-        queued_tuple = queues.QueuedTuple
 
         def counted_push_batch(self, t, arrivals):
             counts["push_batch"] += 1
@@ -160,14 +153,9 @@ class TestOneStagingPerSource:
             counts["stage_many"] += 1
             return stage_many(self, records, t)
 
-        def counted_queued_tuple(*args):
-            counts["queued_tuples"] += 1
-            return queued_tuple(*args)
-
         monkeypatch.setattr(ContinuousQuery, "push_batch",
                             counted_push_batch)
         monkeypatch.setattr(StreamSourceOp, "stage_many", counted_stage_many)
-        monkeypatch.setattr(queues, "QueuedTuple", counted_queued_tuple)
         return counts
 
     @pytest.mark.parametrize("arrivals", [4, 64])
@@ -187,16 +175,6 @@ class TestOneStagingPerSource:
         assert census["push_batch"] == 1
         assert census["stage_many"] == sources
         assert handle.metrics.processed == arrivals
-
-    def test_the_isolated_path_builds_no_queued_tuple(self, census):
-        engine = make_engine()
-        engine.register_query("rel", GROUPED)
-        engine.register_query("str", "SELECT ISTREAM id FROM Obs [Now]")
-        for t in range(1, 6):
-            for ident in range(5):
-                engine.ingest("Obs", row(ident), t)
-            engine.run_until_idle()
-        assert census["queued_tuples"] == 0
 
 
 class TestRouting:

@@ -5,10 +5,10 @@ import inspect
 
 import pytest
 
-from repro.core import Schema
+from repro.core import Bag, Schema
 from repro.core.relation import TimeVaryingRelation
 from repro.cql import CQLEngine, executor
-from repro.dsms import DSMSEngine, components
+from repro.dsms import DSMSEngine
 
 OBS = Schema(["id", "room", "temp"])
 TARGET = "SELECT room, COUNT(*) AS n FROM Obs [Range 50] GROUP BY room"
@@ -112,12 +112,20 @@ class TestChurnSoak:
 class TestStoreWriteIsHistoryIndependent:
     def test_write_path_never_copies_the_change_log(self, monkeypatch):
         class NoCopyRelation(TimeVaryingRelation):
-            def change_points(self):
-                raise AssertionError(
-                    "Store.write copied the whole change-log")
+            #: Whole-log reads are refused while the engine runs.
+            refusing = True
 
-        monkeypatch.setattr(components, "TimeVaryingRelation",
-                            NoCopyRelation)
+            def change_points(self):
+                if self.refusing:
+                    raise AssertionError("the whole change-log was copied")
+                return super().change_points()
+
+            def snapshots(self):
+                if self.refusing:
+                    raise AssertionError("the whole change-log was read")
+                return super().snapshots()
+
+        monkeypatch.setattr(executor, "TimeVaryingRelation", NoCopyRelation)
         engine = make_engine()
         handle = engine.register_query("q", TARGET)
         for t in range(40):
@@ -127,10 +135,12 @@ class TestStoreWriteIsHistoryIndependent:
         engine.advance_time(200)
         history = handle.store_history()
         assert isinstance(history, NoCopyRelation)
-        # One state per instant (same-instant writes refine in place),
-        # plus registration's and the final expiry's.
-        assert len(history) == 41
-        assert handle.store_state() == history.at(200)
+        assert history is handle.query.as_relation()
+        NoCopyRelation.refusing = False
+        # One state per instant, not per tuple: the 40 instants that
+        # brought two arrivals each, then the 40 their windows expired at.
+        assert history.change_points() == [*range(40), *range(50, 90)]
+        assert handle.store_state() == history.at(200) == Bag()
 
 
 class TestRegistrationPlansOnce:

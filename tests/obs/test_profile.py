@@ -371,8 +371,8 @@ class TestQueuePressure:
         queue = InputQueue(capacity=10)
         for i in range(6):
             queue.offer(i, i)
-        queue.poll()
-        queue.poll()
+        queue.poll_instant()
+        queue.poll_instant()
         queue.offer(7, 7)
         assert queue.peak == 6
 
@@ -388,7 +388,7 @@ class TestQueuePressure:
         for i in range(8):
             queue.offer(i, i)
         assert queue.pressure_events == 1
-        while queue.poll() is not None:
+        while queue.poll_instant() is not None:
             pass
         assert not queue.pressured
         for i in range(8):
@@ -498,7 +498,7 @@ class TestCheckpointBytesByOperator:
         engine, handle = recovering_join_engine(recovery_interval=16)
         operators = _profile.analyze(handle)["operators"]
         figures = [entry["checkpoint_bytes"] for entry in operators]
-        query = engine.recovery.latest().state["handles"]["join"]["query"]
+        query = engine.recovery.latest().state["queries"]["join"]
         agenda = (sys.getsizeof(query["agenda"]["heap"])
                   + sys.getsizeof(query["agenda"]["scheduled"]))
         assert sum(figures) == handle.query.barrier_bytes - agenda

@@ -131,6 +131,12 @@ class TestWindowedAggregation:
             run_sql("SELECT * FROM Obs GROUP BY room, TUMBLE(10)",
                     SCHEMA, "Obs", ROWS)
 
+    def test_emit_changes_over_a_window_is_refused(self):
+        with pytest.raises(PlanError, match="window refinements"):
+            run_sql("SELECT room, COUNT(*) AS n FROM Obs "
+                    "GROUP BY room, TUMBLE(10) EMIT CHANGES",
+                    SCHEMA, "Obs", ROWS)
+
     def test_parallel_execution_matches_serial(self):
         query = ("SELECT room, COUNT(*) AS n, SUM(temp) AS s FROM Obs "
                  "GROUP BY room, TUMBLE(10)")
