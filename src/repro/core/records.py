@@ -165,9 +165,10 @@ class Schema:
 class Record:
     """An immutable tuple of values with a :class:`Schema`.
 
-    Records hash and compare by their values *and* field names, so two
-    records from differently-named schemas are distinct even when the raw
-    values coincide — exactly the behaviour bag-relational operators expect.
+    Records compare by their values *and* field names, so two records
+    from differently-named schemas are distinct even when the raw values
+    coincide — exactly the behaviour bag-relational operators expect.
+    They hash by their values alone, which equal records share.
     """
 
     __slots__ = ("_schema", "_values")
@@ -231,7 +232,9 @@ class Record:
                 and self._schema._fields == other._schema._fields)
 
     def __hash__(self) -> int:
-        return hash((self._schema._fields, self._values))
+        # The values alone: records equal under __eq__ have equal values,
+        # and rows of different layouts that share values only collide.
+        return hash(self._values)
 
     # Immutable, so every copy may be the record itself: snapshots of
     # operator state copy the containers and share the rows.

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from operator import itemgetter
 from sys import getsizeof
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -38,12 +38,12 @@ from repro.obs import get_registry as _obs_registry
 from repro.obs import _STATE as _obs_state
 
 from repro.core.errors import PlanError, StateError, TimeError
-from repro.core.operators import AggregateKind, R2SKind
+from repro.core.operators import R2SKind
 from repro.core.records import Record, Schema, relabel, trusted_record
 from repro.core.relation import EMPTY_BAG, Bag, TimeVaryingRelation
 from repro.core.stream import Stream
 from repro.core.time import MIN_TIMESTAMP, Timestamp
-from repro.plan.exprs import Column, EmitMode
+from repro.plan.exprs import EmitMode
 from repro.plan.ir import (
     Aggregate,
     Distinct,
@@ -61,6 +61,7 @@ from repro.plan.ir import (
 from repro.cql.ast import WindowSpecKind
 from repro.cql.catalog import Catalog
 from repro.cql.expressions import compile_expr, compile_predicate
+from repro.cql.kernels import aggregate_kernel, prefilter_kernel
 from repro.cql.state import KeyedState, copy_sized
 
 #: A signed record change flowing between physical operators: a bare
@@ -276,7 +277,8 @@ class StreamSourceOp(PhysicalOp):
                     "_pending", "_visible", "_arrived", "evicted")
 
     def __init__(self, scan: StreamScan, spec, agenda: Agenda,
-                 prefilter: Callable[[Record], bool] | None = None) -> None:
+                 prefilter: Callable[[list[Record]], list[Record]] | None
+                 = None) -> None:
         super().__init__([])
         self.scan = scan
         self.spec = spec
@@ -326,9 +328,9 @@ class StreamSourceOp(PhysicalOp):
             return
         self._arrived = True
         self.arrivals += len(records)
-        keep = self._prefilter
-        if keep is not None:
-            records = [record for record in records if keep(record)]
+        prefilter = self._prefilter
+        if prefilter is not None:
+            records = prefilter(records)
             if not records:
                 return
         if self.spec.kind is WindowSpecKind.RANGE and self.spec.slide:
@@ -692,105 +694,6 @@ class AppendOnlyJoinOp(JoinOp):
             state.mark(keys)
 
 
-class _MinMaxAccumulator:
-    """Multiset of values with min/max on demand (supports retraction)."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self) -> None:
-        self._counts: Counter = Counter()
-
-    def copy(self) -> "_MinMaxAccumulator":
-        out = _MinMaxAccumulator()
-        out._counts = self._counts.copy()
-        return out
-
-    def __sizeof__(self) -> int:
-        # What :meth:`copy` allocates: this object and its Counter.
-        return object.__sizeof__(self) + getsizeof(self._counts)
-
-    def add(self, value: Any, mult: int) -> None:
-        """Fold ``mult`` copies of ``value`` in; a retraction of a value
-        not held is refused before anything changes."""
-        counts = self._counts
-        held = counts.get(value, 0) + mult
-        if held > 0:
-            counts[value] = held
-        elif held == 0:
-            counts.pop(value, None)
-        else:
-            raise StateError(
-                f"aggregate retracts value {value!r}, which it does not hold")
-
-    def minimum(self) -> Any:
-        return min(self._counts) if self._counts else None
-
-    def maximum(self) -> Any:
-        return max(self._counts) if self._counts else None
-
-
-class _GroupState:
-    """Per-group accumulators for one Aggregate operator."""
-
-    __slots__ = ("rows", "counts", "sums", "minmax")
-
-    def __init__(self, n_aggs: int) -> None:
-        self.rows = 0                      # total input multiplicity
-        # Non-null count per argument aggregate (COUNT(*) reads ``rows``).
-        self.counts = [0] * n_aggs
-        self.sums = [0] * n_aggs           # running sum (SUM / AVG)
-        self.minmax: list[_MinMaxAccumulator | None] = [None] * n_aggs
-
-    def copy(self) -> "_GroupState":
-        out = _GroupState(0)
-        out.rows = self.rows
-        out.counts = list(self.counts)
-        out.sums = list(self.sums)
-        out.minmax = [None if acc is None else acc.copy()
-                      for acc in self.minmax]
-        return out
-
-    def __sizeof__(self) -> int:
-        # What :meth:`copy` allocates: this object, its three lists and
-        # its MIN/MAX accumulators (the numbers in the lists are shared).
-        return (object.__sizeof__(self) + getsizeof(self.counts)
-                + getsizeof(self.sums) + getsizeof(self.minmax)
-                + sum(getsizeof(acc) for acc in self.minmax
-                      if acc is not None))
-
-
-#: How an aggregate's argument folds into its group (see AggregateOp).
-_COUNT, _SUM, _MINMAX = range(3)
-_FOLD_STEP = {
-    AggregateKind.COUNT: _COUNT,
-    AggregateKind.SUM: _SUM,
-    AggregateKind.AVG: _SUM,
-    AggregateKind.MIN: _MINMAX,
-    AggregateKind.MAX: _MINMAX,
-}
-
-
-def _finisher(kind: AggregateKind, slot: int,
-              star: bool) -> Callable[[_GroupState], Any]:
-    """An aggregate's output value from its group's accumulators: NULL
-    over no non-NULL value, except COUNT's 0 (COUNT(*) is ``rows``)."""
-    if star:
-        return lambda group: group.rows
-    if kind is AggregateKind.COUNT:
-        return lambda group: group.counts[slot]
-    if kind is AggregateKind.SUM:
-        return lambda group: (group.sums[slot] if group.counts[slot]
-                              else None)
-    if kind is AggregateKind.AVG:
-        return lambda group: (group.sums[slot] / count
-                              if (count := group.counts[slot]) else None)
-    if kind is AggregateKind.MIN:
-        return lambda group: (group.minmax[slot].minimum()
-                              if group.counts[slot] else None)
-    return lambda group: (group.minmax[slot].maximum()
-                          if group.counts[slot] else None)
-
-
 class AggregateOp(PhysicalOp):
     """Incremental grouped aggregation with retractions.
 
@@ -810,31 +713,14 @@ class AggregateOp(PhysicalOp):
                  in_schema: Schema) -> None:
         super().__init__([])  # children attached by compiler
         self._plan = plan
-        self._out_schema = plan.schema
-        #: Group key from a row's values tuple, by position.
-        self._key_of = _values_at(
-            [in_schema.index_of(c) for c in plan.group_by])
-        aggregates = plan.aggregates
-        #: The compiled fold, per aggregate with an argument: ``(slot,
-        #: step, position, evaluator)`` — how the argument folds into the
-        #: group (``_COUNT``, ``_SUM`` or ``_MINMAX``) and where it comes
-        #: from: a bare column is read from the row's values at
-        #: ``position``, anything else (position None) is evaluated.
-        #: COUNT(*) needs no fold: it is the group's ``rows``.
-        self._fold = tuple(
-            (slot, _FOLD_STEP[spec.kind],
-             in_schema.index_of(spec.arg.name)
-             if isinstance(spec.arg, Column) else None,
-             compile_expr(spec.arg, in_schema))
-            for slot, spec in enumerate(aggregates) if spec.arg is not None)
-        #: Per aggregate, its output value from the group's accumulators.
-        self._finishers = tuple(
-            _finisher(spec.kind, slot, spec.arg is None)
-            for slot, spec in enumerate(aggregates))
+        #: The generated instant (see :mod:`repro.cql.kernels`): keys,
+        #: folds and finishes by position, bound to this plan's schema
+        #: and compiled argument evaluators.
+        self._kernel = aggregate_kernel(plan.group_by, plan.aggregates,
+                                        in_schema, plan.schema)
         #: Group key -> its accumulators, and -> its current output row.
         self._groups = KeyedState()
         self._current_rows = KeyedState()
-        self._global = not plan.group_by
         self._child_active = False
 
     def apply(self, t: Timestamp, child_deltas: list[list[Delta]],
@@ -845,84 +731,11 @@ class AggregateOp(PhysicalOp):
         return super().apply(t, child_deltas, child_active)
 
     def process(self, t, child_deltas):
-        (deltas,) = child_deltas
-        # The global group materialises its zero row at the first instant
-        # the input subtree is active — matching the reference evaluator,
-        # whose aggregate has a change point wherever its child does.
-        groups = self._groups.data
-        materialise_global = (self._global and not groups
-                              and self._child_active)
-        if not deltas and not materialise_global:
-            return []
-        n_aggs = len(self._finishers)
-        # Touched groups in first-touch order, each looked up once.
-        touched: dict[tuple, _GroupState] = {}
-        if self._global:
-            group = groups.get(())
-            if group is None:
-                group = groups[()] = _GroupState(n_aggs)
-            touched[()] = group
-        key_of, fold = self._key_of, self._fold
-        for record, mult in deltas:
-            values = record._values
-            key = key_of(values)
-            group = touched.get(key)
-            if group is None:
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = _GroupState(n_aggs)
-                touched[key] = group
-            group.rows += mult
-            for slot, step, position, evaluator in fold:
-                value = (values[position] if position is not None
-                         else evaluator(record))
-                if value is None:
-                    continue
-                group.counts[slot] += mult
-                if step is _SUM:
-                    group.sums[slot] += value * mult
-                elif step is _MINMAX:
-                    accumulator = group.minmax[slot]
-                    if accumulator is None:
-                        accumulator = group.minmax[slot] = \
-                            _MinMaxAccumulator()
-                    accumulator.add(value, mult)
-        self._groups.mark(touched)
-        self._current_rows.mark(touched)
-        out: list[Delta] = []
-        current_rows = self._current_rows.data
-        for key, group in touched.items():
-            old_row = current_rows.get(key)
-            new_row = self._row_for(key, group)
-            if old_row == new_row:
-                continue
-            if old_row is not None:
-                out.append((old_row, -1))
-            if new_row is not None:
-                out.append((new_row, 1))
-                current_rows[key] = new_row
-            else:
-                del current_rows[key]
-                del groups[key]
-        return out
+        return self._kernel(self, t, child_deltas)
 
     @property
     def state_size(self) -> int:
         return len(self._groups.data)
-
-    def _row_for(self, key: tuple, group: _GroupState) -> Record | None:
-        rows, counts = group.rows, group.counts
-        if rows <= 0 and (rows or any(counts)):
-            raise StateError(
-                f"aggregate group {key!r} retracts rows it does not hold")
-        if rows == 0 and not self._global:
-            return None
-        if counts and min(counts) < 0:
-            raise StateError(
-                f"aggregate group {key!r} retracts more non-NULL values "
-                f"than it holds")
-        return trusted_record(self._out_schema, key + tuple(
-            [finish(group) for finish in self._finishers]))
 
 
 class DistinctOp(PhysicalOp):
@@ -1191,15 +1004,8 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
             scan = inner
             if not isinstance(scan, StreamScan):
                 raise PlanError("window operator must sit on a stream scan")
-            prefilter = None
-            if predicates:
-                compiled = [compile_predicate(p, scan.schema)
-                            for p in predicates]
-                if len(compiled) == 1:
-                    prefilter = compiled[0]
-                else:
-                    prefilter = (lambda r, _preds=compiled:
-                                 all(p(r) for p in _preds))
+            prefilter = (prefilter_kernel(predicates, scan.schema)
+                         if predicates else None)
             source = StreamSourceOp(scan, node.spec, agenda,
                                     prefilter=prefilter)
             stream_sources[scan.name].append(source)

@@ -97,7 +97,7 @@ def compile_expr(expr: Expr, schema: Schema) -> Evaluator:
 
 def compile_predicate(expr: Expr, schema: Schema) -> Callable[[Record], bool]:
     """Compile a boolean expression; NULL results count as false."""
-    simple = _column_vs_literal(expr, schema)
+    simple = column_vs_literal(expr, schema)
     if simple is not None:
         # One call per row: a NULL column is false, as is a NULL result.
         index, fn, value = simple
@@ -107,7 +107,7 @@ def compile_predicate(expr: Expr, schema: Schema) -> Callable[[Record], bool]:
     return lambda record: evaluator(record) is True
 
 
-def _column_vs_literal(expr: Expr, schema: Schema) \
+def column_vs_literal(expr: Expr, schema: Schema) \
         -> tuple[int, Callable[[Any, Any], Any], Any] | None:
     """``(column index, comparison, literal)`` when ``expr`` is
     ``column <op> literal`` with a non-NULL literal, else None."""
@@ -121,7 +121,7 @@ def _column_vs_literal(expr: Expr, schema: Schema) \
 
 
 def _compile_binary(expr: Binary, schema: Schema) -> Evaluator:
-    simple = _column_vs_literal(expr, schema)
+    simple = column_vs_literal(expr, schema)
     if simple is not None:
         index, fn, value = simple
         return lambda record: (None if (v := record._values[index]) is None

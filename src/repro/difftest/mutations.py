@@ -11,8 +11,8 @@ The mutants cover the bug classes named by the issue:
   expire one tick late in the executor.
 * ``dropped-expiry``       — the executor's event-time agenda silently
   drops scheduled instants, so windows never evict.
-* ``null-counting-count``  — NULL handling: the incremental COUNT(expr)
-  accumulator counts NULL values (SQL says it must not).
+* ``null-counting-count``  — NULL handling: the generated COUNT(expr)
+  fold counts NULL values (SQL says it must not).
 * ``sliding-expiry-capped``— the core sparse change-log caps a sliding
   window's expiry boundary at ``t + size``, losing the expiry of gappy
   ``slide > size`` windows (the historical bug, reintroduced).
@@ -27,7 +27,9 @@ import contextlib
 from typing import Callable, Iterator
 
 from repro.core import windows as core_windows
+from repro.core.operators import AggregateKind
 from repro.cql import executor as cql_executor
+from repro.cql import kernels as cql_kernels
 from repro.cql.ast import WindowSpecKind
 
 
@@ -65,27 +67,19 @@ def dropped_expiry() -> Iterator[None]:
 
 @contextlib.contextmanager
 def null_counting_count() -> Iterator[None]:
-    """COUNT(expr) counts NULL values in the incremental accumulator."""
-    original = cql_executor.AggregateOp.__init__
-    count = cql_executor._COUNT
+    """COUNT(expr) counts NULL values in the generated aggregate fold."""
+    original = cql_kernels.STEPS[AggregateKind.COUNT]
 
-    def non_null(evaluator):
-        # The injected bug: a NULL argument reaches the fold as a value.
-        return lambda record: (0 if (value := evaluator(record)) is None
-                               else value)
+    def mutated(slot, value):
+        # The injected bug: a NULL argument reaches COUNT's fold.  The
+        # kernel cache is keyed by source, so this renders a new kernel.
+        return [f"group.counts[{slot}] += mult"]
 
-    def mutated(self, plan, in_schema):
-        original(self, plan, in_schema)
-        self._fold = tuple(
-            (slot, step, None, non_null(evaluator)) if step is count
-            else (slot, step, position, evaluator)
-            for slot, step, position, evaluator in self._fold)
-
-    cql_executor.AggregateOp.__init__ = mutated
+    cql_kernels.STEPS[AggregateKind.COUNT] = mutated
     try:
         yield
     finally:
-        cql_executor.AggregateOp.__init__ = original
+        cql_kernels.STEPS[AggregateKind.COUNT] = original
 
 
 @contextlib.contextmanager

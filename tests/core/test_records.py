@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import Record, Schema, SchemaError, records_from_dicts
 from repro.core.records import relabel
+from repro.core.relation import Bag
 
 
 @pytest.fixture
@@ -107,6 +108,25 @@ class TestRecord:
     def test_hashable(self, person_schema):
         record = Record(person_schema, (1, "ada", 36))
         assert record in {record}
+
+    def test_equal_records_on_distinct_equal_schemas_hash_equal(self):
+        a = Record(Schema(["x", "y"]), (1, "a"))
+        b = Record(Schema(["x", "y"]), (1, "a"))
+        assert a.schema is not b.schema
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_same_values_under_other_names_stay_apart_in_a_bag(self):
+        a = Record(Schema(["x"]), (1,))
+        b = Record(Schema(["y"]), (1,))
+        # The hash reads the values alone, so these collide; equality
+        # still compares the field names and keeps them apart.
+        assert hash(a) == hash(b) and a != b
+        bag = Bag()
+        bag.add(a)
+        bag.add(b, 2)
+        assert bag.support_size == 2
+        assert bag.count(a) == 1 and bag.count(b) == 2
 
     def test_project(self, person_schema):
         record = Record(person_schema, (1, "ada", 36))

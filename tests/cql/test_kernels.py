@@ -1,0 +1,387 @@
+"""Generated kernels (:mod:`repro.cql.kernels`) against the reference.
+
+Every aggregate runs the generated instant and every filter pushed below
+a window the generated prefilter, so these cases compare a query's
+answer at every instant with :mod:`repro.cql.reference` over NULL-bearing
+streams, pin the refusal messages the kernel raises, and count the
+compiles behind the process-wide factory cache.
+"""
+
+import ast
+import linecache
+import random
+import traceback
+from collections import OrderedDict
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core import Schema, StateError, Stream
+from repro.core.operators import AggregateKind
+from repro.core.records import Record
+from repro.cql import CQLEngine, kernels, reference_evaluate
+from repro.cql.catalog import Catalog
+from repro.cql.expressions import compile_predicate
+from repro.plan.exprs import Binary, BinOp, Column, Literal
+from repro.plan.ir import Aggregate, AggregateExpr, WindowAggregate, walk
+from repro.views import DynamicTable, DynamicTableService, make_scan
+
+OBS = Schema(["id", "room", "temp"])
+
+
+def obs_stream(seed, arrivals=60):
+    """Sparse, NULL-bearing arrivals: several share an instant, and gaps
+    longer than a window empty groups out."""
+    rng = random.Random(seed)
+    rows, t = [], 0
+    for _ in range(arrivals):
+        t += rng.choice([0, 0, 1, 2, 5])
+        rows.append(({"id": rng.randrange(6),
+                      "room": rng.choice(["a", "b", "c", None]),
+                      "temp": rng.choice([None, -3, 0, 7, 12, 25, 40])}, t))
+    return Stream.of_records(OBS, rows)
+
+
+def engine():
+    cql = CQLEngine()
+    cql.register_stream("Obs", OBS)
+    return cql
+
+
+def both(text, stream):
+    """(reference relation, executed query) for a relation query."""
+    reference = reference_evaluate(engine().plan(text), engine().catalog,
+                                   {"Obs": stream})
+    query = engine().register_query(text)
+    query.run_recorded({"Obs": stream})
+    return reference, query
+
+
+def rows_at(relation, t):
+    return sorted((tuple(record) for record in relation.at(t)), key=repr)
+
+
+def value_items(bag):
+    return sorted(((tuple(record), n) for record, n in bag.items()),
+                  key=repr)
+
+
+AGGREGATES = [
+    "COUNT(*) AS n", "COUNT(temp) AS c", "SUM(temp) AS s", "AVG(temp) AS a",
+    "MIN(temp) AS lo", "MAX(temp) AS hi",
+    # Expression arguments: evaluated by their compiled closures.
+    "COUNT(temp + id) AS c", "SUM(temp * 2 - id) AS s", "AVG(temp - id) AS a",
+    "MIN(ABS(temp - 20)) AS lo", "MAX(temp % 7) AS hi",
+]
+
+
+class TestAggregateKernel:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("aggregate", AGGREGATES)
+    def test_grouped_matches_reference(self, aggregate, seed):
+        reference, query = both(
+            f"SELECT room, {aggregate} FROM Obs [Range 3] GROUP BY room",
+            obs_stream(seed))
+        assert query.as_relation() == reference
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("aggregate", AGGREGATES)
+    def test_global_matches_reference(self, aggregate, seed):
+        reference, query = both(f"SELECT {aggregate} FROM Obs [Range 3]",
+                                obs_stream(seed))
+        assert query.as_relation() == reference
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_every_kind_over_two_key_columns(self, seed):
+        reference, query = both(
+            "SELECT room, id, COUNT(*) AS n, COUNT(temp) AS c, "
+            "SUM(temp) AS s, AVG(temp) AS a, MIN(temp) AS lo, "
+            "MAX(temp) AS hi, SUM(temp + id) AS e FROM Obs [Rows 7] "
+            "GROUP BY room, id", obs_stream(seed, 120))
+        assert query.as_relation() == reference
+
+    def test_groups_disappear_when_their_rows_expire(self):
+        stream = Stream.of_records(OBS, [
+            ({"id": 1, "room": "a", "temp": 5}, 1),
+            ({"id": 2, "room": "b", "temp": None}, 2),
+            ({"id": 3, "room": "b", "temp": 9}, 3)])
+        reference, query = both(
+            "SELECT room, COUNT(temp) AS c, MIN(temp) AS lo FROM Obs "
+            "[Range 3] GROUP BY room", stream)
+        assert query.as_relation() == reference
+        relation = query.as_relation()
+        assert rows_at(relation, 3) == [("a", 1, 5), ("b", 1, 9)]
+        assert rows_at(relation, 4) == [("b", 1, 9)]
+        assert rows_at(relation, 6) == []
+        # The emptied groups left no accumulators behind.
+        (aggregate,) = [op for label, op in query.operators()
+                        if label.endswith("AggregateOp")]
+        assert aggregate.state_size == 0
+
+    def test_the_global_group_keeps_its_zero_row(self):
+        stream = Stream.of_records(OBS, [
+            ({"id": 1, "room": "a", "temp": None}, 2)])
+        reference, query = both(
+            "SELECT COUNT(*) AS n, COUNT(temp) AS c, SUM(temp) AS s, "
+            "MAX(temp) AS hi FROM Obs [Range 2]", stream)
+        assert query.as_relation() == reference
+        assert rows_at(query.as_relation(), 2) == [(1, 0, None, None)]
+        assert rows_at(query.as_relation(), 4) == [(0, 0, None, None)]
+
+    def test_the_zero_row_appears_when_every_arrival_is_filtered(self):
+        stream = Stream.of_records(OBS, [
+            ({"id": 1, "room": "a", "temp": 5}, 3)])
+        reference, query = both(
+            "SELECT COUNT(*) AS n FROM Obs [Range 2] WHERE temp > 100",
+            stream)
+        assert query.as_relation() == reference
+        assert rows_at(query.as_relation(), 3) == [(0,)]
+
+    def test_a_group_whose_row_is_unchanged_emits_nothing(self):
+        query = engine().register_query(
+            "SELECT room, MAX(temp) AS hi FROM Obs [Range 9] GROUP BY room")
+        query.start()
+        (aggregate,) = [op for label, op in query.operators()
+                        if label.endswith("AggregateOp")]
+        query.push("Obs", {"id": 1, "room": "a", "temp": 30}, 1)
+        emitted = aggregate.emitted
+        query.push("Obs", {"id": 2, "room": "a", "temp": 10}, 2)
+        assert aggregate.emitted == emitted
+        assert rows_at(query.as_relation(), 2) == [("a", 30)]
+
+    def test_one_shape_serves_operators_with_their_own_bindings(self):
+        stream = obs_stream(7)
+        cql = engine()
+        narrow = cql.register_query(
+            "SELECT room, SUM(temp + id) AS s FROM Obs [Range 2] "
+            "GROUP BY room")
+        wide = cql.register_query(
+            "SELECT room, SUM(temp - id) AS s FROM Obs [Range 9] "
+            "GROUP BY room")
+        for query in (narrow, wide):
+            query.run_recorded({"Obs": stream})
+        for query in (narrow, wide):
+            reference = reference_evaluate(query.plan, cql.catalog,
+                                           {"Obs": stream})
+            assert query.as_relation() == reference
+
+
+class TestRunningAggregates:
+    """Streaming SQL's ``EMIT CHANGES`` aggregates: dynamic tables whose
+    plan is a running :class:`WindowAggregate`."""
+
+    SELECT = ("SELECT {keys}COUNT(*) AS n, COUNT(v) AS c, SUM(v) AS s, "
+              "AVG(v) AS a, MIN(v) AS lo, MAX(v * 2) AS hi FROM t{group}")
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_every_refresh_matches_reference(self, grouped):
+        keys, group = ("k, ", " GROUP BY k") if grouped else ("", "")
+        select = self.SELECT.format(keys=keys, group=group)
+        service = DynamicTableService()
+        service.create_table("t", Schema(["k", "v"]))
+        view = service.execute(f"CREATE DYNAMIC TABLE g TARGET_LAG = 0 AS "
+                               f"{select} EMIT CHANGES")
+        assert any(isinstance(node, WindowAggregate)
+                   for node in walk(view.plan))
+        rng = random.Random(11)
+        live = []
+        for version in range(1, 40):
+            inserts = [{"k": rng.randrange(3),
+                        "v": rng.choice([None, -2, 0, 3, 8])}
+                       for _ in range(rng.randrange(4))]
+            deletes = rng.sample(live, min(len(live), rng.randrange(3)))
+            for row in deletes:
+                live.remove(row)
+            live.extend(inserts)
+            service.apply("t", inserts=inserts, deletes=deletes, at=version)
+            service.tick(version)
+            cql = CQLEngine()
+            cql.register_relation("t", Schema(["k", "v"]), rows=live)
+            reference = reference_evaluate(cql.plan(select), cql.catalog, {})
+            assert value_items(service.read("g")) == \
+                value_items(reference.at(version))
+
+
+SCHEMA = Schema(["g", "v"])
+
+
+def row(g, v):
+    return Record.from_mapping(SCHEMA, {"g": g, "v": v})
+
+
+def table_view(*aggregates):
+    """A view grouping table ``t`` by ``g``, primed at version 0."""
+    scan = make_scan("t", "s", SCHEMA)
+    catalog = Catalog()
+    catalog.register_relation("t", SCHEMA)
+    view = DynamicTable("v", Aggregate(scan, ("s.g",), ("g",), aggregates),
+                        0, catalog)
+    view.evaluate(0, {})
+    return view
+
+
+COUNT_ROWS = AggregateExpr(AggregateKind.COUNT, None, "n")
+SUM_V = AggregateExpr(AggregateKind.SUM, Column("s.v"), "total")
+MIN_V = AggregateExpr(AggregateKind.MIN, Column("s.v"), "lo")
+
+
+class TestRefusals:
+    """The three over-retraction messages, word for word, and the kernel
+    line a traceback shows for them."""
+
+    def refusal(self, view, deltas):
+        with pytest.raises(StateError) as caught:
+            view.evaluate(1, {"t": deltas})
+        return caught.value
+
+    def test_group_rows(self):
+        error = self.refusal(table_view(COUNT_ROWS), [(row(0, 1), -1)])
+        assert str(error) == \
+            "aggregate group (0,) retracts rows it does not hold"
+
+    def test_non_null_count(self):
+        view = table_view(COUNT_ROWS, SUM_V)
+        view.evaluate(1, {"t": [(row(0, None), 1)]})
+        with pytest.raises(StateError) as caught:
+            view.evaluate(2, {"t": [(row(0, None), 1), (row(0, 5), -1)]})
+        assert str(caught.value) == ("aggregate group (0,) retracts more "
+                                     "non-NULL values than it holds")
+
+    def test_min_max_value(self):
+        view = table_view(COUNT_ROWS, MIN_V)
+        view.evaluate(1, {"t": [(row(0, 1), 1)]})
+        with pytest.raises(StateError) as caught:
+            view.evaluate(2, {"t": [(row(0, 1), 1), (row(0, 5), -1)]})
+        assert str(caught.value) == \
+            "aggregate retracts value 5, which it does not hold"
+
+    @pytest.mark.parametrize("aggregates, deltas, line", [
+        ((COUNT_ROWS,), [(row(0, 1), -1)], "raise StateError("),
+        ((MIN_V,), [(row(0, 5), 1), (row(0, 1), -1)],
+         "accumulator.add(value, mult)"),
+    ])
+    def test_a_traceback_shows_the_generated_line(self, aggregates, deltas,
+                                                  line):
+        error = self.refusal(table_view(*aggregates), deltas)
+        frames = [frame for frame in traceback.extract_tb(
+            error.__traceback__)
+            if frame.filename.startswith("<aggregate kernel ")]
+        assert len(frames) == 1
+        assert frames[0].line == line
+        assert linecache.getline(frames[0].filename,
+                                 frames[0].lineno).strip() == line
+        assert line in "".join(traceback.format_exception(error))
+
+
+class TestPrefilterKernel:
+    TEMP_HOT = Binary(BinOp.GT, Column("temp"), Literal(10))
+    ROOM_A = Binary(BinOp.EQ, Column("room"), Literal("a"))
+    SUM_BIG = Binary(BinOp.GT, Binary(BinOp.ADD, Column("temp"),
+                                      Column("id")), Literal(12))
+    REVERSED = Binary(BinOp.LT, Literal(10), Column("temp"))
+
+    @pytest.mark.parametrize("predicates", [
+        [TEMP_HOT],
+        [TEMP_HOT, ROOM_A],
+        [Binary(BinOp.AND, TEMP_HOT, Binary(BinOp.NE, Column("room"),
+                                             Literal("b")))],
+        [SUM_BIG],
+        [REVERSED, Binary(BinOp.AND, SUM_BIG, ROOM_A)],
+        [Binary(BinOp.OR, TEMP_HOT, ROOM_A)],
+    ], ids=["one", "several", "and", "non-simple", "mixed", "or"])
+    def test_keeps_what_compile_predicate_keeps(self, predicates):
+        records = [row for row, _ in obs_stream(9, 200)]
+        compiled = [compile_predicate(p, OBS) for p in predicates]
+        want = [r for r in records if all(p(r) for p in compiled)]
+        assert any(r["temp"] is None or r["room"] is None for r in records)
+        assert kernels.prefilter_kernel(predicates, OBS)(records) == want
+
+    @pytest.mark.parametrize("where", [
+        "temp > 10",
+        "temp > 10 AND room <> 'b' AND id <= 4",
+        "room = 'a'",
+        "temp >= 0",
+        "temp + id > 12",
+        "10 < temp AND temp + id < 40",
+        "temp > 30 OR room = 'a'",
+    ])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_pushed_below_the_window_matches_reference(self, where, seed):
+        text = (f"SELECT room, COUNT(*) AS n, SUM(temp) AS s FROM Obs "
+                f"[Range 3] WHERE {where} GROUP BY room")
+        reference, query = both(text, obs_stream(seed))
+        (source,) = query._stream_sources["Obs"]
+        assert source._prefilter is not None
+        assert query.as_relation() == reference
+
+
+class TestFactoryCache:
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """An empty cache, and the list of sources compiled into it."""
+        monkeypatch.setattr(kernels, "_factories", OrderedDict())
+        compiled = []
+
+        def counting(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(kernels, "compile", counting, raising=False)
+        return compiled
+
+    def test_fifty_queries_over_four_shapes_compile_four_kernels(
+            self, compiles):
+        shapes = [
+            "SELECT room, COUNT(*) AS n FROM Obs [Range {w}] GROUP BY room",
+            "SELECT COUNT(*) AS n FROM Obs [Range {w}]",
+            "SELECT room, AVG(temp) AS a FROM Obs [Rows {w}] GROUP BY room",
+            "SELECT MAX(temp + id) AS hi FROM Obs [Range {w}]",
+        ]
+        cql = engine()
+        queries = [cql.register_query(shapes[i % 4].format(w=1 + i // 4))
+                   for i in range(50)]
+        assert len(compiles) == 4
+        assert all(name.startswith("<aggregate kernel ") for name in compiles)
+        stream = obs_stream(3)
+        for query in queries[:8]:
+            query.run_recorded({"Obs": stream})
+            assert query.as_relation() == reference_evaluate(
+                query.plan, cql.catalog, {"Obs": stream})
+
+    def test_filling_the_cache_evicts_the_least_recent(self, monkeypatch,
+                                                       compiles):
+        monkeypatch.setattr(kernels, "CACHE_SIZE", 3)
+        shapes = [[Binary(BinOp.GT, Column(name), Literal(0))]
+                  for name in ("id", "room", "temp")]
+        shapes += [[Binary(BinOp.LT, Column(name), Literal(0))]
+                   for name in ("id", "room")]
+        for predicates in shapes:
+            kernels.prefilter_kernel(predicates, OBS)
+        assert len(compiles) == 5 and len(kernels._factories) == 3
+        gone, kept = compiles[:2], compiles[2:]
+        assert all(name not in linecache.cache for name in gone)
+        assert all(name in linecache.cache for name in kept)
+        kernels.prefilter_kernel(shapes[4], OBS)     # cached
+        assert len(compiles) == 5
+        kernels.prefilter_kernel(shapes[0], OBS)     # evicted: again
+        assert len(compiles) == 6 and len(kernels._factories) == 3
+
+
+def test_only_the_kernel_module_compiles_code():
+    """Generated code has one home: no other module under ``repro`` calls
+    ``exec``, ``eval`` or ``compile``."""
+    root = Path(repro.__file__).parent
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "builtins" else None)
+            if name in ("exec", "eval", "compile"):
+                callers.add(path.relative_to(root).as_posix())
+    assert callers == {"cql/kernels.py"}
