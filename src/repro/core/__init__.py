@@ -60,7 +60,7 @@ from repro.core.punctuation import (
     WatermarkTracker,
 )
 from repro.core.records import Record, Schema, records_from_dicts
-from repro.core.relation import Bag, TimeVaryingRelation
+from repro.core.relation import Bag, Changelog, TimeVaryingRelation
 from repro.core.semantics import (
     babcock_sellis_evaluation,
     continuous_evaluation,
@@ -128,7 +128,8 @@ __all__ = [
     # records
     "Schema", "Record", "records_from_dicts",
     # streams & relations
-    "Stream", "StreamElement", "merge_streams", "Bag", "TimeVaryingRelation",
+    "Stream", "StreamElement", "merge_streams", "Bag", "Changelog",
+    "TimeVaryingRelation",
     # windows
     "Window", "WindowAssigner", "TumblingWindow", "SlidingWindow",
     "RangeWindow", "SteppedRangeWindow", "NowWindow", "UnboundedWindow", "LandmarkWindow",

@@ -1,4 +1,5 @@
-"""Relations: instantaneous bags and time-varying relations (Definition 3.1).
+"""Relations: instantaneous bags, time-varying relations (Definition 3.1)
+and the delta log every maintained relation keeps.
 
 CQL's second data type, the *time-varying relation*, maps each time instant
 to a finite bag of tuples.  We represent one as a change-log: a sorted list
@@ -6,6 +7,13 @@ of ``(τ, bag)`` entries meaning "from τ (inclusive) until the next entry the
 relation equals *bag*".  That makes ``at(τ)`` a binary search, keeps storage
 proportional to the number of changes, and makes the R2S operators
 (:mod:`repro.core.operators`) a simple pairwise diff of consecutive states.
+It is the reference semantics' type.
+
+A relation the engine maintains — a standing query's answer, a base table,
+a view — is instead a :class:`Changelog`: its current contents plus the
+netted ``(row, weight)`` batches that built them (the stream/table duality:
+a table is the fold of its changelog).  A time-varying relation is built
+from one only when a caller asks for a whole history.
 
 Instantaneous relations are bags (multisets), matching SQL/CQL semantics
 where duplicates are meaningful until an explicit DISTINCT.
@@ -15,6 +23,8 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 from sys import getsizeof
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -186,8 +196,10 @@ class Bag:
         return out
 
     def copy(self) -> "Bag":
+        # ``dict.update`` into the new empty Counter copies in C, without
+        # ``Counter.copy``'s second Counter and Python-level ``update``.
         out = Bag()
-        out._counts = self._counts.copy()
+        dict.update(out._counts, self._counts)
         return out
 
     def __sizeof__(self) -> int:
@@ -198,9 +210,6 @@ class Bag:
     def to_sorted_list(self) -> list[Any]:
         """Items with multiplicity, sorted by repr (stable for reporting)."""
         return sorted(self, key=repr)
-
-
-EMPTY_BAG = Bag()
 
 
 class TimeVaryingRelation:
@@ -248,13 +257,13 @@ class TimeVaryingRelation:
         """The instantaneous relation R(τ) in force at instant ``t``."""
         idx = bisect.bisect_right(self._times, t) - 1
         if idx < 0:
-            return EMPTY_BAG
+            return Bag()
         return self._states[idx]
 
     def latest(self) -> Bag:
         """The newest state: the bag in force from the last change point
-        on (the empty bag before the first)."""
-        return self._states[-1] if self._states else EMPTY_BAG
+        on (a fresh empty bag before the first)."""
+        return self._states[-1] if self._states else Bag()
 
     def change_points(self) -> list[Timestamp]:
         """Instants at which the relation (may) change, in order."""
@@ -299,3 +308,151 @@ class TimeVaryingRelation:
             tuple[Timestamp, Bag]]:
         """Sample the relation at the given instants."""
         return [(t, self.at(t)) for t in instants]
+
+
+def _negated(rows: tuple, weights: tuple) -> dict[Hashable, int]:
+    return dict(zip(rows, [-weight for weight in weights]))
+
+
+class Changelog:
+    """A maintained relation: its current contents plus the append-only,
+    version-stamped log of the netted batches that built them.
+
+    A batch is a z-set: ``(row, weight)`` entries, +n for inserts and −n
+    for deletes, each row once, no weight zero.  It is stored column-wise,
+    as a ``(rows, weights)`` pair of tuples — under a third of the memory
+    of a tuple of pairs.  Versions never decrease; two commits at one
+    version are two batches, so a position in the log (its length) is a
+    checkpoint and :meth:`truncate` the rollback to it.
+
+    The log keeps what its owner retains: a standing query keeps every
+    batch, a table or view only what some consumer has yet to pull
+    (:meth:`gc`).  History reads — :meth:`as_of`, :meth:`relation` — fold
+    back from the contents, so they reach as far back as the oldest
+    batch retained.
+    """
+
+    __slots__ = ("contents", "_versions", "_batches")
+
+    def __init__(self) -> None:
+        #: The relation now.  Changed only through :meth:`commit` and
+        #: :meth:`truncate`; readers that keep it must copy it.
+        self.contents = Bag()
+        self._versions: list[int] = []
+        self._batches: list[tuple[tuple, tuple]] = []
+
+    def commit(self, version: int,
+               deltas: list[tuple[Hashable, int]]) -> dict[Hashable, int]:
+        """Fold ``deltas`` into the contents at ``version``; returns their
+        net weights (row → nonzero summed weight).
+
+        All or nothing: a version behind the newest, or a retraction of
+        more copies than the contents hold, raises
+        :class:`~repro.core.errors.StateError` and changes nothing.  A
+        net that is empty logs nothing.
+        """
+        # Rows rarely repeat within one commit, so the net is first taken
+        # as one dict build (one hash per row) and summed row by row only
+        # when some row did repeat or a weight was zero.
+        net = dict(deltas)
+        if len(net) != len(deltas) or 0 in net.values():
+            net = {}
+            get = net.get
+            for row, weight in deltas:
+                net[row] = get(row, 0) + weight
+            net = {row: weight for row, weight in net.items() if weight}
+        if not net:
+            return net
+        versions = self._versions
+        if versions and version < versions[-1]:
+            raise StateError(
+                f"changelog versions must not decrease: {version} after "
+                f"{versions[-1]}")
+        self.contents.apply_signed(net)
+        versions.append(version)
+        self._batches.append((tuple(net), tuple(net.values())))
+        return net
+
+    def truncate(self, length: int) -> None:
+        """Cut the log back to its first ``length`` batches (a rollback to
+        a length it had) and take the batches cut back out of the
+        contents, newest first."""
+        undo = self.contents.apply_signed
+        for rows, weights in reversed(self._batches[length:]):
+            undo(_negated(rows, weights))
+        del self._versions[length:]
+        del self._batches[length:]
+
+    def gc(self, below: int) -> int:
+        """Drop the batches committed at versions ``<= below``; returns
+        how many went.  The contents keep them.
+
+        Safe when every consumer has pulled past ``below``: a consumer at
+        version ``v >= below`` only ever pulls ``(v, ...]``, and one that
+        attaches later primes from the contents, not from a replay — so
+        the cost is the batches dropped, never the rows the relation
+        holds.
+        """
+        cut = bisect.bisect_right(self._versions, below)
+        del self._versions[:cut]
+        del self._batches[:cut]
+        return cut
+
+    def between(self, after: int, upto: int) -> list[tuple[Hashable, int]]:
+        """Every ``(row, weight)`` committed at versions in ``(after,
+        upto]``, oldest batch first."""
+        lo = bisect.bisect_right(self._versions, after)
+        hi = bisect.bisect_right(self._versions, upto)
+        out: list[tuple[Hashable, int]] = []
+        for rows, weights in self._batches[lo:hi]:
+            out.extend(zip(rows, weights))
+        return out
+
+    def as_of(self, version: int) -> Bag:
+        """The contents as of ``version`` (a new Bag): every later batch
+        undone, newest first."""
+        contents = self.contents.copy()
+        keep = bisect.bisect_right(self._versions, version)
+        for rows, weights in reversed(self._batches[keep:]):
+            contents.apply_signed(_negated(rows, weights))
+        return contents
+
+    def relation(self, schema: Schema | None = None) -> "TimeVaryingRelation":
+        """The retained history as a :class:`TimeVaryingRelation`, built
+        now: one change point per version whose batches change the
+        contents, holding the contents after it.  A version whose
+        batches net to no change has none, the first one included.
+
+        Folds back from a copy of the contents, copying it once per
+        change point.
+        """
+        points: list[tuple[int, Bag]] = []
+        state, pending = self.contents.copy(), None
+        newest_first = zip(reversed(self._versions), reversed(self._batches))
+        for version, batches in groupby(newest_first, key=itemgetter(0)):
+            undo: dict[Hashable, int] = {}
+            get = undo.get
+            for _, (rows, weights) in batches:
+                for row, weight in zip(rows, weights):
+                    undo[row] = get(row, 0) - weight
+            if any(undo.values()):
+                if pending:
+                    state.apply_signed(pending)
+                # A copy taken after the change fits its contents; one
+                # changed after the copy may outgrow its table.
+                points.append((version, state.copy()))
+                pending = undo
+        relation = TimeVaryingRelation(schema=schema)
+        for version, bag in reversed(points):
+            relation.set_at(version, bag, coalesce=False)
+        return relation
+
+    def entries(self) -> Iterator[tuple[int, tuple]]:
+        """Each retained batch as ``(version, ((row, weight), ...))``."""
+        return ((version, tuple(zip(rows, weights)))
+                for version, (rows, weights)
+                in zip(self._versions, self._batches))
+
+    def __len__(self) -> int:
+        """The number of batches retained."""
+        return len(self._versions)

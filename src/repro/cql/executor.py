@@ -40,7 +40,7 @@ from repro.obs import _STATE as _obs_state
 from repro.core.errors import PlanError, StateError, TimeError
 from repro.core.operators import R2SKind
 from repro.core.records import Record, Schema, relabel, trusted_record
-from repro.core.relation import EMPTY_BAG, Bag, TimeVaryingRelation
+from repro.core.relation import Bag, Changelog, TimeVaryingRelation
 from repro.core.stream import Stream
 from repro.core.time import MIN_TIMESTAMP, Timestamp
 from repro.plan.exprs import EmitMode
@@ -1239,11 +1239,10 @@ class ContinuousQuery:
             plan, catalog, self._agenda,
             memo=shared.memo if shared is not None else None,
             parallelism=parallelism), parallelism)
-        self._state = Bag()
-        #: The change-log: one state per instant (see :meth:`_log_state`).
-        #: It is the query's only history of its answer — the DSMS Store
-        #: reads it, see :meth:`as_relation`.
-        self._log = TimeVaryingRelation(schema=self.output_schema)
+        #: The answer and its history: the maintained relation plus one
+        #: netted batch per fold that changed it (see :meth:`_apply_instant`).
+        #: The DSMS Store reads this very log, see :attr:`changelog`.
+        self._log = Changelog()
         self._emissions: list[Emission] = []
         #: Emissions produced by group instants another member triggered,
         #: waiting to be returned from this member's next feeding call.
@@ -1263,11 +1262,9 @@ class ContinuousQuery:
         #: ``_scheme``: the plan's PartitionScheme when fissioned, else None.
         (self._root, self._stream_sources, self._relation_sources,
          self._phys_by_logical, self._scheme) = compiled
-        #: The newest checkpoint (see :meth:`snapshot`) and the change-log
-        #: tail (instant, state) it keeps by reference; a new tree has no
+        #: The newest checkpoint (see :meth:`snapshot`); a new tree has no
         #: recovery image.
         self._checkpoint: dict[str, Any] | None = None
-        self._tail: tuple[Timestamp, Bag] | None = None
         #: The number of key partitions the plan runs in (1: serial).
         self.parallelism = parallelism
         self._evaluator = (InstantEvaluator([self._root])
@@ -1425,18 +1422,15 @@ class ContinuousQuery:
         exactly — the property the kernel-crashed difftest leg checks.
         Operators write the keys they changed since the previous barrier
         (every key at the first, see :meth:`PhysicalOp.barrier`); the
-        emissions are append-only, so they write their length; the agenda
-        (bounded by the widest window) is copied.  The change-log only
-        grows, except that a fold at its tail's instant replaces or drops
-        the tail (see :meth:`_log_state`): it writes its length and keeps
-        the tail entry by reference — a never-mutated Bag, so it is not
-        written twice.  It may be taken
-        between quanta, inside an instant whose remaining arrivals are
-        still to come.  :attr:`barrier_bytes` is the operators' tallies
-        plus the agenda copy.  The recovery image stays inside the query,
-        so :meth:`restore` takes the newest checkpoint only.  Shared-group
-        members cannot checkpoint independently: their operator state
-        interleaves with other members'.
+        change-log and the emissions are append-only, so they write their
+        lengths; the agenda (bounded by the widest window) is copied.  It
+        may be taken between quanta, inside an instant whose remaining
+        arrivals are still to come: the instant's next fold is a second
+        batch at the same version.  :attr:`barrier_bytes` is the
+        operators' tallies plus the agenda copy.  The recovery image stays
+        inside the query, so :meth:`restore` takes the newest checkpoint
+        only.  Shared-group members cannot checkpoint independently: their
+        operator state interleaves with other members'.
         """
         if self._shared is not None:
             raise StateError(
@@ -1451,8 +1445,6 @@ class ContinuousQuery:
             "deltas_processed": self._deltas_processed,
             "operators": [op.barrier() for op in ops],
         }
-        log = self._log
-        self._tail = (log._times[-1], log._states[-1]) if log else None
         self.barrier_bytes = (getsizeof(agenda["heap"])
                               + getsizeof(agenda["scheduled"])
                               + sum(op.barrier_bytes for op in ops))
@@ -1462,11 +1454,11 @@ class ContinuousQuery:
         """Roll back in place to the newest checkpoint (``payload`` is
         what :meth:`snapshot` returned for it).
 
-        Operators restore only the keys they changed since; the log and
-        the emissions are cut back to their lengths then, the log's tail
-        entry is put back, and the maintained relation is that tail
-        again.  The compiled tree is reused, and any partially processed
-        instant left over from a crash (staged arrivals) is discarded.
+        Operators restore only the keys they changed since; the change-log
+        and the emissions are cut back to their lengths then, and the
+        batches cut are taken back out of the answer.  The compiled tree
+        is reused, and any partially processed instant left over from a
+        crash (staged arrivals) is discarded.
         Repeatable: the checkpoint is not consumed.
         """
         point = self._checkpoint
@@ -1478,16 +1470,7 @@ class ContinuousQuery:
         for _, op in self.operators():
             op.rollback()
         self._agenda.restore(point["agenda"])
-        log, length = self._log, point["log"]
-        if length:
-            # Slice-assigned: a fold since may have dropped the tail.
-            t, state = self._tail
-            log._times[length - 1:] = [t]
-            log._states[length - 1:] = [state]
-            self._state = state.copy()
-        else:
-            del log._times[:], log._states[:]
-            self._state = Bag()
+        self._log.truncate(point["log"])
         del self._emissions[point["emissions"]:]
         self._last_instant = point["last_instant"]
         self._deltas_processed = point["deltas_processed"]
@@ -1515,32 +1498,22 @@ class ContinuousQuery:
 
     def _apply_instant(self, t: Timestamp,
                        deltas: list[Delta]) -> list[Emission]:
-        """Fold one instant's root deltas into state, log and emissions.
+        """Fold one instant's root deltas into the change-log and the
+        emissions.
 
         Split from :meth:`_process_instant` so a shared group can evaluate
         all member plans in one pass and hand each member its own root
-        batch.
+        batch.  The log commits the *net* change R(τ) − R(τ−), the only
+        change the reference semantics sees; an instant folded in several
+        quanta commits one batch per fold.  All or nothing: a refused
+        retraction leaves the answer, the log, the emissions and the
+        clock as they were.
         """
         self._deltas_processed += len(deltas)
-        # Cancel opposite-signed deltas within the instant: the reference
-        # semantics only sees the *net* change R(τ) − R(τ−).  Rows rarely
-        # repeat within an instant, so the net is first taken as one
-        # dict build (one hash per row) and summed only when some row
-        # did repeat.
-        net = dict(deltas)
-        if len(net) != len(deltas) or 0 in net.values():
-            net = {}
-            for record, mult in deltas:
-                net[record] = net.get(record, 0) + mult
-            net = {r: m for r, m in net.items() if m}
-        if not net:
-            self._last_instant = t
-            return []
-        # All or nothing: a refused retraction leaves the state, the log,
-        # the emissions and the clock as they were.
-        self._state.apply_signed(net)
+        net = self._log.commit(t, deltas)
         self._last_instant = t
-        self._log_state(t)
+        if not net:
+            return []
         r2s = self.r2s
         if r2s is None:
             return []
@@ -1551,54 +1524,24 @@ class ContinuousQuery:
             emitted = [Emission(r, t) for r, m in net.items() if m < 0
                        for _ in range(-m)]
         else:
-            emitted = [Emission(r, t) for r, m in self._state.items()
-                       for _ in range(m)]
+            # In repr order: the answer's dict order depends on its
+            # history, and a rollback re-adds the rows it takes back last.
+            emitted = [Emission(r, t)
+                       for r in self._log.contents.to_sorted_list()]
         self._emissions.extend(emitted)
         return emitted
-
-    def _log_state(self, t: Timestamp) -> None:
-        """Log the working state as instant ``t``'s: one entry per instant,
-        however the instant's arrivals were split into folds.
-
-        A fold at the instant the log already ends at replaces the tail,
-        or drops it when the state is back where the instant started — one
-        fold of the whole instant would have logged nothing.  An entry is
-        the one copy of its instant, compact and never mutated again (see
-        :attr:`state`).
-        """
-        times, states = self._log._times, self._log._states
-        if times and times[-1] == t:
-            if self._state == (states[-2] if len(states) > 1 else EMPTY_BAG):
-                times.pop()
-                states.pop()
-            else:
-                states[-1] = self._state.copy()
-        else:
-            times.append(t)
-            states.append(self._state.copy())
 
     # -- inspection ----------------------------------------------------------
 
     def current(self) -> Bag:
-        """The maintained relation state right now (a private copy).
-
-        Copied from the change-log's newest entry, which equals the
-        working state but is compact: the working state's dict keeps the
-        deleted slots its churn leaves, which make a copy dearer.
-        """
-        return self._log.latest().copy()
+        """The maintained relation state right now (a private copy)."""
+        return self._log.contents.copy()
 
     @property
-    def state(self) -> Bag:
-        """The maintained relation state right now, *not* copied: the
-        change-log's newest entry (the shared empty Bag before the first
-        change).
-
-        Logged Bags are never mutated (the fold keeps a private working
-        state and logs one copy of it per instant), so this may be kept
-        but must not be changed.
-        """
-        return self._log.latest()
+    def changelog(self) -> Changelog:
+        """The answer and its history, not copied: the log the query
+        commits to and rolls back.  Readers must not change it."""
+        return self._log
 
     def emissions(self) -> list[Emission]:
         """All output elements produced so far (R2S queries)."""
@@ -1617,10 +1560,9 @@ class ContinuousQuery:
         return out
 
     def as_relation(self) -> TimeVaryingRelation:
-        """The maintained state's change-log itself, one state per instant
-        (see :meth:`_log_state`): O(1), nothing is copied.  It keeps
-        growing with the query and must not be changed by the reader."""
-        return self._log
+        """The answer's history, built now from the change-log: one state
+        per instant that changed it (see :meth:`Changelog.relation`)."""
+        return self._log.relation(self.output_schema)
 
     @property
     def deltas_processed(self) -> int:

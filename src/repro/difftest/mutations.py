@@ -16,9 +16,10 @@ The mutants cover the bug classes named by the issue:
 * ``sliding-expiry-capped``— the core sparse change-log caps a sliding
   window's expiry boundary at ``t + size``, losing the expiry of gappy
   ``slide > size`` windows (the historical bug, reintroduced).
-* ``state-log-coalesce``   — the executor's change-log keeps the first
-  state per instant instead of the last, so an instant whose arrivals
-  were split across quanta logs (and stores) an intermediate state.
+* ``state-log-coalesce``   — the change-log logs only the first fold of
+  an instant: a second commit at the log's newest version changes the
+  answer but logs no batch, so an instant whose arrivals were split
+  across quanta has a history (and a Store history) that misses a fold.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable, Iterator
 
 from repro.core import windows as core_windows
 from repro.core.operators import AggregateKind
+from repro.core.relation import Changelog
 from repro.cql import executor as cql_executor
 from repro.cql import kernels as cql_kernels
 from repro.cql.ast import WindowSpecKind
@@ -102,20 +104,23 @@ def sliding_expiry_capped() -> Iterator[None]:
 
 @contextlib.contextmanager
 def state_log_coalesce() -> Iterator[None]:
-    """The change-log keeps the *first* state per instant: a later fold
-    at the instant the log ends at leaves the tail as it was."""
-    original = cql_executor.ContinuousQuery._log_state
+    """A second fold at the log's newest version changes the contents but
+    is not logged."""
+    original = Changelog.commit
 
-    def mutated(self, t):
-        if self._log and self._log._times[-1] == t:
-            return
-        original(self, t)
+    def mutated(self, version, deltas):
+        logged = len(self)
+        again = bool(logged) and self._versions[-1] == version
+        net = original(self, version, deltas)
+        if again:
+            del self._versions[logged:], self._batches[logged:]
+        return net
 
-    cql_executor.ContinuousQuery._log_state = mutated
+    Changelog.commit = mutated
     try:
         yield
     finally:
-        cql_executor.ContinuousQuery._log_state = original
+        Changelog.commit = original
 
 
 #: name -> (context manager, oracle leg: "cql" or "core")

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterator, Protocol
 
-from repro.core.relation import Bag, TimeVaryingRelation
+from repro.core.errors import PlanError
+from repro.core.records import Schema
+from repro.core.relation import Bag, Changelog, TimeVaryingRelation
 from repro.core.time import Timestamp
 
 
@@ -21,30 +23,40 @@ class Store:
     """Persistent result storage: one time-varying relation per query.
 
     The Store is what a client reads when it asks a DSMS for "the current
-    answer" of a registered relation-producing query.  It keeps no history
-    of its own: each relation is the query's own change-log
-    (:meth:`ContinuousQuery.as_relation`), registered once and held by
+    answer" of a registered relation-producing query.  It keeps no answer
+    or history of its own: each query's is the query's own
+    :class:`~repro.core.relation.Changelog`
+    (:attr:`ContinuousQuery.changelog`), registered once and held by
     reference — so a query's fold and rollback are the Store's too, and
-    the answer outlives a cancelled query without keeping its operators.
+    the answer and its history outlive a cancelled query without keeping
+    its operators.
     """
 
     def __init__(self) -> None:
-        self._relations: dict[str, TimeVaryingRelation] = {}
+        self._logs: dict[str, tuple[Changelog, Schema | None]] = {}
 
-    def register(self, name: str, relation: TimeVaryingRelation) -> None:
-        self._relations[name] = relation
+    def register(self, name: str, log: Changelog,
+                 schema: Schema | None = None) -> None:
+        self._logs[name] = (log, schema)
+
+    def _entry(self, name: str) -> tuple[Changelog, Schema | None]:
+        entry = self._logs.get(name)
+        if entry is None:
+            raise PlanError(f"unknown query {name!r}")
+        return entry
 
     def current(self, name: str) -> Bag:
         """The stored answer right now (a private copy)."""
-        return self._relations[name].latest().copy()
+        return self._entry(name)[0].contents.copy()
 
     def history(self, name: str) -> TimeVaryingRelation:
-        """The full change-log of the stored answer (the query's own, not
-        a copy)."""
-        return self._relations[name]
+        """The stored answer's history, built now from the query's
+        change-log (see :meth:`Changelog.relation`)."""
+        log, schema = self._entry(name)
+        return log.relation(schema)
 
     def names(self) -> list[str]:
-        return sorted(self._relations)
+        return sorted(self._logs)
 
 
 class StateHolder(Protocol):

@@ -155,7 +155,8 @@ class QueryHandle:
         A quantum drains the queue's head instant, up to ``batch_size``
         tuples of it (all of them when ``batch_size`` is None), into ONE
         atomic ``push_batch`` — one instant evaluation, which the query
-        folds into its change-log (the Store's history) at most once.
+        commits to its change-log (the Store's history) as at most one
+        batch.
         With ``batch_size=1`` a quantum is one tuple.
         """
         run = self.queue.poll_instant(self.batch_size)
@@ -226,8 +227,8 @@ class QueryHandle:
         return self.query.current()
 
     def store_history(self) -> TimeVaryingRelation:
-        """The Store's history of this query: the query's change-log
-        itself, O(1) (see :meth:`ContinuousQuery.as_relation`)."""
+        """The Store's history of this query, built now from the query's
+        change-log (see :meth:`ContinuousQuery.as_relation`)."""
         return self.query.as_relation()
 
 
@@ -494,7 +495,7 @@ class DSMSEngine:
         self._readers.clear()
         self._handles.append(handle)
         self._by_name[name] = handle
-        self.store.register(name, query.as_relation())
+        self.store.register(name, query.changelog, query.output_schema)
         if self.recovery is not None:
             # Re-baseline so the new query is covered by the recovery
             # point.  Registration is expected at quiescence (queues
@@ -522,7 +523,7 @@ class DSMSEngine:
         self._readers.clear()
         self._handles.append(handle)
         self._by_name[name] = handle
-        self.store.register(name, query.as_relation())
+        self.store.register(name, query.changelog, query.output_schema)
         return handle
 
     def create_dynamic_table(self, text: str):
@@ -553,7 +554,10 @@ class DSMSEngine:
         return self.views.execute(text)
 
     def query(self, name: str) -> QueryHandle:
-        return self._by_name[name]
+        handle = self._by_name.get(name)
+        if handle is None:
+            raise PlanError(f"unknown query {name!r}")
+        return handle
 
     def cancel_query(self, name: str) -> QueryHandle:
         """Explicitly terminate a standing query (the other half of the

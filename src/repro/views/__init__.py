@@ -10,12 +10,16 @@ algebra for continuous queries and view maintenance.
 
 Module map:
 
-* :mod:`repro.views.delta` — version-stamped changelogs of z-set deltas
 * :mod:`repro.views.reference` — full-recompute reference evaluator
 * :mod:`repro.views.dag` — dependency-graph scheduling helpers
 * :mod:`repro.views.service` — tables, views, the refresh scheduler
+
+Each table and view keeps its contents and CDC deltas in one
+:class:`repro.core.relation.Changelog` (re-exported here), the delta log
+a standing query's answer keeps too.
 """
 
+from repro.core.relation import Changelog
 from repro.views.dag import (
     DOWNSTREAM,
     below_suspended,
@@ -24,7 +28,6 @@ from repro.views.dag import (
     effective_lags,
     topo_order,
 )
-from repro.views.delta import Changelog
 from repro.views.reference import recompute
 from repro.views.service import (
     BaseTable,

@@ -38,9 +38,11 @@ The whole service checkpoints by in-place barrier (``snapshot()`` /
 ``restore()``, the chaos ``RecoveryManager`` protocol), covering the
 operator state inside every view plan — a mid-refresh crash rolls back
 to the last checkpoint and the re-run refresh converges to the same
-contents.  A checkpoint costs what changed since the previous one:
-changelogs write offsets, and a rollback takes the batches appended
-since back out of the contents.
+contents.  Every table and view is one
+:class:`~repro.core.relation.Changelog` — its contents plus the netted
+batches that built them — so a checkpoint costs what changed since the
+previous one: changelogs write offsets, and a rollback truncates them,
+which takes the batches appended since back out of the contents.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 import repro.obs as obs
 from repro.core.errors import PlanError, StateError
 from repro.core.records import Record, Schema
-from repro.core.relation import Bag
+from repro.core.relation import Bag, Changelog
 from repro.cql.catalog import Catalog
 from repro.cql.executor import (
     Agenda,
@@ -73,19 +75,18 @@ from repro.views.dag import (
     effective_lags,
     topo_order,
 )
-from repro.views.delta import Changelog, net_of, net_weights
 
 #: Materialisation versions retained per view for snapshot-isolated reads.
 HISTORY_LIMIT = 8
 
 
 class BaseTable:
-    """A versioned base table: current contents plus its CDC changelog."""
+    """A versioned base table: its contents and CDC changelog are one
+    :class:`~repro.core.relation.Changelog`."""
 
     def __init__(self, name: str, schema: Schema) -> None:
         self.name = name
         self.schema = schema
-        self.contents = Bag()
         self.changelog = Changelog()
         self.version = -1
 
@@ -109,7 +110,8 @@ class DynamicTable:
     first instant primes it: every scan is active, so a global aggregate
     materialises its COUNT = 0 row even over empty sources.  Streams,
     windows and R2S operators have no place in a materialised table's
-    definition and are refused here.
+    definition and are refused here.  The materialisation and its
+    changelog are one :class:`~repro.core.relation.Changelog`.
     """
 
     def __init__(self, name: str, plan: LogicalOp,
@@ -129,7 +131,6 @@ class DynamicTable:
         #: Source name → the scans reading it (two for a self-join).
         self._scans = scans
         self.sources = sorted(scans)
-        self.materialized = Bag()
         self.changelog = Changelog()
         self.version = -1
         self.suspended = False
@@ -170,7 +171,7 @@ class DynamicTable:
                 f"view {self.name!r} has no retained materialisation at "
                 f"version {version} (history starts at "
                 f"{self.history[0][0] if self.history else 'never'})")
-        contents = self.materialized.copy()
+        contents = self.changelog.contents.copy()
         for _, deltas in reversed(self.history[kept:]):
             contents.apply_signed({row: -weight for row, weight in deltas})
         return contents
@@ -262,13 +263,13 @@ class DynamicTableService:
             if source in self._views:
                 self._refresh_to(self._views[source], self.clock)
         # ... then the plan's first instant takes their current contents
-        # as inserts, which is the initial full computation.  Changelogs
-        # hold only what attached consumers have yet to pull, so nothing
-        # older than this moment is ever asked of them.
-        weights = net_weights(view.evaluate(self.clock, {
-            source: list(self._contents(source).items())
-            for source in view.sources}))
-        view.materialized.apply_signed(weights)
+        # as inserts, which is the initial full computation, committed at
+        # the creation version like any refresh.  Changelogs hold only
+        # what attached consumers have yet to pull, so nothing older than
+        # this moment is ever asked of them.
+        weights = view.changelog.commit(self.clock, view.evaluate(
+            self.clock, {source: list(self._contents(source).items())
+                         for source in view.sources}))
         view.version = self.clock
         view.refreshes = 1
         view.record_version(self.clock)
@@ -288,9 +289,8 @@ class DynamicTableService:
         return view
 
     def _contents(self, name: str) -> Bag:
-        table = self._tables.get(name)
-        return table.contents if table is not None \
-            else self._views[name].materialized
+        holder = self._tables.get(name) or self._views[name]
+        return holder.changelog.contents
 
     def _require_advanceable(self, view: DynamicTable, target: int) -> None:
         """Raise unless ``view`` can be brought to ``target``: no
@@ -344,15 +344,7 @@ class DynamicTableService:
             version = pulled + 1
         deltas = [(table.coerce(row), 1) for row in inserts]
         deltas += [(table.coerce(row), -1) for row in deletes]
-        weights = net_weights(deltas)
-        netted = net_of(deltas, weights)
-        for row, weight in netted:
-            if weight < 0 and table.contents.count(row) < -weight:
-                raise StateError(
-                    f"deleting {-weight} × {row!r} from {name!r} but only "
-                    f"{table.contents.count(row)} present")
-        table.contents.apply_signed(weights)
-        table.changelog.append(version, netted)
+        table.changelog.commit(version, deltas)
         table.version = version
         self.clock = version
         return version
@@ -388,15 +380,11 @@ class DynamicTableService:
         out: tuple[Delta, ...] = ()
         changed = 0
         if incoming:
-            # One netting pass over the instant's root deltas: their
-            # weights go to the materialisation all or nothing, so a
-            # refused refresh leaves contents, changelog and history as
-            # they were.
-            collected = view.evaluate(target, incoming)
-            weights = net_weights(collected)
-            view.materialized.apply_signed(weights)
-            out = tuple(net_of(collected, weights))
-            view.changelog.append(target, out)
+            # The commit is all or nothing, so a refused refresh leaves
+            # contents, changelog and history as they were.
+            weights = view.changelog.commit(
+                target, view.evaluate(target, incoming))
+            out = tuple(weights.items())
             changed = sum(map(abs, weights.values()))
         view.version = target
         view.refreshes += 1
@@ -504,10 +492,10 @@ class DynamicTableService:
             if version is not None:
                 raise StateError("base tables expose current contents "
                                  "only; views retain version history")
-            return self._tables[name].contents.copy()
+            return self._tables[name].changelog.contents.copy()
         view = self._require_view(name)
         if version is None:
-            return view.materialized.copy()
+            return view.changelog.contents.copy()
         return view.at_version(version)
 
     def view(self, name: str) -> DynamicTable:
@@ -534,9 +522,9 @@ class DynamicTableService:
         """A barrier: move the service's recovery point to now and return
         what it wrote, costing what changed since the previous barrier.
 
-        Every changelog writes its length, as the DSMS Store does.
-        Contents and materialisations write nothing: only the batches
-        their changelogs gain change them, so :meth:`restore` undoes those.
+        Every changelog writes its length, as a standing query's does:
+        contents change only through the batches their changelogs gain,
+        so :meth:`restore` truncates those back out.
         Each view's operators write the keys they changed
         (:meth:`PhysicalOp.barrier`), its history (at most
         ``HISTORY_LIMIT`` entries) is kept by reference, and the scalars
@@ -579,10 +567,10 @@ class DynamicTableService:
         """Roll back in place to the newest barrier (``payload`` is what
         :meth:`snapshot` returned for it); repeatable.
 
-        Changelogs are cut back to their lengths then, and the batches cut
-        are taken back out of the contents they changed; view operators
-        restore only the keys changed since.  A table or view created
-        after the barrier is refused, before anything changes.
+        Changelogs are truncated to their lengths then, which takes the
+        batches cut back out of the contents; view operators restore only
+        the keys changed since.  A table or view created after the
+        barrier is refused, before anything changes.
         """
         if payload is None or payload is not self._checkpoint:
             raise StateError(
@@ -597,13 +585,11 @@ class DynamicTableService:
         self.clock = payload["clock"]
         for name, point in payload["tables"].items():
             table = self._tables[name]
-            _take_back(table.contents,
-                       table.changelog.truncate(point["changelog"]))
+            table.changelog.truncate(point["changelog"])
             table.version = point["version"]
         for name, point in payload["views"].items():
             view = self._views[name]
-            _take_back(view.materialized,
-                       view.changelog.truncate(point["changelog"]))
+            view.changelog.truncate(point["changelog"])
             view.version = point["version"]
             view.suspended = point["suspended"]
             view.refreshes = point["refreshes"]
@@ -611,10 +597,3 @@ class DynamicTableService:
             for _, op in view.operators():
                 op.rollback()
         self._schedule = None
-
-
-def _take_back(contents: Bag, batches: list[tuple[Delta, ...]]) -> None:
-    """Undo ``batches``, the netted deltas ``contents`` took since a
-    barrier, newest first."""
-    for batch in reversed(batches):
-        contents.apply_signed({row: -weight for row, weight in batch})

@@ -200,8 +200,9 @@ def test_sizing_a_checkpoint_reprs_no_record(monkeypatch):
 
 def test_an_answer_held_by_reference_adds_nothing():
     narrow, wide = Run(50, 500, answer=True), Run(50, 50_000, answer=True)
-    # The Store's tail is the whole 500- or 50 000-row answer; the
-    # checkpoint keeps it by reference, and sizing it must not walk it.
+    # The Store's answer is the whole 500- or 50 000-row relation; the
+    # checkpoint writes only its change-log's length, and sizing it must
+    # not walk the answer.
     assert wide.bytes == narrow.bytes
     assert wide.calls == narrow.calls
 

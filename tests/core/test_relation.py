@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core import Bag, StateError, TimeError, TimeVaryingRelation
+from repro.core import (
+    Bag,
+    Changelog,
+    Schema,
+    StateError,
+    TimeError,
+    TimeVaryingRelation,
+)
+from repro.dsms import DSMSEngine
 
 
 class TestBag:
@@ -91,6 +99,24 @@ class TestBag:
 
 
 class TestTimeVaryingRelation:
+    def test_empty_reads_are_fresh_bags(self):
+        tvr = TimeVaryingRelation()
+        tvr.at(0).add("junk")
+        tvr.latest().add("junk")
+        assert tvr.at(0) == tvr.latest() == Bag()
+        assert TimeVaryingRelation().at(0) == Bag()
+
+    def test_mutating_an_empty_history_read_leaks_into_no_other_answer(self):
+        def engine_with_query():
+            engine = DSMSEngine()
+            engine.register_stream("Obs", Schema(["id"]))
+            return engine.register_query("q", "SELECT id FROM Obs [Now]")
+
+        engine_with_query().store_history().at(0).add("junk")
+        fresh = engine_with_query()
+        assert fresh.store_state() == Bag()
+        assert fresh.store_history().at(0) == Bag()
+
     def test_empty_before_first_change(self):
         tvr = TimeVaryingRelation()
         tvr.set_at(10, Bag(["x"]))
@@ -152,3 +178,68 @@ class TestTimeVaryingRelation:
         tvr = TimeVaryingRelation.from_snapshots([(0, Bag(["a"]))])
         samples = tvr.restricted([0, 7])
         assert samples == [(0, Bag(["a"])), (7, Bag(["a"]))]
+
+
+class TestChangelog:
+    def test_commit_nets_applies_and_logs_one_batch(self):
+        log = Changelog()
+        assert log.commit(1, [("a", 1), ("b", 2), ("a", 1), ("c", 1),
+                              ("c", -1)]) == {"a": 2, "b": 2}
+        assert log.contents == Bag(["a", "a", "b", "b"])
+        assert list(log.entries()) == [(1, (("a", 2), ("b", 2)))]
+        assert log.commit(2, [("b", 1), ("b", -1)]) == {}
+        assert len(log) == 1
+        assert log.between(0, 2) == [("a", 2), ("b", 2)]
+
+    def test_commit_is_all_or_nothing(self):
+        log = Changelog()
+        log.commit(3, [("a", 1)])
+        with pytest.raises(StateError, match="must not decrease"):
+            log.commit(2, [("b", 1)])
+        with pytest.raises(StateError, match="retraction of absent"):
+            log.commit(3, [("b", 1), ("z", -1)])
+        assert log.contents == Bag(["a"]) and len(log) == 1
+
+    def test_truncate_takes_the_cut_batches_back_out(self):
+        log = Changelog()
+        log.commit(1, [("a", 1), ("b", 1)])
+        before = log.contents.copy()
+        log.commit(2, [("a", -1), ("c", 1)])
+        log.commit(2, [("c", -1), ("a", 1), ("d", 3)])
+        log.truncate(1)
+        assert log.contents == before and len(log) == 1
+        log.truncate(0)
+        assert log.contents == Bag() and len(log) == 0
+
+    def test_as_of_folds_back_from_the_contents(self):
+        log = Changelog()
+        log.commit(1, [("a", 1)])
+        log.commit(4, [("b", 1)])
+        log.commit(6, [("a", -1)])
+        assert [log.as_of(v) for v in (0, 1, 3, 4, 6)] == [
+            Bag(), Bag(["a"]), Bag(["a"]), Bag(["a", "b"]), Bag(["b"])]
+        assert log.contents == Bag(["b"])
+
+    def test_relation_has_one_point_per_version_that_changed(self):
+        log = Changelog()
+        log.commit(1, [("a", 1)])          # the first version nets to
+        log.commit(1, [("a", -1)])         # nothing: no change point
+        log.commit(2, [("b", 1)])
+        log.commit(3, [("b", -1), ("c", 1)])
+        log.commit(3, [("c", -1), ("b", 1)])  # back where 3 started
+        log.commit(5, [("d", 2)])
+        relation = log.relation()
+        assert list(relation.snapshots()) == [
+            (2, Bag(["b"])), (5, Bag(["b", "d", "d"]))]
+        # Each read is built now: changing it changes neither the log nor
+        # the next read.
+        relation.at(5).add("junk")
+        assert log.contents == log.relation().at(5) == Bag(["b", "d", "d"])
+
+    def test_gc_keeps_the_contents_and_the_later_batches(self):
+        log = Changelog()
+        for version in (1, 2, 2, 5):
+            log.commit(version, [(version, 1)])
+        assert log.gc(below=2) == 3
+        assert log.contents == Bag([1, 2, 2, 5])
+        assert log.between(2, 5) == [(5, 1)]

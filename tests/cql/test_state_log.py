@@ -1,10 +1,11 @@
 """Regression tests for the executor's change-log and its export.
 
 An instant's arrivals may reach a query in several folds (a DSMS
-servicing one tuple per quantum, or a capped micro-batch).  The log keeps
-one state per instant all the same: a fold at the instant the log ends at
-replaces its tail, or drops it when the state is back where the instant
-started.  ``as_relation`` must not corrupt earlier instants either — the
+servicing one tuple per quantum, or a capped micro-batch).  Each fold is
+one batch in the change-log, and the history read from it keeps one state
+per instant all the same: an instant's batches are netted together, and
+an instant that ends where it started has no change point.
+``as_relation`` must not corrupt earlier instants either — the
 historical bug popped the relation's tail after ``set_at`` had already
 coalesced a no-op state, silently deleting an earlier change point.
 """
@@ -35,8 +36,9 @@ def test_the_log_keeps_one_state_per_instant_however_it_is_split():
         for row in rows:
             split.push("Obs", row, t)
         whole.push_batch(t, {"Obs": rows})
-    assert list(split._log.snapshots()) == list(whole._log.snapshots())
-    logged = split._log.change_points()
+    assert list(split.as_relation().snapshots()) \
+        == list(whole.as_relation().snapshots())
+    logged = split.as_relation().change_points()
     assert logged == sorted(set(logged))
     assert 6 not in logged and 8 in logged
 

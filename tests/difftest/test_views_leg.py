@@ -100,7 +100,7 @@ def test_leg_catches_a_broken_aggregate(monkeypatch):
 def test_leg_catches_a_gc_one_version_past_the_mark(monkeypatch):
     """Reclaiming the entry just above the low-water mark loses a slice
     some lagging or suspended consumer has yet to pull."""
-    from repro.views.delta import Changelog
+    from repro.core.relation import Changelog
 
     original = Changelog.gc
     monkeypatch.setattr(Changelog, "gc",

@@ -1,11 +1,13 @@
-"""The per-arrival path: one Record per arrival, one Bag per instant.
+"""The per-arrival path: one Record per arrival, no Bag copy per instant.
 
 Counts, not clocks: what the engine builds, copies and hashes per
 arrival and per service quantum is counted directly and must not depend
-on the fleet size or on how long the engine has run.  Beside the counts,
-the regressions for what converting once and copying once fixed: a row
-that does not fit its stream is refused at ``ingest`` (before anything
-is logged), and a refused root fold changes nothing.
+on the fleet size, on how long the engine has run or on the size of the
+answer: a fold commits its net change to the query's change-log and
+copies nothing.  Beside the counts, the regressions for what converting
+once and folding all or nothing fixed: a row that does not fit its
+stream is refused at ``ingest`` (before anything is logged), and a
+refused root fold changes nothing.
 """
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from repro.chaos import CrashFuse, install_crash
 from repro.core import Record, Schema, SchemaError, StateError, TimeError
 from repro.core.relation import Bag
-from repro.cql import executor
+from repro.cql import CQLEngine, executor
 from repro.cql.executor import ContinuousQuery
 from repro.dsms import DSMSEngine
 
@@ -46,7 +48,7 @@ def bag_copies(monkeypatch):
     return copies
 
 
-class TestOneBagCopyPerInstant:
+class TestNoBagCopyPerInstant:
     QUERY = "SELECT room, COUNT(*) AS n FROM Obs [Range 50] " \
             "WHERE temp > 10 GROUP BY room"
 
@@ -59,26 +61,27 @@ class TestOneBagCopyPerInstant:
         engine.run_until_idle()
         return engine, handle
 
-    def test_one_copy_when_the_state_changes(self, bag_copies):
+    def test_no_copy_when_the_state_changes(self, bag_copies):
         engine, handle = self.warm()
         engine.ingest("Obs", row(9, "hall"), 3)
+        logged = len(handle.query.changelog)
         bag_copies.clear()
         assert engine.step()
-        assert len(bag_copies) == 1
-        # The copy is the new state and the query's log entry, which is
-        # the Store's entry too.
-        stored = handle.store_history()
-        assert stored is engine.store.history("q")
-        assert stored.latest() is handle.query.state
-        assert stored.at(3) is handle.query.state
+        assert bag_copies == []
+        # The fold is one batch in the query's log, which is the Store's.
+        assert len(handle.query.changelog) == logged + 1
+        assert engine.store.current("q") == handle.query.changelog.contents
+        assert handle.store_history().at(3) == handle.store_state()
 
     def test_no_copy_when_the_state_holds(self, bag_copies):
         engine, handle = self.warm()
         engine.ingest("Obs", row(9, "hall", temp=5), 3)  # filtered out
         logged = list(handle.store_history().snapshots())
+        batches = len(handle.query.changelog)
         bag_copies.clear()
         assert engine.step()
         assert bag_copies == []
+        assert len(handle.query.changelog) == batches
         assert list(handle.store_history().snapshots()) == logged
 
     def test_store_reads_copy_nothing_but_the_answer(self, bag_copies):
@@ -88,28 +91,31 @@ class TestOneBagCopyPerInstant:
         engine.run_until_idle()
         engine.advance_time(100)
         bag_copies.clear()
-        history = handle.store_history()
-        assert history is engine.store.history("q")
-        assert bag_copies == []
-        assert handle.store_state() == history.latest()
-        assert engine.store.current("q") == history.latest()
+        assert handle.store_state() == engine.store.current("q")
         assert len(bag_copies) == 2
+        # A history read builds one Bag per change point, from one working
+        # copy of the answer, and only then.
+        bag_copies.clear()
+        history = engine.store.history("q")
+        assert len(bag_copies) == len(history) + 1 > 3
+        assert handle.store_state() == history.latest()
 
-    def test_one_copy_per_batched_instant(self, bag_copies):
+    def test_no_copy_per_batched_instant(self, bag_copies):
         engine, handle = self.warm(batch_size=8)
         for ident in range(8):
             engine.ingest("Obs", row(ident, f"r{ident}"), 3)
         bag_copies.clear()
         assert engine.step()
         assert handle.metrics.processed == 14
-        assert len(bag_copies) == 1
+        assert bag_copies == []
 
 
 class TestOneQuantumPerInstant:
-    """On a default engine a relation-output query evaluates and copies
-    each instant once, however many arrivals share it; a stream-output
-    query still does so once per arrival.  Either way the change-log —
-    the Store's history — gains one entry per instant."""
+    """On a default engine a relation-output query evaluates each instant
+    once, however many arrivals share it; a stream-output query still
+    does so once per arrival, one change-log batch per fold.  Neither
+    copies a Bag, and either way the history read from the change-log —
+    the Store's — gains one change point per instant."""
 
     @pytest.fixture
     def census(self, monkeypatch, bag_copies):
@@ -135,26 +141,57 @@ class TestOneQuantumPerInstant:
     def per_instant(self, text, arrivals, census):
         read, clear = census
         engine = make_engine()
-        history = engine.register_query("q", text).store_history()
+        handle = engine.register_query("q", text)
         engine.ingest("Obs", row(0), 1)
         engine.run_until_idle()
+        logged = len(handle.store_history())
+        batches = len(handle.query.changelog)
         clear()
-        logged = len(history)
         for ident in range(1, arrivals + 1):
             engine.ingest("Obs", row(ident, f"r{ident}"), 2)
         engine.run_until_idle()
-        return (*read(), len(history) - logged)
+        counts = read()
+        return (*counts, len(handle.query.changelog) - batches,
+                len(handle.store_history()) - logged)
 
     def test_relation_output_once_per_instant(self, census):
         text = ("SELECT room, COUNT(*) AS n FROM Obs [Range Unbounded] "
                 "GROUP BY room")
-        assert self.per_instant(text, 4, census) == (1, 1, 1)
-        assert self.per_instant(text, 64, census) == (1, 1, 1)
+        assert self.per_instant(text, 4, census) == (1, 0, 1, 1)
+        assert self.per_instant(text, 64, census) == (1, 0, 1, 1)
 
     def test_stream_output_once_per_arrival(self, census):
         text = "SELECT ISTREAM id, room FROM Obs [Range Unbounded]"
-        assert self.per_instant(text, 4, census) == (4, 4, 1)
-        assert self.per_instant(text, 64, census) == (64, 64, 1)
+        assert self.per_instant(text, 4, census) == (4, 0, 4, 1)
+        assert self.per_instant(text, 64, census) == (64, 0, 64, 1)
+
+
+class TestFoldCostFollowsTheChange:
+    """One changed answer row per instant: a fold copies no Bag and logs
+    the same row slots whether the answer holds 50 or 5 000 rows."""
+
+    QUERY = ("SELECT room, COUNT(*) AS n FROM Obs [Range Unbounded] "
+             "GROUP BY room")
+
+    def per_fold(self, rooms, bag_copies):
+        engine = CQLEngine()
+        engine.register_stream("Obs", OBS)
+        query = engine.register_query(self.QUERY)
+        query.start()
+        query.push_batch(1, {"Obs": [row(n, n) for n in range(rooms)]})
+        assert len(query.current()) == rooms
+        folds = []
+        for t in range(2, 12):
+            bag_copies.clear()
+            query.push_batch(t, {"Obs": [row(t, t % rooms)]})
+            # The one changed group: its old row out, its new row in.
+            folds.append((len(bag_copies),
+                          len(query.changelog.between(t - 1, t))))
+        return folds
+
+    def test_a_fold_costs_the_change_not_the_answer(self, bag_copies):
+        assert self.per_fold(50, bag_copies) \
+            == self.per_fold(5_000, bag_copies) == [(0, 2)] * 10
 
 
 class TestOneRecordPerArrival:
@@ -351,23 +388,23 @@ class TestRootFoldIsAtomic:
         assert handle.store_state() == state
 
 
-class TestStoreSharesTheLogsBags:
-    def test_rollback_never_mutates_a_bag_the_store_holds(self):
+class TestARollbackLeavesReadHistories:
+    def test_rollback_never_changes_a_history_already_read(self):
         engine = make_engine(recovery_interval=3)
         handle = engine.register_query("q", GROUPED)
         labels = [label for label, _ in handle.query.operators()]
         fuse = CrashFuse(at=40)
         install_crash(handle.query, labels.index("AggregateOp"), fuse)
-        seen: dict[int, tuple[Bag, Bag]] = {}
+        seen: list[tuple[Bag, Bag]] = []
         for t in range(1, 30):
             for n in range(3):
                 engine.ingest("Obs", row(n, "ab"[n % 2], 11 + t % 7), t)
             engine.run_until_idle()
-            for _, bag in handle.store_history().snapshots():
-                seen.setdefault(id(bag), (bag, bag.copy()))
+            seen.extend((bag, bag.copy()) for _, bag
+                        in handle.store_history().snapshots())
         assert fuse.fired == 1 and engine.recovery.attempts == 1
-        # Every Bag the Store ever held — the log's own, by reference —
-        # still has the contents it was written with.
-        for bag, contents in seen.values():
+        # Every Bag a history read returned still has the contents it
+        # was read with: the rollback changed the log, not the reads.
+        for bag, contents in seen:
             assert bag == contents
-        assert handle.store_history().at(29) is handle.query.state
+        assert handle.store_history().at(29) == handle.query.current()

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import Bag, Schema, StateError
-from repro.core.relation import TimeVaryingRelation
+from repro.core import Bag, Changelog, PlanError, Schema, StateError
 from repro.dsms import (
     DSMSEngine,
     FIFOScheduler,
@@ -46,15 +45,15 @@ class TestInputQueue:
 
 
 class TestStore:
-    """The Store keeps no history of its own: it reads the change-log each
-    query writes (a ``TimeVaryingRelation``), registered by reference."""
+    """The Store keeps no answer or history of its own: it reads the
+    change-log each query commits to (a ``Changelog``), registered by
+    reference."""
 
     def test_write_and_read(self):
-        store, log = Store(), TimeVaryingRelation()
+        store, log = Store(), Changelog()
         store.register("q", log)
-        log.set_at(5, Bag(["x"]))
+        log.commit(5, [("x", 1)])
         assert store.current("q") == Bag(["x"])
-        assert store.history("q") is log
         assert store.history("q").at(5) == Bag(["x"])
         assert store.history("q").at(4) == Bag()
 
@@ -73,29 +72,40 @@ class TestStore:
         assert sorted(r["id"] for r in history.at(5)) == ["x", "y"]
 
     def test_current_returns_copy(self):
-        store, log = Store(), TimeVaryingRelation()
+        store, log = Store(), Changelog()
         store.register("q", log)
-        log.set_at(0, Bag(["x"]))
+        log.commit(0, [("x", 1)])
         snapshot = store.current("q")
         snapshot.add("y")
         assert store.current("q") == Bag(["x"])
 
     def test_write_keeps_the_callers_bag_and_readers_get_copies(self):
-        # The log's writer (the query) hands in a Bag that nothing mutates
-        # again, so the history and the current answer are that very
-        # object, not a copy.
-        store, log = Store(), TimeVaryingRelation()
+        # The Store holds the writer's (the query's) log itself: what the
+        # writer commits is the Store's answer at once, with no copy.
+        store, log = Store(), Changelog()
         store.register("q", log)
         assert store.current("q") == Bag()
-        state = Bag(["x"])
-        log.set_at(0, state)
-        assert store.history("q").at(0) is state
+        log.commit(0, [("x", 1)])
+        assert store.current("q") == log.contents == Bag(["x"])
         # Readers get copies: changing one touches nothing stored.
-        read = store.current("q")
-        assert read == state and read is not state
+        read, history = store.current("q"), store.history("q")
+        assert read is not log.contents
         read.add("y")
-        assert state == Bag(["x"])
-        assert store.current("q") == Bag(["x"])
+        history.at(0).add("z")
+        assert log.contents == Bag(["x"])
+        assert store.current("q") == store.history("q").at(0) == Bag(["x"])
+
+
+@pytest.mark.parametrize("read", [
+    lambda engine: engine.store.current("nope"),
+    lambda engine: engine.store.history("nope"),
+    lambda engine: engine.query("nope"),
+    lambda engine: engine.cancel_query("nope"),
+], ids=["store.current", "store.history", "query", "cancel_query"])
+def test_an_unknown_query_name_raises_one_plan_error(read):
+    engine = DSMSEngine()
+    with pytest.raises(PlanError, match="unknown query 'nope'"):
+        read(engine)
 
 
 class TestScratch:

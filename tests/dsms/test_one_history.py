@@ -1,7 +1,8 @@
 """One history per standing query.
 
-The DSMS keeps each query's answer history once: the query's change-log
-is the Store's history of it, and the query's emissions are its handle's.
+The DSMS keeps each query's answer and history once: the query's
+change-log (a ``Changelog``: the answer plus the batches that built it)
+is what the Store reads, and the query's emissions are its handle's.
 There is no second copy to write, checkpoint or roll back — and so none
 that can drift from the first.
 """
@@ -11,7 +12,7 @@ import re
 import weakref
 from pathlib import Path
 
-from repro.core import Schema
+from repro.core import Changelog, Schema
 from repro.dsms import DSMSEngine
 
 OBS = Schema(["id", "room", "temp"])
@@ -32,17 +33,27 @@ def feed(engine, ticks):
 
 
 class TestTheStoreReadsTheQuerysLog:
-    def test_the_history_is_the_change_log_at_every_tick(self):
+    def test_the_history_is_the_change_log_at_every_tick(self, monkeypatch):
+        read = []
+        relation = Changelog.relation
+
+        def recorded(self, schema=None):
+            read.append(self)
+            return relation(self, schema)
+
+        monkeypatch.setattr(Changelog, "relation", recorded)
         engine = make_engine()
         handle = engine.register_query("q", GROUPED)
-        log = handle.query.as_relation()
-        feed(engine, range(1, 51))
-        assert handle.store_history() is log
-        assert engine.store.history("q") is log
-        feed(engine, range(51, 2001))
-        assert handle.store_history() is log
-        assert engine.store.history("q") is log
-        assert engine.store.current("q") == handle.query.current()
+        log = handle.query.changelog
+        for ticks in (range(1, 51), range(51, 2001)):
+            feed(engine, ticks)
+            read.clear()
+            assert handle.store_history() == engine.store.history("q") \
+                == handle.query.as_relation()
+            # Every history read is built from the query's own log.
+            assert read == [log, log, log]
+            assert engine.store.current("q") == handle.query.current() \
+                == log.contents
 
     def test_the_barrier_holds_only_queries_and_views(self):
         engine = make_engine(recovery_interval=4)
@@ -57,15 +68,17 @@ class TestTheStoreReadsTheQuerysLog:
         engine = make_engine()
         handle = engine.register_query("q", GROUPED)
         feed(engine, range(1, 6))
-        answer, log = handle.store_state(), handle.store_history()
+        answer, history = handle.store_state(), handle.store_history()
         query = weakref.ref(handle.query)
         assert engine.cancel_query("q") is handle
         assert handle.store_state() == answer
         del handle
         gc.collect()
         assert query() is None
+        # The answer and its history survive the query's operators.
         assert engine.store.current("q") == answer
-        assert engine.store.history("q") is log
+        assert engine.store.history("q") == history
+        assert len(history) == 5
 
 
 class TestRegistrationOutput:
@@ -92,6 +105,23 @@ def test_the_dsms_keeps_no_second_history():
     offenders = [
         f"{path.relative_to(root)}:{number}"
         for path in sorted((root / package).rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)]
+    assert offenders == []
+
+
+def test_only_the_reference_semantics_builds_a_history_in_cql_and_views():
+    """Standing queries, tables and views keep a ``Changelog``: under
+    ``repro/cql`` and ``repro/views`` only the reference semantics that
+    tests compare against builds a time-varying relation."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    exempt = {Path("repro/cql/reference.py")}
+    banned = re.compile(r"\bTimeVaryingRelation\s*\(|\.from_snapshots\(")
+    offenders = [
+        f"{path.relative_to(src)}:{number}"
+        for package in ("repro/cql", "repro/views")
+        for path in sorted((src / package).rglob("*.py"))
+        if path.relative_to(src) not in exempt
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if banned.search(line)]
     assert offenders == []

@@ -5,8 +5,7 @@ import inspect
 
 import pytest
 
-from repro.core import Bag, Schema
-from repro.core.relation import TimeVaryingRelation
+from repro.core import Bag, Changelog, Schema
 from repro.cql import CQLEngine, executor
 from repro.dsms import DSMSEngine
 
@@ -111,21 +110,20 @@ class TestChurnSoak:
 
 class TestStoreWriteIsHistoryIndependent:
     def test_write_path_never_copies_the_change_log(self, monkeypatch):
-        class NoCopyRelation(TimeVaryingRelation):
-            #: Whole-log reads are refused while the engine runs.
-            refusing = True
+        refusing = [True]
+        whole_log_reads = {name: getattr(Changelog, name)
+                           for name in ("relation", "as_of", "entries")}
 
-            def change_points(self):
-                if self.refusing:
-                    raise AssertionError("the whole change-log was copied")
-                return super().change_points()
+        def refused(name):
+            def read(self, *args):
+                if refusing[0]:
+                    raise AssertionError(f"the whole change-log was read "
+                                         f"({name})")
+                return whole_log_reads[name](self, *args)
+            return read
 
-            def snapshots(self):
-                if self.refusing:
-                    raise AssertionError("the whole change-log was read")
-                return super().snapshots()
-
-        monkeypatch.setattr(executor, "TimeVaryingRelation", NoCopyRelation)
+        for name in whole_log_reads:
+            monkeypatch.setattr(Changelog, name, refused(name))
         engine = make_engine()
         handle = engine.register_query("q", TARGET)
         for t in range(40):
@@ -133,10 +131,9 @@ class TestStoreWriteIsHistoryIndependent:
             engine.ingest("Obs", {"id": t, "room": "hall", "temp": 20}, t)
             engine.run_until_idle()
         engine.advance_time(200)
+        assert handle.store_state() == Bag()
+        refusing[0] = False
         history = handle.store_history()
-        assert isinstance(history, NoCopyRelation)
-        assert history is handle.query.as_relation()
-        NoCopyRelation.refusing = False
         # One state per instant, not per tuple: the 40 instants that
         # brought two arrivals each, then the 40 their windows expired at.
         assert history.change_points() == [*range(40), *range(50, 90)]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.records import Record, Schema
 from repro.views import DynamicTableService, recompute
-from repro.views.delta import Changelog
+from repro.core.relation import Changelog
 
 pytestmark = pytest.mark.views
 
@@ -18,12 +18,13 @@ def row(k, v):
 
 
 def log_pair(versions):
-    """Two identical logs: one to collect, one left alone to compare."""
+    """Two identical logs: one to collect, one left alone to compare.
+    Each commit inserts one row and retracts the previous commit's."""
     logs = Changelog(), Changelog()
-    for version in versions:
+    for n, version in enumerate(versions):
         for log in logs:
-            log.append(version, [(row("a", version), 1),
-                                 (row("a", version - 1), -1)])
+            log.commit(version, [(row("a", n), 1)]
+                       + ([(row("a", n - 1), -1)] if n else []))
     return logs
 
 

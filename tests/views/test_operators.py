@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Schema, StateError
 from repro.core.records import Record
-from repro.core.relation import Bag
+from repro.core.relation import Bag, Changelog
 from repro.cql.catalog import Catalog
 from repro.plan.exprs import Binary, BinOp, Column, Literal
 from repro.plan.ir import (
@@ -21,7 +21,6 @@ from repro.plan.ir import (
 )
 from repro.core.operators import AggregateKind
 from repro.views import DynamicTable, make_scan, recompute
-from repro.views.delta import net_weights
 
 pytestmark = pytest.mark.views
 
@@ -53,10 +52,10 @@ def run_incremental(plan, batches):
     """Prime a compiled view (instant 0) and evaluate one instant per
     batch; return the running Bag."""
     view = compile_view(plan)
-    state = Bag()
+    log = Changelog()
     for version, batch in enumerate([{}] + batches):
-        state.apply_signed(net_weights(view.evaluate(version, batch)))
-    return state
+        log.commit(version, view.evaluate(version, batch))
+    return log.contents
 
 
 def sorted_items(bag):

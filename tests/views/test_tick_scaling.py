@@ -178,7 +178,7 @@ class TestDistinctRowSoak:
                           at=i)
             service.tick(i)
             peak = max(peak, len(table.changelog), len(view.changelog))
-        assert len(table.contents) == self.COMMITS
+        assert len(table.changelog.contents) == self.COMMITS
         assert peak <= 4
         # Trimming a log runs no operator and hashes no row, on the first
         # tick as on the ten-thousandth.
