@@ -5,6 +5,8 @@ A :class:`Schema` is an ordered list of field names (optionally typed); a
 Records support access by position and by name, are hashable (so they can be
 multiset elements and join keys), and compare by value, which is what the
 bag semantics of the relational operators need.
+Inside a compiled query a row is just its values tuple, validated once by
+:meth:`Schema.coerce`; it becomes a Record only where a caller reads it.
 """
 
 from __future__ import annotations
@@ -151,6 +153,34 @@ class Schema:
                 f"expected {len(self._fields)} values, got {len(values)}")
         self._check_types(values)
 
+    def coerce(self, row: "Mapping[str, Any] | Record") -> tuple[Any, ...]:
+        """``row`` validated into a values tuple of this layout: the one
+        row coercer every entry point calls.
+
+        A mapping is read in field order (extra keys are ignored); a
+        record must be one of this schema's own, taken as it is, or carry
+        exactly these field names.  Declared types are checked on the
+        rest.  Raises :class:`SchemaError` when the row does not fit.
+        """
+        if isinstance(row, Record):
+            if row._schema is self:
+                return row._values
+            if row._schema._fields != self._fields:
+                raise SchemaError(
+                    f"record with fields {list(row._schema._fields)} does "
+                    f"not fit {self!r}")
+            values = row._values
+        else:
+            try:
+                values = tuple([row[f] for f in self._fields])
+            except KeyError:
+                missing = [f for f in self._fields if f not in row]
+                raise SchemaError(
+                    f"missing fields {missing} for {self!r}") from None
+        if self._typed:
+            self._check_types(values)
+        return values
+
     def _check_types(self, values: Sequence[Any]) -> None:
         """The type half of :meth:`validate`, for values of the right
         arity."""
@@ -184,21 +214,9 @@ class Record:
     @classmethod
     def from_mapping(cls, schema: Schema,
                      mapping: Mapping[str, Any]) -> "Record":
-        """Build a record from a field-name → value mapping.
-
-        One pass reads the values in field order; the missing-fields
-        report is worked out only when that pass fails.  Extra keys are
-        ignored.
-        """
-        try:
-            values = tuple([mapping[f] for f in schema._fields])
-        except KeyError:
-            missing = [f for f in schema._fields if f not in mapping]
-            raise SchemaError(
-                f"missing fields {missing} for {schema!r}") from None
-        if schema._typed:
-            schema._check_types(values)
-        return trusted_record(schema, values)
+        """Build a record from a field-name → value mapping, validated
+        by :meth:`Schema.coerce` (extra keys are ignored)."""
+        return trusted_record(schema, schema.coerce(mapping))
 
     @property
     def schema(self) -> Schema:
@@ -283,24 +301,13 @@ _new = object.__new__
 def trusted_record(schema: Schema, values: tuple[Any, ...]) -> Record:
     """A record over a values *tuple* already known to fit ``schema``.
 
-    The hot-path constructor: no copy, no validation, no ``__init__``
-    call.  Operators building output rows from validated inputs use it.
+    No copy, no validation, no ``__init__`` call: how the engine's edges
+    label the values tuples it keeps.
     """
     record = _new(Record)
     record._schema = schema
     record._values = values
     return record
-
-
-def relabel(records: Sequence[Record], schema: Schema) -> list[Record]:
-    """:meth:`Record.with_schema` over a batch: each record's values
-    tuple, shared, under ``schema``."""
-    width = len(schema._fields)
-    misfits = [record for record in records if len(record._values) != width]
-    if misfits:
-        raise SchemaError(
-            f"cannot relabel {len(misfits[0]._values)} values as {schema!r}")
-    return [trusted_record(schema, record._values) for record in records]
 
 
 def records_from_dicts(schema: Schema,

@@ -12,8 +12,9 @@ It is the reference semantics' type.
 A relation the engine maintains — a standing query's answer, a base table,
 a view — is instead a :class:`Changelog`: its current contents plus the
 netted ``(row, weight)`` batches that built them (the stream/table duality:
-a table is the fold of its changelog).  A time-varying relation is built
-from one only when a caller asks for a whole history.
+a table is the fold of its changelog).  Its rows are values tuples; a read
+labels them with the owner's schema (:func:`labelled`), and a time-varying
+relation is built from one only when a caller asks for a whole history.
 
 Instantaneous relations are bags (multisets), matching SQL/CQL semantics
 where duplicates are meaningful until an explicit DISTINCT.
@@ -29,7 +30,7 @@ from sys import getsizeof
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from repro.core.errors import StateError, TimeError
-from repro.core.records import Schema
+from repro.core.records import Schema, trusted_record
 from repro.core.time import Timestamp
 
 
@@ -207,10 +208,6 @@ class Bag:
         # allocates; the items are shared and not counted.
         return object.__sizeof__(self) + getsizeof(self._counts)
 
-    def to_sorted_list(self) -> list[Any]:
-        """Items with multiplicity, sorted by repr (stable for reporting)."""
-        return sorted(self, key=repr)
-
 
 class TimeVaryingRelation:
     """A mapping from instants to instantaneous bags (Definition 3.1).
@@ -308,6 +305,19 @@ class TimeVaryingRelation:
             tuple[Timestamp, Bag]]:
         """Sample the relation at the given instants."""
         return [(t, self.at(t)) for t in instants]
+
+
+def labelled(rows: Bag, schema: Schema | None) -> Bag:
+    """A new Bag of ``rows`` (values tuples), each a Record of ``schema``:
+    how a maintained relation's rows reach a reader.  With no schema the
+    rows are copied as they are."""
+    if schema is None:
+        return rows.copy()
+    out, counts = Bag(), rows._counts
+    dict.update(out._counts, zip(
+        [trusted_record(schema, values) for values in counts],
+        counts.values()))
+    return out
 
 
 def _negated(rows: tuple, weights: tuple) -> dict[Hashable, int]:
@@ -440,7 +450,7 @@ class Changelog:
                     state.apply_signed(pending)
                 # A copy taken after the change fits its contents; one
                 # changed after the copy may outgrow its table.
-                points.append((version, state.copy()))
+                points.append((version, labelled(state, schema)))
                 pending = undo
         relation = TimeVaryingRelation(schema=schema)
         for version, bag in reversed(points):

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from repro.core.errors import PlanError, SchemaError
-from repro.core.records import Record, Schema
+from repro.core.errors import PlanError
+from repro.core.records import Record, Schema, trusted_record
 from repro.core.relation import Bag
 
 
@@ -23,28 +23,6 @@ class StreamDef:
 
     name: str
     schema: Schema
-
-    def coerce(self, row: Mapping[str, Any] | Record) -> Record:
-        """``row`` as a validated record of this stream's schema.
-
-        A mapping is converted (missing fields and declared types are
-        checked); a record must carry exactly this stream's field names —
-        its values are type-checked and relabelled to the catalog's
-        schema, unless it already is one of this schema's records.
-
-        Raises:
-            SchemaError: when the row does not fit the stream.
-        """
-        schema = self.schema
-        if not isinstance(row, Record):
-            return Record.from_mapping(schema, row)
-        if row.schema is schema:
-            return row
-        if row.schema.fields != schema.fields:
-            raise SchemaError(
-                f"record with fields {list(row.schema.fields)} does not fit "
-                f"stream {self.name!r} {schema!r}")
-        return Record(schema, row.values)
 
 
 class RelationDef:
@@ -58,18 +36,13 @@ class RelationDef:
         for row in rows:
             self.insert(row)
 
-    def _coerce(self, row: Mapping[str, Any] | Record) -> Record:
-        if isinstance(row, Record):
-            return row.with_schema(self.schema)
-        return Record.from_mapping(self.schema, row)
-
     def insert(self, row: Mapping[str, Any] | Record) -> Record:
-        record = self._coerce(row)
+        record = trusted_record(self.schema, self.schema.coerce(row))
         self.contents.add(record)
         return record
 
     def delete(self, row: Mapping[str, Any] | Record) -> Record:
-        record = self._coerce(row)
+        record = trusted_record(self.schema, self.schema.coerce(row))
         if self.contents.discard(record) == 0:
             raise PlanError(f"row not present in relation {self.name}: "
                             f"{record!r}")

@@ -3,8 +3,10 @@
 This is the *physical* layer corresponding to the paper's Section 3.2: the
 query is compiled once into a tree of incremental operators and then runs
 until cancelled, processing only changes.  All operators exchange **deltas**
-``(record, ±multiplicity)``; window operators turn arrivals into ``+1``
-deltas and expirations into ``-1`` deltas (driven by an event-time agenda),
+``(values, ±multiplicity)``: a row is its values tuple, laid out by the
+edge's schema, fixed at compile time, and becomes a Record only where a
+caller reads it.  Window operators turn arrivals into ``+1`` deltas and
+expirations into ``-1`` deltas (driven by an event-time agenda),
 joins apply the bilinear delta rule, aggregates retract and re-emit changed
 group rows, and the R2S operators at the root reduce to selecting the
 ``+``/``-`` sides of the root delta stream (ISTREAM/DSTREAM) or snapshotting
@@ -39,8 +41,8 @@ from repro.obs import _STATE as _obs_state
 
 from repro.core.errors import PlanError, StateError, TimeError
 from repro.core.operators import R2SKind
-from repro.core.records import Record, Schema, relabel, trusted_record
-from repro.core.relation import Bag, Changelog, TimeVaryingRelation
+from repro.core.records import Record, Schema, trusted_record
+from repro.core.relation import Bag, Changelog, TimeVaryingRelation, labelled
 from repro.core.stream import Stream
 from repro.core.time import MIN_TIMESTAMP, Timestamp
 from repro.plan.exprs import EmitMode
@@ -64,11 +66,11 @@ from repro.cql.expressions import compile_expr, compile_predicate
 from repro.cql.kernels import aggregate_kernel, prefilter_kernel
 from repro.cql.state import KeyedState, copy_sized
 
-#: A signed record change flowing between physical operators: a bare
-#: ``(record, multiplicity)`` pair, built and read by position.  A pair
-#: costs a fraction of any named record type, and a batch of them folds
-#: into a ``dict`` in one call (see :meth:`ContinuousQuery._apply_instant`).
-Delta = tuple[Record, int]
+#: A signed row change flowing between physical operators: a bare
+#: ``(values, multiplicity)`` pair, built and read by position.  The values
+#: tuple hashes in C, and a batch of pairs folds into a ``dict`` in one
+#: call (see :meth:`ContinuousQuery._apply_instant`).
+Delta = tuple[tuple, int]
 
 
 def _values_at(indexes: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -192,7 +194,7 @@ class PhysicalOp:
         (every key at the first, see :meth:`KeyedState.barrier`); the rest
         is copied whole, so a barrier costs what changed, however much
         state the operator holds.  :attr:`barrier_bytes` is what all those
-        copies allocated (records are shared, so they add nothing).
+        copies allocated (rows are shared, so they add nothing).
         """
         keyed, whole = self._split_state()
         payload: dict[str, Any] = {}
@@ -260,7 +262,7 @@ class PhysicalOp:
 class StreamSourceOp(PhysicalOp):
     """Windowed stream source.
 
-    The executor stages arriving records here; ``process`` turns them into
+    The executor stages arriving rows here; ``process`` turns them into
     ``+1`` deltas and handles window eviction (``-1`` deltas) according to
     the window specification.
 
@@ -277,14 +279,14 @@ class StreamSourceOp(PhysicalOp):
                     "_pending", "_visible", "_arrived", "evicted")
 
     def __init__(self, scan: StreamScan, spec, agenda: Agenda,
-                 prefilter: Callable[[list[Record]], list[Record]] | None
+                 prefilter: Callable[[list[tuple]], list[tuple]] | None
                  = None) -> None:
         super().__init__([])
         self.scan = scan
         self.spec = spec
         self._prefilter = prefilter
         self._agenda = agenda
-        self._staged: list[Record] = []
+        self._staged: list[tuple] = []
         kind = spec.kind
         #: Plain [Range r] and [Now] windows: an arrival at ``t`` expires
         #: at ``t + _lifetime``.  None for every other window.
@@ -292,18 +294,18 @@ class StreamSourceOp(PhysicalOp):
             1 if kind is WindowSpecKind.NOW
             else spec.range_ if kind is WindowSpecKind.RANGE
             and not spec.slide else None)
-        # Range/Now state: expiry time -> records.
+        # Range/Now state: expiry time -> rows.
         self._expiries = KeyedState(weigh=len)
-        # Rows state: FIFO of live records.
-        self._fifo: deque[Record] = deque()
-        # Partitioned rows state: partition key -> FIFO of its records.
+        # Rows state: FIFO of live rows.
+        self._fifo: deque[tuple] = deque()
+        # Partitioned rows state: partition key -> FIFO of its rows.
         self._per_key = KeyedState(weigh=len)
         if kind is WindowSpecKind.PARTITIONED:
-            indexes = [scan.schema.index_of(c) for c in spec.partition_by]
-            self._key_fn = lambda r: tuple([r._values[i] for i in indexes])
-        # Stepped-range state: (record, enter_boundary, exit_boundary).
-        self._pending: list[tuple[Record, Timestamp, Timestamp]] = []
-        self._visible: list[tuple[Record, Timestamp]] = []
+            self._key_fn = _values_at(
+                [scan.schema.index_of(c) for c in spec.partition_by])
+        # Stepped-range state: (row, enter_boundary, exit_boundary).
+        self._pending: list[tuple[tuple, Timestamp, Timestamp]] = []
+        self._visible: list[tuple[tuple, Timestamp]] = []
         self._arrived = False
         #: Total tuples ever evicted from this window (Throw accounting).
         self.evicted = 0
@@ -321,27 +323,27 @@ class StreamSourceOp(PhysicalOp):
         self.emitted += len(deltas)
         return deltas, arrived or bool(deltas)
 
-    def stage_many(self, records: list[Record], t: Timestamp) -> None:
-        """Queue an instant's (schema-qualified) arrivals, in arrival
-        order, for the process call at ``t``."""
-        if not records:
+    def stage_many(self, rows: list[tuple], t: Timestamp) -> None:
+        """Queue an instant's validated arrivals (values tuples), in
+        arrival order, for the process call at ``t``."""
+        if not rows:
             return
         self._arrived = True
-        self.arrivals += len(records)
+        self.arrivals += len(rows)
         prefilter = self._prefilter
         if prefilter is not None:
-            records = prefilter(records)
-            if not records:
+            rows = prefilter(rows)
+            if not rows:
                 return
         if self.spec.kind is WindowSpecKind.RANGE and self.spec.slide:
             enter = self._ceil_boundary(t)
             exit_ = self._ceil_boundary(t + self.spec.range_)
-            self._pending.extend([(record, enter, exit_)
-                                  for record in records])
+            self._pending.extend([(values, enter, exit_)
+                                  for values in rows])
             self._agenda.schedule(enter)
             self._agenda.schedule(exit_)
             return
-        self._staged.extend(records)
+        self._staged.extend(rows)
         if self._lifetime is not None:
             self._agenda.schedule(t + self._lifetime)
 
@@ -362,20 +364,20 @@ class StreamSourceOp(PhysicalOp):
 
         if kind is WindowSpecKind.RANGE and self.spec.slide:
             still_pending = []
-            for record, enter, exit_ in self._pending:
+            for row, enter, exit_ in self._pending:
                 if enter <= t:
-                    out.append((record, 1))
-                    self._visible.append((record, exit_))
+                    out.append((row, 1))
+                    self._visible.append((row, exit_))
                 else:
-                    still_pending.append((record, enter, exit_))
+                    still_pending.append((row, enter, exit_))
             self._pending = still_pending
             still_visible = []
-            for record, exit_ in self._visible:
+            for row, exit_ in self._visible:
                 if exit_ <= t:
-                    out.append((record, -1))
+                    out.append((row, -1))
                     self.evicted += 1
                 else:
-                    still_visible.append((record, exit_))
+                    still_visible.append((row, exit_))
             self._visible = still_visible
             return out
 
@@ -401,7 +403,7 @@ class StreamSourceOp(PhysicalOp):
                 state.mark(due)
                 for expiry in due:
                     expired = expiries.pop(expiry)
-                    out.extend([(record, -1) for record in expired])
+                    out.extend([(row, -1) for row in expired])
                     self.evicted += len(expired)
                     state.tally -= len(expired)
         if not staged:
@@ -411,14 +413,14 @@ class StreamSourceOp(PhysicalOp):
             state = self._per_key
             per_key, key_fn, rows = state.data, self._key_fn, self.spec.rows
             keys = []
-            for record in staged:
-                out.append((record, 1))
-                key = key_fn(record)
+            for row in staged:
+                out.append((row, 1))
+                key = key_fn(row)
                 keys.append(key)
                 queue = per_key.get(key)
                 if queue is None:
                     queue = per_key[key] = deque()
-                queue.append(record)
+                queue.append(row)
                 if len(queue) > rows:
                     out.append((queue.popleft(), -1))
                     self.evicted += 1
@@ -427,14 +429,14 @@ class StreamSourceOp(PhysicalOp):
             state.mark(keys)
         elif kind is WindowSpecKind.ROWS:
             fifo = self._fifo
-            for record in staged:
-                out.append((record, 1))
-                fifo.append(record)
+            for row in staged:
+                out.append((row, 1))
+                fifo.append(row)
                 if len(fifo) > self.spec.rows:
                     out.append((fifo.popleft(), -1))
                     self.evicted += 1
         else:
-            out.extend([(record, 1) for record in staged])
+            out.extend([(row, 1) for row in staged])
         staged.clear()
         return out
 
@@ -448,18 +450,16 @@ class RelationSourceOp(PhysicalOp):
 
     _STATE_ATTRS = ("_initial", "_staged")
 
-    def __init__(self, scan: RelationScan, initial: Bag) -> None:
+    def __init__(self, scan: RelationScan, initial: list[Delta]) -> None:
         super().__init__([])
         self.scan = scan
-        self._initial: Bag | None = initial
+        self._initial: list[Delta] | None = initial
         self._staged: list[Delta] = []
 
     def stage_updates(self, deltas: Iterable[Delta]) -> None:
-        """Queue signed changes for the next instant, each record
-        relabelled to the scan's (alias-qualified) schema."""
-        schema = self.scan.schema
-        self._staged.extend([(record.with_schema(schema), mult)
-                             for record, mult in deltas])
+        """Queue signed changes (values tuples of the relation's layout)
+        for the next instant."""
+        self._staged.extend(deltas)
 
     def process_instant(self, t: Timestamp) -> tuple[list[Delta], bool]:
         active = self._initial is not None or bool(self._staged)
@@ -473,10 +473,7 @@ class RelationSourceOp(PhysicalOp):
         staged, self._staged = self._staged, []
         if self._initial is None:
             return staged
-        schema = self.scan.schema
-        out = [(record.with_schema(schema), count)
-               for record, count in self._initial.items()]
-        self._initial = None
+        out, self._initial = self._initial, None
         return out + staged
 
 
@@ -487,7 +484,7 @@ class RelationSourceOp(PhysicalOp):
 
 class FilterOp(PhysicalOp):
     def __init__(self, child: PhysicalOp,
-                 predicate: Callable[[Record], bool]) -> None:
+                 predicate: Callable[[tuple], bool]) -> None:
         super().__init__([child])
         self._predicate = predicate
 
@@ -498,21 +495,18 @@ class FilterOp(PhysicalOp):
 
 
 class ProjectOp(PhysicalOp):
-    """π: one output row per delta, built under the compile-time schema."""
+    """π: one output values tuple per delta."""
 
     def __init__(self, child: PhysicalOp,
-                 evaluators: list[Callable[[Record], Any]],
-                 schema: Schema) -> None:
+                 evaluators: list[Callable[[tuple], Any]]) -> None:
         super().__init__([child])
         self._evaluators = evaluators
-        self._schema = schema
 
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
-        schema, evaluators = self._schema, self._evaluators
-        return [(trusted_record(schema, tuple([evaluate(record)
-                                               for evaluate in evaluators])),
-                 mult) for record, mult in deltas]
+        evaluators = self._evaluators
+        return [(tuple([evaluate(values) for evaluate in evaluators]), mult)
+                for values, mult in deltas]
 
 
 class PartitionUnionOp(PhysicalOp):
@@ -544,19 +538,17 @@ class JoinOp(PhysicalOp):
     lands in its own, then the right batch probes the updated left one.
     Each side's index maps a key (the plan's extracted equi-join columns,
     read by position; empty for an incremental cross join) to
-    ``{record: multiplicity}``.  Joined rows share the one output schema
-    built at compile time, and a residual predicate filters them.
+    ``{values: multiplicity}``.  A joined row is the two values tuples
+    concatenated, left first, and a residual predicate filters it.
     """
 
     _STATE_ATTRS = ("_left_state", "_right_state")
 
     def __init__(self, left: PhysicalOp, right: PhysicalOp,
                  left_indexes: Sequence[int], right_indexes: Sequence[int],
-                 schema: Schema,
-                 residual: Callable[[Record], bool] | None) -> None:
+                 residual: Callable[[tuple], bool] | None) -> None:
         super().__init__([left, right])
         self._key_of = (_values_at(left_indexes), _values_at(right_indexes))
-        self._schema = schema
         self._residual = residual
         #: The two sides' indexes; each one's tally is the net
         #: multiplicity it holds.
@@ -564,7 +556,7 @@ class JoinOp(PhysicalOp):
         self._right_state = KeyedState(self._weigh)
 
     @staticmethod
-    def _weigh(entry: dict[Record, int]) -> int:
+    def _weigh(entry: dict[tuple, int]) -> int:
         """An index entry's net multiplicity."""
         return sum(entry.values())
 
@@ -594,40 +586,36 @@ class JoinOp(PhysicalOp):
         """
         state, other_state = self._indexes(side)
         own, other = state.data, other_state.data
-        key_of, schema, residual = self._key_of[side], self._schema, \
-            self._residual
+        key_of, residual = self._key_of[side], self._residual
         append = out.append
         left = side == 0
         keys = []
         held = 0
         try:
-            for record, mult in deltas:
-                values = record._values
+            for values, mult in deltas:
                 key = key_of(values)
                 if None in key:
                     continue
                 matches = other.get(key)
                 if matches:
                     for match, count in matches.items():
-                        joined = trusted_record(
-                            schema, values + match._values if left
-                            else match._values + values)
+                        joined = values + match if left else match + values
                         if residual is None or residual(joined):
                             append((joined, mult * count))
                 entry = own.get(key)
-                count = mult if entry is None else entry.get(record, 0) + mult
+                count = mult if entry is None else entry.get(values, 0) + mult
                 if count < 0:
                     raise StateError(
-                        f"join retracts {record!r}, which its "
+                        f"join retracts {values!r}, which its "
                         f"{'left' if left else 'right'} side does not hold")
                 keys.append(key)
                 if entry is None:
                     if count:
-                        own[key] = {record: count}
+                        own[key] = {values: count}
                 elif count:
-                    entry[record] = count
+                    entry[values] = count
                 else:
-                    entry.pop(record, None)
+                    entry.pop(values, None)
                     if not entry:
                         del own[key]
                 held += mult
@@ -646,7 +634,7 @@ class AppendOnlyJoinOp(JoinOp):
 
     The monotonicity pass (:mod:`repro.plan.monotone`) proves both input
     sub-plans are monotonic, so no retraction can ever arrive; each side
-    indexes a key to a plain insert-only list of ``(record,
+    indexes a key to a plain insert-only list of ``(values,
     multiplicity)`` instead of a multiplicity map.  This is the
     incremental SPJ rewrite of Section 3.2 applied at plan time, where —
     and only where — it is legal.
@@ -660,34 +648,30 @@ class AppendOnlyJoinOp(JoinOp):
               out: list[Delta]) -> None:
         state, other_state = self._indexes(side)
         own, other = state.data, other_state.data
-        key_of, schema, residual = self._key_of[side], self._schema, \
-            self._residual
+        key_of, residual = self._key_of[side], self._residual
         left = side == 0
         keys = []
         held = 0
         try:
-            for record, mult in deltas:
+            for values, mult in deltas:
                 if mult < 0:
                     raise StateError(
                         "retraction reached an append-only join")
-                values = record._values
                 key = key_of(values)
                 if None in key:
                     continue
                 entry = other.get(key)
                 if entry:
                     for match, count in entry:
-                        joined = trusted_record(
-                            schema, values + match._values if left
-                            else match._values + values)
+                        joined = values + match if left else match + values
                         if residual is None or residual(joined):
                             out.append((joined, mult * count))
                 keys.append(key)
                 entry = own.get(key)
                 if entry is None:
-                    own[key] = [(record, mult)]
+                    own[key] = [(values, mult)]
                 else:
-                    entry.append((record, mult))
+                    entry.append((values, mult))
                 held += mult
         finally:
             state.tally += held
@@ -714,10 +698,10 @@ class AggregateOp(PhysicalOp):
         super().__init__([])  # children attached by compiler
         self._plan = plan
         #: The generated instant (see :mod:`repro.cql.kernels`): keys,
-        #: folds and finishes by position, bound to this plan's schema
-        #: and compiled argument evaluators.
+        #: folds and finishes by position, bound to this plan's compiled
+        #: argument evaluators.
         self._kernel = aggregate_kernel(plan.group_by, plan.aggregates,
-                                        in_schema, plan.schema)
+                                        in_schema)
         #: Group key -> its accumulators, and -> its current output row.
         self._groups = KeyedState()
         self._current_rows = KeyedState()
@@ -745,7 +729,7 @@ class DistinctOp(PhysicalOp):
 
     def __init__(self, child: PhysicalOp) -> None:
         super().__init__([child])
-        #: Record -> its multiplicity in the input.
+        #: Row -> its multiplicity in the input.
         self._counts = KeyedState()
 
     @property
@@ -754,31 +738,31 @@ class DistinctOp(PhysicalOp):
 
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
-        self._counts.mark(record for record, _ in deltas)
+        self._counts.mark(values for values, _ in deltas)
         counts = self._counts.data
         out: list[Delta] = []
-        for record, mult in deltas:
-            before = counts.get(record, 0)
+        for values, mult in deltas:
+            before = counts.get(values, 0)
             after = before + mult
             if after < 0:
                 raise StateError(
-                    f"distinct retracts {record!r}, which it does not hold")
+                    f"distinct retracts {values!r}, which it does not hold")
             if after:
-                counts[record] = after
+                counts[values] = after
             else:
-                counts.pop(record, None)
+                counts.pop(values, None)
             if not before:
                 if after:
-                    out.append((record, 1))
+                    out.append((values, 1))
             elif not after:
-                out.append((record, -1))
+                out.append((values, -1))
         return out
 
 
 class AppendOnlyDistinctOp(DistinctOp):
     """Duplicate elimination over a provably append-only input.
 
-    With no retractions possible, a seen-set (each record seen maps to
+    With no retractions possible, a seen-set (each row seen maps to
     True) replaces the multiplicity counter: first occurrence emits
     ``+1``, everything after is dropped.
     """
@@ -795,82 +779,78 @@ class AppendOnlyDistinctOp(DistinctOp):
 
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
-        self._seen.mark(record for record, _ in deltas)
+        self._seen.mark(values for values, _ in deltas)
         seen = self._seen.data
         out: list[Delta] = []
-        for record, mult in deltas:
+        for values, mult in deltas:
             if mult < 0:
                 raise StateError(
                     "retraction reached an append-only distinct")
-            if mult and record not in seen:
-                seen[record] = True
-                out.append((record, 1))
+            if mult and values not in seen:
+                seen[values] = True
+                out.append((values, 1))
         return out
 
 
 class SetOpOp(PhysicalOp):
     """Incremental bag union / difference / intersection.
 
-    Union is linear (pass deltas through, relabelled to the output schema).
-    Difference and intersection keep both sides' multiplicities and
-    re-derive each affected record's output multiplicity — the monus or
-    the minimum — emitting its signed change, so both stay exact under
-    deletes.  Right-side rows are relabelled to the output (left) schema:
-    set operations correspond by position.
+    Union is linear: it passes both sides' deltas through.  Difference
+    and intersection keep both sides' multiplicities and re-derive each
+    affected row's output multiplicity — the monus or the minimum —
+    emitting its signed change, so both stay exact under deletes.  Set
+    operations correspond by position, so the two sides' values tuples
+    compare as they are.
     """
 
     _STATE_ATTRS = ("_left", "_right", "_out")
 
-    def __init__(self, kind: str, left: PhysicalOp, right: PhysicalOp,
-                 out_schema: Schema) -> None:
+    def __init__(self, kind: str, left: PhysicalOp,
+                 right: PhysicalOp) -> None:
         super().__init__([left, right])
         self._kind = kind
-        self._schema = out_schema
-        #: Record -> its multiplicity on the left, on the right, and in
-        #: the output.
+        #: Row -> its multiplicity on the left, on the right, and in the
+        #: output.
         self._left = KeyedState()
         self._right = KeyedState()
         self._out = KeyedState()
 
     def process(self, t, child_deltas):
-        schema = self._schema
         if self._kind == "union":
-            return [(record.with_schema(schema), mult)
-                    for deltas in child_deltas for record, mult in deltas]
-        touched: dict[Record, None] = {}
+            return child_deltas[0] + child_deltas[1]
+        touched: dict[tuple, None] = {}
         for side, deltas in zip(("left", "right"), child_deltas):
             held = (self._left if side == "left" else self._right).data
-            for record, mult in deltas:
-                record = record.with_schema(schema)
-                count = held.get(record, 0) + mult
+            for values, mult in deltas:
+                count = held.get(values, 0) + mult
                 if count < 0:
                     raise StateError(
-                        f"{self._kind} retracts {record!r}, which its "
+                        f"{self._kind} retracts {values!r}, which its "
                         f"{side} side does not hold")
                 if count:
-                    held[record] = count
+                    held[values] = count
                 else:
-                    held.pop(record, None)
-                touched[record] = None
+                    held.pop(values, None)
+                touched[values] = None
         for state in (self._left, self._right, self._out):
             state.mark(touched)
         left, right, current = \
             self._left.data, self._right.data, self._out.data
         out: list[Delta] = []
-        for record in touched:
-            left_count = left.get(record, 0)
-            right_count = right.get(record, 0)
+        for values in touched:
+            left_count = left.get(values, 0)
+            right_count = right.get(values, 0)
             if self._kind == "difference":
                 target = max(0, left_count - right_count)
             else:  # intersection
                 target = min(left_count, right_count)
-            change = target - current.get(record, 0)
+            change = target - current.get(values, 0)
             if change:
-                out.append((record, change))
+                out.append((values, change))
                 if target:
-                    current[record] = target
+                    current[values] = target
                 else:
-                    del current[record]
+                    del current[values]
         return out
 
 
@@ -1014,8 +994,9 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
             raise PlanError(
                 f"bare stream scan {node.name!r}: apply a window first")
         if isinstance(node, RelationScan):
-            source = RelationSourceOp(
-                node, catalog.relation(node.name).contents.copy())
+            source = RelationSourceOp(node, [
+                (record.values, count) for record, count
+                in catalog.relation(node.name).contents.items()])
             relation_sources[node.name].append(source)
             return source
         if isinstance(node, Filter):
@@ -1025,12 +1006,11 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
         if isinstance(node, Project):
             child = build(node.child)
             return ProjectOp(child, [compile_expr(e, node.child.schema)
-                                     for e in node.exprs], node.schema)
+                                     for e in node.exprs])
         if isinstance(node, Join):
             left = build(node.left)
             right = build(node.right)
-            schema = node.schema
-            residual = (compile_predicate(node.residual, schema)
+            residual = (compile_predicate(node.residual, node.schema)
                         if node.residual is not None else None)
             join_cls = (AppendOnlyJoinOp if _executor_append_only(node)
                         else JoinOp)
@@ -1038,7 +1018,7 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                 left, right,
                 [node.left.schema.index_of(c) for c in node.left_keys],
                 [node.right.schema.index_of(c) for c in node.right_keys],
-                schema, residual)
+                residual)
         if isinstance(node, (Aggregate, WindowAggregate)):
             if isinstance(node, WindowAggregate):
                 if node.window is not None:
@@ -1059,8 +1039,7 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                             if _executor_append_only(node) else DistinctOp)
             return distinct_cls(build(node.child))
         if isinstance(node, SetOp):
-            return SetOpOp(node.kind, build(node.left), build(node.right),
-                           node.schema)
+            return SetOpOp(node.kind, build(node.left), build(node.right))
         raise PlanError(f"cannot compile plan node {node!r}")
 
     root_logical = plan.child if isinstance(plan, RelToStream) else plan
@@ -1164,13 +1143,39 @@ def check_feed_time(timestamp: Timestamp, last: Timestamp | None) -> None:
             f"after {last}")
 
 
-def as_records(schema: Schema,
-               rows: Sequence[Mapping[str, Any] | Record]) -> list[Record]:
-    """A stream's arrivals as Records of ``schema``.  A Record is taken as
-    converted already: the DSMS converts and validates each arrival once,
-    at ingest, and every source then relabels it to its scan's layout."""
-    return [row if isinstance(row, Record)
-            else Record.from_mapping(schema, row) for row in rows]
+def coerce_arrivals(catalog: Catalog,
+                    arrivals: Mapping[str, Sequence[Mapping[str, Any]
+                                                    | Record]],
+                    ) -> dict[str, list[tuple]]:
+    """An instant's arrivals as values tuples of each stream's schema
+    (:meth:`Schema.coerce`), every row validated before any is staged."""
+    return {name: list(map(catalog.stream(name).schema.coerce, rows))
+            for name, rows in arrivals.items()}
+
+
+def stage_arrivals(sources: Mapping[str, list["StreamSourceOp"]],
+                   arrivals: Mapping[str, list[tuple]], timestamp: Timestamp,
+                   routes: Mapping[str, tuple[Callable, list]] | None = None,
+                   ) -> None:
+    """Stage an instant's validated arrivals into every source reading
+    each stream (with ``routes``, a fissioned query's, only into the
+    partition owning a row's key); a stream no source reads is refused
+    first.  The one staging path of a query and of a shared group."""
+    for name in arrivals:
+        if not sources.get(name):
+            raise PlanError(f"no source here reads stream {name!r}")
+    for name, rows in arrivals.items():
+        if routes is None:
+            for source in sources[name]:
+                source.stage_many(rows, timestamp)
+            continue
+        router, partitions = routes[name]
+        parts: list[list[tuple]] = [[] for _ in partitions]
+        for values in rows:
+            parts[router(values)].append(values)
+        for part, owned in zip(parts, partitions):
+            for source in owned:
+                source.stage_many(part, timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -1326,70 +1331,53 @@ class ContinuousQuery:
                    ) -> list[Emission]:
         """Push all arrivals carrying ``timestamp``, atomically.
 
-        Earlier agenda work (window expirations due before ``timestamp``)
-        is processed first, then the batch.  Returns the emissions produced
+        Every row is validated first (:func:`coerce_arrivals`).  Earlier
+        agenda work (window expirations due before ``timestamp``) is
+        processed first, then the batch.  Returns the emissions produced
         from the missed instants and this batch.
         """
+        return self._feed(timestamp, coerce_arrivals(self.catalog, arrivals))
+
+    def _feed(self, timestamp: Timestamp,
+              arrivals: Mapping[str, list[tuple]],
+              updates: Sequence[tuple[RelationSourceOp, Delta]] = (),
+              ) -> list[Emission]:
+        """:meth:`push_batch` for arrivals already validated into values
+        tuples, plus relation ``updates`` for the query's relation
+        sources: the one instant path, which the DSMS calls directly with
+        the rows its ``ingest`` validated."""
         if self._shared is not None:
-            return self._shared.push_batch(timestamp, arrivals, member=self)
+            return self._shared._feed(timestamp, arrivals, updates,
+                                      member=self)
         check_feed_time(timestamp, self._last_instant)
         emitted = self._process_instants(self._agenda.due(timestamp - 1))
-        routes = self._routes
-        for name, rows in arrivals.items():
-            sources = self._stream_sources.get(name)
-            if not sources:
-                raise PlanError(
-                    f"query does not read stream {name!r}")
-            records = as_records(self.catalog.stream(name).schema, rows)
-            if routes is not None:
-                self._stage_routed(routes[name], records, timestamp)
-                continue
-            for source in sources:
-                source.stage_many(relabel(records, source.scan.schema),
-                                  timestamp)
+        stage_arrivals(self._stream_sources, arrivals, timestamp,
+                       self._routes)
+        for source, delta in updates:
+            source.stage_updates([delta])
         self._agenda.due(timestamp)  # consume anything scheduled == now
         emitted.extend(self._process_instant(timestamp))
         return emitted
-
-    @staticmethod
-    def _stage_routed(route: tuple[Callable, list], records: list[Record],
-                      timestamp: Timestamp) -> None:
-        """:meth:`push_batch`'s staging for a fissioned query: each record
-        goes to the sources of the one partition that owns its key."""
-        router, partitions = route
-        parts: list[list[Record]] = [[] for _ in partitions]
-        for record in records:
-            parts[router(record._values)].append(record)
-        for part, sources in zip(parts, partitions):
-            for source in sources:
-                source.stage_many(relabel(part, source.scan.schema),
-                                  timestamp)
 
     def update_relation(self, name: str, row: Mapping[str, Any] | Record,
                         mult: int, timestamp: Timestamp) -> list[Emission]:
         """Apply an insert (+mult) / delete (-mult) to a base relation the
         query reads, propagating incrementally (InvaliDB-style push).
 
+        The row is validated against the relation's schema first.
         Refused like :meth:`push_batch` when ``timestamp`` is before the
         epoch or behind the query's newest instant.  Earlier agenda work
-        runs first, so the update lands at ``timestamp``.
+        runs first, so the update lands at ``timestamp``.  Relation scans
+        are never shared (the memo refuses them: members may diverge via
+        private updates), so a shared-group member stages the update into
+        its own sources only, and the instant still runs group-wide.
         """
-        if self._shared is not None:
-            return self._shared.update_relation(name, row, mult, timestamp,
-                                                member=self)
+        values = self.catalog.relation(name).schema.coerce(row)
         sources = self._relation_sources.get(name)
         if not sources:
             raise PlanError(f"query does not read relation {name!r}")
-        base_schema = self.catalog.relation(name).schema
-        record = (row if isinstance(row, Record)
-                  else Record.from_mapping(base_schema, row))
-        check_feed_time(timestamp, self._last_instant)
-        emitted = self._process_instants(self._agenda.due(timestamp - 1))
-        for source in sources:
-            source.stage_updates([(record, mult)])
-        self._agenda.due(timestamp)  # consume anything scheduled == now
-        emitted.extend(self._process_instant(timestamp))
-        return emitted
+        return self._feed(timestamp, {},
+                          [(source, (values, mult)) for source in sources])
 
     def advance_to(self, timestamp: Timestamp) -> list[Emission]:
         """Advance event time without new data (fires due expirations)."""
@@ -1505,7 +1493,8 @@ class ContinuousQuery:
         all member plans in one pass and hand each member its own root
         batch.  The log commits the *net* change R(τ) − R(τ−), the only
         change the reference semantics sees; an instant folded in several
-        quanta commits one batch per fold.  All or nothing: a refused
+        quanta commits one batch per fold.  Only the rows emitted become
+        Records of the output schema.  All or nothing: a refused
         retraction leaves the answer, the log, the emissions and the
         clock as they were.
         """
@@ -1517,30 +1506,33 @@ class ContinuousQuery:
         r2s = self.r2s
         if r2s is None:
             return []
-        if r2s is R2SKind.ISTREAM:
-            emitted = [Emission(r, t) for r, m in net.items() if m > 0
-                       for _ in range(m)]
-        elif r2s is R2SKind.DSTREAM:
-            emitted = [Emission(r, t) for r, m in net.items() if m < 0
-                       for _ in range(-m)]
-        else:
+        schema = self.output_schema
+        if r2s is R2SKind.RSTREAM:
             # In repr order: the answer's dict order depends on its
             # history, and a rollback re-adds the rows it takes back last.
-            emitted = [Emission(r, t)
-                       for r in self._log.contents.to_sorted_list()]
+            rows = sorted([trusted_record(schema, values)
+                           for values in self._log.contents], key=repr)
+        else:
+            # ISTREAM emits each net insert, DSTREAM each net delete.
+            sign = 1 if r2s is R2SKind.ISTREAM else -1
+            rows = [trusted_record(schema, values)
+                    for values, m in net.items() for _ in range(m * sign)]
+        emitted = [Emission(record, t) for record in rows]
         self._emissions.extend(emitted)
         return emitted
 
     # -- inspection ----------------------------------------------------------
 
     def current(self) -> Bag:
-        """The maintained relation state right now (a private copy)."""
-        return self._log.contents.copy()
+        """The maintained relation state right now: a new Bag of Records
+        of the output schema (see :func:`~repro.core.relation.labelled`)."""
+        return labelled(self._log.contents, self.output_schema)
 
     @property
     def changelog(self) -> Changelog:
         """The answer and its history, not copied: the log the query
-        commits to and rolls back.  Readers must not change it."""
+        commits to and rolls back, of values tuples laid out as
+        :attr:`output_schema`.  Readers must not change it."""
         return self._log
 
     def emissions(self) -> list[Emission]:

@@ -1,8 +1,8 @@
-"""Expression compilation: AST expressions → record-level closures.
+"""Expression compilation: AST expressions → closures over a row's values.
 
 Column references are resolved to positional indexes against the operator's
-input schema *at plan time*, so per-record evaluation is a tuple index, not
-a name lookup.  NULL (None) propagates through arithmetic and comparisons
+input schema *at plan time*, so a compiled expression reads a row's values
+tuple by position (the reference evaluators pass ``record.values``).  NULL (None) propagates through arithmetic and comparisons
 the SQL way: any operation on NULL yields NULL, and a NULL predicate result
 is treated as false.
 """
@@ -13,7 +13,7 @@ import operator
 from typing import Any, Callable
 
 from repro.core.errors import PlanError
-from repro.core.records import Record, Schema
+from repro.core.records import Schema
 from repro.plan.exprs import (
     Binary,
     BinOp,
@@ -29,8 +29,8 @@ from repro.plan.exprs import (  # noqa: F401  (compatibility re-exports)
     equality_columns,
 )
 
-#: A compiled scalar expression.
-Evaluator = Callable[[Record], Any]
+#: A compiled scalar expression, over a row's values tuple.
+Evaluator = Callable[[tuple], Any]
 
 _ARITHMETIC = {
     BinOp.ADD: operator.add,
@@ -60,7 +60,7 @@ SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
 
 
 def compile_expr(expr: Expr, schema: Schema) -> Evaluator:
-    """Compile ``expr`` into a closure over records of ``schema``.
+    """Compile ``expr`` into a closure over values tuples of ``schema``.
 
     Raises:
         PlanError: on unknown columns, aggregate calls (those must have been
@@ -68,17 +68,17 @@ def compile_expr(expr: Expr, schema: Schema) -> Evaluator:
     """
     if isinstance(expr, Literal):
         value = expr.value
-        return lambda record: value
+        return lambda values: value
     if isinstance(expr, Column):
         index = schema.index_of(expr.name)
-        return lambda record: record._values[index]
+        return lambda values: values[index]
     if isinstance(expr, Star):
         raise PlanError("* is only valid inside COUNT(*) or SELECT *")
     if isinstance(expr, Unary):
         inner = compile_expr(expr.operand, schema)
         if expr.op == "NOT":
-            return lambda record: _sql_not(inner(record))
-        return lambda record: _null_safe_neg(inner(record))
+            return lambda values: _sql_not(inner(values))
+        return lambda values: _null_safe_neg(inner(values))
     if isinstance(expr, Binary):
         return _compile_binary(expr, schema)
     if isinstance(expr, FuncCall):
@@ -90,21 +90,21 @@ def compile_expr(expr: Expr, schema: Schema) -> Evaluator:
         if fn is None:
             raise PlanError(f"unknown function {expr.name}")
         arg_evals = [compile_expr(a, schema) for a in expr.args]
-        return lambda record: _null_safe_call(
-            fn, [e(record) for e in arg_evals])
+        return lambda values: _null_safe_call(
+            fn, [e(values) for e in arg_evals])
     raise PlanError(f"cannot compile expression {expr!r}")
 
 
-def compile_predicate(expr: Expr, schema: Schema) -> Callable[[Record], bool]:
+def compile_predicate(expr: Expr, schema: Schema) -> Callable[[tuple], bool]:
     """Compile a boolean expression; NULL results count as false."""
     simple = column_vs_literal(expr, schema)
     if simple is not None:
         # One call per row: a NULL column is false, as is a NULL result.
         index, fn, value = simple
-        return lambda record: ((v := record._values[index]) is not None
+        return lambda values: ((v := values[index]) is not None
                                and fn(v, value) is True)
     evaluator = compile_expr(expr, schema)
-    return lambda record: evaluator(record) is True
+    return lambda values: evaluator(values) is True
 
 
 def column_vs_literal(expr: Expr, schema: Schema) \
@@ -124,22 +124,22 @@ def _compile_binary(expr: Binary, schema: Schema) -> Evaluator:
     simple = column_vs_literal(expr, schema)
     if simple is not None:
         index, fn, value = simple
-        return lambda record: (None if (v := record._values[index]) is None
+        return lambda values: (None if (v := values[index]) is None
                                else fn(v, value))
     left = compile_expr(expr.left, schema)
     right = compile_expr(expr.right, schema)
     if expr.op is BinOp.AND:
-        return lambda record: _sql_and(left(record), right(record))
+        return lambda values: _sql_and(left(values), right(values))
     if expr.op is BinOp.OR:
-        return lambda record: _sql_or(left(record), right(record))
+        return lambda values: _sql_or(left(values), right(values))
     if expr.op in _COMPARISONS:
         fn = _COMPARISONS[expr.op]
-        return lambda record: _null_safe_binary(
-            fn, left(record), right(record))
+        return lambda values: _null_safe_binary(
+            fn, left(values), right(values))
     if expr.op is BinOp.DIV:
-        return lambda record: _sql_div(left(record), right(record))
+        return lambda values: _sql_div(left(values), right(values))
     fn = _ARITHMETIC[expr.op]
-    return lambda record: _null_safe_binary(fn, left(record), right(record))
+    return lambda values: _null_safe_binary(fn, left(values), right(values))
 
 
 def _null_safe_binary(fn: Callable[[Any, Any], Any], a: Any, b: Any) -> Any:

@@ -8,9 +8,9 @@ module does that, in Python, for the two row loops of the CQL executor
 that run per arrival:
 
 * the aggregate instant (:func:`aggregate_kernel`): one function keys
-  each delta by position, folds every aggregate inline, finishes each
-  touched group's values tuple, compares it with the old row's and emits
-  ``-old``/``+new``;
+  each delta's values tuple by position, folds every aggregate inline,
+  finishes each touched group's values tuple, compares it with the old
+  one and emits ``-old``/``+new``;
 * the source prefilter (:func:`prefilter_kernel`): one list
   comprehension over an instant's arrivals, with ``column <op> literal``
   conjuncts inlined and any other conjunct called as its closure.
@@ -36,7 +36,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.errors import StateError
 from repro.core.operators import AggregateKind
-from repro.core.records import Record, Schema
+from repro.core.records import Schema
 from repro.cql.expressions import (
     column_vs_literal,
     compile_expr,
@@ -129,8 +129,6 @@ _compiled = count(1)
 #: The names generated code reads besides its factory's arguments.
 _RUNTIME = {
     "StateError": StateError,
-    "Record": Record,
-    "_new": object.__new__,
     "_GroupState": _GroupState,
     "_MinMaxAccumulator": _MinMaxAccumulator,
 }
@@ -238,7 +236,7 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
     for slot in slots:
         kind, read = aggregates[slot]
         fold += [f"value = {read}", *STEPS[kind](slot, "value")]
-    body = ["values = record._values"]
+    body = []
     if grouped:
         key = ", ".join(f"values[{position}]" for position in keys)
         start = [
@@ -305,18 +303,15 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
     emit = [
         f"finished = ({', '.join(finished)},)",
         "if old_row is not None:",
-        "    if old_row._values == finished:",
+        "    if old_row == finished:",
         "        continue",
         "    out.append((old_row, -1))",
-        "row = _new(Record)",
-        "row._schema = schema",
-        "row._values = finished",
-        "out.append((row, 1))",
-        "current_rows[key] = row",
+        "out.append((finished, 1))",
+        "current_rows[key] = finished",
     ]
     evaluators = [f"evaluate{index}" for index in range(n_evaluators)]
     lines = [
-        "def factory(schema, evaluators):",
+        "def factory(evaluators):",
         *_block(_unpack(evaluators, "evaluators"), 1),
         "    def aggregate(op, t, child_deltas):",
         "        (deltas,) = child_deltas",
@@ -324,7 +319,7 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
         "        groups = groups_state.data",
         *_block(start, 2),
         "        try:",
-        "            for record, mult in deltas:",
+        "            for values, mult in deltas:",
         *_block(body, 4),
         "        finally:",
         "            groups_state.mark(touched)",
@@ -341,7 +336,7 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
 
 
 def aggregate_kernel(group_by: Sequence[str], aggregates: Sequence,
-                     in_schema: Schema, out_schema: Schema) -> Callable:
+                     in_schema: Schema) -> Callable:
     """The generated ``process`` of an aggregate: ``kernel(op, t,
     child_deltas) -> deltas`` over ``op``'s ``_groups``,
     ``_current_rows`` and ``_child_active``.
@@ -350,7 +345,7 @@ def aggregate_kernel(group_by: Sequence[str], aggregates: Sequence,
     a bare-column argument is read by position, any other is evaluated
     by its compiled closure, bound here.
     """
-    evaluators: list[Callable[[Record], Any]] = []
+    evaluators: list[Callable[[tuple], Any]] = []
     shape = []
     for spec in aggregates:
         if spec.arg is None:
@@ -358,12 +353,12 @@ def aggregate_kernel(group_by: Sequence[str], aggregates: Sequence,
         elif isinstance(spec.arg, Column):
             read = f"values[{in_schema.index_of(spec.arg.name)}]"
         else:
-            read = f"evaluate{len(evaluators)}(record)"
+            read = f"evaluate{len(evaluators)}(values)"
             evaluators.append(compile_expr(spec.arg, in_schema))
         shape.append((spec.kind, read))
     keys = [in_schema.index_of(column) for column in group_by]
     source = _aggregate_source(keys, shape, len(evaluators))
-    return _factory("aggregate", source)(out_schema, evaluators)
+    return _factory("aggregate", source)(evaluators)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +372,8 @@ _SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
 
 def prefilter_kernel(predicates: Sequence[Expr],
                      schema: Schema) -> Callable[[list], list]:
-    """The generated batch filter of a window source: ``kernel(records)
-    -> the records every predicate holds for``, in order.
+    """The generated batch filter of a window source: ``kernel(rows) ->
+    the values tuples every predicate holds for``, in order.
 
     Each predicate is split into its AND-ed conjuncts.  A ``column <op>
     literal`` conjunct is inlined with the NULL semantics of
@@ -400,21 +395,21 @@ def prefilter_kernel(predicates: Sequence[Expr],
             if simple is not None:
                 position, comparison, literal = simple
                 test = f"(v{index} {_SYMBOLS[comparison.__name__]} c{index})"
-                terms.append(f"(v{index} := record._values[{position}]) "
+                terms.append(f"(v{index} := values[{position}]) "
                              f"is not None and "
                              + (f"{test} is True" if whole else test))
                 names.append(f"c{index}")
                 bound.append(literal)
             else:
-                terms.append(f"p{index}(record)")
+                terms.append(f"p{index}(values)")
                 names.append(f"p{index}")
                 bound.append(compile_predicate(conjunct, schema) if whole
                              else compile_expr(conjunct, schema))
     lines = [
         "def factory(bound):",
         *_block(_unpack(names, "bound"), 1),
-        "    def prefilter(records):",
-        "        return [record for record in records",
+        "    def prefilter(rows):",
+        "        return [values for values in rows",
         *[f"                {'and' if position else 'if'} {term}"
           for position, term in enumerate(terms)],
         "                ]",

@@ -91,8 +91,9 @@ def _evaluate_relation(plan: LogicalOp, catalog: Catalog,
         window = window_object(plan.spec, schema=scan.schema)
         relation = core_ops.stream_to_relation(stream, window)
         for predicate in predicates:
+            test = compile_predicate(predicate, scan.schema)
             relation = core_ops.select(
-                relation, compile_predicate(predicate, scan.schema))
+                relation, lambda record, test=test: test(record.values))
         return relation
 
     if isinstance(plan, StreamScan):
@@ -110,7 +111,8 @@ def _evaluate_relation(plan: LogicalOp, catalog: Catalog,
     if isinstance(plan, Filter):
         child = _evaluate_relation(plan.child, catalog, streams)
         predicate = compile_predicate(plan.predicate, plan.child.schema)
-        return core_ops.select(child, predicate)
+        return core_ops.select(child,
+                               lambda record: predicate(record.values))
 
     if isinstance(plan, Project):
         child = _evaluate_relation(plan.child, catalog, streams)
@@ -119,7 +121,8 @@ def _evaluate_relation(plan: LogicalOp, catalog: Catalog,
         schema = plan.schema
 
         def project_record(record: Record) -> Record:
-            return Record(schema, tuple(e(record) for e in evaluators),
+            values = record.values
+            return Record(schema, tuple(e(values) for e in evaluators),
                           validate=False)
 
         return child.lift(lambda bag: bag.map(project_record), schema=schema)
@@ -135,7 +138,8 @@ def _evaluate_relation(plan: LogicalOp, catalog: Catalog,
             joined = core_ops.cross(left, right)
         if plan.residual is not None:
             predicate = compile_predicate(plan.residual, plan.schema)
-            joined = core_ops.select(joined, predicate)
+            joined = core_ops.select(
+                joined, lambda record: predicate(record.values))
         return joined
 
     if isinstance(plan, Aggregate):
@@ -189,7 +193,8 @@ def _evaluate_aggregate(plan: Aggregate,
 def _aggregate_value(kind: AggregateKind, evaluator, rows: list[Record]):
     if evaluator is None:  # COUNT(*)
         return len(rows)
-    values = [v for v in (evaluator(r) for r in rows) if v is not None]
+    values = [v for v in (evaluator(r.values) for r in rows)
+              if v is not None]
     if kind is AggregateKind.COUNT:
         return len(values)
     if not values:

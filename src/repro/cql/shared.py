@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 from repro.core.errors import PlanError
-from repro.core.records import Record, relabel
+from repro.core.records import Record
 from repro.core.time import Timestamp
 from repro.plan.ir import LogicalOp
 from repro.cql.catalog import Catalog
@@ -35,8 +35,9 @@ from repro.cql.executor import (
     InstantEvaluator,
     PhysicalOp,
     StreamSourceOp,
-    as_records,
     check_feed_time,
+    coerce_arrivals,
+    stage_arrivals,
 )
 from repro.plan.sharing import SubplanMemo
 
@@ -112,54 +113,34 @@ class SharedGroup:
                    ) -> list[Emission]:
         """Push one instant's arrivals through the whole group.
 
-        Arrivals are staged into every *distinct* source reading each
-        stream (a shared window buffers the record once), then the group
-        instant runs for all members.  Returns the calling member's
-        pending emissions; other members' outputs are buffered for them.
+        Every row is validated first, then staged into every *distinct*
+        source reading its stream (a shared window buffers the row once),
+        then the group instant runs for all members.  Returns the calling
+        member's pending emissions; other members' outputs are buffered
+        for them.
         """
+        return self._feed(timestamp, coerce_arrivals(self.catalog, arrivals),
+                          member=member)
+
+    def _feed(self, timestamp: Timestamp,
+              arrivals: Mapping[str, list[tuple]],
+              updates: Sequence[tuple[Any, tuple]] = (),
+              member: ContinuousQuery | None = None) -> list[Emission]:
+        """:meth:`push_batch` for arrivals already validated into values
+        tuples, plus a member's relation ``updates`` (see
+        :meth:`ContinuousQuery._feed`): a member's feeding call, or the
+        DSMS service path."""
         check_feed_time(timestamp, self._cursor)
         for instant in self.agenda.due(timestamp - 1):
             self._process_instant(instant)
-        for name, rows in arrivals.items():
-            sources = self._sources_for(name)
-            if not sources:
-                raise PlanError(
-                    f"no query in the shared group reads stream {name!r}")
-            records = as_records(self.catalog.stream(name).schema, rows)
-            for source in sources:
-                source.stage_many(relabel(records, source.scan.schema),
-                                  timestamp)
+        stage_arrivals({name: self._sources_for(name) for name in arrivals},
+                       arrivals, timestamp)
+        for source, delta in updates:
+            source.stage_updates([delta])
         self.agenda.due(timestamp)  # consume anything scheduled == now
         self._process_instant(timestamp)
         self._started = True
         return member._drain_undelivered() if member is not None else []
-
-    def update_relation(self, name: str, row: Mapping[str, Any] | Record,
-                        mult: int, timestamp: Timestamp,
-                        member: ContinuousQuery) -> list[Emission]:
-        """Apply a base-relation update for ``member``.
-
-        Relation scans are never shared (the memo refuses them: members
-        may diverge via private updates), so staging touches only the
-        member's own sources — but the instant still runs group-wide to
-        keep every member's clock aligned.  Refused, like
-        :meth:`push_batch`, before the epoch or behind the group's clock.
-        """
-        sources = member._relation_sources.get(name)
-        if not sources:
-            raise PlanError(f"query does not read relation {name!r}")
-        base_schema = self.catalog.relation(name).schema
-        record = (row if isinstance(row, Record)
-                  else Record.from_mapping(base_schema, row))
-        check_feed_time(timestamp, self._cursor)
-        for instant in self.agenda.due(timestamp - 1):
-            self._process_instant(instant)
-        for source in sources:
-            source.stage_updates([(record, mult)])
-        self.agenda.due(timestamp)  # consume anything scheduled == now
-        self._process_instant(timestamp)
-        self._started = True
-        return member._drain_undelivered()
 
     def advance_to(self, timestamp: Timestamp,
                    member: ContinuousQuery | None = None) -> list[Emission]:

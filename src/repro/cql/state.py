@@ -27,8 +27,8 @@ def copy_sized(value: Any) -> tuple[Any, int]:
     """A private copy of one piece of operator state, and the bytes the
     copy allocated (:func:`sys.getsizeof`).
 
-    Records (and tuples of them) are immutable and shared, so they cost
-    nothing.  A container counts without the items it shares; a state
+    Rows (values tuples, and Records) are immutable and shared, so they
+    cost nothing.  A container counts without the items it shares; a state
     class whose ``copy()`` builds nested containers (a Bag, an aggregate
     group) counts them in its ``__sizeof__``.
     """

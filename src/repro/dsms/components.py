@@ -15,7 +15,7 @@ from typing import Any, Hashable, Iterator, Protocol
 
 from repro.core.errors import PlanError
 from repro.core.records import Schema
-from repro.core.relation import Bag, Changelog, TimeVaryingRelation
+from repro.core.relation import Bag, Changelog, TimeVaryingRelation, labelled
 from repro.core.time import Timestamp
 
 
@@ -29,7 +29,9 @@ class Store:
     (:attr:`ContinuousQuery.changelog`), registered once and held by
     reference — so a query's fold and rollback are the Store's too, and
     the answer and its history outlive a cancelled query without keeping
-    its operators.
+    its operators.  The log holds values tuples; a read labels them as
+    Records of the schema the query registered (see
+    :func:`~repro.core.relation.labelled`).
     """
 
     def __init__(self) -> None:
@@ -46,8 +48,9 @@ class Store:
         return entry
 
     def current(self, name: str) -> Bag:
-        """The stored answer right now (a private copy)."""
-        return self._entry(name)[0].contents.copy()
+        """The stored answer right now (a new Bag)."""
+        log, schema = self._entry(name)
+        return labelled(log.contents, schema)
 
     def history(self, name: str) -> TimeVaryingRelation:
         """The stored answer's history, built now from the query's

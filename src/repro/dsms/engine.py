@@ -26,7 +26,7 @@ import repro.obs as obs
 from repro.obs import profile as _profile
 from repro.core.errors import PlanError, StateError
 from repro.core.errors import TimeError as CoreTimeError
-from repro.core.records import Record, Schema
+from repro.core.records import Record, Schema, trusted_record
 from repro.core.relation import Bag, TimeVaryingRelation
 from repro.core.time import MIN_TIMESTAMP, Timestamp
 from repro.cql.catalog import Catalog
@@ -129,13 +129,16 @@ class QueryHandle:
     def reads_stream(self, name: str) -> bool:
         return name in self.query._stream_sources
 
-    def offer(self, arrival: tuple[str, Record], t: Timestamp) -> bool:
-        """Admission control + enqueue of a ``(stream name, record)``
-        arrival.  Returns False when shed/dropped."""
+    def offer(self, arrival: tuple[str, tuple], t: Timestamp) -> bool:
+        """Admission control + enqueue of a ``(stream name, values)``
+        arrival.  Returns False when shed/dropped.  A policy decides on
+        the row as a Record of the stream's schema, built for it alone."""
         self.metrics.ingested += 1
         if self._admits_all:
             self.shedder.admitted += 1
-        elif not self.shedder.admit(arrival[1], self.queue):
+        elif not self.shedder.admit(trusted_record(
+                self.query.catalog.stream(arrival[0]).schema, arrival[1]),
+                self.queue):
             self.metrics.shed += 1
             return False
         if not self.queue.offer(arrival, t):
@@ -154,9 +157,9 @@ class QueryHandle:
 
         A quantum drains the queue's head instant, up to ``batch_size``
         tuples of it (all of them when ``batch_size`` is None), into ONE
-        atomic ``push_batch`` — one instant evaluation, which the query
-        commits to its change-log (the Store's history) as at most one
-        batch.
+        atomic instant of the query, fed the values tuples ``ingest``
+        validated — one instant evaluation, which the query commits to
+        its change-log (the Store's history) as at most one batch.
         With ``batch_size=1`` a quantum is one tuple.
         """
         run = self.queue.poll_instant(self.batch_size)
@@ -173,15 +176,15 @@ class QueryHandle:
         return True
 
     def _service(self, t: Timestamp, values: list, span) -> None:
-        arrivals: dict[str, list[Record]] = {}
-        for stream_name, record in values:
+        arrivals: dict[str, list[tuple]] = {}
+        for stream_name, row in values:
             rows = arrivals.get(stream_name)
             if rows is None:
-                arrivals[stream_name] = [record]
+                arrivals[stream_name] = [row]
             else:
-                rows.append(record)
+                rows.append(row)
         before = self._evictions()
-        emitted = self.query.push_batch(t, arrivals)
+        emitted = self.query._feed(t, arrivals)
         self._account_throw(before, t)
         metrics = self.metrics
         metrics.processed += len(values)
@@ -223,7 +226,8 @@ class QueryHandle:
         return self.query.emissions()
 
     def store_state(self) -> Bag:
-        """The Store's current answer for this query (a private copy)."""
+        """The Store's current answer for this query: a new Bag of
+        Records of its output schema."""
         return self.query.current()
 
     def store_history(self) -> TimeVaryingRelation:
@@ -280,7 +284,7 @@ class SharedGroupHandle:
     def reads_stream(self, name: str) -> bool:
         return self.group.reads_stream(name)
 
-    def offer(self, arrival: tuple[str, Record], t: Timestamp) -> bool:
+    def offer(self, arrival: tuple[str, tuple], t: Timestamp) -> bool:
         """Enqueue once for the whole group (members never shed)."""
         readers = [h for h in self.members if h.reads_stream(arrival[0])]
         for handle in readers:
@@ -299,9 +303,9 @@ class SharedGroupHandle:
         if run is None:
             return False
         started = _perf() if obs._STATE.enabled else None
-        t, ((stream_name, record),) = run
+        t, ((stream_name, values),) = run
         before = self._evictions()
-        self.group.push_batch(t, {stream_name: [record]})
+        self.group._feed(t, {stream_name: [values]})
         self._account_throw(before, t)
         if started is not None:
             if self._wm_clock is not None:
@@ -407,9 +411,9 @@ class DSMSEngine:
         #: the engine's time hooks — ``advance_time`` ticks the view
         #: clock and ``run_until_idle`` settles overdue views.
         self.views = DynamicTableService()
-        #: Streams materialised into views base tables: every ingested
-        #: tuple of these streams also commits as a CDC insert.
-        self._view_fed: set[str] = set()
+        #: Streams materialised into views base tables, with their
+        #: tables: every ingested tuple also commits as a CDC insert.
+        self._view_fed: dict[str, Any] = {}
         #: Adaptivity: ``autoscale=True`` enables the default
         #: :class:`repro.plan.adaptive.AdaptivePolicy`; passing a policy
         #: uses it as given.  Each eligible (key-partitionable,
@@ -548,9 +552,8 @@ class DSMSEngine:
         source = statement.select.source
         if not self.views.catalog.is_relation(source) \
                 and self.catalog.is_stream(source):
-            self.views.create_table(source,
-                                    self.catalog.stream(source).schema)
-            self._view_fed.add(source)
+            self._view_fed[source] = self.views.create_table(
+                source, self.catalog.stream(source).schema)
         return self.views.execute(text)
 
     def query(self, name: str) -> QueryHandle:
@@ -698,10 +701,11 @@ class DSMSEngine:
 
         Returns the number of queries that admitted the tuple.
 
-        The row is converted to the stream's schema and validated here,
-        once, before the arrival is logged, queued or counted — a row that
-        does not fit raises :class:`~repro.core.errors.SchemaError` and
-        leaves no trace.  Every reader then shares that one Record.
+        The row is validated into a values tuple of the stream's schema
+        here, once (:meth:`Schema.coerce`), before the arrival is logged,
+        queued or counted — a row that does not fit raises
+        :class:`~repro.core.errors.SchemaError` and leaves no trace.
+        Every reader then shares that one tuple.
         """
         stream = self.catalog.stream(stream_name)  # validates the name
         if t < MIN_TIMESTAMP:
@@ -709,22 +713,24 @@ class DSMSEngine:
             # asynchronously at service time, after the tuple was queued.
             raise CoreTimeError(
                 f"timestamp {t} before the epoch {MIN_TIMESTAMP}")
-        record = stream.coerce(record)
+        values = stream.schema.coerce(record)
         if self.recovery is not None:
             self.recovery.start()  # baseline before the first arrival
-            self._arrival_log.append(("ingest", stream_name, record, t))
-        return self._route(stream_name, record, t)
+            self._arrival_log.append(("ingest", stream_name, values, t))
+        return self._route(stream_name, values, t)
 
-    def _route(self, stream_name: str, record: Record,
+    def _route(self, stream_name: str, values: tuple,
                t: Timestamp) -> int:
-        """Offer one (converted) arrival to every reading unit."""
-        if stream_name in self._view_fed:
+        """Offer one validated arrival to every reading unit."""
+        table = self._view_fed.get(stream_name)
+        if table is not None:
             # Views run on the engine's clock, which only moves forward:
             # an arrival ahead of it commits at its own instant, any other
             # commits now — which the service stamps past every view that
             # already reached the clock, so the next refresh pulls it.
-            self.views.apply(stream_name, inserts=[record],
-                             at=t if t > self.views.clock else None)
+            # The table shares the stream's schema: it takes the tuple.
+            self.views._commit(table, [(values, 1)],
+                               at=t if t > self.views.clock else None)
         if obs._STATE.enabled:
             self.watermark_clock.observe_arrival(stream_name, t)
             self.stall_detector.note_arrival(stream_name)
@@ -732,7 +738,7 @@ class DSMSEngine:
         if readers is None:
             readers = self._readers[stream_name] = [
                 unit for unit in self._units if unit.reads_stream(stream_name)]
-        arrival = (stream_name, record)  # one pair, queued by every reader
+        arrival = (stream_name, values)  # one pair, queued by every reader
         admitted = 0
         for unit in readers:
             if unit.offer(arrival, t):
@@ -922,8 +928,8 @@ class DSMSEngine:
                     pass
                 self._advance(entry[1])
             else:
-                _, stream_name, record, t = entry
-                self._route(stream_name, record, t)
+                _, stream_name, values, t = entry
+                self._route(stream_name, values, t)
                 replayed += 1
         self.recovery.record_replayed(replayed)
 

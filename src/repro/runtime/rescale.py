@@ -84,7 +84,7 @@ class RescaleReport:
     #: (None when nothing had been processed yet).
     instant: Timestamp | None
     #: State entries re-keyed across partitions (window tuples, join
-    #: index rows, aggregate groups and rows, distinct/set-op records).
+    #: index rows, aggregate groups and rows, distinct/set-op rows).
     migrated_entries: int
     #: Wall-clock stall: how long the query was frozen mid-migration.
     seconds: float
@@ -298,11 +298,11 @@ class _Migration:
                 # lives wholly inside one partition, before and after.
                 self._split(olds, news, ("_groups", "_current_rows"),
                             lambda group, _: route(group))
-            else:  # distinct counts and set-op sides, keyed by record
+            else:  # distinct counts and set-op sides, keyed by row
                 route = self._router(
                     [node.schema.index_of(column) for column in keys])
                 self._split(olds, news, op._STATE_ATTRS,
-                            lambda record, _: route(record.values))
+                            lambda values, _: route(values))
         # Lifetime accounting is global, not per-key: keep the totals on
         # target 0 so engine-level work counters stay monotone.
         for attr in ("emitted", "received"):
@@ -322,11 +322,11 @@ class _Migration:
         # The window's partition columns contain the routing key, so a
         # [Partition By] FIFO lands whole in one target.
         self._split(olds, news, ("_expiries", "_per_key"),
-                    lambda key, record: route(record.values))
+                    lambda key, values: route(values))
         for old in olds:
             for attr in ("_pending", "_visible"):
                 for entry in getattr(old, attr):
-                    getattr(news[route(entry[0].values)], attr).append(entry)
+                    getattr(news[route(entry[0])], attr).append(entry)
                     self.moved += 1
         news[0].evicted = sum(old.evicted for old in olds)
         # ``arrivals`` is lifetime accounting outside the checkpoint
@@ -336,7 +336,7 @@ class _Migration:
 
     def _move_join(self, op: Any, node: Join, olds: list[Any],
                    news: list[Any]) -> None:
-        # An append-only index holds (record, multiplicity) pairs.
+        # An append-only index holds (values, multiplicity) pairs.
         pairs = isinstance(op, self.ex.AppendOnlyJoinOp)
         for attr, child in (("_left_state", node.left),
                             ("_right_state", node.right)):
@@ -353,4 +353,4 @@ class _Migration:
                 [child.schema.index_of(column) for column in keys])
             self._split(olds, news, (attr,),
                         lambda key, item, route=route:
-                        route((item[0] if pairs else item).values))
+                        route(item[0] if pairs else item))

@@ -101,8 +101,8 @@ def compile_to_dsl(plan: LogicalOp, env,
 
     if isinstance(plan, Filter):
         child = compile_to_dsl(plan.child, env, rows)
-        return child.filter(
-            compile_predicate(plan.predicate, plan.child.schema))
+        predicate = compile_predicate(plan.predicate, plan.child.schema)
+        return child.filter(lambda record: predicate(record.values))
 
     if isinstance(plan, Project):
         child = compile_to_dsl(plan.child, env, rows)
@@ -112,7 +112,7 @@ def compile_to_dsl(plan: LogicalOp, env,
 
         def project(record: Record) -> Record:
             return Record(out_schema,
-                          tuple(e(record) for e in evaluators),
+                          tuple(e(record.values) for e in evaluators),
                           validate=False)
 
         return child.map(project)

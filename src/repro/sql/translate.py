@@ -63,7 +63,7 @@ class CompositeAggregate(AggregateFunction):
         out = list(accumulator)
         for i, (spec, evaluator) in enumerate(
                 zip(self._specs, self._evaluators)):
-            value = 1 if evaluator is None else evaluator(record)
+            value = 1 if evaluator is None else evaluator(record.values)
             if evaluator is not None and value is None:
                 continue
             if spec.kind is AggregateKind.COUNT:

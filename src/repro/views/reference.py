@@ -43,14 +43,15 @@ def recompute(plan: LogicalOp, contents: Mapping[str, Bag]) -> Bag:
     if isinstance(plan, Filter):
         child = recompute(plan.child, contents)
         predicate = compile_predicate(plan.predicate, plan.child.schema)
-        return child.filter(predicate)
+        return child.filter(lambda row: predicate(row.values))
     if isinstance(plan, Project):
         child = recompute(plan.child, contents)
         evaluators = [compile_expr(expr, plan.child.schema)
                       for expr in plan.exprs]
         schema = plan.schema
         return child.map(lambda row: Record(
-            schema, tuple(e(row) for e in evaluators), validate=False))
+            schema, tuple(e(row.values) for e in evaluators),
+            validate=False))
     if isinstance(plan, (Aggregate, WindowAggregate)):
         if isinstance(plan, WindowAggregate) and plan.window is not None:
             raise PlanError("group windows have no recompute semantics "
@@ -92,7 +93,7 @@ def _recompute_aggregate(plan: Aggregate | WindowAggregate,
         if columns is None:
             columns = groups[key] = [[] for _ in plan.aggregates]
         for column, evaluator in zip(columns, evaluators):
-            value = 1 if evaluator is None else evaluator(row)
+            value = 1 if evaluator is None else evaluator(row.values)
             if value is not None:
                 column.extend([value] * count)
     if not groups and not plan.group_by:
@@ -147,7 +148,7 @@ def _recompute_join(plan: Join, contents: Mapping[str, Bag]) -> Bag:
             if left_key != right_key:
                 continue
             joined = left_row.concat(right_row)
-            if residual is not None and not residual(joined):
+            if residual is not None and not residual(joined.values):
                 continue
             out.add(joined, left_count * right_count)
     return out

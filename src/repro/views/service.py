@@ -54,7 +54,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 import repro.obs as obs
 from repro.core.errors import PlanError, StateError
 from repro.core.records import Record, Schema
-from repro.core.relation import Bag, Changelog
+from repro.core.relation import Bag, Changelog, labelled
 from repro.cql.catalog import Catalog
 from repro.cql.executor import (
     Agenda,
@@ -82,18 +82,13 @@ HISTORY_LIMIT = 8
 
 class BaseTable:
     """A versioned base table: its contents and CDC changelog are one
-    :class:`~repro.core.relation.Changelog`."""
+    :class:`~repro.core.relation.Changelog` of values tuples."""
 
     def __init__(self, name: str, schema: Schema) -> None:
         self.name = name
         self.schema = schema
         self.changelog = Changelog()
         self.version = -1
-
-    def coerce(self, row: Mapping[str, Any] | Record) -> Record:
-        if isinstance(row, Record):
-            return row.with_schema(self.schema)
-        return Record.from_mapping(self.schema, row)
 
 
 def make_scan(name: str, alias: str | None, schema: Schema) -> RelationScan:
@@ -111,7 +106,8 @@ class DynamicTable:
     materialises its COUNT = 0 row even over empty sources.  Streams,
     windows and R2S operators have no place in a materialised table's
     definition and are refused here.  The materialisation and its
-    changelog are one :class:`~repro.core.relation.Changelog`.
+    changelog are one :class:`~repro.core.relation.Changelog` of values
+    tuples laid out as :attr:`schema`, labelled only when read.
     """
 
     def __init__(self, name: str, plan: LogicalOp,
@@ -163,8 +159,8 @@ class DynamicTable:
             del self.history[0]
 
     def at_version(self, version: int) -> Bag:
-        """The contents as of ``version``: the current materialisation
-        with every later retained refresh undone, newest first."""
+        """The contents as of ``version`` (labelled): the current
+        materialisation with every later retained refresh undone."""
         kept = bisect_right(self.history, version, key=lambda e: e[0])
         if kept == 0:
             raise StateError(
@@ -174,7 +170,7 @@ class DynamicTable:
         contents = self.changelog.contents.copy()
         for _, deltas in reversed(self.history[kept:]):
             contents.apply_signed({row: -weight for row, weight in deltas})
-        return contents
+        return labelled(contents, self.schema)
 
 
 class _Schedule(NamedTuple):
@@ -321,13 +317,25 @@ class DynamicTableService:
         commit must land past the newest such view: without ``at`` it is
         stamped there (one past that view's version, when the clock does
         not already exceed it); an explicit ``at`` that a reading view has
-        reached — or that precedes the clock — is refused.
+        reached — or that precedes the clock — is refused.  Every row is
+        validated (:meth:`Schema.coerce`) before anything is committed.
         """
         table = self._tables.get(name)
         if table is None:
             raise StateError(f"unknown base table {name!r}"
                              + (" (views are refreshed, not written)"
                                 if name in self._views else ""))
+        coerce = table.schema.coerce
+        deltas = [(coerce(row), 1) for row in inserts]
+        deltas += [(coerce(row), -1) for row in deletes]
+        return self._commit(table, deltas, at)
+
+    def _commit(self, table: BaseTable, deltas: list[Delta],
+                at: int | None = None) -> int:
+        """:meth:`apply` for deltas already validated into values tuples
+        of the table's schema: the DSMS feeds a stream's view table
+        through here with the rows its ``ingest`` validated."""
+        name = table.name
         version = self.clock if at is None else at
         if version < self.clock:
             raise StateError(f"commit at version {version} precedes the "
@@ -342,8 +350,6 @@ class DynamicTableService:
                     f"be pulled: a view reading it has reached version "
                     f"{pulled}")
             version = pulled + 1
-        deltas = [(table.coerce(row), 1) for row in inserts]
-        deltas += [(table.coerce(row), -1) for row in deletes]
         table.changelog.commit(version, deltas)
         table.version = version
         self.clock = version
@@ -481,7 +487,7 @@ class DynamicTableService:
     # -- reads ------------------------------------------------------------------
 
     def read(self, name: str, version: int | None = None) -> Bag:
-        """The contents of a table or view.
+        """The contents of a table or view, labelled with its schema.
 
         For a view, ``version`` selects a snapshot-isolated read at a
         past refresh version (within the retained history); the default
@@ -492,10 +498,11 @@ class DynamicTableService:
             if version is not None:
                 raise StateError("base tables expose current contents "
                                  "only; views retain version history")
-            return self._tables[name].changelog.contents.copy()
+            table = self._tables[name]
+            return labelled(table.changelog.contents, table.schema)
         view = self._require_view(name)
         if version is None:
-            return view.changelog.contents.copy()
+            return labelled(view.changelog.contents, view.schema)
         return view.at_version(version)
 
     def view(self, name: str) -> DynamicTable:

@@ -5,7 +5,6 @@ import copy
 import pytest
 
 from repro.core import Record, Schema, SchemaError, records_from_dicts
-from repro.core.records import relabel
 from repro.core.relation import Bag
 
 
@@ -73,6 +72,28 @@ class TestSchema:
 
     def test_validate_accepts_none_values(self, person_schema):
         person_schema.validate((1, None, None))
+
+    def test_coerce_reads_a_mapping_in_field_order(self, person_schema):
+        assert person_schema.coerce(
+            {"age": 36, "name": "ada", "id": 1, "extra": 0}) == (1, "ada", 36)
+        with pytest.raises(SchemaError, match="missing fields"):
+            person_schema.coerce({"id": 1})
+        with pytest.raises(SchemaError, match="expects int"):
+            person_schema.coerce({"id": "1", "name": "ada", "age": 36})
+
+    def test_coerce_takes_its_own_records_as_they_are(self, person_schema):
+        own = Record(person_schema, (1, "ada", 36))
+        assert person_schema.coerce(own) is own.values
+
+    def test_coerce_checks_a_record_of_another_schema(self, person_schema):
+        same_names = Schema(["id", "name", "age"])
+        assert person_schema.coerce(
+            Record(same_names, (1, "ada", 36))) == (1, "ada", 36)
+        with pytest.raises(SchemaError, match="expects int"):
+            person_schema.coerce(Record(same_names, ("one", "ada", 36)))
+        with pytest.raises(SchemaError, match="does not fit"):
+            person_schema.coerce(
+                Record(Schema(["x", "y", "z"]), (1, "ada", 36)))
 
     def test_equality_and_hash(self):
         assert Schema(["a", "b"]) == Schema(["a", "b"])
@@ -156,13 +177,6 @@ class TestRecord:
         record = Record(Schema(["a"]), (1,))
         with pytest.raises(SchemaError):
             record.with_schema(Schema(["b", "c"]))
-
-    def test_relabel_shares_values_and_checks_every_arity(self):
-        fits = Record(Schema(["a"]), (1,))
-        (relabeled,) = relabel([fits], Schema(["b"]))
-        assert relabeled["b"] == 1 and relabeled.values is fits.values
-        with pytest.raises(SchemaError):
-            relabel([fits, Record(Schema(["a", "c"]), (1, 2))], Schema(["b"]))
 
     def test_copies_share_the_immutable_record(self, person_schema):
         record = Record(person_schema, (1, "ada", 36))

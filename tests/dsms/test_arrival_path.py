@@ -1,22 +1,26 @@
-"""The per-arrival path: one Record per arrival, no Bag copy per instant.
+"""The per-arrival path: one coercion per arrival, no Bag per instant.
 
 Counts, not clocks: what the engine builds, copies and hashes per
 arrival and per service quantum is counted directly and must not depend
 on the fleet size, on how long the engine has run or on the size of the
-answer: a fold commits its net change to the query's change-log and
-copies nothing.  Beside the counts, the regressions for what converting
-once and folding all or nothing fixed: a row that does not fit its
-stream is refused at ``ingest`` (before anything is logged), and a
-refused root fold changes nothing.
+answer.  An arrival is validated into a values tuple once, at the door,
+and stays a tuple through the queue, the operators and the query's
+change-log: a quantum builds and hashes no Record, and a fold commits
+its net change and builds no Bag.  Rows become Records only when read.
+Beside the counts, the regressions for what converting once and folding
+all or nothing fixed: a row that does not fit its stream is refused at
+``ingest`` (before anything is logged), and a refused root fold changes
+nothing.
 """
 
 import pytest
 
+import repro.core.records as records_module
 from repro.chaos import CrashFuse, install_crash
 from repro.core import Record, Schema, SchemaError, StateError, TimeError
-from repro.core.relation import Bag
-from repro.cql import CQLEngine, executor
-from repro.cql.executor import ContinuousQuery
+from repro.core.relation import Bag, labelled
+from repro.cql import CQLEngine
+from repro.cql.executor import ContinuousQuery, StreamSourceOp
 from repro.dsms import DSMSEngine
 
 OBS = Schema(["id", "room", "temp"])
@@ -36,16 +40,35 @@ def row(ident, room="lab", temp=20):
 
 @pytest.fixture
 def bag_copies(monkeypatch):
-    """Every ``Bag.copy`` call, in order."""
+    """Every Bag built — a copy, or a read's labelled answer — in order."""
     copies = []
-    original = Bag.copy
+    original = Bag.__init__
 
-    def counting(self):
+    def counting(self, items=()):
         copies.append(self)
-        return original(self)
+        original(self, items)
 
-    monkeypatch.setattr(Bag, "copy", counting)
+    monkeypatch.setattr(Bag, "__init__", counting)
     return copies
+
+
+@pytest.fixture
+def records_built(monkeypatch):
+    """A count of every Record built, labelled or constructed."""
+    built = [0]
+    new, init = records_module._new, Record.__init__
+
+    def counting_new(cls):
+        built[0] += 1
+        return new(cls)
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(records_module, "_new", counting_new)
+    monkeypatch.setattr(Record, "__init__", counting_init)
+    return built
 
 
 class TestNoBagCopyPerInstant:
@@ -70,7 +93,8 @@ class TestNoBagCopyPerInstant:
         assert bag_copies == []
         # The fold is one batch in the query's log, which is the Store's.
         assert len(handle.query.changelog) == logged + 1
-        assert engine.store.current("q") == handle.query.changelog.contents
+        assert engine.store.current("q") == labelled(
+            handle.query.changelog.contents, handle.query.output_schema)
         assert handle.store_history().at(3) == handle.store_state()
 
     def test_no_copy_when_the_state_holds(self, bag_copies):
@@ -194,28 +218,27 @@ class TestFoldCostFollowsTheChange:
             == self.per_fold(5_000, bag_copies) == [(0, 2)] * 10
 
 
-class TestOneRecordPerArrival:
+class TestOneCoercionPerArrival:
     @pytest.fixture
-    def conversions(self, monkeypatch):
-        made, relabelled = [], []
-        from_mapping = Record.from_mapping.__func__
-        relabel = executor.relabel
+    def conversions(self, monkeypatch, records_built):
+        coerced, staged = [], []
+        coerce, stage_many = Schema.coerce, StreamSourceOp.stage_many
 
-        def counting_from_mapping(cls, schema, mapping):
-            made.append(mapping)
-            return from_mapping(cls, schema, mapping)
+        def counting_coerce(self, row):
+            coerced.append(row)
+            return coerce(self, row)
 
-        def counting_relabel(records, schema):
-            relabelled.extend(records)
-            return relabel(records, schema)
+        def counting_stage_many(self, rows, t):
+            staged.extend(rows)
+            return stage_many(self, rows, t)
 
-        monkeypatch.setattr(Record, "from_mapping",
-                            classmethod(counting_from_mapping))
-        monkeypatch.setattr(executor, "relabel", counting_relabel)
-        return made, relabelled
+        monkeypatch.setattr(Schema, "coerce", counting_coerce)
+        monkeypatch.setattr(StreamSourceOp, "stage_many",
+                            counting_stage_many)
+        return coerced, staged, records_built
 
     def per_arrival(self, readers, conversions):
-        made, relabelled = conversions
+        coerced, staged, records_built = conversions
         engine = make_engine()
         texts = ["SELECT DISTINCT room FROM Obs [Range 30]",
                  "SELECT COUNT(*) AS n FROM Obs [Rows 4]",
@@ -226,61 +249,83 @@ class TestOneRecordPerArrival:
             engine.register_query(f"q{index}", texts[index % len(texts)])
         engine.ingest("Obs", row(1), 1)
         engine.run_until_idle()
-        made.clear()
-        relabelled.clear()
+        coerced.clear()
+        staged.clear()
+        records_built[0] = 0
         engine.ingest("Obs", row(2), 2)
         engine.run_until_idle()
-        arrival = {id(record) for record in relabelled}
-        return len(made), len(relabelled) / readers, len(arrival)
+        arrival = {id(values) for values in staged}
+        return (len(coerced), len(staged) / readers, len(arrival),
+                records_built[0])
 
     def test_one_conversion_however_many_readers(self, conversions):
         few = self.per_arrival(4, conversions)
         many = self.per_arrival(64, conversions)
-        # One from_mapping at the door; each reader's one source relabels
-        # the one shared Record once.
-        assert few == many == (1, 1.0, 1)
+        # One coercion at the door; each reader's one source stages the
+        # one shared values tuple, and no reader builds a Record.
+        assert few == many == (1, 1.0, 1, 0)
 
 
-class TestRootFoldHashes:
-    """The root fold hashes each root delta at most three times, at any
-    run length."""
+class TestNoRecordHashedPerQuantum:
+    """A service quantum works on values tuples: it hashes no Record at
+    any run length, while its root fold nets real deltas."""
 
     TICKS = 2000
 
-    def test_hashes_per_root_delta_do_not_grow(self, monkeypatch):
-        inside, hashes, folds = [False], [0], []
+    def test_no_record_hash_in_a_quantum_at_any_run_length(
+            self, monkeypatch):
+        hashes, folded = [0], [0]
         original_hash = Record.__hash__
         original_fold = ContinuousQuery._apply_instant
 
         def counting_hash(self):
-            if inside[0]:
-                hashes[0] += 1
+            hashes[0] += 1
             return original_hash(self)
 
         def counting_fold(self, t, deltas):
-            hashes[0] = 0
-            inside[0] = True
-            try:
-                return original_fold(self, t, deltas)
-            finally:
-                inside[0] = False
-                folds.append((t, hashes[0], len(deltas)))
+            folded[0] += len(deltas)
+            return original_fold(self, t, deltas)
 
         monkeypatch.setattr(Record, "__hash__", counting_hash)
         monkeypatch.setattr(ContinuousQuery, "_apply_instant",
                             counting_fold)
         engine = make_engine(batch_size=64)
         engine.register_query("q", GROUPED)
+        quanta = {}
         for t in range(1, self.TICKS + 1):
             for n in range(10):
                 engine.ingest("Obs", row(n, room=(t * 7 + n) % 20,
                                          temp=(t + n * 13) % 40), t)
+            hashes[0] = folded[0] = 0
             engine.run_until_idle()
-        by_tick = {t: (count, deltas) for t, count, deltas in folds}
+            quanta[t] = (hashes[0], folded[0])
         for t in (50, self.TICKS):
-            count, deltas = by_tick[t]
+            hashed, deltas = quanta[t]
             assert deltas > 10
-            assert count <= 3 * deltas
+            assert hashed == 0
+
+
+class TestAStoreReadLabelsEachRowOnce:
+    """A read labels the answer's values tuples as Records: one Record
+    per distinct answer row, however long the engine has run."""
+
+    def test_one_record_per_distinct_row_at_tick_50_and_2000(
+            self, records_built):
+        engine = make_engine()
+        handle = engine.register_query("q", GROUPED)
+        reads = {}
+        for t in range(1, 2001):
+            for n in range(10):
+                engine.ingest("Obs", row(n, room=(t * 7 + n) % 20,
+                                         temp=(t + n * 13) % 40), t)
+            engine.run_until_idle()
+            if t in (50, 2000):
+                records_built[0] = 0
+                answer = engine.store.current("q")
+                reads[t] = (records_built[0], answer.support_size)
+                assert {r.schema for r in answer} \
+                    == {handle.query.output_schema}
+        assert reads[50] == reads[2000] == (20, 20)
 
 
 class TestIngestRefusesRowsThatDoNotFit:
@@ -316,16 +361,20 @@ class TestIngestRefusesRowsThatDoNotFit:
         assert handle.pending == 0 and handle.metrics.ingested == 0
 
     def test_a_record_with_the_streams_fields_is_relabelled(self):
+        # Its values are checked and queued as a plain tuple; the answer
+        # labels them with the query's own field names.
         engine = make_engine()
         handle = engine.register_query("q", "SELECT id FROM Obs [Now]")
         engine.ingest("Obs", Record(Schema(["id", "room", "temp"]),
                                     (7, "lab", 20)), 1)
         assert len(handle.queue) == 1
-        t, [(stream, record)] = handle.queue.poll_instant()
-        assert record.schema is OBS
-        handle.queue.offer((stream, record), t)
+        t, [(stream, values)] = handle.queue.poll_instant()
+        assert type(values) is tuple and values == (7, "lab", 20)
+        handle.queue.offer((stream, values), t)
         engine.run_until_idle()
-        assert [r["id"] for r in handle.store_state()] == [7]
+        (answer,) = handle.store_state()
+        assert answer["id"] == 7
+        assert answer.schema is handle.query.output_schema
 
     def test_the_epoch_is_checked_first(self):
         engine = make_engine()

@@ -138,14 +138,16 @@ class TestBatchedServicingParity:
         assert states[1][1] == states[8][1]
 
     def test_batching_reduces_quanta(self, monkeypatch):
+        # A quantum feeds the query's one instant path with the values
+        # tuples ``ingest`` validated.
         calls = []
-        push_batch = ContinuousQuery.push_batch
+        feed_query = ContinuousQuery._feed
 
         def counted(self, t, arrivals):
             calls.append(t)
-            return push_batch(self, t, arrivals)
+            return feed_query(self, t, arrivals)
 
-        monkeypatch.setattr(ContinuousQuery, "push_batch", counted)
+        monkeypatch.setattr(ContinuousQuery, "_feed", counted)
         quanta, answers = {}, {}
         for size in (1, 8):
             engine = make_engine(batch_size=size)

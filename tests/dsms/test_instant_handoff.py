@@ -141,20 +141,22 @@ class TestQueueWait:
 class TestOneStagingPerSource:
     @pytest.fixture
     def census(self, monkeypatch):
+        # The DSMS feeds the query's one instant path, ``_feed`` — what
+        # ``push_batch`` calls once it has validated its rows — with the
+        # values tuples ``ingest`` validated.
         counts = {"push_batch": 0, "stage_many": 0}
-        push_batch = ContinuousQuery.push_batch
+        feed = ContinuousQuery._feed
         stage_many = StreamSourceOp.stage_many
 
-        def counted_push_batch(self, t, arrivals):
+        def counted_feed(self, t, arrivals):
             counts["push_batch"] += 1
-            return push_batch(self, t, arrivals)
+            return feed(self, t, arrivals)
 
-        def counted_stage_many(self, records, t):
+        def counted_stage_many(self, rows, t):
             counts["stage_many"] += 1
-            return stage_many(self, records, t)
+            return stage_many(self, rows, t)
 
-        monkeypatch.setattr(ContinuousQuery, "push_batch",
-                            counted_push_batch)
+        monkeypatch.setattr(ContinuousQuery, "_feed", counted_feed)
         monkeypatch.setattr(StreamSourceOp, "stage_many", counted_stage_many)
         return counts
 

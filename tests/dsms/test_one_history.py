@@ -13,6 +13,7 @@ import weakref
 from pathlib import Path
 
 from repro.core import Changelog, Schema
+from repro.core.relation import labelled
 from repro.dsms import DSMSEngine
 
 OBS = Schema(["id", "room", "temp"])
@@ -52,8 +53,9 @@ class TestTheStoreReadsTheQuerysLog:
                 == handle.query.as_relation()
             # Every history read is built from the query's own log.
             assert read == [log, log, log]
+            # The Store's answer is the log's contents, labelled.
             assert engine.store.current("q") == handle.query.current() \
-                == log.contents
+                == labelled(log.contents, handle.query.output_schema)
 
     def test_the_barrier_holds_only_queries_and_views(self):
         engine = make_engine(recovery_interval=4)
