@@ -2,9 +2,11 @@
 
 The DSMS tradition's shared-plan argument, measured: eight standing
 queries over the same stream, all built on the same windowed + filtered
-prefix, run once with per-query private plans and once compiled into a
-communal :class:`repro.cql.shared.SharedGroup`
-(``DSMSEngine(sharing=True)``).  Sharing must deliver at least 1.5x the
+prefix, run once with per-query private plans (each its own group of one
+and scheduling unit) and once compiled into a communal sharing
+:class:`repro.cql.executor.SharedGroup` (``DSMSEngine(sharing=True)``),
+serviced as one unit that drains each head instant in one quantum, as a
+private relation-output query does.  Sharing must deliver at least 1.5x the
 aggregate throughput (tuple-deliveries per second across all queries) and
 strictly less operator state, because the window buffer — the expensive
 stateful prefix — is paid once instead of eight times.  Results and

@@ -49,6 +49,7 @@ from repro.cql.executor import (
     ContinuousQuery,
     Delta,
     Emission,
+    SharedGroup,
     compile_plan,
 )
 from repro.cql.expressions import (
@@ -78,6 +79,7 @@ __all__ = [
     # catalog
     "Catalog", "StreamDef", "RelationDef",
     # execution
-    "CQLEngine", "ContinuousQuery", "Emission", "Delta", "Agenda",
+    "CQLEngine", "ContinuousQuery", "SharedGroup", "Emission", "Delta",
+    "Agenda",
     "compile_plan", "reference_evaluate",
 ]

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-from repro.core.errors import PlanError
 from repro.core.records import Record, Schema
 from repro.core.relation import TimeVaryingRelation
 from repro.core.stream import Stream
 from repro.plan.ir import LogicalOp
 from repro.plan.parallel import decide_parallelism
+from repro.plan.sharing import SubplanMemo
 from repro.cql.catalog import Catalog, RelationDef, StreamDef
-from repro.cql.executor import ContinuousQuery, Emission
+from repro.cql.executor import ContinuousQuery, Emission, SharedGroup
 from repro.cql.parser import parse_query
 from repro.cql.planner import plan_statement
 from repro.cql.reference import reference_evaluate
@@ -78,33 +78,32 @@ class CQLEngine:
 
     def register_query(self, text: str,
                        optimize: bool | None = None,
-                       shared=None,
+                       shared: SharedGroup | None = None,
                        parallelism: int | None = None) -> ContinuousQuery:
         """Register a continuous query: compiled once, runs until cancelled
-        (the paper's Figure 1 contract).  Passing a
-        :class:`repro.cql.shared.SharedGroup` as ``shared`` compiles the
-        query *into the group*, reusing physical subplans other members
-        already built (multi-query optimisation).
+        (the paper's Figure 1 contract).  Passing a :class:`SharedGroup`
+        (see :meth:`shared_group`) as ``shared`` compiles the query *into
+        the group*, reusing physical subplans other members already built
+        (multi-query optimisation); otherwise the query is its own group
+        of one.
 
         ``parallelism=N`` asks for key-partitioned execution: when the
         planner proves the plan partitionable the query runs N partitions
         of the plan (its ``parallelism`` says how many); otherwise the
         request is clamped back to a serial query (the planner's call,
         not an error — see
-        :func:`repro.plan.parallel.decide_parallelism`)."""
+        :func:`repro.plan.parallel.decide_parallelism`).  A shared-group
+        member cannot be partitioned."""
         return self.register_plan(self.plan(text, optimize), shared=shared,
                                   parallelism=parallelism)
 
-    def register_plan(self, plan: LogicalOp, shared=None,
+    def register_plan(self, plan: LogicalOp,
+                      shared: SharedGroup | None = None,
                       parallelism: int | None = None) -> ContinuousQuery:
         """:meth:`register_query` for a plan :meth:`plan` already built —
         for callers that inspect the plan before registering it."""
         if shared is not None:
-            if parallelism is not None and parallelism > 1:
-                raise PlanError(
-                    "shared-group queries interleave operator state across "
-                    "members and cannot be partitioned")
-            query = shared.register(plan)
+            query = shared.register(plan, parallelism or 1)
         else:
             width = (decide_parallelism(plan, requested=parallelism)
                      if parallelism is not None and parallelism > 1 else 1)
@@ -112,34 +111,41 @@ class CQLEngine:
         self._queries.append(query)
         return query
 
-    def cancel_query(self, query) -> bool:
+    def cancel_query(self, query: ContinuousQuery) -> bool:
         """Forget a registered query (the Figure 1 contract's end: active
-        *until terminated*): :meth:`push` no longer reaches it and the
-        engine no longer keeps its operators alive.  Returns whether it
-        was registered."""
+        *until terminated*): :meth:`push` no longer reaches it, and it
+        leaves its group, so neither the engine nor the group keeps its
+        operators alive (a shared group keeps those its other members
+        read).  The query keeps its answer and emissions.  Returns
+        whether it was registered."""
         try:
             self._queries.remove(query)
         except ValueError:
             return False
+        query.group._leave(query)
         return True
 
-    def shared_group(self):
-        """Create an empty :class:`~repro.cql.shared.SharedGroup` bound to
-        this engine's catalog; pass it to :meth:`register_query`."""
-        from repro.cql.shared import SharedGroup
-        return SharedGroup(self.catalog)
+    def shared_group(self) -> SharedGroup:
+        """Create an empty sharing :class:`SharedGroup` bound to this
+        engine's catalog; pass it to :meth:`register_query`."""
+        return SharedGroup(self.catalog, SubplanMemo())
 
     def push(self, stream_name: str, row: Mapping[str, Any] | Record,
              timestamp: int) -> dict[int, list[Emission]]:
         """Push one element into every registered query reading the stream.
 
-        Returns emissions per query index.
+        Each group reading it (a private query, or a shared group) is fed
+        once; returns, per reading query's index, that query's emissions
+        not yet returned.
         """
-        out: dict[int, list[Emission]] = {}
-        for index, query in enumerate(self._queries):
-            if stream_name in query._stream_sources:
-                out[index] = query.push(stream_name, row, timestamp)
-        return out
+        readers = [(index, query) for index, query in enumerate(self._queries)
+                   if stream_name in query._stream_sources]
+        fed: list[SharedGroup] = []
+        for _, query in readers:
+            if query.group not in fed:
+                fed.append(query.group)
+                query.group.push_batch(timestamp, {stream_name: [row]})
+        return {index: query._pending() for index, query in readers}
 
     def run_one_shot(self, text: str,
                      streams: Mapping[str, Stream[Record]],

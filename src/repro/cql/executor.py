@@ -65,6 +65,7 @@ from repro.cql.catalog import Catalog
 from repro.cql.expressions import compile_expr, compile_predicate
 from repro.cql.kernels import aggregate_kernel, prefilter_kernel
 from repro.cql.state import KeyedState, copy_sized
+from repro.plan.sharing import SubplanMemo, memo_key
 
 #: A signed row change flowing between physical operators: a bare
 #: ``(values, multiplicity)`` pair, built and read by position.  The values
@@ -905,8 +906,8 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
     given, subtrees whose canonical signature matches an already-compiled
     subtree from an earlier query reuse that physical operator (and its
     window state) instead of compiling a private copy, and freshly built
-    subtrees are published for later queries.  The caller must bracket the
-    call with ``memo.start_compile()`` / ``memo.finish_compile()``.
+    subtrees are published for later queries (the call is one
+    ``start_compile()`` / ``finish_compile()`` envelope of the memo).
 
     ``parallelism > 1`` fissions the plan (survey §4.2): the subtree at
     and below the scheme's ``boundary`` is compiled once per partition,
@@ -919,10 +920,6 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
     stream_sources: dict[str, list[StreamSourceOp]] = defaultdict(list)
     relation_sources: dict[str, list[RelationSourceOp]] = defaultdict(list)
     node_map: dict[int, list[PhysicalOp]] = {}
-    if memo is not None:
-        from repro.plan.sharing import memo_key
-    else:
-        memo_key = None
     scheme = boundary = None
     if parallelism > 1:
         from repro.plan.parallel import partition_scheme
@@ -1043,7 +1040,12 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
         raise PlanError(f"cannot compile plan node {node!r}")
 
     root_logical = plan.child if isinstance(plan, RelToStream) else plan
-    root = build(root_logical)
+    if memo is None:
+        root = build(root_logical)
+    else:
+        memo.start_compile()
+        root = build(root_logical)
+        memo.finish_compile()
     return (root, dict(stream_sources), dict(relation_sources), node_map,
             scheme)
 
@@ -1061,7 +1063,7 @@ class InstantEvaluator:
     slot indexes into the instant's results.  An instant then walks that
     order: a source reports ``process_instant(t)``; an inner operator
     ``apply``\\ s its children's deltas.  An operator reached from several
-    roots (a subplan a :class:`~repro.cql.shared.SharedGroup` shares) runs
+    roots (a subplan a :class:`SharedGroup` shares) runs
     once per instant and every consumer reads its batch by reference.
     Nothing is held between operators or between instants.
     """
@@ -1128,8 +1130,8 @@ def check_feed_time(timestamp: Timestamp, last: Timestamp | None) -> None:
     """Refuse feeding a query at ``timestamp``: before the epoch, or
     behind ``last``, the newest instant the caller has already applied.
 
-    The one guard every feeding call (arrivals and relation updates, on a
-    private query and on a shared group) runs before it touches state.
+    The one guard every feeding call of a :class:`SharedGroup` (arrivals
+    and relation updates) runs before it touches state.
     """
     if timestamp < MIN_TIMESTAMP:
         # The semantics layer (Stream) rejects negative timestamps; the
@@ -1160,7 +1162,7 @@ def stage_arrivals(sources: Mapping[str, list["StreamSourceOp"]],
     """Stage an instant's validated arrivals into every source reading
     each stream (with ``routes``, a fissioned query's, only into the
     partition owning a row's key); a stream no source reads is refused
-    first.  The one staging path of a query and of a shared group."""
+    first.  The one staging path of every :class:`SharedGroup`."""
     for name in arrivals:
         if not sources.get(name):
             raise PlanError(f"no source here reads stream {name!r}")
@@ -1203,6 +1205,273 @@ class Emission(NamedTuple):
     timestamp: Timestamp
 
 
+class SharedGroup:
+    """A standing-query unit: one or more continuous queries fed,
+    evaluated and checkpointed as one operator DAG.
+
+    A private query is a group of one, compiled with no memo.  A group
+    made by :meth:`~repro.cql.engine.CQLEngine.shared_group` compiles
+    every member through one :class:`~repro.plan.sharing.SubplanMemo`,
+    so subtrees with the same canonical signature
+    (``plan_signature(detail=True)`` — commutativity aware, so ``A ⋈ B``
+    and ``B ⋈ A`` share) map to the *same* physical operator: the
+    classic multi-query optimisation of a DSMS running many standing
+    queries over few streams.  Window state, join state and per-source
+    arrival staging are then paid once per distinct subplan, not once
+    per query.
+
+    The group owns everything a feeding call touches: the event-time
+    :class:`Agenda` and the feed-time cursor, the staging of arrivals
+    into each distinct source (by key partition, for a fissioned lone
+    member), one :class:`InstantEvaluator` over the members' roots that
+    runs each operator once per instant, and the checkpoint.  Any
+    member's feeding call advances every member in lockstep, which keeps
+    shared window state sound; each member folds its own root batch
+    (:meth:`ContinuousQuery._apply_instant`), and a feeding call returns
+    its caller's emissions not yet returned.
+
+    Members join while the group is *cold*; once data has flowed it is
+    frozen: a newcomer's private operators would miss the history the
+    shared ones have already seen.
+    """
+
+    def __init__(self, catalog: Catalog,
+                 memo: SubplanMemo | None = None) -> None:
+        self.catalog = catalog
+        self.agenda = Agenda()
+        #: The sharing memo members compile through; None for a private
+        #: query's group.
+        self.memo = memo
+        self.members: list[ContinuousQuery] = []
+        self._started = False       # data has flowed; group frozen
+        #: The newest instant evaluated, changed or not: feeding behind
+        #: it is refused (:func:`check_feed_time`).
+        self._cursor: Timestamp | None = None
+        #: Bytes the last :meth:`snapshot` allocated; None before the first.
+        self.barrier_bytes: int | None = None
+        self._eval_hist = None
+        self._rebuild()
+
+    # -- membership ----------------------------------------------------------
+
+    def register(self, plan: LogicalOp,
+                 parallelism: int = 1) -> "ContinuousQuery":
+        """Compile ``plan`` into the group, sharing common subplans."""
+        if self._started:
+            raise PlanError(
+                "cannot add a query to a shared group after data has "
+                "flowed: the shared window state would be missing the "
+                "newcomer's history")
+        return ContinuousQuery(plan, self.catalog, group=self,
+                               parallelism=parallelism)
+
+    def _adopt(self, query: "ContinuousQuery") -> None:
+        """Take ``query`` in as a member, or take its new tree when a
+        rescale swapped it."""
+        if query not in self.members:
+            self.members.append(query)
+        self._rebuild()
+
+    def _leave(self, query: "ContinuousQuery") -> None:
+        """Let ``query`` go (it was cancelled): the group stops evaluating
+        the operators only it read and no longer holds it."""
+        self.members.remove(query)
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Build the evaluator and the staging around the members'
+        current trees.  The recovery image does not cover them: it goes."""
+        self._evaluator = InstantEvaluator([m._root for m in self.members])
+        #: Stream name → the distinct sources reading it: a source
+        #: several members share is staged into once.
+        self._sources: dict[str, list[StreamSourceOp]] = {}
+        for member in self.members:
+            for name, ops in member._stream_sources.items():
+                known = self._sources.setdefault(name, [])
+                for op in ops:
+                    if op not in known:
+                        known.append(op)
+        #: A fissioned (hence lone) member's routes: stream name → (the
+        #: router from an arrival's values to its partition, each
+        #: partition's sources); None stages into every source.
+        self._routes: dict[str, tuple[Callable, list]] | None = None
+        if len(self.members) == 1 and self.members[0].parallelism > 1:
+            query = self.members[0]
+            width = query.parallelism
+            router = query._scheme.router
+            self._routes = {}
+            for name, sources in self._sources.items():
+                each = len(sources) // width
+                self._routes[name] = (router(name, width), [
+                    sources[p * each:(p + 1) * each] for p in range(width)])
+        #: The newest checkpoint (see :meth:`snapshot`).
+        self._checkpoint: dict[str, Any] | None = None
+
+    @property
+    def shared_hits(self) -> int:
+        """Subplan compilations avoided by sharing (memo hits)."""
+        return self.memo.hits if self.memo is not None else 0
+
+    def distinct_operators(self) -> list[PhysicalOp]:
+        """Every physical operator in the group DAG, counted once."""
+        return list(self._evaluator.operators)
+
+    def state_size(self) -> int:
+        """Total tuples held by stateful operators, shared state counted
+        once (contrast with summing each member's private accounting)."""
+        return sum(getattr(op, "state_size", 0)
+                   for op in self._evaluator.operators)
+
+    # -- feeding -------------------------------------------------------------
+    #
+    # Each call returns ``reader``'s emissions not yet returned (none
+    # without a reader); the other members keep theirs for their next call.
+
+    def start(self, at: Timestamp = 0,
+              reader: "ContinuousQuery | None" = None) -> list[Emission]:
+        """Process the registration instant (see
+        :meth:`ContinuousQuery.start`)."""
+        check_feed_time(at, self._cursor)
+        self._process_instant(at)
+        return [] if reader is None else reader._pending()
+
+    def push_batch(self, timestamp: Timestamp,
+                   arrivals: Mapping[str, Sequence[Mapping[str, Any]
+                                                   | Record]],
+                   reader: "ContinuousQuery | None" = None,
+                   ) -> list[Emission]:
+        """Push all arrivals carrying ``timestamp`` through the group,
+        atomically.
+
+        Every row is validated first (:func:`coerce_arrivals`), then
+        staged into every *distinct* source reading its stream (a shared
+        window buffers the row once).  Earlier agenda work (window
+        expirations due before ``timestamp``) is processed first, then
+        the batch, for every member.
+        """
+        return self._feed(timestamp, coerce_arrivals(self.catalog, arrivals),
+                          reader=reader)
+
+    def _feed(self, timestamp: Timestamp,
+              arrivals: Mapping[str, list[tuple]],
+              updates: Sequence[tuple[RelationSourceOp, Delta]] = (),
+              reader: "ContinuousQuery | None" = None) -> list[Emission]:
+        """:meth:`push_batch` for arrivals already validated into values
+        tuples, plus relation ``updates`` for members' relation sources:
+        the one instant path, which the DSMS calls directly with the rows
+        its ``ingest`` validated."""
+        check_feed_time(timestamp, self._cursor)
+        for instant in self.agenda.due(timestamp - 1):
+            self._process_instant(instant)
+        stage_arrivals(self._sources, arrivals, timestamp, self._routes)
+        for source, delta in updates:
+            source.stage_updates([delta])
+        self.agenda.due(timestamp)  # consume anything scheduled == now
+        self._process_instant(timestamp)
+        self._started = True
+        return [] if reader is None else reader._pending()
+
+    def advance_to(self, timestamp: Timestamp,
+                   reader: "ContinuousQuery | None" = None,
+                   ) -> list[Emission]:
+        """Advance event time without new data (fires due expirations)."""
+        for instant in self.agenda.due(timestamp):
+            self._process_instant(instant)
+        return [] if reader is None else reader._pending()
+
+    def finish(self, reader: "ContinuousQuery | None" = None,
+               ) -> list[Emission]:
+        """Drain all scheduled future work (window closes after end of
+        input)."""
+        for instant in self.agenda.drain():
+            self._process_instant(instant)
+        return [] if reader is None else reader._pending()
+
+    def _process_instant(self, t: Timestamp) -> None:
+        """Run one instant through the DAG, each operator once, and fold
+        each member's root batch into that member."""
+        if _obs_state.enabled:
+            if self._eval_hist is None:
+                self._eval_hist = _obs_registry().histogram(
+                    "exec.query.instant_eval_seconds", layer="cql")
+            started = time.perf_counter()
+            reports = self._evaluator.run(t)
+            self._eval_hist.observe(time.perf_counter() - started)
+        else:
+            reports = self._evaluator.run(t)
+        for query, (deltas, _active) in zip(self.members, reports):
+            query._apply_instant(t, deltas)
+        self._cursor = t
+
+    # -- checkpointing -------------------------------------------------------
+
+    def snapshot(self) -> dict[str, Any]:
+        """A barrier: move the group's recovery point to now and return
+        what it wrote — the agenda, each distinct operator's state once,
+        the cursor, and each member's change-log and emission offsets.
+
+        Taken between instants, the checkpoint plus the input suffix
+        replayed from the same point reproduces the fault-free run
+        exactly — the property the kernel-crashed difftest leg checks.
+        Operators write the keys they changed since the previous barrier
+        (every key at the first, see :meth:`PhysicalOp.barrier`); the
+        change-logs and the emissions are append-only, so they write
+        their lengths (one per member, in member order); the agenda
+        (bounded by the widest window) is copied.  It may be taken
+        between quanta, inside an instant whose remaining arrivals are
+        still to come: the instant's next fold is a second batch at the
+        same version.  :attr:`barrier_bytes` is the operators' tallies
+        plus the agenda copy, shared state counted once.  The recovery
+        image stays inside the group, so :meth:`restore` takes the newest
+        checkpoint only.
+        """
+        agenda = self.agenda.snapshot()
+        ops = self._evaluator.operators
+        members = self.members
+        self._checkpoint = {
+            "agenda": agenda,
+            "log": [len(member._log) for member in members],
+            "emissions": [len(member._emissions) for member in members],
+            "last_instant": self._cursor,
+            "deltas_processed": [member._deltas_processed
+                                 for member in members],
+            "operators": [op.barrier() for op in ops],
+        }
+        self.barrier_bytes = (getsizeof(agenda["heap"])
+                              + getsizeof(agenda["scheduled"])
+                              + sum(op.barrier_bytes for op in ops))
+        return self._checkpoint
+
+    def restore(self, payload: Mapping[str, Any]) -> None:
+        """Roll back in place to the newest checkpoint (``payload`` is
+        what :meth:`snapshot` returned for it).
+
+        Operators restore only the keys they changed since; each
+        member's change-log and emissions are cut back to their lengths
+        then, and the batches cut are taken back out of its answer.  The
+        compiled DAG is reused, and any partially processed instant left
+        over from a crash (staged arrivals) is discarded.  Repeatable:
+        the checkpoint is not consumed.
+        """
+        point = self._checkpoint
+        if point is None or payload is not point:
+            raise StateError(
+                "only the newest checkpoint can be restored (and none "
+                "taken before a rescale or a new member): the group keeps "
+                "one recovery image")
+        for op in self._evaluator.operators:
+            op.rollback()
+        self.agenda.restore(point["agenda"])
+        for member, log, emitted, deltas in zip(
+                self.members, point["log"], point["emissions"],
+                point["deltas_processed"]):
+            member._log.truncate(log)
+            del member._emissions[emitted:]
+            member._delivered = min(member._delivered, emitted)
+            member._deltas_processed = deltas
+        self._cursor = point["last_instant"]
+
+
 class ContinuousQuery:
     """A registered continuous query: compiled once, runs until cancelled.
 
@@ -1211,6 +1480,11 @@ class ContinuousQuery:
     current relation state (inspect with :meth:`current`).  Use
     :meth:`run_recorded` to replay recorded streams with exact per-instant
     batching.
+
+    The query owns its plan and compiled tree, its answer (a
+    :class:`~repro.core.relation.Changelog`) and its emissions; feeding,
+    evaluation and checkpoints belong to its :class:`SharedGroup` — its
+    own group of one unless it was compiled into a shared group.
 
     ``parallelism > 1`` fissions a key-partitionable plan inside the query
     (see :func:`compile_plan`): each arrival is staged only into its
@@ -1221,44 +1495,34 @@ class ContinuousQuery:
     """
 
     def __init__(self, plan: LogicalOp, catalog: Catalog,
-                 shared=None, parallelism: int = 1) -> None:
+                 group: SharedGroup | None = None,
+                 parallelism: int = 1) -> None:
         if parallelism < 1:
             raise PlanError(f"parallelism must be >= 1, got {parallelism}")
         self.plan = plan
         self.catalog = catalog
         self.r2s = plan.kind if isinstance(plan, RelToStream) else None
         self.output_schema = plan.schema
-        #: The :class:`repro.cql.shared.SharedGroup` this query belongs to,
-        #: or None for a private query.  A member compiles through the
-        #: group's memo and agenda and has no evaluator of its own: the
-        #: group evaluates every member's (possibly overlapping) tree.
-        self._shared = shared
-        self._agenda = shared.agenda if shared is not None else Agenda()
+        #: The :class:`SharedGroup` that feeds, evaluates and checkpoints
+        #: this query: a private group of one unless one was given.
+        self.group = group if group is not None else SharedGroup(catalog)
         #: :meth:`publish_metrics`' marks: (id(operator), field) → the
         #: value last published; (-1, "deltas") for the query total.
         self._published_ops: dict[tuple[int, str], int] = {}
         #: Growth a rescale's retired operators had not yet published:
         #: (operator name, depth-first index, field) → amount.
         self._retired_growth: dict[tuple[str, int, str], int] = {}
-        self._install(compile_plan(
-            plan, catalog, self._agenda,
-            memo=shared.memo if shared is not None else None,
-            parallelism=parallelism), parallelism)
         #: The answer and its history: the maintained relation plus one
         #: netted batch per fold that changed it (see :meth:`_apply_instant`).
         #: The DSMS Store reads this very log, see :attr:`changelog`.
         self._log = Changelog()
         self._emissions: list[Emission] = []
-        #: Emissions produced by group instants another member triggered,
-        #: waiting to be returned from this member's next feeding call.
-        self._undelivered: list[Emission] = []
-        #: The newest instant evaluated, changed or not: feeding behind it
-        #: is refused (:func:`check_feed_time`).
-        self._last_instant: Timestamp | None = None
+        #: How many of the emissions a feeding call has returned.
+        self._delivered = 0
         self._deltas_processed = 0
-        #: Bytes the last :meth:`snapshot` allocated; None before the first.
-        self.barrier_bytes: int | None = None
-        self._eval_hist = None
+        self._install(compile_plan(
+            plan, catalog, self.group.agenda, memo=self.group.memo,
+            parallelism=parallelism), parallelism)
 
     def _install(self, compiled: tuple, parallelism: int) -> None:
         """Adopt a tree :func:`compile_plan` built at ``parallelism`` (at
@@ -1267,24 +1531,9 @@ class ContinuousQuery:
         #: ``_scheme``: the plan's PartitionScheme when fissioned, else None.
         (self._root, self._stream_sources, self._relation_sources,
          self._phys_by_logical, self._scheme) = compiled
-        #: The newest checkpoint (see :meth:`snapshot`); a new tree has no
-        #: recovery image.
-        self._checkpoint: dict[str, Any] | None = None
         #: The number of key partitions the plan runs in (1: serial).
         self.parallelism = parallelism
-        self._evaluator = (InstantEvaluator([self._root])
-                           if self._shared is None else None)
-        #: Fissioned queries only: stream name → (the router from an
-        #: arrival's values to its partition, each partition's sources).
-        self._routes: dict[str, tuple[Callable, list]] | None = None
-        if parallelism > 1:
-            router = self._scheme.router
-            self._routes = {}
-            for name, sources in self._stream_sources.items():
-                each = len(sources) // parallelism
-                self._routes[name] = (router(name, parallelism), [
-                    sources[p * each:(p + 1) * each]
-                    for p in range(parallelism)])
+        self.group._adopt(self)
         if retired is not None:
             self._rebase_metrics(retired)
 
@@ -1310,15 +1559,16 @@ class ContinuousQuery:
             self._published_ops[(id(op), "records_out")] = op.emitted
 
     # -- feeding -------------------------------------------------------------
+    #
+    # Every feeding call runs through the group and returns this query's
+    # emissions not yet returned: those of this call, and those of
+    # instants a peer in a shared group drove since this query's last call.
 
     def start(self, at: Timestamp = 0) -> list[Emission]:
         """Process the registration instant: flushes base relations' initial
         contents so the maintained state matches the reference semantics
         from time ``at`` on."""
-        if self._shared is not None:
-            return self._shared.start(self, at)
-        check_feed_time(at, self._last_instant)
-        return self._process_instant(at)
+        return self.group.start(at, self)
 
     def push(self, stream_name: str, row: Mapping[str, Any] | Record,
              timestamp: Timestamp) -> list[Emission]:
@@ -1329,35 +1579,9 @@ class ContinuousQuery:
                    arrivals: Mapping[str, Sequence[Mapping[str, Any]
                                                    | Record]],
                    ) -> list[Emission]:
-        """Push all arrivals carrying ``timestamp``, atomically.
-
-        Every row is validated first (:func:`coerce_arrivals`).  Earlier
-        agenda work (window expirations due before ``timestamp``) is
-        processed first, then the batch.  Returns the emissions produced
-        from the missed instants and this batch.
-        """
-        return self._feed(timestamp, coerce_arrivals(self.catalog, arrivals))
-
-    def _feed(self, timestamp: Timestamp,
-              arrivals: Mapping[str, list[tuple]],
-              updates: Sequence[tuple[RelationSourceOp, Delta]] = (),
-              ) -> list[Emission]:
-        """:meth:`push_batch` for arrivals already validated into values
-        tuples, plus relation ``updates`` for the query's relation
-        sources: the one instant path, which the DSMS calls directly with
-        the rows its ``ingest`` validated."""
-        if self._shared is not None:
-            return self._shared._feed(timestamp, arrivals, updates,
-                                      member=self)
-        check_feed_time(timestamp, self._last_instant)
-        emitted = self._process_instants(self._agenda.due(timestamp - 1))
-        stage_arrivals(self._stream_sources, arrivals, timestamp,
-                       self._routes)
-        for source, delta in updates:
-            source.stage_updates([delta])
-        self._agenda.due(timestamp)  # consume anything scheduled == now
-        emitted.extend(self._process_instant(timestamp))
-        return emitted
+        """Push all arrivals carrying ``timestamp``, atomically (see
+        :meth:`SharedGroup.push_batch`)."""
+        return self.group.push_batch(timestamp, arrivals, self)
 
     def update_relation(self, name: str, row: Mapping[str, Any] | Record,
                         mult: int, timestamp: Timestamp) -> list[Emission]:
@@ -1366,7 +1590,7 @@ class ContinuousQuery:
 
         The row is validated against the relation's schema first.
         Refused like :meth:`push_batch` when ``timestamp`` is before the
-        epoch or behind the query's newest instant.  Earlier agenda work
+        epoch or behind the group's newest instant.  Earlier agenda work
         runs first, so the update lands at ``timestamp``.  Relation scans
         are never shared (the memo refuses them: members may diverge via
         private updates), so a shared-group member stages the update into
@@ -1376,136 +1600,73 @@ class ContinuousQuery:
         sources = self._relation_sources.get(name)
         if not sources:
             raise PlanError(f"query does not read relation {name!r}")
-        return self._feed(timestamp, {},
-                          [(source, (values, mult)) for source in sources])
+        return self.group._feed(
+            timestamp, {}, [(source, (values, mult)) for source in sources],
+            self)
 
     def advance_to(self, timestamp: Timestamp) -> list[Emission]:
         """Advance event time without new data (fires due expirations)."""
-        if self._shared is not None:
-            return self._shared.advance_to(timestamp, member=self)
-        return self._process_instants(self._agenda.due(timestamp))
+        return self.group.advance_to(timestamp, self)
 
     def finish(self) -> list[Emission]:
         """Drain all scheduled future work (window closes after end of
         input) and return the final emissions."""
-        if self._shared is not None:
-            return self._shared.finish(member=self)
-        return self._process_instants(self._agenda.drain())
+        return self.group.finish(self)
 
-    def _drain_undelivered(self) -> list[Emission]:
-        """Collect emissions buffered while other group members drove
-        processing (shared groups only)."""
-        out, self._undelivered = self._undelivered, []
+    def _pending(self) -> list[Emission]:
+        """The emissions no feeding call has returned yet, now returned."""
+        out = self._emissions[self._delivered:]
+        self._delivered = len(self._emissions)
         return out
 
     # -- checkpointing -------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """A barrier: move the query's recovery point to now and return
-        what it wrote — every operator's state, the agenda, and the
-        query's maintained relation, change-log and emissions.
-
-        Taken between instants, the checkpoint plus the input suffix
-        replayed from the same point reproduces the fault-free run
-        exactly — the property the kernel-crashed difftest leg checks.
-        Operators write the keys they changed since the previous barrier
-        (every key at the first, see :meth:`PhysicalOp.barrier`); the
-        change-log and the emissions are append-only, so they write their
-        lengths; the agenda (bounded by the widest window) is copied.  It
-        may be taken between quanta, inside an instant whose remaining
-        arrivals are still to come: the instant's next fold is a second
-        batch at the same version.  :attr:`barrier_bytes` is the
-        operators' tallies plus the agenda copy.  The recovery image stays
-        inside the query, so :meth:`restore` takes the newest checkpoint
-        only.  Shared-group members cannot checkpoint independently: their
-        operator state interleaves with other members'.
-        """
-        if self._shared is not None:
-            raise StateError(
-                "shared-group queries cannot be checkpointed independently")
-        agenda = self._agenda.snapshot()
-        ops = [op for _, op in self.operators()]
-        self._checkpoint = {
-            "agenda": agenda,
-            "log": len(self._log),
-            "emissions": len(self._emissions),
-            "last_instant": self._last_instant,
-            "deltas_processed": self._deltas_processed,
-            "operators": [op.barrier() for op in ops],
-        }
-        self.barrier_bytes = (getsizeof(agenda["heap"])
-                              + getsizeof(agenda["scheduled"])
-                              + sum(op.barrier_bytes for op in ops))
-        return self._checkpoint
+        """A barrier of the query's group (see :meth:`SharedGroup.snapshot`):
+        its operators' state, its agenda, and the query's change-log and
+        emission offsets.  A member of a shared group with other members
+        cannot checkpoint alone: its operator state interleaves with
+        theirs."""
+        return self._whole_group().snapshot()
 
     def restore(self, payload: Mapping[str, Any]) -> None:
-        """Roll back in place to the newest checkpoint (``payload`` is
-        what :meth:`snapshot` returned for it).
+        """Roll the query's group back to its newest checkpoint (see
+        :meth:`SharedGroup.restore`); refused like :meth:`snapshot`."""
+        self._whole_group().restore(payload)
 
-        Operators restore only the keys they changed since; the change-log
-        and the emissions are cut back to their lengths then, and the
-        batches cut are taken back out of the answer.  The compiled tree
-        is reused, and any partially processed instant left over from a
-        crash (staged arrivals) is discarded.
-        Repeatable: the checkpoint is not consumed.
-        """
-        point = self._checkpoint
-        if point is None or payload is not point:
+    def _whole_group(self) -> SharedGroup:
+        if len(self.group.members) > 1:
             raise StateError(
-                "only the newest checkpoint can be restored (and none "
-                "taken before a rescale): the query keeps one recovery "
-                "image")
-        for _, op in self.operators():
-            op.rollback()
-        self._agenda.restore(point["agenda"])
-        self._log.truncate(point["log"])
-        del self._emissions[point["emissions"]:]
-        self._last_instant = point["last_instant"]
-        self._deltas_processed = point["deltas_processed"]
+                "shared-group queries cannot be checkpointed independently")
+        return self.group
+
+    @property
+    def barrier_bytes(self) -> int | None:
+        """Bytes the group's last barrier allocated; None before the first."""
+        return self.group.barrier_bytes
 
     # -- processing ----------------------------------------------------------
 
-    def _process_instants(self, ts: list[Timestamp]) -> list[Emission]:
-        """Process several due instants in order."""
-        emitted: list[Emission] = []
-        for t in ts:
-            emitted.extend(self._process_instant(t))
-        return emitted
-
-    def _process_instant(self, t: Timestamp) -> list[Emission]:
-        if _obs_state.enabled:
-            if self._eval_hist is None:
-                self._eval_hist = _obs_registry().histogram(
-                    "exec.query.instant_eval_seconds", layer="cql")
-            started = time.perf_counter()
-            [(deltas, _active)] = self._evaluator.run(t)
-            self._eval_hist.observe(time.perf_counter() - started)
-        else:
-            [(deltas, _active)] = self._evaluator.run(t)
-        return self._apply_instant(t, deltas)
-
-    def _apply_instant(self, t: Timestamp,
-                       deltas: list[Delta]) -> list[Emission]:
+    def _apply_instant(self, t: Timestamp, deltas: list[Delta]) -> None:
         """Fold one instant's root deltas into the change-log and the
         emissions.
 
-        Split from :meth:`_process_instant` so a shared group can evaluate
-        all member plans in one pass and hand each member its own root
-        batch.  The log commits the *net* change R(τ) − R(τ−), the only
-        change the reference semantics sees; an instant folded in several
-        quanta commits one batch per fold.  Only the rows emitted become
-        Records of the output schema.  All or nothing: a refused
-        retraction leaves the answer, the log, the emissions and the
-        clock as they were.
+        The group evaluates every member plan in one pass and hands each
+        member its own root batch here.  The log commits the *net* change
+        R(τ) − R(τ−), the only change the reference semantics sees; an
+        instant folded in several quanta commits one batch per fold.
+        Only the rows emitted become Records of the output schema.  All
+        or nothing: a refused retraction leaves the answer, the log and
+        the emissions as they were (and the group's clock, see
+        :meth:`SharedGroup._process_instant`).
         """
         self._deltas_processed += len(deltas)
         net = self._log.commit(t, deltas)
-        self._last_instant = t
         if not net:
-            return []
+            return
         r2s = self.r2s
         if r2s is None:
-            return []
+            return
         schema = self.output_schema
         if r2s is R2SKind.RSTREAM:
             # In repr order: the answer's dict order depends on its
@@ -1517,9 +1678,7 @@ class ContinuousQuery:
             sign = 1 if r2s is R2SKind.ISTREAM else -1
             rows = [trusted_record(schema, values)
                     for values, m in net.items() for _ in range(m * sign)]
-        emitted = [Emission(record, t) for record in rows]
-        self._emissions.extend(emitted)
-        return emitted
+        self._emissions.extend([Emission(record, t) for record in rows])
 
     # -- inspection ----------------------------------------------------------
 

@@ -190,9 +190,10 @@ def run_case(case: Case) -> Divergence | None:
         return divergence
 
     # Final leg: multi-query plan sharing.  The same query registered
-    # twice in a sharing engine runs as one shared operator DAG; both
-    # members must still match the reference instant by instant, and
-    # must agree with each other emission for emission.
+    # twice in a sharing engine runs as one shared operator DAG, each
+    # instant ingested whole before the drain; both members must still
+    # match the reference instant by instant, and must agree with each
+    # other emission for emission.
     return _dsms_shared_leg(case, streams, ref_state)
 
 
@@ -646,6 +647,10 @@ def _kernel_batched_leg(case: Case, streams, ref_state) -> Divergence | None:
 
 
 def _dsms_shared_leg(case: Case, streams, ref_state) -> Divergence | None:
+    """The same query registered twice in a sharing engine: one group,
+    one unit.  Each instant is ingested whole before the drain, so a
+    relation-output group folds it in one batched quantum (a
+    stream-output one is clamped to a tuple per quantum)."""
     dsms = _dsms(sharing=True)
     try:
         first = dsms.register_query("q1", case.query)
@@ -653,8 +658,10 @@ def _dsms_shared_leg(case: Case, streams, ref_state) -> Divergence | None:
     except ReproError as exc:
         return Divergence("dsms-shared", f"registration failed: {exc!r}")
     try:
-        for t, name, record in _arrivals(streams, first):
-            dsms.ingest(name, record, t)
+        for _, instant in groupby(_arrivals(streams, first),
+                                  key=itemgetter(0)):
+            for t, name, record in instant:
+                dsms.ingest(name, record, t)
             dsms.run_until_idle()
         first.query.finish()
     except ReproError as exc:

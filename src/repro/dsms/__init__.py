@@ -6,7 +6,7 @@ incremental executor by :class:`~repro.dsms.engine.DSMSEngine`.
 """
 
 from repro.dsms.components import Scratch, Store, Throw
-from repro.dsms.engine import DSMSEngine, QueryHandle
+from repro.dsms.engine import DSMSEngine, QueryHandle, SchedulingUnit
 from repro.dsms.metrics import Gauge, QueryMetrics
 from repro.dsms.queues import InputQueue
 from repro.dsms.scheduler import (
@@ -23,7 +23,7 @@ from repro.dsms.shedding import (
 )
 
 __all__ = [
-    "DSMSEngine", "QueryHandle",
+    "DSMSEngine", "QueryHandle", "SchedulingUnit",
     "Store", "Scratch", "Throw",
     "InputQueue",
     "Scheduler", "RoundRobinScheduler", "LongestQueueScheduler",

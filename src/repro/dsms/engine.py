@@ -34,7 +34,7 @@ from repro.cql.engine import CQLEngine
 from repro.cql.executor import (
     ContinuousQuery,
     Emission,
-    PhysicalOp,
+    SharedGroup,
     StreamSourceOp,
 )
 from repro.dsms.components import Scratch, Store, Throw
@@ -43,83 +43,87 @@ from repro.dsms.queues import InputQueue
 from repro.dsms.scheduler import RoundRobinScheduler, Scheduler
 from repro.dsms.shedding import NoShedding, Shedder
 from repro.plan.batching import decide_batch_size
-from repro.plan.ir import LogicalOp
 from repro.views.service import DynamicTableService
 
 
-def _stateful_ops(root: PhysicalOp) -> list[tuple[str, Any]]:
-    """Walk a physical tree collecting operators with state to account."""
-    out: list[tuple[str, Any]] = []
+class SchedulingUnit:
+    """One scheduling unit of the DSMS: a standing-query group and the
+    queue that feeds it.
 
-    def visit(op: PhysicalOp) -> None:
-        if hasattr(op, "state_size"):
-            out.append((type(op).__name__, op))
-        for child in op.children:
-            visit(child)
-
-    visit(root)
-    return out
-
-
-class QueryHandle:
-    """One registered standing query inside the DSMS.
-
-    ``track_state=False`` is used for members of a shared plan group:
-    their operator state overlaps with other members', so Scratch
-    registration and Throw (eviction) accounting happen once at the
-    group level instead of per member.
+    A private query is a unit of one; with ``sharing=True`` the
+    default-policy queries form one unit over a shared plan group
+    (:class:`~repro.cql.executor.SharedGroup`).  Either way the unit
+    owns one bounded input queue, its shedder and its batch cap, one
+    service path (a quantum is one group instant that advances every
+    member), the Scratch account over the group's *distinct* operators
+    (shared state counted once) and the Throw accounting of their
+    evictions.  The scheduler sees units; each member's
+    :class:`QueryHandle` keeps that query's metrics.
     """
 
-    def __init__(self, name: str, query: ContinuousQuery,
-                 queue: InputQueue, shedder: Shedder,
-                 scratch: Scratch, throw: Throw,
-                 wm_clock: obs.WatermarkClock | None = None,
-                 track_state: bool = True,
-                 batch_size: int | None = 1) -> None:
+    def __init__(self, name: str, group: SharedGroup, queue: InputQueue,
+                 shedder: Shedder, scratch: Scratch, throw: Throw,
+                 wm_clock: obs.WatermarkClock | None = None) -> None:
+        #: The founding member's name: the unit's queue, busy-time and
+        #: Scratch labels.
         self.name = name
-        self.query = query
+        self.group = group
         self.queue = queue
         self.shedder = shedder
-        #: NoShedding cannot refuse: its handle skips the policy call and
+        #: NoShedding cannot refuse: the unit skips the policy call and
         #: only keeps its books.
         self._admits_all = type(shedder) is NoShedding
         #: Micro-batch cap: a service quantum drains the queue's head
         #: instant — up to this many same-timestamp tuples, all of them
-        #: for ``None`` — into one ``push_batch`` (1 = per-tuple).
-        self.batch_size = None if batch_size is None else max(1, batch_size)
+        #: for ``None`` — into one group instant (1 = per-tuple).  The
+        #: most restrictive of the members' caps (see :meth:`add`).
+        self.batch_size: int | None = None
         self._scratch = scratch
         self._throw = throw
         self._wm_clock = wm_clock
-        self.metrics = QueryMetrics()
-        #: Wall time spent servicing this query's tuples (accumulated
-        #: only while obs is enabled; the per-operator split lives in the
-        #: query's executor accounting).
+        #: Wall time spent servicing this unit (accumulated only while
+        #: obs is enabled; the per-operator split lives in the executor's
+        #: accounting).
         self.busy_seconds = 0.0
-        #: Live-rescale history: one RescaleReport per completed
-        #: migration (``DSMSEngine.rescale_query`` appends here).
-        self.rescales: list = []
-        #: The adaptivity controller driving this query when the engine
-        #: runs with ``autoscale=`` (None otherwise / when ineligible).
-        self.autoscaler = None
+        self.members: list[QueryHandle] = []
+        #: Stream name → the metrics of the members reading it.
+        self._readers: dict[str, list[QueryMetrics]] = {}
         self._sources: list[StreamSourceOp] = []
-        if track_state:
-            self.bind_operators()
+
+    def add(self, handle: "QueryHandle", batch_size: int | None) -> None:
+        """Make ``handle`` a member, its cap ``batch_size`` tightening the
+        unit's: any member's cap of 1 clamps the unit to one tuple, and
+        only members that all drain whole instants leave it at None."""
+        if batch_size is not None:
+            batch_size = max(1, batch_size)
+        if not self.members or self.batch_size is None:
+            self.batch_size = batch_size
+        elif batch_size is not None:
+            self.batch_size = min(self.batch_size, batch_size)
+        self.members.append(handle)
+        self.bind_operators()
 
     def bind_operators(self) -> None:
-        """(Re)open this query's Scratch account over its current physical
-        operators and re-base eviction accounting on their sources.
+        """(Re)open the unit's Scratch account over the group's current
+        distinct operators, re-base eviction accounting on its sources
+        and re-read which member reads which stream.
 
-        Called at registration and again after a live rescale, when the
-        old width's operators are dead and new ones hold the state.  The
-        account covers every partition of a fissioned query — fissioned
-        state is still this query's state.
+        Called when a member joins and again after a live rescale, when
+        the old width's operators are dead and new ones hold the state.
+        The account covers every partition of a fissioned query —
+        fissioned state is still this query's state.
         """
-        self._scratch.unregister(self.name)
+        self._scratch.unregister(self)
         self._sources = []
-        for label, op in _stateful_ops(self.query._root):
-            self._scratch.register(self.name, f"{self.name}/{label}", op)
-            if isinstance(op, StreamSourceOp):
-                self._sources.append(op)
+        for op in self.group.distinct_operators():
+            if hasattr(op, "state_size"):
+                self._scratch.register(
+                    self, f"{self.name}/{type(op).__name__}", op)
+                if isinstance(op, StreamSourceOp):
+                    self._sources.append(op)
+        self._readers = {
+            name: [h.metrics for h in self.members if h.reads_stream(name)]
+            for name in self.group._sources}
 
     @property
     def pending(self) -> int:
@@ -127,22 +131,26 @@ class QueryHandle:
         return len(self.queue)
 
     def reads_stream(self, name: str) -> bool:
-        return name in self.query._stream_sources
+        return name in self.group._sources
 
     def offer(self, arrival: tuple[str, tuple], t: Timestamp) -> bool:
         """Admission control + enqueue of a ``(stream name, values)``
-        arrival.  Returns False when shed/dropped.  A policy decides on
-        the row as a Record of the stream's schema, built for it alone."""
-        self.metrics.ingested += 1
+        arrival, once for the whole unit.  Returns False when
+        shed/dropped.  A policy decides on the row as a Record of the
+        stream's schema, built for it alone."""
+        for metrics in self._readers[arrival[0]]:
+            metrics.ingested += 1
         if self._admits_all:
             self.shedder.admitted += 1
         elif not self.shedder.admit(trusted_record(
-                self.query.catalog.stream(arrival[0]).schema, arrival[1]),
+                self.group.catalog.stream(arrival[0]).schema, arrival[1]),
                 self.queue):
-            self.metrics.shed += 1
+            for metrics in self._readers[arrival[0]]:
+                metrics.shed += 1
             return False
         if not self.queue.offer(arrival, t):
-            self.metrics.queue_dropped += 1
+            for metrics in self._readers[arrival[0]]:
+                metrics.queue_dropped += 1
             # The policy said yes but the queue bounced the tuple: tell the
             # shedder so shed_fraction keeps reporting the true drop rate.
             self.shedder.record_queue_drop()
@@ -157,10 +165,10 @@ class QueryHandle:
 
         A quantum drains the queue's head instant, up to ``batch_size``
         tuples of it (all of them when ``batch_size`` is None), into ONE
-        atomic instant of the query, fed the values tuples ``ingest``
-        validated — one instant evaluation, which the query commits to
-        its change-log (the Store's history) as at most one batch.
-        With ``batch_size=1`` a quantum is one tuple.
+        atomic group instant, fed the values tuples ``ingest`` validated
+        — one instant evaluation, which each member commits to its
+        change-log (the Store's history) as at most one batch.  With
+        ``batch_size=1`` a quantum is one tuple.
         """
         run = self.queue.poll_instant(self.batch_size)
         if run is None:
@@ -184,19 +192,31 @@ class QueryHandle:
             else:
                 rows.append(row)
         before = self._evictions()
-        emitted = self.query._feed(t, arrivals)
+        self.group._feed(t, arrivals)
         self._account_throw(before, t)
-        metrics = self.metrics
-        metrics.processed += len(values)
-        metrics.emitted += len(emitted)
+        occupancy = self._scratch.settle(self)
         waits = self.queue.polled_waits
-        for run in waits:
-            metrics.queue_wait.observe_run(
-                len(run), len(run) * (run[0] + run[-1]) // 2,
-                run[0], run[-1])
-        metrics.scratch.observe(self._scratch.settle(self.name))
+        emitted = 0
+        for handle in self.members:
+            metrics = handle.metrics
+            query = handle.query
+            count = len(query._pending())
+            metrics.emitted += count
+            emitted += count
+            read = 0
+            for stream_name, rows in arrivals.items():
+                if stream_name in query._stream_sources:
+                    read += len(rows)
+            if not read:
+                continue
+            metrics.processed += read
+            for run in waits:
+                metrics.queue_wait.observe_run(
+                    len(run), len(run) * (run[0] + run[-1]) // 2,
+                    run[0], run[-1])
+            metrics.scratch.observe(occupancy)
         if span is not None:
-            span.add(records=len(values), emitted=len(emitted))
+            span.add(records=len(values), emitted=emitted)
             wait_hist = obs.get_registry().histogram(
                 "dsms.queue.wait", query=self.name)
             for run in waits:
@@ -209,9 +229,11 @@ class QueryHandle:
     def advance_to(self, t: Timestamp) -> None:
         """Advance event time (window expirations) with no new data."""
         before = self._evictions()
-        self.query.advance_to(t)
+        self.group.advance_to(t)
         self._account_throw(before, t)
-        self._scratch.settle(self.name)
+        self._scratch.settle(self)
+        for handle in self.members:
+            handle.metrics.emitted += len(handle.query._pending())
 
     def _evictions(self) -> int:
         return sum(op.evicted for op in self._sources)
@@ -219,6 +241,51 @@ class QueryHandle:
     def _account_throw(self, before: int, t: Timestamp) -> None:
         # Every tuple evicted from a window buffer passes through the Throw.
         self._throw.discard_many(self._evictions() - before, t)
+
+
+class QueryHandle:
+    """One registered standing query inside the DSMS: its name, query,
+    metrics and Store reads.  Its :class:`SchedulingUnit` queues and
+    services it — alone, or with the other members of a shared plan
+    group."""
+
+    def __init__(self, name: str, query: ContinuousQuery,
+                 unit: SchedulingUnit) -> None:
+        self.name = name
+        self.query = query
+        self.unit = unit
+        self.metrics = QueryMetrics()
+        #: Live-rescale history: one RescaleReport per completed
+        #: migration (``DSMSEngine.rescale_query`` appends here).
+        self.rescales: list = []
+        #: The adaptivity controller driving this query when the engine
+        #: runs with ``autoscale=`` (None otherwise / when ineligible).
+        self.autoscaler = None
+
+    @property
+    def queue(self) -> InputQueue:
+        return self.unit.queue
+
+    @property
+    def shedder(self) -> Shedder:
+        return self.unit.shedder
+
+    @property
+    def batch_size(self) -> int | None:
+        return self.unit.batch_size
+
+    @property
+    def busy_seconds(self) -> float:
+        """Wall time spent servicing this query's unit."""
+        return self.unit.busy_seconds
+
+    @property
+    def pending(self) -> int:
+        """Backlog size of this query's unit."""
+        return len(self.unit.queue)
+
+    def reads_stream(self, name: str) -> bool:
+        return name in self.query._stream_sources
 
     def emissions(self) -> list[Emission]:
         """Every element the query emitted, registration included (a
@@ -234,110 +301,6 @@ class QueryHandle:
         """The Store's history of this query, built now from the query's
         change-log (see :meth:`ContinuousQuery.as_relation`)."""
         return self.query.as_relation()
-
-
-class SharedGroupHandle:
-    """The scheduling unit for a shared plan group (multi-query sharing).
-
-    Where isolated queries each own a queue and are serviced separately,
-    a shared group IS one execution unit: one bounded input queue, one
-    service path, one group instant that advances every member.  The
-    scheduler sees this handle like any other; servicing one tuple runs
-    the group instant and then fans results out to the member
-    :class:`QueryHandle` objects' metrics.
-
-    Scratch and Throw accounting happen here over the group's *distinct*
-    operators, so shared state is counted once — the honest number the
-    sharing benchmark reports.  The group is one Scratch owner: its
-    account is settled once per group instant, and every member that
-    was serviced observes that one total.
-    """
-
-    def __init__(self, group, queue: InputQueue, scratch: Scratch,
-                 throw: Throw,
-                 wm_clock: obs.WatermarkClock | None = None) -> None:
-        self.name = "<shared-group>"
-        self.group = group
-        self.queue = queue
-        self._scratch = scratch
-        self._throw = throw
-        self._wm_clock = wm_clock
-        self.busy_seconds = 0.0
-        self.members: list[QueryHandle] = []
-        self._registered_ops: set[int] = set()
-        #: The group's distinct window sources (eviction accounting);
-        #: None until first needed and after every ``add_member``.
-        self._sources: list[StreamSourceOp] | None = None
-
-    def add_member(self, handle: QueryHandle) -> None:
-        self.members.append(handle)
-        self._sources = None
-        for label, op in _stateful_ops(handle.query._root):
-            if id(op) not in self._registered_ops:
-                self._registered_ops.add(id(op))
-                self._scratch.register(self.name, f"shared/{label}", op)
-
-    @property
-    def pending(self) -> int:
-        return len(self.queue)
-
-    def reads_stream(self, name: str) -> bool:
-        return self.group.reads_stream(name)
-
-    def offer(self, arrival: tuple[str, tuple], t: Timestamp) -> bool:
-        """Enqueue once for the whole group (members never shed)."""
-        readers = [h for h in self.members if h.reads_stream(arrival[0])]
-        for handle in readers:
-            handle.metrics.ingested += 1
-        if not self.queue.offer(arrival, t):
-            for handle in readers:
-                handle.metrics.queue_dropped += 1
-            return False
-        if obs._STATE.enabled:
-            obs.get_registry().gauge(
-                "dsms.queue.depth", query=self.name).observe(len(self.queue))
-        return True
-
-    def service_one(self) -> bool:
-        run = self.queue.poll_instant(1)
-        if run is None:
-            return False
-        started = _perf() if obs._STATE.enabled else None
-        t, ((stream_name, values),) = run
-        before = self._evictions()
-        self.group._feed(t, {stream_name: [values]})
-        self._account_throw(before, t)
-        if started is not None:
-            if self._wm_clock is not None:
-                self._wm_clock.observe_processed(stream_name, t)
-            self.busy_seconds += _perf() - started
-        self._deliver(stream_name)
-        return True
-
-    def advance_to(self, t: Timestamp) -> None:
-        before = self._evictions()
-        self.group.advance_to(t)
-        self._account_throw(before, t)
-        self._deliver()
-
-    def _deliver(self, stream_name: str | None = None) -> None:
-        """Count one group instant (one tuple of ``stream_name``, or a pure
-        time advance) into the member handles' metrics."""
-        occupancy = self._scratch.settle(self.name)
-        for handle in self.members:
-            handle.metrics.emitted += len(handle.query._drain_undelivered())
-            if stream_name is not None and handle.reads_stream(stream_name):
-                handle.metrics.processed += 1
-                handle.metrics.scratch.observe(occupancy)
-
-    def _evictions(self) -> int:
-        if self._sources is None:
-            self._sources = [op for op in self.group.distinct_operators()
-                             if isinstance(op, StreamSourceOp)]
-        return sum(op.evicted for op in self._sources)
-
-    def _account_throw(self, before: int, t: Timestamp) -> None:
-        self._throw.discard_many(self._evictions() - before, t)
 
 
 class DSMSEngine:
@@ -363,9 +326,10 @@ class DSMSEngine:
         #: *emissions*.  An explicit ``register_query(batch_size=...)``
         #: overrides the clamp (state-exact opt-in).
         self.batch_size = None if batch_size is None else max(1, batch_size)
-        #: Multi-query plan sharing: queries registered with the default
-        #: shedder and queue capacity are compiled into one communal
-        #: :class:`repro.cql.shared.SharedGroup` (common subplans share
+        #: Multi-query plan sharing: queries registered with no per-unit
+        #: setting (shedder, queue capacity, batch size, parallelism) are
+        #: compiled into one communal sharing
+        #: :class:`~repro.cql.executor.SharedGroup` (common subplans share
         #: physical operators and window state) and serviced as one
         #: scheduling unit.
         self.sharing = sharing
@@ -374,16 +338,15 @@ class DSMSEngine:
         self.store = Store()
         self.scratch = Scratch()
         self.throw = Throw(keep_tuples=keep_thrown_tuples)
-        #: Schedulable units: isolated QueryHandles + at most one
-        #: SharedGroupHandle.  ``_handles`` stays the per-query list the
-        #: public API (queries, metrics_table) exposes.
-        self._units: list[QueryHandle | SharedGroupHandle] = []
+        #: Schedulable units: one per private query, plus the sharing
+        #: group's.  ``_handles`` stays the per-query list the public API
+        #: (queries, metrics_table) exposes.
+        self._units: list[SchedulingUnit] = []
         #: Stream name -> the units reading it, filled on first arrival;
         #: emptied whenever the units or a shared group's members change.
-        self._readers: dict[str, list[QueryHandle | SharedGroupHandle]] = {}
+        self._readers: dict[str, list[SchedulingUnit]] = {}
         self._handles: list[QueryHandle] = []
         self._by_name: dict[str, QueryHandle] = {}
-        self._group_handle: SharedGroupHandle | None = None
         # Event-time lag accounting, published under dsms.watermark.*.
         self.watermark_clock = obs.WatermarkClock(
             obs.get_registry(), prefix="dsms.watermark")
@@ -397,8 +360,7 @@ class DSMSEngine:
         #: while servicing or advancing time rolls every query and the
         #: Store back to the newest checkpoint, clears the queues, and
         #: re-offers the logged suffix — restore-and-replay at DSMS
-        #: scope.  Incompatible with plan sharing: a shared group's
-        #: interleaved operator state has no per-query snapshot.
+        #: scope, one barrier per scheduling unit.
         self.recovery: "RecoveryManager | None" = None
         self._arrival_log: list[tuple] = []
         #: The newest barrier's payload (see :meth:`snapshot`).
@@ -426,10 +388,6 @@ class DSMSEngine:
                                       if autoscale is True else autoscale)
         self._autoscale_ineligible: set[str] = set()
         if recovery_interval is not None:
-            if self.sharing:
-                raise PlanError(
-                    "crash recovery does not support plan sharing: shared "
-                    "operator state cannot be snapshotted per query")
             from repro.chaos.recovery import RecoveryManager
             self.recovery = RecoveryManager(
                 self, interval=recovery_interval,
@@ -475,27 +433,33 @@ class DSMSEngine:
             raise PlanError(f"query name {name!r} already registered")
         # Planned once: the batching pass and the compiler share the plan.
         plan = self._cql.plan(text)
+        # Default-policy queries join the communal shared plan group.  A
+        # per-unit setting — a custom shedder, queue or batch cap — needs
+        # a unit of its own, and so does a fissioned query: sharing
+        # interleaves operator state that partitioning must keep disjoint.
+        isolated = (not self.sharing or shedder is not None
+                    or queue_capacity is not None or batch_size is not None
+                    or (parallelism is not None and parallelism > 1))
         if batch_size is None:
             batch_size = decide_batch_size(plan, self.batch_size)
-        wants_fission = parallelism is not None and parallelism > 1
-        if self.sharing and shedder is None and queue_capacity is None \
-                and not wants_fission:
-            # Default-policy queries join the communal shared plan group;
-            # a custom shedder or queue would need per-query admission,
-            # which a shared queue cannot express, so those stay isolated.
-            # Fissioned queries also stay isolated: sharing interleaves
-            # operator state that partitioning must keep disjoint.
-            return self._register_shared(name, plan)
-        query = self._cql.register_plan(plan, parallelism=parallelism)
+        unit = group = None
+        if not isolated:
+            unit = next((unit for unit in self._units
+                         if unit.group.memo is not None), None)
+            group = (unit.group if unit is not None
+                     else self._cql.shared_group())
+        query = self._cql.register_plan(plan, shared=group,
+                                        parallelism=parallelism)
         query.start()
-        handle = QueryHandle(
-            name, query,
-            InputQueue(queue_capacity or self.queue_capacity),
-            shedder or NoShedding(),
-            self.scratch, self.throw,
-            wm_clock=self.watermark_clock,
-            batch_size=batch_size)
-        self._units.append(handle)
+        if unit is None:
+            unit = SchedulingUnit(
+                name, query.group,
+                InputQueue(queue_capacity or self.queue_capacity),
+                shedder or NoShedding(), self.scratch, self.throw,
+                wm_clock=self.watermark_clock)
+            self._units.append(unit)
+        handle = QueryHandle(name, query, unit)
+        unit.add(handle, batch_size)
         self._readers.clear()
         self._handles.append(handle)
         self._by_name[name] = handle
@@ -506,28 +470,6 @@ class DSMSEngine:
             # drained); queued arrivals are in the log and re-offered on
             # rollback anyway.
             self.recovery.checkpoint(len(self._arrival_log))
-        return handle
-
-    def _register_shared(self, name: str, plan: LogicalOp) -> QueryHandle:
-        if self._group_handle is None:
-            from repro.cql.shared import SharedGroup
-            group = SharedGroup(self.catalog)
-            self._group_handle = SharedGroupHandle(
-                group, InputQueue(self.queue_capacity), self.scratch,
-                self.throw, wm_clock=self.watermark_clock)
-            self._units.append(self._group_handle)
-        group = self._group_handle.group
-        query = self._cql.register_plan(plan, shared=group)
-        query.start()
-        handle = QueryHandle(
-            name, query, self._group_handle.queue, NoShedding(),
-            self.scratch, self.throw,
-            wm_clock=self.watermark_clock, track_state=False)
-        self._group_handle.add_member(handle)
-        self._readers.clear()
-        self._handles.append(handle)
-        self._by_name[name] = handle
-        self.store.register(name, query.changelog, query.output_schema)
         return handle
 
     def create_dynamic_table(self, text: str):
@@ -572,16 +514,19 @@ class DSMSEngine:
         handle = self._by_name.get(name)
         if handle is None:
             raise PlanError(f"unknown query {name!r}")
-        if handle.query._shared is not None:
+        if handle.query.group.memo is not None:
             raise PlanError(
                 f"query {name!r} is a member of a shared plan group; its "
                 f"operator state is interleaved with other members' and "
                 f"cannot be torn down independently")
         del self._by_name[name]
         self._handles.remove(handle)
-        self._units.remove(handle)
+        # The unit goes with its one member, which leaves it: nothing but
+        # the caller keeps the handle, the query or its operators alive.
+        self._units.remove(handle.unit)
+        handle.unit.members.remove(handle)
         self._readers.clear()
-        self.scratch.unregister(name)
+        self.scratch.unregister(handle.unit)
         self._cql.cancel_query(handle.query)
         self._autoscale_ineligible.discard(name)
         return handle
@@ -615,7 +560,7 @@ class DSMSEngine:
         if handle is None:
             raise PlanError(f"unknown query {name!r}")
         query = handle.query
-        if query._shared is not None:
+        if query.group.memo is not None:
             raise PlanError(
                 f"query {name!r} is a member of a shared plan group; its "
                 f"operator state is interleaved with other members' and "
@@ -626,7 +571,7 @@ class DSMSEngine:
                 f"drain before rescaling (run_until_idle)")
         report = rescale(query, parallelism)
         # The old width's operators no longer exist, the new ones do.
-        handle.bind_operators()
+        handle.unit.bind_operators()
         handle.rescales.append(report)
         self._barrier = None
         if self.recovery is not None:
@@ -655,7 +600,7 @@ class DSMSEngine:
         for handle in self._handles:
             if handle.name in self._autoscale_ineligible:
                 continue
-            if handle.query._shared is not None:
+            if handle.query.group.memo is not None:
                 self._autoscale_ineligible.add(handle.name)
                 continue
             if handle.autoscaler is None:
@@ -746,9 +691,9 @@ class DSMSEngine:
         return admitted
 
     def step(self) -> bool:
-        """Run one scheduling quantum of one unit: an isolated query's
-        head instant (or as much of it as its batch cap allows), or one
-        tuple of a whole shared group — its members advance together."""
+        """Run one scheduling quantum of one unit: its head instant, or
+        as much of it as its batch cap allows, for a private query or a
+        whole shared group — its members advance together."""
         index = self.scheduler.next_index(self._units)
         if index is None:
             return False
@@ -851,18 +796,20 @@ class DSMSEngine:
         what it wrote — the checkpoint, costing what changed since the
         previous barrier.
 
-        Every query writes the operator keys it changed since then (all
-        of its state at its first barrier: after registration or a
-        rescale, see :meth:`ContinuousQuery.snapshot`).  The append-only
-        histories — each query's emissions and change-log, which is also
-        the Store's — write offsets, and so do the hosted dynamic tables
-        (:meth:`DynamicTableService.snapshot`).  The recovery image stays
+        Each scheduling unit's group takes one barrier
+        (:meth:`SharedGroup.snapshot`), filed under each member's name:
+        its operators write the keys they changed since then (all of
+        their state at the group's first barrier: after a registration or
+        a rescale), each operator once however many members read it.  The
+        append-only histories — each query's emissions and change-log,
+        which is also the Store's — write offsets, and so do the hosted
+        dynamic tables (:meth:`DynamicTableService.snapshot`).  The recovery image stays
         inside the engine, so :meth:`restore` takes the newest barrier
         only — with ``recovery_interval`` set, the engine's
         :class:`RecoveryManager` takes every barrier itself.
 
-        The barrier sizes itself: :attr:`barrier_bytes` sums the queries'
-        and the views' tallies; the offsets and the tails held by
+        The barrier sizes itself: :attr:`barrier_bytes` sums the groups'
+        and the views' tallies (shared state counted once); the offsets and the tails held by
         reference add nothing.
 
         Queue contents are deliberately excluded — checkpoints are taken
@@ -871,11 +818,14 @@ class DSMSEngine:
         are telemetry, not state: they keep counting across rollbacks, so
         recovery overhead (replayed work) stays visible.
         """
-        queries = {handle.name: handle.query.snapshot()
-                   for handle in self._handles}
+        queries: dict[str, Any] = {}
+        for unit in self._units:
+            barrier = unit.group.snapshot()
+            for handle in unit.members:
+                queries[handle.name] = barrier
         views = self.views.snapshot()
         self.barrier_bytes = self.views.barrier_bytes + sum(
-            handle.query.barrier_bytes for handle in self._handles)
+            unit.group.barrier_bytes for unit in self._units)
         self._barrier = {"queries": queries, "views": views}
         return self._barrier
 
@@ -901,11 +851,10 @@ class DSMSEngine:
         # The views refuse a table or view created since the barrier
         # before they change anything, so a refused restore is a no-op.
         self.views.restore(payload["views"])
-        for handle in self._handles:
-            handle.query.restore(payload["queries"][handle.name])
-        # Every operator's state just changed under the ledger.
         for unit in self._units:
-            self.scratch.settle(unit.name)
+            unit.group.restore(payload["queries"][unit.name])
+            # Every operator's state just changed under the ledger.
+            self.scratch.settle(unit)
 
     def _recover_and_replay(self) -> None:
         """Restore the newest checkpoint and re-offer the logged suffix.
@@ -942,21 +891,12 @@ class DSMSEngine:
         registered queries — shared operators counted once, which is the
         fair comparison the plan-sharing benchmark makes against summing
         per-query private state."""
-        seen: set[int] = set()
-        total = 0
-        for handle in self._handles:
-            for _, op in _stateful_ops(handle.query._root):
-                if id(op) not in seen:
-                    seen.add(id(op))
-                    total += op.state_size
-        return total
+        return sum(unit.group.state_size() for unit in self._units)
 
     @property
     def shared_subplan_hits(self) -> int:
         """Subplan compilations the sharing memo avoided (0 when off)."""
-        if self._group_handle is None:
-            return 0
-        return self._group_handle.group.memo.hits
+        return sum(unit.group.shared_hits for unit in self._units)
 
     def publish_observability(self, registry=None) -> None:
         """Push the engine's state into the (global) metrics registry.
@@ -989,10 +929,6 @@ class DSMSEngine:
             pressure = registry.counter("dsms.queue.pressure_events",
                                         **labels)
             pressure.inc(queue.pressure_events - pressure.value)
-        if self._group_handle is not None:
-            registry.gauge(
-                "dsms.query.busy_seconds", query=self._group_handle.name,
-            ).set(self._group_handle.busy_seconds)
         # Per-source stall detection: gap to the global arrival tick.
         stalled = self.stall_detector.stalled()
         for stream, gap in self.stall_detector.gaps().items():

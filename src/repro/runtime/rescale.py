@@ -104,7 +104,7 @@ def rescale(query: Any, parallelism: int) -> RescaleReport:
 
     if parallelism < 1:
         raise RescaleError(f"parallelism must be >= 1, got {parallelism}")
-    if query._shared is not None:
+    if query.group.memo is not None:
         raise RescaleError(
             "shared-group queries cannot be repartitioned: their operator "
             "state interleaves with other members'")
@@ -114,7 +114,8 @@ def rescale(query: Any, parallelism: int) -> RescaleReport:
                              time.perf_counter() - started_at)
     # A width above 1 on either side: whichever compile fissioned the
     # plan proved it partitionable (compile_plan raises PlanError if not).
-    compiled = cqlexec.compile_plan(query.plan, query.catalog, query._agenda,
+    compiled = cqlexec.compile_plan(query.plan, query.catalog,
+                                    query.group.agenda,
                                     parallelism=parallelism)
     scheme = compiled[4] or query._scheme
     boundary = scheme.boundary
@@ -136,7 +137,7 @@ def rescale(query: Any, parallelism: int) -> RescaleReport:
 
     width = query.parallelism
     query._install(compiled, parallelism)
-    return RescaleReport(width, parallelism, query._last_instant,
+    return RescaleReport(width, parallelism, query.group._cursor,
                          migration.moved, time.perf_counter() - started_at)
 
 

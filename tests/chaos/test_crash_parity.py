@@ -17,7 +17,7 @@ import pytest
 
 from repro.chaos import ChaosBroker, CrashFuse, InjectedCrash, \
     RecoveryManager, install_crash, run_query_with_recovery
-from repro.core import PlanError, Schema, Stream
+from repro.core import Schema, Stream
 from repro.difftest.generators import (
     ALERTS_SCHEMA,
     OBS_SCHEMA,
@@ -157,9 +157,46 @@ class TestDSMSRecovery:
             self.drive(engine)
         assert engine.recovery.attempts == 2
 
-    def test_recovery_is_incompatible_with_sharing(self):
-        with pytest.raises(PlanError):
-            DSMSEngine(sharing=True, recovery_interval=2)
+    SHARED = ("SELECT ISTREAM id FROM Obs [Range 4] WHERE temp > 2",
+              "SELECT COUNT(*) AS n FROM Obs [Range 4] WHERE temp > 2")
+
+    def build_fleet(self, sharing, recovery_interval=None):
+        engine = DSMSEngine(sharing=sharing,
+                            recovery_interval=recovery_interval)
+        engine.register_stream("Obs", OBS_SCHEMA)
+        return engine, [engine.register_query(f"q{index}", text)
+                        for index, text in enumerate(self.SHARED)]
+
+    def test_shared_recovery_matches_fault_free_and_isolated(self):
+        isolated_engine, isolated = self.build_fleet(sharing=False)
+        self.drive(isolated_engine)
+        clean_engine, clean = self.build_fleet(sharing=True)
+        self.drive(clean_engine)
+        engine, members = self.build_fleet(sharing=True,
+                                           recovery_interval=2)
+        # Crash the filtered window source both members read.
+        operators = members[0].query.operators()
+        position = [label for label, _ in operators].index("StreamSourceOp")
+        assert operators[position][1] in [
+            op for _, op in members[1].query.operators()]
+        fuse = CrashFuse(at=8)
+        install_crash(members[0].query, position, fuse)
+        self.drive(engine)
+        assert fuse.fired == 1
+        assert engine.recovery.attempts == 1
+        assert engine.recovery.replayed_records > 0
+        for handle, fault_free, alone in zip(members, clean, isolated):
+            assert handle.emissions() == fault_free.emissions() \
+                == alone.emissions()
+            assert list(handle.store_history().snapshots()) \
+                == list(fault_free.store_history().snapshots()) \
+                == list(alone.store_history().snapshots())
+        # One barrier for the group, filed under each member, its shared
+        # state counted once.
+        payload = engine.recovery.latest().state
+        assert payload["queries"]["q0"] is payload["queries"]["q1"]
+        assert engine.barrier_bytes == engine.views.barrier_bytes \
+            + members[0].query.barrier_bytes
 
 
 class TestCrashOutsideADrain:

@@ -126,7 +126,7 @@ class TestParity:
         # are scheduled once, and every instant is logged once.
         serial, parallel = pair(engine, GROUPED_ISTREAM)
         feed_both(serial, parallel, OBS_BATCHES)
-        assert len(parallel._agenda) == len(serial._agenda)
+        assert len(parallel.group.agenda) == len(serial.group.agenda)
         assert len(parallel._log) == len(serial._log)
         assert parallel.as_relation().change_points() \
             == serial.as_relation().change_points()

@@ -2,11 +2,12 @@
 scan, as ``test_keyed_state.py`` pins the one keyed-state container.
 
 Inside a compiled plan a row is its values tuple: no operator, kernel
-or shared-group path builds or re-labels a Record.  The executor, the
-kernel module (and the source it renders) and the shared group may not
-call ``Record``, ``trusted_record``, ``with_schema``, ``relabel`` or
-``_new(Record)``; only the query's emission fold, which labels the rows
-it emits, is exempt.
+or query-group path builds or re-labels a Record.  The executor (whose
+``SharedGroup`` feeds every query, private or shared) and the kernel
+module (and the source it renders) may not call ``Record``,
+``trusted_record``, ``with_schema``, ``relabel`` or ``_new(Record)``;
+only the query's emission fold, which labels the rows it emits, is
+exempt.
 """
 
 import ast
@@ -16,7 +17,6 @@ import pytest
 
 import repro.cql.executor as executor_module
 import repro.cql.kernels as kernels
-import repro.cql.shared as shared_module
 from repro.core import Schema
 from repro.cql import CQLEngine
 
@@ -56,7 +56,7 @@ def labelling_calls(tree: ast.AST) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("module", [executor_module, kernels, shared_module],
+@pytest.mark.parametrize("module", [executor_module, kernels],
                          ids=lambda module: module.__name__)
 def test_no_operator_builds_or_relabels_a_record(module):
     path = Path(module.__file__)

@@ -20,7 +20,7 @@ from repro.chaos import CrashFuse, install_crash
 from repro.core import Record, Schema, SchemaError, StateError, TimeError
 from repro.core.relation import Bag, labelled
 from repro.cql import CQLEngine
-from repro.cql.executor import ContinuousQuery, StreamSourceOp
+from repro.cql.executor import ContinuousQuery, SharedGroup, StreamSourceOp
 from repro.dsms import DSMSEngine
 
 OBS = Schema(["id", "room", "temp"])
@@ -144,13 +144,13 @@ class TestOneQuantumPerInstant:
     @pytest.fixture
     def census(self, monkeypatch, bag_copies):
         counts = {"evaluations": 0}
-        evaluate = ContinuousQuery._process_instant
+        evaluate = SharedGroup._process_instant
 
         def counted_evaluate(self, t):
             counts["evaluations"] += 1
             return evaluate(self, t)
 
-        monkeypatch.setattr(ContinuousQuery, "_process_instant",
+        monkeypatch.setattr(SharedGroup, "_process_instant",
                             counted_evaluate)
 
         def read():
@@ -431,7 +431,7 @@ class TestRootFoldIsAtomic:
         with pytest.raises(StateError, match="retraction of absent"):
             engine.run_until_idle()
         assert query.current() == state == history[-1][1]
-        assert query._last_instant == 1
+        assert query.group._cursor == 1
         assert handle.emissions() == emissions
         assert list(handle.store_history().snapshots()) == history
         assert handle.store_state() == state

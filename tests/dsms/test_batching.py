@@ -10,7 +10,7 @@ import pytest
 
 from repro.chaos import CrashFuse, install_crash
 from repro.core.records import Schema
-from repro.cql.executor import ContinuousQuery
+from repro.cql.executor import SharedGroup
 from repro.dsms.engine import DSMSEngine
 from repro.dsms.queues import InputQueue
 
@@ -138,16 +138,16 @@ class TestBatchedServicingParity:
         assert states[1][1] == states[8][1]
 
     def test_batching_reduces_quanta(self, monkeypatch):
-        # A quantum feeds the query's one instant path with the values
-        # tuples ``ingest`` validated.
+        # A quantum feeds the query's group's one instant path with the
+        # values tuples ``ingest`` validated.
         calls = []
-        feed_query = ContinuousQuery._feed
+        feed_group = SharedGroup._feed
 
         def counted(self, t, arrivals):
             calls.append(t)
-            return feed_query(self, t, arrivals)
+            return feed_group(self, t, arrivals)
 
-        monkeypatch.setattr(ContinuousQuery, "_feed", counted)
+        monkeypatch.setattr(SharedGroup, "_feed", counted)
         quanta, answers = {}, {}
         for size in (1, 8):
             engine = make_engine(batch_size=size)

@@ -13,9 +13,9 @@ import pytest
 from repro import obs
 from repro.core import Schema
 from repro.cql import executor
-from repro.cql.executor import ContinuousQuery, StreamSourceOp
+from repro.cql.executor import SharedGroup, StreamSourceOp
 from repro.dsms import DSMSEngine, InputQueue, NoShedding
-from repro.dsms.engine import QueryHandle
+from repro.dsms.engine import SchedulingUnit
 
 OBS = Schema(["id", "room", "temp"])
 GROUPED = ("SELECT room, COUNT(*) AS n, AVG(temp) AS mean FROM Obs "
@@ -141,11 +141,11 @@ class TestQueueWait:
 class TestOneStagingPerSource:
     @pytest.fixture
     def census(self, monkeypatch):
-        # The DSMS feeds the query's one instant path, ``_feed`` — what
-        # ``push_batch`` calls once it has validated its rows — with the
-        # values tuples ``ingest`` validated.
+        # The DSMS feeds the query's group's one instant path, ``_feed``
+        # — what ``push_batch`` calls once it has validated its rows —
+        # with the values tuples ``ingest`` validated.
         counts = {"push_batch": 0, "stage_many": 0}
-        feed = ContinuousQuery._feed
+        feed = SharedGroup._feed
         stage_many = StreamSourceOp.stage_many
 
         def counted_feed(self, t, arrivals):
@@ -156,7 +156,7 @@ class TestOneStagingPerSource:
             counts["stage_many"] += 1
             return stage_many(self, rows, t)
 
-        monkeypatch.setattr(ContinuousQuery, "_feed", counted_feed)
+        monkeypatch.setattr(SharedGroup, "_feed", counted_feed)
         monkeypatch.setattr(StreamSourceOp, "stage_many", counted_stage_many)
         return counts
 
@@ -183,13 +183,13 @@ class TestRouting:
     @pytest.fixture
     def asked(self, monkeypatch):
         calls = []
-        reads_stream = QueryHandle.reads_stream
+        reads_stream = SchedulingUnit.reads_stream
 
         def counted(self, name):
             calls.append(name)
             return reads_stream(self, name)
 
-        monkeypatch.setattr(QueryHandle, "reads_stream", counted)
+        monkeypatch.setattr(SchedulingUnit, "reads_stream", counted)
         return calls
 
     def test_units_are_asked_once_per_stream_not_per_arrival(self, asked):

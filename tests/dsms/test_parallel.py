@@ -82,7 +82,8 @@ class TestPartitionedHandles:
         parallel = dsms.register_query("par", GROUPED, parallelism=2)
         member = dsms.register_query("member", GROUPED)
         assert parallel.query.parallelism == 2
-        assert member.query._shared is not None
+        assert member.query.group.memo is not None
+        assert parallel.query.group.memo is None
         ingest_all(dsms)
         assert parallel.store_state() == member.store_state()
 

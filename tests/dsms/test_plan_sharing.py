@@ -1,11 +1,13 @@
 """Multi-query plan sharing: SharedGroup, its shared operator DAG and
-the DSMS sharing mode (the multi-query optimisation layer)."""
+the DSMS sharing mode (the multi-query optimisation layer).  A private
+query is a group of one, so a shared group is fed, serviced, batched
+and checkpointed by the same path."""
 
 from collections import Counter
 
 import pytest
 
-from repro.core import PlanError, Schema
+from repro.core import PlanError, Schema, StateError
 from repro.cql import ContinuousQuery, CQLEngine
 from repro.cql.executor import PhysicalOp, StreamSourceOp
 from repro.dsms import DSMSEngine
@@ -117,6 +119,26 @@ class TestSharedGroup:
         with pytest.raises(PlanError, match="after data has flowed"):
             engine.register_query(Q_IDS, shared=group)
 
+    def test_a_member_checkpoints_alone_only_without_peers(self):
+        engine = cql_engine()
+        group = engine.shared_group()
+        lone = engine.register_query(Q_COUNT, shared=group)
+        lone.start()
+        # A group of one: the member's barrier is the whole group's.
+        before = lone.current()
+        payload = lone.snapshot()
+        lone.push("Obs", {"id": 1, "room": "a", "temp": 30}, 1)
+        assert [r["n"] for r in lone.current()] == [1]
+        lone.restore(payload)
+        assert lone.current() == before
+        peer_group = engine.shared_group()
+        members = [engine.register_query(q, shared=peer_group)
+                   for q in (Q_COUNT, Q_IDS)]
+        with pytest.raises(StateError, match="independently"):
+            members[0].snapshot()
+        with pytest.raises(StateError, match="independently"):
+            members[1].restore(peer_group.snapshot())
+
     def test_state_counted_once(self):
         engine = cql_engine()
         group = engine.shared_group()
@@ -128,8 +150,7 @@ class TestSharedGroup:
         lone.start()
         for row, t in ROWS:
             lone.push("Obs", row, t)
-        lone_state = sum(op.state_size
-                         for _, op in _stateful(lone._root))
+        lone_state = lone.group.state_size()
         # The shared window buffer serves both members, so group state is
         # strictly below twice one query's state.
         assert group.state_size() < 2 * lone_state
@@ -149,11 +170,6 @@ def _count_ops(root):
 
 def _stream_list(stream):
     return list(zip(stream.timestamps(), stream.values()))
-
-
-def _stateful(root):
-    from repro.dsms.engine import _stateful_ops
-    return _stateful_ops(root)
 
 
 class TestDSMSSharing:
@@ -215,8 +231,23 @@ class TestDSMSSharing:
         from repro.dsms.shedding import NoShedding
         engine = self.engine()
         engine.register_query("custom", Q_COUNT, shedder=NoShedding())
-        assert engine._group_handle is None
+        assert engine.query("custom").query.group.memo is None
         engine.cancel_query("custom")  # isolated: cancellation allowed
+
+    def test_an_explicit_batch_size_keeps_a_query_isolated(self):
+        engine = self.engine()
+        shared = engine.register_query("shared", Q_COUNT)
+        capped = engine.register_query("capped", Q_IDS, batch_size=3)
+        assert capped.query.group is not shared.query.group
+        assert capped.query.group.memo is None
+        assert capped.batch_size == 3
+        for t in range(2):
+            for ident in range(7):
+                engine.ingest("Obs", {"id": ident, "room": "a",
+                                      "temp": 30}, t)
+        # 7 arrivals per instant at a cap of 3: three quanta per instant.
+        assert engine.run_until_idle() == 2 + 2 * 3
+        engine.cancel_query("capped")  # isolated: cancellation allowed
 
     def test_sharing_reduces_total_state(self):
         shared_engine = self.engine(sharing=True)
@@ -232,3 +263,73 @@ class TestDSMSSharing:
             engine.run_until_idle()
         assert shared_engine.total_state_size() < \
             isolated_engine.total_state_size()
+
+
+Q_ROOMS = ("SELECT room, COUNT(*) AS n FROM Obs [Range 100] WHERE temp > 20 "
+           "GROUP BY room")
+
+
+class TestSharedGroupDrainsInstants:
+    """Counts, not clocks: a shared group's quantum is its head instant,
+    as an isolated relation-output query's is, and a stream-output
+    member that batching would change clamps it to one tuple."""
+
+    def run(self, sharing, queries=(Q_COUNT, Q_ROOMS)):
+        engine = DSMSEngine(sharing=sharing)
+        engine.register_stream("Obs", OBS)
+        handles = [engine.register_query(f"q{index}", text)
+                   for index, text in enumerate(queries)]
+        quanta = 0
+        for t in range(5):
+            for ident in range(10):
+                engine.ingest("Obs", {"id": ident, "room": "ab"[ident % 2],
+                                      "temp": 21 + ident}, t)
+            quanta += engine.run_until_idle()
+        return quanta, handles
+
+    def test_one_quantum_and_one_log_batch_per_instant(self):
+        shared_quanta, shared = self.run(sharing=True)
+        isolated_quanta, isolated = self.run(sharing=False)
+        assert shared[0].query.group is shared[1].query.group
+        assert shared[0].batch_size is None
+        # One quantum per instant: for each of two units, or for the one.
+        assert isolated_quanta == 10
+        assert shared_quanta == 5
+        for member, alone in zip(shared, isolated):
+            assert len(member.query.changelog) \
+                == len(alone.query.changelog) == 5
+            assert member.metrics.processed == alone.metrics.processed == 50
+            assert member.emissions() == alone.emissions()
+            assert member.store_history() == alone.store_history()
+
+    def test_a_stream_output_member_clamps_the_group(self):
+        stream_query = "SELECT ISTREAM COUNT(*) AS n FROM Obs [Range 100]"
+        quanta, (relation, stream) = self.run(
+            sharing=True, queries=(Q_COUNT, stream_query))
+        _, (relation_alone, stream_alone) = self.run(
+            sharing=False, queries=(Q_COUNT, stream_query))
+        assert relation.batch_size == stream.batch_size == 1
+        assert quanta == 50
+        assert stream.emissions() == stream_alone.emissions()
+        assert relation.store_state() == relation_alone.store_state()
+
+
+class TestCQLEnginePush:
+    def test_a_shared_group_is_fed_once_per_push(self):
+        engine = cql_engine()
+        group = engine.shared_group()
+        members = [engine.register_query(q, shared=group)
+                   for q in (Q_COUNT, Q_IDS)]
+        lone_engine = cql_engine()
+        lone = lone_engine.register_query(Q_COUNT)
+        for query in (members[0], lone):
+            query.start()
+        rows = [{"id": 1, "room": "a", "temp": 30},
+                {"id": 2, "room": "b", "temp": 31}]
+        for t, row in enumerate(rows, start=1):
+            out = engine.push("Obs", row, t)
+            assert sorted(out) == [0, 1]
+            assert out[0] == lone_engine.push("Obs", row, t)[0]
+        assert [r["n"] for r in members[0].current()] == [2]
+        assert members[0].as_relation() == lone.as_relation()
+        assert sorted(r["id"] for r in members[1].current()) == [1, 2]
