@@ -56,11 +56,32 @@ def labelling_calls(tree: ast.AST) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("module", [executor_module, kernels],
-                         ids=lambda module: module.__name__)
-def test_no_operator_builds_or_relabels_a_record(module):
+def module_tree(module) -> ast.Module:
     path = Path(module.__file__)
-    assert labelling_calls(ast.parse(path.read_text(), str(path))) == []
+    return ast.parse(path.read_text(), str(path))
+
+
+def shared_group_tree() -> ast.ClassDef:
+    """The query-sharing code: the ``SharedGroup`` class of the executor,
+    scanned on its own so a labelling call there is reported under the
+    sharing layer's name."""
+    [group] = [node for node in module_tree(executor_module).body
+               if isinstance(node, ast.ClassDef)
+               and node.name == "SharedGroup"]
+    return group
+
+
+#: Scan targets by the layer they hold.
+SCANNED = {
+    "repro.cql.executor": lambda: module_tree(executor_module),
+    "repro.cql.kernels": lambda: module_tree(kernels),
+    "repro.cql.shared": shared_group_tree,
+}
+
+
+@pytest.mark.parametrize("layer", list(SCANNED))
+def test_no_operator_builds_or_relabels_a_record(layer):
+    assert labelling_calls(SCANNED[layer]()) == []
 
 
 def test_the_rendered_kernels_build_no_record():
