@@ -5,7 +5,8 @@ A :class:`Schema` is an ordered list of field names (optionally typed); a
 Records support access by position and by name, are hashable (so they can be
 multiset elements and join keys), and compare by value, which is what the
 bag semantics of the relational operators need.
-Inside a compiled query a row is just its values tuple, validated once by
+Inside a compiled query a row is just its values tuple, validated once at
+the door by its layout's generated coercer, which defers to
 :meth:`Schema.coerce`; it becomes a Record only where a caller reads it.
 """
 
@@ -154,8 +155,11 @@ class Schema:
         self._check_types(values)
 
     def coerce(self, row: "Mapping[str, Any] | Record") -> tuple[Any, ...]:
-        """``row`` validated into a values tuple of this layout: the one
-        row coercer every entry point calls.
+        """``row`` validated into a values tuple of this layout: the
+        reference row coercer.  Every entry point runs the generated
+        coercer of its layout (:func:`repro.cql.kernels.coercer_kernel`),
+        which hands this method every row it does not take itself, so
+        refusals and their messages have this one source.
 
         A mapping is read in field order (extra keys are ignored); a
         record must be one of this schema's own, taken as it is, or carry

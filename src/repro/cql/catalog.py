@@ -10,11 +10,13 @@ changing reference tables).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from functools import cached_property
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.errors import PlanError
 from repro.core.records import Record, Schema, trusted_record
 from repro.core.relation import Bag
+from repro.cql import kernels
 
 
 @dataclass(frozen=True)
@@ -23,6 +25,12 @@ class StreamDef:
 
     name: str
     schema: Schema
+
+    @cached_property
+    def coerce(self) -> Callable[[Any], tuple]:
+        """The stream's row coercer (:func:`kernels.coercer_kernel`),
+        generated on first use."""
+        return kernels.coercer_kernel(self.schema)
 
 
 class RelationDef:
@@ -36,13 +44,19 @@ class RelationDef:
         for row in rows:
             self.insert(row)
 
+    @cached_property
+    def coerce(self) -> Callable[[Any], tuple]:
+        """The relation's row coercer (:func:`kernels.coercer_kernel`),
+        generated on first use."""
+        return kernels.coercer_kernel(self.schema)
+
     def insert(self, row: Mapping[str, Any] | Record) -> Record:
-        record = trusted_record(self.schema, self.schema.coerce(row))
+        record = trusted_record(self.schema, self.coerce(row))
         self.contents.add(record)
         return record
 
     def delete(self, row: Mapping[str, Any] | Record) -> Record:
-        record = trusted_record(self.schema, self.schema.coerce(row))
+        record = trusted_record(self.schema, self.coerce(row))
         if self.contents.discard(record) == 0:
             raise PlanError(f"row not present in relation {self.name}: "
                             f"{record!r}")

@@ -1150,8 +1150,9 @@ def coerce_arrivals(catalog: Catalog,
                                                     | Record]],
                     ) -> dict[str, list[tuple]]:
     """An instant's arrivals as values tuples of each stream's schema
-    (:meth:`Schema.coerce`), every row validated before any is staged."""
-    return {name: list(map(catalog.stream(name).schema.coerce, rows))
+    (the stream's generated coercer), every row validated before any is
+    staged."""
+    return {name: list(map(catalog.stream(name).coerce, rows))
             for name, rows in arrivals.items()}
 
 
@@ -1596,7 +1597,7 @@ class ContinuousQuery:
         private updates), so a shared-group member stages the update into
         its own sources only, and the instant still runs group-wide.
         """
-        values = self.catalog.relation(name).schema.coerce(row)
+        values = self.catalog.relation(name).coerce(row)
         sources = self._relation_sources.get(name)
         if not sources:
             raise PlanError(f"query does not read relation {name!r}")

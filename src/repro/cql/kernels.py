@@ -4,8 +4,8 @@ DBToaster (the paper's §5.1) compiles view maintenance into specialised
 trigger code, and data-centric compilation (Neumann, "Efficiently
 Compiling Efficient Query Plans for Modern Hardware", VLDB 2011) fuses an
 operator's per-row work into one loop with no call per value.  This
-module does that, in Python, for the two row loops of the CQL executor
-that run per arrival:
+module does that, in Python, for the three row loops that run per
+arrival:
 
 * the aggregate instant (:func:`aggregate_kernel`): one function keys
   each delta's values tuple by position, folds every aggregate inline,
@@ -13,17 +13,23 @@ that run per arrival:
   one and emits ``-old``/``+new``;
 * the source prefilter (:func:`prefilter_kernel`): one list
   comprehension over an instant's arrivals, with ``column <op> literal``
-  conjuncts inlined and any other conjunct called as its closure.
+  conjuncts inlined and any other conjunct called as its closure;
+* the row coercer (:func:`coercer_kernel`): one function per record
+  layout that reads a mapping's fields in order with the declared type
+  checks inlined, and hands any row it does not take to
+  :meth:`Schema.coerce`.
 
 A kernel's source depends only on the plan's *shape* — positions,
-aggregate kinds, comparison operators — never on literals or compiled
-evaluators, which are bound when the operator is built.  Each source is
-compiled once per process into a factory, cached under the source text
-in a bounded LRU (:data:`CACHE_SIZE`), so building an operator whose
-shape is cached costs rendering the source and one dict lookup.  Each
-compiled source is registered with :mod:`linecache` under a per-shape
-pseudo-filename, so a traceback through a kernel shows the generated
-line.  This is the only module under ``repro`` that compiles code.
+aggregate kinds, comparison operators, a layout's field and type names —
+never on literals, types or compiled evaluators, which are bound when
+the kernel is built.  Each source is compiled once per process into a factory,
+cached under the source text in a bounded LRU (:data:`CACHE_SIZE`), so
+building a kernel whose shape is cached costs rendering the source and
+one dict lookup.  Each compiled source is registered with
+:mod:`linecache` under a per-shape pseudo-filename (a coercer's names
+its layout), so a traceback or a profile through a kernel shows the
+generated line.  This is the only module under ``repro`` that compiles
+code.
 """
 
 from __future__ import annotations
@@ -134,14 +140,16 @@ _RUNTIME = {
 }
 
 
-def _factory(kind: str, source: str) -> Callable:
+def _factory(kind: str, source: str, name: str | None = None) -> Callable:
     """The ``factory`` function ``source`` defines, compiled on first
-    use and cached under the source text."""
+    use and cached under the source text; its pseudo-filename is
+    ``<kind name>``, or ``<kind kernel N>`` without a ``name``."""
     entry = _factories.get(source)
     if entry is not None:
         _factories.move_to_end(source)
         return entry[0]
-    filename = f"<{kind} kernel {next(_compiled)}>"
+    filename = (f"<{kind} kernel {next(_compiled)}>" if name is None
+                else f"<{kind} {name}>")
     namespace = dict(_RUNTIME)
     exec(compile(source, filename, "exec"), namespace)
     # mtime None: linecache.checkcache() keeps the entry.
@@ -416,3 +424,51 @@ def prefilter_kernel(predicates: Sequence[Expr],
         "    return prefilter",
     ]
     return _factory("prefilter", "\n".join(lines) + "\n")(bound)
+
+
+# ---------------------------------------------------------------------------
+# The row coercer
+# ---------------------------------------------------------------------------
+
+
+def coercer_kernel(schema: Schema) -> Callable[[Any], tuple]:
+    """The generated row coercer of ``schema``: ``coerce(row) -> values
+    tuple``, returning what :meth:`Schema.coerce` returns.
+
+    A mapping (a ``dict``) is read field by field with the declared type
+    checks inlined, and one of ``schema``'s own Records is taken as it
+    is.  Every other row — a missing key, a wrong type, a Record of any
+    other schema — goes to :meth:`Schema.coerce`, which takes it or
+    raises, so refusals and their messages have one source.  The source
+    spells the layout — field names, and type names where declared — in
+    its first line, and its pseudo-filename is named after it, e.g.
+    ``<coercer (id: int, room, temp)>``; the types are bound here.
+    """
+    fields, types = schema.fields, schema.types
+    layout = "(" + ", ".join(name if expected is None
+                             else f"{name}: {expected.__name__}"
+                             for name, expected in zip(fields, types)) + ")"
+    typed = [i for i, expected in enumerate(types) if expected is not None]
+    names = [f"v{i}" for i in range(len(fields))]
+    read = [f"{name} = row[{field!r}]" for name, field in zip(names, fields)]
+    if read:
+        read = ["try:", *_block(read, 1),
+                "except KeyError:", "    return coerce(row)"]
+    for i in typed:
+        read += [f"if not isinstance(v{i}, t{i}) and v{i} is not None:",
+                 "    return coerce(row)"]
+    lines = [
+        f"# layout {layout!r}",
+        "def factory(schema, coerce, types):",
+        *_block(_unpack([f"t{i}" for i in typed], "types"), 1),
+        "    def coercer(row):",
+        "        if isinstance(row, dict):",
+        *_block(read, 3),
+        f"            return ({''.join(f'{name}, ' for name in names)})",
+        "        if getattr(row, '_schema', None) is schema:",
+        "            return row._values",
+        "        return coerce(row)",
+        "    return coercer",
+    ]
+    factory = _factory("coercer", "\n".join(lines) + "\n", layout)
+    return factory(schema, schema.coerce, [types[i] for i in typed])

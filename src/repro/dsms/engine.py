@@ -20,7 +20,7 @@ Usage::
 from __future__ import annotations
 
 from time import perf_counter as _perf
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import repro.obs as obs
 from repro.obs import profile as _profile
@@ -43,7 +43,12 @@ from repro.dsms.queues import InputQueue
 from repro.dsms.scheduler import RoundRobinScheduler, Scheduler
 from repro.dsms.shedding import NoShedding, Shedder
 from repro.plan.batching import decide_batch_size
-from repro.views.service import DynamicTableService
+from repro.views.service import BaseTable, DynamicTableService
+
+#: A stream's door (see :attr:`DSMSEngine._doors`): its row coercer, the
+#: views base table it feeds (or None) and its reading units' ``offer``.
+Door = tuple[Callable[[Any], tuple], BaseTable | None,
+             list[Callable[[tuple, Timestamp, str], int]]]
 
 
 class SchedulingUnit:
@@ -133,32 +138,34 @@ class SchedulingUnit:
     def reads_stream(self, name: str) -> bool:
         return name in self.group._sources
 
-    def offer(self, arrival: tuple[str, tuple], t: Timestamp) -> bool:
-        """Admission control + enqueue of a ``(stream name, values)``
-        arrival, once for the whole unit.  Returns False when
-        shed/dropped.  A policy decides on the row as a Record of the
-        stream's schema, built for it alone."""
-        for metrics in self._readers[arrival[0]]:
+    def offer(self, values: tuple, t: Timestamp, stream_name: str) -> int:
+        """Admission control + enqueue of one validated arrival of
+        ``stream_name``, once for the whole unit.  Returns how many
+        members reading the stream it admitted the arrival for: all of
+        them, or 0 when shed/dropped.  A policy decides on the row as a
+        Record of the stream's schema, built for it alone."""
+        readers = self._readers[stream_name]
+        for metrics in readers:
             metrics.ingested += 1
         if self._admits_all:
             self.shedder.admitted += 1
         elif not self.shedder.admit(trusted_record(
-                self.group.catalog.stream(arrival[0]).schema, arrival[1]),
+                self.group.catalog.stream(stream_name).schema, values),
                 self.queue):
-            for metrics in self._readers[arrival[0]]:
+            for metrics in readers:
                 metrics.shed += 1
-            return False
-        if not self.queue.offer(arrival, t):
-            for metrics in self._readers[arrival[0]]:
+            return 0
+        if not self.queue.offer(values, t, stream_name):
+            for metrics in readers:
                 metrics.queue_dropped += 1
             # The policy said yes but the queue bounced the tuple: tell the
             # shedder so shed_fraction keeps reporting the true drop rate.
             self.shedder.record_queue_drop()
-            return False
+            return 0
         if obs._STATE.enabled:
             obs.get_registry().gauge(
                 "dsms.queue.depth", query=self.name).observe(len(self.queue))
-        return True
+        return len(readers)
 
     def service_one(self) -> bool:
         """Service one scheduling quantum.  Returns False when idle.
@@ -166,9 +173,10 @@ class SchedulingUnit:
         A quantum drains the queue's head instant, up to ``batch_size``
         tuples of it (all of them when ``batch_size`` is None), into ONE
         atomic group instant, fed the values tuples ``ingest`` validated
-        — one instant evaluation, which each member commits to its
-        change-log (the Store's history) as at most one batch.  With
-        ``batch_size=1`` a quantum is one tuple.
+        — the queue's per-stream runs, as they were queued — one instant
+        evaluation, which each member commits to its change-log (the
+        Store's history) as at most one batch.  With ``batch_size=1`` a
+        quantum is one tuple.
         """
         run = self.queue.poll_instant(self.batch_size)
         if run is None:
@@ -183,14 +191,13 @@ class SchedulingUnit:
             self._service(*run, None)
         return True
 
-    def _service(self, t: Timestamp, values: list, span) -> None:
+    def _service(self, t: Timestamp, chunks: list[tuple[str, list]],
+                 span) -> None:
         arrivals: dict[str, list[tuple]] = {}
-        for stream_name, row in values:
-            rows = arrivals.get(stream_name)
-            if rows is None:
-                arrivals[stream_name] = [row]
-            else:
-                rows.append(row)
+        for stream_name, rows in chunks:
+            held = arrivals.get(stream_name)
+            # Streams that interleaved at ``t`` come as several runs.
+            arrivals[stream_name] = rows if held is None else held + rows
         before = self._evictions()
         self.group._feed(t, arrivals)
         self._account_throw(before, t)
@@ -203,20 +210,23 @@ class SchedulingUnit:
             count = len(query._pending())
             metrics.emitted += count
             emitted += count
-            read = 0
-            for stream_name, rows in arrivals.items():
+            # The waits of the runs of the streams this member reads, as
+            # one observation: waits rise in arrival order.
+            read = waited = 0
+            for (stream_name, _), run in zip(chunks, waits):
                 if stream_name in query._stream_sources:
-                    read += len(rows)
+                    if not read:
+                        low = run[0]
+                    high = run[-1]
+                    read += len(run)
+                    waited += len(run) * (run[0] + high) // 2
             if not read:
                 continue
             metrics.processed += read
-            for run in waits:
-                metrics.queue_wait.observe_run(
-                    len(run), len(run) * (run[0] + run[-1]) // 2,
-                    run[0], run[-1])
+            metrics.queue_wait.observe_run(read, waited, low, high)
             metrics.scratch.observe(occupancy)
         if span is not None:
-            span.add(records=len(values), emitted=emitted)
+            span.add(records=sum(map(len, waits)), emitted=emitted)
             wait_hist = obs.get_registry().histogram(
                 "dsms.queue.wait", query=self.name)
             for run in waits:
@@ -342,9 +352,12 @@ class DSMSEngine:
         #: group's.  ``_handles`` stays the per-query list the public API
         #: (queries, metrics_table) exposes.
         self._units: list[SchedulingUnit] = []
-        #: Stream name -> the units reading it, filled on first arrival;
-        #: emptied whenever the units or a shared group's members change.
-        self._readers: dict[str, list[SchedulingUnit]] = {}
+        #: Stream name -> its door, ``(coerce, view table, offers)``: the
+        #: stream's generated row coercer, the views base table it feeds
+        #: (or None) and the ``offer`` of every unit reading it.  Built on
+        #: the stream's first arrival; dropped whenever the units, a shared
+        #: group's members or the stream's view table change.
+        self._doors: dict[str, Door] = {}
         self._handles: list[QueryHandle] = []
         self._by_name: dict[str, QueryHandle] = {}
         # Event-time lag accounting, published under dsms.watermark.*.
@@ -460,7 +473,7 @@ class DSMSEngine:
             self._units.append(unit)
         handle = QueryHandle(name, query, unit)
         unit.add(handle, batch_size)
-        self._readers.clear()
+        self._doors.clear()
         self._handles.append(handle)
         self._by_name[name] = handle
         self.store.register(name, query.changelog, query.output_schema)
@@ -496,6 +509,7 @@ class DSMSEngine:
                 and self.catalog.is_stream(source):
             self._view_fed[source] = self.views.create_table(
                 source, self.catalog.stream(source).schema)
+            self._doors.pop(source, None)
         return self.views.execute(text)
 
     def query(self, name: str) -> QueryHandle:
@@ -525,7 +539,7 @@ class DSMSEngine:
         # the caller keeps the handle, the query or its operators alive.
         self._units.remove(handle.unit)
         handle.unit.members.remove(handle)
-        self._readers.clear()
+        self._doors.clear()
         self.scratch.unregister(handle.unit)
         self._cql.cancel_query(handle.query)
         self._autoscale_ineligible.discard(name)
@@ -647,27 +661,42 @@ class DSMSEngine:
         Returns the number of queries that admitted the tuple.
 
         The row is validated into a values tuple of the stream's schema
-        here, once (:meth:`Schema.coerce`), before the arrival is logged,
-        queued or counted — a row that does not fit raises
-        :class:`~repro.core.errors.SchemaError` and leaves no trace.
-        Every reader then shares that one tuple.
+        here, once, by the stream's door (the generated coercer of its
+        layout, see :func:`repro.cql.kernels.coercer_kernel`), before the
+        arrival is logged, queued or counted — a row that does not fit
+        raises :class:`~repro.core.errors.SchemaError` and leaves no
+        trace.  Every reader then shares that one tuple.
         """
-        stream = self.catalog.stream(stream_name)  # validates the name
+        # The open door without a method call: this runs per arrival.
+        door = self._doors.get(stream_name) or self._door(stream_name)
         if t < MIN_TIMESTAMP:
             # Reject here rather than letting the executor blow up
             # asynchronously at service time, after the tuple was queued.
             raise CoreTimeError(
                 f"timestamp {t} before the epoch {MIN_TIMESTAMP}")
-        values = stream.schema.coerce(record)
+        values = door[0](record)
         if self.recovery is not None:
             self.recovery.start()  # baseline before the first arrival
             self._arrival_log.append(("ingest", stream_name, values, t))
-        return self._route(stream_name, values, t)
+        return self._route(door, stream_name, values, t)
 
-    def _route(self, stream_name: str, values: tuple,
+    def _door(self, stream_name: str) -> Door:
+        """The door of ``stream_name`` (see :attr:`_doors`), built if it
+        is not open; an unknown stream is refused here."""
+        door = self._doors.get(stream_name)
+        if door is None:
+            stream = self.catalog.stream(stream_name)
+            door = self._doors[stream_name] = (
+                stream.coerce, self._view_fed.get(stream_name),
+                [unit.offer for unit in self._units
+                 if unit.reads_stream(stream_name)])
+        return door
+
+    def _route(self, door: Door, stream_name: str, values: tuple,
                t: Timestamp) -> int:
-        """Offer one validated arrival to every reading unit."""
-        table = self._view_fed.get(stream_name)
+        """Offer one validated arrival through its stream's door: to the
+        stream's views base table, if any, and to every reading unit."""
+        _, table, offers = door
         if table is not None:
             # Views run on the engine's clock, which only moves forward:
             # an arrival ahead of it commits at its own instant, any other
@@ -679,15 +708,9 @@ class DSMSEngine:
         if obs._STATE.enabled:
             self.watermark_clock.observe_arrival(stream_name, t)
             self.stall_detector.note_arrival(stream_name)
-        readers = self._readers.get(stream_name)
-        if readers is None:
-            readers = self._readers[stream_name] = [
-                unit for unit in self._units if unit.reads_stream(stream_name)]
-        arrival = (stream_name, values)  # one pair, queued by every reader
         admitted = 0
-        for unit in readers:
-            if unit.offer(arrival, t):
-                admitted += 1
+        for offer in offers:
+            admitted += offer(values, t, stream_name)
         return admitted
 
     def step(self) -> bool:
@@ -878,7 +901,7 @@ class DSMSEngine:
                 self._advance(entry[1])
             else:
                 _, stream_name, values, t = entry
-                self._route(stream_name, values, t)
+                self._route(self._door(stream_name), stream_name, values, t)
                 replayed += 1
         self.recovery.record_replayed(replayed)
 

@@ -20,11 +20,13 @@ from repro.obs import profile as _profile
 class InputQueue:
     """A bounded FIFO between a stream and a query's operators.
 
-    The queue holds *runs*: consecutive arrivals sharing a timestamp, kept
-    as one list, so admitting an arrival is one list append and a service
-    quantum takes its instant with :meth:`poll_instant` in one piece.
-    Arrivals stamped t1, t2, t1 stay three runs — FIFO order is never
-    traded for grouping.
+    The queue holds *runs*: consecutive arrivals of one stream sharing a
+    timestamp, kept as one list, so admitting an arrival is one list
+    append and a service quantum takes its instant with
+    :meth:`poll_instant` in one piece, already split by stream.
+    Arrivals stamped t1, t2, t1 stay three runs, and so do arrivals of
+    streams A, B, A at one timestamp — FIFO order is never traded for
+    grouping.
 
     Beyond drop accounting the queue keeps always-on backpressure
     telemetry (a handful of integer compares per offer): ``peak`` is the
@@ -46,7 +48,8 @@ class InputQueue:
             raise StateError(f"queue capacity must be positive, "
                              f"got {capacity}")
         self.capacity = capacity
-        #: The runs, oldest first: ``[timestamp, values, wait of values[0]]``.
+        #: The runs, oldest first:
+        #: ``[timestamp, stream, values, wait of values[0]]``.
         self._runs: deque[list] = deque()
         #: The newest run while it may still grow: a poll closes it (the
         #: depth it was admitted at no longer holds), so the next arrival
@@ -65,17 +68,18 @@ class InputQueue:
         self._pressure_mark = max(1, int(capacity * _profile.PRESSURE_THRESHOLD))
         self._pressured = False
 
-    def offer(self, value: Any, timestamp: Timestamp) -> bool:
-        """Try to enqueue; returns False (and counts a drop) when full."""
+    def offer(self, value: Any, timestamp: Timestamp, stream: str) -> bool:
+        """Try to enqueue ``value``, an arrival of ``stream``; returns
+        False (and counts a drop) when full."""
         depth = self._depth
         if depth >= self.capacity:
             self.dropped += 1
             return False
         tail = self._tail
-        if tail is not None and tail[0] == timestamp:
-            tail[1].append(value)
+        if tail is not None and tail[0] == timestamp and tail[1] == stream:
+            tail[2].append(value)
         else:
-            self._tail = tail = [timestamp, [value], depth]
+            self._tail = tail = [timestamp, stream, [value], depth]
             self._runs.append(tail)
         self.enqueued += 1
         self._depth = depth = depth + 1
@@ -90,43 +94,48 @@ class InputQueue:
         return True
 
     def poll_instant(self, limit: int | None = None,
-                     ) -> tuple[Timestamp, list] | None:
+                     ) -> tuple[Timestamp, list[tuple[str, list]]] | None:
         """Dequeue the values sharing the head timestamp, at most ``limit``
         of them (``None``: no cap — the whole head instant), in arrival
-        order; returns ``(timestamp, values)``, or None when empty.
+        order; returns ``(timestamp, chunks)``, or None when empty.
 
-        A quantum never mixes instants (the executor evaluates one instant
-        per batch), so the take stops at the first value carrying another
-        timestamp — or at ``limit``, splitting the run there.
+        ``chunks`` holds one ``(stream, values)`` pair per run the poll
+        drew from, in arrival order — one per stream unless streams
+        interleaved — each lined up with its ``range`` in
+        :attr:`polled_waits`.  A quantum never mixes instants (the
+        executor evaluates one instant per batch), so the take stops at
+        the first value carrying another timestamp — or at ``limit``,
+        splitting the run there.
         """
         runs = self._runs
         if not runs or (limit is not None and limit <= 0):
             return None
         self._tail = None
         t = runs[0][0]
-        taken: list = []
+        chunks: list[tuple[str, list]] = []
         waits = self.polled_waits = []
-        remaining = self._depth if limit is None else limit
-        # Runs of one timestamp sit side by side only when a poll closed
-        # the first before the second arrived: take them as one instant.
+        wanted = remaining = self._depth if limit is None else limit
+        # Runs of one timestamp sit side by side when a poll closed the
+        # first before the second arrived, or when streams interleaved:
+        # take them as one instant.
         while remaining and runs and runs[0][0] == t:
-            _, values, ahead = runs[0]
+            _, stream, values, ahead = runs[0]
             start = self._head
-            end = min(len(values), start + remaining)
-            if end == len(values):
+            end = start + remaining
+            if end >= len(values):
+                end = len(values)
                 runs.popleft()
                 self._head = 0
+                chunks.append((stream, values[start:] if start else values))
             else:
                 self._head = end
-            chunk = values if start == 0 and end == len(values) \
-                else values[start:end]
-            taken = taken + chunk if taken else chunk
+                chunks.append((stream, values[start:end]))
             waits.append(range(ahead + start, ahead + end))
             remaining -= end - start
-        self._depth -= len(taken)
+        self._depth -= wanted - remaining
         if self._pressured and self._depth < self._pressure_mark:
             self._pressured = False
-        return t, taken
+        return t, chunks
 
     def clear(self) -> int:
         """Discard everything queued (recovery rollback: the arrival log

@@ -318,14 +318,15 @@ class DynamicTableService:
         stamped there (one past that view's version, when the clock does
         not already exceed it); an explicit ``at`` that a reading view has
         reached — or that precedes the clock — is refused.  Every row is
-        validated (:meth:`Schema.coerce`) before anything is committed.
+        validated (the table's generated coercer) before anything is
+        committed.
         """
         table = self._tables.get(name)
         if table is None:
             raise StateError(f"unknown base table {name!r}"
                              + (" (views are refreshed, not written)"
                                 if name in self._views else ""))
-        coerce = table.schema.coerce
+        coerce = self.catalog.relation(name).coerce
         deltas = [(coerce(row), 1) for row in inserts]
         deltas += [(coerce(row), -1) for row in deletes]
         return self._commit(table, deltas, at)

@@ -4,7 +4,9 @@ Every aggregate runs the generated instant and every filter pushed below
 a window the generated prefilter, so these cases compare a query's
 answer at every instant with :mod:`repro.cql.reference` over NULL-bearing
 streams, pin the refusal messages the kernel raises, and count the
-compiles behind the process-wide factory cache.
+compiles behind the process-wide factory cache.  Every row that enters
+through a door runs the generated coercer of its layout, compared here
+with :meth:`Schema.coerce` row by row, refusals word for word.
 """
 
 import ast
@@ -13,16 +15,18 @@ import random
 import traceback
 from collections import OrderedDict
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 import repro
-from repro.core import Schema, StateError, Stream
+from repro.core import Schema, SchemaError, StateError, Stream
 from repro.core.operators import AggregateKind
 from repro.core.records import Record
 from repro.cql import CQLEngine, kernels, reference_evaluate
 from repro.cql.catalog import Catalog
 from repro.cql.expressions import compile_predicate
+from repro.dsms import DSMSEngine
 from repro.plan.exprs import Binary, BinOp, Column, Literal
 from repro.plan.ir import Aggregate, AggregateExpr, WindowAggregate, walk
 from repro.views import DynamicTable, DynamicTableService, make_scan
@@ -316,6 +320,81 @@ class TestPrefilterKernel:
         assert query.as_relation() == reference
 
 
+TYPED = Schema(["id", "room", "temp"], [int, str, int])
+
+
+def coerced(coerce, row):
+    """What ``coerce`` makes of ``row``: its values, or its refusal."""
+    try:
+        return "values", coerce(row)
+    except Exception as error:
+        return type(error), str(error)
+
+
+class TestCoercerKernel:
+    ROWS = {
+        "extra keys": {"id": 1, "room": "a", "temp": 3, "x": 9},
+        "missing field": {"id": 1, "room": "a"},
+        "wrong type": {"id": "one", "room": "a", "temp": 3},
+        "None value": {"id": None, "room": "a", "temp": None},
+        "same-fields Record": Record(Schema(["id", "room", "temp"]),
+                                     (1, "a", 3)),
+        "same-fields Record, wrong type": Record(
+            Schema(["id", "room", "temp"]), (1, 2, 3)),
+        "foreign Record": Record(Schema(["x", "y", "z"]), (1, "a", 3)),
+        "read-only mapping": MappingProxyType({"id": 1, "room": "a",
+                                               "temp": 3}),
+        "not a mapping": [1, "a", 3],
+    }
+
+    @pytest.mark.parametrize("schema", [OBS, TYPED],
+                             ids=["untyped", "typed"])
+    @pytest.mark.parametrize("row", list(ROWS))
+    def test_returns_or_refuses_what_schema_coerce_does(self, schema, row):
+        row = self.ROWS[row]
+        assert coerced(kernels.coercer_kernel(schema), row) \
+            == coerced(schema.coerce, row)
+
+    @pytest.mark.parametrize("schema", [OBS, TYPED],
+                             ids=["untyped", "typed"])
+    def test_takes_the_schemas_own_record_as_it_is(self, schema):
+        record = Record(schema, (1, "a", 3))
+        assert kernels.coercer_kernel(schema)(record) is record.values
+        assert schema.coerce(record) is record.values
+
+    def test_only_rows_it_does_not_take_reach_schema_coerce(
+            self, monkeypatch):
+        reached = []
+        coerce = Schema.coerce
+
+        def counting(self, row):
+            reached.append(row)
+            return coerce(self, row)
+
+        monkeypatch.setattr(Schema, "coerce", counting)
+        coercer = kernels.coercer_kernel(TYPED)
+        coercer({"id": 1, "room": "a", "temp": 3, "x": 9})
+        coercer({"id": None, "room": "a", "temp": 3})
+        coercer(Record(TYPED, (1, "a", 3)))
+        assert reached == []
+        foreign = Record(Schema(["id", "room", "temp"]), (1, "a", 3))
+        assert coercer(foreign) == (1, "a", 3)
+        assert reached == [foreign]
+
+    def test_a_traceback_shows_the_generated_line(self):
+        with pytest.raises(SchemaError) as caught:
+            kernels.coercer_kernel(TYPED)({"id": 1, "room": 2, "temp": 3})
+        assert str(caught.value) == "field 'room' expects str, got int (2)"
+        frames = [frame for frame in traceback.extract_tb(caught.tb)
+                  if frame.filename.startswith("<coercer ")]
+        assert [frame.filename for frame in frames] == [
+            "<coercer (id: int, room: str, temp: int)>"]
+        assert frames[0].line == "return coerce(row)"
+        assert linecache.getline(frames[0].filename,
+                                 frames[0].lineno).strip() \
+            == "return coerce(row)"
+
+
 class TestFactoryCache:
     @pytest.fixture
     def compiles(self, monkeypatch):
@@ -366,6 +445,26 @@ class TestFactoryCache:
         assert len(compiles) == 5
         kernels.prefilter_kernel(shapes[0], OBS)     # evicted: again
         assert len(compiles) == 6 and len(kernels._factories) == 3
+
+    def test_the_coercer_compiles_once_per_layout(self, compiles):
+        def fleet(schema):
+            engine = DSMSEngine()
+            engine.register_stream("Obs", schema)
+            for tick in range(10):
+                # Every register and cancel closes the stream's door; the
+                # next arrival builds it again, with the cached coercer.
+                engine.register_query(f"q{tick}", "SELECT id FROM Obs [Now]")
+                if tick:
+                    engine.cancel_query(f"q{tick - 1}")
+                assert engine.ingest(
+                    "Obs", {"id": tick, "room": "a", "temp": 3}, tick) == 1
+                engine.run_until_idle()
+
+        for _ in range(5):
+            fleet(OBS)
+            fleet(TYPED)
+        assert compiles == ["<coercer (id, room, temp)>",
+                            "<coercer (id: int, room: str, temp: int)>"]
 
 
 def test_only_the_kernel_module_compiles_code():

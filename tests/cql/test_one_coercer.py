@@ -1,13 +1,15 @@
 """One row coercer at every door: a row that does not fit is refused
 before anything changes.
 
-Every entry point that takes rows — a query's ``push_batch`` and
-``update_relation``, a shared group's, the catalog's relations and the
-view service's base tables — validates them with
-:meth:`~repro.core.records.Schema.coerce`.  A Record of another layout
-is refused there, as DSMS ``ingest`` refuses it, instead of being
-re-labelled under the entry point's field names; and the refusal comes
-before any row of the call is staged or stored.
+Every entry point that takes rows — DSMS ``ingest``, a query's
+``push_batch`` and ``update_relation``, a shared group's, the catalog's
+relations and the view service's base tables — validates them with the
+generated coercer of the layout
+(:func:`~repro.cql.kernels.coercer_kernel`), which hands every row it
+does not take to :meth:`~repro.core.records.Schema.coerce`.  A Record of
+another layout is refused there instead of being re-labelled under the
+entry point's field names; and the refusal comes before any row of the
+call is staged or stored.
 """
 
 import pytest
@@ -97,9 +99,21 @@ def service_apply():
                  service.clock))
 
 
+def dsms_ingest():
+    from repro.dsms import DSMSEngine
+    engine = DSMSEngine(recovery_interval=4)
+    engine.register_stream("S", S)
+    handle = engine.register_query("q", "SELECT id FROM S [Range 10]")
+    engine.ingest("S", {"id": 1, "temp": 20}, 1)
+    return (lambda: engine.ingest("S", FOREIGN, 2),
+            lambda: (handle.pending, handle.metrics.ingested,
+                     len(engine._arrival_log)))
+
+
 @pytest.mark.parametrize("door", [
     push_batch, shared_push_batch, update_relation, shared_update_relation,
     register_relation, relation_insert, relation_delete, service_apply,
+    dsms_ingest,
 ], ids=lambda door: door.__name__)
 def test_a_record_of_another_layout_is_refused_before_anything_changes(
         door):

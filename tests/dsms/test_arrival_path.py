@@ -19,7 +19,7 @@ import repro.core.records as records_module
 from repro.chaos import CrashFuse, install_crash
 from repro.core import Record, Schema, SchemaError, StateError, TimeError
 from repro.core.relation import Bag, labelled
-from repro.cql import CQLEngine
+from repro.cql import CQLEngine, kernels
 from repro.cql.executor import ContinuousQuery, SharedGroup, StreamSourceOp
 from repro.dsms import DSMSEngine
 
@@ -221,24 +221,38 @@ class TestFoldCostFollowsTheChange:
 class TestOneCoercionPerArrival:
     @pytest.fixture
     def conversions(self, monkeypatch, records_built):
-        coerced, staged = [], []
-        coerce, stage_many = Schema.coerce, StreamSourceOp.stage_many
+        """Rows through the generated coercers (every one built while the
+        fixture stands), rows that reached ``Schema.coerce``, rows staged
+        into sources, and Records built."""
+        coerced, fallbacks, staged = [], [], []
+        coercer_kernel, coerce = kernels.coercer_kernel, Schema.coerce
+        stage_many = StreamSourceOp.stage_many
+
+        def counting_kernel(schema):
+            coercer = coercer_kernel(schema)
+
+            def counting_coercer(row):
+                coerced.append(row)
+                return coercer(row)
+
+            return counting_coercer
 
         def counting_coerce(self, row):
-            coerced.append(row)
+            fallbacks.append(row)
             return coerce(self, row)
 
         def counting_stage_many(self, rows, t):
             staged.extend(rows)
             return stage_many(self, rows, t)
 
+        monkeypatch.setattr(kernels, "coercer_kernel", counting_kernel)
         monkeypatch.setattr(Schema, "coerce", counting_coerce)
         monkeypatch.setattr(StreamSourceOp, "stage_many",
                             counting_stage_many)
-        return coerced, staged, records_built
+        return coerced, fallbacks, staged, records_built
 
     def per_arrival(self, readers, conversions):
-        coerced, staged, records_built = conversions
+        coerced, fallbacks, staged, records_built = conversions
         engine = make_engine()
         texts = ["SELECT DISTINCT room FROM Obs [Range 30]",
                  "SELECT COUNT(*) AS n FROM Obs [Rows 4]",
@@ -255,6 +269,8 @@ class TestOneCoercionPerArrival:
         engine.ingest("Obs", row(2), 2)
         engine.run_until_idle()
         arrival = {id(values) for values in staged}
+        # The generated coercer took the row: ``Schema.coerce`` never ran.
+        assert fallbacks == []
         return (len(coerced), len(staged) / readers, len(arrival),
                 records_built[0])
 
@@ -368,9 +384,10 @@ class TestIngestRefusesRowsThatDoNotFit:
         engine.ingest("Obs", Record(Schema(["id", "room", "temp"]),
                                     (7, "lab", 20)), 1)
         assert len(handle.queue) == 1
-        t, [(stream, values)] = handle.queue.poll_instant()
+        t, [(stream, [values])] = handle.queue.poll_instant()
+        assert stream == "Obs"
         assert type(values) is tuple and values == (7, "lab", 20)
-        handle.queue.offer((stream, values), t)
+        handle.queue.offer(values, t, stream)
         engine.run_until_idle()
         (answer,) = handle.store_state()
         assert answer["id"] == 7

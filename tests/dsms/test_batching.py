@@ -42,24 +42,24 @@ class TestPollBatch:
     def test_drains_only_the_head_timestamp_run(self):
         queue = InputQueue(capacity=16)
         for t in (1, 1, 1, 2, 2):
-            queue.offer(f"v{t}", t)
-        assert queue.poll_instant(10) == (1, ["v1", "v1", "v1"])
+            queue.offer(f"v{t}", t, "S")
+        assert queue.poll_instant(10) == (1, [("S", ["v1", "v1", "v1"])])
         assert len(queue) == 2
 
     def test_respects_the_limit(self):
         queue = InputQueue(capacity=16)
         for _ in range(5):
-            queue.offer("v", 3)
-        assert queue.poll_instant(2) == (3, ["v", "v"])
+            queue.offer("v", 3, "S")
+        assert queue.poll_instant(2) == (3, [("S", ["v", "v"])])
         assert len(queue) == 3
 
     def test_no_limit_drains_the_whole_head_instant(self):
         queue = InputQueue(capacity=2048)
         for t in [4] * 1500 + [5]:
-            queue.offer("v", t)
-        t, values = queue.poll_instant()
-        assert (t, len(values)) == (4, 1500)
-        assert queue.poll_instant(None) == (5, ["v"])
+            queue.offer("v", t, "S")
+        t, [(stream, values)] = queue.poll_instant()
+        assert (t, stream, len(values)) == (4, "S", 1500)
+        assert queue.poll_instant(None) == (5, [("S", ["v"])])
 
     def test_empty_queue_yields_empty_batch(self):
         queue = InputQueue(capacity=4)
@@ -68,7 +68,7 @@ class TestPollBatch:
     def test_clears_pressure_on_drain(self):
         queue = InputQueue(capacity=10)
         for _ in range(10):
-            queue.offer("v", 0)
+            queue.offer("v", 0, "S")
         assert queue.pressured
         queue.poll_instant(10)
         assert not queue.pressured

@@ -21,22 +21,22 @@ from repro.dsms import (
 class TestInputQueue:
     def test_fifo_order(self):
         queue = InputQueue(capacity=4)
-        queue.offer("a", 0)
-        queue.offer("b", 1)
-        assert queue.poll_instant(1) == (0, ["a"])
-        assert queue.poll_instant(1) == (1, ["b"])
+        queue.offer("a", 0, "S")
+        queue.offer("b", 1, "S")
+        assert queue.poll_instant(1) == (0, [("S", ["a"])])
+        assert queue.poll_instant(1) == (1, [("S", ["b"])])
         assert queue.poll_instant(1) is None
 
     def test_drops_when_full(self):
         queue = InputQueue(capacity=1)
-        assert queue.offer("a", 0)
-        assert not queue.offer("b", 1)
+        assert queue.offer("a", 0, "S")
+        assert not queue.offer("b", 1, "S")
         assert queue.dropped == 1
         assert queue.enqueued == 1
 
     def test_occupancy(self):
         queue = InputQueue(capacity=4)
-        queue.offer("a", 0)
+        queue.offer("a", 0, "S")
         assert queue.occupancy == 0.25
 
     def test_invalid_capacity(self):
@@ -256,7 +256,7 @@ class TestShedders:
         shedder = RandomShedder(threshold=0.0, seed=1)
         queue = InputQueue(capacity=10)
         for _ in range(9):
-            queue.offer("x", 0)
+            queue.offer("x", 0, "S")
         decisions = [shedder.admit("x", queue) for _ in range(200)]
         # At 90% occupancy with threshold 0 the drop probability is 0.9.
         shed_rate = decisions.count(False) / len(decisions)
@@ -270,7 +270,7 @@ class TestShedders:
         shedder = SemanticShedder(utility=lambda v: v, min_utility=5,
                                   threshold=0.0)
         queue = InputQueue(capacity=10)
-        queue.offer("x", 0)  # occupancy > 0 => pressure
+        queue.offer("x", 0, "S")  # occupancy > 0 => pressure
         assert shedder.admit(9, queue)
         assert not shedder.admit(1, queue)
         assert shedder.shed == 1

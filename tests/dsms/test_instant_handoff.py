@@ -1,9 +1,11 @@
 """The hand-off from ``ingest`` to the window buffer is an instant.
 
-Counts, not clocks: the queue keeps runs of same-timestamp arrivals, a
-quantum takes one run as ``(t, values)``, the query stages each stream's
-rows into each source with one ``stage_many`` call, and routing reads a
-per-stream reader list instead of asking every unit about every arrival.
+Counts, not clocks: the queue keeps runs of one stream's
+same-timestamp arrivals, a quantum takes an instant as ``(t, chunks)``
+(one ``(stream, values)`` chunk per run), the query stages each stream's
+rows into each source with one ``stage_many`` call, and routing goes
+through a per-stream door built once instead of asking every unit about
+every arrival.
 Beside the counts, the queue semantics they must not change (FIFO runs,
 batch caps, pressure re-arming) and what queue wait measures.
 """
@@ -36,36 +38,47 @@ def row(ident, room="lab", temp=20):
 class TestRuns:
     def test_poll_instant_splits_a_mixed_stream_run_in_arrival_order(self):
         queue = InputQueue(capacity=16)
-        values = [("Obs", 1), ("Alarm", 2), ("Obs", 3), ("Alarm", 4),
-                  ("Obs", 5)]
-        for value in values:
-            queue.offer(value, 7)
-        queue.offer(("Obs", 6), 8)
-        assert queue.poll_instant(2) == (7, values[:2])
-        assert queue.poll_instant(2) == (7, values[2:4])
-        assert queue.poll_instant(2) == (7, values[4:])
-        assert queue.poll_instant(2) == (8, [("Obs", 6)])
+        arrivals = [("Obs", 1), ("Alarm", 2), ("Obs", 3), ("Alarm", 4),
+                    ("Obs", 5)]
+        for stream, value in arrivals:
+            queue.offer(value, 7, stream)
+        queue.offer(6, 8, "Obs")
+        # Interleaved streams stay separate runs, taken in arrival order.
+        assert queue.poll_instant(2) == (7, [("Obs", [1]), ("Alarm", [2])])
+        assert queue.poll_instant(2) == (7, [("Obs", [3]), ("Alarm", [4])])
+        assert queue.poll_instant(2) == (7, [("Obs", [5])])
+        assert queue.poll_instant(2) == (8, [("Obs", [6])])
         assert queue.poll_instant(2) is None
         assert len(queue) == 0
+
+    def test_one_stream_per_run_and_one_wait_range_per_chunk(self):
+        queue = InputQueue(capacity=16)
+        for stream, value in (("Obs", 1), ("Obs", 2), ("Alarm", 3),
+                              ("Obs", 4)):
+            queue.offer(value, 7, stream)
+        assert queue.poll_instant() == (
+            7, [("Obs", [1, 2]), ("Alarm", [3]), ("Obs", [4])])
+        assert queue.polled_waits == [range(0, 2), range(2, 3), range(3, 4)]
 
     def test_runs_stay_fifo_and_are_never_merged_out_of_order(self):
         queue = InputQueue(capacity=16)
         for value, t in (("a", 1), ("b", 2), ("c", 1)):
-            queue.offer(value, t)
+            queue.offer(value, t, "S")
         assert [queue.poll_instant() for _ in range(4)] == [
-            (1, ["a"]), (2, ["b"]), (1, ["c"]), None]
+            (1, [("S", ["a"])]), (2, [("S", ["b"])]), (1, [("S", ["c"])]),
+            None]
 
     def test_a_run_split_by_a_poll_drains_as_one_instant(self):
         queue = InputQueue(capacity=16)
-        queue.offer("a", 1)
-        queue.offer("b", 2)
-        assert queue.poll_instant() == (1, ["a"])
-        queue.offer("c", 2)  # a new run, next to b's
-        assert queue.poll_instant() == (2, ["b", "c"])
+        queue.offer("a", 1, "S")
+        queue.offer("b", 2, "S")
+        assert queue.poll_instant() == (1, [("S", ["a"])])
+        queue.offer("c", 2, "S")  # a new run, next to b's
+        assert queue.poll_instant() == (2, [("S", ["b"]), ("S", ["c"])])
 
     def test_a_zero_limit_takes_nothing(self):
         queue = InputQueue(capacity=16)
-        queue.offer("a", 1)
+        queue.offer("a", 1, "S")
         assert queue.poll_instant(0) is None and len(queue) == 1
         assert queue.clear() == 1 and queue.poll_instant() is None
 
@@ -77,20 +90,20 @@ class TestPressureRearm:
                                                                  stamps):
         queue = InputQueue(capacity=10)  # pressure mark at 8
         for i, t in enumerate(stamps):
-            queue.offer(i, t)
+            queue.offer(i, t, "S")
         queue.poll_instant(1)  # depth 8: still at the mark, still pressured
-        queue.offer(9, 0)
+        queue.offer(9, 0, "S")
         assert queue.pressured
         assert queue.pressure_events == 1
 
     def test_rearms_below_the_mark(self):
         queue = InputQueue(capacity=10)
         for i in range(9):
-            queue.offer(i, 0)
+            queue.offer(i, 0, "S")
         queue.poll_instant(2)
         assert not queue.pressured
-        queue.offer(9, 0)
-        queue.offer(10, 0)
+        queue.offer(9, 0, "S")
+        queue.offer(10, 0, "S")
         assert queue.pressure_events == 2
 
 
@@ -110,6 +123,28 @@ class TestQueueWait:
             assert wait.count == 100
             assert handle.metrics.as_dict()["mean_queue_wait"] == 49.5
             assert (wait.min, wait.max) == (0, 99)
+
+    def test_a_shared_member_waits_only_for_the_streams_it_reads(self):
+        engine = make_engine(sharing=True)
+        obs_reader = engine.register_query("obs", GROUPED)
+        alarm_reader = engine.register_query(
+            "alarm", "SELECT id FROM Alarm [Range 5]")
+        assert obs_reader.unit is alarm_reader.unit
+        assert obs_reader.batch_size is None  # one quantum: the instant
+        for ident in range(6):
+            if ident % 3 == 2:
+                engine.ingest("Alarm", {"id": ident, "level": 1}, 1)
+            else:
+                engine.ingest("Obs", row(ident), 1)
+        engine.run_until_idle()
+        # Obs arrivals were admitted at depths 0, 1, 3 and 4; Alarm's at
+        # 2 and 5.
+        for handle, waits in ((obs_reader, [0, 1, 3, 4]),
+                              (alarm_reader, [2, 5])):
+            wait = handle.metrics.queue_wait
+            assert handle.metrics.processed == wait.count == len(waits)
+            assert (wait.min, wait.max) == (min(waits), max(waits))
+            assert wait.total == sum(waits)
 
     def test_draining_after_every_arrival_waits_nothing(self):
         engine = make_engine()

@@ -198,6 +198,21 @@ class TestDSMSSharing:
             assert shared.emissions() == isolated.emissions()
         assert shared_engine.shared_subplan_hits >= 1
 
+    def test_ingest_counts_the_readers_of_a_shared_unit(self):
+        # Two members share one scheduling unit: ``ingest`` reports each
+        # query that admitted the tuple, as it does for two isolated ones.
+        counts = {}
+        for sharing in (True, False):
+            engine = self.engine(sharing=sharing)
+            handles = [engine.register_query(name, text) for name, text
+                       in (("q1", Q_COUNT), ("q2", Q_IDS))]
+            assert len(engine._units) == (1 if sharing else 2)
+            counts[sharing] = (
+                [engine.ingest("Obs", row, t) for row, t in ROWS],
+                [handle.metrics.ingested for handle in handles])
+        assert counts[True] == counts[False] == ([2] * len(ROWS),
+                                                 [len(ROWS)] * 2)
+
     def test_identical_queries_agree(self):
         engine = self.engine()
         q1 = engine.register_query("q1", Q_COUNT)

@@ -18,7 +18,7 @@ class TestFullQueueBoundary:
         shedder = RandomShedder(threshold=0.5, seed=seed)
         queue = InputQueue(capacity=4)
         for _ in range(4):
-            queue.offer("x", 0)
+            queue.offer("x", 0, "S")
         assert queue.occupancy == 1.0
         for _ in range(50):
             assert not shedder.admit("x", queue)
@@ -28,16 +28,16 @@ class TestFullQueueBoundary:
     def test_full_queue_drops_even_with_threshold_one(self):
         shedder = RandomShedder(threshold=1.0, seed=0)
         queue = InputQueue(capacity=2)
-        queue.offer("x", 0)
+        queue.offer("x", 0, "S")
         assert shedder.admit("x", queue)      # below capacity: admitted
-        queue.offer("x", 0)
+        queue.offer("x", 0, "S")
         assert not shedder.admit("x", queue)  # full: dropped
 
     def test_below_full_is_still_probabilistic(self):
         shedder = RandomShedder(threshold=0.0, seed=1)
         queue = InputQueue(capacity=10)
         for _ in range(9):
-            queue.offer("x", 0)
+            queue.offer("x", 0, "S")
         decisions = [shedder.admit("x", queue) for _ in range(300)]
         assert any(decisions) and not all(decisions)
 
@@ -46,7 +46,7 @@ class TestSeededDeterminism:
     def test_same_seed_same_decisions(self):
         queue = InputQueue(capacity=10)
         for _ in range(8):
-            queue.offer("x", 0)
+            queue.offer("x", 0, "S")
         first = RandomShedder(threshold=0.5, seed=99)
         second = RandomShedder(threshold=0.5, seed=99)
         decisions_a = [first.admit("x", queue) for _ in range(200)]
@@ -56,12 +56,12 @@ class TestSeededDeterminism:
     def test_different_seed_different_decisions(self):
         queue = InputQueue(capacity=10)
         for _ in range(8):
-            queue.offer("x", 0)
+            queue.offer("x", 0, "S")
         a = [RandomShedder(threshold=0.5, seed=1).admit("x", queue)
              for _ in range(100)]
         queue_b = InputQueue(capacity=10)
         for _ in range(8):
-            queue_b.offer("x", 0)
+            queue_b.offer("x", 0, "S")
         b = [RandomShedder(threshold=0.5, seed=2).admit("x", queue_b)
              for _ in range(100)]
         assert a != b
@@ -86,7 +86,7 @@ class TestShedFractionAccounting:
         shedder = NoShedding()
         queue = InputQueue(capacity=1)
         assert shedder.admit("x", queue)
-        queue.offer("x", 0)
+        queue.offer("x", 0, "S")
         assert shedder.admit("y", queue)  # policy admits at full queue
         shedder.record_queue_drop()       # ...but the queue bounced it
         assert shedder.shed_fraction == pytest.approx(0.5)

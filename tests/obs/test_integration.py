@@ -184,6 +184,16 @@ class TestDataflowPipeline:
         registry = obs.get_registry()
         assert registry.children("exec.operator.records_in") == []
         assert registry.children("exec.operator.records_out") == []
+        # The DSMS arrival door: an obs-off ingest run publishes no
+        # metric and notes no arrival, span or service time.
+        dsms, handle = run_dsms_query()
+        assert handle.metrics.ingested == len(ROWS)
+        assert handle.metrics.processed == len(ROWS)
+        assert [metric.name for metric in registry] == []
+        assert dsms.stall_detector.tick == 0
+        assert dsms.watermark_clock.lag("Obs") is None
+        assert handle.busy_seconds == 0.0
+        assert obs.get_tracer().last_trace() is None
 
     def test_gbk_run_is_exact_under_profiling(self, monkeypatch):
         from repro.core import BoundedOutOfOrderness

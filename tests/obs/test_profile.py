@@ -370,36 +370,36 @@ class TestQueuePressure:
     def test_peak_tracks_high_water_mark(self):
         queue = InputQueue(capacity=10)
         for i in range(6):
-            queue.offer(i, i)
+            queue.offer(i, i, "S")
         queue.poll_instant()
         queue.poll_instant()
-        queue.offer(7, 7)
+        queue.offer(7, 7, "S")
         assert queue.peak == 6
 
     def test_pressure_is_edge_triggered(self):
         queue = InputQueue(capacity=10)  # pressure mark at 8
         for i in range(10):
-            queue.offer(i, i)
+            queue.offer(i, i, "S")
         assert queue.pressured
         assert queue.pressure_events == 1  # one sustained episode
 
     def test_pressure_rearms_after_draining(self):
         queue = InputQueue(capacity=10)
         for i in range(8):
-            queue.offer(i, i)
+            queue.offer(i, i, "S")
         assert queue.pressure_events == 1
         while queue.poll_instant() is not None:
             pass
         assert not queue.pressured
         for i in range(8):
-            queue.offer(i, i)
+            queue.offer(i, i, "S")
         assert queue.pressure_events == 2
 
     def test_pressure_crossing_lands_in_flight_recorder(self):
         obs.enable(profile=True)
         queue = InputQueue(capacity=5)
         for i in range(5):
-            queue.offer(i, i)
+            queue.offer(i, i, "S")
         events = [e for e in _profile.get_flight_recorder().events()
                   if e["kind"] == "queue.pressure"]
         assert events and events[0]["capacity"] == 5
