@@ -11,8 +11,9 @@ Two gates back the claim:
   stream and final relation against the serial control, with the stall
   (wall time the query is paused inside ``rescale()``) measured per
   migration;
-* the difftest live-rescale leg over 200 seeded generator cases
-  (``run_rescale_case``), which must come back clean.
+* the difftest live-rescale configs over 200 seeded generator cases
+  (``fuzz(rescale_cases=)``, a bare query and a DSMS with obs on), which
+  must come back clean.
 
 Results land in ``BENCH_rescale.json``.
 """

@@ -2,12 +2,13 @@
 
 Two sweeps, both seeded and bounded:
 
-* **crash matrix** — every operator position of a random difftest
-  case's query is killed once mid-stream; each run must
-  recover and match the fault-free reference (the kernel-crashed oracle
-  leg, run in bulk).  Each case also runs through a recovering
-  ``DSMSEngine``, crashed on a checkpoint tick, in ``advance_time`` and in
-  the replay that recovers from it (the dsms-crashed leg).
+* **crash matrix** — the full difftest oracle over random cases, whose
+  crash configs kill every operator position of the case's query once
+  mid-stream on a bare query ("kernel-crashed") and crash a recovering
+  ``DSMSEngine`` on a checkpoint tick, in ``advance_time`` and in the
+  replay that recovers from it ("dsms-crashed"), each combined with the
+  obs, width and batch-cap values the case draws; every recovered run
+  must match the same config run fault-free.
 * **broker chaos** — consumer groups poll through a
   :class:`~repro.chaos.ChaosBroker` across seeds and fault mixes; every
   offset must arrive exactly once, in order.
@@ -27,8 +28,9 @@ from repro.difftest.oracle import run_case
 
 
 def crash_matrix(cases: int, seed: int) -> list[str]:
-    """Run the full oracle (kernel- and dsms-crashed legs included) over
-    random cases; any divergence anywhere is a campaign failure."""
+    """Run the full oracle over random cases — every baseline config, the
+    kernel- and dsms-crashed crash configs among them; any divergence
+    anywhere is a campaign failure."""
     rng = random.Random(seed)
     problems: list[str] = []
     for index in range(cases):

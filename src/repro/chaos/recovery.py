@@ -260,7 +260,8 @@ def run_query_with_recovery(query, streams: Mapping[str, Any],
     boundaries — barrier-by-instant.  After the final unit the query's
     emissions, log and state are exactly those of a fault-free
     ``run_recorded`` over the same streams, which is the property the
-    kernel-crashed difftest leg asserts.
+    kernel-crashed difftest config asserts over the same units (with a
+    live rescale's steps between them).
     """
     from repro.cql.executor import instant_batches
 
@@ -270,17 +271,22 @@ def run_query_with_recovery(query, streams: Mapping[str, Any],
     if finish:
         units.append(("finish",))
 
-    def apply(unit: tuple, _index: int) -> None:
-        if unit[0] == "start":
-            query.start()
-        elif unit[0] == "push":
-            query.push_batch(unit[1], unit[2])
-        else:
-            query.finish()
-
     def size(unit: tuple) -> int:
         if unit[0] != "push":
             return 0
         return sum(len(rows) for rows in unit[2].values())
 
-    return run_with_recovery(units, apply, manager, unit_size=size)
+    return run_with_recovery(
+        units, lambda unit, _index: apply_query_unit(query, unit), manager,
+        unit_size=size)
+
+
+def apply_query_unit(query, unit: tuple) -> None:
+    """Run one replay unit of :func:`run_query_with_recovery` on a query:
+    ``("start",)``, ``("push", t, arrivals)`` or ``("finish",)``."""
+    if unit[0] == "start":
+        query.start()
+    elif unit[0] == "push":
+        query.push_batch(unit[1], unit[2])
+    else:
+        query.finish()

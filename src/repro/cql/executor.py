@@ -1413,7 +1413,7 @@ class SharedGroup:
 
         Taken between instants, the checkpoint plus the input suffix
         replayed from the same point reproduces the fault-free run
-        exactly — the property the kernel-crashed difftest leg checks.
+        exactly — the property the kernel-crashed difftest config checks.
         Operators write the keys they changed since the previous barrier
         (every key at the first, see :meth:`PhysicalOp.barrier`); the
         change-logs and the emissions are append-only, so they write
@@ -1452,7 +1452,8 @@ class SharedGroup:
         then, and the batches cut are taken back out of its answer.  The
         compiled DAG is reused, and any partially processed instant left
         over from a crash (staged arrivals) is discarded.  Repeatable:
-        the checkpoint is not consumed.
+        the checkpoint is not consumed.  Published metrics keep counting
+        across it (see :meth:`ContinuousQuery._unmark_rolled_back`).
         """
         point = self._checkpoint
         if point is None or payload is not point:
@@ -1470,6 +1471,7 @@ class SharedGroup:
             del member._emissions[emitted:]
             member._delivered = min(member._delivered, emitted)
             member._deltas_processed = deltas
+            member._unmark_rolled_back()
         self._cursor = point["last_instant"]
 
 
@@ -1558,6 +1560,24 @@ class ContinuousQuery:
         for _, op in self.operators():
             self._published_ops[(id(op), "records_in")] = op.received
             self._published_ops[(id(op), "records_out")] = op.emitted
+
+    def _unmark_rolled_back(self) -> None:
+        """After a rollback: lower :meth:`publish_metrics`' marks to the
+        restored tallies where they stand above them, so the replay
+        publishes as new growth and no counter moves backwards.  What was
+        published before the crash stays counted; growth the rollback
+        undid before anything published it is dropped, whether or not
+        the operator had published before."""
+        marks = self._published_ops
+        if not marks:
+            return
+        for _, op in self.operators():
+            for field, value in (("records_in", op.received),
+                                 ("records_out", op.emitted)):
+                key = (id(op), field)
+                marks[key] = min(marks.get(key, 0), value)
+        key = (-1, "deltas")
+        marks[key] = min(marks.get(key, 0), self._deltas_processed)
 
     # -- feeding -------------------------------------------------------------
     #

@@ -7,10 +7,9 @@ reference evaluator at every instant — Krämer & Seeger's
 random (query, stream) pairs through
 
 * ``repro.cql.reference`` — the denotational ground truth,
-* ``repro.cql.executor`` — the incremental delta executor (both the
-  optimised and the naive plan),
-* ``repro.dsms`` — the full DSMS engine, its instants serviced whole
-  and split across scheduling quanta,
+* ``repro.cql.executor`` and ``repro.dsms`` — the incremental executor
+  and the DSMS engine, one driver over a configuration matrix
+  (``Config``), so feature combinations are fuzzed too,
 
 plus a core-layer leg comparing the sparse S2R change-log against dense
 per-instant evaluation for every window class.  Any divergence is shrunk
@@ -35,7 +34,9 @@ from repro.difftest.generators import (
     gen_view_case,
 )
 from repro.difftest.oracle import (
+    Config,
     Divergence,
+    case_configs,
     check_negative_timestamp_rejection,
     run_case,
     run_core_window_case,
@@ -57,6 +58,7 @@ __all__ = [
     "ROOMS_ROWS",
     "ROOMS_SCHEMA",
     "Case",
+    "Config",
     "CoreWindowCase",
     "Divergence",
     "ViewCase",
@@ -65,6 +67,7 @@ __all__ = [
     "apply_mutant",
     "build_engine",
     "build_streams",
+    "case_configs",
     "check_negative_timestamp_rejection",
     "build_view_plans",
     "emit_core_repro",

@@ -30,7 +30,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="dynamic-table cases to run (default 100)")
     parser.add_argument("--rescale-cases", type=int, default=0,
                         help="extra cases through only the live-rescale "
-                             "leg (every regular case runs it too; "
+                             "configs (every regular case draws one too; "
                              "default 0)")
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign seed (default 0)")
@@ -68,10 +68,6 @@ def main(argv: list[str] | None = None) -> int:
     for case, divergence in report.view_failures:
         print(f"  view divergence: {divergence}")
         print(f"    views: {case.views} events: {case.events}")
-    for case, divergence in report.rescale_failures:
-        print(f"  rescale divergence: {divergence}")
-        print(f"    query: {case.query}")
-        print(f"    streams: {case.streams}")
     for problem in report.consistency_problems:
         print(f"  consistency: {problem}")
     for path in report.repro_paths:

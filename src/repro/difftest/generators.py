@@ -67,9 +67,10 @@ class CoreWindowCase:
     seed: int | None = None
 
 
-def build_engine() -> CQLEngine:
-    """A CQL engine with the fixed difftest catalog registered."""
-    engine = CQLEngine()
+def build_engine(engine: Any = None) -> Any:
+    """``engine`` (default: a new CQL engine; a ``DSMSEngine`` takes the
+    same calls) with the fixed difftest catalog registered."""
+    engine = CQLEngine() if engine is None else engine
     engine.register_stream("Obs", OBS_SCHEMA)
     engine.register_stream("Alerts", ALERTS_SCHEMA)
     engine.register_relation("Rooms", ROOMS_SCHEMA, ROOMS_ROWS)

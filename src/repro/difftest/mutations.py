@@ -20,12 +20,18 @@ The mutants cover the bug classes named by the issue:
   an instant: a second commit at the log's newest version changes the
   answer but logs no batch, so an instant whose arrivals were split
   across quanta has a history (and a Store history) that misses a fold.
+* ``obs-rescale-marks``    — two axes at once, obs × rescale: the
+  historical bug where ``publish_metrics`` kept its marks by operator
+  position and a rescale did not rebase them, so the first publication
+  after a migration moves a counter backwards.  Every obs-off config
+  misses it.
 """
 
 from __future__ import annotations
 
 import contextlib
 from typing import Callable, Iterator
+from unittest import mock
 
 from repro.core import windows as core_windows
 from repro.core.operators import AggregateKind
@@ -33,10 +39,10 @@ from repro.core.relation import Changelog
 from repro.cql import executor as cql_executor
 from repro.cql import kernels as cql_kernels
 from repro.cql.ast import WindowSpecKind
+from repro.obs import get_registry
 
 
-@contextlib.contextmanager
-def range_off_by_one() -> Iterator[None]:
+def range_off_by_one() -> contextlib.AbstractContextManager:
     """Plain [Range r] windows expire at ``t + r + 1`` in the executor."""
     original = cql_executor.StreamSourceOp.__init__
 
@@ -45,49 +51,29 @@ def range_off_by_one() -> Iterator[None]:
         if spec.kind is WindowSpecKind.RANGE and not spec.slide:
             self._lifetime += 1
 
-    cql_executor.StreamSourceOp.__init__ = mutated
-    try:
-        yield
-    finally:
-        cql_executor.StreamSourceOp.__init__ = original
+    return mock.patch.object(cql_executor.StreamSourceOp, "__init__",
+                             mutated)
 
 
-@contextlib.contextmanager
-def dropped_expiry() -> Iterator[None]:
+def dropped_expiry() -> contextlib.AbstractContextManager:
     """The agenda forgets everything scheduled — no window ever closes."""
-    original = cql_executor.Agenda.schedule
-
-    def mutated(self, t):
-        return None
-
-    cql_executor.Agenda.schedule = mutated
-    try:
-        yield
-    finally:
-        cql_executor.Agenda.schedule = original
+    return mock.patch.object(cql_executor.Agenda, "schedule",
+                             lambda self, t: None)
 
 
-@contextlib.contextmanager
-def null_counting_count() -> Iterator[None]:
+def null_counting_count() -> contextlib.AbstractContextManager:
     """COUNT(expr) counts NULL values in the generated aggregate fold."""
-    original = cql_kernels.STEPS[AggregateKind.COUNT]
 
     def mutated(slot, value):
         # The injected bug: a NULL argument reaches COUNT's fold.  The
         # kernel cache is keyed by source, so this renders a new kernel.
         return [f"group.counts[{slot}] += mult"]
 
-    cql_kernels.STEPS[AggregateKind.COUNT] = mutated
-    try:
-        yield
-    finally:
-        cql_kernels.STEPS[AggregateKind.COUNT] = original
+    return mock.patch.dict(cql_kernels.STEPS, {AggregateKind.COUNT: mutated})
 
 
-@contextlib.contextmanager
-def sliding_expiry_capped() -> Iterator[None]:
+def sliding_expiry_capped() -> contextlib.AbstractContextManager:
     """Reintroduce the gappy-window bug: expiry capped at ``t + size``."""
-    original = core_windows.SlidingWindow.expiry_boundary
 
     def mutated(self, t):
         boundary = self.scope(t).start + self.slide
@@ -95,15 +81,11 @@ def sliding_expiry_capped() -> Iterator[None]:
         # extent; returning the arrival instant adds no new change point.
         return boundary if boundary <= t + self.size else t
 
-    core_windows.SlidingWindow.expiry_boundary = mutated
-    try:
-        yield
-    finally:
-        core_windows.SlidingWindow.expiry_boundary = original
+    return mock.patch.object(core_windows.SlidingWindow, "expiry_boundary",
+                             mutated)
 
 
-@contextlib.contextmanager
-def state_log_coalesce() -> Iterator[None]:
+def state_log_coalesce() -> contextlib.AbstractContextManager:
     """A second fold at the log's newest version changes the contents but
     is not logged."""
     original = Changelog.commit
@@ -116,11 +98,29 @@ def state_log_coalesce() -> Iterator[None]:
             del self._versions[logged:], self._batches[logged:]
         return net
 
-    Changelog.commit = mutated
-    try:
+    return mock.patch.object(Changelog, "commit", mutated)
+
+
+@contextlib.contextmanager
+def obs_rescale_marks() -> Iterator[None]:
+    """Publish marks keyed by operator position, never rebased."""
+
+    def mutated(self, registry=None, prefix="exec.operator", **labels):
+        registry = registry if registry is not None else get_registry()
+        labels = dict(labels, layer="cql")
+        marks = self._published_ops
+        for index, (name, op) in enumerate(self.operators()):
+            tags = dict(labels, operator=name, index=str(index))
+            for field, value in (("records_in", op.received),
+                                 ("records_out", op.emitted)):
+                registry.counter(f"{prefix}.{field}", **tags).inc(
+                    value - marks.get((index, field), 0))
+                marks[(index, field)] = value
+
+    query = cql_executor.ContinuousQuery
+    with mock.patch.object(query, "publish_metrics", mutated), \
+            mock.patch.object(query, "_rebase_metrics", lambda *_: None):
         yield
-    finally:
-        Changelog.commit = original
 
 
 #: name -> (context manager, oracle leg: "cql" or "core")
@@ -131,6 +131,7 @@ MUTANTS: dict[str, tuple[Callable[[], contextlib.AbstractContextManager],
     "null-counting-count": (null_counting_count, "cql"),
     "sliding-expiry-capped": (sliding_expiry_capped, "core"),
     "state-log-coalesce": (state_log_coalesce, "cql"),
+    "obs-rescale-marks": (obs_rescale_marks, "cql"),
 }
 
 

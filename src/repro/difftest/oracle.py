@@ -1,4 +1,4 @@
-"""The three-way differential oracle.
+"""The differential oracle: one driver over a configuration matrix.
 
 For one :class:`~repro.difftest.generators.Case` the oracle replays the
 same inputs through every evaluator and compares results instant by
@@ -8,16 +8,13 @@ instant under bag equality:
   evaluator over the unoptimised plan.
 * ``reference(optimised plan)`` must agree: the optimiser may only apply
   equivalence-preserving rewrites.
-* The incremental executor runs both plan variants via ``run_recorded``
-  (exact per-instant batching).  R2S queries compare emitted streams;
-  relation queries compare the maintained change-log.
-* The DSMS engine services a relation-output query one instant per
-  quantum and a stream-output query one tuple per quantum; the legs
-  drive it so that an instant's arrivals also arrive split across
-  quanta.  Snapshot-reducibility demands that the state logged per
-  instant — one, however the instant was split — equals the reference
-  relation of the R2S child plan (intermediate same-instant states are
-  an artifact of scheduling, not a result).
+* Then one driver runs the case under each :class:`Config`: a bare
+  ``ContinuousQuery`` or a ``DSMSEngine`` with a value on every feature
+  axis (:data:`AXES`).  Each of the :data:`BASELINES` turns its own
+  feature on and draws the others per case, and :data:`LEGALITY` skips
+  what the engine refuses.  Snapshot-reducibility demands that the state
+  logged per instant equals the reference relation of the R2S child
+  plan, however the instant was split (see :func:`_judge`).
 
 The core-window leg (:func:`run_core_window_case`) checks the sparse S2R
 change-log against dense per-instant evaluation for the window kinds CQL
@@ -26,14 +23,20 @@ syntax cannot reach, and merge properties for session windows.
 
 from __future__ import annotations
 
+import pathlib
 import random
+import traceback
 import zlib
-from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
-from typing import Any
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, NamedTuple
 
+import repro.obs as obs
 from repro.chaos import CrashFuse, InjectedCrash, install_crash
+from repro.chaos.recovery import (
+    RecoveryManager,
+    apply_query_unit,
+    run_with_recovery,
+)
 from repro.core import Schema, Stream
 from repro.core.errors import ReproError, StateError
 from repro.core.operators import stream_to_relation
@@ -45,14 +48,13 @@ from repro.core.windows import (
     merge_sessions,
 )
 from repro.cql import reference_evaluate
+from repro.cql.executor import ContinuousQuery, instant_batches
 from repro.dsms import DSMSEngine
-from repro.dsms.shedding import NoShedding
+from repro.plan.parallel import partition_scheme
+from repro.runtime.rescale import rescale
 
 from repro.difftest.generators import (
-    ALERTS_SCHEMA,
     OBS_SCHEMA,
-    ROOMS_ROWS,
-    ROOMS_SCHEMA,
     Case,
     CoreWindowCase,
     build_engine,
@@ -62,20 +64,148 @@ from repro.difftest.generators import (
 _R2S_OPS = ("istream", "dstream", "rstream")
 
 
+@dataclass(frozen=True)
+class Config:
+    """One point of the configuration matrix: a driver and a value on
+    every feature axis (:data:`AXES`).  ``name`` is the baseline it was
+    drawn from, and the :attr:`Divergence.kind` it diverges under."""
+
+    name: str = "executor"
+    #: "query": a bare ContinuousQuery; "dsms": a DSMSEngine.
+    driver: str = "query"
+    optimize: bool = True
+    #: Key partitions the query runs in from registration.
+    width: int = 1
+    #: Live-rescale 1→4→2 at a third and two thirds of the instants.
+    rescale: bool = False
+    #: How the arrivals reach the engine (see :func:`_script`).
+    delivery: str = "whole"
+    #: An explicit per-query batch cap (state-exact, not emission-exact).
+    batch: int | None = None
+    #: Queries registered with the same text into one sharing group.
+    members: int = 1
+    #: "operators": each operator of a bare query killed once in its own
+    #: run; "aimed": the :class:`_CrashAim` shots on a recovering DSMS.
+    crash: str = "none"
+    #: "metrics": obs enabled; "profile": profiling and flight recorder too.
+    obs: str = "off"
+
+    def __str__(self) -> str:
+        axes = ", ".join(f"{f.name}={getattr(self, f.name)}"
+                         for f in fields(self)[1:]
+                         if getattr(self, f.name) != f.default)
+        return f"{self.name}({axes})"
+
+
+AXES: dict[str, tuple] = {
+    "driver": ("query", "dsms"),
+    "optimize": (True, False),
+    "width": (1, 2),
+    "rescale": (False, True),
+    "delivery": ("whole", "split", "upfront", "per-arrival"),
+    "batch": (None, 8),
+    "members": (1, 2),
+    "crash": ("none", "operators", "aimed"),
+    "obs": ("off", "metrics", "profile"),
+}
+
+#: The legality table, ``(refused, reason)``: a config is illegal for a
+#: case when any ``refused(config, partitionable)`` holds, where
+#: ``partitionable`` says whether the planner proves the case's plan
+#: key-partitionable.  An illegal config is skipped.
+LEGALITY: tuple[tuple[Callable[[Config, bool], bool], str], ...] = (
+    (lambda c, partitionable: (c.width > 1 or c.rescale)
+     and not (partitionable and c.optimize),
+     "fission and rescale need a plan the planner proves "
+     "key-partitionable, and it proves the optimised plan"),
+    (lambda c, _: c.members > 1 and (c.width > 1 or c.rescale),
+     "a shared member cannot be fissioned or rescaled: sharing "
+     "interleaves the operator state partitioning keeps disjoint"),
+    (lambda c, _: c.members > 1 and c.batch is not None,
+     "an explicit batch cap isolates a query"),
+    (lambda c, _: c.rescale and (c.width > 1 or c.delivery == "upfront"
+                                 or c.crash != "none"),
+     "the rescale script starts serial, the engine rescales a drained "
+     "query only, and a rescale retires the operators a crash is armed "
+     "on"),
+    (lambda c, _: c.driver == "query" and (
+        c.delivery != "whole" or c.batch is not None or c.members > 1
+        or c.crash == "aimed"),
+     "a bare query has no queue, scheduler, second member or recovery "
+     "manager: it takes whole instants"),
+    (lambda c, _: c.driver == "dsms" and (not c.optimize
+                                          or c.crash == "operators"),
+     "the engine plans optimised, and its crashes are the aimed shots"),
+    (lambda c, _: c.crash == "aimed" and c.delivery != "per-arrival",
+     "the shots aim at the per-arrival script's drains and advances"),
+)
+
+
+def legal(config: Config, partitionable: bool) -> bool:
+    """Whether no row of :data:`LEGALITY` refuses ``config``."""
+    return not any(refused(config, partitionable)
+                   for refused, _ in LEGALITY)
+
+
+#: The baselines: each config turns its own feature on, and each case
+#: draws the axes listed beside it.
+BASELINES: tuple[tuple[Config, tuple[str, ...]], ...] = (
+    (Config("executor"), ()),
+    (Config("executor-naive", optimize=False), ()),
+    (Config("kernel-parallel", width=2), ("obs",)),
+    (Config("kernel-rescaled", rescale=True), ("obs",)),
+    (Config("kernel-crashed", crash="operators"), ("width", "obs")),
+    (Config("dsms-crashed", driver="dsms", delivery="per-arrival",
+            crash="aimed"), ("width", "batch", "obs")),
+    (Config("dsms", driver="dsms", delivery="split"),
+     ("rescale", "width", "batch", "obs")),
+    (Config("kernel-batched", driver="dsms", delivery="upfront", batch=8),
+     ("width", "obs")),
+    (Config("dsms-shared", driver="dsms", members=2), ("delivery", "obs")),
+)
+
+#: The live-rescale campaign's configs (``fuzz(rescale_cases=)``).
+RESCALE_CONFIGS = (
+    Config("kernel-rescaled", rescale=True),
+    Config("kernel-rescaled", driver="dsms", rescale=True, obs="metrics"),
+)
+
+
+def _draw(case: Case, partitionable: bool) -> list[Config]:
+    """The legal baselines, each free axis drawn among the values legal
+    with the axes before it, from a Random seeded by the case."""
+    rng = random.Random(zlib.crc32(repr((case.query, case.streams)).encode()))
+    configs = []
+    for config, free in BASELINES:
+        if not legal(config, partitionable):
+            continue
+        for axis in free:
+            config = replace(config, **{axis: rng.choice([
+                value for value in AXES[axis]
+                if legal(replace(config, **{axis: value}), partitionable)])})
+        configs.append(config)
+    return configs
+
+
+def case_configs(case: Case) -> list[Config]:
+    """The configs :func:`run_case` runs for ``case`` by default."""
+    plan = build_engine().plan(case.query, optimize=True)
+    return _draw(case, partition_scheme(plan) is not None)
+
+
 @dataclass
 class Divergence:
     """One disagreement between evaluators (or an evaluator crash)."""
 
-    kind: str    # which leg diverged: optimizer | executor | executor-naive
-                 # | kernel-parallel
-                 # | kernel-rescaled | kernel-crashed | dsms-crashed | dsms
-                 # | kernel-batched | dsms-shared
-                 # | kernel-views | core-sparse | core-assign | session
-                 # | error
+    kind: str    # the diverging Config's name (see BASELINES) | optimizer
+                 # | kernel-views | core-sparse | core-assign | session | error
     detail: str
+    #: The config that diverged; None for the other kinds.
+    config: Config | None = None
 
     def __str__(self) -> str:
-        return f"[{self.kind}] {self.detail}"
+        where = "" if self.config is None else f" {self.config}:"
+        return f"[{self.kind}]{where} {self.detail}"
 
 
 def _snapshot_list(relation) -> list[tuple[int, list]]:
@@ -90,8 +220,28 @@ def _diff_detail(label_a: str, a: Any, label_b: str, b: Any) -> str:
     return f"{label_a}={a!r} vs {label_b}={b!r}"
 
 
-def run_case(case: Case) -> Divergence | None:
-    """Replay one case through all evaluators; None means agreement."""
+class _Truth(NamedTuple):
+    """What every config of one case is judged against."""
+
+    case: Case
+    streams: dict
+    catalog: Any
+    #: optimize → the case's plan, shared by every bare-query run.
+    plans: dict
+    #: The reference output of the naive plan (a stream for R2S queries).
+    output: Any
+    #: The reference relation of the R2S child plan.
+    state: Any
+    #: Seeds the split delivery and the crash aim.
+    seed: int
+
+
+def run_case(case: Case, configs: list[Config] | None = None,
+             ran: list[Config] | None = None) -> Divergence | None:
+    """Replay one case through the reference checks and then ``configs``
+    (default :func:`case_configs`); None means agreement.  A config
+    :func:`legal` refuses is skipped; ``ran``, when given, collects each
+    config that ran."""
     streams = build_streams(case)
     engine = build_engine()
     try:
@@ -107,7 +257,7 @@ def run_case(case: Case) -> Divergence | None:
 
     is_r2s = plan_naive.op_name in _R2S_OPS
 
-    # Leg 1: the optimiser must preserve denotational semantics.
+    # The optimiser must preserve denotational semantics.
     try:
         ref_opt = reference_evaluate(plan_opt, engine.catalog, streams)
     except ReproError as exc:
@@ -124,328 +274,242 @@ def run_case(case: Case) -> Divergence | None:
             "naive", _snapshot_list(truth),
             "optimized", _snapshot_list(ref_opt)))
 
-    # Legs 2-3: the incremental executor with the rule optimiser toggled
-    # on and off — every generated query runs both ways, and every
-    # instant of both must match the reference.
-    for optimize, leg in ((True, "executor"), (False, "executor-naive")):
-        exec_engine = build_engine()
-        try:
-            query = exec_engine.register_query(case.query, optimize=optimize)
-            query.run_recorded(
-                {name: stream for name, stream in streams.items()
-                 if name in query._stream_sources})
-        except ReproError as exc:
-            return Divergence(leg, f"executor crashed: {exc!r}")
-        divergence = _output_divergence(leg, "executor", query, truth,
-                                        is_r2s)
-        if divergence is not None:
-            return divergence
-
-    # Leg 4: key-partitioned execution.  When the planner proves the
-    # plan partitionable, the same query runs fissioned into two key
-    # partitions inside one query and must match the reference instant
-    # by instant.  Unpartitionable plans skip — the planner's refusal is
-    # itself under test in tests/plan.
-    divergence = _kernel_parallel_leg(case, streams, truth, is_r2s)
-    if divergence is not None:
-        return divergence
-
-    # Leg 5: live rescale.  The same query starts serial, is live-migrated
-    # 1→4→2 at one-third and two-thirds of its instants (checkpoint,
-    # re-key by the target width, resume), and the output must still be
-    # byte-identical to the never-rescaled reference.
-    divergence = _kernel_rescaled_leg(case, streams, truth, is_r2s)
-    if divergence is not None:
-        return divergence
-
-    # The DSMS legs judge the maintained state per instant against the
+    # Every config judges the maintained state per instant against the
     # reference relation of the R2S child plan (snapshot-reducibility).
     state_plan = (plan_opt.child if plan_opt.op_name in _R2S_OPS
                   else plan_opt)
-    ref_state = reference_evaluate(state_plan, engine.catalog, streams)
-
-    # Leg 6: crash-consistent recovery.  The query re-runs once per
-    # operator position; each run blows a fuse inside that operator
-    # mid-stream (state mutated, output lost), rolls back to the newest
-    # barrier-by-instant checkpoint, replays, and must still agree with
-    # the reference instant by instant.  Then the whole DSMS recovers
-    # from crashes on a checkpoint tick, in advance_time and in a replay,
-    # through its incremental checkpoints.
-    divergence = _kernel_crashed_leg(case, streams, truth, is_r2s)
-    if divergence is not None:
-        return divergence
-    divergence = _dsms_crashed_leg(case, streams, ref_state)
-    if divergence is not None:
-        return divergence
-
-    # DSMS leg: the default engine, each instant whole or split in two.
-    divergence = _dsms_leg(case, streams, ref_state)
-    if divergence is not None:
-        return divergence
-
-    # Batched leg: the same engine draining capped instant quanta.
-    # Batched vs per-element execution must agree instant by instant.
-    divergence = _kernel_batched_leg(case, streams, ref_state)
-    if divergence is not None:
-        return divergence
-
-    # Final leg: multi-query plan sharing.  The same query registered
-    # twice in a sharing engine runs as one shared operator DAG, each
-    # instant ingested whole before the drain; both members must still
-    # match the reference instant by instant, and must agree with each
-    # other emission for emission.
-    return _dsms_shared_leg(case, streams, ref_state)
-
-
-def _kernel_parallel_leg(case: Case, streams, truth,
-                         is_r2s: bool) -> Divergence | None:
-    """Run the query fissioned into 2 key partitions inside one query.
-
-    Exercises the §4.2 stack under fuzzing: the planner's
-    partition-scheme proof, hash routing of every arrival, and the
-    per-partition operator copies under one agenda and one root fold.
-    Width 2, not more: at width 3 the generator's hot rooms 'a' and 'b'
-    share a partition, which would leave the cross-partition union
-    mostly untested.
-    """
-    from repro.cql.executor import ContinuousQuery
-    from repro.plan.parallel import partition_scheme
-
-    exec_engine = build_engine()
-    try:
-        plan = exec_engine.plan(case.query, optimize=True)
-    except ReproError as exc:
-        return Divergence("kernel-parallel", f"planning failed: {exc!r}")
-    if partition_scheme(plan) is None:
-        return None
-    try:
-        query = ContinuousQuery(plan, exec_engine.catalog, parallelism=2)
-        relevant = {name: stream for name, stream in streams.items()
-                    if name in query._stream_sources}
-        query.run_recorded(relevant)
-    except ReproError as exc:
-        return Divergence("kernel-parallel",
-                          f"partitioned run crashed: {exc!r}")
-    return _output_divergence("kernel-parallel", "partitioned",
-                              query, truth, is_r2s)
-
-
-def _output_divergence(leg: str, label: str, query, truth,
-                       is_r2s: bool) -> Divergence | None:
-    """The query's emitted stream (R2S) or change-log against the
-    reference."""
-    if is_r2s:
-        produced = query.emitted_stream()
-        if produced.timestamps() != truth.timestamps() \
-                or produced.values() != truth.values():
-            return Divergence(leg, _diff_detail(
-                label, _stream_list(produced),
-                "reference", _stream_list(truth)))
-    elif not (query.as_relation() == truth):
-        return Divergence(leg, _diff_detail(
-            label, _snapshot_list(query.as_relation()),
-            "reference", _snapshot_list(truth)))
-    return None
-
-
-def _kernel_rescaled_leg(case: Case, streams, truth,
-                         is_r2s: bool) -> Divergence | None:
-    """Live-rescale 1→4→2 mid-stream; output must not diverge.
-
-    Exercises the elasticity stack under fuzzing: recompiling at the new
-    width at an instant boundary and re-keying every per-partition
-    operator's state by ``partition_of`` placement, with the one
-    agenda, change-log and emission list carried across untouched.
-    Unpartitionable plans skip, exactly like the kernel-parallel leg.
-    """
-    from repro.cql.executor import ContinuousQuery, instant_batches
-    from repro.plan.parallel import partition_scheme
-    from repro.runtime.rescale import rescale
-
-    exec_engine = build_engine()
-    try:
-        plan = exec_engine.plan(case.query, optimize=True)
-    except ReproError as exc:
-        return Divergence("kernel-rescaled", f"planning failed: {exc!r}")
-    if partition_scheme(plan) is None:
-        return None
-    try:
-        query = ContinuousQuery(plan, exec_engine.catalog)
-        batches = instant_batches(
-            {name: stream for name, stream in streams.items()
-             if name in query._stream_sources})
-        first = max(1, len(batches) // 3)
-        second = max(first + 1, 2 * len(batches) // 3)
-        schedule = {first: 4, second: 2}
-        query.start()
-        for position, (t, arrivals) in enumerate(batches):
-            if position in schedule:
-                rescale(query, schedule[position])
-            query.push_batch(t, arrivals)
-        for position in sorted(schedule):
-            # Degenerate cases (≤ 2 instants): still exercise both
-            # migrations, after the stream instead of inside it.
-            if position >= len(batches):
-                rescale(query, schedule[position])
-        query.finish()
-    except ReproError as exc:
-        return Divergence("kernel-rescaled",
-                          f"rescaled run crashed: {exc!r}")
-    if query.parallelism != 2:
-        return Divergence("kernel-rescaled",
-                          f"expected final width 2, got "
-                          f"{query.parallelism}")
-    return _output_divergence("kernel-rescaled", "rescaled", query, truth,
-                              is_r2s)
-
-
-def run_rescale_case(case: Case) -> Divergence | None:
-    """Run only the live-rescale leg of one case (targeted campaigns:
-    ``--rescale-cases`` on the fuzz CLI and the rescale benchmark).
-    Skipped (None) when the plan is not key-partitionable."""
-    streams = build_streams(case)
-    engine = build_engine()
-    try:
-        plan_naive = engine.plan(case.query, optimize=False)
-        truth = reference_evaluate(plan_naive, engine.catalog, streams)
-    except ReproError as exc:
-        return Divergence("error", f"reference failed: {exc!r}")
-    is_r2s = plan_naive.op_name in _R2S_OPS
-    return _kernel_rescaled_leg(case, streams, truth, is_r2s)
-
-
-def _kernel_crashed_leg(case: Case, streams, truth,
-                        is_r2s: bool) -> Divergence | None:
-    """Kill each physical operator once mid-stream; recovery must erase it.
-
-    One recovery run per operator position: a :class:`CrashFuse` is armed
-    at half the case's instants, the crash fires after the operator has
-    mutated its state but before its output lands (torn state), and
-    :class:`RecoveryManager` rolls the query back to the newest
-    checkpoint and replays.  Exactly-once means the final emissions and
-    change-log are indistinguishable from the fault-free legs.
-    """
-    from repro.chaos.recovery import RecoveryManager, run_query_with_recovery
-
-    probe = build_engine()
-    try:
-        probe_query = probe.register_query(case.query, optimize=True)
-    except ReproError as exc:
-        return Divergence("kernel-crashed", f"registration failed: {exc!r}")
-    operator_count = len(probe_query.operators())
-    relevant = {name: stream for name, stream in streams.items()
-                if name in probe_query._stream_sources}
-    instants = {element.timestamp
-                for stream in relevant.values() for element in stream}
-    fuse_at = max(1, (len(instants) + 1) // 2)
-
-    for position in range(operator_count):
-        exec_engine = build_engine()
-        query = exec_engine.register_query(case.query, optimize=True)
-        fuse = CrashFuse(at=fuse_at)
-        label = install_crash(query, position, fuse)
-        manager = RecoveryManager(query, interval=2,
-                                  sleep=lambda _delay: None,
-                                  backoff_base=0.0,
-                                  label="kernel-crashed")
-        try:
-            run_query_with_recovery(query, relevant, manager)
-        except ReproError as exc:
-            return Divergence("kernel-crashed", (
-                f"crash in {label} (operator {position}) not recovered: "
-                f"{exc!r}"))
-        # A fuse scheduled past the stream's end never fires; the run is
-        # then just a fault-free run and the comparison still holds.
-        divergence = _output_divergence("kernel-crashed", "recovered",
-                                        query, truth, is_r2s)
+    base = _Truth(case, streams, engine.catalog,
+                  {True: plan_opt, False: plan_naive}, truth,
+                  reference_evaluate(state_plan, engine.catalog, streams),
+                  zlib.crc32(case.query.encode()))
+    partitionable = partition_scheme(plan_opt) is not None
+    if configs is None:
+        configs = _draw(case, partitionable)
+    for config in configs:
+        if not legal(config, partitionable):
+            continue
+        if ran is not None:
+            ran.append(config)
+        divergence = _run_config(config, base)
         if divergence is not None:
-            where = (f"crashed {label} (operator {position}, "
-                     f"fired {fuse.fired})")
-            return Divergence(divergence.kind,
-                              f"{where}: {divergence.detail}")
+            return divergence
     return None
 
 
-def _dsms(**options: Any) -> DSMSEngine:
-    """A DSMS over the difftest catalog, with room to queue every arrival."""
-    dsms = DSMSEngine(queue_capacity=1_000_000, **options)
-    dsms.register_stream("Obs", OBS_SCHEMA)
-    dsms.register_stream("Alerts", ALERTS_SCHEMA)
-    dsms.register_relation("Rooms", ROOMS_SCHEMA, ROOMS_ROWS)
-    return dsms
-
-
-def _arrivals(streams, handle) -> list[tuple[int, str, Any]]:
-    """``(t, stream, record)`` for every element ``handle`` reads, in time
-    order (stable: generation order within an instant)."""
-    arrivals = [(element.timestamp, name, element.value)
-                for name, stream in streams.items()
-                if handle.reads_stream(name) for element in stream]
-    arrivals.sort(key=lambda item: item[0])
-    return arrivals
-
-
-def _state_divergence(leg: str, label: str, handle,
-                      ref_state) -> Divergence | None:
-    """Snapshot-reducibility: the maintained state per instant must equal
-    the reference relation of the R2S child (the relation the stream
-    operator samples from)."""
-    got = handle.query.as_relation()
-    if got == ref_state:
-        return None
-    return Divergence(leg, _diff_detail(
-        label, _snapshot_list(got), "reference", _snapshot_list(ref_state)))
-
-
-def _dsms_leg(case: Case, streams, ref_state) -> Divergence | None:
-    """The default engine, drained after a case-seeded prefix of each
-    instant's arrivals and again after the rest: a relation-output query
-    sees its instants both whole and split across two quanta (a
-    stream-output one is serviced one tuple per quantum either way)."""
-    dsms = _dsms()
+def _run_config(config: Config, base: _Truth) -> Divergence | None:
+    """Run one config; any exception an evaluator raises (a run-time
+    ``PlanError`` included) is a divergence.  Leaves obs reset."""
     try:
-        handle = dsms.register_query("q", case.query, shedder=NoShedding())
-    except ReproError as exc:
-        return Divergence("dsms", f"registration failed: {exc!r}")
-    split = random.Random(zlib.crc32(case.query.encode()))
-    try:
-        for _, instant in groupby(_arrivals(streams, handle),
-                                  key=itemgetter(0)):
-            instant = list(instant)
-            prefix = split.randint(0, len(instant))
-            for part in (instant[:prefix], instant[prefix:]):
-                for t, name, record in part:
-                    dsms.ingest(name, record, t)
-                dsms.run_until_idle()
-        handle.query.finish()
-    except ReproError as exc:
-        return Divergence("dsms", f"servicing crashed: {exc!r}")
-    return _state_divergence("dsms", "dsms", handle, ref_state)
+        run = _run_query if config.driver == "query" else _run_dsms
+        divergence = run(config, base)
+    except Exception as exc:  # noqa: BLE001 — every crash is a finding
+        divergence = Divergence(config.name,
+                                f"crashed: {_raised(exc)}", config)
+    if divergence is not None and config.obs == "profile":
+        tail = [{key: value for key, value in event.items()
+                 if key not in ("seq", "wall")}
+                for event in obs.get_flight_recorder().tail(8)]
+        divergence.detail += f"; flight recorder tail: {tail}"
+    obs.reset()
+    return divergence
 
 
-#: Arrivals (and time advances) per checkpoint in the dsms-crashed leg.
+def _raised(exc: Exception) -> str:
+    """The exception and the innermost frame that raised it."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return (f"{exc!r} at {pathlib.Path(frame.filename).name}:"
+            f"{frame.lineno} in {frame.name}")
+
+
+def _observe(config: Config) -> None:
+    """Fresh obs state for each run, enabled as ``config.obs`` says."""
+    obs.reset()
+    if config.obs != "off":
+        obs.enable(profile=config.obs == "profile")
+
+
+def _judge(config: Config, base: _Truth,
+           queries: list[tuple[str, Any]]) -> Divergence | None:
+    """Every run's surfaces: each query's state per instant against the
+    reference relation and its final width, a bare query's emitted
+    stream against the reference, the members' emissions alike."""
+    for label, query in queries:
+        got = query.as_relation()
+        if got != base.state:
+            return Divergence(config.name, _diff_detail(
+                label, _snapshot_list(got),
+                "reference", _snapshot_list(base.state)), config)
+        width = 2 if config.rescale else config.width
+        if query.parallelism != width:
+            return Divergence(config.name, (
+                f"{label}: expected width {width}, got "
+                f"{query.parallelism}"), config)
+    if config.driver == "query" and isinstance(base.output, Stream):
+        produced = queries[0][1].emitted_stream()
+        if produced.timestamps() != base.output.timestamps() \
+                or produced.values() != base.output.values():
+            return Divergence(config.name, _diff_detail(
+                queries[0][0], _stream_list(produced),
+                "reference", _stream_list(base.output)), config)
+    for label, query in queries[1:]:
+        if query.emissions() != queries[0][1].emissions():
+            return Divergence(config.name, _diff_detail(
+                queries[0][0], queries[0][1].emissions(),
+                label, query.emissions()), config)
+    return None
+
+
+def _against_fault_free(config: Config, where: str, crashed,
+                        clean) -> Divergence | None:
+    """A crash run's change-log against the fault-free run's, and its
+    emissions too unless an explicit batch cap makes the replay's
+    coarser quanta emission-inexact."""
+    parts = ("emissions", "change-log") if config.batch is None \
+        else ("change-log",)
+    for part in parts:
+        got, want = [query.emissions() if part == "emissions"
+                     else list(query.as_relation().snapshots())
+                     for query in (crashed, clean)]
+        if got != want:
+            return Divergence(config.name, (
+                f"{where}; {part} differs from the fault-free run: "
+                + _diff_detail("recovered", got, "fault-free", want)),
+                config)
+    return None
+
+
+def _rescaled(config: Config, blocks: list[list[tuple]]) -> list[tuple]:
+    """The instants' step blocks, the rescale script's steps (1→4→2)
+    before those a third and two thirds in (else after the last)."""
+    schedule = {}
+    if config.rescale:
+        first = max(1, len(blocks) // 3)
+        schedule = {first: 4, max(first + 1, 2 * len(blocks) // 3): 2}
+    steps: list[tuple] = []
+    for position, block in enumerate(blocks):
+        if position in schedule:
+            steps.append(("rescale", schedule.pop(position)))
+        steps += block
+    return steps + [("rescale", width)
+                    for _, width in sorted(schedule.items())]
+
+
+# ---------------------------------------------------------------------------
+# The bare-query driver
+# ---------------------------------------------------------------------------
+
+
+def _query_run(config: Config, base: _Truth,
+               crash: tuple[int, CrashFuse] | None = None):
+    """One run of ``config`` on a bare ContinuousQuery: the units of
+    :func:`~repro.chaos.recovery.run_query_with_recovery` (one push per
+    instant), rescale steps between them, published after every step when
+    obs is on.  With ``crash = (position, fuse)`` the fuse is armed on
+    that operator and a :class:`RecoveryManager` (a checkpoint every 2
+    steps) rolls back and replays.  Returns the query and its instants."""
+    _observe(config)
+    query = ContinuousQuery(base.plans[config.optimize], base.catalog,
+                            parallelism=config.width)
+    batches = _batches(base, query)
+    steps = [("start",), *_rescaled(config, [[("push", *batch)]
+                                             for batch in batches]),
+             ("finish",)]
+
+    def apply(step: tuple, _index: int = 0) -> None:
+        if step[0] == "rescale":
+            rescale(query, step[1])
+        else:
+            apply_query_unit(query, step)
+        if config.obs != "off":
+            query.publish_metrics()
+
+    if crash is None:
+        for step in steps:
+            apply(step)
+    else:
+        install_crash(query, *crash)
+        run_with_recovery(steps, apply, RecoveryManager(
+            query, interval=2, sleep=lambda _delay: None, backoff_base=0.0,
+            label=config.name))
+    return query, len(batches)
+
+
+def _run_query(config: Config, base: _Truth) -> Divergence | None:
+    """A bare-query config; ``crash="operators"`` re-runs it once per
+    operator position, a fuse blowing at half the instants after the
+    operator mutated its state but before its output lands (torn state),
+    and demands the fault-free run's change-log and emissions."""
+    clean, instants = _query_run(config, base)
+    divergence = _judge(config, base, [("executor", clean)])
+    if divergence is not None or config.crash == "none":
+        return divergence
+    for position, (label, _) in enumerate(clean.operators()):
+        # A fuse past the stream's end never fires: the run is then
+        # fault-free, and the comparison still holds.
+        fuse = CrashFuse(at=max(1, (instants + 1) // 2))
+        crashed, _ = _query_run(config, base, (position, fuse))
+        divergence = _against_fault_free(
+            config, f"crashed {label} (operator {position}, fired "
+            f"{fuse.fired})", crashed, clean)
+        if divergence is not None:
+            return divergence
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The DSMS driver
+# ---------------------------------------------------------------------------
+
+#: Arrivals (and time advances) per checkpoint under crash="aimed".
 _DSMS_CHECKPOINT_INTERVAL = 3
-#: Beyond every window the generator draws: the script's last
-#: ``advance_time`` flushes all pending expirations, as ``finish`` would.
+#: Beyond every window the generator draws: the per-arrival script's
+#: last ``advance_time`` flushes all pending expirations.
 _FLUSH_HORIZON = 1000
 
 
-def _dsms_script(arrivals: list[tuple[int, str, Any]]) -> list[tuple]:
-    """The dsms-crashed leg's driving script.
+def _batches(base: _Truth, query) -> list[tuple[int, dict]]:
+    """The case's instants, as ``push_batch`` arguments, for the streams
+    ``query`` reads (generation order within an instant)."""
+    return instant_batches({name: stream
+                            for name, stream in base.streams.items()
+                            if name in query._stream_sources})
 
-    Each arrival is ingested and drained alone.  Between instants time
-    advances to just before the next one, so the expirations due there
-    fire inside ``advance_time`` rather than in the next push; after the
-    last arrival it advances past every window.
+
+def _script(config: Config, batches: list[tuple[int, dict]],
+            seed: int) -> list[tuple]:
+    """The DSMS driving script for ``config.delivery``:
+
+    * ``whole`` — each instant ingested, then drained (a relation-output
+      query folds it in one quantum);
+    * ``split`` — drained after a case-seeded prefix of each instant and
+      again after the rest, so an instant also folds in two quanta;
+    * ``upfront`` — every arrival ingested, then one drain;
+    * ``per-arrival`` — each arrival ingested and drained alone, time
+      advanced to just before the next instant (its expirations fire
+      inside ``advance_time``, not in the next push) and past every
+      window after the last.
+
+    Rescale steps go between instants (see :func:`_rescaled`).
     """
-    script: list[tuple] = []
-    for index, (t, name, record) in enumerate(arrivals):
-        script += [("ingest", name, record, t), ("drain",)]
-        if index + 1 == len(arrivals):
-            script.append(("advance", t + _FLUSH_HORIZON))
-        elif arrivals[index + 1][0] > t:
-            script.append(("advance", arrivals[index + 1][0] - 1))
-    return script
+    split = random.Random(seed)
+    blocks = []
+    for position, (t, arrivals) in enumerate(batches):
+        steps = [("ingest", name, row, t)
+                 for name, rows in arrivals.items() for row in rows]
+        if config.delivery == "whole":
+            steps.append(("drain",))
+        elif config.delivery == "split":
+            prefix = split.randint(0, len(steps))
+            steps[prefix:prefix] = [("drain",)]
+            steps.append(("drain",))
+        elif config.delivery == "per-arrival":
+            steps = [step for ingest in steps for step in (ingest, ("drain",))]
+            steps.append(("advance", batches[position + 1][0] - 1
+                          if position + 1 < len(batches)
+                          else t + _FLUSH_HORIZON))
+        blocks.append(steps)
+    script = _rescaled(config, blocks)
+    return script + [("drain",)] if config.delivery == "upfront" else script
 
 
 def _run_script(dsms: DSMSEngine, script: list[tuple],
@@ -457,14 +521,56 @@ def _run_script(dsms: DSMSEngine, script: list[tuple],
             dsms.ingest(*step[1:])
         elif step[0] == "drain":
             dsms.run_until_idle()
-        else:
+        elif step[0] == "advance":
             dsms.advance_time(step[1])
+        else:
+            dsms.rescale_query("q0", step[1])
         if aim is not None:
             aim.after(step)
 
 
+def _dsms_run(config: Config, base: _Truth, recovering: bool = False):
+    """A DSMS over the difftest catalog, with room to queue every
+    arrival, and ``config.members`` queries registered into it; returns
+    the engine, the handles and the script that drives them."""
+    _observe(config)
+    dsms = build_engine(DSMSEngine(
+        queue_capacity=1_000_000, sharing=config.members > 1,
+        recovery_interval=_DSMS_CHECKPOINT_INTERVAL if recovering else None))
+    handles = [dsms.register_query(f"q{member}", base.case.query,
+                                   parallelism=config.width,
+                                   batch_size=config.batch)
+               for member in range(config.members)]
+    return dsms, handles, _script(
+        config, _batches(base, handles[0].query), base.seed)
+
+
+def _run_dsms(config: Config, base: _Truth) -> Divergence | None:
+    """A DSMS config.  Under ``crash="aimed"`` the same script then runs
+    on a recovering engine (``recovery_interval=3``) crashed by the
+    :class:`_CrashAim` shots.  A replay re-offers what was logged since
+    the checkpoint at once, so a relation-output query folds an instant
+    in one quantum that the fault-free run folded arrival by arrival."""
+    dsms, handles, script = _dsms_run(config, base)
+    _run_script(dsms, script)
+    handles[0].query.finish()
+    divergence = _judge(config, base, [(handle.name, handle.query)
+                                       for handle in handles])
+    if divergence is not None or config.crash == "none":
+        return divergence
+    crashed, crashed_handles, script = _dsms_run(config, base, True)
+    aim = _CrashAim(crashed, crashed_handles[0], len(script), base.seed)
+    try:
+        _run_script(crashed, script, aim)
+    except Exception as exc:  # noqa: BLE001 — every crash is a finding
+        return Divergence(config.name, f"{aim.where()}; not recovered: "
+                          f"{_raised(exc)}", config)
+    return _against_fault_free(config, aim.where(),
+                               crashed_handles[0].query, handles[0].query)
+
+
 class _Shot(CrashFuse):
-    """A crash the dsms-crashed leg aims: once ``armed`` with a name
+    """A crash :class:`_CrashAim` aims: once ``armed`` with a name
     it blows at the operator's next step, noting the phase it blew in."""
 
     def __init__(self, phase: list[str],
@@ -484,7 +590,7 @@ class _Shot(CrashFuse):
 
 
 class _CrashAim:
-    """Aims the dsms-crashed leg's three crashes at a recovering engine.
+    """Aims ``crash="aimed"``'s three crashes at a recovering engine.
 
     Every instant steps every operator, so a shot armed before a step of
     the script fires inside it:
@@ -561,120 +667,6 @@ class _CrashAim:
     def where(self) -> str:
         fired = [f"{shot} in {phase}" for shot, phase in self.shots]
         return f"crashes fired: {', '.join(fired) or 'none'}"
-
-
-def _dsms_crashed_leg(case: Case, streams, ref_state,
-                      shots: list[tuple[str, str]] | None = None,
-                      ) -> Divergence | None:
-    """Recovery through the DSMS's incremental checkpoints, under fuzzing.
-
-    The case runs through ``DSMSEngine(recovery_interval=3)`` by the
-    :func:`_dsms_script`, crashed on a checkpoint tick, in
-    ``advance_time`` and in the replay that recovers from that (see
-    :class:`_CrashAim`), at case-dependent operator positions.  Its
-    emissions and change-log (which is its Store history) must equal the
-    same script's on a fault-free engine, whose state must match the
-    reference.  The script drains after every arrival, but a replay
-    re-offers what was logged since the checkpoint at once, so a
-    relation-output query folds an instant in one quantum that the
-    fault-free run folded arrival by arrival: batched × crashed.
-    ``shots``, when given, collects ``(shot, phase it fired in)``.
-    """
-    clean, crashed = _dsms(), _dsms(
-        recovery_interval=_DSMS_CHECKPOINT_INTERVAL)
-    try:
-        clean_handle = clean.register_query("q", case.query)
-        handle = crashed.register_query("q", case.query)
-    except ReproError as exc:
-        return Divergence("dsms-crashed", f"registration failed: {exc!r}")
-    script = _dsms_script(_arrivals(streams, handle))
-    try:
-        _run_script(clean, script)
-    except ReproError as exc:
-        return Divergence("dsms-crashed", f"fault-free run crashed: {exc!r}")
-    divergence = _state_divergence("dsms-crashed", "fault-free",
-                                   clean_handle, ref_state)
-    if divergence is not None:
-        return divergence
-    aim = _CrashAim(crashed, handle, len(script),
-                    zlib.crc32(case.query.encode()))
-    try:
-        _run_script(crashed, script, aim)
-    except ReproError as exc:
-        return Divergence("dsms-crashed",
-                          f"{aim.where()}; not recovered: {exc!r}")
-    finally:
-        if shots is not None:
-            shots.extend(aim.shots)
-    for part, got, want in (
-            ("emissions", handle.emissions(), clean_handle.emissions()),
-            ("change-log", list(handle.store_history().snapshots()),
-             list(clean_handle.store_history().snapshots()))):
-        if got != want:
-            return Divergence("dsms-crashed", (
-                f"{aim.where()}; {part} differs from the fault-free run: "
-                + _diff_detail("recovered", got, "fault-free", want)))
-    return None
-
-
-def _kernel_batched_leg(case: Case, streams, ref_state) -> Divergence | None:
-    """The eighth leg: DSMS instant quanta under fuzzing.
-
-    The whole arrival log is ingested up front and drained with
-    ``batch_size=8`` quanta, so same-instant tuples actually coalesce
-    into one ``push_batch`` → one batched instant.  The batch
-    size is an *explicit* per-query override — the planner's
-    emission-safety clamp is deliberately bypassed so aggregate, join
-    and windowed plans run batched too — which makes the state log the
-    comparison surface: snapshot-reducibility demands the maintained
-    relation per instant equals the reference relation of the R2S child
-    plan, exactly as the per-element DSMS leg is judged.
-    """
-    dsms = _dsms()
-    try:
-        handle = dsms.register_query("q", case.query, shedder=NoShedding(),
-                                     batch_size=8)
-    except ReproError as exc:
-        return Divergence("kernel-batched", f"registration failed: {exc!r}")
-    try:
-        for t, name, record in _arrivals(streams, handle):
-            dsms.ingest(name, record, t)
-        dsms.run_until_idle()
-        handle.query.finish()
-    except ReproError as exc:
-        return Divergence("kernel-batched", f"servicing crashed: {exc!r}")
-    return _state_divergence("kernel-batched", "batched", handle, ref_state)
-
-
-def _dsms_shared_leg(case: Case, streams, ref_state) -> Divergence | None:
-    """The same query registered twice in a sharing engine: one group,
-    one unit.  Each instant is ingested whole before the drain, so a
-    relation-output group folds it in one batched quantum (a
-    stream-output one is clamped to a tuple per quantum)."""
-    dsms = _dsms(sharing=True)
-    try:
-        first = dsms.register_query("q1", case.query)
-        second = dsms.register_query("q2", case.query)
-    except ReproError as exc:
-        return Divergence("dsms-shared", f"registration failed: {exc!r}")
-    try:
-        for _, instant in groupby(_arrivals(streams, first),
-                                  key=itemgetter(0)):
-            for t, name, record in instant:
-                dsms.ingest(name, record, t)
-            dsms.run_until_idle()
-        first.query.finish()
-    except ReproError as exc:
-        return Divergence("dsms-shared", f"servicing crashed: {exc!r}")
-    for handle in (first, second):
-        divergence = _state_divergence(
-            "dsms-shared", f"shared:{handle.name}", handle, ref_state)
-        if divergence is not None:
-            return divergence
-    if first.emissions() != second.emissions():
-        return Divergence("dsms-shared", _diff_detail(
-            "q1", first.emissions(), "q2", second.emissions()))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +780,7 @@ def check_negative_timestamp_rejection() -> list[str]:
         problems.append("executor accepted a negative timestamp")
     except TimeError:
         pass
-    dsms = DSMSEngine()
-    dsms.register_stream("Obs", OBS_SCHEMA)
+    dsms = build_engine(DSMSEngine())
     dsms.register_query("q", "SELECT id FROM Obs [Range 2]")
     try:
         dsms.ingest("Obs", row, -1)
@@ -805,7 +796,7 @@ def check_negative_timestamp_rejection() -> list[str]:
 
 
 def run_view_case(case) -> Divergence | None:
-    """The ninth leg: every dynamic table vs recompute-from-base.
+    """The kernel-views check: every dynamic table vs recompute-from-base.
 
     The case's view DAG is installed in a :class:`DynamicTableService`
     and its event script replayed.  After **every** event, each view's

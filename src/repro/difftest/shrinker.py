@@ -15,6 +15,7 @@ result can be emitted as a standalone pytest file via :func:`emit_repro`.
 
 from __future__ import annotations
 
+import functools
 import pathlib
 import re
 from typing import Any, Callable
@@ -114,12 +115,17 @@ def _simplify_query(case: Case, kind: str, oracle: Oracle) -> Case:
 
 
 def shrink_case(case: Case, divergence: Divergence,
-                oracle: Oracle = run_case) -> tuple[Case, Divergence]:
+                oracle: Oracle | None = None) -> tuple[Case, Divergence]:
     """Minimise ``case`` while preserving ``divergence.kind``.
 
-    Returns the shrunk case and its (re-computed) divergence.
+    The default oracle re-runs only the config that diverged (the
+    reference checks alone for a divergence without one), so a shrunk
+    case cannot draw another config.  Returns the shrunk case and its
+    (re-computed) divergence.
     """
     kind = divergence.kind
+    if oracle is None:
+        oracle = functools.partial(run_case, configs=_pinned(divergence))
     if not _same_failure(case, kind, oracle):
         # Not reproducible (e.g. flaky external state): return unchanged.
         return case, divergence
@@ -135,6 +141,10 @@ def shrink_case(case: Case, divergence: Divergence,
     return case, final
 
 
+def _pinned(divergence: Divergence) -> list:
+    return [] if divergence.config is None else [divergence.config]
+
+
 # ---------------------------------------------------------------------------
 # Standalone repro emission
 # ---------------------------------------------------------------------------
@@ -148,7 +158,7 @@ It fails while the divergence below reproduces and passes once fixed.
 Original divergence: {divergence}
 """
 
-from repro.difftest import Case, run_case
+from repro.difftest import Case, Config, run_case
 
 
 def test_shrunk_counterexample():
@@ -156,21 +166,25 @@ def test_shrunk_counterexample():
         query={query!r},
         streams={streams!r},
     )
-    divergence = run_case(case)
+    divergence = run_case(case, configs={configs!r})
     assert divergence is None, f"evaluators diverge: {{divergence}}"
 '''
 
 
 def emit_repro(case: Case, divergence: Divergence,
                path: str | pathlib.Path) -> pathlib.Path:
-    """Write a standalone pytest file reproducing ``case``."""
+    """Write a standalone pytest file reproducing ``case`` under the
+    config that diverged."""
+    return _write(_REPRO_TEMPLATE, path, divergence, query=case.query,
+                  streams=case.streams, configs=_pinned(divergence))
+
+
+def _write(template: str, path: str | pathlib.Path, divergence: Divergence,
+           **fields: Any) -> pathlib.Path:
     path = pathlib.Path(path)
-    path.write_text(_REPRO_TEMPLATE.format(
-        filename=path.name,
-        divergence=str(divergence),
-        query=case.query,
-        streams=case.streams,
-    ), encoding="utf-8")
+    path.write_text(template.format(filename=path.name,
+                                    divergence=str(divergence), **fields),
+                    encoding="utf-8")
     return path
 
 
@@ -250,14 +264,8 @@ def test_shrunk_core_counterexample():
 def emit_core_repro(case: CoreWindowCase, divergence: Divergence,
                     path: str | pathlib.Path) -> pathlib.Path:
     """Write a standalone pytest file reproducing a core-window case."""
-    path = pathlib.Path(path)
-    path.write_text(_CORE_REPRO_TEMPLATE.format(
-        filename=path.name,
-        divergence=str(divergence),
-        window=_window_expr(case.window),
-        rows=case.rows,
-    ), encoding="utf-8")
-    return path
+    return _write(_CORE_REPRO_TEMPLATE, path, divergence,
+                  window=_window_expr(case.window), rows=case.rows)
 
 
 _VIEW_REPRO_TEMPLATE = '''"""Auto-generated dynamic-table counterexample.
@@ -287,12 +295,5 @@ def test_view_counterexample():
 def emit_view_repro(case, divergence: Divergence,
                     path: str | pathlib.Path) -> pathlib.Path:
     """Write a standalone pytest file reproducing a dynamic-table case."""
-    path = pathlib.Path(path)
-    path.write_text(_VIEW_REPRO_TEMPLATE.format(
-        filename=path.name,
-        divergence=str(divergence),
-        views=case.views,
-        initial=case.initial,
-        events=case.events,
-    ), encoding="utf-8")
-    return path
+    return _write(_VIEW_REPRO_TEMPLATE, path, divergence, views=case.views,
+                  initial=case.initial, events=case.events)

@@ -1,13 +1,14 @@
-"""The dsms-crashed oracle leg: recovery through incremental checkpoints.
+"""The dsms-crashed oracle config: recovery through incremental
+checkpoints.
 
 Every generated case also runs through ``DSMSEngine(recovery_interval=3)``
 with crashes aimed on a checkpoint tick, inside ``advance_time`` and
 inside the replay recovering from that.  These tests pin that the aims
 land where they are meant to over a seeded campaign, and that the
-crashed legs are sharp enough to catch an operator that forgets to mark
+crash configs are sharp enough to catch an operator that forgets to mark
 a key dirty — a bug that would otherwise roll back to a stale image in
 silence.  A bare query under a ``RecoveryManager`` checkpoints by the
-same barrier, so the kernel-crashed leg may catch it first.
+same barrier, so the kernel-crashed config may catch it first.
 """
 
 import random
@@ -15,30 +16,39 @@ from collections import Counter
 
 import pytest
 
-from repro.cql import executor, reference_evaluate
+from repro.cql import executor
 from repro.cql.state import KeyedState
-from repro.difftest import gen_case, run_case
-from repro.difftest.generators import build_engine, build_streams
-from repro.difftest.oracle import _R2S_OPS, _dsms_crashed_leg
+from repro.difftest import Config, gen_case, oracle, run_case
 
 CASES = 300
+DSMS_CRASHED = Config("dsms-crashed", driver="dsms", delivery="per-arrival",
+                      crash="aimed")
 
 
-def crashed_leg(case, shots):
-    streams = build_streams(case)
-    engine = build_engine()
-    plan = engine.plan(case.query, optimize=True)
-    state_plan = plan.child if plan.op_name in _R2S_OPS else plan
-    ref_state = reference_evaluate(state_plan, engine.catalog, streams)
-    return _dsms_crashed_leg(case, streams, ref_state, shots)
+def crashed_leg(case, shots, monkeypatch):
+    """Run ``case`` under the dsms-crashed config; collect
+    ``(shot, phase it fired in)`` into ``shots``."""
+    aims = []
+
+    class Collecting(oracle._CrashAim):
+        def __init__(self, *args):
+            super().__init__(*args)
+            aims.append(self)
+
+    monkeypatch.setattr(oracle, "_CrashAim", Collecting)
+    divergence = run_case(case, configs=[DSMS_CRASHED])
+    for aim in aims:
+        shots.extend(aim.shots)
+    return divergence
 
 
 @pytest.mark.difftest
-def test_crashes_land_on_barrier_ticks_in_advance_and_in_replay():
+def test_crashes_land_on_barrier_ticks_in_advance_and_in_replay(monkeypatch):
     rng = random.Random(0)
     shots = []
     for index in range(CASES):
-        divergence = crashed_leg(gen_case(rng, seed=index), shots)
+        divergence = crashed_leg(gen_case(rng, seed=index), shots,
+                                 monkeypatch)
         assert divergence is None, f"case {index}: {divergence}"
     landed = Counter(shots)
     # Each shot fires only in the phase it was aimed at...

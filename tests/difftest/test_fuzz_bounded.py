@@ -12,6 +12,7 @@ import pytest
 
 from repro.difftest import fuzz
 from repro.difftest.__main__ import main as difftest_main
+from repro.difftest.oracle import AXES
 
 
 @pytest.mark.difftest
@@ -23,6 +24,10 @@ def test_bounded_seeded_fuzz_is_clean(tmp_path):
         + report.consistency_problems)
     assert report.clean, f"{report.summary()}\n{detail}"
     assert report.elapsed_seconds < 60
+    # Every value of every axis of the configuration matrix ran.
+    missing = [(axis, value) for axis, values in AXES.items()
+               for value in values if not report.coverage[axis][value]]
+    assert not missing, report.summary()
 
     payload = json.loads(
         (tmp_path / "BENCH_difftest_fuzz.json").read_text())
@@ -48,3 +53,4 @@ def test_cli_exit_code_clean(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "clean" in out
+    assert "config runs per axis value: driver query=" in out

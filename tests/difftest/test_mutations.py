@@ -8,11 +8,13 @@ counterexample lifecycle, per injected bug class.
 
 import importlib.util
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.difftest import (
     MUTANTS,
+    case_configs,
     emit_core_repro,
     emit_repro,
     gen_case,
@@ -74,6 +76,27 @@ def test_oracle_catches_mutant_and_repro_roundtrips(name, tmp_path):
     # ...and pass on the fixed code.
     repro = _load_test(path)
     repro()
+
+
+@pytest.mark.difftest
+def test_the_two_axis_mutant_needs_obs():
+    """obs-rescale-marks needs obs and a rescale at once: over the cases
+    the oracle scans until it catches the mutant, the same configs with
+    obs off run clean."""
+    factory, _leg = MUTANTS["obs-rescale-marks"]
+    rng = random.Random(0)
+    with factory():
+        for _ in range(BUDGET):
+            case = gen_case(rng)
+            obs_off = [replace(config, obs="off")
+                       for config in case_configs(case)]
+            assert run_case(case, obs_off) is None
+            divergence = run_case(case)
+            if divergence is not None:
+                assert divergence.config.rescale
+                assert divergence.config.obs != "off"
+                return
+    pytest.fail(f"oracle missed obs-rescale-marks within {BUDGET} cases")
 
 
 @pytest.mark.difftest

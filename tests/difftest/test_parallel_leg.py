@@ -1,9 +1,7 @@
-"""Deterministic regressions for the kernel-parallel oracle leg."""
+"""Deterministic regressions for the kernel-parallel oracle config."""
 
-from repro.difftest.generators import Case, build_engine, build_streams
-from repro.difftest.oracle import _kernel_parallel_leg, run_case
+from repro.difftest import Case, Config, build_engine, run_case
 from repro.plan.parallel import partition_scheme
-from repro.cql import reference_evaluate
 
 
 GROUPED = ("SELECT room, COUNT(*) AS n FROM Obs [Range 4] "
@@ -13,7 +11,7 @@ STRIDED = ("SELECT id, COUNT(*) AS n FROM Obs [Range 6] "
 
 
 def engaged(query: str) -> bool:
-    """True when the parallel leg will actually run (not skip)."""
+    """True when the parallel config will actually run (not skip)."""
     return partition_scheme(build_engine().plan(query)) is not None
 
 
@@ -50,9 +48,7 @@ def test_unpartitionable_query_skips_leg():
     assert not engaged(query)
     case = Case(query=query, streams={"Obs": [
         ({"id": i, "room": "a", "temp": i}, i) for i in range(6)]})
-    streams = build_streams(case)
-    engine = build_engine()
-    truth = reference_evaluate(engine.plan(query, optimize=False),
-                               engine.catalog, streams)
-    assert _kernel_parallel_leg(case, streams, truth,
-                                is_r2s=False) is None
+    ran = []
+    assert run_case(case, configs=[Config("kernel-parallel", width=2)],
+                    ran=ran) is None
+    assert ran == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.difftest import Case, emit_repro, run_case
+from repro.difftest import MUTANTS, Case, Config, emit_repro, run_case
 from repro.difftest.generators import CoreWindowCase
 from repro.difftest.oracle import Divergence, run_core_window_case
 from repro.difftest.shrinker import (
@@ -90,6 +90,34 @@ class TestReproEmission:
         assert case.query in text
         namespace: dict = {}
         exec(compile(text, str(path), "exec"), namespace)
+        namespace["test_shrunk_counterexample"]()
+
+    def test_shrink_and_repro_pin_the_config_that_diverged(self, tmp_path):
+        # The split prefix and the free axes are drawn from the case, so
+        # a shrunk case must be judged by the config that diverged, not
+        # by the configs it would draw itself.
+        config = Config("dsms-crashed", driver="dsms", delivery="per-arrival",
+                        crash="aimed", obs="profile")
+        case = Case(query="SELECT O.id, R.floor FROM Obs O [Range 1], "
+                          "Rooms R",
+                    streams={"Obs": [({"id": 0, "room": "a", "temp": 0}, 0)]
+                             * 3, "Alerts": []})
+        factory, _leg = MUTANTS["state-log-coalesce"]
+        with factory():
+            divergence = run_case(case, configs=[config])
+            assert divergence.kind == "dsms-crashed"
+            assert divergence.config == config
+            # The flight recorder's newest events name the checkpoints
+            # and the recovery around the divergence.
+            assert "'kind': 'recovery.attempt'" in divergence.detail
+            _, shrunk = shrink_case(case, divergence)
+            assert shrunk.config == config
+            path = emit_repro(case, shrunk, tmp_path / "test_repro_pin.py")
+            assert f"configs=[{config!r}]" in path.read_text()
+            namespace: dict = {}
+            exec(compile(path.read_text(), str(path), "exec"), namespace)
+            with pytest.raises(AssertionError):
+                namespace["test_shrunk_counterexample"]()
         namespace["test_shrunk_counterexample"]()
 
     def test_core_repro_uses_constructor_expressions(self, tmp_path):
