@@ -166,6 +166,16 @@ def make_script(mode, seed, cancels=True, steps=40):
     return script
 
 
+def aim(query, position):
+    """The operator a crash step arms: ``position`` counts among the
+    stateful operators only (those with ``_STATE_ATTRS``), so a crash
+    lands on the same operator however the stateless ones between them
+    are compiled."""
+    stateful = [index for index, (_, op) in enumerate(query.operators())
+                if op._STATE_ATTRS]
+    return stateful[position % len(stateful)]
+
+
 def run(engine, script, after_step=lambda engine: None):
     for step in script:
         kind = step[0]
@@ -193,7 +203,7 @@ def run(engine, script, after_step=lambda engine: None):
             target = query.replicas()[0] if hasattr(query, "replicas") \
                 else query
             fuse = CrashFuse(at=at)
-            install_crash(target, position % len(target.operators()), fuse)
+            install_crash(target, aim(target, position), fuse)
             for row in rows:
                 engine.ingest(stream, row, t)
             engine.run_until_idle()
@@ -358,11 +368,13 @@ PINNED = {
                          'q1': (21.772727272727273, 41),
                          'q2': (23.25, 41),
                          'q3': (28.714285714285715, 38)}),
+    # Re-recorded when crash steps began to aim among the stateful
+    # operators only (see ``aim``); the other pins did not move.
     ('recovering', 1): (68,
-                        {'q0': (21.392857142857142, 61),
-                         'q1': (21.607142857142858, 62),
-                         'q2': (37.2, 64),
-                         'q3': (38.375, 58),
+                        {'q0': (21.482758620689655, 61),
+                         'q1': (21.724137931034484, 62),
+                         'q2': (35.72727272727273, 64),
+                         'q3': (36.666666666666664, 58),
                          'q4': (50.0, 59),
                          'q5': (58.75, 68)}),
     # The shared group drains each head instant in one quantum, as an
