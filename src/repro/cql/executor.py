@@ -45,7 +45,7 @@ from repro.core.records import Record, Schema, trusted_record
 from repro.core.relation import Bag, Changelog, TimeVaryingRelation, labelled
 from repro.core.stream import Stream
 from repro.core.time import MIN_TIMESTAMP, Timestamp
-from repro.plan.exprs import EmitMode
+from repro.plan.exprs import Column, EmitMode, Expr, substitute_columns
 from repro.plan.ir import (
     Aggregate,
     Distinct,
@@ -62,8 +62,12 @@ from repro.plan.ir import (
 )
 from repro.cql.ast import WindowSpecKind
 from repro.cql.catalog import Catalog
-from repro.cql.expressions import compile_expr, compile_predicate
-from repro.cql.kernels import aggregate_kernel, prefilter_kernel
+from repro.cql.kernels import (
+    aggregate_kernel,
+    join_kernel,
+    prefilter_kernel,
+    spine_kernel,
+)
 from repro.cql.state import KeyedState, copy_sized
 from repro.plan.sharing import SubplanMemo, memo_key
 
@@ -76,7 +80,7 @@ Delta = tuple[tuple, int]
 
 def _values_at(indexes: Sequence[int]) -> Callable[[tuple], tuple]:
     """The tuple of a row's values at ``indexes``, from its values tuple:
-    a join or group key."""
+    a partitioned window's key."""
     if len(indexes) == 1:
         index = indexes[0]
         return lambda values: (values[index],)
@@ -483,31 +487,19 @@ class RelationSourceOp(PhysicalOp):
 # ---------------------------------------------------------------------------
 
 
-class FilterOp(PhysicalOp):
-    def __init__(self, child: PhysicalOp,
-                 predicate: Callable[[tuple], bool]) -> None:
-        super().__init__([child])
-        self._predicate = predicate
-
-    def process(self, t, child_deltas):
-        (deltas,) = child_deltas
-        predicate = self._predicate
-        return [delta for delta in deltas if predicate(delta[0])]
-
-
-class ProjectOp(PhysicalOp):
-    """π: one output values tuple per delta."""
+class SpineOp(PhysicalOp):
+    """A maximal Filter/Project chain, run as one generated comprehension
+    (:func:`~repro.cql.kernels.spine_kernel`): σ and π fused, with the
+    chain's predicates and outputs composed over its input layout (see
+    :func:`compile_plan`)."""
 
     def __init__(self, child: PhysicalOp,
-                 evaluators: list[Callable[[tuple], Any]]) -> None:
+                 kernel: Callable[[list[Delta]], list[Delta]]) -> None:
         super().__init__([child])
-        self._evaluators = evaluators
+        self._kernel = kernel
 
     def process(self, t, child_deltas):
-        (deltas,) = child_deltas
-        evaluators = self._evaluators
-        return [(tuple([evaluate(values) for evaluate in evaluators]), mult)
-                for values, mult in deltas]
+        return self._kernel(child_deltas[0])
 
 
 class PartitionUnionOp(PhysicalOp):
@@ -540,17 +532,35 @@ class JoinOp(PhysicalOp):
     Each side's index maps a key (the plan's extracted equi-join columns,
     read by position; empty for an incremental cross join) to
     ``{values: multiplicity}``.  A joined row is the two values tuples
-    concatenated, left first, and a residual predicate filters it.
+    concatenated, left first, and the residual predicate filters it.
+
+    Each side runs its generated probe-and-fold loop
+    (:func:`~repro.cql.kernels.join_kernel`).  ``predicates`` and
+    ``outputs`` are a Filter/Project chain compiled into the join (see
+    :func:`compile_plan`): its predicates are tested after the residual,
+    and with ``outputs`` the join emits the chain's output tuple instead
+    of the joined row.
     """
 
     _STATE_ATTRS = ("_left_state", "_right_state")
+    #: Whether each side indexes an insert-only list of ``(values,
+    #: multiplicity)`` (see :class:`AppendOnlyJoinOp`).
+    _APPEND_ONLY = False
 
-    def __init__(self, left: PhysicalOp, right: PhysicalOp,
-                 left_indexes: Sequence[int], right_indexes: Sequence[int],
-                 residual: Callable[[tuple], bool] | None) -> None:
+    def __init__(self, left: PhysicalOp, right: PhysicalOp, node: Join,
+                 predicates: Sequence[Expr] = (),
+                 outputs: Sequence[Expr] | None = None) -> None:
         super().__init__([left, right])
-        self._key_of = (_values_at(left_indexes), _values_at(right_indexes))
-        self._residual = residual
+        if node.residual is not None:
+            predicates = [node.residual, *predicates]
+        width = len(node.left.schema.fields)
+        self._probe_left, self._probe_right = [
+            join_kernel(side, self._APPEND_ONLY,
+                        [child.schema.index_of(c) for c in keys],
+                        predicates, outputs, node.schema, width)
+            for side, child, keys in (("left", node.left, node.left_keys),
+                                      ("right", node.right,
+                                       node.right_keys))]
         #: The two sides' indexes; each one's tally is the net
         #: multiplicity it holds.
         self._left_state = KeyedState(self._weigh)
@@ -565,64 +575,10 @@ class JoinOp(PhysicalOp):
         left_deltas, right_deltas = child_deltas
         out: list[Delta] = []
         if left_deltas:
-            self._side(0, left_deltas, out)
+            self._probe_left(self, left_deltas, out)
         if right_deltas:
-            self._side(1, right_deltas, out)
+            self._probe_right(self, right_deltas, out)
         return out
-
-    def _indexes(self, side: int) -> tuple[KeyedState, KeyedState]:
-        """``(own index, other index)`` for ``side``."""
-        if side == 0:
-            return self._left_state, self._right_state
-        return self._right_state, self._left_state
-
-    def _side(self, side: int, deltas: list[Delta],
-              out: list[Delta]) -> None:
-        """One side's batch: probe the other index, fold into its own.
-
-        SQL three-valued logic: a NULL key component can never satisfy
-        the originating equality, so such a row joins nothing and is not
-        indexed.  A retraction the index does not hold is refused before
-        the index changes.
-        """
-        state, other_state = self._indexes(side)
-        own, other = state.data, other_state.data
-        key_of, residual = self._key_of[side], self._residual
-        append = out.append
-        left = side == 0
-        keys = []
-        held = 0
-        try:
-            for values, mult in deltas:
-                key = key_of(values)
-                if None in key:
-                    continue
-                matches = other.get(key)
-                if matches:
-                    for match, count in matches.items():
-                        joined = values + match if left else match + values
-                        if residual is None or residual(joined):
-                            append((joined, mult * count))
-                entry = own.get(key)
-                count = mult if entry is None else entry.get(values, 0) + mult
-                if count < 0:
-                    raise StateError(
-                        f"join retracts {values!r}, which its "
-                        f"{'left' if left else 'right'} side does not hold")
-                keys.append(key)
-                if entry is None:
-                    if count:
-                        own[key] = {values: count}
-                elif count:
-                    entry[values] = count
-                else:
-                    entry.pop(values, None)
-                    if not entry:
-                        del own[key]
-                held += mult
-        finally:
-            state.tally += held
-            state.mark(keys)
 
     @property
     def state_size(self) -> int:
@@ -641,42 +597,11 @@ class AppendOnlyJoinOp(JoinOp):
     and only where — it is legal.
     """
 
+    _APPEND_ONLY = True
+
     @staticmethod
     def _weigh(entry: list[Delta]) -> int:
         return sum(mult for _, mult in entry)
-
-    def _side(self, side: int, deltas: list[Delta],
-              out: list[Delta]) -> None:
-        state, other_state = self._indexes(side)
-        own, other = state.data, other_state.data
-        key_of, residual = self._key_of[side], self._residual
-        left = side == 0
-        keys = []
-        held = 0
-        try:
-            for values, mult in deltas:
-                if mult < 0:
-                    raise StateError(
-                        "retraction reached an append-only join")
-                key = key_of(values)
-                if None in key:
-                    continue
-                entry = other.get(key)
-                if entry:
-                    for match, count in entry:
-                        joined = values + match if left else match + values
-                        if residual is None or residual(joined):
-                            out.append((joined, mult * count))
-                keys.append(key)
-                entry = own.get(key)
-                if entry is None:
-                    own[key] = [(values, mult)]
-                else:
-                    entry.append((values, mult))
-                held += mult
-        finally:
-            state.tally += held
-            state.mark(keys)
 
 
 class AggregateOp(PhysicalOp):
@@ -887,6 +812,40 @@ def _executor_append_only(node: LogicalOp) -> bool:
     return not any(isinstance(n, _RelScan) for n in _walk(node))
 
 
+def _compose(chain: Sequence[Filter | Project], schema: Schema) \
+        -> tuple[list[Expr], tuple[Expr, ...] | None]:
+    """A Filter/Project chain (top first) over input rows of ``schema``,
+    as one ``(predicates, outputs)`` pair over that layout.
+
+    Walking up from the input, a Project's expressions become the
+    outputs and every column the next node names is replaced by the
+    output expression it resolves to
+    (:func:`~repro.plan.exprs.substitute_columns`, as projection
+    composition does), so a Filter above a Project tests its predicate
+    on the input row.  ``outputs`` is None when the rows pass through as
+    they are: no Project, or one that is the positional identity of the
+    input.
+    """
+    predicates: list[Expr] = []
+    outputs: tuple[Expr, ...] | None = None
+    layout = schema
+    for node in reversed(chain):
+        exprs = [node.predicate] if isinstance(node, Filter) else node.exprs
+        if outputs is not None:
+            exprs = [substitute_columns(expr, {
+                column.name: outputs[layout.index_of(column.name)]
+                for column in expr.columns()}) for expr in exprs]
+        if isinstance(node, Filter):
+            predicates += exprs
+        else:
+            outputs, layout = tuple(exprs), node.schema
+    if outputs is not None and len(outputs) == len(schema.fields) and all(
+            isinstance(expr, Column) and schema.index_of(expr.name) == index
+            for index, expr in enumerate(outputs)):
+        outputs = None
+    return predicates, outputs
+
+
 def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                  memo=None, parallelism: int = 1,
                  ) -> tuple[PhysicalOp, dict[str, list[StreamSourceOp]],
@@ -945,18 +904,64 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
             return PartitionUnionOp(copies)
         key = memo_key(node) if memo is not None else None
         if memo is not None:
-            hit = memo.lookup(key)
-            if hit is not None:
-                shared_op, shared_streams = hit
-                for name, sources in shared_streams.items():
-                    stream_sources[name].extend(sources)
-                _record(node, shared_op)
-                return shared_op
+            shared = _shared(node, key)
+            if shared is not None:
+                return shared
         op = _build_fresh(node)
         if memo is not None:
             memo.publish(key, (op, _subtree_streams(op)))
         _record(node, op)
         return op
+
+    def _shared(node: LogicalOp, key: str | None) -> PhysicalOp | None:
+        """The memo's operator for ``node``'s ``key``, adopted; None on a
+        miss."""
+        hit = memo.lookup(key)
+        if hit is None:
+            return None
+        shared_op, shared_streams = hit
+        for name, sources in shared_streams.items():
+            stream_sources[name].extend(sources)
+        _record(node, shared_op)
+        return shared_op
+
+    def _build_chain(top: Filter | Project) -> PhysicalOp:
+        """A maximal Filter/Project chain from ``top`` down, as one
+        operator: a :class:`SpineOp` over the chain's input, the join
+        below it when the join can take the chain, or no operator at all
+        when the chain keeps every row as it is.  The chain stops above a
+        node the memo shares; a shared or fissioned join (the partition
+        boundary, or any join compiled through a memo, whose plain rows
+        other members may read) keeps its plain output under a SpineOp.
+        Every node of the chain maps to the operator that runs it."""
+        chain = [top]
+        inner, base = top.child, None
+        while isinstance(inner, (Filter, Project)):
+            if memo is not None:
+                base = _shared(inner, memo_key(inner))
+                if base is not None:
+                    break
+            chain.append(inner)
+            inner = inner.child
+        predicates, outputs = _compose(chain, inner.schema)
+        if memo is None and isinstance(inner, Join) and inner is not boundary:
+            op = _build_join(inner, predicates, outputs)
+            _record(inner, op)
+        else:
+            if base is None:
+                base = build(inner)
+            op = base if not predicates and outputs is None else \
+                SpineOp(base, spine_kernel(predicates, outputs, inner.schema))
+        for node in chain[1:]:
+            _record(node, op)
+        return op
+
+    def _build_join(node: Join, predicates: Sequence[Expr] = (),
+                    outputs: Sequence[Expr] | None = None) -> JoinOp:
+        join_cls = (AppendOnlyJoinOp if _executor_append_only(node)
+                    else JoinOp)
+        return join_cls(build(node.left), build(node.right), node,
+                        predicates, outputs)
 
     def _record(node: LogicalOp, op: PhysicalOp) -> None:
         node_map.setdefault(id(node), []).append(op)
@@ -996,26 +1001,10 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                 in catalog.relation(node.name).contents.items()])
             relation_sources[node.name].append(source)
             return source
-        if isinstance(node, Filter):
-            child = build(node.child)
-            predicate = compile_predicate(node.predicate, node.child.schema)
-            return FilterOp(child, predicate)
-        if isinstance(node, Project):
-            child = build(node.child)
-            return ProjectOp(child, [compile_expr(e, node.child.schema)
-                                     for e in node.exprs])
+        if isinstance(node, (Filter, Project)):
+            return _build_chain(node)
         if isinstance(node, Join):
-            left = build(node.left)
-            right = build(node.right)
-            residual = (compile_predicate(node.residual, node.schema)
-                        if node.residual is not None else None)
-            join_cls = (AppendOnlyJoinOp if _executor_append_only(node)
-                        else JoinOp)
-            return join_cls(
-                left, right,
-                [node.left.schema.index_of(c) for c in node.left_keys],
-                [node.right.schema.index_of(c) for c in node.right_keys],
-                residual)
+            return _build_join(node)
         if isinstance(node, (Aggregate, WindowAggregate)):
             if isinstance(node, WindowAggregate):
                 if node.window is not None:

@@ -4,8 +4,8 @@ DBToaster (the paper's §5.1) compiles view maintenance into specialised
 trigger code, and data-centric compilation (Neumann, "Efficiently
 Compiling Efficient Query Plans for Modern Hardware", VLDB 2011) fuses an
 operator's per-row work into one loop with no call per value.  This
-module does that, in Python, for the three row loops that run per
-arrival:
+module does that, in Python, for the row loops that run per arrival and
+per instant:
 
 * the aggregate instant (:func:`aggregate_kernel`): one function keys
   each delta's values tuple by position, folds every aggregate inline,
@@ -14,6 +14,13 @@ arrival:
 * the source prefilter (:func:`prefilter_kernel`): one list
   comprehension over an instant's arrivals, with ``column <op> literal``
   conjuncts inlined and any other conjunct called as its closure;
+* the stateless spine (:func:`spine_kernel`): one list comprehension per
+  maximal Filter/Project chain, its predicates inlined as the
+  prefilter's are and its output tuple spelled by position;
+* each side of a join (:func:`join_kernel`): one probe-and-fold loop
+  that reads the key by position, tests the residual inline and emits
+  the joined row — or, when a Filter/Project chain sits on the join, that
+  chain's output tuple, so no concatenated row is built for it;
 * the row coercer (:func:`coercer_kernel`): one function per record
   layout that reads a mapping's fields in order with the declared type
   checks inlined, and hands any row it does not take to
@@ -26,8 +33,10 @@ the kernel is built.  Each source is compiled once per process into a factory,
 cached under the source text in a bounded LRU (:data:`CACHE_SIZE`), so
 building a kernel whose shape is cached costs rendering the source and
 one dict lookup.  Each compiled source is registered with
-:mod:`linecache` under a per-shape pseudo-filename (a coercer's names
-its layout), so a traceback or a profile through a kernel shows the
+:mod:`linecache` under a pseudo-filename that spells its shape (an
+aggregate's keys and kinds, a spine's predicates and outputs, a join
+side's key and emitted columns, a coercer's layout), so a traceback or a
+profile line through a kernel names the plan node it runs and shows the
 generated line.  This is the only module under ``repro`` that compiles
 code.
 """
@@ -48,7 +57,7 @@ from repro.cql.expressions import (
     compile_expr,
     compile_predicate,
 )
-from repro.plan.exprs import Column, Expr, split_conjuncts
+from repro.plan.exprs import Column, Expr, Literal, split_conjuncts
 
 
 class _MinMaxAccumulator:
@@ -129,8 +138,8 @@ CACHE_SIZE = 64
 #: Source text -> (factory, pseudo-filename), least recently used first.
 _factories: OrderedDict[str, tuple[Callable, str]] = OrderedDict()
 
-#: Numbers the pseudo-filenames, one per compiled source.
-_compiled = count(1)
+#: Numbers the rare pseudo-filename two cached sources would share.
+_clashes = count(2)
 
 #: The names generated code reads besides its factory's arguments.
 _RUNTIME = {
@@ -140,16 +149,19 @@ _RUNTIME = {
 }
 
 
-def _factory(kind: str, source: str, name: str | None = None) -> Callable:
+def _factory(kind: str, source: str, name: str) -> Callable:
     """The ``factory`` function ``source`` defines, compiled on first
     use and cached under the source text; its pseudo-filename is
-    ``<kind name>``, or ``<kind kernel N>`` without a ``name``."""
+    ``<kind name>``, where ``name`` spells the shape the source renders
+    (a cached source of another rendering of the same shape, as a
+    mutant makes, has the filename first, so this one is numbered)."""
     entry = _factories.get(source)
     if entry is not None:
         _factories.move_to_end(source)
         return entry[0]
-    filename = (f"<{kind} kernel {next(_compiled)}>" if name is None
-                else f"<{kind} {name}>")
+    filename = f"<{kind} {name}>"
+    if any(filename == cached for _, cached in _factories.values()):
+        filename = f"<{kind} {name} #{next(_clashes)}>"
     namespace = dict(_RUNTIME)
     exec(compile(source, filename, "exec"), namespace)
     # mtime None: linecache.checkcache() keeps the entry.
@@ -354,76 +366,318 @@ def aggregate_kernel(group_by: Sequence[str], aggregates: Sequence,
     by its compiled closure, bound here.
     """
     evaluators: list[Callable[[tuple], Any]] = []
-    shape = []
+    shape, labels = [], []
     for spec in aggregates:
         if spec.arg is None:
-            read = None
+            read, label = None, "*"
         elif isinstance(spec.arg, Column):
-            read = f"values[{in_schema.index_of(spec.arg.name)}]"
+            position = in_schema.index_of(spec.arg.name)
+            read, label = f"values[{position}]", f"[{position}]"
         else:
             read = f"evaluate{len(evaluators)}(values)"
+            label = f"e{len(evaluators)}"
             evaluators.append(compile_expr(spec.arg, in_schema))
         shape.append((spec.kind, read))
+        labels.append(f"{spec.kind.name}({label})")
     keys = [in_schema.index_of(column) for column in group_by]
     source = _aggregate_source(keys, shape, len(evaluators))
-    return _factory("aggregate", source)(evaluators)
+    name = ", ".join(labels)
+    if keys:
+        name = f"by {', '.join(f'[{key}]' for key in keys)}: {name}"
+    return _factory("aggregate", source, name)(evaluators)
 
 
 # ---------------------------------------------------------------------------
-# The source prefilter
+# Row tests and output tuples: the prefilter, the spine and the join
 # ---------------------------------------------------------------------------
 
 #: Python's spelling of each comparison :func:`column_vs_literal` finds.
 _SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
             "ge": ">="}
 
+#: ``column(position) -> (source, label)``: how a kernel reads a column of
+#: the row it tests — the source expression, and how its shape names it.
+ColumnReader = Callable[[int], tuple[str, str]]
 
-def prefilter_kernel(predicates: Sequence[Expr],
-                     schema: Schema) -> Callable[[list], list]:
-    """The generated batch filter of a window source: ``kernel(rows) ->
-    the values tuples every predicate holds for``, in order.
+
+def _at(row: str) -> ColumnReader:
+    """Columns read by position from the one tuple ``row``."""
+    return lambda position: (f"{row}[{position}]", f"[{position}]")
+
+
+def _conjuncts(predicates: Sequence[Expr], schema: Schema,
+               column: ColumnReader, row: str,
+               bound: list[tuple[str, Any]]) -> tuple[list[str], list[str]]:
+    """The source terms that all hold exactly when every predicate holds
+    for a row of ``schema``, and their shape labels.
 
     Each predicate is split into its AND-ed conjuncts.  A ``column <op>
     literal`` conjunct is inlined with the NULL semantics of
     :func:`~repro.cql.expressions.compile_predicate` (a NULL column is
-    false); any other is called as its compiled closure.  A predicate
-    that is not an AND passes on a ``True`` result, as
+    false); any other is called as its compiled closure on ``row``.  A
+    predicate that is not an AND passes on a ``True`` result, as
     ``compile_predicate`` has it, and the conjuncts of an AND on truthy
     ones, which is when SQL's three-valued AND is ``True``.  Literals and
-    closures are bound here, so the source depends on positions and
-    operators alone.
+    closures are appended to ``bound`` under the names the terms use.
     """
-    terms, names, bound = [], [], []
+    terms, labels = [], []
     for predicate in predicates:
         conjuncts = split_conjuncts(predicate)
         whole = len(conjuncts) == 1
         for conjunct in conjuncts:
-            index = len(names)
+            index = len(bound)
             simple = column_vs_literal(conjunct, schema)
             if simple is not None:
                 position, comparison, literal = simple
-                test = f"(v{index} {_SYMBOLS[comparison.__name__]} c{index})"
-                terms.append(f"(v{index} := values[{position}]) "
-                             f"is not None and "
+                read, label = column(position)
+                symbol = _SYMBOLS[comparison.__name__]
+                test = f"(v{index} {symbol} c{index})"
+                terms.append(f"(v{index} := {read}) is not None and "
                              + (f"{test} is True" if whole else test))
-                names.append(f"c{index}")
-                bound.append(literal)
+                labels.append(f"{label} {symbol} c{index}")
+                bound.append((f"c{index}", literal))
             else:
-                terms.append(f"p{index}(values)")
-                names.append(f"p{index}")
-                bound.append(compile_predicate(conjunct, schema) if whole
-                             else compile_expr(conjunct, schema))
+                terms.append(f"p{index}({row})")
+                labels.append(f"p{index}")
+                bound.append((f"p{index}",
+                              compile_predicate(conjunct, schema) if whole
+                              else compile_expr(conjunct, schema)))
+    return terms, labels
+
+
+def _outputs(outputs: Sequence[Expr], schema: Schema, column: ColumnReader,
+             row: str, bound: list[tuple[str, Any]]) \
+        -> tuple[list[str], list[str]]:
+    """The source of each output value of a row of ``schema``, and its
+    shape label: a column is read in place, a literal bound as a
+    constant and any other expression called as its compiled closure on
+    ``row``."""
+    items, labels = [], []
+    for expr in outputs:
+        index = len(bound)
+        if isinstance(expr, Column):
+            item, label = column(schema.index_of(expr.name))
+        elif isinstance(expr, Literal):
+            item = label = f"c{index}"
+            bound.append((item, expr.value))
+        else:
+            item, label = f"e{index}({row})", f"e{index}"
+            bound.append((f"e{index}", compile_expr(expr, schema)))
+        items.append(item)
+        labels.append(label)
+    return items, labels
+
+
+def _tuple(items: Sequence[str]) -> str:
+    """The source of a tuple display of ``items``."""
+    return f"({''.join(f'{item}, ' for item in items)})"
+
+
+def _listed(labels: Sequence[str]) -> str:
+    """Shape labels as a parenthesised list, for a pseudo-filename."""
+    return f"({', '.join(labels)})"
+
+
+def _comprehension(head: str, terms: Sequence[str]) -> list[str]:
+    """A ``return [head ... if term and ...]`` statement, one term a line."""
+    return [f"return [{head}",
+            *[f"        {'and' if position else 'if'} {term}"
+              for position, term in enumerate(terms)],
+            "        ]"]
+
+
+def _bind(bound: list[tuple[str, Any]], name: str,
+          body: list[str], kind: str, shape: str) -> Callable:
+    """The kernel ``name`` that ``body`` defines, from the factory source
+    around it, bound to ``bound``'s values."""
     lines = [
         "def factory(bound):",
-        *_block(_unpack(names, "bound"), 1),
-        "    def prefilter(rows):",
-        "        return [values for values in rows",
-        *[f"                {'and' if position else 'if'} {term}"
-          for position, term in enumerate(terms)],
-        "                ]",
-        "    return prefilter",
+        *_block(_unpack([slot for slot, _ in bound], "bound"), 1),
+        *_block(body, 1),
+        f"    return {name}",
     ]
-    return _factory("prefilter", "\n".join(lines) + "\n")(bound)
+    factory = _factory(kind, "\n".join(lines) + "\n", shape)
+    return factory([value for _, value in bound])
+
+
+def prefilter_kernel(predicates: Sequence[Expr],
+                     schema: Schema) -> Callable[[list], list]:
+    """The generated batch filter of a window source: ``kernel(rows) ->
+    the values tuples every predicate holds for``, in order (see
+    :func:`_conjuncts` for how each predicate is tested).  Its
+    pseudo-filename spells the tests, e.g. ``<prefilter [2] > c0>``."""
+    bound: list[tuple[str, Any]] = []
+    terms, labels = _conjuncts(predicates, schema, _at("values"), "values",
+                               bound)
+    body = ["def prefilter(rows):",
+            *_block(_comprehension("values for values in rows", terms), 1)]
+    return _bind(bound, "prefilter", body, "prefilter", " and ".join(labels))
+
+
+# ---------------------------------------------------------------------------
+# The stateless spine
+# ---------------------------------------------------------------------------
+
+
+def spine_kernel(predicates: Sequence[Expr], outputs: Sequence[Expr] | None,
+                 schema: Schema) -> Callable[[list], list]:
+    """The generated instant of a Filter/Project chain: ``kernel(deltas)
+    -> deltas``, keeping the deltas whose row every predicate holds for
+    (see :func:`_conjuncts`) and, with ``outputs``, replacing each kept
+    row by the tuple of its output values (see :func:`_outputs`); the
+    kept deltas themselves without.  ``predicates`` and ``outputs`` are
+    over the chain's input layout ``schema``.  The pseudo-filename spells
+    both, e.g. ``<spine where [2] > c0 emit ([0], [1])>``."""
+    bound: list[tuple[str, Any]] = []
+    if outputs is None:
+        terms, tests = _conjuncts(predicates, schema, _at("pair[0]"),
+                                  "pair[0]", bound)
+        head, shape = "pair for pair in deltas", []
+    else:
+        terms, tests = _conjuncts(predicates, schema, _at("values"),
+                                  "values", bound)
+        items, labels = _outputs(outputs, schema, _at("values"), "values",
+                                 bound)
+        head = f"({_tuple(items)}, mult) for values, mult in deltas"
+        shape = [f"emit {_listed(labels)}"]
+    if tests:
+        shape.insert(0, "where " + " and ".join(tests))
+    body = ["def spine(deltas):", *_block(_comprehension(head, terms), 1)]
+    return _bind(bound, "spine", body, "spine", " ".join(shape))
+
+
+# ---------------------------------------------------------------------------
+# The join probe
+# ---------------------------------------------------------------------------
+
+
+def _join_column(probing_left: bool, position: int,
+                 left_width: int) -> tuple[str, str]:
+    """Joined-row column ``position`` inside a probe: read from ``values``
+    (the probing side's row) or ``match`` (the other side's), labelled
+    ``l``/``r`` and its offset in its side's row."""
+    on_left = position < left_width
+    offset = position if on_left else position - left_width
+    row = "values" if on_left == probing_left else "match"
+    return f"{row}[{offset}]", f"{'l' if on_left else 'r'}{offset}"
+
+
+def join_kernel(side: str, append_only: bool, keys: Sequence[int],
+                predicates: Sequence[Expr], outputs: Sequence[Expr] | None,
+                schema: Schema, left_width: int) -> Callable:
+    """The generated probe-and-fold of one join side: ``kernel(op,
+    deltas, out)`` probes ``op``'s other side's index with each of
+    ``side``'s deltas, appends what it joins to ``out`` and folds the
+    delta into ``side``'s own index (``op._left_state`` or
+    ``op._right_state``).
+
+    ``keys`` are the key columns' positions in ``side``'s rows: a NULL
+    component joins nothing and is not indexed (SQL three-valued logic:
+    it can never satisfy the originating equality).  A joined row
+    passes when every predicate holds for it (the residual, then any
+    filters fused above the join; see :func:`_conjuncts`), over the
+    joined layout ``schema`` whose first ``left_width`` columns are the
+    left row's.  It is emitted as the concatenation of the two rows,
+    left first, or — with ``outputs`` — as the tuple of its output
+    values read from the two rows in place.  A counted side refuses a
+    retraction it does not hold before its index changes; an append-only
+    side (:class:`~repro.cql.executor.AppendOnlyJoinOp`) indexes
+    ``(values, multiplicity)`` lists and refuses any retraction.  The
+    pseudo-filename names the side, its key and emitted columns, e.g.
+    ``<join left on (l0) emit (l1, r1)>``.
+    """
+    left = side == "left"
+    other = "right" if left else "left"
+
+    def column(position: int) -> tuple[str, str]:
+        return _join_column(left, position, left_width)
+
+    bound: list[tuple[str, Any]] = []
+    terms, tests = _conjuncts(predicates, schema, column, "joined", bound)
+    own = 0 if left else left_width
+    shape = [f"{side} on "
+             f"{_listed([column(own + key)[1] for key in keys])}"]
+    if tests:
+        shape.append("where " + " and ".join(tests))
+    if outputs is not None:
+        items, labels = _outputs(outputs, schema, column, "joined", bound)
+        emit = _tuple(items)
+        shape.append(f"emit {_listed(labels)}")
+    # A closure takes the joined row: build it once per match, only then.
+    closures = any(slot[0] in "pe" for slot, _ in bound)
+    concatenation = "values + match" if left else "match + values"
+    if outputs is None:
+        emit = "joined" if closures else concatenation
+    matches = "matches" if append_only else "matches.items()"
+    probe = [f"for match, count in {matches}:",
+             *([f"    joined = {concatenation}"] if closures else [])]
+    if terms:
+        probe += [f"    if {' and '.join(terms)}:",
+                  f"        append(({emit}, mult * count))"]
+    else:
+        probe.append(f"    append(({emit}, mult * count))")
+    names = [f"k{index}" for index in range(len(keys))]
+    read = [f"{name} = values[{key}]" for name, key in zip(names, keys)]
+    if names:
+        read += [f"if {' or '.join(f'{name} is None' for name in names)}:",
+                 "    continue"]
+    body = [
+        *(["if mult < 0:",
+           "    raise StateError(\"retraction reached an append-only join\")"]
+          if append_only else []),
+        *read,
+        f"key = {_tuple(names)}",
+        "matches = other.get(key)",
+        "if matches:",
+        *_block(probe, 1),
+    ]
+    if append_only:
+        body += [
+            "keys.append(key)",
+            "entry = own.get(key)",
+            "if entry is None:",
+            "    own[key] = [(values, mult)]",
+            "else:",
+            "    entry.append((values, mult))",
+        ]
+    else:
+        body += [
+            "entry = own.get(key)",
+            "count = mult if entry is None else entry.get(values, 0) + mult",
+            "if count < 0:",
+            "    raise StateError(",
+            "        f\"join retracts {values!r}, which its \"",
+            f"        f\"{side} side does not hold\")",
+            "keys.append(key)",
+            "if entry is None:",
+            "    if count:",
+            "        own[key] = {values: count}",
+            "elif count:",
+            "    entry[values] = count",
+            "else:",
+            "    entry.pop(values, None)",
+            "    if not entry:",
+            "        del own[key]",
+        ]
+    body.append("held += mult")
+    name = f"probe_{side}"
+    kernel = [
+        f"def {name}(op, deltas, out):",
+        f"    state = op._{side}_state",
+        "    own = state.data",
+        f"    other = op._{other}_state.data",
+        "    append = out.append",
+        "    keys = []",
+        "    held = 0",
+        "    try:",
+        "        for values, mult in deltas:",
+        *_block(body, 3),
+        "    finally:",
+        "        state.tally += held",
+        "        state.mark(keys)",
+    ]
+    kind = "append-only join" if append_only else "join"
+    return _bind(bound, name, kernel, kind, " ".join(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ The mutants cover the bug classes named by the issue:
   an instant: a second commit at the log's newest version changes the
   answer but logs no batch, so an instant whose arrivals were split
   across quanta has a history (and a Store history) that misses a fold.
+* ``join-probe-own-row``   — fused emission: the generated probe of a
+  join's left side reads the right row's columns from its own (left)
+  row, so a join that emits a projection above it (or tests a residual
+  inline) emits wrong values for every left-driven match.
 * ``obs-rescale-marks``    — two axes at once, obs × rescale: the
   historical bug where ``publish_metrics`` kept its marks by operator
   position and a rescale did not rebase them, so the first publication
@@ -101,6 +105,22 @@ def state_log_coalesce() -> contextlib.AbstractContextManager:
     return mock.patch.object(Changelog, "commit", mutated)
 
 
+def join_probe_own_row() -> contextlib.AbstractContextManager:
+    """A left-side join probe reads right columns from its own row."""
+    original = cql_kernels._join_column
+
+    def mutated(probing_left, position, left_width):
+        read, label = original(probing_left, position, left_width)
+        offset = position - left_width
+        if probing_left and 0 <= offset < left_width:
+            # The injected bug: ``values`` (the probing left row) where
+            # the kernel must read ``match`` (the right row).
+            read = f"values[{offset}]"
+        return read, label
+
+    return mock.patch.object(cql_kernels, "_join_column", mutated)
+
+
 @contextlib.contextmanager
 def obs_rescale_marks() -> Iterator[None]:
     """Publish marks keyed by operator position, never rebased."""
@@ -132,6 +152,7 @@ MUTANTS: dict[str, tuple[Callable[[], contextlib.AbstractContextManager],
     "sliding-expiry-capped": (sliding_expiry_capped, "core"),
     "state-log-coalesce": (state_log_coalesce, "cql"),
     "obs-rescale-marks": (obs_rescale_marks, "cql"),
+    "join-probe-own-row": (join_probe_own_row, "cql"),
 }
 
 

@@ -1,15 +1,18 @@
 """Generated kernels (:mod:`repro.cql.kernels`) against the reference.
 
-Every aggregate runs the generated instant and every filter pushed below
-a window the generated prefilter, so these cases compare a query's
-answer at every instant with :mod:`repro.cql.reference` over NULL-bearing
-streams, pin the refusal messages the kernel raises, and count the
-compiles behind the process-wide factory cache.  Every row that enters
-through a door runs the generated coercer of its layout, compared here
-with :meth:`Schema.coerce` row by row, refusals word for word.
+Every aggregate runs the generated instant, every filter pushed below
+a window the generated prefilter, every Filter/Project chain a generated
+spine and every join side a generated probe, so these cases compare a
+query's answer at every instant with :mod:`repro.cql.reference` over
+NULL-bearing streams, pin the refusal messages the kernels raise, and
+count the compiles behind the process-wide factory cache.  Every row
+that enters through a door runs the generated coercer of its layout,
+compared here with :meth:`Schema.coerce` row by row, refusals word for
+word.
 """
 
 import ast
+import itertools
 import linecache
 import random
 import traceback
@@ -23,15 +26,27 @@ import repro
 from repro.core import Schema, SchemaError, StateError, Stream
 from repro.core.operators import AggregateKind
 from repro.core.records import Record
-from repro.cql import CQLEngine, kernels, reference_evaluate
+from repro.cql import CQLEngine, ContinuousQuery, kernels, reference_evaluate
 from repro.cql.catalog import Catalog
+from repro.cql.executor import AppendOnlyJoinOp, JoinOp, SpineOp
 from repro.cql.expressions import compile_predicate
 from repro.dsms import DSMSEngine
 from repro.plan.exprs import Binary, BinOp, Column, Literal
-from repro.plan.ir import Aggregate, AggregateExpr, WindowAggregate, walk
+from repro.plan.ir import (
+    Aggregate,
+    AggregateExpr,
+    Filter,
+    Join,
+    Project,
+    StreamScan,
+    WindowAggregate,
+    WindowOp,
+    walk,
+)
 from repro.views import DynamicTable, DynamicTableService, make_scan
 
 OBS = Schema(["id", "room", "temp"])
+BADGE = Schema(["id", "door"])
 
 
 def obs_stream(seed, arrivals=60):
@@ -47,9 +62,21 @@ def obs_stream(seed, arrivals=60):
     return Stream.of_records(OBS, rows)
 
 
+def badge_stream(seed, arrivals=50):
+    """Badge arrivals beside :func:`obs_stream`'s: NULL ids and doors."""
+    rng = random.Random(1000 + seed)
+    rows, t = [], 0
+    for _ in range(arrivals):
+        t += rng.choice([0, 0, 1, 2, 4])
+        rows.append(({"id": rng.choice([0, 1, 2, 3, 4, 5, None]),
+                      "door": rng.choice([None, 0, 1, 2])}, t))
+    return Stream.of_records(BADGE, rows)
+
+
 def engine():
     cql = CQLEngine()
     cql.register_stream("Obs", OBS)
+    cql.register_stream("Badge", BADGE)
     return cql
 
 
@@ -270,7 +297,7 @@ class TestRefusals:
         error = self.refusal(table_view(*aggregates), deltas)
         frames = [frame for frame in traceback.extract_tb(
             error.__traceback__)
-            if frame.filename.startswith("<aggregate kernel ")]
+            if frame.filename.startswith("<aggregate ")]
         assert len(frames) == 1
         assert frames[0].line == line
         assert linecache.getline(frames[0].filename,
@@ -318,6 +345,221 @@ class TestPrefilterKernel:
         (source,) = query._stream_sources["Obs"]
         assert source._prefilter is not None
         assert query.as_relation() == reference
+
+
+def evaluated(plan, seed):
+    """(reference relation, executed query) for a relation plan, built
+    here rather than by the planner, over the streams it reads."""
+    streams = {"Obs": obs_stream(seed), "Badge": badge_stream(seed)}
+    streams = {node.name: streams[node.name] for node in walk(plan)
+               if isinstance(node, StreamScan)}
+    cql = engine()
+    reference = reference_evaluate(plan, cql.catalog, streams)
+    query = ContinuousQuery(plan, cql.catalog)
+    query.run_recorded(streams)
+    return reference, query
+
+
+def labels(query):
+    return [label for label, _ in query.operators()]
+
+
+def kernel_names(op):
+    """The pseudo-filenames of the kernels ``op`` runs."""
+    kernels_of = ([op._kernel] if isinstance(op, SpineOp)
+                  else [op._probe_left, op._probe_right])
+    return [kernel.__code__.co_filename for kernel in kernels_of]
+
+
+class TestSpineKernel:
+    """A maximal Filter/Project chain runs as one generated comprehension:
+    one SpineOp, or no operator for a positional identity."""
+
+    @pytest.mark.parametrize("text, name", [
+        ("SELECT id, temp FROM Obs [Range 3]", "<spine emit ([0], [2])>"),
+        ("SELECT id FROM Obs [Rows 5] WHERE temp > 10",
+         "<spine where [2] > c0 emit ([0])>"),
+        ("SELECT temp * 2 + 1 AS scaled, id FROM Obs [Rows 4]",
+         "<spine emit (e0, [0])>"),
+        ("SELECT id, 7 AS seven FROM Obs [Range 2]",
+         "<spine emit ([0], c0)>"),
+        ("SELECT id FROM Obs [Rows 6] WHERE ABS(temp - 20) < 15 "
+         "AND room = 'a'", "<spine where p0 and [1] == c1 emit ([0])>"),
+        ("SELECT id, room FROM Obs [Rows 4] WHERE temp + id > 12 OR "
+         "room = 'b'", "<spine where p0 emit ([0], [1])>"),
+    ])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_reference(self, text, name, seed):
+        reference, query = both(text, obs_stream(seed))
+        assert query.as_relation() == reference
+        (spine,) = [op for _, op in query.operators()
+                    if isinstance(op, SpineOp)]
+        assert kernel_names(spine) == [name]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_filter_above_a_project_composes_into_one_spine(self, seed):
+        (window,) = [node for node in walk(engine().plan(
+            "SELECT * FROM Obs [Rows 5]")) if isinstance(node, WindowOp)]
+        inner = Project(window, (
+            Column("temp"), Binary(BinOp.ADD, Column("temp"), Column("id")),
+            Column("room")), ("t", "s", "r"))
+        kept = Filter(inner, Binary(
+            BinOp.AND, Binary(BinOp.GT, Column("s"), Literal(5)),
+            Binary(BinOp.NE, Column("r"), Literal("b"))))
+        plan = Project(Filter(kept, Binary(BinOp.LE, Column("t"),
+                                           Literal(30))),
+                       (Column("s"), Column("t")), ("s", "t"))
+        reference, query = evaluated(plan, seed)
+        assert query.as_relation() == reference
+        assert labels(query) == ["SpineOp", "StreamSourceOp"]
+        (spine, _source) = [op for _, op in query.operators()]
+        # Each filter's columns are the projection's outputs, substituted,
+        # lowest filter first: ``s > 5`` calls the closure of ``temp +
+        # id``, ``r <> 'b'`` and ``t <= 30`` test the input in place.
+        assert kernel_names(spine) == [
+            "<spine where p0 and [1] != c1 and [2] <= c2 emit (e3, [2])>"]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_positional_identity_compiles_to_no_operator(self, seed):
+        reference, query = both(
+            "SELECT id AS i, room AS r, temp AS t FROM Obs [Rows 3]",
+            obs_stream(seed))
+        assert labels(query) == ["StreamSourceOp"]
+        assert query.as_relation() == reference
+        assert query.output_schema.fields == ("i", "r", "t")
+
+
+class TestJoinKernel:
+    """Each join side runs a generated probe-and-fold loop; a chain on the
+    join is compiled into it, so the join emits the chain's rows."""
+
+    @pytest.mark.parametrize("text, kind, names", [
+        # Counted (windowed inputs retract), NULL keys on both sides.
+        ("SELECT O.room, B.door FROM Obs O [Range 3], Badge B [Range 4] "
+         "WHERE O.id = B.id", JoinOp,
+         ["<join left on (l0) emit (l1, r1)>",
+          "<join right on (r0) emit (l1, r1)>"]),
+        # Append-only: both inputs are monotone.
+        ("SELECT O.temp + B.door AS s, O.room FROM Obs O "
+         "[Range Unbounded], Badge B [Range Unbounded] WHERE O.id = B.id",
+         AppendOnlyJoinOp,
+         ["<append-only join left on (l0) emit (e0, l1)>",
+          "<append-only join right on (r0) emit (e0, l1)>"]),
+        # A residual the planner keeps on the join.
+        ("SELECT O.room, B.door FROM Obs O [Range 3], Badge B [Range 4] "
+         "WHERE O.id = B.id AND O.temp > B.door", JoinOp,
+         ["<join left on (l0) where p0 emit (l1, r1)>",
+          "<join right on (r0) where p0 emit (l1, r1)>"]),
+        # Two key columns.
+        ("SELECT O.room, B.door FROM Obs O [Range 5], Badge B [Range 5] "
+         "WHERE O.id = B.id AND O.temp = B.door", JoinOp,
+         ["<join left on (l0, l2) emit (l1, r1)>",
+          "<join right on (r0, r1) emit (l1, r1)>"]),
+        # A theta join: no key, the residual decides.
+        ("SELECT O.id, B.id FROM Obs O [Rows 3], Badge B [Rows 2] "
+         "WHERE O.temp > B.door", JoinOp,
+         ["<join left on () where p0 emit (l0, r0)>",
+          "<join right on () where p0 emit (l0, r0)>"]),
+        # No chain: the joined row is the concatenation.
+        ("SELECT * FROM Obs O [Range 3], Badge B [Range 2] "
+         "WHERE O.id = B.id", JoinOp,
+         ["<join left on (l0)>", "<join right on (r0)>"]),
+    ])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_reference(self, text, kind, names, seed):
+        streams = {"Obs": obs_stream(seed), "Badge": badge_stream(seed)}
+        cql = engine()
+        query = cql.register_query(text)
+        query.run_recorded(streams)
+        assert query.as_relation() == reference_evaluate(
+            query.plan, cql.catalog, streams)
+        # The chain runs inside the join: no operator of its own.
+        join, *sources = [op for _, op in query.operators()]
+        assert type(join) is kind
+        assert labels(query)[1:] == ["StreamSourceOp"] * 2
+        assert kernel_names(join) == names
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_filtered_computed_chain_on_a_join(self, seed):
+        (join,) = [node for node in walk(engine().plan(
+            "SELECT * FROM Obs O [Range 3], Badge B [Range 4] "
+            "WHERE O.id = B.id")) if isinstance(node, Join)]
+        inner = Project(join, (
+            Column("O.temp"),
+            Binary(BinOp.ADD, Column("O.temp"), Column("B.door")),
+            Column("O.room")), ("t", "s", "r"))
+        kept = Filter(inner, Binary(
+            BinOp.AND, Binary(BinOp.GE, Column("t"), Literal(5)),
+            Binary(BinOp.GT, Column("s"), Literal(8))))
+        plan = Project(kept, (Column("r"), Column("s"), Literal(1)),
+                       ("r", "s", "one"))
+        reference, query = evaluated(plan, seed)
+        assert query.as_relation() == reference
+        op = query.operators()[0][1]
+        assert type(op) is JoinOp
+        assert kernel_names(op) == [
+            f"<join {side} on ({side[0]}0) where l2 >= c0 and p1 "
+            f"emit (l1, e2, c3)>" for side in ("left", "right")]
+
+    def test_a_null_key_joins_nothing_and_is_not_indexed(self):
+        query = engine().register_query(
+            "SELECT O.room, B.door FROM Obs O [Range 9], Badge B [Range 9] "
+            "WHERE O.id = B.id")
+        query.start()
+        query.push_batch(1, {"Obs": [{"id": None, "room": "a", "temp": 1}],
+                             "Badge": [{"id": None, "door": 2}]})
+        join = query.operators()[0][1]
+        assert join.state_size == 0
+        assert rows_at(query.as_relation(), 1) == []
+        query.push_batch(2, {"Badge": [{"id": 3, "door": 0}],
+                             "Obs": [{"id": 3, "room": "b", "temp": 4}]})
+        assert join.state_size == 2
+        assert rows_at(query.as_relation(), 2) == [("b", 0)]
+
+
+U_SCHEMA = Schema(["g", "w"])
+
+
+def join_view():
+    """A view joining tables ``t`` and ``u`` on ``g``, primed at 0."""
+    catalog = Catalog()
+    catalog.register_relation("t", SCHEMA)
+    catalog.register_relation("u", U_SCHEMA)
+    plan = Join(make_scan("t", "s", SCHEMA), make_scan("u", "x", U_SCHEMA),
+                left_keys=("s.g",), right_keys=("x.g",))
+    view = DynamicTable("j", plan, 0, catalog)
+    view.evaluate(0, {})
+    return view
+
+
+class TestJoinRefusals:
+    """The join sides' refusals, word for word, at their kernel line."""
+
+    @pytest.mark.parametrize("table, values, side", [
+        ("t", (0, 1), "left"), ("u", (0, 5), "right")])
+    def test_a_counted_side_refuses_what_it_does_not_hold(self, table,
+                                                          values, side):
+        with pytest.raises(StateError) as caught:
+            join_view().evaluate(1, {table: [(values, -1)]})
+        assert str(caught.value) == (
+            f"join retracts {values!r}, which its {side} side does not hold")
+        frames = [frame for frame in traceback.extract_tb(caught.tb)
+                  if frame.filename.startswith("<join ")]
+        assert [frame.filename for frame in frames] == [
+            f"<join {side} on ({side[0]}0)>"]
+        assert frames[0].line == "raise StateError("
+
+    def test_an_append_only_side_refuses_any_retraction(self):
+        query = engine().register_query(
+            "SELECT O.room, B.door FROM Obs O [Range Unbounded], "
+            "Badge B [Range Unbounded] WHERE O.id = B.id")
+        join = query.operators()[0][1]
+        assert type(join) is AppendOnlyJoinOp
+        for batches in ([[((1, "a", 3), -1)], []], [[], [((1, 2), -1)]]):
+            with pytest.raises(StateError) as caught:
+                join.process(1, batches)
+            assert str(caught.value) == \
+                "retraction reached an append-only join"
 
 
 TYPED = Schema(["id", "room", "temp"], [int, str, int])
@@ -421,12 +663,52 @@ class TestFactoryCache:
         queries = [cql.register_query(shapes[i % 4].format(w=1 + i // 4))
                    for i in range(50)]
         assert len(compiles) == 4
-        assert all(name.startswith("<aggregate kernel ") for name in compiles)
+        assert sorted(compiles) == [
+            "<aggregate COUNT(*)>", "<aggregate MAX(e0)>",
+            "<aggregate by [1]: AVG([2])>",
+            "<aggregate by [1]: COUNT(*)>"]
         stream = obs_stream(3)
         for query in queries[:8]:
             query.run_recorded({"Obs": stream})
             assert query.as_relation() == reference_evaluate(
                 query.plan, cql.catalog, {"Obs": stream})
+
+    def test_query_fleets_pool_compiles_a_fixed_set_of_kernels(
+            self, compiles):
+        """query_fleet registers and cancels from a pool of 96 texts, every
+        template over every window and threshold: the pool compiles one
+        factory per shape, well under the cache, and registering it again
+        compiles and evicts nothing."""
+        templates = (
+            "SELECT COUNT(*) AS n {frm}",
+            "SELECT DISTINCT room {frm}",
+            "SELECT room, COUNT(*) AS n {frm} GROUP BY room",
+            "SELECT DISTINCT id {frm}",
+            "SELECT id, room {frm}",
+            "SELECT MAX(temp) AS hottest {frm}",
+            "SELECT id, COUNT(*) AS n {frm} GROUP BY id",
+            "SELECT AVG(temp) AS mean {frm}",
+        )
+        pool = [template.format(
+                    frm=f"FROM Obs [Range {window}] WHERE temp > {threshold}")
+                for threshold, window, template in itertools.product(
+                    (10, 15, 20, 25), (5, 10, 20), templates)]
+        assert len(pool) == 96
+        fleet = DSMSEngine()
+        fleet.register_stream("Obs", OBS)
+        for n, text in enumerate(pool):
+            fleet.register_query(f"q{n}", text)
+        assert sorted(compiles) == [
+            "<aggregate AVG([2])>", "<aggregate COUNT(*)>",
+            "<aggregate MAX([2])>", "<aggregate by [0]: COUNT(*)>",
+            "<aggregate by [1]: COUNT(*)>", "<prefilter [2] > c0>",
+            "<spine emit ([0])>", "<spine emit ([0], [1])>",
+            "<spine emit ([1])>"]
+        assert len(kernels._factories) == len(compiles) < kernels.CACHE_SIZE
+        for n, text in enumerate(pool):
+            fleet.cancel_query(f"q{n}")
+            fleet.register_query(f"again{n}", text)
+        assert len(compiles) == len(kernels._factories) == 9
 
     def test_filling_the_cache_evicts_the_least_recent(self, monkeypatch,
                                                        compiles):
@@ -463,7 +745,9 @@ class TestFactoryCache:
         for _ in range(5):
             fleet(OBS)
             fleet(TYPED)
-        assert compiles == ["<coercer (id, room, temp)>",
+        # The projection is one spine kernel, the same for both layouts.
+        assert compiles == ["<spine emit ([0])>",
+                            "<coercer (id, room, temp)>",
                             "<coercer (id: int, room: str, temp: int)>"]
 
 

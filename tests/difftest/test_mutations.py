@@ -14,6 +14,7 @@ import pytest
 
 from repro.difftest import (
     MUTANTS,
+    build_engine,
     case_configs,
     emit_core_repro,
     emit_repro,
@@ -24,6 +25,7 @@ from repro.difftest import (
     shrink_case,
     shrink_core_case,
 )
+from repro.plan.ir import Join, Project, walk
 
 #: Detection budget per mutant.  Empirically the slowest mutant to catch
 #: (state-log-coalesce) falls within ~120 seed-0 cases; 600 gives slack
@@ -111,3 +113,21 @@ def test_shrunk_counterexamples_are_small():
         shrunk, _ = shrink_case(case, divergence)
         assert shrunk.total_rows() <= original_rows
         assert shrunk.total_rows() <= 8
+
+
+@pytest.mark.difftest
+def test_the_fused_emission_mutant_is_caught_on_a_fused_join():
+    """join-probe-own-row breaks only the generated probe of a join that
+    reads the other row's columns in place — one that emits the
+    projection above it: the bounded seed-0 fuzz catches it within the
+    budget, on a case whose plan has a Project directly on a Join, and
+    that case runs clean on the unmutated tree."""
+    factory, _leg = MUTANTS["join-probe-own-row"]
+    with factory():
+        case, divergence = _find_divergence("cql", random.Random(0))
+    assert divergence is not None, (
+        f"oracle missed mutant 'join-probe-own-row' within {BUDGET} cases")
+    plan = build_engine().plan(case.query)
+    assert any(isinstance(node, Project) and isinstance(node.child, Join)
+               for node in walk(plan))
+    assert run_case(case) is None

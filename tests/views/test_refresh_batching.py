@@ -11,10 +11,9 @@ from repro.core.operators import AggregateKind
 from repro.core.records import Schema
 from repro.cql.executor import (
     AggregateOp,
-    FilterOp,
     JoinOp,
-    ProjectOp,
     RelationSourceOp,
+    SpineOp,
 )
 from repro.plan.exprs import Binary, BinOp, Column, Literal
 from repro.plan.ir import Aggregate, AggregateExpr, Filter, Join, Project
@@ -82,8 +81,7 @@ def assert_correct(service, view):
 def test_one_process_per_operator_per_refresh(deltas, monkeypatch):
     service, view = make_service()
     kinds = {type(op) for op in operators(view)}
-    assert kinds == {RelationSourceOp, FilterOp, ProjectOp, JoinOp,
-                     AggregateOp}
+    assert kinds == {RelationSourceOp, SpineOp, JoinOp, AggregateOp}
     calls = Counter()
     for kind in kinds:
         def counted(self, t, child_deltas, _process=kind.process):
@@ -95,12 +93,11 @@ def test_one_process_per_operator_per_refresh(deltas, monkeypatch):
         commit(service, version, deltas)
         calls.clear()
         assert service.tick(version) == ["by_region"]
-        # orders feed σ → π → ⋈ (left) and customers ⋈ (right) in one
-        # instant: the join takes both sides' batches in one call, and
-        # γ its one output batch.
-        assert calls == Counter({"RelationSourceOp": 2, "FilterOp": 1,
-                                 "ProjectOp": 1, "JoinOp": 1,
-                                 "AggregateOp": 1})
+        # orders feed σ → π (one fused spine call) → ⋈ (left) and
+        # customers ⋈ (right) in one instant: the join takes both sides'
+        # batches in one call, and γ its one output batch.
+        assert calls == Counter({"RelationSourceOp": 2, "SpineOp": 1,
+                                 "JoinOp": 1, "AggregateOp": 1})
         assert_correct(service, view)
 
 
