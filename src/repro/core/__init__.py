@@ -57,7 +57,6 @@ from repro.core.punctuation import (
     Punctuation,
     Watermark,
     WatermarkGenerator,
-    WatermarkTracker,
 )
 from repro.core.records import Record, Schema, records_from_dicts
 from repro.core.relation import Bag, Changelog, TimeVaryingRelation
@@ -155,6 +154,6 @@ __all__ = [
     "reducibility_counterexample",
     # punctuation
     "Watermark", "Punctuation", "WatermarkGenerator", "AscendingWatermarks",
-    "BoundedOutOfOrderness", "PeriodicWatermarks", "WatermarkTracker",
+    "BoundedOutOfOrderness", "PeriodicWatermarks",
     "FINAL_WATERMARK",
 ]

@@ -121,30 +121,3 @@ class PeriodicWatermarks(WatermarkGenerator):
 
     def current(self) -> Watermark:
         return self._inner.current()
-
-
-class WatermarkTracker:
-    """Tracks the minimum watermark across several input channels.
-
-    Operators with multiple inputs may only advance to the *minimum* of
-    their inputs' watermarks — the propagation rule every streaming system
-    in the survey shares."""
-
-    def __init__(self, channels: int) -> None:
-        if channels <= 0:
-            raise ValueError(f"need at least one channel, got {channels}")
-        self._marks: list[Timestamp] = [-1] * channels
-
-    def update(self, channel: int, watermark: Watermark) -> Watermark | None:
-        """Record a per-channel watermark; return the new combined watermark
-        when it advanced, else None."""
-        before = min(self._marks)
-        if watermark.value > self._marks[channel]:
-            self._marks[channel] = watermark.value
-        after = min(self._marks)
-        if after > before:
-            return Watermark(after)
-        return None
-
-    def current(self) -> Watermark:
-        return Watermark(min(self._marks))

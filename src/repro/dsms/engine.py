@@ -25,7 +25,6 @@ from typing import Any, Callable, Iterable, Mapping
 import repro.obs as obs
 from repro.obs import profile as _profile
 from repro.core.errors import PlanError, StateError
-from repro.core.errors import TimeError as CoreTimeError
 from repro.core.records import Record, Schema, trusted_record
 from repro.core.relation import Bag, TimeVaryingRelation
 from repro.core.time import MIN_TIMESTAMP, Timestamp
@@ -36,6 +35,7 @@ from repro.cql.executor import (
     Emission,
     SharedGroup,
     StreamSourceOp,
+    check_feed_time,
 )
 from repro.dsms.components import Scratch, Store, Throw
 from repro.dsms.metrics import QueryMetrics
@@ -68,7 +68,7 @@ class SchedulingUnit:
 
     def __init__(self, name: str, group: SharedGroup, queue: InputQueue,
                  shedder: Shedder, scratch: Scratch, throw: Throw,
-                 wm_clock: obs.WatermarkClock | None = None) -> None:
+                 watermarks: Mapping[str, Timestamp]) -> None:
         #: The founding member's name: the unit's queue, busy-time and
         #: Scratch labels.
         self.name = name
@@ -85,7 +85,9 @@ class SchedulingUnit:
         self.batch_size: int | None = None
         self._scratch = scratch
         self._throw = throw
-        self._wm_clock = wm_clock
+        #: The engine's per-stream watermarks (see
+        #: :meth:`DSMSEngine.watermark`), read for the lag metrics.
+        self._watermarks = watermarks
         #: Wall time spent servicing this unit (accumulated only while
         #: obs is enabled; the per-operator split lives in the executor's
         #: accounting).
@@ -137,6 +139,15 @@ class SchedulingUnit:
 
     def reads_stream(self, name: str) -> bool:
         return name in self.group._sources
+
+    @property
+    def progress(self) -> Timestamp:
+        """The newest instant the unit has queued or evaluated (its
+        group started at registration): the drain refuses an arrival
+        behind it (:func:`check_feed_time`)."""
+        queued = self.queue.newest
+        cursor = self.group._cursor
+        return cursor if queued is None or cursor > queued else queued
 
     def offer(self, values: tuple, t: Timestamp, stream_name: str) -> int:
         """Admission control + enqueue of one validated arrival of
@@ -227,17 +238,29 @@ class SchedulingUnit:
             metrics.scratch.observe(occupancy)
         if span is not None:
             span.add(records=sum(map(len, waits)), emitted=emitted)
-            wait_hist = obs.get_registry().histogram(
-                "dsms.queue.wait", query=self.name)
+            registry = obs.get_registry()
+            wait_hist = registry.histogram("dsms.queue.wait", query=self.name)
             for run in waits:
                 for wait in run:
                     wait_hist.observe(wait)
-            if self._wm_clock is not None:
-                for stream_name in arrivals:
-                    self._wm_clock.observe_processed(stream_name, t)
+            # Processing lag: how far the stream's watermark had run
+            # ahead of the instant now evaluated.
+            for stream_name in arrivals:
+                lag = self._watermarks[stream_name] - t
+                registry.gauge("dsms.watermark.lag",
+                               stream=stream_name).observe(lag)
+                registry.histogram("dsms.watermark.lag_histogram",
+                                   stream=stream_name).observe(lag)
 
     def advance_to(self, t: Timestamp) -> None:
-        """Advance event time (window expirations) with no new data."""
+        """Advance event time (window expirations) with no new data.
+
+        Queued instants at or before ``t`` are serviced first: once the
+        agenda ran an instant past a queued arrival, the drain would
+        refuse it as late."""
+        queue = self.queue
+        while queue.oldest is not None and queue.oldest <= t:
+            self.service_one()
         before = self._evictions()
         self.group.advance_to(t)
         self._account_throw(before, t)
@@ -360,9 +383,14 @@ class DSMSEngine:
         self._doors: dict[str, Door] = {}
         self._handles: list[QueryHandle] = []
         self._by_name: dict[str, QueryHandle] = {}
-        # Event-time lag accounting, published under dsms.watermark.*.
-        self.watermark_clock = obs.WatermarkClock(
-            obs.get_registry(), prefix="dsms.watermark")
+        #: Stream name -> its watermark, the newest timestamp ``ingest``
+        #: admitted on it (see :meth:`watermark`).
+        self._watermarks: dict[str, Timestamp] = {}
+        #: An upper bound on every unit's :attr:`~SchedulingUnit.progress`
+        #: (the newest timestamp admitted or advanced to): an arrival at
+        #: or past it cannot be late, so only one behind it pays for the
+        #: exact per-unit check.  A restore may leave it high, never low.
+        self._frontier: Timestamp = MIN_TIMESTAMP
         #: Per-source stall detection (fed on arrival while obs is on):
         #: a registered stream whose arrivals fall far behind the global
         #: arrival tick is flagged — the crash-recovered-source signal.
@@ -469,7 +497,7 @@ class DSMSEngine:
                 name, query.group,
                 InputQueue(queue_capacity or self.queue_capacity),
                 shedder or NoShedding(), self.scratch, self.throw,
-                wm_clock=self.watermark_clock)
+                self._watermarks)
             self._units.append(unit)
         handle = QueryHandle(name, query, unit)
         unit.add(handle, batch_size)
@@ -626,15 +654,18 @@ class DSMSEngine:
                 handle.autoscaler = AdaptiveController(
                     self._autoscale_policy)
             query = handle.query
-            lags = [self.watermark_clock.lag(stream)
-                    for stream in query._stream_sources]
-            lags = [lag for lag in lags if lag is not None]
+            # How far the streams' watermarks run ahead of the instant
+            # the query has evaluated: its backlog in event time.
+            marks = [self._watermarks[stream]
+                     for stream in query._stream_sources
+                     if stream in self._watermarks]
             processed = handle.metrics.processed
             observed[handle.name] = Signals(
                 parallelism=query.parallelism,
                 queue_occupancy=handle.queue.occupancy,
                 pressure_events=handle.queue.pressure_events,
-                watermark_lag=max(lags) if lags else None,
+                watermark_lag=(max(0, max(marks) - query.group._cursor)
+                               if marks else None),
                 partition_loads=tuple(map(float, query.partition_loads())),
                 selectivity=(handle.metrics.emitted / processed
                              if processed else None),
@@ -666,19 +697,41 @@ class DSMSEngine:
         arrival is logged, queued or counted — a row that does not fit
         raises :class:`~repro.core.errors.SchemaError` and leaves no
         trace.  Every reader then shares that one tuple.
+
+        A late arrival is refused here too, before anything else: one
+        behind an instant a unit reading the stream has already queued or
+        evaluated, which that unit's drain would refuse.  The group's own
+        guard (:func:`~repro.cql.executor.check_feed_time`) raises, as a
+        direct ``push_batch`` would: :class:`~repro.core.errors.StateError`,
+        or :class:`~repro.core.errors.TimeError` before the epoch.
         """
         # The open door without a method call: this runs per arrival.
         door = self._doors.get(stream_name) or self._door(stream_name)
-        if t < MIN_TIMESTAMP:
-            # Reject here rather than letting the executor blow up
-            # asynchronously at service time, after the tuple was queued.
-            raise CoreTimeError(
-                f"timestamp {t} before the epoch {MIN_TIMESTAMP}")
-        values = door[0](record)
+        if t < self._frontier:
+            values = self._admit_behind(door, stream_name, record, t)
+        else:
+            values = door[0](record)
+            self._frontier = self._watermarks[stream_name] = t
         if self.recovery is not None:
             self.recovery.start()  # baseline before the first arrival
             self._arrival_log.append(("ingest", stream_name, values, t))
         return self._route(door, stream_name, values, t)
+
+    def _admit_behind(self, door: Door, stream_name: str,
+                      record: Mapping[str, Any] | Record,
+                      t: Timestamp) -> tuple:
+        """:meth:`ingest`'s check and coercion for an arrival behind
+        :attr:`_frontier`: refused if it is late for a unit reading the
+        stream, admitted as it is otherwise (e.g. on a stream another
+        stream's arrivals are ahead of, when no unit reads both)."""
+        check_feed_time(t, max((unit.progress for unit in self._units
+                                if unit.reads_stream(stream_name)),
+                               default=None))
+        values = door[0](record)
+        mark = self._watermarks.get(stream_name)
+        if mark is None or t > mark:
+            self._watermarks[stream_name] = t
+        return values
 
     def _door(self, stream_name: str) -> Door:
         """The door of ``stream_name`` (see :attr:`_doors`), built if it
@@ -706,12 +759,17 @@ class DSMSEngine:
             self.views._commit(table, [(values, 1)],
                                at=t if t > self.views.clock else None)
         if obs._STATE.enabled:
-            self.watermark_clock.observe_arrival(stream_name, t)
             self.stall_detector.note_arrival(stream_name)
         admitted = 0
         for offer in offers:
             admitted += offer(values, t, stream_name)
         return admitted
+
+    def watermark(self, stream_name: str) -> Timestamp | None:
+        """The stream's watermark: the newest timestamp :meth:`ingest`
+        admitted on it, None before its first arrival.  Like the metrics
+        it is not rolled back by a restore."""
+        return self._watermarks.get(stream_name)
 
     def step(self) -> bool:
         """Run one scheduling quantum of one unit: its head instant, or
@@ -790,6 +848,8 @@ class DSMSEngine:
         :meth:`run_until_idle`: the advance is logged first, so the
         replay after the restore re-runs it.
         """
+        if t > self._frontier:
+            self._frontier = t
         if self.recovery is None:
             self._advance(t)
             return
@@ -952,6 +1012,9 @@ class DSMSEngine:
             pressure = registry.counter("dsms.queue.pressure_events",
                                         **labels)
             pressure.inc(queue.pressure_events - pressure.value)
+        for stream, mark in self._watermarks.items():
+            registry.gauge("dsms.watermark.event_time", stream=stream).set(
+                mark)
         # Per-source stall detection: gap to the global arrival tick.
         stalled = self.stall_detector.stalled()
         for stream, gap in self.stall_detector.gaps().items():

@@ -151,6 +151,16 @@ class InputQueue:
         return self._depth
 
     @property
+    def oldest(self) -> Timestamp | None:
+        """The head instant's timestamp, None when empty."""
+        return self._runs[0][0] if self._runs else None
+
+    @property
+    def newest(self) -> Timestamp | None:
+        """The newest queued arrival's timestamp, None when empty."""
+        return self._runs[-1][0] if self._runs else None
+
+    @property
     def occupancy(self) -> float:
         """Fill fraction in [0, 1]."""
         return self._depth / self.capacity

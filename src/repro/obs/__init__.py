@@ -1,6 +1,6 @@
 """obs — the unified observability layer.
 
-One registry, one tracer, one watermark clock, shared by every engine
+One registry and one tracer, shared by every engine
 layer (``cql`` executor, ``dsms`` engine, ``runtime`` jobs, ``dataflow``
 pipelines).  The module-level accessors are the single entry point:
 
@@ -12,8 +12,7 @@ pipelines).  The module-level accessors are the single entry point:
   :func:`enable` to swap in a recording :class:`Tracer` (and to turn on
   the optional timing instrumentation hot paths gate behind
   :func:`is_enabled`).
-* :func:`get_watermark_clock` — the global per-stream lag tracker.
-* :func:`reset` — fresh registry/tracer/clock and back to disabled; the
+* :func:`reset` — fresh registry/tracer and back to disabled; the
   repo's ``conftest.py`` calls this around every test.
 
 Typical session::
@@ -39,7 +38,6 @@ from repro.obs.export import (
 from repro.obs.metrics import Counter, Gauge, Histogram, Metric
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import NoopSpan, NoopTracer, Span, Tracer
-from repro.obs.watermarks import WatermarkClock
 from repro.obs import profile as _profile
 from repro.obs.profile import (
     FlightRecorder,
@@ -62,7 +60,6 @@ class _ObsState:
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.tracer: Tracer | NoopTracer = _NOOP_TRACER
-        self.clock = WatermarkClock(self.registry)
         self.enabled = False
 
 
@@ -77,11 +74,6 @@ def get_registry() -> MetricsRegistry:
 def get_tracer() -> Tracer | NoopTracer:
     """The global tracer: no-op while disabled, recording once enabled."""
     return _STATE.tracer
-
-
-def get_watermark_clock() -> WatermarkClock:
-    """The global per-stream watermark/lag tracker."""
-    return _STATE.clock
 
 
 def is_enabled() -> bool:
@@ -125,19 +117,18 @@ def is_profiling() -> bool:
 
 
 def reset() -> None:
-    """Fresh registry, tracer and clock; observability disabled."""
+    """Fresh registry and tracer; observability disabled."""
     _STATE.registry = MetricsRegistry()
     _STATE.tracer = _NOOP_TRACER
-    _STATE.clock = WatermarkClock(_STATE.registry)
     _STATE.enabled = False
     _profile.reset()
 
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "Metric", "MetricsRegistry",
-    "Span", "Tracer", "NoopSpan", "NoopTracer", "WatermarkClock",
+    "Span", "Tracer", "NoopSpan", "NoopTracer",
     "FlightRecorder", "StallDetector",
-    "get_registry", "get_tracer", "get_watermark_clock",
+    "get_registry", "get_tracer",
     "is_enabled", "enable", "disable", "reset", "is_profiling",
     "explain_analyze", "analyze", "render_top", "get_flight_recorder",
     "profile_snapshot", "write_snapshot", "dump_on_crash",

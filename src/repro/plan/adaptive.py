@@ -74,7 +74,9 @@ class AdaptivePolicy:
     #: between the two is where stable configurations live).
     low_occupancy: float = 0.10
     #: Event-time watermark lag at or above which to scale up; ``None``
-    #: disables the lag trigger (lag needs obs enabled to be observed).
+    #: disables the lag trigger.  The DSMS reads it before each drain as
+    #: the newest watermark of the query's streams minus the instant the
+    #: query last evaluated, with obs on or off.
     high_watermark_lag: float | None = None
     #: Per-partition load skew (max/mean) at or above which to scale up —
     #: more partitions re-spread hot keys across the hash space.

@@ -9,7 +9,6 @@ from repro.core import (
     PeriodicWatermarks,
     Punctuation,
     Watermark,
-    WatermarkTracker,
 )
 
 
@@ -64,24 +63,6 @@ class TestPeriodic:
     def test_invalid_period(self):
         with pytest.raises(ValueError):
             PeriodicWatermarks(AscendingWatermarks(), period=0)
-
-
-class TestTracker:
-    def test_combined_is_minimum(self):
-        tracker = WatermarkTracker(channels=2)
-        assert tracker.update(0, Watermark(10)) is None  # other still at -1
-        assert tracker.update(1, Watermark(5)) == Watermark(5)
-        assert tracker.current() == Watermark(5)
-
-    def test_regression_ignored(self):
-        tracker = WatermarkTracker(channels=1)
-        tracker.update(0, Watermark(10))
-        assert tracker.update(0, Watermark(4)) is None
-        assert tracker.current() == Watermark(10)
-
-    def test_needs_positive_channels(self):
-        with pytest.raises(ValueError):
-            WatermarkTracker(channels=0)
 
 
 class TestPunctuation:

@@ -210,6 +210,26 @@ class TestAutoscale:
         assert "g" in engine._autoscale_ineligible
         assert handle.query.parallelism == 1
 
+    def test_watermark_lag_drives_scale_up_with_obs_off(self):
+        # The lag is read from the door's watermarks and the query's
+        # cursor, so the trigger sees a backlog in event time with obs
+        # disabled; occupancy (10 of 1024) alone would scale down.
+        assert not obs.is_enabled()
+        policy = AdaptivePolicy(confirm_polls=1, high_watermark_lag=5)
+        engine = make_engine(autoscale=policy)
+        handle = engine.register_query("q", GROUPED)
+        ingest(engine, ROWS[:10])
+        engine.run_until_idle()
+        decision, = handle.autoscaler.decisions
+        assert decision.wants_rescale
+        assert decision.reason == "watermark lag 9 >= 5"
+        assert handle.query.parallelism == 2
+        ingest(engine, ROWS[10:12])
+        engine.run_until_idle()
+        # A lag of 2 (watermark 11, cursor 9) is under the threshold.
+        assert "watermark lag" not in handle.autoscaler.decisions[-1].reason
+        assert len(obs.get_registry()) == 0
+
     def test_autoscale_off_by_default(self):
         engine = make_engine()
         handle = engine.register_query("q", GROUPED)

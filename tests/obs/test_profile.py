@@ -290,6 +290,26 @@ class TestDisabledPathDoesNoProfilingWork:
         engine, handle = shared_group_engine()
         assert handle.metrics.processed > 0
 
+    def test_dsms_ingest_and_drain_create_no_metric(self, monkeypatch):
+        """With obs never enabled the DSMS door keeps its watermarks and
+        refuses late arrivals without touching the registry: no metric
+        is created by an ingest, a drain, an advance or a refusal."""
+        from repro.core import StateError
+        from repro.obs.registry import MetricsRegistry
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a metric created on the disabled path")
+
+        monkeypatch.setattr(MetricsRegistry, "_get_or_create", forbidden)
+        engine, handle = shared_group_engine()
+        with pytest.raises(StateError):
+            engine.ingest("Obs", {"room": "lab", "temp": 30.0}, t=100)
+        engine.ingest("Obs", {"room": "lab", "temp": 30.0}, t=200)
+        engine.run_until_idle()
+        assert handle.metrics.processed > 0
+        assert engine.watermark("Obs") == 200
+        assert len(obs.get_registry()) == 0
+
     def test_no_profile_metrics_exist_when_disabled(self):
         plan, _sink = linear_plan()
         plan.open()
