@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import defaultdict, deque
+from dataclasses import replace
 from operator import itemgetter
 from sys import getsizeof
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -45,6 +46,7 @@ from repro.core.records import Record, Schema, trusted_record
 from repro.core.relation import Bag, Changelog, TimeVaryingRelation, labelled
 from repro.core.stream import Stream
 from repro.core.time import MIN_TIMESTAMP, Timestamp
+from repro.core.windows import Window, WindowAssigner, merge_sessions
 from repro.plan.exprs import Column, EmitMode, Expr, substitute_columns
 from repro.plan.ir import (
     Aggregate,
@@ -446,6 +448,102 @@ class StreamSourceOp(PhysicalOp):
         return out
 
 
+class GroupWindowSourceOp(PhysicalOp):
+    """The stream source of a streaming-SQL group window.
+
+    With the DSL's ``assigner`` (:mod:`repro.core.windows`), an arrival
+    enters as one ``+1`` of ``values + (window_start, window_end)`` per
+    window, and leaves as its ``-1`` at the window's close, an instant on
+    the agenda.  A session (a merging assigner) is per key, the group
+    columns: an arrival no later than the key's open session's end
+    extends it (:func:`~repro.core.windows.merge_sessions`), and its rows
+    are retracted under the old bounds and re-inserted under the new.
+    Arrivals go in before closes, so a row landing exactly on a
+    session's end joins it.  ``prefilter`` is the WHERE clause.
+    """
+
+    _STATE_ATTRS = ("_staged", "_rows", "_spans", "_arrived", "evicted")
+
+    def __init__(self, scan: StreamScan, assigner: WindowAssigner,
+                 key_columns: Sequence[str], agenda: Agenda,
+                 prefilter: Callable[[list[tuple]], list[tuple]] | None,
+                 ) -> None:
+        super().__init__([])
+        self.scan = scan
+        self._assigner = assigner
+        self._key_fn = _values_at(
+            [scan.schema.index_of(c) for c in key_columns])
+        self._agenda = agenda
+        self._prefilter = prefilter
+        self._staged: list[tuple] = []
+        #: Open window -> its rows, and -> its ``(start, end)``: a tumble
+        #: or hop window is keyed by those, a session by its group key.
+        self._rows = KeyedState(weigh=len)
+        self._spans = KeyedState()
+        self._arrived = False
+        #: Rows retracted at window closes, and arrivals before the
+        #: prefilter (see StreamSourceOp).
+        self.evicted = self.arrivals = 0
+
+    process_instant = StreamSourceOp.process_instant
+
+    def stage_many(self, rows: list[tuple], t: Timestamp) -> None:
+        """Queue an instant's validated arrivals for the call at ``t``."""
+        if rows:
+            self._arrived = True
+            self.arrivals += len(rows)
+            self._staged.extend(rows if self._prefilter is None
+                                else self._prefilter(rows))
+
+    @property
+    def state_size(self) -> int:
+        """Rows held until their windows close."""
+        return self._rows.tally
+
+    def process(self, t: Timestamp,
+                child_deltas: list[list[Delta]]) -> list[Delta]:
+        out: list[Delta] = []
+        held, spans = self._rows.data, self._spans.data
+        staged, self._staged = self._staged, []
+        windows = self._assigner.assign(t) if staged else []
+        if not self._assigner.is_merging:
+            # Tumble and hop: an instant's arrivals share their windows.
+            arrivals = {(w.start, w.end): staged for w in windows}
+        else:
+            arrivals = defaultdict(list)
+            for values in staged:
+                arrivals[self._key_fn(values)].append(values)
+        self._rows.mark(arrivals)
+        self._spans.mark(arrivals)
+        for key, new in arrivals.items():
+            rows = held.setdefault(key, [])
+            old = spans.get(key)
+            span = key
+            if self._assigner.is_merging:
+                # An open session ends at t or later, so it merges with
+                # the arrivals' proto-window into one.
+                (window,) = merge_sessions(
+                    windows + ([Window(*old)] if old else []))
+                span = (window.start, window.end)
+                if old is not None and old != span:
+                    out.extend([(values + old, -1) for values in rows])
+                    out.extend([(values + span, 1) for values in rows])
+            spans[key] = span
+            out.extend([(values + span, 1) for values in new])
+            rows.extend(new)
+            self._rows.tally += len(new)
+            self._agenda.schedule(span[1])
+        due = [key for key, (_, end) in spans.items() if end <= t]
+        self._rows.mark(due)
+        self._spans.mark(due)
+        for key in due:
+            span, rows = spans.pop(key), held.pop(key)
+            out.extend([(values + span, -1) for values in rows])
+            self.evicted += len(rows)
+            self._rows.tally -= len(rows)
+        return out
+
+
 class RelationSourceOp(PhysicalOp):
     """A base relation: emits its initial contents once, then staged updates.
 
@@ -646,6 +744,41 @@ class AggregateOp(PhysicalOp):
     @property
     def state_size(self) -> int:
         return len(self._groups.data)
+
+
+class GroupWindowAggregateOp(AggregateOp):
+    """A group-window :class:`WindowAggregate` (``EMIT FINAL``) over its
+    :class:`GroupWindowSourceOp`.
+
+    The groups are the group columns plus the window bounds, so a
+    window's close retracts its groups whole.  The EMIT FINAL step on
+    the kernel's output keeps only those closes: the retraction of a row
+    whose window has ended (``window_end <= t``) becomes the insert of
+    its final row, bounds last as the WindowAggregate lays it out, and
+    refinements are dropped — below HAVING and the projection, where one
+    window's close cannot net against another's open.  A session that
+    grew at ``t`` is retracted under its old end, possibly ``t``; the
+    same batch re-inserts its group and start, so that is no close.
+    """
+
+    def __init__(self, plan: WindowAggregate,
+                 source: GroupWindowSourceOp) -> None:
+        bounds = plan.schema.fields[-2:]
+        super().__init__(replace(plan, group_by=plan.group_by + bounds,
+                                 group_names=plan.group_names + bounds,
+                                 window=None),
+                         source.scan.schema.concat(Schema(bounds)))
+        self.children = [source]
+        self._start = len(plan.group_by)  # the kernel's window_start
+
+    def process(self, t, child_deltas):
+        deltas = self._kernel(self, t, child_deltas)
+        start, end = self._start, self._start + 1
+        grown = {values[:end] for values, mult in deltas if mult > 0}
+        return [(values[:start] + values[end + 1:] + values[start:end + 1],
+                 1) for values, mult in deltas
+                if mult < 0 and values[end] <= t
+                and values[:end] not in grown]
 
 
 class DistinctOp(PhysicalOp):
@@ -965,33 +1098,43 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
 
     def _record(node: LogicalOp, op: PhysicalOp) -> None:
         node_map.setdefault(id(node), []).append(op)
-        if isinstance(node, WindowOp):
-            # Pushed-below-window filters and the scan compiled *into*
-            # the source op; point their logical nodes at it too.
-            inner = node.child
-            while isinstance(inner, Filter):
-                node_map.setdefault(id(inner), []).append(op)
-                inner = inner.child
+        if isinstance(op, GroupWindowAggregateOp):
+            op = op.children[0]
+        elif not isinstance(node, WindowOp):
+            return
+        # Pushed-below-window filters and the scan compiled *into*
+        # the source op; point their logical nodes at it too.
+        inner = node.child
+        while isinstance(inner, Filter):
             node_map.setdefault(id(inner), []).append(op)
+            inner = inner.child
+        node_map.setdefault(id(inner), []).append(op)
+
+    def _build_source(node: WindowOp | WindowAggregate) -> PhysicalOp:
+        """The source reading a window's stream scan, with the filters
+        the optimizer pushed below the window as its prefilter (see
+        StreamSourceOp)."""
+        inner, predicates = node.child, []
+        while isinstance(inner, Filter):
+            predicates.append(inner.predicate)
+            inner = inner.child
+        if not isinstance(inner, StreamScan):
+            raise PlanError(
+                "window operator must sit on a stream scan"
+                if isinstance(node, WindowOp) else "group windows cannot "
+                "appear in a dynamic-table plan; they read a stream")
+        prefilter = (prefilter_kernel(predicates, inner.schema)
+                     if predicates else None)
+        source = (StreamSourceOp(inner, node.spec, agenda, prefilter)
+                  if isinstance(node, WindowOp) else
+                  GroupWindowSourceOp(inner, node.window.assigner(),
+                                      node.group_by, agenda, prefilter))
+        stream_sources[inner.name].append(source)
+        return source
 
     def _build_fresh(node: LogicalOp) -> PhysicalOp:
         if isinstance(node, WindowOp):
-            # The optimizer may have pushed filters below the window; they
-            # compile into a source prefilter (see StreamSourceOp).
-            inner = node.child
-            predicates = []
-            while isinstance(inner, Filter):
-                predicates.append(inner.predicate)
-                inner = inner.child
-            scan = inner
-            if not isinstance(scan, StreamScan):
-                raise PlanError("window operator must sit on a stream scan")
-            prefilter = (prefilter_kernel(predicates, scan.schema)
-                         if predicates else None)
-            source = StreamSourceOp(scan, node.spec, agenda,
-                                    prefilter=prefilter)
-            stream_sources[scan.name].append(source)
-            return source
+            return _build_source(node)
         if isinstance(node, StreamScan):
             raise PlanError(
                 f"bare stream scan {node.name!r}: apply a window first")
@@ -1008,10 +1151,13 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
         if isinstance(node, (Aggregate, WindowAggregate)):
             if isinstance(node, WindowAggregate):
                 if node.window is not None:
-                    raise PlanError(
-                        "group windows cannot appear in a dynamic-table "
-                        "plan; a view materialises a running (changelog) "
-                        "aggregate")
+                    source = _build_source(node)
+                    if node.emit is EmitMode.CHANGES:
+                        raise PlanError(
+                            "EMIT CHANGES over a group window is not "
+                            "implemented: window refinements are not "
+                            "supported, use EMIT FINAL")
+                    return GroupWindowAggregateOp(node, source)
                 if node.emit is not EmitMode.CHANGES:
                     raise PlanError(
                         f"EMIT {node.emit.value.upper()} is meaningless for "

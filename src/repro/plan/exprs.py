@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.core.time import Timestamp
+from repro.core.windows import SessionWindow, SlidingWindow, TumblingWindow
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -291,3 +292,11 @@ class GroupWindow:
         if self.kind is GroupWindowKind.HOP:
             return f"HOP({self.size}, {self.slide})"
         return f"{self.kind.name}({self.size})"
+
+    def assigner(self) -> SessionWindow | SlidingWindow | TumblingWindow:
+        """The window's assigner, the one the DSL windows by."""
+        if self.kind is GroupWindowKind.SESSION:
+            return SessionWindow(self.size)
+        if self.kind is GroupWindowKind.HOP:
+            return SlidingWindow(self.size, self.slide)
+        return TumblingWindow(self.size)

@@ -25,7 +25,10 @@ checking every operator on the way:
   rows, which carry identical keys — safe when both sides resolve;
 * ``[Rows n]`` windows depend on global arrival order across all keys —
   **not** partitionable; ``[Partition By … Rows n]`` is safe iff K ⊆ the
-  window's partition columns.
+  window's partition columns;
+* a SQL group window keeps each group's windows (and sessions) apart,
+  so any K ⊆ its group columns is safe; with no ``GROUP BY`` there is
+  no key, and the plan runs serially.
 
 At each stream leaf K resolves to *positional* column indices, which is
 what the executors need: routing happens on raw arrival tuples before
@@ -126,14 +129,16 @@ def partition_scheme(plan: LogicalOp) -> PartitionScheme | None:
         return None
     node, keys, origin = boundary
     spine = _spine_of(plan, node)
-    if any(isinstance(op, RelToStream) for op in spine):
+    final = isinstance(node, WindowAggregate) and node.window is not None
+    if any(isinstance(op, RelToStream) for op in spine) and not final:
         # Delta-shaped output (ISTREAM/DSTREAM/RSTREAM): merged replica
         # emissions are only the serial emissions when every output row
         # still carries its partition key — otherwise rows from different
         # partitions can collide in value, and cross-key cancellation the
         # serial bag performs never happens in the merge.  For a join
         # boundary either side's key columns qualify: the equi-join pins
-        # them equal in every output row.
+        # them equal in every output row.  A group window only inserts
+        # (each window's final row, once): nothing cancels.
         candidates = ([node.left_keys, node.right_keys]
                       if isinstance(node, Join) else [keys])
         if not any(_keys_reach_output(spine, candidate)

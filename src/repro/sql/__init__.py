@@ -2,10 +2,10 @@
 
 The dialect uses windows as GROUP BY constructs (``TUMBLE``/``HOP``/
 ``SESSION``) with an ``EMIT`` clause, in the "one SQL to rule them all"
-direction; queries compile down the Figure 4 stack onto the DSL and actor
-runtime.  The package also hosts the optimizers shared with the CQL front
-end: the rule-based rewriter (:mod:`repro.plan.rules`) and the
-cost-based volcano join enumerator (:mod:`repro.sql.volcano`).
+direction; a query runs as a CQL standing query.  The package also hosts
+the optimizers shared with the CQL front end: the rule-based rewriter
+(:mod:`repro.plan.rules`) and the cost-based volcano join enumerator
+(:mod:`repro.sql.volcano`).
 """
 
 from repro.sql.ast import (
@@ -28,7 +28,6 @@ from repro.sql.parser import parse_sql, parse_statement
 from repro.sql.translate import (
     WINDOW_END,
     WINDOW_START,
-    CompositeAggregate,
     SQLEngine,
     run_sql,
 )
@@ -44,7 +43,7 @@ __all__ = [
     # dialect
     "parse_sql", "parse_statement", "CreateDynamicTable",
     "SQLStatement", "EmitMode", "GroupWindow",
-    "GroupWindowKind", "SQLEngine", "run_sql", "CompositeAggregate",
+    "GroupWindowKind", "SQLEngine", "run_sql",
     "WINDOW_START", "WINDOW_END",
     # rule-based optimizer
     "optimize", "DEFAULT_RULES", "fuse_filters", "remove_trivial_filter",

@@ -6,31 +6,27 @@ other frontend produces::
     Project? ── Filter(HAVING)? ── WindowAggregate? ── Filter(WHERE)? ── StreamScan
 
 The unified rewriter (:func:`repro.plan.rules.optimize`) then runs over
-it — the SQL frontend no longer carries private rule logic — and
-:func:`compile_to_dsl` walks the *optimised* tree to build the DSL
-pipeline that executes on the dataflow runtime (the Figure 4 stack:
-SQL → plan → DSL → dataflow → actors).
+it — the SQL frontend carries no private rule logic — and
+:func:`standing_query` makes the *optimised* tree a CQL standing query
+(the survey's §4.1.3: one algebra over time-varying relations).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
-
 from repro.core.errors import PlanError
-from repro.core.records import Record, Schema
-from repro.core.time import Timestamp
-from repro.core.windows import SlidingWindow, TumblingWindow
+from repro.core.operators import R2SKind
 from repro.cql.catalog import Catalog
-from repro.cql.expressions import compile_expr, compile_predicate
 from repro.cql.planner import _AggregateCollector
-from repro.plan.exprs import EmitMode, GroupWindowKind
+from repro.plan.exprs import UNBOUNDED_SPEC, EmitMode
 from repro.plan.ir import (
     Filter,
     LogicalOp,
     Project,
     RelationScan,
+    RelToStream,
     StreamScan,
     WindowAggregate,
+    WindowOp,
 )
 from repro.sql.ast import SQLStatement
 
@@ -84,105 +80,21 @@ def lower_statement(statement: SQLStatement,
     return Project(plan, rewritten, names)
 
 
-def compile_to_dsl(plan: LogicalOp, env,
-                   rows: Iterable[tuple[Mapping[str, Any], Timestamp]]):
-    """Compile an (optimised) IR tree into a DSL stream in ``env``.
-
-    ``rows`` feed the single :class:`StreamScan` leaf.  Returns the DSL
-    stream for the root; the caller attaches the sink and executes.
+def standing_query(plan: LogicalOp) -> RelToStream:
+    """The (optimised) IR of a SQL query as a CQL standing query:
+    ISTREAM over it, each stream scan read through ``[Range Unbounded]``
+    (so a stateless query emits every row it keeps) except a group
+    window's, which ``compile_plan`` reads through its own source.
     """
-    if isinstance(plan, StreamScan):
-        schema = plan.schema
-        fields = schema.unqualified().fields
-        records = [(Record(schema, tuple(row[f] for f in fields),
-                           validate=False), t)
-                   for row, t in rows]
-        return env.from_collection(records)
+    def windowed(node: LogicalOp) -> LogicalOp:
+        if isinstance(node, StreamScan):
+            return WindowOp(node, UNBOUNDED_SPEC)
+        if isinstance(node, WindowAggregate) and node.window is not None:
+            return node
+        return node.with_children([windowed(child)
+                                   for child in node.children])
 
-    if isinstance(plan, Filter):
-        child = compile_to_dsl(plan.child, env, rows)
-        predicate = compile_predicate(plan.predicate, plan.child.schema)
-        return child.filter(lambda record: predicate(record.values))
-
-    if isinstance(plan, Project):
-        child = compile_to_dsl(plan.child, env, rows)
-        evaluators = [compile_expr(e, plan.child.schema)
-                      for e in plan.exprs]
-        out_schema = plan.schema
-
-        def project(record: Record) -> Record:
-            return Record(out_schema,
-                          tuple(e(record.values) for e in evaluators),
-                          validate=False)
-
-        return child.map(project)
-
-    if isinstance(plan, WindowAggregate):
-        child = compile_to_dsl(plan.child, env, rows)
-        return _compile_aggregate(plan, child)
-
-    raise PlanError(f"SQL execution cannot compile plan node {plan!r}")
+    return RelToStream(windowed(plan), R2SKind.ISTREAM)
 
 
-def _compile_aggregate(plan: WindowAggregate, stream):
-    # Imported here: CompositeAggregate lives in translate, which imports
-    # this module.
-    from repro.sql.translate import CompositeAggregate
-
-    in_schema = plan.child.schema
-    specs = list(plan.aggregates)
-    evaluators = [None if s.arg is None else compile_expr(s.arg, in_schema)
-                  for s in specs]
-    composite = CompositeAggregate(specs, evaluators)
-    group_indexes = [in_schema.index_of(c) for c in plan.group_by]
-    inter_schema = plan.schema
-
-    def key_fn(record: Record) -> tuple:
-        return tuple(record[i] for i in group_indexes)
-
-    keyed = stream.key_by(key_fn)
-    window = plan.window
-
-    if window is not None:
-        if plan.emit is EmitMode.CHANGES:
-            # The windows below fire once, at close: running each one's
-            # refinements needs the per-instant window operator.
-            raise PlanError(
-                "EMIT CHANGES over a group window is not implemented: "
-                "window refinements are not supported, use EMIT FINAL")
-        if window.kind is GroupWindowKind.TUMBLE:
-            windowed = keyed.window(TumblingWindow(window.size))
-        elif window.kind is GroupWindowKind.HOP:
-            windowed = keyed.window(SlidingWindow(window.size, window.slide))
-        else:
-            windowed = keyed.session_window(window.size)
-        results = windowed.aggregate(composite)
-
-        def to_row(value) -> Record:
-            key, agg_values, win = value
-            return Record(inter_schema,
-                          tuple(key) + tuple(agg_values)
-                          + (win.start, win.end), validate=False)
-
-        return results.map(to_row)
-
-    def fold(accumulator, record: Record):
-        if accumulator is None:
-            accumulator = composite.create_accumulator()
-        return composite.add(accumulator, record)
-
-    def running(op, element):
-        accumulator = fold(op.state.get(element.key), element.value)
-        op.state.put(element.key, accumulator)
-        row = Record(
-            inter_schema,
-            tuple(element.key)
-            + tuple(composite.get_result(accumulator)),
-            validate=False)
-        from repro.runtime.dag import Element
-        yield Element(row, element.key, element.timestamp)
-
-    return keyed.process(running)
-
-
-__all__ = ["lower_statement", "compile_to_dsl"]
+__all__ = ["lower_statement", "standing_query"]
