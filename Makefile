@@ -64,12 +64,15 @@ cqbench-smoke:
 # N alternating base/change runs of workload W (one name, a comma list,
 # or "all") against revision BASE (exported with git archive; the change
 # is this checkout): per workload, one line per run, then medians,
-# quartiles and pair wins per end-to-end metric.
+# quartiles and pair wins per end-to-end metric.  TRACE=1 runs traced
+# passes and compares the per-layer metrics instead.
 W ?= all
 N ?= 10
 BASE ?= HEAD
+TRACE ?= 0
 cqbench-pairs:
-	python3 tools/cqbench_pairs.py --workload $(W) --pairs $(N) --base $(BASE)
+	python3 tools/cqbench_pairs.py --workload $(W) --pairs $(N) --base $(BASE) \
+		$(if $(filter 1,$(TRACE)),--trace)
 
 # The benchmark's own tests (fold, canary scaling, tracer, workload
 # references); not part of the tier-1 suite.

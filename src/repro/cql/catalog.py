@@ -32,6 +32,13 @@ class StreamDef:
         generated on first use."""
         return kernels.coercer_kernel(self.schema)
 
+    @cached_property
+    def door(self) -> Callable[..., Callable]:
+        """The builder of the stream's DSMS arrival door
+        (:func:`kernels.door_kernel`), generated on first use: a door
+        rebuilt after the readers change renders nothing."""
+        return kernels.door_kernel(self.schema)
+
 
 class RelationDef:
     """A registered base relation: schema plus mutable current contents."""

@@ -1283,26 +1283,28 @@ def check_feed_time(timestamp: Timestamp, last: Timestamp | None) -> None:
 def coerce_arrivals(catalog: Catalog,
                     arrivals: Mapping[str, Sequence[Mapping[str, Any]
                                                     | Record]],
-                    ) -> dict[str, list[tuple]]:
-    """An instant's arrivals as values tuples of each stream's schema
-    (the stream's generated coercer), every row validated before any is
-    staged."""
-    return {name: list(map(catalog.stream(name).coerce, rows))
-            for name, rows in arrivals.items()}
+                    ) -> list[tuple[str, list[tuple]]]:
+    """An instant's arrivals as ``(stream, values tuples)`` pairs, each
+    row a values tuple of its stream's schema (the stream's generated
+    coercer), every row validated before any is staged."""
+    return [(name, list(map(catalog.stream(name).coerce, rows)))
+            for name, rows in arrivals.items()]
 
 
 def stage_arrivals(sources: Mapping[str, list["StreamSourceOp"]],
-                   arrivals: Mapping[str, list[tuple]], timestamp: Timestamp,
+                   arrivals: Sequence[tuple[str, list[tuple]]],
+                   timestamp: Timestamp,
                    routes: Mapping[str, tuple[Callable, list]] | None = None,
                    ) -> None:
-    """Stage an instant's validated arrivals into every source reading
-    each stream (with ``routes``, a fissioned query's, only into the
-    partition owning a row's key); a stream no source reads is refused
-    first.  The one staging path of every :class:`SharedGroup`."""
-    for name in arrivals:
+    """Stage an instant's validated arrivals — ``(stream, rows)`` pairs,
+    one per stream — into every source reading each stream (with
+    ``routes``, a fissioned query's, only into the partition owning a
+    row's key); a stream no source reads is refused first.  The one
+    staging path of every :class:`SharedGroup`."""
+    for name, _ in arrivals:
         if not sources.get(name):
             raise PlanError(f"no source here reads stream {name!r}")
-    for name, rows in arrivals.items():
+    for name, rows in arrivals:
         if routes is None:
             for source in sources[name]:
                 source.stage_many(rows, timestamp)
@@ -1489,13 +1491,14 @@ class SharedGroup:
                           reader=reader)
 
     def _feed(self, timestamp: Timestamp,
-              arrivals: Mapping[str, list[tuple]],
+              arrivals: Sequence[tuple[str, list[tuple]]],
               updates: Sequence[tuple[RelationSourceOp, Delta]] = (),
               reader: "ContinuousQuery | None" = None) -> list[Emission]:
         """:meth:`push_batch` for arrivals already validated into values
-        tuples, plus relation ``updates`` for members' relation sources:
-        the one instant path, which the DSMS calls directly with the rows
-        its ``ingest`` validated."""
+        tuples, as ``(stream, rows)`` pairs (one per stream), plus
+        relation ``updates`` for members' relation sources: the one
+        instant path, which the DSMS calls directly with the queue's runs
+        of the rows its ``ingest`` validated."""
         check_feed_time(timestamp, self._cursor)
         for instant in self.agenda.due(timestamp - 1):
             self._process_instant(instant)
@@ -1757,7 +1760,7 @@ class ContinuousQuery:
         if not sources:
             raise PlanError(f"query does not read relation {name!r}")
         return self.group._feed(
-            timestamp, {}, [(source, (values, mult)) for source in sources],
+            timestamp, (), [(source, (values, mult)) for source in sources],
             self)
 
     def advance_to(self, timestamp: Timestamp) -> list[Emission]:
@@ -1774,6 +1777,14 @@ class ContinuousQuery:
         out = self._emissions[self._delivered:]
         self._delivered = len(self._emissions)
         return out
+
+    def _deliver(self) -> int:
+        """:meth:`_pending` for a caller that only counts them: marks the
+        emissions returned without copying them; returns how many."""
+        emitted = len(self._emissions)
+        count = emitted - self._delivered
+        self._delivered = emitted
+        return count
 
     # -- checkpointing -------------------------------------------------------
 

@@ -24,7 +24,11 @@ per instant:
 * the row coercer (:func:`coercer_kernel`): one function per record
   layout that reads a mapping's fields in order with the declared type
   checks inlined, and hands any row it does not take to
-  :meth:`Schema.coerce`.
+  :meth:`Schema.coerce`;
+* the DSMS arrival door (:func:`door_kernel`): one function per stream
+  layout that takes a run of arrivals through the progress check, the
+  coercer's lines, the recovery log and the readers' books, calling
+  nothing per row but each reader's queue.
 
 A kernel's source depends only on the plan's *shape* — positions,
 aggregate kinds, comparison operators, a layout's field and type names —
@@ -35,9 +39,9 @@ building a kernel whose shape is cached costs rendering the source and
 one dict lookup.  Each compiled source is registered with
 :mod:`linecache` under a pseudo-filename that spells its shape (an
 aggregate's keys and kinds, a spine's predicates and outputs, a join
-side's key and emitted columns, a coercer's layout), so a traceback or a
-profile line through a kernel names the plan node it runs and shows the
-generated line.  This is the only module under ``repro`` that compiles
+side's key and emitted columns, a coercer's or a door's layout), so a
+traceback or a profile line through a kernel names the plan node it
+runs and shows the generated line.  This is the only module under ``repro`` that compiles
 code.
 """
 
@@ -681,8 +685,55 @@ def join_kernel(side: str, append_only: bool, keys: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# The row coercer
+# The row coercer and the arrival door
 # ---------------------------------------------------------------------------
+
+
+def _layout(schema: Schema) -> str:
+    """A layout as its kernels' sources and pseudo-filenames spell it:
+    field names, and type names where declared, e.g. ``(id: int, room)``."""
+    return "(" + ", ".join(name if expected is None
+                           else f"{name}: {expected.__name__}"
+                           for name, expected in zip(schema.fields,
+                                                     schema.types)) + ")"
+
+
+def _typed(schema: Schema) -> list[int]:
+    """The positions of ``schema``'s declared types (bound as ``t<i>``)."""
+    return [i for i, expected in enumerate(schema.types)
+            if expected is not None]
+
+
+def _coercion(schema: Schema, take: Callable[[str], str]) -> list[str]:
+    """The source lines that coerce the local ``row`` into a values tuple
+    of ``schema`` and ``take`` it (``take(expr)`` renders the statement
+    that does, e.g. ``return expr``): a ``dict`` is read field by field
+    with the declared type checks inlined (against the bound ``t<i>``),
+    one of ``schema``'s own Records is taken as it is, and every other
+    row goes to the bound ``coerce`` (:meth:`Schema.coerce`), which takes
+    it or raises."""
+    names = [f"v{i}" for i in range(len(schema.fields))]
+    read = [f"{name} = row[{field!r}]"
+            for name, field in zip(names, schema.fields)]
+    built = [take(f"({''.join(f'{name}, ' for name in names)})")]
+    checks = [f"not isinstance(v{i}, t{i}) and v{i} is not None"
+              for i in _typed(schema)]
+    if checks:
+        built = [f"if {' or '.join(f'({check})' for check in checks)}:",
+                 f"    {take('coerce(row)')}",
+                 "else:", *_block(built, 1)]
+    if read:
+        built = ["try:", *_block(read, 1),
+                 "except KeyError:", f"    {take('coerce(row)')}",
+                 "else:", *_block(built, 1)]
+    return [
+        "if isinstance(row, dict):",
+        *_block(built, 1),
+        "elif getattr(row, '_schema', None) is schema:",
+        f"    {take('row._values')}",
+        "else:",
+        f"    {take('coerce(row)')}",
+    ]
 
 
 def coercer_kernel(schema: Schema) -> Callable[[Any], tuple]:
@@ -698,31 +749,160 @@ def coercer_kernel(schema: Schema) -> Callable[[Any], tuple]:
     its first line, and its pseudo-filename is named after it, e.g.
     ``<coercer (id: int, room, temp)>``; the types are bound here.
     """
-    fields, types = schema.fields, schema.types
-    layout = "(" + ", ".join(name if expected is None
-                             else f"{name}: {expected.__name__}"
-                             for name, expected in zip(fields, types)) + ")"
-    typed = [i for i, expected in enumerate(types) if expected is not None]
-    names = [f"v{i}" for i in range(len(fields))]
-    read = [f"{name} = row[{field!r}]" for name, field in zip(names, fields)]
-    if read:
-        read = ["try:", *_block(read, 1),
-                "except KeyError:", "    return coerce(row)"]
-    for i in typed:
-        read += [f"if not isinstance(v{i}, t{i}) and v{i} is not None:",
-                 "    return coerce(row)"]
+    layout = _layout(schema)
+    typed = _typed(schema)
     lines = [
         f"# layout {layout!r}",
         "def factory(schema, coerce, types):",
         *_block(_unpack([f"t{i}" for i in typed], "types"), 1),
         "    def coercer(row):",
-        "        if isinstance(row, dict):",
-        *_block(read, 3),
-        f"            return ({''.join(f'{name}, ' for name in names)})",
-        "        if getattr(row, '_schema', None) is schema:",
-        "            return row._values",
-        "        return coerce(row)",
+        *_block(_coercion(schema, lambda value: f"return {value}"), 2),
         "    return coercer",
     ]
     factory = _factory("coercer", "\n".join(lines) + "\n", layout)
-    return factory(schema, schema.coerce, [types[i] for i in typed])
+    return factory(schema, schema.coerce, [schema.types[i] for i in typed])
+
+
+def door_kernel(schema: Schema) -> Callable[..., Callable]:
+    """The generated arrival door of a DSMS stream of ``schema``'s
+    layout: ``build(engine, stream, table, units, plain, policed,
+    behind, state) -> door``, where ``door(row, t)`` admits one arrival
+    of ``stream`` at ``t`` and ``door(None, t, rows)`` a run of them (a
+    sequence of rows); each returns how many ``(row, query)`` admissions
+    it made.
+
+    The source depends on the layout alone; ``build`` binds the readers,
+    so the engine rebuilds a door after a register or cancel by calling
+    it, rendering and compiling nothing.  A run, in order:
+
+    * the progress check — an arrival at or past ``engine._frontier`` is
+      in order; one behind it calls ``behind(t)``, which refuses it if it
+      is late for a reading unit;
+    * every row coerced into a values tuple (:func:`_coercion`, the
+      coercer's lines) before any is admitted, so a bad row refuses the
+      run with :meth:`Schema.coerce`'s ``SchemaError`` and leaves no
+      trace;
+    * the frontier and the stream's watermark (``engine._watermarks``)
+      stored, and with ``engine.recovery`` one arrival-log entry per row;
+    * the run committed to ``table``, the stream's views base table, if
+      any: at ``t`` when it is ahead of the views' clock, which only
+      moves forward, and now otherwise — which the service stamps past
+      every view that already reached the clock, so the next refresh
+      pulls it;
+    * the readers: each NoShedding unit's books kept inline (``plain``:
+      its queue's ``offer``, the metrics of its members reading the
+      stream, their number and the policy) — the members' ``ingested``
+      and the policy's ``admitted`` once per run, then one ``offer`` of
+      its queue per row (a bounced row is counted as a queue drop);
+      every other unit (``policed``) gets ``SchedulingUnit.offer`` per
+      row, which decides on a Record.  While obs is on
+      (``state.enabled``) every row notes the stall detector and goes to
+      the ``offer`` of every reading unit (``units``), which observes
+      the queue depth.
+
+    One in-order row — every in-order ``ingest`` — takes the same steps
+    with its tuple in a local, building no list and looping over no
+    rows; one behind the frontier is a run of one.  ``door(None, t,
+    rows, True)`` re-admits rows the door validated and logged before
+    (a crash replay): it skips the check, the coercion, the watermark
+    and the log.  The pseudo-filename spells the layout, e.g.
+    ``<door (id, room, temp)>``.
+    """
+    layout = _layout(schema)
+    typed = _typed(schema)
+
+    def assign(value: str) -> str:
+        return f"values = {value}"
+
+    def admit(run: bool) -> list[str]:
+        """The readers' part: for each tuple of ``coerced`` (``run``) or
+        for the one tuple in ``values``."""
+        count = "count" if run else "1"
+
+        def per_row(body: list[str]) -> list[str]:
+            return ["for values in coerced:", *_block(body, 1)] if run \
+                else body
+
+        policed = per_row(["for unit in policed:",
+                           "    admitted += unit.offer(values, t, stream)"])
+        return [
+            "admitted = 0",
+            "if state.enabled:",
+            *_block(per_row(["engine.stall_detector.note_arrival(stream)",
+                             "for unit in units:",
+                             "    admitted += unit.offer(values, t, stream)"]),
+                    1),
+            "    return admitted",
+            *(["count = len(coerced)"] if run else []),
+            "for offer, readers, each, shedder in plain:",
+            "    for metrics in readers:",
+            f"        metrics.ingested += {count}",
+            f"    shedder.admitted += {count}",
+            *_block(per_row([
+                "if offer(values, t, stream):",
+                "    admitted += each",
+                "else:",
+                "    for metrics in readers:",
+                "        metrics.queue_dropped += 1",
+                "    shedder.record_queue_drop()"]), 1),
+            "if policed:",
+            *_block(policed, 1),
+            "return admitted",
+        ]
+
+    lines = [
+        f"# layout {layout!r}",
+        "def factory(schema, coerce, types):",
+        *_block(_unpack([f"t{i}" for i in typed], "types"), 1),
+        "    def build(engine, stream, table, units, plain, policed, behind,",
+        "              state):",
+        "        watermarks = engine._watermarks",
+        "        recovery = engine.recovery",
+        "        def door(row, t, rows=None, replay=False):",
+        "            if rows is None and t >= engine._frontier:",
+        *_block(_coercion(schema, assign), 4),
+        "                engine._frontier = watermarks[stream] = t",
+        "                if recovery is not None:",
+        "                    recovery.start()",
+        "                    engine._arrival_log.append(",
+        "                        ('ingest', stream, values, t))",
+        "                if table is not None:",
+        "                    views = engine.views",
+        "                    views._commit(table, [(values, 1)],",
+        "                                  t if t > views.clock else None)",
+        *_block(admit(False), 4),
+        "            if replay:",
+        "                coerced = rows",
+        "            else:",
+        "                if rows is None:",
+        "                    rows = (row,)",
+        "                ahead = t >= engine._frontier",
+        "                if not ahead:",
+        "                    behind(t)",
+        "                coerced = []",
+        "                append = coerced.append",
+        "                for row in rows:",
+        *_block(_coercion(schema, assign), 5),
+        "                    append(values)",
+        "                if ahead:",
+        "                    engine._frontier = watermarks[stream] = t",
+        "                else:",
+        "                    mark = watermarks.get(stream)",
+        "                    if mark is None or t > mark:",
+        "                        watermarks[stream] = t",
+        "                if recovery is not None:",
+        "                    recovery.start()",
+        "                    for values in coerced:",
+        "                        engine._arrival_log.append(",
+        "                            ('ingest', stream, values, t))",
+        "            if table is not None:",
+        "                views = engine.views",
+        "                views._commit(table,",
+        "                              [(values, 1) for values in coerced],",
+        "                              t if t > views.clock else None)",
+        *_block(admit(True), 3),
+        "        return door",
+        "    return build",
+    ]
+    factory = _factory("door", "\n".join(lines) + "\n", layout)
+    return factory(schema, schema.coerce, [schema.types[i] for i in typed])

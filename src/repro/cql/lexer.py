@@ -82,9 +82,12 @@ def _scan(text: str) -> Iterator[Token]:
             end = text.find("\n", i)
             i = n if end < 0 else end + 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        # isdecimal, not isdigit: a superscript digit is a digit that
+        # int() and float() refuse, so it must not start a number.
+        if ch.isdecimal() or (ch == "." and i + 1 < n
+                              and text[i + 1].isdecimal()):
             start = i
-            while i < n and (text[i].isdigit() or text[i] == "."):
+            while i < n and (text[i].isdecimal() or text[i] == "."):
                 i += 1
             number = text[start:i]
             if number.count(".") > 1:

@@ -19,8 +19,9 @@ Usage::
 
 from __future__ import annotations
 
+from itertools import groupby
 from time import perf_counter as _perf
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import repro.obs as obs
 from repro.obs import profile as _profile
@@ -43,12 +44,13 @@ from repro.dsms.queues import InputQueue
 from repro.dsms.scheduler import RoundRobinScheduler, Scheduler
 from repro.dsms.shedding import NoShedding, Shedder
 from repro.plan.batching import decide_batch_size
-from repro.views.service import BaseTable, DynamicTableService
+from repro.views.service import DynamicTableService
 
-#: A stream's door (see :attr:`DSMSEngine._doors`): its row coercer, the
-#: views base table it feeds (or None) and its reading units' ``offer``.
-Door = tuple[Callable[[Any], tuple], BaseTable | None,
-             list[Callable[[tuple, Timestamp, str], int]]]
+
+def _run_of(entry: tuple) -> tuple[str, Timestamp] | None:
+    """An arrival-log entry's run, ``(stream, timestamp)``; None for an
+    ``advance`` entry."""
+    return None if entry[0] == "advance" else (entry[1], entry[3])
 
 
 class SchedulingUnit:
@@ -95,7 +97,12 @@ class SchedulingUnit:
         self.members: list[QueryHandle] = []
         #: Stream name → the metrics of the members reading it.
         self._readers: dict[str, list[QueryMetrics]] = {}
+        #: Per member, what a quantum settles: ``(metrics, query,
+        #: whether it reads every stream the group reads)``.
+        self._books: list[tuple[QueryMetrics, ContinuousQuery, bool]] = []
         self._sources: list[StreamSourceOp] = []
+        #: The sources' evictions the Throw has already passed.
+        self._evicted = 0
 
     def add(self, handle: "QueryHandle", batch_size: int | None) -> None:
         """Make ``handle`` a member, its cap ``batch_size`` tightening the
@@ -128,9 +135,14 @@ class SchedulingUnit:
                     self, f"{self.name}/{type(op).__name__}", op)
                 if isinstance(op, StreamSourceOp):
                     self._sources.append(op)
+        self._evicted = self._evictions()
+        streams = self.group._sources
         self._readers = {
             name: [h.metrics for h in self.members if h.reads_stream(name)]
-            for name in self.group._sources}
+            for name in streams}
+        self._books = [
+            (h.metrics, h.query, all(map(h.reads_stream, streams)))
+            for h in self.members]
 
     @property
     def pending(self) -> int:
@@ -154,7 +166,11 @@ class SchedulingUnit:
         ``stream_name``, once for the whole unit.  Returns how many
         members reading the stream it admitted the arrival for: all of
         them, or 0 when shed/dropped.  A policy decides on the row as a
-        Record of the stream's schema, built for it alone."""
+        Record of the stream's schema, built for it alone.
+
+        The stream's door calls it per row for a unit whose policy can
+        refuse, and for every unit while obs is on; it keeps a
+        NoShedding unit's books itself otherwise."""
         readers = self._readers[stream_name]
         for metrics in readers:
             metrics.ingested += 1
@@ -204,40 +220,53 @@ class SchedulingUnit:
 
     def _service(self, t: Timestamp, chunks: list[tuple[str, list]],
                  span) -> None:
-        arrivals: dict[str, list[tuple]] = {}
-        for stream_name, rows in chunks:
-            held = arrivals.get(stream_name)
+        if len(chunks) == 1:
+            arrivals = chunks
+        else:
             # Streams that interleaved at ``t`` come as several runs.
-            arrivals[stream_name] = rows if held is None else held + rows
-        before = self._evictions()
+            merged: dict[str, list[tuple]] = {}
+            for stream_name, rows in chunks:
+                held = merged.get(stream_name)
+                merged[stream_name] = rows if held is None else held + rows
+            arrivals = list(merged.items())
         self.group._feed(t, arrivals)
-        self._account_throw(before, t)
+        self._account_throw(t)
         occupancy = self._scratch.settle(self)
+        # The waits of the whole poll, as one observation: waits rise in
+        # arrival order.  A member reading every stream of the group
+        # takes it as it is.
         waits = self.queue.polled_waits
+        polled = waited = 0
+        for run in waits:
+            polled += len(run)
+            waited += len(run) * (run[0] + run[-1]) // 2
+        low, high = waits[0][0], waits[-1][-1]
         emitted = 0
-        for handle in self.members:
-            metrics = handle.metrics
-            query = handle.query
-            count = len(query._pending())
+        for metrics, query, reads_all in self._books:
+            count = query._deliver()
             metrics.emitted += count
             emitted += count
-            # The waits of the runs of the streams this member reads, as
-            # one observation: waits rise in arrival order.
-            read = waited = 0
+            if reads_all:
+                metrics.processed += polled
+                metrics.queue_wait.observe_run(polled, waited, low, high)
+                metrics.scratch.observe(occupancy)
+                continue
+            # Only the runs of the streams this member reads.
+            read = mine = 0
             for (stream_name, _), run in zip(chunks, waits):
                 if stream_name in query._stream_sources:
                     if not read:
-                        low = run[0]
-                    high = run[-1]
+                        first = run[0]
+                    last = run[-1]
                     read += len(run)
-                    waited += len(run) * (run[0] + high) // 2
+                    mine += len(run) * (run[0] + last) // 2
             if not read:
                 continue
             metrics.processed += read
-            metrics.queue_wait.observe_run(read, waited, low, high)
+            metrics.queue_wait.observe_run(read, mine, first, last)
             metrics.scratch.observe(occupancy)
         if span is not None:
-            span.add(records=sum(map(len, waits)), emitted=emitted)
+            span.add(records=polled, emitted=emitted)
             registry = obs.get_registry()
             wait_hist = registry.histogram("dsms.queue.wait", query=self.name)
             for run in waits:
@@ -245,7 +274,7 @@ class SchedulingUnit:
                     wait_hist.observe(wait)
             # Processing lag: how far the stream's watermark had run
             # ahead of the instant now evaluated.
-            for stream_name in arrivals:
+            for stream_name, _ in arrivals:
                 lag = self._watermarks[stream_name] - t
                 registry.gauge("dsms.watermark.lag",
                                stream=stream_name).observe(lag)
@@ -261,19 +290,31 @@ class SchedulingUnit:
         queue = self.queue
         while queue.oldest is not None and queue.oldest <= t:
             self.service_one()
-        before = self._evictions()
         self.group.advance_to(t)
-        self._account_throw(before, t)
+        self._account_throw(t)
         self._scratch.settle(self)
-        for handle in self.members:
-            handle.metrics.emitted += len(handle.query._pending())
+        for metrics, query, _ in self._books:
+            metrics.emitted += query._deliver()
+
+    def restore(self, payload: Mapping[str, Any]) -> None:
+        """Roll the group back to its newest barrier (``payload``) and
+        re-read what the rollback changed under the books: the Scratch
+        account and the sources' evictions."""
+        self.group.restore(payload)
+        self._scratch.settle(self)
+        self._evicted = self._evictions()
 
     def _evictions(self) -> int:
-        return sum(op.evicted for op in self._sources)
+        evicted = 0
+        for op in self._sources:
+            evicted += op.evicted
+        return evicted
 
-    def _account_throw(self, before: int, t: Timestamp) -> None:
+    def _account_throw(self, t: Timestamp) -> None:
         # Every tuple evicted from a window buffer passes through the Throw.
-        self._throw.discard_many(self._evictions() - before, t)
+        evicted = self._evictions()
+        self._throw.discard_many(evicted - self._evicted, t)
+        self._evicted = evicted
 
 
 class QueryHandle:
@@ -375,12 +416,13 @@ class DSMSEngine:
         #: group's.  ``_handles`` stays the per-query list the public API
         #: (queries, metrics_table) exposes.
         self._units: list[SchedulingUnit] = []
-        #: Stream name -> its door, ``(coerce, view table, offers)``: the
-        #: stream's generated row coercer, the views base table it feeds
-        #: (or None) and the ``offer`` of every unit reading it.  Built on
-        #: the stream's first arrival; dropped whenever the units, a shared
-        #: group's members or the stream's view table change.
-        self._doors: dict[str, Door] = {}
+        #: Stream name -> its door, the generated function every arrival
+        #: enters through (:func:`repro.cql.kernels.door_kernel`), bound
+        #: to the views base table the stream feeds (or None) and the
+        #: units reading it.  Built on the stream's first arrival; dropped
+        #: whenever the units, a shared group's members, a unit's reader
+        #: lists (a rescale) or the stream's view table change.
+        self._doors: dict[str, Callable[..., int]] = {}
         self._handles: list[QueryHandle] = []
         self._by_name: dict[str, QueryHandle] = {}
         #: Stream name -> its watermark, the newest timestamp ``ingest``
@@ -612,8 +654,10 @@ class DSMSEngine:
                 f"query {name!r} has {handle.pending} queued tuples; "
                 f"drain before rescaling (run_until_idle)")
         report = rescale(query, parallelism)
-        # The old width's operators no longer exist, the new ones do.
+        # The old width's operators no longer exist, the new ones do, and
+        # the doors bound the reader lists bind_operators replaced.
         handle.unit.bind_operators()
+        self._doors.clear()
         handle.rescales.append(report)
         self._barrier = None
         if self.recovery is not None:
@@ -687,83 +731,77 @@ class DSMSEngine:
 
     def ingest(self, stream_name: str, record: Mapping[str, Any] | Record,
                t: Timestamp) -> int:
-        """Route one arrival to every query reading ``stream_name``.
+        """Route one arrival to every query reading ``stream_name``:
+        :meth:`ingest_many` of one row.
 
         Returns the number of queries that admitted the tuple.
+        """
+        # The open door without a method call: this runs per arrival.
+        try:
+            door = self._doors[stream_name]
+        except KeyError:
+            door = self._door(stream_name)
+        return door(record, t)
 
-        The row is validated into a values tuple of the stream's schema
-        here, once, by the stream's door (the generated coercer of its
-        layout, see :func:`repro.cql.kernels.coercer_kernel`), before the
-        arrival is logged, queued or counted — a row that does not fit
-        raises :class:`~repro.core.errors.SchemaError` and leaves no
-        trace.  Every reader then shares that one tuple.
+    def ingest_many(self, stream_name: str,
+                    rows: Sequence[Mapping[str, Any] | Record],
+                    t: Timestamp) -> int:
+        """Route a run of arrivals sharing timestamp ``t`` to every query
+        reading ``stream_name``, through the stream's door (a generated
+        function, :func:`repro.cql.kernels.door_kernel`).
 
-        A late arrival is refused here too, before anything else: one
-        behind an instant a unit reading the stream has already queued or
+        Returns the number of ``(row, query)`` admissions — what a loop
+        of :meth:`ingest` over ``rows`` returns in sum, and it leaves
+        every count, queue, log and view table as that loop would.
+
+        A late ``t`` is refused first, once for the run: one behind an
+        instant a unit reading the stream has already queued or
         evaluated, which that unit's drain would refuse.  The group's own
         guard (:func:`~repro.cql.executor.check_feed_time`) raises, as a
         direct ``push_batch`` would: :class:`~repro.core.errors.StateError`,
-        or :class:`~repro.core.errors.TimeError` before the epoch.
+        or :class:`~repro.core.errors.TimeError` before the epoch.  Then
+        every row is validated into a values tuple of the stream's
+        schema, before any arrival is logged, queued or counted — a row
+        that does not fit raises :class:`~repro.core.errors.SchemaError`.
+        Either way the run leaves no trace.  Every reader then shares
+        each row's one tuple.
         """
-        # The open door without a method call: this runs per arrival.
-        door = self._doors.get(stream_name) or self._door(stream_name)
-        if t < self._frontier:
-            values = self._admit_behind(door, stream_name, record, t)
-        else:
-            values = door[0](record)
-            self._frontier = self._watermarks[stream_name] = t
-        if self.recovery is not None:
-            self.recovery.start()  # baseline before the first arrival
-            self._arrival_log.append(("ingest", stream_name, values, t))
-        return self._route(door, stream_name, values, t)
+        door = self._door(stream_name)
+        return door(None, t, rows) if rows else 0
 
-    def _admit_behind(self, door: Door, stream_name: str,
-                      record: Mapping[str, Any] | Record,
-                      t: Timestamp) -> tuple:
-        """:meth:`ingest`'s check and coercion for an arrival behind
-        :attr:`_frontier`: refused if it is late for a unit reading the
-        stream, admitted as it is otherwise (e.g. on a stream another
-        stream's arrivals are ahead of, when no unit reads both)."""
-        check_feed_time(t, max((unit.progress for unit in self._units
-                                if unit.reads_stream(stream_name)),
-                               default=None))
-        values = door[0](record)
-        mark = self._watermarks.get(stream_name)
-        if mark is None or t > mark:
-            self._watermarks[stream_name] = t
-        return values
-
-    def _door(self, stream_name: str) -> Door:
+    def _door(self, stream_name: str) -> Callable[..., int]:
         """The door of ``stream_name`` (see :attr:`_doors`), built if it
-        is not open; an unknown stream is refused here."""
+        is not open: the stream's door kernel, compiled once per layout,
+        bound to its current readers.  An unknown stream is refused
+        here."""
         door = self._doors.get(stream_name)
         if door is None:
             stream = self.catalog.stream(stream_name)
-            door = self._doors[stream_name] = (
-                stream.coerce, self._view_fed.get(stream_name),
-                [unit.offer for unit in self._units
-                 if unit.reads_stream(stream_name)])
-        return door
+            units: list[SchedulingUnit] = []
+            plain: list[tuple] = []
+            policed: list[SchedulingUnit] = []
+            for unit in self._units:
+                if unit.reads_stream(stream_name):
+                    units.append(unit)
+                    if unit._admits_all:
+                        readers = unit._readers[stream_name]
+                        plain.append((unit.queue.offer, readers,
+                                      len(readers), unit.shedder))
+                    else:
+                        policed.append(unit)
 
-    def _route(self, door: Door, stream_name: str, values: tuple,
-               t: Timestamp) -> int:
-        """Offer one validated arrival through its stream's door: to the
-        stream's views base table, if any, and to every reading unit."""
-        _, table, offers = door
-        if table is not None:
-            # Views run on the engine's clock, which only moves forward:
-            # an arrival ahead of it commits at its own instant, any other
-            # commits now — which the service stamps past every view that
-            # already reached the clock, so the next refresh pulls it.
-            # The table shares the stream's schema: it takes the tuple.
-            self.views._commit(table, [(values, 1)],
-                               at=t if t > self.views.clock else None)
-        if obs._STATE.enabled:
-            self.stall_detector.note_arrival(stream_name)
-        admitted = 0
-        for offer in offers:
-            admitted += offer(values, t, stream_name)
-        return admitted
+            def behind(t: Timestamp) -> None:
+                # An arrival behind the frontier: refused if it is late
+                # for a unit reading the stream, admitted as it is
+                # otherwise (e.g. on a stream another stream's arrivals
+                # are ahead of, when no unit reads both).
+                check_feed_time(t, max((unit.progress for unit in units),
+                                       default=None))
+
+            door = self._doors[stream_name] = stream.door(
+                self, stream_name, self._view_fed.get(stream_name), units,
+                plain, policed, behind, obs._STATE)
+        return door
 
     def watermark(self, stream_name: str) -> Timestamp | None:
         """The stream's watermark: the newest timestamp :meth:`ingest`
@@ -935,9 +973,7 @@ class DSMSEngine:
         # before they change anything, so a refused restore is a no-op.
         self.views.restore(payload["views"])
         for unit in self._units:
-            unit.group.restore(payload["queries"][unit.name])
-            # Every operator's state just changed under the ledger.
-            self.scratch.settle(unit)
+            unit.restore(payload["queries"][unit.name])
 
     def _recover_and_replay(self) -> None:
         """Restore the newest checkpoint and re-offer the logged suffix.
@@ -954,15 +990,20 @@ class DSMSEngine:
         for unit in self._units:
             unit.queue.clear()
         replayed = 0
-        for entry in self._arrival_log[checkpoint.offset:]:
-            if entry[0] == "advance":
-                while self.step():
-                    pass
-                self._advance(entry[1])
-            else:
-                _, stream_name, values, t = entry
-                self._route(self._door(stream_name), stream_name, values, t)
-                replayed += 1
+        # Consecutive arrivals of one stream and timestamp re-enter as one
+        # run, through the door that validated and logged them.
+        for run, entries in groupby(self._arrival_log[checkpoint.offset:],
+                                    key=_run_of):
+            if run is None:
+                for _, t in entries:
+                    while self.step():
+                        pass
+                    self._advance(t)
+                continue
+            stream_name, t = run
+            rows = [values for _, _, values, _ in entries]
+            self._door(stream_name)(None, t, rows, True)
+            replayed += len(rows)
         self.recovery.record_replayed(replayed)
 
     def metrics_table(self) -> dict[str, dict[str, float]]:

@@ -29,8 +29,9 @@ class InputQueue:
     grouping.
 
     Beyond drop accounting the queue keeps always-on backpressure
-    telemetry (a handful of integer compares per offer): ``peak`` is the
-    depth high-water mark, and ``pressure_events`` counts upward crossings
+    telemetry: ``peak`` is the depth high-water mark (the depth only
+    rises between polls, so a poll or clear folds it in, and an offer
+    pays nothing for it), and ``pressure_events`` counts upward crossings
     of the pressure threshold (80% occupancy by default) — the signal the
     adaptivity loop watches for sustained overload.  The crossing is
     edge-triggered: one sustained episode above the mark counts once,
@@ -51,16 +52,23 @@ class InputQueue:
         #: The runs, oldest first:
         #: ``[timestamp, stream, values, wait of values[0]]``.
         self._runs: deque[list] = deque()
-        #: The newest run while it may still grow: a poll closes it (the
-        #: depth it was admitted at no longer holds), so the next arrival
-        #: opens a new run even at the same timestamp.
-        self._tail: list | None = None
+        #: The newest run while it may still grow — its timestamp (None
+        #: once closed), stream and values: a poll closes it (the depth
+        #: it was admitted at no longer holds), so the next arrival opens
+        #: a new run even at the same timestamp.
+        self._open_t: Timestamp | None = None
+        self._open_stream: str | None = None
+        self._open: list = []
         #: Values of the head run already polled.
         self._head = 0
         self._depth = 0
-        self.enqueued = 0
+        #: Values polled or cleared, ever: with the depth, what was
+        #: enqueued (see :attr:`enqueued`).
+        self._taken = 0
+        #: The depth high-water mark as of the last poll or clear: the
+        #: depth only rises between them (see :attr:`peak`).
+        self._peak = 0
         self.dropped = 0
-        self.peak = 0
         self.pressure_events = 0
         #: The waits of the tuples the last poll returned, one ``range``
         #: per run it drew from, in arrival order.
@@ -75,16 +83,13 @@ class InputQueue:
         if depth >= self.capacity:
             self.dropped += 1
             return False
-        tail = self._tail
-        if tail is not None and tail[0] == timestamp and tail[1] == stream:
-            tail[2].append(value)
+        if self._open_t == timestamp and self._open_stream == stream:
+            self._open.append(value)
         else:
-            self._tail = tail = [timestamp, stream, [value], depth]
-            self._runs.append(tail)
-        self.enqueued += 1
+            self._open_t, self._open_stream = timestamp, stream
+            self._open = values = [value]
+            self._runs.append([timestamp, stream, values, depth])
         self._depth = depth = depth + 1
-        if depth > self.peak:
-            self.peak = depth
         if depth >= self._pressure_mark and not self._pressured:
             self._pressured = True
             self.pressure_events += 1
@@ -110,7 +115,9 @@ class InputQueue:
         runs = self._runs
         if not runs or (limit is not None and limit <= 0):
             return None
-        self._tail = None
+        self._open_t = None
+        if self._depth > self._peak:
+            self._peak = self._depth
         t = runs[0][0]
         chunks: list[tuple[str, list]] = []
         waits = self.polled_waits = []
@@ -133,6 +140,7 @@ class InputQueue:
             waits.append(range(ahead + start, ahead + end))
             remaining -= end - start
         self._depth -= wanted - remaining
+        self._taken += wanted - remaining
         if self._pressured and self._depth < self._pressure_mark:
             self._pressured = False
         return t, chunks
@@ -141,14 +149,28 @@ class InputQueue:
         """Discard everything queued (recovery rollback: the arrival log
         re-offers these); returns how many tuples were dropped."""
         n = self._depth
+        if n > self._peak:
+            self._peak = n
+        self._taken += n
         self._runs.clear()
-        self._tail = None
+        self._open_t = None
         self._head = 0
         self._depth = 0
         return n
 
     def __len__(self) -> int:
         return self._depth
+
+    @property
+    def enqueued(self) -> int:
+        """Values the queue ever admitted."""
+        return self._depth + self._taken
+
+    @property
+    def peak(self) -> int:
+        """The depth high-water mark."""
+        depth = self._depth
+        return depth if depth > self._peak else self._peak
 
     @property
     def oldest(self) -> Timestamp | None:

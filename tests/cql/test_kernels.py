@@ -734,20 +734,31 @@ class TestFactoryCache:
             engine.register_stream("Obs", schema)
             for tick in range(10):
                 # Every register and cancel closes the stream's door; the
-                # next arrival builds it again, with the cached coercer.
+                # next arrival builds it again from the cached door
+                # kernel, which coerces inline.
                 engine.register_query(f"q{tick}", "SELECT id FROM Obs [Now]")
                 if tick:
                     engine.cancel_query(f"q{tick - 1}")
                 assert engine.ingest(
                     "Obs", {"id": tick, "room": "a", "temp": 3}, tick) == 1
                 engine.run_until_idle()
+            # A bare query's push_batch coerces with the coercer.
+            cql = CQLEngine()
+            cql.register_stream("Obs", schema)
+            query = cql.register_query("SELECT id FROM Obs [Now]")
+            for tick in range(3):
+                query.push_batch(
+                    tick, {"Obs": [{"id": tick, "room": "a", "temp": 3}]})
 
         for _ in range(5):
             fleet(OBS)
             fleet(TYPED)
-        # The projection is one spine kernel, the same for both layouts.
+        # The projection is one spine kernel, the same for both layouts;
+        # each layout has one door and one coercer.
         assert compiles == ["<spine emit ([0])>",
+                            "<door (id, room, temp)>",
                             "<coercer (id, room, temp)>",
+                            "<door (id: int, room: str, temp: int)>",
                             "<coercer (id: int, room: str, temp: int)>"]
 
 

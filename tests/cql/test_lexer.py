@@ -86,3 +86,46 @@ class TestCursor:
         cursor = TokenCursor(tokenize("x ;"))
         cursor.advance()
         assert cursor.at_end()
+
+
+class TestNumbersAreDecimalDigits:
+    """A number token takes ``str.isdecimal`` characters only: a
+    superscript digit is a digit to ``str.isdigit`` but not to ``int()``
+    or ``float()``, so it is an unexpected character, with its position.
+    """
+
+    @pytest.mark.parametrize("text, position", [
+        ("SELECT a FROM S [Range ²]", 23),
+        ("SELECT a FROM S [Rows ³]", 22),
+        ("SELECT a FROM S [Now] WHERE a > ²", 32),
+    ])
+    def test_a_superscript_digit_is_a_parse_error_in_cql(self, text,
+                                                         position):
+        from repro.cql import CQLEngine
+
+        engine = CQLEngine()
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            engine.plan(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text, position", [
+        ("SELECT a FROM S WHERE a > ²", 26),
+        ("SELECT a, COUNT(*) AS n FROM S GROUP BY a, TUMBLE(²)", 50),
+    ])
+    def test_a_superscript_digit_is_a_parse_error_in_streaming_sql(
+            self, text, position):
+        from repro.sql import parse_sql
+
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_sql(text)
+        assert err.value.position == position
+
+    def test_other_decimal_digits_still_read_as_numbers(self):
+        assert kinds("٣ 1٣.5") == [
+            (TokenType.NUMBER, "٣"), (TokenType.NUMBER, "1٣.5")]
+        assert int(kinds("٣")[0][1]) == 3
+
+    def test_a_superscript_inside_a_name_is_part_of_it(self):
+        assert kinds("x² > 1") == [
+            (TokenType.IDENT, "x²"), (TokenType.SYMBOL, ">"),
+            (TokenType.NUMBER, "1")]

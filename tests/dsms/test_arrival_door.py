@@ -1,17 +1,24 @@
 """One door per stream: what ``ingest`` and the recovery replay go through.
 
-A stream's door — its generated coercer, the views base table it feeds
-and the ``offer`` of every unit reading it — is built on the stream's
-first arrival and dropped whenever any of those change.  Counts, not
-clocks: after each change, ``ingest`` returns exactly the number of
-queries reading the stream and every handle's ``metrics.ingested``
-counts exactly the arrivals it was a reader for.
+A stream's door — the generated function of its layout, bound to the
+views base table it feeds and the units reading it — is built on the
+stream's first arrival and dropped whenever any of those change.
+Counts, not clocks: after each change, ``ingest`` returns exactly the
+number of queries reading the stream and every handle's
+``metrics.ingested`` counts exactly the arrivals it was a reader for;
+an arrival costs the door and one queue offer per reader in Python
+calls, and a rebuilt door renders no code.
 """
+
+import os
+import sys
 
 import pytest
 
+import repro
 from repro.chaos import CrashFuse, install_crash
 from repro.core import Schema
+from repro.cql import kernels
 from repro.dsms import DSMSEngine
 
 OBS = Schema(["id", "room", "temp"])
@@ -27,6 +34,26 @@ def make_engine(**kwargs):
 
 def row(ident, room="lab", temp=20):
     return {"id": ident, "room": room, "temp": temp}
+
+
+def calls_made(action):
+    """The Python calls ``action()`` makes into ``repro`` and into the
+    code its kernels generated, in order, as ``(file, function)``."""
+    source = os.path.dirname(repro.__file__)
+    made = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            made.append((frame.f_code.co_filename, frame.f_code.co_name))
+
+    sys.setprofile(profiler)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    generated = {filename for _, filename in kernels._factories.values()}
+    return [(os.path.basename(filename), name) for filename, name in made
+            if filename.startswith(source) or filename in generated]
 
 
 class Census:
@@ -149,14 +176,24 @@ class TestReplayGoesThroughTheDoor:
     def test_a_crash_replay_leaves_the_fault_free_emissions(
             self, monkeypatch):
         routed = []
-        route = DSMSEngine._route
+        door_kernel = kernels.door_kernel
 
-        def spying(self, door, stream_name, values, t):
-            assert door is self._doors[stream_name]
-            routed.append(values)
-            return route(self, door, stream_name, values, t)
+        def spying_kernel(schema):
+            build = door_kernel(schema)
 
-        monkeypatch.setattr(DSMSEngine, "_route", spying)
+            def spying_build(engine, stream_name, *bindings):
+                door = build(engine, stream_name, *bindings)
+
+                def spying(row, t, rows=None, replay=False):
+                    assert spying is engine._doors[stream_name]
+                    routed.extend([row] if rows is None else rows)
+                    return door(row, t, rows, replay)
+
+                return spying
+
+            return spying_build
+
+        monkeypatch.setattr(kernels, "door_kernel", spying_kernel)
         clean = self.drive(make_engine())
         routed.clear()
         fuse = CrashFuse(at=12)
@@ -191,3 +228,46 @@ class TestReplayGoesThroughTheDoor:
         assert fuse.fired == 1
         for handle, reference in zip(handles, clean_handles):
             assert handle.emissions() == reference.emissions()
+
+
+class TestCallsPerArrival:
+    """Counts, not clocks: what one arrival costs in Python calls, and
+    what rebuilding a door costs in generated code."""
+
+    @pytest.mark.parametrize("readers", [1, 4, 16])
+    def test_an_arrival_is_the_door_and_one_offer_per_reader(self, readers):
+        engine = make_engine()
+        for index in range(readers):
+            engine.register_query(f"q{index}", GROUPED)
+        assert engine.ingest("Obs", row(0), 1) == readers  # opens the door
+        admitted = []
+        calls = calls_made(
+            lambda: admitted.append(engine.ingest("Obs", row(1), 1)))
+        assert admitted == [readers]
+        # ingest, the stream's door, and each reader's queue offer: the
+        # coercion, the routing and the books are inline.
+        assert calls == [("engine.py", "ingest"),
+                         ("<door (id, room, temp)>", "door"),
+                         *[("queues.py", "offer")] * readers]
+
+    def test_a_door_rebuilt_after_register_and_cancel_renders_nothing(
+            self, monkeypatch):
+        # A plan with no kernel of its own: a window, nothing above it.
+        window = "SELECT * FROM Obs [Range 5]"
+        engine = make_engine()
+        engine.register_query("a", GROUPED)
+        engine.register_query("b", window)
+        engine.cancel_query("b")
+        assert engine.ingest("Obs", row(0), 1) == 1
+        door = engine._doors["Obs"]
+        rendered = []
+        for name in ("_factory", "door_kernel", "coercer_kernel"):
+            def recording(*args, _name=name, _kernel=getattr(kernels, name)):
+                rendered.append(_name)
+                return _kernel(*args)
+            monkeypatch.setattr(kernels, name, recording)
+        engine.register_query("c", window)
+        engine.cancel_query("c")
+        assert engine.ingest("Obs", row(1), 2) == 1
+        assert engine._doors["Obs"] is not door
+        assert rendered == []

@@ -221,21 +221,28 @@ class TestFoldCostFollowsTheChange:
 class TestOneCoercionPerArrival:
     @pytest.fixture
     def conversions(self, monkeypatch, records_built):
-        """Rows through the generated coercers (every one built while the
-        fixture stands), rows that reached ``Schema.coerce``, rows staged
-        into sources, and Records built."""
+        """Rows the generated doors coerced (every door built while the
+        fixture stands; a door coerces a row inline, calling nothing),
+        rows that reached ``Schema.coerce``, rows staged into sources,
+        and Records built."""
         coerced, fallbacks, staged = [], [], []
-        coercer_kernel, coerce = kernels.coercer_kernel, Schema.coerce
+        door_kernel, coerce = kernels.door_kernel, Schema.coerce
         stage_many = StreamSourceOp.stage_many
 
         def counting_kernel(schema):
-            coercer = coercer_kernel(schema)
+            build = door_kernel(schema)
 
-            def counting_coercer(row):
-                coerced.append(row)
-                return coercer(row)
+            def counting_build(*bindings):
+                door = build(*bindings)
 
-            return counting_coercer
+                def counting_door(row, t, rows=None, replay=False):
+                    if not replay:
+                        coerced.extend([row] if rows is None else rows)
+                    return door(row, t, rows, replay)
+
+                return counting_door
+
+            return counting_build
 
         def counting_coerce(self, row):
             fallbacks.append(row)
@@ -245,7 +252,7 @@ class TestOneCoercionPerArrival:
             staged.extend(rows)
             return stage_many(self, rows, t)
 
-        monkeypatch.setattr(kernels, "coercer_kernel", counting_kernel)
+        monkeypatch.setattr(kernels, "door_kernel", counting_kernel)
         monkeypatch.setattr(Schema, "coerce", counting_coerce)
         monkeypatch.setattr(StreamSourceOp, "stage_many",
                             counting_stage_many)

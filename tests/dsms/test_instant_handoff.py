@@ -272,3 +272,60 @@ class TestNoSheddingIsNotConsulted:
         assert handle.shedder.admitted == 3
         assert handle.shedder.queue_dropped == 1
         assert handle.shedder.shed_fraction == pytest.approx(1 / 3)
+
+
+class TestQuantumBooks:
+    """What a quantum settles after its group instant.  It sums its
+    sources' evictions once and passes the growth since the last quantum
+    through the Throw; a restore, which rolls the sources' counts back,
+    re-reads the mark, so the replayed evictions pass through again.  And
+    it counts each member's new emissions once, without copying them."""
+
+    WINDOW = "SELECT room, COUNT(*) AS n FROM Obs [Range 2] GROUP BY room"
+
+    def feed(self, engine, ticks):
+        for t in ticks:
+            for ident in range(3):
+                engine.ingest("Obs", row(ident, "ab"[ident % 2]), t)
+            engine.run_until_idle()
+
+    def test_evictions_pass_the_throw_once_and_again_after_a_restore(
+            self, monkeypatch):
+        engine = make_engine()
+        handle = engine.register_query("q", self.WINDOW)
+        (source,) = handle.query._stream_sources["Obs"]
+        sums = [0]
+        evictions = SchedulingUnit._evictions
+
+        def counted(self):
+            sums[0] += 1
+            return evictions(self)
+
+        monkeypatch.setattr(SchedulingUnit, "_evictions", counted)
+        self.feed(engine, range(1, 4))
+        assert sums[0] == 3  # one per quantum
+        barrier = engine.snapshot()
+        held, thrown = source.evicted, engine.throw.discarded
+        assert thrown == held > 0
+        self.feed(engine, range(4, 7))
+        passed = engine.throw.discarded - thrown
+        assert passed == source.evicted - held == 9
+        engine.restore(barrier)
+        assert source.evicted == held
+        self.feed(engine, range(4, 7))
+        assert engine.throw.discarded == thrown + 2 * passed
+
+    def test_each_emission_is_counted_once(self):
+        # A quantum counts a member's new emissions without copying them;
+        # across quanta and advances each is counted exactly once.
+        engine = make_engine()
+        handles = [engine.register_query(
+                       "q", self.WINDOW.replace("SELECT", "SELECT ISTREAM")),
+                   engine.register_query(
+                       "hot", "SELECT ISTREAM id FROM Obs [Now] "
+                              "WHERE temp > 10")]
+        self.feed(engine, range(1, 5))
+        engine.advance_time(9)
+        self.feed(engine, range(9, 12))
+        for handle in handles:
+            assert handle.metrics.emitted == len(handle.emissions()) > 3
