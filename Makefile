@@ -14,7 +14,7 @@ test: lint
 # installing is off the table), so its absence skips with a notice.
 lint:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
-		$(PYTHON) -m ruff check src tests benchmarks; \
+		$(PYTHON) -m ruff check src tests benchmarks tools; \
 	else \
 		echo "lint: ruff not installed; skipping style gate"; \
 	fi

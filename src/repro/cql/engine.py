@@ -22,6 +22,7 @@ This is the library's front door for CQL (paper Section 3.1):
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Iterable, Mapping
 
 from repro.core.records import Record, Schema
@@ -29,12 +30,18 @@ from repro.core.relation import TimeVaryingRelation
 from repro.core.stream import Stream
 from repro.plan.ir import LogicalOp
 from repro.plan.parallel import decide_parallelism
+from repro.plan.rules import optimize as run_rules
 from repro.plan.sharing import SubplanMemo
 from repro.cql.catalog import Catalog, RelationDef, StreamDef
 from repro.cql.executor import ContinuousQuery, Emission, SharedGroup
 from repro.cql.parser import parse_query
 from repro.cql.planner import plan_statement
 from repro.cql.reference import reference_evaluate
+
+#: How many plans an engine keeps (see :meth:`CQLEngine.plan`);
+#: the least recently used one goes, with its bound kernels, when a new
+#: one would pass it.
+PLAN_CACHE_SIZE = 128
 
 
 class CQLEngine:
@@ -44,6 +51,12 @@ class CQLEngine:
         self.catalog = Catalog()
         self._optimize = optimize
         self._queries: list[ContinuousQuery] = []
+        #: (text, optimize) -> its plan, least recently used first.
+        self._plans: OrderedDict[tuple[str, bool], LogicalOp] = OrderedDict()
+        #: id(plan) -> the kernels bound for a plan in :attr:`_plans` (see
+        #: :func:`~repro.cql.executor.compile_plan`).  The memo keeps the
+        #: plan alive, so its identity names no other object.
+        self._kernels: dict[int, dict[tuple, Any]] = {}
 
     # -- catalog -------------------------------------------------------------
 
@@ -60,12 +73,31 @@ class CQLEngine:
     # -- planning ------------------------------------------------------------
 
     def plan(self, text: str, optimize: bool | None = None) -> LogicalOp:
-        """Parse and plan a query without registering it."""
-        statement = parse_query(text)
-        plan = plan_statement(statement, self.catalog)
-        if optimize if optimize is not None else self._optimize:
-            from repro.plan.rules import optimize as run_rules
+        """Parse and plan a query without registering it.
+
+        The engine memoises each plan it builds, under the exact text and
+        the effective ``optimize`` flag, so a text planned again costs a
+        dict lookup and returns the same (frozen) plan.  A memoised plan
+        cannot go stale: the catalog only grows (no name is redefined),
+        and a plan captures nothing of it but names and schemas.  A text
+        that fails is not memoised, so it fails again — or plans, once
+        the source it named is declared.  The memo holds at most
+        :data:`PLAN_CACHE_SIZE` plans, least recently used out first.
+        """
+        optimize = bool(self._optimize if optimize is None else optimize)
+        key = (text, optimize)
+        plan = self._plans.get(key)
+        if plan is not None:
+            self._plans.move_to_end(key)
+            return plan
+        plan = plan_statement(parse_query(text), self.catalog)
+        if optimize:
             plan = run_rules(plan)
+        self._plans[key] = plan
+        self._kernels[id(plan)] = {}
+        if len(self._plans) > PLAN_CACHE_SIZE:
+            _, evicted = self._plans.popitem(last=False)
+            del self._kernels[id(evicted)]
         return plan
 
     def explain(self, text: str) -> str:
@@ -101,13 +133,20 @@ class CQLEngine:
                       shared: SharedGroup | None = None,
                       parallelism: int | None = None) -> ContinuousQuery:
         """:meth:`register_query` for a plan :meth:`plan` already built —
-        for callers that inspect the plan before registering it."""
+        for callers that inspect the plan before registering it.
+
+        A plan the memo holds is compiled with the kernels bound for it
+        by the first query compiled from it, so registering it again
+        renders no kernel source; every query still gets operators, and
+        state, of its own."""
+        kernels = self._kernels.get(id(plan))
         if shared is not None:
-            query = shared.register(plan, parallelism or 1)
+            query = shared.register(plan, parallelism or 1, kernels)
         else:
             width = (decide_parallelism(plan, requested=parallelism)
                      if parallelism is not None and parallelism > 1 else 1)
-            query = ContinuousQuery(plan, self.catalog, parallelism=width)
+            query = ContinuousQuery(plan, self.catalog, parallelism=width,
+                                    kernels=kernels)
         self._queries.append(query)
         return query
 

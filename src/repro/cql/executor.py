@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 import time
 from collections import defaultdict, deque
-from dataclasses import replace
 from operator import itemgetter
 from sys import getsizeof
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -645,24 +644,33 @@ class JoinOp(PhysicalOp):
     #: multiplicity)`` (see :class:`AppendOnlyJoinOp`).
     _APPEND_ONLY = False
 
-    def __init__(self, left: PhysicalOp, right: PhysicalOp, node: Join,
-                 predicates: Sequence[Expr] = (),
-                 outputs: Sequence[Expr] | None = None) -> None:
+    def __init__(self, left: PhysicalOp, right: PhysicalOp,
+                 probes: tuple[Callable, Callable]) -> None:
         super().__init__([left, right])
+        self._probe_left, self._probe_right = probes
+        #: The two sides' indexes; each one's tally is the net
+        #: multiplicity it holds.
+        self._left_state = KeyedState(self._weigh)
+        self._right_state = KeyedState(self._weigh)
+
+    @classmethod
+    def render(cls, node: Join, predicates: Sequence[Expr] = (),
+               outputs: Sequence[Expr] | None = None) \
+            -> tuple[Callable, Callable]:
+        """The left and right probes of ``node`` (see
+        :func:`~repro.cql.kernels.join_kernel`), testing ``predicates``
+        after the residual and emitting ``outputs`` when given."""
         if node.residual is not None:
             predicates = [node.residual, *predicates]
         width = len(node.left.schema.fields)
-        self._probe_left, self._probe_right = [
-            join_kernel(side, self._APPEND_ONLY,
+        left, right = [
+            join_kernel(side, cls._APPEND_ONLY,
                         [child.schema.index_of(c) for c in keys],
                         predicates, outputs, node.schema, width)
             for side, child, keys in (("left", node.left, node.left_keys),
                                       ("right", node.right,
                                        node.right_keys))]
-        #: The two sides' indexes; each one's tally is the net
-        #: multiplicity it holds.
-        self._left_state = KeyedState(self._weigh)
-        self._right_state = KeyedState(self._weigh)
+        return left, right
 
     @staticmethod
     def _weigh(entry: dict[tuple, int]) -> int:
@@ -717,15 +725,12 @@ class AggregateOp(PhysicalOp):
 
     _STATE_ATTRS = ("_groups", "_current_rows", "_child_active")
 
-    def __init__(self, plan: Aggregate | WindowAggregate,
-                 in_schema: Schema) -> None:
+    def __init__(self, kernel: Callable) -> None:
         super().__init__([])  # children attached by compiler
-        self._plan = plan
         #: The generated instant (see :mod:`repro.cql.kernels`): keys,
-        #: folds and finishes by position, bound to this plan's compiled
+        #: folds and finishes by position, bound to the plan's compiled
         #: argument evaluators.
-        self._kernel = aggregate_kernel(plan.group_by, plan.aggregates,
-                                        in_schema)
+        self._kernel = kernel
         #: Group key -> its accumulators, and -> its current output row.
         self._groups = KeyedState()
         self._current_rows = KeyedState()
@@ -761,15 +766,20 @@ class GroupWindowAggregateOp(AggregateOp):
     same batch re-inserts its group and start, so that is no close.
     """
 
-    def __init__(self, plan: WindowAggregate,
-                 source: GroupWindowSourceOp) -> None:
-        bounds = plan.schema.fields[-2:]
-        super().__init__(replace(plan, group_by=plan.group_by + bounds,
-                                 group_names=plan.group_names + bounds,
-                                 window=None),
-                         source.scan.schema.concat(Schema(bounds)))
+    def __init__(self, plan: WindowAggregate, source: GroupWindowSourceOp,
+                 kernel: Callable) -> None:
+        super().__init__(kernel)
         self.children = [source]
         self._start = len(plan.group_by)  # the kernel's window_start
+
+    @staticmethod
+    def render(plan: WindowAggregate, in_schema: Schema) -> Callable:
+        """The generated instant of ``plan`` over its source's rows of
+        ``in_schema``: the window bounds are appended to each row and
+        grouped on after the group columns."""
+        bounds = plan.schema.fields[-2:]
+        return aggregate_kernel(plan.group_by + bounds, plan.aggregates,
+                                in_schema.concat(Schema(bounds)))
 
     def process(self, t, child_deltas):
         deltas = self._kernel(self, t, child_deltas)
@@ -981,6 +991,7 @@ def _compose(chain: Sequence[Filter | Project], schema: Schema) \
 
 def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                  memo=None, parallelism: int = 1,
+                 kernels: dict[tuple, Any] | None = None,
                  ) -> tuple[PhysicalOp, dict[str, list[StreamSourceOp]],
                             dict[str, list[RelationSourceOp]],
                             dict[int, list[PhysicalOp]], Any]:
@@ -1008,6 +1019,14 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
     to one physical op per partition, in partition order, and so does
     each stream's source list: partition ``p`` owns the ``p``-th equal
     slice of it.  The plan must be key-partitionable.
+
+    ``kernels`` is an optional table of the generated kernels bound for
+    ``plan``'s nodes, keyed by the nodes' identities: a kernel found
+    there is taken as it is, and one rendered is put there.  Kernels
+    hold no state (an operator passes its own to them), so queries
+    compiled from one plan object share its table; the table must die
+    with the plan, which keeps the identities valid (see
+    :meth:`repro.cql.engine.CQLEngine.plan`).
     """
     stream_sources: dict[str, list[StreamSourceOp]] = defaultdict(list)
     relation_sources: dict[str, list[RelationSourceOp]] = defaultdict(list)
@@ -1025,6 +1044,15 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                 "plan is not key-partitionable; run it with parallelism 1 "
                 "(see repro.plan.parallel.partition_scheme)")
         boundary = scheme.boundary
+
+    def bound(key: tuple, render: Callable[[], Any]) -> Any:
+        """The kernel ``render`` makes, rendered once per ``kernels``."""
+        if kernels is None:
+            return render()
+        kernel = kernels.get(key)
+        if kernel is None:
+            kernel = kernels[key] = render()
+        return kernel
 
     def build(node: LogicalOp) -> PhysicalOp:
         if isinstance(node, RelToStream):
@@ -1078,23 +1106,29 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
             inner = inner.child
         predicates, outputs = _compose(chain, inner.schema)
         if memo is None and isinstance(inner, Join) and inner is not boundary:
-            op = _build_join(inner, predicates, outputs)
+            op = _build_join(inner, predicates, outputs, top)
             _record(inner, op)
         else:
             if base is None:
                 base = build(inner)
             op = base if not predicates and outputs is None else \
-                SpineOp(base, spine_kernel(predicates, outputs, inner.schema))
+                SpineOp(base, bound(
+                    ("spine", id(top), id(inner)),
+                    lambda: spine_kernel(predicates, outputs, inner.schema)))
         for node in chain[1:]:
             _record(node, op)
         return op
 
     def _build_join(node: Join, predicates: Sequence[Expr] = (),
-                    outputs: Sequence[Expr] | None = None) -> JoinOp:
+                    outputs: Sequence[Expr] | None = None,
+                    top: Filter | Project | None = None) -> JoinOp:
+        """``node``'s join, running the chain from ``top`` down when one
+        is fused into it (its ``predicates`` and ``outputs``)."""
         join_cls = (AppendOnlyJoinOp if _executor_append_only(node)
                     else JoinOp)
-        return join_cls(build(node.left), build(node.right), node,
-                        predicates, outputs)
+        probes = bound(("join", id(top), id(node)),
+                       lambda: join_cls.render(node, predicates, outputs))
+        return join_cls(build(node.left), build(node.right), probes)
 
     def _record(node: LogicalOp, op: PhysicalOp) -> None:
         node_map.setdefault(id(node), []).append(op)
@@ -1123,7 +1157,8 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                 "window operator must sit on a stream scan"
                 if isinstance(node, WindowOp) else "group windows cannot "
                 "appear in a dynamic-table plan; they read a stream")
-        prefilter = (prefilter_kernel(predicates, inner.schema)
+        prefilter = (bound(("prefilter", id(node)),
+                           lambda: prefilter_kernel(predicates, inner.schema))
                      if predicates else None)
         source = (StreamSourceOp(inner, node.spec, agenda, prefilter)
                   if isinstance(node, WindowOp) else
@@ -1157,13 +1192,19 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                             "EMIT CHANGES over a group window is not "
                             "implemented: window refinements are not "
                             "supported, use EMIT FINAL")
-                    return GroupWindowAggregateOp(node, source)
+                    return GroupWindowAggregateOp(node, source, bound(
+                        ("aggregate", id(node)),
+                        lambda: GroupWindowAggregateOp.render(
+                            node, source.scan.schema)))
                 if node.emit is not EmitMode.CHANGES:
                     raise PlanError(
                         f"EMIT {node.emit.value.upper()} is meaningless for "
                         f"a dynamic table; views always materialise changes")
             child = build(node.child)
-            op = AggregateOp(node, node.child.schema)
+            op = AggregateOp(bound(("aggregate", id(node)),
+                                   lambda: aggregate_kernel(
+                                       node.group_by, node.aggregates,
+                                       node.child.schema)))
             op.children = [child]
             return op
         if isinstance(node, Distinct):
@@ -1392,16 +1433,18 @@ class SharedGroup:
 
     # -- membership ----------------------------------------------------------
 
-    def register(self, plan: LogicalOp,
-                 parallelism: int = 1) -> "ContinuousQuery":
-        """Compile ``plan`` into the group, sharing common subplans."""
+    def register(self, plan: LogicalOp, parallelism: int = 1,
+                 kernels: dict[tuple, Any] | None = None,
+                 ) -> "ContinuousQuery":
+        """Compile ``plan`` into the group, sharing common subplans (and
+        ``plan``'s bound ``kernels``, see :func:`compile_plan`)."""
         if self._started:
             raise PlanError(
                 "cannot add a query to a shared group after data has "
                 "flowed: the shared window state would be missing the "
                 "newcomer's history")
         return ContinuousQuery(plan, self.catalog, group=self,
-                               parallelism=parallelism)
+                               parallelism=parallelism, kernels=kernels)
 
     def _adopt(self, query: "ContinuousQuery") -> None:
         """Take ``query`` in as a member, or take its new tree when a
@@ -1632,12 +1675,14 @@ class ContinuousQuery:
     key's partition, while the agenda, the maintained state, the
     change-log and the emissions stay single.
     :func:`repro.runtime.rescale.rescale` changes the width of a running
-    query.
+    query.  ``kernels`` is ``plan``'s table of bound kernels, shared by
+    every query compiled from that plan object (see :func:`compile_plan`).
     """
 
     def __init__(self, plan: LogicalOp, catalog: Catalog,
                  group: SharedGroup | None = None,
-                 parallelism: int = 1) -> None:
+                 parallelism: int = 1,
+                 kernels: dict[tuple, Any] | None = None) -> None:
         if parallelism < 1:
             raise PlanError(f"parallelism must be >= 1, got {parallelism}")
         self.plan = plan
@@ -1663,7 +1708,7 @@ class ContinuousQuery:
         self._deltas_processed = 0
         self._install(compile_plan(
             plan, catalog, self.group.agenda, memo=self.group.memo,
-            parallelism=parallelism), parallelism)
+            parallelism=parallelism, kernels=kernels), parallelism)
 
     def _install(self, compiled: tuple, parallelism: int) -> None:
         """Adopt a tree :func:`compile_plan` built at ``parallelism`` (at

@@ -194,3 +194,13 @@ class TokenCursor:
     def at_end(self) -> bool:
         token = self.peek()
         return token.type is TokenType.EOF or token.is_symbol(";")
+
+    def expect_end(self) -> None:
+        """Close a statement: end of input, after at most one ``;``.
+        Anything else — a second statement too — is refused as trailing
+        input at its position, so no text is silently dropped."""
+        self.match_symbol(";")
+        token = self.peek()
+        if token.type is not TokenType.EOF:
+            raise ParseError(
+                f"unexpected trailing input {token.text!r}", token.position)

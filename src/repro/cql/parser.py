@@ -71,10 +71,7 @@ def parse_query(text: str) -> SelectStatement | SetStatement:
     cursor = TokenCursor(tokenize(text))
     statement = _parse_statement(cursor)
     statement = _parse_set_tail(cursor, statement)
-    if not cursor.at_end():
-        token = cursor.peek()
-        raise ParseError(
-            f"unexpected trailing input {token.text!r}", token.position)
+    cursor.expect_end()
     return statement
 
 

@@ -515,6 +515,8 @@ class DSMSEngine:
         if name in self._by_name:
             raise PlanError(f"query name {name!r} already registered")
         # Planned once: the batching pass and the compiler share the plan.
+        # A text registered before is a memo hit whose kernels are bound
+        # already (see CQLEngine.plan and register_plan).
         plan = self._cql.plan(text)
         # Default-policy queries join the communal shared plan group.  A
         # per-unit setting — a custom shedder, queue or batch cap — needs

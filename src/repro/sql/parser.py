@@ -45,10 +45,7 @@ def parse_sql(text: str) -> SQLStatement:
     """Parse a streaming SQL query string."""
     cursor = TokenCursor(tokenize(text))
     statement = _parse_select(cursor)
-    if not cursor.at_end():
-        token = cursor.peek()
-        raise ParseError(
-            f"unexpected trailing input {token.text!r}", token.position)
+    cursor.expect_end()
     return statement
 
 
@@ -57,10 +54,7 @@ def parse_statement(text: str) -> SQLStatement | CreateDynamicTable:
     cursor = TokenCursor(tokenize(text))
     if not cursor.match_keyword("CREATE"):
         statement = _parse_select(cursor)
-        if not cursor.at_end():
-            token = cursor.peek()
-            raise ParseError(
-                f"unexpected trailing input {token.text!r}", token.position)
+        cursor.expect_end()
         return statement
     cursor.expect_keyword("DYNAMIC")
     cursor.expect_keyword("TABLE")
@@ -79,10 +73,7 @@ def parse_statement(text: str) -> SQLStatement | CreateDynamicTable:
             target_lag = _parse_duration(cursor)
     cursor.expect_keyword("AS")
     select = _parse_select(cursor)
-    if not cursor.at_end():
-        token = cursor.peek()
-        raise ParseError(
-            f"unexpected trailing input {token.text!r}", token.position)
+    cursor.expect_end()
     return CreateDynamicTable(name=name, target_lag=target_lag,
                               select=select)
 

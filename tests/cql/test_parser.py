@@ -206,3 +206,29 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_query("")
+
+
+class TestStatementEnd:
+    """A ``;`` closes the statement, and only end of input may follow it:
+    text after it was once dropped without a word, so a registration ran
+    only the first of two statements."""
+
+    @pytest.mark.parametrize("text", [
+        "SELECT id FROM Obs [Range 5];",
+        "SELECT id FROM Obs [Range 5] ;  -- done",
+    ])
+    def test_one_closed_statement_parses(self, text):
+        assert parse_query(text) == parse_query("SELECT id FROM Obs [Range 5]")
+
+    @pytest.mark.parametrize("text, trailing", [
+        ("SELECT id FROM Obs [Range 5]; DROP", "DROP"),
+        ("SELECT id FROM Obs [Range 5]; SELECT room FROM Obs", "SELECT"),
+        ("SELECT id FROM Obs [Range 5];;", ";"),
+    ])
+    def test_text_after_the_semicolon_is_refused_where_it_starts(
+            self, text, trailing):
+        with pytest.raises(ParseError, match="unexpected trailing input") \
+                as refused:
+            parse_query(text)
+        after = text.index(";") + 1
+        assert refused.value.position == text.index(trailing, after)

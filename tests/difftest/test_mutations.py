@@ -131,3 +131,23 @@ def test_the_fused_emission_mutant_is_caught_on_a_fused_join():
     assert any(isinstance(node, Project) and isinstance(node.child, Join)
                for node in walk(plan))
     assert run_case(case) is None
+
+
+@pytest.mark.difftest
+@pytest.mark.parametrize("name", ["null-counting-count", "join-probe-own-row"])
+def test_a_renderer_mutant_is_caught_after_its_shapes_compiled_clean(name):
+    """Both mutants patch a kernel renderer (``kernels.STEPS``,
+    ``kernels._join_column``).  Each case the seed-0 fuzz draws runs
+    unmutated first, which renders, compiles and caches its kernels in
+    this process; the mutant must still be caught on the same cases: no
+    cache between a plan and its kernels may bypass a patched renderer."""
+    factory, _leg = MUTANTS[name]
+    rng = random.Random(0)
+    for _ in range(BUDGET):
+        case = gen_case(rng)
+        assert run_case(case) is None
+        with factory():
+            if run_case(case) is not None:
+                return
+    pytest.fail(f"oracle missed mutant {name!r} within {BUDGET} cases "
+                f"once its shapes had compiled clean")

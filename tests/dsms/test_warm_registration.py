@@ -1,0 +1,212 @@
+"""A repeated query text registers at lookup cost.
+
+Counts, not clocks: registering a text the engine has planned before
+tokenizes, parses, plans, optimises and renders nothing — the engine's
+plan memo holds the plan, and the kernels bound for it by the first
+query compiled from it — while a cold text does exactly the work it
+always did.  Two queries compiled from one memoised plan still own
+their operators, state and answers, isolated, shared, fissioned and
+crashed.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.chaos import CrashFuse, install_crash
+from repro.core import ParseError, Schema, Stream
+from repro.cql import CQLEngine, kernels, lexer, parser, planner
+from repro.dsms import DSMSEngine
+from repro.plan import rules
+
+OBS = Schema(["id", "room", "temp"])
+ROOMS = Schema(["room", "floor"])
+ROOM_ROWS = [{"room": "a", "floor": 1}, {"room": "b", "floor": 2}]
+
+#: The functions a registration spends its parse, plan and render time
+#: in: the lexer, parser, planner and optimizer, the factory compiler and
+#: the kernel source renderers.
+WORK = {function.__code__: name for name, function in [
+    ("tokenize", lexer.tokenize),
+    ("parse_query", parser.parse_query),
+    ("plan_statement", planner.plan_statement),
+    ("optimize", rules.optimize),
+    ("_factory", kernels._factory),
+    ("_aggregate_source", kernels._aggregate_source),
+    ("_conjuncts", kernels._conjuncts),
+    ("_join_column", kernels._join_column),
+]}
+
+GROUPED = ("SELECT room, COUNT(temp) AS n FROM Obs [Range 5] WHERE temp > 1 "
+           "GROUP BY room")
+JOINED = ("SELECT O.id, R.floor FROM Obs O [Range 5], Rooms R "
+          "WHERE O.room = R.room AND R.floor > 1")
+SPINE = "SELECT id, temp + 1 AS t FROM Obs [Range 3] WHERE temp > 0"
+STREAM_JOIN = ("SELECT ISTREAM O.id, A.level FROM Obs O [Range 4], "
+               "Alerts A [Rows 2] WHERE O.id = A.id AND O.temp > A.level")
+
+#: What registering each text cold costs, one entry per call (the
+#: counts the engine made before plans were memoised).
+COLD = {
+    GROUPED: {"tokenize": 1, "parse_query": 1, "plan_statement": 1,
+              "optimize": 1, "_factory": 2, "_aggregate_source": 1,
+              "_conjuncts": 1},
+    JOINED: {"tokenize": 1, "parse_query": 1, "plan_statement": 1,
+             "optimize": 1, "_factory": 3, "_conjuncts": 3,
+             "_join_column": 6},
+    SPINE: {"tokenize": 1, "parse_query": 1, "plan_statement": 1,
+            "optimize": 1, "_factory": 2, "_conjuncts": 2},
+    STREAM_JOIN: {"tokenize": 1, "parse_query": 1, "plan_statement": 1,
+                  "optimize": 1, "_factory": 2, "_conjuncts": 2,
+                  "_join_column": 6},
+}
+
+
+def work_done(action):
+    """The calls ``action()`` makes into :data:`WORK`, counted by name."""
+    made = Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code in WORK:
+            made[WORK[frame.f_code]] += 1
+
+    sys.setprofile(profiler)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return dict(made)
+
+
+def declare(engine):
+    engine.register_stream("Obs", OBS)
+    engine.register_stream("Alerts", Schema(["id", "level"]))
+    engine.register_relation("Rooms", ROOMS, ROOM_ROWS)
+    return engine
+
+
+class TestCallsPerRegistration:
+    @pytest.mark.parametrize("text", sorted(COLD))
+    def test_a_cold_text_does_the_work_it_always_did(self, text):
+        engine = declare(DSMSEngine())
+        assert work_done(lambda: engine.register_query("q", text)) \
+            == COLD[text]
+
+    @pytest.mark.parametrize("text", sorted(COLD))
+    def test_a_warm_text_parses_plans_and_renders_nothing(self, text):
+        engine = declare(DSMSEngine())
+        first = engine.register_query("first", text)
+        assert work_done(lambda: engine.register_query("again", text)) == {}
+        again = engine.query("again")
+        assert again.query.plan is first.query.plan
+        operators = [op for _, op in first.query.operators()]
+        assert not any(op is mine for _, mine in again.query.operators()
+                       for op in operators)
+
+    def test_cancelling_and_reregistering_a_warm_text_renders_nothing(self):
+        engine = declare(DSMSEngine())
+        engine.register_query("keep", GROUPED)
+        engine.register_query("go", JOINED)
+        engine.cancel_query("go")
+
+        def churn():
+            for round_ in range(3):
+                for text in (GROUPED, JOINED):
+                    name = f"{round_}-{text[:12]}"
+                    engine.register_query(name, text)
+                    engine.cancel_query(name)
+
+        assert work_done(churn) == {}
+
+    def test_engines_do_not_share_their_memo(self):
+        declare(DSMSEngine()).register_query("q", GROUPED)
+        engine = declare(DSMSEngine())
+        assert work_done(lambda: engine.register_query("q", GROUPED)) \
+            == COLD[GROUPED]
+
+    def test_text_after_a_semicolon_is_refused_not_dropped(self):
+        engine = declare(DSMSEngine())
+        with pytest.raises(ParseError, match="unexpected trailing input"):
+            engine.register_query("q", f"{GROUPED}; DROP")
+        assert engine.queries == []
+
+
+# ---------------------------------------------------------------------------
+# Two queries from one plan
+# ---------------------------------------------------------------------------
+
+TICKS = 10
+#: The tick before which the second query is registered (the first is
+#: registered at the start), and the tick after which the first is
+#: cancelled: the two see different histories and end at different
+#: instants, so their answers differ.  A shared group takes members only
+#: before data flows and none of them leaves, so there both run through.
+SECOND_AT, CANCEL_AFTER = 4, 7
+
+TEXTS = [
+    "SELECT room, COUNT(*) AS n, MAX(temp) AS hot FROM Obs [Range 4] "
+    "WHERE temp > 5 GROUP BY room",
+    "SELECT O.room, COUNT(*) AS n FROM Obs O [Range 4], Rooms R "
+    "WHERE O.room = R.room AND R.floor > 1 GROUP BY O.room",
+]
+
+
+def arrivals(t):
+    return [{"id": t * 10 + k, "room": "ab"[(t + k) % 2],
+             "temp": (t * 7 + k * 5) % 30} for k in range(3)]
+
+
+def one_shot(text, first, last):
+    """The answer at ``last`` of ``text`` over the arrivals stamped
+    ``first`` to ``last``."""
+    cql = declare(CQLEngine())
+    rows = [(row, t) for t in range(first, last + 1) for row in arrivals(t)]
+    return cql.run_one_shot(
+        text, {"Obs": Stream.of_records(OBS, rows)}).at(last)
+
+
+MODES = {
+    "isolated": ({}, {}),
+    "shared": ({"sharing": True}, {}),
+    "fissioned": ({}, {"parallelism": 2}),
+    "crashed": ({"recovery_interval": 2}, {}),
+}
+
+
+@pytest.mark.parametrize("text", TEXTS)
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_two_queries_from_one_plan_keep_their_own_answers(mode, text):
+    engine_kwargs, query_kwargs = MODES[mode]
+    engine = declare(DSMSEngine(**engine_kwargs))
+    first = engine.register_query("first", text, **query_kwargs)
+    shared = mode == "shared"
+    second_at, cancel_after = (1, TICKS) if shared else (SECOND_AT,
+                                                         CANCEL_AFTER)
+    fuse = None
+    for t in range(1, TICKS + 1):
+        if t == second_at:
+            second = engine.register_query("second", text, **query_kwargs)
+            assert second.query.plan is first.query.plan
+            if mode == "crashed":
+                labels = [label for label, _ in second.query.operators()]
+                fuse = CrashFuse(at=3)
+                install_crash(second.query, labels.index("AggregateOp"),
+                              fuse)
+        engine.ingest_many("Obs", arrivals(t), t)
+        engine.run_until_idle()
+        if t == cancel_after and not shared:
+            engine.cancel_query("first")
+    if shared:
+        assert second.query.group is first.query.group
+        assert second.query.changelog is not first.query.changelog
+    else:
+        mine = {id(op) for _, op in first.query.operators()}
+        assert not mine & {id(op) for _, op in second.query.operators()}
+    if mode == "fissioned":
+        assert first.query.parallelism == second.query.parallelism == 2
+    if fuse is not None:
+        assert fuse.fired == 1
+        assert engine.recovery.attempts == 1
+    assert first.store_state() == one_shot(text, 1, cancel_after)
+    assert second.store_state() == one_shot(text, second_at, TICKS)

@@ -8,6 +8,7 @@ from repro.sql import (
     GroupWindowKind,
     SQLEngine,
     parse_sql,
+    parse_statement,
     run_sql,
 )
 
@@ -63,6 +64,26 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_sql("SELECT room FROM Obs EMIT CHANGES banana split")
+
+    @pytest.mark.parametrize("parse", [parse_sql, parse_statement])
+    def test_a_semicolon_closes_the_statement(self, parse):
+        assert parse("SELECT room FROM Obs;") == parse("SELECT room FROM Obs")
+
+    @pytest.mark.parametrize("text", [
+        "SELECT room FROM Obs; DROP",
+        "SELECT room FROM Obs; SELECT temp FROM Obs",
+        "CREATE DYNAMIC TABLE t TARGET_LAG = 0 AS SELECT room FROM Obs; "
+        "SELECT temp FROM Obs",
+    ])
+    def test_text_after_the_semicolon_is_refused_where_it_starts(self,
+                                                                 text):
+        parses = [parse_statement] if text.startswith("CREATE") \
+            else [parse_sql, parse_statement]
+        for parse in parses:
+            with pytest.raises(ParseError,
+                               match="unexpected trailing input") as refused:
+                parse(text)
+            assert refused.value.position == text.index(";") + 2
 
 
 class TestStatelessQueries:
