@@ -1,4 +1,4 @@
-"""Fault injection and crash recovery for the unified kernel (§4.2).
+"""Fault injection and crash recovery (§4.2).
 
 The survey makes fault tolerance the defining capability of modern
 continuous-query systems: aligned barriers, consistent snapshots, and
@@ -9,12 +9,13 @@ obligation:
 * :mod:`repro.chaos.injection` — provoke the failures: crash an operator
   at the Nth element (:func:`install_crash`), run broker fetches through
   a seeded faulty transport that drops/duplicates/reorders deliveries
-  (:class:`ChaosBroker`), or stall a source past its ``idle_timeout``
-  (:class:`SourceStall`).
+  (:class:`ChaosBroker`), or withhold one source's arrivals long enough
+  for the DSMS stall detector to flag it (:class:`SourceStall`).
 * :mod:`repro.chaos.recovery` — survive them: :class:`RecoveryManager`
   takes periodic checkpoints of any target exposing ``snapshot()`` /
-  ``restore()`` (a :class:`~repro.cql.executor.ContinuousQuery`, an
-  :class:`~repro.exec.Plan`, a :class:`~repro.dsms.engine.DSMSEngine`)
+  ``restore()`` (a :class:`~repro.cql.executor.ContinuousQuery`, a
+  :class:`~repro.views.DynamicTableService`, a
+  :class:`~repro.dsms.engine.DSMSEngine`)
   and drives restore-and-replay with bounded retries and exponential
   backoff, publishing ``recovery.attempts`` / ``checkpoint.bytes`` /
   ``recovery.replayed_records`` through :mod:`repro.obs`.

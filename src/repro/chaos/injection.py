@@ -12,9 +12,10 @@ recovery protocols must survive:
   :class:`repro.runtime.broker.Broker` and runs every ``fetch`` through a
   seeded lossy channel that drops, duplicates and reorders deliveries
   (the at-most/at-least-once failure modes of a real log consumer).
-* **stalled source** — :class:`SourceStall` withholds one source's pushes
-  for a window of the drive sequence, long enough to trip the kernel's
-  ``idle_timeout`` machinery, then releases the held elements.
+* **stalled source** — :class:`SourceStall` withholds one source's
+  arrivals for a window of the drive sequence, long enough for the DSMS
+  :class:`~repro.obs.StallDetector` to flag it, then releases the held
+  elements.
 """
 
 from __future__ import annotations
@@ -141,11 +142,12 @@ class SourceStall:
     """Withholds one source's elements for a window of the drive sequence.
 
     The driver consults :meth:`admit` for every element it is about to
-    push; during the stall window (drive steps ``[after, after+duration)``)
-    elements of the stalled source are held instead of delivered, which
-    starves the source long enough to trip a plan's ``idle_timeout``.
-    :meth:`release` hands the held elements back for late delivery, the
-    reactivation path the idle-source machinery must survive.
+    ingest; during the stall window (drive steps ``[after,
+    after+duration)``) elements of the stalled source are held instead of
+    delivered, which starves the source while the others keep arriving —
+    long enough for a :class:`~repro.dsms.engine.DSMSEngine`'s stall
+    detector (fed while obs is on) to flag it.  :meth:`release` hands the
+    held elements back for late delivery, which clears the flag.
     """
 
     def __init__(self, source: str, after: int, duration: int) -> None:

@@ -1,16 +1,15 @@
 """Checkpoint/restore/replay for any checkpoint-capable execution target.
 
-:class:`RecoveryManager` is the kernel-side counterpart of the actor
+:class:`RecoveryManager` is the in-process counterpart of the actor
 runtime's :class:`~repro.runtime.checkpoint.CheckpointCoordinator`: where
 the coordinator collects distributed per-subtask reports behind aligned
 barriers, the manager checkpoints a *local* target — anything exposing
 ``snapshot()`` / ``restore(payload)``, i.e. a
 :class:`~repro.cql.executor.ContinuousQuery`, a
-:class:`~repro.views.DynamicTableService`, a whole
-:class:`~repro.dsms.engine.DSMSEngine`, or an :class:`~repro.exec.Plan`
-over :class:`~repro.exec.state.StateBackend` operators — at input-offset
-boundaries (barrier-by-instant), and on failure drives restore-and-replay
-with bounded retries and exponential backoff.
+:class:`~repro.views.DynamicTableService`, or a whole
+:class:`~repro.dsms.engine.DSMSEngine` — at input-offset boundaries
+(barrier-by-instant), and on failure drives restore-and-replay with
+bounded retries and exponential backoff.
 
 The CQL stack's targets checkpoint by in-place barrier: ``snapshot()``
 moves a recovery image kept inside the target and returns what changed
@@ -23,8 +22,8 @@ Observability (all through :mod:`repro.obs`, gated on ``obs.enable()``):
 * ``recovery.attempts`` — restore attempts, labelled by target kind;
 * ``checkpoint.bytes`` — the size of taken checkpoints.  A barrier sizes
   itself as it copies (the target's ``barrier_bytes``: the bytes its
-  copies of the changed state allocated); a target without one (a kernel
-  ``Plan``, :mod:`repro.viewmaint`) is measured with
+  copies of the changed state allocated); a target without one (a
+  :mod:`repro.viewmaint` strategy) is measured with
   :func:`estimate_bytes`;
 * ``recovery.replayed_records`` — input records reprocessed after
   rollback (the replay-volume cost of the chosen checkpoint interval);
@@ -49,7 +48,7 @@ def estimate_bytes(state: Any) -> int:
     Linear in everything the payload reaches, including what it holds by
     reference and never copied, and often dearer than taking the
     snapshot.  So it sizes only the full snapshots of targets outside the
-    CQL stack (a kernel :class:`~repro.exec.Plan`, :mod:`repro.viewmaint`);
+    CQL stack (a :mod:`repro.viewmaint` strategy);
     a target that sizes its own barrier reports ``barrier_bytes``
     instead.
     """

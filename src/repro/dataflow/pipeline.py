@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 import repro.obs as obs
-from repro.core.errors import PlanError
+from repro.core.errors import PlanError, WindowError
 from repro.core.punctuation import AscendingWatermarks, WatermarkGenerator
 from repro.core.time import MAX_TIMESTAMP, Timestamp
 from repro.core.windows import Window
@@ -43,7 +43,7 @@ from repro.dataflow.triggers import (
     Trigger,
 )
 from repro.dataflow.windowfn import GlobalWindows, WindowFn
-from repro.exec import Operator, Plan
+from repro.exec import Emitter, Operator, OperatorContext
 
 
 @dataclass
@@ -97,6 +97,9 @@ class PCollection:
                     accumulation: AccumulationMode =
                     AccumulationMode.DISCARDING,
                     allowed_lateness: Timestamp = 0) -> "PCollection":
+        if allowed_lateness < 0:
+            raise WindowError(
+                f"allowed lateness must be >= 0, got {allowed_lateness}")
         node = PCollection(self.pipeline, "window", self)
         node.windowing = WindowingStrategy(
             window_fn, trigger or DEFAULT_TRIGGER, accumulation,
@@ -223,10 +226,9 @@ class Pipeline:
     # -- execution ----------------------------------------------------------------
 
     def run(self) -> PipelineResult:
-        """Execute the pipeline: the DAG is lowered onto the shared
-        execution kernel (:mod:`repro.exec`) and each source is replayed
-        in arrival order."""
-        return _KernelRunner(self).run()
+        """Execute the pipeline: each source is replayed in arrival order
+        through its tree of transforms."""
+        return _Runner(self).run()
 
 
 def _logical_label(node: PCollection) -> tuple[str, str]:
@@ -247,14 +249,12 @@ def _logical_label(node: PCollection) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Kernel lowering
+# Runner
 # ---------------------------------------------------------------------------
 
 
 class _ParDoOp(Operator):
-    """ParDo as a kernel operator (stateless, fusible)."""
-
-    fusible = True
+    """ParDo: zero or more outputs per element, windows kept."""
 
     def __init__(self, fn: Callable[[Any], Iterable[Any]]) -> None:
         self._fn = fn
@@ -266,9 +266,7 @@ class _ParDoOp(Operator):
 
 
 class _WindowOp(Operator):
-    """Window assignment as a kernel operator (stateless, fusible)."""
-
-    fusible = True
+    """Window assignment: re-window each element by its timestamp."""
 
     def __init__(self, window_fn: WindowFn) -> None:
         self._window_fn = window_fn
@@ -280,16 +278,16 @@ class _WindowOp(Operator):
 
 
 class _GBKOp(Operator):
-    """GroupByKey as a kernel operator: insert, merge, fire, finalise.
+    """GroupByKey: insert, merge, fire, finalise, expire.
 
-    Inserts judge lateness against the kernel's tracked watermark,
-    ``process_watermark`` fires the panes whose trigger says so, and
-    ``close`` force-drains the rest.  Processing-time triggers count
-    pipeline arrivals, not elements reaching this node, so the operator
-    reads its runner's arrival index.
+    Inserts judge lateness against the source's watermark,
+    ``process_watermark`` fires the panes whose trigger says so and drops
+    the ones that can never change again, and ``close`` force-drains the
+    rest.  Processing-time triggers count pipeline arrivals, not elements
+    reaching this node, so the operator reads its runner's arrival index.
     """
 
-    def __init__(self, node: PCollection, runner: "_KernelRunner") -> None:
+    def __init__(self, node: PCollection, runner: "_Runner") -> None:
         self.node = node
         self._runner = runner
         self.result = runner.result
@@ -315,8 +313,7 @@ class _GBKOp(Operator):
         for piece in wv.exploded():
             (window,) = piece.windows
             # Lateness: beyond allowed lateness the element is dropped.
-            if watermark >= window.end - 1 + strategy.allowed_lateness \
-                    and watermark >= window.end - 1:
+            if watermark >= window.end - 1 + strategy.allowed_lateness:
                 self.result.dropped_late += 1
                 if self._obs:
                     self._registry.counter("dataflow.dropped_late").inc()
@@ -367,7 +364,15 @@ class _GBKOp(Operator):
 
     def process_watermark(self, watermark: Timestamp,
                           input_index: int = 0) -> None:
-        trigger = self.node.windowing.trigger
+        strategy = self.node.windowing
+        trigger = strategy.trigger
+        # A pane is inert once the watermark is past its window's allowed
+        # lateness (every later element for it is dropped as late) and its
+        # buffer is empty after firing (close would emit nothing): drop
+        # it.  Merging windows keep theirs, since a session may still
+        # absorb them.
+        expire = not strategy.window_fn.is_merging
+        lateness = strategy.allowed_lateness
         for (key, window) in sorted(
                 self.panes, key=lambda kw: (kw[1], repr(kw[0]))):
             pane = self.panes[(key, window)]
@@ -375,6 +380,9 @@ class _GBKOp(Operator):
                 if pane.had_data:
                     self._fire(key, window, PaneTiming.ON_TIME)
                 pane.on_time_fired = True
+            if (expire and not pane.buffer
+                    and watermark >= window.end - 1 + lateness):
+                del self.panes[(key, window)]
 
     def close(self) -> None:
         """Drain: force-fire panes whose trigger never did (e.g. Never).
@@ -419,8 +427,6 @@ class _GBKOp(Operator):
 class _SinkOp(Operator):
     """Records outputs under a label; passes elements through."""
 
-    fusible = True
-
     def __init__(self, label: str, result: PipelineResult) -> None:
         self._label = label
         self._result = result
@@ -431,65 +437,146 @@ class _SinkOp(Operator):
         self.emit(wv)
 
 
-class _KernelRunner:
-    """Lowers the pipeline DAG onto a :class:`repro.exec.Plan`.
+class _FanOut(Emitter):
+    """A node's emitter: straight into each child node's entry point,
+    counting the emission first when obs is on."""
 
-    Sources become plan channels whose initial watermark matches the
-    generator's pre-observation value.  The driver replays each source in
-    arrival order, advancing the channel's watermark after every element
-    the generator marks; element routing, watermark propagation and
-    per-operator counters all come from the kernel.
+    __slots__ = ("_deliveries", "_count")
+
+    def __init__(self, deliveries: list[Callable[[Any], None]],
+                 count: Callable[[], None] | None) -> None:
+        self._deliveries = deliveries
+        self._count = count
+
+    def emit(self, value: Any) -> None:
+        if self._count is not None:
+            self._count()
+        for deliver in self._deliveries:
+            deliver(value)
+
+
+def _counted(count: Callable[[], None],
+             deliver: Callable[[Any], None]) -> Callable[[Any], None]:
+    """The obs-on entry point: counts the element in, then delivers it."""
+    def entry(value: Any) -> None:
+        count()
+        deliver(value)
+    return entry
+
+
+class _Source:
+    """A source's watermark cell and the nodes it drives."""
+
+    __slots__ = ("watermark", "entries", "gbks")
+
+    def __init__(self, watermark: Timestamp,
+                 entries: list[Callable[[Any], None]]) -> None:
+        self.watermark = watermark
+        #: the child nodes' entry points
+        self.entries = entries
+        #: the GroupByKeys below this source, in pipeline order
+        self.gbks: list[_GBKOp] = []
+
+    def advance(self, watermark: Timestamp) -> None:
+        """Raise the cell, then fire the GroupByKeys in pipeline order.
+
+        The cell moves first, so panes an upstream GroupByKey fires reach
+        a downstream one that already sees the new watermark: its own
+        firing in this same advance emits the ones its allowed lateness
+        admits.
+        """
+        if watermark > self.watermark:
+            self.watermark = watermark
+            for gbk in self.gbks:
+                gbk.process_watermark(watermark)
+
+
+class _Runner:
+    """Drives the pipeline tree directly.
+
+    Each non-source PCollection is one node: its operator opens with an
+    emitter that calls its children's ``process_element`` and reads the
+    watermark cell of the one source it descends from, which starts at
+    the generator's pre-observation value.  The driver replays each
+    source in arrival order, advancing the cell after every element the
+    generator marks and to ``MAX_TIMESTAMP`` at the source's end, then
+    closes every node in pipeline order.  With obs on, node ``{kind}{i}``
+    counts ``exec.operator.records_in``/``records_out`` under that
+    operator label and ``layer="dataflow"``.
     """
 
     def __init__(self, pipeline: Pipeline) -> None:
         self.pipeline = pipeline
         self.result = PipelineResult()
         self._arrival_index = 0
-        self.plan = Plan()
-        names: dict[int, str] = {}
+        self._sources: dict[int, _Source] = {}
+        self._ops: list[Operator] = []
+        registry = obs.get_registry() if obs.is_enabled() else None
+        labels: dict[int, str] = {}
+        ops: dict[int, Operator] = {}
+        entries: dict[int, Callable[[Any], None]] = {}
         for index, node in enumerate(pipeline._nodes):
-            name = f"{node.kind}{index}"
-            names[id(node)] = name
+            labels[id(node)] = label = f"{node.kind}{index}"
+            if node.kind == "source":
+                continue
+            op = ops[id(node)] = self._operator(node)
+            entries[id(node)] = op.process_element
+            if registry is not None:
+                entries[id(node)] = _counted(registry.counter(
+                    "exec.operator.records_in", operator=label,
+                    layer="dataflow").inc, op.process_element)
+        source_of: dict[int, _Source] = {}
+        for node in pipeline._nodes:
+            deliveries = [entries[id(child)] for child in node.children]
             if node.kind == "source":
                 generator: WatermarkGenerator = node.spec["watermark"]
-                self.plan.add_source(
-                    name, initial_watermark=generator.current().value)
+                source_of[id(node)] = self._sources[id(node)] = _Source(
+                    generator.current().value, deliveries)
                 continue
-            parent_name = names[id(node.parent)]
-            if node.kind == "pardo":
-                op: Operator = _ParDoOp(node.spec["fn"])
-            elif node.kind == "gbk":
-                op = _GBKOp(node, self)
-            elif node.kind == "window":
-                op = _WindowOp(node.windowing.window_fn)
-            elif node.kind == "sink":
-                op = _SinkOp(node.spec["label"], self.result)
-            else:
-                raise PlanError(f"unexpected node kind {node.kind}")
-            self.plan.add_operator(name, op, [parent_name])
-        self._source_channels = {
-            id(source): names[id(source)]
-            for source in pipeline._sources}
-        self.plan.fuse()
+            source = source_of[id(node)] = source_of[id(node.parent)]
+            op = ops[id(node)]
+            count = None
+            if registry is not None:
+                count = registry.counter(
+                    "exec.operator.records_out", operator=labels[id(node)],
+                    layer="dataflow").inc
+            op.open(OperatorContext(
+                name=labels[id(node)], emitter=_FanOut(deliveries, count),
+                watermark_fn=lambda source=source: source.watermark))
+            if node.kind == "gbk":
+                source.gbks.append(op)
+            self._ops.append(op)
+
+    def _operator(self, node: PCollection) -> Operator:
+        if node.kind == "pardo":
+            return _ParDoOp(node.spec["fn"])
+        if node.kind == "gbk":
+            return _GBKOp(node, self)
+        if node.kind == "window":
+            return _WindowOp(node.windowing.window_fn)
+        if node.kind == "sink":
+            return _SinkOp(node.spec["label"], self.result)
+        raise PlanError(f"unexpected node kind {node.kind}")
 
     def run(self) -> PipelineResult:
         tracer = obs.get_tracer() if obs.is_enabled() else obs.NoopTracer()
-        self.plan.open(layer="dataflow")
         with tracer.span("dataflow.pipeline.run") as root:
-            for index, source in enumerate(self.pipeline._sources):
-                channel = self._source_channels[id(source)]
-                generator: WatermarkGenerator = source.spec["watermark"]
+            for index, node in enumerate(self.pipeline._sources):
+                source = self._sources[id(node)]
+                generator: WatermarkGenerator = node.spec["watermark"]
                 with tracer.span("dataflow.source", index=index) as span:
-                    for value, timestamp in source.spec["elements"]:
+                    for value, timestamp in node.spec["elements"]:
                         self._arrival_index += 1
                         wv = WindowedValue(value, timestamp,
                                            (GlobalWindows.WINDOW,))
                         mark = generator.observe(timestamp)
-                        self.plan.push(channel, wv)
+                        for deliver in source.entries:
+                            deliver(wv)
                         if mark is not None:
-                            self.plan.advance_watermark(channel, mark.value)
-                    span.add(elements=len(source.spec["elements"]))
-                self.plan.advance_watermark(channel, MAX_TIMESTAMP)
-            self.plan.close()
+                            source.advance(mark.value)
+                    span.add(elements=len(node.spec["elements"]))
+                source.advance(MAX_TIMESTAMP)
+            for op in self._ops:
+                op.close()
             root.add(dropped_late=self.result.dropped_late)
         return self.result

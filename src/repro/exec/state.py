@@ -1,7 +1,7 @@
-"""Pluggable keyed state for kernel operators.
+"""Pluggable keyed state for exec operators.
 
-Every stateful operator in the unified execution kernel keeps its keyed
-state behind the :class:`StateBackend` surface, so the same operator runs
+Every stateful :class:`~repro.exec.Operator` keeps its keyed state
+behind the :class:`StateBackend` surface, so the same operator runs
 unchanged on a heap dict (Flink's 'hashmap' backend) or on the embedded
 LSM store of :mod:`repro.runtime.kvstore` (the RocksDB stand-in of paper
 Figure 5).  ``snapshot``/``restore`` give checkpointing a uniform way to

@@ -1,11 +1,11 @@
-"""Unified watermark propagation for the execution kernel.
+"""Min-combine watermark tracking for multi-input operators.
 
 A :class:`WatermarkTracker` merges per-input watermarks with the standard
 min-combine rule (Flink/Dataflow semantics): an operator's event-time
 clock is the minimum of its inputs' clocks, and it only ever moves
-forward.  Idle inputs are excluded from the minimum so one silent source
-cannot stall downstream event time — the kernel-level fix for the stall
-that ``runtime/job.py`` and ``dataflow`` previously each patched locally.
+forward.  Idle inputs are excluded from the minimum so one silent input
+cannot stall downstream event time: ``runtime/job.py`` idles a subtask's
+input channel once it has ended.
 """
 
 from __future__ import annotations

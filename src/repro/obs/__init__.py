@@ -81,13 +81,12 @@ def is_enabled() -> bool:
     return _STATE.enabled
 
 
-def enable(profile: bool = False, sample_every: int | None = None) -> None:
+def enable(profile: bool = False) -> None:
     """Turn on tracing and the timing instrumentation layers gate on.
 
-    ``profile=True`` additionally switches on the per-operator profiling
-    layer (:mod:`repro.obs.profile`): kernel plans opened *after* this
-    call grow collectors, the flight recorder starts receiving events,
-    and ``sample_every`` tunes the 1-in-N timing sample rate.
+    ``profile=True`` additionally switches on the profiling layer
+    (:mod:`repro.obs.profile`): the flight recorder starts receiving
+    events.
 
     Re-enabling after :func:`disable` keeps the already-recorded traces —
     only :func:`reset` discards them.
@@ -97,7 +96,7 @@ def enable(profile: bool = False, sample_every: int | None = None) -> None:
         if not isinstance(_STATE.tracer, Tracer):
             _STATE.tracer = Tracer()
     if profile:
-        _profile.enable(sample_every)
+        _profile.enable()
 
 
 def disable() -> None:

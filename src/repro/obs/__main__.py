@@ -28,7 +28,7 @@ def _run_demo():
     from repro.core.records import Schema
     from repro.dsms.engine import DSMSEngine
 
-    obs.enable(profile=True, sample_every=4)
+    obs.enable(profile=True)
     engine = DSMSEngine(sharing=True, queue_capacity=64)
     engine.register_stream("Obs", Schema(["room", "temp"]))
     engine.register_query(

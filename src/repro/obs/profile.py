@@ -5,23 +5,19 @@ items 4 and 5): where :mod:`repro.obs` gives raw counters/gauges, this
 module attributes *cost* to individual operators and renders it back onto
 plans as a live EXPLAIN ANALYZE.  Four pieces:
 
-* **Per-operator collectors** — :class:`OperatorProfile` records flowing
-  in/out (live selectivity), busy wall-time via *sampled* self-time
-  timing (1 in ``sample_every`` element flows is timed; nesting is
-  untangled with a child-time stack so shares sum to ~100%), plus
-  pull-based state-size and watermark-lag estimates.  The kernel
-  (:mod:`repro.exec.plan`) wires these at ``open()`` time **only when**
-  :func:`enable` has been called — the disabled hot path does zero
-  profiling work (no collector allocation, no timing calls), which the
-  tier-1 guard test pins.
+* **Per-operator statistics** — read from the CQL executor's own
+  per-operator accounting (tuples in/out, so live selectivity; eval
+  seconds while obs is on, so busy shares that sum to ~100%; state size
+  and the bytes each operator's last checkpoint copied), pulled only when
+  a surface asks.
 * **Backpressure telemetry** — queue peak/pressure tracking lives on
   :class:`repro.dsms.queues.InputQueue` and the runtime mailboxes;
   :class:`StallDetector` spots sources that stopped producing while the
   rest of the engine advances.
 * **Flight recorder** — :class:`FlightRecorder`, a bounded ring of recent
-  structured events (element pushes, watermark advances, checkpoint
-  barriers, recovery attempts, queue pressure), dumpable on demand or on
-  crash (:func:`dump_on_crash`).
+  structured events (checkpoints and barriers, recovery attempts, queue
+  and channel pressure), dumpable on demand or on crash
+  (:func:`dump_on_crash`).
 * **Introspection surface** — :func:`explain_analyze` annotates a plan
   with live stats, :func:`render_top` is the ``python -m repro.obs top``
   console view, and :func:`write_snapshot` is the JSONL endpoint.
@@ -38,7 +34,6 @@ import contextlib
 import json
 import pathlib
 import time
-import weakref
 from collections import deque
 from typing import Any, Iterator, Mapping
 
@@ -47,16 +42,8 @@ from typing import Any, Iterator, Mapping
 #: :func:`enable` / :func:`disable` / :func:`reset`.
 _ENABLED = False
 
-#: Default sampling rate: 1 in N element flows through a plan is timed.
-DEFAULT_SAMPLE_EVERY = 16
-
-#: One in N plan pushes lands an ``element.push`` flight-recorder event.
-FLIGHT_EVERY = 64
-
 #: Queue occupancy fraction at which the pressure signal trips.
 PRESSURE_THRESHOLD = 0.8
-
-_sample_every = DEFAULT_SAMPLE_EVERY
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +54,10 @@ _sample_every = DEFAULT_SAMPLE_EVERY
 class FlightRecorder:
     """A bounded ring buffer of recent structured events.
 
-    Everything interesting that happened lately — element pushes,
-    watermark advances, checkpoint barriers, recovery attempts, queue
-    pressure crossings — lands here as a small dict; the ring keeps the
-    newest ``capacity`` events and can be dumped as JSONL on demand or on
-    crash.  Recording is an O(1) deque append, but call sites still gate
+    Everything interesting that happened lately — checkpoints and
+    barriers, recovery attempts, queue and channel pressure crossings —
+    lands here as a small dict; the ring keeps the newest ``capacity``
+    events and can be dumped as JSONL on demand or on crash.  Recording is an O(1) deque append, but call sites still gate
     on :data:`_ENABLED` so the disabled path pays nothing at all.
     """
 
@@ -135,154 +121,8 @@ def dump_on_crash(path: str | pathlib.Path) -> Iterator[FlightRecorder]:
 
 
 # ---------------------------------------------------------------------------
-# Per-operator collectors
-# ---------------------------------------------------------------------------
-
-
-class OperatorProfile:
-    """Live cost collectors for one kernel plan node.
-
-    ``records_in``/``records_out`` are exact; ``busy_seconds`` is the
-    *sampled self-time* sum — only 1 in ``sample_every`` element flows is
-    timed (``timed_in`` counts them), and nested downstream work is
-    subtracted via the profiler's child-time stack, so busy shares across
-    a plan sum to ~100% regardless of how deeply pushes nest.
-    """
-
-    __slots__ = ("name", "kind", "records_in", "records_out",
-                 "busy_seconds", "timed_in")
-
-    def __init__(self, name: str, kind: str) -> None:
-        self.name = name
-        self.kind = kind
-        self.records_in = 0
-        self.records_out = 0
-        self.busy_seconds = 0.0
-        self.timed_in = 0
-
-    @property
-    def selectivity(self) -> float | None:
-        if not self.records_in:
-            return None
-        return self.records_out / self.records_in
-
-    def as_dict(self) -> dict[str, Any]:
-        return {"operator": self.name, "kind": self.kind,
-                "records_in": self.records_in,
-                "records_out": self.records_out,
-                "selectivity": self.selectivity,
-                "busy_seconds": self.busy_seconds,
-                "timed_in": self.timed_in}
-
-
-#: Live plan profilers (weakly held; obs.reset() drops them eagerly).
-_PROFILERS: "weakref.WeakSet[PlanProfiler]" = weakref.WeakSet()
-
-
-class PlanProfiler:
-    """Per-plan profiling state: collectors, sampling tick, timing stack.
-
-    Created by :meth:`repro.exec.plan.Plan.open` **iff** profiling was
-    enabled before the plan opened.  ``tick`` advances per plan-wide
-    push/advance; ``timing`` is the per-flow sampling decision (set once
-    per push so every operator in one element's synchronous flow is timed
-    consistently).  ``stack`` holds one accumulated-child-time frame per
-    in-flight timed call; the kernel subtracts it to get self-time.
-    """
-
-    def __init__(self, plan: Any, sample_every: int | None = None) -> None:
-        self.plan = plan
-        self.sample_every = max(1, sample_every
-                                if sample_every is not None
-                                else _sample_every)
-        self.flight_every = FLIGHT_EVERY
-        self.label = plan.labels.get("layer", "kernel") or "kernel"
-        self.tick = 0
-        self.timing = False
-        self.stack: list[float] = []
-        self.profiles: dict[str, OperatorProfile] = {}
-        _PROFILERS.add(self)
-
-    def register(self, name: str, op: Any) -> OperatorProfile:
-        profile = OperatorProfile(name, type(op).__name__)
-        self.profiles[name] = profile
-        return profile
-
-    # -- pull-based expensive stats (snapshot time only) ----------------------
-
-    def _high_watermark(self) -> Any:
-        marks = [src.watermark for src in self.plan._sources.values()]
-        return max(marks) if marks else None
-
-    def snapshot(self) -> dict[str, Any]:
-        """Everything about the plan, pulled live (never on the hot path)."""
-        high = self._high_watermark()
-        total_busy = sum(p.busy_seconds for p in self.profiles.values())
-        operators = []
-        for node in self.plan._order:
-            profile = self.profiles.get(node.name)
-            if profile is None:  # registered after a fuse? defensive only
-                continue
-            entry = profile.as_dict()
-            entry["busy_share"] = (profile.busy_seconds / total_busy
-                                   if total_busy else None)
-            combined = node.tracker.combined if node.tracker else None
-            entry["watermark"] = combined
-            entry["watermark_lag"] = (
-                max(0, high - combined)
-                if high is not None and combined is not None else None)
-            entry["state_entries"] = state_entries(node.op)
-            operators.append(entry)
-        return {"label": self.label, "labels": dict(self.plan.labels),
-                "sample_every": self.sample_every, "ticks": self.tick,
-                "high_watermark": high,
-                "total_busy_seconds": total_busy,
-                "operators": operators}
-
-    def publish(self, registry: Any) -> None:
-        """Idempotent push of the collectors into a metrics registry."""
-        labels = dict(self.plan.labels)
-        for profile in self.profiles.values():
-            tags = dict(labels, operator=profile.name)
-            registry.gauge("exec.profile.records_in", **tags).set(
-                profile.records_in)
-            registry.gauge("exec.profile.records_out", **tags).set(
-                profile.records_out)
-            registry.gauge("exec.profile.busy_seconds", **tags).set(
-                profile.busy_seconds)
-
-
-# ---------------------------------------------------------------------------
 # State-size estimation
 # ---------------------------------------------------------------------------
-
-
-def state_entries(op: Any) -> int | None:
-    """Entries held by an operator's state, or None when unknowable.
-
-    Pull-based and duck-typed: kernel operators keep a ``state``
-    :class:`~repro.exec.state.StateBackend`, CQL adapters expose their
-    wrapped physical operator's ``state_size``, fused chains sum their
-    members.
-    """
-    from repro.exec.operator import FusedOperator
-    from repro.exec.state import StateBackend
-
-    if isinstance(op, FusedOperator):
-        parts = [state_entries(member) for member in op.members]
-        known = [p for p in parts if p is not None]
-        return sum(known) if known else None
-    phys = getattr(op, "phys", None)
-    if phys is not None:
-        size = getattr(phys, "state_size", None)
-        return int(size) if size is not None else 0
-    state = getattr(op, "state", None)
-    if isinstance(state, StateBackend):
-        return state.estimated_entries()
-    size = getattr(op, "state_size", None)
-    if isinstance(size, int):
-        return size
-    return None
 
 
 def state_bytes(op: Any) -> int | None:
@@ -290,7 +130,7 @@ def state_bytes(op: Any) -> int | None:
 
     Uses the backend's sampling estimator when there is one, else the
     repr length of the operator's state: a CQL operator's
-    ``_STATE_ATTRS``, or a kernel operator's own snapshot.  Only ever
+    ``_STATE_ATTRS``, or any other operator's own snapshot.  Only ever
     called from introspection surfaces (explain/snapshot), never on a
     hot path.
     """
@@ -357,24 +197,14 @@ class StallDetector:
 # ---------------------------------------------------------------------------
 
 
-def enable(sample_every: int | None = None) -> None:
-    """Turn profiling on.  Plans opened from now on grow collectors.
-
-    ``sample_every`` tunes the timing sample rate (1 in N element flows;
-    default :data:`DEFAULT_SAMPLE_EVERY`).  Already-open plans are not
-    retrofitted — the profiling decision is taken once at ``open()`` so
-    the disabled hot path stays untouched.
-    """
-    global _ENABLED, _sample_every
-    if sample_every is not None:
-        if sample_every <= 0:
-            raise ValueError("sample_every must be positive")
-        _sample_every = sample_every
+def enable() -> None:
+    """Turn profiling on: the flight recorder starts receiving events."""
+    global _ENABLED
     _ENABLED = True
 
 
 def disable() -> None:
-    """Stop profiling; existing collectors stay readable until reset."""
+    """Stop profiling; recorded events stay readable until reset."""
     global _ENABLED
     _ENABLED = False
 
@@ -384,12 +214,10 @@ def is_enabled() -> bool:
 
 
 def reset() -> None:
-    """Back to cold: disabled, empty recorder, profilers dropped."""
-    global _ENABLED, _sample_every
+    """Back to cold: disabled, empty recorder."""
+    global _ENABLED
     _ENABLED = False
-    _sample_every = DEFAULT_SAMPLE_EVERY
     _RECORDER.clear()
-    _PROFILERS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -400,29 +228,21 @@ def reset() -> None:
 def profile_snapshot(include_metrics: bool = False) -> dict[str, Any]:
     """One JSON-ready dict of everything the profiling layer knows.
 
-    The payload the future adaptivity loop / serving tier polls: every
-    live plan profiler's operators, the flight-recorder tail, and
-    (optionally) the full metrics registry.  Profiler collectors are also
-    published into the global registry so exporters see them.
+    The payload the future adaptivity loop / serving tier polls: the
+    flight-recorder tail and (optionally) the full metrics registry.
     """
     import repro.obs as obs
 
-    registry = obs.get_registry()
-    plans = []
-    for profiler in sorted(_PROFILERS, key=lambda p: p.label):
-        profiler.publish(registry)
-        plans.append(profiler.snapshot())
     payload: dict[str, Any] = {
         "type": "profile",
         "profiling": _ENABLED,
-        "plans": plans,
         "flight_recorder": {"capacity": _RECORDER.capacity,
                             "recorded": _RECORDER.recorded,
                             "retained": len(_RECORDER),
                             "tail": _RECORDER.tail(16)},
     }
     if include_metrics:
-        payload["metrics"] = registry.snapshot()
+        payload["metrics"] = obs.get_registry().snapshot()
     return payload
 
 
@@ -446,17 +266,14 @@ def explain_analyze(target: Any) -> str:
     """Render ``target`` with its live execution statistics.
 
     Dispatches by duck type: a DSMS :class:`~repro.dsms.engine.QueryHandle`
-    (queue + busy header, then its query), a
+    (queue + busy header, then its query) or a
     :class:`~repro.cql.executor.ContinuousQuery` (the logical IR annotated
-    per node), or an opened :class:`repro.exec.Plan` (the profiler's
-    per-node table).
+    per node).
     """
     if hasattr(target, "query") and hasattr(target, "queue"):
         return _explain_handle(target)
     if hasattr(target, "_root") and hasattr(target, "plan"):
         return _explain_continuous(target)
-    if hasattr(target, "_order") and hasattr(target, "_sources"):
-        return _explain_kernel_plan(target)
     raise TypeError(f"cannot explain_analyze {type(target).__name__}")
 
 
@@ -488,9 +305,6 @@ def analyze(target: Any) -> dict[str, Any]:
                 "total_busy_seconds": total_busy,
                 "deltas_processed": target.deltas_processed,
                 "emissions": len(target.emissions())}
-    profiler = getattr(target, "_profiler", None)
-    if profiler is not None:
-        return profiler.snapshot()
     raise TypeError(f"cannot analyze {type(target).__name__}")
 
 
@@ -622,37 +436,6 @@ def _format_cell(value: Any, fmt: str = "") -> str:
     return format(value, fmt) if fmt else str(value)
 
 
-def _explain_kernel_plan(plan: Any) -> str:
-    profiler = getattr(plan, "_profiler", None)
-    if profiler is None:
-        from repro.plan.explain import explain_kernel
-        return (explain_kernel(plan)
-                + "\n(profiling disabled — call obs.enable(profile=True) "
-                  "before the plan opens to collect live stats)")
-    snapshot = profiler.snapshot()
-    header = ["operator", "kind", "in", "out", "sel", "busy%", "state",
-              "wm_lag"]
-    rows = [[entry["operator"], entry["kind"],
-             _format_cell(entry["records_in"]),
-             _format_cell(entry["records_out"]),
-             _format_cell(entry["selectivity"], ".3f"),
-             _format_cell(None if entry["busy_share"] is None
-                          else entry["busy_share"] * 100, ".1f"),
-             _format_cell(entry["state_entries"]),
-             _format_cell(entry["watermark_lag"])]
-            for entry in snapshot["operators"]]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows))
-              if rows else len(header[i]) for i in range(len(header))]
-    out = [f"kernel plan [{snapshot['label']}] "
-           f"(sampled 1/{snapshot['sample_every']}, "
-           f"ticks={snapshot['ticks']})"]
-    out.append(" | ".join(h.ljust(w) for h, w in zip(header, widths)))
-    out.append("-+-".join("-" * w for w in widths))
-    out.extend(" | ".join(cell.ljust(w) for cell, w in zip(row, widths))
-               for row in rows)
-    return "\n".join(out)
-
-
 # ---------------------------------------------------------------------------
 # The `top` console view
 # ---------------------------------------------------------------------------
@@ -662,14 +445,11 @@ def render_top(registry: Any = None, limit: int = 10) -> str:
     """Per-query / per-operator hot spots, refreshed from the registry.
 
     Two panes: standing queries ranked by busy time (DSMS attribution),
-    and operators ranked by eval/busy seconds (CQL executor accounting
-    plus any kernel plan profilers).
+    and operators ranked by eval seconds (CQL executor accounting).
     """
     import repro.obs as obs
 
     registry = registry if registry is not None else obs.get_registry()
-    for profiler in _PROFILERS:
-        profiler.publish(registry)
 
     def table(title: str, header: list[str],
               rows: list[list[str]]) -> list[str]:
@@ -721,17 +501,6 @@ def render_top(registry: Any = None, limit: int = 10) -> str:
             f"{metric.value:.6f}",
             _format_cell(ins.value if ins else None),
             _format_cell(outs.value if outs else None)]))
-    for metric in registry.children("exec.profile.busy_seconds"):
-        labels = metric.labels
-        tags = {k: v for k, v in labels.items()}
-        ins = registry.get("exec.profile.records_in", **tags)
-        outs = registry.get("exec.profile.records_out", **tags)
-        operators.append((metric.value, [
-            labels.get("operator", "?"),
-            labels.get("layer", "-"),
-            f"{metric.value:.6f}",
-            _format_cell(int(ins.value) if ins else None),
-            _format_cell(int(outs.value) if outs else None)]))
     operators.sort(key=lambda pair: pair[0], reverse=True)
     pane2 = table("hot operators",
                   ["operator", "query/layer", "busy_s", "in", "out"],

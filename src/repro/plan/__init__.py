@@ -15,13 +15,12 @@ Module map:
 * :mod:`repro.plan.parallel` — fission/partitionability analysis
 * :mod:`repro.plan.batching` — instant-quantum emission-safety analysis
 * :mod:`repro.plan.sharing` — the multi-query subplan memo
-* :mod:`repro.plan.explain` — text renderers for logical & kernel plans
+* :mod:`repro.plan.explain` — text renderers for logical plans
 """
 
 from repro.plan.explain import (
     explain,
     explain_analyzed,
-    explain_kernel,
     explain_logical,
 )
 from repro.plan.exprs import (
@@ -122,7 +121,7 @@ __all__ = [
     "contains_aggregate", "decide_batch_size", "decide_parallelism",
     "equality_columns",
     "explain", "explain_analyzed",
-    "explain_kernel", "explain_logical", "extract_equijoin_keys",
+    "explain_logical", "extract_equijoin_keys",
     "fuse_filters",
     "incremental_strategy", "memo_key", "optimize", "partition_scheme",
     "plan_signature",

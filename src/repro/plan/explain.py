@@ -1,21 +1,14 @@
-"""EXPLAIN-style text renderers for logical and kernel plans.
-
-Two render targets, one entry point:
+"""EXPLAIN-style text renderers for logical plans.
 
 * :func:`explain_logical` — the IR tree, one node per line, annotated
   with the incremental strategy chosen for each stateful operator by
   :mod:`repro.plan.monotone`;
-* :func:`explain_kernel` — a :class:`repro.exec.Plan` as a wiring
-  listing: every source and operator with its input channels, with
-  shared channels (more than one consumer — the multi-query fan-out
-  points) marked explicitly so sharing decisions are visible and
-  diffable in golden files.
 * :func:`explain_analyzed` — the IR tree again, but with live execution
   statistics (tuple counts, selectivity, busy-time share, state size)
   appended per node; the renderer half of
   :func:`repro.obs.explain_analyze`.
 
-:func:`explain` dispatches on the argument type.
+:func:`explain` renders a logical plan and rejects anything else.
 """
 
 from __future__ import annotations
@@ -28,12 +21,9 @@ from repro.plan.signature import plan_signature
 
 
 def explain(plan: Any) -> str:
-    """Render a logical IR tree or a kernel plan as text."""
+    """Render a logical IR tree as text."""
     if isinstance(plan, LogicalOp):
         return explain_logical(plan)
-    from repro.exec.plan import Plan as KernelPlan
-    if isinstance(plan, KernelPlan):
-        return explain_kernel(plan)
     raise TypeError(f"cannot explain {type(plan).__name__}")
 
 
@@ -110,24 +100,3 @@ def _render_analyzed(node: LogicalOp, indent: int,
     lines.append(f"{'  ' * indent}{node.describe()}{suffix}")
     for child in node.children:
         _render_analyzed(child, indent + 1, stats, lines)
-
-
-def explain_kernel(plan: Any) -> str:
-    """A kernel plan as a wiring listing with shared channels marked."""
-    consumers: dict[str, int] = {}
-    for node in plan._order:
-        for channel in node.inputs:
-            consumers[channel] = consumers.get(channel, 0) + 1
-
-    def shared(channel: str) -> str:
-        count = consumers.get(channel, 0)
-        return f" (shared x{count})" if count > 1 else ""
-
-    lines = ["kernel plan:"]
-    for name in plan._sources:
-        lines.append(f"  source {name}{shared(name)}")
-    for node in plan._order:
-        inputs = ", ".join(node.inputs)
-        lines.append(f"  {node.name}: {type(node.op).__name__} <- "
-                     f"{inputs}{shared(node.name)}")
-    return "\n".join(lines)

@@ -23,7 +23,6 @@ from repro.exec import (
     Operator,
     OperatorContext,
     StageEmitter,
-    fuse_fixpoint,
 )
 from repro.runtime.partitioning import ForwardPartitioner, Partitioner
 
@@ -78,7 +77,7 @@ class StreamOperator(Operator):
     implement checkpointing.  The iterable-returning hooks are the
     authoring surface; the kernel protocol (``process_element`` /
     ``process_watermark`` / ``close``) wraps them, emitting through the
-    context so the subtask runtime and kernel plans drive runtime
+    context, so a subtask and a :class:`ChainedOperator` drive runtime
     operators identically.
     """
 
@@ -188,8 +187,7 @@ class ChainedOperator(StreamOperator):
     def open(self, ctx: OperatorContext) -> None:
         super().open(ctx)
         # Wire members tail-first through StageEmitters so each member's
-        # output is pushed straight into its successor's ``process_element``
-        # — the kernel's fusion wiring, replacing the recursive cascade.
+        # output is pushed straight into its successor's ``process_element``.
         # The tail collects into a buffer the chain's own hooks drain.
         self._tail = CollectingEmitter()
         downstream: Any = self._tail
@@ -482,11 +480,16 @@ def chain_operators(graph: JobGraph) -> JobGraph:
                 and len(out.downstream_edges(edge.upstream)) == 1
                 and len(out.upstream_edges(edge.downstream)) == 1)
 
-    def merge(edge: EdgeSpec) -> None:
+    # Merge the first edge can_fuse accepts, then rescan: a merge
+    # rewrites the edge list underneath the scan.
+    fused = 0
+    while True:
+        edge = next((edge for edge in out.edges if can_fuse(edge)), None)
+        if edge is None:
+            break
         _fuse(out, edge, out.vertices[edge.upstream],
               out.vertices[edge.downstream])
-
-    fused = fuse_fixpoint(lambda: out.edges, can_fuse, merge)
+        fused += 1
     if obs.is_enabled():
         registry = obs.get_registry()
         registry.counter("runtime.chaining.fusions", job=graph.name).inc(

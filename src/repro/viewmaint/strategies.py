@@ -107,15 +107,13 @@ def _row_key(row: Mapping[str, Any]) -> tuple:
 class ViewStrategy(Operator):
     """Common interface: a grouped aggregate view over one base table.
 
-    Also a kernel operator: pushed elements are ``(op, row)`` CDC pairs
-    (``op`` is ``"insert"`` or ``"delete"``); the strategy is a
+    Also an exec ``Operator``: pushed elements are ``(op, row)`` CDC
+    pairs (``op`` is ``"insert"`` or ``"delete"``); the strategy is a
     materialisation endpoint, so nothing is emitted downstream.
     """
 
-    fusible = False
-
     #: attribute names holding :class:`StateBackend` instances; ``open``
-    #: re-homes each onto the plan's configured backend.
+    #: re-homes each onto the context's configured backend.
     _STATE_BACKENDS: tuple[str, ...] = ()
 
     def __init__(self, group_fn: Callable[[Mapping[str, Any]], GroupKey],

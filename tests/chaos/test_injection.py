@@ -4,8 +4,10 @@ import pytest
 
 from repro.chaos import ChaosBroker, CrashFuse, InjectedCrash, SourceStall, \
     install_crash
+import repro.obs as obs
 from repro.difftest.generators import OBS_SCHEMA, build_engine
-from repro.core import Stream
+from repro.core import Schema, Stream
+from repro.dsms import DSMSEngine
 from repro.runtime import Broker, ConsumerGroup
 
 
@@ -157,21 +159,28 @@ class TestSourceStall:
         assert stall.release() == ["c"]
         assert stall.release() == []
 
-    def test_stall_trips_idle_timeout_then_recovers(self):
-        from tests.exec.test_idle_sources import stalled_plan
-
-        plan, sink = stalled_plan(idle_timeout=2)
-        plan.open()
-        plan.advance_watermark("live", 10)
-        stall = SourceStall("quiet", after=0, duration=10)
-        for value in range(4):
-            for source in ("live", "quiet"):
-                if stall.admit(source, value):
-                    plan.push(source, value)
-        assert sink.marks == [10]   # the stalled source tripped the timeout
-        for value in stall.release():
-            plan.push("quiet", value)   # late delivery reactivates it
-        plan.advance_watermark("live", 20)
-        assert sink.marks == [10]   # holding again
-        plan.advance_watermark("quiet", 30)
-        assert sink.marks == [10, 20]
+    def test_stall_flags_the_withheld_stream_then_recovers(self):
+        obs.enable()  # the engine's stall detector is fed while obs is on
+        engine = DSMSEngine()
+        for stream in ("Live", "Quiet"):
+            engine.register_stream(stream, Schema(["x"]))
+        engine.register_query("live", "SELECT ISTREAM x FROM Live [Now]")
+        quiet = engine.register_query(
+            "quiet", "SELECT ISTREAM x FROM Quiet [Now]")
+        engine.stall_detector.threshold = 4
+        # Live arrives every tick, Quiet every third; drive steps 2..11
+        # hold Quiet's arrivals at t=3 and t=6.
+        stall = SourceStall("Quiet", after=2, duration=10)
+        flagged = []
+        for t in range(12):
+            for stream in ("Live", "Quiet")[:1 if t % 3 else 2]:
+                if not stall.admit(stream, t):
+                    continue
+                if stream == "Quiet":
+                    for held in stall.release():   # late delivery first
+                        engine.ingest("Quiet", {"x": held}, held)
+                engine.ingest(stream, {"x": t}, t)
+            engine.run_until_idle()
+            flagged.append(sorted(engine.stall_detector.stalled()))
+        assert flagged == [[]] * 5 + [["Quiet"]] * 4 + [[]] * 3
+        assert quiet.metrics.processed == 4

@@ -1,8 +1,18 @@
 """Tests for the Dataflow model pipeline and its runner."""
 
+from collections import Counter
+
 import pytest
 
-from repro.core import BoundedOutOfOrderness, PlanError
+import repro.obs as obs
+from repro.core import (
+    MAX_TIMESTAMP,
+    BoundedOutOfOrderness,
+    PlanError,
+    Watermark,
+    WatermarkGenerator,
+    WindowError,
+)
 from repro.dataflow import (
     AccumulationMode,
     AfterCount,
@@ -223,6 +233,12 @@ class TestOutOfOrderAndLateness:
         assert window0[0].value == ("a", 2)
         assert result.dropped_late == 0
 
+    def test_negative_allowed_lateness_is_rejected(self):
+        p = Pipeline()
+        source = p.create([("a", 1)]).map(keyed)
+        with pytest.raises(WindowError, match="allowed lateness"):
+            source.window_into(FixedWindows(10), allowed_lateness=-5)
+
 
 def panes(result, label):
     """Every output pane in emission order, with its full metadata."""
@@ -299,3 +315,162 @@ class TestValidation:
         result = p.run()
         assert result.values("plus") == [2, 3]
         assert result.values("times") == [2, 4]
+
+
+class ScriptedWatermarks(WatermarkGenerator):
+    """Marks from a script, one entry per element (``None``: no mark)."""
+
+    def __init__(self, initial, marks):
+        self._current = Watermark(initial)
+        self._marks = iter(marks)
+
+    def observe(self, timestamp):
+        mark = next(self._marks)
+        if mark is None:
+            return None
+        self._current = Watermark(mark)
+        return self._current
+
+    def current(self):
+        return self._current
+
+
+class RecordingTrigger(AfterWatermark):
+    """The default trigger, noting every watermark it is shown."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def on_watermark(self, state, window, watermark):
+        self.seen.append(watermark)
+        return super().on_watermark(state, window, watermark)
+
+
+class TestRunner:
+    """What the runner guarantees: one watermark cell per source that only
+    ever rises, GroupByKeys fired after the cell moved, nodes closed in
+    pipeline order, and per-node counters with obs on."""
+
+    def test_initial_watermark_of_source_is_honoured(self):
+        trigger = RecordingTrigger()
+        p = Pipeline()
+        (p.create([("a", 0), ("a", 1)],
+                  watermark=ScriptedWatermarks(-12, [-12, -11]))
+         .map(keyed)
+         .window_into(FixedWindows(10), trigger=trigger)
+         .combine_per_key(sum).collect("out"))
+        result = p.run()
+        # A mark equal to the initial one is no advance.
+        assert trigger.seen == [-11, MAX_TIMESTAMP]
+        assert result.values("out") == [("a", 2)]
+
+    def test_watermark_never_regresses(self):
+        trigger = RecordingTrigger()
+        p = Pipeline()
+        (p.create([("a", 0), ("a", 1), ("a", 2)],
+                  watermark=ScriptedWatermarks(-1, [5, 2, None]))
+         .map(keyed)
+         .window_into(FixedWindows(4), trigger=trigger)
+         .combine_per_key(sum).collect("out"))
+        result = p.run()
+        # The stale mark 2 is ignored: t=2 is judged against 5, so late.
+        assert [mark for mark in trigger.seen if mark < MAX_TIMESTAMP] == [5]
+        assert result.values("out") == [("a", 1)]
+        assert result.dropped_late == 2
+
+    def test_downstream_gbk_fires_upstream_panes_in_the_same_advance(self):
+        order = []
+        p = Pipeline()
+        (p.create([("a", 1), ("a", 3), ("a", 12), ("a", 25)])
+         .map(keyed)
+         .window_into(FixedWindows(10), allowed_lateness=10)
+         .combine_per_key(sum)
+         .map(lambda kv: order.append(("up", kv)) or kv)
+         .group_by_key()
+         .map(lambda kv: order.append(("down", kv)) or kv)
+         .collect("out"))
+        result = p.run()
+        # Each upstream pane is fired downstream before the next advance;
+        # the last one, flushed by the end-of-stream advance, is late there.
+        assert order == [("up", ("a", 2)), ("down", ("a", [2])),
+                         ("up", ("a", 1)), ("down", ("a", [1])),
+                         ("up", ("a", 1))]
+        assert panes(result, "out") == [
+            (("a", [2]), 9, ((0, 10),), "ON_TIME", 0),
+            (("a", [1]), 19, ((10, 20),), "ON_TIME", 0),
+        ]
+        assert result.dropped_late == 1
+
+    def test_close_runs_in_pipeline_order(self):
+        p = Pipeline()
+        (p.create([("a", 1), ("a", 2), ("b", 3)])
+         .map(keyed)
+         .window_into(GlobalWindows(), trigger=Never(), allowed_lateness=2)
+         .combine_per_key(sum)
+         .group_by_key()
+         .collect("out"))
+        result = p.run()
+        # The upstream GroupByKey flushes on close, before the downstream
+        # one force-fires what it received.
+        assert panes(result, "out") == [
+            (("a", [2]), MAX_TIMESTAMP - 1, ((0, MAX_TIMESTAMP),),
+             "ON_TIME", 0),
+            (("b", [1]), MAX_TIMESTAMP - 1, ((0, MAX_TIMESTAMP),),
+             "ON_TIME", 0),
+        ]
+
+    def test_every_node_counts_its_records(self):
+        obs.enable()
+        p = Pipeline()
+        (p.create([("a", 1), ("b", 2), ("a", 12)])
+         .map(keyed)
+         .window_into(FixedWindows(10))
+         .combine_per_key(sum)
+         .collect("out"))
+        p.run()
+        registry = obs.get_registry()
+
+        def count(name, node):
+            return registry.get(name, operator=node, layer="dataflow").value
+
+        assert [(count("exec.operator.records_in", node),
+                 count("exec.operator.records_out", node))
+                for node in ("pardo1", "window2", "gbk3", "sink4")] == \
+            [(3, 3), (3, 3), (3, 3), (3, 3)]
+        assert registry.get("exec.operator.records_in",
+                            operator="source0", layer="dataflow") is None
+
+
+class TestPaneExpiry:
+    """A fixed-window pane the watermark has passed (plus allowed
+    lateness) and whose buffer is empty is dropped, so the work of a
+    watermark advance does not grow with run length."""
+
+    @staticmethod
+    def run(n):
+        trigger = RecordingTrigger()
+        p = Pipeline()
+        (p.create([((f"k{i % 4}", 1), i) for i in range(n)])
+         .window_into(FixedWindows(10), trigger=trigger)
+         .combine_per_key(sum).collect("out"))
+        result = p.run()
+        assert len(result["out"]) == 4 * n // 10
+        return max(Counter(trigger.seen).values())
+
+    def test_panes_held_and_watermark_work_do_not_grow(self, monkeypatch):
+        from repro.dataflow import pipeline
+
+        held = []
+        close = pipeline._GBKOp.close
+
+        def counting_close(self):
+            held.append(len(self.panes))
+            close(self)
+
+        monkeypatch.setattr(pipeline._GBKOp, "close", counting_close)
+        # on_watermark calls in the busiest advance, then panes at close
+        small = self.run(400), held.pop()
+        large = self.run(4000), held.pop()
+        assert small == large
+        assert small[0] <= 8

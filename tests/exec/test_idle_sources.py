@@ -1,118 +1,11 @@
-"""Regression tests for the watermark-idle-source stall.
+"""The min-combine watermark tracker and its idle channels.
 
-Before the kernel, a source that stopped producing held the combined
-watermark back forever, stalling every downstream window.  The kernel
-gives plans two escape hatches: a declarative per-source ``idle_timeout``
-(measured in plan-wide pushes) and the manual ``mark_idle`` /
-``advance_watermark`` calls.
+An idle channel is excluded from the minimum, so one silent input cannot
+hold event time back; ``runtime/job.py`` idles a subtask's input channel
+once it has ended.
 """
 
-from repro.exec import Plan, WatermarkTracker
-
-from tests.exec.test_kernel import Sink
-
-
-def stalled_plan(**source_kwargs):
-    plan = Plan()
-    plan.add_source("live")
-    plan.add_source("quiet", **source_kwargs)
-    sink = Sink()
-    plan.add_operator("sink", sink, ["live", "quiet"])
-    return plan, sink
-
-
-class TestIdleTimeout:
-    def test_silent_source_stalls_event_time_without_timeout(self):
-        plan, sink = stalled_plan()
-        plan.open()
-        plan.advance_watermark("live", 10)
-        for value in range(20):
-            plan.push("live", value)
-        assert sink.marks == []  # the stall this feature exists to fix
-
-    def test_idle_timeout_releases_the_watermark(self):
-        plan, sink = stalled_plan(idle_timeout=3)
-        plan.open()
-        plan.advance_watermark("live", 10)
-        for value in range(5):
-            plan.push("live", value)
-        # After 3 pushes with no "quiet" activity the source is expelled
-        # from the min-combine and event time advances to "live"'s mark.
-        assert sink.marks == [10]
-
-    def test_reactivated_source_holds_the_watermark_again(self):
-        plan, sink = stalled_plan(idle_timeout=2)
-        plan.open()
-        plan.advance_watermark("live", 10)
-        for value in range(4):
-            plan.push("live", value)
-        assert sink.marks == [10]
-        plan.push("quiet", "x")  # wakes up: holds event time again
-        plan.advance_watermark("live", 20)
-        assert sink.marks == [10]  # back to waiting on "quiet"
-        plan.advance_watermark("quiet", 30)
-        assert sink.marks == [10, 20]
-
-    def test_combined_never_regresses_across_idle_cycles(self):
-        plan, sink = stalled_plan(idle_timeout=1)
-        plan.open()
-        plan.advance_watermark("live", 50)
-        plan.push("live", 1)
-        plan.push("live", 2)
-        assert sink.marks == [50]
-        plan.push("quiet", "x")
-        plan.advance_watermark("quiet", 3)  # behind the released mark
-        assert sink.marks == [50]  # monotone: no regression fires
-
-
-class TestManualEscapeHatch:
-    def test_mark_idle_releases_immediately(self):
-        plan, sink = stalled_plan()
-        plan.open()
-        plan.advance_watermark("live", 7)
-        plan.mark_idle("quiet")
-        assert sink.marks == [7]
-
-    def test_advance_watermark_without_data(self):
-        plan, sink = stalled_plan()
-        plan.open()
-        plan.advance_watermark("live", 7)
-        plan.advance_watermark("quiet", 9)  # punctuation, no tuples
-        assert sink.marks == [7]
-
-
-class TestRestoreResetsIdleState:
-    """Regression: ``last_seq`` and the idle set survived ``restore``,
-    so a rolled-back plan either instantly re-idled live sources or kept
-    a crash-time-idle source out of the min-combine forever."""
-
-    def test_restore_reactivates_idle_sources(self):
-        plan, sink = stalled_plan(idle_timeout=2)
-        plan.open()
-        plan.advance_watermark("live", 10)
-        for value in range(4):
-            plan.push("live", value)
-        assert sink.marks == [10]            # quiet expelled
-        plan.restore(plan.snapshot())        # in-place rollback
-        plan.advance_watermark("live", 20)
-        assert sink.marks == [10]            # quiet holds again
-        plan.advance_watermark("quiet", 30)
-        assert sink.marks == [10, 20]
-
-    def test_restore_resets_the_idle_clock(self):
-        plan, sink = stalled_plan(idle_timeout=3)
-        plan.open()
-        plan.advance_watermark("live", 10)
-        plan.push("live", 0)
-        plan.push("live", 1)                 # two of three strikes
-        plan.restore(plan.snapshot())
-        plan.push("live", 2)
-        # A stale crash-time clock would have expelled "quiet" here.
-        assert sink.marks == []
-        plan.push("live", 3)
-        plan.push("live", 4)
-        plan.push("live", 5)                 # a full fresh timeout elapses
-        assert sink.marks == [10]
+from repro.exec import WatermarkTracker
 
 
 class TestWatermarkTracker:

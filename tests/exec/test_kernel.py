@@ -1,56 +1,11 @@
-"""Tests for the shared push-based execution kernel (repro.exec)."""
+"""Tests for the operator protocol (repro.exec)."""
 
-import pytest
-
-import repro.obs as obs
-from repro.exec import (
-    CollectingEmitter,
-    FusedOperator,
-    Operator,
-    OperatorContext,
-    Plan,
-)
+from repro.exec import Operator, OperatorContext
 
 
 class AddOne(Operator):
-    fusible = True
-
     def process_element(self, value, input_index=0):
         self.emit(value + 1)
-
-
-class KeepOdd(Operator):
-    fusible = True
-
-    def process_element(self, value, input_index=0):
-        if value % 2:
-            self.emit(value)
-
-
-class Sink(Operator):
-    def __init__(self):
-        self.out = []
-        self.marks = []
-        self.closed = False
-
-    def process_element(self, value, input_index=0):
-        self.out.append(value)
-
-    def process_watermark(self, watermark, input_index=0):
-        self.marks.append(watermark)
-
-    def close(self):
-        self.closed = True
-
-
-def linear_plan():
-    plan = Plan()
-    plan.add_source("s")
-    plan.add_operator("inc", AddOne(), ["s"])
-    plan.add_operator("odd", KeepOdd(), ["inc"])
-    sink = Sink()
-    plan.add_operator("sink", sink, ["odd"])
-    return plan, sink
 
 
 class TestOperatorBasics:
@@ -61,116 +16,3 @@ class TestOperatorBasics:
         op.process_element(2)
         assert op.ctx.emitter.drain() == [2, 3]
         assert op.ctx.emitter.drain() == []
-
-    def test_fused_operator_runs_members_in_order(self):
-        fused = FusedOperator([AddOne(), KeepOdd()])
-        assert fused.fusible
-        out = CollectingEmitter()
-        fused.open(OperatorContext(emitter=out))
-        for value in (1, 2, 3, 4):
-            fused.process_element(value)
-        assert out.drain() == [3, 5]
-
-    def test_fused_operator_flattens_nested_chains(self):
-        fused = FusedOperator([FusedOperator([AddOne(), AddOne()]), KeepOdd()])
-        assert len(fused.members) == 3
-
-
-class TestPlanExecution:
-    def test_push_flows_to_completion(self):
-        plan, sink = linear_plan()
-        plan.open()
-        for value in range(5):
-            plan.push("s", value)
-        assert sink.out == [1, 3, 5]
-
-    def test_fusion_preserves_results(self):
-        plain, plain_sink = linear_plan()
-        plain.open()
-        fused, fused_sink = linear_plan()
-        assert fused.fuse() == 1  # inc+odd collapse; sink is not fusible
-        assert fused.node_names() == ["odd", "sink"]
-        fused.open()
-        for value in range(10):
-            plain.push("s", value)
-            fused.push("s", value)
-        assert fused_sink.out == plain_sink.out
-
-    def test_close_cascades_in_plan_order(self):
-        plan, sink = linear_plan()
-        plan.open()
-        plan.close()
-        assert sink.closed
-
-    def test_unknown_input_channel_rejected(self):
-        plan = Plan()
-        plan.add_source("s")
-        with pytest.raises(ValueError):
-            plan.add_operator("op", AddOne(), ["nope"])
-
-    def test_duplicate_channel_rejected(self):
-        plan = Plan()
-        plan.add_source("s")
-        with pytest.raises(ValueError):
-            plan.add_source("s")
-
-    def test_plan_records_unified_operator_counters(self):
-        obs.enable()
-        plan, _sink = linear_plan()
-        plan.open(layer="test")
-        for value in range(4):
-            plan.push("s", value)
-        registry = obs.get_registry()
-        records_in = registry.get("exec.operator.records_in",
-                                  operator="inc", layer="test")
-        assert records_in.value == 4
-        records_out = registry.get("exec.operator.records_out",
-                                   operator="odd", layer="test")
-        assert records_out.value == 2  # 1 and 3 survive the filter
-
-
-class TestWatermarkPropagation:
-    def two_input_plan(self):
-        plan = Plan()
-        plan.add_source("a")
-        plan.add_source("b")
-        sink = Sink()
-        plan.add_operator("sink", sink, ["a", "b"])
-        return plan, sink
-
-    def test_combined_watermark_is_min_over_inputs(self):
-        plan, sink = self.two_input_plan()
-        plan.open()
-        plan.advance_watermark("a", 5)
-        assert sink.marks == []  # b still at the initial -1
-        plan.advance_watermark("b", 3)
-        assert sink.marks == [3]
-        plan.advance_watermark("b", 7)
-        assert sink.marks == [3, 5]
-
-    def test_watermark_never_regresses(self):
-        plan, sink = self.two_input_plan()
-        plan.open()
-        plan.advance_watermark("a", 5)
-        plan.advance_watermark("b", 5)
-        plan.advance_watermark("a", 2)  # stale mark: ignored
-        assert sink.marks == [5]
-
-    def test_watermark_propagates_through_operators(self):
-        plan = Plan()
-        plan.add_source("s")
-        plan.add_operator("inc", AddOne(), ["s"])
-        sink = Sink()
-        plan.add_operator("sink", sink, ["inc"])
-        plan.open()
-        plan.advance_watermark("s", 9)
-        assert sink.marks == [9]
-
-    def test_initial_watermark_of_source_is_honoured(self):
-        plan = Plan()
-        plan.add_source("s", initial_watermark=-12)
-        sink = Sink()
-        plan.add_operator("sink", sink, ["s"])
-        plan.open()
-        plan.advance_watermark("s", -11)
-        assert sink.marks == [-11]

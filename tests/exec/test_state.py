@@ -13,7 +13,8 @@ from repro.exec import (
     DictStateBackend,
     LSMStateBackend,
     Operator,
-    Plan,
+    OperatorContext,
+    StageEmitter,
     StateBackend,
 )
 from repro.runtime import (
@@ -122,16 +123,19 @@ class Collect(Operator):
 EVENTS = [("a", 1), ("b", 1), ("a", 1), ("c", 1), ("a", 1), ("b", 1)]
 
 
-def run_counts(factory):
-    plan = Plan()
-    plan.add_source("s")
-    plan.add_operator("count", CountPerKey(), ["s"])
+def opened(op, factory):
+    """``op`` opened on ``factory``'s state, emitting into a fresh sink."""
     sink = Collect()
-    plan.add_operator("sink", sink, ["count"])
-    plan.open(state_factory=factory)
+    op.open(OperatorContext(emitter=StageEmitter(sink),
+                            state_factory=factory))
+    return op, sink
+
+
+def run_counts(factory):
+    count, sink = opened(CountPerKey(), factory)
     for event in EVENTS:
-        plan.push("s", event)
-    return sink.out, plan
+        count.process_element(event)
+    return sink.out, count
 
 
 class TestOperatorConformance:
@@ -142,29 +146,20 @@ class TestOperatorConformance:
         assert dict_out[-1] == ("b", 2)
 
     def test_plan_snapshot_restore_across_backends(self):
-        _, source_plan = run_counts(LSMStateBackend)
-        state = source_plan.snapshot()
-        plan = Plan()
-        plan.add_source("s")
-        plan.add_operator("count", CountPerKey(), ["s"])
-        sink = Collect()
-        plan.add_operator("sink", sink, ["count"])
-        plan.open(state_factory=DictStateBackend)  # restore crosses backends
-        plan.restore(state)
-        plan.push("s", ("a", 1))
+        _, source = run_counts(LSMStateBackend)
+        state = source.snapshot()
+        # restore crosses backends
+        count, sink = opened(CountPerKey(), DictStateBackend)
+        count.restore(state)
+        count.process_element(("a", 1))
         assert sink.out == [("a", 4)]
 
     def test_dsl_stateful_operator_identical_across_backends(self):
         def run(factory):
-            plan = Plan()
-            plan.add_source("s")
-            plan.add_operator(
-                "reduce", RunningReduceOperator(lambda a, b: a + b), ["s"])
-            sink = Collect()
-            plan.add_operator("sink", sink, ["reduce"])
-            plan.open(state_factory=factory)
+            reduce, sink = opened(
+                RunningReduceOperator(lambda a, b: a + b), factory)
             for i, (key, value) in enumerate(EVENTS):
-                plan.push("s", Element(value, key, i))
+                reduce.process_element(Element(value, key, i))
             return [element.value for element in sink.out]
 
         assert run(DictStateBackend) == run(LSMStateBackend)

@@ -1,9 +1,9 @@
 """Tests for the profiling layer (repro.obs.profile).
 
-Covers the four tentpole pieces — per-operator collectors on the kernel,
-backpressure telemetry, the flight recorder, and the introspection
-surface (explain_analyze / render_top / JSONL snapshots) — plus the
-tier-1 guard that the disabled hot path does zero profiling work.
+Covers per-operator statistics, backpressure telemetry, the flight
+recorder, and the introspection surface (explain_analyze / render_top /
+JSONL snapshots), plus the tier-1 guard that the disabled hot path does
+zero profiling work.
 """
 
 import json
@@ -14,47 +14,21 @@ import pytest
 import repro.obs as obs
 from repro.obs import profile as _profile
 from repro.core.records import Schema
+from repro.dataflow import FixedWindows, Pipeline
 from repro.dsms.engine import DSMSEngine
 from repro.dsms.queues import InputQueue
-from repro.exec import Operator, Plan
+from repro.exec import Operator
 
 
-# ---------------------------------------------------------------------------
-# Kernel plumbing for plan-level tests
-# ---------------------------------------------------------------------------
-
-
-class AddOne(Operator):
-    fusible = True
-
-    def process_element(self, value, input_index=0):
-        self.emit(value + 1)
-
-
-class KeepOdd(Operator):
-    fusible = True
-
-    def process_element(self, value, input_index=0):
-        if value % 2:
-            self.emit(value)
-
-
-class Sink(Operator):
-    def __init__(self):
-        self.out = []
-
-    def process_element(self, value, input_index=0):
-        self.out.append(value)
-
-
-def linear_plan():
-    plan = Plan()
-    plan.add_source("s")
-    plan.add_operator("inc", AddOne(), ["s"])
-    plan.add_operator("odd", KeepOdd(), ["inc"])
-    sink = Sink()
-    plan.add_operator("sink", sink, ["odd"])
-    return plan, sink
+def run_pipeline():
+    """A small windowed count on the dataflow runner."""
+    p = Pipeline()
+    (p.create([("a", 1), ("a", 5), ("b", 12)])
+     .map(lambda v: (v, 1))
+     .window_into(FixedWindows(10))
+     .combine_per_key(sum)
+     .collect("out"))
+    return p.run().values("out")
 
 
 def shared_group_engine():
@@ -146,97 +120,14 @@ class TestFlightRecorder:
                  for line in path.read_text().splitlines()]
         assert kinds and all(k == "tick" for k in kinds)
 
-    def test_kernel_records_flight_events_when_enabled(self):
-        obs.enable(profile=True)
-        plan, _sink = linear_plan()
-        plan.open(layer="test")
-        for value in range(130):  # > FLIGHT_EVERY pushes
-            plan.push("s", value)
-        plan.advance_watermark("s", 130)
-        kinds = {e["kind"] for e in _profile.get_flight_recorder().events()}
-        assert "element.push" in kinds
-        assert "watermark.advance" in kinds
-
 
 # ---------------------------------------------------------------------------
-# Per-operator collectors on the kernel
+# State-size estimation
 # ---------------------------------------------------------------------------
 
 
-class TestKernelProfiling:
-    def test_collectors_count_exact_in_out(self):
-        obs.enable(profile=True, sample_every=1)
-        plan, sink = linear_plan()
-        plan.open(layer="test")
-        for value in range(6):
-            plan.push("s", value)
-        assert sink.out == [1, 3, 5]
-        profiles = plan._profiler.profiles
-        assert profiles["inc"].records_in == 6
-        assert profiles["inc"].records_out == 6
-        assert profiles["odd"].records_in == 6
-        assert profiles["odd"].records_out == 3
-        assert profiles["odd"].selectivity == 0.5
-        assert profiles["sink"].records_in == 3
-
-    def test_sampled_busy_time_and_shares_sum_to_one(self):
-        obs.enable(profile=True, sample_every=1)
-        plan, _sink = linear_plan()
-        plan.open(layer="test")
-        for value in range(50):
-            plan.push("s", value)
-        snapshot = plan._profiler.snapshot()
-        assert snapshot["total_busy_seconds"] > 0
-        shares = [entry["busy_share"] for entry in snapshot["operators"]]
-        assert all(share is not None for share in shares)
-        assert sum(shares) == pytest.approx(1.0)
-        # self-time attribution: no single operator swallows the whole
-        # plan's wall time (the upstream ops' nested work is subtracted)
-        assert all(share < 1.0 for share in shares)
-
-    def test_sampling_rate_times_a_subset(self):
-        obs.enable(profile=True, sample_every=4)
-        plan, _sink = linear_plan()
-        plan.open(layer="test")
-        for value in range(16):
-            plan.push("s", value)
-        profile = plan._profiler.profiles["inc"]
-        assert profile.records_in == 16
-        assert profile.timed_in == 4  # 1 in 4 flows timed
-
-    def test_selectivity_none_before_any_input(self):
-        profile = _profile.OperatorProfile("op", "Test")
-        assert profile.selectivity is None
-        assert profile.as_dict()["selectivity"] is None
-
-    def test_watermark_lag_per_node(self):
-        obs.enable(profile=True, sample_every=1)
-        plan = Plan()
-        plan.add_source("a")
-        plan.add_source("b")
-        plan.add_operator("sink", Sink(), ["a", "b"])
-        plan.open(layer="test")
-        plan.advance_watermark("a", 100)
-        plan.advance_watermark("b", 40)
-        (entry,) = plan._profiler.snapshot()["operators"]
-        # sink's combined watermark is min(100, 40); the plan's high
-        # watermark is max(100, 40) — the node lags by the difference
-        assert entry["watermark"] == 40
-        assert entry["watermark_lag"] == 60
-
-    def test_profiler_publishes_into_registry(self):
-        obs.enable(profile=True, sample_every=1)
-        plan, _sink = linear_plan()
-        plan.open(layer="test")
-        for value in range(4):
-            plan.push("s", value)
-        registry = obs.get_registry()
-        plan._profiler.publish(registry)
-        gauge = registry.get("exec.profile.records_in",
-                             operator="inc", layer="test")
-        assert gauge.value == 4
-
-    def test_state_entries_reads_backends(self):
+class TestStateBytes:
+    def test_state_bytes_reads_backends(self):
         from repro.exec.state import DictStateBackend
 
         class Stateful(Operator):
@@ -247,11 +138,11 @@ class TestKernelProfiling:
                 self.state.put(value, value)
 
         op = Stateful()
+        empty = _profile.state_bytes(op)
         op.state.put("a", 1)
         op.state.put("b", 2)
-        assert _profile.state_entries(op) == 2
-        assert _profile.state_bytes(op) > 0
-        assert _profile.state_entries(object()) is None
+        assert _profile.state_bytes(op) > empty
+        assert _profile.state_bytes(object()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -260,33 +151,15 @@ class TestKernelProfiling:
 
 
 class TestDisabledPathDoesNoProfilingWork:
-    def test_plan_opened_without_enable_has_no_profiler(self):
-        plan, _sink = linear_plan()
-        plan.open()
-        assert plan._profiler is None
-        assert all(node.profile is None for node in plan._order)
-
-    def test_kernel_hot_path_allocates_nothing_and_never_times(
-            self, monkeypatch):
-        """With obs never enabled: no collector allocation, no timing
-        calls, no flight-recorder appends — enforced by making each of
-        them raise and running the full kernel + DSMS paths."""
-        import repro.exec.plan as exec_plan
-
+    def test_disabled_paths_record_no_flight_events(self, monkeypatch):
+        """With obs never enabled: no flight-recorder appends — enforced
+        by making them raise and running a dataflow pipeline and the
+        DSMS."""
         def forbidden(*args, **kwargs):
             raise AssertionError("profiling work on the disabled hot path")
 
-        monkeypatch.setattr(_profile, "PlanProfiler", forbidden)
         monkeypatch.setattr(_profile.FlightRecorder, "record", forbidden)
-        monkeypatch.setattr(exec_plan, "_perf", forbidden)
-
-        plan, sink = linear_plan()
-        plan.open()
-        for value in range(20):
-            plan.push("s", value)
-        plan.advance_watermark("s", 20)
-        assert sink.out == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19]
-
+        assert run_pipeline() == [("a", 2), ("b", 1)]
         engine, handle = shared_group_engine()
         assert handle.metrics.processed > 0
 
@@ -311,20 +184,8 @@ class TestDisabledPathDoesNoProfilingWork:
         assert len(obs.get_registry()) == 0
 
     def test_no_profile_metrics_exist_when_disabled(self):
-        plan, _sink = linear_plan()
-        plan.open()
-        for value in range(8):
-            plan.push("s", value)
-        names = {entry["name"]
-                 for entry in obs.get_registry().snapshot()}
-        assert not any(name.startswith("exec.profile") for name in names)
-
-    def test_enable_does_not_retrofit_open_plans(self):
-        plan, _sink = linear_plan()
-        plan.open()
-        obs.enable(profile=True)
-        plan.push("s", 1)
-        assert plan._profiler is None
+        run_pipeline()
+        assert len(obs.get_registry()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +304,7 @@ class TestExplainAnalyze:
         """The ISSUE acceptance criterion: a shared-group standing query
         reports per-operator tuple counts, selectivity, and busy-time
         shares that sum to ~100%."""
-        obs.enable(profile=True, sample_every=1)
+        obs.enable(profile=True)
         _engine, handle = shared_group_engine()
         report = _profile.analyze(handle)
         assert report["query"] == "hot_rooms"
@@ -460,7 +321,7 @@ class TestExplainAnalyze:
         assert sum(shares) == pytest.approx(1.0, abs=0.02)
 
     def test_rendered_handle_report_mentions_everything(self):
-        obs.enable(profile=True, sample_every=1)
+        obs.enable(profile=True)
         _engine, handle = shared_group_engine()
         text = _profile.explain_analyze(handle)
         assert "query 'hot_rooms'" in text
@@ -472,22 +333,6 @@ class TestExplainAnalyze:
         engine, handle = shared_group_engine()
         text = _profile.explain_analyze(handle.query)
         assert "enable timing with obs.enable()" in text
-
-    def test_kernel_plan_renders_profiler_table(self):
-        obs.enable(profile=True, sample_every=1)
-        plan, _sink = linear_plan()
-        plan.open(layer="test")
-        for value in range(12):
-            plan.push("s", value)
-        text = _profile.explain_analyze(plan)
-        assert "kernel plan [test]" in text
-        assert "odd" in text and "0.500" in text  # KeepOdd selectivity
-
-    def test_kernel_plan_without_profiler_degrades_gracefully(self):
-        plan, _sink = linear_plan()
-        plan.open()
-        text = _profile.explain_analyze(plan)
-        assert "profiling disabled" in text
 
     def test_unexplainable_target_raises_type_error(self):
         with pytest.raises(TypeError):
@@ -574,11 +419,10 @@ class TestCheckpointBytesByOperator:
 
 class TestIntrospectionSurface:
     def test_write_snapshot_appends_jsonl(self, tmp_path):
-        obs.enable(profile=True, sample_every=1)
-        plan, _sink = linear_plan()
-        plan.open(layer="test")
-        for value in range(130):  # > FLIGHT_EVERY, so the recorder has events
-            plan.push("s", value)
+        obs.enable(profile=True)
+        engine, _handle = shared_group_engine()
+        engine.publish_observability()
+        _profile.get_flight_recorder().record("tick")
         path = tmp_path / "snap.jsonl"
         _profile.write_snapshot(path)
         _profile.write_snapshot(path)
@@ -587,15 +431,12 @@ class TestIntrospectionSurface:
         payload = json.loads(lines[-1])
         assert payload["type"] == "profile"
         assert payload["profiling"] is True
-        (plan_snapshot,) = payload["plans"]
-        assert plan_snapshot["label"] == "test"
         assert payload["flight_recorder"]["recorded"] >= 1
-        # the snapshot also published the collectors as metrics
-        assert any(m["name"] == "exec.profile.records_in"
+        assert any(m["name"] == "dsms.query.processed"
                    for m in payload["metrics"])
 
     def test_render_top_shows_queries_and_operators(self):
-        obs.enable(profile=True, sample_every=1)
+        obs.enable(profile=True)
         engine, _handle = shared_group_engine()
         engine.publish_observability()
         text = _profile.render_top()
@@ -618,13 +459,9 @@ class TestIntrospectionSurface:
         assert "== backpressure ==" in text
         assert "source[Dead]" in text and "STALLED" in text
 
-    def test_obs_reset_drops_profilers_and_recorder(self):
+    def test_obs_reset_drops_the_recorder(self):
         obs.enable(profile=True)
-        plan, _sink = linear_plan()
-        plan.open(layer="test")
-        plan.push("s", 1)
-        assert len(_profile._PROFILERS) == 1
+        _profile.get_flight_recorder().record("tick")
         obs.reset()
         assert not _profile.is_enabled()
-        assert len(_profile._PROFILERS) == 0
         assert _profile.get_flight_recorder().recorded == 0

@@ -1,4 +1,4 @@
-"""Golden-file tests for the EXPLAIN renderers (logical and kernel)."""
+"""Golden-file tests for the EXPLAIN renderer."""
 
 from pathlib import Path
 
@@ -6,10 +6,7 @@ import pytest
 
 from repro.core import Schema
 from repro.cql import CQLEngine
-from repro.exec import Plan
-from repro.plan.explain import explain, explain_kernel, explain_logical
-
-from tests.exec.test_kernel import AddOne, Sink, linear_plan
+from repro.plan.explain import explain, explain_logical
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,26 +46,3 @@ class TestLogicalExplain:
         plan = engine.plan("SELECT id FROM RoomObservation [Now]")
         assert explain(plan) == explain_logical(plan)
 
-
-def fan_out_plan():
-    """One channel read by two consumers — the wiring of a subplan that
-    several queries share."""
-    plan = Plan()
-    plan.add_source("readings")
-    plan.add_operator("inc", AddOne(), ["readings"])
-    plan.add_operator("left", Sink(), ["inc"])
-    plan.add_operator("right", Sink(), ["inc"])
-    return plan
-
-
-class TestKernelExplain:
-    def test_shared_group_wiring(self):
-        rendered = explain_kernel(fan_out_plan())
-        assert rendered + "\n" == golden("shared_kernel.txt")
-
-    def test_shared_channels_marked(self):
-        assert "(shared x2)" in explain(fan_out_plan())
-
-    def test_unshared_plan_has_no_shared_marks(self):
-        plan, _sink = linear_plan()
-        assert "shared x" not in explain_kernel(plan)
