@@ -42,8 +42,7 @@ from repro.dataflow.triggers import (
     PaneTiming,
     Trigger,
 )
-from repro.dataflow.windowfn import GlobalWindows, WindowFn
-from repro.exec import Emitter, Operator, OperatorContext
+from repro.dataflow.windowfn import GlobalWindows, Sessions, WindowFn
 
 
 @dataclass
@@ -253,57 +252,79 @@ def _logical_label(node: PCollection) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 
-class _ParDoOp(Operator):
+class _ParDoOp:
     """ParDo: zero or more outputs per element, windows kept."""
 
-    def __init__(self, fn: Callable[[Any], Iterable[Any]]) -> None:
+    __slots__ = ("_fn", "_emit")
+
+    def __init__(self, fn: Callable[[Any], Iterable[Any]],
+                 emit: Callable[[Any], None]) -> None:
         self._fn = fn
+        self._emit = emit
 
-    def process_element(self, wv: WindowedValue,
-                        input_index: int = 0) -> None:
+    def process(self, wv: WindowedValue) -> None:
+        emit = self._emit
         for value in self._fn(wv.value):
-            self.emit(wv.with_value(value))
+            emit(wv.with_value(value))
 
 
-class _WindowOp(Operator):
+class _WindowOp:
     """Window assignment: re-window each element by its timestamp."""
 
-    def __init__(self, window_fn: WindowFn) -> None:
+    __slots__ = ("_window_fn", "_emit")
+
+    def __init__(self, window_fn: WindowFn,
+                 emit: Callable[[Any], None]) -> None:
         self._window_fn = window_fn
+        self._emit = emit
 
-    def process_element(self, wv: WindowedValue,
-                        input_index: int = 0) -> None:
+    def process(self, wv: WindowedValue) -> None:
         windows = tuple(self._window_fn.assign(wv.timestamp))
-        self.emit(WindowedValue(wv.value, wv.timestamp, windows, wv.pane))
+        self._emit(WindowedValue(wv.value, wv.timestamp, windows, wv.pane))
 
 
-class _GBKOp(Operator):
+class _GBKOp:
     """GroupByKey: insert, merge, fire, finalise, expire.
 
-    Inserts judge lateness against the source's watermark,
-    ``process_watermark`` fires the panes whose trigger says so and drops
-    the ones that can never change again, and ``close`` force-drains the
-    rest.  Processing-time triggers count pipeline arrivals, not elements
-    reaching this node, so the operator reads its runner's arrival index.
+    Inserts judge lateness against the node's own input watermark cell;
+    ``advance`` raises the cell, fires the panes whose trigger says so
+    and drops the ones that can never change again, and ``close``
+    force-drains the rest.  A GroupByKey below another one is advanced
+    after it, so the panes the upper one fires in an advance arrive
+    before the lower one's cell moves past them.  Processing-time
+    triggers count pipeline arrivals, not elements reaching this node,
+    so the operator reads its runner's arrival index.
     """
 
-    def __init__(self, node: PCollection, runner: "_Runner") -> None:
+    def __init__(self, node: PCollection, runner: "_Runner",
+                 emit: Callable[[Any], None], watermark: Timestamp) -> None:
         self.node = node
         self._runner = runner
         self.result = runner.result
+        self._emit = emit
+        #: the input watermark cell
+        self.watermark = watermark
         self.panes: dict[tuple[Any, Window], _PaneState] = {}
-        self.merged_away: set[tuple[Any, Window]] = set()
+        #: merging windows: each key's live windows, in ``panes`` order
+        self._sessions: dict[Any, list[Window]] = {}
+        # How far past its end a window can still take a non-late
+        # element.  Fixed windows: not at all.  A session merges an
+        # element stamped t when t <= end (merge_sessions' touching
+        # rule), and t is late once watermark >= t + gap - 1 + allowed
+        # lateness; so nothing can reach a session once the watermark
+        # is past end + gap - 1 + allowed lateness.  An unknown merging
+        # window function never expires its panes.
+        window_fn = node.windowing.window_fn
+        self._reach: Timestamp | None = (
+            0 if not window_fn.is_merging
+            else window_fn.gap if isinstance(window_fn, Sessions)
+            else None)
         self._obs = obs.is_enabled()
         self._registry = obs.get_registry() if self._obs else None
 
-    def open(self, ctx) -> None:
-        super().open(ctx)
-        self._watermark = ctx.watermark
-
-    def process_element(self, wv: WindowedValue,
-                        input_index: int = 0) -> None:
+    def process(self, wv: WindowedValue) -> None:
         strategy = self.node.windowing
-        watermark = self._watermark()
+        watermark = self.watermark
         try:
             key, value = wv.value
         except (TypeError, ValueError):
@@ -336,19 +357,18 @@ class _GBKOp(Operator):
     def _merge_into(self, key: Any, window: Window,
                     strategy: WindowingStrategy) -> Window:
         """Session merging: coalesce the new proto-window with the key's
-        active windows, transplanting buffered state."""
-        active = [w for (k, w) in self.panes if k == key
-                  and (k, w) not in self.merged_away]
+        live windows, transplanting buffered state."""
+        active = self._sessions.setdefault(key, [])
         merged = strategy.window_fn.merge(active + [window])
         # Find the merged window that swallowed the new proto-window.
         target = next(w for w in merged if w.overlaps(window)
                       or w == window)
         if target not in active:
-            absorbed = [w for w in active if w.overlaps(target)]
             fresh = _PaneState(strategy.trigger)
-            for old in absorbed:
+            for old in active:
+                if not old.overlaps(target):
+                    continue
                 old_pane = self.panes.pop((key, old))
-                self.merged_away.add((key, old))
                 fresh.buffer.extend(old_pane.buffer)
                 fresh.retained.extend(old_pane.retained)
                 fresh.pane_index = max(fresh.pane_index,
@@ -360,19 +380,21 @@ class _GBKOp(Operator):
                 strategy.trigger.on_element(fresh.trigger_state,
                                             self._runner._arrival_index)
             self.panes[(key, target)] = fresh
+            active[:] = [w for w in active if not w.overlaps(target)]
+            active.append(target)
         return target
 
-    def process_watermark(self, watermark: Timestamp,
-                          input_index: int = 0) -> None:
+    def advance(self, watermark: Timestamp) -> None:
+        self.watermark = watermark
         strategy = self.node.windowing
         trigger = strategy.trigger
-        # A pane is inert once the watermark is past its window's allowed
-        # lateness (every later element for it is dropped as late) and its
-        # buffer is empty after firing (close would emit nothing): drop
-        # it.  Merging windows keep theirs, since a session may still
-        # absorb them.
-        expire = not strategy.window_fn.is_merging
-        lateness = strategy.allowed_lateness
+        # A pane is inert once no element that is not late can reach it
+        # (see ``_reach``) and its buffer is empty after firing (close
+        # would emit nothing): drop it.
+        reach = self._reach
+        horizon = None if reach is None else \
+            watermark - reach - strategy.allowed_lateness + 1
+        merging = strategy.window_fn.is_merging
         for (key, window) in sorted(
                 self.panes, key=lambda kw: (kw[1], repr(kw[0]))):
             pane = self.panes[(key, window)]
@@ -380,9 +402,14 @@ class _GBKOp(Operator):
                 if pane.had_data:
                     self._fire(key, window, PaneTiming.ON_TIME)
                 pane.on_time_fired = True
-            if (expire and not pane.buffer
-                    and watermark >= window.end - 1 + lateness):
+            if (horizon is not None and not pane.buffer
+                    and window.end <= horizon):
                 del self.panes[(key, window)]
+                if merging:
+                    sessions = self._sessions[key]
+                    sessions.remove(window)
+                    if not sessions:
+                        del self._sessions[key]
 
     def close(self) -> None:
         """Drain: force-fire panes whose trigger never did (e.g. Never).
@@ -419,40 +446,37 @@ class _GBKOp(Operator):
                                    timing=timing.name).inc()
         combiner = self.node.spec.get("combiner")
         payload = combiner(list(contents)) if combiner else list(contents)
-        self.emit(WindowedValue((key, payload),
-                                min(window.end - 1, MAX_TIMESTAMP - 1),
-                                (window,), info))
+        self._emit(WindowedValue((key, payload),
+                                 min(window.end - 1, MAX_TIMESTAMP - 1),
+                                 (window,), info))
 
 
-class _SinkOp(Operator):
+class _SinkOp:
     """Records outputs under a label; passes elements through."""
 
-    def __init__(self, label: str, result: PipelineResult) -> None:
+    __slots__ = ("_label", "_result", "_emit")
+
+    def __init__(self, label: str, result: PipelineResult,
+                 emit: Callable[[Any], None]) -> None:
         self._label = label
         self._result = result
+        self._emit = emit
 
-    def process_element(self, wv: WindowedValue,
-                        input_index: int = 0) -> None:
+    def process(self, wv: WindowedValue) -> None:
         self._result.outputs[self._label].append(wv)
-        self.emit(wv)
+        self._emit(wv)
 
 
-class _FanOut(Emitter):
-    """A node's emitter: straight into each child node's entry point,
+def _fan_out(deliveries: list[Callable[[Any], None]],
+             count: Callable[[], None] | None) -> Callable[[Any], None]:
+    """A node's delivery: straight into each child node's entry point,
     counting the emission first when obs is on."""
-
-    __slots__ = ("_deliveries", "_count")
-
-    def __init__(self, deliveries: list[Callable[[Any], None]],
-                 count: Callable[[], None] | None) -> None:
-        self._deliveries = deliveries
-        self._count = count
-
-    def emit(self, value: Any) -> None:
-        if self._count is not None:
-            self._count()
-        for deliver in self._deliveries:
+    def emit(value: Any) -> None:
+        if count is not None:
+            count()
+        for deliver in deliveries:
             deliver(value)
+    return emit
 
 
 def _counted(count: Callable[[], None],
@@ -465,97 +489,103 @@ def _counted(count: Callable[[], None],
 
 
 class _Source:
-    """A source's watermark cell and the nodes it drives."""
+    """A source's watermark and the nodes it drives."""
 
     __slots__ = ("watermark", "entries", "gbks")
 
     def __init__(self, watermark: Timestamp,
-                 entries: list[Callable[[Any], None]]) -> None:
+                 entries: list[Callable[[Any], None]],
+                 gbks: list[_GBKOp]) -> None:
         self.watermark = watermark
         #: the child nodes' entry points
         self.entries = entries
         #: the GroupByKeys below this source, in pipeline order
-        self.gbks: list[_GBKOp] = []
+        self.gbks = gbks
 
     def advance(self, watermark: Timestamp) -> None:
-        """Raise the cell, then fire the GroupByKeys in pipeline order.
+        """Advance the GroupByKeys in pipeline order.
 
-        The cell moves first, so panes an upstream GroupByKey fires reach
-        a downstream one that already sees the new watermark: its own
-        firing in this same advance emits the ones its allowed lateness
-        admits.
+        Each one's cell moves only when its turn comes, so the panes an
+        upper GroupByKey fires reach a lower one that still judges them
+        against the old watermark; the lower one's own advance then
+        fires them.
         """
         if watermark > self.watermark:
             self.watermark = watermark
             for gbk in self.gbks:
-                gbk.process_watermark(watermark)
+                gbk.advance(watermark)
 
 
 class _Runner:
     """Drives the pipeline tree directly.
 
-    Each non-source PCollection is one node: its operator opens with an
-    emitter that calls its children's ``process_element`` and reads the
-    watermark cell of the one source it descends from, which starts at
-    the generator's pre-observation value.  The driver replays each
-    source in arrival order, advancing the cell after every element the
+    Each non-source PCollection is one node, built with its children's
+    entry points as its delivery; a GroupByKey also holds its own input
+    watermark cell, which starts at its source generator's
+    pre-observation value.  The runner replays each source in arrival
+    order, advancing the source's GroupByKeys after every element the
     generator marks and to ``MAX_TIMESTAMP`` at the source's end, then
-    closes every node in pipeline order.  With obs on, node ``{kind}{i}``
-    counts ``exec.operator.records_in``/``records_out`` under that
-    operator label and ``layer="dataflow"``.
+    closes every GroupByKey in pipeline order.  With obs on, node
+    ``{kind}{i}`` counts ``exec.operator.records_in``/``records_out``
+    under that operator label and ``layer="dataflow"``.
     """
 
     def __init__(self, pipeline: Pipeline) -> None:
         self.pipeline = pipeline
         self.result = PipelineResult()
         self._arrival_index = 0
-        self._sources: dict[int, _Source] = {}
-        self._ops: list[Operator] = []
         registry = obs.get_registry() if obs.is_enabled() else None
-        labels: dict[int, str] = {}
-        ops: dict[int, Operator] = {}
+        nodes = pipeline._nodes
+        source_of: dict[int, PCollection] = {}
+        start: dict[int, Timestamp] = {}
+        for node in nodes:
+            if node.kind == "source":
+                source_of[id(node)] = node
+                start[id(node)] = node.spec["watermark"].current().value
+            else:
+                source_of[id(node)] = source_of[id(node.parent)]
+        # Leaves first: a node delivers into its children's entry points.
         entries: dict[int, Callable[[Any], None]] = {}
-        for index, node in enumerate(pipeline._nodes):
-            labels[id(node)] = label = f"{node.kind}{index}"
+        gbks: list[tuple[PCollection, _GBKOp]] = []
+        for index in range(len(nodes) - 1, -1, -1):
+            node = nodes[index]
             if node.kind == "source":
                 continue
-            op = ops[id(node)] = self._operator(node)
-            entries[id(node)] = op.process_element
-            if registry is not None:
-                entries[id(node)] = _counted(registry.counter(
-                    "exec.operator.records_in", operator=label,
-                    layer="dataflow").inc, op.process_element)
-        source_of: dict[int, _Source] = {}
-        for node in pipeline._nodes:
-            deliveries = [entries[id(child)] for child in node.children]
-            if node.kind == "source":
-                generator: WatermarkGenerator = node.spec["watermark"]
-                source_of[id(node)] = self._sources[id(node)] = _Source(
-                    generator.current().value, deliveries)
-                continue
-            source = source_of[id(node)] = source_of[id(node.parent)]
-            op = ops[id(node)]
+            label = f"{node.kind}{index}"
             count = None
             if registry is not None:
                 count = registry.counter(
-                    "exec.operator.records_out", operator=labels[id(node)],
+                    "exec.operator.records_out", operator=label,
                     layer="dataflow").inc
-            op.open(OperatorContext(
-                name=labels[id(node)], emitter=_FanOut(deliveries, count),
-                watermark_fn=lambda source=source: source.watermark))
+            emit = _fan_out([entries[id(child)] for child in node.children],
+                            count)
+            op = self._node(node, emit, start[id(source_of[id(node)])])
+            entries[id(node)] = op.process
+            if registry is not None:
+                entries[id(node)] = _counted(registry.counter(
+                    "exec.operator.records_in", operator=label,
+                    layer="dataflow").inc, op.process)
             if node.kind == "gbk":
-                source.gbks.append(op)
-            self._ops.append(op)
+                gbks.append((node, op))
+        gbks.reverse()
+        self._gbks = [op for _, op in gbks]
+        self._sources = {
+            id(node): _Source(
+                start[id(node)],
+                [entries[id(child)] for child in node.children],
+                [op for gbk, op in gbks if source_of[id(gbk)] is node])
+            for node in pipeline._sources}
 
-    def _operator(self, node: PCollection) -> Operator:
+    def _node(self, node: PCollection, emit: Callable[[Any], None],
+              watermark: Timestamp) -> _ParDoOp | _WindowOp | _GBKOp | _SinkOp:
         if node.kind == "pardo":
-            return _ParDoOp(node.spec["fn"])
+            return _ParDoOp(node.spec["fn"], emit)
         if node.kind == "gbk":
-            return _GBKOp(node, self)
+            return _GBKOp(node, self, emit, watermark)
         if node.kind == "window":
-            return _WindowOp(node.windowing.window_fn)
+            return _WindowOp(node.windowing.window_fn, emit)
         if node.kind == "sink":
-            return _SinkOp(node.spec["label"], self.result)
+            return _SinkOp(node.spec["label"], self.result, emit)
         raise PlanError(f"unexpected node kind {node.kind}")
 
     def run(self) -> PipelineResult:
@@ -576,7 +606,7 @@ class _Runner:
                             source.advance(mark.value)
                     span.add(elements=len(node.spec["elements"]))
                 source.advance(MAX_TIMESTAMP)
-            for op in self._ops:
-                op.close()
+            for gbk in self._gbks:
+                gbk.close()
             root.add(dropped_late=self.result.dropped_late)
         return self.result

@@ -29,7 +29,6 @@ from repro.dsl.operators import (
     ReduceAggregate,
     RunningReduceOperator,
     SessionAggregateOperator,
-    StateBackend,
     SumAggregate,
     WindowAggregateOperator,
     WindowJoinOperator,
@@ -41,7 +40,7 @@ __all__ = [
     "StreamEnvironment", "DataStream", "KeyedStream", "WindowedStream",
     "SessionWindowedStream",
     # operators & state
-    "StateBackend", "DictBackend", "LSMBackend",
+    "DictBackend", "LSMBackend",
     "AggregateFunction", "ReduceAggregate", "CountAggregate",
     "SumAggregate", "AvgAggregate",
     "WindowAggregateOperator", "RunningReduceOperator", "ProcessOperator",

@@ -26,8 +26,8 @@ from repro.dsl.operators import (
     ProcessOperator,
     ReduceAggregate,
     RunningReduceOperator,
-    StateBackend,
     DictBackend,
+    StateFactory,
     WindowAggregateOperator,
 )
 from repro.runtime.dag import (
@@ -58,7 +58,7 @@ class StreamEnvironment:
     """
 
     def __init__(self, parallelism: int = 1,
-                 state_backend: Callable[[], StateBackend] = DictBackend,
+                 state_backend: StateFactory = DictBackend,
                  chaining: bool = True,
                  checkpoint_interval: int | None = None) -> None:
         if parallelism <= 0:

@@ -2,7 +2,8 @@
 
 The DSL's windowed aggregations and running reduces compile to these
 :class:`~repro.runtime.dag.StreamOperator` implementations.  Keyed state
-lives in a pluggable backend — a plain dict or the LSM store of
+lives in one backend, picked by ``StreamEnvironment(state_backend=)``: a
+:class:`~repro.runtime.kvstore.DictStore` or the LSM store of
 :mod:`repro.runtime.kvstore` (the RocksDB stand-in of Figure 5); the
 Figure 5 benchmark compares the two.
 """
@@ -14,14 +15,24 @@ from typing import Any, Callable, Iterable
 from repro.core.errors import StateError
 from repro.core.time import Timestamp
 from repro.core.windows import Window, WindowAssigner
-from repro.exec import OperatorContext
-from repro.exec.state import DictStateBackend, LSMStateBackend, StateBackend
 from repro.runtime.dag import Element, StreamOperator
+from repro.runtime.kvstore import DictStore, LSMStore
 
-# Keyed state moved into the kernel (repro.exec.state); the DSL names stay
-# as aliases so programs and benchmarks keep reading naturally.
-DictBackend = DictStateBackend
-LSMBackend = LSMStateBackend
+#: The heap state backend.
+DictBackend = DictStore
+
+
+def LSMBackend() -> LSMStore:
+    """The embedded LSM state backend (the RocksDB stand-in).
+
+    Keys must be orderable; window state keys are (key, start, end)
+    tuples, so heterogeneous user keys should be strings or ints.
+    """
+    return LSMStore(memtable_limit=256)
+
+
+#: Anything that makes a fresh, empty keyed state.
+StateFactory = Callable[[], "DictStore | LSMStore"]
 
 
 class AggregateFunction:
@@ -107,7 +118,26 @@ class AvgAggregate(AggregateFunction):
         return total / count
 
 
-class WindowAggregateOperator(StreamOperator):
+class KeyedStateOperator(StreamOperator):
+    """A stream operator whose keyed state is one backend, made fresh at
+    ``open`` and checkpointed as its (key, value) pairs."""
+
+    def __init__(self, backend_factory: StateFactory = DictBackend) -> None:
+        self._backend_factory = backend_factory
+
+    def open(self, subtask: int, parallelism: int) -> None:
+        super().open(subtask, parallelism)
+        self.state = self._backend_factory()
+
+    def snapshot(self) -> Any:
+        return list(self.state.items())
+
+    def restore(self, state: Any) -> None:
+        for key, value in state:
+            self.state.put(key, value)
+
+
+class WindowAggregateOperator(KeyedStateOperator):
     """Keyed event-time window aggregation firing on the watermark.
 
     Per (key, window) an accumulator lives in the state backend; a timer at
@@ -119,15 +149,11 @@ class WindowAggregateOperator(StreamOperator):
 
     def __init__(self, assigner: WindowAssigner,
                  aggregate: AggregateFunction,
-                 backend_factory: Callable[[], StateBackend] | None = None,
+                 backend_factory: StateFactory = DictBackend,
                  ) -> None:
         self._assigner = assigner
         self._aggregate = aggregate
-        self._backend_factory = backend_factory
-
-    def open(self, ctx: OperatorContext) -> None:
-        super().open(ctx)
-        self.state = (self._backend_factory or ctx.state_factory)()
+        super().__init__(backend_factory)
 
     def process(self, element: Element) -> Iterable[Element]:
         for window in self._assigner.assign(element.timestamp):
@@ -150,19 +176,12 @@ class WindowAggregateOperator(StreamOperator):
         yield Element((element_key, result, Window(start, end)),
                       element_key, end - 1)
 
-    def snapshot(self) -> Any:
-        return list(self.state.items())
-
-    def restore(self, state: Any) -> None:
-        for key, value in state:
-            self.state.put(key, value)
-
     @property
     def state_size(self) -> int:
         return sum(1 for _ in self.state.items())
 
 
-class SessionAggregateOperator(StreamOperator):
+class SessionAggregateOperator(KeyedStateOperator):
     """Keyed session windows with merging (data-driven gaps).
 
     Per key a list of open sessions ``(start, end, accumulator)`` is kept;
@@ -174,17 +193,13 @@ class SessionAggregateOperator(StreamOperator):
     """
 
     def __init__(self, gap: Timestamp, aggregate: AggregateFunction,
-                 backend_factory: Callable[[], StateBackend] | None = None,
+                 backend_factory: StateFactory = DictBackend,
                  ) -> None:
         if gap <= 0:
             raise StateError(f"session gap must be positive, got {gap}")
         self._gap = gap
         self._aggregate = aggregate
-        self._backend_factory = backend_factory
-
-    def open(self, ctx: OperatorContext) -> None:
-        super().open(ctx)
-        self.state = (self._backend_factory or ctx.state_factory)()
+        super().__init__(backend_factory)
 
     def process(self, element: Element) -> Iterable[Element]:
         sessions: list[tuple[Timestamp, Timestamp, Any]] = \
@@ -221,15 +236,8 @@ class SessionAggregateOperator(StreamOperator):
         else:
             self.state.delete(key)
 
-    def snapshot(self) -> Any:
-        return list(self.state.items())
 
-    def restore(self, state: Any) -> None:
-        for key, value in state:
-            self.state.put(key, value)
-
-
-class WindowJoinOperator(StreamOperator):
+class WindowJoinOperator(KeyedStateOperator):
     """Keyed window join: pairs elements of two streams sharing key and
     window (Flink's ``a.join(b).where(...).window(...)``).
 
@@ -241,15 +249,11 @@ class WindowJoinOperator(StreamOperator):
 
     def __init__(self, assigner: WindowAssigner,
                  combine: Callable[[Any, Any], Any] = lambda l, r: (l, r),
-                 backend_factory: Callable[[], StateBackend] | None = None,
+                 backend_factory: StateFactory = DictBackend,
                  ) -> None:
         self._assigner = assigner
         self._combine = combine
-        self._backend_factory = backend_factory
-
-    def open(self, ctx: OperatorContext) -> None:
-        super().open(ctx)
-        self.state = (self._backend_factory or ctx.state_factory)()
+        super().__init__(backend_factory)
 
     def process(self, element: Element) -> Iterable[Element]:
         side, value = element.value
@@ -280,27 +284,16 @@ class WindowJoinOperator(StreamOperator):
                     (element_key, self._combine(left, right),
                      Window(start, end)), element_key, end - 1)
 
-    def snapshot(self) -> Any:
-        return list(self.state.items())
 
-    def restore(self, state: Any) -> None:
-        for key, value in state:
-            self.state.put(key, value)
-
-
-class RunningReduceOperator(StreamOperator):
+class RunningReduceOperator(KeyedStateOperator):
     """Kafka-Streams-style running reduce: emits the new per-key value on
     every input element (an update stream — a changelog)."""
 
     def __init__(self, fn: Callable[[Any, Any], Any],
-                 backend_factory: Callable[[], StateBackend] | None = None,
+                 backend_factory: StateFactory = DictBackend,
                  ) -> None:
         self._fn = fn
-        self._backend_factory = backend_factory
-
-    def open(self, ctx: OperatorContext) -> None:
-        super().open(ctx)
-        self.state = (self._backend_factory or ctx.state_factory)()
+        super().__init__(backend_factory)
 
     def process(self, element: Element) -> Iterable[Element]:
         _missing = object()
@@ -311,32 +304,21 @@ class RunningReduceOperator(StreamOperator):
         yield Element((element.key, updated), element.key,
                       element.timestamp)
 
-    def snapshot(self) -> Any:
-        return list(self.state.items())
 
-    def restore(self, state: Any) -> None:
-        for key, value in state:
-            self.state.put(key, value)
-
-
-class ProcessOperator(StreamOperator):
+class ProcessOperator(KeyedStateOperator):
     """Escape hatch: a user function with access to per-key state and
     timers (the low-level API the survey says 'more complex computations'
     still need)."""
 
     def __init__(self, fn: Callable[["ProcessOperator", Element],
                                     Iterable[Element]],
-                 backend_factory: Callable[[], StateBackend] | None = None,
+                 backend_factory: StateFactory = DictBackend,
                  on_timer_fn: Callable[["ProcessOperator", Timestamp, Any],
                                        Iterable[Element]] | None = None,
                  ) -> None:
         self._fn = fn
         self._on_timer_fn = on_timer_fn
-        self._backend_factory = backend_factory
-
-    def open(self, ctx: OperatorContext) -> None:
-        super().open(ctx)
-        self.state = (self._backend_factory or ctx.state_factory)()
+        super().__init__(backend_factory)
 
     def process(self, element: Element) -> Iterable[Element]:
         return self._fn(self, element)
@@ -345,10 +327,3 @@ class ProcessOperator(StreamOperator):
         if self._on_timer_fn is None:
             return ()
         return self._on_timer_fn(self, fire_at, key)
-
-    def snapshot(self) -> Any:
-        return list(self.state.items())
-
-    def restore(self, state: Any) -> None:
-        for key, value in state:
-            self.state.put(key, value)

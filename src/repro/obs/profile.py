@@ -128,17 +128,11 @@ def dump_on_crash(path: str | pathlib.Path) -> Iterator[FlightRecorder]:
 def state_bytes(op: Any) -> int | None:
     """A cheap serialized-size estimate of an operator's state.
 
-    Uses the backend's sampling estimator when there is one, else the
-    repr length of the operator's state: a CQL operator's
+    The repr length of the operator's state: a CQL operator's
     ``_STATE_ATTRS``, or any other operator's own snapshot.  Only ever
     called from introspection surfaces (explain/snapshot), never on a
     hot path.
     """
-    from repro.exec.state import StateBackend
-
-    state = getattr(op, "state", None)
-    if isinstance(state, StateBackend):
-        return state.estimated_bytes()
     attrs = getattr(op, "_STATE_ATTRS", None)
     if attrs is not None:
         return len(repr([getattr(op, attr) for attr in attrs]))

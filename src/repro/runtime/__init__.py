@@ -49,6 +49,7 @@ from repro.runtime.job import (
 )
 from repro.runtime.kvstore import (
     TOMBSTONE,
+    DictStore,
     LSMStore,
     MemTable,
     SortedRun,
@@ -78,7 +79,8 @@ __all__ = [
     "Broker", "Topic", "Partition", "BrokerRecord", "ConsumerGroup",
     "replay", "replay_compacted",
     # kv store
-    "LSMStore", "MemTable", "SortedRun", "WriteAheadLog", "TOMBSTONE",
+    "LSMStore", "DictStore", "MemTable", "SortedRun", "WriteAheadLog",
+    "TOMBSTONE",
     # actors
     "Actor", "ActorRef", "ActorSystem", "ActorContext", "FunctionActor",
     # partitioning

@@ -18,12 +18,6 @@ from typing import Any, Callable, Iterable, Sequence
 import repro.obs as obs
 from repro.core.errors import PlanError, StateError
 from repro.core.time import Timestamp
-from repro.exec import (
-    CollectingEmitter,
-    Operator,
-    OperatorContext,
-    StageEmitter,
-)
 from repro.runtime.partitioning import ForwardPartitioner, Partitioner
 
 
@@ -67,24 +61,21 @@ class TimerService:
         heapq.heapify(self._heap)
 
 
-class StreamOperator(Operator):
-    """Base runtime operator — a kernel operator with runtime hooks.
+class StreamOperator:
+    """Base runtime operator: the job tier's one operator protocol.
 
-    Lifecycle: ``open`` once per subtask (with an
-    :class:`~repro.exec.OperatorContext`), then ``process`` per element,
-    ``on_watermark`` per watermark advance (with ``timers`` already
-    populated), ``on_end`` at end of stream.  ``snapshot``/``restore``
-    implement checkpointing.  The iterable-returning hooks are the
-    authoring surface; the kernel protocol (``process_element`` /
-    ``process_watermark`` / ``close``) wraps them, emitting through the
-    context, so a subtask and a :class:`ChainedOperator` drive runtime
-    operators identically.
+    Lifecycle: ``open(subtask, parallelism)`` once per subtask, then
+    ``process`` per element, ``on_timer`` per due timer and
+    ``on_watermark`` per watermark advance, ``on_barrier`` when barrier
+    alignment completes and ``on_end`` at end of stream.  Every hook
+    returns its output; the host (an ``OperatorSubtask`` or a
+    :class:`ChainedOperator`) routes it on.  ``snapshot``/``restore``
+    implement checkpointing.
     """
 
-    def open(self, ctx: OperatorContext) -> None:
-        super().open(ctx)
-        self.subtask = ctx.subtask
-        self.parallelism = ctx.parallelism
+    def open(self, subtask: int, parallelism: int) -> None:
+        self.subtask = subtask
+        self.parallelism = parallelism
         self.timers = TimerService()
 
     def process(self, element: Element) -> Iterable[Element]:
@@ -111,21 +102,6 @@ class StreamOperator(Operator):
         if state is not None:
             raise StateError(f"{type(self).__name__} has no state to "
                              f"restore into")
-
-    # -- kernel protocol -------------------------------------------------------
-
-    def process_element(self, element: Element, input_index: int = 0) -> None:
-        self.ctx.emitter.emit_all(self.process(element))
-
-    def process_watermark(self, watermark: Timestamp,
-                          input_index: int = 0) -> None:
-        emitter = self.ctx.emitter
-        for fire_at, key in self.timers.due(watermark):
-            emitter.emit_all(self.on_timer(fire_at, key))
-        emitter.emit_all(self.on_watermark(watermark))
-
-    def close(self) -> None:
-        self.ctx.emitter.emit_all(self.on_end())
 
 
 class MapOperator(StreamOperator):
@@ -184,51 +160,43 @@ class ChainedOperator(StreamOperator):
             raise PlanError("cannot chain zero operators")
         self.operators = list(operators)
 
-    def open(self, ctx: OperatorContext) -> None:
-        super().open(ctx)
-        # Wire members tail-first through StageEmitters so each member's
-        # output is pushed straight into its successor's ``process_element``.
-        # The tail collects into a buffer the chain's own hooks drain.
-        self._tail = CollectingEmitter()
-        downstream: Any = self._tail
-        for position in range(len(self.operators) - 1, -1, -1):
-            op = self.operators[position]
-            op.open(OperatorContext(
-                name=f"{ctx.name}[{position}]", subtask=ctx.subtask,
-                parallelism=ctx.parallelism, emitter=downstream,
-                state_factory=ctx.state_factory,
-                watermark_fn=ctx._watermark_fn))
+    def open(self, subtask: int, parallelism: int) -> None:
+        super().open(subtask, parallelism)
+        for op in self.operators:
+            op.open(subtask, parallelism)
             op.timers = self.timers  # one shared timer service per chain
-            downstream = StageEmitter(op)
+
+    def _cascade(self, elements: list[Element],
+                 hook: Callable[[StreamOperator], Iterable[Element]]
+                 | None = None) -> list[Element]:
+        """Feed ``elements`` through every member in turn.
+
+        ``hook``'s output from a member enters the chain *after* that
+        member, behind what the member made of its input, and a member's
+        hook runs only once that input has reached it.
+        """
+        for op in self.operators:
+            elements = [out for element in elements
+                        for out in op.process(element)]
+            if hook is not None:
+                elements.extend(hook(op))
+        return elements
 
     def process(self, element: Element) -> Iterable[Element]:
-        self.operators[0].process_element(element)
-        return self._tail.drain()
-
-    def _cascade_hook(self, produced_per_op) -> list[Element]:
-        # Each member's hook output enters the chain *after* that member:
-        # emitting through the member's own emitter routes it into the next
-        # member's process path (or the tail buffer for the last member).
-        for op, produced in produced_per_op:
-            for element in produced:
-                op.ctx.emitter.emit(element)
-        return self._tail.drain()
+        return self._cascade([element])
 
     def on_watermark(self, watermark: Timestamp) -> Iterable[Element]:
-        return self._cascade_hook(
-            (op, op.on_watermark(watermark)) for op in self.operators)
+        return self._cascade([], lambda op: op.on_watermark(watermark))
 
     def on_timer(self, fire_at: Timestamp, key: Any) -> Iterable[Element]:
-        return self._cascade_hook(
-            (op, op.on_timer(fire_at, key)) for op in self.operators)
+        return self._cascade([], lambda op: op.on_timer(fire_at, key))
 
     def on_barrier(self, checkpoint_id: int) -> None:
         for op in self.operators:
             op.on_barrier(checkpoint_id)
 
     def on_end(self) -> Iterable[Element]:
-        return self._cascade_hook(
-            (op, op.on_end()) for op in self.operators)
+        return self._cascade([], lambda op: op.on_end())
 
     def snapshot(self) -> Any:
         return [op.snapshot() for op in self.operators]

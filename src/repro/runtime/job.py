@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import repro.obs as obs
 from repro.obs import profile as _profile
 from repro.core.errors import StateError
 from repro.core.time import MAX_TIMESTAMP, Timestamp
-from repro.exec import Emitter, OperatorContext, WatermarkTracker
 from repro.runtime.actors import Actor, ActorRef, ActorSystem
 from repro.runtime.checkpoint import CheckpointCoordinator
 from repro.runtime.dag import (
@@ -83,13 +82,8 @@ class _OutEdge:
             partitioner.upstream_index = subtask
 
 
-class _Emitter(Emitter):
-    """Kernel emitter that routes elements as actor messages.
-
-    Operators opened with this as their context emitter push output
-    straight onto downstream mailboxes — the kernel's ``emit`` surface
-    bound to the actor transport.
-    """
+class _Emitter:
+    """Routes a subtask's output elements onto downstream mailboxes."""
 
     def __init__(self, system: ActorSystem, vertex: str, subtask: int,
                  out_edges: list[_OutEdge]) -> None:
@@ -108,6 +102,10 @@ class _Emitter(Emitter):
                     element.value, element.key, edge.parallelism):
                 self._ref(edge.downstream, index).tell(
                     DataMsg(self.channel, element))
+
+    def emit_all(self, elements: Iterable[Element]) -> None:
+        for element in elements:
+            self.emit(element)
 
     def broadcast(self, make_msg: Callable[[Channel], Any]) -> None:
         message = make_msg(self.channel)
@@ -162,7 +160,15 @@ class SourceSubtask(Actor):
 
 
 class OperatorSubtask(Actor):
-    """One parallel instance of an operator vertex."""
+    """One parallel instance of an operator vertex.
+
+    It calls the operator's hooks and routes what they return through
+    its out-edges.  Its event-time clock is the minimum of its input
+    channels' watermarks and never moves back.  A channel sends
+    ``WatermarkMsg(MAX_TIMESTAMP)`` before its ``EndMsg`` (sources do,
+    and a subtask does once all its inputs have), so an ended channel
+    sits at the maximum and never holds the minimum back.
+    """
 
     #: Mailbox depth at which the channel-edge pressure signal trips
     #: (mailboxes are unbounded, so this is a fixed depth, not a
@@ -178,7 +184,8 @@ class OperatorSubtask(Actor):
         self.operator = operator
         self._emitter = emitter
         self._coordinator = coordinator
-        self._tracker = WatermarkTracker(channels)
+        self._marks: dict[Channel, Timestamp] = dict.fromkeys(channels, -1)
+        self._watermark: Timestamp = -1
         self._ended: set[Channel] = set()
         self._channels = list(channels)
         self._pressured = False
@@ -235,11 +242,16 @@ class OperatorSubtask(Actor):
                                 subtask=self.subtask, depth=depth)
                 else:
                     self._pressured = False
-        self.operator.process_element(message.element)
+        self._emitter.emit_all(self.operator.process(message.element))
 
     def _process_watermark(self, message: WatermarkMsg) -> None:
-        combined = self._tracker.advance(message.channel, message.value)
-        if combined is not None:
+        marks = self._marks
+        if message.value <= marks[message.channel]:
+            return
+        marks[message.channel] = message.value
+        combined = min(marks.values())
+        if combined > self._watermark:
+            self._watermark = combined
             self._fire_watermark(combined)
 
     def _fire_watermark(self, combined: Timestamp) -> None:
@@ -247,7 +259,10 @@ class OperatorSubtask(Actor):
             obs.get_registry().gauge(
                 "exec.operator.watermark", layer="runtime",
                 operator=self.vertex).set(combined)
-        self.operator.process_watermark(combined)
+        operator, emit_all = self.operator, self._emitter.emit_all
+        for fire_at, key in operator.timers.due(combined):
+            emit_all(operator.on_timer(fire_at, key))
+        emit_all(operator.on_watermark(combined))
         self._emitter.broadcast(
             lambda ch, w=combined: WatermarkMsg(ch, w))
 
@@ -282,15 +297,11 @@ class OperatorSubtask(Actor):
 
     def _process_end(self, message: EndMsg) -> None:
         self._ended.add(message.channel)
-        # An ended channel stops holding back the combined watermark...
-        combined = self._tracker.mark_idle(message.channel)
-        if combined is not None:
-            self._fire_watermark(combined)
-        # ...and no longer blocks alignment.
+        # An ended channel no longer blocks alignment.
         if self._aligning is not None:
             self._process_barrier_progress()
         if self._ended >= set(self._channels):
-            self.operator.close()
+            self._emitter.emit_all(self.operator.on_end())
             self._emitter.broadcast(EndMsg)
             self.context.stop_self()
 
@@ -387,9 +398,7 @@ class JobRunner:
                 operator = vertex.factory()
                 emitter = _Emitter(self.system, name, subtask,
                                    self._out_edges(name, subtask))
-                operator.open(OperatorContext(
-                    name=name, subtask=subtask,
-                    parallelism=vertex.parallelism, emitter=emitter))
+                operator.open(subtask, vertex.parallelism)
                 key = (name, subtask)
                 if key in states:
                     op_state, timer_state = states[key]

@@ -6,9 +6,10 @@ laptop-scale LSM tree: writes go to a write-ahead log and a sorted
 **memtable**; when the memtable exceeds its budget it is flushed to an
 immutable **sorted run** (SSTable); reads consult memtable then runs newest
 first; deletes write **tombstones**; background **compaction** merges runs
-to bound read amplification.  The same get/put/delete/scan interface backs
-the keyed operator state of :mod:`repro.dsl` and the Figure 5 state-backend
-benchmark.
+to bound read amplification.  Its get/put/delete/items surface is the keyed
+state of :mod:`repro.dsl`'s operators; :class:`DictStore`, a dict with the
+same write methods, is the heap alternative the Figure 5 benchmark compares
+it with.
 """
 
 from __future__ import annotations
@@ -27,6 +28,18 @@ class _Tombstone:
 
 
 TOMBSTONE = _Tombstone()
+
+
+class DictStore(dict):
+    """The heap state backend (Flink's 'hashmap'): a dict with the
+    :class:`LSMStore` write surface, so keyed operators run unchanged on
+    either."""
+
+    def put(self, key: Any, value: Any) -> None:
+        self[key] = value
+
+    def delete(self, key: Any) -> None:
+        self.pop(key, None)
 
 
 class MemTable:

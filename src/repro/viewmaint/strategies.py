@@ -19,14 +19,9 @@ Every strategy maintains the same grouped aggregate (count / sum / avg /
 min per group) and exposes ``update_work`` / ``query_work`` counters in
 *touched rows*, which the C6 benchmark sweeps across insert:query mixes.
 
-Since the dynamic-tables refactor the strategies are kernel citizens:
-each one is a :class:`repro.exec.operator.Operator` whose grouped state
-lives behind a pluggable :class:`repro.exec.state.StateBackend` (heap
-dict by default, re-homed onto the plan's backend at ``open()``), and
-every strategy implements ``snapshot()`` / ``restore()`` so the chaos
-:class:`~repro.chaos.recovery.RecoveryManager` can checkpoint and roll
-back a view exactly like any other kernel operator.  Pushed elements use
-the CDC tuple protocol ``("insert" | "delete", row)``.
+Every strategy keeps its grouped state in plain dicts and implements
+``snapshot()`` / ``restore()``, so a view can be checkpointed and rolled
+back like any other stateful operator.
 """
 
 from __future__ import annotations
@@ -34,8 +29,6 @@ from __future__ import annotations
 from typing import Any, Callable, Hashable, Mapping
 
 from repro.core.errors import StateError
-from repro.exec.operator import Operator, OperatorContext
-from repro.exec.state import DictStateBackend, StateBackend
 
 #: A group's accumulator: (row count, value sum, value multiset for MIN).
 GroupKey = Hashable
@@ -104,17 +97,8 @@ def _row_key(row: Mapping[str, Any]) -> tuple:
     return tuple(sorted(row.items()))
 
 
-class ViewStrategy(Operator):
-    """Common interface: a grouped aggregate view over one base table.
-
-    Also an exec ``Operator``: pushed elements are ``(op, row)`` CDC
-    pairs (``op`` is ``"insert"`` or ``"delete"``); the strategy is a
-    materialisation endpoint, so nothing is emitted downstream.
-    """
-
-    #: attribute names holding :class:`StateBackend` instances; ``open``
-    #: re-homes each onto the context's configured backend.
-    _STATE_BACKENDS: tuple[str, ...] = ()
+class ViewStrategy:
+    """Common interface: a grouped aggregate view over one base table."""
 
     def __init__(self, group_fn: Callable[[Mapping[str, Any]], GroupKey],
                  value_fn: Callable[[Mapping[str, Any]], Any]) -> None:
@@ -137,25 +121,6 @@ class ViewStrategy(Operator):
     def total_work(self) -> int:
         return self.update_work + self.query_work
 
-    # -- kernel protocol ------------------------------------------------------
-
-    def open(self, ctx: OperatorContext) -> None:
-        super().open(ctx)
-        for attr in self._STATE_BACKENDS:
-            old: StateBackend = getattr(self, attr)
-            fresh = ctx.new_state()
-            fresh.put_many(old.items())
-            setattr(self, attr, fresh)
-
-    def process_element(self, value: Any, input_index: int = 0) -> None:
-        op, row = value
-        if op == "insert":
-            self.insert(row)
-        elif op == "delete":
-            self.delete(row)
-        else:
-            raise StateError(f"unknown view CDC op {op!r}")
-
     # -- checkpointing --------------------------------------------------------
 
     def _counters_state(self) -> dict[str, int]:
@@ -170,16 +135,14 @@ class ViewStrategy(Operator):
 class RecomputeView(ViewStrategy):
     """No materialisation: keep the base rows, recompute per query."""
 
-    _STATE_BACKENDS = ("_rows",)
-
     def __init__(self, group_fn, value_fn) -> None:
         super().__init__(group_fn, value_fn)
         #: row key → multiplicity
-        self._rows: StateBackend = DictStateBackend()
+        self._rows: dict[tuple, int] = {}
 
     def insert(self, row) -> None:
         key = _row_key(row)
-        self._rows.put(key, self._rows.get(key, 0) + 1)
+        self._rows[key] = self._rows.get(key, 0) + 1
         self.update_work += 1
 
     def delete(self, row) -> None:
@@ -188,9 +151,9 @@ class RecomputeView(ViewStrategy):
         if not have:
             raise StateError(f"deleting absent row {row!r}")
         if have == 1:
-            self._rows.delete(key)
+            del self._rows[key]
         else:
-            self._rows.put(key, have - 1)
+            self._rows[key] = have - 1
         self.update_work += 1
 
     def query(self) -> dict[GroupKey, dict[str, Any]]:
@@ -210,27 +173,24 @@ class RecomputeView(ViewStrategy):
                 **self._counters_state()}
 
     def restore(self, state: Any) -> None:
-        self._rows = DictStateBackend()
-        self._rows.put_many(state["rows"])
+        self._rows = dict(state["rows"])
         self._restore_counters(state)
 
 
 class EagerView(ViewStrategy):
     """Immediate incremental maintenance (PipelineDB-style)."""
 
-    _STATE_BACKENDS = ("_groups",)
-
     def __init__(self, group_fn, value_fn) -> None:
         super().__init__(group_fn, value_fn)
         #: group key → :class:`_Accumulator`
-        self._groups: StateBackend = DictStateBackend()
+        self._groups: dict[GroupKey, _Accumulator] = {}
 
     def insert(self, row) -> None:
         group = self._group_fn(row)
         acc = self._groups.get(group)
         if acc is None:
             acc = _Accumulator()
-            self._groups.put(group, acc)
+            self._groups[group] = acc
         acc.add(self._value_fn(row))
         self.update_work += 1
 
@@ -241,7 +201,7 @@ class EagerView(ViewStrategy):
             raise StateError(f"deleting from absent group {group!r}")
         accumulator.remove(self._value_fn(row))
         if not accumulator.count:
-            self._groups.delete(group)
+            del self._groups[group]
         self.update_work += 1
 
     def query(self) -> dict[GroupKey, dict[str, Any]]:
@@ -255,20 +215,17 @@ class EagerView(ViewStrategy):
                 **self._counters_state()}
 
     def restore(self, state: Any) -> None:
-        self._groups = DictStateBackend()
-        self._groups.put_many((k, _Accumulator.from_state(s))
-                              for k, s in state["groups"])
+        self._groups = {k: _Accumulator.from_state(s)
+                        for k, s in state["groups"]}
         self._restore_counters(state)
 
 
 class LazyView(ViewStrategy):
     """Deferred maintenance: updates buffer, queries catch up then read."""
 
-    _STATE_BACKENDS = ("_groups",)
-
     def __init__(self, group_fn, value_fn) -> None:
         super().__init__(group_fn, value_fn)
-        self._groups: StateBackend = DictStateBackend()
+        self._groups: dict[GroupKey, _Accumulator] = {}
         self._pending: list[tuple[str, dict[str, Any]]] = []
 
     def insert(self, row) -> None:
@@ -286,7 +243,7 @@ class LazyView(ViewStrategy):
             if op == "insert":
                 if acc is None:
                     acc = _Accumulator()
-                    self._groups.put(group, acc)
+                    self._groups[group] = acc
                 acc.add(self._value_fn(row))
             else:
                 if acc is None:
@@ -294,7 +251,7 @@ class LazyView(ViewStrategy):
                         f"deleting from absent group {group!r}")
                 acc.remove(self._value_fn(row))
                 if not acc.count:
-                    self._groups.delete(group)
+                    del self._groups[group]
             self.query_work += 1
         self._pending.clear()
 
@@ -315,9 +272,8 @@ class LazyView(ViewStrategy):
                 **self._counters_state()}
 
     def restore(self, state: Any) -> None:
-        self._groups = DictStateBackend()
-        self._groups.put_many((k, _Accumulator.from_state(s))
-                              for k, s in state["groups"])
+        self._groups = {k: _Accumulator.from_state(s)
+                        for k, s in state["groups"]}
         self._pending = [(op, dict(row)) for op, row in state["pending"]]
         self._restore_counters(state)
 
@@ -335,15 +291,13 @@ class SplitView(ViewStrategy):
     streams).
     """
 
-    _STATE_BACKENDS = ("_snapshot",)
-
     def __init__(self, group_fn, value_fn,
                  merge_threshold: int = 64) -> None:
         super().__init__(group_fn, value_fn)
         if merge_threshold <= 0:
             raise StateError("merge threshold must be positive")
         self.merge_threshold = merge_threshold
-        self._snapshot: StateBackend = DictStateBackend()
+        self._snapshot: dict[GroupKey, _Accumulator] = {}
         #: row key → [row dict, multiplicity]; insertion-ordered so merges
         #: fold rows in arrival order, exactly like the old append log.
         self._delta: dict[tuple, list] = {}
@@ -381,7 +335,7 @@ class SplitView(ViewStrategy):
             raise StateError(f"deleting from absent group {group!r}")
         accumulator.remove(self._value_fn(row))
         if not accumulator.count:
-            self._snapshot.delete(group)
+            del self._snapshot[group]
         self.update_work += 1
 
     def _merge(self) -> None:
@@ -390,7 +344,7 @@ class SplitView(ViewStrategy):
             acc = self._snapshot.get(group)
             if acc is None:
                 acc = _Accumulator()
-                self._snapshot.put(group, acc)
+                self._snapshot[group] = acc
             acc.add(self._value_fn(row), multiplicity)
             self.update_work += multiplicity
         self._delta.clear()
@@ -424,9 +378,8 @@ class SplitView(ViewStrategy):
                 **self._counters_state()}
 
     def restore(self, state: Any) -> None:
-        self._snapshot = DictStateBackend()
-        self._snapshot.put_many((k, _Accumulator.from_state(s))
-                                for k, s in state["snapshot"])
+        self._snapshot = {k: _Accumulator.from_state(s)
+                          for k, s in state["snapshot"]}
         self._delta = {}
         self._delta_rows = 0
         for row, count in state["delta"]:

@@ -391,16 +391,18 @@ class TestRunner:
          .map(lambda kv: order.append(("down", kv)) or kv)
          .collect("out"))
         result = p.run()
-        # Each upstream pane is fired downstream before the next advance;
-        # the last one, flushed by the end-of-stream advance, is late there.
+        # Each upstream pane is fired downstream before the next advance,
+        # the last one, flushed by the end-of-stream advance, included:
+        # the downstream cell moves only after the upstream has fired.
         assert order == [("up", ("a", 2)), ("down", ("a", [2])),
                          ("up", ("a", 1)), ("down", ("a", [1])),
-                         ("up", ("a", 1))]
+                         ("up", ("a", 1)), ("down", ("a", [1]))]
         assert panes(result, "out") == [
             (("a", [2]), 9, ((0, 10),), "ON_TIME", 0),
             (("a", [1]), 19, ((10, 20),), "ON_TIME", 0),
+            (("a", [1]), 29, ((20, 30),), "ON_TIME", 0),
         ]
-        assert result.dropped_late == 1
+        assert result.dropped_late == 0
 
     def test_close_runs_in_pipeline_order(self):
         p = Pipeline()
@@ -474,3 +476,82 @@ class TestPaneExpiry:
         large = self.run(4000), held.pop()
         assert small == large
         assert small[0] <= 8
+
+
+class TestGroupByKeyBelowGroupByKey:
+    """A GroupByKey judges lateness against its own input cell, which
+    moves only after the GroupByKeys above it have fired in an advance."""
+
+    def test_upstream_on_time_panes_are_not_late_downstream(self):
+        p = Pipeline()
+        (p.create([((f"k{i % 4}", i), i) for i in range(40)])
+         .window_into(FixedWindows(10))
+         .combine_per_key(sum)
+         .group_by_key()
+         .collect("out"))
+        result = p.run()
+        assert result.dropped_late == 0
+        # 16 upstream panes, each grouped once more downstream.
+        assert result.panes_by_timing[PaneTiming.ON_TIME] == 32
+        assert sorted((wv.value[0], wv.windows[0].start, wv.value[1])
+                      for wv in result["out"]) == sorted(
+            (f"k{k}", start, [sum(i for i in range(start, start + 10)
+                                  if i % 4 == k)])
+            for k in range(4) for start in range(0, 40, 10))
+        assert {wv.pane.timing for wv in result["out"]} == \
+            {PaneTiming.ON_TIME}
+
+
+class TestSessionPaneExpiry:
+    """A session pane no element that is not late can merge into any
+    more is dropped, so neither the panes held nor the windows a new
+    element is merged against grow with run length."""
+
+    @staticmethod
+    def run(n, monkeypatch):
+        from repro.dataflow import pipeline
+
+        scanned, held = [], []
+
+        class CountingSessions(Sessions):
+            def merge(self, windows):
+                scanned.append(len(windows))
+                return super().merge(windows)
+
+        close = pipeline._GBKOp.close
+
+        def counting_close(self):
+            held.append(len(self.panes))
+            close(self)
+
+        monkeypatch.setattr(pipeline._GBKOp, "close", counting_close)
+        p = Pipeline()
+        (p.create([((f"k{i % 4}", 1), 3 * i) for i in range(n)])
+         .window_into(CountingSessions(2))
+         .combine_per_key(sum).collect("out"))
+        result = p.run()
+        assert len(result["out"]) == n
+        return max(scanned), held.pop()
+
+    def test_panes_held_and_windows_scanned_do_not_grow(self, monkeypatch):
+        small = self.run(400, monkeypatch)
+        large = self.run(4000, monkeypatch)
+        assert small == large
+        assert small[0] <= 3
+
+    def test_a_fired_session_still_merges_what_can_reach_it(self):
+        # [0,4) fires at watermark 6, but t=4 is not late until
+        # watermark 7 and touches it, so the pane must still be there.
+        p = Pipeline()
+        (p.create([(("a", 1), t) for t in (0, 10, 4, 30)],
+                  watermark=BoundedOutOfOrderness(3))
+         .window_into(Sessions(4))
+         .combine_per_key(sum).collect("out"))
+        result = p.run()
+        assert panes(result, "out") == [
+            (("a", 1), 3, ((0, 4),), "ON_TIME", 0),
+            (("a", 1), 7, ((0, 8),), "ON_TIME", 1),
+            (("a", 1), 13, ((10, 14),), "ON_TIME", 0),
+            (("a", 1), 33, ((30, 34),), "ON_TIME", 0),
+        ]
+        assert result.dropped_late == 0

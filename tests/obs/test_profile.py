@@ -17,7 +17,6 @@ from repro.core.records import Schema
 from repro.dataflow import FixedWindows, Pipeline
 from repro.dsms.engine import DSMSEngine
 from repro.dsms.queues import InputQueue
-from repro.exec import Operator
 
 
 def run_pipeline():
@@ -128,16 +127,10 @@ class TestFlightRecorder:
 
 class TestStateBytes:
     def test_state_bytes_reads_backends(self):
-        from repro.exec.state import DictStateBackend
+        from repro.dsl.operators import KeyedStateOperator
 
-        class Stateful(Operator):
-            def __init__(self):
-                self.state = DictStateBackend()
-
-            def process_element(self, value, input_index=0):
-                self.state.put(value, value)
-
-        op = Stateful()
+        op = KeyedStateOperator()
+        op.open(0, 1)
         empty = _profile.state_bytes(op)
         op.state.put("a", 1)
         op.state.put("b", 2)

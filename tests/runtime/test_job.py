@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.core import PlanError
-from repro.exec import OperatorContext
+from repro.core import MAX_TIMESTAMP, PlanError
 from repro.runtime import (
+    ActorSystem,
     BroadcastPartitioner,
     ChainedOperator,
+    CheckpointCoordinator,
     CollectSinkOperator,
     Element,
+    EndMsg,
     FailOnceOperator,
     FilterOperator,
     ForwardPartitioner,
@@ -19,17 +21,18 @@ from repro.runtime import (
     MapOperator,
     RebalancePartitioner,
     StreamOperator,
+    WatermarkMsg,
     chain_operators,
 )
 
-from tests.exec.test_state import reduce_graph
+from tests.runtime.test_kvstore import reduce_graph
 
 
 class CountOperator(StreamOperator):
     """Running count per key — the canonical stateful operator."""
 
-    def open(self, ctx):
-        super().open(ctx)
+    def open(self, subtask, parallelism):
+        super().open(subtask, parallelism)
         self.counts = {}
 
     def process(self, element):
@@ -194,7 +197,7 @@ class TestChaining:
             FilterOperator(lambda v: v % 2 == 0),
             MapOperator(lambda v: v * 10),
         ])
-        chain.open(OperatorContext())
+        chain.open(0, 1)
         assert [e.value for e in chain.process(Element(1))] == [20]
         assert [e.value for e in chain.process(Element(2))] == []
 
@@ -257,3 +260,90 @@ class TestLSMRunningSum:
                            checkpoint_interval=1).run()
         assert result.recoveries == 1
         assert result.values("sink") == self.SUMS
+
+
+class WatermarkLog(StreamOperator):
+    """Records every watermark its subtask fires."""
+
+    def open(self, subtask, parallelism):
+        super().open(subtask, parallelism)
+        self.seen = []
+
+    def process(self, element):
+        return ()
+
+    def on_watermark(self, watermark):
+        self.seen.append(watermark)
+        return ()
+
+
+class TestSubtaskWatermarks:
+    """An operator subtask's clock is the min of its input channels."""
+
+    @staticmethod
+    def subtask(channels):
+        from repro.runtime.job import OperatorSubtask, _Emitter
+
+        system = ActorSystem()
+        operator = WatermarkLog()
+        operator.open(0, 1)
+        system.spawn("op#0", OperatorSubtask(
+            "op", 0, operator, channels, _Emitter(system, "op", 0, []),
+            CheckpointCoordinator(None)))
+
+        def send(*messages):
+            for message in messages:
+                system.ref("op#0").tell(message)
+            system.run_until_idle()
+            return operator.seen
+
+        return send
+
+    def test_advance_and_min_combine(self):
+        a, b = ("up", 0), ("up", 1)
+        send = self.subtask([a, b])
+        assert send(WatermarkMsg(a, 5)) == []
+        assert send(WatermarkMsg(b, 3)) == [3]
+        assert send(WatermarkMsg(b, 9)) == [3, 5]
+
+    def test_time_never_regresses(self):
+        a, b = ("up", 0), ("up", 1)
+        send = self.subtask([a, b])
+        send(WatermarkMsg(a, 5), WatermarkMsg(b, 5))
+        assert send(WatermarkMsg(a, 4), WatermarkMsg(a, 5),
+                    WatermarkMsg(b, 2)) == [5]
+
+    def test_an_ended_channel_never_holds_time_back(self):
+        # A channel ends as every channel does: at the maximum watermark.
+        a, b = ("up", 0), ("up", 1)
+        send = self.subtask([a, b])
+        assert send(WatermarkMsg(a, MAX_TIMESTAMP), EndMsg(a)) == []
+        assert send(WatermarkMsg(b, 7)) == [7]
+        assert send(WatermarkMsg(b, MAX_TIMESTAMP), EndMsg(b)) == \
+            [7, MAX_TIMESTAMP]
+
+    def test_every_channel_sends_the_maximum_before_it_ends(
+            self, monkeypatch):
+        """The claim the plain min rests on, over a real job: no subtask
+        receives an EndMsg on a channel whose last watermark was below
+        MAX_TIMESTAMP."""
+        from repro.runtime import job
+
+        marks, violations = {}, []
+        receive = job.OperatorSubtask.receive
+
+        def checking_receive(self, message, sender):
+            key = (self.vertex, self.subtask, getattr(message, "channel",
+                                                      None))
+            if isinstance(message, WatermarkMsg):
+                marks[key] = message.value
+            elif isinstance(message, EndMsg) and \
+                    marks.get(key) != MAX_TIMESTAMP:
+                violations.append(key)
+            receive(self, message, sender)
+
+        monkeypatch.setattr(job.OperatorSubtask, "receive",
+                            checking_receive)
+        JobRunner(wordcount_graph([True], parallelism=3),
+                  chaining=False, checkpoint_interval=2).run()
+        assert marks and not violations

@@ -1,11 +1,27 @@
-"""Tests for the LSM key-value store, incl. a model-based hypothesis check."""
+"""Tests for the LSM key-value store, incl. a model-based hypothesis check,
+and for the two keyed-state backends (heap dict and LSM) being
+interchangeable under the DSL's keyed operators."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import StateError
-from repro.runtime import LSMStore, MemTable, SortedRun, TOMBSTONE
+from repro.dsl import DictBackend, LSMBackend
+from repro.dsl.operators import KeyedStateOperator, RunningReduceOperator
+from repro.runtime import (
+    TOMBSTONE,
+    CollectSinkOperator,
+    Element,
+    FailOnceOperator,
+    HashPartitioner,
+    JobGraph,
+    JobRunner,
+    KeyByOperator,
+    LSMStore,
+    MemTable,
+    SortedRun,
+)
 
 
 class TestMemTable:
@@ -154,3 +170,137 @@ def test_lsm_store_matches_dict_model(ops, memtable_limit, max_runs):
         (k, v) for k, v in model.items() if 5 <= k < 15)
     recovered = store.recover()
     assert list(recovered.items()) == sorted(model.items())
+
+
+# ---------------------------------------------------------------------------
+# Keyed-state backends
+# ---------------------------------------------------------------------------
+
+BACKENDS = pytest.mark.parametrize(
+    "factory", [DictBackend, LSMBackend], ids=["dict", "lsm"])
+
+
+@BACKENDS
+class TestBackendSurface:
+    def test_get_put_delete_items(self, factory):
+        backend = factory()
+        assert backend.get("k") is None
+        assert backend.get("k", 7) == 7
+        backend.put("k", 1)
+        backend.put("j", 2)
+        assert backend.get("k") == 1
+        assert sorted(backend.items()) == [("j", 2), ("k", 1)]
+        backend.delete("k")
+        assert backend.get("k") is None
+        backend.delete("k")  # idempotent
+
+    def test_operator_snapshot_restore_round_trip(self, factory):
+        op = opened(KeyedStateOperator(factory))
+        for key, value in [("a", 1), ("b", [2, 3]), ("c", {"d": 4})]:
+            op.state.put(key, value)
+        fresh = opened(KeyedStateOperator(factory))
+        fresh.restore(op.snapshot())
+        assert sorted(fresh.state.items(), key=repr) == \
+            sorted(op.state.items(), key=repr)
+
+
+def test_lsm_backend_flushes_at_256_entries():
+    backend = LSMBackend()
+    for i in range(255):
+        backend.put(f"k{i:03d}", i)
+    assert backend.run_count == 0
+    backend.put("k255", 255)
+    assert backend.run_count == 1
+
+
+class CountPerKey(KeyedStateOperator):
+    """Minimal keyed operator counting elements per key."""
+
+    def process(self, element):
+        count = self.state.get(element.key, 0) + 1
+        self.state.put(element.key, count)
+        yield Element((element.key, count), element.key, element.timestamp)
+
+
+EVENTS = [("a", 1), ("b", 1), ("a", 1), ("c", 1), ("a", 1), ("b", 1)]
+
+
+def opened(op):
+    op.open(0, 1)
+    return op
+
+
+def run_counts(factory):
+    op = opened(CountPerKey(factory))
+    out = [e.value for i, (key, _) in enumerate(EVENTS)
+           for e in op.process(Element(None, key, i))]
+    return out, op
+
+
+class TestOperatorConformance:
+    def test_keyed_operator_identical_across_backends(self):
+        dict_out, _ = run_counts(DictBackend)
+        lsm_out, _ = run_counts(LSMBackend)
+        assert dict_out == lsm_out
+        assert dict_out[-1] == ("b", 2)
+
+    def test_snapshot_restore_across_backends(self):
+        _, source = run_counts(LSMBackend)
+        count = opened(CountPerKey(DictBackend))
+        count.restore(source.snapshot())
+        assert [e.value for e in count.process(Element(None, "a", 9))] == \
+            [("a", 4)]
+
+    def test_dsl_stateful_operator_identical_across_backends(self):
+        def run(factory):
+            reduce = opened(RunningReduceOperator(lambda a, b: a + b,
+                                                  factory))
+            return [e.value for i, (key, value) in enumerate(EVENTS)
+                    for e in reduce.process(Element(value, key, i))]
+
+        assert run(DictBackend) == run(LSMBackend)
+
+
+def reduce_graph(fuse, fail_at=0):
+    """Keyed running sum over an LSM backend, with optional fault injection."""
+    graph = JobGraph("lsm-recovery")
+    records = [(value, None, t) for t, value in
+               enumerate([("a", 1), ("b", 2), ("a", 3), ("c", 4),
+                          ("a", 5), ("b", 6), ("c", 7), ("a", 8)])]
+    graph.add_source("src", [records])
+    graph.add_operator("key", lambda: KeyByOperator(lambda v: v[0]), 1)
+    if fail_at:
+        graph.add_operator("chaos", lambda: FailOnceOperator(fail_at, fuse), 1)
+    graph.add_operator(
+        "sum", lambda: RunningReduceOperator(
+            lambda a, b: (a[0], a[1] + b[1]), LSMBackend), 1)
+    graph.add_operator("sink", CollectSinkOperator, 1)
+    graph.connect("src", "key", HashPartitioner)
+    if fail_at:
+        graph.connect("key", "chaos", HashPartitioner)
+        graph.connect("chaos", "sum", HashPartitioner)
+    else:
+        graph.connect("key", "sum", HashPartitioner)
+    graph.connect("sum", "sink", HashPartitioner)
+    graph.mark_sink("sink")
+    return graph
+
+
+class TestLSMCheckpointRecovery:
+    def test_lsm_state_survives_checkpoint_restore(self):
+        clean = JobRunner(reduce_graph([True]),
+                          checkpoint_interval=1).run()
+        failed = JobRunner(reduce_graph([False], fail_at=4),
+                           checkpoint_interval=1).run()
+        assert failed.recoveries == 1
+        assert sorted(failed.values("sink")) == \
+            sorted(clean.values("sink"))
+
+    def test_lsm_matches_dict_backend_end_to_end(self):
+        lsm = JobRunner(reduce_graph([True]), checkpoint_interval=2).run()
+        # Same topology with the dict backend for comparison.
+        graph = reduce_graph([True])
+        graph.vertices["sum"].factory = lambda: RunningReduceOperator(
+            lambda a, b: (a[0], a[1] + b[1]), DictBackend)
+        dict_run = JobRunner(graph, checkpoint_interval=2).run()
+        assert sorted(lsm.values("sink")) == sorted(dict_run.values("sink"))

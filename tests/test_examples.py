@@ -1,13 +1,26 @@
 """Every example script must run cleanly end to end."""
 
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = ROOT / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+
+
+def example_env():
+    """The current environment with ``src/`` first on PYTHONPATH, so the
+    examples import ``repro`` however pytest was started."""
+    env = dict(os.environ)
+    paths = [str(ROOT / "src")]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return env
 
 
 def test_examples_exist():
@@ -20,6 +33,6 @@ def test_examples_exist():
 def test_example_runs(script):
     result = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True,
-        timeout=120)
+        timeout=120, env=example_env())
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip(), "examples narrate what they do"
