@@ -7,8 +7,11 @@ export PYTHONPATH
 	bench-profile bench-views bench-rescale \
 	cqbench-smoke cqbench-pairs cqbench-tests chaos fuzz fuzz-quick
 
+# The tier-1 suite, then cqbench's 3-second smoke run: a change that
+# breaks a workload's correctness check fails the default target too.
 test: lint
 	$(PYTHON) -m pytest -x -q
+	$(MAKE) --no-print-directory cqbench-smoke
 
 # Style gate: ruff when available; the image may not ship it (and
 # installing is off the table), so its absence skips with a notice.

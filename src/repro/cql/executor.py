@@ -1287,6 +1287,11 @@ class InstantEvaluator:
         return [results[slot] for slot in self._roots]
 
 
+#: The evaluator of a group with no members: it runs nothing, so one
+#: serves every empty group, and a group built or emptied builds none.
+_NO_MEMBERS = InstantEvaluator(())
+
+
 def operators_of(root: PhysicalOp) -> list[tuple[str, PhysicalOp]]:
     """Every physical operator under ``root``, depth-first, labelled by
     its class name: the positions :func:`repro.chaos.install_crash`
@@ -1462,7 +1467,9 @@ class SharedGroup:
     def _rebuild(self) -> None:
         """Build the evaluator and the staging around the members'
         current trees.  The recovery image does not cover them: it goes."""
-        self._evaluator = InstantEvaluator([m._root for m in self.members])
+        self._evaluator = (
+            InstantEvaluator([m._root for m in self.members])
+            if self.members else _NO_MEMBERS)
         #: Stream name → the distinct sources reading it: a source
         #: several members share is staged into once.
         self._sources: dict[str, list[StreamSourceOp]] = {}

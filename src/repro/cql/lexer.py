@@ -8,8 +8,8 @@ both are recognised here and each parser accepts the subset it understands.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 from repro.core.errors import ParseError
 
@@ -44,13 +44,12 @@ KEYWORDS = frozenset({
     "MIN", "MINUTE", "MINUTES", "HOUR", "HOURS",
 })
 
-#: Multi-character symbols, longest first so the scanner is greedy.
+#: The symbols, multi-character ones first (the master regex is greedy).
 SYMBOLS = ("<>", "!=", "<=", ">=", "=", "<", ">", "(", ")", "[", "]",
            ",", ".", "*", "+", "-", "/", "%", ";")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     text: str
     position: int
@@ -65,142 +64,161 @@ class Token:
         return f"Token({self.type.value}, {self.text!r}@{self.position})"
 
 
+_IDENT, _NUMBER, _STRING = TokenType.IDENT, TokenType.NUMBER, TokenType.STRING
+_KEYWORD, _SYMBOL, _EOF = TokenType.KEYWORD, TokenType.SYMBOL, TokenType.EOF
+
+#: One token per match, after any whitespace and line comments.  The
+#: groups, by number: 1 a number (decimal digits and dots: ``\d`` is
+#: ``str.isdecimal``, so ``²`` is not a digit but ``٣`` is), 2 the body of
+#: a string literal, 3 a word (``\w`` is ``str.isalnum`` or ``_``; one
+#: that does not start with a letter or ``_`` is refused), 4 a symbol,
+#: 5 a quote that opens no complete literal, 6 any other character.  A
+#: literal closes at a quote that no second quote follows, so an
+#: unterminated one cannot backtrack into a shorter one.  A match with no
+#: group is trailing blanks.
+_SYMBOLS = "|".join(map(re.escape, SYMBOLS))
+_MASTER = re.compile(rf"""
+    (?: \s+ | --[^\n]* )*
+    (?: ( (?:\d|\.\d) [\d.]* )
+      | ' ( [^']* (?:''[^']*)* ) ' (?!')
+      | ( \w+ )
+      | ( {_SYMBOLS} )
+      | ( ' )
+      | ( . )
+    )?
+""", re.VERBOSE | re.DOTALL)
+
+#: Builds a Token from its three fields in C: the NamedTuple's own
+#: ``__new__`` is a Python function, one frame per token.
+_new_token = tuple.__new__
+
+
 def tokenize(text: str) -> list[Token]:
-    """Tokenise query text.  Raises :class:`ParseError` on bad input."""
-    return list(_scan(text))
-
-
-def _scan(text: str) -> Iterator[Token]:
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    """Tokenise query text in one pass of :data:`_MASTER`.  Raises
+    :class:`ParseError` on bad input."""
+    tokens = []
+    append = tokens.append
+    keywords = KEYWORDS
+    for match in _MASTER.finditer(text):
+        group = match.lastindex
+        if group is None:
             continue
-        if ch == "-" and text[i:i + 2] == "--":  # line comment
-            end = text.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        # isdecimal, not isdigit: a superscript digit is a digit that
-        # int() and float() refuse, so it must not start a number.
-        if ch.isdecimal() or (ch == "." and i + 1 < n
-                              and text[i + 1].isdecimal()):
-            start = i
-            while i < n and (text[i].isdecimal() or text[i] == "."):
-                i += 1
-            number = text[start:i]
-            if number.count(".") > 1:
-                raise ParseError(f"malformed number {number!r}", start)
-            yield Token(TokenType.NUMBER, number, start)
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            chunks = []
-            while i < n:
-                if text[i] == "'":
-                    if text[i:i + 2] == "''":  # escaped quote
-                        chunks.append("'")
-                        i += 2
-                        continue
-                    break
-                chunks.append(text[i])
-                i += 1
-            if i >= n:
-                raise ParseError("unterminated string literal", start)
-            i += 1  # closing quote
-            yield Token(TokenType.STRING, "".join(chunks), start)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                yield Token(TokenType.KEYWORD, upper, start)
+        lexeme = match[group]
+        if group == 3:
+            first = lexeme[0]
+            if not (first.isalpha() or first == "_"):
+                raise ParseError(f"unexpected character {first!r}",
+                                 match.start(3))
+            upper = lexeme.upper()
+            if upper in keywords:
+                append(_new_token(Token, (_KEYWORD, upper, match.start(3))))
             else:
-                yield Token(TokenType.IDENT, word, start)
-            continue
-        for symbol in SYMBOLS:
-            if text.startswith(symbol, i):
-                yield Token(TokenType.SYMBOL, symbol, i)
-                i += len(symbol)
-                break
+                append(_new_token(Token, (_IDENT, lexeme, match.start(3))))
+        elif group == 4:
+            append(_new_token(Token, (_SYMBOL, lexeme, match.start(4))))
+        elif group == 1:
+            if lexeme.count(".") > 1:
+                raise ParseError(f"malformed number {lexeme!r}",
+                                 match.start(1))
+            append(_new_token(Token, (_NUMBER, lexeme, match.start(1))))
+        elif group == 2:
+            append(_new_token(Token, (_STRING, lexeme.replace("''", "'"),
+                                      match.start(2) - 1)))
+        elif group == 5:
+            raise ParseError("unterminated string literal", match.start(5))
         else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    yield Token(TokenType.EOF, "", n)
+            raise ParseError(f"unexpected character {lexeme!r}",
+                             match.start(6))
+    append(_new_token(Token, (_EOF, "", len(text))))
+    return tokens
 
 
 class TokenCursor:
-    """A peekable cursor over a token list, shared by both parsers."""
+    """A peekable cursor over a token list, shared by both parsers.
+
+    The list ends with its EOF token and the cursor never moves past it,
+    so the current token is always ``_tokens[_pos]``; only a look-ahead
+    clamps."""
+
+    __slots__ = ("_tokens", "_pos")
 
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        index = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+        if not ahead:
+            return self._tokens[self._pos]
+        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
 
     def advance(self) -> Token:
-        token = self.peek()
-        if token.type is not TokenType.EOF:
+        token = self._tokens[self._pos]
+        if token.type is not _EOF:
             self._pos += 1
         return token
 
     def match_keyword(self, *names: str) -> Token | None:
         """Consume and return the next token when it is one of ``names``."""
-        if self.peek().is_keyword(*names):
-            return self.advance()
+        token = self._tokens[self._pos]
+        if token.type is _KEYWORD and token.text in names:
+            self._pos += 1
+            return token
         return None
 
     def match_symbol(self, *symbols: str) -> Token | None:
-        if self.peek().is_symbol(*symbols):
-            return self.advance()
+        token = self._tokens[self._pos]
+        if token.type is _SYMBOL and token.text in symbols:
+            self._pos += 1
+            return token
         return None
 
     def expect_keyword(self, *names: str) -> Token:
-        token = self.match_keyword(*names)
-        if token is None:
+        token = self._tokens[self._pos]
+        if token.type is not _KEYWORD or token.text not in names:
             raise ParseError(
-                f"expected {' or '.join(names)}, found {self.peek().text!r}",
-                self.peek().position)
+                f"expected {' or '.join(names)}, found {token.text!r}",
+                token.position)
+        self._pos += 1
         return token
 
     def expect_symbol(self, *symbols: str) -> Token:
-        token = self.match_symbol(*symbols)
-        if token is None:
+        token = self._tokens[self._pos]
+        if token.type is not _SYMBOL or token.text not in symbols:
             raise ParseError(
                 f"expected {' or '.join(symbols)!r}, found "
-                f"{self.peek().text!r}", self.peek().position)
+                f"{token.text!r}", token.position)
+        self._pos += 1
         return token
 
     def expect_ident(self) -> Token:
-        token = self.peek()
-        if token.type is not TokenType.IDENT:
+        token = self._tokens[self._pos]
+        if token.type is not _IDENT:
             raise ParseError(
                 f"expected identifier, found {token.text!r}", token.position)
-        return self.advance()
+        self._pos += 1
+        return token
 
     def expect_number(self) -> Token:
-        token = self.peek()
-        if token.type is not TokenType.NUMBER:
+        token = self._tokens[self._pos]
+        if token.type is not _NUMBER:
             raise ParseError(
                 f"expected number, found {token.text!r}", token.position)
-        return self.advance()
+        self._pos += 1
+        return token
 
     def at_end(self) -> bool:
-        token = self.peek()
-        return token.type is TokenType.EOF or token.is_symbol(";")
+        token = self._tokens[self._pos]
+        return token.type is _EOF or (token.type is _SYMBOL
+                                      and token.text == ";")
 
     def expect_end(self) -> None:
         """Close a statement: end of input, after at most one ``;``.
         Anything else — a second statement too — is refused as trailing
         input at its position, so no text is silently dropped."""
-        self.match_symbol(";")
-        token = self.peek()
-        if token.type is not TokenType.EOF:
+        token = self._tokens[self._pos]
+        if token.type is _SYMBOL and token.text == ";":
+            self._pos += 1
+            token = self._tokens[self._pos]
+        if token.type is not _EOF:
             raise ParseError(
                 f"unexpected trailing input {token.text!r}", token.position)

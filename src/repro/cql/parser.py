@@ -42,7 +42,9 @@ from repro.cql.ast import (
     WindowSpec,
     WindowSpecKind,
 )
-from repro.cql.lexer import TokenCursor, TokenType, tokenize
+from repro.cql.lexer import (
+    _IDENT, _KEYWORD, _NUMBER, _STRING, _SYMBOL, Token, TokenCursor, tokenize,
+)
 
 _R2S_BY_KEYWORD = {
     "ISTREAM": R2SKind.ISTREAM,
@@ -167,7 +169,7 @@ def _parse_select_item(cursor: TokenCursor) -> SelectItem:
     alias = None
     if cursor.match_keyword("AS"):
         alias = cursor.expect_ident().text
-    elif cursor.peek().type is TokenType.IDENT:
+    elif cursor.peek().type is _IDENT:
         alias = cursor.advance().text
     return SelectItem(expr, alias)
 
@@ -175,7 +177,7 @@ def _parse_select_item(cursor: TokenCursor) -> SelectItem:
 def _parse_source(cursor: TokenCursor) -> FromSource:
     name = cursor.expect_ident().text
     alias = None
-    if cursor.peek().type is TokenType.IDENT:
+    if cursor.peek().type is _IDENT:
         alias = cursor.advance().text
     elif cursor.match_keyword("AS"):
         alias = cursor.expect_ident().text
@@ -256,110 +258,103 @@ def _parse_column(cursor: TokenCursor) -> Column:
 
 
 # ---------------------------------------------------------------------------
-# Expressions (precedence climbing)
+# Expressions (one binding-power loop, shared with repro.sql.parser)
 # ---------------------------------------------------------------------------
 
+#: Binding powers, loosest first.  NOT takes a comparison-or-tighter
+#: operand; comparison is non-associative (``a = b = c`` stops after
+#: ``a = b``); unary minus binds tightest.
+_OR, _AND, _NOT, _COMPARE, _ADD, _MULTIPLY, _NEGATE, _ATOM = range(1, 9)
 
-def _parse_expr(cursor: TokenCursor) -> Expr:
-    return _parse_or(cursor)
-
-
-def _parse_or(cursor: TokenCursor) -> Expr:
-    expr = _parse_and(cursor)
-    while cursor.match_keyword("OR"):
-        expr = Binary(BinOp.OR, expr, _parse_and(cursor))
-    return expr
-
-
-def _parse_and(cursor: TokenCursor) -> Expr:
-    expr = _parse_not(cursor)
-    while cursor.match_keyword("AND"):
-        expr = Binary(BinOp.AND, expr, _parse_not(cursor))
-    return expr
-
-
-def _parse_not(cursor: TokenCursor) -> Expr:
-    if cursor.match_keyword("NOT"):
-        return Unary("NOT", _parse_not(cursor))
-    return _parse_comparison(cursor)
-
-
-_COMPARISONS = {
-    "=": BinOp.EQ, "<>": BinOp.NE, "!=": BinOp.NE,
-    "<": BinOp.LT, "<=": BinOp.LE, ">": BinOp.GT, ">=": BinOp.GE,
+#: Infix operator text → (binding power, operator, the power its left
+#: operand must have).  A left-associative operator takes a left operand
+#: of its own power; the comparison, to be non-associative, takes only a
+#: tighter one.
+_INFIX = {
+    "OR": (_OR, BinOp.OR, _OR),
+    "AND": (_AND, BinOp.AND, _AND),
+    **{symbol: (_COMPARE, op, _ADD) for symbol, op in (
+        ("=", BinOp.EQ), ("<>", BinOp.NE), ("!=", BinOp.NE),
+        ("<", BinOp.LT), ("<=", BinOp.LE), (">", BinOp.GT),
+        (">=", BinOp.GE))},
+    "+": (_ADD, BinOp.ADD, _ADD),
+    "-": (_ADD, BinOp.SUB, _ADD),
+    "*": (_MULTIPLY, BinOp.MUL, _MULTIPLY),
+    "/": (_MULTIPLY, BinOp.DIV, _MULTIPLY),
+    "%": (_MULTIPLY, BinOp.MOD, _MULTIPLY),
 }
 
-
-def _parse_comparison(cursor: TokenCursor) -> Expr:
-    expr = _parse_additive(cursor)
-    token = cursor.match_symbol(*_COMPARISONS)
-    if token is not None:
-        expr = Binary(_COMPARISONS[token.text], expr,
-                      _parse_additive(cursor))
-    return expr
+_CONSTANTS = {"TRUE": True, "FALSE": False, "NULL": None}
 
 
-def _parse_additive(cursor: TokenCursor) -> Expr:
-    expr = _parse_multiplicative(cursor)
-    while True:
-        token = cursor.match_symbol("+", "-")
-        if token is None:
-            return expr
-        op = BinOp.ADD if token.text == "+" else BinOp.SUB
-        expr = Binary(op, expr, _parse_multiplicative(cursor))
-
-
-def _parse_multiplicative(cursor: TokenCursor) -> Expr:
-    expr = _parse_unary(cursor)
-    while True:
-        token = cursor.match_symbol("*", "/", "%")
-        if token is None:
-            return expr
-        op = {"*": BinOp.MUL, "/": BinOp.DIV, "%": BinOp.MOD}[token.text]
-        expr = Binary(op, expr, _parse_unary(cursor))
-
-
-def _parse_unary(cursor: TokenCursor) -> Expr:
-    if cursor.match_symbol("-"):
-        return Unary("-", _parse_unary(cursor))
-    return _parse_primary(cursor)
-
-
-def _parse_primary(cursor: TokenCursor) -> Expr:
+def _parse_expr(cursor: TokenCursor, floor: int = _OR) -> Expr:
+    """Parse an expression whose operators bind at least as tightly as
+    ``floor``: a prefix form, then every infix operator the table lets
+    apply, each taking a right operand one power tighter than itself."""
     token = cursor.peek()
-    if token.is_symbol("("):
+    kind = token.type
+    # Prefix: NOT, unary minus, or a primary.
+    if kind is _KEYWORD and token.text == "NOT" and floor <= _NOT:
+        cursor.advance()
+        left = Unary("NOT", _parse_expr(cursor, _NOT))
+        power = _NOT
+    elif kind is _SYMBOL and token.text == "-":
+        cursor.advance()
+        left = Unary("-", _parse_expr(cursor, _NEGATE))
+        power = _NEGATE
+    else:
+        left = _parse_primary(cursor, token)
+        power = _ATOM
+    # Infix: while the next operator binds at least as tightly as the
+    # floor and takes what has been parsed as its left operand.
+    while True:
+        token = cursor.peek()
+        infix = _INFIX.get(token.text)
+        if infix is None or token.type is _STRING:
+            return left
+        bp, op, needs = infix
+        if bp < floor or power < needs:
+            return left
+        cursor.advance()
+        left = Binary(op, left, _parse_expr(cursor, bp + 1))
+        power = bp
+
+
+def _parse_primary(cursor: TokenCursor, token: Token) -> Expr:
+    """A parenthesised expression, literal, column or call starting at
+    ``token``, the cursor's current token."""
+    kind = token.type
+    if kind is _IDENT:
+        cursor.advance()
+        following = cursor.peek()
+        if following.type is _SYMBOL:
+            if following.text == "(":
+                return _parse_call(cursor, token.text.upper())
+            if following.text == ".":
+                cursor.advance()
+                second = cursor.expect_ident().text
+                return Column(f"{token.text}.{second}")
+        return Column(token.text)
+    if kind is _NUMBER:
+        cursor.advance()
+        text = token.text
+        return Literal(float(text) if "." in text else int(text))
+    if kind is _SYMBOL and token.text == "(":
         cursor.advance()
         expr = _parse_expr(cursor)
         cursor.expect_symbol(")")
         return expr
-    if token.type is TokenType.NUMBER:
-        cursor.advance()
-        text = token.text
-        return Literal(float(text) if "." in text else int(text))
-    if token.type is TokenType.STRING:
+    if kind is _STRING:
         cursor.advance()
         return Literal(token.text)
-    if token.is_keyword("TRUE"):
-        cursor.advance()
-        return Literal(True)
-    if token.is_keyword("FALSE"):
-        cursor.advance()
-        return Literal(False)
-    if token.is_keyword("NULL"):
-        cursor.advance()
-        return Literal(None)
-    if token.is_keyword(*_KEYWORD_FUNCTIONS) and \
-            cursor.peek(1).is_symbol("("):
-        cursor.advance()
-        return _parse_call(cursor, token.text)
-    if token.type is TokenType.IDENT:
-        cursor.advance()
-        if cursor.peek().is_symbol("("):
-            return _parse_call(cursor, token.text.upper())
-        if cursor.match_symbol("."):
-            second = cursor.expect_ident().text
-            return Column(f"{token.text}.{second}")
-        return Column(token.text)
+    if kind is _KEYWORD:
+        if token.text in _CONSTANTS:
+            cursor.advance()
+            return Literal(_CONSTANTS[token.text])
+        if token.text in _KEYWORD_FUNCTIONS and \
+                cursor.peek(1).is_symbol("("):
+            cursor.advance()
+            return _parse_call(cursor, token.text)
     raise ParseError(f"unexpected token {token.text!r}", token.position)
 
 

@@ -304,6 +304,9 @@ class _GBKOp:
         self._emit = emit
         #: the input watermark cell
         self.watermark = watermark
+        #: the nearest GroupByKey above this one, whose :meth:`hold`
+        #: bounds this one's cell; None below none (set by the runner)
+        self.upstream: _GBKOp | None = None
         self.panes: dict[tuple[Any, Window], _PaneState] = {}
         #: merging windows: each key's live windows, in ``panes`` order
         self._sessions: dict[Any, list[Window]] = {}
@@ -411,6 +414,16 @@ class _GBKOp:
                     if not sessions:
                         del self._sessions[key]
 
+    def hold(self) -> Timestamp | None:
+        """The watermark this node's output holds back to: just before
+        the stamp (``end - 1``) of the earliest pane that has not fired
+        on time and still buffers, which a later firing or the close
+        emits; None when there is none.  A GroupByKey below advances no
+        further, so that pane does not reach it late."""
+        ends = [window.end for (_, window), pane in self.panes.items()
+                if pane.buffer and not pane.on_time_fired]
+        return min(ends) - 2 if ends else None
+
     def close(self) -> None:
         """Drain: force-fire panes whose trigger never did (e.g. Never).
 
@@ -508,12 +521,20 @@ class _Source:
         Each one's cell moves only when its turn comes, so the panes an
         upper GroupByKey fires reach a lower one that still judges them
         against the old watermark; the lower one's own advance then
-        fires them.
+        fires them.  A lower cell moves no further than the upper one's
+        :meth:`_GBKOp.hold`, so a pane the upper one still buffers (a
+        ``Never`` trigger's, say) is not late when it comes.
         """
         if watermark > self.watermark:
             self.watermark = watermark
             for gbk in self.gbks:
-                gbk.advance(watermark)
+                target = watermark
+                if gbk.upstream is not None:
+                    hold = gbk.upstream.hold()
+                    if hold is not None and hold < target:
+                        target = hold
+                if target > gbk.watermark:
+                    gbk.advance(target)
 
 
 class _Runner:
@@ -524,8 +545,10 @@ class _Runner:
     watermark cell, which starts at its source generator's
     pre-observation value.  The runner replays each source in arrival
     order, advancing the source's GroupByKeys after every element the
-    generator marks and to ``MAX_TIMESTAMP`` at the source's end, then
-    closes every GroupByKey in pipeline order.  With obs on, node
+    generator marks and to ``MAX_TIMESTAMP`` at the source's end (a
+    lower one no further than the upper one's hold), then closes the
+    GroupByKeys in pipeline order, each moving to ``MAX_TIMESTAMP`` only
+    after the one above it has closed.  With obs on, node
     ``{kind}{i}`` counts ``exec.operator.records_in``/``records_out``
     under that operator label and ``layer="dataflow"``.
     """
@@ -568,6 +591,13 @@ class _Runner:
             if node.kind == "gbk":
                 gbks.append((node, op))
         gbks.reverse()
+        gbk_of = {id(node): op for node, op in gbks}
+        for node, op in gbks:
+            above = node.parent
+            while above is not None and id(above) not in gbk_of:
+                above = above.parent
+            op.upstream = None if above is None else gbk_of[id(above)]
+        #: In pipeline order, so each one's upstream comes before it.
         self._gbks = [op for _, op in gbks]
         self._sources = {
             id(node): _Source(
@@ -606,7 +636,11 @@ class _Runner:
                             source.advance(mark.value)
                     span.add(elements=len(node.spec["elements"]))
                 source.advance(MAX_TIMESTAMP)
+            # Close each GroupByKey before those below it move to the end,
+            # so what it force-drains reaches them on time.
             for gbk in self._gbks:
+                if gbk.watermark < MAX_TIMESTAMP:
+                    gbk.advance(MAX_TIMESTAMP)
                 gbk.close()
             root.add(dropped_late=self.result.dropped_late)
         return self.result

@@ -59,6 +59,16 @@ from repro.plan.ir import (
 Rule = Callable[[LogicalOp], LogicalOp | None]
 
 
+def _rewrites(node_class: type) -> Callable[[Rule], Rule]:
+    """Mark a rule with the node class it can rewrite: the rewriter tries
+    it only on nodes of that class."""
+    def mark(rule: Rule) -> Rule:
+        rule.node_class = node_class
+        return rule
+    return mark
+
+
+@_rewrites(Filter)
 def fuse_filters(node: LogicalOp) -> LogicalOp | None:
     """Filter(Filter(x, p), q) → Filter(x, p AND q) — operator fusion."""
     if isinstance(node, Filter) and isinstance(node.child, Filter):
@@ -68,6 +78,7 @@ def fuse_filters(node: LogicalOp) -> LogicalOp | None:
     return None
 
 
+@_rewrites(Filter)
 def remove_trivial_filter(node: LogicalOp) -> LogicalOp | None:
     """Filter(x, TRUE) → x — redundancy elimination."""
     if isinstance(node, Filter) and isinstance(node.predicate, Literal) \
@@ -76,6 +87,7 @@ def remove_trivial_filter(node: LogicalOp) -> LogicalOp | None:
     return None
 
 
+@_rewrites(Filter)
 def push_filter_through_join(node: LogicalOp) -> LogicalOp | None:
     """Distribute a filter's conjuncts over a join.
 
@@ -140,6 +152,7 @@ def _try_place_equality(equality: tuple[str, str], left_schema,
     return False
 
 
+@_rewrites(Join)
 def extract_equijoin_keys(node: LogicalOp) -> LogicalOp | None:
     """Promote equality conjuncts in a join's residual to hash-join keys."""
     if not isinstance(node, Join) or node.residual is None:
@@ -163,6 +176,7 @@ def extract_equijoin_keys(node: LogicalOp) -> LogicalOp | None:
                    residual=conjoin(remaining))
 
 
+@_rewrites(Filter)
 def push_filter_through_window(node: LogicalOp) -> LogicalOp | None:
     """Filter(Window(x)) → Window(Filter(x)) for time-based windows.
 
@@ -184,6 +198,7 @@ def push_filter_through_window(node: LogicalOp) -> LogicalOp | None:
     return WindowOp(Filter(window.child, node.predicate), window.spec)
 
 
+@_rewrites(Project)
 def compose_projects(node: LogicalOp) -> LogicalOp | None:
     """Project(Project(x)) → Project(x) — projection pruning.
 
@@ -199,6 +214,7 @@ def compose_projects(node: LogicalOp) -> LogicalOp | None:
     return Project(inner.child, fused, node.names)
 
 
+@_rewrites(Project)
 def remove_identity_project(node: LogicalOp) -> LogicalOp | None:
     """Project(x, [c1..cn] AS [c1..cn]) → x when it matches x's schema."""
     if not isinstance(node, Project):
@@ -212,6 +228,7 @@ def remove_identity_project(node: LogicalOp) -> LogicalOp | None:
     return node.child
 
 
+@_rewrites(Distinct)
 def collapse_distinct(node: LogicalOp) -> LogicalOp | None:
     """Distinct(Distinct(x)) → Distinct(x) — idempotence."""
     if isinstance(node, Distinct) and isinstance(node.child, Distinct):
@@ -238,10 +255,13 @@ def optimize(plan: LogicalOp,
     """Apply ``rules`` top-down to fixpoint.
 
     Each pass rewrites every node where some rule applies; passes repeat
-    until no rule fires (bounded by ``max_passes`` as a safety net).
+    until no rule fires (bounded by ``max_passes`` as a safety net).  At
+    each node the rules are tried in order, each only if the node — as
+    the rules before it left it — is of the class the rule rewrites.
     """
+    table = tuple((rule.node_class, rule) for rule in rules)
     for _ in range(max_passes):
-        rewritten, changed = _rewrite_once(plan, rules)
+        rewritten, changed = _rewrite_once(plan, table)
         if not changed:
             return rewritten
         plan = rewritten
@@ -249,19 +269,25 @@ def optimize(plan: LogicalOp,
 
 
 def _rewrite_once(node: LogicalOp,
-                  rules: Sequence[Rule]) -> tuple[LogicalOp, bool]:
+                  table: Sequence[tuple[type, Rule]],
+                  ) -> tuple[LogicalOp, bool]:
     changed = False
-    for rule in rules:
-        result = rule(node)
-        if result is not None:
-            node = result
-            changed = True
+    for node_class, rule in table:
+        if isinstance(node, node_class):
+            result = rule(node)
+            if result is not None:
+                node = result
+                changed = True
+    children = node.children
+    if not children:
+        return node, changed
     new_children = []
-    for child in node.children:
-        new_child, child_changed = _rewrite_once(child, rules)
+    replaced = False
+    for child in children:
+        new_child, child_changed = _rewrite_once(child, table)
         new_children.append(new_child)
         changed = changed or child_changed
-    if new_children and any(n is not o for n, o in
-                            zip(new_children, node.children)):
+        replaced = replaced or new_child is not child
+    if replaced:
         node = node.with_children(new_children)
     return node, changed

@@ -501,6 +501,23 @@ class TestGroupByKeyBelowGroupByKey:
         assert {wv.pane.timing for wv in result["out"]} == \
             {PaneTiming.ON_TIME}
 
+    def test_panes_an_upper_never_trigger_drains_at_close_are_kept(self):
+        """The upper GroupByKey fires nothing until close; its buffered
+        panes hold the lower cell back, and the lower one moves to the
+        end of input only after the upper one has closed."""
+        p = Pipeline()
+        (p.create([((f"k{i % 2}", i), i) for i in range(10)])
+         .window_into(FixedWindows(5), trigger=Never())
+         .combine_per_key(sum)
+         .group_by_key()
+         .collect("out"))
+        result = p.run()
+        assert result.dropped_late == 0
+        assert sorted((wv.value, wv.windows[0].start)
+                      for wv in result["out"]) == [
+            (("k0", [6]), 0), (("k0", [14]), 5),
+            (("k1", [4]), 0), (("k1", [21]), 5)]
+
 
 class TestSessionPaneExpiry:
     """A session pane no element that is not late can merge into any

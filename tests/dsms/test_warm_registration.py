@@ -17,6 +17,7 @@ import pytest
 from repro.chaos import CrashFuse, install_crash
 from repro.core import ParseError, Schema, Stream
 from repro.cql import CQLEngine, kernels, lexer, parser, planner
+from repro.cql.executor import InstantEvaluator
 from repro.dsms import DSMSEngine
 from repro.plan import rules
 
@@ -130,6 +131,88 @@ class TestCallsPerRegistration:
         with pytest.raises(ParseError, match="unexpected trailing input"):
             engine.register_query("q", f"{GROUPED}; DROP")
         assert engine.queries == []
+
+
+# ---------------------------------------------------------------------------
+# What a cold text costs
+# ---------------------------------------------------------------------------
+
+#: A standing-query fleet's eight templates over one window and threshold
+#: (the first eight texts the ``query_fleet`` workload registers).
+FLEET = [template.format(frm="FROM Obs [Range 5] WHERE temp > 10")
+         for template in (
+             "SELECT COUNT(*) AS n {frm}",
+             "SELECT DISTINCT room {frm}",
+             "SELECT room, COUNT(*) AS n {frm} GROUP BY room",
+             "SELECT DISTINCT id {frm}",
+             "SELECT id, room {frm}",
+             "SELECT MAX(temp) AS hottest {frm}",
+             "SELECT id, COUNT(*) AS n {frm} GROUP BY id",
+             "SELECT AVG(temp) AS mean {frm}")]
+
+
+def calls_made(action):
+    """How many Python function calls ``action()`` makes."""
+    made = [0]
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            made[0] += 1
+
+    sys.setprofile(profiler)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return made[0]
+
+
+class TestColdRegistrationCost:
+    """Counts, not clocks: the Python calls the fleet's texts cost cold,
+    on fresh engines with the process's kernel factories warm (rendering
+    a shape's source the first time is the factory cache's cost, not the
+    frontend's).  The one-pass lexer and the binding-power expression
+    parser took parsing from 2 479 calls to ~650, and a cold registration
+    from 5 251 to ~2 900."""
+
+    @pytest.fixture(autouse=True)
+    def _warm_factories(self):
+        for text in FLEET:
+            engine = DSMSEngine()
+            engine.register_stream("Obs", OBS)
+            engine.register_query("warm", text)
+
+    def test_parsing_the_fleet_is_cheap(self):
+        assert sum(calls_made(lambda: parser.parse_query(text))
+                   for text in FLEET) <= 1_000
+
+    def test_registering_the_fleet_cold_is_cheap(self):
+        def register(text):
+            engine = DSMSEngine()
+            engine.register_stream("Obs", OBS)
+            return lambda: engine.register_query("q", text)
+
+        assert sum(calls_made(register(text)) for text in FLEET) <= 3_800
+
+    def test_a_registration_builds_one_evaluator_and_its_cancel_none(self):
+        engine = DSMSEngine()
+        engine.register_stream("Obs", OBS)
+        built = Counter()
+        code = InstantEvaluator.__init__.__code__
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                built[len(frame.f_locals["roots"])] += 1
+
+        sys.setprofile(profiler)
+        try:
+            for n, text in enumerate(FLEET):
+                engine.register_query(f"q{n}", text)
+            for n in range(len(FLEET)):
+                engine.cancel_query(f"q{n}")
+        finally:
+            sys.setprofile(None)
+        assert built == {1: len(FLEET)}
 
 
 # ---------------------------------------------------------------------------
