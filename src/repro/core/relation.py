@@ -457,11 +457,12 @@ class Changelog:
             relation.set_at(version, bag, coalesce=False)
         return relation
 
-    def entries(self) -> Iterator[tuple[int, tuple]]:
-        """Each retained batch as ``(version, ((row, weight), ...))``."""
+    def entries(self, start: int = 0) -> Iterator[tuple[int, tuple]]:
+        """Each retained batch from position ``start`` on (a length the
+        log had), oldest first, as ``(version, ((row, weight), ...))``."""
         return ((version, tuple(zip(rows, weights)))
                 for version, (rows, weights)
-                in zip(self._versions, self._batches))
+                in zip(self._versions[start:], self._batches[start:]))
 
     def __len__(self) -> int:
         """The number of batches retained."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import defaultdict, deque
+from itertools import groupby
 from operator import itemgetter
 from sys import getsizeof
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -70,6 +71,7 @@ from repro.cql.kernels import (
     spine_kernel,
 )
 from repro.cql.state import KeyedState, copy_sized
+from repro.plan.monotone import append_only_inputs
 from repro.plan.sharing import SubplanMemo, memo_key
 
 #: A signed row change flowing between physical operators: a bare
@@ -940,21 +942,6 @@ def _subtree_streams(op: PhysicalOp) -> dict[str, list[StreamSourceOp]]:
     return dict(found)
 
 
-def _executor_append_only(node: LogicalOp) -> bool:
-    """Append-only fast path legality for the executor.
-
-    The static classifier calls relation scans monotonic (the append-only
-    database model), but this executor supports deletes on base relations
-    (:meth:`ContinuousQuery.update_relation`), so a subtree reading a
-    relation may still see retractions and must keep counted state.
-    """
-    from repro.plan.ir import RelationScan as _RelScan, walk as _walk
-    from repro.plan.monotone import append_only_inputs
-    if not append_only_inputs(node):
-        return False
-    return not any(isinstance(n, _RelScan) for n in _walk(node))
-
-
 def _compose(chain: Sequence[Filter | Project], schema: Schema) \
         -> tuple[list[Expr], tuple[Expr, ...] | None]:
     """A Filter/Project chain (top first) over input rows of ``schema``,
@@ -1124,7 +1111,7 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                     top: Filter | Project | None = None) -> JoinOp:
         """``node``'s join, running the chain from ``top`` down when one
         is fused into it (its ``predicates`` and ``outputs``)."""
-        join_cls = (AppendOnlyJoinOp if _executor_append_only(node)
+        join_cls = (AppendOnlyJoinOp if append_only_inputs(node)
                     else JoinOp)
         probes = bound(("join", id(top), id(node)),
                        lambda: join_cls.render(node, predicates, outputs))
@@ -1209,7 +1196,7 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
             return op
         if isinstance(node, Distinct):
             distinct_cls = (AppendOnlyDistinctOp
-                            if _executor_append_only(node) else DistinctOp)
+                            if append_only_inputs(node) else DistinctOp)
             return distinct_cls(build(node.child))
         if isinstance(node, SetOp):
             return SetOpOp(node.kind, build(node.left), build(node.right))
@@ -1597,16 +1584,16 @@ class SharedGroup:
     def snapshot(self) -> dict[str, Any]:
         """A barrier: move the group's recovery point to now and return
         what it wrote — the agenda, each distinct operator's state once,
-        the cursor, and each member's change-log and emission offsets.
+        the cursor, and each member's change-log length.
 
         Taken between instants, the checkpoint plus the input suffix
         replayed from the same point reproduces the fault-free run
         exactly — the property the kernel-crashed difftest config checks.
         Operators write the keys they changed since the previous barrier
         (every key at the first, see :meth:`PhysicalOp.barrier`); the
-        change-logs and the emissions are append-only, so they write
-        their lengths (one per member, in member order); the agenda
-        (bounded by the widest window) is copied.  It may be taken
+        change-logs are append-only, so they write their lengths (one per
+        member, in member order), and the emissions are read off them;
+        the agenda (bounded by the widest window) is copied.  It may be taken
         between quanta, inside an instant whose remaining arrivals are
         still to come: the instant's next fold is a second batch at the
         same version.  :attr:`barrier_bytes` is the operators' tallies
@@ -1620,7 +1607,6 @@ class SharedGroup:
         self._checkpoint = {
             "agenda": agenda,
             "log": [len(member._log) for member in members],
-            "emissions": [len(member._emissions) for member in members],
             "last_instant": self._cursor,
             "deltas_processed": [member._deltas_processed
                                  for member in members],
@@ -1636,8 +1622,8 @@ class SharedGroup:
         what :meth:`snapshot` returned for it).
 
         Operators restore only the keys they changed since; each
-        member's change-log and emissions are cut back to their lengths
-        then, and the batches cut are taken back out of its answer.  The
+        member's change-log is cut back to its length then, and the
+        batches cut are taken back out of its answer.  The
         compiled DAG is reused, and any partially processed instant left
         over from a crash (staged arrivals) is discarded.  Repeatable:
         the checkpoint is not consumed.  Published metrics keep counting
@@ -1652,12 +1638,10 @@ class SharedGroup:
         for op in self._evaluator.operators:
             op.rollback()
         self.agenda.restore(point["agenda"])
-        for member, log, emitted, deltas in zip(
-                self.members, point["log"], point["emissions"],
-                point["deltas_processed"]):
+        for member, log, deltas in zip(
+                self.members, point["log"], point["deltas_processed"]):
             member._log.truncate(log)
-            del member._emissions[emitted:]
-            member._delivered = min(member._delivered, emitted)
+            member._delivered = min(member._delivered, log)
             member._deltas_processed = deltas
             member._unmark_rolled_back()
         self._cursor = point["last_instant"]
@@ -1673,14 +1657,15 @@ class ContinuousQuery:
     batching.
 
     The query owns its plan and compiled tree, its answer (a
-    :class:`~repro.core.relation.Changelog`) and its emissions; feeding,
+    :class:`~repro.core.relation.Changelog`, which its emissions are
+    read off); feeding,
     evaluation and checkpoints belong to its :class:`SharedGroup` — its
     own group of one unless it was compiled into a shared group.
 
     ``parallelism > 1`` fissions a key-partitionable plan inside the query
     (see :func:`compile_plan`): each arrival is staged only into its
-    key's partition, while the agenda, the maintained state, the
-    change-log and the emissions stay single.
+    key's partition, while the agenda, the maintained state and the
+    change-log stay single.
     :func:`repro.runtime.rescale.rescale` changes the width of a running
     query.  ``kernels`` is ``plan``'s table of bound kernels, shared by
     every query compiled from that plan object (see :func:`compile_plan`).
@@ -1709,8 +1694,8 @@ class ContinuousQuery:
         #: netted batch per fold that changed it (see :meth:`_apply_instant`).
         #: The DSMS Store reads this very log, see :attr:`changelog`.
         self._log = Changelog()
-        self._emissions: list[Emission] = []
-        #: How many of the emissions a feeding call has returned.
+        #: The log position up to which a feeding call has returned the
+        #: emissions.
         self._delivered = 0
         self._deltas_processed = 0
         self._install(compile_plan(
@@ -1826,24 +1811,22 @@ class ContinuousQuery:
 
     def _pending(self) -> list[Emission]:
         """The emissions no feeding call has returned yet, now returned."""
-        out = self._emissions[self._delivered:]
-        self._delivered = len(self._emissions)
+        out = self._labelled(self._delivered)
+        self._delivered = len(self._log)
         return out
 
     def _deliver(self) -> int:
         """:meth:`_pending` for a caller that only counts them: marks the
-        emissions returned without copying them; returns how many."""
-        emitted = len(self._emissions)
-        count = emitted - self._delivered
-        self._delivered = emitted
-        return count
+        emissions returned without labelling them; returns how many."""
+        start, self._delivered = self._delivered, len(self._log)
+        return sum(len(rows) for _, rows in self._emitted(start))
 
     # -- checkpointing -------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
         """A barrier of the query's group (see :meth:`SharedGroup.snapshot`):
-        its operators' state, its agenda, and the query's change-log and
-        emission offsets.  A member of a shared group with other members
+        its operators' state, its agenda, and the query's change-log
+        length.  A member of a shared group with other members
         cannot checkpoint alone: its operator state interleaves with
         theirs."""
         return self._whole_group().snapshot()
@@ -1867,37 +1850,55 @@ class ContinuousQuery:
     # -- processing ----------------------------------------------------------
 
     def _apply_instant(self, t: Timestamp, deltas: list[Delta]) -> None:
-        """Fold one instant's root deltas into the change-log and the
-        emissions.
+        """Fold one instant's root deltas into the change-log.
 
         The group evaluates every member plan in one pass and hands each
         member its own root batch here.  The log commits the *net* change
         R(τ) − R(τ−), the only change the reference semantics sees; an
-        instant folded in several quanta commits one batch per fold.
-        Only the rows emitted become Records of the output schema.  All
-        or nothing: a refused retraction leaves the answer, the log and
-        the emissions as they were (and the group's clock, see
+        instant folded in several quanta commits one batch per fold.  The
+        emissions are read off the log (:meth:`_emitted`), so the fold
+        labels nothing.  All or nothing: a refused retraction leaves the
+        answer and the log as they were (and the group's clock, see
         :meth:`SharedGroup._process_instant`).
         """
         self._deltas_processed += len(deltas)
-        net = self._log.commit(t, deltas)
-        if not net:
-            return
+        self._log.commit(t, deltas)
+
+    def _emitted(self, start: int) -> list[tuple[Timestamp, list[tuple]]]:
+        """What the log's batches from position ``start`` on emit: one
+        ``(version, rows)`` per batch, a values tuple per copy emitted.
+        ISTREAM takes a batch's positive weights, DSTREAM its negative
+        ones, in its row order; RSTREAM the contents after it, folded
+        back from the contents now.  Nothing without an R2S root."""
         r2s = self.r2s
         if r2s is None:
-            return
-        schema = self.output_schema
+            return []
+        batches = list(self._log.entries(start))
         if r2s is R2SKind.RSTREAM:
-            # In repr order: the answer's dict order depends on its
-            # history, and a rollback re-adds the rows it takes back last.
-            rows = sorted([trusted_record(schema, values)
-                           for values in self._log.contents], key=repr)
-        else:
-            # ISTREAM emits each net insert, DSTREAM each net delete.
-            sign = 1 if r2s is R2SKind.ISTREAM else -1
-            rows = [trusted_record(schema, values)
-                    for values, m in net.items() for _ in range(m * sign)]
-        self._emissions.extend([Emission(record, t) for record in rows])
+            state, out = self._log.contents.copy(), []
+            for version, batch in reversed(batches):
+                out.append((version, list(state)))
+                state.apply_signed({row: -weight for row, weight in batch})
+            out.reverse()
+            return out
+        sign = 1 if r2s is R2SKind.ISTREAM else -1
+        return [(version, [row for row, weight in batch
+                           for _ in range(weight * sign)])
+                for version, batch in batches]
+
+    def _labelled(self, start: int) -> list[Emission]:
+        """:meth:`_emitted` from ``start`` on as Emissions: only the rows
+        emitted become Records of the output schema."""
+        schema, out = self.output_schema, []
+        for version, rows in self._emitted(start):
+            records = [trusted_record(schema, values) for values in rows]
+            if self.r2s is R2SKind.RSTREAM:
+                # In repr order: the answer's dict order depends on its
+                # history, and a rollback re-adds the rows it takes back
+                # last.
+                records.sort(key=repr)
+            out.extend([Emission(record, version) for record in records])
+        return out
 
     # -- inspection ----------------------------------------------------------
 
@@ -1914,18 +1915,17 @@ class ContinuousQuery:
         return self._log
 
     def emissions(self) -> list[Emission]:
-        """All output elements produced so far (R2S queries)."""
-        return list(self._emissions)
+        """All output elements produced so far (R2S queries), read off
+        the change-log and labelled now."""
+        return self._labelled(0)
 
     def emitted_stream(self) -> Stream[Record]:
         """The output as a :class:`Stream` (sorted within each instant so
         it compares stably against the reference)."""
         out: Stream[Record] = Stream(schema=self.output_schema)
-        by_time: dict[Timestamp, list[Record]] = defaultdict(list)
-        for emission in self._emissions:
-            by_time[emission.timestamp].append(emission.record)
-        for t in sorted(by_time):
-            for record in sorted(by_time[t], key=repr):
+        # Log versions never decrease, so neither do the emissions'.
+        for t, emitted in groupby(self.emissions(), key=itemgetter(1)):
+            for record in sorted([e.record for e in emitted], key=repr):
                 out.append(record, t)
         return out
 

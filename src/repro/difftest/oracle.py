@@ -1000,7 +1000,7 @@ def run_view_case(case) -> Divergence | None:
     # recompute-from-base at that version.
     cache: dict = {}
     for name in installed:
-        for version, _deltas in service.view(name).history:
+        for version in service.view(name).history:
             got = service.read(name, version=version)
             want = reference(name, version, cache)
             if bag_key(got) != bag_key(want):

@@ -362,8 +362,8 @@ class QueryHandle:
         return name in self.query._stream_sources
 
     def emissions(self) -> list[Emission]:
-        """Every element the query emitted, registration included (a
-        copy of the query's own emissions)."""
+        """Every element the query emitted, registration included (read
+        off the query's change-log)."""
         return self.query.emissions()
 
     def store_state(self) -> Bag:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 
 from repro.core.monotonicity import MonotonicityClass, classify_plan
-from repro.plan.ir import LogicalOp, walk
+from repro.plan.ir import LogicalOp, RelationScan, walk
 
 
 class IncrementalStrategy(enum.Enum):
@@ -37,9 +37,12 @@ def incremental_strategy(plan: LogicalOp) -> IncrementalStrategy:
 
 def append_only_inputs(node: LogicalOp) -> bool:
     """True when every input of ``node`` is a monotonic (append-only)
-    sub-plan — the legality condition for the append-only fast paths."""
+    sub-plan — the legality condition for the append-only fast paths.
+    A relation scan is not: the classifier calls it monotonic, but base
+    relations take deletes (``ContinuousQuery.update_relation``)."""
     return bool(node.children) and all(
         classify_plan(child) is MonotonicityClass.MONOTONIC
+        and not any(isinstance(n, RelationScan) for n in walk(child))
         for child in node.children)
 
 
@@ -51,7 +54,8 @@ def strategy_notes(plan: LogicalOp) -> list[tuple[LogicalOp, IncrementalStrategy
     """Per-node strategy decisions for the stateful operators in ``plan``.
 
     Used by :mod:`repro.plan.explain` to render which operators run
-    append-only; the executor makes the same calls when compiling.
+    append-only; the executor compiles each through the same
+    :func:`append_only_inputs`.
     """
     notes = []
     for node in walk(plan):

@@ -22,15 +22,15 @@ other queries can scan.  The service owns
   stale"; ``target_lag="downstream"`` derives the obligation from
   consumers; suspend/resume freezes a view (and holds everything built
   on it);
-* **snapshot-isolated reads** — every refresh files the deltas it
-  applied under its version in a bounded history, so
-  ``read(name, version=v)`` rolls the current materialisation back to
-  the exact contents as of version v.
+* **snapshot-isolated reads** — every refresh files its version in a
+  bounded history, and the view's changelog keeps its batches back to
+  the oldest of them, so ``read(name, version=v)`` is the changelog as
+  of version v (:meth:`~repro.core.relation.Changelog.as_of`).
 
 Every per-tick cost is proportional to the rows the tick changed, never
 to the rows a table or view holds: changelogs keep only what an attached
-consumer has yet to pull (a view attached later primes from its sources'
-current contents, not from a replay), version history keeps deltas, and
+consumer has yet to pull or a snapshot read can ask for (a view attached
+later primes from its sources' current contents, not from a replay), and
 the refresh schedule is recomputed only when the DAG or a suspension
 changes.
 
@@ -47,8 +47,6 @@ which takes the batches appended since back out of the contents.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from sys import getsizeof
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import repro.obs as obs
@@ -131,9 +129,10 @@ class DynamicTable:
         self.version = -1
         self.suspended = False
         self.refreshes = 0
-        #: bounded history for snapshot reads: each retained version with
-        #: the (netted) deltas the refresh that reached it applied
-        self.history: list[tuple[int, tuple[Delta, ...]]] = []
+        #: The readable window for snapshot reads: the versions of the
+        #: last ``HISTORY_LIMIT`` refreshes, oldest first.  Replaced, never
+        #: changed in place, so a barrier keeps it by reference.
+        self.history: tuple[int, ...] = ()
 
     def operators(self) -> list[tuple[str, PhysicalOp]]:
         """Every physical operator, depth-first, labelled as
@@ -152,25 +151,8 @@ class DynamicTable:
         [(deltas, _active)] = self._evaluator.run(version)
         return deltas
 
-    def record_version(self, version: int,
-                       deltas: tuple[Delta, ...] = ()) -> None:
-        self.history.append((version, deltas))
-        if len(self.history) > HISTORY_LIMIT:
-            del self.history[0]
-
-    def at_version(self, version: int) -> Bag:
-        """The contents as of ``version`` (labelled): the current
-        materialisation with every later retained refresh undone."""
-        kept = bisect_right(self.history, version, key=lambda e: e[0])
-        if kept == 0:
-            raise StateError(
-                f"view {self.name!r} has no retained materialisation at "
-                f"version {version} (history starts at "
-                f"{self.history[0][0] if self.history else 'never'})")
-        contents = self.changelog.contents.copy()
-        for _, deltas in reversed(self.history[kept:]):
-            contents.apply_signed({row: -weight for row, weight in deltas})
-        return labelled(contents, self.schema)
+    def record_version(self, version: int) -> None:
+        self.history = (*self.history, version)[-HISTORY_LIMIT:]
 
 
 class _Schedule(NamedTuple):
@@ -384,18 +366,16 @@ class DynamicTableService:
             if slice_:
                 incoming[source] = slice_
         lag = target - view.version
-        out: tuple[Delta, ...] = ()
         changed = 0
         if incoming:
             # The commit is all or nothing, so a refused refresh leaves
             # contents, changelog and history as they were.
             weights = view.changelog.commit(
                 target, view.evaluate(target, incoming))
-            out = tuple(weights.items())
             changed = sum(map(abs, weights.values()))
         view.version = target
         view.refreshes += 1
-        view.record_version(target, out)
+        view.record_version(target)
         registry = obs.get_registry()
         registry.gauge("views.refresh.lag", view=view.name).set(lag)
         registry.counter("views.refresh.rows", view=view.name).inc(changed)
@@ -438,15 +418,18 @@ class DynamicTableService:
         return self._schedule
 
     def gc(self) -> dict[str, int]:
-        """Reclaim changelog history no consumer can pull again.
+        """Reclaim changelog history no consumer can pull again and no
+        snapshot read can ask for.
 
         Each source's low-water mark is the minimum consumed version
         across the views reading it (a suspended consumer holds the mark
         down, so its catch-up slice survives); a source with no consumers
-        uses the clock.  Entries at or below the mark are dropped (see
-        :meth:`Changelog.gc`): a view attached later primes from current
-        contents, so nobody replays them.  Returns the entries reclaimed
-        per table/view name.
+        uses the clock.  A view's mark is also at most its oldest
+        readable version, so :meth:`read` at any version in its history
+        undoes only batches still held.  Entries at or below the mark are
+        dropped (see :meth:`Changelog.gc`): a view attached later primes
+        from current contents, so nobody replays them.  Returns the
+        entries reclaimed per table/view name.
 
         While a barrier stands, trimming waits for the next one
         (:meth:`snapshot`): a rollback to it takes back every entry
@@ -464,6 +447,8 @@ class DynamicTableService:
             mark = min((self._views[reader].version
                         for reader in consumers.get(name, ())),
                        default=self.clock)
+            if name in self._views:
+                mark = min(mark, holder.history[0])
             count = holder.changelog.gc(mark)
             if count:
                 reclaimed[name] = count
@@ -504,7 +489,13 @@ class DynamicTableService:
         view = self._require_view(name)
         if version is None:
             return labelled(view.changelog.contents, view.schema)
-        return view.at_version(version)
+        if version < view.history[0]:
+            raise StateError(
+                f"view {name!r} has no retained materialisation at "
+                f"version {version} (history starts at {view.history[0]})")
+        # The changelog keeps every batch after the window's oldest
+        # version (see :meth:`gc`).
+        return labelled(view.changelog.as_of(version), view.schema)
 
     def view(self, name: str) -> DynamicTable:
         return self._require_view(name)
@@ -534,10 +525,10 @@ class DynamicTableService:
         contents change only through the batches their changelogs gain,
         so :meth:`restore` truncates those back out.
         Each view's operators write the keys they changed
-        (:meth:`PhysicalOp.barrier`), its history (at most
-        ``HISTORY_LIMIT`` entries) is kept by reference, and the scalars
-        are copied.  :attr:`barrier_bytes` is the operators' tallies plus
-        the history lists.  Trims that :meth:`gc` put off while the
+        (:meth:`PhysicalOp.barrier`), its readable window (at most
+        ``HISTORY_LIMIT`` versions, a tuple) is kept by reference, and
+        the scalars are copied.  :attr:`barrier_bytes` is the operators'
+        tallies.  Trims that :meth:`gc` put off while the
         previous barrier stood run first.  The recovery image stays
         inside the service, so :meth:`restore` takes the newest barrier
         only.
@@ -547,18 +538,16 @@ class DynamicTableService:
         copied = 0
         views: dict[str, Any] = {}
         for name, view in self._views.items():
-            history = list(view.history)
             plan = []
             for _, op in view.operators():
                 plan.append(op.barrier())
                 copied += op.barrier_bytes
-            copied += getsizeof(history)
             views[name] = {
                 "changelog": len(view.changelog),
                 "version": view.version,
                 "suspended": view.suspended,
                 "refreshes": view.refreshes,
-                "history": history,
+                "history": view.history,
                 "plan": plan,
             }
         self._checkpoint = {
@@ -601,7 +590,7 @@ class DynamicTableService:
             view.version = point["version"]
             view.suspended = point["suspended"]
             view.refreshes = point["refreshes"]
-            view.history = list(point["history"])
+            view.history = point["history"]
             for _, op in view.operators():
                 op.rollback()
         self._schedule = None

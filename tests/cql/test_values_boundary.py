@@ -6,8 +6,8 @@ or query-group path builds or re-labels a Record.  The executor (whose
 ``SharedGroup`` feeds every query, private or shared) and the kernel
 module (and the source it renders) may not call ``Record``,
 ``trusted_record``, ``with_schema``, ``relabel`` or ``_new(Record)``;
-only the query's emission fold, which labels the rows it emits, is
-exempt.
+only the query's emission read, which labels the rows a reader asks
+for, is exempt.
 """
 
 import ast
@@ -25,7 +25,7 @@ LABELLING = {"Record", "trusted_record", "with_schema", "relabel"}
 
 #: ``Class.method`` names allowed to label rows: where the engine hands
 #: rows to a caller.
-EDGE = {"ContinuousQuery._apply_instant"}
+EDGE = {"ContinuousQuery._labelled"}
 
 
 def labelling_calls(tree: ast.AST) -> list[str]:
@@ -107,7 +107,7 @@ def test_the_scan_finds_a_labelling_call():
         "    def stage(self, rows):\n"
         "        return [r.with_schema(s) for r in rows], _new(Record)\n"
         "class ContinuousQuery:\n"
-        "    def _apply_instant(self, t, deltas):\n"
+        "    def _labelled(self, start):\n"
         "        return [Record(s, v) for v in deltas]\n")
     assert labelling_calls(tree) == [
         "JoinOp.process: trusted_record(", "JoinOp.stage: with_schema(",

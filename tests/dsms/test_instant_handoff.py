@@ -169,8 +169,8 @@ class TestQueueWait:
         engine = make_engine()
         engine.register_query("q", GROUPED)
         assert set(engine.snapshot()["queries"]["q"]) == {
-            "agenda", "log", "emissions", "last_instant",
-            "deltas_processed", "operators"}
+            "agenda", "log", "last_instant", "deltas_processed",
+            "operators"}
 
 
 class TestOneStagingPerSource:

@@ -163,8 +163,8 @@ class TestMidRefreshCrash:
         # The torn refresh left no version behind; the replayed one did.
         (old, _), = service.read("totals", version=image["clock"]).items()
         assert old["total"] == 9
-        assert [v for v, _ in service.view("totals").history][-2:] \
-            == [image["clock"], service.clock]
+        assert service.view("totals").history[-2:] \
+            == (image["clock"], service.clock)
 
     def test_recovery_manager_protocol(self):
         """The service plugs into the chaos RecoveryManager as-is."""

@@ -492,7 +492,7 @@ class TestRefusedRefreshLeavesNoTrace:
         service.tick(1)
         materialized = service.read("totals")
         changelog = list(view.changelog.entries())
-        history = list(view.history)
+        history = view.history
         ghost = Record(view.schema, ("nowhere", 0))
         evaluate = view.evaluate
         # The real output comes first, so a one-by-one apply would have

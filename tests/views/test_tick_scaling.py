@@ -171,16 +171,19 @@ class TestDistinctRowSoak:
 
         monkeypatch.setattr(DynamicTableService, "gc", measured)
         table, view = service._tables["orders"], service.view("totals")
-        peak = 0
+        peak_table = peak_view = 0
         for i in range(1, self.COMMITS + 1):
             # Every row is new: the base table only ever grows.
             service.apply("orders",
                           inserts=[{"region": f"r{i % 7}", "amount": i}],
                           at=i)
             service.tick(i)
-            peak = max(peak, len(table.changelog), len(view.changelog))
+            peak_table = max(peak_table, len(table.changelog))
+            peak_view = max(peak_view, len(view.changelog))
         assert len(table.changelog.contents) == self.COMMITS
-        assert peak <= 4
+        # The view also keeps the batches its snapshot reads undo.
+        assert peak_table <= 4
+        assert peak_view <= HISTORY_LIMIT
         # Trimming a log runs no operator and hashes no row, on the first
         # tick as on the ten-thousandth.
         assert len(gc_work) == self.COMMITS
@@ -211,13 +214,39 @@ class TestHistoryHoldsWhatChanged:
             expected[version] = recompute(
                 view.plan, {"orders": service.read("orders")})
         assert len(view.history) == HISTORY_LIMIT
-        # Two changed rows per refresh, however many rows the view holds.
-        assert sum(len(deltas) for _, deltas in view.history) \
-            == 2 * HISTORY_LIMIT
+        # The changelog keeps the batches after the oldest readable
+        # version: two changed rows per refresh, however many rows the
+        # view holds.
+        assert len(view.changelog) == HISTORY_LIMIT - 1
+        assert sum(len(batch) for _, batch in view.changelog.entries()) \
+            == 2 * (HISTORY_LIMIT - 1)
+        # The barrier keeps the readable versions, no deltas.
         image = service.snapshot()["views"]["big"]
-        assert sum(len(deltas) for _, deltas in image["history"]) \
-            == 2 * HISTORY_LIMIT
-        for version, _ in view.history:
+        assert image["history"] == view.history
+        for version in view.history:
             assert service.read("big", version=version) == expected[version]
         # Reading the past leaves the present alone.
         assert service.read("big") == expected[max(expected)]
+
+    def test_a_leaf_view_keeps_only_the_batches_its_window_reads(self):
+        service = DynamicTableService()
+        service.create_table("orders", ORDERS)
+        service.apply("orders", inserts=[order(oid) for oid in range(50)],
+                      at=1)
+        view = service.execute(
+            "CREATE DYNAMIC TABLE big TARGET_LAG = 0 AS SELECT cust, "
+            "SUM(amount) AS total FROM orders GROUP BY cust EMIT CHANGES")
+        expected, peak = {}, 0
+        for version in range(2, 2 + 4 * HISTORY_LIMIT):
+            service.apply("orders", inserts=[order(1000 + version, version)],
+                          at=version)
+            service.tick(version)
+            peak = max(peak, len(view.changelog))
+            expected[version] = recompute(
+                view.plan, {"orders": service.read("orders")})
+        assert peak <= HISTORY_LIMIT
+        # The window is versions, not deltas; each reads off the log.
+        assert all(type(version) is int for version in view.history)
+        assert list(view.history) == sorted(expected)[-HISTORY_LIMIT:]
+        for version in view.history:
+            assert service.read("big", version=version) == expected[version]
