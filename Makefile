@@ -90,9 +90,12 @@ cqbench-tests:
 chaos:
 	$(PYTHON) -m repro.chaos --cases 200 --broker-seeds 100
 
-# Bounded, seeded fuzz — the same budget the tier-1 suite runs.
+# Bounded, seeded fuzz — the same budget the tier-1 suite runs — plus
+# the live-rescale campaign bench-rescale gates (200 cases through the
+# rescale configs only, about 2 s; writes no BENCH_*.json).
 fuzz-quick:
-	$(PYTHON) -m repro.difftest --cases 500 --core-cases 200 --seed 0
+	$(PYTHON) -m repro.difftest --cases 500 --core-cases 200 \
+		--rescale-cases 200 --seed 0
 
 # Long unseeded campaign: a fresh seed each run, repros emitted into
 # difftest_repros/ and timing into benchmarks/BENCH_difftest_fuzz.json.

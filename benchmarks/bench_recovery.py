@@ -49,8 +49,7 @@ def crashed_run(interval):
     query = fresh_query()
     fuse = CrashFuse(at=CRASH_AT)
     install_crash(query, CRASH_POSITION, fuse)
-    manager = RecoveryManager(query, interval=interval,
-                              sleep=lambda _d: None, backoff_base=0.0)
+    manager = RecoveryManager(query, interval=interval)
     _, elapsed = timed(
         lambda: run_query_with_recovery(query, {"Obs": STREAM}, manager))
     assert fuse.fired == 1, "the crash must actually fire"

@@ -16,8 +16,8 @@ obligation:
   ``restore()`` (a :class:`~repro.cql.executor.ContinuousQuery`, a
   :class:`~repro.views.DynamicTableService`, a
   :class:`~repro.dsms.engine.DSMSEngine`)
-  and drives restore-and-replay with bounded retries and exponential
-  backoff, publishing ``recovery.attempts`` / ``checkpoint.bytes`` /
+  and drives restore-and-replay with bounded retries, publishing
+  ``recovery.attempts`` / ``checkpoint.bytes`` /
   ``recovery.replayed_records`` through :mod:`repro.obs`.
 
 The difftest oracle's crash axis composes the two: kill each operator

@@ -9,7 +9,7 @@ barriers, the manager checkpoints a *local* target — anything exposing
 :class:`~repro.views.DynamicTableService`, or a whole
 :class:`~repro.dsms.engine.DSMSEngine` — at input-offset boundaries
 (barrier-by-instant), and on failure drives restore-and-replay with
-bounded retries and exponential backoff.
+bounded retries.
 
 The CQL stack's targets checkpoint by in-place barrier: ``snapshot()``
 moves a recovery image kept inside the target and returns what changed
@@ -78,17 +78,15 @@ class RecoveryManager:
     takes a new checkpoint whenever ``n`` is at least ``interval`` units
     past the last one.  Only the newest checkpoint is kept: it is the
     recovery point, the only one :meth:`recover` uses (and the only one a
-    barrier target can restore).  ``sleep`` is injectable so tests
-    exercise the exponential backoff schedule without waiting it out.
-    ``recoverable`` is the exception family that triggers rollback —
-    anything else propagates, because retrying an unknown error replays
-    input into a target of unknown integrity.
+    barrier target can restore).  A restore is in-process, so a retry
+    runs at once: there is nothing to wait for.  ``recoverable`` is the
+    exception family that triggers rollback — anything else propagates,
+    because retrying an unknown error replays input into a target of
+    unknown integrity.
     """
 
     def __init__(self, target: Any, interval: int = 1,
-                 max_retries: int = 3, backoff_base: float = 0.05,
-                 backoff_cap: float = 1.0,
-                 sleep: Callable[[float], None] = time.sleep,
+                 max_retries: int = 3,
                  recoverable: tuple[type[BaseException], ...]
                  = (InjectedCrash,),
                  label: str | None = None) -> None:
@@ -98,9 +96,6 @@ class RecoveryManager:
         self.target = target
         self.interval = interval
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.sleep = sleep
         self.recoverable = recoverable
         self.label = label or type(target).__name__
         #: The newest checkpoint, alone; empty before the first.
@@ -114,8 +109,6 @@ class RecoveryManager:
         self.checkpoint_bytes = 0
         #: Cumulative wall-clock seconds spent restoring state.
         self.recovery_seconds = 0.0
-        #: Backoff delays requested so far (seconds; tests assert these).
-        self.backoffs: list[float] = []
 
     # -- checkpointing -------------------------------------------------------
 
@@ -191,15 +184,6 @@ class RecoveryManager:
         self.recovery_seconds += time.perf_counter() - started
         return checkpoint
 
-    def backoff(self, failure_count: int) -> float:
-        """Sleep the exponential-backoff delay for the Nth failure."""
-        delay = min(self.backoff_cap,
-                    self.backoff_base * (2 ** (failure_count - 1)))
-        self.backoffs.append(delay)
-        if delay > 0:
-            self.sleep(delay)
-        return delay
-
     def record_replayed(self, n: int) -> None:
         self.replayed_records += n
         if n and obs._STATE.enabled:
@@ -233,7 +217,6 @@ def run_with_recovery(units: Sequence[Any],
             failures += 1
             if failures > manager.max_retries:
                 raise
-            manager.backoff(failures)
             checkpoint = manager.recover()
             replayed = units[checkpoint.offset:index]
             manager.record_replayed(

@@ -429,8 +429,7 @@ def _query_run(config: Config, base: _Truth,
     else:
         install_crash(query, *crash)
         run_with_recovery(steps, apply, RecoveryManager(
-            query, interval=2, sleep=lambda _delay: None, backoff_base=0.0,
-            label=config.name))
+            query, interval=2, label=config.name))
     return query, len(batches)
 
 

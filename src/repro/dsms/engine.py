@@ -474,8 +474,7 @@ class DSMSEngine:
             from repro.chaos.recovery import RecoveryManager
             self.recovery = RecoveryManager(
                 self, interval=recovery_interval,
-                max_retries=max_restarts, backoff_base=0.0,
-                label="dsms")
+                max_retries=max_restarts, label="dsms")
 
     @property
     def catalog(self) -> Catalog:
@@ -824,8 +823,8 @@ class DSMSEngine:
         """Drain all queues; returns the number of quanta executed.
 
         With recovery enabled, a recoverable failure raised while
-        servicing triggers restore-and-replay (with the manager's backoff
-        and retry bound), and reaching quiescence commits the arrival-log
+        servicing triggers restore-and-replay (within the manager's retry
+        bound), and reaching quiescence commits the arrival-log
         position — checkpoints are taken at these quiescent points, when
         logged arrivals equal processed arrivals.
         """
@@ -863,7 +862,6 @@ class DSMSEngine:
             failures += 1
             if failures > self.recovery.max_retries:
                 raise error
-            self.recovery.backoff(failures)
             try:
                 self._recover_and_replay()
             except self.recovery.recoverable as again:

@@ -10,8 +10,8 @@ change the answer, and the only safe parallelism is 1.
 
 :func:`partition_scheme` performs that analysis on the unified logical
 IR.  It picks K at the topmost keyed boundary (a grouped aggregate's
-GROUP BY, or an equi-join's key columns) and pushes K down the tree,
-checking every operator on the way:
+GROUP BY, or an equi-join's key columns) and pushes K's *positions*
+down the tree, checking every operator on the way:
 
 * per-record operators (filter, project onto bare columns, time-based
   windows) are transparent;
@@ -21,19 +21,26 @@ checking every operator on the way:
   sides co-locate matching rows; a side with no stream scans is
   *broadcast* (relations are replicated to every partition) and needs no
   key;
-* duplicate elimination and set operations only ever compare identical
-  rows, which carry identical keys — safe when both sides resolve;
 * ``[Rows n]`` windows depend on global arrival order across all keys —
   **not** partitionable; ``[Partition By … Rows n]`` is safe iff K ⊆ the
   window's partition columns;
 * a SQL group window keeps each group's windows (and sessions) apart,
   so any K ⊆ its group columns is safe; with no ``GROUP BY`` there is
-  no key, and the plan runs serially.
+  no key, and the plan runs serially;
+* anything else below the boundary (a set operation or DISTINCT: the
+  frontends build those only above the keyed boundary) is opaque, and
+  the plan runs serially.
 
-At each stream leaf K resolves to *positional* column indices, which is
-what the executors need: routing happens on raw arrival tuples before
-any alias qualification.  Relation leaves resolve to nothing — relation
-updates broadcast to every partition.
+The push-down records, for every node it descends through, where the
+routing key sits in that node's output row
+(:attr:`PartitionScheme.positions`).  At a stream leaf those are the
+positions arrivals are routed by, on raw tuples before any alias
+qualification; at a join, aggregate or window they are what live
+rescale (:mod:`repro.runtime.rescale`) re-keys that operator's state by.
+Every node of a stream-free subtree (a relation leaf, a join side over
+relations only, whether or not it carries the key) is
+:data:`BROADCAST`: relation updates go to every partition, so each
+holds the whole subtree.
 
 A ``None`` result is a proof obligation failed, and callers must fall
 back to parallelism 1; :func:`decide_parallelism` wraps that rule.
@@ -41,8 +48,8 @@ back to parallelism 1; :func:`decide_parallelism` wraps that rule.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.errors import SchemaError
@@ -55,8 +62,6 @@ from repro.plan.ir import (
     LogicalOp,
     Project,
     RelToStream,
-    RelationScan,
-    SetOp,
     StreamScan,
     WindowAggregate,
     WindowOp,
@@ -65,10 +70,10 @@ from repro.plan.ir import (
 )
 
 __all__ = ["PartitionScheme", "partition_scheme", "decide_parallelism",
-           "key_annotations", "BROADCAST"]
+           "BROADCAST"]
 
-#: Annotation marker for nodes in a stream-free (broadcast) subtree:
-#: their state is replicated identically in every partition.
+#: The positions of a node in a stream-free (broadcast) subtree: its
+#: state is replicated identically in every partition.
 BROADCAST = None
 
 
@@ -89,30 +94,33 @@ class PartitionScheme:
     fissioned query compiles the subtree rooted here once per partition
     and runs the spine once, over the union of the copies' outputs
     (``repro.cql.executor.compile_plan``).
+
+    ``positions`` maps ``id(node)`` of the boundary and of every node
+    below it to the routing key's positions in that node's output row,
+    or to :data:`BROADCAST` in a stream-free subtree.  An aggregate's
+    group columns come first in its output, so its positions are also
+    the key's positions in its group key.
     """
 
     keys: tuple[str, ...]
     stream_keys: Mapping[str, tuple[int, ...]]
     origin: str
     boundary: LogicalOp = field(compare=False, repr=False)
+    positions: Mapping[int, tuple[int, ...] | None] = field(
+        compare=False, repr=False)
 
     def key_for(self, stream: str, values: Sequence[Any]) -> Any:
         """The routing key of one raw arrival tuple on ``stream``."""
-        indices = self.stream_keys[stream]
-        if len(indices) == 1:
-            return values[indices[0]]
-        return tuple(values[i] for i in indices)
+        return itemgetter(*self.stream_keys[stream])(values)
 
     def router(self, stream: str,
                partitions: int) -> Callable[[Sequence[Any]], int]:
         """Raw arrival tuple on ``stream`` → the index of the partition,
         out of ``partitions``, that owns its key."""
         # Lazy: the planner itself never needs the runtime package.
-        from repro.runtime.partitioning import partition_of
+        from repro.runtime.partitioning import key_router
 
-        key_for = self.key_for
-        return lambda values: partition_of(key_for(stream, values),
-                                           partitions)
+        return key_router(self.stream_keys[stream], partitions)
 
     def describe(self) -> str:
         per_stream = ", ".join(
@@ -144,7 +152,12 @@ def partition_scheme(plan: LogicalOp) -> PartitionScheme | None:
         if not any(_keys_reach_output(spine, candidate)
                    for candidate in candidates):
             return None
-    resolved = _resolve(node, list(keys))
+    positions: dict[int, tuple[int, ...] | None] = {}
+    try:
+        resolved = _resolve(
+            node, tuple(node.schema.index_of(k) for k in keys), positions)
+    except SchemaError:
+        return None
     if resolved is None:
         return None
     streams = {scan.name for scan in scans_of(plan)
@@ -153,8 +166,9 @@ def partition_scheme(plan: LogicalOp) -> PartitionScheme | None:
         return None  # some stream escaped the key analysis — unsafe
     if not streams:
         return None  # nothing to partition: all inputs are relations
-    return PartitionScheme(keys=tuple(keys), stream_keys=dict(resolved),
-                           origin=origin, boundary=node)
+    return PartitionScheme(keys=tuple(keys), stream_keys=resolved,
+                           origin=origin, boundary=node,
+                           positions=positions)
 
 
 def _spine_of(plan: LogicalOp, node: LogicalOp) -> list[LogicalOp]:
@@ -185,130 +199,12 @@ def _keys_reach_output(spine: Sequence[LogicalOp],
     return True
 
 
-def key_annotations(plan: LogicalOp, scheme: PartitionScheme) \
-        -> dict[int, tuple[str, ...] | None]:
-    """Per-node routing-key columns for a plan ``scheme`` partitions.
-
-    Maps ``id(node)`` → the routing key's column names *in that node's
-    output schema*, for every node the key analysis descends through,
-    plus the spine above the boundary as far as the key survives
-    projection.  Nodes in a stream-free subtree map to :data:`BROADCAST`
-    (their state is replicated in every partition); nodes absent from
-    the mapping have no recoverable key (e.g. spine ops above a
-    projection that dropped it).
-
-    This is what live rescale (``repro.runtime.rescale``) uses to
-    re-key each operator's checkpointed state by the target width.
-    """
-    node, keys = scheme.boundary, scheme.keys
-    ann: dict[int, tuple[str, ...] | None] = {}
-    _annotate(node, list(keys), ann)
-    # The spine above the boundary: carry the key upward through renames
-    # until a projection loses it (nodes above that point stay absent).
-    spine: list[LogicalOp] = []
-    cursor = plan
-    while cursor is not node:
-        spine.append(cursor)
-        cursor = cursor.children[0]
-    current = list(keys)
-    for op in reversed(spine):
-        if isinstance(op, Project):
-            mapped = []
-            for key in current:
-                out_name = None
-                for name, expr in zip(op.names, op.exprs):
-                    if isinstance(expr, Column) and expr.name == key:
-                        out_name = name
-                        break
-                if out_name is None:
-                    return ann  # key projected away: stop annotating up
-                mapped.append(out_name)
-            current = mapped
-        # Filter / Distinct / RelToStream keep their child's schema.
-        ann[id(op)] = tuple(current)
-    return ann
-
-
-def _annotate(node: LogicalOp, keys: list[str],
-              ann: dict[int, tuple[str, ...] | None]) -> None:
-    """Record each descended node's key columns; mirrors :func:`_resolve`.
-
-    Only called on plans :func:`partition_scheme` already proved, so the
-    failure branches of ``_resolve`` are unreachable here.
-    """
-    ann[id(node)] = tuple(keys)
-    if isinstance(node, StreamScan):
-        return
-    if isinstance(node, RelationScan):
-        ann[id(node)] = BROADCAST
-        return
-    if isinstance(node, (Filter, Distinct, RelToStream, WindowOp)):
-        _annotate(node.children[0], keys, ann)
-        return
-    if isinstance(node, Project):
-        renamed = [node.exprs[node.schema.index_of(k)].name for k in keys]
-        _annotate(node.children[0], renamed, ann)
-        return
-    if isinstance(node, (Aggregate, WindowAggregate)):
-        renamed = [node.group_by[node.group_names.index(k)] for k in keys]
-        _annotate(node.children[0], renamed, ann)
-        return
-    if isinstance(node, Join):
-        _annotate_join(node, keys, ann)
-        return
-    if isinstance(node, SetOp):
-        positions = [node.left.schema.index_of(k) for k in keys]
-        right_keys = [node.right.schema.fields[p] for p in positions]
-        _annotate(node.left, keys, ann)
-        _annotate(node.right, right_keys, ann)
-        return
-
-
-def _annotate_join(node: Join, keys: list[str],
-                   ann: dict[int, tuple[str, ...] | None]) -> None:
-    left_schema = node.left.schema
-    on_left = []
-    for key in keys:
-        try:
-            left_schema.index_of(key)
-        except SchemaError:
-            continue
-        on_left.append(key)
-    if on_left:
-        side, other = node.left, node.right
-        names, own_keys, other_keys = on_left, node.left_keys, \
-            node.right_keys
-    else:
-        side, other = node.right, node.left
-        names, own_keys, other_keys = list(keys), node.right_keys, \
-            node.left_keys
-    _annotate(side, names, ann)
-    if any(isinstance(s, StreamScan) for s in scans_of(other)):
-        schema = side.schema
-        key_positions = [schema.index_of(k) for k in own_keys]
-        mapped = [other_keys[key_positions.index(schema.index_of(n))]
-                  for n in names]
-        _annotate(other, mapped, ann)
-    else:
-        for sub in walk(other):
-            ann[id(sub)] = BROADCAST
-
-
-def decide_parallelism(plan: LogicalOp, requested: int | None = None,
-                       cores: int | None = None) -> int:
-    """Clamp a parallelism request to what the plan's semantics allow.
-
-    Unpartitionable plans always get 1.  Without an explicit request the
-    planner picks min(4, cores) — beyond the boundary key's typical
-    cardinality the extra replicas only add routing cost.
-    """
+def decide_parallelism(plan: LogicalOp, requested: int) -> int:
+    """Clamp a parallelism request to what the plan's semantics allow:
+    unpartitionable plans always get 1."""
     if partition_scheme(plan) is None:
         return 1
-    if requested is not None:
-        return max(1, requested)
-    if cores is None:
-        cores = os.cpu_count() or 1
-    return max(1, min(4, cores))
+    return max(1, requested)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +235,14 @@ def _boundary(plan: LogicalOp) \
     if isinstance(node, Join) and node.left_keys:
         # Key on whichever side actually carries streams; a stream-free
         # side is broadcast and imposes no key.
-        left_streams = any(isinstance(s, StreamScan)
-                           for s in scans_of(node.left))
-        keys = node.left_keys if left_streams else node.right_keys
+        keys = node.left_keys if _has_streams(node.left) else node.right_keys
         return node, tuple(keys), \
             f"equi-join on ({', '.join(node.left_keys)})"
     return None
+
+
+def _has_streams(node: LogicalOp) -> bool:
+    return any(isinstance(scan, StreamScan) for scan in scans_of(node))
 
 
 # ---------------------------------------------------------------------------
@@ -352,147 +250,88 @@ def _boundary(plan: LogicalOp) \
 # ---------------------------------------------------------------------------
 
 
-def _resolve(node: LogicalOp, keys: list[str]) \
+def _resolve(node: LogicalOp, at: tuple[int, ...],
+             positions: dict[int, tuple[int, ...] | None]) \
         -> dict[str, tuple[int, ...]] | None:
-    """Push key columns (named in ``node``'s output schema) to the leaves.
+    """Push the key, at positions ``at`` of ``node``'s output row, to the
+    leaves, recording each node's positions in ``positions``.
 
     Returns stream name → positional key indices, or None when any
-    operator on the way would let different keys interact.
+    operator on the way would let different keys interact.  An unknown
+    name raises :class:`SchemaError`, which fails the whole proof.
     """
+    if not _has_streams(node):
+        # Broadcast: relation updates reach every partition, so each
+        # holds the whole of a stream-free subtree and needs no key.
+        for sub in walk(node):
+            positions[id(sub)] = BROADCAST
+        return {}
+    positions[id(node)] = at
     if isinstance(node, StreamScan):
-        try:
-            return {node.name: tuple(node.schema.index_of(k) for k in keys)}
-        except SchemaError:
-            return None
-    if isinstance(node, RelationScan):
-        return {}  # broadcast: every partition sees the whole relation
-    if isinstance(node, (Filter, Distinct, RelToStream)):
-        return _resolve(node.children[0], keys)
+        return {node.name: at}
     if isinstance(node, WindowOp):
-        return _resolve_window(node, keys)
+        spec = node.spec
+        if spec.kind is WindowSpecKind.ROWS:
+            # [Rows n] keeps the n globally most recent rows across all
+            # keys; splitting the input changes which rows survive.
+            return None
+        if spec.kind is WindowSpecKind.PARTITIONED:
+            # Safe iff rows that share a window also share a partition:
+            # K ⊆ Partition By columns.
+            schema = node.child.schema
+            if not set(at) <= {schema.index_of(c)
+                               for c in spec.partition_by}:
+                return None
+        return _resolve(node.child, at, positions)
+    if isinstance(node, Filter):
+        return _resolve(node.child, at, positions)
     if isinstance(node, Project):
-        return _resolve_project(node, keys)
+        exprs = [node.exprs[p] for p in at]
+        if not all(isinstance(expr, Column) for expr in exprs):
+            return None  # computed key column: cannot route on raw input
+        schema = node.child.schema
+        return _resolve(node.child, tuple(schema.index_of(expr.name)
+                                          for expr in exprs), positions)
     if isinstance(node, (Aggregate, WindowAggregate)):
-        return _resolve_aggregate(node, keys)
+        # Keys must name group columns (never aggregate outputs), which
+        # come first in the output: map each back to the input column it
+        # groups on.
+        if any(p >= len(node.group_by) for p in at):
+            return None
+        schema = node.child.schema
+        return _resolve(node.child, tuple(schema.index_of(node.group_by[p])
+                                          for p in at), positions)
     if isinstance(node, Join):
-        return _resolve_join(node, keys)
-    if isinstance(node, SetOp):
-        return _resolve_setop(node, keys)
+        return _resolve_join(node, at, positions)
     return None  # opaque / frontend-specific node: assume unsafe
 
 
-def _resolve_window(node: WindowOp, keys: list[str]) \
+def _resolve_join(node: Join, at: tuple[int, ...],
+                  positions: dict[int, tuple[int, ...] | None]) \
         -> dict[str, tuple[int, ...]] | None:
-    spec = node.spec
-    if spec.kind is WindowSpecKind.ROWS:
-        # [Rows n] keeps the n globally most recent rows across all keys;
-        # splitting the input changes which rows survive.
-        return None
-    if spec.kind is WindowSpecKind.PARTITIONED:
-        # Safe iff rows that share a window also share a partition:
-        # K ⊆ Partition By columns.
-        schema = node.children[0].schema
-        try:
-            window_cols = {schema.index_of(c) for c in spec.partition_by}
-            if any(schema.index_of(k) not in window_cols for k in keys):
-                return None
-        except SchemaError:
-            return None
-    return _resolve(node.children[0], keys)
-
-
-def _resolve_project(node: Project, keys: list[str]) \
-        -> dict[str, tuple[int, ...]] | None:
-    renamed = []
-    for key in keys:
-        try:
-            expr = node.exprs[node.schema.index_of(key)]
-        except SchemaError:
-            return None
-        if not isinstance(expr, Column):
-            return None  # computed key column: cannot route on raw input
-        renamed.append(expr.name)
-    return _resolve(node.children[0], renamed)
-
-
-def _resolve_aggregate(node: Aggregate | WindowAggregate, keys: list[str]) \
-        -> dict[str, tuple[int, ...]] | None:
-    # Keys must name group columns (never aggregate outputs); map each
-    # output group name back to the input column it groups on.
-    renamed = []
-    for key in keys:
-        try:
-            position = node.group_names.index(key)
-        except ValueError:
-            return None
-        renamed.append(node.group_by[position])
-    return _resolve(node.children[0], renamed)
-
-
-def _resolve_join(node: Join, keys: list[str]) \
-        -> dict[str, tuple[int, ...]] | None:
-    left_schema = node.left.schema
-    on_left, on_right = [], []
-    for key in keys:
-        try:
-            left_schema.index_of(key)
-        except SchemaError:
-            on_right.append(key)
-        else:
-            on_left.append(key)
-    if on_left and on_right:
-        return None  # key straddles the join: no single co-location key
-    if on_left:
+    width = node.left.schema.arity
+    if all(p < width for p in at):
         side, other = node.left, node.right
-        names, own_keys, other_keys = on_left, node.left_keys, \
-            node.right_keys
-    else:
+        own_keys, other_keys = node.left_keys, node.right_keys
+    elif all(p >= width for p in at):
         side, other = node.right, node.left
-        names, own_keys, other_keys = on_right, node.right_keys, \
-            node.left_keys
-    branch = _resolve(side, names)
-    if branch is None:
+        own_keys, other_keys = node.right_keys, node.left_keys
+        at = tuple(p - width for p in at)
+    else:
+        return None  # key straddles the join: no single co-location key
+    resolved = _resolve(side, at, positions)
+    if resolved is None:
         return None
-    if any(isinstance(s, StreamScan) for s in scans_of(other)):
+    if _has_streams(other):
         # Both sides carry streams: matching rows must co-locate, so K
         # has to map through the equi-join condition onto the other side.
-        schema = side.schema
-        try:
-            key_positions = [schema.index_of(k) for k in own_keys]
-            mapped = []
-            for name in names:
-                position = schema.index_of(name)
-                if position not in key_positions:
-                    return None  # K not part of the join key: unsafe
-                mapped.append(other_keys[key_positions.index(position)])
-        except SchemaError:
-            return None
-        other_branch = _resolve(other, mapped)
-        if other_branch is None:
-            return None
-    else:
-        other_branch = {}  # stream-free side: broadcast, no key needed
-    resolved = dict(branch)
-    if not _merge(resolved, other_branch):
-        return None
-    return resolved
-
-
-def _resolve_setop(node: SetOp, keys: list[str]) \
-        -> dict[str, tuple[int, ...]] | None:
-    # Set operands share arity, not names: translate keys positionally.
-    left_schema, right_schema = node.left.schema, node.right.schema
-    try:
-        positions = [left_schema.index_of(k) for k in keys]
-    except SchemaError:
-        return None
-    right_keys = [right_schema.fields[p] for p in positions]
-    left = _resolve(node.left, keys)
-    right = _resolve(node.right, right_keys)
-    if left is None or right is None:
-        return None
-    resolved = dict(left)
-    if not _merge(resolved, right):
+        own = [side.schema.index_of(k) for k in own_keys]
+        if not set(at) <= set(own):
+            return None  # K not part of the join key: unsafe
+        schema = other.schema
+        at = tuple(schema.index_of(other_keys[own.index(p)]) for p in at)
+    branch = _resolve(other, at, positions)
+    if branch is None or not _merge(resolved, branch):
         return None
     return resolved
 

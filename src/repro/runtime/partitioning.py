@@ -20,6 +20,7 @@ fissioned CQL queries and live rescale — goes through
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Sequence
 
 from repro.core.errors import StateError
@@ -51,6 +52,16 @@ def default_hash(key: Hashable) -> int:
 def partition_of(key: Hashable, partitions: int) -> int:
     """The index of the partition, out of ``partitions``, that owns ``key``."""
     return default_hash(key) % partitions
+
+
+def key_router(positions: Sequence[int],
+               partitions: int) -> Callable[[Sequence[Any]], int]:
+    """A values tuple → the partition, out of ``partitions``, owning its
+    key at ``positions``: the bare value for one position, else the
+    tuple of them.  Fissioned arrival routing and live rescale both
+    place rows through it."""
+    key = itemgetter(*positions)
+    return lambda values: partition_of(key(values), partitions)
 
 
 class Partitioner:

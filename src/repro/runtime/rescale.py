@@ -13,14 +13,16 @@ volume actually moved.  :func:`rescale` does exactly that for a running
    than silently drop records.
 
 2. **Recompile, re-key the partitions.**  The plan is compiled again at
-   the target width.  Below the partition boundary, each operator's
-   keyed containers (:class:`~repro.cql.state.KeyedState`) in every old
-   partition split into the new partitions' copies, routed by the
-   planner's key annotations (:func:`repro.plan.parallel.key_annotations`)
-   and :func:`~repro.runtime.partitioning.partition_of` — the placement
-   every routing layer uses, so a record's post-rescale owner is exactly
+   the target width.  For the partition boundary and each logical node
+   below it, the node's operators in the old partitions give their
+   keyed containers (:class:`~repro.cql.state.KeyedState`) to its
+   operators in the new ones, each entry routed by the routing key's
+   positions the partition scheme recorded for that node
+   (:attr:`~repro.plan.parallel.PartitionScheme.positions`) through
+   :func:`~repro.runtime.partitioning.key_router` — the placement
+   arrivals are routed by, so a record's post-rescale owner is exactly
    the partition future arrivals with its key are routed to.  What is
-   left per operator is its routing rule.  A key's state moves
+   left per operator is its rekey rule.  A key's state moves
    *wholesale* (window buffers, join index buckets, group accumulators),
    so per-key processing order — and therefore every future emission —
    is identical to a never-rescaled run.  Broadcast state (stream-free
@@ -29,10 +31,10 @@ volume actually moved.  :func:`rescale` does exactly that for a running
 
 3. **Everything else stays.**  The operators above the boundary run once
    whatever the width, so their state moves across by reference; the
-   agenda, maintained state, change-log and emissions are the query's
-   own and are not touched at all.  The new operators keep no recovery
-   image, so no checkpoint taken before the rescale restores after it,
-   and the query's next checkpoint writes all of its state.
+   agenda, maintained state and change-log are the query's own and are
+   not touched at all.  The new operators keep no recovery image, so no
+   checkpoint taken before the rescale restores after it, and the
+   query's next checkpoint writes all of its state.
 
 The migration only reads the running operators and writes the freshly
 compiled ones, which replace them at the end; a failed rescale leaves
@@ -42,32 +44,17 @@ the query running at its old width.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.core.errors import StateError
 from repro.core.time import Timestamp
 from repro.cql.state import KeyedState, copy_sized
-from repro.plan.ir import (
-    Aggregate,
-    Distinct,
-    Join,
-    LogicalOp,
-    SetOp,
-    StreamScan,
-    WindowAggregate,
-    scans_of,
-    walk,
-)
-from repro.plan.parallel import BROADCAST, PartitionScheme, key_annotations
-from repro.runtime.partitioning import partition_of
+from repro.plan.ir import Join, LogicalOp, walk
+from repro.plan.parallel import BROADCAST
+from repro.runtime.partitioning import key_router
 
 __all__ = ["RescaleError", "RescaleReport", "rescale"]
-
-#: Distinct from BROADCAST (which is None): an operator the key analysis
-#: never reached, i.e. no recoverable routing key for its state.
-_MISSING = object()
 
 
 class RescaleError(StateError):
@@ -84,7 +71,7 @@ class RescaleReport:
     #: (None when nothing had been processed yet).
     instant: Timestamp | None
     #: State entries re-keyed across partitions (window tuples, join
-    #: index rows, aggregate groups and rows, distinct/set-op rows).
+    #: index rows, aggregate groups and rows).
     migrated_entries: int
     #: Wall-clock stall: how long the query was frozen mid-migration.
     seconds: float
@@ -119,19 +106,19 @@ def rescale(query: Any, parallelism: int) -> RescaleReport:
                                     parallelism=parallelism)
     scheme = compiled[4] or query._scheme
     boundary = scheme.boundary
-    migration = _Migration(scheme, key_annotations(query.plan, scheme),
-                           parallelism, query.plan, compiled[3], cqlexec)
-    old_roots = query._phys_by_logical[id(boundary)]
-    new_roots = compiled[3][id(boundary)]
-    old_parts = [_subtree(root) for root in old_roots]
-    new_parts = [_subtree(root) for root in new_roots]
-    migration.check_quiescent([op for part in old_parts for op in part])
-
-    for position in range(len(new_parts[0])):
-        migration.move([part[position] for part in old_parts],
-                       [part[position] for part in new_parts])
-    spines = zip(_spine(query._root, old_roots),
-                 _spine(compiled[0], new_roots))
+    migration = _Migration(scheme.positions, parallelism, cqlexec)
+    old_map, new_map = query._phys_by_logical, compiled[3]
+    done: set[int] = set()
+    # Children before parents: an operator that runs several nodes (a
+    # window source its scan and pushed filters, a join the chain fused
+    # into it) is met first at the node whose rows its state holds.
+    for node in reversed(list(walk(boundary))):
+        news = new_map[id(node)]
+        if id(news[0]) not in done:
+            done.add(id(news[0]))
+            migration.move(node, old_map[id(node)], news)
+    spines = zip(_spine(query._root, old_map[id(boundary)]),
+                 _spine(compiled[0], new_map[id(boundary)]))
     for old, new in spines:
         _carry(old, new, private=False)
 
@@ -162,17 +149,6 @@ def _carry(old: Any, new: Any, private: bool) -> None:
     new.emitted, new.received = old.emitted, old.received
 
 
-def _subtree(root: Any) -> list[Any]:
-    """A partition's operators, depth-first — the same positions in every
-    copy of the partition, whatever the width."""
-    out, stack = [], [root]
-    while stack:
-        op = stack.pop()
-        out.append(op)
-        stack.extend(reversed(op.children))
-    return out
-
-
 def _spine(root: Any, partition_roots: list[Any]) -> list[Any]:
     """The operators above the partitions, root first: the unary chain
     down to the partition boundary, or to the union above the boundary's
@@ -188,42 +164,12 @@ def _spine(root: Any, partition_roots: list[Any]) -> list[Any]:
 class _Migration:
     """One rescale's state moves, old partitions → new width."""
 
-    def __init__(self, scheme: PartitionScheme,
-                 annotations: Mapping[int, Any], parallelism: int,
-                 plan: LogicalOp, node_map: Mapping[int, list[Any]],
+    def __init__(self, positions: Mapping[int, Any], parallelism: int,
                  cqlexec: Any) -> None:
-        self.scheme = scheme
-        self.ann = annotations
+        self.positions = positions
         self.n = parallelism
         self.ex = cqlexec
         self.moved = 0
-        logical_by_id = {id(node): node for node in walk(plan)}
-        self._nodes_of_phys: dict[int, list[LogicalOp]] = defaultdict(list)
-        for node_id, ops in node_map.items():
-            for op in ops:
-                self._nodes_of_phys[id(op)].append(logical_by_id[node_id])
-
-    # -- shared helpers ------------------------------------------------------
-
-    def _router(self, positions: list[int]) -> Callable[[tuple], int]:
-        """The target partition of a values tuple, by its values at
-        ``positions``."""
-        n = self.n
-
-        def route(values: tuple) -> int:
-            # Single-column keys hash the bare value, matching
-            # PartitionScheme.key_for, which arrivals are routed by.
-            if len(positions) == 1:
-                return partition_of(values[positions[0]], n)
-            return partition_of(tuple(values[p] for p in positions), n)
-        return route
-
-    def _node_for(self, op: Any, kinds: tuple[type, ...]) -> LogicalOp:
-        for node in self._nodes_of_phys.get(id(op), ()):
-            if isinstance(node, kinds):
-                return node
-        raise RescaleError(
-            f"no logical node of kind {kinds} for {type(op).__name__}")
 
     def _split(self, olds: list[Any], news: list[Any],
                attrs: tuple[str, ...],
@@ -248,62 +194,34 @@ class _Migration:
         for new in news:
             _carry(olds[0], new, private=True)
 
-    # -- quiescence ----------------------------------------------------------
-
-    def check_quiescent(self, ops: list[Any]) -> None:
-        for op in ops:
-            name = type(op).__name__
-            if isinstance(op, self.ex.StreamSourceOp):
-                if op._staged or op._arrived:
-                    raise RescaleError(
-                        f"{name} has staged arrivals; rescale only at "
-                        f"an instant boundary")
-            elif isinstance(op, self.ex.RelationSourceOp):
-                if op._staged:
-                    raise RescaleError(
-                        f"{name} has staged relation updates; rescale "
-                        f"only at an instant boundary")
-
-    # -- operator state ------------------------------------------------------
-
-    def move(self, olds: list[Any], news: list[Any]) -> None:
-        """One operator's state, from its copies in the old partitions to
-        its (freshly compiled) copies in the target partitions."""
+    def move(self, node: LogicalOp, olds: list[Any],
+             news: list[Any]) -> None:
+        """The state of the operator running ``node``, from its copies in
+        the old partitions to its (freshly compiled) copies in the target
+        partitions."""
         ex, op = self.ex, news[0]
         name = type(op).__name__
-        if isinstance(op, ex.StreamSourceOp):
-            self._move_stream_source(olds, news)
-        elif isinstance(op, ex.RelationSourceOp):
-            self._replicate(olds, news,
-                            verify=lambda op: (op._initial, op._staged))
-        elif op._STATE_ATTRS:
-            node = self._node_for(op, (Join, Aggregate, WindowAggregate,
-                                       Distinct, SetOp))
-            if isinstance(node, SetOp) and not all(
-                    any(isinstance(s, StreamScan) for s in scans_of(child))
-                    for child in node.children):
+        at = self.positions[id(node)]
+        if isinstance(op, ex.RelationSourceOp):
+            if any(old._staged for old in olds):
                 raise RescaleError(
-                    f"{name}: a stream-free set-op side is replicated per "
-                    f"partition and cannot be re-keyed")
-            keys = self.ann.get(id(node), _MISSING)
-            if keys is BROADCAST:
-                self._replicate(olds, news)
-            elif isinstance(node, Join):  # covers AppendOnlyJoinOp
-                self._move_join(op, node, olds, news)
-            elif keys is _MISSING:
-                raise RescaleError(f"{name}: no recoverable routing key")
-            elif isinstance(op, ex.AggregateOp):
-                route = self._router(
-                    [node.group_names.index(key) for key in keys])
-                # A group's accumulators and row move whole: a group
-                # lives wholly inside one partition, before and after.
-                self._split(olds, news, ("_groups", "_current_rows"),
-                            lambda group, _: route(group))
-            else:  # distinct counts and set-op sides, keyed by row
-                route = self._router(
-                    [node.schema.index_of(column) for column in keys])
-                self._split(olds, news, op._STATE_ATTRS,
-                            lambda values, _: route(values))
+                    f"{name} has staged relation updates; rescale only at "
+                    f"an instant boundary")
+            self._replicate(olds, news, verify=lambda op: op._initial)
+        elif isinstance(op, ex.JoinOp):  # covers AppendOnlyJoinOp
+            self._move_join(op, node, olds, news)
+        elif at is BROADCAST:
+            self._replicate(olds, news)
+        elif isinstance(op, ex.StreamSourceOp):
+            self._move_stream_source(key_router(at, self.n), olds, news)
+        elif isinstance(op, ex.AggregateOp):
+            route = key_router(at, self.n)
+            # A group's accumulators and row move whole: a group lives
+            # wholly inside one partition, before and after.
+            self._split(olds, news, ("_groups", "_current_rows"),
+                        lambda group, _: route(group))
+        elif op._STATE_ATTRS:
+            raise RescaleError(f"{name} has no rekey rule for its state")
         # Lifetime accounting is global, not per-key: keep the totals on
         # target 0 so engine-level work counters stay monotone.
         for attr in ("emitted", "received"):
@@ -311,15 +229,19 @@ class _Migration:
             for new in news[1:]:
                 setattr(new, attr, 0)
 
-    def _move_stream_source(self, olds: list[Any],
-                            news: list[Any]) -> None:
+    def _move_stream_source(self, route: Callable[[Any], int],
+                            olds: list[Any], news: list[Any]) -> None:
+        name = type(news[0]).__name__
+        if any(old._staged or old._arrived for old in olds):
+            raise RescaleError(
+                f"{name} has staged arrivals; rescale only at an instant "
+                f"boundary")
         if any(old._fifo for old in olds):
             # Unreachable behind a partitionability proof: [Rows n]
             # windows are never keyed.
             raise RescaleError(
                 "[Rows n] windows depend on global arrival order and do "
                 "not rescale")
-        route = self._router(self.scheme.stream_keys[news[0].scan.name])
         # The window's partition columns contain the routing key, so a
         # [Partition By] FIFO lands whole in one target.
         self._split(olds, news, ("_expiries", "_per_key"),
@@ -341,17 +263,13 @@ class _Migration:
         pairs = isinstance(op, self.ex.AppendOnlyJoinOp)
         for attr, child in (("_left_state", node.left),
                             ("_right_state", node.right)):
-            keys = self.ann.get(id(child), _MISSING)
-            if keys is _MISSING:
-                raise RescaleError(
-                    f"join side {attr} has no recoverable routing key")
-            if keys is BROADCAST:
+            at = self.positions[id(child)]
+            if at is BROADCAST:
                 self._replicate([getattr(old, attr) for old in olds],
                                 [getattr(new, attr) for new in news],
                                 verify=lambda state: state.data)
                 continue
-            route = self._router(
-                [child.schema.index_of(column) for column in keys])
+            route = key_router(at, self.n)
             self._split(olds, news, (attr,),
                         lambda key, item, route=route:
                         route(item[0] if pairs else item))

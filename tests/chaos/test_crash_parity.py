@@ -77,8 +77,7 @@ def test_crash_each_operator_once(scenario):
         query, streams = fresh_query(text)
         fuse = CrashFuse(at=4)   # mid-stream: every op sees >= 10 instants
         label = install_crash(query, position, fuse)
-        manager = RecoveryManager(query, interval=2,
-                                  sleep=lambda _d: None, backoff_base=0.0)
+        manager = RecoveryManager(query, interval=2)
         run_query_with_recovery(query, streams, manager)
         where = f"{scenario}: crashed {label} at position {position}"
         assert fuse.fired == 1, where
@@ -93,8 +92,7 @@ def test_recovery_survives_repeated_crashes_in_one_run():
     query, streams = fresh_query(text)
     fuse = CrashFuse(at=6, times=3)   # refires after every recovery
     install_crash(query, 1, fuse)
-    manager = RecoveryManager(query, interval=1, sleep=lambda _d: None,
-                              backoff_base=0.0, max_retries=5)
+    manager = RecoveryManager(query, interval=1, max_retries=5)
     run_query_with_recovery(query, streams, manager)
     assert fuse.fired == 3
     assert manager.attempts == 3
@@ -105,8 +103,7 @@ def test_unrecoverable_crash_reraises_after_retry_budget():
     query, streams = fresh_query(SCENARIOS["range-window"])
     fuse = CrashFuse(at=4, times=1000)   # fires on every attempt
     install_crash(query, 0, fuse)
-    manager = RecoveryManager(query, interval=2, sleep=lambda _d: None,
-                              backoff_base=0.0, max_retries=2)
+    manager = RecoveryManager(query, interval=2, max_retries=2)
     with pytest.raises(InjectedCrash):
         run_query_with_recovery(query, streams, manager)
     assert manager.attempts == 2

@@ -66,21 +66,6 @@ class TestRecovery:
         with pytest.raises(StateError):
             RecoveryManager(Register()).recover()
 
-    def test_backoff_schedule_is_exponential_and_capped(self):
-        naps = []
-        manager = RecoveryManager(Register(), backoff_base=0.1,
-                                  backoff_cap=0.5, sleep=naps.append)
-        for failure in (1, 2, 3, 4):
-            manager.backoff(failure)
-        assert manager.backoffs == [0.1, 0.2, 0.4, 0.5]
-        assert naps == manager.backoffs
-
-    def test_zero_base_skips_sleeping(self):
-        manager = RecoveryManager(
-            Register(), backoff_base=0.0,
-            sleep=lambda _d: pytest.fail("slept on zero backoff"))
-        assert manager.backoff(3) == 0.0
-
 
 class TestRunWithRecovery:
     def driver(self, fuse, **kwargs):
@@ -91,8 +76,7 @@ class TestRunWithRecovery:
             if fuse.record():
                 raise InjectedCrash(f"boom at {unit}")
 
-        manager = RecoveryManager(target, sleep=lambda _d: None,
-                                  backoff_base=0.0, **kwargs)
+        manager = RecoveryManager(target, **kwargs)
         return target, apply, manager
 
     def test_replays_to_the_same_result(self):
@@ -113,7 +97,6 @@ class TestRunWithRecovery:
         with pytest.raises(InjectedCrash):
             run_with_recovery(list("abc"), apply, manager)
         assert manager.attempts == 3        # retried, then gave up
-        assert len(manager.backoffs) == 3   # backed off before each retry
 
     def test_unknown_errors_propagate_without_recovery(self):
         target = Register()
@@ -148,9 +131,7 @@ class TestObsIntegration:
                 if fuse.record():
                     raise InjectedCrash("boom")
 
-            manager = RecoveryManager(target, interval=2,
-                                      sleep=lambda _d: None,
-                                      backoff_base=0.0, label="test")
+            manager = RecoveryManager(target, interval=2, label="test")
             run_with_recovery(list("abcd"), apply, manager)
             registry = obs.get_registry()
             assert registry.counter("recovery.attempts",

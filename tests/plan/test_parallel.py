@@ -6,7 +6,16 @@ from repro.core import Schema
 from repro.cql import Catalog, CQLEngine
 from repro.plan import decide_parallelism, partition_scheme
 from repro.plan.exprs import Binary, BinOp, Column, Literal
-from repro.plan.ir import Aggregate, AggregateExpr, Project, StreamScan
+from repro.plan.ir import (
+    Aggregate,
+    AggregateExpr,
+    Distinct,
+    Project,
+    SetOp,
+    StreamScan,
+    walk,
+)
+from repro.plan.parallel import BROADCAST
 from repro.core.operators import AggregateKind
 
 
@@ -143,6 +152,88 @@ class TestSchemeUse:
         assert "Obs[1]" in scheme.describe()
 
 
+def positions_of(scheme):
+    """The key positions the scheme records at and below its boundary,
+    as (node kind, positions) in pre-order."""
+    return [(type(node).__name__, scheme.positions[id(node)])
+            for node in walk(scheme.boundary)]
+
+
+class TestKeyPositions:
+    """Per-node key positions for each shape the frontends fission: what
+    live rescale re-keys every operator's state by."""
+
+    def test_aggregate_over_window_with_pushed_filter(self, engine):
+        scheme = scheme_of(
+            engine, "SELECT room, MAX(temp) AS m FROM Obs [Range 5] "
+                    "WHERE temp > 30 GROUP BY room")
+        # The group key is column 0 of the aggregate's output (and of its
+        # group key); room is column 1 of every row below it.
+        assert positions_of(scheme) == [
+            ("Aggregate", (0,)), ("WindowOp", (1,)), ("Filter", (1,)),
+            ("StreamScan", (1,))]
+
+    def test_aggregate_over_stream_stream_join(self, engine):
+        scheme = scheme_of(
+            engine, "SELECT O.room, COUNT(*) AS n FROM Obs O [Range 5], "
+                    "Alerts A [Range 5] WHERE O.room = A.room "
+                    "GROUP BY O.room")
+        # The key maps through the join condition onto Alerts.room.
+        assert positions_of(scheme) == [
+            ("Aggregate", (0,)), ("Join", (1,)),
+            ("WindowOp", (1,)), ("StreamScan", (1,)),
+            ("WindowOp", (0,)), ("StreamScan", (0,))]
+
+    def test_relation_side_of_a_join_is_broadcast(self, engine):
+        scheme = scheme_of(
+            engine, "SELECT O.id, R.floor FROM Obs O [Range 5], Rooms R "
+                    "WHERE O.room = R.room AND R.floor > 1")
+        assert positions_of(scheme) == [
+            ("Join", (1,)), ("WindowOp", (1,)), ("StreamScan", (1,)),
+            ("Filter", BROADCAST), ("RelationScan", BROADCAST)]
+        # Keyed by the relation's column, the side is still broadcast:
+        # the key maps through the join onto Obs.
+        scheme = scheme_of(
+            engine, "SELECT R.room, COUNT(*) AS n FROM Obs O [Range 5], "
+                    "Rooms R WHERE O.room = R.room AND R.floor > 1 "
+                    "GROUP BY R.room")
+        assert scheme.stream_keys == {"Obs": (1,)}
+        assert positions_of(scheme) == [
+            ("Aggregate", (0,)), ("Join", (3,)), ("WindowOp", (1,)),
+            ("StreamScan", (1,)), ("Filter", BROADCAST),
+            ("RelationScan", BROADCAST)]
+
+    def test_self_join_on_two_columns_is_refused(self, engine):
+        # Each arrival is routed once: one scan would need Obs by room,
+        # the other by id.
+        assert scheme_of(
+            engine, "SELECT O1.id, O2.temp FROM Obs O1 [Range 5], "
+                    "Obs O2 [Range 5] WHERE O1.room = O2.id") is None
+        scheme = scheme_of(
+            engine, "SELECT O1.id, O2.temp FROM Obs O1 [Range 5], "
+                    "Obs O2 [Range 5] WHERE O1.room = O2.room")
+        assert scheme.stream_keys == {"Obs": (1,)}
+        assert positions_of(scheme) == [
+            ("Join", (1,)), ("WindowOp", (1,)), ("StreamScan", (1,)),
+            ("WindowOp", (1,)), ("StreamScan", (1,))]
+
+    @pytest.mark.parametrize("below", ["distinct", "union"])
+    def test_set_op_or_distinct_below_the_boundary_runs_serially(
+            self, engine, below):
+        # The frontends build these only above the keyed boundary; a
+        # hand-built plan with one below it is opaque to the push-down.
+        window = engine.plan("SELECT * FROM Obs [Range 5]")
+        child = (Distinct(window) if below == "distinct"
+                 else SetOp("union", window, window))
+        plan = Aggregate(child, ("Obs.room",), ("room",),
+                         (AggregateExpr(AggregateKind.COUNT, None, "n"),))
+        assert partition_scheme(Aggregate(
+            window, ("Obs.room",), ("room",),
+            (AggregateExpr(AggregateKind.COUNT, None, "n"),))) is not None
+        assert partition_scheme(plan) is None
+        assert decide_parallelism(plan, requested=4) == 1
+
+
 class TestDecideParallelism:
     def test_unpartitionable_plans_get_one(self, engine):
         plan = engine.plan("SELECT COUNT(*) AS n FROM Obs [Range 5]")
@@ -152,12 +243,6 @@ class TestDecideParallelism:
         plan = engine.plan("SELECT room, COUNT(*) AS n FROM Obs [Range 5] "
                            "GROUP BY room")
         assert decide_parallelism(plan, requested=3) == 3
-
-    def test_default_clamps_to_cores(self, engine):
-        plan = engine.plan("SELECT room, COUNT(*) AS n FROM Obs [Range 5] "
-                           "GROUP BY room")
-        assert decide_parallelism(plan, cores=8) == 4
-        assert decide_parallelism(plan, cores=2) == 2
 
     def test_stateless_plans_stay_serial(self, engine):
         # No keyed boundary at all: nothing to partition by.

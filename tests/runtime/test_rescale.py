@@ -206,6 +206,41 @@ class TestStateMigration:
         rescaled = drive(ContinuousQuery(plan, engine.catalog), rescale_at=4)
         assert outputs(rescaled) == outputs(control)
 
+    def test_relation_side_carrying_the_key_is_replicated(self, engine):
+        # Grouped by the relation's column: the key maps through the join
+        # onto Obs, and every partition still holds the whole relation
+        # side, so a delete after the rescale finds its row everywhere.
+        plan = engine.plan(
+            "SELECT R.room, COUNT(*) AS n FROM Obs O [Range 10], Rooms R "
+            "WHERE O.room = R.room AND R.floor > 0 GROUP BY R.room")
+        rooms = [{"room": room, "floor": i + 1}
+                 for i, room in enumerate(ROOMS)]
+
+        def drive(query, rescale_at=None):
+            query.start()
+            for room in rooms:
+                query.update_relation("Rooms", room, 1, 0)
+            for t in range(1, 10):
+                if t == rescale_at:
+                    rescale(query, 3)
+                query.push_batch(t, {"Obs": [
+                    {"id": t, "room": ROOMS[t % len(ROOMS)], "temp": t}]})
+                if t == 6:
+                    query.update_relation("Rooms", rooms[1], -1, t)
+            query.finish()
+            return query
+
+        control = drive(ContinuousQuery(plan, engine.catalog))
+        rescaled = drive(ContinuousQuery(plan, engine.catalog), rescale_at=4)
+        assert outputs(rescaled) == outputs(control)
+        wide = drive(ContinuousQuery(plan, engine.catalog, parallelism=3))
+
+        def relation_sides(query):
+            return [op._right_state.data for _, op in query.operators()
+                    if hasattr(op, "_right_state")]
+
+        assert relation_sides(rescaled) == relation_sides(wide)
+
     def test_as_relation_history_survives_rescale(self, engine):
         plan = engine.plan(GROUPED)
         control = serial_control(plan, engine.catalog, OBS_BATCHES)
@@ -338,6 +373,26 @@ class TestRescaleEdges:
         source._staged.pop()
         assert query.parallelism == 2
         assert outputs(query) == before
+
+    def test_group_window_state_is_refused_untouched(self):
+        # A streaming-SQL group window fissions, but its source keeps
+        # open windows shared by every key: no rekey rule moves them.
+        from repro.sql import SQLEngine
+        sql = SQLEngine()
+        sql.register_stream("Obs", Schema(["room", "temp"], [str, int]))
+        text = ("SELECT room, window_start, window_end, COUNT(*) AS n "
+                "FROM Obs GROUP BY room, TUMBLE(10)")
+        rows = [(t, {"Obs": [{"room": ROOMS[t % 3], "temp": t}]})
+                for t in (1, 2, 3, 12, 13, 25)]
+        control, query = sql.query(text), sql.query(text)
+        for position, (t, arrivals) in enumerate(rows):
+            if position == 3:
+                with pytest.raises(RescaleError, match="no rekey rule"):
+                    rescale(query, 2)
+            control.push_batch(t, arrivals)
+            query.push_batch(t, arrivals)
+        assert query.parallelism == 1
+        assert outputs(query) == outputs(control)
 
     def test_report_shape(self, engine):
         plan = engine.plan(GROUPED)

@@ -77,8 +77,7 @@ def crash_outputs(text, parallelism, position=None):
         return query, None
     fuse = CrashFuse(at=5)
     install_crash(query, position, fuse)
-    manager = RecoveryManager(query, interval=3, sleep=lambda _d: None,
-                              backoff_base=0.0)
+    manager = RecoveryManager(query, interval=3)
     run_query_with_recovery(query, streams, manager)
     return query, fuse
 

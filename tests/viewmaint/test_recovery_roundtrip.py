@@ -72,8 +72,7 @@ class TestStrategyRoundTrip:
     def test_recovery_manager_protocol(self, strategy):
         view = make(strategy)
         view.insert({"g": "a", "v": 1})
-        manager = RecoveryManager(view, interval=1,
-                                  sleep=lambda _d: None)
+        manager = RecoveryManager(view, interval=1)
         manager.start()
         view.insert({"g": "a", "v": 2})
         restored = manager.recover()
@@ -139,8 +138,7 @@ class TestRealTimeDatabaseRoundTrip:
 
     def test_recovery_manager_protocol(self):
         database = self.build()
-        manager = RecoveryManager(database, interval=1,
-                                  sleep=lambda _d: None)
+        manager = RecoveryManager(database, interval=1)
         manager.start()
         database.put("s1", {"temp": 1})
         manager.recover()

@@ -172,8 +172,7 @@ class TestMidRefreshCrash:
         service.apply("orders", inserts=[{"region": "eu", "amount": 9}],
                       at=1)
         service.tick()
-        manager = RecoveryManager(service, interval=1,
-                                  sleep=lambda _d: None)
+        manager = RecoveryManager(service, interval=1)
         manager.start()
         service.apply("orders", inserts=[{"region": "us", "amount": 1}],
                       at=service.clock + 1)
