@@ -65,7 +65,7 @@ bench: bench-plan bench-recovery bench-profile bench-views \
 # cqbench at 1/20 size, one pass per workload, correctness checks on:
 # every workload must print "correct": true and ops_failed = 0.
 cqbench-smoke:
-	python3 -m cqbench run --smoke
+	$(PYTHON) -m cqbench run --smoke
 
 # N alternating base/change runs of workload W (one name, a comma list,
 # or "all") against revision BASE (exported with git archive; the change
@@ -77,7 +77,7 @@ N ?= 10
 BASE ?= HEAD
 TRACE ?= 0
 cqbench-pairs:
-	python3 tools/cqbench_pairs.py --workload $(W) --pairs $(N) --base $(BASE) \
+	$(PYTHON) tools/cqbench_pairs.py --workload $(W) --pairs $(N) --base $(BASE) \
 		$(if $(filter 1,$(TRACE)),--trace)
 
 # The benchmark's own tests (fold, canary scaling, tracer, workload

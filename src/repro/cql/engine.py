@@ -23,23 +23,26 @@ This is the library's front door for CQL (paper Section 3.1):
 from __future__ import annotations
 
 from collections import OrderedDict
+from copy import copy
 from typing import Any, Iterable, Mapping
 
 from repro.core.records import Record, Schema
 from repro.core.relation import TimeVaryingRelation
 from repro.core.stream import Stream
-from repro.plan.ir import LogicalOp
+from repro.plan.ir import LogicalOp, bind, literals_of, walk
 from repro.plan.parallel import decide_parallelism
 from repro.plan.rules import optimize as run_rules
 from repro.plan.sharing import SubplanMemo
 from repro.cql.catalog import Catalog, RelationDef, StreamDef
 from repro.cql.executor import ContinuousQuery, Emission, SharedGroup
+from repro.cql.kernels import Kernels
+from repro.cql.lexer import shape, tokenize
 from repro.cql.parser import parse_query
 from repro.cql.planner import plan_statement
 from repro.cql.reference import reference_evaluate
 
-#: How many plans an engine keeps (see :meth:`CQLEngine.plan`);
-#: the least recently used one goes, with its bound kernels, when a new
+#: How many plans, and how many shapes, an engine keeps (see
+#: :meth:`CQLEngine.plan`); the least recently used one goes when a new
 #: one would pass it.
 PLAN_CACHE_SIZE = 128
 
@@ -53,10 +56,15 @@ class CQLEngine:
         self._queries: list[ContinuousQuery] = []
         #: (text, optimize) -> its plan, least recently used first.
         self._plans: OrderedDict[tuple[str, bool], LogicalOp] = OrderedDict()
-        #: id(plan) -> the kernels bound for a plan in :attr:`_plans` (see
+        #: (shape key, optimize) -> the plan of the first text of that
+        #: shape and the table of the kernels rendered for the shape,
+        #: least recently used first (see :func:`repro.cql.lexer.shape`).
+        self._shapes: OrderedDict[tuple[tuple, bool],
+                                  tuple[LogicalOp, dict]] = OrderedDict()
+        #: id(plan) -> the kernels of a plan in :attr:`_plans` (see
         #: :func:`~repro.cql.executor.compile_plan`).  The memo keeps the
         #: plan alive, so its identity names no other object.
-        self._kernels: dict[int, dict[tuple, Any]] = {}
+        self._kernels: dict[int, Kernels] = {}
 
     # -- catalog -------------------------------------------------------------
 
@@ -77,12 +85,18 @@ class CQLEngine:
 
         The engine memoises each plan it builds, under the exact text and
         the effective ``optimize`` flag, so a text planned again costs a
-        dict lookup and returns the same (frozen) plan.  A memoised plan
-        cannot go stale: the catalog only grows (no name is redefined),
-        and a plan captures nothing of it but names and schemas.  A text
-        that fails is not memoised, so it fails again — or plans, once
-        the source it named is declared.  The memo holds at most
-        :data:`PLAN_CACHE_SIZE` plans, least recently used out first.
+        dict lookup and returns the same (frozen) plan.  Behind that, it
+        plans once per *shape* (:func:`~repro.cql.lexer.shape`): a text
+        that differs from one planned before only in the values of its
+        comparison literals is tokenised and its plan bound from the
+        shape's (:func:`~repro.plan.ir.bind`), with no parse, plan or
+        optimize, and its queries bind the kernels rendered for the
+        shape to its own literals.  A memoised plan cannot go stale: the
+        catalog only grows (no name is redefined), and a plan captures
+        nothing of it but names and schemas.  A text that fails is not
+        memoised, so it fails again — or plans, once the source it named
+        is declared.  Each memo holds at most :data:`PLAN_CACHE_SIZE`
+        entries, least recently used out first.
         """
         optimize = bool(self._optimize if optimize is None else optimize)
         key = (text, optimize)
@@ -90,11 +104,32 @@ class CQLEngine:
         if plan is not None:
             self._plans.move_to_end(key)
             return plan
-        plan = plan_statement(parse_query(text), self.catalog)
-        if optimize:
-            plan = run_rules(plan)
+        tokens = tokenize(text)
+        form, literals, slots = shape(tokens)
+        form = (form, optimize)
+        prepared = self._shapes.get(form)
+        if prepared is not None:
+            self._shapes.move_to_end(form)
+            first, table = prepared
+            plan = bind(first, literals)
+            if plan is first:
+                # No slot to fill: the text still gets a plan object of
+                # its own, which its memo entry and kernels are keyed by.
+                plan = copy(first)
+        else:
+            plan = plan_statement(parse_query(text, tokens, slots),
+                                  self.catalog)
+            if optimize:
+                plan = run_rules(plan)
+            table = {}
+            self._shapes[form] = plan, table
+            if len(self._shapes) > PLAN_CACHE_SIZE:
+                self._shapes.popitem(last=False)
         self._plans[key] = plan
-        self._kernels[id(plan)] = {}
+        # The plan is its kernels' one source of literals.
+        self._kernels[id(plan)] = Kernels(
+            table, literals_of(plan),
+            {id(node): site for site, node in enumerate(walk(plan))}, {})
         if len(self._plans) > PLAN_CACHE_SIZE:
             _, evicted = self._plans.popitem(last=False)
             del self._kernels[id(evicted)]
@@ -135,10 +170,11 @@ class CQLEngine:
         """:meth:`register_query` for a plan :meth:`plan` already built —
         for callers that inspect the plan before registering it.
 
-        A plan the memo holds is compiled with the kernels bound for it
-        by the first query compiled from it, so registering it again
-        renders no kernel source; every query still gets operators, and
-        state, of its own."""
+        A plan the memo holds is compiled with the kernels rendered for
+        its shape by the first query compiled from a plan of that shape,
+        bound to its own literals, so registering it, or another text of
+        its shape, renders no kernel source; every query still gets
+        operators, and state, of its own."""
         kernels = self._kernels.get(id(plan))
         if shared is not None:
             query = shared.register(plan, parallelism or 1, kernels)

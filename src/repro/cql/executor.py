@@ -65,6 +65,8 @@ from repro.plan.ir import (
 from repro.cql.ast import WindowSpecKind
 from repro.cql.catalog import Catalog
 from repro.cql.kernels import (
+    Kernel,
+    Kernels,
     aggregate_kernel,
     join_kernel,
     prefilter_kernel,
@@ -658,7 +660,7 @@ class JoinOp(PhysicalOp):
     @classmethod
     def render(cls, node: Join, predicates: Sequence[Expr] = (),
                outputs: Sequence[Expr] | None = None) \
-            -> tuple[Callable, Callable]:
+            -> tuple[Kernel, Kernel]:
         """The left and right probes of ``node`` (see
         :func:`~repro.cql.kernels.join_kernel`), testing ``predicates``
         after the residual and emitting ``outputs`` when given."""
@@ -775,7 +777,7 @@ class GroupWindowAggregateOp(AggregateOp):
         self._start = len(plan.group_by)  # the kernel's window_start
 
     @staticmethod
-    def render(plan: WindowAggregate, in_schema: Schema) -> Callable:
+    def render(plan: WindowAggregate, in_schema: Schema) -> Kernel:
         """The generated instant of ``plan`` over its source's rows of
         ``in_schema``: the window bounds are appended to each row and
         grouped on after the group columns."""
@@ -978,7 +980,7 @@ def _compose(chain: Sequence[Filter | Project], schema: Schema) \
 
 def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                  memo=None, parallelism: int = 1,
-                 kernels: dict[tuple, Any] | None = None,
+                 kernels: Kernels | None = None,
                  ) -> tuple[PhysicalOp, dict[str, list[StreamSourceOp]],
                             dict[str, list[RelationSourceOp]],
                             dict[int, list[PhysicalOp]], Any]:
@@ -1007,13 +1009,14 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
     each stream's source list: partition ``p`` owns the ``p``-th equal
     slice of it.  The plan must be key-partitionable.
 
-    ``kernels`` is an optional table of the generated kernels bound for
-    ``plan``'s nodes, keyed by the nodes' identities: a kernel found
-    there is taken as it is, and one rendered is put there.  Kernels
-    hold no state (an operator passes its own to them), so queries
-    compiled from one plan object share its table; the table must die
-    with the plan, which keeps the identities valid (see
-    :meth:`repro.cql.engine.CQLEngine.plan`).
+    ``kernels`` (a :class:`~repro.cql.kernels.Kernels`) holds the
+    generated kernels rendered for ``plan``'s shape, keyed by kind and
+    the sites of the nodes they run: a kernel found there is bound to
+    ``plan``'s own literals, and one rendered is put there.  Kernels hold
+    no state (an operator passes its own to them), so every plan of one
+    shape, and every query compiled from one, shares the table (see
+    :meth:`repro.cql.engine.CQLEngine.plan`).  Without it every kernel
+    is rendered for this compile alone.
     """
     stream_sources: dict[str, list[StreamSourceOp]] = defaultdict(list)
     relation_sources: dict[str, list[RelationSourceOp]] = defaultdict(list)
@@ -1032,13 +1035,26 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                 "(see repro.plan.parallel.partition_scheme)")
         boundary = scheme.boundary
 
-    def bound(key: tuple, render: Callable[[], Any]) -> Any:
-        """The kernel ``render`` makes, rendered once per ``kernels``."""
+    def bound(kind: str, nodes: Sequence[LogicalOp | None],
+              render: Callable[[], Any]) -> Any:
+        """The kernel (or kernels) ``render`` makes for ``nodes``, bound
+        to ``plan``'s literals; with ``kernels``, rendered once per
+        shape and bound once per plan."""
         if kernels is None:
-            return render()
-        kernel = kernels.get(key)
+            return _bind(render(), None)
+        sites = kernels.sites
+        key = (kind, *[None if node is None else sites[id(node)]
+                       for node in nodes])
+        kernel = kernels.bound.get(key)
         if kernel is None:
-            kernel = kernels[key] = render()
+            rendered = kernels.table.get(key)
+            if rendered is None:
+                # Rendered from this plan: its values are this plan's.
+                rendered = kernels.table[key] = render()
+                kernel = _bind(rendered, None)
+            else:
+                kernel = _bind(rendered, kernels.literals)
+            kernels.bound[key] = kernel
         return kernel
 
     def build(node: LogicalOp) -> PhysicalOp:
@@ -1100,7 +1116,7 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                 base = build(inner)
             op = base if not predicates and outputs is None else \
                 SpineOp(base, bound(
-                    ("spine", id(top), id(inner)),
+                    "spine", (top, inner),
                     lambda: spine_kernel(predicates, outputs, inner.schema)))
         for node in chain[1:]:
             _record(node, op)
@@ -1113,7 +1129,7 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
         is fused into it (its ``predicates`` and ``outputs``)."""
         join_cls = (AppendOnlyJoinOp if append_only_inputs(node)
                     else JoinOp)
-        probes = bound(("join", id(top), id(node)),
+        probes = bound("join", (top, node),
                        lambda: join_cls.render(node, predicates, outputs))
         return join_cls(build(node.left), build(node.right), probes)
 
@@ -1144,7 +1160,7 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                 "window operator must sit on a stream scan"
                 if isinstance(node, WindowOp) else "group windows cannot "
                 "appear in a dynamic-table plan; they read a stream")
-        prefilter = (bound(("prefilter", id(node)),
+        prefilter = (bound("prefilter", (node,),
                            lambda: prefilter_kernel(predicates, inner.schema))
                      if predicates else None)
         source = (StreamSourceOp(inner, node.spec, agenda, prefilter)
@@ -1180,7 +1196,7 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                             "implemented: window refinements are not "
                             "supported, use EMIT FINAL")
                     return GroupWindowAggregateOp(node, source, bound(
-                        ("aggregate", id(node)),
+                        "aggregate", (node,),
                         lambda: GroupWindowAggregateOp.render(
                             node, source.scan.schema)))
                 if node.emit is not EmitMode.CHANGES:
@@ -1188,7 +1204,7 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                         f"EMIT {node.emit.value.upper()} is meaningless for "
                         f"a dynamic table; views always materialise changes")
             child = build(node.child)
-            op = AggregateOp(bound(("aggregate", id(node)),
+            op = AggregateOp(bound("aggregate", (node,),
                                    lambda: aggregate_kernel(
                                        node.group_by, node.aggregates,
                                        node.child.schema)))
@@ -1211,6 +1227,15 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
         memo.finish_compile()
     return (root, dict(stream_sources), dict(relation_sources), node_map,
             scheme)
+
+
+def _bind(rendered: Kernel | tuple[Kernel, ...],
+          literals: Mapping[int, Any] | None) -> Any:
+    """A rendered kernel, or each of a tuple of them (a join's probes),
+    bound to ``literals`` (see :meth:`~repro.cql.kernels.Kernel.bind`)."""
+    if isinstance(rendered, tuple):
+        return tuple(kernel.bind(literals) for kernel in rendered)
+    return rendered.bind(literals)
 
 
 # ---------------------------------------------------------------------------
@@ -1426,10 +1451,10 @@ class SharedGroup:
     # -- membership ----------------------------------------------------------
 
     def register(self, plan: LogicalOp, parallelism: int = 1,
-                 kernels: dict[tuple, Any] | None = None,
+                 kernels: Kernels | None = None,
                  ) -> "ContinuousQuery":
         """Compile ``plan`` into the group, sharing common subplans (and
-        ``plan``'s bound ``kernels``, see :func:`compile_plan`)."""
+        ``plan``'s shape's ``kernels``, see :func:`compile_plan`)."""
         if self._started:
             raise PlanError(
                 "cannot add a query to a shared group after data has "
@@ -1667,14 +1692,15 @@ class ContinuousQuery:
     key's partition, while the agenda, the maintained state and the
     change-log stay single.
     :func:`repro.runtime.rescale.rescale` changes the width of a running
-    query.  ``kernels`` is ``plan``'s table of bound kernels, shared by
-    every query compiled from that plan object (see :func:`compile_plan`).
+    query.  ``kernels`` are the kernels rendered for ``plan``'s shape and
+    its literals, shared by every query compiled from a plan of that
+    shape (see :func:`compile_plan`).
     """
 
     def __init__(self, plan: LogicalOp, catalog: Catalog,
                  group: SharedGroup | None = None,
                  parallelism: int = 1,
-                 kernels: dict[tuple, Any] | None = None) -> None:
+                 kernels: Kernels | None = None) -> None:
         if parallelism < 1:
             raise PlanError(f"parallelism must be >= 1, got {parallelism}")
         self.plan = plan

@@ -33,10 +33,14 @@ per instant:
 A kernel's source depends only on the plan's *shape* — positions,
 aggregate kinds, comparison operators, a layout's field and type names —
 never on literals, types or compiled evaluators, which are bound when
-the kernel is built.  Each source is compiled once per process into a factory,
-cached under the source text in a bounded LRU (:data:`CACHE_SIZE`), so
-building a kernel whose shape is cached costs rendering the source and
-one dict lookup.  Each compiled source is registered with
+the kernel is built.  So a plan kernel renders into a :class:`Kernel`,
+its factory and the values it binds, and :meth:`Kernel.bind` makes the
+callable; a plan of the same shape with other literals in its slots
+(see :func:`repro.cql.lexer.shape`) binds the same rendered kernel to
+its own values, rendering nothing.  Each source is compiled once per
+process into a factory, cached under the source text in a bounded LRU
+(:data:`CACHE_SIZE`), so building a kernel whose shape is cached costs
+rendering the source and one dict lookup.  Each compiled source is registered with
 :mod:`linecache` under a pseudo-filename that spells its shape (an
 aggregate's keys and kinds, a spine's predicates and outputs, a join
 side's key and emitted columns, a coercer's or a door's layout), so a
@@ -49,9 +53,11 @@ from __future__ import annotations
 
 import linecache
 from collections import Counter, OrderedDict
+from functools import partial
 from itertools import count
+from operator import attrgetter
 from sys import getsizeof
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.core.errors import StateError
 from repro.core.operators import AggregateKind
@@ -61,7 +67,14 @@ from repro.cql.expressions import (
     compile_expr,
     compile_predicate,
 )
-from repro.plan.exprs import Column, Expr, Literal, split_conjuncts
+from repro.plan.exprs import (
+    Column,
+    Expr,
+    Literal,
+    bind_literals,
+    literal_values,
+    split_conjuncts,
+)
 
 
 class _MinMaxAccumulator:
@@ -187,6 +200,57 @@ def _unpack(names: Sequence[str], sequence: str) -> list[str]:
 
 def _block(lines: Sequence[str], depth: int) -> list[str]:
     return ["    " * depth + line for line in lines]
+
+
+#: A value a kernel binds: ``(name, expr, make)``, the value being
+#: ``make(expr)`` — a literal's value, or the closure compiled from an
+#: expression.
+Bound = tuple[str, Expr, Callable[[Expr], Any]]
+
+#: ``make`` for a literal bound as a constant.
+_value = attrgetter("value")
+
+
+class Kernel:
+    """A rendered kernel: its compiled factory and the values it binds.
+
+    ``values`` are those of the plan it was rendered from; ``rebound``
+    lists, as ``(index, expr, make)``, each one whose expression holds a
+    slotted literal, so that a plan of the same shape binds its own
+    value there, ``make(expr)`` with that plan's literals in the slots."""
+
+    __slots__ = ("factory", "values", "rebound")
+
+    def __init__(self, factory: Callable, bound: Sequence[Bound]) -> None:
+        self.factory = factory
+        self.values = [make(expr) for _, expr, make in bound]
+        self.rebound = tuple((index, expr, make) for index, (_, expr, make)
+                             in enumerate(bound) if literal_values(expr, {}))
+
+    def bind(self, literals: Mapping[int, Any] | None = None) -> Callable:
+        """The kernel for the plan whose slot values are ``literals``
+        (None: the plan it was rendered from)."""
+        values = self.values
+        if literals is not None and self.rebound:
+            values = list(values)
+            for index, expr, make in self.rebound:
+                values[index] = make(bind_literals(expr, literals))
+        return self.factory(values)
+
+
+class Kernels(NamedTuple):
+    """What :func:`~repro.cql.executor.compile_plan` binds a plan's
+    kernels from: the table of its shape's rendered kernels, keyed by
+    kind and site, shared by every plan of the shape; the plan's own
+    ``literals``, slot -> value; its ``sites``, ``id(node) ->`` the node's
+    pre-order position, which is the same in every plan of one shape;
+    and the kernels ``bound`` for the plan so far, by the same keys, so
+    that compiling it again binds nothing."""
+
+    table: dict[tuple, Any]
+    literals: dict[int, Any]
+    sites: dict[int, int]
+    bound: dict[tuple, Any]
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +424,16 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
 
 
 def aggregate_kernel(group_by: Sequence[str], aggregates: Sequence,
-                     in_schema: Schema) -> Callable:
+                     in_schema: Schema) -> Kernel:
     """The generated ``process`` of an aggregate: ``kernel(op, t,
     child_deltas) -> deltas`` over ``op``'s ``_groups``,
     ``_current_rows`` and ``_child_active``.
 
     ``aggregates`` are the plan's :class:`~repro.plan.ir.AggregateExpr`;
     a bare-column argument is read by position, any other is evaluated
-    by its compiled closure, bound here.
+    by its compiled closure, bound by :meth:`Kernel.bind`.
     """
-    evaluators: list[Callable[[tuple], Any]] = []
+    evaluators: list[Bound] = []
     shape, labels = [], []
     for spec in aggregates:
         if spec.arg is None:
@@ -380,7 +444,8 @@ def aggregate_kernel(group_by: Sequence[str], aggregates: Sequence,
         else:
             read = f"evaluate{len(evaluators)}(values)"
             label = f"e{len(evaluators)}"
-            evaluators.append(compile_expr(spec.arg, in_schema))
+            evaluators.append((label, spec.arg,
+                               partial(compile_expr, schema=in_schema)))
         shape.append((spec.kind, read))
         labels.append(f"{spec.kind.name}({label})")
     keys = [in_schema.index_of(column) for column in group_by]
@@ -388,7 +453,7 @@ def aggregate_kernel(group_by: Sequence[str], aggregates: Sequence,
     name = ", ".join(labels)
     if keys:
         name = f"by {', '.join(f'[{key}]' for key in keys)}: {name}"
-    return _factory("aggregate", source, name)(evaluators)
+    return Kernel(_factory("aggregate", source, name), evaluators)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +476,7 @@ def _at(row: str) -> ColumnReader:
 
 def _conjuncts(predicates: Sequence[Expr], schema: Schema,
                column: ColumnReader, row: str,
-               bound: list[tuple[str, Any]]) -> tuple[list[str], list[str]]:
+               bound: list[Bound]) -> tuple[list[str], list[str]]:
     """The source terms that all hold exactly when every predicate holds
     for a row of ``schema``, and their shape labels.
 
@@ -432,25 +497,25 @@ def _conjuncts(predicates: Sequence[Expr], schema: Schema,
             index = len(bound)
             simple = column_vs_literal(conjunct, schema)
             if simple is not None:
-                position, comparison, literal = simple
+                position, comparison, _ = simple
                 read, label = column(position)
                 symbol = _SYMBOLS[comparison.__name__]
                 test = f"(v{index} {symbol} c{index})"
                 terms.append(f"(v{index} := {read}) is not None and "
                              + (f"{test} is True" if whole else test))
                 labels.append(f"{label} {symbol} c{index}")
-                bound.append((f"c{index}", literal))
+                bound.append((f"c{index}", conjunct.right, _value))
             else:
                 terms.append(f"p{index}({row})")
                 labels.append(f"p{index}")
-                bound.append((f"p{index}",
-                              compile_predicate(conjunct, schema) if whole
-                              else compile_expr(conjunct, schema)))
+                bound.append((f"p{index}", conjunct, partial(
+                    compile_predicate if whole else compile_expr,
+                    schema=schema)))
     return terms, labels
 
 
 def _outputs(outputs: Sequence[Expr], schema: Schema, column: ColumnReader,
-             row: str, bound: list[tuple[str, Any]]) \
+             row: str, bound: list[Bound]) \
         -> tuple[list[str], list[str]]:
     """The source of each output value of a row of ``schema``, and its
     shape label: a column is read in place, a literal bound as a
@@ -463,10 +528,11 @@ def _outputs(outputs: Sequence[Expr], schema: Schema, column: ColumnReader,
             item, label = column(schema.index_of(expr.name))
         elif isinstance(expr, Literal):
             item = label = f"c{index}"
-            bound.append((item, expr.value))
+            bound.append((item, expr, _value))
         else:
             item, label = f"e{index}({row})", f"e{index}"
-            bound.append((f"e{index}", compile_expr(expr, schema)))
+            bound.append((f"e{index}", expr,
+                          partial(compile_expr, schema=schema)))
         items.append(item)
         labels.append(label)
     return items, labels
@@ -490,32 +556,31 @@ def _comprehension(head: str, terms: Sequence[str]) -> list[str]:
             "        ]"]
 
 
-def _bind(bound: list[tuple[str, Any]], name: str,
-          body: list[str], kind: str, shape: str) -> Callable:
+def _render(bound: list[Bound], name: str,
+            body: list[str], kind: str, shape: str) -> Kernel:
     """The kernel ``name`` that ``body`` defines, from the factory source
-    around it, bound to ``bound``'s values."""
+    around it, which binds ``bound``'s values."""
     lines = [
         "def factory(bound):",
-        *_block(_unpack([slot for slot, _ in bound], "bound"), 1),
+        *_block(_unpack([slot for slot, _, _ in bound], "bound"), 1),
         *_block(body, 1),
         f"    return {name}",
     ]
-    factory = _factory(kind, "\n".join(lines) + "\n", shape)
-    return factory([value for _, value in bound])
+    return Kernel(_factory(kind, "\n".join(lines) + "\n", shape), bound)
 
 
-def prefilter_kernel(predicates: Sequence[Expr],
-                     schema: Schema) -> Callable[[list], list]:
+def prefilter_kernel(predicates: Sequence[Expr], schema: Schema) -> Kernel:
     """The generated batch filter of a window source: ``kernel(rows) ->
     the values tuples every predicate holds for``, in order (see
     :func:`_conjuncts` for how each predicate is tested).  Its
     pseudo-filename spells the tests, e.g. ``<prefilter [2] > c0>``."""
-    bound: list[tuple[str, Any]] = []
+    bound: list[Bound] = []
     terms, labels = _conjuncts(predicates, schema, _at("values"), "values",
                                bound)
     body = ["def prefilter(rows):",
             *_block(_comprehension("values for values in rows", terms), 1)]
-    return _bind(bound, "prefilter", body, "prefilter", " and ".join(labels))
+    return _render(bound, "prefilter", body, "prefilter",
+                   " and ".join(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +589,7 @@ def prefilter_kernel(predicates: Sequence[Expr],
 
 
 def spine_kernel(predicates: Sequence[Expr], outputs: Sequence[Expr] | None,
-                 schema: Schema) -> Callable[[list], list]:
+                 schema: Schema) -> Kernel:
     """The generated instant of a Filter/Project chain: ``kernel(deltas)
     -> deltas``, keeping the deltas whose row every predicate holds for
     (see :func:`_conjuncts`) and, with ``outputs``, replacing each kept
@@ -532,7 +597,7 @@ def spine_kernel(predicates: Sequence[Expr], outputs: Sequence[Expr] | None,
     kept deltas themselves without.  ``predicates`` and ``outputs`` are
     over the chain's input layout ``schema``.  The pseudo-filename spells
     both, e.g. ``<spine where [2] > c0 emit ([0], [1])>``."""
-    bound: list[tuple[str, Any]] = []
+    bound: list[Bound] = []
     if outputs is None:
         terms, tests = _conjuncts(predicates, schema, _at("pair[0]"),
                                   "pair[0]", bound)
@@ -547,7 +612,7 @@ def spine_kernel(predicates: Sequence[Expr], outputs: Sequence[Expr] | None,
     if tests:
         shape.insert(0, "where " + " and ".join(tests))
     body = ["def spine(deltas):", *_block(_comprehension(head, terms), 1)]
-    return _bind(bound, "spine", body, "spine", " ".join(shape))
+    return _render(bound, "spine", body, "spine", " ".join(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +633,7 @@ def _join_column(probing_left: bool, position: int,
 
 def join_kernel(side: str, append_only: bool, keys: Sequence[int],
                 predicates: Sequence[Expr], outputs: Sequence[Expr] | None,
-                schema: Schema, left_width: int) -> Callable:
+                schema: Schema, left_width: int) -> Kernel:
     """The generated probe-and-fold of one join side: ``kernel(op,
     deltas, out)`` probes ``op``'s other side's index with each of
     ``side``'s deltas, appends what it joins to ``out`` and folds the
@@ -596,7 +661,7 @@ def join_kernel(side: str, append_only: bool, keys: Sequence[int],
     def column(position: int) -> tuple[str, str]:
         return _join_column(left, position, left_width)
 
-    bound: list[tuple[str, Any]] = []
+    bound: list[Bound] = []
     terms, tests = _conjuncts(predicates, schema, column, "joined", bound)
     own = 0 if left else left_width
     shape = [f"{side} on "
@@ -608,7 +673,7 @@ def join_kernel(side: str, append_only: bool, keys: Sequence[int],
         emit = _tuple(items)
         shape.append(f"emit {_listed(labels)}")
     # A closure takes the joined row: build it once per match, only then.
-    closures = any(slot[0] in "pe" for slot, _ in bound)
+    closures = any(slot[0] in "pe" for slot, _, _ in bound)
     concatenation = "values + match" if left else "match + values"
     if outputs is None:
         emit = "joined" if closures else concatenation
@@ -681,7 +746,7 @@ def join_kernel(side: str, append_only: bool, keys: Sequence[int],
         "        state.mark(keys)",
     ]
     kind = "append-only join" if append_only else "join"
-    return _bind(bound, name, kernel, kind, " ".join(shape))
+    return _render(bound, name, kernel, kind, " ".join(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -133,18 +133,96 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+#: The comparison symbols: a literal operand of one is a shape's slot.
+_COMPARISONS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
+
+#: The symbols that bind tighter than a comparison: a literal beside one
+#: is their operand, not the comparison's.
+_TIGHTER = frozenset({"+", "-", "*", "/", "%"})
+
+#: The clause keywords, by whether the clause they open is a predicate.
+_CLAUSES = {"WHERE": True, "HAVING": True,
+            "SELECT": False, "FROM": False, "GROUP": False}
+
+
+def shape(tokens: list[Token]) -> tuple[tuple, tuple, dict[int, int]]:
+    """The literal-free shape of a text's ``tokens``: ``(key, literals,
+    slots)``.
+
+    A *comparison literal* is a number or string that is an operand of a
+    comparison (a neighbour of ``=``, ``<>``, ``<`` ... that no tighter
+    operator such as ``+`` or a unary ``-`` takes instead) in a WHERE or
+    HAVING clause, outside a function call's parentheses.  The shape
+    lifts each into a slot: ``literals`` are their values in text order,
+    ``slots`` maps each one's token index to its slot, and its element
+    of ``key`` is its value's type, so ``10`` and ``10.5`` are different
+    shapes.  Every other token's element is its text (a string's with a
+    leading quote, which no other token's text has), so window specs,
+    keywords such as ``NULL`` and ``TRUE``, a select item's literals and
+    a literal that is a whole predicate stay in the key; positions, and
+    with them whitespace and comments, do not.  Two texts with one key
+    parse alike but for their slots' values, which reach the plan in
+    filter and join predicates only (see :func:`repro.plan.ir.bind`)."""
+    key: list = []
+    literals: list = []
+    slots: dict[int, int] = {}
+    predicate = False
+    opened: list[bool] = []     # per open parenthesis: whether a call's
+    calls = 0                   # how many open parentheses are a call's
+    previous = tokens[-1]       # the EOF token: no comparison, no call
+    for index, token in enumerate(tokens):
+        kind, text = token[0], token[1]
+        if kind is _NUMBER or kind is _STRING:
+            following = tokens[index + 1]
+            if predicate and not calls and (
+                    (previous[0] is _SYMBOL and previous[1] in _COMPARISONS
+                     and not (following[0] is _SYMBOL
+                              and following[1] in _TIGHTER))
+                    or (following[0] is _SYMBOL
+                        and following[1] in _COMPARISONS
+                        and not (previous[0] is _SYMBOL
+                                 and previous[1] in _TIGHTER))):
+                value = (text if kind is _STRING else
+                         float(text) if "." in text else int(text))
+                slots[index] = len(literals)
+                literals.append(value)
+                key.append(type(value))
+            else:
+                key.append(text if kind is _NUMBER else "'" + text)
+        else:
+            key.append(text)
+            if kind is _KEYWORD:
+                predicate = _CLAUSES.get(text, predicate)
+            elif kind is _SYMBOL:
+                if text == "(":
+                    call = previous[0] is _IDENT or previous[1] == "MIN"
+                    opened.append(call)
+                    calls += call
+                elif text == ")" and opened:
+                    calls -= opened.pop()
+        previous = token
+    return tuple(key), tuple(literals), slots
+
+
 class TokenCursor:
     """A peekable cursor over a token list, shared by both parsers.
 
     The list ends with its EOF token and the cursor never moves past it,
     so the current token is always ``_tokens[_pos]``; only a look-ahead
-    clamps."""
+    clamps.  ``slots`` maps a token index to the shape slot its literal
+    fills (see :func:`shape`); a literal parsed there records it."""
 
-    __slots__ = ("_tokens", "_pos")
+    __slots__ = ("_tokens", "_pos", "_slots")
 
-    def __init__(self, tokens: list[Token]) -> None:
+    def __init__(self, tokens: list[Token],
+                 slots: dict[int, int] | None = None) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._slots = slots or {}
+
+    def slot(self) -> int | None:
+        """The shape slot the current token fills, if any."""
+        return self._slots.get(self._pos)
 
     def peek(self, ahead: int = 0) -> Token:
         if not ahead:

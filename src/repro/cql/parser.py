@@ -67,10 +67,18 @@ _SET_KINDS = {"UNION": "union", "EXCEPT": "difference",
               "INTERSECT": "intersection"}
 
 
-def parse_query(text: str) -> SelectStatement | SetStatement:
+def parse_query(text: str, tokens: list[Token] | None = None,
+                slots: dict[int, int] | None = None,
+                ) -> SelectStatement | SetStatement:
     """Parse a CQL query string: a SELECT block or a set combination
-    (``UNION [ALL]`` / ``EXCEPT [ALL]`` / ``INTERSECT [ALL]``)."""
-    cursor = TokenCursor(tokenize(text))
+    (``UNION [ALL]`` / ``EXCEPT [ALL]`` / ``INTERSECT [ALL]``).
+
+    ``tokens`` are ``text``'s when the caller has them already, and
+    ``slots`` the token indexes of its comparison literals with the slots
+    they fill (see :func:`~repro.cql.lexer.shape`): each parses to a
+    :class:`Literal` that records its slot."""
+    cursor = TokenCursor(tokenize(text) if tokens is None else tokens,
+                         slots)
     statement = _parse_statement(cursor)
     statement = _parse_set_tail(cursor, statement)
     cursor.expect_end()
@@ -336,17 +344,19 @@ def _parse_primary(cursor: TokenCursor, token: Token) -> Expr:
                 return Column(f"{token.text}.{second}")
         return Column(token.text)
     if kind is _NUMBER:
+        slot = cursor.slot()
         cursor.advance()
         text = token.text
-        return Literal(float(text) if "." in text else int(text))
+        return Literal(float(text) if "." in text else int(text), slot)
     if kind is _SYMBOL and token.text == "(":
         cursor.advance()
         expr = _parse_expr(cursor)
         cursor.expect_symbol(")")
         return expr
     if kind is _STRING:
+        slot = cursor.slot()
         cursor.advance()
-        return Literal(token.text)
+        return Literal(token.text, slot)
     if kind is _KEYWORD:
         if token.text in _CONSTANTS:
             cursor.advance()

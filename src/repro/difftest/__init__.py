@@ -32,6 +32,7 @@ from repro.difftest.generators import (
     gen_case,
     gen_core_window_case,
     gen_view_case,
+    literal_sibling,
 )
 from repro.difftest.oracle import (
     Config,
@@ -68,6 +69,7 @@ __all__ = [
     "build_engine",
     "build_streams",
     "case_configs",
+    "literal_sibling",
     "check_negative_timestamp_rejection",
     "build_view_plans",
     "emit_core_repro",

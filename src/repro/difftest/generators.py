@@ -35,6 +35,7 @@ from repro.core.windows import (
     UnboundedWindow,
 )
 from repro.cql import CQLEngine
+from repro.cql.lexer import shape, tokenize
 
 OBS_SCHEMA = Schema(["id", "room", "temp"])
 ALERTS_SCHEMA = Schema(["id", "level"])
@@ -75,6 +76,27 @@ def build_engine(engine: Any = None) -> Any:
     engine.register_stream("Alerts", ALERTS_SCHEMA)
     engine.register_relation("Rooms", ROOMS_SCHEMA, ROOMS_ROWS)
     return engine
+
+
+def literal_sibling(text: str) -> str:
+    """A text of ``text``'s shape (see :func:`repro.cql.lexer.shape`)
+    with every comparison literal moved — a number by 7, a string by one
+    more character — and a leading blank: planned before ``text`` on one
+    engine, it makes ``text``'s plan and kernels bound ones."""
+    tokens = tokenize(text)
+    _, literals, slots = shape(tokens)
+    pieces, last = [], 0
+    for index, slot in slots.items():
+        token, value = tokens[index], literals[slot]
+        if isinstance(value, str):
+            width = len(value.replace("'", "''")) + 2
+            moved = "'" + (value + "x").replace("'", "''") + "'"
+        else:
+            width = len(token.text)
+            moved = repr(value + 7)
+        pieces += [text[last:token.position], moved]
+        last = token.position + width
+    return " " + "".join(pieces) + text[last:]
 
 
 def build_streams(case: Case) -> dict[str, Stream]:

@@ -24,6 +24,10 @@ The mutants cover the bug classes named by the issue:
   join's left side reads the right row's columns from its own (left)
   row, so a join that emits a projection above it (or tests a residual
   inline) emits wrong values for every left-driven match.
+* ``bind-keeps-a-literal`` — prepared plans: binding a text's plan from
+  its shape's leaves the first slot holding the memoised plan's literal,
+  so a text registered after a literal sibling filters with the
+  sibling's threshold (the DSMS configs register every case that way).
 * ``obs-rescale-marks``    — two axes at once, obs × rescale: the
   historical bug where ``publish_metrics`` kept its marks by operator
   position and a rescale did not rebase them, so the first publication
@@ -40,10 +44,12 @@ from unittest import mock
 from repro.core import windows as core_windows
 from repro.core.operators import AggregateKind
 from repro.core.relation import Changelog
+from repro.cql import engine as cql_engine
 from repro.cql import executor as cql_executor
 from repro.cql import kernels as cql_kernels
 from repro.cql.ast import WindowSpecKind
 from repro.obs import get_registry
+from repro.plan.ir import literals_of
 
 
 def range_off_by_one() -> contextlib.AbstractContextManager:
@@ -121,6 +127,19 @@ def join_probe_own_row() -> contextlib.AbstractContextManager:
     return mock.patch.object(cql_kernels, "_join_column", mutated)
 
 
+def bind_keeps_a_literal() -> contextlib.AbstractContextManager:
+    """A bound plan's first slot keeps the memoised plan's literal."""
+    original = cql_engine.bind
+
+    def mutated(plan, literals):
+        memo = literals_of(plan)
+        if literals and 0 in memo:
+            literals = (memo[0], *literals[1:])
+        return original(plan, literals)
+
+    return mock.patch.object(cql_engine, "bind", mutated)
+
+
 @contextlib.contextmanager
 def obs_rescale_marks() -> Iterator[None]:
     """Publish marks keyed by operator position, never rebased."""
@@ -153,6 +172,7 @@ MUTANTS: dict[str, tuple[Callable[[], contextlib.AbstractContextManager],
     "state-log-coalesce": (state_log_coalesce, "cql"),
     "obs-rescale-marks": (obs_rescale_marks, "cql"),
     "join-probe-own-row": (join_probe_own_row, "cql"),
+    "bind-keeps-a-literal": (bind_keeps_a_literal, "cql"),
 }
 
 

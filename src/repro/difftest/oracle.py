@@ -59,6 +59,7 @@ from repro.difftest.generators import (
     CoreWindowCase,
     build_engine,
     build_streams,
+    literal_sibling,
 )
 
 _R2S_OPS = ("istream", "dstream", "rstream")
@@ -536,6 +537,11 @@ def _dsms_run(config: Config, base: _Truth, recovering: bool = False):
     dsms = build_engine(DSMSEngine(
         queue_capacity=1_000_000, sharing=config.members > 1,
         recovery_interval=_DSMS_CHECKPOINT_INTERVAL if recovering else None))
+    # A literal sibling compiled first: the case's plan is then bound
+    # from the sibling's shape, and its kernels from those rendered for
+    # the sibling's literals.
+    cql = dsms._cql
+    cql.cancel_query(cql.register_query(literal_sibling(base.case.query)))
     handles = [dsms.register_query(f"q{member}", base.case.query,
                                    parallelism=config.width,
                                    batch_size=config.batch)

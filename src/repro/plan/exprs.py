@@ -11,8 +11,8 @@ frontend can depend on :mod:`repro.plan` without import cycles.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
 
 from repro.core.time import Timestamp
 from repro.core.windows import SessionWindow, SlidingWindow, TumblingWindow
@@ -32,9 +32,15 @@ class Expr:
 
 @dataclass(frozen=True)
 class Literal(Expr):
-    """A constant: number, string, boolean or NULL."""
+    """A constant: number, string, boolean or NULL.
+
+    ``slot`` is the index of the slot a comparison literal fills in its
+    text's shape (see :func:`repro.cql.lexer.shape`), None for any other
+    literal.  It is not part of the value: two literals are equal, and
+    render alike, whatever their slots."""
 
     value: Any
+    slot: int | None = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
@@ -191,6 +197,48 @@ def substitute_columns(expr: Expr, bindings: dict[str, Expr]) -> Expr:
         return FuncCall(expr.name, tuple(substitute_columns(a, bindings)
                                          for a in expr.args))
     return expr
+
+
+def bind_literals(expr: Expr,
+                  literals: Sequence[Any] | Mapping[int, Any]) -> Expr:
+    """``expr`` with each slotted literal holding ``literals[slot]``;
+    a subtree with no slot is returned as it is."""
+    if isinstance(expr, Literal):
+        if expr.slot is None:
+            return expr
+        return Literal(literals[expr.slot], expr.slot)
+    if isinstance(expr, Binary):
+        left = bind_literals(expr.left, literals)
+        right = bind_literals(expr.right, literals)
+        if left is expr.left and right is expr.right:
+            return expr
+        return Binary(expr.op, left, right)
+    if isinstance(expr, Unary):
+        operand = bind_literals(expr.operand, literals)
+        return expr if operand is expr.operand else Unary(expr.op, operand)
+    if isinstance(expr, FuncCall):
+        args = tuple(bind_literals(arg, literals) for arg in expr.args)
+        if all(new is old for new, old in zip(args, expr.args)):
+            return expr
+        return FuncCall(expr.name, args)
+    return expr
+
+
+def literal_values(expr: Expr, found: dict[int, Any]) -> dict[int, Any]:
+    """``found`` with the value of each slotted literal in ``expr`` put
+    under its slot."""
+    if isinstance(expr, Literal):
+        if expr.slot is not None:
+            found[expr.slot] = expr.value
+    elif isinstance(expr, Binary):
+        literal_values(expr.left, found)
+        literal_values(expr.right, found)
+    elif isinstance(expr, Unary):
+        literal_values(expr.operand, found)
+    elif isinstance(expr, FuncCall):
+        for arg in expr.args:
+            literal_values(arg, found)
+    return found
 
 
 def equality_columns(expr: Expr) -> tuple[str, str] | None:

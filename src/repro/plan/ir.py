@@ -25,7 +25,8 @@ History: the core of this hierarchy moved here from
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from operator import is_not
+from typing import Any, Mapping, Sequence
 
 from repro.core.errors import PlanError
 from repro.core.operators import AggregateKind, R2SKind
@@ -36,6 +37,8 @@ from repro.plan.exprs import (
     GroupWindow,
     WindowSpec,
     WindowSpecKind,
+    bind_literals,
+    literal_values,
 )
 
 
@@ -146,7 +149,7 @@ class WindowOp(LogicalOp):
 
     def with_children(self, children: Sequence[LogicalOp]) -> "WindowOp":
         (child,) = children
-        return replace(self, child=child)
+        return WindowOp(child, self.spec)
 
     def describe(self) -> str:
         return f"Window{self.spec}"
@@ -173,7 +176,7 @@ class Filter(LogicalOp):
 
     def with_children(self, children: Sequence[LogicalOp]) -> "Filter":
         (child,) = children
-        return replace(self, child=child)
+        return Filter(child, self.predicate)
 
     def describe(self) -> str:
         return f"Filter({self.predicate})"
@@ -205,7 +208,7 @@ class Project(LogicalOp):
 
     def with_children(self, children: Sequence[LogicalOp]) -> "Project":
         (child,) = children
-        return replace(self, child=child)
+        return Project(child, self.exprs, self.names)
 
     def describe(self) -> str:
         cols = ", ".join(f"{e} AS {n}" for e, n in
@@ -242,7 +245,8 @@ class Join(LogicalOp):
 
     def with_children(self, children: Sequence[LogicalOp]) -> "Join":
         left, right = children
-        return replace(self, left=left, right=right)
+        return Join(left, right, self.left_keys, self.right_keys,
+                    self.residual)
 
     def describe(self) -> str:
         if self.left_keys:
@@ -300,7 +304,8 @@ class Aggregate(LogicalOp):
 
     def with_children(self, children: Sequence[LogicalOp]) -> "Aggregate":
         (child,) = children
-        return replace(self, child=child)
+        return Aggregate(child, self.group_by, self.group_names,
+                         self.aggregates)
 
     def describe(self) -> str:
         parts = list(self.group_by) + [a.describe() for a in self.aggregates]
@@ -327,7 +332,7 @@ class Distinct(LogicalOp):
 
     def with_children(self, children: Sequence[LogicalOp]) -> "Distinct":
         (child,) = children
-        return replace(self, child=child)
+        return Distinct(child)
 
 
 @dataclass(frozen=True)
@@ -362,7 +367,7 @@ class SetOp(LogicalOp):
 
     def with_children(self, children: Sequence[LogicalOp]) -> "SetOp":
         left, right = children
-        return replace(self, left=left, right=right)
+        return SetOp(self.kind, left, right)
 
     def describe(self) -> str:
         return self.kind.capitalize()
@@ -389,7 +394,7 @@ class RelToStream(LogicalOp):
 
     def with_children(self, children: Sequence[LogicalOp]) -> "RelToStream":
         (child,) = children
-        return replace(self, child=child)
+        return RelToStream(child, self.kind)
 
     def describe(self) -> str:
         return self.kind.value.upper()
@@ -557,3 +562,45 @@ def scans_of(plan: LogicalOp) -> list[StreamScan | RelationScan]:
     """All leaf scans of a plan, in left-to-right order."""
     return [node for node in walk(plan)
             if isinstance(node, (StreamScan, RelationScan))]
+
+
+def bind(plan: LogicalOp,
+         literals: Sequence[Any] | Mapping[int, Any]) -> LogicalOp:
+    """``plan`` with each slotted literal of its filter and join
+    predicates holding ``literals[slot]``: the plan of another text of
+    ``plan``'s shape, from one pass over its nodes instead of a parse,
+    plan and optimize (see :meth:`repro.cql.engine.CQLEngine.plan`).
+    A subtree with no slot is shared with ``plan``."""
+    if isinstance(plan, Filter):
+        child = bind(plan.child, literals)
+        predicate = bind_literals(plan.predicate, literals)
+        if child is plan.child and predicate is plan.predicate:
+            return plan
+        return Filter(child, predicate)
+    if isinstance(plan, Join):
+        left, right = bind(plan.left, literals), bind(plan.right, literals)
+        residual = (None if plan.residual is None
+                    else bind_literals(plan.residual, literals))
+        if left is plan.left and right is plan.right \
+                and residual is plan.residual:
+            return plan
+        return Join(left, right, plan.left_keys, plan.right_keys, residual)
+    children = plan.children
+    if not children:
+        return plan
+    bound = [bind(child, literals) for child in children]
+    if not any(map(is_not, bound, children)):
+        return plan
+    return plan.with_children(bound)
+
+
+def literals_of(plan: LogicalOp) -> dict[int, Any]:
+    """The values of the slotted literals :func:`bind` fills in
+    ``plan`` — those of its filter and join predicates — by slot."""
+    found: dict[int, Any] = {}
+    for node in walk(plan):
+        if isinstance(node, Filter):
+            literal_values(node.predicate, found)
+        elif isinstance(node, Join) and node.residual is not None:
+            literal_values(node.residual, found)
+    return found

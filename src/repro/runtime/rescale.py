@@ -214,6 +214,9 @@ class _Migration:
             self._replicate(olds, news)
         elif isinstance(op, ex.StreamSourceOp):
             self._move_stream_source(key_router(at, self.n), olds, news)
+        elif isinstance(op, ex.GroupWindowSourceOp):
+            self._move_group_window_source(key_router(at, self.n), olds,
+                                           news)
         elif isinstance(op, ex.AggregateOp):
             route = key_router(at, self.n)
             # A group's accumulators and row move whole: a group lives
@@ -255,6 +258,27 @@ class _Migration:
         # ``arrivals`` is lifetime accounting outside the checkpoint
         # protocol: keep the totals on partition 0, so explain_analyze's
         # source selectivities do not reset to zero mid-flight.
+        news[0].arrivals = sum(old.arrivals for old in olds)
+
+    def _move_group_window_source(self, route: Callable[[Any], int],
+                                  olds: list[Any], news: list[Any]) -> None:
+        """An open window's rows split by the stream's key, and each
+        target that then holds rows of a window holds its span too.  A
+        session is keyed by its group columns, which contain the routing
+        key, so it lands whole in one target; a tumble or hop window's
+        rows spread over the targets, as arrivals would have."""
+        if any(old._staged or old._arrived for old in olds):
+            raise RescaleError(
+                f"{type(news[0]).__name__} has staged arrivals; rescale "
+                f"only at an instant boundary")
+        self._split(olds, news, ("_rows",),
+                    lambda key, values: route(values))
+        spans = {key: span for old in olds
+                 for key, span in old._spans.data.items()}
+        for new in news:
+            new._spans.data = {key: spans[key] for key in new._rows.data}
+            new._spans._recount()
+        news[0].evicted = sum(old.evicted for old in olds)
         news[0].arrivals = sum(old.arrivals for old in olds)
 
     def _move_join(self, op: Any, node: Join, olds: list[Any],

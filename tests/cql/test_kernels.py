@@ -326,7 +326,7 @@ class TestPrefilterKernel:
         compiled = [compile_predicate(p, OBS) for p in predicates]
         want = [r for r in records if all(p(r) for p in compiled)]
         assert any(r["temp"] is None or r["room"] is None for r in records)
-        assert kernels.prefilter_kernel(predicates, OBS)(records) == want
+        assert kernels.prefilter_kernel(predicates, OBS).bind()(records) == want
 
     @pytest.mark.parametrize("where", [
         "temp > 10",

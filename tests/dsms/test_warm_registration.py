@@ -1,14 +1,18 @@
-"""A repeated query text registers at lookup cost.
+"""A repeated query text registers at lookup cost, and a literal
+sibling of one at the cost of a tokenize.
 
 Counts, not clocks: registering a text the engine has planned before
 tokenizes, parses, plans, optimises and renders nothing — the engine's
-plan memo holds the plan, and the kernels bound for it by the first
-query compiled from it — while a cold text does exactly the work it
-always did.  Two queries compiled from one memoised plan still own
+plan memo holds the plan, and the kernels rendered for it by the first
+query compiled from its shape — while a cold text does exactly the work
+it always did.  A text that differs from a planned one only in its
+comparison literals is tokenised once and bound from its shape's plan
+and kernels.  Two queries compiled from one memoised plan still own
 their operators, state and answers, isolated, shared, fissioned and
 crashed.
 """
 
+import itertools
 import sys
 from collections import Counter
 
@@ -20,6 +24,7 @@ from repro.cql import CQLEngine, kernels, lexer, parser, planner
 from repro.cql.executor import InstantEvaluator
 from repro.dsms import DSMSEngine
 from repro.plan import rules
+from repro.plan.signature import plan_signature
 
 OBS = Schema(["id", "room", "temp"])
 ROOMS = Schema(["room", "floor"])
@@ -46,6 +51,15 @@ JOINED = ("SELECT O.id, R.floor FROM Obs O [Range 5], Rooms R "
 SPINE = "SELECT id, temp + 1 AS t FROM Obs [Range 3] WHERE temp > 0"
 STREAM_JOIN = ("SELECT ISTREAM O.id, A.level FROM Obs O [Range 4], "
                "Alerts A [Rows 2] WHERE O.id = A.id AND O.temp > A.level")
+
+#: Each text with its comparison literals changed (or, with none, its
+#: spacing): a text of the same shape.
+SIBLING = {
+    GROUPED: GROUPED.replace("temp > 1", "temp > 3"),
+    JOINED: JOINED.replace("R.floor > 1", "R.floor > 2"),
+    SPINE: SPINE.replace("temp > 0", "temp > 4"),
+    STREAM_JOIN: STREAM_JOIN.replace(" WHERE", "  WHERE"),
+}
 
 #: What registering each text cold costs, one entry per call (the
 #: counts the engine made before plans were memoised).
@@ -120,6 +134,21 @@ class TestCallsPerRegistration:
 
         assert work_done(churn) == {}
 
+    @pytest.mark.parametrize("text", sorted(COLD))
+    def test_a_literal_sibling_only_tokenizes(self, text):
+        engine = declare(DSMSEngine())
+        first = engine.register_query("first", SIBLING[text])
+        assert work_done(lambda: engine.register_query("sibling", text)) \
+            == {"tokenize": 1}
+        sibling = engine.query("sibling").query
+        assert sibling.plan is not first.query.plan
+        operators = [op for _, op in first.query.operators()]
+        assert not any(op is mine for _, mine in sibling.operators()
+                       for op in operators)
+        # Its own literals, not the first text's.
+        assert plan_signature(sibling.plan, detail=True) == plan_signature(
+            declare(CQLEngine()).plan(text), detail=True)
+
     def test_engines_do_not_share_their_memo(self):
         declare(DSMSEngine()).register_query("q", GROUPED)
         engine = declare(DSMSEngine())
@@ -165,6 +194,53 @@ def calls_made(action):
     finally:
         sys.setprofile(None)
     return made[0]
+
+
+#: The ``query_fleet`` workload's pool: its eight templates over three
+#: windows and four thresholds, 24 shapes, in its registration order.
+POOL = [template.replace("[Range 5]", f"[Range {window}]")
+        .replace("temp > 10", f"temp > {threshold}")
+        for threshold, window, template
+        in itertools.product((10, 15, 20, 25), (5, 10, 20), FLEET)]
+
+
+class TestFleetRegistration:
+    """The fleet's 96 texts on a fresh engine are planned once per shape
+    and render each shape's kernels once."""
+
+    def test_parse_plan_and_optimize_run_once_per_shape(self):
+        engine = DSMSEngine()
+        engine.register_stream("Obs", OBS)
+
+        def register():
+            for n, text in enumerate(POOL):
+                engine.register_query(f"q{n}", text)
+
+        made = work_done(register)
+        assert len(POOL) == 96
+        assert made["tokenize"] == 96
+        assert made["parse_query"] == made["plan_statement"] \
+            == made["optimize"] == 24
+
+    def test_the_fleet_renders_at_most_one_kernel_set_per_shape(self):
+        engine = DSMSEngine()
+        engine.register_stream("Obs", OBS)
+        rendered = [0]
+        code = kernels.Kernel.__init__.__code__
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                rendered[0] += 1
+
+        sys.setprofile(profiler)
+        try:
+            for n, text in enumerate(POOL):
+                engine.register_query(f"q{n}", text)
+        finally:
+            sys.setprofile(None)
+        # 24 prefilters, 15 aggregates and 9 spines, against one of each
+        # per text (192) when kernels were keyed by plan.
+        assert rendered[0] <= 48
 
 
 class TestColdRegistrationCost:
@@ -293,3 +369,22 @@ def test_two_queries_from_one_plan_keep_their_own_answers(mode, text):
         assert engine.recovery.attempts == 1
     assert first.store_state() == one_shot(text, 1, cancel_after)
     assert second.store_state() == one_shot(text, second_at, TICKS)
+
+
+@pytest.mark.parametrize("text", TEXTS)
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_literal_siblings_keep_their_own_literals(mode, text):
+    """A text and a literal sibling registered from one shape's plan and
+    kernels: each answers with its own threshold."""
+    engine_kwargs, query_kwargs = MODES[mode]
+    engine = declare(DSMSEngine(**engine_kwargs))
+    other = text.replace("> 5", "> 20").replace("> 1", "> 0")
+    assert other != text
+    handles = [engine.register_query(name, query, **query_kwargs)
+               for name, query in (("text", text), ("other", other))]
+    for t in range(1, TICKS + 1):
+        engine.ingest_many("Obs", arrivals(t), t)
+        engine.run_until_idle()
+    for handle, query in zip(handles, (text, other)):
+        assert handle.store_state() == one_shot(query, 1, TICKS)
+    assert handles[0].store_state() != handles[1].store_state()

@@ -75,6 +75,36 @@ def serial_control(plan, catalog, batches):
 
 
 class TestStateMigration:
+    @pytest.mark.parametrize("window", ["TUMBLE(10)", "HOP(10, 5)",
+                                        "SESSION(4)"],
+                             ids=["tumble", "hop", "session"])
+    def test_group_window_1_4_2_matches_never_rescaled(self, window):
+        # A streaming-SQL group window's source holds each open window's
+        # rows: they split by the stream's key, and each target opens
+        # the windows it then holds rows of.
+        from repro.sql import SQLEngine
+        sql = SQLEngine()
+        sql.register_stream("Obs", Schema(["room", "temp"], [str, int]))
+        text = ("SELECT room, window_start, window_end, COUNT(*) AS n, "
+                f"MAX(temp) AS hot FROM Obs GROUP BY room, {window}")
+        rows = [(t, {"Obs": [{"room": ROOMS[(t + i) % len(ROOMS)],
+                              "temp": t + i} for i in range(1 + t % 3)]})
+                for t in (1, 2, 3, 5, 8, 12, 13, 17, 21, 25, 30, 41)]
+        control, query = sql.query(text), sql.query(text)
+        reports = []
+        for position, (t, arrivals) in enumerate(rows):
+            # Each just before an instant at which open windows close.
+            if position in (3, 5):
+                reports.append(rescale(query, {3: 4, 5: 2}[position]))
+            control.push_batch(t, arrivals)
+            query.push_batch(t, arrivals)
+        control.finish()
+        query.finish()
+        assert [report.parallelism_to for report in reports] == [4, 2]
+        assert all(report.migrated_entries for report in reports)
+        assert query.parallelism == 2
+        assert outputs(query) == outputs(control)
+
     def test_grouped_aggregate_1_4_2_matches_serial(self, engine):
         plan = engine.plan(GROUPED)
         control = serial_control(plan, engine.catalog, OBS_BATCHES)
@@ -373,26 +403,6 @@ class TestRescaleEdges:
         source._staged.pop()
         assert query.parallelism == 2
         assert outputs(query) == before
-
-    def test_group_window_state_is_refused_untouched(self):
-        # A streaming-SQL group window fissions, but its source keeps
-        # open windows shared by every key: no rekey rule moves them.
-        from repro.sql import SQLEngine
-        sql = SQLEngine()
-        sql.register_stream("Obs", Schema(["room", "temp"], [str, int]))
-        text = ("SELECT room, window_start, window_end, COUNT(*) AS n "
-                "FROM Obs GROUP BY room, TUMBLE(10)")
-        rows = [(t, {"Obs": [{"room": ROOMS[t % 3], "temp": t}]})
-                for t in (1, 2, 3, 12, 13, 25)]
-        control, query = sql.query(text), sql.query(text)
-        for position, (t, arrivals) in enumerate(rows):
-            if position == 3:
-                with pytest.raises(RescaleError, match="no rekey rule"):
-                    rescale(query, 2)
-            control.push_batch(t, arrivals)
-            query.push_batch(t, arrivals)
-        assert query.parallelism == 1
-        assert outputs(query) == outputs(control)
 
     def test_report_shape(self, engine):
         plan = engine.plan(GROUPED)
