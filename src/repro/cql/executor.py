@@ -33,7 +33,7 @@ from collections import defaultdict, deque
 from itertools import groupby
 from operator import itemgetter
 from sys import getsizeof
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.obs import get_registry as _obs_registry
 # Hot-path gate: reading the state attribute directly (instead of calling
@@ -144,14 +144,15 @@ class Agenda:
 class PhysicalOp:
     """Base physical operator: children + per-instant delta processing.
 
-    Each instant an operator reports ``(deltas, active)``: a source from
-    ``process_instant``, an inner operator from :meth:`apply` over its
-    children's reports (see :class:`InstantEvaluator`).  *Active* says
-    whether any source in the subtree was touched at this instant (even if
-    no delta survived the operators in between).  This mirrors the
-    reference evaluator, whose time-varying relations record a change
-    point at every input-relevant instant — global aggregates rely on it
-    to materialise their zero row at the right instant.
+    An operator's one per-instant entry point is :meth:`process`.  Only
+    the :class:`InstantEvaluator` calls it, and the evaluator keeps the
+    operator's books (``received``, ``emitted``, ``eval_seconds``) and
+    its *activity*: whether any source in the subtree was touched at the
+    instant (its staging call set ``_arrived``), even if no delta survived
+    the operators in between.  This mirrors the reference evaluator,
+    whose time-varying relations record a change point at every
+    input-relevant instant; a global aggregate reads ``_child_active`` to
+    materialise its zero row at the right instant.
 
     State is checkpointed in place, over ``_STATE_ATTRS``:
     :meth:`barrier` keeps a recovery image beside the live state and
@@ -168,6 +169,8 @@ class PhysicalOp:
     #: schemas, the agenda reference) stay shared between the live tree
     #: and its checkpoints.
     _STATE_ATTRS: tuple[str, ...] = ()
+    #: Work tallies: checkpointed beside the state, carried by a rescale.
+    _TALLIES: tuple[str, ...] = ("emitted", "received")
 
     def __init__(self, children: Sequence["PhysicalOp"]) -> None:
         self.children = list(children)
@@ -178,7 +181,9 @@ class PhysicalOp:
         #: Cumulative seconds spent in ``process`` (only accumulated while
         #: observability is enabled; see :mod:`repro.obs`).
         self.eval_seconds = 0.0
-        #: The whole-copied state and the counters at the last barrier;
+        #: Per-instant input the evaluator sets (see above), not state.
+        self._child_active = False
+        #: The whole-copied state and the tallies at the last barrier;
         #: None before the first.
         self._saved: dict[str, Any] | None = None
         #: Bytes the last :meth:`barrier` allocated; None before the first.
@@ -217,8 +222,8 @@ class PhysicalOp:
             value, size = copy_sized(getattr(self, attr))
             payload[attr] = saved[attr] = value
             copied += size
-        payload["emitted"] = saved["emitted"] = self.emitted
-        payload["received"] = saved["received"] = self.received
+        for tally in self._TALLIES:
+            payload[tally] = saved[tally] = getattr(self, tally)
         self.barrier_bytes = copied
         return payload
 
@@ -234,34 +239,13 @@ class PhysicalOp:
             state.rollback()
         for attr in whole:
             setattr(self, attr, copy_sized(saved[attr])[0])
-        self.emitted = saved["emitted"]
-        self.received = saved["received"]
+        for tally in self._TALLIES:
+            setattr(self, tally, saved[tally])
 
     def process(self, t: Timestamp,
                 child_deltas: list[list[Delta]]) -> list[Delta]:
         """Consume one batch of child deltas at instant ``t``."""
         raise NotImplementedError
-
-    def _timed_process(self, t: Timestamp,
-                       child_deltas: list[list[Delta]]) -> list[Delta]:
-        """``process`` with eval-time accounting (the enabled-only path)."""
-        started = time.perf_counter()
-        deltas = self.process(t, child_deltas)
-        self.eval_seconds += time.perf_counter() - started
-        return deltas
-
-    def apply(self, t: Timestamp, child_deltas: list[list[Delta]],
-              child_active: bool) -> tuple[list[Delta], bool]:
-        """Process one instant's child batches (with accounting); returns
-        ``(deltas, active)``."""
-        for deltas in child_deltas:
-            self.received += len(deltas)
-        if _obs_state.enabled:
-            deltas = self._timed_process(t, child_deltas)
-        else:
-            deltas = self.process(t, child_deltas)
-        self.emitted += len(deltas)
-        return deltas, bool(deltas) or child_active
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +271,7 @@ class StreamSourceOp(PhysicalOp):
 
     _STATE_ATTRS = ("_staged", "_expiries", "_fifo", "_per_key",
                     "_pending", "_visible", "_arrived", "evicted")
+    _TALLIES = (*PhysicalOp._TALLIES, "arrivals")
 
     def __init__(self, scan: StreamScan, spec, agenda: Agenda,
                  prefilter: Callable[[list[tuple]], list[tuple]] | None
@@ -320,18 +305,9 @@ class StreamSourceOp(PhysicalOp):
         #: Total tuples ever evicted from this window (Throw accounting).
         self.evicted = 0
         #: Raw arrivals staged here, counted *before* the prefilter, so
-        #: explain_analyze can report the source's live selectivity.
-        #: Deliberately not in _STATE_ATTRS: like received/emitted it is
-        #: lifetime accounting, not recoverable window state.
+        #: explain_analyze can report the source's live selectivity: a
+        #: tally (``_TALLIES``), not window state.
         self.arrivals = 0
-
-    def process_instant(self, t: Timestamp) -> tuple[list[Delta], bool]:
-        arrived = self._arrived
-        self._arrived = False
-        deltas = (self._timed_process(t, []) if _obs_state.enabled
-                  else self.process(t, []))
-        self.emitted += len(deltas)
-        return deltas, arrived or bool(deltas)
 
     def stage_many(self, rows: list[tuple], t: Timestamp) -> None:
         """Queue an instant's validated arrivals (values tuples), in
@@ -466,6 +442,7 @@ class GroupWindowSourceOp(PhysicalOp):
     """
 
     _STATE_ATTRS = ("_staged", "_rows", "_spans", "_arrived", "evicted")
+    _TALLIES = StreamSourceOp._TALLIES
 
     def __init__(self, scan: StreamScan, assigner: WindowAssigner,
                  key_columns: Sequence[str], agenda: Agenda,
@@ -487,8 +464,6 @@ class GroupWindowSourceOp(PhysicalOp):
         #: Rows retracted at window closes, and arrivals before the
         #: prefilter (see StreamSourceOp).
         self.evicted = self.arrivals = 0
-
-    process_instant = StreamSourceOp.process_instant
 
     def stage_many(self, rows: list[tuple], t: Timestamp) -> None:
         """Queue an instant's validated arrivals for the call at ``t``."""
@@ -554,25 +529,21 @@ class RelationSourceOp(PhysicalOp):
     aggregate above it materialises its COUNT = 0 row there.
     """
 
-    _STATE_ATTRS = ("_initial", "_staged")
+    _STATE_ATTRS = ("_initial", "_staged", "_arrived")
 
     def __init__(self, scan: RelationScan, initial: list[Delta]) -> None:
         super().__init__([])
         self.scan = scan
         self._initial: list[Delta] | None = initial
         self._staged: list[Delta] = []
+        self._arrived = True
 
-    def stage_updates(self, deltas: Iterable[Delta]) -> None:
+    def stage_updates(self, deltas: Sequence[Delta]) -> None:
         """Queue signed changes (values tuples of the relation's layout)
         for the next instant."""
-        self._staged.extend(deltas)
-
-    def process_instant(self, t: Timestamp) -> tuple[list[Delta], bool]:
-        active = self._initial is not None or bool(self._staged)
-        deltas = (self._timed_process(t, []) if _obs_state.enabled
-                  else self.process(t, []))
-        self.emitted += len(deltas)
-        return deltas, active
+        if deltas:
+            self._arrived = True
+            self._staged.extend(deltas)
 
     def process(self, t: Timestamp,
                 child_deltas: list[list[Delta]]) -> list[Delta]:
@@ -727,7 +698,7 @@ class AggregateOp(PhysicalOp):
     running (window-less, EMIT CHANGES) :class:`WindowAggregate`.
     """
 
-    _STATE_ATTRS = ("_groups", "_current_rows", "_child_active")
+    _STATE_ATTRS = ("_groups", "_current_rows")
 
     def __init__(self, kernel: Callable) -> None:
         super().__init__([])  # children attached by compiler
@@ -738,14 +709,6 @@ class AggregateOp(PhysicalOp):
         #: Group key -> its accumulators, and -> its current output row.
         self._groups = KeyedState()
         self._current_rows = KeyedState()
-        self._child_active = False
-
-    def apply(self, t: Timestamp, child_deltas: list[list[Delta]],
-              child_active: bool) -> tuple[list[Delta], bool]:
-        # ``process`` consults the child's activity flag to decide when the
-        # global group materialises its zero row, so stash it first.
-        self._child_active = child_active
-        return super().apply(t, child_deltas, child_active)
 
     def process(self, t, child_deltas):
         return self._kernel(self, t, child_deltas)
@@ -1244,59 +1207,73 @@ def _bind(rendered: Kernel | tuple[Kernel, ...],
 
 
 class InstantEvaluator:
-    """Evaluates a physical operator DAG one instant at a time.
+    """Evaluates a physical operator DAG one instant at a time: the one
+    caller of :meth:`PhysicalOp.process`.
 
     The DAG's distinct operators are put in post-order (children first)
     once, when the evaluator is built, and each operator's inputs become
-    slot indexes into the instant's results.  An instant then walks that
-    order: a source reports ``process_instant(t)``; an inner operator
-    ``apply``\\ s its children's deltas.  An operator reached from several
-    roots (a subplan a :class:`SharedGroup` shares) runs
-    once per instant and every consumer reads its batch by reference.
-    Nothing is held between operators or between instants.
+    slot indexes into the instant's batches.  An instant then walks that
+    order, calling each ``process`` through the instance (so a wrapper
+    :func:`repro.chaos.install_crash` installs later runs) and keeping
+    its books (see :class:`PhysicalOp`).  An operator reached from
+    several roots (a subplan a :class:`SharedGroup` shares) runs once per
+    instant and every consumer reads its batch by reference.  Nothing is
+    held between operators or between instants.
     """
 
     def __init__(self, roots: Sequence[PhysicalOp]) -> None:
         slots: dict[int, int] = {}
-        steps: list[tuple[PhysicalOp, tuple[int, ...]]] = []
+        # One step per operator: its input slot (one child), slots
+        # (several) or None (a source).
+        steps: list[tuple[PhysicalOp, int | tuple[int, ...] | None]] = []
 
         def visit(op: PhysicalOp) -> None:
             if id(op) in slots:
                 return
             for child in op.children:
                 visit(child)
+            inputs = tuple(slots[id(child)] for child in op.children)
             slots[id(op)] = len(steps)
-            steps.append((op, tuple(slots[id(child)]
-                                    for child in op.children)))
+            steps.append((op, inputs[0] if len(inputs) == 1
+                          else inputs or None))
 
         for root in roots:
             visit(root)
         #: Every distinct operator, children before parents.
         self.operators = [op for op, _ in steps]
-        # One step per operator: a source's ``process_instant``, or an
-        # inner operator's ``apply`` with its input slot (one child) or
-        # slots (several).
-        self._steps = [
-            (op.process_instant, None) if not inputs
-            else (op.apply, inputs[0] if len(inputs) == 1 else inputs)
-            for op, inputs in steps]
+        self._steps = steps
         self._roots = [slots[id(root)] for root in roots]
 
-    def run(self, t: Timestamp) -> list[tuple[list[Delta], bool]]:
-        """Evaluate instant ``t``: one ``(deltas, active)`` per root."""
-        results: list[tuple[list[Delta], bool]] = []
-        append = results.append
-        for step, inputs in self._steps:
+    def run(self, t: Timestamp) -> list[list[Delta]]:
+        """Evaluate instant ``t``: one batch of deltas per root."""
+        timed = _obs_state.enabled
+        batches: list[list[Delta]] = []
+        active: list[bool] = []
+        for op, inputs in self._steps:
             if inputs is None:
-                append(step(t))
+                touched = op._arrived
+                op._arrived = False
+                child_deltas = []
             elif inputs.__class__ is int:
-                deltas, active = results[inputs]
-                append(step(t, [deltas], active))
+                deltas = batches[inputs]
+                op.received += len(deltas)
+                child_deltas = [deltas]
+                touched = op._child_active = active[inputs]
             else:
-                reports = [results[slot] for slot in inputs]
-                append(step(t, [deltas for deltas, _ in reports],
-                            any(active for _, active in reports)))
-        return [results[slot] for slot in self._roots]
+                child_deltas = [batches[slot] for slot in inputs]
+                op.received += sum(map(len, child_deltas))
+                touched = op._child_active = any(
+                    active[slot] for slot in inputs)
+            if timed:
+                started = time.perf_counter()
+                deltas = op.process(t, child_deltas)
+                op.eval_seconds += time.perf_counter() - started
+            else:
+                deltas = op.process(t, child_deltas)
+            op.emitted += len(deltas)
+            batches.append(deltas)
+            active.append(touched or bool(deltas))
+        return [batches[slot] for slot in self._roots]
 
 
 #: The evaluator of a group with no members: it runs nothing, so one
@@ -1423,8 +1400,8 @@ class SharedGroup:
     runs each operator once per instant, and the checkpoint.  Any
     member's feeding call advances every member in lockstep, which keeps
     shared window state sound; each member folds its own root batch
-    (:meth:`ContinuousQuery._apply_instant`), and a feeding call returns
-    its caller's emissions not yet returned.
+    (:meth:`ContinuousQuery._apply_instant`).  The group's feeding calls
+    return nothing: a member's own feeding calls return its emissions.
 
     Members join while the group is *cold*; once data has flowed it is
     frozen: a newcomer's private operators would miss the history the
@@ -1445,7 +1422,6 @@ class SharedGroup:
         self._cursor: Timestamp | None = None
         #: Bytes the last :meth:`snapshot` allocated; None before the first.
         self.barrier_bytes: int | None = None
-        self._eval_hist = None
         self._rebuild()
 
     # -- membership ----------------------------------------------------------
@@ -1523,23 +1499,16 @@ class SharedGroup:
                    for op in self._evaluator.operators)
 
     # -- feeding -------------------------------------------------------------
-    #
-    # Each call returns ``reader``'s emissions not yet returned (none
-    # without a reader); the other members keep theirs for their next call.
 
-    def start(self, at: Timestamp = 0,
-              reader: "ContinuousQuery | None" = None) -> list[Emission]:
+    def start(self, at: Timestamp = 0) -> None:
         """Process the registration instant (see
         :meth:`ContinuousQuery.start`)."""
         check_feed_time(at, self._cursor)
         self._process_instant(at)
-        return [] if reader is None else reader._pending()
 
     def push_batch(self, timestamp: Timestamp,
                    arrivals: Mapping[str, Sequence[Mapping[str, Any]
-                                                   | Record]],
-                   reader: "ContinuousQuery | None" = None,
-                   ) -> list[Emission]:
+                                                   | Record]]) -> None:
         """Push all arrivals carrying ``timestamp`` through the group,
         atomically.
 
@@ -1549,13 +1518,11 @@ class SharedGroup:
         expirations due before ``timestamp``) is processed first, then
         the batch, for every member.
         """
-        return self._feed(timestamp, coerce_arrivals(self.catalog, arrivals),
-                          reader=reader)
+        self._feed(timestamp, coerce_arrivals(self.catalog, arrivals))
 
     def _feed(self, timestamp: Timestamp,
               arrivals: Sequence[tuple[str, list[tuple]]],
-              updates: Sequence[tuple[RelationSourceOp, Delta]] = (),
-              reader: "ContinuousQuery | None" = None) -> list[Emission]:
+              updates: Sequence[tuple[RelationSourceOp, Delta]] = ()) -> None:
         """:meth:`push_batch` for arrivals already validated into values
         tuples, as ``(stream, rows)`` pairs (one per stream), plus
         relation ``updates`` for members' relation sources: the one
@@ -1570,37 +1537,30 @@ class SharedGroup:
         self.agenda.due(timestamp)  # consume anything scheduled == now
         self._process_instant(timestamp)
         self._started = True
-        return [] if reader is None else reader._pending()
 
-    def advance_to(self, timestamp: Timestamp,
-                   reader: "ContinuousQuery | None" = None,
-                   ) -> list[Emission]:
+    def advance_to(self, timestamp: Timestamp) -> None:
         """Advance event time without new data (fires due expirations)."""
         for instant in self.agenda.due(timestamp):
             self._process_instant(instant)
-        return [] if reader is None else reader._pending()
 
-    def finish(self, reader: "ContinuousQuery | None" = None,
-               ) -> list[Emission]:
+    def finish(self) -> None:
         """Drain all scheduled future work (window closes after end of
         input)."""
         for instant in self.agenda.drain():
             self._process_instant(instant)
-        return [] if reader is None else reader._pending()
 
     def _process_instant(self, t: Timestamp) -> None:
         """Run one instant through the DAG, each operator once, and fold
         each member's root batch into that member."""
         if _obs_state.enabled:
-            if self._eval_hist is None:
-                self._eval_hist = _obs_registry().histogram(
-                    "exec.query.instant_eval_seconds", layer="cql")
             started = time.perf_counter()
-            reports = self._evaluator.run(t)
-            self._eval_hist.observe(time.perf_counter() - started)
+            batches = self._evaluator.run(t)
+            _obs_registry().histogram(
+                "exec.query.instant_eval_seconds", layer="cql").observe(
+                    time.perf_counter() - started)
         else:
-            reports = self._evaluator.run(t)
-        for query, (deltas, _active) in zip(self.members, reports):
+            batches = self._evaluator.run(t)
+        for query, deltas in zip(self.members, batches):
             query._apply_instant(t, deltas)
         self._cursor = t
 
@@ -1790,7 +1750,8 @@ class ContinuousQuery:
         """Process the registration instant: flushes base relations' initial
         contents so the maintained state matches the reference semantics
         from time ``at`` on."""
-        return self.group.start(at, self)
+        self.group.start(at)
+        return self._pending()
 
     def push(self, stream_name: str, row: Mapping[str, Any] | Record,
              timestamp: Timestamp) -> list[Emission]:
@@ -1803,7 +1764,8 @@ class ContinuousQuery:
                    ) -> list[Emission]:
         """Push all arrivals carrying ``timestamp``, atomically (see
         :meth:`SharedGroup.push_batch`)."""
-        return self.group.push_batch(timestamp, arrivals, self)
+        self.group.push_batch(timestamp, arrivals)
+        return self._pending()
 
     def update_relation(self, name: str, row: Mapping[str, Any] | Record,
                         mult: int, timestamp: Timestamp) -> list[Emission]:
@@ -1822,18 +1784,20 @@ class ContinuousQuery:
         sources = self._relation_sources.get(name)
         if not sources:
             raise PlanError(f"query does not read relation {name!r}")
-        return self.group._feed(
-            timestamp, (), [(source, (values, mult)) for source in sources],
-            self)
+        self.group._feed(
+            timestamp, (), [(source, (values, mult)) for source in sources])
+        return self._pending()
 
     def advance_to(self, timestamp: Timestamp) -> list[Emission]:
         """Advance event time without new data (fires due expirations)."""
-        return self.group.advance_to(timestamp, self)
+        self.group.advance_to(timestamp)
+        return self._pending()
 
     def finish(self) -> list[Emission]:
         """Drain all scheduled future work (window closes after end of
         input) and return the final emissions."""
-        return self.group.finish(self)
+        self.group.finish()
+        return self._pending()
 
     def _pending(self) -> list[Emission]:
         """The emissions no feeding call has returned yet, now returned."""

@@ -1032,9 +1032,9 @@ class DSMSEngine:
         registry = registry if registry is not None else obs.get_registry()
         for handle in self._handles:
             labels = {"query": handle.name}
-            for field, counter in handle.metrics.counters().items():
+            for field in handle.metrics.COUNTERS:
                 published = registry.counter(f"dsms.query.{field}", **labels)
-                published.inc(counter.value - published.value)
+                published.inc(getattr(handle.metrics, field) - published.value)
             registry.gauge("dsms.query.queue_length", **labels).set(
                 len(handle.queue))
             registry.gauge("dsms.query.busy_seconds", **labels).set(

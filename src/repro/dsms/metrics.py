@@ -11,14 +11,13 @@ all-negative observations (it used to be pinned at ``0.0``) and ``min`` is
 now reported too.
 
 The tuple-flow tallies stay plain integer attributes — the obs design rule
-is that the hot path pays one attribute add — and are materialised into
-obs :class:`Counter` objects on demand by :meth:`QueryMetrics.counters`,
-the same pull-based publication the engines use.
+is that the hot path pays one attribute add — and the engine publishes
+them straight into the registry's counters on demand, the same pull-based
+publication the engines use.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import Counter as _Counter
 from repro.obs.metrics import Gauge as _ObsGauge
 
 
@@ -33,11 +32,11 @@ class QueryMetrics:
     """Per-query accounting maintained by the DSMS engine.
 
     The tuple-flow tallies (``ingested``, ``shed``, ...) are plain ints on
-    the hot path; :meth:`counters` snapshots them into obs counters for
-    registry publication.
+    the hot path; the engine publishes the ``COUNTERS`` as
+    ``dsms.query.<name>`` (see ``DSMSEngine.publish_observability``).
     """
 
-    _COUNTERS = ("ingested", "shed", "queue_dropped", "processed", "emitted")
+    COUNTERS = ("ingested", "shed", "queue_dropped", "processed", "emitted")
 
     def __init__(self) -> None:
         self.ingested = 0
@@ -45,15 +44,8 @@ class QueryMetrics:
         self.queue_dropped = 0
         self.processed = 0
         self.emitted = 0
-        self._counters = {field: _Counter(field) for field in self._COUNTERS}
         self.queue_wait = Gauge("queue_wait")
         self.scratch = Gauge("scratch")
-
-    def counters(self) -> dict[str, _Counter]:
-        """The tallies as obs counters, synced at call time."""
-        for field, counter in self._counters.items():
-            counter.value = getattr(self, field)
-        return dict(self._counters)
 
     def as_dict(self) -> dict[str, float]:
         return {

@@ -146,7 +146,8 @@ def _carry(old: Any, new: Any, private: bool) -> None:
             _carry(value, getattr(new, attr), private)
         else:
             setattr(new, attr, copy_sized(value)[0] if private else value)
-    new.emitted, new.received = old.emitted, old.received
+    for tally in old._TALLIES:
+        setattr(new, tally, getattr(old, tally))
 
 
 def _spine(root: Any, partition_roots: list[Any]) -> list[Any]:
@@ -225,12 +226,13 @@ class _Migration:
                         lambda group, _: route(group))
         elif op._STATE_ATTRS:
             raise RescaleError(f"{name} has no rekey rule for its state")
-        # Lifetime accounting is global, not per-key: keep the totals on
-        # target 0 so engine-level work counters stay monotone.
-        for attr in ("emitted", "received"):
-            setattr(news[0], attr, sum(getattr(old, attr) for old in olds))
+        # The tallies are global, not per-key: keep the totals on target
+        # 0 so engine-level work counters and explain_analyze's source
+        # selectivities stay monotone.
+        for tally in op._TALLIES:
+            setattr(news[0], tally, sum(getattr(old, tally) for old in olds))
             for new in news[1:]:
-                setattr(new, attr, 0)
+                setattr(new, tally, 0)
 
     def _move_stream_source(self, route: Callable[[Any], int],
                             olds: list[Any], news: list[Any]) -> None:
@@ -255,10 +257,6 @@ class _Migration:
                     getattr(news[route(entry[0])], attr).append(entry)
                     self.moved += 1
         news[0].evicted = sum(old.evicted for old in olds)
-        # ``arrivals`` is lifetime accounting outside the checkpoint
-        # protocol: keep the totals on partition 0, so explain_analyze's
-        # source selectivities do not reset to zero mid-flight.
-        news[0].arrivals = sum(old.arrivals for old in olds)
 
     def _move_group_window_source(self, route: Callable[[Any], int],
                                   olds: list[Any], news: list[Any]) -> None:
@@ -279,7 +277,6 @@ class _Migration:
             new._spans.data = {key: spans[key] for key in new._rows.data}
             new._spans._recount()
         news[0].evicted = sum(old.evicted for old in olds)
-        news[0].arrivals = sum(old.arrivals for old in olds)
 
     def _move_join(self, op: Any, node: Join, olds: list[Any],
                    news: list[Any]) -> None:

@@ -148,7 +148,7 @@ class DynamicTable:
         for source, deltas in incoming.items():
             for scan in self._scans[source]:
                 scan.stage_updates(deltas)
-        [(deltas, _active)] = self._evaluator.run(version)
+        [deltas] = self._evaluator.run(version)
         return deltas
 
     def record_version(self, version: int) -> None:

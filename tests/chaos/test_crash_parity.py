@@ -85,6 +85,32 @@ def test_crash_each_operator_once(scenario):
         assert outputs(query) == expected, where
 
 
+def tallies(query):
+    return [(label, op.received, op.emitted, getattr(op, "arrivals", None))
+            for label, op in query.operators()]
+
+
+@pytest.mark.parametrize("scenario", sorted(
+    {**SCENARIOS, "filtered-aggregate": (
+        "SELECT room, COUNT(*) AS n FROM Obs [Range 4] WHERE temp > 2 "
+        "GROUP BY room")}.items()), ids=lambda item: item[0])
+def test_recovery_restores_the_fault_free_tallies(scenario):
+    """A rollback takes every operator's ``received`` and ``emitted``, and
+    a source's ``arrivals``, back with its state, so explain_analyze reads
+    after recovery what it reads after the fault-free run."""
+    _, text = scenario
+    clean, streams = fresh_query(text)
+    clean.run_recorded(streams)
+    for position in range(len(clean.operators())):
+        query, streams = fresh_query(text)
+        fuse = CrashFuse(at=4)
+        label = install_crash(query, position, fuse)
+        run_query_with_recovery(query, streams,
+                                RecoveryManager(query, interval=2))
+        assert fuse.fired == 1
+        assert tallies(query) == tallies(clean), f"crashed {label}"
+
+
 def test_recovery_survives_repeated_crashes_in_one_run():
     text = SCENARIOS["aggregate"]
     clean, streams = fresh_query(text)

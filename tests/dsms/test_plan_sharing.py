@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.core import PlanError, Schema, StateError
-from repro.cql import ContinuousQuery, CQLEngine
+from repro.cql import ContinuousQuery, CQLEngine, executor
 from repro.cql.executor import PhysicalOp, StreamSourceOp
 from repro.dsms import DSMSEngine
 
@@ -69,26 +69,23 @@ class TestSharedGroup:
 
     def test_shared_operators_run_once_per_instant(self, monkeypatch):
         calls, outputs, received = Counter(), {}, {}
-        process_instant = StreamSourceOp.process_instant
-        apply = PhysicalOp.apply
         fold = ContinuousQuery._apply_instant
 
-        def counted_instant(op, t):
-            calls[id(op)] += 1
-            return process_instant(op, t)
-
-        def counted_apply(op, t, child_deltas, child_active):
-            calls[id(op)] += 1
-            outputs[id(op)] = apply(op, t, child_deltas, child_active)
-            return outputs[id(op)]
+        def counted(process):
+            def wrapper(op, t, child_deltas):
+                calls[id(op)] += 1
+                outputs[id(op)] = process(op, t, child_deltas)
+                return outputs[id(op)]
+            return wrapper
 
         def recorded_fold(query, t, deltas):
             received[id(query)] = deltas
             return fold(query, t, deltas)
 
-        monkeypatch.setattr(StreamSourceOp, "process_instant",
-                            counted_instant)
-        monkeypatch.setattr(PhysicalOp, "apply", counted_apply)
+        for cls in vars(executor).values():
+            if isinstance(cls, type) and issubclass(cls, PhysicalOp) \
+                    and "process" in vars(cls):
+                monkeypatch.setattr(cls, "process", counted(cls.process))
         monkeypatch.setattr(ContinuousQuery, "_apply_instant", recorded_fold)
         engine = cql_engine()
         group = engine.shared_group()
@@ -107,8 +104,7 @@ class TestSharedGroup:
             assert calls == Counter(
                 {id(op): 1 for op in group.distinct_operators()})
             for member in members:
-                deltas, _active = outputs[id(member._root)]
-                assert received[id(member)] is deltas
+                assert received[id(member)] is outputs[id(member._root)]
 
     def test_group_freezes_after_first_input(self):
         engine = cql_engine()

@@ -18,11 +18,13 @@ from collections import Counter
 
 import pytest
 
+import repro.obs as obs
 from repro.chaos import CrashFuse, install_crash
 from repro.core import ParseError, Schema, Stream
 from repro.cql import CQLEngine, kernels, lexer, parser, planner
 from repro.cql.executor import InstantEvaluator
 from repro.dsms import DSMSEngine
+from repro.obs.metrics import Counter as ObsCounter
 from repro.plan import rules
 from repro.plan.signature import plan_signature
 
@@ -289,6 +291,37 @@ class TestColdRegistrationCost:
         finally:
             sys.setprofile(None)
         assert built == {1: len(FLEET)}
+
+    def test_a_registration_builds_no_obs_counter(self):
+        """A query's tuple-flow tallies are plain ints, published straight
+        into the registry: registering keeps no obs counter beside them."""
+        engine = DSMSEngine()
+        engine.register_stream("Obs", OBS)
+        built = Counter()
+        code = ObsCounter.__init__.__code__
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                built[frame.f_locals["name"]] += 1
+
+        sys.setprofile(profiler)
+        try:
+            for n, text in enumerate(FLEET):
+                engine.register_query(f"q{n}", text)
+        finally:
+            sys.setprofile(None)
+        assert built == {}
+        engine.ingest("Obs", {"id": 1, "room": "a", "temp": 30}, t=1)
+        engine.run_until_idle()
+        engine.publish_observability()
+        registry = obs.get_registry()
+        for n in range(len(FLEET)):
+            metrics = engine.query(f"q{n}").metrics
+            assert {field: registry.counter(f"dsms.query.{field}",
+                                            query=f"q{n}").value
+                    for field in metrics.COUNTERS} == {
+                field: metrics.as_dict()[field] for field in metrics.COUNTERS}
+            assert metrics.ingested == 1
 
 
 # ---------------------------------------------------------------------------
