@@ -23,7 +23,6 @@ where duplicates are meaningful until an explicit DISTINCT.
 from __future__ import annotations
 
 import bisect
-from collections import Counter
 from itertools import groupby
 from operator import itemgetter
 from sys import getsizeof
@@ -37,42 +36,61 @@ from repro.core.time import Timestamp
 class Bag:
     """A finite multiset of hashable items (an instantaneous relation).
 
-    Thin, explicit wrapper over :class:`collections.Counter` providing the
-    multiset algebra the relational operators need: additive union, monus
-    (proper multiset difference), intersection, and support (distinct).
+    The multiset is an exact ``dict`` of item → multiplicity (not a
+    subclass such as :class:`collections.Counter`), so every fold, read
+    and copy runs on the builtin dict's fast paths.  Every multiplicity
+    held is positive: no entry holds zero or less, so two bags are equal
+    exactly when their dicts are.  On top sits the multiset algebra the
+    relational operators need: additive union, monus (proper multiset
+    difference), intersection, and support (distinct).
     """
 
     __slots__ = ("_counts",)
 
     def __init__(self, items: Iterable[Hashable] = ()) -> None:
-        self._counts: Counter = Counter(items)
+        """Count the elements of ``items``, each occurrence one copy."""
+        counts: dict[Hashable, int] = {}
+        if items:
+            if isinstance(items, Mapping):
+                raise TypeError(
+                    "Bag() counts an iterable's elements; build a bag from "
+                    "an item → multiplicity mapping with Bag.from_counts")
+            get = counts.get
+            for item in items:
+                counts[item] = get(item, 0) + 1
+        self._counts = counts
 
     @classmethod
-    def from_counts(cls, counts: dict[Hashable, int]) -> "Bag":
+    def from_counts(cls, counts: Mapping[Hashable, int]) -> "Bag":
         """Build directly from an item → multiplicity mapping."""
         bag = cls()
+        held = bag._counts
         for item, count in counts.items():
             if count < 0:
                 raise ValueError(f"negative multiplicity for {item!r}")
             if count:
-                bag._counts[item] = count
+                held[item] = count
         return bag
 
     def add(self, item: Hashable, count: int = 1) -> None:
         if count < 0:
             raise ValueError("cannot add a negative count")
         if count:
-            self._counts[item] += count
+            counts = self._counts
+            counts[item] = counts.get(item, 0) + count
 
     def discard(self, item: Hashable, count: int = 1) -> int:
         """Remove up to ``count`` copies; return how many were removed."""
-        have = self._counts.get(item, 0)
-        removed = min(have, count)
-        if removed == have:
-            self._counts.pop(item, None)
-        else:
-            self._counts[item] = have - removed
-        return removed
+        if count < 0:
+            raise ValueError("cannot discard a negative count")
+        counts = self._counts
+        have = counts.get(item, 0)
+        if count >= have:
+            counts.pop(item, None)
+            return have
+        if count:
+            counts[item] = have - count
+        return count
 
     def apply_signed(self, changes: Mapping[Hashable, int]) -> None:
         """Apply signed multiplicity changes in place, all or nothing:
@@ -105,11 +123,12 @@ class Bag:
         for item, change in changes.items():
             if item is failed:
                 return
-            left = counts.get(item, 0) - change
-            if left:
-                counts[item] = left
-            else:
-                counts.pop(item)
+            if change:  # a zero change was never applied
+                left = counts.get(item, 0) - change
+                if left:
+                    counts[item] = left
+                else:
+                    del counts[item]
 
     def count(self, item: Hashable) -> int:
         return self._counts.get(item, 0)
@@ -154,31 +173,41 @@ class Bag:
     def union(self, other: "Bag") -> "Bag":
         """Additive (bag) union: multiplicities add."""
         out = Bag()
-        out._counts = self._counts + other._counts
+        counts = out._counts = self._counts.copy()
+        get = counts.get
+        for item, count in other._counts.items():
+            counts[item] = get(item, 0) + count
         return out
 
     def difference(self, other: "Bag") -> "Bag":
         """Monus: multiplicities subtract, floored at zero."""
-        out = Bag()
-        out._counts = self._counts - other._counts
+        out, get = Bag(), other._counts.get
+        out._counts = {item: left for item, count in self._counts.items()
+                       if (left := count - get(item, 0)) > 0}
         return out
 
     def intersection(self, other: "Bag") -> "Bag":
         """Multiplicity-wise minimum."""
-        out = Bag()
-        out._counts = self._counts & other._counts
+        out, get = Bag(), other._counts.get
+        out._counts = {item: min(count, theirs)
+                       for item, count in self._counts.items()
+                       if (theirs := get(item, 0))}
         return out
 
     def max_union(self, other: "Bag") -> "Bag":
         """Multiplicity-wise maximum (set-style union lifted to bags)."""
         out = Bag()
-        out._counts = self._counts | other._counts
+        counts = out._counts = self._counts.copy()
+        get = counts.get
+        for item, count in other._counts.items():
+            if count > get(item, 0):
+                counts[item] = count
         return out
 
     def distinct(self) -> "Bag":
         """The support of the bag (every multiplicity clamped to 1)."""
         out = Bag()
-        out._counts = Counter(dict.fromkeys(self._counts, 1))
+        out._counts = dict.fromkeys(self._counts, 1)
         return out
 
     def map(self, fn: Callable[[Any], Any]) -> "Bag":
@@ -191,21 +220,18 @@ class Bag:
     def filter(self, predicate: Callable[[Any], bool]) -> "Bag":
         """Keep only items satisfying ``predicate``."""
         out = Bag()
-        for item, count in self._counts.items():
-            if predicate(item):
-                out._counts[item] = count
+        out._counts = {item: count for item, count in self._counts.items()
+                       if predicate(item)}
         return out
 
     def copy(self) -> "Bag":
-        # ``dict.update`` into the new empty Counter copies in C, without
-        # ``Counter.copy``'s second Counter and Python-level ``update``.
         out = Bag()
-        dict.update(out._counts, self._counts)
+        out._counts = self._counts.copy()
         return out
 
     def __sizeof__(self) -> int:
-        # The Bag and the Counter it owns, i.e. what :meth:`copy`
-        # allocates; the items are shared and not counted.
+        # The Bag and the dict it owns, i.e. what :meth:`copy` allocates;
+        # the items are shared and not counted.
         return object.__sizeof__(self) + getsizeof(self._counts)
 
 
@@ -314,7 +340,7 @@ def labelled(rows: Bag, schema: Schema | None) -> Bag:
     if schema is None:
         return rows.copy()
     out, counts = Bag(), rows._counts
-    dict.update(out._counts, zip(
+    out._counts = dict(zip(
         [trusted_record(schema, values) for values in counts],
         counts.values()))
     return out

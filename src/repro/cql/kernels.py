@@ -52,7 +52,7 @@ code.
 from __future__ import annotations
 
 import linecache
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from functools import partial
 from itertools import count
 from operator import attrgetter
@@ -83,7 +83,8 @@ class _MinMaxAccumulator:
     __slots__ = ("_counts",)
 
     def __init__(self) -> None:
-        self._counts: Counter = Counter()
+        # An exact dict of value → copies held, each positive.
+        self._counts: dict[Any, int] = {}
 
     def copy(self) -> "_MinMaxAccumulator":
         out = _MinMaxAccumulator()
@@ -91,7 +92,7 @@ class _MinMaxAccumulator:
         return out
 
     def __sizeof__(self) -> int:
-        # What :meth:`copy` allocates: this object and its Counter.
+        # What :meth:`copy` allocates: this object and its dict.
         return object.__sizeof__(self) + getsizeof(self._counts)
 
     def add(self, value: Any, mult: int) -> None:

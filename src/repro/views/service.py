@@ -133,6 +133,10 @@ class DynamicTable:
         #: last ``HISTORY_LIMIT`` refreshes, oldest first.  Replaced, never
         #: changed in place, so a barrier keeps it by reference.
         self.history: tuple[int, ...] = ()
+        #: ``(registry, lag gauge, rows counter)``, bound by
+        #: :meth:`refresh_metrics`.
+        self._refresh_metrics: tuple[
+            obs.MetricsRegistry, obs.Gauge, obs.Counter] | None = None
 
     def operators(self) -> list[tuple[str, PhysicalOp]]:
         """Every physical operator, depth-first, labelled as
@@ -153,6 +157,20 @@ class DynamicTable:
 
     def record_version(self, version: int) -> None:
         self.history = (*self.history, version)[-HISTORY_LIMIT:]
+
+    def refresh_metrics(self) -> tuple[obs.Gauge, obs.Counter]:
+        """This view's ``views.refresh.lag`` gauge and
+        ``views.refresh.rows`` counter in the live registry: looked up
+        once, and again only after :func:`repro.obs.reset` has replaced
+        the registry."""
+        registry = obs.get_registry()
+        bound = self._refresh_metrics
+        if bound is None or bound[0] is not registry:
+            bound = self._refresh_metrics = (
+                registry,
+                registry.gauge("views.refresh.lag", view=self.name),
+                registry.counter("views.refresh.rows", view=self.name))
+        return bound[1], bound[2]
 
 
 class _Schedule(NamedTuple):
@@ -376,9 +394,9 @@ class DynamicTableService:
         view.version = target
         view.refreshes += 1
         view.record_version(target)
-        registry = obs.get_registry()
-        registry.gauge("views.refresh.lag", view=view.name).set(lag)
-        registry.counter("views.refresh.rows", view=view.name).inc(changed)
+        lag_gauge, rows = view.refresh_metrics()
+        lag_gauge.set(lag)
+        rows.inc(changed)
         return changed
 
     def tick(self, to: int | None = None) -> list[str]:

@@ -1,5 +1,7 @@
 """Tests for bags and time-varying relations (paper Definition 3.1)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import (
@@ -40,6 +42,21 @@ class TestBag:
     def test_add_negative_rejected(self):
         with pytest.raises(ValueError):
             Bag().add("x", -1)
+
+    def test_discard_negative_rejected(self):
+        bag = Bag(["a"])
+        with pytest.raises(ValueError, match="negative"):
+            bag.discard("a", -2)
+        with pytest.raises(ValueError, match="negative"):
+            bag.discard("b", -1)
+        assert bag == Bag(["a"])
+        assert len(bag) == 1 and "b" not in bag
+
+    def test_construction_from_a_mapping_points_at_from_counts(self):
+        for counts in ({"x": 0, "y": -1}, {"x": 2}, Counter({"x": 2})):
+            with pytest.raises(TypeError, match="Bag.from_counts"):
+                Bag(counts)
+        assert Bag({}) == Bag() == Bag.from_counts({})
 
     def test_iteration_respects_multiplicity(self):
         assert sorted(Bag(["a", "a", "b"])) == ["a", "a", "b"]
@@ -96,6 +113,12 @@ class TestBag:
         with pytest.raises(StateError):
             bag.apply_signed({"a": 1, "b": -3})
         assert bag == before
+
+    def test_a_zero_change_before_a_refused_retraction(self):
+        bag = Bag(["a"])
+        with pytest.raises(StateError, match="retraction of absent"):
+            bag.apply_signed({"z": 0, "a": 0, "b": -1})
+        assert bag == Bag(["a"])
 
 
 class TestTimeVaryingRelation:

@@ -422,6 +422,50 @@ class TestObsMetrics:
         finally:
             obs.disable()
 
+    @staticmethod
+    def refreshed(service, at):
+        service.apply("orders", inserts=[{"region": "eu", "amount": at}],
+                      at=at)
+        return service.refresh("totals")
+
+    def make_totals(self):
+        service = make_service()
+        service.execute(
+            "CREATE DYNAMIC TABLE totals AS SELECT region, "
+            "SUM(amount) AS total FROM orders GROUP BY region "
+            "EMIT CHANGES")
+        return service
+
+    def test_a_refresh_after_the_first_looks_up_no_metric(self, monkeypatch):
+        from repro.obs.registry import MetricsRegistry
+        service = self.make_totals()
+        self.refreshed(service, 1)
+        lookups = []
+
+        def counted(name):
+            original = getattr(MetricsRegistry, name)
+
+            def lookup(self, *args, **labels):
+                lookups.append(args[0])
+                return original(self, *args, **labels)
+            monkeypatch.setattr(MetricsRegistry, name, lookup)
+        for name in ("counter", "gauge", "histogram", "get"):
+            counted(name)
+        for at in range(2, 6):
+            assert self.refreshed(service, at) == 2
+        assert lookups == []
+
+    def test_a_refresh_after_reset_publishes_into_the_live_registry(self):
+        import repro.obs as obs
+        service = self.make_totals()
+        self.refreshed(service, 1)
+        obs.reset()
+        changed = self.refreshed(service, 3)
+        registry = obs.get_registry()
+        assert registry.get("views.refresh.rows", view="totals").value \
+            == changed == 2
+        assert registry.get("views.refresh.lag", view="totals").value == 2
+
 
 class TestStringAggregates:
     """COUNT/MIN/MAX need no arithmetic, so they work over any orderable

@@ -18,7 +18,12 @@ at the run length its own ``BENCHMARK.json`` sets.
 Each workload prints one block: a line per run, then per metric each
 side's median and quartiles, the change of the medians, whether that
 change exceeds the base's interquartile range, and the pairs the change
-won (by the metric's ``better`` direction in ``BENCHMARK.json``).
+won (by the metric's ``better`` direction in ``BENCHMARK.json``), then
+the verdict: ``claim`` says whether the change meets the rule for
+claiming a gain on that metric (wins in at least 9 of 10 pairs and a
+median better by more than the base's interquartile range), ``bound``
+whether an end-to-end metric's median stays within the ``bound``
+``BENCHMARK.json`` gives it (``ok``), or is worse by more (``WORSE``).
 ``--trace`` runs ``--trace 1`` and compares the per-layer metrics
 instead of the end-to-end ones.
 """
@@ -33,6 +38,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,24 +75,58 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarise(series: dict[str, list[dict]], better: dict[str, str]) -> None:
+class Verdict(NamedTuple):
+    """One metric's comparison over the pairs: each side's ``(q1, median,
+    q3)``, the relative change of the medians, whether the change is
+    better by more than the base's interquartile range, the pairs it
+    won, whether that meets the rule for claiming a gain, and whether
+    the median stays within the metric's bound (None: it declares
+    none)."""
+
+    base: tuple[float, float, float]
+    change: tuple[float, float, float]
+    delta: float
+    beyond: bool
+    wins: int
+    claim: bool
+    within: bool | None
+
+
+def compare(a: list[float], b: list[float], better: str,
+            bound: float | None) -> Verdict:
+    """Compare the base runs ``a`` with the change runs ``b`` (pair ``i``
+    is ``a[i]``, ``b[i]``).  A claimed gain needs wins in at least 9 of
+    every 10 pairs and a median better by more than the base's
+    interquartile range; a metric stays within its ``bound`` unless its
+    median is worse than the base median by more than that fraction."""
+    (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    beyond = sign * (bm - am) > a3 - a1
+    within = None if bound is None else -sign * (bm - am) <= bound * abs(am)
+    return Verdict((a1, am, a3), (b1, bm, b3),
+                   (bm - am) / am if am else float("nan"), beyond, wins,
+                   beyond and 10 * wins >= 9 * len(a), within)
+
+
+def summarise(series: dict[str, list[dict]], better: dict[str, str],
+              bounds: dict[str, float]) -> None:
     base, change = series["base"], series["change"]
     print(f"\n{'metric':26s} {'base median [q1, q3]':>30s} "
           f"{'change median [q1, q3]':>30s} {'delta':>8s} "
-          f"{'> base IQR':>10s} {'wins':>6s}")
+          f"{'> base IQR':>10s} {'wins':>6s} {'claim':>6s} {'bound':>6s}")
     for name in base[0]:
-        a = [run[name] for run in base]
-        b = [run[name] for run in change]
-        (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
-        sign = 1 if better.get(name, "lower") == "higher" else -1
-        wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
-        delta = (bm - am) / am if am else float("nan")
-        beyond = sign * (bm - am) > a3 - a1
+        verdict = compare([run[name] for run in base],
+                          [run[name] for run in change],
+                          better.get(name, "lower"), bounds.get(name))
         spread = [f"{m:.5g} [{q1:.5g}, {q3:.5g}]"
-                  for q1, m, q3 in ((a1, am, a3), (b1, bm, b3))]
+                  for q1, m, q3 in (verdict.base, verdict.change)]
+        bound = {None: "-", True: "ok", False: "WORSE"}[verdict.within]
         print(f"{name:26s} {spread[0]:>30s} {spread[1]:>30s} "
-              f"{delta:+8.1%} {'yes' if beyond else 'no':>10s} "
-              f"{wins:3d}/{len(a)}")
+              f"{verdict.delta:+8.1%} "
+              f"{'yes' if verdict.beyond else 'no':>10s} "
+              f"{verdict.wins:3d}/{len(base)} "
+              f"{'yes' if verdict.claim else 'no':>6s} {bound:>6s}")
 
 
 def main(argv: list[str]) -> int:
@@ -101,6 +141,7 @@ def main(argv: list[str]) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     declared = [w["name"] for w in spec["workloads"]]
     workloads = declared if args.workload == "all" \
         else args.workload.split(",")
@@ -124,7 +165,7 @@ def main(argv: list[str]) -> int:
                           + " ".join(f"{k}={v:.5g}"
                                      for k, v in metrics.items()),
                           flush=True)
-            summarise(series, better)
+            summarise(series, better, bounds)
     return 0
 
 
