@@ -4,7 +4,8 @@ A two-level view DAG (grouped SUM/COUNT -> HAVING-style filter) is kept
 fresh over a 10k-row base table while skewed updates hammer a small hot
 key set.  At every refresh instant the incremental path (CDC deltas
 through the kernel delta operators) is pinned for exact parity against
-:func:`repro.views.reference.recompute`, then the two are timed: the
+:func:`repro.views.recompute` (the one reference, re-exported from
+:mod:`repro.cql.reference`), then the two are timed: the
 claim is that delta maintenance beats full recompute by >=5x on skewed
 updates, while the measured staleness never exceeds the configured
 ``target_lag`` — with the upper view's lag derived via ``DOWNSTREAM``

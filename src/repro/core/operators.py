@@ -151,19 +151,9 @@ def rename(relation: TimeVaryingRelation, schema: Schema) -> TimeVaryingRelation
 
 def cross(left: TimeVaryingRelation,
           right: TimeVaryingRelation) -> TimeVaryingRelation:
-    """× — bag Cartesian product, pointwise in time."""
-    schema = None
-    if left.schema and right.schema:
-        schema = left.schema.concat(right.schema)
-
-    def product(lbag: Bag, rbag: Bag) -> Bag:
-        out = Bag()
-        for litem, lcount in lbag.items():
-            for ritem, rcount in rbag.items():
-                out.add(litem.concat(ritem), lcount * rcount)
-        return out
-
-    return left.lift(product, right, schema=schema)
+    """× — bag Cartesian product, pointwise in time: the equi-join on no
+    columns."""
+    return equijoin(left, right, (), ())
 
 
 def join(left: TimeVaryingRelation, right: TimeVaryingRelation,
@@ -246,7 +236,9 @@ class AggregateKind(enum.Enum):
     MAX = "max"
 
 
-def _compute_aggregate(kind: AggregateKind, values: list[Any]) -> Any:
+def fold_aggregate(kind: AggregateKind, values: list[Any]) -> Any:
+    """One aggregate over its non-NULL argument values, each repeated by
+    multiplicity: COUNT counts them, the others are NULL over none."""
     if kind is AggregateKind.COUNT:
         return len(values)
     if not values:
@@ -306,11 +298,7 @@ def aggregate(relation: TimeVaryingRelation,
                 column_values = ([1] * len(rows) if spec.column is None
                                  else [r[spec.column] for r in rows
                                        if r[spec.column] is not None])
-                if spec.kind is AggregateKind.COUNT:
-                    values.append(len(column_values))
-                else:
-                    values.append(
-                        _compute_aggregate(spec.kind, column_values))
+                values.append(fold_aggregate(spec.kind, column_values))
             out.add(Record(schema, values, validate=False))
         return out
 

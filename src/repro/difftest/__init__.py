@@ -6,7 +6,8 @@ reference evaluator at every instant — Krämer & Seeger's
 *snapshot-reducibility*, made machine-checkable.  This package fuzzes
 random (query, stream) pairs through
 
-* ``repro.cql.reference`` — the denotational ground truth,
+* ``repro.cql.reference`` — the one denotational ground truth (the
+  views leg checks every view against its ``recompute`` too),
 * ``repro.cql.executor`` and ``repro.dsms`` — the incremental executor
   and the DSMS engine, one driver over a configuration matrix
   (``Config``), so feature combinations are fuzzed too,

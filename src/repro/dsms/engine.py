@@ -101,6 +101,8 @@ class SchedulingUnit:
         #: whether it reads every stream the group reads)``.
         self._books: list[tuple[QueryMetrics, ContinuousQuery, bool]] = []
         self._sources: list[StreamSourceOp] = []
+        #: The ``id`` of each operator the unit's Scratch account holds.
+        self._accounted: set[int] = set()
         #: The sources' evictions the Throw has already passed.
         self._evicted = 0
 
@@ -115,26 +117,30 @@ class SchedulingUnit:
         elif batch_size is not None:
             self.batch_size = min(self.batch_size, batch_size)
         self.members.append(handle)
-        self.bind_operators()
+        self._bind()
 
     def bind_operators(self) -> None:
-        """(Re)open the unit's Scratch account over the group's current
-        distinct operators, re-base eviction accounting on its sources
-        and re-read which member reads which stream.
-
-        Called when a member joins and again after a live rescale, when
-        the old width's operators are dead and new ones hold the state.
-        The account covers every partition of a fissioned query —
-        fissioned state is still this query's state.
-        """
+        """Reopen the unit's Scratch account over the group's current
+        distinct operators: after a live rescale, the old width's are
+        dead and new ones (every partition's) hold the state."""
         self._scratch.unregister(self)
+        self._accounted.clear()
         self._sources = []
+        self._bind()
+
+    def _bind(self) -> None:
+        """Account the group's distinct operators the unit's Scratch
+        account does not hold yet (a joining member's own), re-base
+        eviction accounting on its sources and re-read which member
+        reads which stream."""
         for op in self.group.distinct_operators():
-            if hasattr(op, "state_size"):
-                self._scratch.register(
-                    self, f"{self.name}/{type(op).__name__}", op)
-                if isinstance(op, StreamSourceOp):
-                    self._sources.append(op)
+            if id(op) in self._accounted or not hasattr(op, "state_size"):
+                continue
+            self._accounted.add(id(op))
+            self._scratch.register(
+                self, f"{self.name}/{type(op).__name__}", op)
+            if isinstance(op, StreamSourceOp):
+                self._sources.append(op)
         self._evicted = self._evictions()
         streams = self.group._sources
         self._readers = {

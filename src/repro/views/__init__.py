@@ -10,16 +10,17 @@ algebra for continuous queries and view maintenance.
 
 Module map:
 
-* :mod:`repro.views.reference` — full-recompute reference evaluator
 * :mod:`repro.views.dag` — dependency-graph scheduling helpers
 * :mod:`repro.views.service` — tables, views, the refresh scheduler
 
 Each table and view keeps its contents and CDC deltas in one
 :class:`repro.core.relation.Changelog` (re-exported here), the delta log
-a standing query's answer keeps too.
+a standing query's answer keeps too.  Views are checked against
+:func:`recompute`, the one reference (:mod:`repro.cql.reference`).
 """
 
 from repro.core.relation import Changelog
+from repro.cql.reference import recompute
 from repro.views.dag import (
     DOWNSTREAM,
     below_suspended,
@@ -28,7 +29,6 @@ from repro.views.dag import (
     effective_lags,
     topo_order,
 )
-from repro.views.reference import recompute
 from repro.views.service import (
     BaseTable,
     DynamicTable,

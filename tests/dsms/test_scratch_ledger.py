@@ -427,3 +427,32 @@ def test_fig3_table_is_byte_identical():
         (200, 29, 150, 0, 23.953333333333333, 29),
         (800, 89, 150, 0, 63.413333333333334, 89),
     ]
+
+
+class CountingScratch(Scratch):
+    """Counts the holders registered over the ledger's life."""
+
+    registered = 0
+
+    def register(self, owner, label, holder):
+        self.registered += 1
+        super().register(owner, label, holder)
+
+
+@pytest.mark.parametrize("members", [8, 16, 32])
+def test_a_joining_member_registers_only_the_operators_it_brings(members):
+    """A shared unit's account grows by what each member adds: as many
+    registrations as distinct stateful operators, not one per operator
+    per join (quadratic in members)."""
+    engine = make_engine("sharing", scratch=CountingScratch())
+    for i in range(members):
+        engine.register_query(
+            f"q{i}", f"SELECT room, COUNT(*) AS n FROM Obs [Range {i + 1}] "
+                     f"GROUP BY room")
+    assert len(stateful_operators(engine)) == 2 * members
+    assert engine.scratch.registered == 2 * members
+    for t in range(40):
+        engine.ingest("Obs", {"id": t % 6, "room": ROOMS[t % 4],
+                              "temp": t % 17}, t)
+    engine.run_until_idle()
+    assert_ledger_exact(engine)

@@ -19,6 +19,7 @@ from repro.chaos import (
     run_query_with_recovery,
 )
 from repro.core import Schema, SchemaError, Stream, TimeError
+from repro.cql import reference_evaluate
 from repro.sql import SQLEngine, run_sql
 from tests.cql.test_keyed_state import operator_state, plain
 
@@ -170,3 +171,24 @@ class TestSemantics:
     def test_rows_replay_in_timestamp_order(self):
         assert rows_of(run_sql(TUMBLE, SCHEMA, "Obs", ROWS[::-1])) \
             == rows_of(run_sql(TUMBLE, SCHEMA, "Obs", ROWS))
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT COUNT(*) AS n, SUM(temp) AS s FROM Obs EMIT CHANGES",
+    "SELECT room, COUNT(*) AS n, MAX(temp) AS hi FROM Obs "
+    "GROUP BY room EMIT CHANGES",
+    "SELECT room, temp FROM Obs WHERE temp > 3 EMIT CHANGES",
+])
+def test_a_standing_query_agrees_with_the_reference(text):
+    """The denotational reference evaluates a SQL standing query — a
+    running aggregate included — and the executor's emissions equal its
+    stream, instant by instant."""
+    sql = engine()
+    query = sql.query(text)
+    streams = {"Obs": Stream.of_records(SCHEMA, ROWS)}
+    query.run_recorded(streams)
+    reference = reference_evaluate(query.plan, sql.catalog, streams)
+    produced = query.emitted_stream()
+    assert reference.values()
+    assert produced.timestamps() == reference.timestamps()
+    assert produced.values() == reference.values()

@@ -5,6 +5,7 @@ declares them."""
 
 import importlib.util
 import json
+import os
 import pathlib
 
 import pytest
@@ -80,3 +81,29 @@ def test_the_summary_prints_the_verdict_columns(pairs, capsys):
     assert rows == {"throughput_eps": ["10/10", "yes", "ok"],
                     "peak_rss_mb": ["0/10", "no", "WORSE"],
                     "views.tick.busy_s": ["10/10", "yes", "-"]}
+
+
+def test_each_run_compiles_from_source(pairs, monkeypatch, tmp_path):
+    """Both sides run with no bytecode written and an empty cache
+    prefix, so a ``__pycache__`` one tree happens to hold is not read."""
+    seen = {}
+
+    def fake_run(command, cwd, env, **kwargs):
+        seen.update(env=env, cache=sorted(
+            pathlib.Path(env["PYTHONPYCACHEPREFIX"]).iterdir()))
+
+        class Done:
+            returncode = 0
+            stdout = json.dumps({"failed": 0, "metrics": {
+                "peak_rss_mb": {"value": 24.0}}})
+        return Done()
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path))
+    assert pairs.run(tmp_path, "join_recover", False, 1) \
+        == {"peak_rss_mb": 24.0}
+    env = seen["env"]
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert env["PYTHONPYCACHEPREFIX"] != str(tmp_path)
+    assert seen["cache"] == []
+    assert env["PATH"] == os.environ["PATH"]
