@@ -5,7 +5,7 @@ export PYTHONPATH
 
 .PHONY: test lint bench bench-plan bench-recovery \
 	bench-profile bench-views bench-rescale \
-	cqbench-smoke cqbench-pairs cqbench-tests chaos fuzz fuzz-quick
+	cqbench-smoke cqbench-pairs cqbench-tests census chaos fuzz fuzz-quick
 
 # The tier-1 suite, then cqbench's 3-second smoke run: a change that
 # breaks a workload's correctness check fails the default target too.
@@ -79,6 +79,15 @@ TRACE ?= 0
 cqbench-pairs:
 	$(PYTHON) tools/cqbench_pairs.py --workload $(W) --pairs $(N) --base $(BASE) \
 		$(if $(filter 1,$(TRACE)),--trace)
+
+# Calls per service quantum of workload W (one name, a comma list, or
+# "all"), by function: one seed-1 pass under sys.setprofile at a fixed
+# hash seed, so two runs of one tree print the same counts.  Given BASE
+# (on the command line or in the environment), the diff against that
+# revision instead (exported with git archive), largest movers first.
+census:
+	$(PYTHON) tools/call_census.py --workload $(W) \
+		$(if $(filter-out default file,$(origin BASE)),--base $(BASE))
 
 # The benchmark's own tests (fold, canary scaling, tracer, workload
 # references); not part of the tier-1 suite.

@@ -368,12 +368,15 @@ class Changelog:
     batch retained.
     """
 
-    __slots__ = ("contents", "_versions", "_batches")
+    __slots__ = ("contents", "size", "_versions", "_batches")
 
     def __init__(self) -> None:
         #: The relation now.  Changed only through :meth:`commit` and
         #: :meth:`truncate`; readers that keep it must copy it.
         self.contents = Bag()
+        #: ``len(contents)``, its total multiplicity, kept by the same
+        #: two methods: reading it does not walk the contents.
+        self.size = 0
         self._versions: list[int] = []
         self._batches: list[tuple[tuple, tuple]] = []
 
@@ -405,8 +408,10 @@ class Changelog:
                 f"changelog versions must not decrease: {version} after "
                 f"{versions[-1]}")
         self.contents.apply_signed(net)
+        weights = tuple(net.values())
+        self.size += sum(weights)
         versions.append(version)
-        self._batches.append((tuple(net), tuple(net.values())))
+        self._batches.append((tuple(net), weights))
         return net
 
     def truncate(self, length: int) -> None:
@@ -416,6 +421,7 @@ class Changelog:
         undo = self.contents.apply_signed
         for rows, weights in reversed(self._batches[length:]):
             undo(_negated(rows, weights))
+            self.size -= sum(weights)
         del self._versions[length:]
         del self._batches[length:]
 
@@ -489,6 +495,11 @@ class Changelog:
         return ((version, tuple(zip(rows, weights)))
                 for version, (rows, weights)
                 in zip(self._versions[start:], self._batches[start:]))
+
+    def weights(self, start: int = 0) -> list[tuple[int, ...]]:
+        """Each retained batch's weights from position ``start`` on (a
+        length the log had), oldest first, in the batch's row order."""
+        return [weights for _, weights in self._batches[start:]]
 
     def __len__(self) -> int:
         """The number of batches retained."""

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_right
 from collections import defaultdict, deque
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from sys import getsizeof
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -79,8 +80,14 @@ from repro.plan.sharing import SubplanMemo, memo_key
 #: A signed row change flowing between physical operators: a bare
 #: ``(values, multiplicity)`` pair, built and read by position.  The values
 #: tuple hashes in C, and a batch of pairs folds into a ``dict`` in one
-#: call (see :meth:`ContinuousQuery._apply_instant`).
+#: call (see :meth:`SharedGroup._process_instant`).
 Delta = tuple[tuple, int]
+
+#: The multiplicity columns ``zip(rows, ...)`` pairs a batch of rows
+#: with, building its deltas in C.  An endless ``repeat`` keeps no
+#: position, so every zip may share one.
+_INSERTED = repeat(1)
+_RETRACTED = repeat(-1)
 
 
 def _values_at(indexes: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -382,14 +389,24 @@ class StreamSourceOp(PhysicalOp):
                 else:
                     bucket.extend(staged)
                 state.tally += len(staged)
-                state.mark((expiry,))
-            due = [expiry for expiry in expiries if expiry <= t]
-            if due:
-                due.sort()
-                state.mark(due)
+                if state.marking:
+                    state.mark((expiry,))
+            earliest = min(expiries, default=None)
+            if earliest is not None and earliest <= t:
+                # The buckets due, in order, found in C: the earliest
+                # alone when it is due now (keys are distinct), else a
+                # prefix of the sorted expiries (a rollback re-inserts
+                # buckets, so the dict's own order is not theirs).
+                if earliest == t:
+                    due = [t]
+                else:
+                    buckets = sorted(expiries)
+                    due = buckets[:bisect_right(buckets, t)]
+                if state.marking:
+                    state.mark(due)
                 for expiry in due:
                     expired = expiries.pop(expiry)
-                    out.extend([(row, -1) for row in expired])
+                    out.extend(zip(expired, _RETRACTED))
                     self.evicted += len(expired)
                     state.tally -= len(expired)
         if not staged:
@@ -412,7 +429,8 @@ class StreamSourceOp(PhysicalOp):
                     self.evicted += 1
                 else:
                     state.tally += 1
-            state.mark(keys)
+            if state.marking:
+                state.mark(keys)
         elif kind is WindowSpecKind.ROWS:
             fifo = self._fifo
             for row in staged:
@@ -422,7 +440,7 @@ class StreamSourceOp(PhysicalOp):
                     out.append((fifo.popleft(), -1))
                     self.evicted += 1
         else:
-            out.extend([(row, 1) for row in staged])
+            out.extend(zip(staged, _INSERTED))
         staged.clear()
         return out
 
@@ -491,8 +509,9 @@ class GroupWindowSourceOp(PhysicalOp):
             arrivals = defaultdict(list)
             for values in staged:
                 arrivals[self._key_fn(values)].append(values)
-        self._rows.mark(arrivals)
-        self._spans.mark(arrivals)
+        for state in (self._rows, self._spans):
+            if state.marking:
+                state.mark(arrivals)
         for key, new in arrivals.items():
             rows = held.setdefault(key, [])
             old = spans.get(key)
@@ -512,8 +531,9 @@ class GroupWindowSourceOp(PhysicalOp):
             self._rows.tally += len(new)
             self._agenda.schedule(span[1])
         due = [key for key, (_, end) in spans.items() if end <= t]
-        self._rows.mark(due)
-        self._spans.mark(due)
+        for state in (self._rows, self._spans):
+            if state.marking:
+                state.mark(due)
         for key in due:
             span, rows = spans.pop(key), held.pop(key)
             out.extend([(values + span, -1) for values in rows])
@@ -774,7 +794,8 @@ class DistinctOp(PhysicalOp):
 
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
-        self._counts.mark(values for values, _ in deltas)
+        if self._counts.marking:
+            self._counts.mark(values for values, _ in deltas)
         counts = self._counts.data
         out: list[Delta] = []
         for values, mult in deltas:
@@ -815,7 +836,8 @@ class AppendOnlyDistinctOp(DistinctOp):
 
     def process(self, t, child_deltas):
         (deltas,) = child_deltas
-        self._seen.mark(values for values, _ in deltas)
+        if self._seen.marking:
+            self._seen.mark(values for values, _ in deltas)
         seen = self._seen.data
         out: list[Delta] = []
         for values, mult in deltas:
@@ -869,7 +891,8 @@ class SetOpOp(PhysicalOp):
                     held.pop(values, None)
                 touched[values] = None
         for state in (self._left, self._right, self._out):
-            state.mark(touched)
+            if state.marking:
+                state.mark(touched)
         left, right, current = \
             self._left.data, self._right.data, self._out.data
         out: list[Delta] = []
@@ -1273,7 +1296,7 @@ class InstantEvaluator:
             op.emitted += len(deltas)
             batches.append(deltas)
             active.append(touched or bool(deltas))
-        return [batches[slot] for slot in self._roots]
+        return list(map(batches.__getitem__, self._roots))
 
 
 #: The evaluator of a group with no members: it runs nothing, so one
@@ -1326,33 +1349,6 @@ def coerce_arrivals(catalog: Catalog,
             for name, rows in arrivals.items()]
 
 
-def stage_arrivals(sources: Mapping[str, list["StreamSourceOp"]],
-                   arrivals: Sequence[tuple[str, list[tuple]]],
-                   timestamp: Timestamp,
-                   routes: Mapping[str, tuple[Callable, list]] | None = None,
-                   ) -> None:
-    """Stage an instant's validated arrivals — ``(stream, rows)`` pairs,
-    one per stream — into every source reading each stream (with
-    ``routes``, a fissioned query's, only into the partition owning a
-    row's key); a stream no source reads is refused first.  The one
-    staging path of every :class:`SharedGroup`."""
-    for name, _ in arrivals:
-        if not sources.get(name):
-            raise PlanError(f"no source here reads stream {name!r}")
-    for name, rows in arrivals:
-        if routes is None:
-            for source in sources[name]:
-                source.stage_many(rows, timestamp)
-            continue
-        router, partitions = routes[name]
-        parts: list[list[tuple]] = [[] for _ in partitions]
-        for values in rows:
-            parts[router(values)].append(values)
-        for part, owned in zip(parts, partitions):
-            for source in owned:
-                source.stage_many(part, timestamp)
-
-
 # ---------------------------------------------------------------------------
 # The continuous query driver
 # ---------------------------------------------------------------------------
@@ -1399,8 +1395,8 @@ class SharedGroup:
     member), one :class:`InstantEvaluator` over the members' roots that
     runs each operator once per instant, and the checkpoint.  Any
     member's feeding call advances every member in lockstep, which keeps
-    shared window state sound; each member folds its own root batch
-    (:meth:`ContinuousQuery._apply_instant`).  The group's feeding calls
+    shared window state sound; each member's root batch folds into its
+    own change-log (:meth:`_process_instant`).  The group's feeding calls
     return nothing: a member's own feeding calls return its emissions.
 
     Members join while the group is *cold*; once data has flowed it is
@@ -1422,6 +1418,8 @@ class SharedGroup:
         self._cursor: Timestamp | None = None
         #: Bytes the last :meth:`snapshot` allocated; None before the first.
         self.barrier_bytes: int | None = None
+        #: ``(registry, histogram)`` of :meth:`_instant_seconds`.
+        self._bound: tuple | None = None
         self._rebuild()
 
     # -- membership ----------------------------------------------------------
@@ -1527,14 +1525,44 @@ class SharedGroup:
         tuples, as ``(stream, rows)`` pairs (one per stream), plus
         relation ``updates`` for members' relation sources: the one
         instant path, which the DSMS calls directly with the queue's runs
-        of the rows its ``ingest`` validated."""
-        check_feed_time(timestamp, self._cursor)
-        for instant in self.agenda.due(timestamp - 1):
-            self._process_instant(instant)
-        stage_arrivals(self._sources, arrivals, timestamp, self._routes)
+        of the rows its ``ingest`` validated.
+
+        It runs once per DSMS quantum, so it calls only what has work to
+        do: :func:`check_feed_time` only to raise, and the agenda only
+        when a peek at its heap shows an instant due."""
+        cursor = self._cursor
+        if timestamp < MIN_TIMESTAMP or (
+                cursor is not None and timestamp < cursor):
+            check_feed_time(timestamp, cursor)
+        agenda = self.agenda
+        heap = agenda._heap
+        if heap and heap[0] < timestamp:
+            for instant in agenda.due(timestamp - 1):
+                self._process_instant(instant)
+        # Stage each stream's rows into every distinct source reading it
+        # (a fissioned member's, only into the partition owning a row's
+        # key); a stream no source reads is refused first.
+        sources, routes = self._sources, self._routes
+        for name, _ in arrivals:
+            if not sources.get(name):
+                raise PlanError(f"no source here reads stream {name!r}")
+        for name, rows in arrivals:
+            if routes is None:
+                for source in sources[name]:
+                    source.stage_many(rows, timestamp)
+                continue
+            router, partitions = routes[name]
+            parts: list[list[tuple]] = [[] for _ in partitions]
+            for values in rows:
+                parts[router(values)].append(values)
+            for part, owned in zip(parts, partitions):
+                for source in owned:
+                    source.stage_many(part, timestamp)
         for source, delta in updates:
             source.stage_updates([delta])
-        self.agenda.due(timestamp)  # consume anything scheduled == now
+        heap = agenda._heap
+        if heap and heap[0] <= timestamp:
+            agenda.due(timestamp)  # consume anything scheduled == now
         self._process_instant(timestamp)
         self._started = True
 
@@ -1551,18 +1579,35 @@ class SharedGroup:
 
     def _process_instant(self, t: Timestamp) -> None:
         """Run one instant through the DAG, each operator once, and fold
-        each member's root batch into that member."""
+        each member's root batch into that member's change-log.
+
+        The log commits the *net* change R(τ) − R(τ−), the only change
+        the reference semantics sees; an instant folded in several quanta
+        commits one batch per fold.  The emissions are read off the log
+        (:meth:`ContinuousQuery._emitted`), so the fold labels nothing.
+        All or nothing: a refused retraction leaves the member's answer,
+        its log and the group's clock as they were."""
         if _obs_state.enabled:
             started = time.perf_counter()
             batches = self._evaluator.run(t)
-            _obs_registry().histogram(
-                "exec.query.instant_eval_seconds", layer="cql").observe(
-                    time.perf_counter() - started)
+            self._instant_seconds().observe(time.perf_counter() - started)
         else:
             batches = self._evaluator.run(t)
         for query, deltas in zip(self.members, batches):
-            query._apply_instant(t, deltas)
+            query._deltas_processed += len(deltas)
+            query._log.commit(t, deltas)
         self._cursor = t
+
+    def _instant_seconds(self):
+        """The ``exec.query.instant_eval_seconds`` histogram of the live
+        registry: looked up once, and again only after
+        :func:`repro.obs.reset` replaced the registry."""
+        registry = _obs_registry()
+        bound = self._bound
+        if bound is None or bound[0] is not registry:
+            bound = self._bound = (registry, registry.histogram(
+                "exec.query.instant_eval_seconds", layer="cql"))
+        return bound[1]
 
     # -- checkpointing -------------------------------------------------------
 
@@ -1677,7 +1722,8 @@ class ContinuousQuery:
         #: (operator name, depth-first index, field) → amount.
         self._retired_growth: dict[tuple[str, int, str], int] = {}
         #: The answer and its history: the maintained relation plus one
-        #: netted batch per fold that changed it (see :meth:`_apply_instant`).
+        #: netted batch per fold that changed it (see
+        #: :meth:`SharedGroup._process_instant`).
         #: The DSMS Store reads this very log, see :attr:`changelog`.
         self._log = Changelog()
         #: The log position up to which a feeding call has returned the
@@ -1807,9 +1853,33 @@ class ContinuousQuery:
 
     def _deliver(self) -> int:
         """:meth:`_pending` for a caller that only counts them: marks the
-        emissions returned without labelling them; returns how many."""
-        start, self._delivered = self._delivered, len(self._log)
-        return sum(len(rows) for _, rows in self._emitted(start))
+        emissions returned without building them; returns how many.
+
+        Counted off the batches' weights (:meth:`Changelog.weights`):
+        ISTREAM takes their positive weights, DSTREAM their negative
+        ones, RSTREAM the answer's size after each batch — its size now
+        (:attr:`Changelog.size`), folded back by each later batch's net
+        weight — so a quantum costs its batches, never the answer.
+        Nothing without an R2S root."""
+        log = self._log
+        start, self._delivered = self._delivered, len(log)
+        r2s = self.r2s
+        if r2s is None or start == self._delivered:
+            return 0
+        batches = log.weights(start)
+        count = 0
+        if r2s is R2SKind.RSTREAM:
+            size = log.size
+            for weights in reversed(batches):
+                count += size
+                size -= sum(weights)
+            return count
+        sign = 1 if r2s is R2SKind.ISTREAM else -1
+        for weights in batches:
+            for weight in weights:
+                if weight * sign > 0:
+                    count += weight * sign
+        return count
 
     # -- checkpointing -------------------------------------------------------
 
@@ -1838,21 +1908,6 @@ class ContinuousQuery:
         return self.group.barrier_bytes
 
     # -- processing ----------------------------------------------------------
-
-    def _apply_instant(self, t: Timestamp, deltas: list[Delta]) -> None:
-        """Fold one instant's root deltas into the change-log.
-
-        The group evaluates every member plan in one pass and hands each
-        member its own root batch here.  The log commits the *net* change
-        R(τ) − R(τ−), the only change the reference semantics sees; an
-        instant folded in several quanta commits one batch per fold.  The
-        emissions are read off the log (:meth:`_emitted`), so the fold
-        labels nothing.  All or nothing: a refused retraction leaves the
-        answer and the log as they were (and the group's clock, see
-        :meth:`SharedGroup._process_instant`).
-        """
-        self._deltas_processed += len(deltas)
-        self._log.commit(t, deltas)
 
     def _emitted(self, start: int) -> list[tuple[Timestamp, list[tuple]]]:
         """What the log's batches from position ``start`` on emit: one

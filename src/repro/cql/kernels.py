@@ -411,9 +411,11 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
         "            for values, mult in deltas:",
         *_block(body, 4),
         "        finally:",
-        "            groups_state.mark(touched)",
+        "            if groups_state.marking:",
+        "                groups_state.mark(touched)",
         "        rows_state = op._current_rows",
-        "        rows_state.mark(touched)",
+        "        if rows_state.marking:",
+        "            rows_state.mark(touched)",
         "        current_rows = rows_state.data",
         "        out = []",
         "        for key, group in touched.items():",
@@ -744,7 +746,8 @@ def join_kernel(side: str, append_only: bool, keys: Sequence[int],
         *_block(body, 3),
         "    finally:",
         "        state.tally += held",
-        "        state.mark(keys)",
+        "        if state.marking:",
+        "            state.mark(keys)",
     ]
     kind = "append-only join" if append_only else "join"
     return _render(bound, name, kernel, kind, " ".join(shape))

@@ -56,26 +56,30 @@ class KeyedState:
     ``weigh`` over the entries (no ``weigh``: no tally, it stays 0).
     """
 
-    __slots__ = ("data", "tally", "_weigh", "_dirty", "_image",
+    __slots__ = ("data", "tally", "marking", "_weigh", "_dirty", "_image",
                  "_image_tally")
 
     def __init__(self, weigh: Callable[[Any], int] | None = None) -> None:
         self.data: dict = {}
         self.tally = 0
         self._weigh = weigh
-        #: Keys changed since the last barrier; None until the first, so
-        #: marking costs one None check on an operator never checkpointed.
-        self._dirty: set | None = None
+        #: Whether a barrier was taken, so changes must be recorded: a
+        #: changing operator calls :meth:`mark` only when this plain
+        #: attribute is set, and one never checkpointed pays no call.
+        self.marking = False
+        #: Keys changed since the last barrier (recorded while marking).
+        self._dirty: set = set()
         #: The recovery image: the entries at the last barrier.
-        self._image: dict | None = None
+        self._image: dict = {}
         self._image_tally = 0
 
     def __repr__(self) -> str:
         return f"KeyedState({self.data!r})"
 
     def mark(self, keys: Iterable) -> None:
-        """Record that the entries at ``keys`` changed."""
-        if self._dirty is not None:
+        """Record that the entries at ``keys`` changed; ignored before
+        the first barrier, which records every key."""
+        if self.marking:
             self._dirty.update(keys)
 
     def barrier(self) -> tuple[dict, int]:
@@ -87,9 +91,9 @@ class KeyedState:
         those copies, which nothing mutates.
         """
         data, image, dirty = self.data, self._image, self._dirty
-        if image is None:
-            image = self._image = {}
-            dirty = self._dirty = set(data)
+        if not self.marking:
+            dirty.update(data)
+            self.marking = True
         changed = {}
         copied = 0
         for key in dirty:
@@ -108,9 +112,9 @@ class KeyedState:
     def rollback(self) -> None:
         """Return the live entries to the image in place, touching only
         the keys changed since the last barrier; repeatable."""
-        image, dirty, data = self._image, self._dirty, self.data
-        if image is None:
+        if not self.marking:
             raise StateError("keyed state has no barrier to roll back to")
+        image, dirty, data = self._image, self._dirty, self.data
         for key in dirty:
             value = image.get(key)
             if value is None:

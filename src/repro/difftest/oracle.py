@@ -39,7 +39,7 @@ from repro.chaos.recovery import (
 )
 from repro.core import Schema, Stream
 from repro.core.errors import ReproError, StateError
-from repro.core.operators import stream_to_relation
+from repro.core.operators import relation_to_stream, stream_to_relation
 from repro.core.relation import Bag
 from repro.core.windows import (
     SessionWindow,
@@ -258,11 +258,18 @@ def run_case(case: Case, configs: list[Config] | None = None,
 
     is_r2s = plan_naive.op_name in _R2S_OPS
 
-    # The optimiser must preserve denotational semantics.
+    # The optimiser must preserve denotational semantics.  Every config
+    # judges the maintained state per instant against the reference
+    # relation of the R2S child plan (snapshot-reducibility): evaluated
+    # once, it is also the optimized plan's reference, through its R2S.
+    state_plan = (plan_opt.child if plan_opt.op_name in _R2S_OPS
+                  else plan_opt)
     try:
-        ref_opt = reference_evaluate(plan_opt, engine.catalog, streams)
+        state = reference_evaluate(state_plan, engine.catalog, streams)
     except ReproError as exc:
         return Divergence("error", f"reference(optimized) failed: {exc!r}")
+    ref_opt = (relation_to_stream(state, plan_opt.kind)
+               if state_plan is not plan_opt else state)
     if is_r2s:
         same = (truth.timestamps() == ref_opt.timestamps()
                 and truth.values() == ref_opt.values())
@@ -275,13 +282,8 @@ def run_case(case: Case, configs: list[Config] | None = None,
             "naive", _snapshot_list(truth),
             "optimized", _snapshot_list(ref_opt)))
 
-    # Every config judges the maintained state per instant against the
-    # reference relation of the R2S child plan (snapshot-reducibility).
-    state_plan = (plan_opt.child if plan_opt.op_name in _R2S_OPS
-                  else plan_opt)
     base = _Truth(case, streams, engine.catalog,
-                  {True: plan_opt, False: plan_naive}, truth,
-                  reference_evaluate(state_plan, engine.catalog, streams),
+                  {True: plan_opt, False: plan_naive}, truth, state,
                   zlib.crc32(case.query.encode()))
     partitionable = partition_scheme(plan_opt) is not None
     if configs is None:

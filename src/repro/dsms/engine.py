@@ -98,13 +98,22 @@ class SchedulingUnit:
         #: Stream name → the metrics of the members reading it.
         self._readers: dict[str, list[QueryMetrics]] = {}
         #: Per member, what a quantum settles: ``(metrics, query,
-        #: whether it reads every stream the group reads)``.
-        self._books: list[tuple[QueryMetrics, ContinuousQuery, bool]] = []
+        #: whether it reads every stream the group reads, whether it has
+        #: an R2S root)``.  A member with none emits nothing, so a
+        #: quantum does not ask it what it emitted.
+        self._books: list[tuple[QueryMetrics, ContinuousQuery, bool,
+                                bool]] = []
         self._sources: list[StreamSourceOp] = []
         #: The ``id`` of each operator the unit's Scratch account holds.
         self._accounted: set[int] = set()
         #: The sources' evictions the Throw has already passed.
         self._evicted = 0
+        #: While obs is on, the unit's series in the live registry —
+        #: ``(registry, queue depth gauge, queue wait histogram, {stream:
+        #: (watermark lag gauge, lag histogram)})`` — looked up once, and
+        #: again only when the registry or the group's streams change
+        #: (see :meth:`_series`).
+        self._bound: tuple | None = None
 
     def add(self, handle: "QueryHandle", batch_size: int | None) -> None:
         """Make ``handle`` a member, its cap ``batch_size`` tightening the
@@ -147,13 +156,28 @@ class SchedulingUnit:
             name: [h.metrics for h in self.members if h.reads_stream(name)]
             for name in streams}
         self._books = [
-            (h.metrics, h.query, all(map(h.reads_stream, streams)))
+            (h.metrics, h.query, all(map(h.reads_stream, streams)),
+             h.query.r2s is not None)
             for h in self.members]
+        self._bound = None
 
-    @property
-    def pending(self) -> int:
-        """Backlog size — what the scheduler looks at."""
-        return len(self.queue)
+    def _series(self) -> tuple:
+        """The unit's obs series (see :attr:`_bound`) in the live
+        registry: bound once, and again only after :func:`repro.obs.reset`
+        replaced the registry or a member changed the streams."""
+        registry = obs.get_registry()
+        bound = self._bound
+        if bound is None or bound[0] is not registry:
+            bound = self._bound = (
+                registry,
+                registry.gauge("dsms.queue.depth", query=self.name),
+                registry.histogram("dsms.queue.wait", query=self.name),
+                {stream: (registry.gauge("dsms.watermark.lag",
+                                         stream=stream),
+                          registry.histogram("dsms.watermark.lag_histogram",
+                                             stream=stream))
+                 for stream in self.group._sources})
+        return bound
 
     def reads_stream(self, name: str) -> bool:
         return name in self.group._sources
@@ -196,8 +220,7 @@ class SchedulingUnit:
             self.shedder.record_queue_drop()
             return 0
         if obs._STATE.enabled:
-            obs.get_registry().gauge(
-                "dsms.queue.depth", query=self.name).observe(len(self.queue))
+            self._series()[1].observe(self.queue.pending)
         return len(readers)
 
     def service_one(self) -> bool:
@@ -236,7 +259,12 @@ class SchedulingUnit:
                 merged[stream_name] = rows if held is None else held + rows
             arrivals = list(merged.items())
         self.group._feed(t, arrivals)
-        self._account_throw(t)
+        # Every tuple evicted from a window buffer passes through the
+        # Throw (:meth:`_account_throw`, inlined: this runs per quantum).
+        evicted = self._evictions()
+        if evicted != self._evicted:
+            self._throw.discard_many(evicted - self._evicted, t)
+            self._evicted = evicted
         occupancy = self._scratch.settle(self)
         # The waits of the whole poll, as one observation: waits rise in
         # arrival order.  A member reading every stream of the group
@@ -248,10 +276,11 @@ class SchedulingUnit:
             waited += len(run) * (run[0] + run[-1]) // 2
         low, high = waits[0][0], waits[-1][-1]
         emitted = 0
-        for metrics, query, reads_all in self._books:
-            count = query._deliver()
-            metrics.emitted += count
-            emitted += count
+        for metrics, query, reads_all, emits in self._books:
+            if emits:
+                count = query._deliver()
+                metrics.emitted += count
+                emitted += count
             if reads_all:
                 metrics.processed += polled
                 metrics.queue_wait.observe_run(polled, waited, low, high)
@@ -273,8 +302,7 @@ class SchedulingUnit:
             metrics.scratch.observe(occupancy)
         if span is not None:
             span.add(records=polled, emitted=emitted)
-            registry = obs.get_registry()
-            wait_hist = registry.histogram("dsms.queue.wait", query=self.name)
+            _, _, wait_hist, lags = self._series()
             for run in waits:
                 for wait in run:
                     wait_hist.observe(wait)
@@ -282,10 +310,9 @@ class SchedulingUnit:
             # ahead of the instant now evaluated.
             for stream_name, _ in arrivals:
                 lag = self._watermarks[stream_name] - t
-                registry.gauge("dsms.watermark.lag",
-                               stream=stream_name).observe(lag)
-                registry.histogram("dsms.watermark.lag_histogram",
-                                   stream=stream_name).observe(lag)
+                gauge, histogram = lags[stream_name]
+                gauge.observe(lag)
+                histogram.observe(lag)
 
     def advance_to(self, t: Timestamp) -> None:
         """Advance event time (window expirations) with no new data.
@@ -299,8 +326,9 @@ class SchedulingUnit:
         self.group.advance_to(t)
         self._account_throw(t)
         self._scratch.settle(self)
-        for metrics, query, _ in self._books:
-            metrics.emitted += query._deliver()
+        for metrics, query, _, emits in self._books:
+            if emits:
+                metrics.emitted += query._deliver()
 
     def restore(self, payload: Mapping[str, Any]) -> None:
         """Roll the group back to its newest barrier (``payload``) and
@@ -422,6 +450,9 @@ class DSMSEngine:
         #: group's.  ``_handles`` stays the per-query list the public API
         #: (queries, metrics_table) exposes.
         self._units: list[SchedulingUnit] = []
+        #: Each unit's input queue, in unit order: what the scheduler
+        #: reads (see :mod:`repro.dsms.scheduler`).
+        self._queues: list[InputQueue] = []
         #: Stream name -> its door, the generated function every arrival
         #: enters through (:func:`repro.cql.kernels.door_kernel`), bound
         #: to the views base table the stream feeds (or None) and the
@@ -548,6 +579,7 @@ class DSMSEngine:
                 shedder or NoShedding(), self.scratch, self.throw,
                 self._watermarks)
             self._units.append(unit)
+            self._queues.append(unit.queue)
         handle = QueryHandle(name, query, unit)
         unit.add(handle, batch_size)
         self._doors.clear()
@@ -615,6 +647,7 @@ class DSMSEngine:
         # The unit goes with its one member, which leaves it: nothing but
         # the caller keeps the handle, the query or its operators alive.
         self._units.remove(handle.unit)
+        self._queues.remove(handle.unit.queue)
         handle.unit.members.remove(handle)
         self._doors.clear()
         self.scratch.unregister(handle.unit)
@@ -820,7 +853,7 @@ class DSMSEngine:
         """Run one scheduling quantum of one unit: its head instant, or
         as much of it as its batch cap allows, for a private query or a
         whole shared group — its members advance together."""
-        index = self.scheduler.next_index(self._units)
+        index = self.scheduler.next_index(self._queues)
         if index is None:
             return False
         return self._units[index].service_one()
@@ -843,21 +876,25 @@ class DSMSEngine:
         return steps
 
     def _drain(self, max_steps: int) -> int:
-        steps = 0
-        if self.recovery is None:
-            while steps < max_steps and self.step():
-                steps += 1
-            return steps
-        failures = 0
+        """Run quanta, as :meth:`step` does, until the scheduler finds
+        every queue idle or ``max_steps`` quanta ran; inline, since this
+        runs per quantum.  A recoverable failure restores and replays."""
+        recovery = self.recovery
+        recoverable = () if recovery is None else recovery.recoverable
+        units, queues = self._units, self._queues
+        next_index = self.scheduler.next_index
+        steps = failures = 0
         while steps < max_steps:
             try:
-                if not self.step():
+                index = next_index(queues)
+                if index is None or not units[index].service_one():
                     break
-            except self.recovery.recoverable as error:
+            except recoverable as error:
                 failures = self._recover(failures, error)
                 continue
             steps += 1
-        self.recovery.committed(len(self._arrival_log))
+        if recovery is not None:
+            recovery.committed(len(self._arrival_log))
         return steps
 
     def _recover(self, failures: int, error: BaseException) -> int:

@@ -61,7 +61,11 @@ class InputQueue:
         self._open: list = []
         #: Values of the head run already polled.
         self._head = 0
-        self._depth = 0
+        #: The depth: values queued and not yet polled, the backlog a
+        #: :class:`~repro.dsms.scheduler.Scheduler` reads.  A plain
+        #: attribute, so a scheduler probing every queue calls nothing;
+        #: only the queue writes it.
+        self.pending = 0
         #: Values polled or cleared, ever: with the depth, what was
         #: enqueued (see :attr:`enqueued`).
         self._taken = 0
@@ -79,7 +83,7 @@ class InputQueue:
     def offer(self, value: Any, timestamp: Timestamp, stream: str) -> bool:
         """Try to enqueue ``value``, an arrival of ``stream``; returns
         False (and counts a drop) when full."""
-        depth = self._depth
+        depth = self.pending
         if depth >= self.capacity:
             self.dropped += 1
             return False
@@ -89,7 +93,7 @@ class InputQueue:
             self._open_t, self._open_stream = timestamp, stream
             self._open = values = [value]
             self._runs.append([timestamp, stream, values, depth])
-        self._depth = depth = depth + 1
+        self.pending = depth = depth + 1
         if depth >= self._pressure_mark and not self._pressured:
             self._pressured = True
             self.pressure_events += 1
@@ -116,12 +120,12 @@ class InputQueue:
         if not runs or (limit is not None and limit <= 0):
             return None
         self._open_t = None
-        if self._depth > self._peak:
-            self._peak = self._depth
+        if self.pending > self._peak:
+            self._peak = self.pending
         t = runs[0][0]
         chunks: list[tuple[str, list]] = []
         waits = self.polled_waits = []
-        wanted = remaining = self._depth if limit is None else limit
+        wanted = remaining = self.pending if limit is None else limit
         # Runs of one timestamp sit side by side when a poll closed the
         # first before the second arrived, or when streams interleaved:
         # take them as one instant.
@@ -139,37 +143,38 @@ class InputQueue:
                 chunks.append((stream, values[start:end]))
             waits.append(range(ahead + start, ahead + end))
             remaining -= end - start
-        self._depth -= wanted - remaining
+        self.pending -= wanted - remaining
         self._taken += wanted - remaining
-        if self._pressured and self._depth < self._pressure_mark:
+        if self._pressured and self.pending < self._pressure_mark:
             self._pressured = False
         return t, chunks
 
     def clear(self) -> int:
         """Discard everything queued (recovery rollback: the arrival log
         re-offers these); returns how many tuples were dropped."""
-        n = self._depth
+        n = self.pending
         if n > self._peak:
             self._peak = n
         self._taken += n
         self._runs.clear()
         self._open_t = None
         self._head = 0
-        self._depth = 0
+        self.pending = 0
         return n
 
     def __len__(self) -> int:
-        return self._depth
+        """The depth (:attr:`pending`)."""
+        return self.pending
 
     @property
     def enqueued(self) -> int:
         """Values the queue ever admitted."""
-        return self._depth + self._taken
+        return self.pending + self._taken
 
     @property
     def peak(self) -> int:
         """The depth high-water mark."""
-        depth = self._depth
+        depth = self.pending
         return depth if depth > self._peak else self._peak
 
     @property
@@ -185,7 +190,7 @@ class InputQueue:
     @property
     def occupancy(self) -> float:
         """Fill fraction in [0, 1]."""
-        return self._depth / self.capacity
+        return self.pending / self.capacity
 
     @property
     def pressured(self) -> bool:
@@ -193,5 +198,5 @@ class InputQueue:
         return self._pressured
 
     def __repr__(self) -> str:
-        return (f"InputQueue(len={self._depth}/{self.capacity}, "
+        return (f"InputQueue(len={self.pending}/{self.capacity}, "
                 f"dropped={self.dropped})")

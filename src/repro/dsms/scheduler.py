@@ -4,6 +4,9 @@ A DSMS multiplexes many standing queries over shared input queues; the
 scheduler decides which query's pending work to run next.  We provide the
 two classic policies: round-robin (fairness) and longest-queue-first
 (drains backlogs, bounding memory — the Aurora-style heuristic).
+
+The engine hands a scheduler its units' input queues, whose ``pending``
+is a plain attribute: probing an idle queue calls nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import Protocol, Sequence
 
 
 class Schedulable(Protocol):
-    """What the scheduler sees of a query: its backlog size."""
+    """What the scheduler sees of a unit's input queue: its backlog."""
 
     @property
     def pending(self) -> int: ...
@@ -33,11 +36,10 @@ class RoundRobinScheduler(Scheduler):
         self._cursor = 0
 
     def next_index(self, queries: Sequence[Schedulable]) -> int | None:
-        if not queries:
-            return None
         n = len(queries)
-        for offset in range(n):
-            index = (self._cursor + offset) % n
+        cursor = self._cursor
+        for index in range(cursor, cursor + n):
+            index %= n
             if queries[index].pending > 0:
                 self._cursor = (index + 1) % n
                 return index

@@ -234,6 +234,22 @@ class TestChangelog:
         log.truncate(0)
         assert log.contents == Bag() and len(log) == 0
 
+    def test_size_is_the_contents_multiplicity(self):
+        log = Changelog()
+        sizes = [log.size]
+        log.commit(1, [("a", 2), ("b", 1)])
+        sizes.append(log.size)
+        with pytest.raises(StateError):
+            log.commit(1, [("c", 1), ("z", -1)])
+        sizes.append(log.size)
+        log.commit(2, [("a", -1), ("c", 3), ("c", -1)])
+        sizes.append(log.size)
+        assert sizes == [0, 3, 3, 4] and log.size == len(log.contents)
+        log.truncate(1)
+        assert log.size == len(log.contents) == 3
+        log.truncate(0)
+        assert log.size == 0
+
     def test_as_of_folds_back_from_the_contents(self):
         log = Changelog()
         log.commit(1, [("a", 1)])

@@ -7,10 +7,11 @@ counterexample.
 """
 
 import json
+import random
 
 import pytest
 
-from repro.difftest import fuzz
+from repro.difftest import fuzz, gen_case, oracle
 from repro.difftest.__main__ import main as difftest_main
 from repro.difftest.oracle import AXES
 
@@ -54,3 +55,28 @@ def test_cli_exit_code_clean(capsys):
     assert code == 0
     assert "clean" in out
     assert "config runs per axis value: driver query=" in out
+
+
+@pytest.mark.difftest
+def test_one_reference_evaluation_per_plan(monkeypatch):
+    """A CQL case evaluates the reference twice: the naive plan, and the
+    optimised plan's R2S child, whose relation is also the optimised
+    plan's reference through its R2S."""
+    calls = [0]
+    evaluate = oracle.reference_evaluate
+
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(oracle, "reference_evaluate", counted)
+    rng = random.Random(0)
+    kinds = set()
+    for index in range(20):
+        case = gen_case(rng, seed=index)
+        calls[0] = 0
+        assert oracle.run_case(case, configs=[]) is None
+        assert calls[0] == 2
+        kinds.add(" ISTREAM " in case.query or " RSTREAM " in case.query
+                  or " DSTREAM " in case.query)
+    assert kinds == {True, False}

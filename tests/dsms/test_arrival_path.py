@@ -18,9 +18,9 @@ import pytest
 import repro.core.records as records_module
 from repro.chaos import CrashFuse, install_crash
 from repro.core import Record, Schema, SchemaError, StateError, TimeError
-from repro.core.relation import Bag, labelled
+from repro.core.relation import Bag, Changelog, labelled
 from repro.cql import CQLEngine, kernels
-from repro.cql.executor import ContinuousQuery, SharedGroup, StreamSourceOp
+from repro.cql.executor import SharedGroup, StreamSourceOp
 from repro.dsms import DSMSEngine
 
 OBS = Schema(["id", "room", "temp"])
@@ -299,7 +299,7 @@ class TestNoRecordHashedPerQuantum:
             self, monkeypatch):
         hashes, folded = [0], [0]
         original_hash = Record.__hash__
-        original_fold = ContinuousQuery._apply_instant
+        original_fold = Changelog.commit
 
         def counting_hash(self):
             hashes[0] += 1
@@ -310,8 +310,7 @@ class TestNoRecordHashedPerQuantum:
             return original_fold(self, t, deltas)
 
         monkeypatch.setattr(Record, "__hash__", counting_hash)
-        monkeypatch.setattr(ContinuousQuery, "_apply_instant",
-                            counting_fold)
+        monkeypatch.setattr(Changelog, "commit", counting_fold)
         engine = make_engine(batch_size=64)
         engine.register_query("q", GROUPED)
         quanta = {}

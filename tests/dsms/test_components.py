@@ -12,6 +12,7 @@ from repro.dsms import (
     RandomShedder,
     RoundRobinScheduler,
     Scratch,
+    SchedulingUnit,
     SemanticShedder,
     Store,
     Throw,
@@ -228,6 +229,43 @@ class TestSchedulers:
         scheduler = RoundRobinScheduler()
         assert scheduler.next_index([FakeQuery(0)]) is None
         assert scheduler.next_index([]) is None
+
+    @pytest.mark.parametrize("fail_at", [0, 2, 5])
+    def test_a_failed_drain_resumes_the_rotation_after_the_failed_unit(
+            self, monkeypatch, fail_at):
+        # A drain that a non-recoverable error stops, drained again, runs
+        # the units in the order quantum-by-quantum steps would.
+        def served(drive):
+            engine = DSMSEngine()
+            engine.register_stream("Obs", Schema(["id"]))
+            for name in "abcd":
+                engine.register_query(name, "SELECT id FROM Obs [Now]",
+                                      batch_size=1)
+            for t in range(3):
+                engine.ingest("Obs", {"id": t}, t)
+            order = []
+            original = SchedulingUnit.service_one
+
+            def service_one(unit):
+                order.append(unit.name)
+                if len(order) == fail_at + 1:
+                    raise RuntimeError("boom")
+                return original(unit)
+
+            monkeypatch.setattr(SchedulingUnit, "service_one", service_one)
+            with pytest.raises(RuntimeError):
+                drive(engine)
+            drive(engine)
+            monkeypatch.undo()
+            return order
+
+        def by_steps(engine):
+            while engine.step():
+                pass
+
+        drained = served(lambda engine: engine.run_until_idle())
+        assert drained == served(by_steps)
+        assert len(drained) == 4 * 3 + 1
 
     def test_longest_queue_first(self):
         scheduler = LongestQueueScheduler()

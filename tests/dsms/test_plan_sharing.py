@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import PlanError, Schema, StateError
+from repro.core import Changelog, PlanError, Schema, StateError
 from repro.cql import ContinuousQuery, CQLEngine, executor
 from repro.cql.executor import PhysicalOp, StreamSourceOp
 from repro.dsms import DSMSEngine
@@ -69,7 +69,7 @@ class TestSharedGroup:
 
     def test_shared_operators_run_once_per_instant(self, monkeypatch):
         calls, outputs, received = Counter(), {}, {}
-        fold = ContinuousQuery._apply_instant
+        fold = Changelog.commit
 
         def counted(process):
             def wrapper(op, t, child_deltas):
@@ -78,15 +78,15 @@ class TestSharedGroup:
                 return outputs[id(op)]
             return wrapper
 
-        def recorded_fold(query, t, deltas):
-            received[id(query)] = deltas
-            return fold(query, t, deltas)
+        def recorded_fold(log, t, deltas):
+            received[id(log)] = deltas
+            return fold(log, t, deltas)
 
         for cls in vars(executor).values():
             if isinstance(cls, type) and issubclass(cls, PhysicalOp) \
                     and "process" in vars(cls):
                 monkeypatch.setattr(cls, "process", counted(cls.process))
-        monkeypatch.setattr(ContinuousQuery, "_apply_instant", recorded_fold)
+        monkeypatch.setattr(Changelog, "commit", recorded_fold)
         engine = cql_engine()
         group = engine.shared_group()
         members = [engine.register_query(q, shared=group)
@@ -104,7 +104,8 @@ class TestSharedGroup:
             assert calls == Counter(
                 {id(op): 1 for op in group.distinct_operators()})
             for member in members:
-                assert received[id(member)] is outputs[id(member._root)]
+                assert received[id(member.changelog)] \
+                    is outputs[id(member._root)]
 
     def test_group_freezes_after_first_input(self):
         engine = cql_engine()

@@ -1,0 +1,198 @@
+"""Calls per service quantum of one cqbench workload, by function.
+
+    python3 tools/call_census.py --workload query_fleet [--base HEAD] \\
+        [--ticks N] [--top K]
+
+(or ``make census W=query_fleet BASE=HEAD``; ``--workload`` takes one
+workload, a comma list, or ``all``).  One seed-1 pass of the
+workload runs in a child process at a fixed ``PYTHONHASHSEED``, with a
+``sys.setprofile`` hook installed around each ``DSMSEngine.run_until_idle``
+(each ``DynamicTableService.tick`` for ``view_cascade``) of the ticks
+after the pass's first fifth — the share cqbench's warm-up takes, so
+registration at start-up and the fleet filling up stay out.  A *quantum*
+is what the hooked call returns for the DSMS workloads (the quanta it
+ran), and one hooked call for ``view_cascade``.  The tool prints the
+Python-level and C calls per quantum, then each function's calls per
+quantum: engine code as ``module:qualified name``, generated kernels by
+their pseudo-filename (which spells the shape they render), and C
+functions by their qualified name.
+
+Counts, not clocks: two runs of one tree print the same numbers, so one
+run answers whether a change added or removed work on the hot path.
+With ``--base REV`` the revision is exported with ``git archive`` (as
+``tools/cqbench_pairs.py`` exports its base), the same pass runs in it,
+and the tool prints base → change per function, largest movers first.
+``--ticks`` shortens the pass (default: the workload's full pass).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: The hash seed every census child runs at: set and dict orders of
+#: strings, and so every count, repeat from run to run.
+HASH_SEED = "1"
+SEED = 1
+
+
+def measure(root: Path, workload: str, ticks: int | None) -> dict:
+    """One census pass of ``workload`` over the tree at ``root``, in this
+    process: ``{"quanta", "ticks", "python", "c"}``, the last two
+    ``{function: calls}`` summed over every hooked call."""
+    sys.path[:0] = [str(root / "src"), str(root)]
+    from cqbench.workloads import WORKLOADS
+    from repro.dsms import DSMSEngine
+    from repro.views import DynamicTableService
+
+    cls = WORKLOADS[workload]
+    ticks = cls.ticks if ticks is None else ticks
+    python: Counter = Counter()
+    c_calls: Counter = Counter()
+    quanta = [0]
+    counting = [False]
+    setprofile = sys.setprofile
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            module = frame.f_globals.get("__name__")
+            where = code.co_filename if module is None \
+                or code.co_filename.startswith("<") else module
+            python[f"{where}:{code.co_qualname}"] += 1
+        elif event == "c_call" and arg is not setprofile:
+            c_calls[getattr(arg, "__qualname__", None)
+                    or getattr(arg, "__name__", repr(arg))] += 1
+
+    def hooked(original, per_call: bool):
+        def wrapper(*args, **kwargs):
+            if not counting[0] or sys.getprofile() is not None:
+                return original(*args, **kwargs)
+            setprofile(profiler)
+            try:
+                result = original(*args, **kwargs)
+            finally:
+                setprofile(None)
+            quanta[0] += 1 if per_call else result
+            return result
+        return wrapper
+
+    if workload == "view_cascade":
+        DynamicTableService.tick = hooked(DynamicTableService.tick, True)
+    else:
+        DSMSEngine.run_until_idle = hooked(DSMSEngine.run_until_idle, False)
+    passing = cls(cls.generate(SEED, ticks))
+    first = ticks // 5
+    for i in range(ticks):
+        counting[0] = i >= first
+        passing.tick(i)
+    return {"quanta": quanta[0], "ticks": [first, ticks - 1],
+            "python": dict(python), "c": dict(c_calls)}
+
+
+def census(root: Path, workload: str, ticks: int | None) -> dict:
+    """:func:`measure` in a child process over the tree at ``root``, at
+    :data:`HASH_SEED`, reading and writing no compiled bytecode."""
+    command = [sys.executable, str(Path(__file__).resolve()), "--workload",
+               workload, "--root", str(root), "--json"]
+    if ticks is not None:
+        command += ["--ticks", str(ticks)]
+    env = dict(os.environ, PYTHONHASHSEED=HASH_SEED,
+               PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory(prefix="census-pycache-") as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        done = subprocess.run(command, cwd=root, env=env, text=True,
+                              stdout=subprocess.PIPE)
+    if done.returncode != 0:
+        raise SystemExit(f"census of {workload} in {root} failed")
+    return json.loads(done.stdout)
+
+
+def per_quantum(result: dict) -> dict[str, float]:
+    """Every function's calls per quantum, Python ones first-class and C
+    ones prefixed ``C ``."""
+    n = max(1, result["quanta"])
+    out = {name: calls / n for name, calls in result["python"].items()}
+    out.update({f"C {name}": calls / n
+                for name, calls in result["c"].items()})
+    return out
+
+
+def totals(result: dict) -> tuple[float, float]:
+    n = max(1, result["quanta"])
+    return (sum(result["python"].values()) / n,
+            sum(result["c"].values()) / n)
+
+
+def report(workload: str, result: dict, top: int) -> None:
+    python, c_calls = totals(result)
+    first, last = result["ticks"]
+    print(f"{workload}: {result['quanta']} quanta in ticks {first}-{last} "
+          f"of a seed-{SEED} pass; per quantum {python:.2f} Python calls, "
+          f"{c_calls:.2f} C calls")
+    rows = sorted(per_quantum(result).items(), key=lambda kv: (-kv[1], kv[0]))
+    for name, calls in rows[:top]:
+        print(f"{calls:10.3f}  {name}")
+
+
+def report_diff(workload: str, base: dict, change: dict, top: int) -> None:
+    (bp, bc), (cp, cc) = totals(base), totals(change)
+    print(f"{workload}: quanta {base['quanta']} -> {change['quanta']}; "
+          f"per quantum Python calls {bp:.2f} -> {cp:.2f} ({cp - bp:+.2f}), "
+          f"C calls {bc:.2f} -> {cc:.2f} ({cc - bc:+.2f})")
+    a, b = per_quantum(base), per_quantum(change)
+    moved = [(b.get(name, 0.0) - a.get(name, 0.0), name)
+             for name in set(a) | set(b)
+             if round(a.get(name, 0.0), 6) != round(b.get(name, 0.0), 6)]
+    moved.sort(key=lambda item: (-abs(item[0]), item[1]))
+    print(f"{'base':>10s} {'change':>10s} {'delta':>10s}  function")
+    for delta, name in moved[:top]:
+        print(f"{a.get(name, 0.0):10.3f} {b.get(name, 0.0):10.3f} "
+              f"{delta:+10.3f}  {name}")
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(prog="call_census")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--base", default=None)
+    parser.add_argument("--ticks", type=int, default=None)
+    parser.add_argument("--top", type=int, default=40)
+    parser.add_argument("--root", default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.json:
+        json.dump(measure(Path(args.root), args.workload, args.ticks),
+                  sys.stdout)
+        return 0
+    declared = [w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    workloads = declared if args.workload == "all" \
+        else args.workload.split(",")
+    unknown = sorted(set(workloads) - set(declared))
+    if unknown:
+        parser.error(f"unknown workload(s) {unknown}; known: {declared}")
+    if args.base is None:
+        for workload in workloads:
+            report(workload, census(ROOT, workload, args.ticks), args.top)
+        return 0
+    sys.path.insert(0, str(ROOT / "tools"))
+    from cqbench_pairs import export
+
+    with tempfile.TemporaryDirectory(prefix="census-base-") as tmp:
+        export(args.base, Path(tmp))
+        for workload in workloads:
+            base = census(Path(tmp), workload, args.ticks)
+            change = census(ROOT, workload, args.ticks)
+            report_diff(workload, base, change, args.top)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
