@@ -4,14 +4,16 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: test lint bench bench-plan bench-recovery \
-	bench-profile bench-views bench-rescale \
+	bench-profile bench-views bench-rescale bench-shapes \
 	cqbench-smoke cqbench-pairs cqbench-tests census chaos fuzz fuzz-quick
 
 # The tier-1 suite, then cqbench's 3-second smoke run: a change that
-# breaks a workload's correctness check fails the default target too.
+# breaks a workload's correctness check fails the default target too;
+# then the paper-figure benches' shape assertions.
 test: lint
 	$(PYTHON) -m pytest -x -q
 	$(MAKE) --no-print-directory cqbench-smoke
+	$(MAKE) --no-print-directory bench-shapes
 
 # Style gate: ruff when available; the image may not ship it (and
 # installing is off the table), so its absence skips the style checks
@@ -53,6 +55,14 @@ bench-views:
 # BENCH_rescale.json.
 bench-rescale:
 	$(PYTHON) -m pytest benchmarks/bench_rescale.py -x -q
+
+# The shape assertions (who wins, trends) of the paper-figure benches:
+# Figures 1-5, claims C1-C10, Listings 1-2 and the ablations.  Their
+# timing kernels run once, untimed; nothing is written.
+bench-shapes:
+	$(PYTHON) -m pytest benchmarks/bench_fig*.py benchmarks/bench_c*.py \
+		benchmarks/bench_listing*.py benchmarks/bench_ablation*.py \
+		--benchmark-disable -x -q
 
 # Every headline benchmark, each writing its BENCH_*.json.  The
 # regression benchmark BENCHMARK.json declares is separate: `python3 -m

@@ -1,14 +1,17 @@
 """Ablations over the design knobs DESIGN.md calls out.
 
 Three tunables whose trade-offs the literature describes, swept on our
-substrate: the split view's merge threshold (insert cost vs query cost),
-the LSM store's memtable budget (write vs read amplification), and the
-checkpoint interval (steady-state overhead vs work lost at recovery).
+substrate: the split view's merge threshold, which is its target lag on
+C6's dynamic-table driver (insert cost vs query cost), the LSM store's
+memtable budget (write vs read amplification), and the checkpoint
+interval (steady-state overhead vs work lost at recovery).
 """
 
 import random
 
 import pytest
+
+from bench_c6_view_maintenance import SpectrumPoint
 
 from repro.bench import ExperimentTable, assert_monotone, zipfian_keys
 from repro.runtime import (
@@ -21,32 +24,30 @@ from repro.runtime import (
     KeyByOperator,
     LSMStore,
 )
-from repro.viewmaint import SplitView
 
 
 def test_ablation_split_view_merge_threshold():
-    """Low thresholds behave eagerly (query cheap, inserts pay);
-    high thresholds behave lazily (inserts free, queries pay)."""
+    """A split view's merge threshold is its target lag: low lags behave
+    eagerly (query cheap, inserts pay); high lags behave lazily (inserts
+    free, queries pay)."""
     table = ExperimentTable(
-        "Ablation: SplitView merge threshold (3000 inserts, 30 queries)",
-        ["threshold", "merges", "update_work", "query_work"])
+        "Ablation: split view target lag (3000 inserts, 30 queries)",
+        ["target_lag", "refreshes", "update_work", "query_work"])
     rng_rows = [{"g": f"g{k}", "v": k}
                 for k in zipfian_keys(3000, keys=6)]
     update_series, query_series = [], []
-    for threshold in (8, 64, 512, 4096):
-        view = SplitView(group_fn=lambda r: r["g"],
-                         value_fn=lambda r: r["v"],
-                         merge_threshold=threshold)
+    for target_lag in (8, 64, 512, 4096):
+        point = SpectrumPoint(target_lag)
         for i, row in enumerate(rng_rows):
-            view.insert(row)
+            point.write([row])
             if i % 100 == 99:
-                view.query()
-        table.add_row(threshold, view.merges, view.update_work,
-                      view.query_work)
-        update_series.append(view.update_work)
-        query_series.append(view.query_work)
+                point.query()
+        table.add_row(target_lag, point.view.refreshes, point.update_work,
+                      point.query_work)
+        update_series.append(point.update_work)
+        query_series.append(point.query_work)
     table.show()
-    # Shape: raising the threshold moves work from updates to queries.
+    # Shape: raising the target lag moves work from updates to queries.
     assert_monotone(update_series, increasing=False)
     assert_monotone(query_series, increasing=True)
 

@@ -11,9 +11,9 @@ import pytest
 
 from repro.bench import (
     ExperimentTable,
+    best_times,
     person_rows,
     room_observations,
-    timed,
     OBSERVATION_SCHEMA,
     PERSON_SCHEMA,
 )
@@ -84,8 +84,7 @@ def test_listing1_incremental_scales_linearly():
             return engine.run_one_shot(
                 LISTING_1, {"RoomObservation": stream})
 
-        _, inc_time = timed(incremental)
-        _, ref_time = timed(recompute)
+        inc_time, ref_time = best_times(incremental, recompute)
         table.add_row(n, inc_time, ref_time, ref_time / inc_time)
         ratios.append(ref_time / inc_time)
     table.show()

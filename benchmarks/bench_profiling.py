@@ -18,6 +18,7 @@ Timings, ratios and the attribution readout land in
 """
 
 import gc
+import math
 
 import pytest
 
@@ -49,6 +50,8 @@ ENABLED_SLACK = 0.15
 #: guarantee is pinned by the zero-work guard test.
 DISABLED_BUDGET = 0.03
 REPEATS = 7
+#: The shortest timed leg, in seconds (see :func:`back_to_back`).
+LEG_SECONDS = 0.1
 
 MODES = [
     ("off", lambda: obs.reset()),
@@ -81,16 +84,31 @@ def run_cql_kernel():
     return sorted(tuple(r.values) for r in query.current())
 
 
-def best_times(runner):
-    """Best-of-REPEATS per mode, interleaved so GC pressure and
-    allocator drift hit every mode alike."""
+def back_to_back(runner):
+    """A timed leg: ``runner`` run back to back, as many times as make
+    one obs-off leg last at least ``LEG_SECONDS``, so that no single
+    slow run decides a leg.  Returns the leg and its run count."""
+    obs.reset()
+    runner()
+    loops = max(1, math.ceil(LEG_SECONDS / timed(runner)[1]))
+
+    def leg():
+        for _ in range(loops):
+            runner()
+    return leg, loops
+
+
+def best_mode_times(runner):
+    """Best-of-REPEATS legs per mode, in seconds per run, interleaved so
+    GC pressure and allocator drift hit every mode alike."""
+    leg, loops = back_to_back(runner)
     best = {name: float("inf") for name, _ in MODES}
     for _ in range(REPEATS):
         for name, arm in MODES:
             gc.collect()
             obs.reset()
             arm()
-            best[name] = min(best[name], timed(runner)[1])
+            best[name] = min(best[name], timed(leg)[1] / loops)
     obs.reset()
     return best
 
@@ -103,7 +121,7 @@ def measure():
          "metrics_ratio", "profile_ratio", "profile_marginal"])
     for workload, runner in [("dsms", run_dsms),
                              ("cql_kernel", run_cql_kernel)]:
-        best = best_times(runner)
+        best = best_mode_times(runner)
         table.add_row(workload, best["off"], best["metrics"],
                       best["profile"], best["metrics"] / best["off"],
                       best["profile"] / best["off"],

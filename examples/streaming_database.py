@@ -1,52 +1,70 @@
 """A streaming database in miniature (paper Section 5.1).
 
 The modern era: a dashboard view maintained incrementally as orders
-stream in (Materialize/RisingWave-style), the maintenance-strategy
-trade-off (eager vs split), a higher-order-delta join view (DBToaster),
-and InvaliDB-style push notifications to a live leaderboard.
+stream in (Materialize/RisingWave-style), as a dynamic table at two
+points of the maintenance spectrum (eager vs split: two target lags), a
+higher-order-delta join view (DBToaster), and InvaliDB-style push
+notifications to a live leaderboard.
 
 Run:  python examples/streaming_database.py
 """
 
 import random
 
+from repro.core.records import Schema
 from repro.viewmaint import (
-    EagerView,
     EventKind,
     GroupedJoinAggregateView,
     LiveQuery,
     RealTimeDatabase,
-    SplitView,
 )
+from repro.views import DynamicTableService
 
 
 def order_stream(n=300, seed=31):
     rng = random.Random(seed)
     regions = ["emea", "amer", "apac"]
     for i in range(n):
-        yield {"order": i, "g": rng.choice(regions),
+        yield {"oid": i, "g": rng.choice(regions),
                "v": rng.randint(10, 500),
                "user": f"u{rng.randrange(8)}"}
 
 
+def dashboard(orders, target_lag):
+    """Stream ``orders`` into a base table under a revenue dashboard
+    view at ``target_lag``, one tick per order; return the dashboard as
+    read after a refresh, and its view."""
+    service = DynamicTableService()
+    service.create_table("orders", Schema(["oid", "g", "v", "user"]))
+    view = service.execute(
+        f"CREATE DYNAMIC TABLE dashboard TARGET_LAG = {target_lag} AS "
+        f"SELECT g, COUNT(*) AS n, SUM(v) AS revenue, AVG(v) AS mean "
+        f"FROM orders GROUP BY g EMIT CHANGES")
+    for order in orders:
+        service.apply("orders", inserts=[order])
+        service.tick()
+    service.refresh("dashboard")
+    return service.read("dashboard"), view
+
+
 def main() -> None:
     # -- 1. incremental dashboard views -----------------------------------
-    eager = EagerView(group_fn=lambda o: o["g"], value_fn=lambda o: o["v"])
-    split = SplitView(group_fn=lambda o: o["g"], value_fn=lambda o: o["v"],
-                      merge_threshold=32)
+    # The same dashboard at two points of the maintenance spectrum: eager
+    # (PipelineDB-style, refreshed at every tick) and split ("meet me
+    # halfway": a tick folds the pending orders once 32 versions have
+    # piled up, and a read refreshes the rest).
     orders = list(order_stream())
-    for order in orders:
-        eager.insert(order)
-        split.insert(order)
-    assert eager.query() == split.query()
+    (eager, eager_view), (split, split_view) = (
+        dashboard(orders, target_lag) for target_lag in (0, 32))
+    assert eager == split
 
     print("== revenue dashboard (continuously maintained) ==")
-    for region, aggregates in sorted(eager.query().items()):
-        print(f"  {region}: {aggregates['count']} orders, "
-              f"revenue {aggregates['sum']}, avg {aggregates['avg']:.1f}")
-    print(f"  eager update work: {eager.update_work}, "
-          f"split update work: {split.update_work} "
-          f"(+{split.merges} merges)")
+    for row in sorted(eager, key=lambda row: row["g"]):
+        print(f"  {row['g']}: {row['n']} orders, "
+              f"revenue {row['revenue']}, avg {row['mean']:.1f}")
+    print(f"  eager: {eager_view.pulled} orders pulled by "
+          f"{eager_view.refreshes} refreshes; split: {split_view.pulled} "
+          f"by {split_view.refreshes}")
 
     # -- 2. higher-order delta join view (DBToaster-style) -----------------
     revenue_by_city = GroupedJoinAggregateView(

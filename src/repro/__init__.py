@@ -20,9 +20,10 @@ of continuous-query system the survey covers:
 * :mod:`repro.runtime` — the streaming-system substrate of Figure 5:
   partitioned broker, LSM key-value state store, actors, job DAGs,
   checkpointing (Section 4.2).
-* :mod:`repro.viewmaint` — streaming-database view maintenance: eager,
-  lazy, split ("meet me halfway"), and higher-order delta strategies
-  (Section 5.1).
+* :mod:`repro.viewmaint` — streaming-database view maintenance:
+  DBToaster-style higher-order deltas and InvaliDB-style push queries
+  (Section 5.1); the eager / lazy / split ("meet me halfway") spectrum
+  is :mod:`repro.views` target lags.
 * :mod:`repro.graph` — streaming property graphs and incremental regular
   path queries (Section 5.2).
 * :mod:`repro.rsp` — RDF stream processing with RSP-QL semantics

@@ -5,6 +5,7 @@ from repro.bench.harness import (
     assert_dominates,
     assert_monotone,
     bench_result,
+    best_times,
     obs_snapshot,
     timed,
     write_bench_json,
@@ -24,8 +25,8 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "ExperimentTable", "timed", "assert_monotone", "assert_dominates",
-    "bench_result", "obs_snapshot", "write_bench_json",
+    "ExperimentTable", "best_times", "timed", "assert_monotone",
+    "assert_dominates", "bench_result", "obs_snapshot", "write_bench_json",
     "room_observations", "person_rows", "observation_stream",
     "transactions", "out_of_order_readings", "social_edges",
     "rdf_sensor_triples", "zipfian_keys",

@@ -114,6 +114,20 @@ def timed(fn: Callable[[], Any]) -> tuple[Any, float]:
     return result, time.perf_counter() - start
 
 
+def best_times(*fns: Callable[[], Any], repeats: int = 5) -> list[float]:
+    """The best of ``repeats`` timed runs of each of ``fns``, after one
+    untimed warm-up run each.  The runs interleave, one of each per
+    round, so that a slow spell of the machine hits every leg alike and
+    no leg of a few milliseconds is decided by a cold or a slow run."""
+    for fn in fns:
+        fn()
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for index, fn in enumerate(fns):
+            best[index] = min(best[index], timed(fn)[1])
+    return best
+
+
 def assert_monotone(values: Sequence[float], increasing: bool = True,
                     tolerance: float = 0.0) -> None:
     """Shape assertion: a series trends in one direction."""

@@ -23,7 +23,7 @@ Observability (all through :mod:`repro.obs`, gated on ``obs.enable()``):
 * ``checkpoint.bytes`` — the size of taken checkpoints.  A barrier sizes
   itself as it copies (the target's ``barrier_bytes``: the bytes its
   copies of the changed state allocated); a target without one (a
-  :mod:`repro.viewmaint` strategy) is measured with
+  :class:`~repro.viewmaint.RealTimeDatabase`) is measured with
   :func:`estimate_bytes`;
 * ``recovery.replayed_records`` — input records reprocessed after
   rollback (the replay-volume cost of the chosen checkpoint interval);
@@ -48,9 +48,8 @@ def estimate_bytes(state: Any) -> int:
     Linear in everything the payload reaches, including what it holds by
     reference and never copied, and often dearer than taking the
     snapshot.  So it sizes only the full snapshots of targets outside the
-    CQL stack (a :mod:`repro.viewmaint` strategy);
-    a target that sizes its own barrier reports ``barrier_bytes``
-    instead.
+    CQL stack (a :class:`~repro.viewmaint.RealTimeDatabase`); a target
+    that sizes its own barrier reports ``barrier_bytes`` instead.
     """
     return len(repr(state))
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from bisect import bisect_right
 from collections import defaultdict, deque
 from itertools import groupby, repeat
 from operator import itemgetter
@@ -298,6 +297,11 @@ class StreamSourceOp(PhysicalOp):
             and not spec.slide else None)
         # Range/Now state: expiry time -> rows.
         self._expiries = KeyedState(weigh=len)
+        #: The expiry times of ``_expiries``, ascending.  An operator's
+        #: instants ascend, so a new bucket's expiry is the latest: an
+        #: instant appends it and pops the buckets due off the front.
+        #: Derived from ``_expiries`` (:meth:`_order_expiries`).
+        self._expiry_order: deque[Timestamp] = deque()
         # Rows state: FIFO of live rows.
         self._fifo: deque[tuple] = deque()
         # Partitioned rows state: partition key -> FIFO of its rows.
@@ -350,6 +354,18 @@ class StreamSourceOp(PhysicalOp):
         slide = self.spec.slide
         return -((-t) // slide) * slide
 
+    def _order_expiries(self) -> None:
+        """Rebuild :attr:`_expiry_order` after something other than
+        :meth:`process` wrote the buckets (a rollback, a rescale)."""
+        self._expiry_order = deque(sorted(self._expiries.data))
+
+    def rollback(self) -> None:
+        """As :meth:`PhysicalOp.rollback`, then re-sort the expiry times
+        of a Range or Now window: O(B log B) in its B buckets, one per
+        arrival instant still inside the window."""
+        super().rollback()
+        self._order_expiries()
+
     def process(self, t: Timestamp,
                 child_deltas: list[list[Delta]]) -> list[Delta]:
         out: list[Delta] = []
@@ -380,28 +396,23 @@ class StreamSourceOp(PhysicalOp):
             # Range / Now: buffer this instant's arrivals under their
             # expiry, then evict everything due (this instant's too).
             state = self._expiries
-            expiries = state.data
+            expiries, order = state.data, self._expiry_order
             if staged:
                 expiry = t + lifetime
                 bucket = expiries.get(expiry)
                 if bucket is None:
                     expiries[expiry] = list(staged)
+                    order.append(expiry)
                 else:
                     bucket.extend(staged)
                 state.tally += len(staged)
                 if state.marking:
                     state.mark((expiry,))
-            earliest = min(expiries, default=None)
-            if earliest is not None and earliest <= t:
-                # The buckets due, in order, found in C: the earliest
-                # alone when it is due now (keys are distinct), else a
-                # prefix of the sorted expiries (a rollback re-inserts
-                # buckets, so the dict's own order is not theirs).
-                if earliest == t:
-                    due = [t]
-                else:
-                    buckets = sorted(expiries)
-                    due = buckets[:bisect_right(buckets, t)]
+            if order and order[0] <= t:
+                # The buckets due, oldest first: a prefix of the order.
+                due = [order.popleft()]
+                while order and order[0] <= t:
+                    due.append(order.popleft())
                 if state.marking:
                     state.mark(due)
                 for expiry in due:

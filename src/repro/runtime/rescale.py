@@ -233,6 +233,9 @@ class _Migration:
             setattr(news[0], tally, sum(getattr(old, tally) for old in olds))
             for new in news[1:]:
                 setattr(new, tally, 0)
+        if isinstance(op, ex.StreamSourceOp):
+            for new in news:
+                new._order_expiries()
 
     def _move_stream_source(self, route: Callable[[Any], int],
                             olds: list[Any], news: list[Any]) -> None:

@@ -1,8 +1,9 @@
 """viewmaint — streaming-database view maintenance (paper Section 5.1).
 
-The maintenance-strategy spectrum for continuous views (recompute / eager /
-lazy / split), DBToaster-style higher-order delta views, and the
-InvaliDB-style push-based real-time query layer.
+DBToaster-style higher-order delta views and the InvaliDB-style
+push-based real-time query layer.  The maintenance spectrum for
+continuous views (recompute / eager / lazy / split) runs on the one view
+engine, :mod:`repro.views`: each point is a dynamic table's target lag.
 """
 
 from repro.viewmaint.dbtoaster import (
@@ -15,16 +16,8 @@ from repro.viewmaint.invalidb import (
     LiveQuery,
     RealTimeDatabase,
 )
-from repro.viewmaint.strategies import (
-    EagerView,
-    LazyView,
-    RecomputeView,
-    SplitView,
-    ViewStrategy,
-)
 
 __all__ = [
-    "ViewStrategy", "RecomputeView", "EagerView", "LazyView", "SplitView",
     "JoinAggregateView", "GroupedJoinAggregateView",
     "RealTimeDatabase", "LiveQuery", "ChangeEvent", "EventKind",
 ]

@@ -129,6 +129,9 @@ class DynamicTable:
         self.version = -1
         self.suspended = False
         self.refreshes = 0
+        #: Rows refreshes have pulled from the sources' changelogs (the
+        #: length of each slice), a work tally kept like ``refreshes``.
+        self.pulled = 0
         #: The readable window for snapshot reads: the versions of the
         #: last ``HISTORY_LIMIT`` refreshes, oldest first.  Replaced, never
         #: changed in place, so a barrier keeps it by reference.
@@ -383,6 +386,7 @@ class DynamicTableService:
             slice_ = log.between(view.version, target)
             if slice_:
                 incoming[source] = slice_
+                view.pulled += len(slice_)
         lag = target - view.version
         changed = 0
         if incoming:
@@ -565,6 +569,7 @@ class DynamicTableService:
                 "version": view.version,
                 "suspended": view.suspended,
                 "refreshes": view.refreshes,
+                "pulled": view.pulled,
                 "history": view.history,
                 "plan": plan,
             }
@@ -608,6 +613,7 @@ class DynamicTableService:
             view.version = point["version"]
             view.suspended = point["suspended"]
             view.refreshes = point["refreshes"]
+            view.pulled = point["pulled"]
             view.history = point["history"]
             for _, op in view.operators():
                 op.rollback()
