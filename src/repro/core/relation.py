@@ -350,6 +350,13 @@ def _negated(rows: tuple, weights: tuple) -> dict[Hashable, int]:
     return dict(zip(rows, [-weight for weight in weights]))
 
 
+def _bag_of(held: Mapping[Hashable, Hashable]) -> Bag:
+    """A new Bag of ``held``'s values, each once (a held log's rows)."""
+    out = Bag()
+    out._counts = dict.fromkeys(held.values(), 1)
+    return out
+
+
 class Changelog:
     """A maintained relation: its current contents plus the append-only,
     version-stamped log of the netted batches that built them.
@@ -364,32 +371,109 @@ class Changelog:
     The log keeps what its owner retains: a standing query keeps every
     batch, a table or view only what some consumer has yet to pull
     (:meth:`gc`).  History reads — :meth:`as_of`, :meth:`relation` — fold
-    back from the contents, so they reach as far back as the oldest
-    batch retained.
+    back from a copy of the contents, so they reach as far back as the
+    oldest batch retained.
+
+    The contents are kept one of two ways.  A log *owns* them by
+    default: a :class:`Bag` that :meth:`commit` nets each batch into and
+    :meth:`truncate` takes batches back out of.  A log can instead *hold*
+    rows its owner's root operator already keeps (:meth:`hold`): a
+    running aggregate keeps its answer, one row per group, so a standing
+    query rooted at one keeps it once.  That owner's batches are net by
+    construction and have already moved the rows when they are
+    committed, so :meth:`commit` only appends them, and :meth:`truncate`
+    only cuts batches: the operator's own rollback restores the rows.
     """
 
-    __slots__ = ("contents", "size", "_versions", "_batches")
+    __slots__ = ("_bag", "_held", "_size", "_versions", "_batches")
 
     def __init__(self) -> None:
-        #: The relation now.  Changed only through :meth:`commit` and
-        #: :meth:`truncate`; readers that keep it must copy it.
-        self.contents = Bag()
-        #: ``len(contents)``, its total multiplicity, kept by the same
-        #: two methods: reading it does not walk the contents.
-        self.size = 0
+        #: The owned contents; None while the log holds its owner's rows.
+        self._bag: Bag | None = Bag()
+        #: The held rows (any key → a row, each row once), or None.
+        self._held: Mapping[Hashable, Hashable] | None = None
+        #: ``len(_bag)``, kept by :meth:`commit` and :meth:`truncate`.
+        self._size = 0
         self._versions: list[int] = []
         self._batches: list[tuple[tuple, tuple]] = []
 
+    def hold(self, rows: Mapping[Hashable, Hashable] | None) -> None:
+        """Read the contents off ``rows`` from now on: a mapping whose
+        values are the relation's rows, each once, that the operator
+        committing here keeps up to date (and must hold exactly the
+        contents now).  With None, own the contents again: a Bag of the
+        rows held now, which later changes to them do not reach."""
+        held = self._held
+        if rows is not None:
+            self._held, self._bag = rows, None
+        elif held is not None:
+            self._bag, self._size, self._held = _bag_of(held), len(held), None
+
+    @property
+    def holds(self) -> bool:
+        """Whether the contents are held rows (see :meth:`hold`)."""
+        return self._held is not None
+
+    @property
+    def contents(self) -> Bag:
+        """The relation now.  An owned log's own Bag, changed only through
+        :meth:`commit` and :meth:`truncate`: readers must not change it,
+        and those that keep it must copy it.  A holding log builds a new
+        Bag of its rows per read."""
+        held = self._held
+        return self._bag if held is None else _bag_of(held)
+
+    @property
+    def size(self) -> int:
+        """``len(contents)``, its total multiplicity, read without walking
+        the contents."""
+        held = self._held
+        return self._size if held is None else len(held)
+
+    def current(self) -> Bag:
+        """The relation now, as a new Bag the log's later changes do not
+        reach."""
+        held = self._held
+        return self._bag.copy() if held is None else _bag_of(held)
+
+    def labelled(self, schema: Schema | None) -> Bag:
+        """:meth:`current` with each row a Record of ``schema`` (see
+        :func:`labelled`): a holding log labels its rows directly."""
+        held = self._held
+        if held is None:
+            return labelled(self._bag, schema)
+        if schema is None:
+            return _bag_of(held)
+        out = Bag()
+        out._counts = dict.fromkeys(
+            [trusted_record(schema, values) for values in held.values()], 1)
+        return out
+
     def commit(self, version: int,
-               deltas: list[tuple[Hashable, int]]) -> dict[Hashable, int]:
-        """Fold ``deltas`` into the contents at ``version``; returns their
-        net weights (row → nonzero summed weight).
+               deltas: list[tuple[Hashable, int]]) -> tuple[int, ...]:
+        """Fold ``deltas`` into the contents at ``version``; returns the
+        logged batch's net weights, in its row order (empty when nothing
+        changed).
 
         All or nothing: a version behind the newest, or a retraction of
         more copies than the contents hold, raises
         :class:`~repro.core.errors.StateError` and changes nothing.  A
-        net that is empty logs nothing.
+        net that is empty logs nothing.  A holding log appends ``deltas``
+        as they stand: its owner hands over a net batch whose rows it has
+        already moved, at a version its own clock keeps in order.
         """
+        versions = self._versions
+        if self._held is not None:
+            if not deltas:
+                return ()
+            if versions and version < versions[-1]:
+                raise StateError(
+                    f"changelog versions must not decrease: {version} "
+                    f"after {versions[-1]}")
+            rows, weights = zip(*deltas)
+            versions.append(version)
+            self._batches.append((rows, weights))
+            return weights
         # Rows rarely repeat within one commit, so the net is first taken
         # as one dict build (one hash per row) and summed row by row only
         # when some row did repeat or a weight was zero.
@@ -401,27 +485,28 @@ class Changelog:
                 net[row] = get(row, 0) + weight
             net = {row: weight for row, weight in net.items() if weight}
         if not net:
-            return net
-        versions = self._versions
+            return ()
         if versions and version < versions[-1]:
             raise StateError(
                 f"changelog versions must not decrease: {version} after "
                 f"{versions[-1]}")
-        self.contents.apply_signed(net)
+        self._bag.apply_signed(net)
         weights = tuple(net.values())
-        self.size += sum(weights)
+        self._size += sum(weights)
         versions.append(version)
         self._batches.append((tuple(net), weights))
-        return net
+        return weights
 
     def truncate(self, length: int) -> None:
         """Cut the log back to its first ``length`` batches (a rollback to
-        a length it had) and take the batches cut back out of the
-        contents, newest first."""
-        undo = self.contents.apply_signed
-        for rows, weights in reversed(self._batches[length:]):
-            undo(_negated(rows, weights))
-            self.size -= sum(weights)
+        a length it had) and take the batches cut back out of owned
+        contents, newest first.  Held rows are left as they are: the
+        operator keeping them rolls them back to its own barrier."""
+        if self._held is None:
+            undo = self._bag.apply_signed
+            for rows, weights in reversed(self._batches[length:]):
+                undo(_negated(rows, weights))
+                self._size -= sum(weights)
         del self._versions[length:]
         del self._batches[length:]
 
@@ -453,7 +538,7 @@ class Changelog:
     def as_of(self, version: int) -> Bag:
         """The contents as of ``version`` (a new Bag): every later batch
         undone, newest first."""
-        contents = self.contents.copy()
+        contents = self.current()
         keep = bisect.bisect_right(self._versions, version)
         for rows, weights in reversed(self._batches[keep:]):
             contents.apply_signed(_negated(rows, weights))
@@ -469,7 +554,7 @@ class Changelog:
         change point.
         """
         points: list[tuple[int, Bag]] = []
-        state, pending = self.contents.copy(), None
+        state, pending = self.current(), None
         newest_first = zip(reversed(self._versions), reversed(self._batches))
         for version, batches in groupby(newest_first, key=itemgetter(0)):
             undo: dict[Hashable, int] = {}

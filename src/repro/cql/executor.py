@@ -43,7 +43,7 @@ from repro.obs import _STATE as _obs_state
 from repro.core.errors import PlanError, StateError, TimeError
 from repro.core.operators import R2SKind
 from repro.core.records import Record, Schema, trusted_record
-from repro.core.relation import Bag, Changelog, TimeVaryingRelation, labelled
+from repro.core.relation import Bag, Changelog, TimeVaryingRelation
 from repro.core.stream import Stream
 from repro.core.time import MIN_TIMESTAMP, Timestamp
 from repro.core.windows import Window, WindowAssigner, merge_sessions
@@ -747,6 +747,23 @@ class AggregateOp(PhysicalOp):
     @property
     def state_size(self) -> int:
         return len(self._groups.data)
+
+
+def answer_rows(root: PhysicalOp) -> dict | None:
+    """The rows ``root`` keeps that are its query's whole answer, for
+    the query's change-log to hold (see
+    :meth:`~repro.core.relation.Changelog.hold`); None when it keeps no
+    such rows.
+
+    Only a running :class:`AggregateOp` keeps them: its current row per
+    group, each row once (rows of different groups differ in their key
+    columns), and a batch it emits is net by construction — a group
+    emits at most −old and +new, with old ≠ new.  A
+    :class:`GroupWindowAggregateOp`'s EMIT FINAL output is not its
+    state, and a root above the aggregate (a spine, a fissioned
+    query's :class:`PartitionUnionOp`) reshapes its rows.
+    """
+    return root._current_rows.data if type(root) is AggregateOp else None
 
 
 class GroupWindowAggregateOp(AggregateOp):
@@ -1457,8 +1474,11 @@ class SharedGroup:
 
     def _leave(self, query: "ContinuousQuery") -> None:
         """Let ``query`` go (it was cancelled): the group stops evaluating
-        the operators only it read and no longer holds it."""
+        the operators only it read and no longer holds it, and the query's
+        change-log owns a copy of the answer its root held, which the
+        operators, shared ones included, no longer change."""
         self.members.remove(query)
+        query._log.hold(None)
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -1664,7 +1684,9 @@ class SharedGroup:
 
         Operators restore only the keys they changed since; each
         member's change-log is cut back to its length then, and the
-        batches cut are taken back out of its answer.  The
+        batches cut are taken back out of its answer (an answer the log
+        holds as its aggregate root's rows came back with the
+        operator).  The
         compiled DAG is reused, and any partially processed instant left
         over from a crash (staged arrivals) is discarded.  Repeatable:
         the checkpoint is not consumed.  Published metrics keep counting
@@ -1734,7 +1756,8 @@ class ContinuousQuery:
         self._retired_growth: dict[tuple[str, int, str], int] = {}
         #: The answer and its history: the maintained relation plus one
         #: netted batch per fold that changed it (see
-        #: :meth:`SharedGroup._process_instant`).
+        #: :meth:`SharedGroup._process_instant`); :meth:`_install` picks
+        #: whether it owns the relation or holds the root's rows.
         #: The DSMS Store reads this very log, see :attr:`changelog`.
         self._log = Changelog()
         #: The log position up to which a feeding call has returned the
@@ -1754,6 +1777,7 @@ class ContinuousQuery:
          self._phys_by_logical, self._scheme) = compiled
         #: The number of key partitions the plan runs in (1: serial).
         self.parallelism = parallelism
+        self._log.hold(answer_rows(self._root))
         self.group._adopt(self)
         if retired is not None:
             self._rebase_metrics(retired)
@@ -1931,7 +1955,7 @@ class ContinuousQuery:
             return []
         batches = list(self._log.entries(start))
         if r2s is R2SKind.RSTREAM:
-            state, out = self._log.contents.copy(), []
+            state, out = self._log.current(), []
             for version, batch in reversed(batches):
                 out.append((version, list(state)))
                 state.apply_signed({row: -weight for row, weight in batch})
@@ -1960,14 +1984,21 @@ class ContinuousQuery:
 
     def current(self) -> Bag:
         """The maintained relation state right now: a new Bag of Records
-        of the output schema (see :func:`~repro.core.relation.labelled`)."""
-        return labelled(self._log.contents, self.output_schema)
+        of the output schema, labelled straight off the change-log's
+        contents (a running aggregate root's rows, when it holds them; see
+        :meth:`Changelog.labelled`).  A retraction the instant refuses
+        leaves it as it was, held rows included: the aggregate checks
+        every group it touched before it writes one."""
+        return self._log.labelled(self.output_schema)
 
     @property
     def changelog(self) -> Changelog:
         """The answer and its history, not copied: the log the query
         commits to and rolls back, of values tuples laid out as
-        :attr:`output_schema`.  Readers must not change it."""
+        :attr:`output_schema`.  Readers must not change it.  Under a
+        running aggregate root it holds the aggregate's rows rather than a
+        Bag of its own (:func:`answer_rows`); a live rescale that moves
+        the root switches it, and a cancel leaves it owning a copy."""
         return self._log
 
     def emissions(self) -> list[Emission]:

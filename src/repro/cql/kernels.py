@@ -356,24 +356,16 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
         ]
     body += ["group.rows += mult", *fold]
     counts = [f"count{slot}" for slot in slots]
-    check = [
+    load = [
         "rows = group.rows",
         *(["counts = group.counts"] if slots else []),
         *[f"count{slot} = counts[{slot}]" for slot in slots],
+    ]
+    check = [
         f"if rows <= 0 and ({' or '.join(['rows', *counts])}):",
         "    raise StateError(",
         "        f\"aggregate group {key!r} retracts rows it does not hold\")",
-        "old_row = current_rows.get(key)",
     ]
-    if grouped:
-        check += [
-            "if not rows:",
-            "    if old_row is not None:",
-            "        out.append((old_row, -1))",
-            "        del current_rows[key]",
-            "    del groups[key]",
-            "    continue",
-        ]
     if slots:
         check += [
             f"if {' or '.join(f'{count} < 0' for count in counts)}:",
@@ -381,15 +373,25 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
             "        f\"aggregate group {key!r} retracts more non-NULL values \"",
             "        f\"than it holds\")",
         ]
+    emit = ["old_row = current_rows.get(key)"]
+    if grouped:
+        emit += [
+            "if not rows:",
+            "    if old_row is not None:",
+            "        out.append((old_row, -1))",
+            "        del current_rows[key]",
+            "    del groups[key]",
+            "    continue",
+        ]
     kinds = {aggregates[slot][0] for slot in slots}
     if kinds & {AggregateKind.SUM, AggregateKind.AVG}:
-        check.append("sums = group.sums")
+        emit.append("sums = group.sums")
     if kinds & {AggregateKind.MIN, AggregateKind.MAX}:
-        check.append("minmax = group.minmax")
+        emit.append("minmax = group.minmax")
     finished = [f"key[{index}]" for index in range(len(keys))] + [
         "rows" if read is None else _finished(kind, slot)
         for slot, (kind, read) in enumerate(aggregates)]
-    emit = [
+    emit += [
         f"finished = ({', '.join(finished)},)",
         "if old_row is not None:",
         "    if old_row == finished:",
@@ -398,6 +400,22 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
         "out.append((finished, 1))",
         "current_rows[key] = finished",
     ]
+    # The answer moves only once every touched group has passed its
+    # check: a query or view whose change-log holds these rows reads a
+    # refused instant's answer as it was.  The global group is the only
+    # group touched, so its check comes first in the one loop.
+    if grouped:
+        loops = [
+            "        for key, group in touched.items():",
+            *_block(load + check, 3),
+            "        for key, group in touched.items():",
+            *_block(load + emit, 3),
+        ]
+    else:
+        loops = [
+            "        for key, group in touched.items():",
+            *_block(load + check + emit, 3),
+        ]
     evaluators = [f"evaluate{index}" for index in range(n_evaluators)]
     lines = [
         "def factory(evaluators):",
@@ -418,8 +436,7 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
         "            rows_state.mark(touched)",
         "        current_rows = rows_state.data",
         "        out = []",
-        "        for key, group in touched.items():",
-        *_block(check + emit, 3),
+        *loops,
         "        return out",
         "    return aggregate",
     ]

@@ -59,7 +59,7 @@ def recompute(plan: LogicalOp, contents: Mapping[Hashable, Bag]) -> Bag:
     """Evaluate the R2R ``plan`` over complete leaf contents: a bag per
     scanned table or view name (per ``WindowOp`` node, the bag its
     window holds)."""
-    return _compiled(plan, [])(contents)
+    return _labelled(plan, [])(contents)
 
 
 def reference_evaluate(plan: LogicalOp, catalog: Catalog,
@@ -74,7 +74,7 @@ def reference_evaluate(plan: LogicalOp, catalog: Catalog,
     """
     root = plan.child if isinstance(plan, RelToStream) else plan
     found: list[LogicalOp] = []
-    evaluate = _compiled(root, found)
+    evaluate = _labelled(root, found)
     leaves: dict[Hashable, TimeVaryingRelation] = {}
     for leaf in found:
         if isinstance(leaf, RelationScan):
@@ -124,15 +124,41 @@ def _leaf(contents: Mapping[Hashable, Bag], key: Hashable) -> Bag:
     return bag
 
 
+def _carries_labels(plan: LogicalOp) -> bool:
+    """Whether :func:`_compiled` ``plan``'s rows are Records of
+    ``plan.schema``: a leaf's rows keep the labels they came with, and a
+    filter or DISTINCT passes its child's on; every other node builds
+    its rows under its own schema."""
+    while isinstance(plan, (Filter, Distinct)):
+        plan = plan.child
+    return not isinstance(plan, (RelationScan, WindowOp))
+
+
+def _labelled(plan: LogicalOp, leaves: list[LogicalOp]) -> Evaluator:
+    """:func:`_compiled`, with the result's rows relabelled as Records of
+    ``plan.schema`` where they do not carry its labels already: for a
+    bag whose field names reach a reader."""
+    evaluate = _compiled(plan, leaves)
+    if _carries_labels(plan):
+        return evaluate
+    schema = plan.schema
+    return lambda contents: evaluate(contents).map(
+        lambda row: row.with_schema(schema))
+
+
 def _compiled(plan: LogicalOp, leaves: list[LogicalOp]) -> Evaluator:
     """Compile ``plan`` once into a function of its leaves' bags,
     appending each leaf it reads to ``leaves``: a ``RelationScan``
-    (keyed by name) or a ``WindowOp`` (keyed by node)."""
+    (keyed by name) or a ``WindowOp`` (keyed by node).
+
+    Operators read their input rows' values, not their field names, so
+    a leaf's rows keep the labels they came with (see
+    :func:`_carries_labels`); :func:`_labelled` relabels where names
+    reach a result: the root and a set operation's sides."""
     if isinstance(plan, RelationScan):
         leaves.append(plan)
-        name, schema = plan.name, plan.schema
-        return lambda contents: _leaf(contents, name).map(
-            lambda row: row.with_schema(schema))
+        name = plan.name
+        return lambda contents: _leaf(contents, name)
     if isinstance(plan, WindowOp):
         leaves.append(plan)
         return lambda contents: _leaf(contents, plan)
@@ -162,12 +188,14 @@ def _compiled(plan: LogicalOp, leaves: list[LogicalOp]) -> Evaluator:
         child = _compiled(plan.child, leaves)
         return lambda contents: child(contents).distinct()
     if isinstance(plan, SetOp):
-        left = _compiled(plan.left, leaves)
+        # Records compare by their labels too, so both sides' rows carry
+        # the set operation's (the left's): by position on the right.
+        left = _labelled(plan.left, leaves)
         right = _compiled(plan.right, leaves)
         combine, schema = _SET_OPS[plan.kind], plan.schema
-        if plan.right.schema.fields == schema.fields:
+        if plan.right.schema.fields == schema.fields \
+                and _carries_labels(plan.right):
             return lambda contents: combine(left(contents), right(contents))
-        # By position: the right operand's rows take the left's labels.
         return lambda contents: combine(left(contents), right(contents).map(
             lambda row: row.with_schema(schema)))
     if isinstance(plan, RelToStream):
@@ -184,6 +212,7 @@ def _compiled_join(plan: Join, leaves: list[LogicalOp]) -> Evaluator:
     right_indexes = [plan.right.schema.index_of(k) for k in plan.right_keys]
     residual = (compile_predicate(plan.residual, plan.schema)
                 if plan.residual is not None else None)
+    schema = plan.schema
 
     def join(contents: Mapping[Hashable, Bag]) -> Bag:
         index: dict[tuple, list[tuple[Record, int]]] = {}
@@ -197,9 +226,11 @@ def _compiled_join(plan: Join, leaves: list[LogicalOp]) -> Evaluator:
             if None in key:
                 continue
             for other, other_count in index.get(key, ()):
-                joined = row.concat(other)
-                if residual is None or residual(joined.values):
-                    out.add(joined, count * other_count)
+                # Labelled by the join: its sides' rows may not be.
+                joined = row.values + other.values
+                if residual is None or residual(joined):
+                    out.add(trusted_record(schema, joined),
+                            count * other_count)
         return out
 
     return join

@@ -54,6 +54,8 @@ class Case:
     query: str
     streams: dict[str, list[tuple[dict[str, Any], int]]]
     seed: int | None = None
+    #: The name of the shape :func:`draw_query` drew it from.
+    shape: str | None = None
 
     def total_rows(self) -> int:
         return sum(len(rows) for rows in self.streams.values())
@@ -138,12 +140,19 @@ def _aggregate(rng: random.Random) -> str:
 
 
 def gen_query(rng: random.Random) -> str:
-    """One random CQL query over the fixed catalog.
+    """One random CQL query over the fixed catalog (see
+    :func:`draw_query`)."""
+    return draw_query(rng)[1]
+
+
+def draw_query(rng: random.Random) -> tuple[str, str]:
+    """One random CQL query over the fixed catalog, and its shape's name.
 
     Shapes cover projection with scalar expressions, filters, all
     ``AggregateKind``s (global, grouped, HAVING, DISTINCT), stream-stream
-    and stream-relation joins, every set operation, and all three R2S
-    operators — the surface the oracle must agree on.
+    and stream-relation joins (and a relation column grouped over the
+    latter), every set operation, and all three R2S operators — the
+    surface the oracle must agree on.
     """
     shape = rng.randrange(9)
     w1 = _window(rng)
@@ -151,7 +160,7 @@ def gen_query(rng: random.Random) -> str:
     r2s = _r2s(rng)
     agg = _aggregate(rng)
     if shape == 0:
-        return f"SELECT {r2s}id, temp FROM Obs {w1}"
+        return "projection", f"SELECT {r2s}id, temp FROM Obs {w1}"
     if shape == 1:
         # The dialect has no IS NULL; COALESCE sentinels and 3VL NOT probe
         # the same NULL paths through the shared expression compiler.
@@ -159,33 +168,45 @@ def gen_query(rng: random.Random) -> str:
             ["temp > 1", "COALESCE(temp, 0 - 1) < 0",
              "COALESCE(temp, 0 - 1) >= 0", "NOT temp > 1",
              "room = 'a'", "temp + 1 >= 2"])
-        return f"SELECT {r2s}id, room FROM Obs {w1} WHERE {predicate}"
+        return "filter", (f"SELECT {r2s}id, room FROM Obs {w1} "
+                          f"WHERE {predicate}")
     if shape == 2:
         expr = rng.choice(
             ["temp + 1 AS t1", "temp * 2 AS t1", "COALESCE(temp, 0) AS t1",
              "ABS(temp - 5) AS t1"])
-        return f"SELECT {r2s}id, {expr} FROM Obs {w1}"
+        return "expression", f"SELECT {r2s}id, {expr} FROM Obs {w1}"
     if shape == 3:
-        return f"SELECT {r2s}{agg} FROM Obs {w1}"
+        return "global aggregate", f"SELECT {r2s}{agg} FROM Obs {w1}"
     if shape == 4:
         having = (" HAVING COUNT(*) >= 2" if rng.random() < 0.5 else "")
-        return (f"SELECT {r2s}room, {agg} FROM Obs {w1} "
-                f"GROUP BY room{having}")
+        return "grouped aggregate", (f"SELECT {r2s}room, {agg} FROM Obs {w1} "
+                                     f"GROUP BY room{having}")
     if shape == 5:
-        return (f"SELECT {r2s}O.id, A.level FROM Obs O {w1}, "
-                f"Alerts A {w2} WHERE O.id = A.id")
+        return "stream join", (f"SELECT {r2s}O.id, A.level FROM Obs O {w1}, "
+                               f"Alerts A {w2} WHERE O.id = A.id")
     if shape == 6:
-        return (f"SELECT {r2s}O.id, R.floor FROM Obs O {w1}, "
-                f"Rooms R WHERE O.room = R.room")
+        # Grouped by a relation column over a filtered relation side: an
+        # aggregate root over a join.  By the join key it is
+        # key-partitionable (live rescale's relation-side crash had this
+        # shape); by the floor it runs serially.  The variant reads
+        # ``w2``, drawn for every shape but read only by shape 5, so no
+        # case of another shape moves.
+        if w2.startswith("[Range"):
+            column = "R.floor" if "Slide" in w2 else "R.room"
+            return "relation-grouped join", (
+                f"SELECT {r2s}{column}, {agg} FROM Obs O {w1}, Rooms R "
+                f"WHERE O.room = R.room AND R.floor > 1 GROUP BY {column}")
+        return "relation join", (f"SELECT {r2s}O.id, R.floor FROM Obs O "
+                                 f"{w1}, Rooms R WHERE O.room = R.room")
     if shape == 7:
         kind = rng.choice(["UNION ALL", "EXCEPT ALL", "INTERSECT ALL",
                            "UNION", "EXCEPT", "INTERSECT"])
         left = f"SELECT id FROM Obs {w1}"
         right = f"SELECT id FROM Alerts {w2}"
         if r2s:
-            return f"{r2s.strip()} ({left} {kind} {right})"
-        return f"{left} {kind} {right}"
-    return f"SELECT {r2s}DISTINCT room, temp FROM Obs {w1}"
+            return "set operation", f"{r2s.strip()} ({left} {kind} {right})"
+        return "set operation", f"{left} {kind} {right}"
+    return "distinct", f"SELECT {r2s}DISTINCT room, temp FROM Obs {w1}"
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +253,9 @@ def gen_streams(rng: random.Random) -> dict[str, list[tuple[dict, int]]]:
 
 
 def gen_case(rng: random.Random, seed: int | None = None) -> Case:
-    return Case(query=gen_query(rng), streams=gen_streams(rng), seed=seed)
+    shape, query = draw_query(rng)
+    return Case(query=query, streams=gen_streams(rng), seed=seed,
+                shape=shape)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@ class FuzzReport:
     #: Axis → value → configs run with it (see :data:`AXES`).
     coverage: dict[str, Counter] = field(
         default_factory=lambda: {axis: Counter() for axis in AXES})
+    #: Query shape → CQL cases drawn of it (see
+    #: :func:`~repro.difftest.generators.draw_query`).
+    shapes: Counter = field(default_factory=Counter)
 
     def count(self, configs: list[Config]) -> None:
         for config in configs:
@@ -79,11 +82,14 @@ class FuzzReport:
             f"{axis} " + " ".join(f"{value}={values[value]}"
                                   for value in AXES[axis])
             for axis, values in self.coverage.items())
+        shapes = ", ".join(f"{shape}={n}"
+                           for shape, n in sorted(self.shapes.items()))
         return (f"difftest: {self.cases} CQL cases, {self.core_cases} core "
                 f"cases, {self.view_cases} view cases, "
                 f"{self.rescale_cases} rescale cases in "
                 f"{self.elapsed_seconds:.1f}s — {status}\n"
-                f"  config runs per axis value: {runs}")
+                f"  config runs per axis value: {runs}\n"
+                f"  CQL and rescale cases per query shape: {shapes}")
 
 
 def fuzz(seed: int | None = 0, cases: int = 500, core_cases: int = 200,
@@ -130,6 +136,7 @@ def fuzz(seed: int | None = 0, cases: int = 500, core_cases: int = 200,
 
     def cql(configs: list[Config] | None):
         def run(case: Case) -> Divergence | None:
+            report.shapes[case.shape] += 1
             ran: list[Config] = []
             divergence = run_case(case, configs, ran)
             report.count(ran)

@@ -15,7 +15,7 @@ from typing import Any, Hashable, Iterator, Protocol
 
 from repro.core.errors import PlanError
 from repro.core.records import Schema
-from repro.core.relation import Bag, Changelog, TimeVaryingRelation, labelled
+from repro.core.relation import Bag, Changelog, TimeVaryingRelation
 from repro.core.time import Timestamp
 
 
@@ -31,7 +31,7 @@ class Store:
     the answer and its history outlive a cancelled query without keeping
     its operators.  The log holds values tuples; a read labels them as
     Records of the schema the query registered (see
-    :func:`~repro.core.relation.labelled`).
+    :meth:`~repro.core.relation.Changelog.labelled`).
     """
 
     def __init__(self) -> None:
@@ -50,7 +50,7 @@ class Store:
     def current(self, name: str) -> Bag:
         """The stored answer right now (a new Bag)."""
         log, schema = self._entry(name)
-        return labelled(log.contents, schema)
+        return log.labelled(schema)
 
     def history(self, name: str) -> TimeVaryingRelation:
         """The stored answer's history, built now from the query's

@@ -125,6 +125,11 @@ class DynamicTable:
         #: Source name → the scans reading it (two for a self-join).
         self._scans = scans
         self.sources = sorted(scans)
+        #: Owns its contents whatever the root: a refresh is refused
+        #: whole when its root batch retracts a row the view does not
+        #: hold, which only a log that nets the batch itself can see (a
+        #: standing query's log holds a running aggregate root's rows,
+        #: :func:`~repro.cql.executor.answer_rows`).
         self.changelog = Changelog()
         self.version = -1
         self.suspended = False
@@ -284,7 +289,7 @@ class DynamicTableService:
         registry.gauge("views.dag.depth", view=name).set(
             depth_map(self._upstreams)[name])
         registry.counter("views.refresh.rows", view=name).inc(
-            sum(map(abs, weights.values())))
+            sum(map(abs, weights)))
         return view
 
     def _contents(self, name: str) -> Bag:
@@ -394,7 +399,7 @@ class DynamicTableService:
             # contents, changelog and history as they were.
             weights = view.changelog.commit(
                 target, view.evaluate(target, incoming))
-            changed = sum(map(abs, weights.values()))
+            changed = sum(map(abs, weights))
         view.version = target
         view.refreshes += 1
         view.record_version(target)
@@ -507,10 +512,10 @@ class DynamicTableService:
                 raise StateError("base tables expose current contents "
                                  "only; views retain version history")
             table = self._tables[name]
-            return labelled(table.changelog.contents, table.schema)
+            return table.changelog.labelled(table.schema)
         view = self._require_view(name)
         if version is None:
-            return labelled(view.changelog.contents, view.schema)
+            return view.changelog.labelled(view.schema)
         if version < view.history[0]:
             raise StateError(
                 f"view {name!r} has no retained materialisation at "

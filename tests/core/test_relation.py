@@ -3,10 +3,13 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Bag,
     Changelog,
+    Record,
     Schema,
     StateError,
     TimeError,
@@ -207,10 +210,10 @@ class TestChangelog:
     def test_commit_nets_applies_and_logs_one_batch(self):
         log = Changelog()
         assert log.commit(1, [("a", 1), ("b", 2), ("a", 1), ("c", 1),
-                              ("c", -1)]) == {"a": 2, "b": 2}
+                              ("c", -1)]) == (2, 2)
         assert log.contents == Bag(["a", "a", "b", "b"])
         assert list(log.entries()) == [(1, (("a", 2), ("b", 2)))]
-        assert log.commit(2, [("b", 1), ("b", -1)]) == {}
+        assert log.commit(2, [("b", 1), ("b", -1)]) == ()
         assert len(log) == 1
         assert log.between(0, 2) == [("a", 2), ("b", 2)]
 
@@ -282,3 +285,89 @@ class TestChangelog:
         assert log.gc(below=2) == 3
         assert log.contents == Bag([1, 2, 2, 5])
         assert log.between(2, 5) == [(5, 1)]
+
+
+# One step of a run against an aggregate-like owner: ("fold", version
+# gap, {group: new value, or None to drop the group}) or ("truncate",
+# how far back, as a share of the log's length).
+steps = st.lists(st.one_of(
+    st.tuples(st.just("fold"), st.integers(0, 2),
+              st.dictionaries(st.sampled_from("abcd"),
+                              st.one_of(st.none(), st.integers(0, 3)),
+                              max_size=4)),
+    st.tuples(st.just("truncate"), st.floats(0, 1), st.just(None))),
+    max_size=30)
+
+
+class TestHeldChangelog:
+    """A log that holds its owner's rows (:meth:`Changelog.hold`) reads
+    as an owned log fed the same batches, however the two are truncated:
+    the owner restores its rows to the length cut back to, as an
+    operator rolls back to its barrier."""
+
+    @staticmethod
+    def reads(log, versions):
+        return (log.contents, log.size, len(log), log.weights(),
+                list(log.entries()), [log.as_of(v) for v in versions],
+                [log.between(a, b) for a in versions for b in versions],
+                list(log.relation().snapshots()))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(steps)
+    def test_a_held_log_reads_as_an_owned_one(self, steps):
+        rows: dict = {}
+        held, owned = Changelog(), Changelog()
+        held.hold(rows)
+        # The held rows at each log length (the operator's barriers).
+        images, version = [{}], 0
+        for kind, amount, change in steps:
+            if kind == "truncate":
+                length = int(amount * len(held))
+                held.truncate(length)
+                owned.truncate(length)
+                rows.clear()
+                rows.update(images[length])
+                del images[length + 1:]
+                continue
+            version += amount
+            batch = []
+            for group, value in change.items():
+                old = rows.get(group)
+                new = None if value is None else (group, value)
+                if old == new:
+                    continue
+                if old is not None:
+                    batch.append((old, -1))
+                    del rows[group]
+                if new is not None:
+                    batch.append((new, 1))
+                    rows[group] = new
+            assert held.commit(version, batch) == owned.commit(version, batch)
+            if batch:
+                images.append(dict(rows))
+            assert held.holds and not owned.holds
+            versions = range(-1, version + 2)
+            assert self.reads(held, versions) == self.reads(owned, versions)
+
+    def test_hold_none_keeps_a_copy_the_rows_no_longer_reach(self):
+        rows = {"a": ("a", 1)}
+        log = Changelog()
+        log.hold(rows)
+        log.commit(1, [(("a", 1), 1)])
+        log.hold(None)
+        rows["a"] = ("a", 2)
+        assert not log.holds and log.contents == Bag([("a", 1)])
+        assert log.size == 1
+        log.truncate(0)
+        assert log.contents == Bag() and log.size == 0
+
+    def test_a_held_read_is_a_new_bag(self):
+        rows = {"a": ("a", 1)}
+        log = Changelog()
+        log.hold(rows)
+        log.commit(1, [(("a", 1), 1)])
+        log.contents.add("junk")
+        log.current().add("junk")
+        assert log.contents == Bag([("a", 1)])
+        schema = Schema(["g", "n"])
+        assert log.labelled(schema) == Bag([Record(schema, ("a", 1))])

@@ -29,6 +29,14 @@ def test_bounded_seeded_fuzz_is_clean(tmp_path):
     missing = [(axis, value) for axis, values in AXES.items()
                for value in values if not report.coverage[axis][value]]
     assert not missing, report.summary()
+    # Every query shape was drawn, and the summary counts each.
+    assert set(report.shapes) == {
+        "projection", "filter", "expression", "global aggregate",
+        "grouped aggregate", "stream join", "relation join",
+        "relation-grouped join", "set operation", "distinct"}
+    assert sum(report.shapes.values()) == 500
+    assert f"relation-grouped join={report.shapes['relation-grouped join']}" \
+        in report.summary()
 
     payload = json.loads(
         (tmp_path / "BENCH_difftest_fuzz.json").read_text())

@@ -25,7 +25,7 @@ from repro.difftest import (
     shrink_case,
     shrink_core_case,
 )
-from repro.plan.ir import Join, Project, walk
+from repro.plan.ir import Filter, Join, Project, walk
 
 #: Detection budget per mutant.  Empirically the slowest mutant to catch
 #: (state-log-coalesce) falls within ~120 seed-0 cases; 600 gives slack
@@ -119,17 +119,31 @@ def test_shrunk_counterexamples_are_small():
 def test_the_fused_emission_mutant_is_caught_on_a_fused_join():
     """join-probe-own-row breaks only the generated probe of a join that
     reads the other row's columns in place — one that emits the
-    projection above it: the bounded seed-0 fuzz catches it within the
-    budget, on a case whose plan has a Project directly on a Join, and
-    that case runs clean on the unmutated tree."""
+    projection above it, or tests a predicate above it inline: every
+    case the bounded seed-0 fuzz catches it on has a Project or a Filter
+    directly on a Join in its optimised or its naive plan, one of them
+    within the budget has a Project directly on a Join in its optimised
+    plan, and that case runs clean on the unmutated tree."""
+    def on_a_join(plan, kinds):
+        return any(isinstance(node, kinds) and isinstance(node.child, Join)
+                   for node in walk(plan))
+
     factory, _leg = MUTANTS["join-probe-own-row"]
+    rng, case = random.Random(0), None
     with factory():
-        case, divergence = _find_divergence("cql", random.Random(0))
-    assert divergence is not None, (
-        f"oracle missed mutant 'join-probe-own-row' within {BUDGET} cases")
-    plan = build_engine().plan(case.query)
-    assert any(isinstance(node, Project) and isinstance(node.child, Join)
-               for node in walk(plan))
+        for _ in range(BUDGET):
+            drawn = gen_case(rng)
+            if run_case(drawn) is None:
+                continue
+            plans = [build_engine().plan(drawn.query, optimize=optimize)
+                     for optimize in (True, False)]
+            assert any(on_a_join(plan, (Project, Filter)) for plan in plans)
+            if on_a_join(plans[0], Project):
+                case = drawn
+                break
+    assert case is not None, (
+        f"oracle missed mutant 'join-probe-own-row' on a projection fused "
+        f"into a join within {BUDGET} cases")
     assert run_case(case) is None
 
 

@@ -1,6 +1,9 @@
 """Deterministic regressions for the kernel-parallel oracle config."""
 
+import itertools
+
 from repro.difftest import Case, Config, build_engine, run_case
+from repro.difftest.oracle import AXES
 from repro.plan.parallel import partition_scheme
 
 
@@ -52,3 +55,29 @@ def test_unpartitionable_query_skips_leg():
     assert run_case(case, configs=[Config("kernel-parallel", width=2)],
                     ran=ran) is None
     assert ran == []
+
+
+#: Live rescale's relation-side crash had this shape: a query keyed by
+#: a relation column over a filtered relation side (``draw_query``'s
+#: relation-grouped join).  Its root is a running aggregate, so the
+#: change-log holds the aggregate's rows serially and owns a copy when
+#: fissioned or rescaled.
+RELATION_KEYED = ("SELECT R.room, COUNT(*) AS n FROM Obs O [Range 3], "
+                  "Rooms R WHERE O.room = R.room AND R.floor > 1 "
+                  "GROUP BY R.room")
+
+
+def test_relation_keyed_aggregate_is_clean_in_every_config():
+    assert engaged(RELATION_KEYED)
+    case = Case(query=RELATION_KEYED, streams={"Obs": [
+        ({"id": i, "room": "ab"[i % 2], "temp": i}, i // 2)
+        for i in range(9)], "Alerts": []})
+    configs = [Config(f"config-{index}", **dict(zip(AXES, values)))
+               for index, values in enumerate(
+                   itertools.product(*AXES.values()))]
+    ran = []
+    assert run_case(case, configs=configs, ran=ran) is None
+    for axis, value in (("rescale", True), ("crash", "aimed"),
+                        ("crash", "operators"), ("members", 2),
+                        ("batch", 8), ("driver", "dsms"), ("width", 2)):
+        assert any(getattr(config, axis) == value for config in ran), axis

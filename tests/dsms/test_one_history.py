@@ -78,15 +78,35 @@ class TestTheStoreReadsTheQuerysLog:
         feed(engine, range(1, 6))
         answer, history = handle.store_state(), handle.store_history()
         query = weakref.ref(handle.query)
+        # The root is a running aggregate, whose rows the query's log
+        # reads while the query stands.
+        root = weakref.ref(handle.query._root)
+        assert type(root()) is executor.AggregateOp
         assert engine.cancel_query("q") is handle
         assert handle.store_state() == answer
         del handle
         gc.collect()
-        assert query() is None
+        assert query() is None and root() is None
         # The answer and its history survive the query's operators.
         assert engine.store.current("q") == answer
         assert engine.store.history("q") == history
         assert len(history) == 5
+
+    def test_a_cancelled_member_keeps_the_answer_a_shared_root_held(self):
+        cql = CQLEngine()
+        cql.register_stream("Obs", OBS)
+        group = cql.shared_group()
+        kept, cancelled = (cql.register_query(GROUPED, shared=group)
+                           for _ in range(2))
+        assert kept._root is cancelled._root
+        for t in range(1, 4):
+            kept.push("Obs", {"id": t, "room": "a", "temp": 20}, t)
+        answer, history = cancelled.current(), cancelled.as_relation()
+        assert cql.cancel_query(cancelled)
+        kept.push("Obs", {"id": 4, "room": "b", "temp": 20}, 4)
+        assert len(kept.current()) == 2
+        assert cancelled.current() == answer
+        assert cancelled.as_relation() == history
 
 
 class TestRegistrationOutput:

@@ -6,10 +6,12 @@ calls, so that a quantum of a few rows pays for its rows: counted with
 ``sys.setprofile`` over a fleet of 16 isolated standing queries (the
 ``query_fleet`` texts).  An idle drain probes every queue without a
 Python call per unit, an RSTREAM member counts its emissions without
-copying its answer, and with obs on a quantum publishes through series
-its unit bound once.
+copying its answer, with obs on a quantum publishes through series
+its unit bound once, and a running aggregate root's fold neither nets
+nor applies its batch.
 """
 
+import gc
 import itertools
 import random
 import sys
@@ -17,9 +19,10 @@ from collections import Counter
 
 import pytest
 
+import repro.core.relation as relation
 import repro.obs as obs
 import repro.obs.registry as registry_module
-from repro.core import Bag, Schema
+from repro.core import Bag, Schema, StateError
 from repro.cql import CQLEngine
 from repro.dsms import DSMSEngine
 
@@ -236,3 +239,58 @@ class TestWindowSourceEviction:
         assert source.state_size == 3
         assert source.process(6, []) == [(rows[0], -1)]
         assert source.state_size == 2
+
+
+FIREHOSE = ("SELECT room, COUNT(*) AS n, AVG(temp) AS mean FROM Obs "
+            "[Range 20] WHERE temp > 10 GROUP BY room")
+
+
+class TestAggregateRootFold:
+    """A running aggregate at a query's root keeps the answer, one row
+    per group; the query's change-log reads it there, keeps no Bag of
+    its own, and its fold appends the kernel's batch as it stands."""
+
+    def test_the_fold_neither_nets_nor_applies(self, monkeypatch):
+        engine = make_engine([FIREHOSE])
+        log = engine.query("q0").query.changelog
+        rng = random.Random(1)
+        for t in range(1, 31):
+            feed(engine, rng, t, events=50)
+            engine.run_until_idle()
+        built = []
+
+        def netting(*args):
+            built.append(args)
+            return dict(*args)
+
+        # The change-log's module builds its netting dict by this name.
+        monkeypatch.setattr(relation, "dict", netting, raising=False)
+        count, batches = CallCount(), len(log)
+        for t in range(31, 41):
+            feed(engine, rng, t, events=50)
+            count(engine.run_until_idle)
+        monkeypatch.undo()
+        assert len(log) > batches
+        assert built == []
+        assert not [name for _, name in count.python
+                    if name == "Bag.apply_signed"]
+        assert not [held for held in gc.get_referents(log)
+                    if isinstance(held, Bag)]
+
+    def test_a_refused_second_group_leaves_the_answer(self):
+        cql = CQLEngine()
+        cql.register_relation("R", Schema(["k", "v"]), rows=[
+            {"k": "a", "v": 1}, {"k": "b", "v": 2}])
+        query = cql.register_query(
+            "SELECT k, COUNT(*) AS n, SUM(v) AS total FROM R GROUP BY k")
+        query.start()
+        answer, entries = query.current(), list(query.changelog.entries())
+        (source,) = query._relation_sources["R"]
+        # One instant: group "a" takes a row, then group "c" retracts
+        # one it never held.
+        with pytest.raises(StateError, match="does not hold"):
+            query.group._feed(1, (), [(source, (("a", 5), 1)),
+                                      (source, (("c", 7), -1))])
+        assert query.current() == answer
+        assert list(query.changelog.entries()) == entries
+        assert query.changelog.size == 2

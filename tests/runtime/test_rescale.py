@@ -114,6 +114,34 @@ class TestStateMigration:
         assert query.parallelism == 2
         assert [r.parallelism_to for r in reports] == [4, 2]
 
+    def test_1_4_1_switches_whether_the_log_holds_the_root_rows(
+            self, engine):
+        # Serial, the root is the running aggregate and the change-log
+        # reads its rows; at 4 the root is the partitions' union and the
+        # log owns a copy; back at 1 it reads the new aggregate's rows.
+        plan = engine.plan(GROUPED)
+        control = serial_control(plan, engine.catalog, OBS_BATCHES)
+        query = ContinuousQuery(plan, engine.catalog)
+        query.start()
+        holds = [query.changelog.holds]
+        for position, (t, arrivals) in enumerate(OBS_BATCHES):
+            if position in (3, 7):
+                rescale(query, {3: 4, 7: 1}[position])
+                holds.append(query.changelog.holds)
+                assert outputs(query)[2] == sorted(
+                    query.changelog.labelled(plan.schema).items(), key=repr)
+            query.push_batch(t, arrivals)
+        query.finish()
+        assert holds == [True, False, True]
+        assert outputs(query) == outputs(control)
+        assert query.as_relation() == control.as_relation()
+        # A barrier after the switch back rolls the held rows back too.
+        payload, answer = query.snapshot(), query.current()
+        query.push_batch(30, {"Obs": [{"id": 1, "room": "lab", "temp": 1}]})
+        assert query.current() != answer
+        query.restore(payload)
+        assert query.current() == answer
+
     def test_downscale_4_to_2(self, engine):
         plan = engine.plan(GROUPED)
         control = serial_control(plan, engine.catalog, OBS_BATCHES)

@@ -107,3 +107,37 @@ def test_each_run_compiles_from_source(pairs, monkeypatch, tmp_path):
     assert env["PYTHONPYCACHEPREFIX"] != str(tmp_path)
     assert seen["cache"] == []
     assert env["PATH"] == os.environ["PATH"]
+
+
+def test_each_workload_prints_the_census_diff_above_the_medians(
+        pairs, monkeypatch, capsys):
+    """The census of the exported base and of the change, diffed per
+    workload before the clock medians, its largest movers first."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import call_census
+
+    trees = []
+
+    def fake_census(root, workload, ticks):
+        trees.append((root, workload, ticks))
+        calls = 1.0 if len(trees) % 2 else 2.0
+        return {"quanta": 10, "ticks": [0, 9],
+                "python": {f"m:f{i}": 10 * calls * i for i in range(20)},
+                "c": {"len": 10 * calls}}
+
+    monkeypatch.setattr(pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(pairs, "run", lambda side, workload, trace, seed: {
+        "throughput_eps": 100.0 + seed})
+    monkeypatch.setattr(call_census, "census", fake_census)
+    assert pairs.main(["--workload", "agg_firehose", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert [(workload, ticks) for _, workload, ticks in trees] \
+        == [("agg_firehose", None)] * 2
+    assert trees[1][0] == pairs.ROOT and trees[0][0] != pairs.ROOT
+    census_at = out.index("agg_firehose: quanta 10 -> 10; per quantum "
+                          "Python calls 190.00 -> 380.00 (+190.00)")
+    medians_at = out.index("\nmetric ")
+    assert census_at < medians_at
+    movers = out[census_at:medians_at].strip().splitlines()[2:]
+    assert len(movers) == pairs.CENSUS_TOP
+    assert movers[0].endswith("m:f19")

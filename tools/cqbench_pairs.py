@@ -16,11 +16,14 @@ slow spell of the box lands on both sides alike.  Every run is one
 at the run length its own ``BENCHMARK.json`` sets, that neither reads
 nor writes compiled bytecode (:func:`child_env`).
 
-Each workload prints one block: a line per run, then per metric each
-side's median and quartiles, the change of the medians, whether that
-change exceeds the base's interquartile range, and the pairs the change
-won (by the metric's ``better`` direction in ``BENCHMARK.json``), then
-the verdict: ``claim`` says whether the change meets the rule for
+Each workload prints one block: a line per run, then the
+``tools/call_census.py`` diff of the two trees (Python and C calls per
+service quantum of one seed-1 pass, and the 15 functions whose calls
+moved most), then per metric each side's median and quartiles, the
+change of the medians, whether that change exceeds the base's
+interquartile range, and the pairs the change won (by the metric's
+``better`` direction in ``BENCHMARK.json``), then the verdict:
+``claim`` says whether the change meets the rule for
 claiming a gain on that metric (wins in at least 9 of 10 pairs and a
 median better by more than the base's interquartile range), ``bound``
 whether an end-to-end metric's median stays within the ``bound``
@@ -43,6 +46,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Functions the census diff lists per workload, largest movers first.
+CENSUS_TOP = 15
 
 
 def export(rev: str, into: Path) -> None:
@@ -161,6 +166,9 @@ def main(argv: list[str]) -> int:
     unknown = sorted(set(workloads) - set(declared))
     if unknown:
         parser.error(f"unknown workload(s) {unknown}; known: {declared}")
+    sys.path.insert(0, str(ROOT / "tools"))
+    from call_census import census, report_diff
+
     with tempfile.TemporaryDirectory(prefix="cqbench-base-") as tmp:
         sides = {"base": Path(tmp), "change": ROOT}
         export(args.base, sides["base"])
@@ -178,6 +186,9 @@ def main(argv: list[str]) -> int:
                           + " ".join(f"{k}={v:.5g}"
                                      for k, v in metrics.items()),
                           flush=True)
+            print()
+            report_diff(workload, census(sides["base"], workload, None),
+                        census(ROOT, workload, None), CENSUS_TOP)
             summarise(series, better, bounds)
     return 0
 
