@@ -5,7 +5,8 @@ export PYTHONPATH
 
 .PHONY: test lint bench bench-plan bench-recovery \
 	bench-profile bench-views bench-rescale bench-shapes \
-	cqbench-smoke cqbench-pairs cqbench-tests census chaos fuzz fuzz-quick
+	cqbench-smoke cqbench-pairs cqbench-tests census profile chaos fuzz \
+	fuzz-quick
 
 # The tier-1 suite, then cqbench's 3-second smoke run: a change that
 # breaks a workload's correctness check fails the default target too;
@@ -98,6 +99,13 @@ cqbench-pairs:
 census:
 	$(PYTHON) tools/call_census.py --workload $(W) \
 		$(if $(filter-out default file,$(origin BASE)),--base $(BASE))
+
+# Where the CPU time of workload W (one name, a comma list, or "all")
+# goes: SIGPROF samples of five seed-1 passes, leaf and inclusive shares
+# by function, generated kernels under their pseudo-filenames.  Shares
+# within one run do not move with the box's speed.
+profile:
+	$(PYTHON) tools/sample_profile.py --workload $(W)
 
 # The benchmark's own tests (fold, canary scaling, tracer, workload
 # references); not part of the tier-1 suite.

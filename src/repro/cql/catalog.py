@@ -35,8 +35,9 @@ class StreamDef:
     @cached_property
     def door(self) -> Callable[..., Callable]:
         """The builder of the stream's DSMS arrival door
-        (:func:`kernels.door_kernel`), generated on first use: a door
-        rebuilt after the readers change renders nothing."""
+        (:func:`kernels.door_kernel`), made on first use: it renders a
+        door source once per binding flags, so a door rebuilt after the
+        readers change renders nothing."""
         return kernels.door_kernel(self.schema)
 
 

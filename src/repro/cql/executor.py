@@ -633,9 +633,10 @@ class JoinOp(PhysicalOp):
     multiplicities multiplying: the left batch probes the right index and
     lands in its own, then the right batch probes the updated left one.
     Each side's index maps a key (the plan's extracted equi-join columns,
-    read by position; empty for an incremental cross join) to
-    ``{values: multiplicity}``.  A joined row is the two values tuples
-    concatenated, left first, and the residual predicate filters it.
+    read by position: one column's bare value, a tuple of several, ``()``
+    for an incremental cross join) to ``{values: multiplicity}``.  A
+    joined row is the two values tuples concatenated, left first, and
+    the residual predicate filters it.
 
     Each side runs its generated probe-and-fold loop
     (:func:`~repro.cql.kernels.join_kernel`).  ``predicates`` and
@@ -738,6 +739,8 @@ class AggregateOp(PhysicalOp):
         #: argument evaluators.
         self._kernel = kernel
         #: Group key -> its accumulators, and -> its current output row.
+        #: A one-column group's key is its bare value, several columns'
+        #: their tuple, the global group's ``()``.
         self._groups = KeyedState()
         self._current_rows = KeyedState()
 

@@ -26,9 +26,10 @@ per instant:
   checks inlined, and hands any row it does not take to
   :meth:`Schema.coerce`;
 * the DSMS arrival door (:func:`door_kernel`): one function per stream
-  layout that takes a run of arrivals through the progress check, the
-  coercer's lines, the recovery log and the readers' books, calling
-  nothing per row but each reader's queue.
+  layout and binding flags that takes a run of arrivals through the
+  progress check, the coercer's lines, the recovery log and each
+  reader's open queue run, calling nothing per row but a queue's
+  ``offer`` at a run's or a mark's edge.
 
 A kernel's source depends only on the plan's *shape* — positions,
 aggregate kinds, comparison operators, a layout's field and type names —
@@ -55,7 +56,7 @@ import linecache
 from collections import OrderedDict
 from functools import partial
 from itertools import count
-from operator import attrgetter
+from operator import attrgetter, length_hint
 from sys import getsizeof
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -162,6 +163,7 @@ _clashes = count(2)
 #: The names generated code reads besides its factory's arguments.
 _RUNTIME = {
     "StateError": StateError,
+    "length_hint": length_hint,
     "_GroupState": _GroupState,
     "_MinMaxAccumulator": _MinMaxAccumulator,
 }
@@ -270,14 +272,24 @@ def _sum_step(slot: int, value: str) -> list[str]:
             f"    group.sums[{slot}] += {value} * mult"]
 
 
-def _minmax_step(slot: int, value: str) -> list[str]:
+def _minmax_step(slot: int, value: str, refusable: bool = False) \
+        -> list[str]:
+    """A MIN/MAX fold step: the value goes into the slot's accumulator
+    first, whose add refuses a retraction it does not hold before
+    anything of the slot changes.  ``refusable`` renders the undo's form
+    (see :func:`_aggregate_source`): the accumulator held in ``refused``
+    refused this delta, so this step and the rest of the delta never
+    ran (the fold it undoes made every accumulator it reaches)."""
+    held = ["    if accumulator is refused:",
+            "        refused = None",
+            "        continue"] if refusable else [
+        "    if accumulator is None:",
+        f"        accumulator = group.minmax[{slot}] = _MinMaxAccumulator()"]
     return [f"if {value} is not None:",
-            f"    group.counts[{slot}] += mult",
             f"    accumulator = group.minmax[{slot}]",
-            "    if accumulator is None:",
-            f"        accumulator = group.minmax[{slot}] = "
-            f"_MinMaxAccumulator()",
-            f"    accumulator.add({value}, mult)"]
+            *held,
+            f"    accumulator.add({value}, mult)",
+            f"    group.counts[{slot}] += mult"]
 
 
 #: Per aggregate kind with an argument, the emitter of its fold step:
@@ -317,24 +329,52 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
     ``keys`` are the group columns' input positions (none: the global
     group); ``aggregates`` is ``(kind, read)`` per output aggregate, where
     ``read`` is the argument's source expression (None for COUNT(*)).
+
+    A group is keyed by its column's bare value when there is one
+    column, by the tuple of them when there are more, and the global
+    group by ``()`` — the key :func:`repro.runtime.partitioning.key_router`
+    reads at the same positions.
+
+    An instant is all or nothing: a refusal — a MIN/MAX accumulator's
+    add mid-fold, or a touched group's check after the fold — folds the
+    instant's folded deltas back out, newest first, with the rendered
+    ``undo``, drops the groups the instant created (those with no
+    current row) and re-raises, so the accumulators, the rows and the
+    answer stay as they were.  The accepted path does no extra work per
+    delta: ``undo`` learns how far the fold got from the deltas'
+    iterator, and which accumulator refused from the fold's local.
     """
     grouped = bool(keys)
+    bare = len(keys) == 1
     slots = [slot for slot, (_, read) in enumerate(aggregates)
              if read is not None]
-    fold: list[str] = []
-    for slot in slots:
-        kind, read = aggregates[slot]
-        fold += [f"value = {read}", *STEPS[kind](slot, "value")]
+    minmax = {AggregateKind.MIN, AggregateKind.MAX}
+    refusable = any(aggregates[slot][0] in minmax for slot in slots)
+
+    def fold(undo: bool) -> list[str]:
+        lines: list[str] = []
+        for slot in slots:
+            kind, read = aggregates[slot]
+            step = _minmax_step(slot, "value", True) \
+                if undo and kind in minmax else STEPS[kind](slot, "value")
+            lines += [f"value = {read}", *step]
+        return lines
+
+    if bare:
+        key = f"values[{keys[0]}]"
+        label = "(key,)"
+    else:
+        key = _tuple([f"values[{position}]" for position in keys])
+        label = "key"
     body = []
     if grouped:
-        key = ", ".join(f"values[{position}]" for position in keys)
         start = [
             "if not deltas:",
             "    return []",
             "touched = {}",
         ]
         body += [
-            f"key = ({key},)",
+            f"key = {key}",
             "group = touched.get(key)",
             "if group is None:",
             "    group = groups.get(key)",
@@ -354,7 +394,7 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
             f"    group = groups[()] = _GroupState({len(aggregates)})",
             "touched = {(): group}",
         ]
-    body += ["group.rows += mult", *fold]
+    body += ["group.rows += mult", *fold(False)]
     counts = [f"count{slot}" for slot in slots]
     load = [
         "rows = group.rows",
@@ -364,13 +404,15 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
     check = [
         f"if rows <= 0 and ({' or '.join(['rows', *counts])}):",
         "    raise StateError(",
-        "        f\"aggregate group {key!r} retracts rows it does not hold\")",
+        f"        f\"aggregate group {{{label}!r}} retracts rows it does not "
+        f"hold\")",
     ]
     if slots:
         check += [
             f"if {' or '.join(f'{count} < 0' for count in counts)}:",
             "    raise StateError(",
-            "        f\"aggregate group {key!r} retracts more non-NULL values \"",
+            f"        f\"aggregate group {{{label}!r}} retracts more non-NULL "
+            f"values \"",
             "        f\"than it holds\")",
         ]
     emit = ["old_row = current_rows.get(key)"]
@@ -386,9 +428,11 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
     kinds = {aggregates[slot][0] for slot in slots}
     if kinds & {AggregateKind.SUM, AggregateKind.AVG}:
         emit.append("sums = group.sums")
-    if kinds & {AggregateKind.MIN, AggregateKind.MAX}:
+    if kinds & minmax:
         emit.append("minmax = group.minmax")
-    finished = [f"key[{index}]" for index in range(len(keys))] + [
+    group_columns = ["key"] if bare else [
+        f"key[{index}]" for index in range(len(keys))]
+    finished = group_columns + [
         "rows" if read is None else _finished(kind, slot)
         for slot, (kind, read) in enumerate(aggregates)]
     emit += [
@@ -400,34 +444,66 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
         "out.append((finished, 1))",
         "current_rows[key] = finished",
     ]
+    refuse = ["except StateError:",
+              "    undo(groups, current_rows, touched, deltas, len(deltas),",
+              "         None)",
+              "    raise"]
     # The answer moves only once every touched group has passed its
     # check: a query or view whose change-log holds these rows reads a
     # refused instant's answer as it was.  The global group is the only
     # group touched, so its check comes first in the one loop.
     if grouped:
         loops = [
-            "        for key, group in touched.items():",
-            *_block(load + check, 3),
+            "        try:",
+            "            for key, group in touched.items():",
+            *_block(load + check, 4),
+            *_block(refuse, 2),
             "        for key, group in touched.items():",
             *_block(load + emit, 3),
         ]
     else:
         loops = [
-            "        for key, group in touched.items():",
-            *_block(load + check + emit, 3),
+            "        try:",
+            "            for key, group in touched.items():",
+            *_block(load + check + emit, 4),
+            *_block(refuse, 2),
         ]
+    if refusable:
+        deltas = "iterator"
+        fold_start = ["        accumulator = None",
+                      "        iterator = iter(deltas)"]
+        fold_refused = [
+            "        except StateError:",
+            "            undo(groups, op._current_rows.data, touched, deltas,",
+            "                 len(deltas) - length_hint(iterator), accumulator)",
+            "            raise",
+        ]
+    else:
+        deltas, fold_start, fold_refused = "deltas", [], []
     evaluators = [f"evaluate{index}" for index in range(n_evaluators)]
     lines = [
         "def factory(evaluators):",
         *_block(_unpack(evaluators, "evaluators"), 1),
+        "    def undo(groups, current_rows, touched, deltas, folded, refused):",
+        "        for position in range(folded - 1, -1, -1):",
+        "            values, mult = deltas[position]",
+        "            mult = -mult",
+        f"            group = groups[{key if grouped else '()'}]",
+        "            group.rows += mult",
+        *_block(fold(True), 3),
+        "        for key in touched:",
+        "            if key not in current_rows:",
+        "                del groups[key]",
         "    def aggregate(op, t, child_deltas):",
         "        (deltas,) = child_deltas",
         "        groups_state = op._groups",
         "        groups = groups_state.data",
         *_block(start, 2),
+        *fold_start,
         "        try:",
-        "            for values, mult in deltas:",
+        f"            for values, mult in {deltas}:",
         *_block(body, 4),
+        *fold_refused,
         "        finally:",
         "            if groups_state.marking:",
         "                groups_state.mark(touched)",
@@ -660,7 +736,10 @@ def join_kernel(side: str, append_only: bool, keys: Sequence[int],
     delta into ``side``'s own index (``op._left_state`` or
     ``op._right_state``).
 
-    ``keys`` are the key columns' positions in ``side``'s rows: a NULL
+    ``keys`` are the key columns' positions in ``side``'s rows, and
+    an index is keyed by the one key column's bare value, by the tuple
+    of them for several and by ``()`` for none (a cross join) — as
+    :func:`_aggregate_source` keys a group.  A NULL
     component joins nothing and is not indexed (SQL three-valued logic:
     it can never satisfy the originating equality).  A joined row
     passes when every predicate holds for it (the residual, then any
@@ -715,7 +794,7 @@ def join_kernel(side: str, append_only: bool, keys: Sequence[int],
            "    raise StateError(\"retraction reached an append-only join\")"]
           if append_only else []),
         *read,
-        f"key = {_tuple(names)}",
+        f"key = {names[0] if len(names) == 1 else _tuple(names)}",
         "matches = other.get(key)",
         "if matches:",
         *_block(probe, 1),
@@ -849,51 +928,17 @@ def coercer_kernel(schema: Schema) -> Callable[[Any], tuple]:
     return factory(schema, schema.coerce, [schema.types[i] for i in typed])
 
 
-def door_kernel(schema: Schema) -> Callable[..., Callable]:
-    """The generated arrival door of a DSMS stream of ``schema``'s
-    layout: ``build(engine, stream, table, units, plain, policed,
-    behind, state) -> door``, where ``door(row, t)`` admits one arrival
-    of ``stream`` at ``t`` and ``door(None, t, rows)`` a run of them (a
-    sequence of rows); each returns how many ``(row, query)`` admissions
-    it made.
+#: The door's binding flags, in the order :func:`door_kernel` passes
+#: them, and the word each adds to a door's pseudo-filename.
+_DOOR_FLAGS = ("logged", "viewed", "policed")
 
-    The source depends on the layout alone; ``build`` binds the readers,
-    so the engine rebuilds a door after a register or cancel by calling
-    it, rendering and compiling nothing.  A run, in order:
 
-    * the progress check — an arrival at or past ``engine._frontier`` is
-      in order; one behind it calls ``behind(t)``, which refuses it if it
-      is late for a reading unit;
-    * every row coerced into a values tuple (:func:`_coercion`, the
-      coercer's lines) before any is admitted, so a bad row refuses the
-      run with :meth:`Schema.coerce`'s ``SchemaError`` and leaves no
-      trace;
-    * the frontier and the stream's watermark (``engine._watermarks``)
-      stored, and with ``engine.recovery`` one arrival-log entry per row;
-    * the run committed to ``table``, the stream's views base table, if
-      any: at ``t`` when it is ahead of the views' clock, which only
-      moves forward, and now otherwise — which the service stamps past
-      every view that already reached the clock, so the next refresh
-      pulls it;
-    * the readers: each NoShedding unit's books kept inline (``plain``:
-      its queue's ``offer``, the metrics of its members reading the
-      stream, their number and the policy) — the members' ``ingested``
-      and the policy's ``admitted`` once per run, then one ``offer`` of
-      its queue per row (a bounced row is counted as a queue drop);
-      every other unit (``policed``) gets ``SchedulingUnit.offer`` per
-      row, which decides on a Record.  While obs is on
-      (``state.enabled``) every row notes the stall detector and goes to
-      the ``offer`` of every reading unit (``units``), which observes
-      the queue depth.
-
-    One in-order row — every in-order ``ingest`` — takes the same steps
-    with its tuple in a local, building no list and looping over no
-    rows; one behind the frontier is a run of one.  ``door(None, t,
-    rows, True)`` re-admits rows the door validated and logged before
-    (a crash replay): it skips the check, the coercion, the watermark
-    and the log.  The pseudo-filename spells the layout, e.g.
-    ``<door (id, room, temp)>``.
-    """
+def _door_source(schema: Schema, logged: bool, viewed: bool,
+                 policed: bool) -> str:
+    """The factory source of the door of ``schema``'s layout for a
+    binding with (or without) recovery's arrival log (``logged``), a
+    views base table (``viewed``) and readers whose policy can refuse
+    (``policed``); see :func:`door_kernel`."""
     layout = _layout(schema)
     typed = _typed(schema)
 
@@ -903,15 +948,12 @@ def door_kernel(schema: Schema) -> Callable[..., Callable]:
     def admit(run: bool) -> list[str]:
         """The readers' part: for each tuple of ``coerced`` (``run``) or
         for the one tuple in ``values``."""
-        count = "count" if run else "1"
 
         def per_row(body: list[str]) -> list[str]:
             return ["for values in coerced:", *_block(body, 1)] if run \
                 else body
 
-        policed = per_row(["for unit in policed:",
-                           "    admitted += unit.offer(values, t, stream)"])
-        return [
+        lines = [
             "admitted = 0",
             "if state.enabled:",
             *_block(per_row(["engine.stall_detector.note_arrival(stream)",
@@ -919,22 +961,39 @@ def door_kernel(schema: Schema) -> Callable[..., Callable]:
                              "    admitted += unit.offer(values, t, stream)"]),
                     1),
             "    return admitted",
-            *(["count = len(coerced)"] if run else []),
-            "for offer, readers, each, shedder in plain:",
-            "    for metrics in readers:",
-            f"        metrics.ingested += {count}",
-            f"    shedder.admitted += {count}",
+            "for queue, each, unit in plain:",
             *_block(per_row([
-                "if offer(values, t, stream):",
+                "depth = queue.pending",
+                "if (depth < queue.calm and queue._open_t == t",
+                "        and queue._open_stream == stream):",
+                "    queue._open.append(values)",
+                "    queue.pending = depth + 1",
+                "    admitted += each",
+                "elif queue.offer(values, t, stream):",
                 "    admitted += each",
                 "else:",
-                "    for metrics in readers:",
-                "        metrics.queue_dropped += 1",
-                "    shedder.record_queue_drop()"]), 1),
-            "if policed:",
-            *_block(policed, 1),
-            "return admitted",
+                "    unit.dropped(stream)"]), 1),
         ]
+        if policed:
+            # Rows outer, units inner, as a loop of ``ingest`` offers them.
+            lines += per_row(["for unit in policed:",
+                              "    admitted += unit.offer(values, t, stream)"])
+        return [*lines, "return admitted"]
+
+    def logging(run: bool) -> list[str]:
+        if not logged:
+            return []
+        append = ["engine._arrival_log.append(('ingest', stream, values, t))"]
+        return ["recovery.start()",
+                *(["for values in coerced:", *_block(append, 1)] if run
+                  else append)]
+
+    def committing(deltas: str) -> list[str]:
+        if not viewed:
+            return []
+        return ["views = engine.views",
+                f"views._commit(table, {deltas},",
+                "              t if t > views.clock else None)"]
 
     lines = [
         f"# layout {layout!r}",
@@ -943,19 +1002,13 @@ def door_kernel(schema: Schema) -> Callable[..., Callable]:
         "    def build(engine, stream, table, units, plain, policed, behind,",
         "              state):",
         "        watermarks = engine._watermarks",
-        "        recovery = engine.recovery",
+        *(["        recovery = engine.recovery"] if logged else []),
         "        def door(row, t, rows=None, replay=False):",
         "            if rows is None and t >= engine._frontier:",
         *_block(_coercion(schema, assign), 4),
         "                engine._frontier = watermarks[stream] = t",
-        "                if recovery is not None:",
-        "                    recovery.start()",
-        "                    engine._arrival_log.append(",
-        "                        ('ingest', stream, values, t))",
-        "                if table is not None:",
-        "                    views = engine.views",
-        "                    views._commit(table, [(values, 1)],",
-        "                                  t if t > views.clock else None)",
+        *_block(logging(False), 4),
+        *_block(committing("[(values, 1)]"), 4),
         *_block(admit(False), 4),
         "            if replay:",
         "                coerced = rows",
@@ -976,19 +1029,86 @@ def door_kernel(schema: Schema) -> Callable[..., Callable]:
         "                    mark = watermarks.get(stream)",
         "                    if mark is None or t > mark:",
         "                        watermarks[stream] = t",
-        "                if recovery is not None:",
-        "                    recovery.start()",
-        "                    for values in coerced:",
-        "                        engine._arrival_log.append(",
-        "                            ('ingest', stream, values, t))",
-        "            if table is not None:",
-        "                views = engine.views",
-        "                views._commit(table,",
-        "                              [(values, 1) for values in coerced],",
-        "                              t if t > views.clock else None)",
+        *_block(logging(True), 4),
+        *_block(committing("[(values, 1) for values in coerced]"), 3),
         *_block(admit(True), 3),
         "        return door",
         "    return build",
     ]
-    factory = _factory("door", "\n".join(lines) + "\n", layout)
-    return factory(schema, schema.coerce, [schema.types[i] for i in typed])
+    return "\n".join(lines) + "\n"
+
+
+def door_kernel(schema: Schema) -> Callable[..., Callable]:
+    """The generated arrival door of a DSMS stream of ``schema``'s
+    layout: ``build(engine, stream, table, units, plain, policed,
+    behind, state) -> door``, where ``door(row, t)`` admits one arrival
+    of ``stream`` at ``t`` and ``door(None, t, rows)`` a run of them (a
+    sequence of rows); each returns how many ``(row, query)`` admissions
+    it made.
+
+    The source depends on the layout and on three flags of the binding
+    — whether ``engine.recovery`` logs arrivals, whether the stream
+    feeds a views base table (``table``) and whether any reader's policy
+    can refuse (``policed``) — and never on how many readers there are.
+    ``build`` renders and compiles a flag combination's source on first
+    use, so the engine rebuilds a door after a register or cancel by
+    calling it, rendering and compiling nothing for a combination it has
+    seen.  A run, in order:
+
+    * the progress check — an arrival at or past ``engine._frontier`` is
+      in order; one behind it calls ``behind(t)``, which refuses it if it
+      is late for a reading unit;
+    * every row coerced into a values tuple (:func:`_coercion`, the
+      coercer's lines) before any is admitted, so a bad row refuses the
+      run with :meth:`Schema.coerce`'s ``SchemaError`` and leaves no
+      trace;
+    * the frontier and the stream's watermark (``engine._watermarks``)
+      stored, and with recovery one arrival-log entry per row;
+    * the run committed to ``table``, if any: at ``t`` when it is ahead
+      of the views' clock, which only moves forward, and now otherwise —
+      which the service stamps past every view that already reached the
+      clock, so the next refresh pulls it;
+    * the readers: each NoShedding unit (``plain``: its queue, the
+      number of its members reading the stream and the unit) takes each
+      row into its queue's open run inline — the depth read, the
+      append, the depth stored — while the row joins that run below the
+      queue's :attr:`~repro.dsms.queues.InputQueue.calm` depth; the
+      queue's ``offer`` takes the edges, a new run or a queue at its
+      pressure mark or capacity, and a bounced row goes to the unit's
+      ``dropped``.  No book is kept per row: the queue's runs count what
+      it admitted.  Every other unit (``policed``) gets
+      ``SchedulingUnit.offer`` per row, which decides on a Record.
+      While obs is on (``state.enabled``) every row notes the stall
+      detector and goes to the ``offer`` of every reading unit
+      (``units``), which observes the queue depth.
+
+    One in-order row — every in-order ``ingest`` — takes the same steps
+    with its tuple in a local, building no list and looping over no
+    rows; one behind the frontier is a run of one.  ``door(None, t,
+    rows, True)`` re-admits rows the door validated and logged before
+    (a crash replay): it skips the check, the coercion, the watermark
+    and the log.  The pseudo-filename spells the layout and the flags
+    set, e.g. ``<door (id, room, temp)>`` or ``<door (id, room, temp)
+    logged>``.
+    """
+    layout = _layout(schema)
+    types = [schema.types[i] for i in _typed(schema)]
+    #: Flags -> the build function of their source, made on first use.
+    builders: dict[tuple[bool, bool, bool], Callable] = {}
+
+    def build(engine: Any, stream: str, table: Any, units: Sequence,
+              plain: Sequence, policed: Sequence, behind: Callable,
+              state: Any) -> Callable:
+        flags = (engine.recovery is not None, table is not None,
+                 bool(policed))
+        made = builders.get(flags)
+        if made is None:
+            name = " ".join([layout, *(word for word, flag
+                                       in zip(_DOOR_FLAGS, flags) if flag)])
+            made = builders[flags] = _factory(
+                "door", _door_source(schema, *flags), name)(
+                    schema, schema.coerce, types)
+        return made(engine, stream, table, units, plain, policed, behind,
+                    state)
+
+    return build

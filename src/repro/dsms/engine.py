@@ -77,9 +77,11 @@ class SchedulingUnit:
         self.group = group
         self.queue = queue
         self.shedder = shedder
-        #: NoShedding cannot refuse: the unit skips the policy call and
-        #: only keeps its books.
+        #: NoShedding cannot refuse: the unit skips the policy call, and
+        #: the policy reads what it admitted off the queue.
         self._admits_all = type(shedder) is NoShedding
+        if self._admits_all:
+            shedder.admit_into(queue)
         #: Micro-batch cap: a service quantum drains the queue's head
         #: instant — up to this many same-timestamp tuples, all of them
         #: for ``None`` — into one group instant (1 = per-tuple).  The
@@ -155,6 +157,8 @@ class SchedulingUnit:
         self._readers = {
             name: [h.metrics for h in self.members if h.reads_stream(name)]
             for name in streams}
+        for h in self.members:
+            h.metrics.read_queue(self.queue, filter(h.reads_stream, streams))
         self._books = [
             (h.metrics, h.query, all(map(h.reads_stream, streams)),
              h.query.r2s is not None)
@@ -199,29 +203,33 @@ class SchedulingUnit:
         Record of the stream's schema, built for it alone.
 
         The stream's door calls it per row for a unit whose policy can
-        refuse, and for every unit while obs is on; it keeps a
-        NoShedding unit's books itself otherwise."""
+        refuse, and for every unit while obs is on; otherwise it admits
+        into a NoShedding unit's queue itself.  An admitted arrival's
+        books are the queue's own (see :attr:`QueryMetrics.ingested`
+        and :class:`NoShedding`); a refused one is counted here."""
         readers = self._readers[stream_name]
-        for metrics in readers:
-            metrics.ingested += 1
-        if self._admits_all:
-            self.shedder.admitted += 1
-        elif not self.shedder.admit(trusted_record(
+        if not self._admits_all and not self.shedder.admit(trusted_record(
                 self.group.catalog.stream(stream_name).schema, values),
                 self.queue):
             for metrics in readers:
                 metrics.shed += 1
             return 0
         if not self.queue.offer(values, t, stream_name):
-            for metrics in readers:
-                metrics.queue_dropped += 1
-            # The policy said yes but the queue bounced the tuple: tell the
-            # shedder so shed_fraction keeps reporting the true drop rate.
-            self.shedder.record_queue_drop()
+            self.dropped(stream_name)
             return 0
         if obs._STATE.enabled:
             self._series()[1].observe(self.queue.pending)
         return len(readers)
+
+    def dropped(self, stream_name: str) -> None:
+        """The books of an arrival of ``stream_name`` the policy admitted
+        and the full queue then bounced: every member reading the stream
+        dropped it."""
+        for metrics in self._readers[stream_name]:
+            metrics.queue_dropped += 1
+        # Tell the shedder, so shed_fraction keeps reporting the true
+        # drop rate.
+        self.shedder.record_queue_drop()
 
     def service_one(self) -> bool:
         """Service one scheduling quantum.  Returns False when idle.
@@ -824,9 +832,8 @@ class DSMSEngine:
                 if unit.reads_stream(stream_name):
                     units.append(unit)
                     if unit._admits_all:
-                        readers = unit._readers[stream_name]
-                        plain.append((unit.queue.offer, readers,
-                                      len(readers), unit.shedder))
+                        plain.append((unit.queue,
+                                      len(unit._readers[stream_name]), unit))
                     else:
                         policed.append(unit)
 
@@ -947,8 +954,9 @@ class DSMSEngine:
         self._tick_views(t)
 
     def _tick_views(self, t: Timestamp | None = None) -> None:
-        """Run the view refresh scheduler (no-op without dynamic tables)."""
-        if self.views.view_names():
+        """Run the view refresh scheduler (no-op without dynamic tables,
+        which every drain checks: one dict test, no call)."""
+        if self.views._views:
             target = self.views.clock if t is None \
                 else max(t, self.views.clock)
             self.views.tick(target)

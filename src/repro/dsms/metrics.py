@@ -13,11 +13,17 @@ now reported too.
 The tuple-flow tallies stay plain integer attributes — the obs design rule
 is that the hot path pays one attribute add — and the engine publishes
 them straight into the registry's counters on demand, the same pull-based
-publication the engines use.
+publication the engines use.  ``ingested`` pays less still: an arrival
+the query's queue admits costs it nothing, since the queue's runs count
+it, and one shed or dropped is in ``shed`` or ``queue_dropped``
+(:attr:`QueryMetrics.ingested`).
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
+from repro.dsms.queues import InputQueue
 from repro.obs.metrics import Gauge as _ObsGauge
 
 
@@ -39,13 +45,43 @@ class QueryMetrics:
     COUNTERS = ("ingested", "shed", "queue_dropped", "processed", "emitted")
 
     def __init__(self) -> None:
-        self.ingested = 0
         self.shed = 0
         self.queue_dropped = 0
         self.processed = 0
         self.emitted = 0
         self.queue_wait = Gauge("queue_wait")
         self.scratch = Gauge("scratch")
+        #: The queue whose admissions on ``_streams`` the query ingested
+        #: (see :meth:`read_queue`), and what :attr:`ingested` takes off
+        #: so that it reads on unbroken across a rebind or an assignment.
+        self._queue: InputQueue | None = None
+        self._streams: tuple[str, ...] = ()
+        self._offset = 0
+
+    @property
+    def ingested(self) -> int:
+        """Arrivals offered to the query: those shed or dropped, and those
+        its queue admitted on the streams it reads, read off the queue's
+        runs — so admitting an arrival costs these books nothing."""
+        n = self.shed + self.queue_dropped - self._offset
+        queue = self._queue
+        if queue is not None:
+            for stream in self._streams:
+                n += queue.admitted(stream)
+        return n
+
+    @ingested.setter
+    def ingested(self, value: int) -> None:
+        self._offset += self.ingested - value
+
+    def read_queue(self, queue: InputQueue, streams: Iterable[str]) -> None:
+        """From now on count the arrivals ``queue`` admits on ``streams``
+        as ingested; the count read so far is kept."""
+        streams = tuple(streams)
+        if queue is not self._queue or streams != self._streams:
+            held = self.ingested
+            self._queue, self._streams = queue, streams
+            self.ingested = held
 
     def as_dict(self) -> dict[str, float]:
         return {

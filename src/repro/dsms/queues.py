@@ -42,6 +42,14 @@ class InputQueue:
     was admitted.  A run opened after the last poll is admitted at
     consecutive depths, so each poll reports the waits of what it took as
     one ``range`` per run it drew from (:attr:`polled_waits`).
+
+    An arrival that joins the open run at a depth below :attr:`calm`
+    reaches neither the pressure mark nor the capacity, so admitting it
+    is the append and the depth alone: the DSMS door does exactly that
+    inline, and calls :meth:`offer` only for the edges — a new run, or a
+    queue at its pressure mark or capacity.  Nothing else is kept per
+    arrival: :meth:`admitted` counts a stream's values from the runs'
+    lengths.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -79,6 +87,12 @@ class InputQueue:
         self.polled_waits: list[range] = []
         self._pressure_mark = max(1, int(capacity * _profile.PRESSURE_THRESHOLD))
         self._pressured = False
+        #: The depth below which an admission into the open run crosses
+        #: no mark (see the class doc).
+        self.calm = min(self._pressure_mark, capacity) - 1
+        #: Stream -> the values admitted in its runs before the newest
+        #: (see :meth:`admitted`).
+        self._counted: dict[str, int] = {}
 
     def offer(self, value: Any, timestamp: Timestamp, stream: str) -> bool:
         """Try to enqueue ``value``, an arrival of ``stream``; returns
@@ -90,6 +104,11 @@ class InputQueue:
         if self._open_t == timestamp and self._open_stream == stream:
             self._open.append(value)
         else:
+            if self._open:
+                # The newest run becomes an older one: count it now.
+                held = self._open_stream
+                self._counted[held] = self._counted.get(held, 0) \
+                    + len(self._open)
             self._open_t, self._open_stream = timestamp, stream
             self._open = values = [value]
             self._runs.append([timestamp, stream, values, depth])
@@ -160,6 +179,16 @@ class InputQueue:
         self._open_t = None
         self._head = 0
         self.pending = 0
+        return n
+
+    def admitted(self, stream: str) -> int:
+        """Values of ``stream`` the queue ever admitted: its older runs'
+        count, plus the newest run's length when it is ``stream``'s.  A
+        run's list only grows while it is open, and a poll hands it out
+        to be read, so its length is final once it closes."""
+        n = self._counted.get(stream, 0)
+        if self._open_stream == stream:
+            n += len(self._open)
         return n
 
     def __len__(self) -> int:

@@ -52,7 +52,35 @@ class Shedder:
 
 
 class NoShedding(Shedder):
-    """Admit everything (queues still drop when full)."""
+    """Admit everything (queues still drop when full).
+
+    Every arrival offered to a queue it admits for (:meth:`admit_into`)
+    is admitted, so ``admitted`` reads those queues' offers — what they
+    admitted plus what they dropped — and an arrival costs it nothing."""
+
+    def __init__(self) -> None:
+        #: The queues it admits for (see :meth:`admit_into`), and what
+        #: ``admitted`` takes off their offers.
+        self._queues: list[InputQueue] = []
+        self._offset = 0
+        super().__init__()
+
+    @property
+    def admitted(self) -> int:
+        n = -self._offset
+        for queue in self._queues:
+            n += queue.enqueued + queue.dropped
+        return n
+
+    @admitted.setter
+    def admitted(self, value: int) -> None:
+        self._offset += self.admitted - value
+
+    def admit_into(self, queue: InputQueue) -> None:
+        """Count every later offer to ``queue`` as admitted, without
+        being asked (the DSMS door offers to it directly)."""
+        self._offset += queue.enqueued + queue.dropped
+        self._queues.append(queue)
 
     def _decide(self, value: Any, queue: InputQueue) -> bool:
         return True

@@ -221,9 +221,13 @@ class _Migration:
         elif isinstance(op, ex.AggregateOp):
             route = key_router(at, self.n)
             # A group's accumulators and row move whole: a group lives
-            # wholly inside one partition, before and after.
+            # wholly inside one partition, before and after.  A group's
+            # key holds its output row's leading columns, except that a
+            # one-column key is the bare value, routed as itself (a
+            # group window's key always has its bounds too).
+            bare = type(op) is ex.AggregateOp and len(node.group_by) == 1
             self._split(olds, news, ("_groups", "_current_rows"),
-                        lambda group, _: route(group))
+                        lambda group, _: route((group,) if bare else group))
         elif op._STATE_ATTRS:
             raise RescaleError(f"{name} has no rekey rule for its state")
         # The tallies are global, not per-key: keep the totals on target

@@ -257,6 +257,46 @@ SUM_V = AggregateExpr(AggregateKind.SUM, Column("s.v"), "total")
 MIN_V = AggregateExpr(AggregateKind.MIN, Column("s.v"), "lo")
 
 
+class TestKeySpelling:
+    """A one-column group or join key is the column's bare value — the
+    key :func:`~repro.runtime.partitioning.key_router` reads at the same
+    position — several columns make a tuple, and the global group is
+    ``()``."""
+
+    def keys(self, text):
+        query = engine().register_query(text)
+        arrivals = {"Obs": [{"id": 1, "room": "a", "temp": 20}]}
+        if "Badge" in text:
+            arrivals["Badge"] = [{"id": 1, "door": 0}]
+        query.push_batch(1, arrivals)
+        return {attr: set(getattr(op, attr).data)
+                for _, op in query.operators()
+                for attr in ("_groups", "_left_state", "_right_state")
+                if hasattr(op, attr)}
+
+    @pytest.mark.parametrize("text, keys", [
+        ("SELECT room, COUNT(*) AS n FROM Obs [Range 5] GROUP BY room",
+         {"_groups": {"a"}}),
+        ("SELECT room, id, COUNT(*) AS n FROM Obs [Range 5] "
+         "GROUP BY room, id", {"_groups": {("a", 1)}}),
+        ("SELECT COUNT(*) AS n FROM Obs [Range 5]", {"_groups": {()}}),
+        ("SELECT O.room, B.door FROM Obs O [Range 5], Badge B [Range 5] "
+         "WHERE O.id = B.id", {"_left_state": {1}, "_right_state": {1}}),
+        ("SELECT O.room FROM Obs O [Range 5], Badge B [Range 5] "
+         "WHERE O.id = B.id AND O.temp = B.door",
+         {"_left_state": {(1, 20)}, "_right_state": {(1, 0)}}),
+    ], ids=["one-column-group", "two-column-group", "global-group",
+            "one-column-join", "two-column-join"])
+    def test_keys(self, text, keys):
+        assert self.keys(text) == keys
+
+    def test_a_bare_key_is_what_key_router_places(self):
+        from repro.runtime.partitioning import key_router, partition_of
+        for room in ["a", "kitchen", None, 7]:
+            values = (1, room, 20)
+            assert key_router([1], 5)(values) == partition_of(room, 5)
+
+
 class TestRefusals:
     """The three over-retraction messages, word for word, and the kernel
     line a traceback shows for them."""
@@ -303,6 +343,34 @@ class TestRefusals:
         assert linecache.getline(frames[0].filename,
                                  frames[0].lineno).strip() == line
         assert line in "".join(traceback.format_exception(error))
+
+
+class TestARefusedInstantIsUndone:
+    """An aggregate instant is all or nothing: a refused one — by a
+    group's check after the fold, or by a MIN/MAX add mid-fold — leaves
+    the accumulators, the groups and the answer as they were."""
+
+    @pytest.mark.parametrize("aggregate, refused, answer", [
+        (SUM_V, [(row("a", 5), 1), (row("c", 7), -1)], ("a", 2, 2)),
+        (MIN_V, [(row("a", 0), 1), (row("c", 7), -1)], ("a", 2, 1)),
+        (MIN_V, [(row("a", 0), 1), (row("a", 9), -1)], ("a", 2, 1)),
+        (MIN_V, [(row("c", 0), 1), (row("a", 1), -1), (row("a", 9), -1)],
+         ("a", 2, 1)),
+    ], ids=["sum-check", "min-new-group", "min-same-group", "min-mid-delta"])
+    def test_a_later_instant_reads_as_if_it_never_ran(self, aggregate,
+                                                       refused, answer):
+        view = table_view(COUNT_ROWS, aggregate)
+        view.evaluate(1, {"t": [(row("a", 1), 1), (row("b", 2), 1)]})
+        (op,) = [op for _, op in view.operators()
+                 if type(op).__name__ == "AggregateOp"]
+        groups = {key: (group.rows, list(group.counts), list(group.sums))
+                  for key, group in op._groups.data.items()}
+        with pytest.raises(StateError):
+            view.evaluate(2, {"t": refused})
+        assert {key: (group.rows, list(group.counts), list(group.sums))
+                for key, group in op._groups.data.items()} == groups
+        view.evaluate(3, {"t": [(row("a", 1), 1)]})
+        assert sorted(op._current_rows.data.values()) == [answer, ("b", 1, 2)]
 
 
 class TestPrefilterKernel:

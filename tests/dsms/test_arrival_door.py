@@ -6,8 +6,8 @@ stream's first arrival and dropped whenever any of those change.
 Counts, not clocks: after each change, ``ingest`` returns exactly the
 number of queries reading the stream and every handle's
 ``metrics.ingested`` counts exactly the arrivals it was a reader for;
-an arrival costs the door and one queue offer per reader in Python
-calls, and a rebuilt door renders no code.
+an arrival costs ``ingest`` and the door in Python calls, whatever the
+readers, and a rebuilt door renders no code.
 """
 
 import os
@@ -235,7 +235,7 @@ class TestCallsPerArrival:
     what rebuilding a door costs in generated code."""
 
     @pytest.mark.parametrize("readers", [1, 4, 16])
-    def test_an_arrival_is_the_door_and_one_offer_per_reader(self, readers):
+    def test_an_arrival_is_ingest_and_the_door_alone(self, readers):
         engine = make_engine()
         for index in range(readers):
             engine.register_query(f"q{index}", GROUPED)
@@ -244,11 +244,38 @@ class TestCallsPerArrival:
         calls = calls_made(
             lambda: admitted.append(engine.ingest("Obs", row(1), 1)))
         assert admitted == [readers]
-        # ingest, the stream's door, and each reader's queue offer: the
-        # coercion, the routing and the books are inline.
+        # ingest and the stream's door: the coercion, the routing, each
+        # reader's admission into its queue's open run and the books
+        # are inline.
         assert calls == [("engine.py", "ingest"),
-                         ("<door (id, room, temp)>", "door"),
-                         *[("queues.py", "offer")] * readers]
+                         ("<door (id, room, temp)>", "door")]
+        assert all(handle.metrics.ingested == 2
+                   and handle.shedder.admitted == 2
+                   and len(handle.queue) == 2 for handle in engine.queries)
+
+    def test_the_edges_go_to_the_queue(self):
+        # A new run, and a queue at its pressure mark or capacity, take
+        # the queue's offer; every book still reads exactly.
+        engine = make_engine()
+        handle = engine.register_query("q", GROUPED, queue_capacity=5)
+        assert handle.queue.calm == 3   # the pressure mark is 4
+        offers = []
+        for t, ident in [(1, 0), (1, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                         (2, 6)]:
+            calls = calls_made(lambda: engine.ingest("Obs", row(ident), t))
+            offers.append(calls.count(("queues.py", "offer")))
+        # t=1 opens a run and t=2 another; from depth 3 an admission
+        # meets the mark (4), and from depth 5 the capacity bounces it.
+        assert offers == [1, 0, 1, 1, 1, 1, 1]
+        assert handle.queue.pressure_events == 1
+        assert (handle.metrics.ingested, handle.metrics.queue_dropped,
+                len(handle.queue)) == (7, 2, 5)
+        assert (handle.shedder.admitted, handle.shedder.queue_dropped) \
+            == (7, 2)
+        engine.run_until_idle()
+        engine.ingest("Obs", row(7), 3)
+        assert (handle.metrics.ingested, handle.metrics.processed,
+                handle.shedder.admitted) == (8, 5, 8)
 
     def test_a_door_rebuilt_after_register_and_cancel_renders_nothing(
             self, monkeypatch):

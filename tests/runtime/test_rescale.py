@@ -114,6 +114,39 @@ class TestStateMigration:
         assert query.parallelism == 2
         assert [r.parallelism_to for r in reports] == [4, 2]
 
+    @pytest.mark.parametrize("text", [
+        GROUPED,
+        STREAM_JOIN,
+        "SELECT ISTREAM room, temp, COUNT(*) AS n FROM Obs [Range 5] "
+        "GROUP BY room, temp",
+    ], ids=["one-column-group", "one-column-join", "two-column-group"])
+    def test_bare_keys_1_3_1_match_never_rescaled(self, engine, text):
+        # A one-column group or join key is the bare value, which the
+        # migration routes as itself; a two-column key stays a tuple.
+        batches = OBS_BATCHES
+        if text is STREAM_JOIN:
+            batches = [(t, {**arrivals, "Alerts": [
+                {"room": ROOMS[t % len(ROOMS)], "level": t % 3}]})
+                for t, arrivals in OBS_BATCHES]
+        plan = engine.plan(text)
+        control = serial_control(plan, engine.catalog, batches)
+        query = ContinuousQuery(plan, engine.catalog)
+        query.start()
+        reports, keys = [], set()
+        for position, (t, arrivals) in enumerate(batches):
+            if position in (3, 7):
+                reports.append(rescale(query, 3 if position == 3 else 1))
+            query.push_batch(t, arrivals)
+            keys |= {key for _, op in query.operators()
+                     for attr in ("_groups", "_left_state", "_right_state")
+                     if hasattr(op, attr) for key in getattr(op, attr).data}
+        query.finish()
+        assert [r.parallelism_to for r in reports] == [3, 1]
+        assert all(r.migrated_entries for r in reports)
+        assert outputs(query) == outputs(control)
+        assert keys and all(isinstance(key, tuple) == ("temp" in text)
+                            for key in keys)
+
     def test_1_4_1_switches_whether_the_log_holds_the_root_rows(
             self, engine):
         # Serial, the root is the running aggregate and the change-log
