@@ -49,7 +49,12 @@ ENABLED_SLACK = 0.15
 #: the disabled-path budget — recorded in the JSON; the structural
 #: guarantee is pinned by the zero-work guard test.
 DISABLED_BUDGET = 0.03
-REPEATS = 7
+#: Interleaved legs per mode.  On a shared 2-core box the speed of a
+#: leg steps between fast and slow phases (legs of one mode differ by
+#: up to 60%), and the best leg decides only when every mode has one in
+#: a fast phase: at 7 or 15 legs about one run in ten read 1.17-1.51x.
+#: More legs, not longer ones, give each mode that chance.
+REPEATS = 25
 #: The shortest timed leg, in seconds (see :func:`back_to_back`).
 LEG_SECONDS = 0.1
 

@@ -73,7 +73,6 @@ from repro.cql.kernels import (
     spine_kernel,
 )
 from repro.cql.state import KeyedState, copy_sized
-from repro.plan.monotone import append_only_inputs
 from repro.plan.sharing import SubplanMemo, memo_key
 
 #: A signed row change flowing between physical operators: a bare
@@ -647,9 +646,6 @@ class JoinOp(PhysicalOp):
     """
 
     _STATE_ATTRS = ("_left_state", "_right_state")
-    #: Whether each side indexes an insert-only list of ``(values,
-    #: multiplicity)`` (see :class:`AppendOnlyJoinOp`).
-    _APPEND_ONLY = False
 
     def __init__(self, left: PhysicalOp, right: PhysicalOp,
                  probes: tuple[Callable, Callable]) -> None:
@@ -660,8 +656,8 @@ class JoinOp(PhysicalOp):
         self._left_state = KeyedState(self._weigh)
         self._right_state = KeyedState(self._weigh)
 
-    @classmethod
-    def render(cls, node: Join, predicates: Sequence[Expr] = (),
+    @staticmethod
+    def render(node: Join, predicates: Sequence[Expr] = (),
                outputs: Sequence[Expr] | None = None) \
             -> tuple[Kernel, Kernel]:
         """The left and right probes of ``node`` (see
@@ -671,8 +667,7 @@ class JoinOp(PhysicalOp):
             predicates = [node.residual, *predicates]
         width = len(node.left.schema.fields)
         left, right = [
-            join_kernel(side, cls._APPEND_ONLY,
-                        [child.schema.index_of(c) for c in keys],
+            join_kernel(side, [child.schema.index_of(c) for c in keys],
                         predicates, outputs, node.schema, width)
             for side, child, keys in (("left", node.left, node.left_keys),
                                       ("right", node.right,
@@ -697,24 +692,6 @@ class JoinOp(PhysicalOp):
     def state_size(self) -> int:
         """Tuples (net multiplicity) indexed on both sides."""
         return self._left_state.tally + self._right_state.tally
-
-
-class AppendOnlyJoinOp(JoinOp):
-    """Join over provably append-only inputs — the monotone fast path.
-
-    The monotonicity pass (:mod:`repro.plan.monotone`) proves both input
-    sub-plans are monotonic, so no retraction can ever arrive; each side
-    indexes a key to a plain insert-only list of ``(values,
-    multiplicity)`` instead of a multiplicity map.  This is the
-    incremental SPJ rewrite of Section 3.2 applied at plan time, where —
-    and only where — it is legal.
-    """
-
-    _APPEND_ONLY = True
-
-    @staticmethod
-    def _weigh(entry: list[Delta]) -> int:
-        return sum(mult for _, mult in entry)
 
 
 class AggregateOp(PhysicalOp):
@@ -844,40 +821,6 @@ class DistinctOp(PhysicalOp):
                     out.append((values, 1))
             elif not after:
                 out.append((values, -1))
-        return out
-
-
-class AppendOnlyDistinctOp(DistinctOp):
-    """Duplicate elimination over a provably append-only input.
-
-    With no retractions possible, a seen-set (each row seen maps to
-    True) replaces the multiplicity counter: first occurrence emits
-    ``+1``, everything after is dropped.
-    """
-
-    _STATE_ATTRS = ("_seen",)
-
-    def __init__(self, child: PhysicalOp) -> None:
-        PhysicalOp.__init__(self, [child])
-        self._seen = KeyedState()
-
-    @property
-    def state_size(self) -> int:
-        return len(self._seen.data)
-
-    def process(self, t, child_deltas):
-        (deltas,) = child_deltas
-        if self._seen.marking:
-            self._seen.mark(values for values, _ in deltas)
-        seen = self._seen.data
-        out: list[Delta] = []
-        for values, mult in deltas:
-            if mult < 0:
-                raise StateError(
-                    "retraction reached an append-only distinct")
-            if mult and values not in seen:
-                seen[values] = True
-                out.append((values, 1))
         return out
 
 
@@ -1144,11 +1087,9 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                     top: Filter | Project | None = None) -> JoinOp:
         """``node``'s join, running the chain from ``top`` down when one
         is fused into it (its ``predicates`` and ``outputs``)."""
-        join_cls = (AppendOnlyJoinOp if append_only_inputs(node)
-                    else JoinOp)
         probes = bound("join", (top, node),
-                       lambda: join_cls.render(node, predicates, outputs))
-        return join_cls(build(node.left), build(node.right), probes)
+                       lambda: JoinOp.render(node, predicates, outputs))
+        return JoinOp(build(node.left), build(node.right), probes)
 
     def _record(node: LogicalOp, op: PhysicalOp) -> None:
         node_map.setdefault(id(node), []).append(op)
@@ -1228,9 +1169,7 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
             op.children = [child]
             return op
         if isinstance(node, Distinct):
-            distinct_cls = (AppendOnlyDistinctOp
-                            if append_only_inputs(node) else DistinctOp)
-            return distinct_cls(build(node.child))
+            return DistinctOp(build(node.child))
         if isinstance(node, SetOp):
             return SetOpOp(node.kind, build(node.left), build(node.right))
         raise PlanError(f"cannot compile plan node {node!r}")

@@ -727,9 +727,9 @@ def _join_column(probing_left: bool, position: int,
     return f"{row}[{offset}]", f"{'l' if on_left else 'r'}{offset}"
 
 
-def join_kernel(side: str, append_only: bool, keys: Sequence[int],
-                predicates: Sequence[Expr], outputs: Sequence[Expr] | None,
-                schema: Schema, left_width: int) -> Kernel:
+def join_kernel(side: str, keys: Sequence[int], predicates: Sequence[Expr],
+                outputs: Sequence[Expr] | None, schema: Schema,
+                left_width: int) -> Kernel:
     """The generated probe-and-fold of one join side: ``kernel(op,
     deltas, out)`` probes ``op``'s other side's index with each of
     ``side``'s deltas, appends what it joins to ``out`` and folds the
@@ -747,12 +747,10 @@ def join_kernel(side: str, append_only: bool, keys: Sequence[int],
     joined layout ``schema`` whose first ``left_width`` columns are the
     left row's.  It is emitted as the concatenation of the two rows,
     left first, or — with ``outputs`` — as the tuple of its output
-    values read from the two rows in place.  A counted side refuses a
-    retraction it does not hold before its index changes; an append-only
-    side (:class:`~repro.cql.executor.AppendOnlyJoinOp`) indexes
-    ``(values, multiplicity)`` lists and refuses any retraction.  The
-    pseudo-filename names the side, its key and emitted columns, e.g.
-    ``<join left on (l0) emit (l1, r1)>``.
+    values read from the two rows in place.  A side refuses a retraction
+    it does not hold before its index changes.  The pseudo-filename
+    names the side, its key and emitted columns, e.g. ``<join left on
+    (l0) emit (l1, r1)>``.
     """
     left = side == "left"
     other = "right" if left else "left"
@@ -776,8 +774,7 @@ def join_kernel(side: str, append_only: bool, keys: Sequence[int],
     concatenation = "values + match" if left else "match + values"
     if outputs is None:
         emit = "joined" if closures else concatenation
-    matches = "matches" if append_only else "matches.items()"
-    probe = [f"for match, count in {matches}:",
+    probe = ["for match, count in matches.items():",
              *([f"    joined = {concatenation}"] if closures else [])]
     if terms:
         probe += [f"    if {' and '.join(terms)}:",
@@ -790,44 +787,29 @@ def join_kernel(side: str, append_only: bool, keys: Sequence[int],
         read += [f"if {' or '.join(f'{name} is None' for name in names)}:",
                  "    continue"]
     body = [
-        *(["if mult < 0:",
-           "    raise StateError(\"retraction reached an append-only join\")"]
-          if append_only else []),
         *read,
         f"key = {names[0] if len(names) == 1 else _tuple(names)}",
         "matches = other.get(key)",
         "if matches:",
         *_block(probe, 1),
+        "entry = own.get(key)",
+        "count = mult if entry is None else entry.get(values, 0) + mult",
+        "if count < 0:",
+        "    raise StateError(",
+        "        f\"join retracts {values!r}, which its \"",
+        f"        f\"{side} side does not hold\")",
+        "keys.append(key)",
+        "if entry is None:",
+        "    if count:",
+        "        own[key] = {values: count}",
+        "elif count:",
+        "    entry[values] = count",
+        "else:",
+        "    entry.pop(values, None)",
+        "    if not entry:",
+        "        del own[key]",
+        "held += mult",
     ]
-    if append_only:
-        body += [
-            "keys.append(key)",
-            "entry = own.get(key)",
-            "if entry is None:",
-            "    own[key] = [(values, mult)]",
-            "else:",
-            "    entry.append((values, mult))",
-        ]
-    else:
-        body += [
-            "entry = own.get(key)",
-            "count = mult if entry is None else entry.get(values, 0) + mult",
-            "if count < 0:",
-            "    raise StateError(",
-            "        f\"join retracts {values!r}, which its \"",
-            f"        f\"{side} side does not hold\")",
-            "keys.append(key)",
-            "if entry is None:",
-            "    if count:",
-            "        own[key] = {values: count}",
-            "elif count:",
-            "    entry[values] = count",
-            "else:",
-            "    entry.pop(values, None)",
-            "    if not entry:",
-            "        del own[key]",
-        ]
-    body.append("held += mult")
     name = f"probe_{side}"
     kernel = [
         f"def {name}(op, deltas, out):",
@@ -845,8 +827,7 @@ def join_kernel(side: str, append_only: bool, keys: Sequence[int],
         "        if state.marking:",
         "            state.mark(keys)",
     ]
-    kind = "append-only join" if append_only else "join"
-    return _render(bound, name, kernel, kind, " ".join(shape))
+    return _render(bound, name, kernel, "join", " ".join(shape))
 
 
 # ---------------------------------------------------------------------------

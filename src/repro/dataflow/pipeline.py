@@ -189,8 +189,9 @@ class Pipeline:
         Dataflow transforms carry arbitrary user code, so they lower to
         :class:`~repro.plan.ir.OpaqueOp`/``OpaqueSource`` nodes whose
         ``kind`` is the monotonicity-relevant operator name — enough for
-        :mod:`repro.plan.monotone`, :func:`repro.plan.signature.plan_signature`
-        and EXPLAIN to work without interpreting the payloads.
+        :func:`repro.core.monotonicity.classify_plan`,
+        :func:`repro.plan.signature.plan_signature` and EXPLAIN to work
+        without interpreting the payloads.
         """
         from repro.plan.ir import OpaqueOp, OpaqueSource
 

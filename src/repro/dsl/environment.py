@@ -102,8 +102,8 @@ class StreamEnvironment:
         DSL operators wrap arbitrary user functions, so vertices lower to
         :class:`~repro.plan.ir.OpaqueOp`/``OpaqueSource`` nodes keyed by
         the monotonicity-relevant operator kind — enough for
-        :mod:`repro.plan.monotone`, plan signatures and EXPLAIN without
-        interpreting the payloads.
+        :func:`repro.core.monotonicity.classify_plan`, plan signatures and
+        EXPLAIN without interpreting the payloads.
         """
         from repro.plan.ir import OpaqueOp, OpaqueSource
 

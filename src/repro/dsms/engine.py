@@ -22,6 +22,7 @@ from __future__ import annotations
 from itertools import groupby
 from time import perf_counter as _perf
 from typing import Any, Callable, Iterable, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 import repro.obs as obs
 from repro.obs import profile as _profile
@@ -482,6 +483,11 @@ class DSMSEngine:
         #: a registered stream whose arrivals fall far behind the global
         #: arrival tick is flagged — the crash-recovered-source signal.
         self.stall_detector = _profile.StallDetector()
+        #: Per registry published into, ``(source, field)`` -> the value
+        #: :meth:`publish_observability` last published from it (live
+        #: sources only): a registry is process-wide, so each engine adds
+        #: its own growth.
+        self._published: WeakKeyDictionary = WeakKeyDictionary()
         #: Crash recovery (``recovery_interval`` arrivals per checkpoint):
         #: the engine keeps an arrival log and an incremental recovery
         #: image (see :meth:`snapshot`); a recoverable failure raised
@@ -1078,14 +1084,25 @@ class DSMSEngine:
 
         Pull-based: per-query tuple-flow counters, per-operator executor
         counters, and component gauges are snapshotted on demand, so the
-        hot path pays nothing for them.  Idempotent across calls.
+        hot path pays nothing for them.  Idempotent across calls: a
+        counter grows by what its source grew since this engine last
+        published it into ``registry``, so engines sharing the
+        process-wide registry (and a query name) add up.
         """
         registry = registry if registry is not None else obs.get_registry()
+        published = self._published.get(registry, {})
+        marks = self._published[registry] = {}
+
+        def grow(name: str, source: Any, field: str, **labels: str) -> None:
+            value = getattr(source, field)
+            registry.counter(name, **labels).inc(
+                value - published.get((source, field), 0))
+            marks[source, field] = value
+
         for handle in self._handles:
             labels = {"query": handle.name}
             for field in handle.metrics.COUNTERS:
-                published = registry.counter(f"dsms.query.{field}", **labels)
-                published.inc(getattr(handle.metrics, field) - published.value)
+                grow(f"dsms.query.{field}", handle.metrics, field, **labels)
             registry.gauge("dsms.query.queue_length", **labels).set(
                 len(handle.queue))
             registry.gauge("dsms.query.busy_seconds", **labels).set(
@@ -1101,9 +1118,8 @@ class DSMSEngine:
             registry.gauge("dsms.queue.peak_depth", **labels).set(queue.peak)
             registry.gauge("dsms.queue.occupancy", **labels).set(
                 queue.occupancy)
-            pressure = registry.counter("dsms.queue.pressure_events",
-                                        **labels)
-            pressure.inc(queue.pressure_events - pressure.value)
+            grow("dsms.queue.pressure_events", queue, "pressure_events",
+                 **labels)
         for stream, mark in self._watermarks.items():
             registry.gauge("dsms.watermark.event_time", stream=stream).set(
                 mark)
@@ -1116,5 +1132,4 @@ class DSMSEngine:
         registry.gauge("dsms.scratch.occupancy").set(
             self.scratch.occupancy())
         registry.gauge("dsms.scratch.peak").set(self.scratch.peak)
-        thrown = registry.counter("dsms.throw.discarded")
-        thrown.inc(self.throw.discarded - thrown.value)
+        grow("dsms.throw.discarded", self.throw, "discarded")

@@ -11,7 +11,6 @@ Module map:
 * :mod:`repro.plan.ir` — the LogicalOp tree language
 * :mod:`repro.plan.rules` — the rewrite-rule catalog and ``optimize``
 * :mod:`repro.plan.signature` — canonical commutativity-aware signatures
-* :mod:`repro.plan.monotone` — monotonicity-aware strategy selection
 * :mod:`repro.plan.parallel` — fission/partitionability analysis
 * :mod:`repro.plan.batching` — instant-quantum emission-safety analysis
 * :mod:`repro.plan.sharing` — the multi-query subplan memo
@@ -77,12 +76,6 @@ from repro.plan.parallel import (
     decide_parallelism,
     partition_scheme,
 )
-from repro.plan.monotone import (
-    IncrementalStrategy,
-    append_only_inputs,
-    incremental_strategy,
-    strategy_notes,
-)
 from repro.plan.rules import (
     DEFAULT_RULES,
     Rule,
@@ -109,13 +102,13 @@ __all__ = [
     "Aggregate", "AggregateExpr", "BGPMatch", "BatchReport", "Binary",
     "BinOp", "Column", "absorb_views", "view_memo_key",
     "DEFAULT_RULES", "Distinct", "EmitMode", "Expr", "Filter", "FuncCall",
-    "GroupWindow", "GroupWindowKind", "IncrementalStrategy", "Join",
+    "GroupWindow", "GroupWindowKind", "Join",
     "Literal", "LogicalOp", "NOW_SPEC", "OpaqueOp", "OpaqueSource",
     "PartitionScheme", "Project", "RelToStream", "RelationScan", "Rule",
     "SetOp", "Star",
     "StreamScan", "SubplanMemo", "TIME_BASED_KINDS", "UNBOUNDED_SPEC",
     "Unary", "WindowAggregate", "WindowOp", "WindowSpec", "WindowSpecKind",
-    "append_only_inputs", "batch_safety", "canonical_predicate",
+    "batch_safety", "canonical_predicate",
     "collapse_distinct",
     "columns_resolvable", "compose_projects", "conjoin",
     "contains_aggregate", "decide_batch_size", "decide_parallelism",
@@ -123,10 +116,10 @@ __all__ = [
     "explain", "explain_analyzed",
     "explain_logical", "extract_equijoin_keys",
     "fuse_filters",
-    "incremental_strategy", "memo_key", "optimize", "partition_scheme",
+    "memo_key", "optimize", "partition_scheme",
     "plan_signature",
     "push_filter_through_join", "push_filter_through_window",
     "remove_identity_project", "remove_trivial_filter", "scans_of",
-    "shareable", "split_conjuncts", "strategy_notes", "substitute_columns",
+    "shareable", "split_conjuncts", "substitute_columns",
     "walk",
 ]

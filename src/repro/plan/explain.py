@@ -1,8 +1,6 @@
 """EXPLAIN-style text renderers for logical plans.
 
-* :func:`explain_logical` — the IR tree, one node per line, annotated
-  with the incremental strategy chosen for each stateful operator by
-  :mod:`repro.plan.monotone`;
+* :func:`explain_logical` — the IR tree, one node per line;
 * :func:`explain_analyzed` — the IR tree again, but with live execution
   statistics (tuple counts, selectivity, busy-time share, state size)
   appended per node; the renderer half of
@@ -16,7 +14,6 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.plan.ir import LogicalOp
-from repro.plan.monotone import strategy_notes
 from repro.plan.signature import plan_signature
 
 
@@ -28,24 +25,8 @@ def explain(plan: Any) -> str:
 
 
 def explain_logical(plan: LogicalOp) -> str:
-    """The IR tree with per-operator incremental-strategy annotations."""
-    strategies = {id(node): strategy
-                  for node, strategy in strategy_notes(plan)}
-    lines: list[str] = []
-    _render(plan, 0, strategies, lines)
-    lines.append(f"signature: {plan_signature(plan)}")
-    return "\n".join(lines)
-
-
-def _render(node: LogicalOp, indent: int, strategies: dict[int, Any],
-            lines: list[str]) -> None:
-    suffix = ""
-    strategy = strategies.get(id(node))
-    if strategy is not None:
-        suffix = f"  [{strategy.value}]"
-    lines.append(f"{'  ' * indent}{node.describe()}{suffix}")
-    for child in node.children:
-        _render(child, indent + 1, strategies, lines)
+    """The IR tree, one node per line, and its signature."""
+    return explain_analyzed(plan, {})
 
 
 def explain_analyzed(plan: LogicalOp,
@@ -61,7 +42,7 @@ def explain_analyzed(plan: LogicalOp,
     which is the truth of the execution.
     """
     lines: list[str] = []
-    _render_analyzed(plan, 0, stats, lines)
+    _render(plan, 0, stats, lines)
     lines.append(f"signature: {plan_signature(plan)}")
     return "\n".join(lines)
 
@@ -92,11 +73,10 @@ def _format_node_stats(entry: Mapping[str, Any]) -> str:
     return "  [" + " ".join(parts) + "]" if parts else ""
 
 
-def _render_analyzed(node: LogicalOp, indent: int,
-                     stats: Mapping[int, Mapping[str, Any]],
-                     lines: list[str]) -> None:
+def _render(node: LogicalOp, indent: int,
+            stats: Mapping[int, Mapping[str, Any]], lines: list[str]) -> None:
     entry = stats.get(id(node))
     suffix = _format_node_stats(entry) if entry is not None else ""
     lines.append(f"{'  ' * indent}{node.describe()}{suffix}")
     for child in node.children:
-        _render_analyzed(child, indent + 1, stats, lines)
+        _render(child, indent + 1, stats, lines)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
+from weakref import WeakKeyDictionary
 
 import repro.obs as obs
 from repro.obs import profile as _profile
@@ -363,6 +364,10 @@ class JobRunner:
         self.system: ActorSystem | None = None
         self._operators: dict[tuple[str, int], StreamOperator] = {}
         self._emitters: dict[tuple[str, int], _Emitter] = {}
+        #: Per registry published into, each live emitter's
+        #: ``records_out`` and the coordinator's checkpoint count as last
+        #: published (see :meth:`publish_observability`).
+        self._published: WeakKeyDictionary = WeakKeyDictionary()
 
     # -- deployment -------------------------------------------------------------
 
@@ -506,18 +511,25 @@ class JobRunner:
 
     def publish_observability(self, registry=None) -> None:
         """Snapshot per-vertex throughput and checkpoint durations into
-        the (global) metrics registry.  Pull-based and idempotent."""
+        the (global) metrics registry.  Pull-based and idempotent: a
+        vertex's counter grows by what its emitters emitted, and the
+        histogram by the checkpoints completed, since this runner last
+        published into ``registry``, so jobs in one process add up."""
         registry = registry if registry is not None else obs.get_registry()
-        per_vertex: dict[str, int] = defaultdict(int)
+        published = self._published.get(registry, {})
+        marks = self._published[registry] = {}
+        grown: dict[str, int] = defaultdict(int)
         for (name, _subtask), emitter in self._emitters.items():
-            per_vertex[name] += emitter.records_out
-        for name, records_out in per_vertex.items():
-            counter = registry.counter("exec.operator.records_out",
-                                       layer="runtime", operator=name)
-            counter.inc(max(0, records_out - counter.value))
+            grown[name] += emitter.records_out - published.get(emitter, 0)
+            marks[emitter] = emitter.records_out
+        for name, count in grown.items():
+            registry.counter("exec.operator.records_out", layer="runtime",
+                             operator=name).inc(count)
         durations = registry.histogram("runtime.checkpoint.duration_seconds")
+        coordinator = self.coordinator
         for _checkpoint_id, seconds in \
-                self.coordinator.durations[durations.count:]:
+                coordinator.durations[published.get(coordinator, 0):]:
             durations.observe(seconds)
+        marks[coordinator] = len(coordinator.durations)
         registry.gauge("runtime.checkpoints.completed").set(
             len(self.coordinator.completed_ids()))

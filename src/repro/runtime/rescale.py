@@ -209,8 +209,8 @@ class _Migration:
                     f"{name} has staged relation updates; rescale only at "
                     f"an instant boundary")
             self._replicate(olds, news, verify=lambda op: op._initial)
-        elif isinstance(op, ex.JoinOp):  # covers AppendOnlyJoinOp
-            self._move_join(op, node, olds, news)
+        elif isinstance(op, ex.JoinOp):
+            self._move_join(node, olds, news)
         elif at is BROADCAST:
             self._replicate(olds, news)
         elif isinstance(op, ex.StreamSourceOp):
@@ -285,10 +285,8 @@ class _Migration:
             new._spans._recount()
         news[0].evicted = sum(old.evicted for old in olds)
 
-    def _move_join(self, op: Any, node: Join, olds: list[Any],
+    def _move_join(self, node: Join, olds: list[Any],
                    news: list[Any]) -> None:
-        # An append-only index holds (values, multiplicity) pairs.
-        pairs = isinstance(op, self.ex.AppendOnlyJoinOp)
         for attr, child in (("_left_state", node.left),
                             ("_right_state", node.right)):
             at = self.positions[id(child)]
@@ -299,5 +297,4 @@ class _Migration:
                 continue
             route = key_router(at, self.n)
             self._split(olds, news, (attr,),
-                        lambda key, item, route=route:
-                        route(item[0] if pairs else item))
+                        lambda key, item, route=route: route(item))

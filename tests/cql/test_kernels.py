@@ -28,7 +28,7 @@ from repro.core.operators import AggregateKind
 from repro.core.records import Record
 from repro.cql import CQLEngine, ContinuousQuery, kernels, reference_evaluate
 from repro.cql.catalog import Catalog
-from repro.cql.executor import AppendOnlyJoinOp, JoinOp, SpineOp
+from repro.cql.executor import JoinOp, SpineOp
 from repro.cql.expressions import compile_predicate
 from repro.dsms import DSMSEngine
 from repro.plan.exprs import Binary, BinOp, Column, Literal
@@ -507,12 +507,12 @@ class TestJoinKernel:
          "WHERE O.id = B.id", JoinOp,
          ["<join left on (l0) emit (l1, r1)>",
           "<join right on (r0) emit (l1, r1)>"]),
-        # Append-only: both inputs are monotone.
+        # Monotone inputs: insert-only deltas through the same counts.
         ("SELECT O.temp + B.door AS s, O.room FROM Obs O "
          "[Range Unbounded], Badge B [Range Unbounded] WHERE O.id = B.id",
-         AppendOnlyJoinOp,
-         ["<append-only join left on (l0) emit (e0, l1)>",
-          "<append-only join right on (r0) emit (e0, l1)>"]),
+         JoinOp,
+         ["<join left on (l0) emit (e0, l1)>",
+          "<join right on (r0) emit (e0, l1)>"]),
         # A residual the planner keeps on the join.
         ("SELECT O.room, B.door FROM Obs O [Range 3], Badge B [Range 4] "
          "WHERE O.id = B.id AND O.temp > B.door", JoinOp,
@@ -616,18 +616,6 @@ class TestJoinRefusals:
         assert [frame.filename for frame in frames] == [
             f"<join {side} on ({side[0]}0)>"]
         assert frames[0].line == "raise StateError("
-
-    def test_an_append_only_side_refuses_any_retraction(self):
-        query = engine().register_query(
-            "SELECT O.room, B.door FROM Obs O [Range Unbounded], "
-            "Badge B [Range Unbounded] WHERE O.id = B.id")
-        join = query.operators()[0][1]
-        assert type(join) is AppendOnlyJoinOp
-        for batches in ([[((1, "a", 3), -1)], []], [[], [((1, 2), -1)]]):
-            with pytest.raises(StateError) as caught:
-                join.process(1, batches)
-            assert str(caught.value) == \
-                "retraction reached an append-only join"
 
 
 TYPED = Schema(["id", "room", "temp"], [int, str, int])

@@ -129,11 +129,9 @@ QUERIES = [
     ("SELECT O.id, A.level FROM Obs O [Range 3], Alerts A [Range 3] "
      "WHERE O.room = A.room", {"JoinOp"}),
     ("SELECT O.id, A.level FROM Obs O [Range Unbounded], "
-     "Alerts A [Range Unbounded] WHERE O.room = A.room",
-     {"AppendOnlyJoinOp"}),
+     "Alerts A [Range Unbounded] WHERE O.room = A.room", {"JoinOp"}),
     ("SELECT DISTINCT room FROM Obs [Range 3]", {"DistinctOp"}),
-    ("SELECT DISTINCT room FROM Obs [Range Unbounded]",
-     {"AppendOnlyDistinctOp"}),
+    ("SELECT DISTINCT room FROM Obs [Range Unbounded]", {"DistinctOp"}),
     ("SELECT room FROM Obs [Range 3] EXCEPT ALL "
      "SELECT room FROM Alerts [Range 3]", {"SetOpOp"}),
     ("SELECT room FROM Obs [Range 3] INTERSECT ALL "

@@ -22,7 +22,7 @@ import pytest
 from repro.bench import OBSERVATION_SCHEMA, room_observations
 from repro.chaos import CrashFuse, install_crash
 from repro.core import Schema
-from repro.cql.executor import AppendOnlyJoinOp, JoinOp, StreamSourceOp
+from repro.cql.executor import JoinOp, StreamSourceOp
 from repro.dsms import DSMSEngine, Scratch
 from repro.plan.parallel import partition_scheme
 
@@ -221,11 +221,6 @@ def audit_state_size(op):
                 + len(op._fifo)
                 + sum(len(q) for q in op._per_key.data.values())
                 + len(op._pending) + len(op._visible))
-    if isinstance(op, AppendOnlyJoinOp):
-        return (sum(sum(m for _, m in v)
-                    for v in op._left_state.data.values())
-                + sum(sum(m for _, m in v)
-                      for v in op._right_state.data.values()))
     if isinstance(op, JoinOp):
         return (sum(sum(c.values()) for c in op._left_state.data.values())
                 + sum(sum(c.values())
@@ -294,7 +289,7 @@ def test_scripts_reach_every_step_kind_and_operator_flavour():
     assert recoveries >= 10  # injected crashes fire and roll back
     assert kinds == {"register", "ingest", "drain", "advance", "cancel",
                      "rescale", "crash"}
-    assert {"StreamSourceOp", "JoinOp", "AppendOnlyJoinOp", "AggregateOp",
+    assert {"StreamSourceOp", "JoinOp", "AggregateOp",
             "DistinctOp"} <= operators
 
 
