@@ -6,7 +6,7 @@ export PYTHONPATH
 .PHONY: test lint bench bench-plan bench-recovery \
 	bench-profile bench-views bench-rescale bench-shapes \
 	cqbench-smoke cqbench-pairs cqbench-tests census profile chaos fuzz \
-	fuzz-quick
+	fuzz-quick reach
 
 # The tier-1 suite, then cqbench's 3-second smoke run: a change that
 # breaks a workload's correctness check fails the default target too;
@@ -106,6 +106,14 @@ census:
 # within one run do not move with the box's speed.
 profile:
 	$(PYTHON) tools/sample_profile.py --workload $(W)
+
+# Which function lines of src/ are reached by a non-test entry (one
+# seed-1 pass of each cqbench workload, every example, a 50-case
+# difftest run and a 20-case chaos run), which only by tier-1, and which
+# by nothing: per module, then per package.  Each entry runs in a child
+# under a trace hook; tier-1 under it takes a few minutes.
+reach:
+	$(PYTHON) tools/reach.py
 
 # The benchmark's own tests (fold, canary scaling, tracer, workload
 # references); not part of the tier-1 suite.

@@ -92,10 +92,13 @@ def run_cql_kernel():
 def back_to_back(runner):
     """A timed leg: ``runner`` run back to back, as many times as make
     one obs-off leg last at least ``LEG_SECONDS``, so that no single
-    slow run decides a leg.  Returns the leg and its run count."""
+    slow run decides a leg.  The run count is sized from the best of
+    three warm runs, so one slow sizing run does not shorten the legs.
+    Returns the leg and its run count."""
     obs.reset()
     runner()
-    loops = max(1, math.ceil(LEG_SECONDS / timed(runner)[1]))
+    run = min(timed(runner)[1] for _ in range(3))
+    loops = max(1, math.ceil(LEG_SECONDS / run))
 
     def leg():
         for _ in range(loops):

@@ -13,7 +13,7 @@ from repro.dsms import DSMSEngine, SemanticShedder
 
 
 def main() -> None:
-    dsms = DSMSEngine(keep_thrown_tuples=False)
+    dsms = DSMSEngine()
     dsms.register_stream("Obs", OBSERVATION_SCHEMA)
     dsms.register_relation(
         "Rooms", Schema(["room", "floor"]),

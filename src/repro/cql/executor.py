@@ -34,6 +34,7 @@ from itertools import groupby, repeat
 from operator import itemgetter
 from sys import getsizeof
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from weakref import WeakKeyDictionary
 
 from repro.obs import get_registry as _obs_registry
 # Hot-path gate: reading the state attribute directly (instead of calling
@@ -1690,12 +1691,17 @@ class ContinuousQuery:
         #: The :class:`SharedGroup` that feeds, evaluates and checkpoints
         #: this query: a private group of one unless one was given.
         self.group = group if group is not None else SharedGroup(catalog)
-        #: :meth:`publish_metrics`' marks: (id(operator), field) → the
-        #: value last published; (-1, "deltas") for the query total.
-        self._published_ops: dict[tuple[int, str], int] = {}
-        #: Growth a rescale's retired operators had not yet published:
-        #: (operator name, depth-first index, field) → amount.
-        self._retired_growth: dict[tuple[str, int, str], int] = {}
+        #: :meth:`publish_metrics`' marks per registry published into:
+        #: (id(operator), field) → the value last published there;
+        #: (-1, "deltas") for the query total.  A registry is
+        #: process-wide and may be reset, so each keeps its own.  None
+        #: until the first publish: most queries never publish, and a
+        #: registration should not pay for the table.
+        self._published_ops: WeakKeyDictionary | None = None
+        #: Per registry, growth a rescale's retired operators had not
+        #: yet published there: (operator name, depth-first index,
+        #: field) → amount.  Made with the marks.
+        self._retired_growth: WeakKeyDictionary | None = None
         #: The answer and its history: the maintained relation plus one
         #: netted batch per fold that changed it (see
         #: :meth:`SharedGroup._process_instant`); :meth:`_install` picks
@@ -1730,20 +1736,22 @@ class ContinuousQuery:
         operators carried over (the retired totals, see
         :func:`repro.runtime.rescale.rescale`) as already published — so
         :meth:`publish_metrics` neither drops nor repeats a delta, and no
-        counter ever moves backwards."""
-        marks = self._published_ops
-        for index, (name, op) in enumerate(retired):
-            for field, value in (("records_in", op.received),
-                                 ("records_out", op.emitted)):
-                grown = value - marks.get((id(op), field), 0)
-                if grown:
-                    key = (name, index, field)
-                    self._retired_growth[key] = \
-                        self._retired_growth.get(key, 0) + grown
-        self._published_ops = {(-1, "deltas"): marks.get((-1, "deltas"), 0)}
-        for _, op in self.operators():
-            self._published_ops[(id(op), "records_in")] = op.received
-            self._published_ops[(id(op), "records_out")] = op.emitted
+        counter ever moves backwards.  Each registry published into is
+        rebased against its own marks."""
+        for registry, marks in list(self._published_ops.items()):
+            growth = self._retired_growth.setdefault(registry, {})
+            for index, (name, op) in enumerate(retired):
+                for field, value in (("records_in", op.received),
+                                     ("records_out", op.emitted)):
+                    grown = value - marks.get((id(op), field), 0)
+                    if grown:
+                        key = (name, index, field)
+                        growth[key] = growth.get(key, 0) + grown
+            rebased = {(-1, "deltas"): marks.get((-1, "deltas"), 0)}
+            for _, op in self.operators():
+                rebased[(id(op), "records_in")] = op.received
+                rebased[(id(op), "records_out")] = op.emitted
+            self._published_ops[registry] = rebased
 
     def _unmark_rolled_back(self) -> None:
         """After a rollback: lower :meth:`publish_metrics`' marks to the
@@ -1752,16 +1760,16 @@ class ContinuousQuery:
         published before the crash stays counted; growth the rollback
         undid before anything published it is dropped, whether or not
         the operator had published before."""
-        marks = self._published_ops
-        if not marks:
+        if not self._published_ops:
             return
-        for _, op in self.operators():
-            for field, value in (("records_in", op.received),
-                                 ("records_out", op.emitted)):
-                key = (id(op), field)
-                marks[key] = min(marks.get(key, 0), value)
-        key = (-1, "deltas")
-        marks[key] = min(marks.get(key, 0), self._deltas_processed)
+        for marks in self._published_ops.values():
+            for _, op in self.operators():
+                for field, value in (("records_in", op.received),
+                                     ("records_out", op.emitted)):
+                    key = (id(op), field)
+                    marks[key] = min(marks.get(key, 0), value)
+            key = (-1, "deltas")
+            marks[key] = min(marks.get(key, 0), self._deltas_processed)
 
     # -- feeding -------------------------------------------------------------
     #
@@ -1973,16 +1981,6 @@ class ContinuousQuery:
         fissioned query's partitions hang below its root)."""
         return [self._root]
 
-    def partition_loads(self) -> list[int]:
-        """Deltas each partition has produced so far, one entry per
-        partition: the load-skew evidence an autoscaler reads."""
-        if self.parallelism == 1:
-            return [self._root.emitted]
-        union = self._root
-        while not isinstance(union, PartitionUnionOp):
-            union = union.children[0]
-        return [part.emitted for part in union.children]
-
     def operators(self) -> list[tuple[str, PhysicalOp]]:
         """Every physical operator, depth-first, with a stable label."""
         return operators_of(self._root)
@@ -2000,25 +1998,28 @@ class ContinuousQuery:
         """
         registry = registry if registry is not None else _obs_registry()
         labels = dict(labels, layer="cql")
-        for (name, index, field), grown in self._retired_growth.items():
+        if self._published_ops is None:
+            self._published_ops = WeakKeyDictionary()
+            self._retired_growth = WeakKeyDictionary()
+        marks = self._published_ops.setdefault(registry, {})
+        retired = self._retired_growth.pop(registry, {})
+        for (name, index, field), grown in retired.items():
             registry.counter(f"{prefix}.{field}", **dict(
                 labels, operator=name, index=str(index))).inc(grown)
-        self._retired_growth.clear()
         for index, (name, op) in enumerate(self.operators()):
             tags = dict(labels, operator=name, index=str(index))
             for field, value in (("records_in", op.received),
                                  ("records_out", op.emitted)):
                 counter = registry.counter(f"{prefix}.{field}", **tags)
                 key = (id(op), field)
-                counter.inc(value - self._published_ops.get(key, 0))
-                self._published_ops[key] = value
+                counter.inc(value - marks.get(key, 0))
+                marks[key] = value
             if op.eval_seconds:
                 registry.gauge(f"{prefix}.eval_seconds", **tags).set(
                     op.eval_seconds)
         deltas = registry.counter("exec.query.deltas", **labels)
-        deltas.inc(self._deltas_processed
-                   - int(self._published_ops.get((-1, "deltas"), 0)))
-        self._published_ops[(-1, "deltas")] = self._deltas_processed
+        deltas.inc(self._deltas_processed - marks.get((-1, "deltas"), 0))
+        marks[(-1, "deltas")] = self._deltas_processed
 
     @property
     def operator_work(self) -> int:

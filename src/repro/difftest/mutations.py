@@ -147,7 +147,7 @@ def obs_rescale_marks() -> Iterator[None]:
     def mutated(self, registry=None, prefix="exec.operator", **labels):
         registry = registry if registry is not None else get_registry()
         labels = dict(labels, layer="cql")
-        marks = self._published_ops
+        marks = vars(self).setdefault("_position_marks", {})
         for index, (name, op) in enumerate(self.operators()):
             tags = dict(labels, operator=name, index=str(index))
             for field, value in (("records_in", op.received),

@@ -11,12 +11,11 @@ realisation wired into the DSMS engine.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterator, Protocol
+from typing import Hashable, Protocol
 
 from repro.core.errors import PlanError
 from repro.core.records import Schema
 from repro.core.relation import Bag, Changelog, TimeVaryingRelation
-from repro.core.time import Timestamp
 
 
 class Store:
@@ -172,32 +171,17 @@ class Scratch:
 class Throw:
     """The logical recycle bin: every expired/discarded tuple passes here.
 
-    Keeps counts (and optionally the tuples themselves, for inspection)
-    so tests can assert that windows really release state.
+    Keeps the count, so tests can assert that windows really release
+    state.
     """
 
-    def __init__(self, keep_tuples: bool = False) -> None:
-        self._keep = keep_tuples
-        self._tuples: list[tuple[Any, Timestamp]] = []
+    def __init__(self) -> None:
         self.discarded = 0
 
-    def discard(self, value: Any, t: Timestamp) -> None:
-        self.discarded += 1
-        if self._keep:
-            self._tuples.append((value, t))
-
-    def discard_many(self, n: int, t: Timestamp) -> None:
-        """``n`` anonymous discards at instant ``t`` in one step."""
-        if n <= 0:
-            return
-        self.discarded += n
-        if self._keep:
-            self._tuples.extend([(None, t)] * n)
-
-    def tuples(self) -> Iterator[tuple[Any, Timestamp]]:
-        if not self._keep:
-            raise ValueError("Throw was created with keep_tuples=False")
-        return iter(self._tuples)
+    def discard_many(self, n: int) -> None:
+        """``n`` discards in one step."""
+        if n > 0:
+            self.discarded += n
 
     def __repr__(self) -> str:
         return f"Throw(discarded={self.discarded})"

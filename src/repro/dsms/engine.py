@@ -272,7 +272,7 @@ class SchedulingUnit:
         # Throw (:meth:`_account_throw`, inlined: this runs per quantum).
         evicted = self._evictions()
         if evicted != self._evicted:
-            self._throw.discard_many(evicted - self._evicted, t)
+            self._throw.discard_many(evicted - self._evicted)
             self._evicted = evicted
         occupancy = self._scratch.settle(self)
         # The waits of the whole poll, as one observation: waits rise in
@@ -333,7 +333,7 @@ class SchedulingUnit:
         while queue.oldest is not None and queue.oldest <= t:
             self.service_one()
         self.group.advance_to(t)
-        self._account_throw(t)
+        self._account_throw()
         self._scratch.settle(self)
         for metrics, query, _, emits in self._books:
             if emits:
@@ -353,10 +353,10 @@ class SchedulingUnit:
             evicted += op.evicted
         return evicted
 
-    def _account_throw(self, t: Timestamp) -> None:
+    def _account_throw(self) -> None:
         # Every tuple evicted from a window buffer passes through the Throw.
         evicted = self._evictions()
-        self._throw.discard_many(evicted - self._evicted, t)
+        self._throw.discard_many(evicted - self._evicted)
         self._evicted = evicted
 
 
@@ -375,9 +375,6 @@ class QueryHandle:
         #: Live-rescale history: one RescaleReport per completed
         #: migration (``DSMSEngine.rescale_query`` appends here).
         self.rescales: list = []
-        #: The adaptivity controller driving this query when the engine
-        #: runs with ``autoscale=`` (None otherwise / when ineligible).
-        self.autoscaler = None
 
     @property
     def queue(self) -> InputQueue:
@@ -425,12 +422,10 @@ class DSMSEngine:
 
     def __init__(self, scheduler: Scheduler | None = None,
                  queue_capacity: int = 1024,
-                 keep_thrown_tuples: bool = False,
                  sharing: bool = False,
                  recovery_interval: int | None = None,
                  max_restarts: int = 3,
-                 batch_size: int | None = None,
-                 autoscale: Any = None) -> None:
+                 batch_size: int | None = None) -> None:
         self._cql = CQLEngine()
         #: Engine-default micro-batch cap: a service quantum drains up
         #: to this many same-timestamp tuples into one atomic instant
@@ -454,7 +449,7 @@ class DSMSEngine:
         self.queue_capacity = queue_capacity
         self.store = Store()
         self.scratch = Scratch()
-        self.throw = Throw(keep_tuples=keep_thrown_tuples)
+        self.throw = Throw()
         #: Schedulable units: one per private query, plus the sharing
         #: group's.  ``_handles`` stays the per-query list the public API
         #: (queries, metrics_table) exposes.
@@ -510,17 +505,6 @@ class DSMSEngine:
         #: Streams materialised into views base tables, with their
         #: tables: every ingested tuple also commits as a CDC insert.
         self._view_fed: dict[str, Any] = {}
-        #: Adaptivity: ``autoscale=True`` enables the default
-        #: :class:`repro.plan.adaptive.AdaptivePolicy`; passing a policy
-        #: uses it as given.  Each eligible (key-partitionable,
-        #: non-shared) query gets its own hysteresis controller, polled
-        #: once per ``run_until_idle`` against the pre-drain backlog.
-        self._autoscale_policy = None
-        if autoscale:
-            from repro.plan.adaptive import AdaptivePolicy
-            self._autoscale_policy = (AdaptivePolicy()
-                                      if autoscale is True else autoscale)
-        self._autoscale_ineligible: set[str] = set()
         if recovery_interval is not None:
             from repro.chaos.recovery import RecoveryManager
             self.recovery = RecoveryManager(
@@ -666,7 +650,6 @@ class DSMSEngine:
         self._doors.clear()
         self.scratch.unregister(handle.unit)
         self._cql.cancel_query(handle.query)
-        self._autoscale_ineligible.discard(name)
         return handle
 
     @property
@@ -725,61 +708,6 @@ class DSMSEngine:
             obs.get_registry().gauge(
                 "dsms.query.parallelism", query=name).set(parallelism)
         return report
-
-    # -- adaptivity loop -------------------------------------------------------
-
-    def _autoscale_observe(self) -> dict[str, Any]:
-        """Capture per-query signals *before* draining: the backlog at
-        poll time is the pressure evidence; post-drain queues are always
-        empty and would blind the controller."""
-        if self._autoscale_policy is None:
-            return {}
-        from repro.plan.adaptive import Signals
-
-        observed: dict[str, Any] = {}
-        for handle in self._handles:
-            if handle.name in self._autoscale_ineligible:
-                continue
-            if handle.query.group.memo is not None:
-                self._autoscale_ineligible.add(handle.name)
-                continue
-            if handle.autoscaler is None:
-                from repro.plan.adaptive import AdaptiveController
-                from repro.plan.parallel import partition_scheme
-                if partition_scheme(handle.query.plan) is None:
-                    self._autoscale_ineligible.add(handle.name)
-                    continue
-                handle.autoscaler = AdaptiveController(
-                    self._autoscale_policy)
-            query = handle.query
-            # How far the streams' watermarks run ahead of the instant
-            # the query has evaluated: its backlog in event time.
-            marks = [self._watermarks[stream]
-                     for stream in query._stream_sources
-                     if stream in self._watermarks]
-            processed = handle.metrics.processed
-            observed[handle.name] = Signals(
-                parallelism=query.parallelism,
-                queue_occupancy=handle.queue.occupancy,
-                pressure_events=handle.queue.pressure_events,
-                watermark_lag=(max(0, max(marks) - query.group._cursor)
-                               if marks else None),
-                partition_loads=tuple(map(float, query.partition_loads())),
-                selectivity=(handle.metrics.emitted / processed
-                             if processed else None),
-            )
-        return observed
-
-    def _autoscale_act(self, observed: dict[str, Any]) -> None:
-        """Poll each controller with its pre-drain signals and apply any
-        rescale decision — at quiescence, where migration is safe."""
-        for name, signals in observed.items():
-            handle = self._by_name.get(name)
-            if handle is None or handle.autoscaler is None:
-                continue  # cancelled mid-drain
-            decision = handle.autoscaler.poll(signals)
-            if decision.wants_rescale:
-                self.rescale_query(name, decision.parallelism)
 
     # -- data flow -------------------------------------------------------------
 
@@ -881,9 +809,9 @@ class DSMSEngine:
         logged arrivals equal processed arrivals.
         """
         if not obs._STATE.enabled:
-            return self._drain_settled(max_steps)
+            return self._drain(max_steps)
         with obs.get_tracer().span("dsms.run_until_idle") as span:
-            steps = self._drain_settled(max_steps)
+            steps = self._drain(max_steps)
             span.add(steps=steps)
             self.publish_observability()
         return steps
@@ -891,7 +819,8 @@ class DSMSEngine:
     def _drain(self, max_steps: int) -> int:
         """Run quanta, as :meth:`step` does, until the scheduler finds
         every queue idle or ``max_steps`` quanta ran; inline, since this
-        runs per quantum.  A recoverable failure restores and replays."""
+        runs per quantum.  A recoverable failure restores and replays.
+        Then settle the overdue dynamic tables."""
         recovery = self.recovery
         recoverable = () if recovery is None else recovery.recoverable
         units, queues = self._units, self._queues
@@ -908,6 +837,7 @@ class DSMSEngine:
             steps += 1
         if recovery is not None:
             recovery.committed(len(self._arrival_log))
+        self._tick_views()
         return steps
 
     def _recover(self, failures: int, error: BaseException) -> int:
@@ -924,16 +854,6 @@ class DSMSEngine:
                 error = again
                 continue
             return failures
-
-    def _drain_settled(self, max_steps: int) -> int:
-        """Drain the queues, then settle overdue dynamic tables and run
-        the adaptivity loop (signals are captured pre-drain — the
-        backlog is the evidence — decisions applied at quiescence)."""
-        observed = self._autoscale_observe()
-        steps = self._drain(max_steps)
-        self._tick_views()
-        self._autoscale_act(observed)
-        return steps
 
     def advance_time(self, t: Timestamp) -> None:
         """Advance event time for every query (fires window expirations).

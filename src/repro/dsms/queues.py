@@ -32,11 +32,11 @@ class InputQueue:
     telemetry: ``peak`` is the depth high-water mark (the depth only
     rises between polls, so a poll or clear folds it in, and an offer
     pays nothing for it), and ``pressure_events`` counts upward crossings
-    of the pressure threshold (80% occupancy by default) — the signal the
-    adaptivity loop watches for sustained overload.  The crossing is
-    edge-triggered: one sustained episode above the mark counts once,
-    however many tuples arrive during it; the queue re-arms once a poll
-    leaves it below the mark.
+    of the pressure threshold (80% occupancy by default), published as
+    ``dsms.queue.pressure_events`` and shown by EXPLAIN ANALYZE.  The
+    crossing is edge-triggered: one sustained episode above the mark
+    counts once, however many tuples arrive during it; the queue re-arms
+    once a poll leaves it below the mark.
 
     A tuple's *wait* is the number of tuples queued ahead of it when it
     was admitted.  A run opened after the last poll is admitted at

@@ -9,7 +9,7 @@ Subcommands:
   :func:`repro.obs.write_snapshot`) or, with no arguments, by a small
   built-in demo workload so the readout is explorable standalone.
 * ``snapshot`` — run the demo workload and append a profile snapshot to a
-  JSONL file (the endpoint shape the adaptivity loop polls).
+  JSONL file, which ``top --snapshot`` reads back.
 * ``explain`` — run the demo workload and print the continuous EXPLAIN
   ANALYZE for its hottest standing query.
 """

@@ -1,9 +1,9 @@
 """Continuous EXPLAIN ANALYZE: per-operator profiling and introspection.
 
-The profiling layer the adaptivity loop and serving tier sit on (ROADMAP
-items 4 and 5): where :mod:`repro.obs` gives raw counters/gauges, this
-module attributes *cost* to individual operators and renders it back onto
-plans as a live EXPLAIN ANALYZE.  Four pieces:
+The profiling layer the serving tier sits on (ROADMAP items 4 and 5):
+where :mod:`repro.obs` gives raw counters/gauges, this module attributes
+*cost* to individual operators and renders it back onto plans as a live
+EXPLAIN ANALYZE.  Four pieces:
 
 * **Per-operator statistics** — read from the CQL executor's own
   per-operator accounting (tuples in/out, so live selectivity; eval
@@ -222,8 +222,8 @@ def reset() -> None:
 def profile_snapshot(include_metrics: bool = False) -> dict[str, Any]:
     """One JSON-ready dict of everything the profiling layer knows.
 
-    The payload the future adaptivity loop / serving tier polls: the
-    flight-recorder tail and (optionally) the full metrics registry.
+    The flight-recorder tail and (optionally) the full metrics
+    registry.
     """
     import repro.obs as obs
 
@@ -242,7 +242,7 @@ def profile_snapshot(include_metrics: bool = False) -> dict[str, Any]:
 
 def write_snapshot(path: str | pathlib.Path,
                    include_metrics: bool = True) -> pathlib.Path:
-    """Append one profile snapshot as a JSONL line (the poll endpoint)."""
+    """Append one profile snapshot as a JSONL line."""
     path = pathlib.Path(path)
     line = json.dumps(profile_snapshot(include_metrics=include_metrics),
                       sort_keys=True, default=repr)
@@ -289,9 +289,6 @@ def analyze(target: Any) -> dict[str, Any]:
                  "instant": r.instant,
                  "migrated_entries": r.migrated_entries,
                  "seconds": r.seconds} for r in rescales]
-        autoscaler = getattr(target, "autoscaler", None)
-        if autoscaler is not None:
-            out["autoscale"] = autoscaler.as_dict()
         return out
     if hasattr(target, "_root") and hasattr(target, "plan"):
         operators, total_busy = _continuous_operator_stats(target)
@@ -412,15 +409,6 @@ def _explain_handle(handle: Any) -> str:
         steps = " ".join(f"{r.parallelism_from}→{r.parallelism_to}"
                          f"@{r.instant}" for r in rescales)
         lines.append(f"rescales: {steps}")
-    autoscaler = getattr(handle, "autoscaler", None)
-    if autoscaler is not None:
-        state = autoscaler.as_dict()
-        last = state["last_decision"]
-        lines.append(
-            f"autoscale: polls={state['polls']} "
-            f"rescales={state['rescales']} "
-            + (f"last={last['action']}→{last['parallelism']} "
-               f"({last['reason']})" if last else "last=-"))
     return "\n".join(lines) + "\n" + _explain_continuous(handle.query)
 
 

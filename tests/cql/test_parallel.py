@@ -106,7 +106,8 @@ class TestParity:
                    for t in range(3)]
         feed_both(serial, parallel, batches)
         assert parallel.current() == serial.current()
-        loads = parallel.partition_loads()
+        union = dict(parallel.operators())["PartitionUnionOp"]
+        loads = [partition.emitted for partition in union.children]
         assert len(loads) == 4
         assert all(load > 0 for load in loads), f"starved partition: {loads}"
 

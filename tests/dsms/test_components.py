@@ -183,28 +183,18 @@ class TestScratch:
 class TestThrow:
     def test_counts(self):
         throw = Throw()
-        throw.discard("x", 1)
-        throw.discard("y", 2)
-        assert throw.discarded == 2
-
-    def test_keep_tuples(self):
-        throw = Throw(keep_tuples=True)
-        throw.discard("x", 1)
-        assert list(throw.tuples()) == [("x", 1)]
-
-    def test_tuples_unavailable_when_not_kept(self):
-        throw = Throw()
-        with pytest.raises(ValueError):
-            throw.tuples()
+        throw.discard_many(1)
+        throw.discard_many(2)
+        throw.discard_many(0)
+        assert throw.discarded == 3
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_discard_many_equals_n_anonymous_discards(self, n):
-        looped, batched = Throw(keep_tuples=True), Throw(keep_tuples=True)
+        looped, batched = Throw(), Throw()
         for _ in range(n):
-            looped.discard(None, 7)
-        batched.discard_many(n, 7)
+            looped.discard_many(1)
+        batched.discard_many(n)
         assert batched.discarded == looped.discarded == n
-        assert list(batched.tuples()) == list(looped.tuples())
 
 
 class FakeQuery:

@@ -11,7 +11,7 @@ OBS = Schema(["id", "room", "temp"])
 
 @pytest.fixture
 def dsms():
-    engine = DSMSEngine(keep_thrown_tuples=False)
+    engine = DSMSEngine()
     engine.register_stream("Obs", OBS)
     engine.register_relation("Rooms", Schema(["room", "floor"]),
                              rows=[{"room": "a", "floor": 1},

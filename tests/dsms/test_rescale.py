@@ -1,5 +1,4 @@
-"""Engine-level live rescale and the autoscale loop
-(DSMSEngine.rescale_query / autoscale=)."""
+"""Engine-level live rescale (DSMSEngine.rescale_query)."""
 
 import pytest
 
@@ -7,7 +6,6 @@ import repro.obs as obs
 from repro.core import PlanError, Schema, StateError
 from repro.dsms import DSMSEngine
 from repro.obs import explain_analyze
-from repro.plan.adaptive import AdaptivePolicy
 
 OBS = Schema(["id", "room", "temp"])
 GROUPED = ("SELECT ISTREAM room, COUNT(*) AS n FROM Obs [Range 20] "
@@ -119,10 +117,6 @@ class TestRescaleQuery:
         assert "rescales: 1→3" in rendered
 
 
-POLICY = AdaptivePolicy(max_parallelism=4, high_occupancy=0.5,
-                        low_occupancy=0.05, confirm_polls=2, cooldown_polls=1)
-
-
 def published_totals(field):
     """Per-operator-type sums of the published ``exec.operator.*``
     counters, across every label (old widths' operators included)."""
@@ -169,71 +163,20 @@ class TestRescaleUnderObservability:
         assert handle.query.parallelism == 2
         self.assert_published_once(handle.query)
 
-    def test_autoscale_rescales_inside_a_drain(self):
-        # The controller rescales after the drain and before the publish,
-        # so the retired operators still hold unpublished growth.
+    def test_a_rescale_lands_on_unpublished_growth(self):
+        # ``step`` does not publish, so the retired operators still hold
+        # growth past the marks of the last publish when the width
+        # changes.
         obs.enable()
-        engine = make_engine(autoscale=POLICY, queue_capacity=8)
-        handle = engine.register_query("q", GROUPED)
-        for start in range(0, len(ROWS), 6):
-            ingest(engine, ROWS[start:start + 6])
-            engine.run_until_idle()
-        assert handle.autoscaler.as_dict()["rescales"] >= 1
-        self.assert_published_once(handle.query)
-
-
-class TestAutoscale:
-    def test_backlog_drives_scale_up_without_divergence(self):
-        engine = make_engine(autoscale=POLICY, queue_capacity=8)
-        handle = engine.register_query("q", GROUPED)
-        control = make_engine()
-        control_handle = control.register_query("q", GROUPED)
-        for start in range(0, len(ROWS), 6):
-            chunk = ROWS[start:start + 6]
-            ingest(engine, chunk)
-            engine.run_until_idle()
-            ingest(control, chunk)
-            control.run_until_idle()
-        assert handle.autoscaler is not None
-        assert handle.autoscaler.as_dict()["rescales"] >= 1
-        assert handle.query.parallelism > 1
-        assert store_outputs(handle) == store_outputs(control_handle)
-
-    def test_ineligible_queries_are_cached_not_retried(self):
-        engine = make_engine(autoscale=True)
-        handle = engine.register_query(
-            "g", "SELECT COUNT(*) AS n FROM Obs [Range 5]")
-        ingest(engine, ROWS[:6])
-        engine.run_until_idle()
-        engine.run_until_idle()
-        assert handle.autoscaler is None
-        assert "g" in engine._autoscale_ineligible
-        assert handle.query.parallelism == 1
-
-    def test_watermark_lag_drives_scale_up_with_obs_off(self):
-        # The lag is read from the door's watermarks and the query's
-        # cursor, so the trigger sees a backlog in event time with obs
-        # disabled; occupancy (10 of 1024) alone would scale down.
-        assert not obs.is_enabled()
-        policy = AdaptivePolicy(confirm_polls=1, high_watermark_lag=5)
-        engine = make_engine(autoscale=policy)
-        handle = engine.register_query("q", GROUPED)
-        ingest(engine, ROWS[:10])
-        engine.run_until_idle()
-        decision, = handle.autoscaler.decisions
-        assert decision.wants_rescale
-        assert decision.reason == "watermark lag 9 >= 5"
-        assert handle.query.parallelism == 2
-        ingest(engine, ROWS[10:12])
-        engine.run_until_idle()
-        # A lag of 2 (watermark 11, cursor 9) is under the threshold.
-        assert "watermark lag" not in handle.autoscaler.decisions[-1].reason
-        assert len(obs.get_registry()) == 0
-
-    def test_autoscale_off_by_default(self):
         engine = make_engine()
         handle = engine.register_query("q", GROUPED)
-        ingest(engine, ROWS)
+        ingest(engine, ROWS[:8])
         engine.run_until_idle()
-        assert handle.autoscaler is None
-        assert handle.query.parallelism == 1
+        ingest(engine, ROWS[8:16])
+        while engine.step():
+            pass
+        engine.rescale_query("q", 3)
+        ingest(engine, ROWS[16:])
+        engine.run_until_idle()
+        assert handle.query.parallelism == 3
+        self.assert_published_once(handle.query)

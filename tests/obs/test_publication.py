@@ -5,7 +5,8 @@ set a counter to its own total (``inc(value - counter.value)``) fought
 every other publisher of the same series: a second DSMS engine whose
 query reused a name raised on a smaller total, and a second job's
 smaller vertex count (or checkpoint count) was dropped.  Each publisher
-now keeps marks of what it published and adds what grew since.
+now keeps marks of what it published, per registry, and adds what grew
+since.
 """
 
 import repro.obs as obs
@@ -54,6 +55,29 @@ class TestDsmsEngines:
         engine.publish_observability()
         assert obs.get_registry().get(
             "dsms.query.ingested", query="a").value == 3
+
+    def test_a_fresh_registry_gets_the_operator_totals(self):
+        # A query keeps its operator marks per registry too, so a reset
+        # registry gets the operators' totals, not only their growth.
+        obs.enable()
+        engine = drive_engine(3)
+        obs.reset()
+        engine.publish_observability()
+        registry = obs.get_registry()
+        query = engine.query("a").query
+        for field, attr in (("records_in", "received"),
+                            ("records_out", "emitted")):
+            published = sum(counter.value for counter
+                            in registry.children(f"exec.operator.{field}"))
+            assert published == sum(getattr(op, attr)
+                                    for _, op in query.operators())
+        # Three insertions and the two expiries of the [Now] window.
+        assert query.deltas_processed == 5
+        assert registry.get("exec.query.deltas", query="a",
+                            layer="cql").value == 5
+        assert registry.get("exec.operator.records_out", query="a",
+                            layer="cql", operator="StreamSourceOp",
+                            index="0").value == 5
 
 
 def run_job(n, checkpoint_interval=None):
