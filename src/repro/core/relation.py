@@ -29,7 +29,7 @@ from sys import getsizeof
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from repro.core.errors import StateError, TimeError
-from repro.core.records import Schema, trusted_record
+from repro.core.records import Schema, label_rows
 from repro.core.time import Timestamp
 
 
@@ -340,9 +340,7 @@ def labelled(rows: Bag, schema: Schema | None) -> Bag:
     if schema is None:
         return rows.copy()
     out, counts = Bag(), rows._counts
-    out._counts = dict(zip(
-        [trusted_record(schema, values) for values in counts],
-        counts.values()))
+    out._counts = dict(zip(label_rows(schema, counts), counts.values()))
     return out
 
 
@@ -445,8 +443,7 @@ class Changelog:
         if schema is None:
             return _bag_of(held)
         out = Bag()
-        out._counts = dict.fromkeys(
-            [trusted_record(schema, values) for values in held.values()], 1)
+        out._counts = dict.fromkeys(label_rows(schema, held.values()), 1)
         return out
 
     def commit(self, version: int,

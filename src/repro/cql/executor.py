@@ -43,7 +43,7 @@ from repro.obs import _STATE as _obs_state
 
 from repro.core.errors import PlanError, StateError, TimeError
 from repro.core.operators import R2SKind
-from repro.core.records import Record, Schema, trusted_record
+from repro.core.records import Record, Schema, label_rows
 from repro.core.relation import Bag, Changelog, TimeVaryingRelation
 from repro.core.stream import Stream
 from repro.core.time import MIN_TIMESTAMP, Timestamp
@@ -1921,7 +1921,7 @@ class ContinuousQuery:
         emitted become Records of the output schema."""
         schema, out = self.output_schema, []
         for version, rows in self._emitted(start):
-            records = [trusted_record(schema, values) for values in rows]
+            records = label_rows(schema, rows)
             if self.r2s is R2SKind.RSTREAM:
                 # In repr order: the answer's dict order depends on its
                 # history, and a rollback re-adds the rows it takes back

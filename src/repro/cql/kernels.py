@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import linecache
 from collections import OrderedDict
-from functools import partial
+from functools import lru_cache, partial
 from itertools import count
 from operator import attrgetter, length_hint
 from sys import getsizeof
@@ -519,6 +519,16 @@ def _aggregate_source(keys: Sequence[int], aggregates: Sequence[tuple],
     return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _rendered_aggregate(keys: tuple[int, ...], shape: tuple[tuple, ...],
+                        n_evaluators: int, steps: tuple[Callable, ...]) -> str:
+    """:func:`_aggregate_source`, rendered once per shape in the process
+    rather than once per engine that compiles it.  ``steps`` are the
+    :data:`STEPS` emitters the shape folds with, in the key only: a
+    patched emitter (a mutant) renders its own source."""
+    return _aggregate_source(keys, shape, n_evaluators)
+
+
 def aggregate_kernel(group_by: Sequence[str], aggregates: Sequence,
                      in_schema: Schema) -> Kernel:
     """The generated ``process`` of an aggregate: ``kernel(op, t,
@@ -544,8 +554,10 @@ def aggregate_kernel(group_by: Sequence[str], aggregates: Sequence,
                                partial(compile_expr, schema=in_schema)))
         shape.append((spec.kind, read))
         labels.append(f"{spec.kind.name}({label})")
-    keys = [in_schema.index_of(column) for column in group_by]
-    source = _aggregate_source(keys, shape, len(evaluators))
+    keys = tuple(in_schema.index_of(column) for column in group_by)
+    source = _rendered_aggregate(
+        keys, tuple(shape), len(evaluators),
+        tuple(STEPS[kind] for kind, read in shape if read is not None))
     name = ", ".join(labels)
     if keys:
         name = f"by {', '.join(f'[{key}]' for key in keys)}: {name}"
@@ -855,9 +867,10 @@ def _coercion(schema: Schema, take: Callable[[str], str]) -> list[str]:
     of ``schema`` and ``take`` it (``take(expr)`` renders the statement
     that does, e.g. ``return expr``): a ``dict`` is read field by field
     with the declared type checks inlined (against the bound ``t<i>``),
-    one of ``schema``'s own Records is taken as it is, and every other
-    row goes to the bound ``coerce`` (:meth:`Schema.coerce`), which takes
-    it or raises."""
+    one of ``schema``'s own Records is taken as the plain tuple of its
+    values (a Record never enters the engine: it equals no plain tuple),
+    and every other row goes to the bound ``coerce``
+    (:meth:`Schema.coerce`), which takes it or raises."""
     names = [f"v{i}" for i in range(len(schema.fields))]
     read = [f"{name} = row[{field!r}]"
             for name, field in zip(names, schema.fields)]
@@ -876,7 +889,7 @@ def _coercion(schema: Schema, take: Callable[[str], str]) -> list[str]:
         "if isinstance(row, dict):",
         *_block(built, 1),
         "elif getattr(row, '_schema', None) is schema:",
-        f"    {take('row._values')}",
+        f"    {take('tuple(row)')}",
         "else:",
         f"    {take('coerce(row)')}",
     ]
@@ -887,8 +900,8 @@ def coercer_kernel(schema: Schema) -> Callable[[Any], tuple]:
     tuple``, returning what :meth:`Schema.coerce` returns.
 
     A mapping (a ``dict``) is read field by field with the declared type
-    checks inlined, and one of ``schema``'s own Records is taken as it
-    is.  Every other row — a missing key, a wrong type, a Record of any
+    checks inlined, and one of ``schema``'s own Records is taken as the
+    plain tuple of its values.  Every other row — a missing key, a wrong type, a Record of any
     other schema — goes to :meth:`Schema.coerce`, which takes it or
     raises, so refusals and their messages have one source.  The source
     spells the layout — field names, and type names where declared — in

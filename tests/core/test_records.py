@@ -1,6 +1,7 @@
 """Tests for schemas and records."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -83,7 +84,8 @@ class TestSchema:
 
     def test_coerce_takes_its_own_records_as_they_are(self, person_schema):
         own = Record(person_schema, (1, "ada", 36))
-        assert person_schema.coerce(own) is own.values
+        coerced = person_schema.coerce(own)
+        assert type(coerced) is tuple and coerced == own.values
 
     def test_coerce_checks_a_record_of_another_schema(self, person_schema):
         same_names = Schema(["id", "name", "age"])
@@ -123,7 +125,8 @@ class TestRecord:
     def test_equality_depends_on_field_names(self):
         a = Record(Schema(["x"]), (1,))
         b = Record(Schema(["y"]), (1,))
-        assert a != b
+        assert type(a) is not type(b)
+        assert a != b and not a == b
         assert a == Record(Schema(["x"]), (1,))
 
     def test_hashable(self, person_schema):
@@ -131,9 +134,10 @@ class TestRecord:
         assert record in {record}
 
     def test_equal_records_on_distinct_equal_schemas_hash_equal(self):
+        # Equal field names, other declared types: two layouts.
         a = Record(Schema(["x", "y"]), (1, "a"))
-        b = Record(Schema(["x", "y"]), (1, "a"))
-        assert a.schema is not b.schema
+        b = Record(Schema(["x", "y"], [int, str]), (1, "a"))
+        assert type(a) is not type(b)
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
 
@@ -189,3 +193,55 @@ class TestRecord:
                 {"id": 2, "name": "bob", "age": 41}]
         records = records_from_dicts(person_schema, rows)
         assert [r["name"] for r in records] == ["ada", "bob"]
+
+
+class TestARowIsATuple:
+    """A Record is a ``tuple`` of its values, of its layout's class."""
+
+    def test_a_record_never_equals_a_plain_tuple(self):
+        record = Record(Schema(["a", "b"]), (1, "x"))
+        assert record != (1, "x") and (1, "x") != record
+        assert not record == (1, "x") and not (1, "x") == record
+        # Equal hashes, so the dict compares them, and keeps both.
+        assert hash(record) == hash((1, "x"))
+        assert len({record: 1, (1, "x"): 2}) == 2
+
+    def test_records_are_unordered(self):
+        schema = Schema(["a"])
+        records = [Record(schema, (2,)), Record(schema, (1,))]
+        with pytest.raises(TypeError):
+            sorted(records)
+        for left, right in [(records[0], (1,)), ((1,), records[0])]:
+            with pytest.raises(TypeError):
+                left < right  # noqa: B015
+            with pytest.raises(TypeError):
+                left >= right  # noqa: B015
+
+    def test_values_is_exactly_a_tuple(self, person_schema):
+        record = Record(person_schema, [1, "ada", 36])
+        assert isinstance(record, tuple)
+        assert type(record.values) is tuple
+        assert record.values == (1, "ada", 36)
+
+    def test_pickles_round_trip(self, person_schema):
+        record = Record(person_schema, (1, "ada", 36))
+        loaded = pickle.loads(pickle.dumps(record))
+        assert loaded == record and type(loaded) is type(record)
+        assert loaded.schema == person_schema
+        assert loaded.schema.types == person_schema.types
+
+    def test_one_class_per_layout(self, person_schema):
+        same = Schema(["id", "name", "age"], [int, str, int])
+        untyped = Schema(["id", "name", "age"])
+        assert same.record_type is person_schema.record_type
+        assert untyped.record_type is not person_schema.record_type
+        record = Record(same, (1, "ada", 36))
+        assert type(record) is person_schema.record_type
+        assert record.schema == same
+
+    def test_the_tuple_reads_as_the_record_did(self, person_schema):
+        record = Record(person_schema, (1, "ada", 36))
+        assert repr(record) == "Record(id=1, name='ada', age=36)"
+        assert str(record) == repr(record)
+        assert type(record[1:]) is tuple and record[1:] == ("ada", 36)
+        assert len(record) == 3 and list(record) == [1, "ada", 36]

@@ -657,8 +657,10 @@ class TestCoercerKernel:
                              ids=["untyped", "typed"])
     def test_takes_the_schemas_own_record_as_it_is(self, schema):
         record = Record(schema, (1, "a", 3))
-        assert kernels.coercer_kernel(schema)(record) is record.values
-        assert schema.coerce(record) is record.values
+        coerced = kernels.coercer_kernel(schema)(record)
+        assert type(coerced) is tuple and coerced == record.values
+        coerced = schema.coerce(record)
+        assert type(coerced) is tuple and coerced == record.values
 
     def test_only_rows_it_does_not_take_reach_schema_coerce(
             self, monkeypatch):

@@ -162,8 +162,8 @@ class TestRecordEqualityAtTheAPI:
         (by_temp,) = temps.store_state()
         assert by_id.values == by_temp.values == (7,)
         assert by_id != by_temp
-        assert by_id.schema is ids.query.output_schema
-        assert by_temp.schema is temps.query.output_schema
+        assert by_id.schema == ids.query.output_schema
+        assert by_temp.schema == temps.query.output_schema
         assert ids.store_state() != temps.store_state()
-        assert all(row.schema is ids.query.output_schema
+        assert all(row.schema == ids.query.output_schema
                    for row in engine.store.history("ids").at(1))

@@ -5,9 +5,10 @@ Inside a compiled plan a row is its values tuple: no operator, kernel
 or query-group path builds or re-labels a Record.  The executor (whose
 ``SharedGroup`` feeds every query, private or shared) and the kernel
 module (and the source it renders) may not call ``Record``,
-``trusted_record``, ``with_schema``, ``relabel`` or ``_new(Record)``;
-only the query's emission read, which labels the rows a reader asks
-for, is exempt.
+``trusted_record``, ``label_rows``, ``with_schema`` or ``relabel``, nor
+touch the labelling constructor, a layout's class
+(``schema.record_type``); only the query's emission read, which labels
+the rows a reader asks for, is exempt.
 """
 
 import ast
@@ -21,7 +22,8 @@ from repro.core import Schema
 from repro.cql import CQLEngine
 
 #: Calls that build or re-label a Record.
-LABELLING = {"Record", "trusted_record", "with_schema", "relabel"}
+LABELLING = {"Record", "trusted_record", "label_rows", "with_schema",
+             "relabel"}
 
 #: ``Class.method`` names allowed to label rows: where the engine hands
 #: rows to a caller.
@@ -30,7 +32,8 @@ EDGE = {"ContinuousQuery._labelled"}
 
 def labelling_calls(tree: ast.AST) -> list[str]:
     """``qualified function name: call`` for every labelling call in
-    ``tree`` outside :data:`EDGE`."""
+    ``tree`` outside :data:`EDGE`, and ``...: .record_type`` for every
+    use of a layout's class."""
     found = []
 
     def visit(node, scope):
@@ -44,11 +47,12 @@ def labelling_calls(tree: ast.AST) -> list[str]:
             name = (func.id if isinstance(func, ast.Name)
                     else func.attr if isinstance(func, ast.Attribute)
                     else None)
-            if name in LABELLING or (
-                    name == "_new" and any(
-                        isinstance(arg, ast.Name) and arg.id == "Record"
-                        for arg in node.args)):
+            if name in LABELLING:
                 found.append(f"{scope or '<module>'}: {name}(")
+        if isinstance(node, ast.Attribute) and node.attr == "record_type":
+            # A layout's class, called or passed to a call: the labelling
+            # constructor itself.
+            found.append(f"{scope or '<module>'}: .record_type")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -96,7 +100,7 @@ def test_the_rendered_kernels_build_no_record():
     assert any("def prefilter(" in source for source in sources)
     for source in sources:
         assert labelling_calls(ast.parse(source)) == [], source
-    assert not {"Record", "_new"} & set(kernels._RUNTIME)
+    assert not {"Record", "label_rows"} & set(kernels._RUNTIME)
 
 
 def test_the_scan_finds_a_labelling_call():
@@ -105,10 +109,12 @@ def test_the_scan_finds_a_labelling_call():
         "    def process(self, t, deltas):\n"
         "        return [trusted_record(s, v) for v in deltas]\n"
         "    def stage(self, rows):\n"
-        "        return [r.with_schema(s) for r in rows], _new(Record)\n"
+        "        return [r.with_schema(s) for r in rows]\n"
+        "    def emit(self, rows):\n"
+        "        return list(map(s.record_type, rows)), s.record_type(v)\n"
         "class ContinuousQuery:\n"
         "    def _labelled(self, start):\n"
         "        return [Record(s, v) for v in deltas]\n")
     assert labelling_calls(tree) == [
         "JoinOp.process: trusted_record(", "JoinOp.stage: with_schema(",
-        "JoinOp.stage: _new("]
+        "JoinOp.emit: .record_type", "JoinOp.emit: .record_type"]

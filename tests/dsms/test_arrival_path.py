@@ -15,7 +15,6 @@ nothing.
 
 import pytest
 
-import repro.core.records as records_module
 from repro.chaos import CrashFuse, install_crash
 from repro.core import Record, Schema, SchemaError, StateError, TimeError
 from repro.core.relation import Bag, Changelog, labelled
@@ -54,20 +53,21 @@ def bag_copies(monkeypatch):
 
 @pytest.fixture
 def records_built(monkeypatch):
-    """A count of every Record built, labelled or constructed."""
+    """A count of every Record built: every one, labelled or
+    constructed, is a call of its layout's class, the one labelling
+    constructor (``schema.record_type(values)``)."""
     built = [0]
-    new, init = records_module._new, Record.__init__
+    record_type = Schema.record_type.fget
 
-    def counting_new(cls):
-        built[0] += 1
-        return new(cls)
+    def counting(schema):
+        cls = record_type(schema)
 
-    def counting_init(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
+        def label(values):
+            built[0] += 1
+            return cls(values)
+        return label
 
-    monkeypatch.setattr(records_module, "_new", counting_new)
-    monkeypatch.setattr(Record, "__init__", counting_init)
+    monkeypatch.setattr(Schema, "record_type", property(counting))
     return built
 
 
@@ -397,7 +397,7 @@ class TestIngestRefusesRowsThatDoNotFit:
         engine.run_until_idle()
         (answer,) = handle.store_state()
         assert answer["id"] == 7
-        assert answer.schema is handle.query.output_schema
+        assert answer.schema == handle.query.output_schema
 
     def test_the_epoch_is_checked_first(self):
         engine = make_engine()

@@ -121,8 +121,8 @@ class TestALoopOfIngest:
         # The semantic policy judged the same rows, as Records of the
         # stream's schema.
         assert judged_loop == judged_many
-        assert judged_many and all(type(row) is Record
-                                   and row.schema is OBS
+        assert judged_many and all(isinstance(row, Record)
+                                   and row.schema == OBS
                                    for row in judged_many)
 
     def test_ingested_is_counted_once_per_run(self):

@@ -207,13 +207,17 @@ class TestEmissionsAreReadOffTheLog:
     def test_the_fold_labels_nothing(self, kind, monkeypatch):
         text, rng = R2S_TEXTS[kind], random.Random(7)
         labelled_now = []
-        label = executor.trusted_record
+        record_type = Schema.record_type.fget
 
-        def counted(schema, values):
-            labelled_now.append(values)
-            return label(schema, values)
+        def counting(schema):
+            cls = record_type(schema)
 
-        monkeypatch.setattr(executor, "trusted_record", counted)
+            def label(values):
+                labelled_now.append(values)
+                return cls(values)
+            return label
+
+        monkeypatch.setattr(Schema, "record_type", property(counting))
         engine = make_engine()
         handle = engine.register_query("q", text)
         rows = []

@@ -49,7 +49,7 @@ def test_a_semantic_utility_sees_records_and_sheds_the_same_arrivals():
         == (25, 95, 75)
     assert (floors.metrics.shed, floors.metrics.queue_dropped) == (25, 75)
     assert len(seen) == 105
-    assert all(type(row) is Record and row.schema is OBSERVATION_SCHEMA
+    assert all(isinstance(row, Record) and row.schema == OBSERVATION_SCHEMA
                for row in seen)
     assert sorted((r["floor"], r["readings"])
                   for r in floors.store_state()) == [(0, 5), (1, 6), (2, 1)]

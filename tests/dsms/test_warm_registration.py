@@ -7,9 +7,10 @@ plan memo holds the plan, and the kernels rendered for it by the first
 query compiled from its shape — while a cold text does exactly the work
 it always did.  A text that differs from a planned one only in its
 comparison literals is tokenised once and bound from its shape's plan
-and kernels.  Two queries compiled from one memoised plan still own
-their operators, state and answers, isolated, shared, fissioned and
-crashed.
+and kernels.  An aggregate's source is rendered once per shape in the
+process, whichever engine compiles it.  Two queries compiled from one
+memoised plan still own their operators, state and answers, isolated,
+shared, fissioned and crashed.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from repro.chaos import CrashFuse, install_crash
 from repro.core import ParseError, Schema, Stream
 from repro.cql import CQLEngine, kernels, lexer, parser, planner
 from repro.cql.executor import InstantEvaluator
+from repro.difftest import apply_mutant
 from repro.dsms import DSMSEngine
 from repro.obs.metrics import Counter as ObsCounter
 from repro.plan import rules
@@ -104,6 +106,12 @@ def declare(engine):
 
 
 class TestCallsPerRegistration:
+    @pytest.fixture(autouse=True)
+    def _cold_aggregate_sources(self):
+        """No aggregate source rendered yet in the process, whatever ran
+        before: a cold text renders its own."""
+        kernels._rendered_aggregate.cache_clear()
+
     @pytest.mark.parametrize("text", sorted(COLD))
     def test_a_cold_text_does_the_work_it_always_did(self, text):
         engine = declare(DSMSEngine())
@@ -154,8 +162,27 @@ class TestCallsPerRegistration:
     def test_engines_do_not_share_their_memo(self):
         declare(DSMSEngine()).register_query("q", GROUPED)
         engine = declare(DSMSEngine())
+        # Only the aggregate's source, rendered per process, is not
+        # rendered again (the next test).
+        cold = {name: calls for name, calls in COLD[GROUPED].items()
+                if name != "_aggregate_source"}
         assert work_done(lambda: engine.register_query("q", GROUPED)) \
-            == COLD[GROUPED]
+            == cold
+
+    def test_an_aggregate_source_is_rendered_once_per_shape(self):
+        declare(DSMSEngine()).register_query("q", GROUPED)
+
+        def rendered():
+            engine = declare(DSMSEngine())
+            return work_done(lambda: engine.register_query(
+                "q", GROUPED)).get("_aggregate_source", 0)
+
+        assert rendered() == 0
+        # A mutant's COUNT step renders its own source, and only once.
+        with apply_mutant("null-counting-count"):
+            assert rendered() == 1
+            assert rendered() == 0
+        assert rendered() == 0
 
     def test_text_after_a_semicolon_is_refused_not_dropped(self):
         engine = declare(DSMSEngine())

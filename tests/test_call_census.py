@@ -1,5 +1,6 @@
 """``tools/call_census.py`` counts, it does not time: two runs of one
-tree give the same calls per function, at a smoke-sized pass."""
+tree give the same calls per function, at a smoke-sized pass, in the
+drain and in the ingest and read layers beside it."""
 
 import importlib.util
 import pathlib
@@ -24,7 +25,20 @@ def test_two_runs_count_the_same(census, workload, ticks):
     first = census.census(ROOT, workload, ticks)
     second = census.census(ROOT, workload, ticks)
     assert first["quanta"] > 0 and first["python"] and first["c"]
+    for layer in ("ingest", "read"):
+        assert first["layers"][layer]["python"]
     assert first == second
+
+
+def test_a_read_is_counted_under_read_not_the_drain(census):
+    result = census.census(ROOT, "query_fleet", 10)
+    store_state = "repro.dsms.engine:QueryHandle.store_state"
+    ingest = "repro.dsms.engine:DSMSEngine.ingest"
+    # Ticks 2-9 are counted: one read and four arrivals a tick.
+    assert result["layers"]["read"]["python"][store_state] == 8
+    assert result["layers"]["ingest"]["python"][ingest] == 32
+    assert store_state not in result["python"]
+    assert ingest not in result["python"]
 
 
 def test_the_diff_names_what_moved(census, capsys):
@@ -39,3 +53,21 @@ def test_the_diff_names_what_moved(census, capsys):
     moved = [line.split()[-1] for line in lines[2:]]
     assert sorted(moved) == ["len", "m:g", "sorted"]
     assert "m:f" not in moved
+
+
+def test_the_diff_prints_each_layer_per_tick(census, capsys):
+    def result(read_calls):
+        return {"quanta": 4, "ticks": [0, 1], "python": {"m:f": 4},
+                "c": {}, "layers": {
+                    "ingest": {"python": {"m:in": 2}, "c": {}},
+                    "read": {"python": read_calls, "c": {}}}}
+
+    census.report_diff("w", result({"m:r": 6, "m:h": 100}),
+                       result({"m:r": 6}), top=10)
+    lines = capsys.readouterr().out.splitlines()
+    assert "w drain per tick: Python calls 2.00 -> 2.00" in lines[2]
+    assert "w ingest per tick: Python calls 1.00 -> 1.00" in lines[3]
+    read = lines.index(next(line for line in lines
+                            if line.startswith("w read per tick")))
+    assert "Python calls 53.00 -> 3.00 (-50.00)" in lines[read]
+    assert lines[read + 2].split()[-1] == "m:h"

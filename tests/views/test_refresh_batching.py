@@ -6,7 +6,6 @@ from collections import Counter
 
 import pytest
 
-import repro.core.records as records_module
 from repro.core.operators import AggregateKind
 from repro.core.records import Schema
 from repro.cql.executor import (
@@ -127,14 +126,18 @@ def test_one_row_built_per_delta_crossing_an_operator(deltas, monkeypatch):
     Record at all, however many deltas cross — rows are labelled only
     when read."""
     built = Counter()
-    new = records_module._new
+    record_type = Schema.record_type.fget
 
-    def counted_new(cls):
-        built["rows"] += 1
-        return new(cls)
+    def counting(schema):
+        cls = record_type(schema)
+
+        def label(values):
+            built["rows"] += 1
+            return cls(values)
+        return label
 
     service, view = make_service()
-    monkeypatch.setattr(records_module, "_new", counted_new)
+    monkeypatch.setattr(Schema, "record_type", property(counting))
     for version in (2, 3):
         commit(service, version, deltas)
         crossed = sum(op.received for op in operators(view))

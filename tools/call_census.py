@@ -1,4 +1,5 @@
-"""Calls per service quantum of one cqbench workload, by function.
+"""Calls per service quantum of one cqbench workload, by function, and
+calls per tick by layer.
 
     python3 tools/call_census.py --workload query_fleet [--base HEAD] \\
         [--ticks N] [--top K]
@@ -16,6 +17,14 @@ Python-level and C calls per quantum, then each function's calls per
 quantum: engine code as ``module:qualified name``, generated kernels by
 their pseudo-filename (which spells the shape they render), and C
 functions by their qualified name.
+
+The same hook counts two more layers over the same ticks, per tick:
+``ingest`` (each ``DSMSEngine.ingest`` and ``ingest_many``; each
+``DynamicTableService.apply`` for ``view_cascade``) and ``read`` (each
+``QueryHandle.store_state``; each ``DynamicTableService.read``).  A call
+made inside another hooked call counts under the outer one's layer, so
+the drain's per-quantum numbers are the same as with the drain hooked
+alone.
 
 Counts, not clocks: two runs of one tree print the same numbers, so one
 run answers whether a change added or removed work on the hot path.
@@ -41,37 +50,47 @@ ROOT = Path(__file__).resolve().parent.parent
 #: strings, and so every count, repeat from run to run.
 HASH_SEED = "1"
 SEED = 1
+#: The layers counted per tick beside the drain's per-quantum census.
+LAYERS = ("ingest", "read")
 
 
 def measure(root: Path, workload: str, ticks: int | None) -> dict:
     """One census pass of ``workload`` over the tree at ``root``, in this
-    process: ``{"quanta", "ticks", "python", "c"}``, the last two
-    ``{function: calls}`` summed over every hooked call."""
+    process: ``{"quanta", "ticks", "python", "c", "layers"}``; ``python``
+    and ``c`` are ``{function: calls}`` summed over every hooked drain
+    call, and ``layers`` holds the same pair for each of :data:`LAYERS`.
+    """
     sys.path[:0] = [str(root / "src"), str(root)]
     from cqbench.workloads import WORKLOADS
     from repro.dsms import DSMSEngine
+    from repro.dsms.engine import QueryHandle
     from repro.views import DynamicTableService
 
     cls = WORKLOADS[workload]
     ticks = cls.ticks if ticks is None else ticks
-    python: Counter = Counter()
-    c_calls: Counter = Counter()
+    counters = {layer: (Counter(), Counter()) for layer in ("drain", *LAYERS)}
     quanta = [0]
     counting = [False]
     setprofile = sys.setprofile
 
-    def profiler(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            module = frame.f_globals.get("__name__")
-            where = code.co_filename if module is None \
-                or code.co_filename.startswith("<") else module
-            python[f"{where}:{code.co_qualname}"] += 1
-        elif event == "c_call" and arg is not setprofile:
-            c_calls[getattr(arg, "__qualname__", None)
-                    or getattr(arg, "__name__", repr(arg))] += 1
+    def profiler_of(layer: str):
+        python, c_calls = counters[layer]
 
-    def hooked(original, per_call: bool):
+        def profiler(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                module = frame.f_globals.get("__name__")
+                where = code.co_filename if module is None \
+                    or code.co_filename.startswith("<") else module
+                python[f"{where}:{code.co_qualname}"] += 1
+            elif event == "c_call" and arg is not setprofile:
+                c_calls[getattr(arg, "__qualname__", None)
+                        or getattr(arg, "__name__", repr(arg))] += 1
+        return profiler
+
+    def hooked(owner, name: str, layer: str, per_call: bool = True):
+        original, profiler = getattr(owner, name), profiler_of(layer)
+
         def wrapper(*args, **kwargs):
             if not counting[0] or sys.getprofile() is not None:
                 return original(*args, **kwargs)
@@ -80,21 +99,31 @@ def measure(root: Path, workload: str, ticks: int | None) -> dict:
                 result = original(*args, **kwargs)
             finally:
                 setprofile(None)
-            quanta[0] += 1 if per_call else result
+            if layer == "drain":
+                quanta[0] += 1 if per_call else result
             return result
-        return wrapper
+        setattr(owner, name, wrapper)
 
     if workload == "view_cascade":
-        DynamicTableService.tick = hooked(DynamicTableService.tick, True)
+        hooked(DynamicTableService, "tick", "drain")
+        hooked(DynamicTableService, "apply", "ingest")
+        hooked(DynamicTableService, "read", "read")
     else:
-        DSMSEngine.run_until_idle = hooked(DSMSEngine.run_until_idle, False)
+        hooked(DSMSEngine, "run_until_idle", "drain", per_call=False)
+        hooked(DSMSEngine, "ingest", "ingest")
+        hooked(DSMSEngine, "ingest_many", "ingest")
+        hooked(QueryHandle, "store_state", "read")
     passing = cls(cls.generate(SEED, ticks))
     first = ticks // 5
     for i in range(ticks):
         counting[0] = i >= first
         passing.tick(i)
+    python, c_calls = counters["drain"]
     return {"quanta": quanta[0], "ticks": [first, ticks - 1],
-            "python": dict(python), "c": dict(c_calls)}
+            "python": dict(python), "c": dict(c_calls),
+            "layers": {layer: {"python": dict(counters[layer][0]),
+                               "c": dict(counters[layer][1])}
+                       for layer in LAYERS}}
 
 
 def census(root: Path, workload: str, ticks: int | None) -> dict:
@@ -115,20 +144,31 @@ def census(root: Path, workload: str, ticks: int | None) -> dict:
     return json.loads(done.stdout)
 
 
-def per_quantum(result: dict) -> dict[str, float]:
-    """Every function's calls per quantum, Python ones first-class and C
-    ones prefixed ``C ``."""
-    n = max(1, result["quanta"])
+def per_quantum(result: dict, n: int | None = None) -> dict[str, float]:
+    """Every function's calls per quantum (per ``n`` when given), Python
+    ones first-class and C ones prefixed ``C ``."""
+    n = max(1, result["quanta"] if n is None else n)
     out = {name: calls / n for name, calls in result["python"].items()}
     out.update({f"C {name}": calls / n
                 for name, calls in result["c"].items()})
     return out
 
 
-def totals(result: dict) -> tuple[float, float]:
-    n = max(1, result["quanta"])
+def totals(result: dict, n: int | None = None) -> tuple[float, float]:
+    n = max(1, result["quanta"] if n is None else n)
     return (sum(result["python"].values()) / n,
             sum(result["c"].values()) / n)
+
+
+def counted_ticks(result: dict) -> int:
+    first, last = result["ticks"]
+    return last - first + 1
+
+
+def layers(result: dict) -> dict[str, dict]:
+    """Each counted layer's census, per tick: the drain's and, when the
+    result has them, :data:`LAYERS`'."""
+    return {"drain": result, **result.get("layers", {})}
 
 
 def report(workload: str, result: dict, top: int) -> None:
@@ -140,14 +180,21 @@ def report(workload: str, result: dict, top: int) -> None:
     rows = sorted(per_quantum(result).items(), key=lambda kv: (-kv[1], kv[0]))
     for name, calls in rows[:top]:
         print(f"{calls:10.3f}  {name}")
+    ticks = counted_ticks(result)
+    for layer, counted in layers(result).items():
+        python, c_calls = totals(counted, ticks)
+        print(f"{layer} per tick: {python:.2f} Python calls, "
+              f"{c_calls:.2f} C calls")
+        if layer == "drain":
+            continue
+        rows = sorted(per_quantum(counted, ticks).items(),
+                      key=lambda kv: (-kv[1], kv[0]))
+        for name, calls in rows[:top]:
+            print(f"{calls:10.3f}  {name}")
 
 
-def report_diff(workload: str, base: dict, change: dict, top: int) -> None:
-    (bp, bc), (cp, cc) = totals(base), totals(change)
-    print(f"{workload}: quanta {base['quanta']} -> {change['quanta']}; "
-          f"per quantum Python calls {bp:.2f} -> {cp:.2f} ({cp - bp:+.2f}), "
-          f"C calls {bc:.2f} -> {cc:.2f} ({cc - bc:+.2f})")
-    a, b = per_quantum(base), per_quantum(change)
+def print_moved(a: dict[str, float], b: dict[str, float], top: int) -> None:
+    """The ``top`` functions whose calls moved most from ``a`` to ``b``."""
     moved = [(b.get(name, 0.0) - a.get(name, 0.0), name)
              for name in set(a) | set(b)
              if round(a.get(name, 0.0), 6) != round(b.get(name, 0.0), 6)]
@@ -156,6 +203,27 @@ def report_diff(workload: str, base: dict, change: dict, top: int) -> None:
     for delta, name in moved[:top]:
         print(f"{a.get(name, 0.0):10.3f} {b.get(name, 0.0):10.3f} "
               f"{delta:+10.3f}  {name}")
+
+
+def report_diff(workload: str, base: dict, change: dict, top: int) -> None:
+    (bp, bc), (cp, cc) = totals(base), totals(change)
+    print(f"{workload}: quanta {base['quanta']} -> {change['quanta']}; "
+          f"per quantum Python calls {bp:.2f} -> {cp:.2f} ({cp - bp:+.2f}), "
+          f"C calls {bc:.2f} -> {cc:.2f} ({cc - bc:+.2f})")
+    print_moved(per_quantum(base), per_quantum(change), top)
+    if "layers" not in base or "layers" not in change:
+        return
+    before, after = layers(base), layers(change)
+    n, m = counted_ticks(base), counted_ticks(change)
+    for layer in before:
+        (bp, bc), (cp, cc) = totals(before[layer], n), \
+            totals(after[layer], m)
+        print(f"{workload} {layer} per tick: Python calls {bp:.2f} -> "
+              f"{cp:.2f} ({cp - bp:+.2f}), C calls {bc:.2f} -> {cc:.2f} "
+              f"({cc - bc:+.2f})")
+        if layer != "drain":
+            print_moved(per_quantum(before[layer], n),
+                        per_quantum(after[layer], m), top)
 
 
 def main(argv: list[str]) -> int:
