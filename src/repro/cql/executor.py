@@ -627,53 +627,58 @@ class PartitionUnionOp(PhysicalOp):
 
 
 class JoinOp(PhysicalOp):
-    """Symmetric incremental join with the bilinear delta rule.
+    """Symmetric incremental equi-join of n inputs over one key.
 
-    ``Δ(L ⋈ R) = ΔL ⋈ R_old  ∪  L_new ⋈ ΔR`` — applied per batch, with
-    multiplicities multiplying: the left batch probes the right index and
-    lands in its own, then the right batch probes the updated left one.
-    Each side's index maps a key (the plan's extracted equi-join columns,
-    read by position: one column's bare value, a tuple of several, ``()``
-    for an incremental cross join) to ``{values: multiplicity}``.  A
-    joined row is the two values tuples concatenated, left first, and
-    the residual predicate filters it.
+    The bilinear delta rule, one input at a time: input ``i``'s batch
+    probes every other input's index and lands in its own, so it sees the
+    inputs before ``i`` after this instant's batches and the inputs after
+    ``i`` before theirs — for two inputs ``Δ(L ⋈ R) = ΔL ⋈ R_old ∪ L_new
+    ⋈ ΔR``.  Multiplicities multiply.  Every input's index maps the
+    shared key (the plan's equi-join columns, read by position: one
+    column's bare value, a tuple of several, ``()`` for a binary cross
+    join) to ``{values: multiplicity}``, so no intermediate join result
+    is kept.  :func:`compile_plan` compiles a left-deep chain of inner
+    equi-joins on one key into one operator (see :func:`_join_inputs`),
+    and any other join into one of two inputs.  A joined row is the
+    inputs' values tuples concatenated in input order, and the residual
+    predicates filter it.
 
-    Each side runs its generated probe-and-fold loop
+    Each input runs its generated probe-and-fold loop
     (:func:`~repro.cql.kernels.join_kernel`).  ``predicates`` and
     ``outputs`` are a Filter/Project chain compiled into the join (see
-    :func:`compile_plan`): its predicates are tested after the residual,
+    :func:`compile_plan`): its predicates are tested after the residuals,
     and with ``outputs`` the join emits the chain's output tuple instead
-    of the joined row.
+    of the joined row.  ``inputs`` are the logical nodes the inputs
+    compile, which a live rescale re-keys each index by.
     """
 
-    _STATE_ATTRS = ("_left_state", "_right_state")
-
-    def __init__(self, left: PhysicalOp, right: PhysicalOp,
-                 probes: tuple[Callable, Callable]) -> None:
-        super().__init__([left, right])
-        self._probe_left, self._probe_right = probes
-        #: The two sides' indexes; each one's tally is the net
-        #: multiplicity it holds.
-        self._left_state = KeyedState(self._weigh)
-        self._right_state = KeyedState(self._weigh)
+    def __init__(self, children: Sequence[PhysicalOp],
+                 probes: Sequence[Callable],
+                 inputs: Sequence[LogicalOp]) -> None:
+        super().__init__(children)
+        self._probes = tuple(probes)
+        self.inputs = tuple(inputs)
+        #: One index per input, ``_state0``, ``_state1``, ...; each one's
+        #: tally is the net multiplicity it holds.
+        self._STATE_ATTRS = tuple(f"_state{index}"
+                                  for index in range(len(children)))
+        self._states = tuple(KeyedState(self._weigh) for _ in children)
+        for attr, state in zip(self._STATE_ATTRS, self._states):
+            setattr(self, attr, state)
 
     @staticmethod
-    def render(node: Join, predicates: Sequence[Expr] = (),
-               outputs: Sequence[Expr] | None = None) \
-            -> tuple[Kernel, Kernel]:
-        """The left and right probes of ``node`` (see
-        :func:`~repro.cql.kernels.join_kernel`), testing ``predicates``
-        after the residual and emitting ``outputs`` when given."""
-        if node.residual is not None:
-            predicates = [node.residual, *predicates]
-        width = len(node.left.schema.fields)
-        left, right = [
-            join_kernel(side, [child.schema.index_of(c) for c in keys],
-                        predicates, outputs, node.schema, width)
-            for side, child, keys in (("left", node.left, node.left_keys),
-                                      ("right", node.right,
-                                       node.right_keys))]
-        return left, right
+    def render(inputs: Sequence[tuple[LogicalOp, Sequence[int]]],
+               schema: Schema, predicates: Sequence[Expr] = (),
+               outputs: Sequence[Expr] | None = None) -> tuple[Kernel, ...]:
+        """Each input's probe (see
+        :func:`~repro.cql.kernels.join_kernel`) over ``inputs``, each an
+        input node and its key's positions, joined into ``schema``;
+        testing ``predicates`` and emitting ``outputs`` when given."""
+        keys = [positions for _, positions in inputs]
+        widths = [len(node.schema.fields) for node, _ in inputs]
+        return tuple(join_kernel(side, keys, predicates, outputs, schema,
+                                 widths)
+                     for side in range(len(inputs)))
 
     @staticmethod
     def _weigh(entry: dict[tuple, int]) -> int:
@@ -681,18 +686,19 @@ class JoinOp(PhysicalOp):
         return sum(entry.values())
 
     def process(self, t, child_deltas):
-        left_deltas, right_deltas = child_deltas
         out: list[Delta] = []
-        if left_deltas:
-            self._probe_left(self, left_deltas, out)
-        if right_deltas:
-            self._probe_right(self, right_deltas, out)
+        for probe, deltas in zip(self._probes, child_deltas):
+            if deltas:
+                probe(self, deltas, out)
         return out
 
     @property
     def state_size(self) -> int:
-        """Tuples (net multiplicity) indexed on both sides."""
-        return self._left_state.tally + self._right_state.tally
+        """Tuples (net multiplicity) indexed over every input."""
+        size = 0
+        for state in self._states:
+            size += state.tally
+        return size
 
 
 class AggregateOp(PhysicalOp):
@@ -939,6 +945,33 @@ def _compose(chain: Sequence[Filter | Project], schema: Schema) \
     return predicates, outputs
 
 
+def _join_inputs(node: Join, fuse: bool) \
+        -> tuple[list[Join], list[tuple[LogicalOp, tuple[int, ...]]]]:
+    """The joins one :class:`JoinOp` runs for ``node``, top first, and
+    its inputs, each with its key's positions in its own rows.
+
+    A left-deep chain of inner equi-joins whose keys are one equivalence
+    class is one operator, when ``fuse``: ``node``'s left join is taken
+    in when ``node``'s key on it is exactly the key columns of one of
+    that join's inputs, in their order, and so on down.  Anything else —
+    a cross or theta join, a chain over another key — is a join of two
+    inputs.  (The partition boundary is the topmost keyed node, so it is
+    never a join below another of its chain.)
+    """
+    lower = node.left
+    left = tuple(lower.schema.index_of(column) for column in node.left_keys)
+    right = tuple(node.right.schema.index_of(column)
+                  for column in node.right_keys)
+    if fuse and left and isinstance(lower, Join) and lower.left_keys:
+        joins, inputs = _join_inputs(lower, fuse)
+        offset = 0
+        for child, keys in inputs:
+            if tuple(offset + key for key in keys) == left:
+                return [node, *joins], [*inputs, (node.right, right)]
+            offset += len(child.schema.fields)
+    return [node], [(lower, left), (node.right, right)]
+
+
 def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
                  memo=None, parallelism: int = 1,
                  kernels: Kernels | None = None,
@@ -1086,11 +1119,25 @@ def compile_plan(plan: LogicalOp, catalog: Catalog, agenda: Agenda,
     def _build_join(node: Join, predicates: Sequence[Expr] = (),
                     outputs: Sequence[Expr] | None = None,
                     top: Filter | Project | None = None) -> JoinOp:
-        """``node``'s join, running the chain from ``top`` down when one
-        is fused into it (its ``predicates`` and ``outputs``)."""
-        probes = bound("join", (top, node),
-                       lambda: JoinOp.render(node, predicates, outputs))
-        return JoinOp(build(node.left), build(node.right), probes)
+        """``node``'s join, with the joins below it on its key (see
+        :func:`_join_inputs`), running the chain from ``top`` down when
+        one is fused into it (its ``predicates`` and ``outputs``).  Every
+        join it runs maps to it; the joins' residuals are tested on the
+        whole row, lowest first, since σ commutes with inner ⋈.  A join
+        compiled through a memo takes in no join below it: another
+        member may read that join's plain rows."""
+        joins, inputs = _join_inputs(node, fuse=memo is None)
+        residuals = [join.residual for join in reversed(joins)
+                     if join.residual is not None]
+        # Keyed by the lowest join too: one shape compiles to a chain
+        # through a memo and to one join without.
+        probes = bound("join", (top, node, joins[-1]), lambda: JoinOp.render(
+            inputs, node.schema, [*residuals, *predicates], outputs))
+        op = JoinOp([build(child) for child, _ in inputs], probes,
+                    [child for child, _ in inputs])
+        for join in joins[1:]:
+            _record(join, op)
+        return op
 
     def _record(node: LogicalOp, op: PhysicalOp) -> None:
         node_map.setdefault(id(node), []).append(op)

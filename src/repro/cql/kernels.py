@@ -17,10 +17,11 @@ per instant:
 * the stateless spine (:func:`spine_kernel`): one list comprehension per
   maximal Filter/Project chain, its predicates inlined as the
   prefilter's are and its output tuple spelled by position;
-* each side of a join (:func:`join_kernel`): one probe-and-fold loop
-  that reads the key by position, tests the residual inline and emits
-  the joined row — or, when a Filter/Project chain sits on the join, that
-  chain's output tuple, so no concatenated row is built for it;
+* each input of a join (:func:`join_kernel`): one probe-and-fold loop
+  that reads the key by position, probes every other input's index,
+  tests the residuals inline and emits the joined row — or, when a
+  Filter/Project chain sits on the join, that chain's output tuple, so
+  no concatenated row is built for it;
 * the row coercer (:func:`coercer_kernel`): one function per record
   layout that reads a mapping's fields in order with the declared type
   checks inlined, and hands any row it does not take to
@@ -44,7 +45,7 @@ process into a factory, cached under the source text in a bounded LRU
 rendering the source and one dict lookup.  Each compiled source is registered with
 :mod:`linecache` under a pseudo-filename that spells its shape (an
 aggregate's keys and kinds, a spine's predicates and outputs, a join
-side's key and emitted columns, a coercer's or a door's layout), so a
+input's key and emitted columns, a coercer's or a door's layout), so a
 traceback or a profile line through a kernel names the plan node it
 runs and shows the generated line.  This is the only module under ``repro`` that compiles
 code.
@@ -728,53 +729,73 @@ def spine_kernel(predicates: Sequence[Expr], outputs: Sequence[Expr] | None,
 # ---------------------------------------------------------------------------
 
 
-def _join_column(probing_left: bool, position: int,
-                 left_width: int) -> tuple[str, str]:
-    """Joined-row column ``position`` inside a probe: read from ``values``
-    (the probing side's row) or ``match`` (the other side's), labelled
-    ``l``/``r`` and its offset in its side's row."""
-    on_left = position < left_width
-    offset = position if on_left else position - left_width
-    row = "values" if on_left == probing_left else "match"
-    return f"{row}[{offset}]", f"{'l' if on_left else 'r'}{offset}"
+def _join_letter(index: int, inputs: int) -> str:
+    """How a probe's shape names input ``index`` of ``inputs``: ``l`` and
+    ``r`` for a binary join's two, else ``a``, ``b``, ``c``, ..."""
+    return "lr"[index] if inputs == 2 else chr(ord("a") + index)
 
 
-def join_kernel(side: str, keys: Sequence[int], predicates: Sequence[Expr],
+def _join_column(probing: int, position: int,
+                 widths: Sequence[int]) -> tuple[str, str]:
+    """Joined-row column ``position`` inside input ``probing``'s probe:
+    read from ``values`` (the probing row) or ``match<j>`` (input ``j``'s
+    matching row), labelled by its input's letter and its offset in that
+    input's row (see :func:`_join_letter`)."""
+    index, offset = 0, position
+    while offset >= widths[index]:
+        offset -= widths[index]
+        index += 1
+    row = "values" if index == probing else f"match{index}"
+    return f"{row}[{offset}]", f"{_join_letter(index, len(widths))}{offset}"
+
+
+def join_kernel(side: int, keys: Sequence[Sequence[int]],
+                predicates: Sequence[Expr],
                 outputs: Sequence[Expr] | None, schema: Schema,
-                left_width: int) -> Kernel:
-    """The generated probe-and-fold of one join side: ``kernel(op,
-    deltas, out)`` probes ``op``'s other side's index with each of
-    ``side``'s deltas, appends what it joins to ``out`` and folds the
-    delta into ``side``'s own index (``op._left_state`` or
-    ``op._right_state``).
+                widths: Sequence[int]) -> Kernel:
+    """The generated probe-and-fold of one input of an n-input equi-join:
+    ``kernel(op, deltas, out)`` probes every other input's index with
+    each of input ``side``'s deltas, appends what it joins to ``out`` and
+    folds the delta into its own index (``op._state<side>``).
 
-    ``keys`` are the key columns' positions in ``side``'s rows, and
-    an index is keyed by the one key column's bare value, by the tuple
-    of them for several and by ``()`` for none (a cross join) — as
-    :func:`_aggregate_source` keys a group.  A NULL
-    component joins nothing and is not indexed (SQL three-valued logic:
-    it can never satisfy the originating equality).  A joined row
-    passes when every predicate holds for it (the residual, then any
-    filters fused above the join; see :func:`_conjuncts`), over the
-    joined layout ``schema`` whose first ``left_width`` columns are the
-    left row's.  It is emitted as the concatenation of the two rows,
-    left first, or — with ``outputs`` — as the tuple of its output
-    values read from the two rows in place.  A side refuses a retraction
-    it does not hold before its index changes.  The pseudo-filename
-    names the side, its key and emitted columns, e.g. ``<join left on
-    (l0) emit (l1, r1)>``.
+    ``keys[i]`` are the key columns' positions in input ``i``'s rows:
+    the inputs share one key, and every index is keyed by the one key
+    column's bare value, by the tuple of them for several and by ``()``
+    for none (a binary cross join) — as :func:`_aggregate_source` keys a
+    group.  A NULL component joins nothing and is not indexed (SQL
+    three-valued logic: it can never satisfy the originating equality).
+    A delta at key ``k`` reads every other input's entry at ``k``; if
+    any is empty it joins nothing, else it joins each combination of
+    their rows, nested in input order, with multiplicity ``mult`` times
+    their counts.  A joined row passes when every predicate holds for it
+    (the joins' residuals, then any filters fused above the join; see
+    :func:`_conjuncts`), over the joined layout ``schema``: the inputs'
+    rows concatenated in input order, ``widths`` columns each.  It is
+    emitted as that concatenation or — with ``outputs`` — as the tuple
+    of its output values read from the input rows in place.  An input
+    refuses a retraction it does not hold before its index changes.  The
+    pseudo-filename names the input, its key and emitted columns (see
+    :func:`_join_letter`), e.g. ``<join left on (l0) emit (l1, r1)>`` or
+    ``<join b of 3 on (b0) emit (a1, b1, c1)>``.
     """
-    left = side == "left"
-    other = "right" if left else "left"
+    inputs = len(widths)
+    others = [index for index in range(inputs) if index != side]
+    if inputs == 2:
+        name = ("left", "right")[side]
+        function, holder = f"probe_{name}", f"{name} side"
+    else:
+        letter = _join_letter(side, inputs)
+        name, function = f"{letter} of {inputs}", f"probe_{letter}"
+        holder = f"input {letter}"
 
     def column(position: int) -> tuple[str, str]:
-        return _join_column(left, position, left_width)
+        return _join_column(side, position, widths)
 
     bound: list[Bound] = []
     terms, tests = _conjuncts(predicates, schema, column, "joined", bound)
-    own = 0 if left else left_width
-    shape = [f"{side} on "
-             f"{_listed([column(own + key)[1] for key in keys])}"]
+    own = sum(widths[:side])
+    shape = [f"{name} on "
+             f"{_listed([column(own + key)[1] for key in keys[side]])}"]
     if tests:
         shape.append("where " + " and ".join(tests))
     if outputs is not None:
@@ -783,33 +804,42 @@ def join_kernel(side: str, keys: Sequence[int], predicates: Sequence[Expr],
         shape.append(f"emit {_listed(labels)}")
     # A closure takes the joined row: build it once per match, only then.
     closures = any(slot[0] in "pe" for slot, _, _ in bound)
-    concatenation = "values + match" if left else "match + values"
+    concatenation = " + ".join("values" if index == side
+                               else f"match{index}"
+                               for index in range(inputs))
     if outputs is None:
         emit = "joined" if closures else concatenation
-    probe = ["for match, count in matches.items():",
-             *([f"    joined = {concatenation}"] if closures else [])]
+    weight = " * ".join(["mult", *(f"count{index}" for index in others)])
+    probe = [*([f"joined = {concatenation}"] if closures else [])]
     if terms:
-        probe += [f"    if {' and '.join(terms)}:",
-                  f"        append(({emit}, mult * count))"]
+        probe += [f"if {' and '.join(terms)}:",
+                  f"    append(({emit}, {weight}))"]
     else:
-        probe.append(f"    append(({emit}, mult * count))")
-    names = [f"k{index}" for index in range(len(keys))]
-    read = [f"{name} = values[{key}]" for name, key in zip(names, keys)]
+        probe.append(f"append(({emit}, {weight}))")
+    # Each other input's entry at the key, looked up in input order (an
+    # empty one ends the probe), then their rows, nested in input order.
+    for index in reversed(others):
+        probe = [f"for match{index}, count{index} in "
+                 f"matches{index}.items():", *_block(probe, 1)]
+    for index in reversed(others):
+        probe = [f"matches{index} = index{index}.get(key)",
+                 f"if matches{index}:", *_block(probe, 1)]
+    names = [f"k{index}" for index in range(len(keys[side]))]
+    read = [f"{name} = values[{key}]"
+            for name, key in zip(names, keys[side])]
     if names:
         read += [f"if {' or '.join(f'{name} is None' for name in names)}:",
                  "    continue"]
     body = [
         *read,
         f"key = {names[0] if len(names) == 1 else _tuple(names)}",
-        "matches = other.get(key)",
-        "if matches:",
-        *_block(probe, 1),
+        *probe,
         "entry = own.get(key)",
         "count = mult if entry is None else entry.get(values, 0) + mult",
         "if count < 0:",
         "    raise StateError(",
         "        f\"join retracts {values!r}, which its \"",
-        f"        f\"{side} side does not hold\")",
+        f"        f\"{holder} does not hold\")",
         "keys.append(key)",
         "if entry is None:",
         "    if count:",
@@ -822,12 +852,11 @@ def join_kernel(side: str, keys: Sequence[int], predicates: Sequence[Expr],
         "        del own[key]",
         "held += mult",
     ]
-    name = f"probe_{side}"
     kernel = [
-        f"def {name}(op, deltas, out):",
-        f"    state = op._{side}_state",
+        f"def {function}(op, deltas, out):",
+        f"    state = op._state{side}",
         "    own = state.data",
-        f"    other = op._{other}_state.data",
+        *[f"    index{index} = op._state{index}.data" for index in others],
         "    append = out.append",
         "    keys = []",
         "    held = 0",
@@ -839,7 +868,7 @@ def join_kernel(side: str, keys: Sequence[int], predicates: Sequence[Expr],
         "        if state.marking:",
         "            state.mark(keys)",
     ]
-    return _render(bound, name, kernel, "join", " ".join(shape))
+    return _render(bound, function, kernel, "join", " ".join(shape))
 
 
 # ---------------------------------------------------------------------------

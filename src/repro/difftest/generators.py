@@ -151,8 +151,9 @@ def draw_query(rng: random.Random) -> tuple[str, str]:
     Shapes cover projection with scalar expressions, filters, all
     ``AggregateKind``s (global, grouped, HAVING, DISTINCT), stream-stream
     and stream-relation joins (and a relation column grouped over the
-    latter), every set operation, and all three R2S operators — the
-    surface the oracle must agree on.
+    latter), three-way joins on one key and over two, every set
+    operation, and all three R2S operators — the surface the oracle must
+    agree on.
     """
     shape = rng.randrange(9)
     w1 = _window(rng)
@@ -182,6 +183,22 @@ def draw_query(rng: random.Random) -> tuple[str, str]:
         return "grouped aggregate", (f"SELECT {r2s}room, {agg} FROM Obs {w1} "
                                      f"GROUP BY room{having}")
     if shape == 5:
+        # Three-way variants, picked by ``agg``, drawn for every shape but
+        # read only by shapes 3, 4 and 6, so no case of another shape
+        # moves.  On one key the two joins compile to one JoinOp of three
+        # inputs; over two keys they stay two joins.  ``B`` reads ``w1``
+        # unless that partitions by a column Alerts lacks.
+        if agg == "COUNT(*) AS n":
+            w3 = w2 if w1.startswith("[Partition") else w1
+            return "shared-key three-way join", (
+                f"SELECT {r2s}O.id, A.level, B.level FROM Obs O {w1}, "
+                f"Alerts A {w2}, Alerts B {w3} "
+                f"WHERE O.id = A.id AND A.id = B.id")
+        if agg == "SUM(temp) AS n":
+            return "mixed-key three-way join", (
+                f"SELECT {r2s}O.id, A.level, R.floor FROM Obs O {w1}, "
+                f"Alerts A {w2}, Rooms R "
+                f"WHERE O.id = A.id AND O.room = R.room")
         return "stream join", (f"SELECT {r2s}O.id, A.level FROM Obs O {w1}, "
                                f"Alerts A {w2} WHERE O.id = A.id")
     if shape == 6:

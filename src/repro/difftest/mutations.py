@@ -21,9 +21,15 @@ The mutants cover the bug classes named by the issue:
   answer but logs no batch, so an instant whose arrivals were split
   across quanta has a history (and a Store history) that misses a fold.
 * ``join-probe-own-row``   — fused emission: the generated probe of a
-  join's left side reads the right row's columns from its own (left)
-  row, so a join that emits a projection above it (or tests a residual
-  inline) emits wrong values for every left-driven match.
+  join's first (left) input reads the second input's columns from its
+  own row, so a join that emits a projection above it (or tests a
+  residual inline) emits wrong values for every left-driven match.
+* ``join-probes-after-folds`` — the n-input delta order: a join of
+  three or more inputs folds every input's batch before any input
+  probes, so each probe reads the other inputs after this instant's
+  folds and a combination of rows that arrive together joins once per
+  input it arrived on.  A two-input join runs as it should, so only a
+  join chain compiled into one operator can show it.
 * ``bind-keeps-a-literal`` — prepared plans: binding a text's plan from
   its shape's leaves the first slot holding the memoised plan's literal,
   so a text registered after a literal sibling filters with the
@@ -112,19 +118,48 @@ def state_log_coalesce() -> contextlib.AbstractContextManager:
 
 
 def join_probe_own_row() -> contextlib.AbstractContextManager:
-    """A left-side join probe reads right columns from its own row."""
+    """A join's first input's probe reads the second input's columns
+    from its own row."""
     original = cql_kernels._join_column
 
-    def mutated(probing_left, position, left_width):
-        read, label = original(probing_left, position, left_width)
-        offset = position - left_width
-        if probing_left and 0 <= offset < left_width:
-            # The injected bug: ``values`` (the probing left row) where
-            # the kernel must read ``match`` (the right row).
+    def mutated(probing, position, widths):
+        read, label = original(probing, position, widths)
+        offset = position - widths[0]
+        if probing == 0 and 0 <= offset < min(widths[:2]):
+            # The injected bug: ``values`` (the probing row) where the
+            # kernel must read ``match1`` (the second input's row).
             read = f"values[{offset}]"
         return read, label
 
     return mock.patch.object(cql_kernels, "_join_column", mutated)
+
+
+def join_probes_after_folds() -> contextlib.AbstractContextManager:
+    """A join of three or more inputs probes only after every fold."""
+    original = cql_executor.JoinOp.process
+
+    def mutated(self, t, child_deltas):
+        if len(child_deltas) < 3:
+            return original(self, t, child_deltas)
+        states = self._states
+        before = [({key: dict(entry) for key, entry in state.data.items()},
+                   state.tally) for state in states]
+        # Every input's fold first; the joins this emits are dropped.
+        original(self, t, child_deltas)
+        out: list = []
+        for state, (data, tally), probe, deltas in zip(
+                states, before, self._probes, child_deltas):
+            if deltas:
+                # The injected bug: each input probes the others as they
+                # stand after the instant, folding its batch again into
+                # a copy of its own index from before it.
+                folded = state.data, state.tally
+                state.data, state.tally = data, tally
+                probe(self, deltas, out)
+                state.data, state.tally = folded
+        return out
+
+    return mock.patch.object(cql_executor.JoinOp, "process", mutated)
 
 
 def bind_keeps_a_literal() -> contextlib.AbstractContextManager:
@@ -172,6 +207,7 @@ MUTANTS: dict[str, tuple[Callable[[], contextlib.AbstractContextManager],
     "state-log-coalesce": (state_log_coalesce, "cql"),
     "obs-rescale-marks": (obs_rescale_marks, "cql"),
     "join-probe-own-row": (join_probe_own_row, "cql"),
+    "join-probes-after-folds": (join_probes_after_folds, "cql"),
     "bind-keeps-a-literal": (bind_keeps_a_literal, "cql"),
 }
 

@@ -16,7 +16,10 @@ optimisation stack, Section 3.2):
 Nodes expose ``op_name``/``children`` so the monotonicity classifier in
 :mod:`repro.core.monotonicity` applies directly, and carry their output
 :class:`~repro.core.records.Schema` so expression compilation resolves
-column positions at plan time.
+column positions at plan time.  A node that derives a new layout (a
+projection, a join, an aggregate) builds it once, on first read, and
+keeps it beside its fields: every query compiled from one plan shares
+its schemas, and equality and hashing stay over the fields.
 
 History: the core of this hierarchy moved here from
 ``repro.cql.algebra``; the compatibility shim is gone.
@@ -25,6 +28,7 @@ History: the core of this hierarchy moved here from
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import is_not
 from typing import Any, Mapping, Sequence
 
@@ -202,7 +206,7 @@ class Project(LogicalOp):
     def children(self) -> tuple[LogicalOp, ...]:
         return (self.child,)
 
-    @property
+    @cached_property
     def schema(self) -> Schema:
         return Schema(self.names)
 
@@ -239,7 +243,7 @@ class Join(LogicalOp):
     def children(self) -> tuple[LogicalOp, ...]:
         return (self.left, self.right)
 
-    @property
+    @cached_property
     def schema(self) -> Schema:
         return self.left.schema.concat(self.right.schema)
 
@@ -297,7 +301,7 @@ class Aggregate(LogicalOp):
     def children(self) -> tuple[LogicalOp, ...]:
         return (self.child,)
 
-    @property
+    @cached_property
     def schema(self) -> Schema:
         return Schema(self.group_names + tuple(a.name
                                                for a in self.aggregates))
@@ -433,7 +437,7 @@ class WindowAggregate(LogicalOp):
     def children(self) -> tuple[LogicalOp, ...]:
         return (self.child,)
 
-    @property
+    @cached_property
     def schema(self) -> Schema:
         fields = self.group_names + tuple(a.name for a in self.aggregates)
         if self.window is not None:
@@ -473,7 +477,7 @@ class BGPMatch(LogicalOp):
     def children(self) -> tuple[LogicalOp, ...]:
         return (self.child,)
 
-    @property
+    @cached_property
     def schema(self) -> Schema:
         return Schema(self.variables)
 

@@ -50,7 +50,7 @@ from typing import Any, Callable, Mapping
 from repro.core.errors import StateError
 from repro.core.time import Timestamp
 from repro.cql.state import KeyedState, copy_sized
-from repro.plan.ir import Join, LogicalOp, walk
+from repro.plan.ir import LogicalOp, walk
 from repro.plan.parallel import BROADCAST
 from repro.runtime.partitioning import key_router
 
@@ -210,7 +210,7 @@ class _Migration:
                     f"an instant boundary")
             self._replicate(olds, news, verify=lambda op: op._initial)
         elif isinstance(op, ex.JoinOp):
-            self._move_join(node, olds, news)
+            self._move_join(olds, news)
         elif at is BROADCAST:
             self._replicate(olds, news)
         elif isinstance(op, ex.StreamSourceOp):
@@ -285,10 +285,12 @@ class _Migration:
             new._spans._recount()
         news[0].evicted = sum(old.evicted for old in olds)
 
-    def _move_join(self, node: Join, olds: list[Any],
-                   news: list[Any]) -> None:
-        for attr, child in (("_left_state", node.left),
-                            ("_right_state", node.right)):
+    def _move_join(self, olds: list[Any], news: list[Any]) -> None:
+        """Each input's index, re-keyed by the routing key's positions in
+        that input's rows: a join compiled from a chain of joins is met
+        at its lowest join, so the inputs are read off the operator."""
+        op = news[0]
+        for attr, child in zip(op._STATE_ATTRS, op.inputs):
             at = self.positions[id(child)]
             if at is BROADCAST:
                 self._replicate([getattr(old, attr) for old in olds],

@@ -211,10 +211,10 @@ class TestJoinsAndRelations:
         join = self.join_of(q)
         live = range(10, 20)   # [Range 10] at t=19 holds t in (9, 19]
         # A one-column join key is its bare value.
-        assert set(join._left_state.data) == set(live)
-        assert set(join._right_state.data) == {100 + i for i in live}
-        assert all(join._left_state.data.values())
-        assert all(join._right_state.data.values())
+        assert set(join._state0.data) == set(live)
+        assert set(join._state1.data) == {100 + i for i in live}
+        assert all(join._state0.data.values())
+        assert all(join._state1.data.values())
 
     def test_snapshot_isolates_containers_and_shares_records(self, engine):
         engine.register_stream("Alerts", Schema(["id", "level"]))
@@ -224,19 +224,19 @@ class TestJoinsAndRelations:
         q.push("Obs", {"id": 1, "room": "a", "temp": 0}, 0)
         join = self.join_of(q)
         payload = join.barrier()
-        live = join._left_state.data[1]
-        saved = payload["_left_state"][1]
+        live = join._state0.data[1]
+        saved = payload["_state0"][1]
         assert saved is not live and saved == live
         assert next(iter(saved)) is next(iter(live))   # the same Record
 
         q.push("Obs", {"id": 1, "room": "b", "temp": 0}, 1)
         assert len(live) == 2 and len(saved) == 1
         join.rollback()
-        assert join._left_state.data[1] is not saved
+        assert join._state0.data[1] is not saved
         q.push("Obs", {"id": 1, "room": "c", "temp": 0}, 2)
         assert len(saved) == 1
         join.rollback()   # the image survives any number of rollbacks
-        assert join._left_state.data[1] == saved
+        assert join._state0.data[1] == saved
 
     def test_join_instants_build_no_schema(self, engine, monkeypatch):
         """Joined rows share the one output schema built at compile time."""

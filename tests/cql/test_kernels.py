@@ -271,7 +271,7 @@ class TestKeySpelling:
         query.push_batch(1, arrivals)
         return {attr: set(getattr(op, attr).data)
                 for _, op in query.operators()
-                for attr in ("_groups", "_left_state", "_right_state")
+                for attr in ("_groups", "_state0", "_state1")
                 if hasattr(op, attr)}
 
     @pytest.mark.parametrize("text, keys", [
@@ -281,10 +281,10 @@ class TestKeySpelling:
          "GROUP BY room, id", {"_groups": {("a", 1)}}),
         ("SELECT COUNT(*) AS n FROM Obs [Range 5]", {"_groups": {()}}),
         ("SELECT O.room, B.door FROM Obs O [Range 5], Badge B [Range 5] "
-         "WHERE O.id = B.id", {"_left_state": {1}, "_right_state": {1}}),
+         "WHERE O.id = B.id", {"_state0": {1}, "_state1": {1}}),
         ("SELECT O.room FROM Obs O [Range 5], Badge B [Range 5] "
          "WHERE O.id = B.id AND O.temp = B.door",
-         {"_left_state": {(1, 20)}, "_right_state": {(1, 0)}}),
+         {"_state0": {(1, 20)}, "_state1": {(1, 0)}}),
     ], ids=["one-column-group", "two-column-group", "global-group",
             "one-column-join", "two-column-join"])
     def test_keys(self, text, keys):
@@ -435,7 +435,7 @@ def labels(query):
 def kernel_names(op):
     """The pseudo-filenames of the kernels ``op`` runs."""
     kernels_of = ([op._kernel] if isinstance(op, SpineOp)
-                  else [op._probe_left, op._probe_right])
+                  else list(op._probes))
     return [kernel.__code__.co_filename for kernel in kernels_of]
 
 

@@ -114,6 +114,22 @@ class TestValidity:
         assert made == [FLEET[0]]
         assert plans[1] is plans[0] and plans[2] is plans[0]
 
+    @pytest.mark.parametrize("text", [
+        FLEET[2], FLEET[6],
+        "SELECT O.room, A.level FROM Obs O [Range 5], Alerts A [Range 5] "
+        "WHERE O.id = A.id"])
+    def test_two_registrations_of_a_text_share_one_output_schema(self,
+                                                                  text):
+        """A plan node derives its layout once, so every query compiled
+        from the memoised plan reads one Schema object, whose record
+        class is resolved once."""
+        engine = make_engine()
+        engine.register_stream("Alerts", Schema(["id", "level"]))
+        first, second = (engine.register_query(text) for _ in range(2))
+        assert first is not second
+        assert first.output_schema is second.output_schema
+        assert first.plan.schema is first.plan.schema
+
     def test_the_key_is_the_shape(self, monkeypatch):
         """Whitespace and comparison-literal variants of a text are one
         shape: parsed once, each bound to a plan of its own that is the

@@ -171,22 +171,25 @@ def test_view_cascades_identity_projection_is_a_filter_only_spine():
     assert root._kernel.__code__.co_filename == "<spine where [2] > c0>"
 
 
-def test_join_recovers_projection_runs_inside_the_upper_join():
-    """join_recover's plan is Project(Join(Join(Obs, Badge), Person)): five
-    operators, not six, and only the upper join emits the projection, so
-    the lower join — the one its crashes are armed on — is unchanged."""
+def test_join_recovers_joins_and_projection_run_in_one_join():
+    """join_recover's plan is Project(Join(Join(Obs, Badge), Person)), all
+    on one key: four operators, one JoinOp of three inputs, which emits
+    the projection and holds no Obs ⋈ Badge tuple, so the join its
+    crashes are armed on is the query's only join."""
     engine = cqbench_engine()
     plan = engine.plan(JOIN_RECOVER)
     root, node_map = compiled(plan, engine.catalog)
     assert [name for name, _ in operators_of(root)] == [
-        "JoinOp", "JoinOp", "StreamSourceOp", "StreamSourceOp",
-        "RelationSourceOp"]
-    upper, lower = root, root.children[0]
-    assert node_map[id(plan)] == node_map[id(plan.child)] == [upper]
-    # O.room, B.door and P.name, read in place from the joined pair.
-    assert upper._probe_left.__code__.co_filename == \
-        "<join left on (l3) emit (l1, l4, r1)>"
-    assert "emit" not in lower._probe_left.__code__.co_filename
+        "JoinOp", "StreamSourceOp", "StreamSourceOp", "RelationSourceOp"]
+    upper = plan.child
+    lower = upper.left
+    assert node_map[id(plan)] == node_map[id(upper)] \
+        == node_map[id(lower)] == [root]
+    assert root.inputs == (lower.left, lower.right, upper.right)
+    # O.room, B.door and P.name, read in place from the three rows.
+    assert [probe.__code__.co_filename for probe in root._probes] == [
+        f"<join {letter} of 3 on ({letter}0) emit (a1, b1, c1)>"
+        for letter in "abc"]
 
 
 class TestNoFusionAcrossABoundary:
@@ -214,6 +217,79 @@ class TestNoFusionAcrossABoundary:
         # The second member's join is the first's: one index, shared.
         assert first[1][1] is second[1][1]
         assert handles[0].query.group.shared_hits >= 1
+
+    def test_a_join_a_sharing_group_may_share_takes_no_join_above_it(self):
+        """A memo-shared lower join keeps its plain rows for its other
+        readers, so the join over it on the same key is a join of two
+        inputs, one of them the shared join."""
+        engine = DSMSEngine(sharing=True)
+        engine.register_stream("Obs", OBS)
+        engine.register_stream("Badge", BADGE)
+        engine.register_relation("Person", PERSON,
+                                 [{"id": i, "name": f"p{i}"}
+                                  for i in range(5)])
+        pair = engine.register_query(
+            "pair", "SELECT * FROM Obs O [Range 10], Badge B [Range 10] "
+                    "WHERE O.id = B.id")
+        chain = engine.register_query("chain", JOIN_RECOVER)
+        (shared,) = [op for name, op in pair.query.operators()
+                     if name == "JoinOp"]
+        joins = [op for name, op in chain.query.operators()
+                 if name == "JoinOp"]
+        assert len(joins) == 2
+        assert [len(op.children) for op in joins] == [2, 2]
+        assert joins[1] is shared
+        assert joins[0].children[0] is shared
+
+    def test_a_shape_compiled_shared_and_fissioned_binds_its_own_probes(
+            self):
+        """One engine's kernel table serves a shape compiled through its
+        sharing memo (two joins) and fissioned without it (one join of
+        three inputs per partition): each join gets one probe per input,
+        and both answer as an isolated engine does."""
+        text = ("SELECT A.id, O.room, A.level, B.level FROM Obs O [Range 5], "
+                "Alerts A [Range 5], Alerts B [Range 5] "
+                "WHERE O.id = A.id AND A.id = B.id")
+
+        def engine(**options):
+            engine = DSMSEngine(**options)
+            engine.register_stream("Obs", OBS)
+            engine.register_stream("Alerts", Schema(["id", "level"]))
+            return engine
+
+        shared, alone = engine(sharing=True), engine()
+        handles = [shared.register_query("chain", text),
+                   shared.register_query("wide", text, parallelism=2),
+                   alone.register_query("alone", text)]
+        joins = [op for handle in handles
+                 for name, op in handle.query.operators() if name == "JoinOp"]
+        assert [len(op.children) for op in joins] == [2, 2, 3, 3, 3]
+        assert all(len(op._probes) == len(op.children) for op in joins)
+        for t in range(1, 9):
+            for run in (shared, alone):
+                run.ingest("Obs", {"id": t % 3, "room": "ab"[t % 2],
+                                   "temp": t}, t)
+                run.ingest("Alerts", {"id": t % 3, "level": t}, t)
+                run.run_until_idle()
+        answers = [handle.store_state() for handle in handles]
+        assert answers[2].support_size
+        assert answers[0] == answers[1] == answers[2]
+
+    def test_a_fissioned_chain_fuses_below_the_boundary_only(self):
+        """At width 2 the upper join is the partition boundary: each
+        partition runs the whole chain as one JoinOp of three inputs,
+        and the projection is a SpineOp over the partitions' union."""
+        engine = cqbench_engine()
+        plan = engine.plan(JOIN_RECOVER)
+        root, node_map = compiled(plan, engine.catalog, parallelism=2)
+        assert type(root) is SpineOp
+        union = root.children[0]
+        assert type(union) is PartitionUnionOp
+        assert all(type(op) is JoinOp and len(op.children) == 3
+                   for op in union.children)
+        upper = plan.child
+        assert node_map[id(upper)] == node_map[id(upper.left)] \
+            == union.children
 
 
 @pytest.mark.parametrize("text, parallelism", [

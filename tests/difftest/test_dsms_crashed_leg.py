@@ -87,7 +87,7 @@ def forget_marks(monkeypatch, cls, method, attr):
     (executor.StreamSourceOp, "process", "_expiries"),
     (executor.StreamSourceOp, "process", "_per_key"),
     (executor.AggregateOp, "process", "_groups"),
-    (executor.JoinOp, "process", "_right_state"),
+    (executor.JoinOp, "process", "_state1"),
     (executor.DistinctOp, "process", "_counts"),
     (executor.SetOpOp, "process", "_left"),
 ], ids=lambda value: getattr(value, "__name__", value))

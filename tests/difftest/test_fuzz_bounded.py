@@ -33,7 +33,8 @@ def test_bounded_seeded_fuzz_is_clean(tmp_path):
     assert set(report.shapes) == {
         "projection", "filter", "expression", "global aggregate",
         "grouped aggregate", "stream join", "relation join",
-        "relation-grouped join", "set operation", "distinct"}
+        "relation-grouped join", "shared-key three-way join",
+        "mixed-key three-way join", "set operation", "distinct"}
     assert sum(report.shapes.values()) == 500
     assert f"relation-grouped join={report.shapes['relation-grouped join']}" \
         in report.summary()

@@ -165,3 +165,20 @@ def test_a_renderer_mutant_is_caught_after_its_shapes_compiled_clean(name):
                 return
     pytest.fail(f"oracle missed mutant {name!r} within {BUDGET} cases "
                 f"once its shapes had compiled clean")
+
+
+@pytest.mark.difftest
+def test_the_n_input_order_mutant_is_caught_only_on_a_shared_key_chain():
+    """join-probes-after-folds changes only a join of three or more
+    inputs: the bounded seed-0 fuzz catches it within the budget, and
+    every case it catches it on is a shared-key three-way join."""
+    factory, _leg = MUTANTS["join-probes-after-folds"]
+    rng, shapes = random.Random(0), []
+    with factory():
+        for _ in range(BUDGET):
+            case = gen_case(rng)
+            if run_case(case) is not None:
+                shapes.append(case.shape)
+    assert shapes, (f"oracle missed mutant 'join-probes-after-folds' "
+                    f"within {BUDGET} cases")
+    assert set(shapes) == {"shared-key three-way join"}

@@ -2,7 +2,9 @@
 
 import itertools
 
-from repro.difftest import Case, Config, build_engine, run_case
+import pytest
+
+from repro.difftest import Case, Config, apply_mutant, build_engine, run_case
 from repro.difftest.oracle import AXES
 from repro.plan.parallel import partition_scheme
 
@@ -81,3 +83,45 @@ def test_relation_keyed_aggregate_is_clean_in_every_config():
                         ("crash", "operators"), ("members", 2),
                         ("batch", 8), ("driver", "dsms"), ("width", 2)):
         assert any(getattr(config, axis) == value for config in ran), axis
+
+
+#: The generator's three-way join shapes: on one key (one JoinOp of three
+#: inputs, key-partitionable by ``id``) and over two keys (two joins, run
+#: serially: the upper key is not the lower one).
+SHARED_KEY = ("SELECT O.id, A.level, B.level FROM Obs O [Range 3], "
+              "Alerts A [Range 2], Alerts B [Range 4] "
+              "WHERE O.id = A.id AND A.id = B.id")
+MIXED_KEY = ("SELECT O.id, A.level, R.floor FROM Obs O [Range 3], "
+             "Alerts A [Range 2], Rooms R "
+             "WHERE O.id = A.id AND O.room = R.room")
+
+
+def three_way_case(query: str) -> Case:
+    """``query`` over keys that collide and arrivals that share instants
+    on every input."""
+    return Case(query=query, streams={
+        "Obs": [({"id": i % 3, "room": "ab"[i % 2], "temp": i}, i // 2)
+                for i in range(9)],
+        "Alerts": [({"id": i % 3, "level": i}, i // 2) for i in range(6)]})
+
+
+@pytest.mark.parametrize("query, partitionable", [
+    (SHARED_KEY, True), (MIXED_KEY, False)], ids=["shared-key", "mixed-key"])
+def test_three_way_joins_are_clean_in_every_config(query, partitionable):
+    assert engaged(query) is partitionable
+    configs = [Config(f"config-{index}", **dict(zip(AXES, values)))
+               for index, values in enumerate(
+                   itertools.product(*AXES.values()))]
+    ran = []
+    assert run_case(three_way_case(query), configs=configs, ran=ran) is None
+    for axis, value in (("crash", "aimed"), ("crash", "operators"),
+                        ("members", 2), ("batch", 8), ("driver", "dsms")):
+        assert any(getattr(config, axis) == value for config in ran), axis
+    assert any(config.width == 2 for config in ran) is partitionable
+    assert any(config.rescale for config in ran) is partitionable
+
+
+def test_only_the_fused_join_shows_the_n_input_order_mutant():
+    with apply_mutant("join-probes-after-folds"):
+        assert run_case(three_way_case(SHARED_KEY)) is not None
+        assert run_case(three_way_case(MIXED_KEY)) is None

@@ -222,9 +222,9 @@ def audit_state_size(op):
                 + sum(len(q) for q in op._per_key.data.values())
                 + len(op._pending) + len(op._visible))
     if isinstance(op, JoinOp):
-        return (sum(sum(c.values()) for c in op._left_state.data.values())
-                + sum(sum(c.values())
-                      for c in op._right_state.data.values()))
+        return sum(sum(c.values())
+                   for attr in op._STATE_ATTRS
+                   for c in getattr(op, attr).data.values())
     return op.state_size
 
 

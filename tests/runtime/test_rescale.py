@@ -114,6 +114,42 @@ class TestStateMigration:
         assert query.parallelism == 2
         assert [r.parallelism_to for r in reports] == [4, 2]
 
+    @pytest.mark.parametrize("third", ["Badge B [Range 6]", "Doors B"],
+                             ids=["stream-input", "relation-input"])
+    def test_a_shared_key_three_way_join_1_2_3_1_matches_never_rescaled(
+            self, engine, third):
+        # One JoinOp of three inputs, met once by the children-first walk
+        # at the lower join: each input's index splits by the key's
+        # positions in that input's rows, and a relation input's index is
+        # copied to every partition.
+        engine.catalog.register_stream("Badge", Schema(["room", "door"]))
+        engine.catalog.register_relation(
+            "Doors", Schema(["room", "door"]),
+            [{"room": room, "door": door} for door, room in enumerate(ROOMS)])
+        text = (f"SELECT ISTREAM A.room, O.id, A.level, B.door "
+                f"FROM Obs O [Range 5], "
+                f"Alerts A [Range 4], {third} "
+                f"WHERE O.room = A.room AND A.room = B.room")
+        batches = [(t, {**arrivals,
+                        "Alerts": [{"room": ROOMS[t % len(ROOMS)],
+                                    "level": t % 3}],
+                        **({"Badge": [{"room": ROOMS[(t + 1) % len(ROOMS)],
+                                       "door": t}]}
+                           if third.startswith("Badge") else {})})
+                   for t, arrivals in OBS_BATCHES]
+        plan = engine.plan(text)
+        control = serial_control(plan, engine.catalog, batches)
+        query, reports = run_with_rescales(plan, engine.catalog, batches,
+                                           {2: 2, 5: 3, 8: 1})
+        assert [r.parallelism_to for r in reports] == [2, 3, 1]
+        assert all(r.migrated_entries for r in reports)
+        assert outputs(query) == outputs(control)
+        assert outputs(control)[1]
+        (join,) = [op for label, op in query.operators() if label == "JoinOp"]
+        assert len(join.children) == 3
+        assert operator_state(join) == operator_state(
+            [op for label, op in control.operators() if label == "JoinOp"][0])
+
     @pytest.mark.parametrize("text", [
         GROUPED,
         STREAM_JOIN,
@@ -138,7 +174,7 @@ class TestStateMigration:
                 reports.append(rescale(query, 3 if position == 3 else 1))
             query.push_batch(t, arrivals)
             keys |= {key for _, op in query.operators()
-                     for attr in ("_groups", "_left_state", "_right_state")
+                     for attr in ("_groups", "_state0", "_state1")
                      if hasattr(op, attr) for key in getattr(op, attr).data}
         query.finish()
         assert [r.parallelism_to for r in reports] == [3, 1]
@@ -327,8 +363,8 @@ class TestStateMigration:
         wide = drive(ContinuousQuery(plan, engine.catalog, parallelism=3))
 
         def relation_sides(query):
-            return [op._right_state.data for _, op in query.operators()
-                    if hasattr(op, "_right_state")]
+            return [op._state1.data for _, op in query.operators()
+                    if hasattr(op, "_state1")]
 
         assert relation_sides(rescaled) == relation_sides(wide)
 

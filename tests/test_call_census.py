@@ -1,6 +1,6 @@
 """``tools/call_census.py`` counts, it does not time: two runs of one
 tree give the same calls per function, at a smoke-sized pass, in the
-drain and in the ingest and read layers beside it."""
+drain and in the ingest, read and checkpoint layers beside it."""
 
 import importlib.util
 import pathlib
@@ -71,3 +71,48 @@ def test_the_diff_prints_each_layer_per_tick(census, capsys):
                             if line.startswith("w read per tick")))
     assert "Python calls 53.00 -> 3.00 (-50.00)" in lines[read]
     assert lines[read + 2].split()[-1] == "m:h"
+
+
+def test_a_checkpoint_is_counted_under_its_caller_and_checkpoint(census):
+    """Every call inside an engine snapshot counts in the checkpoint
+    layer and, as before, in the layer of the call that took it: so each
+    of them is counted as often in the checkpoint layer as in the drain
+    and ingest layers together, and the snapshot call itself only
+    there."""
+    result = census.census(ROOT, "join_recover", 40)
+    assert result == census.census(ROOT, "join_recover", 40)
+    # Ticks 8-39, one checkpoint every eighth tick.
+    assert result["checkpoints"] == 4
+    checkpoint = result["layers"]["checkpoint"]
+    ingest = result["layers"]["ingest"]
+    barrier = "repro.cql.state:KeyedState.barrier"
+    assert checkpoint["python"][barrier] > 0
+    for kind in ("python", "c"):
+        for name, calls in checkpoint[kind].items():
+            assert result[kind].get(name, 0) \
+                + ingest[kind].get(name, 0) >= calls, name
+    assert checkpoint["python"][barrier] == result["python"].get(
+        barrier, 0) + ingest["python"].get(barrier, 0)
+    snapshot = "repro.dsms.engine:DSMSEngine.snapshot"
+    assert snapshot not in checkpoint["python"]
+    assert result["python"].get(snapshot, 0) \
+        + ingest["python"].get(snapshot, 0) == 4
+
+
+def test_the_diff_prints_the_checkpoint_layer_per_checkpoint(census,
+                                                             capsys):
+    def result(copies, checkpoints):
+        return {"quanta": 4, "ticks": [0, 1], "checkpoints": checkpoints,
+                "python": {"m:f": 4}, "c": {}, "layers": {
+                    "ingest": {"python": {}, "c": {}},
+                    "read": {"python": {}, "c": {}},
+                    "checkpoint": {"python": {"m:copy": copies}, "c": {}}}}
+
+    census.report_diff("w", result(30, 3), result(20, 4), top=10)
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [line for line in lines
+               if line.startswith("w checkpoint per checkpoint")]
+    assert "Python calls 10.00 -> 5.00 (-5.00)" in line
+    # No checkpoint taken: the layer is not printed.
+    census.report_diff("w", result(0, 0), result(0, 0), top=10)
+    assert "checkpoint" not in capsys.readouterr().out

@@ -18,13 +18,16 @@ quantum: engine code as ``module:qualified name``, generated kernels by
 their pseudo-filename (which spells the shape they render), and C
 functions by their qualified name.
 
-The same hook counts two more layers over the same ticks, per tick:
+The same hook counts more layers over the same ticks: per tick,
 ``ingest`` (each ``DSMSEngine.ingest`` and ``ingest_many``; each
 ``DynamicTableService.apply`` for ``view_cascade``) and ``read`` (each
-``QueryHandle.store_state``; each ``DynamicTableService.read``).  A call
-made inside another hooked call counts under the outer one's layer, so
-the drain's per-quantum numbers are the same as with the drain hooked
-alone.
+``QueryHandle.store_state``; each ``DynamicTableService.read``), and per
+checkpoint, ``checkpoint``: the calls inside each ``DSMSEngine.snapshot``
+(the engine's barrier, which a recovery checkpoint takes inside a drain
+or an ingest).  A call made inside another hooked call counts under the
+outer one's layer, and a call inside a snapshot counts under its
+caller's layer as well as under ``checkpoint``, so the drain's
+per-quantum numbers are the same as with the drain hooked alone.
 
 Counts, not clocks: two runs of one tree print the same numbers, so one
 run answers whether a change added or removed work on the hot path.
@@ -50,15 +53,17 @@ ROOT = Path(__file__).resolve().parent.parent
 #: strings, and so every count, repeat from run to run.
 HASH_SEED = "1"
 SEED = 1
-#: The layers counted per tick beside the drain's per-quantum census.
-LAYERS = ("ingest", "read")
+#: The layers counted beside the drain's per-quantum census: per tick,
+#: except ``checkpoint``, per engine snapshot.
+LAYERS = ("ingest", "read", "checkpoint")
 
 
 def measure(root: Path, workload: str, ticks: int | None) -> dict:
     """One census pass of ``workload`` over the tree at ``root``, in this
-    process: ``{"quanta", "ticks", "python", "c", "layers"}``; ``python``
-    and ``c`` are ``{function: calls}`` summed over every hooked drain
-    call, and ``layers`` holds the same pair for each of :data:`LAYERS`.
+    process: ``{"quanta", "ticks", "checkpoints", "python", "c",
+    "layers"}``; ``python`` and ``c`` are ``{function: calls}`` summed
+    over every hooked drain call, ``layers`` holds the same pair for each
+    of :data:`LAYERS`, and ``checkpoints`` counts the snapshots taken.
     """
     sys.path[:0] = [str(root / "src"), str(root)]
     from cqbench.workloads import WORKLOADS
@@ -72,6 +77,10 @@ def measure(root: Path, workload: str, ticks: int | None) -> dict:
     quanta = [0]
     counting = [False]
     setprofile = sys.setprofile
+    snapshot = DSMSEngine.snapshot.__code__
+    checkpoint_python, checkpoint_c = counters["checkpoint"]
+    #: The snapshot frame being counted, and the snapshots counted.
+    inside, checkpoints = [None], [0]
 
     def profiler_of(layer: str):
         python, c_calls = counters[layer]
@@ -82,10 +91,21 @@ def measure(root: Path, workload: str, ticks: int | None) -> dict:
                 module = frame.f_globals.get("__name__")
                 where = code.co_filename if module is None \
                     or code.co_filename.startswith("<") else module
-                python[f"{where}:{code.co_qualname}"] += 1
+                name = f"{where}:{code.co_qualname}"
+                python[name] += 1
+                if inside[0] is not None:
+                    checkpoint_python[name] += 1
+                elif code is snapshot:
+                    inside[0] = frame
+                    checkpoints[0] += 1
             elif event == "c_call" and arg is not setprofile:
-                c_calls[getattr(arg, "__qualname__", None)
-                        or getattr(arg, "__name__", repr(arg))] += 1
+                name = getattr(arg, "__qualname__", None) \
+                    or getattr(arg, "__name__", repr(arg))
+                c_calls[name] += 1
+                if inside[0] is not None:
+                    checkpoint_c[name] += 1
+            elif event == "return" and frame is inside[0]:
+                inside[0] = None
         return profiler
 
     def hooked(owner, name: str, layer: str, per_call: bool = True):
@@ -120,6 +140,7 @@ def measure(root: Path, workload: str, ticks: int | None) -> dict:
         passing.tick(i)
     python, c_calls = counters["drain"]
     return {"quanta": quanta[0], "ticks": [first, ticks - 1],
+            "checkpoints": checkpoints[0],
             "python": dict(python), "c": dict(c_calls),
             "layers": {layer: {"python": dict(counters[layer][0]),
                                "c": dict(counters[layer][1])}
@@ -165,10 +186,18 @@ def counted_ticks(result: dict) -> int:
     return last - first + 1
 
 
-def layers(result: dict) -> dict[str, dict]:
-    """Each counted layer's census, per tick: the drain's and, when the
-    result has them, :data:`LAYERS`'."""
-    return {"drain": result, **result.get("layers", {})}
+def layers(result: dict) -> dict[str, tuple[dict, int, str]]:
+    """Each counted layer's census, what its counts are divided by and
+    its unit: the drain's and, when the result has them, :data:`LAYERS`'
+    (per tick; the checkpoint layer per snapshot, when any was taken)."""
+    ticks = counted_ticks(result)
+    out = {"drain": (result, ticks, "tick")}
+    for layer, counted in result.get("layers", {}).items():
+        if layer != "checkpoint":
+            out[layer] = (counted, ticks, "tick")
+        elif result.get("checkpoints"):
+            out[layer] = (counted, result["checkpoints"], "checkpoint")
+    return out
 
 
 def report(workload: str, result: dict, top: int) -> None:
@@ -180,14 +209,13 @@ def report(workload: str, result: dict, top: int) -> None:
     rows = sorted(per_quantum(result).items(), key=lambda kv: (-kv[1], kv[0]))
     for name, calls in rows[:top]:
         print(f"{calls:10.3f}  {name}")
-    ticks = counted_ticks(result)
-    for layer, counted in layers(result).items():
-        python, c_calls = totals(counted, ticks)
-        print(f"{layer} per tick: {python:.2f} Python calls, "
+    for layer, (counted, n, unit) in layers(result).items():
+        python, c_calls = totals(counted, n)
+        print(f"{layer} per {unit}: {python:.2f} Python calls, "
               f"{c_calls:.2f} C calls")
         if layer == "drain":
             continue
-        rows = sorted(per_quantum(counted, ticks).items(),
+        rows = sorted(per_quantum(counted, n).items(),
                       key=lambda kv: (-kv[1], kv[0]))
         for name, calls in rows[:top]:
             print(f"{calls:10.3f}  {name}")
@@ -214,16 +242,14 @@ def report_diff(workload: str, base: dict, change: dict, top: int) -> None:
     if "layers" not in base or "layers" not in change:
         return
     before, after = layers(base), layers(change)
-    n, m = counted_ticks(base), counted_ticks(change)
-    for layer in before:
-        (bp, bc), (cp, cc) = totals(before[layer], n), \
-            totals(after[layer], m)
-        print(f"{workload} {layer} per tick: Python calls {bp:.2f} -> "
+    for layer in [layer for layer in before if layer in after]:
+        (was, n, unit), (now, m, _) = before[layer], after[layer]
+        (bp, bc), (cp, cc) = totals(was, n), totals(now, m)
+        print(f"{workload} {layer} per {unit}: Python calls {bp:.2f} -> "
               f"{cp:.2f} ({cp - bp:+.2f}), C calls {bc:.2f} -> {cc:.2f} "
               f"({cc - bc:+.2f})")
         if layer != "drain":
-            print_moved(per_quantum(before[layer], n),
-                        per_quantum(after[layer], m), top)
+            print_moved(per_quantum(was, n), per_quantum(now, m), top)
 
 
 def main(argv: list[str]) -> int:
